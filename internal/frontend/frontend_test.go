@@ -10,6 +10,7 @@ import (
 	"firestore/internal/catalog"
 	"firestore/internal/doc"
 	"firestore/internal/index"
+	"firestore/internal/obs"
 	"firestore/internal/query"
 	"firestore/internal/rtcache"
 	"firestore/internal/spanner"
@@ -20,7 +21,14 @@ type env struct {
 	f     *Frontend
 	b     *backend.Backend
 	cache *rtcache.Cache
+	obs   *obs.Registry
 	dbID  string
+}
+
+// lateUpdates is how many updates reached a query at or below the
+// version it had already emitted — zero while rtcache delivery is ordered.
+func (e *env) lateUpdates() int64 {
+	return e.obs.Counter("frontend.late_updates", obs.DB(e.dbID)).Value()
 }
 
 var priv = backend.Principal{Privileged: true}
@@ -30,17 +38,23 @@ func newEnv(t *testing.T, hooks backend.FailureHooks) *env {
 }
 
 func newEnvWithMargin(t *testing.T, hooks backend.FailureHooks, margin time.Duration) *env {
+	return newEnvWithHeartbeat(t, hooks, margin, time.Millisecond)
+}
+
+func newEnvWithHeartbeat(t *testing.T, hooks backend.FailureHooks, margin, heartbeat time.Duration) *env {
 	t.Helper()
 	clock := truetime.NewSystem(10 * time.Microsecond)
 	sp := spanner.New(spanner.Config{Clock: clock, LockTimeout: 300 * time.Millisecond})
 	cat := catalog.New([]*spanner.DB{sp})
-	cache := rtcache.New(rtcache.Config{Clock: clock, Ranges: 4, HeartbeatEvery: time.Millisecond, AcceptMargin: margin})
+	cache := rtcache.New(rtcache.Config{Clock: clock, Ranges: 4, HeartbeatEvery: heartbeat, AcceptMargin: margin})
 	t.Cleanup(cache.Close)
 	b := backend.New(backend.Config{Catalog: cat, Cache: cache, FailureHooks: hooks})
 	if _, err := cat.Create("app"); err != nil {
 		t.Fatal(err)
 	}
-	return &env{f: New(b, cache), b: b, cache: cache, dbID: "app"}
+	e := &env{f: New(b, cache), b: b, cache: cache, obs: obs.NewRegistry(), dbID: "app"}
+	e.f.SetObs(e.obs)
+	return e
 }
 
 func (e *env) set(t *testing.T, name string, fields map[string]doc.Value) truetime.Timestamp {
@@ -360,6 +374,76 @@ func TestManyListenersBroadcast(t *testing.T) {
 		ev := nextEvent(t, conns[i], targets[i])
 		if len(ev.Modified) != 1 || ev.Modified[0].Fields["home"].IntVal() != 1 {
 			t.Fatalf("listener %d delta = %+v", i, ev)
+		}
+	}
+}
+
+// TestIdleHeartbeatIsFlat: a heartbeat tick over a connection with Q idle
+// listeners is Q OnWatermark calls; together they must allocate nothing
+// and scan the connection's queries once — on the tick's last watermark,
+// when the connection-consistent timestamp can finally move.
+func TestIdleHeartbeatIsFlat(t *testing.T) {
+	e := newEnvWithHeartbeat(t, backend.FailureHooks{}, time.Hour, time.Hour)
+	conn := e.f.NewConn(e.dbID, priv)
+	defer conn.Close()
+	const listeners = 32
+	for i := 0; i < listeners; i++ {
+		q := &query.Query{Collection: doc.MustCollection(fmt.Sprintf("/rooms/r%d/messages", i))}
+		if _, err := conn.Listen(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type sub struct {
+		rq      *rtQuery
+		rangeID int
+		subID   int64
+	}
+	var subs []sub
+	var ts truetime.Timestamp
+	conn.mu.Lock()
+	for id, rq := range conn.queries {
+		subs = append(subs, sub{rq, rq.rangeIDs[0], id})
+		ts = max(ts, rq.maxCommitVersion)
+	}
+	conn.mu.Unlock()
+	version := func(s sub) truetime.Timestamp {
+		conn.mu.Lock()
+		defer conn.mu.Unlock()
+		return s.rq.maxCommitVersion
+	}
+
+	tick := func() {
+		ts += 1000
+		for _, s := range subs {
+			conn.OnWatermark(s.rangeID, s.subID, ts)
+		}
+	}
+	tick() // the first scan counts the holders
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Fatalf("idle heartbeat tick over %d listeners allocates %.0f times, want 0", listeners, allocs)
+	}
+	// Every watermark but the tick's last is O(1): nothing advances until
+	// the last query sitting on the old timestamp has moved.
+	before := ts
+	ts += 1000
+	for _, s := range subs[:listeners-1] {
+		conn.OnWatermark(s.rangeID, s.subID, ts)
+	}
+	for _, s := range subs {
+		if got := version(s); got != before {
+			t.Fatalf("query advanced to %d before the tick completed, want %d", got, before)
+		}
+	}
+	last := subs[listeners-1]
+	conn.OnWatermark(last.rangeID, last.subID, ts)
+	for _, s := range subs {
+		if got := version(s); got != ts {
+			t.Fatalf("query at %d after the tick, want %d", got, ts)
+		}
+	}
+	for len(conn.Events()) > 0 {
+		if ev := <-conn.Events(); !ev.Initial {
+			t.Fatalf("idle tick emitted a delta: %+v", ev)
 		}
 	}
 }

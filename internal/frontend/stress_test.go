@@ -109,6 +109,9 @@ func TestStreamConvergesToQuery(t *testing.T) {
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
+			if n := e.lateUpdates(); n != 0 {
+				t.Fatalf("frontend.late_updates = %d: a watermark overtook an update it covers", n)
+			}
 		})
 	}
 }
@@ -186,6 +189,9 @@ func TestStreamConvergesUnderResets(t *testing.T) {
 			t.Fatal(err)
 		}
 		if equalSets(t, q, folded, res.Docs, &mu) {
+			if n := e.lateUpdates(); n != 0 {
+				t.Fatalf("frontend.late_updates = %d under resets", n)
+			}
 			return
 		}
 		if time.Now().After(deadline) {

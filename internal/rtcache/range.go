@@ -1,6 +1,7 @@
 package rtcache
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -20,42 +21,74 @@ type subscription struct {
 	// (the query's max-commit-version at Subscribe time, §IV-D4 step 4).
 	afterTS truetime.Timestamp
 	q       *query.Query
-}
-
-// subscriberQueries groups one Subscriber's subscriptions on a range.
-type subscriberQueries struct {
-	queries map[int64]*subscription
+	// wmAt/wmGen locate this subscription's queued watermark in the
+	// outbox while it is the last event queued for it (wmGen == the
+	// range's outbox generation); queueWatermarkLocked then raises it in
+	// place instead of appending another.
+	wmAt  int
+	wmGen uint64
 }
 
 // nameRange is one document-name range: its Changelog state (pending
 // prepares, watermark) fused with its Query Matcher state (registered
 // queries). The paper separates these into two task types; semantically
 // the pair share a range, so they are colocated here.
+//
+// Delivery contract. Every subscriber-visible event of the range —
+// matched updates, watermark advances, Subscribe's changelog replay and
+// initial watermark, resets — is appended to outbox under mu, in the
+// order mu produced it, and handed to subscribers outside mu by one
+// drainer at a time. So for a given (range, subID): if OnWatermark(ts)
+// is delivered, every OnUpdate with TS <= ts that will ever be delivered
+// for that subscription was delivered before it; and after OnReset
+// nothing further is delivered for that subID. An undelivered watermark
+// that is still the last event queued for its subscription is raised in
+// place by the next one (watermarks are monotone), so an idle range
+// queues at most one event per subscription however slow the subscriber.
 type nameRange struct {
 	id  int
 	obs *obs.Registry
+	oos *obs.Counter // rtcache.out_of_sync; nil without a registry
 	kv  *keyviz.Collector
 
 	mu sync.Mutex
-	// pending maps writeID -> prepare record.
-	pending map[string]*prepareRecord
-	// watermark: all updates <= watermark have been forwarded.
+	// pending holds the prepares whose Accept has not arrived, in Prepare
+	// order.
+	pending []prepare
+	// watermark: all updates <= watermark have been queued for delivery.
 	watermark truetime.Timestamp
 	// lastTS is the largest commit timestamp resolved here.
 	lastTS truetime.Timestamp
-	// subs maps a Subscriber identity to its registered queries.
-	subs map[Subscriber]*subscriberQueries
+	// subs holds the registered queries by subscription ID.
+	subs map[int64]*subscription
 
 	// log retains recently forwarded mutations (the "In-memory
 	// Changelog"), replayed to new subscriptions whose max-commit-version
 	// predates updates already forwarded. trimmedBefore is the timestamp
 	// at or below which entries may have been discarded; a subscription
 	// with afterTS below it cannot be served completely and must reset.
-	log           []loggedMutation
+	log           changelog
 	trimmedBefore truetime.Timestamp
+
+	// outbox collects events under mu; the drainer swaps it against
+	// spare (the previous batch's backing array) so steady-state delivery
+	// allocates nothing. gen counts swaps and invalidates subscription
+	// wmAt indexes into a batch that has been taken.
+	outbox   []event
+	spare    []event
+	gen      uint64
+	draining bool
 
 	outOfSyncs int64
 	forwarded  int64
+}
+
+// prepare is one outstanding Prepare on a range. The write record
+// carries everything the ranges share (database, max timestamp,
+// deadline); only the minimum timestamp is per range.
+type prepare struct {
+	w     *write
+	minTS truetime.Timestamp
 }
 
 // loggedMutation is one retained changelog entry.
@@ -65,193 +98,254 @@ type loggedMutation struct {
 	mut Mutation
 }
 
-// logCap bounds the in-memory changelog per range.
+// logCap bounds the in-memory changelog per range (a power of two).
 const logCap = 4096
 
-type prepareRecord struct {
-	minTS truetime.Timestamp
-	// maxTS is the write's maximum commit timestamp (§IV-D2 step 5). If
-	// the range abandons the prepare (timeout, crash, rebalance), the
-	// commit may still land anywhere up to maxTS — so resets must refuse
-	// to serve history below it (see markOutOfSync).
-	maxTS    truetime.Timestamp
-	deadline time.Time
-	expire   bool // set when the deadline passed and the range reset
+// changelog is a fixed ring of the last logCap forwarded mutations in
+// commit-arrival order, allocated on the first push.
+type changelog struct {
+	buf   *[logCap]loggedMutation
+	start int // index of the oldest retained entry
+	n     int // retained entries
 }
 
-func newNameRange(id int) *nameRange {
-	return &nameRange{
-		id:      id,
-		pending: map[string]*prepareRecord{},
-		subs:    map[Subscriber]*subscriberQueries{},
+// push appends e, overwriting the oldest entry when full; it reports the
+// overwritten entry's timestamp so the caller can advance its trim
+// horizon.
+func (l *changelog) push(e loggedMutation) (trimmed truetime.Timestamp, full bool) {
+	if l.buf == nil {
+		l.buf = new([logCap]loggedMutation)
+	}
+	slot := &l.buf[(l.start+l.n)%logCap] // the oldest entry's slot once full
+	if full = l.n == logCap; full {
+		trimmed = slot.ts
+		l.start = (l.start + 1) % logCap
+	} else {
+		l.n++
+	}
+	*slot = e
+	return trimmed, full
+}
+
+// at returns the i-th oldest retained entry.
+func (l *changelog) at(i int) *loggedMutation { return &l.buf[(l.start+i)%logCap] }
+
+// reset drops every entry in place, releasing the retained documents.
+func (l *changelog) reset() {
+	if l.n > 0 {
+		clear(l.buf[:])
+	}
+	l.start, l.n = 0, 0
+}
+
+type eventKind uint8
+
+const (
+	evUpdate eventKind = iota
+	evWatermark
+	evReset
+)
+
+// event is one queued subscriber callback. A watermark's timestamp
+// travels in u.TS.
+type event struct {
+	kind  eventKind
+	sub   Subscriber
+	subID int64
+	u     Update
+}
+
+func newNameRange(id int, reg *obs.Registry, kv *keyviz.Collector) *nameRange {
+	r := &nameRange{id: id, obs: reg, kv: kv, subs: map[int64]*subscription{}, gen: 1}
+	if reg != nil {
+		r.oos = reg.Counter("rtcache.out_of_sync", nil)
+	}
+	return r
+}
+
+// startDrainLocked claims the drainer role and takes the queued batch,
+// or returns nil when there is nothing to deliver or another goroutine
+// is already draining (it will pick these events up). The caller unlocks
+// mu and passes the batch to drain.
+func (r *nameRange) startDrainLocked() []event {
+	if r.draining || len(r.outbox) == 0 {
+		return nil
+	}
+	r.draining = true
+	return r.takeBatchLocked()
+}
+
+func (r *nameRange) takeBatchLocked() []event {
+	batch := r.outbox
+	r.outbox, r.spare = r.spare, nil
+	r.gen++
+	return batch
+}
+
+// drain delivers batch and whatever is queued meanwhile, with no rtcache
+// lock held: subscribers take their own locks, and a slow one delays
+// only this range's deliveries, never its Prepare/Accept.
+func (r *nameRange) drain(batch []event) {
+	for batch != nil {
+		for i := range batch {
+			e := &batch[i]
+			switch e.kind {
+			case evUpdate:
+				e.sub.OnUpdate(r.id, e.subID, e.u)
+			case evWatermark:
+				e.sub.OnWatermark(r.id, e.subID, e.u.TS)
+			case evReset:
+				e.sub.OnReset(r.id, e.subID)
+			}
+		}
+		clear(batch)
+		r.mu.Lock()
+		r.spare = batch[:0]
+		if len(r.outbox) == 0 {
+			r.draining = false
+			batch = nil
+		} else {
+			batch = r.takeBatchLocked()
+		}
+		r.mu.Unlock()
 	}
 }
 
 // prepare registers a pending write and returns the minimum allowed
 // commit timestamp: one past everything this range has already resolved
 // or advanced its watermark to, so the complete-sequence invariant holds.
-func (r *nameRange) prepare(writeID string, deadline time.Time, maxTS truetime.Timestamp) truetime.Timestamp {
+func (r *nameRange) prepare(w *write) truetime.Timestamp {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	min := r.watermark + 1
-	if r.lastTS+1 > min {
-		min = r.lastTS + 1
-	}
-	r.pending[writeID] = &prepareRecord{minTS: min, maxTS: maxTS, deadline: deadline}
-	return min
+	minTS := max(r.watermark, r.lastTS) + 1
+	r.pending = append(r.pending, prepare{w: w, minTS: minTS})
+	return minTS
 }
 
 // resolve completes a pending write: forwards its mutations (success) and
 // advances the watermark as far as the remaining prepares allow.
-func (r *nameRange) resolve(writeID, db string, muts []Mutation, ts truetime.Timestamp) {
+func (r *nameRange) resolve(w *write, muts []Mutation, ts truetime.Timestamp) {
 	r.mu.Lock()
-	rec, ok := r.pending[writeID]
-	delete(r.pending, writeID)
-	if !ok || rec.expire {
+	i := slices.IndexFunc(r.pending, func(p prepare) bool { return p.w == w })
+	if i < 0 {
 		// The range already gave up on this write and reset; the
 		// mutations (if any) will be re-observed via requery.
 		r.mu.Unlock()
 		return
 	}
-	var deliveries []delivery
+	r.pending = slices.Delete(r.pending, i, i+1)
+	matched := 0
 	if muts != nil {
-		if ts > r.lastTS {
-			r.lastTS = ts
-		}
-		deliveries = r.matchLocked(db, muts, ts)
+		r.lastTS = max(r.lastTS, ts)
 		r.forwarded += int64(len(muts))
+		matched = r.matchLocked(w.db, muts, ts)
 		for _, m := range muts {
-			r.log = append(r.log, loggedMutation{ts: ts, db: db, mut: m})
-		}
-		if len(r.log) > logCap {
-			over := len(r.log) - logCap
-			r.trimmedBefore = r.log[over-1].ts
-			r.log = append(r.log[:0:0], r.log[over:]...)
+			if trimmed, full := r.log.push(loggedMutation{ts: ts, db: w.db, mut: m}); full {
+				r.trimmedBefore = trimmed
+			}
 		}
 	}
-	wmDeliveries := r.advanceWatermarkLocked()
+	r.advanceWatermarkLocked()
+	batch := r.startDrainLocked()
 	r.mu.Unlock()
-	if r.obs != nil && muts != nil {
-		r.obs.Counter("rtcache.forwarded", obs.DB(db)).Add(int64(len(muts)))
-		if len(deliveries) > 0 {
-			r.obs.Counter("rtcache.fanout", obs.DB(db)).Add(int64(len(deliveries)))
-		}
-	}
-	// Deliver heat: mutations resolved on this range, with fan-out cost
-	// as bytes-free op weight (matcher work scales with deliveries).
 	if muts != nil {
-		r.kv.Sample(keyviz.SrcRange, uint64(r.id), keyviz.OpDeliver,
-			int64(len(muts)+len(deliveries)), 0, 0)
+		if r.obs != nil {
+			r.obs.Counter("rtcache.forwarded", obs.DB(w.db)).Add(int64(len(muts)))
+			if matched > 0 {
+				r.obs.Counter("rtcache.fanout", obs.DB(w.db)).Add(int64(matched))
+			}
+		}
+		// Deliver heat: mutations resolved on this range, with fan-out
+		// cost as bytes-free op weight (matcher work scales with
+		// deliveries).
+		r.kv.Sample(keyviz.SrcRange, uint64(r.id), keyviz.OpDeliver, int64(len(muts)+matched), 0, 0)
 	}
-	// Deliver outside the lock (subscribers must not re-enter, but they
-	// may take their own locks).
-	for _, d := range deliveries {
-		d.sub.OnUpdate(r.id, d.subID, d.update)
-	}
-	for _, d := range wmDeliveries {
-		d.sub.OnWatermark(r.id, d.subID, d.ts)
-	}
+	r.drain(batch)
 }
 
-type delivery struct {
-	sub    Subscriber
-	subID  int64
-	update Update
-	ts     truetime.Timestamp
+// matchUpdate evaluates one mutation against q, returning the update to
+// deliver if either version of the document matches.
+func matchUpdate(q *query.Query, m Mutation, ts truetime.Timestamp) (Update, bool) {
+	newMatches := m.New != nil && q.Matches(m.New)
+	if !newMatches && (m.Old == nil || !q.Matches(m.Old)) {
+		return Update{}, false
+	}
+	u := Update{TS: ts, Name: m.Name, Matches: newMatches}
+	if newMatches {
+		u.New = m.New
+	}
+	return u, true
 }
 
 // matchLocked evaluates mutations against every registered query
-// ("matches it with all the queries registered for that key range").
-func (r *nameRange) matchLocked(db string, muts []Mutation, ts truetime.Timestamp) []delivery {
-	var out []delivery
-	for _, sq := range r.subs {
-		for _, s := range sq.queries {
-			if s.db != db {
-				continue // multi-tenant range: other databases' queries
-			}
-			for _, m := range muts {
-				if ts <= s.afterTS {
-					continue
-				}
-				newMatches := m.New != nil && s.q.Matches(m.New)
-				oldMatches := m.Old != nil && s.q.Matches(m.Old)
-				if !newMatches && !oldMatches {
-					continue
-				}
-				u := Update{TS: ts, Name: m.Name, Matches: newMatches}
-				if newMatches {
-					u.New = m.New
-				}
-				out = append(out, delivery{sub: s.sub, subID: s.subID, update: u})
+// ("matches it with all the queries registered for that key range"),
+// queues the matches and returns their count.
+func (r *nameRange) matchLocked(db string, muts []Mutation, ts truetime.Timestamp) int {
+	matched := 0
+	for _, s := range r.subs {
+		if s.db != db || ts <= s.afterTS {
+			continue // other databases' queries (multi-tenant range), or already in the initial snapshot
+		}
+		for _, m := range muts {
+			if u, ok := matchUpdate(s.q, m, ts); ok {
+				r.queueUpdateLocked(s, u)
+				matched++
 			}
 		}
 	}
-	return out
+	return matched
+}
+
+func (r *nameRange) queueUpdateLocked(s *subscription, u Update) {
+	s.wmGen = 0 // a later watermark must queue behind this update
+	r.outbox = append(r.outbox, event{kind: evUpdate, sub: s.sub, subID: s.subID, u: u})
+}
+
+// queueWatermarkLocked queues the range's watermark for s, superseding
+// s's undelivered one when no update was queued for s since.
+func (r *nameRange) queueWatermarkLocked(s *subscription) {
+	if s.wmGen == r.gen {
+		r.outbox[s.wmAt].u.TS = r.watermark
+		return
+	}
+	s.wmAt, s.wmGen = len(r.outbox), r.gen
+	r.outbox = append(r.outbox, event{kind: evWatermark, sub: s.sub, subID: s.subID, u: Update{TS: r.watermark}})
 }
 
 // advanceWatermarkLocked moves the watermark to just below the smallest
 // outstanding prepare ("complete sequence of updates until time t once it
 // has received Accept responses for all Prepare RPCs with a minimum
 // timestamp less than t").
-func (r *nameRange) advanceWatermarkLocked() []delivery {
-	target := truetime.Timestamp(0)
-	if len(r.pending) == 0 {
-		target = r.lastTS
-	} else {
-		min := truetime.Max
-		for _, rec := range r.pending {
-			if rec.minTS < min {
-				min = rec.minTS
-			}
-		}
-		target = min - 1
+func (r *nameRange) advanceWatermarkLocked() {
+	target := r.lastTS
+	for _, p := range r.pending {
+		target = min(target, p.minTS-1)
 	}
-	if target <= r.watermark {
-		return nil
+	if target > r.watermark {
+		r.setWatermarkLocked(target)
 	}
-	r.watermark = target
-	return r.watermarkDeliveriesLocked()
 }
 
-func (r *nameRange) watermarkDeliveriesLocked() []delivery {
-	var out []delivery
-	for _, sq := range r.subs {
-		for _, s := range sq.queries {
-			out = append(out, delivery{sub: s.sub, subID: s.subID, ts: r.watermark})
-		}
+func (r *nameRange) setWatermarkLocked(ts truetime.Timestamp) {
+	r.watermark = ts
+	for _, s := range r.subs {
+		r.queueWatermarkLocked(s)
 	}
-	return out
 }
 
 // heartbeat advances the watermark on idle ranges and expires prepares
 // whose Accept never arrived (→ out-of-sync).
 func (r *nameRange) heartbeat(now truetime.Timestamp, wall time.Time) {
 	r.mu.Lock()
-	// Expire overdue prepares.
-	expired := false
-	for _, rec := range r.pending {
-		if !rec.expire && wall.After(rec.deadline) {
-			rec.expire = true
-			expired = true
-		}
+	if slices.ContainsFunc(r.pending, func(p prepare) bool { return wall.After(p.w.deadline) }) {
+		r.markOutOfSyncLocked()
+	} else if len(r.pending) == 0 && now > r.watermark {
+		r.lastTS = max(r.lastTS, now)
+		r.setWatermarkLocked(now)
 	}
-	if expired {
-		r.mu.Unlock()
-		r.markOutOfSync()
-		return
-	}
-	var deliveries []delivery
-	if len(r.pending) == 0 && now > r.watermark {
-		r.watermark = now
-		if now > r.lastTS {
-			r.lastTS = now
-		}
-		deliveries = r.watermarkDeliveriesLocked()
-	}
+	batch := r.startDrainLocked()
 	r.mu.Unlock()
-	for _, d := range deliveries {
-		d.sub.OnWatermark(r.id, d.subID, d.ts)
-	}
+	r.drain(batch)
 }
 
 // crash simulates a Changelog task crash-and-restart (the
@@ -271,20 +365,13 @@ func (r *nameRange) crash() {
 		Detail: "changelog task restart",
 	})
 	r.kv.Sample(keyviz.SrcRange, uint64(r.id), keyviz.OpFault, 1, 0, 0)
-	r.markOutOfSync()
 	r.mu.Lock()
+	r.markOutOfSyncLocked()
 	r.watermark = 0
 	r.lastTS = 0
+	batch := r.startDrainLocked()
 	r.mu.Unlock()
-}
-
-// expired reports whether writeID's prepare here is no longer pending
-// normally (timed out or already swept by a reset).
-func (r *nameRange) expired(writeID string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rec, ok := r.pending[writeID]
-	return !ok || rec.expire
+	r.drain(batch)
 }
 
 // markOutOfSync abandons ordering guarantees for the range: pending state
@@ -292,42 +379,36 @@ func (r *nameRange) expired(writeID string) bool {
 // to reset ("the Frontend task then aborts all accumulated state for that
 // query and redoes the steps starting with the initial query request").
 func (r *nameRange) markOutOfSync() {
-	if r.obs != nil {
-		r.obs.Counter("rtcache.out_of_sync", nil).Inc()
-	}
 	r.mu.Lock()
+	r.markOutOfSyncLocked()
+	batch := r.startDrainLocked()
+	r.mu.Unlock()
+	r.drain(batch)
+}
+
+func (r *nameRange) markOutOfSyncLocked() {
 	r.outOfSyncs++
+	if r.oos != nil {
+		r.oos.Inc()
+	}
 	// Abandoned prepares may still commit at any timestamp up to their
 	// maxTS (the Accept is simply lost to this range). Raise the trim
 	// horizon past every such potential commit so no later subscription
 	// registers below it and silently misses the write — it resets and
 	// re-observes the write through its fresh initial snapshot instead.
-	for _, rec := range r.pending {
-		if rec.maxTS > r.trimmedBefore {
-			r.trimmedBefore = rec.maxTS
-		}
+	for _, p := range r.pending {
+		r.trimmedBefore = max(r.trimmedBefore, p.w.maxTS)
 	}
-	r.pending = map[string]*prepareRecord{}
-	r.log = nil
-	if r.lastTS > r.trimmedBefore {
-		r.trimmedBefore = r.lastTS
-	}
-	if r.watermark > r.trimmedBefore {
-		r.trimmedBefore = r.watermark
-	}
-	var resets []delivery
-	for _, sq := range r.subs {
-		for _, s := range sq.queries {
-			resets = append(resets, delivery{sub: s.sub, subID: s.subID})
-		}
-	}
+	clear(r.pending)
+	r.pending = r.pending[:0]
+	r.log.reset()
+	r.trimmedBefore = max(r.trimmedBefore, r.lastTS, r.watermark)
 	// Subscriptions are dropped; the frontend resubscribes after its
 	// requery.
-	r.subs = map[Subscriber]*subscriberQueries{}
-	r.mu.Unlock()
-	for _, d := range resets {
-		d.sub.OnReset(r.id, d.subID)
+	for _, s := range r.subs {
+		r.outbox = append(r.outbox, event{kind: evReset, sub: s.sub, subID: s.subID})
 	}
+	clear(r.subs)
 }
 
 // ReserveSub allocates a subscription ID before Subscribe, letting the
@@ -354,63 +435,51 @@ func (c *Cache) Subscribe(sub Subscriber, db string, q *query.Query, afterTS tru
 		c.mu.Lock()
 		r := c.ranges[rid]
 		c.mu.Unlock()
-		r.mu.Lock()
-		// Updates after afterTS may already have been forwarded before
-		// this registration; replay them from the in-memory changelog.
-		// If the log no longer reaches back to afterTS, the subscription
-		// cannot be served completely: reset it immediately (the
-		// frontend requeries at a fresher timestamp).
-		if afterTS < r.trimmedBefore {
-			r.mu.Unlock()
-			go sub.OnReset(rid, subID)
-			continue
-		}
-		var replay []delivery
-		for _, le := range r.log {
-			if le.ts <= afterTS || le.db != db {
-				continue
-			}
-			newMatches := le.mut.New != nil && q.Matches(le.mut.New)
-			oldMatches := le.mut.Old != nil && q.Matches(le.mut.Old)
-			if !newMatches && !oldMatches {
-				continue
-			}
-			u := Update{TS: le.ts, Name: le.mut.Name, Matches: newMatches}
-			if newMatches {
-				u.New = le.mut.New
-			}
-			replay = append(replay, delivery{sub: sub, subID: subID, update: u})
-		}
-		sq, ok := r.subs[sub]
-		if !ok {
-			sq = &subscriberQueries{queries: map[int64]*subscription{}}
-			r.subs[sub] = sq
-		}
-		sq.queries[subID] = &subscription{subID: subID, sub: sub, db: db, afterTS: afterTS, q: q}
-		wm := r.watermark
-		r.mu.Unlock()
-		for _, d := range replay {
-			d.sub.OnUpdate(rid, d.subID, d.update)
-		}
-		if wm > 0 {
-			sub.OnWatermark(rid, subID, wm)
-		}
+		r.subscribe(&subscription{subID: subID, sub: sub, db: db, afterTS: afterTS, q: q})
 	}
 	return subID, rangeIDs
 }
 
-// Unsubscribe removes a subscription from every range.
+// subscribe registers s and queues, in one critical section, what it
+// missed: updates after s.afterTS may already have been forwarded before
+// this registration, so they are replayed from the in-memory changelog,
+// followed by the current watermark. If the log no longer reaches back
+// to afterTS the subscription cannot be served completely and is reset
+// instead (the frontend requeries at a fresher timestamp).
+func (r *nameRange) subscribe(s *subscription) {
+	r.mu.Lock()
+	if s.afterTS < r.trimmedBefore {
+		r.outbox = append(r.outbox, event{kind: evReset, sub: s.sub, subID: s.subID})
+	} else {
+		for i := 0; i < r.log.n; i++ {
+			le := r.log.at(i)
+			if le.ts <= s.afterTS || le.db != s.db {
+				continue
+			}
+			if u, ok := matchUpdate(s.q, le.mut, le.ts); ok {
+				r.queueUpdateLocked(s, u)
+			}
+		}
+		r.subs[s.subID] = s
+		if r.watermark > 0 {
+			r.queueWatermarkLocked(s)
+		}
+	}
+	batch := r.startDrainLocked()
+	r.mu.Unlock()
+	r.drain(batch)
+}
+
+// Unsubscribe removes a subscription from every range. Events already
+// queued for it may still be delivered.
 func (c *Cache) Unsubscribe(sub Subscriber, subID int64) {
 	c.mu.Lock()
 	ranges := append([]*nameRange(nil), c.ranges...)
 	c.mu.Unlock()
 	for _, r := range ranges {
 		r.mu.Lock()
-		if sq, ok := r.subs[sub]; ok {
-			delete(sq.queries, subID)
-			if len(sq.queries) == 0 {
-				delete(r.subs, sub)
-			}
+		if s, ok := r.subs[subID]; ok && s.sub == sub {
+			delete(r.subs, subID)
 		}
 		r.mu.Unlock()
 	}

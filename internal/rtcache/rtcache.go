@@ -23,6 +23,7 @@ package rtcache
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -69,9 +70,12 @@ type Update struct {
 	Matches bool
 }
 
-// Subscriber receives per-range events. Callbacks may be invoked
-// concurrently for different ranges and MUST NOT call back into the
-// Cache synchronously.
+// Subscriber receives per-range events. One range makes its callbacks
+// one at a time, in the order it produced the events and with no cache
+// lock held (the delivery contract on nameRange); different ranges
+// deliver concurrently. Callbacks MUST NOT call back into the Cache
+// synchronously, and a slow one delays every later delivery of its
+// range.
 type Subscriber interface {
 	// OnUpdate delivers one matched change on a range.
 	OnUpdate(rangeID int, subID int64, u Update)
@@ -93,9 +97,10 @@ type Config struct {
 	// ("Changelog tasks generate a heartbeat every few milliseconds").
 	// Default 2ms.
 	HeartbeatEvery time.Duration
-	// AcceptMargin is how long past a Prepare's max timestamp the
-	// Changelog waits for the Accept before declaring the range
-	// out-of-sync. Default 50ms.
+	// AcceptMargin is how long, in wall-clock time from the moment Prepare
+	// is called, the Changelog waits for the Accept before declaring the
+	// range out-of-sync; the Prepare's max timestamp plays no part in it.
+	// Default 50ms.
 	AcceptMargin time.Duration
 	// AutoSplitSubs, when positive, rebalances on the heartbeat loop:
 	// a range serving at least this many subscriptions is split and its
@@ -125,8 +130,8 @@ type Cache struct {
 
 	mu      sync.Mutex
 	ranges  []*nameRange
-	assign  []int32                 // slot -> range ID
-	writes  map[string]*writeRecord // writeID -> write state
+	assign  []int32           // slot -> range ID
+	writes  map[string]*write // writeID -> prepared, not yet accepted
 	nextSub int64
 }
 
@@ -151,14 +156,11 @@ func New(cfg Config) *Cache {
 		obs:           cfg.Obs,
 		kv:            cfg.KeyViz,
 		stop:          make(chan struct{}),
-		writes:        map[string]*writeRecord{},
+		writes:        map[string]*write{},
 		assign:        make([]int32, slots),
 	}
 	for i := 0; i < cfg.Ranges; i++ {
-		r := newNameRange(i)
-		r.obs = c.obs
-		r.kv = c.kv
-		c.ranges = append(c.ranges, r)
+		c.ranges = append(c.ranges, newNameRange(i, c.obs, c.kv))
 	}
 	for slot := range c.assign {
 		c.assign[slot] = int32(slot * cfg.Ranges / slots)
@@ -202,13 +204,13 @@ const slots = 256
 // collections spread across ranges while a collection's documents stay
 // together.
 func (c *Cache) rangeFor(db string, name doc.Name) *nameRange {
-	return c.rangeAt(slotOf(db, name.Segments()[0]))
-}
-
-func (c *Cache) rangeAt(slot int) *nameRange {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ranges[c.assign[slot]]
+	return c.ownerLocked(db, name.Segments()[0])
+}
+
+func (c *Cache) ownerLocked(db, topCollection string) *nameRange {
+	return c.ranges[c.assign[slotOf(db, topCollection)]]
 }
 
 func slotOf(db, topCollection string) int {
@@ -227,7 +229,9 @@ func slotOf(db, topCollection string) int {
 // a database's collection. Documents directly inside one collection share
 // their top-level segment, so this is a single range.
 func (c *Cache) RangesForCollection(db string, coll doc.CollectionPath) []int {
-	return []int{c.rangeAt(slotOf(db, coll.Segments()[0])).id}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return []int{c.ownerLocked(db, coll.Segments()[0]).id}
 }
 
 // splitHotRange rebalances load once: the range with the most
@@ -250,10 +254,7 @@ func (c *Cache) splitHotRange(threshold int) bool {
 			continue
 		}
 		r.mu.Lock()
-		subs := 0
-		for _, sq := range r.subs {
-			subs += len(sq.queries)
-		}
+		subs := len(r.subs)
 		r.mu.Unlock()
 		if subs > hotSubs {
 			hot, hotSubs = r, subs
@@ -263,9 +264,7 @@ func (c *Cache) splitHotRange(threshold int) bool {
 		c.mu.Unlock()
 		return false
 	}
-	fresh := newNameRange(len(c.ranges))
-	fresh.obs = c.obs
-	fresh.kv = c.kv
+	fresh := newNameRange(len(c.ranges), c.obs, c.kv)
 	c.ranges = append(c.ranges, fresh)
 	owned := slotsOf[hot.id]
 	for _, slot := range owned[:len(owned)/2] {
@@ -294,18 +293,16 @@ func (c *Cache) splitHotRange(threshold int) bool {
 // tests; with Config.AutoSplitSubs it also runs on the heartbeat loop.
 func (c *Cache) Rebalance(threshold int) bool { return c.splitHotRange(threshold) }
 
-// pendingWrite is one outstanding Prepare on one range.
-type pendingWrite struct {
-	r        *nameRange
-	writeID  string
-	minTS    truetime.Timestamp
+// write is the one record of a prepared write: what Prepare was told,
+// the wall-clock deadline for its Accept, and the ranges it prepared on.
+// It is immutable once Prepare returns, so ranges read it under their
+// own lock.
+type write struct {
+	db       string
+	maxTS    truetime.Timestamp // §IV-D2 step 5: the commit lands at or below it, if at all
 	deadline time.Time
-}
-
-// writeRecord tracks one write's prepares across ranges.
-type writeRecord struct {
-	db      string
-	pending []*pendingWrite
+	ranges   []*nameRange
+	one      [1]*nameRange // backs ranges for the usual single-range write
 }
 
 // Prepare begins the two-phase commit for writeID in database db touching
@@ -313,28 +310,25 @@ type writeRecord struct {
 // allowed commit timestamp (the max of the per-range minimums, §IV-D2
 // step 5).
 func (c *Cache) Prepare(writeID, db string, names []doc.Name, maxTS truetime.Timestamp) (truetime.Timestamp, error) {
-	byRange := map[*nameRange]bool{}
-	for _, n := range names {
-		byRange[c.rangeFor(db, n)] = true
-	}
-	deadline := time.Now().Add(c.acceptMargin)
-	var min truetime.Timestamp
-	var pending []*pendingWrite
-	for r := range byRange {
-		m := r.prepare(writeID, deadline, maxTS)
-		if m > min {
-			min = m
-		}
-		pending = append(pending, &pendingWrite{r: r, writeID: writeID, minTS: m, deadline: deadline})
-	}
+	w := &write{db: db, maxTS: maxTS, deadline: time.Now().Add(c.acceptMargin)}
+	w.ranges = w.one[:0]
 	c.mu.Lock()
 	if _, dup := c.writes[writeID]; dup {
 		c.mu.Unlock()
 		return 0, status.Errorf(status.Internal, "rtcache", "duplicate write ID %q", writeID)
 	}
-	c.writes[writeID] = &writeRecord{db: db, pending: pending}
+	for _, n := range names {
+		if r := c.ownerLocked(db, n.Segments()[0]); !slices.Contains(w.ranges, r) {
+			w.ranges = append(w.ranges, r)
+		}
+	}
+	c.writes[writeID] = w
 	c.mu.Unlock()
-	return min, nil
+	var minTS truetime.Timestamp
+	for _, r := range w.ranges {
+		minTS = max(minTS, r.prepare(w))
+	}
+	return minTS, nil
 }
 
 // Accept finishes the two-phase commit for writeID (§IV-D2 step 7). On
@@ -349,39 +343,59 @@ func (c *Cache) Accept(ctx context.Context, writeID string, outcome Outcome, ts 
 		return
 	}
 	c.mu.Lock()
-	rec := c.writes[writeID]
+	w := c.writes[writeID]
 	delete(c.writes, writeID)
 	c.mu.Unlock()
-	if rec == nil {
+	if w == nil {
 		return // already timed out; ranges were reset
 	}
-	// Group mutations by range (under the CURRENT assignment).
-	byRange := map[*nameRange][]Mutation{}
-	for _, m := range muts {
-		r := c.rangeFor(rec.db, m.Name)
-		byRange[r] = append(byRange[r], m)
-	}
-	prepared := map[*nameRange]bool{}
-	for _, p := range rec.pending {
-		prepared[p.r] = true
-		switch outcome {
-		case OutcomeSuccess:
-			p.r.resolve(writeID, rec.db, byRange[p.r], ts)
-		case OutcomeFailure:
-			p.r.resolve(writeID, rec.db, nil, 0)
-		case OutcomeUnknown:
-			p.r.markOutOfSync()
+	switch outcome {
+	case OutcomeFailure:
+		for _, r := range w.ranges {
+			r.resolve(w, nil, 0)
 		}
+	case OutcomeUnknown:
+		for _, r := range w.ranges {
+			r.markOutOfSync()
+		}
+	case OutcomeSuccess:
+		c.forward(w, ts, muts)
+	}
+}
+
+// forward hands a committed write's mutations to the ranges owning them
+// under the CURRENT assignment.
+func (c *Cache) forward(w *write, ts truetime.Timestamp, muts []Mutation) {
+	routes := make([]*nameRange, len(muts))
+	single := len(w.ranges) == 1
+	c.mu.Lock()
+	for i, m := range muts {
+		routes[i] = c.ownerLocked(w.db, m.Name.Segments()[0])
+		single = single && routes[i] == w.ranges[0]
+	}
+	c.mu.Unlock()
+	if single {
+		// The usual write: one range prepared, every mutation still routes
+		// to it.
+		w.ranges[0].resolve(w, muts, ts)
+		return
+	}
+	for _, r := range w.ranges {
+		var own []Mutation
+		for i, m := range muts {
+			if routes[i] == r {
+				own = append(own, m)
+			}
+		}
+		r.resolve(w, own, ts)
 	}
 	// Ownership may have been rebalanced between Prepare and Accept: a
 	// mutation now routing to a range that never saw the Prepare cannot
 	// be ordered there, so that range resets (its subscribers requery and
 	// observe the write through their fresh initial snapshots).
-	if outcome == OutcomeSuccess {
-		for r := range byRange {
-			if !prepared[r] {
-				r.markOutOfSync()
-			}
+	for i, r := range routes {
+		if !slices.Contains(w.ranges, r) && !slices.Contains(routes[:i], r) {
+			r.markOutOfSync()
 		}
 	}
 }
@@ -417,10 +431,7 @@ func (c *Cache) heartbeatLoop(every time.Duration) {
 			victim, busiest := ranges[0], -1
 			for _, r := range ranges {
 				r.mu.Lock()
-				subs := 0
-				for _, sq := range r.subs {
-					subs += len(sq.queries)
-				}
+				subs := len(r.subs)
 				r.mu.Unlock()
 				if subs > busiest {
 					victim, busiest = r, subs
@@ -459,17 +470,11 @@ func (c *Cache) heartbeatLoop(every time.Duration) {
 		if c.autoSplitSubs > 0 {
 			c.splitHotRange(c.autoSplitSubs)
 		}
-		// Drop write records whose every range already timed out.
+		// Drop the records of writes whose Accept never came: their ranges
+		// expired them above (same wall reading) and reset.
 		c.mu.Lock()
-		for id, rec := range c.writes {
-			alive := false
-			for _, p := range rec.pending {
-				if !p.r.expired(id) {
-					alive = true
-					break
-				}
-			}
-			if !alive {
+		for id, w := range c.writes {
+			if wall.After(w.deadline) {
 				delete(c.writes, id)
 			}
 		}
@@ -510,21 +515,18 @@ func (c *Cache) RangeStats() []RangeInfo {
 	out := make([]RangeInfo, 0, len(ranges))
 	for _, r := range ranges {
 		r.mu.Lock()
-		info := RangeInfo{
-			ID:         r.id,
-			Slots:      slotsOf[r.id],
-			Pending:    len(r.pending),
-			Watermark:  r.watermark,
-			LastTS:     r.lastTS,
-			LogLen:     len(r.log),
-			OutOfSyncs: r.outOfSyncs,
-			Forwarded:  r.forwarded,
-		}
-		for _, sq := range r.subs {
-			info.Subscriptions += len(sq.queries)
-		}
+		out = append(out, RangeInfo{
+			ID:            r.id,
+			Slots:         slotsOf[r.id],
+			Subscriptions: len(r.subs),
+			Pending:       len(r.pending),
+			Watermark:     r.watermark,
+			LastTS:        r.lastTS,
+			LogLen:        r.log.n,
+			OutOfSyncs:    r.outOfSyncs,
+			Forwarded:     r.forwarded,
+		})
 		r.mu.Unlock()
-		out = append(out, info)
 	}
 	return out
 }
@@ -537,9 +539,7 @@ func (c *Cache) Stats() Stats {
 	c.mu.Unlock()
 	for _, r := range ranges {
 		r.mu.Lock()
-		for _, subs := range r.subs {
-			s.Subscriptions += len(subs.queries)
-		}
+		s.Subscriptions += len(r.subs)
 		s.OutOfSyncs += r.outOfSyncs
 		s.Forwarded += r.forwarded
 		r.mu.Unlock()

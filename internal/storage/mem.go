@@ -34,7 +34,7 @@ func newMemtable() memtable {
 }
 
 // add appends one version to key's chain, trimming to trimTo newest
-// versions when trimTo > 0.
+// versions (see trimmable) when trimTo > 0.
 func (m *memtable) add(key []byte, v Version, trimTo int) {
 	m.bytes += versionBytes(key, v)
 	cv, ok := m.rows.Get(key)
@@ -44,11 +44,12 @@ func (m *memtable) add(key []byte, v Version, trimTo int) {
 	}
 	c := cv.(*memChain)
 	c.versions = append(c.versions, v)
-	if trimTo > 0 && len(c.versions) > trimTo {
-		for _, old := range c.versions[:len(c.versions)-trimTo] {
+	if trimTo > 0 {
+		drop := trimmable(c.versions, trimTo)
+		for _, old := range c.versions[:drop] {
 			m.bytes -= versionBytes(key, old)
 		}
-		c.versions = trimChain(c.versions, trimTo)
+		c.versions = dropOldest(c.versions, drop)
 	}
 }
 

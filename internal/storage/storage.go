@@ -20,8 +20,9 @@
 //     prefix-consistent tablet.
 //
 // Version-retention (GC) policy lives here too: the Mem engine trims
-// each chain to the newest GCHorizon versions on write (Spanner bounds
-// version GC similarly), while the Disk engine's memtable consults the
+// each chain to the newest GCHorizon versions on write, sparing any
+// version superseded less than GCRetention ago (Spanner bounds version
+// GC by age similarly), while the Disk engine's memtable consults the
 // flushed horizon — a version newer than the last flush exists nowhere
 // but the memtable and WAL, so trimming it would serve stale segment
 // data; chains are trimmed to GCHorizon only at compaction, where every
@@ -30,6 +31,7 @@ package storage
 
 import (
 	"context"
+	"time"
 
 	"firestore/internal/status"
 	"firestore/internal/truetime"
@@ -39,6 +41,13 @@ import (
 // Snapshot reads older than the trimmed horizon are out of scope
 // (Spanner similarly bounds version GC to about an hour).
 const GCHorizon = 8
+
+// GCRetention keeps a version readable for this long after a newer one
+// superseded it, however many writes the key took meanwhile. A count
+// alone is no horizon: a hot key can take GCHorizon writes inside one
+// scheduler time slice, and a strong read that picked its timestamp
+// just before would find the live document gone.
+const GCRetention = time.Second
 
 // ErrCrashed reports that the engine crashed mid-operation (injected or
 // real): volatile state is no longer trustworthy and the owner must
@@ -232,13 +241,32 @@ func chainAt(versions []Version, ts truetime.Timestamp) ([]byte, truetime.Timest
 	return nil, 0, false
 }
 
-// trimChain keeps the newest max versions of a chain, in place.
-func trimChain(versions []Version, max int) []Version {
+// trimmable returns how many of a chain's oldest versions (it is oldest
+// first) may be dropped: those beyond the newest max whose successor —
+// the version that hides them from later reads — is at least
+// GCRetention older than the chain's newest write.
+func trimmable(versions []Version, max int) int {
 	if len(versions) <= max {
-		return versions
+		return 0
 	}
-	copy(versions, versions[len(versions)-max:])
-	return versions[:max]
+	horizon := versions[len(versions)-1].TS.Add(-GCRetention)
+	drop := 0
+	for drop < len(versions)-max && versions[drop+1].TS <= horizon {
+		drop++
+	}
+	return drop
+}
+
+// dropOldest removes a chain's n oldest versions, in place.
+func dropOldest(versions []Version, n int) []Version {
+	kept := copy(versions, versions[n:])
+	clear(versions[kept:])
+	return versions[:kept]
+}
+
+// trimChain drops a chain's trimmable versions, in place.
+func trimChain(versions []Version, max int) []Version {
+	return dropOldest(versions, trimmable(versions, max))
 }
 
 // versionBytes is the memtable accounting size of one version.
