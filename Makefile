@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet lint lint-budget lock-graph build test test-race race-pipeline race-obs race-keyviz race-rtcache debug-smoke chaos-smoke chaos-recovery cluster-smoke bulk-durable bench-planner fuzz bench
+.PHONY: verify fmt-check vet lint lint-budget lock-graph build test test-race race-repeat race-rtcache debug-smoke chaos-smoke chaos-recovery cluster-smoke bench-planner fuzz bench
 
 verify: fmt-check vet build lint test-race race-rtcache
 
@@ -42,22 +42,17 @@ test:
 test-race:
 	$(GO) test -race -shuffle=on ./...
 
-# Focused, repeated race pass over the concurrent write pipeline
-# (SDK BulkWriter/iterators, backend group commit, fair scheduler, ramp).
-race-pipeline:
-	$(GO) test -race -count=2 ./firestore/ ./internal/backend/ ./internal/wfq/ ./internal/ramp/
-
-# Focused race pass over the observability layer: span recorder, tracer,
-# metrics registry, and the /debug suite under concurrent scrapes.
-race-obs:
-	$(GO) test -race -count=2 ./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/
-
-# Focused race pass over the lock-free keyviz collector (atomic cell
-# tables, window swaps) and the durable storage engine (WAL append vs
-# sync vs segment refcounts) — the two layers the lockorder and
-# atomicdiscipline analyzers watch most closely.
-race-keyviz:
-	$(GO) test -race -count=2 ./internal/keyviz/ ./internal/storage/
+# Repeated race pass over the packages whose concurrency a single run
+# under-samples: the write pipeline (SDK BulkWriter/iterators, backend
+# group commit, fair scheduler, ramp), the observability layer (span
+# recorder, metrics registry, the /debug suite under concurrent scrapes),
+# and the two layers the lockorder and atomicdiscipline analyzers watch
+# most closely — the lock-free keyviz collector and the durable storage
+# engine (WAL append vs sync vs segment refcounts).
+race-repeat:
+	$(GO) test -race -count=2 ./firestore/ ./internal/backend/ ./internal/wfq/ ./internal/ramp/ \
+		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ \
+		./internal/keyviz/ ./internal/storage/
 
 # Repeated race pass over real-time delivery: the per-range outbox and
 # its one-drainer hand-off (rtcache), and the frontend that relies on
@@ -92,14 +87,6 @@ chaos-recovery:
 # report zero divergence (the validation-clean invariant).
 cluster-smoke:
 	$(GO) test -race -run 'TestChaosCluster' -v ./internal/chaos/
-
-# Disk-backed BULK check: the BulkWriter on the durable engine must load
-# without errors, flush segments, and recover every doc on restart. The
-# docs/s ratios the BULK and KEYVIZ smokes compute (durable vs in-memory,
-# cluster vs in-process, collector on vs off) are logged by the ordinary
-# test run, not gated; `go run ./benchmark -compare` is the perf gate.
-bulk-durable:
-	$(GO) test -run 'TestBulkLoadDurableParity' -v ./internal/bench/
 
 # Cost-based planner gate: the plan picked on every ABL4 query shape
 # must visit <= 1.25x the index entries of the oracle-best alternative.

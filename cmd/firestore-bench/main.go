@@ -27,15 +27,13 @@ import (
 )
 
 func main() {
-	// Cluster chaos scenarios and -bulk-cluster re-exec this binary as
-	// tablet-server child processes; the hook must run before flags.
+	// Cluster chaos scenarios re-exec this binary as tablet-server child
+	// processes; the hook must run before flags.
 	cluster.MaybeRunTabletChild()
 	fig := flag.String("fig", "", "figure to regenerate: 6, 7, 8, 7+8, 9, 10a, 10b, 11")
 	tab := flag.String("tab", "", "table to regenerate: 1")
 	abl := flag.String("abl", "", "ablation to run: zigzag, multiregion, shedding, planner")
 	bulk := flag.Bool("bulk", false, "run the YCSB bulk-load comparison (sequential Set vs BulkWriter)")
-	bulkDurable := flag.Bool("bulk-durable", false, "run the BulkWriter load on in-memory vs durable storage (WAL + segments) and verify restart recovery")
-	bulkCluster := flag.Bool("bulk-cluster", false, "run the BulkWriter load on in-process engines vs tablet servers over TCP loopback")
 	chaosName := flag.String("chaos", "", "fault-injection scenario to run (or \"list\", \"all\")")
 	all := flag.Bool("all", false, "run every experiment")
 	scale := flag.Float64("scale", 1.0, "experiment size/duration multiplier")
@@ -129,19 +127,6 @@ func main() {
 		ran = true
 		bench.BulkLoad(opts).Fprint(out)
 	}
-	if *bulkDurable {
-		ran = true
-		runBulkDurable(out, opts)
-	}
-	if *bulkCluster {
-		ran = true
-		tbl, err := bench.BulkLoadCluster(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bulk-cluster: %v\n", err)
-			os.Exit(1)
-		}
-		tbl.Fprint(out)
-	}
 	if *chaosName != "" {
 		ran = true
 		if !runChaos(out, logw, *chaosName, *seed) {
@@ -174,23 +159,6 @@ func printSpans(out io.Writer) {
 			fmt.Fprintf(out, "%-24s   [%s] %s\n", "", code, rec.CodeSummary(span, code))
 		}
 	}
-}
-
-// runBulkDurable provisions a scratch directory (all other file I/O
-// lives in internal/storage) and runs the durable bulk-load comparison.
-func runBulkDurable(out io.Writer, opts bench.Options) {
-	dir, err := os.MkdirTemp("", "firestore-bulk-durable-")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bulk-durable: %v\n", err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(dir)
-	tbl, err := bench.BulkLoadDurable(opts, dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bulk-durable: %v\n", err)
-		os.Exit(1)
-	}
-	tbl.Fprint(out)
 }
 
 // runChaos runs one named chaos scenario (or "all", or "list") and

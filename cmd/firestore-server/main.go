@@ -122,7 +122,7 @@ func main() {
 	}
 	defer region.Close()
 	if coord != nil {
-		coord.SetObs(region.Obs)
+		coord.Pool().SetObs(region.Obs)
 		log.Printf("serving over %d remote tablet server(s)", *tablets)
 	} else if *dataDir != "" {
 		log.Printf("durable storage at %s (recovered state is live)", *dataDir)

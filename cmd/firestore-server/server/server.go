@@ -349,9 +349,6 @@ type queryJSON struct {
 	StartAfter []any `json:"startAfter"`
 	EndAt      []any `json:"endAt"`
 	EndBefore  []any `json:"endBefore"`
-	// Count executes the query as a COUNT aggregation. Deprecated wire
-	// form kept for old clients; Aggregations is the general mechanism.
-	Count bool `json:"count"`
 	// Aggregations executes the query as an aggregation request: every
 	// listed aggregation is computed at one snapshot timestamp, entirely
 	// from index entries (count/sum/avg; field required for sum/avg).
@@ -505,15 +502,6 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
 			vals[alias] = valueToJSON(v)
 		}
 		writeJSON(w, map[string]any{"aggregations": vals, "readTime": int64(readTS)})
-		return
-	}
-	if qj.Count {
-		n, readTS, err := s.region.Backend.RunCount(r.Context(), r.PathValue("db"), principal(r), q, 0)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"count": n, "readTime": int64(readTS)})
 		return
 	}
 	res, readTS, err := s.region.RunQuery(r.Context(), r.PathValue("db"), principal(r), q, nil, 0)

@@ -340,21 +340,21 @@ func TestCountOverHTTP(t *testing.T) {
 		do(t, ts, "PUT", fmt.Sprintf("/v1/databases/app/docs/c/d%d", i), map[string]any{"n": i}, nil)
 	}
 	resp, body := do(t, ts, "POST", "/v1/databases/app/query", map[string]any{
-		"collection": "/c",
-		"where":      []map[string]any{{"field": "n", "op": ">=", "value": 3}},
-		"count":      true,
+		"collection":   "/c",
+		"where":        []map[string]any{{"field": "n", "op": ">=", "value": 3}},
+		"aggregations": []map[string]any{{"op": "count", "alias": "n"}},
 	}, nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("count: %d %s", resp.StatusCode, body)
 	}
 	var out struct {
-		Count int64 `json:"count"`
+		Aggregations map[string]int64 `json:"aggregations"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Count != 4 {
-		t.Fatalf("count = %d, want 4", out.Count)
+	if out.Aggregations["n"] != 4 {
+		t.Fatalf("count = %d, want 4", out.Aggregations["n"])
 	}
 }
 
@@ -405,23 +405,6 @@ func TestAggregationsOverHTTP(t *testing.T) {
 	}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad op = %d, want 400", resp.StatusCode)
-	}
-
-	// Legacy count:true keeps working.
-	resp, body = do(t, ts, "POST", "/v1/databases/app/query", map[string]any{
-		"collection": "/games", "count": true,
-	}, nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("legacy count: %d %s", resp.StatusCode, body)
-	}
-	var cnt struct {
-		Count int64 `json:"count"`
-	}
-	if err := json.Unmarshal(body, &cnt); err != nil {
-		t.Fatal(err)
-	}
-	if cnt.Count != 8 {
-		t.Fatalf("legacy count = %d, want 8", cnt.Count)
 	}
 }
 

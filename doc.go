@@ -8,7 +8,8 @@
 // engine (internal/query), security rules (internal/rules), and the rest
 // of the subsystems inventoried in DESIGN.md.
 //
-// bench_test.go in this directory holds one benchmark per table and
-// figure of the paper's evaluation; cmd/firestore-bench regenerates them
-// as text tables, and EXPERIMENTS.md records paper-vs-measured results.
+// cmd/firestore-bench regenerates the tables and figures of the paper's
+// evaluation as text tables (EXPERIMENTS.md records paper-vs-measured
+// results); benchmark/ is the repo's own performance record
+// (BENCHMARK.json, go run ./benchmark).
 package repro

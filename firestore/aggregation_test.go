@@ -57,13 +57,4 @@ func TestAggregationQuery(t *testing.T) {
 	if _, err := c.Collection("r").Query().NewAggregationQuery().Get(ctx); err == nil {
 		t.Error("empty aggregation query should fail")
 	}
-
-	// The deprecated Count wrapper matches WithCount.
-	n, err := c.Collection("r").Where("city", "==", "SF").Count(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Errorf("Count = %d, want 5", n)
-	}
 }

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"firestore/internal/backend"
 	"firestore/internal/core"
+	"firestore/internal/fault"
 	"firestore/internal/ramp"
 	"firestore/internal/status"
 )
@@ -23,6 +23,16 @@ func newClientWithConfig(t *testing.T, cfg core.Config) *Client {
 		t.Fatal(err)
 	}
 	return NewClient(region, "app")
+}
+
+// arm injects a fault for the rest of the test. The fault registry is
+// process-wide: tests that arm it must not run in parallel.
+func arm(t *testing.T, spec fault.Spec) {
+	t.Helper()
+	if err := fault.Enable(spec); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fault.Disable(spec.Site) })
 }
 
 // fastRamp keeps test BulkWriters from crawling at default token fill.
@@ -107,24 +117,11 @@ func TestBulkWriterPerOpErrors(t *testing.T) {
 // backend's bulk group commit and checks ops retry through them to
 // success, per-op.
 func TestBulkWriterRetriesUntilSuccess(t *testing.T) {
-	for _, inject := range []struct {
-		name string
-		err  error
-	}{
-		{"aborted", status.New(status.Aborted, "backend", "injected conflict")},
-		{"unavailable", backend.ErrUnavailable},
-	} {
-		t.Run(inject.name, func(t *testing.T) {
-			var failures atomic.Int64
-			failures.Store(3)
-			c := newClientWithConfig(t, core.Config{
-				FailureHooks: backend.FailureHooks{BulkGroupErr: func() error {
-					if failures.Add(-1) >= 0 {
-						return inject.err
-					}
-					return nil
-				}},
-			})
+	for _, code := range []status.Code{status.Aborted, status.Unavailable} {
+		t.Run(code.String(), func(t *testing.T) {
+			c := newClient(t)
+			// The group commit loses its replication quorum three times.
+			arm(t, fault.Spec{Site: fault.SpannerCommitQuorum, Mode: fault.ModeError, Code: code, MaxCount: 3})
 			bw := c.BulkWriterWithOptions(context.Background(), BulkWriterOptions{RampRule: fastRamp})
 			j, err := bw.Set(c.Collection("r").Doc("x"), map[string]any{"v": 1})
 			if err != nil {
@@ -134,8 +131,8 @@ func TestBulkWriterRetriesUntilSuccess(t *testing.T) {
 			if _, err := j.Results(); err != nil {
 				t.Fatalf("op did not retry to success: %v", err)
 			}
-			if failures.Load() >= 0 {
-				t.Fatalf("injection not consumed: %d left", failures.Load())
+			if n := fault.Injected(fault.SpannerCommitQuorum); n != 3 {
+				t.Fatalf("injection not consumed: fired %d of 3", n)
 			}
 			snap, err := c.Collection("r").Doc("x").Get(context.Background())
 			if err != nil || !snap.Exists() {
@@ -148,11 +145,8 @@ func TestBulkWriterRetriesUntilSuccess(t *testing.T) {
 // TestBulkWriterRetriesExhausted checks a persistently failing op
 // surfaces the final retryable error instead of hanging Flush.
 func TestBulkWriterRetriesExhausted(t *testing.T) {
-	c := newClientWithConfig(t, core.Config{
-		FailureHooks: backend.FailureHooks{BulkGroupErr: func() error {
-			return backend.ErrUnavailable
-		}},
-	})
+	c := newClient(t)
+	arm(t, fault.Spec{Site: fault.SpannerCommitQuorum, Mode: fault.ModeError})
 	bw := c.BulkWriterWithOptions(context.Background(), BulkWriterOptions{RampRule: fastRamp})
 	j, err := bw.Set(c.Collection("r").Doc("x"), map[string]any{"v": 1})
 	if err != nil {

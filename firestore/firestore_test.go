@@ -400,20 +400,19 @@ func TestQueryCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := c.Collection("r").Query().Count(ctx)
-	if err != nil || n != 25 {
-		t.Fatalf("count all = %d, %v", n, err)
-	}
-	n, err = c.Collection("r").Where("city", "==", "SF").Count(ctx)
-	if err != nil || n != 13 {
-		t.Fatalf("count SF = %d, %v", n, err)
-	}
-	n, err = c.Collection("r").Where("n", ">=", 20).Count(ctx)
-	if err != nil || n != 5 {
-		t.Fatalf("count n>=20 = %d, %v", n, err)
-	}
-	n, err = c.Collection("empty").Query().Count(ctx)
-	if err != nil || n != 0 {
-		t.Fatalf("count empty = %d, %v", n, err)
+	for _, tc := range []struct {
+		name string
+		q    Query
+		want int64
+	}{
+		{"all", c.Collection("r").Query(), 25},
+		{"SF", c.Collection("r").Where("city", "==", "SF"), 13},
+		{"n>=20", c.Collection("r").Where("n", ">=", 20), 5},
+		{"empty", c.Collection("empty").Query(), 0},
+	} {
+		res, err := tc.q.NewAggregationQuery().WithCount("n").Get(ctx)
+		if err != nil || res["n"] != tc.want {
+			t.Fatalf("count %s = %v, %v; want %d", tc.name, res["n"], err, tc.want)
+		}
 	}
 }

@@ -183,20 +183,6 @@ func (q Query) GetAll(ctx context.Context) ([]*DocumentSnapshot, error) {
 	return q.Documents(ctx).GetAll()
 }
 
-// Count executes the query as a COUNT aggregation: the result comes
-// entirely from index scans with no documents fetched or returned.
-//
-// Deprecated: Count is a thin wrapper over NewAggregationQuery, which
-// also supports SUM and AVG and multiple aggregations per request.
-func (q Query) Count(ctx context.Context) (int64, error) {
-	res, err := q.NewAggregationQuery().WithCount("count").Get(ctx)
-	if err != nil {
-		return 0, err
-	}
-	n, _ := res["count"].(int64)
-	return n, nil
-}
-
 // QuerySnapshot is one consistent view of a real-time query's results.
 type QuerySnapshot struct {
 	// Docs is the full result set in query order.

@@ -16,7 +16,7 @@ import (
 // counters), and all resolve at one snapshot timestamp — re-running at
 // the same readTS after later writes returns identical values.
 func TestRunAggregationSnapshotAndIndexOnly(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	ctx := context.Background()
 	cities := []string{"SF", "NY"}
 	for i := 0; i < 20; i++ {
@@ -103,29 +103,11 @@ func TestRunAggregationSnapshotAndIndexOnly(t *testing.T) {
 	}
 }
 
-// TestRunCountWrapperParity: the deprecated RunCount path returns the
-// same number as the general aggregation API.
-func TestRunCountWrapperParity(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
-	ctx := context.Background()
-	for i := 0; i < 7; i++ {
-		set(t, e, fmt.Sprintf("/c/x%d", i), map[string]doc.Value{"v": doc.Int(int64(i))})
-	}
-	q := &query.Query{Collection: doc.MustCollection("/c")}
-	n, _, err := e.b.RunCount(ctx, e.dbID, priv, q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 7 {
-		t.Fatalf("count = %d, want 7", n)
-	}
-}
-
 // TestCommitMaintainsPlannerStats: committed writes (and deletes) keep
 // the per-index cardinality statistics in step with durable state, and
 // the cost-based planner uses them to prefer the cheaper index.
 func TestCommitMaintainsPlannerStats(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	ctx := context.Background()
 	db, err := e.cat.Get(e.dbID)
 	if err != nil {
@@ -161,7 +143,7 @@ func TestCommitMaintainsPlannerStats(t *testing.T) {
 // with cost estimates for every alternative, and analyze mode reports
 // actual entries visited per alternative.
 func TestExplainQueryAlternatives(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	ctx := context.Background()
 	for i := 0; i < 12; i++ {
 		set(t, e, fmt.Sprintf("/r/d%02d", i), map[string]doc.Value{

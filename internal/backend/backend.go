@@ -136,23 +136,6 @@ type Config struct {
 	// Obs, when set, records query-planner metrics (plan choices,
 	// estimated vs actual entries scanned).
 	Obs *obs.Registry
-	// FailureHooks inject the §IV-D2 failure modes in tests.
-	FailureHooks FailureHooks
-}
-
-// FailureHooks inject failures into the write protocol for tests.
-type FailureHooks struct {
-	// FailPrepare makes the Real-time Cache Prepare fail.
-	FailPrepare func() bool
-	// UnknownOutcome reports the Spanner commit outcome as unknown to
-	// the Real-time Cache even though it succeeded.
-	UnknownOutcome func() bool
-	// DropAccept skips sending the Accept entirely.
-	DropAccept func() bool
-	// BulkGroupErr, when non-nil, is consulted before each bulk
-	// tablet-group commit; a non-nil return fails that whole group with
-	// it (for exercising the BulkWriter's per-op retry).
-	BulkGroupErr func() error
 }
 
 // Backend is a multi-tenant Backend task pool.
@@ -436,10 +419,6 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	var minTS truetime.Timestamp
 	if b.cache != nil {
 		_, endPrepare := reqctx.StartSpan(ctx, "rtcache.prepare")
-		if b.cfg.FailureHooks.FailPrepare != nil && b.cfg.FailureHooks.FailPrepare() {
-			endPrepare(ErrUnavailable)
-			return abort(fmt.Errorf("%w: prepare failed", ErrUnavailable))
-		}
 		if err := fault.Point(ctx, fault.BackendPrepare); err != nil {
 			endPrepare(err)
 			return abort(err)
@@ -485,14 +464,11 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	// Accept: a drop loses the Accept entirely, an error means the Backend
 	// no longer knows the outcome it should report.
 	if b.cache != nil {
-		faultKind := fault.Decide(ctx, fault.BackendAccept).Kind
-		switch {
-		case faultKind == fault.KindDrop,
-			b.cfg.FailureHooks.DropAccept != nil && b.cfg.FailureHooks.DropAccept():
+		switch fault.Decide(ctx, fault.BackendAccept).Kind {
+		case fault.KindDrop:
 			// Accept lost: the Changelog times out and resets ranges,
 			// but the write IS acknowledged to the user.
-		case faultKind == fault.KindError,
-			b.cfg.FailureHooks.UnknownOutcome != nil && b.cfg.FailureHooks.UnknownOutcome():
+		case fault.KindError:
 			b.cache.Accept(ctx, writeID, rtcache.OutcomeUnknown, 0, nil)
 		default:
 			// Stamp timestamps on the forwarded copies.

@@ -11,11 +11,13 @@ import (
 	"firestore/internal/billing"
 	"firestore/internal/catalog"
 	"firestore/internal/doc"
+	"firestore/internal/fault"
 	"firestore/internal/index"
 	"firestore/internal/query"
 	"firestore/internal/rtcache"
 	"firestore/internal/rules"
 	"firestore/internal/spanner"
+	"firestore/internal/status"
 	"firestore/internal/truetime"
 	"firestore/internal/wfq"
 )
@@ -28,7 +30,17 @@ type env struct {
 	dbID  string
 }
 
-func newEnv(t *testing.T, hooks FailureHooks) *env {
+// arm injects a fault for the rest of the test. The fault registry is
+// process-wide: tests that arm it must not run in parallel.
+func arm(t *testing.T, spec fault.Spec) {
+	t.Helper()
+	if err := fault.Enable(spec); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fault.Disable(spec.Site) })
+}
+
+func newEnv(t *testing.T) *env {
 	t.Helper()
 	clock := truetime.NewSystem(10 * time.Microsecond)
 	sp := spanner.New(spanner.Config{Clock: clock, LockTimeout: 300 * time.Millisecond})
@@ -36,7 +48,7 @@ func newEnv(t *testing.T, hooks FailureHooks) *env {
 	cache := rtcache.New(rtcache.Config{Clock: clock, Ranges: 4, HeartbeatEvery: time.Millisecond})
 	t.Cleanup(cache.Close)
 	acct := billing.New(billing.DefaultFreeQuota, billing.DefaultRates, nil)
-	b := New(Config{Catalog: cat, Cache: cache, Billing: acct, FailureHooks: hooks})
+	b := New(Config{Catalog: cat, Cache: cache, Billing: acct})
 	if _, err := cat.Create("app"); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +78,7 @@ func get(t *testing.T, e *env, name string) *doc.Document {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	ts := set(t, e, "/restaurants/one", map[string]doc.Value{
 		"name":      doc.String("Burger Garden"),
 		"avgRating": doc.Double(4.5),
@@ -87,7 +99,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestPreconditions(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	ctx := context.Background()
 	n := doc.MustName("/c/x")
 	// Update of missing doc fails.
@@ -117,7 +129,7 @@ func TestPreconditions(t *testing.T) {
 func TestMultiDocumentAtomicity(t *testing.T) {
 	// The paper's example: insert a rating and update the restaurant's
 	// aggregates in one transaction.
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	ctx := context.Background()
 	set(t, e, "/restaurants/one", map[string]doc.Value{
 		"avgRating": doc.Double(0), "numRatings": doc.Int(0),
@@ -149,7 +161,7 @@ func TestMultiDocumentAtomicity(t *testing.T) {
 }
 
 func TestQueryAfterWrites(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	for i := 0; i < 20; i++ {
 		city := "SF"
 		if i%2 == 0 {
@@ -187,7 +199,7 @@ func TestQueryAfterWrites(t *testing.T) {
 }
 
 func TestSnapshotQueryAtOldTimestamp(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	set(t, e, "/c/a", map[string]doc.Value{"v": doc.Int(1)})
 	ts1 := e.cat.MustGet(e.dbID).Spanner.StrongReadTimestamp()
 	set(t, e, "/c/a", map[string]doc.Value{"v": doc.Int(2)})
@@ -201,7 +213,7 @@ func TestSnapshotQueryAtOldTimestamp(t *testing.T) {
 }
 
 func TestRulesEnforcedForThirdParty(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	ctx := context.Background()
 	rs, err := rules.Parse(`
 match /restaurants/{r}/ratings/{id} {
@@ -262,7 +274,7 @@ match /restaurants/{r}/ratings/{id} {
 }
 
 func TestOCCConflict(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	ctx := context.Background()
 	set(t, e, "/c/x", map[string]doc.Value{"v": doc.Int(1)})
 	d := get(t, e, "/c/x")
@@ -298,7 +310,7 @@ func TestOCCConflict(t *testing.T) {
 }
 
 func TestRealTimeCacheReceivesWrites(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	rec := &countingSub{}
 	q := &query.Query{Collection: doc.MustCollection("/restaurants/one/ratings")}
 	e.cache.Subscribe(rec, e.dbID, q, 0, 0)
@@ -313,11 +325,12 @@ func TestRealTimeCacheReceivesWrites(t *testing.T) {
 }
 
 func TestPrepareFailureFailsWrite(t *testing.T) {
-	e := newEnv(t, FailureHooks{FailPrepare: func() bool { return true }})
+	e := newEnv(t)
+	arm(t, fault.Spec{Site: fault.BackendPrepare, Mode: fault.ModeError})
 	_, err := e.b.Commit(context.Background(), e.dbID, priv, []WriteOp{
 		{Kind: OpSet, Name: doc.MustName("/c/x"), Fields: nil},
 	})
-	if !errors.Is(err, ErrUnavailable) {
+	if status.CodeOf(err) != status.Unavailable {
 		t.Fatalf("commit with failing prepare = %v", err)
 	}
 	// The write must not have landed.
@@ -327,7 +340,8 @@ func TestPrepareFailureFailsWrite(t *testing.T) {
 }
 
 func TestUnknownOutcomeResetsSubscribers(t *testing.T) {
-	e := newEnv(t, FailureHooks{UnknownOutcome: func() bool { return true }})
+	e := newEnv(t)
+	arm(t, fault.Spec{Site: fault.BackendAccept, Mode: fault.ModeError})
 	rec := &countingSub{}
 	q := &query.Query{Collection: doc.MustCollection("/c")}
 	e.cache.Subscribe(rec, e.dbID, q, 0, 0)
@@ -352,7 +366,8 @@ func TestDroppedAcceptTimesOutAndResets(t *testing.T) {
 	cat := catalog.New([]*spanner.DB{sp})
 	cache := rtcache.New(rtcache.Config{Clock: clock, Ranges: 2, HeartbeatEvery: time.Millisecond, AcceptMargin: 30 * time.Millisecond})
 	defer cache.Close()
-	b := New(Config{Catalog: cat, Cache: cache, FailureHooks: FailureHooks{DropAccept: func() bool { return true }}})
+	b := New(Config{Catalog: cat, Cache: cache})
+	arm(t, fault.Spec{Site: fault.BackendAccept, Mode: fault.ModeDrop})
 	cat.Create("app")
 	rec := &countingSub{}
 	q := &query.Query{Collection: doc.MustCollection("/c")}
@@ -371,7 +386,7 @@ func TestDroppedAcceptTimesOutAndResets(t *testing.T) {
 }
 
 func TestBillingCounts(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	set(t, e, "/c/x", map[string]doc.Value{"v": doc.Int(1)})
 	get(t, e, "/c/x")
 	e.b.Commit(context.Background(), e.dbID, priv, []WriteOp{{Kind: OpDelete, Name: doc.MustName("/c/x")}})
@@ -382,7 +397,7 @@ func TestBillingCounts(t *testing.T) {
 }
 
 func TestCompositeBackfillAndQuery(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	ctx := context.Background()
 	// Data exists BEFORE the index is created: backfill must cover it.
 	for i := 0; i < 10; i++ {
@@ -461,7 +476,7 @@ func TestTriggerPayloadRoundTrip(t *testing.T) {
 }
 
 func TestDocumentSizeLimitEnforced(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	_, err := e.b.Commit(context.Background(), e.dbID, priv, []WriteOp{{
 		Kind: OpSet, Name: doc.MustName("/c/big"),
 		Fields: map[string]doc.Value{"blob": doc.Bytes(make([]byte, doc.MaxDocSize+1))},

@@ -58,11 +58,6 @@ func (b *Backend) CommitBulk(ctx context.Context, dbID string, p Principal, ops 
 			opErrs := make([]error, len(g.Items))
 			var ts truetime.Timestamp
 			cerr := b.submit(ctx, "backend.bulkgroup", key, cost, func(ctx context.Context) error {
-				if h := b.cfg.FailureHooks.BulkGroupErr; h != nil {
-					if herr := h(); herr != nil {
-						return herr
-					}
-				}
 				var gerr error
 				ts, gerr = b.commitOps(ctx, db, p, g.Items, nil, opErrs)
 				return gerr

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"firestore/internal/catalog"
 	"firestore/internal/doc"
+	"firestore/internal/fault"
 	"firestore/internal/rtcache"
 	"firestore/internal/spanner"
 	"firestore/internal/status"
@@ -17,7 +17,7 @@ import (
 )
 
 func TestCommitBulkPerOpOutcomes(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	ctx := context.Background()
 	set(t, e, "/c/exists", map[string]doc.Value{"v": doc.Int(1)})
 
@@ -56,7 +56,7 @@ func TestCommitBulkPerOpOutcomes(t *testing.T) {
 }
 
 func TestCommitBulkAllOpsFail(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	res, err := e.b.CommitBulk(context.Background(), e.dbID, priv, []WriteOp{
 		{Kind: OpUpdate, Name: doc.MustName("/c/m1"), Fields: map[string]doc.Value{"v": doc.Int(1)}},
 		{Kind: OpUpdate, Name: doc.MustName("/c/m2"), Fields: map[string]doc.Value{"v": doc.Int(2)}},
@@ -139,14 +139,9 @@ func TestCommitBulkAcrossTablets(t *testing.T) {
 }
 
 func TestCommitBulkGroupErrInjected(t *testing.T) {
-	var failures atomic.Int64
-	failures.Store(1)
-	e := newEnv(t, FailureHooks{BulkGroupErr: func() error {
-		if failures.Add(-1) >= 0 {
-			return ErrUnavailable
-		}
-		return nil
-	}})
+	e := newEnv(t)
+	// The first group commit loses its replication quorum.
+	arm(t, fault.Spec{Site: fault.SpannerCommitQuorum, Mode: fault.ModeError, MaxCount: 1})
 	ctx := context.Background()
 	ops := []WriteOp{{Kind: OpSet, Name: doc.MustName("/c/x"), Fields: map[string]doc.Value{"v": doc.Int(1)}}}
 
@@ -154,8 +149,8 @@ func TestCommitBulkGroupErrInjected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(res[0].Err, ErrUnavailable) {
-		t.Fatalf("first attempt err = %v, want ErrUnavailable", res[0].Err)
+	if status.CodeOf(res[0].Err) != status.Unavailable {
+		t.Fatalf("first attempt err = %v, want Unavailable", res[0].Err)
 	}
 	if !status.Retryable(status.CodeOf(res[0].Err)) {
 		t.Fatalf("injected error %v not retryable", res[0].Err)

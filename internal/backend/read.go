@@ -212,17 +212,6 @@ func (b *Backend) RunAggregation(ctx context.Context, dbID string, p Principal, 
 	return res, readTS, nil
 }
 
-// RunCount executes q as a COUNT aggregation. Kept as a convenience
-// wrapper over RunAggregation for existing callers.
-func (b *Backend) RunCount(ctx context.Context, dbID string, p Principal, q *query.Query, readTS truetime.Timestamp) (int64, truetime.Timestamp, error) {
-	res, ts, err := b.RunAggregation(ctx, dbID, p, q,
-		[]query.Aggregation{{Kind: query.AggCount, Alias: "count"}}, readTS)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Values["count"].IntVal(), ts, nil
-}
-
 // PlanExplain describes one plan alternative the cost-based planner
 // considered for a query, in the order considered (the chosen plan
 // first).

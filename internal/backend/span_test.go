@@ -13,7 +13,7 @@ import (
 // span histogram: backend.commit and, below it, spanner.txn.commit. This
 // is the per-layer latency breakdown the bench's -spans flag prints.
 func TestCommitRecordsPerLayerSpans(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	rec := reqctx.NewRecorder()
 	ctx := reqctx.WithRecorder(context.Background(), rec)
 	ctx = reqctx.With(ctx, reqctx.Meta{RequestID: "span-test", DB: e.dbID})
@@ -55,7 +55,7 @@ func TestCommitRecordsPerLayerSpans(t *testing.T) {
 // scheduler rejects it DeadlineExceeded and no spanner.txn.commit span
 // is recorded.
 func TestExpiredCommitNeverReachesSpanner(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	rec := reqctx.NewRecorder()
 	ctx := reqctx.WithRecorder(context.Background(), rec)
 	ctx, cancel := context.WithCancel(ctx)

@@ -11,7 +11,7 @@ import (
 )
 
 func TestValidateCleanDatabase(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	for i := 0; i < 20; i++ {
 		set(t, e, fmt.Sprintf("/c/d%02d", i), map[string]doc.Value{
 			"n":    doc.Int(int64(i)),
@@ -42,7 +42,7 @@ func TestValidateCleanDatabase(t *testing.T) {
 }
 
 func TestValidateDetectsCorruptionAndDrift(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	set(t, e, "/c/good", map[string]doc.Value{"n": doc.Int(1)})
 	set(t, e, "/c/victim", map[string]doc.Value{"n": doc.Int(2)})
 	db := e.cat.MustGet(e.dbID)
@@ -89,7 +89,7 @@ func TestValidateDetectsCorruptionAndDrift(t *testing.T) {
 }
 
 func TestRepairIndexes(t *testing.T) {
-	e := newEnv(t, FailureHooks{})
+	e := newEnv(t)
 	set(t, e, "/c/a", map[string]doc.Value{"n": doc.Int(1)})
 	db := e.cat.MustGet(e.dbID)
 	ctx := context.Background()

@@ -513,7 +513,7 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 				killErr = fmt.Errorf("kill %s: %w", victim, err)
 				return
 			}
-			if err := harn.Respawn(victim); err != nil {
+			if err := harn.Spawn(victim); err != nil {
 				killErr = fmt.Errorf("respawn %s: %w", victim, err)
 				return
 			}

@@ -6,8 +6,9 @@
 // the Taurus-style compute/storage separation that makes availability
 // and scale-out independently tunable.
 //
-// The remote boundary is storage.Engine. Every engine method becomes an
-// RPC against the owning peer; a transport failure (partition, process
+// The remote boundary is storage.Engine. Every RPC of the protocol is one
+// entry of the method table below, which fixes its wire name and its
+// request and response types; a transport failure (partition, process
 // death, connection reset) marks the client-side engine Crashed(), which
 // drives the exact recovery machinery the durable engine already has:
 // readers discard and retry, recoverTablet re-opens through the factory
@@ -26,41 +27,152 @@
 package cluster
 
 import (
+	"context"
+	"encoding/json"
+
+	"firestore/internal/status"
 	"firestore/internal/storage"
+	"firestore/internal/transport"
 	"firestore/internal/truetime"
 )
 
-// RPC method names spoken between the coordinator and tablet servers.
-const (
-	// Control plane: tablet server -> coordinator.
-	MJoin      = "cluster.join"
-	MHeartbeat = "cluster.heartbeat"
+// method is one RPC of the coordinator <-> tablet-server protocol,
+// declared once: its wire name and, in its type, the bodies it carries.
+// call is the only client of a method and handle / handleEngine the only
+// servers, so no call site can pair a request with another method's
+// response.
+type method[Req, Resp any] struct {
+	name string
+	// sealedOK lets an engine sealed for handoff keep serving the method:
+	// the handoff reads the frozen state through it.
+	sealedOK bool
+}
 
-	// Engine plane: coordinator -> tablet server. One RPC per
-	// storage.Engine method, addressed by the handle MOpen returned.
-	MOpen       = "engine.open"
-	MGet        = "engine.get"
-	MGetBatch   = "engine.getbatch"
-	MScan       = "engine.scan"
-	MApply      = "engine.apply"
-	MLen        = "engine.len"
-	MKeyAt      = "engine.key-at"
-	MChains     = "engine.chains"
-	MIngest     = "engine.ingest"
-	MPurge      = "engine.purge"
-	MSetBounds  = "engine.set-bounds"
-	MCommission = "engine.commission"
-	MStats      = "engine.stats"
-	MCloseEng   = "engine.close"
-	MSeal       = "engine.seal"
+// none is the body of a method without a request or a response. It
+// travels as an empty body, not as "{}".
+type none struct{}
+
+// methodNames lists the table's wire names in declaration order.
+var methodNames []string
+
+func rpc[Req, Resp any](name string) method[Req, Resp] {
+	methodNames = append(methodNames, name)
+	return method[Req, Resp]{name: name}
+}
+
+func (m method[Req, Resp]) whileSealed() method[Req, Resp] {
+	m.sealedOK = true
+	return m
+}
+
+// The method table. Wire names and JSON field names are frozen:
+// transport.rpcs_total{method} labels, /debug/clusterz and a
+// mixed-version coordinator/tablet pair depend on them.
+var (
+	// Control plane: tablet server -> coordinator.
+	mJoin      = rpc[joinReq, none]("cluster.join")
+	mHeartbeat = rpc[heartbeatReq, none]("cluster.heartbeat")
+
+	// Engine plane: coordinator -> tablet server. One method per
+	// storage.Engine method, addressed by the handle mOpen returned.
+	mOpen       = rpc[openReq, openResp]("engine.open")
+	mGet        = rpc[getReq, storage.BatchGet]("engine.get")
+	mGetBatch   = rpc[getBatchReq, getBatchResp]("engine.getbatch")
+	mScan       = rpc[scanReq, scanResp]("engine.scan")
+	mApply      = rpc[applyReq, none]("engine.apply")
+	mLen        = rpc[handleReq, lenResp]("engine.len").whileSealed()
+	mKeyAt      = rpc[keyAtReq, keyAtResp]("engine.key-at").whileSealed()
+	mChains     = rpc[chainsReq, chainsResp]("engine.chains").whileSealed()
+	mIngest     = rpc[ingestReq, none]("engine.ingest")
+	mPurge      = rpc[purgeReq, none]("engine.purge")
+	mSetBounds  = rpc[setBoundsReq, none]("engine.set-bounds")
+	mCommission = rpc[handleReq, none]("engine.commission")
+	mStats      = rpc[handleReq, statsResp]("engine.stats").whileSealed()
+	mCloseEng   = rpc[handleReq, none]("engine.close")
+	mSeal       = rpc[dbTablet, handleReq]("engine.seal")
 
 	// Factory plane: coordinator -> tablet server.
-	MList    = "factory.list"
-	MDestroy = "factory.destroy"
+	mList    = rpc[listReq, listResp]("factory.list")
+	mDestroy = rpc[dbTablet, none]("factory.destroy")
 
 	// Introspection: coordinator -> tablet server.
-	MPeerInfo = "peer.info"
+	mPeerInfo = rpc[none, PeerIntrospection]("peer.info")
 )
+
+// wireBody is v as the transport should carry it: nil, an empty body,
+// for none.
+func wireBody[T any](v T) any {
+	if _, empty := any(v).(none); empty {
+		return nil
+	}
+	return v
+}
+
+// endpoint is the far side of a call: a tablet server reached through
+// the coordinator's pool or, when conn is set, the coordinator reached
+// over a tablet server's control connection.
+type endpoint struct {
+	pool *transport.Pool
+	peer string
+	conn *transport.Conn
+	// eng, if set, is the client-side engine the call belongs to: any
+	// failure marks it crashed.
+	eng *remoteEngine
+}
+
+// call performs m against to.
+func call[Req, Resp any](ctx context.Context, to endpoint, m method[Req, Resp], req Req) (Resp, error) {
+	var resp Resp
+	var err error
+	if to.conn != nil {
+		err = to.conn.Call(ctx, m.name, wireBody(req), &resp)
+	} else {
+		err = to.pool.Call(ctx, to.peer, m.name, wireBody(req), &resp)
+	}
+	if err != nil && to.eng != nil {
+		to.eng.crashed.Store(true)
+	}
+	return resp, err
+}
+
+// handle serves m on srv with fn. An undecodable body is the caller's
+// InvalidArgument; fn never sees it.
+func handle[Req, Resp any](srv *transport.Server, m method[Req, Resp], fn func(context.Context, Req) (Resp, error)) {
+	_, noRequest := any(*new(Req)).(none)
+	srv.Handle(m.name, func(ctx context.Context, body json.RawMessage) (any, error) {
+		var req Req
+		if !noRequest {
+			if err := json.Unmarshal(body, &req); err != nil {
+				return nil, status.Wrap(status.InvalidArgument, "cluster", err)
+			}
+		}
+		resp, err := fn(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		return wireBody(resp), nil
+	})
+}
+
+// handleEngine serves a handle-addressed method: it resolves the
+// request's handle to a hosted engine (ErrStaleHandle), refuses a sealed
+// one unless m allows it (ErrSealed), runs fn, and re-checks Crashed()
+// so a result computed while the engine died is never returned. fn is
+// left with the engine call alone.
+func handleEngine[Req interface{ handle() uint64 }, Resp any](ts *TabletServer, m method[Req, Resp], fn func(context.Context, *hostedEngine, Req) (Resp, error)) {
+	handle(ts.srv, m, func(ctx context.Context, req Req) (Resp, error) {
+		he, err := ts.lookup(req.handle(), m.sealedOK)
+		if err != nil {
+			var zero Resp
+			return zero, err
+		}
+		resp, err := fn(ctx, he, req)
+		if err == nil && he.eng.Crashed() {
+			err = storage.ErrCrashed
+		}
+		return resp, err
+	})
+}
 
 // Engine kinds a tablet server can host.
 const (
@@ -68,14 +180,36 @@ const (
 	KindMem  = "mem"
 )
 
+// Request and response bodies. Rows, writes, version chains and tablet
+// metadata are storage's own types (their JSON tags live there). []byte
+// fields ride JSON base64; nil bounds (= unbounded) survive the trip
+// because they marshal as null, not "".
+
 // dbTablet addresses one tablet of one pool database across the cluster.
 type dbTablet struct {
-	DB     int
-	Tablet uint64
+	DB     int    `json:"db"`
+	Tablet uint64 `json:"tablet"`
 }
 
-// Wire DTOs. []byte fields ride JSON base64; nil bounds (= unbounded)
-// survive the trip because they marshal as null, not "".
+// handleReq addresses one hosted engine. Every engine-plane request
+// leads with the same field; handle is how handleEngine reads it. (The
+// requests do not embed handleReq: encoding/json allocates once more per
+// decode for a promoted field, and get / getbatch / apply are every
+// operation of a wire-backed region.)
+type handleReq struct {
+	H uint64 `json:"h"`
+}
+
+func (r handleReq) handle() uint64    { return r.H }
+func (r getReq) handle() uint64       { return r.H }
+func (r getBatchReq) handle() uint64  { return r.H }
+func (r scanReq) handle() uint64      { return r.H }
+func (r applyReq) handle() uint64     { return r.H }
+func (r keyAtReq) handle() uint64     { return r.H }
+func (r chainsReq) handle() uint64    { return r.H }
+func (r ingestReq) handle() uint64    { return r.H }
+func (r purgeReq) handle() uint64     { return r.H }
+func (r setBoundsReq) handle() uint64 { return r.H }
 
 type joinReq struct {
 	Name string `json:"name"`
@@ -89,12 +223,13 @@ type heartbeatReq struct {
 }
 
 type openReq struct {
-	DB     int    `json:"db"`
-	Tablet uint64 `json:"tablet"`
-	Start  []byte `json:"start"`
-	End    []byte `json:"end"`
+	dbTablet
+	Start []byte `json:"start"`
+	End   []byte `json:"end"`
 }
 
+// openResp and statsResp keep flushed_ts on the wire for older
+// coordinators; this one reads it from Stats.
 type openResp struct {
 	Handle      uint64             `json:"h"`
 	LastDurable truetime.Timestamp `json:"last_durable"`
@@ -107,12 +242,6 @@ type getReq struct {
 	TS  truetime.Timestamp `json:"ts"`
 }
 
-type getResp struct {
-	Value []byte             `json:"value,omitempty"`
-	VTS   truetime.Timestamp `json:"vts,omitempty"`
-	OK    bool               `json:"ok"`
-}
-
 type getBatchReq struct {
 	H    uint64             `json:"h"`
 	Keys [][]byte           `json:"keys"`
@@ -121,7 +250,7 @@ type getBatchReq struct {
 
 type getBatchResp struct {
 	// Results aligns with the request's Keys.
-	Results []getResp `json:"results"`
+	Results []storage.BatchGet `json:"results"`
 }
 
 type scanReq struct {
@@ -133,29 +262,13 @@ type scanReq struct {
 }
 
 type scanResp struct {
-	Rows []wireRow `json:"rows,omitempty"`
-}
-
-type wireRow struct {
-	Key   []byte             `json:"k"`
-	Value []byte             `json:"v,omitempty"`
-	TS    truetime.Timestamp `json:"ts"`
+	Rows []storage.Row `json:"rows,omitempty"`
 }
 
 type applyReq struct {
 	H      uint64             `json:"h"`
-	Writes []wireWrite        `json:"writes"`
+	Writes []storage.Write    `json:"writes"`
 	TS     truetime.Timestamp `json:"ts"`
-}
-
-type wireWrite struct {
-	Key    []byte `json:"k"`
-	Value  []byte `json:"v,omitempty"`
-	Delete bool   `json:"d,omitempty"`
-}
-
-type handleReq struct {
-	H uint64 `json:"h"`
 }
 
 type lenResp struct {
@@ -179,24 +292,12 @@ type chainsReq struct {
 }
 
 type chainsResp struct {
-	Chains []wireChain `json:"chains,omitempty"`
-}
-
-type wireChain struct {
-	Key      []byte        `json:"k"`
-	Versions []wireVersion `json:"vs"`
-	Purged   bool          `json:"p,omitempty"`
-}
-
-type wireVersion struct {
-	TS      truetime.Timestamp `json:"ts"`
-	Value   []byte             `json:"v,omitempty"`
-	Deleted bool               `json:"d,omitempty"`
+	Chains []storage.Chain `json:"chains,omitempty"`
 }
 
 type ingestReq struct {
-	H      uint64      `json:"h"`
-	Chains []wireChain `json:"chains"`
+	H      uint64          `json:"h"`
+	Chains []storage.Chain `json:"chains"`
 }
 
 type purgeReq struct {
@@ -216,32 +317,12 @@ type statsResp struct {
 	FlushedTS   truetime.Timestamp `json:"flushed_ts"`
 }
 
-type sealReq struct {
-	DB     int    `json:"db"`
-	Tablet uint64 `json:"tablet"`
-}
-
-type sealResp struct {
-	Handle uint64 `json:"h"`
-}
-
 type listReq struct {
 	DB int `json:"db"`
 }
 
 type listResp struct {
-	Tablets []wireMeta `json:"tablets,omitempty"`
-}
-
-type wireMeta struct {
-	ID    uint64 `json:"id"`
-	Start []byte `json:"start"`
-	End   []byte `json:"end"`
-}
-
-type destroyReq struct {
-	DB     int    `json:"db"`
-	Tablet uint64 `json:"tablet"`
+	Tablets []storage.TabletMeta `json:"tablets,omitempty"`
 }
 
 // PeerIntrospection is a tablet server's self-report for /debug/clusterz.
@@ -259,28 +340,4 @@ type TabletHostInfo struct {
 	End    []byte        `json:"end"`
 	Sealed bool          `json:"sealed,omitempty"`
 	Stats  storage.Stats `json:"stats"`
-}
-
-func toWireChains(chains []storage.Chain) []wireChain {
-	out := make([]wireChain, len(chains))
-	for i, c := range chains {
-		vs := make([]wireVersion, len(c.Versions))
-		for j, v := range c.Versions {
-			vs[j] = wireVersion{TS: v.TS, Value: v.Value, Deleted: v.Deleted}
-		}
-		out[i] = wireChain{Key: c.Key, Versions: vs, Purged: c.Purged}
-	}
-	return out
-}
-
-func fromWireChains(chains []wireChain) []storage.Chain {
-	out := make([]storage.Chain, len(chains))
-	for i, c := range chains {
-		vs := make([]storage.Version, len(c.Versions))
-		for j, v := range c.Versions {
-			vs[j] = storage.Version{TS: v.TS, Value: v.Value, Deleted: v.Deleted}
-		}
-		out[i] = storage.Chain{Key: c.Key, Versions: vs, Purged: c.Purged}
-	}
-	return out
 }

@@ -36,6 +36,7 @@ func startCluster(t *testing.T, n int, kind string) (*Coordinator, []*TabletServ
 		}
 		if kind == KindDisk {
 			cfg.DataDir = filepath.Join(t.TempDir(), cfg.Name)
+			cfg.MemtableCap = 1 << 10 // small enough that tests flush segments
 		}
 		ts, err := NewTabletServer(cfg)
 		if err != nil {
@@ -55,46 +56,6 @@ func apply(t *testing.T, e storage.Engine, key, val string, ts truetime.Timestam
 	err := e.Apply(context.Background(), []storage.Write{{Key: []byte(key), Value: []byte(val)}}, ts)
 	if err != nil {
 		t.Fatalf("Apply(%s): %v", key, err)
-	}
-}
-
-func TestEngineRoundTrip(t *testing.T) {
-	coord, _ := startCluster(t, 2, KindMem)
-	fac := coord.Factory(0)
-	e, err := fac.Open(1, nil, nil)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer e.Close()
-	apply(t, e, "alpha", "1", 10)
-	apply(t, e, "beta", "2", 20)
-
-	v, vts, ok := e.Get([]byte("alpha"), 15)
-	if !ok || string(v) != "1" || vts != 10 {
-		t.Fatalf("Get(alpha@15) = %q, %d, %v; want 1, 10, true", v, vts, ok)
-	}
-	if _, _, ok := e.Get([]byte("beta"), 15); ok {
-		t.Fatal("Get(beta@15) should not see a version committed at 20")
-	}
-	var keys []string
-	e.Scan(nil, nil, 25, false, func(r storage.Row) bool {
-		keys = append(keys, string(r.Key))
-		return true
-	})
-	if len(keys) != 2 || keys[0] != "alpha" || keys[1] != "beta" {
-		t.Fatalf("Scan keys = %v", keys)
-	}
-	if n := e.Len(); n != 2 {
-		t.Fatalf("Len = %d, want 2", n)
-	}
-	if k, ok := e.KeyAt(1); !ok || string(k) != "beta" {
-		t.Fatalf("KeyAt(1) = %q, %v", k, ok)
-	}
-	if st := e.Stats(); st.Kind != "remote-mem" {
-		t.Fatalf("Stats.Kind = %q, want remote-mem", st.Kind)
-	}
-	if e.Crashed() {
-		t.Fatal("engine crashed after healthy round trip")
 	}
 }
 
@@ -255,8 +216,7 @@ func TestSealedEngineHealsOnReopen(t *testing.T) {
 	// Seal directly (as an aborted handoff would leave it): the engine
 	// starts failing, and the recovery re-open supersedes the sealed
 	// handle with a serving one.
-	var sealed sealResp
-	if err := coord.Pool().Call(context.Background(), "a", MSeal, sealReq{DB: 0, Tablet: 1}, &sealed); err != nil {
+	if _, err := call(context.Background(), coord.peer("a"), mSeal, dbTablet{0, 1}); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
 	if err := e.Apply(context.Background(), []storage.Write{{Key: []byte("k2"), Value: []byte("v2")}}, 4); err == nil {
@@ -391,8 +351,8 @@ func TestHarnessSpawnKillRespawn(t *testing.T) {
 	}
 	e.Close()
 
-	if err := h.Respawn("p1"); err != nil {
-		t.Fatalf("Respawn: %v", err)
+	if err := h.Spawn("p1"); err != nil {
+		t.Fatalf("respawn: %v", err)
 	}
 	e2, err := fac.Open(1, nil, nil)
 	if err != nil {

@@ -1,0 +1,444 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"firestore/internal/storage"
+	"firestore/internal/truetime"
+)
+
+// model is the conformance oracle: every version ever applied, per key,
+// oldest first. The suite keeps all timestamps within storage.GCRetention
+// of each other, so no engine may have trimmed anything and the model is
+// exact at every timestamp.
+type model map[string][]storage.Version
+
+func (m model) at(key string, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool) {
+	vs := m[key]
+	for i := len(vs) - 1; i >= 0; i-- {
+		if vs[i].TS <= ts {
+			return vs[i].Value, vs[i].TS, !vs[i].Deleted
+		}
+	}
+	return nil, 0, false
+}
+
+// keys returns the model's keys in [lo, hi), ascending (nil = unbounded).
+func (m model) keys(lo, hi []byte) []string {
+	var out []string
+	for k := range m {
+		if (lo == nil || k >= string(lo)) && (hi == nil || k < string(hi)) {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (m model) rows(lo, hi []byte, ts truetime.Timestamp, reverse bool) []storage.Row {
+	var out []storage.Row
+	for _, k := range m.keys(lo, hi) {
+		if v, vts, ok := m.at(k, ts); ok {
+			out = append(out, storage.Row{Key: []byte(k), Value: v, TS: vts})
+		}
+	}
+	if reverse {
+		slices.Reverse(out)
+	}
+	return out
+}
+
+func (m model) chains(lo, hi []byte) []storage.Chain {
+	var out []storage.Chain
+	for _, k := range m.keys(lo, hi) {
+		out = append(out, storage.Chain{Key: []byte(k), Versions: m[k]})
+	}
+	return out
+}
+
+func sameRows(a, b []storage.Row) bool {
+	return slices.EqualFunc(a, b, func(x, y storage.Row) bool {
+		return bytes.Equal(x.Key, y.Key) && bytes.Equal(x.Value, y.Value) && x.TS == y.TS
+	})
+}
+
+func sameChains(a, b []storage.Chain) bool {
+	return slices.EqualFunc(a, b, func(x, y storage.Chain) bool {
+		return bytes.Equal(x.Key, y.Key) && slices.EqualFunc(x.Versions, y.Versions, func(v, w storage.Version) bool {
+			return v.TS == w.TS && v.Deleted == w.Deleted && bytes.Equal(v.Value, w.Value)
+		})
+	})
+}
+
+// getBatch reads keys the way the tablet layer does: in one call where
+// the engine offers it, key by key otherwise.
+func getBatch(e storage.Engine, keys [][]byte, ts truetime.Timestamp) []storage.BatchGet {
+	if bg, ok := e.(storage.BatchGetter); ok {
+		return bg.GetBatch(keys, ts)
+	}
+	out := make([]storage.BatchGet, len(keys))
+	for i, k := range keys {
+		out[i].Value, out[i].TS, out[i].OK = e.Get(k, ts)
+	}
+	return out
+}
+
+// TestEngineConformance proves the three storage.Engine implementations
+// interchangeable: one seeded random op sequence — Apply, Get, GetBatch,
+// Scan (both directions, bounded and unbounded, stopped early),
+// AscendChains → IngestChains into a sibling (a split) with PurgeChains +
+// SetBounds on the source, close-and-reopen — runs identically over Mem,
+// Disk and the remote engine on Mem- and Disk-backed peers, every result
+// checked against the model.
+func TestEngineConformance(t *testing.T) {
+	diskOpts := storage.Options{MemtableCap: 1 << 10, CompactAt: 3} // flush and compact within the run
+	for _, kind := range []struct {
+		name    string
+		stats   string // Stats().Kind
+		durable bool   // survives the process: the factory Lists it, flushes happen
+		factory func(t *testing.T) storage.Factory
+	}{
+		{"mem", "mem", false, func(*testing.T) storage.Factory {
+			return &stickyMemFactory{engines: map[uint64]*storage.Mem{}}
+		}},
+		{"disk", "disk", true, func(t *testing.T) storage.Factory {
+			fac, err := storage.NewDiskFactory(t.TempDir(), diskOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fac
+		}},
+		{"remote-mem", "remote-mem", false, func(t *testing.T) storage.Factory {
+			coord, _ := startCluster(t, 2, KindMem)
+			return coord.Factory(0)
+		}},
+		{"remote-disk", "remote-disk", true, func(t *testing.T) storage.Factory {
+			coord, _ := startCluster(t, 2, KindDisk)
+			return coord.Factory(0)
+		}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			c := &conformance{t: t, fac: kind.factory(t), rng: rand.New(rand.NewSource(20)), head: 100}
+			c.open(1, nil, nil, model{})
+			for step := 0; step < 450; step++ {
+				tb := c.tablets[c.rng.Intn(len(c.tablets))]
+				switch op := c.rng.Intn(100); {
+				case op < 55:
+					c.apply(tb)
+				case op < 68:
+					c.get(tb)
+				case op < 76:
+					c.getBatch(tb)
+				case op < 90:
+					c.scan(tb)
+				case op < 94:
+					c.chains(tb)
+				case op < 97:
+					c.split(tb)
+				default:
+					c.reopen(tb)
+				}
+			}
+			for _, tb := range c.tablets {
+				c.reopen(tb)
+				c.checkAll(tb, kind.stats, kind.durable)
+				tb.eng.Close()
+			}
+			if len(c.tablets) < 2 {
+				t.Fatal("the sequence never split: the migration ops went unexercised")
+			}
+			if kind.durable {
+				if c.flushes == 0 {
+					t.Error("no memtable flush: the segment read path went unexercised")
+				}
+				c.checkList()
+			}
+		})
+	}
+}
+
+type confTablet struct {
+	id     uint64
+	lo, hi []byte
+	eng    storage.Engine
+	model  model
+}
+
+type conformance struct {
+	t       *testing.T
+	fac     storage.Factory
+	rng     *rand.Rand
+	head    truetime.Timestamp // newest applied timestamp
+	tablets []*confTablet
+	flushes int64 // memtable flushes seen, summed over engine lifetimes
+}
+
+func (c *conformance) open(id uint64, lo, hi []byte, m model) *confTablet {
+	c.t.Helper()
+	e, err := c.fac.Open(id, lo, hi)
+	if err != nil {
+		c.t.Fatalf("Open(%d): %v", id, err)
+	}
+	if err := e.Commission(); err != nil {
+		c.t.Fatalf("Commission(%d): %v", id, err)
+	}
+	tb := &confTablet{id: id, lo: lo, hi: hi, eng: e, model: m}
+	c.tablets = append(c.tablets, tb)
+	return tb
+}
+
+// key draws a key inside tb's bounds from a 60-key space.
+func (c *conformance) key(tb *confTablet) []byte {
+	for {
+		k := []byte(fmt.Sprintf("row-%03d", c.rng.Intn(60)))
+		if (tb.lo == nil || bytes.Compare(k, tb.lo) >= 0) && (tb.hi == nil || bytes.Compare(k, tb.hi) < 0) {
+			return k
+		}
+	}
+}
+
+// ts draws a read timestamp: usually the head, otherwise anywhere in the
+// history (or just before it).
+func (c *conformance) ts() truetime.Timestamp {
+	if c.rng.Intn(3) == 0 {
+		return 99 + truetime.Timestamp(c.rng.Int63n(int64(c.head)-98))
+	}
+	return c.head
+}
+
+// bounds draws a scan range: unbounded on either side half the time.
+func (c *conformance) bounds(tb *confTablet) (lo, hi []byte) {
+	if c.rng.Intn(2) == 0 {
+		lo = c.key(tb)
+	}
+	if c.rng.Intn(2) == 0 {
+		hi = c.key(tb)
+	}
+	if lo != nil && hi != nil && bytes.Compare(lo, hi) > 0 {
+		lo, hi = hi, lo
+	}
+	return lo, hi
+}
+
+func (c *conformance) apply(tb *confTablet) {
+	c.t.Helper()
+	c.head++
+	var writes []storage.Write
+	seen := map[string]bool{}
+	for n := 1 + c.rng.Intn(3); len(writes) < n; {
+		k := c.key(tb)
+		if seen[string(k)] {
+			continue
+		}
+		seen[string(k)] = true
+		w := storage.Write{Key: k}
+		switch r := c.rng.Intn(20); {
+		case r < 2:
+			w.Delete = true
+		case r == 2:
+			// A present row with an empty value: must stay distinguishable
+			// from a missing one on every engine and across the wire.
+		default:
+			w.Value = make([]byte, 8+c.rng.Intn(24))
+			c.rng.Read(w.Value)
+		}
+		writes = append(writes, w)
+		tb.model[string(k)] = append(tb.model[string(k)], storage.Version{TS: c.head, Value: w.Value, Deleted: w.Delete})
+	}
+	if err := tb.eng.Apply(context.Background(), writes, c.head); err != nil {
+		c.t.Fatalf("Apply@%d: %v", c.head, err)
+	}
+}
+
+func (c *conformance) get(tb *confTablet) {
+	c.t.Helper()
+	k, ts := c.key(tb), c.ts()
+	v, vts, ok := tb.eng.Get(k, ts)
+	wv, wts, wok := tb.model.at(string(k), ts)
+	if ok != wok || (ok && (vts != wts || !bytes.Equal(v, wv))) {
+		c.t.Fatalf("Get(%s@%d) = %x, %d, %v; want %x, %d, %v", k, ts, v, vts, ok, wv, wts, wok)
+	}
+}
+
+func (c *conformance) getBatch(tb *confTablet) {
+	c.t.Helper()
+	ts := c.ts()
+	keys := make([][]byte, c.rng.Intn(6))
+	for i := range keys {
+		keys[i] = c.key(tb)
+	}
+	got := getBatch(tb.eng, keys, ts)
+	if len(got) != len(keys) {
+		c.t.Fatalf("GetBatch returned %d results for %d keys", len(got), len(keys))
+	}
+	for i, k := range keys {
+		wv, wts, wok := tb.model.at(string(k), ts)
+		if got[i].OK != wok || (wok && (got[i].TS != wts || !bytes.Equal(got[i].Value, wv))) {
+			c.t.Fatalf("GetBatch[%d](%s@%d) = %+v; want %x, %d, %v", i, k, ts, got[i], wv, wts, wok)
+		}
+	}
+}
+
+func (c *conformance) scan(tb *confTablet) {
+	c.t.Helper()
+	lo, hi := c.bounds(tb)
+	ts, reverse := c.ts(), c.rng.Intn(2) == 0
+	want := tb.model.rows(lo, hi, ts, reverse)
+	limit := len(want) + 1 // never reached: the scan runs to the end
+	if len(want) > 0 && c.rng.Intn(3) == 0 {
+		limit = 1 + c.rng.Intn(len(want))
+	}
+	var got []storage.Row
+	finished := tb.eng.Scan(lo, hi, ts, reverse, func(r storage.Row) bool {
+		got = append(got, r)
+		return len(got) < limit
+	})
+	if finished != (limit > len(want)) {
+		c.t.Fatalf("Scan[%s,%s)@%d reverse=%v returned %v after %d of %d rows (limit %d)", lo, hi, ts, reverse, finished, len(got), len(want), limit)
+	}
+	if !sameRows(got, want[:min(limit, len(want))]) {
+		c.t.Fatalf("Scan[%s,%s)@%d reverse=%v limit=%d:\n got %v\nwant %v", lo, hi, ts, reverse, limit, got, want)
+	}
+}
+
+func (c *conformance) chains(tb *confTablet) {
+	c.t.Helper()
+	lo, hi := c.bounds(tb)
+	var got []storage.Chain
+	tb.eng.AscendChains(lo, hi, func(ch storage.Chain) bool {
+		got = append(got, ch)
+		return true
+	})
+	if want := tb.model.chains(lo, hi); !sameChains(got, want) {
+		c.t.Fatalf("AscendChains[%s,%s):\n got %v\nwant %v", lo, hi, got, want)
+	}
+}
+
+// split moves the upper half of tb's keys to a new sibling engine the way
+// spanner splits a tablet: export, ingest + commission on the sibling,
+// then purge and narrow the source.
+func (c *conformance) split(tb *confTablet) {
+	c.t.Helper()
+	keys := tb.model.keys(nil, nil)
+	if len(c.tablets) >= 3 || len(keys) < 8 {
+		return
+	}
+	at := []byte(keys[len(keys)/2])
+	var moved []storage.Chain
+	tb.eng.AscendChains(at, nil, func(ch storage.Chain) bool {
+		moved = append(moved, ch)
+		return true
+	})
+	if want := tb.model.chains(at, nil); !sameChains(moved, want) {
+		c.t.Fatalf("split export [%s,):\n got %v\nwant %v", at, moved, want)
+	}
+	sib := c.open(uint64(len(c.tablets)+1), at, tb.hi, model{})
+	if err := sib.eng.IngestChains(moved); err != nil {
+		c.t.Fatalf("IngestChains: %v", err)
+	}
+	var purge [][]byte
+	for _, ch := range moved {
+		sib.model[string(ch.Key)] = tb.model[string(ch.Key)]
+		delete(tb.model, string(ch.Key))
+		purge = append(purge, ch.Key)
+	}
+	// A sibling that holds nothing but ingested chains must recover them,
+	// and report them durable, like applied writes.
+	c.reopen(sib)
+	if err := tb.eng.PurgeChains(purge); err != nil {
+		c.t.Fatalf("PurgeChains: %v", err)
+	}
+	if err := tb.eng.SetBounds(tb.lo, at); err != nil {
+		c.t.Fatalf("SetBounds: %v", err)
+	}
+	tb.hi = at
+}
+
+func (c *conformance) reopen(tb *confTablet) {
+	c.t.Helper()
+	c.flushes += tb.eng.Stats().Flushes
+	if err := tb.eng.Close(); err != nil {
+		c.t.Fatalf("Close(%d): %v", tb.id, err)
+	}
+	e, err := c.fac.Open(tb.id, tb.lo, tb.hi)
+	if err != nil {
+		c.t.Fatalf("re-Open(%d): %v", tb.id, err)
+	}
+	tb.eng = e
+	if newest := tb.newest(); e.LastDurable() < newest {
+		c.t.Fatalf("LastDurable after re-open = %d, want >= %d", e.LastDurable(), newest)
+	}
+}
+
+// newest is the largest timestamp applied to the tablet.
+func (tb *confTablet) newest() truetime.Timestamp {
+	var ts truetime.Timestamp
+	for _, vs := range tb.model {
+		ts = max(ts, vs[len(vs)-1].TS)
+	}
+	return ts
+}
+
+// checkAll compares everything the engine can report with the model.
+func (c *conformance) checkAll(tb *confTablet, statsKind string, durable bool) {
+	c.t.Helper()
+	for _, ts := range []truetime.Timestamp{99, 100 + (c.head-100)/2, c.head, truetime.Max} {
+		for _, reverse := range []bool{false, true} {
+			var got []storage.Row
+			tb.eng.Scan(nil, nil, ts, reverse, func(r storage.Row) bool { got = append(got, r); return true })
+			if want := tb.model.rows(nil, nil, ts, reverse); !sameRows(got, want) {
+				c.t.Fatalf("tablet %d full scan @%d reverse=%v:\n got %v\nwant %v", tb.id, ts, reverse, got, want)
+			}
+		}
+	}
+	var got []storage.Chain
+	tb.eng.AscendChains(nil, nil, func(ch storage.Chain) bool { got = append(got, ch); return true })
+	if want := tb.model.chains(nil, nil); !sameChains(got, want) {
+		c.t.Fatalf("tablet %d chains:\n got %v\nwant %v", tb.id, got, want)
+	}
+	keys := tb.model.keys(nil, nil)
+	// Len is exact for memory engines; Disk may count a key once per
+	// flush generation.
+	if n := tb.eng.Len(); n < len(keys) || (!durable && n != len(keys)) {
+		c.t.Fatalf("tablet %d Len = %d, model has %d keys", tb.id, n, len(keys))
+	}
+	for _, i := range []int{0, len(keys) / 2, len(keys) - 1} {
+		if k, ok := tb.eng.KeyAt(i); !ok || string(k) != keys[i] {
+			c.t.Fatalf("tablet %d KeyAt(%d) = %q, %v; want %q", tb.id, i, k, ok, keys[i])
+		}
+	}
+	if k, ok := tb.eng.KeyAt(len(keys)); ok {
+		c.t.Fatalf("tablet %d KeyAt(%d) = %q past the last key", tb.id, len(keys), k)
+	}
+	if st := tb.eng.Stats(); st.Kind != statsKind {
+		c.t.Fatalf("tablet %d Stats.Kind = %q, want %q", tb.id, st.Kind, statsKind)
+	}
+	if tb.eng.Crashed() {
+		c.t.Fatalf("tablet %d crashed after a healthy run", tb.id)
+	}
+}
+
+// checkList requires a durable factory to list every tablet with the
+// bounds SetBounds left, ordered by start key.
+func (c *conformance) checkList() {
+	c.t.Helper()
+	metas, err := c.fac.List()
+	if err != nil {
+		c.t.Fatalf("List: %v", err)
+	}
+	want := slices.Clone(c.tablets)
+	slices.SortFunc(want, func(a, b *confTablet) int { return bytes.Compare(a.lo, b.lo) })
+	ok := len(metas) == len(want)
+	for i := 0; ok && i < len(want); i++ {
+		ok = metas[i].ID == want[i].id && bytes.Equal(metas[i].Start, want[i].lo) && bytes.Equal(metas[i].End, want[i].hi)
+	}
+	if !ok {
+		c.t.Fatalf("List = %+v, want the %d tablets of the run with their bounds", metas, len(want))
+	}
+}

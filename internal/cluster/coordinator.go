@@ -1,13 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
-	"firestore/internal/obs"
 	"firestore/internal/status"
 	"firestore/internal/storage"
 	"firestore/internal/transport"
@@ -18,17 +17,12 @@ type CoordinatorConfig struct {
 	// Listen is the control-plane address tablet servers join (default
 	// "127.0.0.1:0").
 	Listen string
-	// Obs (optional) receives the connection pool's per-peer transport
-	// metrics.
-	Obs *obs.Registry
 }
 
 // peerState is the coordinator's view of one joined tablet server.
 type peerState struct {
-	name            string
 	addr            string
 	kind            string
-	joinedAt        time.Time
 	lastJoin        time.Time
 	lastHeartbeat   time.Time
 	tabletsReported int
@@ -60,15 +54,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		srv:    transport.NewServer(),
-		pool:   transport.NewPool(cfg.Obs),
+		pool:   transport.NewPool(nil),
 		peers:  map[string]*peerState{},
 		assign: map[dbTablet]string{},
 		live:   map[dbTablet]*remoteEngine{},
 		moving: map[dbTablet]chan struct{}{},
 		joined: make(chan struct{}),
 	}
-	c.srv.Handle(MJoin, c.handleJoin)
-	c.srv.Handle(MHeartbeat, c.handleHeartbeat)
+	handle(c.srv, mJoin, c.handleJoin)
+	handle(c.srv, mHeartbeat, c.handleHeartbeat)
 	addr, err := c.srv.Listen(cfg.Listen)
 	if err != nil {
 		return nil, err
@@ -83,23 +77,22 @@ func (c *Coordinator) Addr() string { return c.addr }
 // Pool exposes the engine-plane connection pool (clusterz health view).
 func (c *Coordinator) Pool() *transport.Pool { return c.pool }
 
-// SetObs attaches the region's metrics registry to the connection pool
-// once the region exists (OpenRegion builds its own registry, but
-// already drives pool RPCs during recovery).
-func (c *Coordinator) SetObs(reg *obs.Registry) { c.pool.SetObs(reg) }
+// peer is the engine-plane endpoint of tablet server name.
+func (c *Coordinator) peer(name string) endpoint { return endpoint{pool: c.pool, peer: name} }
 
-func (c *Coordinator) handleJoin(ctx context.Context, body json.RawMessage) (any, error) {
-	var req joinReq
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-	}
+func (c *Coordinator) handleJoin(_ context.Context, req joinReq) (none, error) {
 	if req.Name == "" || req.Addr == "" {
-		return nil, status.New(status.InvalidArgument, "cluster", "join needs name and addr")
+		return none{}, status.New(status.InvalidArgument, "cluster", "join needs name and addr")
 	}
+	// A rejoining process listens on a fresh port: repoint the pool so
+	// recovery re-opens dial the new incarnation — before the join is
+	// published, so whoever waited for it can dial the peer at once.
+	c.pool.SetPeer(req.Name, req.Addr)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	ps := c.peers[req.Name]
 	if ps == nil {
-		ps = &peerState{name: req.Name, joinedAt: time.Now()}
+		ps = &peerState{}
 		c.peers[req.Name] = ps
 		c.order = append(c.order, req.Name)
 	}
@@ -109,78 +102,60 @@ func (c *Coordinator) handleJoin(ctx context.Context, body json.RawMessage) (any
 	ps.lastHeartbeat = ps.lastJoin
 	close(c.joined)
 	c.joined = make(chan struct{})
-	c.mu.Unlock()
-	// A rejoining process listens on a fresh port: repoint the pool so
-	// recovery re-opens dial the new incarnation.
-	c.pool.SetPeer(req.Name, req.Addr)
-	return nil, nil
+	return none{}, nil
 }
 
-func (c *Coordinator) handleHeartbeat(ctx context.Context, body json.RawMessage) (any, error) {
-	var req heartbeatReq
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-	}
+func (c *Coordinator) handleHeartbeat(_ context.Context, req heartbeatReq) (none, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ps := c.peers[req.Name]
 	if ps == nil {
-		return nil, status.Errorf(status.NotFound, "cluster", "heartbeat from unjoined peer %q", req.Name)
+		return none{}, status.Errorf(status.NotFound, "cluster", "heartbeat from unjoined peer %q", req.Name)
 	}
 	ps.lastHeartbeat = time.Now()
 	ps.tabletsReported = req.Tablets
-	return nil, nil
+	return none{}, nil
+}
+
+// awaitJoin blocks until ok (evaluated under c.mu, again after every
+// join) reports true, or timeout passes; it returns ok's last answer.
+func (c *Coordinator) awaitJoin(timeout time.Duration, ok func() bool) bool {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		c.mu.Lock()
+		done, ch := ok(), c.joined
+		c.mu.Unlock()
+		if done {
+			return true
+		}
+		select {
+		case <-ch:
+		case <-timer.C:
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return ok()
+		}
+	}
 }
 
 // WaitForPeers blocks until at least n tablet servers have joined.
 func (c *Coordinator) WaitForPeers(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		c.mu.Lock()
-		have := len(c.peers)
-		ch := c.joined
-		c.mu.Unlock()
-		if have >= n {
-			return nil
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return status.Errorf(status.DeadlineExceeded, "cluster",
-				"waited %v for %d tablet servers, have %d", timeout, n, have)
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
-		}
+	have := 0
+	if c.awaitJoin(timeout, func() bool { have = len(c.peers); return have >= n }) {
+		return nil
 	}
+	return status.Errorf(status.DeadlineExceeded, "cluster",
+		"waited %v for %d tablet servers, have %d", timeout, n, have)
 }
 
 // waitForPeerJoin blocks until peer name has (re)joined after the given
 // time — the Harness uses it to know a spawned child is serving.
 func (c *Coordinator) waitForPeerJoin(name string, after time.Time, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		c.mu.Lock()
-		ps := c.peers[name]
-		ok := ps != nil && ps.lastJoin.After(after)
-		ch := c.joined
-		c.mu.Unlock()
-		if ok {
-			return nil
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return status.Errorf(status.DeadlineExceeded, "cluster", "peer %q did not join within %v", name, timeout)
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
-		}
+	if c.awaitJoin(timeout, func() bool { ps := c.peers[name]; return ps != nil && ps.lastJoin.After(after) }) {
+		return nil
 	}
+	return status.Errorf(status.DeadlineExceeded, "cluster", "peer %q did not join within %v", name, timeout)
 }
 
 // Factory returns the storage.Factory for pool database db, pluggable
@@ -197,10 +172,16 @@ func (c *Coordinator) peerNames() []string {
 }
 
 // pickPeer resolves (assigning sticky round-robin if new) the owner of
-// dt.
+// dt, first waiting out any handoff of dt in flight so the answer is the
+// post-move owner.
 func (c *Coordinator) pickPeer(dt dbTablet) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for ch := c.moving[dt]; ch != nil; ch = c.moving[dt] {
+		c.mu.Unlock()
+		<-ch
+		c.mu.Lock()
+	}
 	if peer, ok := c.assign[dt]; ok {
 		if _, known := c.peers[peer]; known {
 			return peer, nil
@@ -255,19 +236,6 @@ func (c *Coordinator) dropLive(dt dbTablet, e *remoteEngine) {
 	}
 }
 
-// waitMove blocks while a handoff of dt is in flight.
-func (c *Coordinator) waitMove(dt dbTablet) {
-	for {
-		c.mu.Lock()
-		ch := c.moving[dt]
-		c.mu.Unlock()
-		if ch == nil {
-			return
-		}
-		<-ch
-	}
-}
-
 // MoveTablet hands tablet (db, id) off from its current owner to target,
 // live. The protocol mirrors a tablet split's durability order:
 //
@@ -310,26 +278,24 @@ func (c *Coordinator) MoveTablet(db int, id uint64, target string) error {
 	c.moving[dt] = done
 	eng := c.live[dt]
 	c.mu.Unlock()
-
-	finish := func() {
+	defer func() {
 		c.mu.Lock()
 		delete(c.moving, dt)
 		c.mu.Unlock()
 		close(done)
-	}
+	}()
 
 	if eng == nil {
-		finish()
 		return status.Errorf(status.FailedPrecondition, "cluster", "tablet %d/%d has no live engine to move", db, id)
 	}
 	start, end := eng.bounds()
 	ctx := context.Background()
+	src, dst := c.peer(source), c.peer(target)
 
 	// 1. Seal. On failure nothing changed; on later failures the sealed
 	// source heals via recovery's re-open.
-	var sealed sealResp
-	if err := c.pool.Call(ctx, source, MSeal, sealReq{DB: db, Tablet: id}, &sealed); err != nil {
-		finish()
+	sealed, err := call(ctx, src, mSeal, dt)
+	if err != nil {
 		return err
 	}
 	abort := func(err error) error {
@@ -337,32 +303,32 @@ func (c *Coordinator) MoveTablet(db int, id uint64, target string) error {
 		// its next organic failure; Open will re-open on the source and
 		// supersede the sealed handle.
 		eng.crashed.Store(true)
-		finish()
 		return err
 	}
 
 	// 2. Export.
-	var chains chainsResp
-	if err := c.pool.Call(ctx, source, MChains, chainsReq{H: sealed.Handle}, &chains); err != nil {
+	exported, err := call(ctx, src, mChains, chainsReq{H: sealed.H})
+	if err != nil {
 		return abort(err)
 	}
 
 	// 3. Open + ingest + commission on the target.
-	var opened openResp
-	if err := c.pool.Call(ctx, target, MOpen, openReq{DB: db, Tablet: id, Start: start, End: end}, &opened); err != nil {
+	opened, err := call(ctx, dst, mOpen, openReq{dbTablet: dt, Start: start, End: end})
+	if err != nil {
 		return abort(err)
 	}
-	if len(chains.Chains) > 0 {
-		if err := c.pool.Call(ctx, target, MIngest, ingestReq{H: opened.Handle, Chains: chains.Chains}, nil); err != nil {
+	h := handleReq{opened.Handle}
+	if len(exported.Chains) > 0 {
+		if _, err := call(ctx, dst, mIngest, ingestReq{H: h.H, Chains: exported.Chains}); err != nil {
 			return abort(err)
 		}
 	}
-	if err := c.pool.Call(ctx, target, MCommission, handleReq{H: opened.Handle}, nil); err != nil {
+	if _, err := call(ctx, dst, mCommission, h); err != nil {
 		return abort(err)
 	}
 	// The target copy is durable and live: close its bootstrap handle so
 	// the recovery re-open below owns the engine lifecycle.
-	c.pool.Call(ctx, target, MCloseEng, handleReq{H: opened.Handle}, nil) //nolint:errcheck
+	call(ctx, dst, mCloseEng, h) //nolint:errcheck
 
 	// 4. Flip ownership, then poison the old engine.
 	c.mu.Lock()
@@ -371,8 +337,7 @@ func (c *Coordinator) MoveTablet(db int, id uint64, target string) error {
 	eng.poison()
 
 	// 5. Demote the source.
-	err := c.pool.Call(ctx, source, MDestroy, destroyReq{DB: db, Tablet: id}, nil)
-	finish()
+	_, err = call(ctx, src, mDestroy, dt)
 	return err
 }
 
@@ -414,7 +379,7 @@ func (c *Coordinator) Snapshot() ClusterStatus {
 	for _, name := range c.order {
 		ps := c.peers[name]
 		row := PeerStatus{
-			Name:            ps.name,
+			Name:            name,
 			Addr:            ps.addr,
 			Kind:            ps.kind,
 			TabletsReported: ps.tabletsReported,
@@ -434,11 +399,8 @@ func (c *Coordinator) Snapshot() ClusterStatus {
 			}
 			row.Owned = append(row.Owned, ot)
 		}
-		sort.Slice(row.Owned, func(i, j int) bool {
-			if row.Owned[i].DB != row.Owned[j].DB {
-				return row.Owned[i].DB < row.Owned[j].DB
-			}
-			return row.Owned[i].Tablet < row.Owned[j].Tablet
+		slices.SortFunc(row.Owned, func(a, b OwnedTablet) int {
+			return cmp.Or(cmp.Compare(a.DB, b.DB), cmp.Compare(a.Tablet, b.Tablet))
 		})
 		st.Peers = append(st.Peers, row)
 	}

@@ -81,8 +81,6 @@ func runChild(cfg TabletServerConfig) error {
 
 // proc is one spawned tablet-server child.
 type proc struct {
-	name  string
-	dir   string
 	cmd   *exec.Cmd
 	stdin io.WriteCloser
 	done  chan struct{} // closed once Wait returns
@@ -118,18 +116,16 @@ func NewHarness(coord *Coordinator, baseDir, kind string) *Harness {
 }
 
 // Spawn starts tablet server name in a child process and waits for it to
-// join the coordinator.
+// join the coordinator. Spawning a previously killed peer again restarts
+// it under the same name and data directory; it rejoins, and WAL
+// recovery happens lazily as the coordinator re-opens tablets.
 func (h *Harness) Spawn(name string) error {
 	h.mu.Lock()
-	if _, ok := h.procs[name]; ok {
-		h.mu.Unlock()
+	_, running := h.procs[name]
+	h.mu.Unlock()
+	if running {
 		return status.Errorf(status.AlreadyExists, "cluster", "peer %q is already running", name)
 	}
-	h.mu.Unlock()
-	return h.start(name)
-}
-
-func (h *Harness) start(name string) error {
 	before := time.Now()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(),
@@ -154,7 +150,7 @@ func (h *Harness) start(name string) error {
 		stdin.Close()
 		return status.Wrap(status.Internal, "cluster", err)
 	}
-	p := &proc{name: name, dir: filepath.Join(h.baseDir, name), cmd: cmd, stdin: stdin, done: make(chan struct{})}
+	p := &proc{cmd: cmd, stdin: stdin, done: make(chan struct{})}
 	go func() {
 		cmd.Wait() //nolint:errcheck
 		close(p.done)
@@ -171,7 +167,7 @@ func (h *Harness) start(name string) error {
 
 // Kill delivers SIGKILL to peer name — no shutdown, no fsync, the
 // mid-commit crash the chaos scenarios need — and reaps the child. The
-// peer's data directory survives for Respawn.
+// peer's data directory survives for the next Spawn.
 func (h *Harness) Kill(name string) error {
 	h.mu.Lock()
 	p := h.procs[name]
@@ -186,33 +182,15 @@ func (h *Harness) Kill(name string) error {
 	return nil
 }
 
-// Respawn restarts a previously killed peer under the same name and data
-// directory, waiting until it rejoins (WAL recovery happens lazily as
-// the coordinator re-opens tablets).
-func (h *Harness) Respawn(name string) error {
+// Close kills every remaining child.
+func (h *Harness) Close() {
 	h.mu.Lock()
-	_, running := h.procs[name]
-	h.mu.Unlock()
-	if running {
-		return status.Errorf(status.AlreadyExists, "cluster", "peer %q is still running", name)
-	}
-	return h.start(name)
-}
-
-// Running lists the live peer names.
-func (h *Harness) Running() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	names := make([]string, 0, len(h.procs))
 	for n := range h.procs {
 		names = append(names, n)
 	}
-	return names
-}
-
-// Close kills every remaining child.
-func (h *Harness) Close() {
-	for _, name := range h.Running() {
+	h.mu.Unlock()
+	for _, name := range names {
 		h.Kill(name) //nolint:errcheck
 	}
 }

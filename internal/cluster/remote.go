@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,11 +19,15 @@ import (
 // Crashed(), which is exactly the contract the durable engine already
 // has: the tablet layer discards it, re-opens through the factory
 // (re-dialing the owner, or the new owner after a move), and rolls
-// interrupted commits forward.
+// interrupted commits forward. Reads therefore drop the call's error: a
+// failed read returns nothing and the caller's Crashed() re-check, which
+// every engine already requires, discards it.
 type remoteEngine struct {
-	fac    *RemoteFactory
-	id     uint64
-	peer   string
+	fac *RemoteFactory
+	id  uint64
+	// via is the owning peer, with this engine as the one a failed call
+	// marks crashed; handle addresses the engine there.
+	via    endpoint
 	handle uint64
 
 	crashed  atomic.Bool
@@ -30,30 +36,16 @@ type remoteEngine struct {
 	mu          sync.Mutex
 	start, end  []byte
 	lastDurable truetime.Timestamp
-	flushedTS   truetime.Timestamp
 }
 
-var _ storage.Engine = (*remoteEngine)(nil)
-
-// call performs one engine RPC against the owning peer; any error marks
-// the engine crashed.
-func (e *remoteEngine) call(ctx context.Context, method string, req, resp any) error {
-	err := e.fac.coord.pool.Call(ctx, e.peer, method, req, resp)
-	if err != nil {
-		e.crashed.Store(true)
-	}
-	return err
-}
+var _ storage.BatchGetter = (*remoteEngine)(nil)
 
 func (e *remoteEngine) Get(key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool) {
-	var resp getResp
-	if err := e.call(context.Background(), MGet, getReq{H: e.handle, Key: key, TS: ts}, &resp); err != nil {
+	r, err := call(context.Background(), e.via, mGet, getReq{H: e.handle, Key: key, TS: ts})
+	if err != nil || !r.OK {
 		return nil, 0, false
 	}
-	if !resp.OK {
-		return nil, 0, false
-	}
-	return resp.Value, resp.VTS, true
+	return r.Value, r.TS, true
 }
 
 // GetBatch implements storage.BatchGetter: one round trip for a
@@ -61,33 +53,20 @@ func (e *remoteEngine) Get(key []byte, ts truetime.Timestamp) ([]byte, truetime.
 // result reads as missing and the engine is marked crashed; the tablet
 // layer discards the batch and retries against the recovered engine.
 func (e *remoteEngine) GetBatch(keys [][]byte, ts truetime.Timestamp) []storage.BatchGet {
-	out := make([]storage.BatchGet, len(keys))
-	var resp getBatchResp
-	if err := e.call(context.Background(), MGetBatch, getBatchReq{H: e.handle, Keys: keys, TS: ts}, &resp); err != nil {
-		return out
+	resp, err := call(context.Background(), e.via, mGetBatch, getBatchReq{H: e.handle, Keys: keys, TS: ts})
+	if err == nil && len(resp.Results) == len(keys) {
+		return resp.Results
 	}
-	if len(resp.Results) != len(keys) {
-		e.crashed.Store(true)
-		return out
+	if err == nil {
+		e.crashed.Store(true) // a misaligned reply is no answer
 	}
-	for i, r := range resp.Results {
-		if r.OK {
-			out[i] = storage.BatchGet{Value: r.Value, TS: r.VTS, OK: true}
-		}
-	}
-	return out
+	return make([]storage.BatchGet, len(keys))
 }
 
-var _ storage.BatchGetter = (*remoteEngine)(nil)
-
 func (e *remoteEngine) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(storage.Row) bool) bool {
-	var resp scanResp
-	req := scanReq{H: e.handle, Lo: lo, Hi: hi, TS: ts, Reverse: reverse}
-	if err := e.call(context.Background(), MScan, req, &resp); err != nil {
-		return true
-	}
+	resp, _ := call(context.Background(), e.via, mScan, scanReq{H: e.handle, Lo: lo, Hi: hi, TS: ts, Reverse: reverse})
 	for _, r := range resp.Rows {
-		if !fn(storage.Row{Key: r.Key, Value: r.Value, TS: r.TS}) {
+		if !fn(r) {
 			return false
 		}
 	}
@@ -95,11 +74,7 @@ func (e *remoteEngine) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, 
 }
 
 func (e *remoteEngine) Apply(ctx context.Context, writes []storage.Write, ts truetime.Timestamp) error {
-	ws := make([]wireWrite, len(writes))
-	for i, w := range writes {
-		ws[i] = wireWrite{Key: w.Key, Value: w.Value, Delete: w.Delete}
-	}
-	if err := e.call(ctx, MApply, applyReq{H: e.handle, Writes: ws, TS: ts}, nil); err != nil {
+	if _, err := call(ctx, e.via, mApply, applyReq{H: e.handle, Writes: writes, TS: ts}); err != nil {
 		// Surface every remote apply failure as a crash: whether the peer
 		// died mid-fsync or the response was lost, the coordinator cannot
 		// know if the batch landed, so the commit must take the
@@ -118,27 +93,18 @@ func (e *remoteEngine) Apply(ctx context.Context, writes []storage.Write, ts tru
 }
 
 func (e *remoteEngine) Len() int {
-	var resp lenResp
-	if err := e.call(context.Background(), MLen, handleReq{H: e.handle}, &resp); err != nil {
-		return 0
-	}
+	resp, _ := call(context.Background(), e.via, mLen, handleReq{e.handle})
 	return resp.N
 }
 
 func (e *remoteEngine) KeyAt(i int) ([]byte, bool) {
-	var resp keyAtResp
-	if err := e.call(context.Background(), MKeyAt, keyAtReq{H: e.handle, I: i}, &resp); err != nil {
-		return nil, false
-	}
+	resp, _ := call(context.Background(), e.via, mKeyAt, keyAtReq{H: e.handle, I: i})
 	return resp.Key, resp.OK
 }
 
 func (e *remoteEngine) AscendChains(lo, hi []byte, fn func(storage.Chain) bool) {
-	var resp chainsResp
-	if err := e.call(context.Background(), MChains, chainsReq{H: e.handle, Lo: lo, Hi: hi}, &resp); err != nil {
-		return
-	}
-	for _, c := range fromWireChains(resp.Chains) {
+	resp, _ := call(context.Background(), e.via, mChains, chainsReq{H: e.handle, Lo: lo, Hi: hi})
+	for _, c := range resp.Chains {
 		if !fn(c) {
 			return
 		}
@@ -146,15 +112,17 @@ func (e *remoteEngine) AscendChains(lo, hi []byte, fn func(storage.Chain) bool) 
 }
 
 func (e *remoteEngine) IngestChains(chains []storage.Chain) error {
-	return e.call(context.Background(), MIngest, ingestReq{H: e.handle, Chains: toWireChains(chains)}, nil)
+	_, err := call(context.Background(), e.via, mIngest, ingestReq{H: e.handle, Chains: chains})
+	return err
 }
 
 func (e *remoteEngine) PurgeChains(keys [][]byte) error {
-	return e.call(context.Background(), MPurge, purgeReq{H: e.handle, Keys: keys}, nil)
+	_, err := call(context.Background(), e.via, mPurge, purgeReq{H: e.handle, Keys: keys})
+	return err
 }
 
 func (e *remoteEngine) SetBounds(start, end []byte) error {
-	if err := e.call(context.Background(), MSetBounds, setBoundsReq{H: e.handle, Start: start, End: end}, nil); err != nil {
+	if _, err := call(context.Background(), e.via, mSetBounds, setBoundsReq{H: e.handle, Start: start, End: end}); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -164,7 +132,8 @@ func (e *remoteEngine) SetBounds(start, end []byte) error {
 }
 
 func (e *remoteEngine) Commission() error {
-	return e.call(context.Background(), MCommission, handleReq{H: e.handle}, nil)
+	_, err := call(context.Background(), e.via, mCommission, handleReq{e.handle})
+	return err
 }
 
 func (e *remoteEngine) LastDurable() truetime.Timestamp {
@@ -173,25 +142,15 @@ func (e *remoteEngine) LastDurable() truetime.Timestamp {
 	return e.lastDurable
 }
 
-func (e *remoteEngine) FlushedTS() truetime.Timestamp {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.flushedTS
-}
-
 func (e *remoteEngine) Crashed() bool { return e.crashed.Load() }
 
 func (e *remoteEngine) Stats() storage.Stats {
-	var resp statsResp
-	if err := e.call(context.Background(), MStats, handleReq{H: e.handle}, &resp); err != nil {
+	resp, err := call(context.Background(), e.via, mStats, handleReq{e.handle})
+	if err != nil {
 		return storage.Stats{Kind: "remote"}
 	}
-	s := resp.Stats
-	s.Kind = "remote-" + s.Kind
-	e.mu.Lock()
-	e.flushedTS = resp.FlushedTS
-	e.mu.Unlock()
-	return s
+	resp.Stats.Kind = "remote-" + resp.Stats.Kind
+	return resp.Stats
 }
 
 func (e *remoteEngine) Close() error {
@@ -202,7 +161,7 @@ func (e *remoteEngine) Close() error {
 		return nil
 	}
 	// Best-effort: a dead peer's handle dies with the process anyway.
-	e.fac.coord.pool.Call(context.Background(), e.peer, MCloseEng, handleReq{H: e.handle}, nil) //nolint:errcheck
+	call(context.Background(), e.fac.coord.peer(e.via.peer), mCloseEng, handleReq{e.handle}) //nolint:errcheck
 	return nil
 }
 
@@ -232,28 +191,25 @@ type RemoteFactory struct {
 	db    int
 }
 
-var _ storage.Factory = (*RemoteFactory)(nil)
-
 // Open opens tablet id on its owning peer, blocking while a handoff of
 // that tablet is in flight (the recovery path lands here when a moved
 // tablet's engine is poisoned; it must observe the post-move owner).
 func (f *RemoteFactory) Open(id uint64, start, end []byte) (storage.Engine, error) {
 	dt := dbTablet{f.db, id}
-	f.coord.waitMove(dt)
 	peer, err := f.coord.pickPeer(dt)
 	if err != nil {
 		return nil, err
 	}
-	var resp openResp
-	req := openReq{DB: f.db, Tablet: id, Start: start, End: end}
-	if err := f.coord.pool.Call(context.Background(), peer, MOpen, req, &resp); err != nil {
+	owner := f.coord.peer(peer)
+	resp, err := call(context.Background(), owner, mOpen, openReq{dbTablet: dt, Start: start, End: end})
+	if err != nil {
 		return nil, err
 	}
 	e := &remoteEngine{
-		fac: f, id: id, peer: peer, handle: resp.Handle,
-		start: start, end: end,
-		lastDurable: resp.LastDurable, flushedTS: resp.FlushedTS,
+		fac: f, id: id, via: owner, handle: resp.Handle,
+		start: start, end: end, lastDurable: resp.LastDurable,
 	}
+	e.via.eng = e
 	f.coord.setLive(dt, e)
 	return e, nil
 }
@@ -272,21 +228,15 @@ func (f *RemoteFactory) List() ([]storage.TabletMeta, error) {
 		return nil, status.New(status.Unavailable, "cluster", "no tablet servers joined")
 	}
 	for _, peer := range peers {
-		var resp listResp
-		if err := f.coord.pool.Call(context.Background(), peer, MList, listReq{DB: f.db}, &resp); err != nil {
+		resp, err := call(context.Background(), f.coord.peer(peer), mList, listReq{DB: f.db})
+		if err != nil {
 			return nil, err
 		}
 		for _, m := range resp.Tablets {
-			dt := dbTablet{f.db, m.ID}
-			owner, owned := f.coord.ownerOf(dt)
-			prev, seen := byID[m.ID]
-			switch {
-			case owned && peer == owner:
-				byID[m.ID] = candidate{storage.TabletMeta{ID: m.ID, Start: m.Start, End: m.End}, peer}
-			case seen && owned && prev.peer == owner:
-				// keep the assigned owner's copy
-			case !seen:
-				byID[m.ID] = candidate{storage.TabletMeta{ID: m.ID, Start: m.Start, End: m.End}, peer}
+			owner, owned := f.coord.ownerOf(dbTablet{f.db, m.ID})
+			// The assigned owner's copy wins; otherwise the first seen stays.
+			if _, seen := byID[m.ID]; !seen || (owned && peer == owner) {
+				byID[m.ID] = candidate{m, peer}
 			}
 		}
 	}
@@ -297,7 +247,8 @@ func (f *RemoteFactory) List() ([]storage.TabletMeta, error) {
 		f.coord.adopt(dbTablet{f.db, c.meta.ID}, c.peer)
 		metas = append(metas, c.meta)
 	}
-	sortMetas(metas)
+	// By start key, nil (unbounded) first.
+	slices.SortFunc(metas, func(a, b storage.TabletMeta) int { return bytes.Compare(a.Start, b.Start) })
 	return metas, nil
 }
 
@@ -308,27 +259,9 @@ func (f *RemoteFactory) Destroy(id uint64) error {
 	if !ok {
 		return nil
 	}
-	err := f.coord.pool.Call(context.Background(), peer, MDestroy, destroyReq{DB: f.db, Tablet: id}, nil)
+	_, err := call(context.Background(), f.coord.peer(peer), mDestroy, dt)
 	if err == nil {
 		f.coord.unassign(dt)
 	}
 	return err
-}
-
-// sortMetas orders by start key, nil (unbounded) first.
-func sortMetas(metas []storage.TabletMeta) {
-	lt := func(a, b storage.TabletMeta) bool {
-		if a.Start == nil {
-			return b.Start != nil
-		}
-		if b.Start == nil {
-			return false
-		}
-		return string(a.Start) < string(b.Start)
-	}
-	for i := 1; i < len(metas); i++ {
-		for j := i; j > 0 && lt(metas[j], metas[j-1]); j-- {
-			metas[j], metas[j-1] = metas[j-1], metas[j]
-		}
-	}
 }

@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"firestore/internal/status"
@@ -21,6 +21,8 @@ var ErrStaleHandle = status.New(status.FailedPrecondition, "cluster", "stale eng
 
 // ErrSealed reports a mutation against an engine sealed for handoff.
 var ErrSealed = status.New(status.FailedPrecondition, "cluster", "engine sealed for handoff")
+
+var errClosing = status.New(status.Unavailable, "cluster", "tablet server closing")
 
 // TabletServerConfig configures one tablet-server process (or in-process
 // instance, for benchmarks).
@@ -40,30 +42,19 @@ type TabletServerConfig struct {
 	// Mem engines survive reconnects (the process keeps them) but not
 	// process death.
 	Kind string
-	// MemtableCap / CompactAt tune hosted disk engines (storage.Options).
+	// MemtableCap tunes hosted disk engines (storage.Options).
 	MemtableCap int64
-	CompactAt   int
-	// HeartbeatEvery is the control-plane heartbeat period (default
-	// 250ms).
-	HeartbeatEvery time.Duration
 }
 
 // hostedEngine is one engine a tablet server serves, addressed by handle.
 type hostedEngine struct {
-	db     int
-	tablet uint64
-	start  []byte
-	end    []byte
-	eng    storage.Engine
+	dbTablet
+	start []byte
+	end   []byte
+	eng   storage.Engine
 
-	mu     sync.Mutex
-	sealed bool
-}
-
-func (h *hostedEngine) isSealed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sealed
+	mu     sync.Mutex  // guards start, end
+	sealed atomic.Bool // set for handoff, never cleared: a re-open replaces the handle
 }
 
 // TabletServer hosts storage engines behind the wire protocol: the
@@ -77,7 +68,6 @@ type TabletServer struct {
 
 	mu         sync.Mutex
 	factories  map[int]storage.Factory
-	memFact    map[int]*stickyMemFactory
 	handles    map[uint64]*hostedEngine
 	byTablet   map[dbTablet]uint64
 	nextHandle uint64
@@ -110,14 +100,10 @@ func NewTabletServer(cfg TabletServerConfig) (*TabletServer, error) {
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
 	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 250 * time.Millisecond
-	}
 	ts := &TabletServer{
 		cfg:       cfg,
 		srv:       transport.NewServer(),
 		factories: map[int]storage.Factory{},
-		memFact:   map[int]*stickyMemFactory{},
 		handles:   map[uint64]*hostedEngine{},
 		byTablet:  map[dbTablet]uint64{},
 		stop:      make(chan struct{}),
@@ -155,7 +141,7 @@ func (ts *TabletServer) join() error {
 	ctx, cancel := context.WithTimeout(context.Background(), transport.DialTimeout)
 	defer cancel()
 	req := joinReq{Name: ts.cfg.Name, Addr: ts.addr, Kind: ts.cfg.Kind}
-	if err := conn.Call(ctx, MJoin, req, nil); err != nil {
+	if _, err := call(ctx, endpoint{conn: conn}, mJoin, req); err != nil {
 		conn.Close()
 		return err
 	}
@@ -169,13 +155,17 @@ func (ts *TabletServer) join() error {
 	return nil
 }
 
-// orphanAfter is how long heartbeats may fail before Orphaned fires; it
-// keeps SIGKILLed-coordinator children from leaking in test runs.
-const orphanAfter = 15 * time.Second
+// heartbeatEvery is the control-plane heartbeat period. orphanAfter is
+// how long heartbeats may fail before Orphaned fires; it keeps
+// SIGKILLed-coordinator children from leaking in test runs.
+const (
+	heartbeatEvery = 250 * time.Millisecond
+	orphanAfter    = 15 * time.Second
+)
 
 func (ts *TabletServer) heartbeatLoop() {
 	defer ts.wg.Done()
-	ticker := time.NewTicker(ts.cfg.HeartbeatEvery)
+	ticker := time.NewTicker(heartbeatEvery)
 	defer ticker.Stop()
 	var failingSince time.Time
 	for {
@@ -188,11 +178,7 @@ func (ts *TabletServer) heartbeatLoop() {
 			if failingSince.IsZero() {
 				failingSince = time.Now()
 			} else if time.Since(failingSince) > orphanAfter {
-				select {
-				case <-ts.orphaned:
-				default:
-					close(ts.orphaned)
-				}
+				close(ts.orphaned) // once: the loop ends here
 				return
 			}
 			// The coordinator conn broke (or it restarted): re-join so it
@@ -206,17 +192,15 @@ func (ts *TabletServer) heartbeatLoop() {
 
 func (ts *TabletServer) heartbeat() error {
 	ts.coordMu.Lock()
-	conn := ts.coord
+	conn := ts.coord // set by the join NewTabletServer waited for
 	ts.coordMu.Unlock()
-	if conn == nil {
-		return status.New(status.Unavailable, "cluster", "no coordinator connection")
-	}
 	ts.mu.Lock()
 	n := len(ts.byTablet)
 	ts.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), transport.DialTimeout)
 	defer cancel()
-	return conn.Call(ctx, MHeartbeat, heartbeatReq{Name: ts.cfg.Name, Tablets: n}, nil)
+	_, err := call(ctx, endpoint{conn: conn}, mHeartbeat, heartbeatReq{Name: ts.cfg.Name, Tablets: n})
+	return err
 }
 
 // Close stops heartbeats, the server, and every hosted engine.
@@ -246,23 +230,19 @@ func (ts *TabletServer) Close() {
 func (ts *TabletServer) factory(db int) (storage.Factory, error) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if ts.cfg.Kind == KindMem {
-		f := ts.memFact[db]
-		if f == nil {
-			f = &stickyMemFactory{engines: map[uint64]*storage.Mem{}}
-			ts.memFact[db] = f
-		}
-		return f, nil
-	}
 	if f := ts.factories[db]; f != nil {
 		return f, nil
 	}
-	f, err := storage.NewDiskFactory(
-		filepath.Join(ts.cfg.DataDir, fmt.Sprintf("db-%d", db)),
-		storage.Options{MemtableCap: ts.cfg.MemtableCap, CompactAt: ts.cfg.CompactAt},
-	)
-	if err != nil {
-		return nil, err
+	var f storage.Factory = &stickyMemFactory{engines: map[uint64]*storage.Mem{}}
+	if ts.cfg.Kind == KindDisk {
+		var err error
+		f, err = storage.NewDiskFactory(
+			filepath.Join(ts.cfg.DataDir, fmt.Sprintf("db-%d", db)),
+			storage.Options{MemtableCap: ts.cfg.MemtableCap},
+		)
+		if err != nil {
+			return nil, err
+		}
 	}
 	ts.factories[db] = f
 	return f, nil
@@ -296,296 +276,138 @@ func (f *stickyMemFactory) Destroy(id uint64) error {
 	return nil
 }
 
-// lookup resolves a live handle.
-func (ts *TabletServer) lookup(h uint64) (*hostedEngine, error) {
+// lookup resolves a live handle; a sealed engine resolves only for the
+// methods it may still serve.
+func (ts *TabletServer) lookup(h uint64, sealedOK bool) (*hostedEngine, error) {
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	he := ts.handles[h]
+	ts.mu.Unlock()
 	if he == nil {
 		return nil, ErrStaleHandle
 	}
-	return he, nil
-}
-
-// lookupServing is lookup plus the seal check, for the data-plane ops a
-// sealed engine must refuse.
-func (ts *TabletServer) lookupServing(h uint64) (*hostedEngine, error) {
-	he, err := ts.lookup(h)
-	if err != nil {
-		return nil, err
-	}
-	if he.isSealed() {
+	if !sealedOK && he.sealed.Load() {
 		return nil, ErrSealed
 	}
 	return he, nil
 }
 
-func (ts *TabletServer) registerHandlers() {
-	handle := func(method string, fn func(ctx context.Context, body json.RawMessage) (any, error)) {
-		ts.srv.Handle(method, fn)
+// unhostLocked forgets handle h and returns its engine (nil if h is
+// stale) for the caller to Close once ts.mu is released: a Disk close
+// waits on flush and compaction, and every RPC's handle lookup needs
+// ts.mu.
+func (ts *TabletServer) unhostLocked(h uint64) *hostedEngine {
+	he := ts.handles[h]
+	if he != nil {
+		delete(ts.handles, h)
+		if ts.byTablet[he.dbTablet] == h {
+			delete(ts.byTablet, he.dbTablet)
+		}
 	}
+	return he
+}
 
-	handle(MOpen, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req openReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		return ts.open(req)
+func (ts *TabletServer) registerHandlers() {
+	handle(ts.srv, mOpen, ts.open)
+	handleEngine(ts, mGet, func(_ context.Context, he *hostedEngine, req getReq) (r storage.BatchGet, _ error) {
+		r.Value, r.TS, r.OK = he.eng.Get(req.Key, req.TS)
+		return r, nil
 	})
-	handle(MGet, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req getReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		he, err := ts.lookupServing(req.H)
-		if err != nil {
-			return nil, err
-		}
-		v, vts, ok := he.eng.Get(req.Key, req.TS)
-		if he.eng.Crashed() {
-			return nil, storage.ErrCrashed
-		}
-		return getResp{Value: v, VTS: vts, OK: ok}, nil
-	})
-	handle(MGetBatch, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req getBatchReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		he, err := ts.lookupServing(req.H)
-		if err != nil {
-			return nil, err
-		}
-		results := make([]getResp, len(req.Keys))
+	handleEngine(ts, mGetBatch, func(_ context.Context, he *hostedEngine, req getBatchReq) (getBatchResp, error) {
+		results := make([]storage.BatchGet, len(req.Keys))
 		for i, key := range req.Keys {
-			v, vts, ok := he.eng.Get(key, req.TS)
-			results[i] = getResp{Value: v, VTS: vts, OK: ok}
-		}
-		if he.eng.Crashed() {
-			return nil, storage.ErrCrashed
+			r := &results[i]
+			r.Value, r.TS, r.OK = he.eng.Get(key, req.TS)
 		}
 		return getBatchResp{Results: results}, nil
 	})
-	handle(MScan, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req scanReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		he, err := ts.lookupServing(req.H)
-		if err != nil {
-			return nil, err
-		}
-		var rows []wireRow
+	handleEngine(ts, mScan, func(_ context.Context, he *hostedEngine, req scanReq) (resp scanResp, _ error) {
 		he.eng.Scan(req.Lo, req.Hi, req.TS, req.Reverse, func(r storage.Row) bool {
-			rows = append(rows, wireRow{Key: r.Key, Value: r.Value, TS: r.TS})
+			resp.Rows = append(resp.Rows, r)
 			return true
 		})
-		if he.eng.Crashed() {
-			return nil, storage.ErrCrashed
-		}
-		return scanResp{Rows: rows}, nil
+		return resp, nil
 	})
-	handle(MApply, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req applyReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		he, err := ts.lookupServing(req.H)
-		if err != nil {
-			return nil, err
-		}
-		writes := make([]storage.Write, len(req.Writes))
-		for i, w := range req.Writes {
-			writes[i] = storage.Write{Key: w.Key, Value: w.Value, Delete: w.Delete}
-		}
-		if err := he.eng.Apply(ctx, writes, req.TS); err != nil {
-			return nil, err
-		}
-		return nil, nil
+	handleEngine(ts, mApply, func(ctx context.Context, he *hostedEngine, req applyReq) (none, error) {
+		return none{}, he.eng.Apply(ctx, req.Writes, req.TS)
 	})
-	handle(MLen, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req handleReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		he, err := ts.lookup(req.H)
-		if err != nil {
-			return nil, err
-		}
+	handleEngine(ts, mLen, func(_ context.Context, he *hostedEngine, _ handleReq) (lenResp, error) {
 		return lenResp{N: he.eng.Len()}, nil
 	})
-	handle(MKeyAt, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req keyAtReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		he, err := ts.lookup(req.H)
-		if err != nil {
-			return nil, err
-		}
-		k, ok := he.eng.KeyAt(req.I)
-		return keyAtResp{Key: k, OK: ok}, nil
+	handleEngine(ts, mKeyAt, func(_ context.Context, he *hostedEngine, req keyAtReq) (resp keyAtResp, _ error) {
+		resp.Key, resp.OK = he.eng.KeyAt(req.I)
+		return resp, nil
 	})
-	handle(MChains, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req chainsReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		// Chains export is allowed on sealed engines: handoff reads the
-		// frozen state through it.
-		he, err := ts.lookup(req.H)
-		if err != nil {
-			return nil, err
-		}
-		var chains []storage.Chain
+	handleEngine(ts, mChains, func(_ context.Context, he *hostedEngine, req chainsReq) (resp chainsResp, _ error) {
 		he.eng.AscendChains(req.Lo, req.Hi, func(c storage.Chain) bool {
-			chains = append(chains, c)
+			resp.Chains = append(resp.Chains, c)
 			return true
 		})
-		if he.eng.Crashed() {
-			return nil, storage.ErrCrashed
-		}
-		return chainsResp{Chains: toWireChains(chains)}, nil
+		return resp, nil
 	})
-	handle(MIngest, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req ingestReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		he, err := ts.lookupServing(req.H)
-		if err != nil {
-			return nil, err
-		}
-		return nil, he.eng.IngestChains(fromWireChains(req.Chains))
+	handleEngine(ts, mIngest, func(_ context.Context, he *hostedEngine, req ingestReq) (none, error) {
+		return none{}, he.eng.IngestChains(req.Chains)
 	})
-	handle(MPurge, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req purgeReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		he, err := ts.lookupServing(req.H)
-		if err != nil {
-			return nil, err
-		}
-		return nil, he.eng.PurgeChains(req.Keys)
+	handleEngine(ts, mPurge, func(_ context.Context, he *hostedEngine, req purgeReq) (none, error) {
+		return none{}, he.eng.PurgeChains(req.Keys)
 	})
-	handle(MSetBounds, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req setBoundsReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		he, err := ts.lookupServing(req.H)
-		if err != nil {
-			return nil, err
-		}
+	handleEngine(ts, mSetBounds, func(_ context.Context, he *hostedEngine, req setBoundsReq) (none, error) {
 		if err := he.eng.SetBounds(req.Start, req.End); err != nil {
-			return nil, err
+			return none{}, err
 		}
 		he.mu.Lock()
 		he.start, he.end = req.Start, req.End
 		he.mu.Unlock()
-		return nil, nil
+		return none{}, nil
 	})
-	handle(MCommission, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req handleReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		he, err := ts.lookupServing(req.H)
-		if err != nil {
-			return nil, err
-		}
-		return nil, he.eng.Commission()
+	handleEngine(ts, mCommission, func(_ context.Context, he *hostedEngine, _ handleReq) (none, error) {
+		return none{}, he.eng.Commission()
 	})
-	handle(MStats, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req handleReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		he, err := ts.lookup(req.H)
-		if err != nil {
-			return nil, err
-		}
-		return statsResp{Stats: he.eng.Stats(), LastDurable: he.eng.LastDurable(), FlushedTS: he.eng.FlushedTS()}, nil
+	handleEngine(ts, mStats, func(_ context.Context, he *hostedEngine, _ handleReq) (statsResp, error) {
+		st := he.eng.Stats()
+		return statsResp{Stats: st, LastDurable: he.eng.LastDurable(), FlushedTS: st.FlushedTS}, nil
 	})
-	handle(MCloseEng, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req handleReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
+	handle(ts.srv, mCloseEng, func(_ context.Context, req handleReq) (none, error) {
 		ts.mu.Lock()
-		he := ts.handles[req.H]
-		if he != nil {
-			delete(ts.handles, req.H)
-			dt := dbTablet{he.db, he.tablet}
-			if ts.byTablet[dt] == req.H {
-				delete(ts.byTablet, dt)
-			}
-		}
+		he := ts.unhostLocked(req.H)
 		ts.mu.Unlock()
 		if he == nil {
-			return nil, nil // closing a stale handle is a no-op
+			return none{}, nil // closing a stale handle is a no-op
 		}
-		return nil, he.eng.Close()
+		return none{}, he.eng.Close()
 	})
-	handle(MSeal, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req sealReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
+	handle(ts.srv, mSeal, func(_ context.Context, dt dbTablet) (handleReq, error) {
 		ts.mu.Lock()
-		h, ok := ts.byTablet[dbTablet{req.DB, req.Tablet}]
+		h := ts.byTablet[dt]
 		he := ts.handles[h]
 		ts.mu.Unlock()
-		if !ok || he == nil {
-			return nil, ErrStaleHandle
+		if he == nil {
+			return handleReq{}, ErrStaleHandle
 		}
-		he.mu.Lock()
-		he.sealed = true
-		he.mu.Unlock()
-		return sealResp{Handle: h}, nil
+		he.sealed.Store(true)
+		return handleReq{h}, nil
 	})
-	handle(MList, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req listReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
+	handle(ts.srv, mList, func(_ context.Context, req listReq) (listResp, error) {
 		fac, err := ts.factory(req.DB)
 		if err != nil {
-			return nil, err
+			return listResp{}, err
 		}
 		metas, err := fac.List()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]wireMeta, len(metas))
-		for i, m := range metas {
-			out[i] = wireMeta{ID: m.ID, Start: m.Start, End: m.End}
-		}
-		return listResp{Tablets: out}, nil
+		return listResp{Tablets: metas}, err
 	})
-	handle(MDestroy, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req destroyReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-		}
-		dt := dbTablet{req.DB, req.Tablet}
+	handle(ts.srv, mDestroy, func(_ context.Context, dt dbTablet) (none, error) {
 		ts.mu.Lock()
-		if h, ok := ts.byTablet[dt]; ok {
-			if he := ts.handles[h]; he != nil {
-				he.eng.Close()
-				delete(ts.handles, h)
-			}
-			delete(ts.byTablet, dt)
-		}
+		he := ts.unhostLocked(ts.byTablet[dt])
 		ts.mu.Unlock()
-		fac, err := ts.factory(req.DB)
-		if err != nil {
-			return nil, err
+		if he != nil {
+			he.eng.Close()
 		}
-		return nil, fac.Destroy(req.Tablet)
+		fac, err := ts.factory(dt.DB)
+		if err != nil {
+			return none{}, err
+		}
+		return none{}, fac.Destroy(dt.Tablet)
 	})
-	handle(MPeerInfo, func(ctx context.Context, body json.RawMessage) (any, error) {
+	handle(ts.srv, mPeerInfo, func(context.Context, none) (PeerIntrospection, error) {
 		return ts.introspect(), nil
 	})
 }
@@ -594,48 +416,42 @@ func (ts *TabletServer) registerHandlers() {
 // any previous handle for it: the coordinator only re-opens after it
 // lost trust in the old one, so the old engine is closed first and stale
 // callers get ErrStaleHandle.
-func (ts *TabletServer) open(req openReq) (*openResp, error) {
+func (ts *TabletServer) open(_ context.Context, req openReq) (openResp, error) {
 	fac, err := ts.factory(req.DB)
 	if err != nil {
-		return nil, err
+		return openResp{}, err
 	}
-	dt := dbTablet{req.DB, req.Tablet}
 	ts.mu.Lock()
 	if ts.closed {
 		ts.mu.Unlock()
-		return nil, status.New(status.Unavailable, "cluster", "tablet server closing")
+		return openResp{}, errClosing
 	}
-	if oldH, ok := ts.byTablet[dt]; ok {
-		if old := ts.handles[oldH]; old != nil {
-			delete(ts.handles, oldH)
-			// Mem engines are sticky (the factory hands the same one back);
-			// closing one is a no-op. Disk engines quiesce their files so
-			// the re-open below replays a clean WAL.
-			ts.mu.Unlock()
-			old.eng.Close()
-			ts.mu.Lock()
-		}
-		delete(ts.byTablet, dt)
-	}
+	old := ts.unhostLocked(ts.byTablet[req.dbTablet])
 	ts.mu.Unlock()
+	if old != nil {
+		// Mem engines are sticky (the factory hands the same one back);
+		// closing one is a no-op. Disk engines quiesce their files so the
+		// re-open below replays a clean WAL.
+		old.eng.Close()
+	}
 
 	eng, err := fac.Open(req.Tablet, req.Start, req.End)
 	if err != nil {
-		return nil, err
+		return openResp{}, err
 	}
-	he := &hostedEngine{db: req.DB, tablet: req.Tablet, start: req.Start, end: req.End, eng: eng}
+	he := &hostedEngine{dbTablet: req.dbTablet, start: req.Start, end: req.End, eng: eng}
 	ts.mu.Lock()
 	if ts.closed {
 		ts.mu.Unlock()
 		eng.Close()
-		return nil, status.New(status.Unavailable, "cluster", "tablet server closing")
+		return openResp{}, errClosing
 	}
-	ts.nextHandle++
+	ts.nextHandle++ // from 1: byTablet's zero value is never a live handle
 	h := ts.nextHandle
 	ts.handles[h] = he
-	ts.byTablet[dt] = h
+	ts.byTablet[req.dbTablet] = h
 	ts.mu.Unlock()
-	return &openResp{Handle: h, LastDurable: eng.LastDurable(), FlushedTS: eng.FlushedTS()}, nil
+	return openResp{Handle: h, LastDurable: eng.LastDurable(), FlushedTS: eng.Stats().FlushedTS}, nil
 }
 
 // introspect reports every hosted engine for /debug/clusterz.
@@ -650,9 +466,9 @@ func (ts *TabletServer) introspect() PeerIntrospection {
 	for _, he := range hosted {
 		he.mu.Lock()
 		thi := TabletHostInfo{
-			DB: he.db, Tablet: he.tablet,
+			DB: he.DB, Tablet: he.Tablet,
 			Start: he.start, End: he.end,
-			Sealed: he.sealed,
+			Sealed: he.sealed.Load(),
 		}
 		he.mu.Unlock()
 		thi.Stats = he.eng.Stats()

@@ -83,8 +83,6 @@ type Config struct {
 	// scaled by TimeScale; commits updating many index entries span more
 	// tablets (§V-B2 / Fig. 10b).
 	CommitPerRow time.Duration
-	// FailureHooks inject write-path failures (tests).
-	FailureHooks backend.FailureHooks
 	// Seed seeds latency jitter.
 	Seed int64
 	// TraceSampleProb is the hierarchical-trace head-sampling probability
@@ -122,11 +120,6 @@ type Config struct {
 	// one atomic load, and the armed cost a handful of atomic adds, so it
 	// stays on unless an experiment wants it out of the way.
 	KeyVizOff bool
-	// KeyVizWindow is the heatmap time-bucket width (keyviz.DefaultWindow
-	// if zero). KeyVizWindows is the number of retained buckets
-	// (keyviz.DefaultWindows if zero).
-	KeyVizWindow  time.Duration
-	KeyVizWindows int
 }
 
 // Region is one assembled Firestore region.
@@ -230,10 +223,7 @@ func OpenRegion(cfg Config) (*Region, error) {
 		// The collector reads the UNWRAPPED clock: its own timekeeping
 		// must never evaluate fault sites, or the fault sink's event
 		// recording would recurse through the truetime.epsilon hook.
-		kv = keyviz.New(innerClock, keyviz.Options{
-			Window:  cfg.KeyVizWindow,
-			Windows: cfg.KeyVizWindows,
-		})
+		kv = keyviz.New(innerClock, keyviz.Options{})
 		kv.Enable()
 		// Injected faults land on the same timeline as splits, sheds, and
 		// compactions; the sink records the fault site only (shard
@@ -317,13 +307,12 @@ func OpenRegion(cfg Config) (*Region, error) {
 		acct = billing.New(billing.DefaultFreeQuota, billing.DefaultRates, nil)
 	}
 	b := backend.New(backend.Config{
-		Catalog:      cat,
-		Cache:        cache,
-		Scheduler:    sched,
-		Billing:      acct,
-		Costs:        cfg.Costs,
-		Obs:          reg,
-		FailureHooks: cfg.FailureHooks,
+		Catalog:   cat,
+		Cache:     cache,
+		Scheduler: sched,
+		Billing:   acct,
+		Costs:     cfg.Costs,
+		Obs:       reg,
 	})
 	f := frontend.New(b, cache)
 	f.SetObs(reg)

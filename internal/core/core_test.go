@@ -243,12 +243,12 @@ func TestRegionCountQuery(t *testing.T) {
 			Fields: map[string]doc.Value{"n": doc.Int(int64(i))},
 		}})
 	}
-	n, _, err := r.Backend.RunCount(ctx, "app", priv, &query.Query{
+	res, _, err := r.Backend.RunAggregation(ctx, "app", priv, &query.Query{
 		Collection: doc.MustCollection("/c"),
 		Predicates: []query.Predicate{{Path: "n", Op: query.Lt, Value: doc.Int(5)}},
-	}, 0)
-	if err != nil || n != 5 {
-		t.Fatalf("count = %d, %v", n, err)
+	}, []query.Aggregation{{Kind: query.AggCount, Alias: "n"}}, 0)
+	if err != nil || res.Values["n"].IntVal() != 5 {
+		t.Fatalf("count = %+v, %v", res, err)
 	}
 	// COUNT bills index work, not result size: 1 read for 5 entries.
 	if got := r.Billing.UsageFor("app").Reads; got != 1 {

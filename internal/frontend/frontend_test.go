@@ -9,6 +9,7 @@ import (
 	"firestore/internal/backend"
 	"firestore/internal/catalog"
 	"firestore/internal/doc"
+	"firestore/internal/fault"
 	"firestore/internal/index"
 	"firestore/internal/obs"
 	"firestore/internal/query"
@@ -33,22 +34,32 @@ func (e *env) lateUpdates() int64 {
 
 var priv = backend.Principal{Privileged: true}
 
-func newEnv(t *testing.T, hooks backend.FailureHooks) *env {
-	return newEnvWithMargin(t, hooks, 100*time.Millisecond)
+// arm injects a fault for the rest of the test. The fault registry is
+// process-wide: tests that arm it must not run in parallel.
+func arm(t *testing.T, spec fault.Spec) {
+	t.Helper()
+	if err := fault.Enable(spec); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fault.Disable(spec.Site) })
 }
 
-func newEnvWithMargin(t *testing.T, hooks backend.FailureHooks, margin time.Duration) *env {
-	return newEnvWithHeartbeat(t, hooks, margin, time.Millisecond)
+func newEnv(t *testing.T) *env {
+	return newEnvWithMargin(t, 100*time.Millisecond)
 }
 
-func newEnvWithHeartbeat(t *testing.T, hooks backend.FailureHooks, margin, heartbeat time.Duration) *env {
+func newEnvWithMargin(t *testing.T, margin time.Duration) *env {
+	return newEnvWithHeartbeat(t, margin, time.Millisecond)
+}
+
+func newEnvWithHeartbeat(t *testing.T, margin, heartbeat time.Duration) *env {
 	t.Helper()
 	clock := truetime.NewSystem(10 * time.Microsecond)
 	sp := spanner.New(spanner.Config{Clock: clock, LockTimeout: 300 * time.Millisecond})
 	cat := catalog.New([]*spanner.DB{sp})
 	cache := rtcache.New(rtcache.Config{Clock: clock, Ranges: 4, HeartbeatEvery: heartbeat, AcceptMargin: margin})
 	t.Cleanup(cache.Close)
-	b := backend.New(backend.Config{Catalog: cat, Cache: cache, FailureHooks: hooks})
+	b := backend.New(backend.Config{Catalog: cat, Cache: cache})
 	if _, err := cat.Create("app"); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +112,7 @@ func nextEvent(t *testing.T, c *Conn, targetID int64) SnapshotEvent {
 }
 
 func TestInitialSnapshotThenIncrements(t *testing.T) {
-	e := newEnv(t, backend.FailureHooks{})
+	e := newEnv(t)
 	e.set(t, "/ratings/a", rating(5))
 	e.set(t, "/ratings/b", rating(3))
 
@@ -147,7 +158,7 @@ func TestInitialSnapshotThenIncrements(t *testing.T) {
 }
 
 func TestPredicateTransitions(t *testing.T) {
-	e := newEnv(t, backend.FailureHooks{})
+	e := newEnv(t)
 	conn := e.f.NewConn(e.dbID, priv)
 	defer conn.Close()
 	q := &query.Query{
@@ -183,7 +194,7 @@ func TestPredicateTransitions(t *testing.T) {
 }
 
 func TestSnapshotAppliesQueryProjectionOrderCompare(t *testing.T) {
-	e := newEnv(t, backend.FailureHooks{})
+	e := newEnv(t)
 	for i := 0; i < 5; i++ {
 		e.set(t, fmt.Sprintf("/ratings/r%d", i), rating(int64(i)))
 	}
@@ -209,7 +220,7 @@ func TestSnapshotAppliesQueryProjectionOrderCompare(t *testing.T) {
 }
 
 func TestLimitQueryEviction(t *testing.T) {
-	e := newEnv(t, backend.FailureHooks{})
+	e := newEnv(t)
 	e.set(t, "/ratings/a", rating(10))
 	e.set(t, "/ratings/b", rating(8))
 	e.set(t, "/ratings/c", rating(6))
@@ -255,7 +266,7 @@ func TestLimitQueryEviction(t *testing.T) {
 func TestMultiQueryConnectionConsistency(t *testing.T) {
 	// Two queries on one connection: snapshots must advance together —
 	// after both have seen a write at ts, neither may be behind.
-	e := newEnv(t, backend.FailureHooks{})
+	e := newEnv(t)
 	conn := e.f.NewConn(e.dbID, priv)
 	defer conn.Close()
 	q1 := &query.Query{Collection: doc.MustCollection("/ratings")}
@@ -302,7 +313,8 @@ func TestMultiQueryConnectionConsistency(t *testing.T) {
 func TestResetRecoversTransparently(t *testing.T) {
 	// Drop every Accept: ranges reset, and the frontend must requery and
 	// still deliver correct result sets.
-	e := newEnv(t, backend.FailureHooks{DropAccept: func() bool { return true }})
+	e := newEnv(t)
+	arm(t, fault.Spec{Site: fault.BackendAccept, Mode: fault.ModeDrop})
 	conn := e.f.NewConn(e.dbID, priv)
 	defer conn.Close()
 	q := &query.Query{Collection: doc.MustCollection("/ratings")}
@@ -320,7 +332,7 @@ func TestResetRecoversTransparently(t *testing.T) {
 }
 
 func TestStopListening(t *testing.T) {
-	e := newEnv(t, backend.FailureHooks{})
+	e := newEnv(t)
 	conn := e.f.NewConn(e.dbID, priv)
 	defer conn.Close()
 	q := &query.Query{Collection: doc.MustCollection("/ratings")}
@@ -341,7 +353,7 @@ func TestStopListening(t *testing.T) {
 }
 
 func TestClosedConnRejectsListen(t *testing.T) {
-	e := newEnv(t, backend.FailureHooks{})
+	e := newEnv(t)
 	conn := e.f.NewConn(e.dbID, priv)
 	conn.Close()
 	if _, err := conn.Listen(context.Background(), &query.Query{Collection: doc.MustCollection("/c")}); err == nil {
@@ -353,7 +365,7 @@ func TestClosedConnRejectsListen(t *testing.T) {
 
 func TestManyListenersBroadcast(t *testing.T) {
 	// The Fig. 9 scenario in miniature: one document, many listeners.
-	e := newEnv(t, backend.FailureHooks{})
+	e := newEnv(t)
 	e.set(t, "/scores/game1", map[string]doc.Value{"home": doc.Int(0)})
 	const listeners = 32
 	conns := make([]*Conn, listeners)
@@ -383,7 +395,7 @@ func TestManyListenersBroadcast(t *testing.T) {
 // and scan the connection's queries once — on the tick's last watermark,
 // when the connection-consistent timestamp can finally move.
 func TestIdleHeartbeatIsFlat(t *testing.T) {
-	e := newEnvWithHeartbeat(t, backend.FailureHooks{}, time.Hour, time.Hour)
+	e := newEnvWithHeartbeat(t, time.Hour, time.Hour)
 	conn := e.f.NewConn(e.dbID, priv)
 	defer conn.Close()
 	const listeners = 32

@@ -10,6 +10,7 @@ import (
 
 	"firestore/internal/backend"
 	"firestore/internal/doc"
+	"firestore/internal/fault"
 	"firestore/internal/index"
 	"firestore/internal/query"
 )
@@ -33,7 +34,7 @@ func TestStreamConvergesToQuery(t *testing.T) {
 	}
 	for si, q := range shapes {
 		t.Run(fmt.Sprint(si), func(t *testing.T) {
-			e := newEnv(t, backend.FailureHooks{})
+			e := newEnv(t)
 			ctx := context.Background()
 
 			conn := e.f.NewConn(e.dbID, priv)
@@ -133,18 +134,11 @@ func equalSets(t *testing.T, q *query.Query, folded map[string]*doc.Document, wa
 }
 
 // TestStreamConvergesUnderResets repeats the convergence check while
-// every fifth Accept is dropped, forcing out-of-sync resets and requery
+// one Accept in five is dropped, forcing out-of-sync resets and requery
 // recovery mid-stream.
 func TestStreamConvergesUnderResets(t *testing.T) {
-	var counter int
-	var cmu sync.Mutex
-	hooks := backend.FailureHooks{DropAccept: func() bool {
-		cmu.Lock()
-		defer cmu.Unlock()
-		counter++
-		return counter%5 == 0
-	}}
-	e := newEnvWithMargin(t, hooks, 20*time.Millisecond)
+	e := newEnvWithMargin(t, 20*time.Millisecond)
+	arm(t, fault.Spec{Site: fault.BackendAccept, Mode: fault.ModeDrop, Prob: 0.2})
 	ctx := context.Background()
 	q := &query.Query{Collection: doc.MustCollection("/items")}
 	conn := e.f.NewConn(e.dbID, priv)
@@ -181,6 +175,9 @@ func TestStreamConvergesUnderResets(t *testing.T) {
 			Fields: map[string]doc.Value{"n": doc.Int(int64(i))},
 		}})
 		time.Sleep(2 * time.Millisecond)
+	}
+	if fault.Injected(fault.BackendAccept) == 0 {
+		t.Fatal("no Accept was dropped: the run exercised no reset")
 	}
 	deadline := time.Now().Add(8 * time.Second)
 	for {

@@ -583,13 +583,9 @@ func (db *DB) readOwnedBatch(keys [][]byte, ts truetime.Timestamp) ([]storage.Ba
 	return out, nil
 }
 
-// ScanRow is one row produced by a scan.
-type ScanRow struct {
-	Key   []byte
-	Value []byte
-	// TS is the version (commit) timestamp of the row value.
-	TS truetime.Timestamp
-}
+// ScanRow is one row produced by a scan: the storage engine's row, as it
+// came off the engine (or the wire).
+type ScanRow = storage.Row
 
 // SnapshotScan performs a lock-free consistent scan of [begin, end) at
 // ts, in ascending (or descending if reverse) key order, calling fn for

@@ -253,8 +253,8 @@ func (t *tablet) scanAt(begin, end []byte, ts truetime.Timestamp, reverse bool, 
 	for {
 		e := t.engine()
 		var rows []ScanRow
-		e.Scan(lo, hi, ts, reverse, func(r storage.Row) bool {
-			rows = append(rows, ScanRow{Key: r.Key, Value: r.Value, TS: r.TS})
+		e.Scan(lo, hi, ts, reverse, func(r ScanRow) bool {
+			rows = append(rows, r)
 			return true
 		})
 		if e.Crashed() {

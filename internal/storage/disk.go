@@ -364,7 +364,7 @@ func (e *Disk) recover(man manifestData) error {
 				e.lastDurable = rec.ts
 			}
 		case recIngest:
-			e.tab.ingest(rec.chains)
+			e.applyIngest(rec.chains)
 		case recPurge:
 			for _, k := range rec.keys {
 				e.tab.purge(k)
@@ -821,14 +821,20 @@ func (e *Disk) IngestChains(chains []Chain) error {
 	if len(chains) == 0 {
 		return nil
 	}
-	return e.logThenApply(encodeIngest(chains), func() {
-		e.tab.ingest(chains)
-		for _, c := range chains {
-			if v, ok := newestAtOrBefore(c.Versions, truetime.Max); ok && v.TS > e.lastDurable {
-				e.lastDurable = v.TS
-			}
+	return e.logThenApply(encodeIngest(chains), func() { e.applyIngest(chains) })
+}
+
+// applyIngest installs chains in the memtable and advances lastDurable
+// to their newest version. IngestChains (under e.mu, via logThenApply)
+// and WAL replay (before the engine is shared) both use it, so a
+// recovered engine reports the horizon the live one did.
+func (e *Disk) applyIngest(chains []Chain) {
+	e.tab.ingest(chains)
+	for _, c := range chains {
+		if n := len(c.Versions); n > 0 && c.Versions[n-1].TS > e.lastDurable {
+			e.lastDurable = c.Versions[n-1].TS
 		}
-	})
+	}
 }
 
 func (e *Disk) PurgeChains(keys [][]byte) error {
@@ -1069,12 +1075,6 @@ func (e *Disk) LastDurable() truetime.Timestamp {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.lastDurable
-}
-
-func (e *Disk) FlushedTS() truetime.Timestamp {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.man.FlushedTS
 }
 
 func (e *Disk) Crashed() bool { return e.dead.Load() }

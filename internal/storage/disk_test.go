@@ -461,37 +461,6 @@ func TestFactoryListRemovesPending(t *testing.T) {
 	}
 }
 
-// TestMemMatchesDiskSemantics: the two engines agree on reads for the
-// same applied history (within the Mem GC horizon).
-func TestMemMatchesDiskSemantics(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(3))
-
-	mem := NewMem()
-	disk := openEngine(t, dir, 9)
-	defer disk.Close()
-	if err := disk.Commission(); err != nil {
-		t.Fatal(err)
-	}
-	ts := truetime.Timestamp(50)
-	for i := 0; i < 250; i++ {
-		ts++
-		writes := randomWrites(rng, 3)
-		if err := mem.Apply(ctx, writes, ts); err != nil {
-			t.Fatal(err)
-		}
-		if err := disk.Apply(ctx, writes, ts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Only compare at the newest timestamp: Mem trims to GCHorizon on
-	// write, Disk trims lazily at compaction.
-	if !sameRows(collectScan(mem, ts), collectScan(disk, ts)) {
-		t.Fatal("Mem and Disk disagree at head timestamp")
-	}
-}
-
 // TestConcurrentReadsDuringCompaction: point reads and scans racing
 // flushes and compactions must never miss committed data. Segment files
 // are reference-counted, so a compaction's close+unlink waits for

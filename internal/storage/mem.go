@@ -210,8 +210,6 @@ func (e *Mem) Commission() error { return nil }
 // than it serves (because it never recovers at all).
 func (e *Mem) LastDurable() truetime.Timestamp { return truetime.Max }
 
-func (e *Mem) FlushedTS() truetime.Timestamp { return 0 }
-
 func (e *Mem) Crashed() bool { return false }
 
 func (e *Mem) Stats() Stats {

@@ -55,38 +55,43 @@ const GCRetention = time.Second
 // errors.Is.
 var ErrCrashed = status.New(status.Unavailable, "storage", "engine crashed; recover from disk")
 
+// The JSON tags on Write, Row, Version, Chain, BatchGet and TabletMeta
+// are internal/cluster's wire format: these types cross the
+// coordinator/tablet-server boundary as they are, and a mixed-version
+// pair must keep decoding them.
+
 // Write is one row mutation in an atomically applied batch.
 type Write struct {
-	Key    []byte
-	Value  []byte
-	Delete bool
+	Key    []byte `json:"k"`
+	Value  []byte `json:"v,omitempty"`
+	Delete bool   `json:"d,omitempty"`
 }
 
 // Row is one visible row produced by a scan.
 type Row struct {
-	Key   []byte
-	Value []byte
+	Key   []byte `json:"k"`
+	Value []byte `json:"v,omitempty"`
 	// TS is the version (commit) timestamp of the row value.
-	TS truetime.Timestamp
+	TS truetime.Timestamp `json:"ts"`
 }
 
 // Version is one MVCC version of a row.
 type Version struct {
-	TS      truetime.Timestamp
-	Value   []byte
-	Deleted bool
+	TS      truetime.Timestamp `json:"ts"`
+	Value   []byte             `json:"v,omitempty"`
+	Deleted bool               `json:"d,omitempty"`
 }
 
 // Chain is a row's full version history, oldest first, as moved between
 // engines during tablet splits and merges.
 type Chain struct {
-	Key      []byte
-	Versions []Version
+	Key      []byte    `json:"k"`
+	Versions []Version `json:"vs"`
 	// Purged marks a chain that masks any older (already-flushed) state
 	// for its key: the key reads as absent at every timestamp not covered
 	// by Versions. Split sources leave purge markers behind for moved
 	// keys; compaction retires them.
-	Purged bool
+	Purged bool `json:"p,omitempty"`
 }
 
 // Stats reports one engine's storage state for /debug/storagez, fsctl,
@@ -122,9 +127,9 @@ type Stats struct {
 // BatchGet is one result of a BatchGetter read, aligned with the
 // requested key.
 type BatchGet struct {
-	Value []byte
-	TS    truetime.Timestamp
-	OK    bool
+	Value []byte             `json:"value,omitempty"`
+	TS    truetime.Timestamp `json:"vts,omitempty"`
+	OK    bool               `json:"ok"`
 }
 
 // BatchGetter is an optional Engine capability: read many keys at one
@@ -190,10 +195,6 @@ type Engine interface {
 	// serves).
 	LastDurable() truetime.Timestamp
 
-	// FlushedTS is the flushed horizon: every version with TS at or
-	// below it is retained in segment files (zero for Mem).
-	FlushedTS() truetime.Timestamp
-
 	// Crashed reports that the engine hit ErrCrashed (injected or real)
 	// and is no longer serving trustworthy state. Readers that observe
 	// Crashed after a read must discard the result and retry against the
@@ -209,8 +210,9 @@ type Engine interface {
 
 // TabletMeta describes one recoverable tablet found by Factory.List.
 type TabletMeta struct {
-	ID         uint64
-	Start, End []byte
+	ID    uint64 `json:"id"`
+	Start []byte `json:"start"`
+	End   []byte `json:"end"`
 }
 
 // Factory creates and recovers the engines of one Spanner database's

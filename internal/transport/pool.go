@@ -113,35 +113,6 @@ func (p *Pool) SetPeer(name, addr string) {
 	}
 }
 
-// RemovePeer forgets a peer and closes its connection.
-func (p *Pool) RemovePeer(name string) {
-	p.mu.Lock()
-	pp := p.peers[name]
-	delete(p.peers, name)
-	p.mu.Unlock()
-	if pp == nil {
-		return
-	}
-	pp.mu.Lock()
-	conn := pp.conn
-	pp.conn = nil
-	pp.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-}
-
-// Peers lists the known peer names.
-func (p *Pool) Peers() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	names := make([]string, 0, len(p.peers))
-	for n := range p.peers {
-		names = append(names, n)
-	}
-	return names
-}
-
 // Call performs one RPC against peer, evaluating the network fault sites
 // and recording per-peer metrics and health.
 func (p *Pool) Call(ctx context.Context, peer, method string, req, resp any) error {
