@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet lint lint-budget lock-graph build test test-race race-repeat race-rtcache debug-smoke chaos-smoke chaos-recovery cluster-smoke bench-planner fuzz bench
+.PHONY: verify fmt-check vet lint lint-budget lock-graph test test-race race-repeat debug-smoke chaos bench-planner fuzz bench
 
-verify: fmt-check vet build lint test-race race-rtcache
+verify: fmt-check vet lint test-race race-repeat
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -31,9 +31,6 @@ lint-budget:
 lock-graph:
 	$(GO) run ./cmd/fslint -graph ./...
 
-build:
-	$(GO) build ./...
-
 # -shuffle=on randomizes test order so inter-test state dependencies
 # surface in CI instead of in production refactors.
 test:
@@ -42,51 +39,46 @@ test:
 test-race:
 	$(GO) test -race -shuffle=on ./...
 
-# Repeated race pass over the packages whose concurrency a single run
-# under-samples: the write pipeline (SDK BulkWriter/iterators, backend
-# group commit, fair scheduler, ramp), the observability layer (span
-# recorder, metrics registry, the /debug suite under concurrent scrapes),
-# and the two layers the lockorder and atomicdiscipline analyzers watch
-# most closely — the lock-free keyviz collector and the durable storage
-# engine (WAL append vs sync vs segment refcounts).
+# Repeated race passes over the packages whose concurrency a single run
+# under-samples, each line a package list and a -count. Ten rounds over
+# real-time delivery: the per-range outbox and its one-drainer hand-off
+# (rtcache), and the frontend that relies on the ordering it promises
+# (DESIGN.md "Real-time delivery contract"). Two rounds over the write
+# pipeline (SDK BulkWriter/iterators, backend group commit, fair
+# scheduler, ramp), the observability spine (lock-free histogram, span
+# recorder's handle cache, the /debug suite and fsctl under concurrent
+# scrapes), and the two layers the lockorder and atomicdiscipline
+# analyzers watch most closely — the lock-free keyviz collector and the
+# durable storage engine (WAL append vs sync vs segment refcounts).
 race-repeat:
+	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend
 	$(GO) test -race -count=2 ./firestore/ ./internal/backend/ ./internal/wfq/ ./internal/ramp/ \
-		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ \
+		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ ./cmd/fsctl/ \
 		./internal/keyviz/ ./internal/storage/
 
-# Repeated race pass over real-time delivery: the per-range outbox and
-# its one-drainer hand-off (rtcache), and the frontend that relies on
-# the ordering it promises (DESIGN.md "Real-time delivery contract").
-race-rtcache:
-	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend
-
 # End-to-end /debug smoke: boots a region, runs a workload, asserts
-# metricz shows per-layer histograms, tracez nests the layers, and
-# keyvizz serves the keyspace heatmap (JSON and SVG); then drives the
-# fsctl keyviz renderer and stats -watch against a live server.
+# metricz shows per-layer {db, code} histograms, tracez nests the layers,
+# keyvizz serves the keyspace heatmap (JSON and SVG) and every page
+# decodes into the type fsctl reads it with; then drives every fsctl
+# command that reads a /debug page against a live server.
 debug-smoke:
 	$(GO) test -run 'TestDebug' -v ./cmd/firestore-server/server/
-	$(GO) test -run 'TestKeyvizCommand|TestStatsWatch' -v ./cmd/fsctl/
+	$(GO) test -v ./cmd/fsctl/
 
-# Chaos smoke: two short fixed-seed fault-injection scenarios under the
-# race detector — one trips the out-of-sync/requery recovery path, one
-# exercises at-least-once queue redelivery (see EXPERIMENTS.md CHAOS).
-chaos-smoke:
-	$(GO) test -race -run 'TestChaosSmoke' -v ./internal/chaos/
-
-# Crash-recovery chaos: fixed-seed scenarios that kill tablets
-# mid-commit on the durable engine (WAL + segments), then restart the
-# region from disk and require zero divergence (see EXPERIMENTS.md).
-chaos-recovery:
-	$(GO) test -race -run 'TestChaosRecovery' -v ./internal/chaos/
-
-# Multi-process cluster smoke: a coordinator plus two tablet-server
-# child processes on TCP loopback run a write/listen mix under network
-# faults, then again with one child SIGKILLed mid-run and respawned —
-# the rejoined peer must serve its WAL state and ValidateDatabase must
-# report zero divergence (the validation-clean invariant).
-cluster-smoke:
-	$(GO) test -race -run 'TestChaosCluster' -v ./internal/chaos/
+# Fixed-seed fault-injection scenarios under the race detector (see
+# EXPERIMENTS.md CHAOS). RUN selects a family, default all three:
+#   Smoke     trips the out-of-sync/requery recovery path and
+#             at-least-once queue redelivery
+#   Recovery  kills tablets mid-commit on the durable engine (WAL +
+#             segments), restarts the region from disk, requires zero
+#             divergence
+#   Cluster   a coordinator plus two tablet-server child processes on TCP
+#             loopback under network faults, then with one child
+#             SIGKILLed mid-run and respawned: the rejoined peer must
+#             serve its WAL state and ValidateDatabase must be clean
+RUN ?= Smoke|Recovery|Cluster
+chaos:
+	$(GO) test -race -run 'TestChaos($(RUN))' -v ./internal/chaos/
 
 # Cost-based planner gate: the plan picked on every ABL4 query shape
 # must visit <= 1.25x the index entries of the oracle-best alternative.
@@ -98,4 +90,4 @@ fuzz:
 	$(GO) test -run=FuzzUnmarshalChange -fuzz=FuzzUnmarshalChange -fuzztime=30s ./internal/backend/
 
 bench:
-	$(GO) run ./cmd/firestore-bench -spans
+	$(GO) run ./cmd/firestore-bench -all -spans

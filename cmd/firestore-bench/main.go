@@ -19,11 +19,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"firestore/internal/bench"
 	"firestore/internal/chaos"
 	"firestore/internal/cluster"
-	"firestore/internal/reqctx"
+	"firestore/internal/obs"
 )
 
 func main() {
@@ -142,22 +143,20 @@ func main() {
 	}
 }
 
-// printSpans dumps the per-layer, per-status-code latency histograms the
-// span recorder accumulated during the run (backend.commit,
-// spanner.txn.commit, ...), answering "where did the time go, and with
-// what outcome" after any experiment.
+// printSpans dumps the per-layer latency histograms the run's spans fed
+// into the process-wide registry (backend.commit, spanner.txn.commit,
+// ...), one line per (span, database, status code): "where did the time
+// go, and with what outcome" after any experiment.
 func printSpans(out io.Writer) {
-	rec := reqctx.Default
-	names := rec.Spans()
-	if len(names) == 0 {
+	hists := obs.Default.Snapshot().Histograms
+	if len(hists) == 0 {
 		return
 	}
-	fmt.Fprintf(out, "\n# span latencies (per layer, per status code)\n")
-	for _, span := range names {
-		fmt.Fprintf(out, "%-24s %s\n", span, rec.Summary(span))
-		for _, code := range rec.Codes(span) {
-			fmt.Fprintf(out, "%-24s   [%s] %s\n", "", code, rec.CodeSummary(span, code))
-		}
+	fmt.Fprintf(out, "\n# span latencies (per layer, database and status code)\n")
+	for _, h := range hists {
+		fmt.Fprintf(out, "%-24s %-8s %-18s n=%d mean=%v p50=%v p95=%v p99=%v\n",
+			h.Name, h.Labels["db"], h.Labels["code"], h.Count,
+			time.Duration(h.Mean), time.Duration(h.P50), time.Duration(h.P95), time.Duration(h.P99))
 	}
 }
 

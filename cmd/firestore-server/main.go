@@ -130,7 +130,7 @@ func main() {
 
 	handler := server.New(region)
 	if coord != nil {
-		handler.SetClusterInfo(func() any { return coord.Snapshot() })
+		handler.SetClusterInfo(coord.Snapshot)
 	}
 	if *debug {
 		handler.EnableDebug(server.DebugOptions{Pprof: *pprofFlag})

@@ -7,9 +7,89 @@ import (
 	"net/http/pprof"
 	"strconv"
 
+	"firestore/internal/backend"
+	"firestore/internal/cluster"
 	"firestore/internal/fault"
+	"firestore/internal/frontend"
 	"firestore/internal/keyviz"
 	"firestore/internal/reqctx"
+	"firestore/internal/rtcache"
+	"firestore/internal/spanner"
+	"firestore/internal/wfq"
+)
+
+// The /debug pages' JSON shapes, declared once: the handlers below
+// encode these and fsctl decodes into the same types, so a page and its
+// reader cannot drift (TestDebugPagesRoundTrip). Every leaf is the
+// origin package's own type. /debug/metricz?format=json is an
+// obs.Snapshot and /debug/keyvizz a keyviz.Snapshot, as they come.
+type (
+	// TracezPage is /debug/tracez: tracer totals plus the requested
+	// keep rings, newest first.
+	TracezPage struct {
+		Stats   reqctx.TracerStats `json:"stats"`
+		Sampled []reqctx.TraceData `json:"sampled,omitempty"`
+		Slow    []reqctx.TraceData `json:"slow,omitempty"`
+		Error   []reqctx.TraceData `json:"error,omitempty"`
+	}
+	// RequestzPage is /debug/requestz.
+	RequestzPage struct {
+		Active []reqctx.ActiveRequest `json:"active"`
+	}
+	// SchedzPage is /debug/schedz; Stats is absent without a scheduler.
+	SchedzPage struct {
+		Enabled bool `json:"enabled"`
+		*wfq.Stats
+	}
+	// TabletsPage is /debug/tabletz and /debug/storagez: the tablets of
+	// each Spanner database, with engine counters (tabletz) or
+	// region-wide storage totals (storagez).
+	TabletsPage struct {
+		Totals   *StorageTotals `json:"totals,omitempty"`
+		Spanners []DBTablets    `json:"spanners"`
+	}
+	DBTablets struct {
+		Index   int                  `json:"index"`
+		Stats   *spanner.Stats       `json:"stats,omitempty"`
+		Tablets []spanner.TabletInfo `json:"tablets"`
+	}
+	StorageTotals struct {
+		Tablets     int   `json:"tablets"`
+		Keys        int64 `json:"keys"`
+		WALBytes    int64 `json:"wal_bytes"`
+		MemBytes    int64 `json:"memtable_bytes"`
+		Segments    int64 `json:"segments"`
+		SegBytes    int64 `json:"segment_bytes"`
+		Flushes     int64 `json:"flushes"`
+		Compactions int64 `json:"compactions"`
+		Recoveries  int64 `json:"recoveries"`
+	}
+	// ListenzPage is /debug/listenz.
+	ListenzPage struct {
+		Connections []frontend.ConnInfo `json:"connections"`
+		Cache       rtcache.Stats       `json:"cache"`
+		Ranges      []rtcache.RangeInfo `json:"ranges"`
+	}
+	// FaultzPage is /debug/faultz (GET, and the answer to every POST).
+	FaultzPage struct {
+		Sites []fault.SiteStatus `json:"sites"`
+	}
+	// AdvisorzPage is /debug/advisorz.
+	AdvisorzPage struct {
+		Shapes []backend.AdvisorEntry `json:"shapes"`
+	}
+	// ClusterzPage is /debug/clusterz; Cluster is absent in a
+	// single-process region.
+	ClusterzPage struct {
+		Enabled bool                   `json:"enabled"`
+		Cluster *cluster.ClusterStatus `json:"cluster,omitempty"`
+	}
+	// ExplainPage answers a query posted with explain or analyze set.
+	ExplainPage struct {
+		Plan         backend.PlanExplain   `json:"plan"`
+		Alternatives []backend.PlanExplain `json:"alternatives"`
+		ReadTime     int64                 `json:"readTime"`
+	}
 )
 
 // DebugOptions gates the /debug/ status suite.
@@ -91,17 +171,18 @@ func (s *Server) tracez(w http.ResponseWriter, r *http.Request) {
 	}
 	n := debugN(r)
 	kind := r.URL.Query().Get("kind")
-	out := map[string]any{"stats": t.Stats()}
-	for name, k := range map[string]reqctx.Keep{
-		"sampled": reqctx.KeepSampled,
-		"slow":    reqctx.KeepSlow,
-		"error":   reqctx.KeepError,
-	} {
-		if kind == "" || kind == name {
-			out[name] = t.Recent(k, n)
+	recent := func(k reqctx.Keep) []reqctx.TraceData {
+		if kind != "" && kind != k.String() {
+			return nil
 		}
+		return t.Recent(k, n)
 	}
-	writeJSON(w, out)
+	writeJSON(w, TracezPage{
+		Stats:   t.Stats(),
+		Sampled: recent(reqctx.KeepSampled),
+		Slow:    recent(reqctx.KeepSlow),
+		Error:   recent(reqctx.KeepError),
+	})
 }
 
 func (s *Server) requestz(w http.ResponseWriter, r *http.Request) {
@@ -110,51 +191,33 @@ func (s *Server) requestz(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tracer not configured", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, map[string]any{"active": t.Active()})
+	writeJSON(w, RequestzPage{Active: t.Active()})
 }
 
 func (s *Server) schedz(w http.ResponseWriter, r *http.Request) {
-	if s.region.Scheduler == nil {
-		writeJSON(w, map[string]any{"enabled": false})
-		return
+	var page SchedzPage
+	if s.region.Scheduler != nil {
+		st := s.region.Scheduler.Snapshot()
+		page = SchedzPage{Enabled: true, Stats: &st}
 	}
-	writeJSON(w, s.region.Scheduler.Snapshot())
+	writeJSON(w, page)
 }
 
 func (s *Server) tabletz(w http.ResponseWriter, r *http.Request) {
-	type dbView struct {
-		Index   int `json:"index"`
-		Stats   any `json:"stats"`
-		Tablets any `json:"tablets"`
-	}
-	out := make([]dbView, 0, len(s.region.Spanners))
+	var page TabletsPage
 	for i, db := range s.region.Spanners {
-		out = append(out, dbView{Index: i, Stats: db.Stats(), Tablets: db.TabletStats()})
+		st := db.Stats()
+		page.Spanners = append(page.Spanners, DBTablets{Index: i, Stats: &st, Tablets: db.TabletStats()})
 	}
-	writeJSON(w, map[string]any{"spanners": out})
+	writeJSON(w, page)
 }
 
 // storagez reports each tablet's storage engine: kind, key counts,
 // WAL/memtable/segment sizes, and flush/compaction/recovery activity,
 // plus region-wide totals for the operator's first glance.
 func (s *Server) storagez(w http.ResponseWriter, r *http.Request) {
-	type dbView struct {
-		Index   int `json:"index"`
-		Tablets any `json:"tablets"`
-	}
-	type totals struct {
-		Tablets     int   `json:"tablets"`
-		Keys        int64 `json:"keys"`
-		WALBytes    int64 `json:"wal_bytes"`
-		MemBytes    int64 `json:"memtable_bytes"`
-		Segments    int64 `json:"segments"`
-		SegBytes    int64 `json:"segment_bytes"`
-		Flushes     int64 `json:"flushes"`
-		Compactions int64 `json:"compactions"`
-		Recoveries  int64 `json:"recoveries"`
-	}
-	var sum totals
-	out := make([]dbView, 0, len(s.region.Spanners))
+	page := TabletsPage{Totals: &StorageTotals{}}
+	sum := page.Totals
 	for i, db := range s.region.Spanners {
 		infos := db.TabletStats()
 		for _, ti := range infos {
@@ -168,13 +231,13 @@ func (s *Server) storagez(w http.ResponseWriter, r *http.Request) {
 			sum.Compactions += ti.Storage.Compactions
 			sum.Recoveries += ti.Storage.Recoveries
 		}
-		out = append(out, dbView{Index: i, Tablets: infos})
+		page.Spanners = append(page.Spanners, DBTablets{Index: i, Tablets: infos})
 	}
-	writeJSON(w, map[string]any{"totals": sum, "spanners": out})
+	writeJSON(w, page)
 }
 
-// faultzRequest is the POST body for /debug/faultz.
-type faultzRequest struct {
+// FaultzRequest is the POST body for /debug/faultz.
+type FaultzRequest struct {
 	// Action is "enable", "disable", or "reset".
 	Action string `json:"action"`
 	// Spec describes the fault for "enable"; CodeName ("UNAVAILABLE",
@@ -194,9 +257,9 @@ type faultzRequest struct {
 func (s *Server) faultz(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, map[string]any{"sites": fault.List()})
+		writeJSON(w, FaultzPage{Sites: fault.List()})
 	case http.MethodPost:
-		var req faultzRequest
+		var req FaultzRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return
@@ -230,7 +293,7 @@ func (s *Server) faultz(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unknown action "+strconv.Quote(req.Action), http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, map[string]any{"sites": fault.List()})
+		writeJSON(w, FaultzPage{Sites: fault.List()})
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -260,26 +323,25 @@ func (s *Server) keyvizz(w http.ResponseWriter, r *http.Request) {
 // when the region runs behind a cluster coordinator; single-process
 // regions report enabled=false.
 func (s *Server) clusterz(w http.ResponseWriter, r *http.Request) {
-	if s.clusterInfo == nil {
-		writeJSON(w, map[string]any{"enabled": false})
-		return
+	var page ClusterzPage
+	if s.clusterInfo != nil {
+		st := s.clusterInfo()
+		page = ClusterzPage{Enabled: true, Cluster: &st}
 	}
-	writeJSON(w, map[string]any{"enabled": true, "cluster": s.clusterInfo()})
+	writeJSON(w, page)
 }
 
 // advisorz reports the index advisor: per-query-shape planner choices,
 // scanned:returned ratios, and composite index suggestions for shapes
 // that scan far more entries than they return.
 func (s *Server) advisorz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{
-		"shapes": s.region.Backend.AdvisorReport(r.URL.Query().Get("db")),
-	})
+	writeJSON(w, AdvisorzPage{Shapes: s.region.Backend.AdvisorReport(r.URL.Query().Get("db"))})
 }
 
 func (s *Server) listenz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{
-		"connections": s.region.Frontend.ConnStats(),
-		"cache":       s.region.Cache.Stats(),
-		"ranges":      s.region.Cache.RangeStats(),
+	writeJSON(w, ListenzPage{
+		Connections: s.region.Frontend.ConnStats(),
+		Cache:       s.region.Cache.Stats(),
+		Ranges:      s.region.Cache.RangeStats(),
 	})
 }

@@ -1,14 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"firestore/internal/cluster"
 	"firestore/internal/core"
 	"firestore/internal/keyviz"
+	"firestore/internal/obs"
+	"firestore/internal/reqctx"
 )
 
 // newDebugServer builds a region with the fair scheduler enabled and
@@ -65,12 +70,12 @@ func TestDebugMetricz(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		`firestore_frontend_put_latency_seconds{db="app",quantile="0.5"}`,
-		`firestore_wfq_submit_latency_seconds{db="app",quantile="0.5"}`,
-		`firestore_backend_commit_latency_seconds{db="app",quantile="0.5"}`,
-		`firestore_spanner_txn_commit_latency_seconds{db="app",quantile="0.5"}`,
-		`firestore_backend_get_latency_seconds{db="app"`,
-		`firestore_backend_query_latency_seconds{db="app"`,
+		`firestore_frontend_put_latency_seconds{code="OK",db="app",quantile="0.5"}`,
+		`firestore_wfq_submit_latency_seconds{code="OK",db="app",quantile="0.5"}`,
+		`firestore_backend_commit_latency_seconds{code="OK",db="app",quantile="0.5"}`,
+		`firestore_spanner_txn_commit_latency_seconds{code="OK",db="app",quantile="0.5"}`,
+		`firestore_backend_get_latency_seconds{code="OK",db="app"`,
+		`firestore_backend_query_latency_seconds{code="OK",db="app"`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metricz missing %q", want)
@@ -83,23 +88,13 @@ func TestDebugMetricz(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("metricz json: %d %s", resp.StatusCode, body)
 	}
-	var snap struct {
-		Counters []struct {
-			Name string `json:"name"`
-		} `json:"counters"`
-		Histograms []struct {
-			Name   string            `json:"name"`
-			Labels map[string]string `json:"labels"`
-			Count  uint64            `json:"count"`
-			P50    int64             `json:"p50_ns"`
-		} `json:"histograms"`
-	}
+	var snap obs.Snapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("metricz json decode: %v\n%s", err, body)
 	}
 	found := map[string]bool{}
 	for _, h := range snap.Histograms {
-		if h.Labels["db"] == "app" && h.Count > 0 && h.P50 > 0 {
+		if h.Labels["db"] == "app" && h.Labels["code"] == "OK" && h.Count > 0 && h.P50 > 0 {
 			found[h.Name] = true
 		}
 	}
@@ -122,25 +117,8 @@ func TestDebugTracez(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("tracez: %d %s", resp.StatusCode, body)
 	}
-	type span struct {
-		ID       uint64 `json:"id"`
-		ParentID uint64 `json:"parent_id"`
-		Name     string `json:"name"`
-		Code     string `json:"code"`
-		Duration int64  `json:"duration_ns"`
-	}
-	var page struct {
-		Stats struct {
-			Started int64 `json:"started"`
-			Kept    int64 `json:"kept"`
-		} `json:"stats"`
-		Sampled []struct {
-			ID       string `json:"id"`
-			DB       string `json:"db"`
-			Duration int64  `json:"duration_ns"`
-			Spans    []span `json:"spans"`
-		} `json:"sampled"`
-	}
+	type span = reqctx.SpanData
+	var page TracezPage
 	if err := json.Unmarshal(body, &page); err != nil {
 		t.Fatalf("tracez decode: %v\n%s", err, body)
 	}
@@ -197,9 +175,9 @@ func TestDebugTracez(t *testing.T) {
 			}
 			var sum time.Duration
 			for _, k := range kids {
-				sum += time.Duration(k.Duration)
+				sum += k.Duration
 			}
-			if p := time.Duration(spans[pid].Duration); sum > p {
+			if p := spans[pid].Duration; sum > p {
 				t.Errorf("trace %s: children of %s sum %v > parent %v", tr.ID, spans[pid].Name, sum, p)
 				ok = false
 			}
@@ -256,18 +234,13 @@ func TestDebugStatusPages(t *testing.T) {
 
 	// Scraping /debug must not add frontend.admin (or any) RPC samples:
 	// debug paths bypass the ingress span.
-	count := func() int64 {
+	count := func() uint64 {
 		_, b := do(t, ts, "GET", "/debug/metricz?format=json", nil, nil)
-		var snap struct {
-			Histograms []struct {
-				Name  string `json:"name"`
-				Count int64  `json:"count"`
-			} `json:"histograms"`
-		}
+		var snap obs.Snapshot
 		if err := json.Unmarshal(b, &snap); err != nil {
 			t.Fatalf("metricz decode: %v", err)
 		}
-		var total int64
+		var total uint64
 		for _, h := range snap.Histograms {
 			if strings.HasPrefix(h.Name, "frontend.") {
 				total += h.Count
@@ -282,6 +255,71 @@ func TestDebugStatusPages(t *testing.T) {
 	}
 	if after := count(); after != before {
 		t.Errorf("debug scrapes changed frontend span counts: before=%d after=%d", before, after)
+	}
+}
+
+// TestDebugPagesRoundTrip holds the debug plane to "typed once": every
+// /debug page of a live server (and the explain answer) decodes, with
+// unknown fields disallowed, into the type fsctl decodes it into, and
+// that value re-encodes to the same JSON — so neither side can grow or
+// rename a field the other does not know.
+func TestDebugPagesRoundTrip(t *testing.T) {
+	region := core.NewRegion(core.Config{Name: "debug", SchedulerWorkers: 2, TraceSampleProb: 1})
+	t.Cleanup(region.Close)
+	srv := New(region)
+	srv.EnableDebug(DebugOptions{})
+	srv.SetClusterInfo(func() cluster.ClusterStatus {
+		return cluster.ClusterStatus{Coordinator: "127.0.0.1:1", Peers: []cluster.PeerStatus{{
+			Name: "ts1", Addr: "127.0.0.1:2", Kind: "disk", LastHeartbeatUnixNano: 1, TabletsReported: 1,
+			Owned: []cluster.OwnedTablet{{Tablet: 7, Start: []byte("a"), Live: true}},
+		}}}
+	})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	runTraffic(t, ts)
+	// A failed read so the error ring and a non-OK code label exist.
+	do(t, ts, "GET", "/v1/databases/app/docs/users/missing", nil, nil)
+
+	explain := map[string]any{"collection": "/users", "explain": true, "analyze": true}
+	for _, page := range []struct {
+		method, path string
+		body         any
+		into         any
+	}{
+		{"GET", "/debug/metricz?format=json", nil, &obs.Snapshot{}},
+		{"GET", "/debug/tracez", nil, &TracezPage{}},
+		{"GET", "/debug/tracez?kind=error&n=2", nil, &TracezPage{}},
+		{"GET", "/debug/requestz", nil, &RequestzPage{}},
+		{"GET", "/debug/schedz", nil, &SchedzPage{}},
+		{"GET", "/debug/tabletz", nil, &TabletsPage{}},
+		{"GET", "/debug/storagez", nil, &TabletsPage{}},
+		{"GET", "/debug/listenz", nil, &ListenzPage{}},
+		{"GET", "/debug/faultz", nil, &FaultzPage{}},
+		{"POST", "/debug/faultz", FaultzRequest{Action: "reset"}, &FaultzPage{}},
+		{"GET", "/debug/advisorz?db=app", nil, &AdvisorzPage{}},
+		{"GET", "/debug/keyvizz", nil, &keyviz.Snapshot{}},
+		{"GET", "/debug/clusterz", nil, &ClusterzPage{}},
+		{"POST", "/v1/databases/app/query", explain, &ExplainPage{}},
+	} {
+		resp, body := do(t, ts, page.method, page.path, page.body, nil)
+		if resp.StatusCode != 200 {
+			t.Errorf("%s: %d %s", page.path, resp.StatusCode, body)
+			continue
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(page.into); err != nil {
+			t.Errorf("%s does not decode into %T: %v\n%s", page.path, page.into, err, body)
+			continue
+		}
+		again, err := json.Marshal(page.into)
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", page.path, err)
+		}
+		var want, got any
+		if json.Unmarshal(body, &want) != nil || json.Unmarshal(again, &got) != nil || !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: %T loses or adds fields\nserver:  %s\ndecoded: %s", page.path, page.into, body, again)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"firestore/internal/backend"
+	"firestore/internal/cluster"
 	"firestore/internal/core"
 	"firestore/internal/doc"
 	"firestore/internal/index"
@@ -28,13 +29,13 @@ type Server struct {
 	mux    *http.ServeMux
 	// clusterInfo, when set, feeds /debug/clusterz (the cluster
 	// coordinator's peer-table snapshot in multi-process deployments).
-	clusterInfo func() any
+	clusterInfo func() cluster.ClusterStatus
 }
 
 // SetClusterInfo installs the /debug/clusterz data source — typically
 // the cluster coordinator's Snapshot. Without it the endpoint reports
 // single-process mode.
-func (s *Server) SetClusterInfo(fn func() any) { s.clusterInfo = fn }
+func (s *Server) SetClusterInfo(fn func() cluster.ClusterStatus) { s.clusterInfo = fn }
 
 // New builds the handler for a region.
 func New(region *core.Region) *Server {
@@ -477,11 +478,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
 			httpError(w, err)
 			return
 		}
-		writeJSON(w, map[string]any{
-			"plan":         alts[0],
-			"alternatives": alts[1:],
-			"readTime":     int64(readTS),
-		})
+		writeJSON(w, ExplainPage{Plan: alts[0], Alternatives: alts[1:], ReadTime: int64(readTS)})
 		return
 	}
 	if len(qj.Aggregations) > 0 {
@@ -509,11 +506,27 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	docs := make([]map[string]any, len(res.Docs))
-	for i, d := range res.Docs {
-		docs[i] = map[string]any{"name": d.Name.String(), "fields": fieldsToJSON(d.Fields)}
+	writeJSON(w, QueryPage{Documents: documents(res.Docs), ReadTime: int64(readTS)})
+}
+
+// QueryPage answers a plain query; fsctl scan pages through it.
+type QueryPage struct {
+	Documents []Document `json:"documents"`
+	ReadTime  int64      `json:"readTime"`
+}
+
+// Document is one document in a query answer or a listen event.
+type Document struct {
+	Name   string         `json:"name"`
+	Fields map[string]any `json:"fields"`
+}
+
+func documents(docs []*doc.Document) []Document {
+	out := make([]Document, len(docs))
+	for i, d := range docs {
+		out[i] = Document{Name: d.Name.String(), Fields: fieldsToJSON(d.Fields)}
 	}
-	writeJSON(w, map[string]any{"documents": docs, "readTime": int64(readTS)})
+	return out
 }
 
 // listen streams real-time snapshots as server-sent events.
@@ -570,18 +583,11 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) {
 				"ts":      int64(ev.TS),
 				"initial": ev.Initial,
 			}
-			var added, modified []map[string]any
-			for _, d := range ev.Added {
-				added = append(added, map[string]any{"name": d.Name.String(), "fields": fieldsToJSON(d.Fields)})
-			}
-			for _, d := range ev.Modified {
-				modified = append(modified, map[string]any{"name": d.Name.String(), "fields": fieldsToJSON(d.Fields)})
-			}
 			var removed []string
 			for _, n := range ev.Removed {
 				removed = append(removed, n.String())
 			}
-			payload["added"], payload["modified"], payload["removed"] = added, modified, removed
+			payload["added"], payload["modified"], payload["removed"] = documents(ev.Added), documents(ev.Modified), removed
 			fmt.Fprintf(w, "data: ")
 			enc.Encode(payload)
 			fmt.Fprintf(w, "\n")

@@ -37,7 +37,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -49,11 +48,16 @@ import (
 	"strings"
 	"time"
 
+	"firestore/cmd/firestore-server/server"
+	"firestore/internal/backend"
+	"firestore/internal/fault"
 	"firestore/internal/keyviz"
+	"firestore/internal/obs"
+	"firestore/internal/reqctx"
 )
 
 func main() {
-	server := flag.String("server", "http://localhost:8565", "firestore-server base URL")
+	base := flag.String("server", "http://localhost:8565", "firestore-server base URL")
 	db := flag.String("db", "default", "database ID")
 	uid := flag.String("uid", "", "act as this end user (default: privileged)")
 	flag.Parse()
@@ -62,7 +66,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	c := &cli{base: *server, db: *db, uid: *uid}
+	c := &cli{base: *base, db: *db, uid: *uid}
 	var err error
 	switch cmd := args[0]; cmd {
 	case "create-db":
@@ -114,6 +118,8 @@ type cli struct {
 	uid  string
 }
 
+// request sends one call as the configured principal. A 4xx/5xx answer
+// is returned as an error carrying the response body.
 func (c *cli) request(method, path, body string) (*http.Response, error) {
 	req, err := http.NewRequest(method, c.base+path, strings.NewReader(body))
 	if err != nil {
@@ -124,22 +130,38 @@ func (c *cli) request(method, path, body string) (*http.Response, error) {
 	} else {
 		req.Header.Set("Authorization", "Bearer uid:"+c.uid)
 	}
-	return http.DefaultClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil || resp.StatusCode < 400 {
+		return resp, err
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 }
 
+// echo prints the response body.
 func (c *cli) echo(method, path, body string) error {
 	resp, err := c.request(method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	fmt.Print(string(out))
-	if resp.StatusCode >= 400 {
-		return fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	return nil
+	_, err = io.Copy(os.Stdout, resp.Body)
+	return err
 }
+
+// decode sends one call and decodes its JSON answer into out.
+func (c *cli) decode(method, path, body string, out any) error {
+	resp, err := c.request(method, path, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// getJSON fetches a server-level (non-database) endpoint and decodes it.
+func (c *cli) getJSON(path string, out any) error { return c.decode("GET", path, "", out) }
 
 func (c *cli) post(path, body string) error { return c.echo("POST", path, body) }
 
@@ -219,33 +241,11 @@ func (c *cli) explain(args []string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.request("POST", c.dbPath("/query"), string(body))
-	if err != nil {
+	var view server.ExplainPage
+	if err := c.decode("POST", c.dbPath("/query"), string(body), &view); err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(buf.String()))
-	}
-	type alt struct {
-		Plan          string `json:"plan"`
-		Choice        string `json:"choice"`
-		Cost          int64  `json:"cost"`
-		Chosen        bool   `json:"chosen"`
-		ActualEntries int    `json:"actualEntries"`
-		Results       int    `json:"results"`
-	}
-	var view struct {
-		Plan         alt   `json:"plan"`
-		Alternatives []alt `json:"alternatives"`
-		ReadTime     int64 `json:"readTime"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return err
-	}
-	emit := func(marker string, a alt) {
+	emit := func(marker string, a backend.PlanExplain) {
 		line := fmt.Sprintf("%s %-10s est=%-8d %s", marker, a.Choice, a.Cost, a.Plan)
 		if analyze {
 			line += fmt.Sprintf("  [actual=%d results=%d]", a.ActualEntries, a.Results)
@@ -266,16 +266,7 @@ func (c *cli) advisor(args []string) error {
 	if len(args) != 0 {
 		return fmt.Errorf("advisor takes no arguments")
 	}
-	var view struct {
-		Shapes []struct {
-			Shape     string `json:"shape"`
-			Choice    string `json:"choice"`
-			Queries   int64  `json:"queries"`
-			Scanned   int64  `json:"scanned"`
-			Results   int64  `json:"results"`
-			Suggested string `json:"suggested"`
-		} `json:"shapes"`
-	}
+	var view server.AdvisorzPage
 	if err := c.getJSON("/debug/advisorz?db="+c.db, &view); err != nil {
 		return err
 	}
@@ -316,25 +307,8 @@ func (c *cli) scan(args []string) error {
 		if after != "" {
 			body = fmt.Sprintf(`{"collection":%q,"limit":%d,"startAfter":[%q]}`, coll, pageSize, after)
 		}
-		resp, err := c.request("POST", c.dbPath("/query"), body)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode >= 400 {
-			var buf bytes.Buffer
-			buf.ReadFrom(resp.Body)
-			resp.Body.Close()
-			return fmt.Errorf("HTTP %d: %s", resp.StatusCode, buf.String())
-		}
-		var page struct {
-			Documents []struct {
-				Name   string         `json:"name"`
-				Fields map[string]any `json:"fields"`
-			} `json:"documents"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&page)
-		resp.Body.Close()
-		if err != nil {
+		var page server.QueryPage
+		if err := c.decode("POST", c.dbPath("/query"), body, &page); err != nil {
 			return err
 		}
 		for _, d := range page.Documents {
@@ -360,11 +334,6 @@ func (c *cli) watch(args []string) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, buf.String())
-	}
 	scanner := bufio.NewScanner(resp.Body)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for scanner.Scan() {
@@ -376,46 +345,8 @@ func (c *cli) watch(args []string) error {
 	return scanner.Err()
 }
 
-// getJSON fetches a server-level (non-database) endpoint and decodes it.
-func (c *cli) getJSON(path string, out any) error {
-	resp, err := c.request("GET", path, "")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(buf.String()))
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// statsSnap mirrors /debug/metricz?format=json.
-type statsSnap struct {
-	Counters []struct {
-		Name   string            `json:"name"`
-		Labels map[string]string `json:"labels"`
-		Value  int64             `json:"value"`
-	} `json:"counters"`
-	Gauges []struct {
-		Name   string            `json:"name"`
-		Labels map[string]string `json:"labels"`
-		Value  float64           `json:"value"`
-	} `json:"gauges"`
-	Histograms []struct {
-		Name   string            `json:"name"`
-		Labels map[string]string `json:"labels"`
-		Count  uint64            `json:"count"`
-		Mean   int64             `json:"mean_ns"`
-		P50    int64             `json:"p50_ns"`
-		P95    int64             `json:"p95_ns"`
-		P99    int64             `json:"p99_ns"`
-	} `json:"histograms"`
-}
-
-func (c *cli) scrapeStats() (statsSnap, error) {
-	var snap statsSnap
+func (c *cli) scrapeStats() (obs.Snapshot, error) {
+	var snap obs.Snapshot
 	err := c.getJSON("/debug/metricz?format=json", &snap)
 	return snap, err
 }
@@ -479,7 +410,7 @@ func (c *cli) statsWatch(interval time.Duration, filter string, iters int) error
 	if err != nil {
 		return err
 	}
-	counters := func(s statsSnap) map[string]int64 {
+	counters := func(s obs.Snapshot) map[string]int64 {
 		out := make(map[string]int64, len(s.Counters)+len(s.Histograms))
 		for _, m := range s.Counters {
 			out[m.Name+labelSuffix(m.Labels)] = m.Value
@@ -489,7 +420,7 @@ func (c *cli) statsWatch(interval time.Duration, filter string, iters int) error
 		}
 		return out
 	}
-	gauges := func(s statsSnap) map[string]float64 {
+	gauges := func(s obs.Snapshot) map[string]float64 {
 		out := make(map[string]float64, len(s.Gauges))
 		for _, m := range s.Gauges {
 			out[m.Name+labelSuffix(m.Labels)] = m.Value
@@ -568,31 +499,7 @@ func (c *cli) storage(args []string) error {
 	if len(args) != 0 {
 		return fmt.Errorf("storage takes no arguments")
 	}
-	type engineStats struct {
-		Kind          string `json:"kind"`
-		Keys          int    `json:"keys"`
-		MemtableKeys  int    `json:"memtable_keys"`
-		MemtableBytes int64  `json:"memtable_bytes"`
-		WALBytes      int64  `json:"wal_bytes"`
-		Fsyncs        int64  `json:"fsyncs"`
-		Segments      int    `json:"segments"`
-		SegmentBytes  int64  `json:"segment_bytes"`
-		Flushes       int64  `json:"flushes"`
-		Compactions   int64  `json:"compactions"`
-		Recoveries    int64  `json:"recoveries"`
-	}
-	var view struct {
-		Totals   map[string]int64 `json:"totals"`
-		Spanners []struct {
-			Index   int `json:"index"`
-			Tablets []struct {
-				ID      uint64      `json:"id"`
-				Start   string      `json:"start,omitempty"`
-				End     string      `json:"end,omitempty"`
-				Storage engineStats `json:"storage"`
-			} `json:"tablets"`
-		} `json:"spanners"`
-	}
+	var view server.TabletsPage
 	if err := c.getJSON("/debug/storagez", &view); err != nil {
 		return err
 	}
@@ -607,16 +514,10 @@ func (c *cli) storage(args []string) error {
 				st.Flushes, st.Compactions, st.Recoveries)
 		}
 	}
-	keys := make([]string, 0, len(view.Totals))
-	for k := range view.Totals {
-		keys = append(keys, k)
+	if t := view.Totals; t != nil {
+		fmt.Printf("totals: tablets=%d keys=%d wal_bytes=%d memtable_bytes=%d segments=%d segment_bytes=%d flushes=%d compactions=%d recoveries=%d\n",
+			t.Tablets, t.Keys, t.WALBytes, t.MemBytes, t.Segments, t.SegBytes, t.Flushes, t.Compactions, t.Recoveries)
 	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, view.Totals[k]))
-	}
-	fmt.Println("totals:", strings.Join(parts, " "))
 	return nil
 }
 
@@ -627,35 +528,7 @@ func (c *cli) cluster(args []string) error {
 	if len(args) != 0 {
 		return fmt.Errorf("cluster takes no arguments")
 	}
-	var view struct {
-		Enabled bool `json:"enabled"`
-		Cluster struct {
-			Coordinator string `json:"coordinator"`
-			Peers       []struct {
-				Name            string `json:"name"`
-				Addr            string `json:"addr"`
-				Kind            string `json:"kind"`
-				LastHeartbeat   int64  `json:"last_heartbeat_unix_nano"`
-				TabletsReported int    `json:"tablets_reported"`
-				Owned           []struct {
-					DB     int    `json:"db"`
-					Tablet uint64 `json:"tablet"`
-					Start  []byte `json:"start"`
-					End    []byte `json:"end"`
-					Live   bool   `json:"live"`
-				} `json:"owned"`
-				Pool struct {
-					Healthy             bool   `json:"healthy"`
-					Connected           bool   `json:"connected"`
-					ConsecutiveFailures int64  `json:"consecutive_failures"`
-					Reconnects          int64  `json:"reconnects"`
-					Calls               int64  `json:"calls"`
-					Errors              int64  `json:"errors"`
-					LastError           string `json:"last_error,omitempty"`
-				} `json:"pool"`
-			} `json:"peers"`
-		} `json:"cluster"`
-	}
+	var view server.ClusterzPage
 	if err := c.getJSON("/debug/clusterz", &view); err != nil {
 		return err
 	}
@@ -672,8 +545,8 @@ func (c *cli) cluster(args []string) error {
 	fmt.Printf("coordinator %s, %d peer(s)\n", view.Cluster.Coordinator, len(view.Cluster.Peers))
 	for _, p := range view.Cluster.Peers {
 		hb := "never"
-		if p.LastHeartbeat > 0 {
-			hb = time.Since(time.Unix(0, p.LastHeartbeat)).Truncate(time.Millisecond).String() + " ago"
+		if p.LastHeartbeatUnixNano > 0 {
+			hb = time.Since(time.Unix(0, p.LastHeartbeatUnixNano)).Truncate(time.Millisecond).String() + " ago"
 		}
 		health := "healthy"
 		if !p.Pool.Healthy {
@@ -700,8 +573,6 @@ func (c *cli) cluster(args []string) error {
 	return nil
 }
 
-// traces dumps recent kept traces from /debug/tracez as indented span
-// trees: one header line per trace, one line per span nested by depth.
 // faults drives /debug/faultz: list the fault-site inventory or arm and
 // disarm injection specs on the running server.
 func (c *cli) faults(args []string) error {
@@ -710,22 +581,7 @@ func (c *cli) faults(args []string) error {
 	}
 	switch sub := args[0]; sub {
 	case "list":
-		var resp struct {
-			Sites []struct {
-				Site      string  `json:"site"`
-				Layer     string  `json:"layer"`
-				Modes     string  `json:"modes"`
-				Doc       string  `json:"doc"`
-				Enabled   bool    `json:"enabled"`
-				Mode      string  `json:"mode"`
-				Code      string  `json:"code"`
-				LatencyNS int64   `json:"latency_ns"`
-				Prob      float64 `json:"prob"`
-				MaxCount  int64   `json:"max_count"`
-				Hits      int64   `json:"hits"`
-				Injected  int64   `json:"injected"`
-			} `json:"sites"`
-		}
+		var resp server.FaultzPage
 		if err := c.getJSON("/debug/faultz", &resp); err != nil {
 			return err
 		}
@@ -734,7 +590,7 @@ func (c *cli) faults(args []string) error {
 		for _, st := range resp.Sites {
 			armed := "-"
 			if st.Enabled {
-				armed = st.Mode
+				armed = string(st.Mode)
 				if st.Code != "" {
 					armed += ":" + st.Code
 				}
@@ -761,63 +617,54 @@ func (c *cli) faults(args []string) error {
 		if len(args) < 3 {
 			return fmt.Errorf("faults enable <site> <mode> [prob=P] [latency=D] [code=NAME] [max=N] [seed=N]")
 		}
-		spec := map[string]any{"site": args[1], "mode": args[2]}
-		body := map[string]any{"action": "enable", "spec": spec}
+		req := server.FaultzRequest{Action: "enable", Spec: fault.Spec{Site: args[1], Mode: fault.Mode(args[2])}}
 		for _, kv := range args[3:] {
 			k, v, ok := strings.Cut(kv, "=")
 			if !ok {
 				return fmt.Errorf("expected key=value, got %q", kv)
 			}
+			var err error
 			switch k {
 			case "prob":
-				p, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					return fmt.Errorf("prob: %v", err)
-				}
-				spec["prob"] = p
+				req.Spec.Prob, err = strconv.ParseFloat(v, 64)
 			case "latency":
-				d, err := time.ParseDuration(v)
-				if err != nil {
-					return fmt.Errorf("latency: %v", err)
-				}
-				spec["latency_ns"] = d.Nanoseconds()
+				req.Spec.Latency, err = time.ParseDuration(v)
 			case "code":
-				body["code_name"] = strings.ToUpper(v)
+				req.CodeName = strings.ToUpper(v)
 			case "max":
-				n, err := strconv.ParseInt(v, 10, 64)
-				if err != nil {
-					return fmt.Errorf("max: %v", err)
-				}
-				spec["max_count"] = n
+				req.Spec.MaxCount, err = strconv.ParseInt(v, 10, 64)
 			case "seed":
-				n, err := strconv.ParseInt(v, 10, 64)
-				if err != nil {
-					return fmt.Errorf("seed: %v", err)
-				}
-				body["seed"] = n
+				req.Seed, err = strconv.ParseInt(v, 10, 64)
 			default:
 				return fmt.Errorf("unknown option %q (prob, latency, code, max, seed)", k)
 			}
+			if err != nil {
+				return fmt.Errorf("%s: %v", k, err)
+			}
 		}
-		enc, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		return c.post("/debug/faultz", string(enc))
+		return c.postFaultz(req)
 	case "disable":
 		if len(args) != 2 {
 			return fmt.Errorf("faults disable <site>")
 		}
-		enc, _ := json.Marshal(map[string]any{"action": "disable", "site": args[1]})
-		return c.post("/debug/faultz", string(enc))
+		return c.postFaultz(server.FaultzRequest{Action: "disable", Site: args[1]})
 	case "reset":
-		enc, _ := json.Marshal(map[string]any{"action": "reset"})
-		return c.post("/debug/faultz", string(enc))
+		return c.postFaultz(server.FaultzRequest{Action: "reset"})
 	default:
 		return fmt.Errorf("unknown faults subcommand %q", sub)
 	}
 }
 
+func (c *cli) postFaultz(req server.FaultzRequest) error {
+	enc, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	return c.post("/debug/faultz", string(enc))
+}
+
+// traces dumps recent kept traces from /debug/tracez as indented span
+// trees: one header line per trace, one line per span nested by depth.
 func (c *cli) traces(args []string) error {
 	if len(args) > 2 {
 		return fmt.Errorf("traces [sampled|slow|error] [n]")
@@ -839,49 +686,25 @@ func (c *cli) traces(args []string) error {
 		}
 		n = v
 	}
-	type span struct {
-		ID       uint64 `json:"id"`
-		ParentID uint64 `json:"parent_id"`
-		Name     string `json:"name"`
-		Code     string `json:"code"`
-		StartOff int64  `json:"start_offset_ns"`
-		Duration int64  `json:"duration_ns"`
-		Attrs    []struct {
-			Key   string `json:"key"`
-			Value string `json:"value"`
-		} `json:"attrs"`
-	}
-	type trace struct {
-		ID       string `json:"id"`
-		DB       string `json:"db"`
-		QoS      string `json:"qos"`
-		Duration int64  `json:"duration_ns"`
-		Spans    []span `json:"spans"`
-	}
-	var page map[string]json.RawMessage
+	var page server.TracezPage
 	if err := c.getJSON("/debug/tracez?kind="+kind+"&n="+strconv.Itoa(n), &page); err != nil {
 		return err
 	}
-	var traces []trace
-	if raw, ok := page[kind]; ok {
-		if err := json.Unmarshal(raw, &traces); err != nil {
-			return err
-		}
-	}
+	traces := map[string][]reqctx.TraceData{"sampled": page.Sampled, "slow": page.Slow, "error": page.Error}[kind]
 	if len(traces) == 0 {
 		fmt.Printf("no %s traces kept yet\n", kind)
 		return nil
 	}
 	for _, t := range traces {
-		fmt.Printf("trace %s db=%s qos=%s total=%s\n", t.ID, t.DB, t.QoS, ms(t.Duration))
-		children := map[uint64][]span{}
+		fmt.Printf("trace %s db=%s qos=%s total=%s\n", t.ID, t.DB, t.QoS, ms(int64(t.Duration)))
+		children := map[uint64][]reqctx.SpanData{}
 		for _, s := range t.Spans {
 			children[s.ParentID] = append(children[s.ParentID], s)
 		}
 		var walk func(parent uint64, depth int)
 		walk = func(parent uint64, depth int) {
 			for _, s := range children[parent] {
-				line := fmt.Sprintf("%s%s %s %s", strings.Repeat("  ", depth+1), s.Name, ms(s.Duration), s.Code)
+				line := fmt.Sprintf("%s%s %s %s", strings.Repeat("  ", depth+1), s.Name, ms(int64(s.Duration)), s.Code)
 				for _, a := range s.Attrs {
 					line += " " + a.Key + "=" + a.Value
 				}

@@ -123,3 +123,50 @@ func TestStatsWatch(t *testing.T) {
 		t.Error("stats -watch nope: want error")
 	}
 }
+
+// TestDebugCommands drives every fsctl command that reads a /debug page
+// (or the explain answer) against a live server: each must decode the
+// page into the server's own type and render the traffic just sent.
+func TestDebugCommands(t *testing.T) {
+	region := core.NewRegion(core.Config{Name: "fsctl-test", SchedulerWorkers: 2, TraceSampleProb: 1})
+	t.Cleanup(region.Close)
+	srv := server.New(region)
+	srv.EnableDebug(server.DebugOptions{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	c := &cli{base: ts.URL, db: "app"}
+	_ = capture(t, func() error { seedTraffic(t, c); return c.query([]string{`{"collection":"/users"}`}) })
+
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want []string
+	}{
+		{"stats", func() error { return c.stats([]string{"backend.commit"}) },
+			[]string{"backend.commit{code=OK,db=app}", "count=3"}},
+		{"traces", func() error { return c.traces([]string{"sampled", "20"}) },
+			[]string{"db=app", "frontend.put", "    backend.commit"}},
+		{"storage", func() error { return c.storage(nil) },
+			[]string{"spanner 0 tablet", "totals: tablets="}},
+		{"cluster", func() error { return c.cluster(nil) },
+			[]string{"single-process region"}},
+		{"faults enable", func() error {
+			return c.faults([]string{"enable", "backend.prepare", "error", "prob=0.5", "code=aborted", "max=3", "latency=1ms"})
+		}, []string{`"site":"backend.prepare"`, `"enabled":true`}},
+		{"faults list", func() error { return c.faults([]string{"list"}) },
+			[]string{"backend.prepare", "error:ABORTED:1ms (max 3)", "0.5"}},
+		{"faults reset", func() error { return c.faults([]string{"reset"}) },
+			[]string{`"site":"backend.prepare"`}},
+		{"explain", func() error { return c.explain([]string{`{"collection":"/users"}`, "analyze"}) },
+			[]string{"* ", "est=", "results=3"}},
+		{"advisor", func() error { return c.advisor(nil) },
+			[]string{"CHOICE", "/users"}},
+	} {
+		out := capture(t, tc.run)
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("fsctl %s: output missing %q:\n%s", tc.name, want, out)
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package firestore
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -51,7 +50,7 @@ type BulkWriterOptions struct {
 type BulkWriterJob struct {
 	op      backend.WriteOp
 	attempt int
-	backoff time.Duration
+	backoff status.Backoff
 
 	done chan struct{}
 	ts   truetime.Timestamp
@@ -161,9 +160,8 @@ func (bw *BulkWriter) enqueue(dr *DocumentRef, kind backend.OpKind, data map[str
 		fields = f
 	}
 	j := &BulkWriterJob{
-		op:      backend.WriteOp{Kind: kind, Name: dr.name, Fields: fields},
-		backoff: initialRPCBackoff,
-		done:    make(chan struct{}),
+		op:   backend.WriteOp{Kind: kind, Name: dr.name, Fields: fields},
+		done: make(chan struct{}),
 	}
 	bw.mu.Lock()
 	defer bw.mu.Unlock()
@@ -267,11 +265,7 @@ func (bw *BulkWriter) finishBatch(batch []*BulkWriterJob, res []backend.BulkResu
 // outcome.
 func (bw *BulkWriter) scheduleRetry(j *BulkWriterJob) {
 	j.attempt++
-	delay := j.backoff + time.Duration(rand.Int63n(int64(j.backoff)))
-	if j.backoff < maxRPCBackoff {
-		j.backoff *= 2
-	}
-	time.AfterFunc(delay, func() {
+	time.AfterFunc(j.backoff.Next(), func() {
 		bw.mu.Lock()
 		defer bw.mu.Unlock()
 		// Retries of already-admitted ops run even after End: the drain

@@ -285,22 +285,6 @@ func (dr *DocumentRef) Snapshots(ctx context.Context) (*QuerySnapshotIterator, e
 	return it, nil
 }
 
-// errString renders write op kinds for errors.
-func opName(k backend.OpKind) string {
-	switch k {
-	case backend.OpCreate:
-		return "create"
-	case backend.OpUpdate:
-		return "update"
-	case backend.OpDelete:
-		return "delete"
-	default:
-		return "set"
-	}
-}
-
-var _ = opName // referenced by diagnostics in batch.go
-
 // fmtErr decorates an error with the ref path.
 func fmtErr(dr *DocumentRef, err error) error {
 	if err == nil {

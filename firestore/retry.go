@@ -2,7 +2,6 @@ package firestore
 
 import (
 	"context"
-	"math/rand"
 	"time"
 
 	"firestore/internal/status"
@@ -10,39 +9,29 @@ import (
 
 // Retry policy for single RPCs: failures whose canonical status code is
 // retryable (Aborted, Unavailable, ResourceExhausted) are retried with
-// jittered exponential backoff; everything else — InvalidArgument,
-// NotFound, PermissionDenied, FailedPrecondition, DeadlineExceeded — is
-// returned immediately. Transactions do NOT go through this path: a
-// conflicted transaction must re-run its function, which RunTransaction
-// handles with its own loop.
-const (
-	// maxRPCAttempts bounds the interceptor's total tries per call.
-	maxRPCAttempts = 5
-	// initialRPCBackoff is the first retry delay; each subsequent delay
-	// doubles, plus up to 100% jitter to decorrelate retry storms.
-	initialRPCBackoff = 2 * time.Millisecond
-	// maxRPCBackoff caps the (pre-jitter) delay growth.
-	maxRPCBackoff = 100 * time.Millisecond
-)
+// jittered exponential backoff (status.Backoff); everything else —
+// InvalidArgument, NotFound, PermissionDenied, FailedPrecondition,
+// DeadlineExceeded — is returned immediately. Transactions do NOT go
+// through this path: a conflicted transaction must re-run its function,
+// which RunTransaction handles with its own loop.
+//
+// maxRPCAttempts bounds the interceptor's total tries per call.
+const maxRPCAttempts = 5
 
 // withRetry invokes op, retrying per the policy above while ctx allows.
 // It returns op's last error, or DeadlineExceeded if ctx expires while
 // backing off.
 func withRetry(ctx context.Context, op func() error) error {
-	backoff := initialRPCBackoff
+	var backoff status.Backoff
 	var err error
 	for attempt := 0; attempt < maxRPCAttempts; attempt++ {
 		if err = op(); err == nil || !status.Retryable(status.CodeOf(err)) {
 			return err
 		}
-		delay := backoff + time.Duration(rand.Int63n(int64(backoff)))
 		select {
 		case <-ctx.Done():
 			return status.FromContext("firestore", ctx.Err())
-		case <-time.After(delay):
-		}
-		if backoff < maxRPCBackoff {
-			backoff *= 2
+		case <-time.After(backoff.Next()):
 		}
 	}
 	return err

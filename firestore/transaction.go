@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"firestore/internal/backend"
@@ -34,7 +33,7 @@ const MaxTransactionRetries = 8
 // RunTransaction runs fn, committing its buffered writes with read
 // revalidation and retrying with exponential backoff on conflicts.
 func (c *Client) RunTransaction(ctx context.Context, fn func(tx *Transaction) error) error {
-	backoff := 2 * time.Millisecond
+	var backoff status.Backoff
 	var lastErr error
 	for attempt := 0; attempt < MaxTransactionRetries; attempt++ {
 		tx := &Transaction{
@@ -62,9 +61,8 @@ func (c *Client) RunTransaction(ctx context.Context, fn func(tx *Transaction) er
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(backoff + time.Duration(rand.Int63n(int64(backoff)))):
+		case <-time.After(backoff.Next()):
 		}
-		backoff *= 2
 	}
 	return fmt.Errorf("firestore: transaction failed after %d attempts: %w", MaxTransactionRetries, lastErr)
 }

@@ -29,20 +29,20 @@
 //   - ctxdiscipline: context.Context parameters come first, and
 //     request-path packages never mint context.Background()/TODO()
 //     outside tests.
-//   - clockdiscipline: internal/spanner and internal/truetime never read
-//     the wall clock directly — timestamps come from the injected
-//     truetime.Clock so commit-wait semantics and replayability hold.
 //   - obsdiscipline: metric names registered with internal/obs are
 //     compile-time constants with fixed label sets (no per-request name
 //     formatting, which would explode metric cardinality).
-//   - iodiscipline: direct os.* file operations are confined to
-//     internal/storage (plus the analysis loader, cmd/, and examples/);
-//     every other layer must route durable state through the storage
-//     engine so the WAL/manifest crash-recovery protocol governs it.
-//   - netdiscipline: direct socket creation (net.Dial*/net.Listen*) is
-//     confined to internal/transport (plus cmd/ and examples/ entry
-//     points), so the wire protocol's framing, fault sites, and
-//     per-peer health metrics cover every cross-process byte.
+//   - clockdiscipline, iodiscipline, netdiscipline: three rows of one
+//     table-driven confinement check (confine.go) — "API set X, package
+//     set Y". time.Now/Since/Until/Sleep never appear in the
+//     TrueTime-disciplined packages (timestamps come from the injected
+//     truetime.Clock so commit-wait semantics and replayability hold);
+//     os.* file operations appear only in internal/storage and
+//     net.Dial*/net.Listen* only in internal/transport (plus the
+//     analysis loader and the cmd/ and examples/ entry points), so the
+//     WAL/manifest protocol governs every byte on disk and the wire
+//     protocol's framing, fault sites and per-peer health every byte
+//     between processes.
 //
 // A finding on a line is suppressed by an allowlist directive on the
 // same line or the line above:

@@ -5,18 +5,28 @@ import (
 	"testing"
 
 	"firestore/internal/doc"
+	"firestore/internal/obs"
 	"firestore/internal/reqctx"
 	"firestore/internal/status"
 )
+
+// spanRecorder returns a context whose spans feed a fresh registry, and
+// a reader for one span's summary under one status code.
+func spanRecorder(ctx context.Context, dbID string) (context.Context, func(span string, code status.Code) obs.Summary) {
+	rec, reg := reqctx.NewRecorder(), obs.NewRegistry()
+	rec.SetRegistry(reg)
+	ctx = reqctx.With(reqctx.WithRecorder(ctx, rec), reqctx.Meta{RequestID: "span-test", DB: dbID})
+	return ctx, func(span string, code status.Code) obs.Summary {
+		return reg.Histogram(span, obs.Labels{"db": dbID, "code": code.String()}).Snapshot()
+	}
+}
 
 // A commit traced through the stack lands one sample in each layer's
 // span histogram: backend.commit and, below it, spanner.txn.commit. This
 // is the per-layer latency breakdown the bench's -spans flag prints.
 func TestCommitRecordsPerLayerSpans(t *testing.T) {
 	e := newEnv(t)
-	rec := reqctx.NewRecorder()
-	ctx := reqctx.WithRecorder(context.Background(), rec)
-	ctx = reqctx.With(ctx, reqctx.Meta{RequestID: "span-test", DB: e.dbID})
+	ctx, summary := spanRecorder(context.Background(), e.dbID)
 
 	if _, err := e.b.Commit(ctx, e.dbID, priv, []WriteOp{
 		{Kind: OpSet, Name: doc.MustName("/spans/one"), Fields: map[string]doc.Value{"v": doc.Int(1)}},
@@ -25,9 +35,9 @@ func TestCommitRecordsPerLayerSpans(t *testing.T) {
 	}
 
 	for _, span := range []string{"backend.commit", "spanner.txn.commit"} {
-		s := rec.CodeSummary(span, status.OK)
+		s := summary(span, status.OK)
 		if s.Count == 0 {
-			t.Errorf("span %q: no OK samples recorded (spans: %v)", span, rec.Spans())
+			t.Errorf("span %q: no OK samples recorded", span)
 		}
 		if s.P50 <= 0 {
 			t.Errorf("span %q: p50 = %v, want > 0", span, s.P50)
@@ -38,7 +48,7 @@ func TestCommitRecordsPerLayerSpans(t *testing.T) {
 	if _, _, err := e.b.GetDocument(ctx, e.dbID, priv, doc.MustName("/spans/one"), 0); err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	if s := rec.CodeSummary("backend.get", status.OK); s.Count == 0 {
+	if s := summary("backend.get", status.OK); s.Count == 0 {
 		t.Error("backend.get span not recorded")
 	}
 
@@ -46,7 +56,7 @@ func TestCommitRecordsPerLayerSpans(t *testing.T) {
 	if _, _, err := e.b.GetDocument(ctx, e.dbID, priv, doc.MustName("/spans/missing"), 0); err == nil {
 		t.Fatal("expected NotFound")
 	}
-	if s := rec.CodeSummary("backend.get", status.NotFound); s.Count == 0 {
+	if s := summary("backend.get", status.NotFound); s.Count == 0 {
 		t.Error("backend.get NotFound span not recorded")
 	}
 }
@@ -56,10 +66,9 @@ func TestCommitRecordsPerLayerSpans(t *testing.T) {
 // is recorded.
 func TestExpiredCommitNeverReachesSpanner(t *testing.T) {
 	e := newEnv(t)
-	rec := reqctx.NewRecorder()
-	ctx := reqctx.WithRecorder(context.Background(), rec)
-	ctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	ctx, summary := spanRecorder(ctx, e.dbID)
 
 	_, err := e.b.Commit(ctx, e.dbID, priv, []WriteOp{
 		{Kind: OpSet, Name: doc.MustName("/spans/never"), Fields: map[string]doc.Value{}},
@@ -67,10 +76,12 @@ func TestExpiredCommitNeverReachesSpanner(t *testing.T) {
 	if status.CodeOf(err) != status.DeadlineExceeded {
 		t.Fatalf("commit code = %v (%v), want DeadlineExceeded", status.CodeOf(err), err)
 	}
-	if s := rec.Summary("spanner.txn.commit"); s.Count != 0 {
-		t.Fatalf("spanner.txn.commit ran %d times for expired work, want 0", s.Count)
+	for code := status.OK; code <= status.Internal; code++ {
+		if s := summary("spanner.txn.commit", code); s.Count != 0 {
+			t.Fatalf("spanner.txn.commit ran %d times (%v) for expired work, want 0", s.Count, code)
+		}
 	}
-	if s := rec.CodeSummary("backend.commit", status.DeadlineExceeded); s.Count != 1 {
+	if s := summary("backend.commit", status.DeadlineExceeded); s.Count != 1 {
 		t.Fatalf("backend.commit DeadlineExceeded count = %d, want 1", s.Count)
 	}
 	// The document must not exist.

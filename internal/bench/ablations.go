@@ -11,7 +11,7 @@ import (
 	"firestore/internal/core"
 	"firestore/internal/doc"
 	"firestore/internal/index"
-	"firestore/internal/metric"
+	"firestore/internal/obs"
 	"firestore/internal/query"
 	"firestore/internal/wfq"
 )
@@ -49,7 +49,7 @@ func AblZigzag(opts Options) *Table {
 	iters := opts.scaledN(50, 10)
 
 	measure := func(run func() (int, int, error)) (time.Duration, int, int) {
-		var h metric.Histogram
+		var h obs.Histogram
 		var docs, scanned int
 		for i := 0; i < iters; i++ {
 			start := time.Now()
@@ -137,7 +137,7 @@ func AblMultiRegion(opts Options) *Table {
 		defer region.Close()
 		region.CreateDatabase("d")
 		ctx := context.Background()
-		var h metric.Histogram
+		var h obs.Histogram
 		for i := 0; i < commits; i++ {
 			start := time.Now()
 			if _, err := region.Commit(ctx, "d", privileged, []backend.WriteOp{{
@@ -185,7 +185,7 @@ func AblShedding(opts Options) *Table {
 		region.Commit(ctx, "d", privileged, []backend.WriteOp{{
 			Kind: backend.OpSet, Name: doc.MustName("/c/x"), Fields: map[string]doc.Value{"v": doc.Int(1)},
 		}})
-		var h metric.Histogram
+		var h obs.Histogram
 		var mu sync.Mutex
 		var wg sync.WaitGroup
 		name := doc.MustName("/c/x")

@@ -9,7 +9,7 @@ import (
 	"firestore/internal/backend"
 	"firestore/internal/core"
 	"firestore/internal/doc"
-	"firestore/internal/metric"
+	"firestore/internal/obs"
 	"firestore/internal/query"
 	"firestore/internal/wfq"
 )
@@ -54,7 +54,7 @@ func Fig10a(opts Options) *Table {
 	}
 	for _, size := range sizes {
 		opts.logf("fig10a: size %dKB", size>>10)
-		var h metric.Histogram
+		var h obs.Histogram
 		payload := doc.String(string(make([]byte, size)))
 		for i := 0; i < commits; i++ {
 			name := doc.MustName(fmt.Sprintf("/big/doc%d", i))
@@ -95,7 +95,7 @@ func Fig10b(opts Options) *Table {
 		for i := 0; i < n; i++ {
 			fields[fmt.Sprintf("f%03d", i)] = doc.Int(int64(i))
 		}
-		var h metric.Histogram
+		var h obs.Histogram
 		for i := 0; i < commits; i++ {
 			name := doc.MustName(fmt.Sprintf("/wide/doc%d", i))
 			start := time.Now()
@@ -122,7 +122,7 @@ func Fig11(opts Options) *Table {
 	windows := 8
 	window := duration / time.Duration(windows)
 
-	run := func(mode wfq.Mode) []metric.Summary {
+	run := func(mode wfq.Mode) []obs.Summary {
 		// Capacity: one worker serves ~250 culprit queries/sec, so the
 		// linear ramp to 500 QPS crosses the limit halfway through, as
 		// in the paper's fixed-capacity environment.
@@ -159,7 +159,7 @@ func Fig11(opts Options) *Table {
 			Kind: backend.OpSet, Name: doc.MustName("/d/one"), Fields: map[string]doc.Value{"v": doc.Int(1)},
 		}})
 
-		series := metric.NewTimeSeries(window)
+		series := newTimeSeries(window)
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 
@@ -178,7 +178,7 @@ func Fig11(opts Options) *Table {
 					go func() {
 						start := time.Now()
 						if _, _, err := region.GetDocument(ctx, "bystander", privileged, name, 0); err == nil {
-							series.Record(time.Since(start))
+							series.record(time.Since(start))
 						}
 					}()
 				}
@@ -211,7 +211,7 @@ func Fig11(opts Options) *Table {
 		time.Sleep(duration)
 		close(stop)
 		wg.Wait()
-		sums := series.Summaries()
+		sums := series.summaries()
 		if len(sums) > windows {
 			sums = sums[:windows]
 		}
@@ -229,7 +229,7 @@ func Fig11(opts Options) *Table {
 		Columns: []string{"window", "fair p50", "fair p99", "fifo p50", "fifo p99"},
 	}
 	for i := 0; i < windows; i++ {
-		var f, n metric.Summary
+		var f, n obs.Summary
 		if i < len(fair) {
 			f = fair[i]
 		}
@@ -241,4 +241,40 @@ func Fig11(opts Options) *Table {
 	t.Notes = append(t.Notes,
 		"expected shape: with FIFO the bystander's latency explodes once capacity saturates (halfway); fair scheduling keeps p50 flat with only a modest p99 rise")
 	return t
+}
+
+// timeSeries buckets latency observations by elapsed wall-time window,
+// one histogram per window, for Fig. 11's latency-over-time plot.
+type timeSeries struct {
+	mu     sync.Mutex
+	start  time.Time
+	window time.Duration
+	slots  []*obs.Histogram
+}
+
+func newTimeSeries(window time.Duration) *timeSeries {
+	return &timeSeries{start: time.Now(), window: window}
+}
+
+// record adds an observation to the current window.
+func (ts *timeSeries) record(d time.Duration) {
+	ts.mu.Lock()
+	i := int(time.Since(ts.start) / ts.window)
+	for len(ts.slots) <= i {
+		ts.slots = append(ts.slots, &obs.Histogram{})
+	}
+	h := ts.slots[i]
+	ts.mu.Unlock()
+	h.Record(d)
+}
+
+// summaries returns one Summary per elapsed window.
+func (ts *timeSeries) summaries() []obs.Summary {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	out := make([]obs.Summary, len(ts.slots))
+	for i, h := range ts.slots {
+		out[i] = h.Snapshot()
+	}
+	return out
 }

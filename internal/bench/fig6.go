@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"firestore/internal/metric"
+	"sort"
 )
 
 // Fig6 reproduces the production-statistics boxplots (§V-A, Fig. 6):
@@ -47,8 +46,7 @@ func Fig6(opts Options) *Table {
 		Columns: []string{"dimension", "min", "p25", "median", "p75", "max", "log10(max/median)"},
 	}
 	for _, d := range dims {
-		b := metric.NewBoxPlot(sample(d.median, d.sigma))
-		norm := b.NormalizeToMedian()
+		norm := newBoxPlot(sample(d.median, d.sigma)).normalizeToMedian()
 		t.AddRow(d.name,
 			fmt.Sprintf("%.2e", norm.Min),
 			fmt.Sprintf("%.2e", norm.P25),
@@ -62,4 +60,41 @@ func Fig6(opts Options) *Table {
 		"paper claim: storage and QPS spread >9 orders of magnitude; realtime queries several 100,000x the median",
 		fmt.Sprintf("synthetic fleet of %d databases (log-normal); the paper observes Google's production fleet", n))
 	return t
+}
+
+// boxPlot is the five-number summary Fig. 6 plots.
+type boxPlot struct {
+	Min, P25, Median, P75, Max float64
+}
+
+// newBoxPlot computes the five-number summary of xs (linear
+// interpolation between order statistics); the zero boxPlot for an
+// empty sample.
+func newBoxPlot(xs []float64) boxPlot {
+	if len(xs) == 0 {
+		return boxPlot{}
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	q := func(p float64) float64 {
+		i := p * float64(len(s)-1)
+		lo := int(i)
+		if lo >= len(s)-1 {
+			return s[len(s)-1]
+		}
+		frac := i - float64(lo)
+		return s[lo]*(1-frac) + s[lo+1]*frac
+	}
+	return boxPlot{Min: s[0], P25: q(0.25), Median: q(0.5), P75: q(0.75), Max: s[len(s)-1]}
+}
+
+// normalizeToMedian divides every statistic by the median (the paper
+// reports "values normalized to their respective median"). A zero median
+// returns the input unchanged.
+func (b boxPlot) normalizeToMedian() boxPlot {
+	if b.Median == 0 {
+		return b
+	}
+	m := b.Median
+	return boxPlot{Min: b.Min / m, P25: b.P25 / m, Median: 1, P75: b.P75 / m, Max: b.Max / m}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"firestore/internal/autoscale"
@@ -10,6 +9,7 @@ import (
 	"firestore/internal/core"
 	"firestore/internal/doc"
 	"firestore/internal/frontend"
+	"firestore/internal/obs"
 	"firestore/internal/query"
 	"firestore/internal/ycsb"
 )
@@ -210,7 +210,7 @@ func Fig9(opts Options) *Table {
 			}()
 		}
 
-		var hist latencyHist
+		var hist obs.Histogram
 		interval := opts.scaledD(time.Second, 50*time.Millisecond)
 		for i := 0; i < writes; i++ {
 			time.Sleep(interval / 4)
@@ -239,50 +239,18 @@ func Fig9(opts Options) *Table {
 				}
 			}
 			if got == n {
-				hist.record(last.Sub(ackTime))
+				hist.Record(last.Sub(ackTime))
 			}
 		}
 		for _, c := range conns {
 			c.Close()
 		}
 		region.Close()
-		t.AddRow(n, hist.p(0.50), hist.p(0.99), hist.mean())
+		sum := hist.Snapshot()
+		t.AddRow(n, sum.P50, sum.P99, sum.Mean)
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: latency stays relatively stable under exponential growth in listeners (fan-out scales out)",
 		"latency = commit ack at the Backend until the last client notification (as defined in §V-B1)")
 	return t
 }
-
-// latencyHist is a tiny helper over metric.Histogram semantics without
-// the import cycle risk.
-type latencyHist struct{ samples []time.Duration }
-
-func (h *latencyHist) record(d time.Duration) { h.samples = append(h.samples, d) }
-
-func (h *latencyHist) p(q float64) time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), h.samples...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	i := int(q * float64(len(s)-1))
-	return s[i]
-}
-
-func (h *latencyHist) mean() time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range h.samples {
-		sum += d
-	}
-	return sum / time.Duration(len(h.samples))
-}
-
-var _ = fmt.Sprint // keep fmt for future diagnostics

@@ -37,7 +37,7 @@ func runScenario(t *testing.T, name string, seed int64) *Report {
 	return rep
 }
 
-// TestChaosSmoke is the CI smoke gate (make chaos-smoke): two short
+// TestChaosSmoke is the CI smoke gate (make chaos RUN=Smoke): two short
 // fixed-seed scenarios, one that must trip the out-of-sync/requery
 // recovery path and one that exercises queue redelivery.
 func TestChaosSmoke(t *testing.T) {
@@ -55,7 +55,7 @@ func TestChaosSmoke(t *testing.T) {
 	}
 }
 
-// TestChaosRecovery is the durable recovery gate (make chaos-recovery):
+// TestChaosRecovery is the durable recovery gate (make chaos RUN=Recovery):
 // fixed-seed scenarios that crash tablet engines mid-commit and flake the
 // WAL/flush paths. Each must WAL-replay to zero validation divergence,
 // keep strong reads externally consistent, push a dataset larger than the
@@ -78,7 +78,7 @@ func TestChaosRecovery(t *testing.T) {
 	runScenario(t, "segment-flush-flake", 7)
 }
 
-// TestChaosCluster is the multi-process gate (make cluster-smoke rides
+// TestChaosCluster is the multi-process gate (make chaos RUN=Cluster rides
 // on it too): tablet-server child processes host the storage, the wire
 // partitions, and one child is SIGKILLed mid-commit and respawned. Both
 // scenarios must recover remote engines and keep every invariant.
@@ -104,7 +104,7 @@ func TestChaosCluster(t *testing.T) {
 // scenario's invariants must hold under its canonical seed.
 func TestAllScenarios(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full catalog is slow; chaos-smoke covers the critical paths")
+		t.Skip("full catalog is slow; `make chaos` covers the critical paths")
 	}
 	for _, sc := range Scenarios() {
 		sc := sc

@@ -238,7 +238,6 @@ func OpenRegion(cfg Config) (*Region, error) {
 		SampleProb:    cfg.TraceSampleProb,
 		SlowThreshold: cfg.SlowTraceThreshold,
 		OnKeep:        slowLogSink(cfg),
-		Seed:          cfg.Seed,
 	})
 	rec := reqctx.NewRecorder()
 	rec.SetRegistry(reg)

@@ -3,10 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
-	"time"
-
-	"firestore/internal/metric"
 )
 
 // CounterValue is one counter instance in a snapshot.
@@ -47,28 +45,20 @@ type Snapshot struct {
 // exporters iterate it (and invoke gauge funcs) lock-free while new
 // instances keep registering concurrently.
 type view[T any] struct {
-	name      string
-	keys      []string // canonical label keys, sorted
-	labels    map[string]Labels
-	instances map[string]T
+	name    string
+	keys    []string // canonical label keys, sorted
+	members map[string]member[T]
 }
 
-// freeze deep-copies a family map into sorted views. Caller holds r.mu —
-// the instance pointers themselves are safe to read unlocked, but the
-// per-family maps are not.
+// freeze copies a family map into sorted views. Caller holds r.mu — the
+// instances themselves are safe to read unlocked, but the per-family
+// maps are not.
 func freeze[T any](fams map[string]*family[T]) []view[T] {
 	out := make([]view[T], 0, len(fams))
 	for _, f := range fams {
-		v := view[T]{
-			name:      f.name,
-			keys:      make([]string, 0, len(f.instances)),
-			labels:    make(map[string]Labels, len(f.labels)),
-			instances: make(map[string]T, len(f.instances)),
-		}
-		for k, inst := range f.instances {
+		v := view[T]{name: f.name, keys: make([]string, 0, len(f.members)), members: maps.Clone(f.members)}
+		for k := range f.members {
 			v.keys = append(v.keys, k)
-			v.instances[k] = inst
-			v.labels[k] = f.labels[k]
 		}
 		sort.Strings(v.keys)
 		out = append(out, v)
@@ -79,7 +69,7 @@ func freeze[T any](fams map[string]*family[T]) []view[T] {
 
 // collect copies every family out under the lock so exporters iterate
 // (and call gauge funcs) without holding it.
-func (r *Registry) collect() (cs []view[*Counter], gs []view[*Gauge], gfs []view[func() float64], hs []view[*metric.Histogram]) {
+func (r *Registry) collect() (cs []view[*Counter], gs []view[*Gauge], gfs []view[func() float64], hs []view[*Histogram]) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return freeze(r.counters), freeze(r.gauges), freeze(r.gaugeFuncs), freeze(r.histograms)
@@ -91,24 +81,24 @@ func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	for _, f := range cs {
 		for _, k := range f.keys {
-			s.Counters = append(s.Counters, CounterValue{Name: f.name, Labels: f.labels[k], Value: f.instances[k].Value()})
+			s.Counters = append(s.Counters, CounterValue{Name: f.name, Labels: f.members[k].labels, Value: f.members[k].inst.Value()})
 		}
 	}
 	for _, f := range gs {
 		for _, k := range f.keys {
-			s.Gauges = append(s.Gauges, GaugeValue{Name: f.name, Labels: f.labels[k], Value: f.instances[k].Value()})
+			s.Gauges = append(s.Gauges, GaugeValue{Name: f.name, Labels: f.members[k].labels, Value: f.members[k].inst.Value()})
 		}
 	}
 	for _, f := range gfs {
 		for _, k := range f.keys {
-			s.Gauges = append(s.Gauges, GaugeValue{Name: f.name, Labels: f.labels[k], Value: f.instances[k]()})
+			s.Gauges = append(s.Gauges, GaugeValue{Name: f.name, Labels: f.members[k].labels, Value: f.members[k].inst()})
 		}
 	}
 	for _, f := range hs {
 		for _, k := range f.keys {
-			sum := f.instances[k].Snapshot()
+			sum := f.members[k].inst.Snapshot()
 			s.Histograms = append(s.Histograms, HistogramValue{
-				Name: f.name, Labels: f.labels[k], Count: sum.Count,
+				Name: f.name, Labels: f.members[k].labels, Count: sum.Count,
 				Mean: int64(sum.Mean), P50: int64(sum.P50), P95: int64(sum.P95), P99: int64(sum.P99),
 			})
 		}
@@ -157,38 +147,36 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		n := promName(f.name)
 		fmt.Fprintf(w, "# TYPE %s counter\n", n)
 		for _, k := range f.keys {
-			promLine(w, n, k, fmt.Sprintf("%d", f.instances[k].Value()))
+			promLine(w, n, k, fmt.Sprintf("%d", f.members[k].inst.Value()))
 		}
 	}
 	for _, f := range gs {
 		n := promName(f.name)
 		fmt.Fprintf(w, "# TYPE %s gauge\n", n)
 		for _, k := range f.keys {
-			promLine(w, n, k, formatFloat(f.instances[k].Value()))
+			promLine(w, n, k, formatFloat(f.members[k].inst.Value()))
 		}
 	}
 	for _, f := range gfs {
 		n := promName(f.name)
 		fmt.Fprintf(w, "# TYPE %s gauge\n", n)
 		for _, k := range f.keys {
-			promLine(w, n, k, formatFloat(f.instances[k]()))
+			promLine(w, n, k, formatFloat(f.members[k].inst()))
 		}
 	}
 	for _, f := range hs {
 		n := promName(f.name) + "_latency_seconds"
 		fmt.Fprintf(w, "# TYPE %s summary\n", n)
 		for _, k := range f.keys {
-			sum := f.instances[k].Snapshot()
-			promLine(w, n, withLabel(k, "quantile", "0.5"), formatFloat(seconds(sum.P50)))
-			promLine(w, n, withLabel(k, "quantile", "0.95"), formatFloat(seconds(sum.P95)))
-			promLine(w, n, withLabel(k, "quantile", "0.99"), formatFloat(seconds(sum.P99)))
-			promLine(w, n+"_sum", k, formatFloat(seconds(sum.Mean)*float64(sum.Count)))
+			sum := f.members[k].inst.Snapshot()
+			promLine(w, n, withLabel(k, "quantile", "0.5"), formatFloat(sum.P50.Seconds()))
+			promLine(w, n, withLabel(k, "quantile", "0.95"), formatFloat(sum.P95.Seconds()))
+			promLine(w, n, withLabel(k, "quantile", "0.99"), formatFloat(sum.P99.Seconds()))
+			promLine(w, n+"_sum", k, formatFloat(sum.Mean.Seconds()*float64(sum.Count)))
 			promLine(w, n+"_count", k, fmt.Sprintf("%d", sum.Count))
 		}
 	}
 }
-
-func seconds(d time.Duration) float64 { return d.Seconds() }
 
 func formatFloat(v float64) string {
 	return fmt.Sprintf("%g", v)

@@ -24,15 +24,14 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"firestore/internal/metric"
 )
 
-// DefaultMaxCardinality caps the labeled instances one metric name may
-// mint before new label sets fold into the "other" bucket. Unbounded
-// label values (document names, user IDs) would otherwise grow scrapes
-// without bound — the classic cardinality explosion.
-const DefaultMaxCardinality = 256
+// MaxCardinality caps the labeled instances one metric name may mint;
+// past it, new label sets fold into a single "other" bucket (every label
+// value replaced by "other") and the family warns once on stderr.
+// Unbounded label values (document names, user IDs) would otherwise grow
+// scrapes without bound — the classic cardinality explosion.
+const MaxCardinality = 256
 
 // Labels is one metric instance's label set. Instances are keyed by the
 // canonical (sorted) rendering, so map ordering does not mint duplicates.
@@ -103,76 +102,81 @@ type Gauge struct {
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the stored value.
-func (g *Gauge) Value() float64 { return floatOf(g.bits.Load()) }
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// family groups one metric name's labeled instances.
+// family groups one metric name's labeled instances, keyed by the
+// canonical label key.
 type family[T any] struct {
-	name      string
-	instances map[string]T // canonical label key -> instance
-	labels    map[string]Labels
+	name    string
+	members map[string]member[T]
 	// warned records that this family already logged a cardinality
 	// overflow, so a runaway label does not also spam stderr.
 	warned bool
 }
 
-func newFamily[T any](name string) *family[T] {
-	return &family[T]{name: name, instances: map[string]T{}, labels: map[string]Labels{}}
+type member[T any] struct {
+	labels Labels
+	inst   T
 }
 
 // Registry holds every metric family. The zero value is not usable; call
 // NewRegistry.
 type Registry struct {
 	mu         sync.Mutex
-	maxCard    int
 	counters   map[string]*family[*Counter]
 	gauges     map[string]*family[*Gauge]
 	gaugeFuncs map[string]*family[func() float64]
-	histograms map[string]*family[*metric.Histogram]
+	histograms map[string]*family[*Histogram]
 }
 
-// NewRegistry returns an empty registry with the default cardinality cap.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		maxCard:    DefaultMaxCardinality,
 		counters:   map[string]*family[*Counter]{},
 		gauges:     map[string]*family[*Gauge]{},
 		gaugeFuncs: map[string]*family[func() float64]{},
-		histograms: map[string]*family[*metric.Histogram]{},
+		histograms: map[string]*family[*Histogram]{},
 	}
 }
 
-// SetMaxCardinality caps how many labeled instances each metric name may
-// create; past the cap, new label sets fold into a single "other" bucket
-// (every label value replaced by "other") and the family warns once on
-// stderr. n <= 0 removes the cap.
-func (r *Registry) SetMaxCardinality(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.maxCard = n
-}
-
-// capLabels enforces the cardinality cap for one family: when labels
-// would mint a new instance past the cap, it returns the folded "other"
-// label set and its key instead. Caller holds r.mu.
-func capLabels[T any](r *Registry, f *family[T], labels Labels, k string) (Labels, string) {
-	if r.maxCard <= 0 || len(f.instances) < r.maxCard {
-		return labels, k
+// slot resolves name{labels} to its family and canonical key, creating
+// the family on first use. When labels would mint a new instance past
+// the cardinality cap, it resolves to the folded "other" label set
+// instead. Caller holds r.mu.
+func slot[T any](fams map[string]*family[T], name string, labels Labels) (*family[T], Labels, string) {
+	f, ok := fams[name]
+	if !ok {
+		f = &family[T]{name: name, members: map[string]member[T]{}}
+		fams[name] = f
 	}
-	if _, exists := f.instances[k]; exists {
-		return labels, k
+	k := labels.key()
+	if _, exists := f.members[k]; exists || len(f.members) < MaxCardinality {
+		return f, labels, k
 	}
 	if !f.warned {
 		f.warned = true
-		fmt.Fprintf(os.Stderr, "obs: metric %q reached %d label sets; folding new labels into \"other\"\n", f.name, r.maxCard)
+		fmt.Fprintf(os.Stderr, "obs: metric %q reached %d label sets; folding new labels into \"other\"\n", f.name, MaxCardinality)
 	}
 	folded := make(Labels, len(labels))
 	for name := range labels {
 		folded[name] = "other"
 	}
-	return folded, folded.key()
+	return f, folded, folded.key()
+}
+
+// instance returns name{labels} from fams, minting it on first use.
+// Caller holds r.mu.
+func instance[T any](fams map[string]*family[*T], name string, labels Labels) *T {
+	f, labels, k := slot(fams, name, labels)
+	m, ok := f.members[k]
+	if !ok {
+		m = member[*T]{labels, new(T)}
+		f.members[k] = m
+	}
+	return m.inst
 }
 
 // Default is the process-wide registry used by components not wired to an
@@ -184,40 +188,14 @@ var Default = NewRegistry()
 func (r *Registry) Counter(name string, labels Labels) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok := r.counters[name]
-	if !ok {
-		f = newFamily[*Counter](name)
-		r.counters[name] = f
-	}
-	k := labels.key()
-	labels, k = capLabels(r, f, labels, k)
-	c, ok := f.instances[k]
-	if !ok {
-		c = &Counter{}
-		f.instances[k] = c
-		f.labels[k] = labels
-	}
-	return c
+	return instance(r.counters, name, labels)
 }
 
 // Gauge returns the settable gauge name{labels}, creating it on first use.
 func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok := r.gauges[name]
-	if !ok {
-		f = newFamily[*Gauge](name)
-		r.gauges[name] = f
-	}
-	k := labels.key()
-	labels, k = capLabels(r, f, labels, k)
-	g, ok := f.instances[k]
-	if !ok {
-		g = &Gauge{}
-		f.instances[k] = g
-		f.labels[k] = labels
-	}
-	return g
+	return instance(r.gauges, name, labels)
 }
 
 // GaugeFunc registers (or replaces) a callback gauge name{labels},
@@ -225,37 +203,14 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 func (r *Registry) GaugeFunc(name string, labels Labels, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok := r.gaugeFuncs[name]
-	if !ok {
-		f = newFamily[func() float64](name)
-		r.gaugeFuncs[name] = f
-	}
-	k := labels.key()
-	labels, k = capLabels(r, f, labels, k)
-	f.instances[k] = fn
-	f.labels[k] = labels
+	f, labels, k := slot(r.gaugeFuncs, name, labels)
+	f.members[k] = member[func() float64]{labels, fn}
 }
 
 // Histogram returns the latency histogram name{labels}, creating it on
 // first use.
-func (r *Registry) Histogram(name string, labels Labels) *metric.Histogram {
+func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok := r.histograms[name]
-	if !ok {
-		f = newFamily[*metric.Histogram](name)
-		r.histograms[name] = f
-	}
-	k := labels.key()
-	labels, k = capLabels(r, f, labels, k)
-	h, ok := f.instances[k]
-	if !ok {
-		h = &metric.Histogram{}
-		f.instances[k] = h
-		f.labels[k] = labels
-	}
-	return h
+	return instance(r.histograms, name, labels)
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-func floatOf(b uint64) float64   { return math.Float64frombits(b) }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -152,27 +153,27 @@ func TestConcurrentScrapeDuringRecording(t *testing.T) {
 	}
 }
 
-// TestCardinalityCap verifies the label-cardinality guard: past the cap
-// a family folds new label sets into the shared "other" bucket instead
-// of minting unbounded instances, and existing instances keep working.
+// TestCardinalityCap verifies the label-cardinality guard: the first
+// MaxCardinality label sets of a family get their own instance, the
+// next ones fold into the shared "other" bucket instead of minting
+// unbounded instances, and existing instances keep working.
 func TestCardinalityCap(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxCardinality(3)
+	db := func(i int) Labels { return DB(fmt.Sprintf("db%d", i)) }
+	first := r.Counter("reqs", db(0))
+	for i := 0; i < MaxCardinality; i++ {
+		r.Counter("reqs", db(i)).Inc()
+		r.Gauge("depth", db(i))
+		r.Histogram("lat", db(i))
+	}
 
-	a := r.Counter("reqs", DB("a"))
-	b := r.Counter("reqs", DB("b"))
-	c := r.Counter("reqs", DB("c"))
-	a.Inc()
-	b.Inc()
-	c.Inc()
-
-	// The 4th and 5th distinct label sets share one folded instance.
-	d := r.Counter("reqs", DB("d"))
-	e := r.Counter("reqs", DB("e"))
+	// The 257th and 258th distinct label sets share one folded instance.
+	d := r.Counter("reqs", db(MaxCardinality))
+	e := r.Counter("reqs", db(MaxCardinality+1))
 	if d != e {
 		t.Fatal("overflow label sets should share the other bucket")
 	}
-	if d == a || d == b || d == c {
+	if d == first {
 		t.Fatal("other bucket must be a fresh instance")
 	}
 	d.Inc()
@@ -182,27 +183,22 @@ func TestCardinalityCap(t *testing.T) {
 	}
 
 	// Existing instances are still addressable after overflow.
-	if again := r.Counter("reqs", DB("a")); again != a {
+	if again := r.Counter("reqs", db(0)); again != first || first.Value() != 1 {
 		t.Fatal("pre-overflow instance lost")
 	}
 
 	// The snapshot shows the folded labels, not the runaway values.
+	runaway := db(MaxCardinality)["db"]
 	for _, cs := range r.Snapshot().Counters {
-		if cs.Name == "reqs" && (cs.Labels["db"] == "d" || cs.Labels["db"] == "e") {
+		if cs.Name == "reqs" && cs.Labels["db"] == runaway {
 			t.Fatalf("runaway label leaked into snapshot: %v", cs.Labels)
 		}
 	}
 
 	// Other metric kinds share the guard.
-	r.Gauge("depth", DB("a"))
-	r.Gauge("depth", DB("b"))
-	r.Gauge("depth", DB("c"))
 	if g1, g2 := r.Gauge("depth", DB("x")), r.Gauge("depth", DB("y")); g1 != g2 {
 		t.Fatal("gauge overflow should fold")
 	}
-	r.Histogram("lat", DB("a"))
-	r.Histogram("lat", DB("b"))
-	r.Histogram("lat", DB("c"))
 	if h1, h2 := r.Histogram("lat", DB("x")), r.Histogram("lat", DB("y")); h1 != h2 {
 		t.Fatal("histogram overflow should fold")
 	}
@@ -210,19 +206,5 @@ func TestCardinalityCap(t *testing.T) {
 	// Each family is capped independently: a fresh name is unaffected.
 	if n1, n2 := r.Counter("fresh", DB("p")), r.Counter("fresh", DB("q")); n1 == n2 {
 		t.Fatal("fresh family should not fold below the cap")
-	}
-}
-
-// TestCardinalityCapDisabled verifies SetMaxCardinality(0) removes the
-// guard entirely.
-func TestCardinalityCapDisabled(t *testing.T) {
-	r := NewRegistry()
-	r.SetMaxCardinality(0)
-	seen := map[*Counter]bool{}
-	for _, db := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-		seen[r.Counter("reqs", DB(db))] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("uncapped registry folded instances: %d distinct, want 8", len(seen))
 	}
 }

@@ -109,7 +109,7 @@ func ValidateAggregations(q *Query, aggs []Aggregation) error {
 // field, so its value decodes straight from the index key (one scan is
 // shared by every aggregation over the same field). The planner callback
 // plans each (variant) query — the backend passes its cost-based
-// planner; tests can pass plain BuildPlan.
+// planner; tests plan without statistics.
 //
 // On error the partial result is still returned so callers bill the
 // entries already visited.

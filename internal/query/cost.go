@@ -41,7 +41,9 @@ type Alternative struct {
 // BuildPlanWithStats plans q by enumerating the legal alternatives and
 // picking the cheapest by estimated entries visited (§IV-D3 extended
 // with cardinality input). With nil stats every estimate is zero and
-// the tie-break reproduces the old greedy preference order.
+// the tie-break reproduces the paper's greedy index-set selection. It
+// returns a *NeedsIndexError when no usable index set exists, which in
+// production surfaces to the developer with a creation link.
 func BuildPlanWithStats(q *Query, composites []index.Definition, ex *index.Exemptions, stats Stats) (*Plan, error) {
 	alts, err := EnumeratePlans(q, composites, ex, stats)
 	if err != nil {

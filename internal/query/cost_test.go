@@ -255,12 +255,12 @@ func TestNeedsIndexErrorGoldenParity(t *testing.T) {
 			Orders: []Order{{"avgRating", index.Descending}}}, "auto"},
 	}
 	for _, tc := range served {
-		p, err := BuildPlan(tc.q, nil, nil)
+		p, err := BuildPlanWithStats(tc.q, nil, nil, nil)
 		if err != nil {
-			t.Fatalf("BuildPlan(%s): %v", tc.q, err)
+			t.Fatalf("BuildPlanWithStats(%s, nil): %v", tc.q, err)
 		}
 		if p.Choice != tc.want {
-			t.Fatalf("BuildPlan(%s) choice = %q (%s), want %q", tc.q, p.Choice, p, tc.want)
+			t.Fatalf("BuildPlanWithStats(%s, nil) choice = %q (%s), want %q", tc.q, p.Choice, p, tc.want)
 		}
 	}
 }
@@ -299,7 +299,7 @@ func TestCountBillsPartialScanOnError(t *testing.T) {
 	seedRestaurants(m)
 	q1 := &Query{Collection: doc.MustCollection("/restaurants"),
 		Predicates: []Predicate{{"city", Eq, doc.String("SF")}}}
-	p1, err := BuildPlan(q1, nil, nil)
+	p1, err := BuildPlanWithStats(q1, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestCountBillsPartialScanOnError(t *testing.T) {
 		Predicates: []Predicate{
 			{"city", Eq, doc.String("SF")},
 			{"type", Eq, doc.String("BBQ")}}}
-	p2, err := BuildPlan(q2, nil, nil)
+	p2, err := BuildPlanWithStats(q2, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,16 +57,6 @@ func (p *Plan) String() string {
 	return s + ")"
 }
 
-// BuildPlan plans q against the database's composite indexes and
-// exemptions without cardinality statistics: the enumerator's
-// no-statistics preference order reproduces the paper's greedy
-// index-set selection (§IV-D3). It returns a *NeedsIndexError when no
-// usable index set exists, which in production surfaces to the
-// developer with a creation link.
-func BuildPlan(q *Query, composites []index.Definition, ex *index.Exemptions) (*Plan, error) {
-	return BuildPlanWithStats(q, composites, ex, nil)
-}
-
 // planInputs is the analyzed, validated query shape shared by the plan
 // enumerator: predicates partitioned by class, the required sort
 // suffix, and the candidate index definitions.

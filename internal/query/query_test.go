@@ -143,9 +143,9 @@ func seedRestaurants(m *memStore) {
 
 func runPlan(t *testing.T, m *memStore, q *Query) []*doc.Document {
 	t.Helper()
-	plan, err := BuildPlan(q, m.composites, m.ex)
+	plan, err := BuildPlanWithStats(q, m.composites, m.ex, nil)
 	if err != nil {
-		t.Fatalf("BuildPlan(%s): %v", q, err)
+		t.Fatalf("BuildPlanWithStats(%s, nil): %v", q, err)
 	}
 	res, err := plan.Execute(context.Background(), m, nil)
 	if err != nil {
@@ -250,7 +250,7 @@ func TestZigZagJoinTwoEqualities(t *testing.T) {
 			{"type", Eq, doc.String("BBQ")},
 		},
 	}
-	plan, err := BuildPlan(q, nil, nil)
+	plan, err := BuildPlanWithStats(q, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestCompositeSingleScan(t *testing.T) {
 		},
 		Orders: []Order{{"avgRating", index.Descending}},
 	}
-	plan, err := BuildPlan(q, m.composites, nil)
+	plan, err := BuildPlanWithStats(q, m.composites, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestZigZagCompositesWithSharedSuffix(t *testing.T) {
 		},
 		Orders: []Order{{"avgRating", index.Descending}},
 	}
-	plan, err := BuildPlan(q, m.composites, nil)
+	plan, err := BuildPlanWithStats(q, m.composites, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,10 +367,10 @@ func TestNeedsIndexError(t *testing.T) {
 		Predicates: []Predicate{{"city", Eq, doc.String("SF")}},
 		Orders:     []Order{{"avgRating", index.Descending}},
 	}
-	_, err := BuildPlan(q, nil, nil)
+	_, err := BuildPlanWithStats(q, nil, nil, nil)
 	var nie *NeedsIndexError
 	if !errors.As(err, &nie) {
-		t.Fatalf("BuildPlan = %v, want NeedsIndexError", err)
+		t.Fatalf("BuildPlanWithStats = %v, want NeedsIndexError", err)
 	}
 	if nie.Collection != "restaurants" || len(nie.Fields) != 2 {
 		t.Fatalf("suggestion = %+v", nie)
@@ -387,7 +387,7 @@ func TestExemptedFieldFailsQuery(t *testing.T) {
 		Collection: doc.MustCollection("/restaurants"),
 		Predicates: []Predicate{{"city", Eq, doc.String("SF")}},
 	}
-	if _, err := BuildPlan(q, nil, &ex); err == nil {
+	if _, err := BuildPlanWithStats(q, nil, &ex, nil); err == nil {
 		t.Fatal("query on exempted field planned successfully")
 	}
 }
@@ -443,7 +443,7 @@ func TestResumeToken(t *testing.T) {
 		Limit:      4,
 	}
 	full := m.naive(&Query{Collection: q.Collection, Predicates: q.Predicates})
-	plan, err := BuildPlan(q, nil, nil)
+	plan, err := BuildPlanWithStats(q, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestResumeTokenEntitiesScan(t *testing.T) {
 	seedRestaurants(m)
 	q := &Query{Collection: doc.MustCollection("/restaurants"), Limit: 7}
 	full := m.naive(&Query{Collection: q.Collection})
-	plan, err := BuildPlan(q, nil, nil)
+	plan, err := BuildPlanWithStats(q, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,13 +591,13 @@ func TestRandomizedAgainstNaive(t *testing.T) {
 			))
 		}
 		q := randomQuery(rng)
-		plan, err := BuildPlan(q, composites, nil)
+		plan, err := BuildPlanWithStats(q, composites, nil, nil)
 		if err != nil {
 			var nie *NeedsIndexError
 			if errors.As(err, &nie) {
 				continue // legitimately unplannable without more indexes
 			}
-			t.Fatalf("trial %d: BuildPlan(%s): %v", trial, q, err)
+			t.Fatalf("trial %d: BuildPlanWithStats(%s, nil): %v", trial, q, err)
 		}
 		res, err := plan.Execute(context.Background(), m, nil)
 		if err != nil {
@@ -650,7 +650,7 @@ func BenchmarkZigZagJoin(b *testing.B) {
 			{"type", Eq, doc.String("BBQ")},
 		},
 	}
-	plan, err := BuildPlan(q, nil, nil)
+	plan, err := BuildPlanWithStats(q, nil, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -682,9 +682,9 @@ func TestCountMatchesExecute(t *testing.T) {
 			Predicates: []Predicate{{"city", Eq, doc.String("SF")}}, Offset: 2},
 	}
 	for _, q := range queries {
-		plan, err := BuildPlan(q, m.composites, nil)
+		plan, err := BuildPlanWithStats(q, m.composites, nil, nil)
 		if err != nil {
-			t.Fatalf("BuildPlan(%s): %v", q, err)
+			t.Fatalf("BuildPlanWithStats(%s, nil): %v", q, err)
 		}
 		want := int64(len(m.naive(q)))
 		got, err := plan.ExecuteCount(context.Background(), m)

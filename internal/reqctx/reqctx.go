@@ -6,9 +6,9 @@
 // such RPCs", §IV-C). Deadlines ride the context itself.
 //
 // The package also provides the lightweight span recorder every layer
-// uses for per-layer, per-status-code latency histograms
-// (reqctx.StartSpan(ctx, "backend.commit")), feeding the existing
-// internal/metric histograms, plus an optional structured trace sink.
+// uses (reqctx.StartSpan(ctx, "backend.commit")): each finished span is
+// one Record into the obs.Registry histogram name{db, code}, plus an
+// optional structured trace sink.
 package reqctx
 
 import (

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"firestore/internal/obs"
 	"firestore/internal/status"
 )
 
@@ -45,8 +46,25 @@ func TestQoSString(t *testing.T) {
 	}
 }
 
+// newRecorder returns a recorder feeding its own fresh registry.
+func newRecorder() (*Recorder, *obs.Registry) {
+	rec, reg := NewRecorder(), obs.NewRegistry()
+	rec.SetRegistry(reg)
+	return rec, reg
+}
+
+// spanCount reads how many spans name{db, code} recorded, through the
+// registry — the only place span latencies live.
+func spanCount(reg *obs.Registry, name, db string, code status.Code) uint64 {
+	labels := obs.Labels{"code": code.String()}
+	if db != "" {
+		labels["db"] = db
+	}
+	return reg.Histogram(name, labels).Snapshot().Count
+}
+
 func TestStartSpanRecords(t *testing.T) {
-	rec := NewRecorder()
+	rec, reg := newRecorder()
 	ctx := WithRecorder(context.Background(), rec)
 
 	_, end := StartSpan(ctx, "backend.commit")
@@ -54,31 +72,43 @@ func TestStartSpanRecords(t *testing.T) {
 	_, end = StartSpan(ctx, "backend.commit")
 	end(fmt.Errorf("conflict: %w", status.New(status.Aborted, "backend", "transaction conflict")))
 
-	if got := rec.Spans(); len(got) != 1 || got[0] != "backend.commit" {
-		t.Fatalf("Spans = %v", got)
+	// One histogram per (span, code), and nothing else: a finished span
+	// is recorded exactly once.
+	hists := reg.Snapshot().Histograms
+	if len(hists) != 2 {
+		t.Fatalf("histograms = %+v, want backend.commit x {ABORTED, OK}", hists)
 	}
-	if s := rec.Summary("backend.commit"); s.Count != 2 {
-		t.Fatalf("Summary.Count = %d, want 2", s.Count)
-	}
-	if s := rec.CodeSummary("backend.commit", status.OK); s.Count != 1 {
-		t.Fatalf("OK count = %d, want 1", s.Count)
-	}
-	if s := rec.CodeSummary("backend.commit", status.Aborted); s.Count != 1 {
-		t.Fatalf("Aborted count = %d, want 1", s.Count)
-	}
-	codes := rec.Codes("backend.commit")
-	if len(codes) != 2 || codes[0] != status.OK || codes[1] != status.Aborted {
-		t.Fatalf("Codes = %v", codes)
+	for i, code := range []string{"ABORTED", "OK"} {
+		if h := hists[i]; h.Name != "backend.commit" || h.Labels["code"] != code || h.Count != 1 || len(h.Labels) != 1 {
+			t.Fatalf("histogram %d = %+v, want backend.commit{code=%s} count 1", i, h, code)
+		}
 	}
 }
 
 func TestStartSpanUsesDefaultRecorder(t *testing.T) {
-	Default.Reset()
-	defer Default.Reset()
-	_, end := StartSpan(context.Background(), "spanner.txn.commit")
+	const name = "reqctx_test.default_recorder"
+	before := spanCount(obs.Default, name, "", status.OK) // -count=N reuses the process
+	_, end := StartSpan(context.Background(), name)
 	end(nil)
-	if s := Default.Summary("spanner.txn.commit"); s.Count != 1 {
-		t.Fatalf("Default recorder count = %d, want 1", s.Count)
+	if got := spanCount(obs.Default, name, "", status.OK) - before; got != 1 {
+		t.Fatalf("obs.Default count grew by %d, want 1", got)
+	}
+}
+
+// TestSetRegistryRepointsHandles: the handle cache belongs to one
+// registry; after SetRegistry a seen (span, db, code) must land in the
+// new registry, not in a handle minted from the old one.
+func TestSetRegistryRepointsHandles(t *testing.T) {
+	rec, first := newRecorder()
+	ctx := With(WithRecorder(context.Background(), rec), Meta{DB: "app"})
+	_, end := StartSpan(ctx, "x")
+	end(nil)
+	second := obs.NewRegistry()
+	rec.SetRegistry(second)
+	_, end = StartSpan(ctx, "x")
+	end(nil)
+	if a, b := spanCount(first, "x", "app", status.OK), spanCount(second, "x", "app", status.OK); a != 1 || b != 1 {
+		t.Fatalf("counts = %d (first), %d (second), want 1 and 1", a, b)
 	}
 }
 
@@ -108,24 +138,13 @@ func TestTraceEvents(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	rec := NewRecorder()
-	ctx := WithRecorder(context.Background(), rec)
-	_, end := StartSpan(ctx, "x")
-	end(nil)
-	rec.Reset()
-	if got := rec.Spans(); len(got) != 0 {
-		t.Fatalf("Spans after Reset = %v", got)
-	}
-}
-
 func TestStartSpanClassifiesContextErrors(t *testing.T) {
-	rec := NewRecorder()
+	rec, reg := newRecorder()
 	ctx := WithRecorder(context.Background(), rec)
 	_, end := StartSpan(ctx, "wfq.submit")
 	end(fmt.Errorf("queued: %w", context.Canceled))
-	if s := rec.CodeSummary("wfq.submit", status.DeadlineExceeded); s.Count != 1 {
-		t.Fatalf("DeadlineExceeded count = %d, want 1", s.Count)
+	if got := spanCount(reg, "wfq.submit", "", status.DeadlineExceeded); got != 1 {
+		t.Fatalf("DeadlineExceeded count = %d, want 1", got)
 	}
 	if !errors.Is(fmt.Errorf("queued: %w", context.Canceled), context.Canceled) {
 		t.Fatal("sanity: wrap lost identity")

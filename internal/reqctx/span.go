@@ -2,41 +2,56 @@ package reqctx
 
 import (
 	"context"
-	"sort"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"firestore/internal/metric"
 	"firestore/internal/obs"
 	"firestore/internal/status"
 )
 
-// Recorder aggregates span latencies into per-span, per-status-code
-// histograms (internal/metric) and optionally forwards every finished
-// span to a structured trace sink. When a registry is attached it also
-// feeds per-database histograms named after the span ("backend.commit"
-// labeled {db=...}), and when a tracer is attached spans assemble into
-// hierarchical traces. The zero value is not usable; call NewRecorder.
+// Recorder routes every finished span to its outputs: one latency
+// histogram per (span, database, status code) in an obs.Registry —
+// "backend.commit" labeled {db=..., code=...}, read back through the
+// registry's Snapshot — plus, when attached, a Tracer that assembles
+// spans into hierarchical traces and a structured trace sink. The
+// Recorder stores no latencies itself; it only caches the registry's
+// histogram handles so a span end is one lock-free Record. The zero
+// value is not usable; call NewRecorder.
 type Recorder struct {
-	mu     sync.Mutex
-	spans  map[string]*spanStats
-	trace  func(TraceEvent)
-	reg    *obs.Registry
-	tracer *Tracer
+	trace  atomic.Pointer[func(TraceEvent)]
+	tracer atomic.Pointer[Tracer]
+
+	// handles is a copy-on-write cache of registry handles: readers load
+	// the map without locking; mu serializes the rare insert and guards
+	// reg, so a handle is always minted from the registry it is cached
+	// for.
+	handles atomic.Pointer[map[handleKey]*obs.Histogram]
+	mu      sync.Mutex
+	reg     *obs.Registry
 }
 
-type spanStats struct {
-	all    metric.Histogram
-	byCode map[status.Code]*metric.Histogram
+type handleKey struct {
+	span, db string
+	code     status.Code
 }
 
-// NewRecorder returns an empty recorder.
+// maxHandles bounds the handle cache. The registry already folds
+// runaway label sets into "other" (obs.MaxCardinality); past this many
+// distinct keys the recorder stops caching and asks the registry each
+// time rather than grow without bound.
+const maxHandles = 4096
+
+// NewRecorder returns a recorder feeding obs.Default.
 func NewRecorder() *Recorder {
-	return &Recorder{spans: map[string]*spanStats{}}
+	r := &Recorder{}
+	r.SetRegistry(nil)
+	return r
 }
 
 // Default is the process-wide recorder used when a context carries no
-// explicit one; benchmarks and tests query it after a run.
+// explicit one; its spans land in obs.Default.
 var Default = NewRecorder()
 
 type recorderKey struct{}
@@ -68,125 +83,59 @@ type TraceEvent struct {
 // SetTrace installs fn as the structured trace sink (nil disables).
 // fn is called synchronously at span end and must be cheap.
 func (r *Recorder) SetTrace(fn func(TraceEvent)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.trace = fn
+	if fn == nil {
+		r.trace.Store(nil)
+		return
+	}
+	r.trace.Store(&fn)
 }
 
-// SetRegistry routes every finished span into reg as a per-database
-// latency histogram named after the span (nil disables).
+// SetRegistry routes every finished span into reg (nil = obs.Default).
 func (r *Recorder) SetRegistry(reg *obs.Registry) {
+	if reg == nil {
+		reg = obs.Default
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.reg = reg
+	r.handles.Store(&map[handleKey]*obs.Histogram{})
 }
 
 // SetTracer attaches a tracer: StartSpan then assembles spans into
 // per-request trace trees (nil disables tracing).
-func (r *Recorder) SetTracer(t *Tracer) {
+func (r *Recorder) SetTracer(t *Tracer) { r.tracer.Store(t) }
+
+// histogram returns the registry handle for one (span, db, code). The
+// steady state is a map read: no lock, no Labels map, no registry
+// lookup.
+func (r *Recorder) histogram(name, db string, code status.Code) *obs.Histogram {
+	k := handleKey{name, db, code}
+	if h, ok := (*r.handles.Load())[k]; ok {
+		return h
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tracer = t
-}
-
-// Tracer returns the attached tracer, or nil.
-func (r *Recorder) Tracer() *Tracer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tracer
-}
-
-func (r *Recorder) record(name, db string, code status.Code, d time.Duration) {
-	r.mu.Lock()
-	st, ok := r.spans[name]
-	if !ok {
-		st = &spanStats{byCode: map[status.Code]*metric.Histogram{}}
-		r.spans[name] = st
+	cached := *r.handles.Load()
+	if h, ok := cached[k]; ok {
+		return h
 	}
-	h, ok := st.byCode[code]
-	if !ok {
-		h = &metric.Histogram{}
-		st.byCode[code] = h
+	labels := obs.Labels{"code": code.String()}
+	if db != "" {
+		labels["db"] = db
 	}
-	reg := r.reg
-	r.mu.Unlock()
-	st.all.Record(d)
-	h.Record(d)
-	if reg != nil {
-		reg.Histogram(name, obs.DB(db)).Record(d)
+	h := r.reg.Histogram(name, labels)
+	if len(cached) < maxHandles {
+		next := maps.Clone(cached)
+		next[k] = h
+		r.handles.Store(&next)
 	}
-}
-
-func (r *Recorder) traceFn() func(TraceEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trace
-}
-
-// Spans returns the recorded span names, sorted.
-func (r *Recorder) Spans() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.spans))
-	for name := range r.spans {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Summary returns the latency summary of a span across all codes.
-func (r *Recorder) Summary(span string) metric.Summary {
-	r.mu.Lock()
-	st, ok := r.spans[span]
-	r.mu.Unlock()
-	if !ok {
-		return metric.Summary{}
-	}
-	return st.all.Snapshot()
-}
-
-// CodeSummary returns the latency summary of a span for one code.
-func (r *Recorder) CodeSummary(span string, code status.Code) metric.Summary {
-	r.mu.Lock()
-	var h *metric.Histogram
-	if st, ok := r.spans[span]; ok {
-		h = st.byCode[code]
-	}
-	r.mu.Unlock()
-	if h == nil {
-		return metric.Summary{}
-	}
-	return h.Snapshot()
-}
-
-// Codes returns the status codes observed for a span, sorted.
-func (r *Recorder) Codes(span string) []status.Code {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.spans[span]
-	if !ok {
-		return nil
-	}
-	out := make([]status.Code, 0, len(st.byCode))
-	for c := range st.byCode {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Reset drops all recorded spans (between benchmark phases).
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spans = map[string]*spanStats{}
+	return h
 }
 
 // StartSpan begins a span named like "backend.commit" and returns the
 // context plus an end function. Call end with the operation's error
-// (nil on success); the elapsed time lands in the recorder's histogram
-// for (span, status.CodeOf(err)) and, when a trace sink is installed,
+// (nil on success); the elapsed time lands in the registry histogram
+// name{db, code=status.CodeOf(err)} and, when a trace sink is installed,
 // one TraceEvent is emitted with the request metadata.
 //
 // When the recorder carries a Tracer, spans also form a hierarchy: a
@@ -205,20 +154,21 @@ func StartSpan(ctx context.Context, name string) (context.Context, func(error)) 
 		tr = ref.trace
 		sp = tr.child(name, ref.span, start)
 		ctx = withSpan(ctx, tr, sp)
-	} else if tz := rec.Tracer(); tz != nil {
+	} else if tz := rec.tracer.Load(); tz != nil {
 		tr, sp = tz.startTrace(meta.RequestID, meta, name, start)
 		ctx = withSpan(ctx, tr, sp)
 	}
 
 	return ctx, func(err error) {
-		d := time.Since(start)
+		now := time.Now()
+		d := now.Sub(start)
 		code := status.CodeOf(err)
-		rec.record(name, meta.DB, code, d)
+		rec.histogram(name, meta.DB, code).Record(d)
 		if tr != nil {
-			tr.endSpan(sp, code, time.Now())
+			tr.endSpan(sp, code, now)
 		}
-		if fn := rec.traceFn(); fn != nil {
-			fn(TraceEvent{
+		if fn := rec.trace.Load(); fn != nil {
+			(*fn)(TraceEvent{
 				RequestID: meta.RequestID,
 				DB:        meta.DB,
 				QoS:       meta.QoS,

@@ -19,20 +19,19 @@ type TracerConfig struct {
 	// SlowThreshold marks a trace slow when its root span meets or
 	// exceeds it; slow traces are always kept. Default 100ms.
 	SlowThreshold time.Duration
-	// RingSize bounds each keep-category ring (sampled, slow, error).
-	// Default 64.
-	RingSize int
-	// MaxSpans caps the spans captured per trace; further spans still
-	// feed the latency histograms but are dropped from the trace tree.
-	// Default 256.
-	MaxSpans int
 	// OnKeep, when set, receives every kept trace synchronously at root
 	// end (after ring insertion). Used for the slow-query log; must be
 	// cheap.
 	OnKeep func(TraceData)
-	// Seed seeds the sampling RNG (0 uses a time-derived seed).
-	Seed int64
 }
+
+const (
+	// ringSize bounds each keep-category ring (sampled, slow, error).
+	ringSize = 64
+	// maxSpans caps the spans captured per trace; further spans still
+	// feed the latency histograms but are dropped from the trace tree.
+	maxSpans = 256
+)
 
 // Keep classifies why a finished trace was retained.
 type Keep int
@@ -66,9 +65,8 @@ type Tracer struct {
 	cfg TracerConfig
 
 	mu     sync.Mutex
-	rng    *rand.Rand
 	active map[*Trace]struct{}
-	rings  map[Keep]*traceRing
+	rings  [3]traceRing // indexed by Keep
 
 	started int64
 	kept    int64
@@ -85,25 +83,9 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.SlowThreshold <= 0 {
 		cfg.SlowThreshold = 100 * time.Millisecond
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 64
-	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = 256
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	return &Tracer{
 		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(seed)),
 		active: map[*Trace]struct{}{},
-		rings: map[Keep]*traceRing{
-			KeepSampled: {cap: cfg.RingSize},
-			KeepSlow:    {cap: cfg.RingSize},
-			KeepError:   {cap: cfg.RingSize},
-		},
 	}
 }
 
@@ -121,6 +103,7 @@ type Trace struct {
 	spans    []*span
 	nextSpan uint64
 	dropped  int
+	errored  bool // some span finished with a non-OK code
 	finished bool
 }
 
@@ -149,9 +132,9 @@ func (t *Tracer) startTrace(id string, meta Meta, name string, now time.Time) (*
 	if id == "" {
 		id = NewRequestID()
 	}
+	sampled := t.cfg.SampleProb > 0 && rand.Float64() < t.cfg.SampleProb
 	t.mu.Lock()
 	t.started++
-	sampled := t.cfg.SampleProb > 0 && t.rng.Float64() < t.cfg.SampleProb
 	tr := &Trace{
 		tracer:  t,
 		id:      id,
@@ -159,6 +142,7 @@ func (t *Tracer) startTrace(id string, meta Meta, name string, now time.Time) (*
 		qos:     meta.QoS,
 		start:   now,
 		sampled: sampled,
+		spans:   make([]*span, 0, 8), // a typical request's depth, in one allocation
 	}
 	t.active[tr] = struct{}{}
 	t.mu.Unlock()
@@ -171,7 +155,7 @@ func (t *Tracer) startTrace(id string, meta Meta, name string, now time.Time) (*
 
 // newSpanLocked allocates the next span. Caller holds tr.mu.
 func (tr *Trace) newSpanLocked(name string, parent uint64, now time.Time) *span {
-	if len(tr.spans) >= tr.tracer.cfg.MaxSpans {
+	if len(tr.spans) >= maxSpans {
 		tr.dropped++
 		return nil
 	}
@@ -208,14 +192,23 @@ func (tr *Trace) endSpan(s *span, code status.Code, now time.Time) {
 	s.done = true
 	s.duration = now.Sub(s.start)
 	s.code = code
+	if code != status.OK {
+		tr.errored = true
+	}
 	if s.parent != 0 {
 		tr.mu.Unlock()
 		return
 	}
 	tr.finished = true
-	data := tr.snapshotLocked(now)
+	// Decide keep before copying anything: with head sampling off almost
+	// every trace is dropped, and its snapshot would be pure garbage.
+	slow := s.duration >= tr.tracer.cfg.SlowThreshold
+	var kept *TraceData
+	if tr.sampled || slow || tr.errored {
+		kept = tr.snapshotLocked(s.duration, slow)
+	}
 	tr.mu.Unlock()
-	tr.tracer.finalize(tr, data)
+	tr.tracer.finalize(tr, kept)
 }
 
 // annotate attaches an attribute to s.
@@ -288,16 +281,20 @@ func (td TraceData) LayerTimings() map[string]time.Duration {
 	return out
 }
 
-// snapshotLocked builds the immutable view. Caller holds tr.mu.
-func (tr *Trace) snapshotLocked(now time.Time) TraceData {
-	td := TraceData{
-		ID:      tr.id,
-		DB:      tr.db,
-		QoS:     tr.qos.String(),
-		Start:   tr.start,
-		Sampled: tr.sampled,
-		Dropped: tr.dropped,
-		Spans:   make([]SpanData, 0, len(tr.spans)),
+// snapshotLocked builds the immutable view of a finished trace whose
+// root took duration. Caller holds tr.mu.
+func (tr *Trace) snapshotLocked(duration time.Duration, slow bool) *TraceData {
+	td := &TraceData{
+		ID:       tr.id,
+		DB:       tr.db,
+		QoS:      tr.qos.String(),
+		Start:    tr.start,
+		Duration: duration,
+		Sampled:  tr.sampled,
+		Slow:     slow,
+		Error:    tr.errored,
+		Dropped:  tr.dropped,
+		Spans:    make([]SpanData, 0, len(tr.spans)),
 	}
 	for _, s := range tr.spans {
 		sd := SpanData{
@@ -311,55 +308,43 @@ func (tr *Trace) snapshotLocked(now time.Time) TraceData {
 		if len(s.attrs) > 0 {
 			sd.Attrs = append([]Attr(nil), s.attrs...)
 		}
-		if s.parent == 0 {
-			td.Duration = s.duration
-		}
-		if s.done && s.code != status.OK {
-			td.Error = true
-		}
 		td.Spans = append(td.Spans, sd)
 	}
-	if td.Duration == 0 {
-		td.Duration = now.Sub(tr.start)
-	}
-	td.Slow = td.Duration >= tr.tracer.cfg.SlowThreshold
 	return td
 }
 
-// finalize applies the keep policy and retires tr from the active set.
-func (t *Tracer) finalize(tr *Trace, data TraceData) {
+// finalize retires tr from the active set and, when the keep policy
+// retained it (kept != nil), files it in the ring of each reason.
+func (t *Tracer) finalize(tr *Trace, kept *TraceData) {
 	t.mu.Lock()
 	delete(t.active, tr)
-	keep := data.Sampled || data.Slow || data.Error
-	if keep {
+	if kept != nil {
 		t.kept++
-		if data.Sampled {
-			t.rings[KeepSampled].push(data)
+		if kept.Sampled {
+			t.rings[KeepSampled].push(*kept)
 		}
-		if data.Slow {
-			t.rings[KeepSlow].push(data)
+		if kept.Slow {
+			t.rings[KeepSlow].push(*kept)
 		}
-		if data.Error {
-			t.rings[KeepError].push(data)
+		if kept.Error {
+			t.rings[KeepError].push(*kept)
 		}
 	}
-	sink := t.cfg.OnKeep
 	t.mu.Unlock()
-	if keep && sink != nil {
-		sink(data)
+	if kept != nil && t.cfg.OnKeep != nil {
+		t.cfg.OnKeep(*kept)
 	}
 }
 
 // traceRing is a bounded FIFO of kept traces: the oldest trace is
 // evicted when a push exceeds capacity.
 type traceRing struct {
-	cap int
 	buf []TraceData
 }
 
 func (r *traceRing) push(td TraceData) {
 	r.buf = append(r.buf, td)
-	if len(r.buf) > r.cap {
+	if len(r.buf) > ringSize {
 		// Shift rather than reslice so evicted traces are collectable.
 		copy(r.buf, r.buf[1:])
 		r.buf[len(r.buf)-1] = TraceData{}
@@ -371,10 +356,7 @@ func (r *traceRing) push(td TraceData) {
 func (t *Tracer) Recent(kind Keep, n int) []TraceData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r := t.rings[kind]
-	if r == nil {
-		return nil
-	}
+	r := &t.rings[kind]
 	if n <= 0 || n > len(r.buf) {
 		n = len(r.buf)
 	}

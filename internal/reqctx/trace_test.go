@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"firestore/internal/obs"
 	"firestore/internal/status"
 )
 
@@ -117,23 +116,24 @@ func TestTraceKeepPolicies(t *testing.T) {
 }
 
 func TestTraceRingEvictionOrder(t *testing.T) {
-	ctx, _, tz := tracedCtx(t, TracerConfig{SampleProb: 1, RingSize: 4})
-	for i := 0; i < 10; i++ {
+	ctx, _, tz := tracedCtx(t, TracerConfig{SampleProb: 1})
+	const n = ringSize + 6
+	for i := 0; i < n; i++ {
 		c := With(ctx, Meta{RequestID: fmt.Sprintf("req-%02d", i), DB: "d"})
 		_, end := StartSpan(c, "frontend.put")
 		end(nil)
 	}
 	got := tz.Recent(KeepSampled, 0)
-	if len(got) != 4 {
-		t.Fatalf("ring size = %d, want 4", len(got))
+	if len(got) != ringSize {
+		t.Fatalf("ring size = %d, want %d", len(got), ringSize)
 	}
 	// Newest first; the oldest six were evicted in FIFO order.
-	for i, want := range []string{"req-09", "req-08", "req-07", "req-06"} {
-		if got[i].ID != want {
+	for i := range got {
+		if want := fmt.Sprintf("req-%02d", n-1-i); got[i].ID != want {
 			t.Fatalf("Recent[%d] = %s, want %s", i, got[i].ID, want)
 		}
 	}
-	if limited := tz.Recent(KeepSampled, 2); len(limited) != 2 || limited[0].ID != "req-09" {
+	if limited := tz.Recent(KeepSampled, 2); len(limited) != 2 || limited[0].ID != got[0].ID {
 		t.Fatalf("Recent(2) = %+v", limited)
 	}
 }
@@ -163,26 +163,24 @@ func TestTracerActiveRequests(t *testing.T) {
 }
 
 func TestTraceMaxSpansCap(t *testing.T) {
-	ctx, _, tz := tracedCtx(t, TracerConfig{SampleProb: 1, MaxSpans: 3})
+	ctx, _, tz := tracedCtx(t, TracerConfig{SampleProb: 1})
 	ctx1, endRoot := StartSpan(ctx, "frontend.bulk")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpans+7; i++ {
 		_, end := StartSpan(ctx1, "backend.commit")
 		end(nil)
 	}
 	endRoot(nil)
 	td := tz.Recent(KeepSampled, 1)[0]
-	if len(td.Spans) != 3 {
-		t.Fatalf("spans = %d, want capped at 3", len(td.Spans))
+	if len(td.Spans) != maxSpans {
+		t.Fatalf("spans = %d, want capped at %d", len(td.Spans), maxSpans)
 	}
-	if td.Dropped != 8 {
+	if td.Dropped != 8 { // the root took one slot
 		t.Fatalf("dropped = %d, want 8", td.Dropped)
 	}
 }
 
 func TestRecorderRegistryPerDB(t *testing.T) {
-	rec := NewRecorder()
-	reg := obs.NewRegistry()
-	rec.SetRegistry(reg)
+	rec, reg := newRecorder()
 	ctx := WithRecorder(context.Background(), rec)
 	for _, db := range []string{"alpha", "beta"} {
 		c := With(ctx, Meta{DB: db})
@@ -191,15 +189,15 @@ func TestRecorderRegistryPerDB(t *testing.T) {
 			end(nil)
 		}
 	}
-	if got := reg.Histogram("backend.commit", obs.DB("alpha")).Snapshot().Count; got != 5 {
+	if got := spanCount(reg, "backend.commit", "alpha", status.OK); got != 5 {
 		t.Fatalf("alpha count = %d, want 5", got)
 	}
-	if got := reg.Histogram("backend.commit", obs.DB("beta")).Snapshot().Count; got != 5 {
+	if got := spanCount(reg, "backend.commit", "beta", status.OK); got != 5 {
 		t.Fatalf("beta count = %d, want 5", got)
 	}
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
-	if want := `firestore_backend_commit_latency_seconds_count{db="alpha"} 5`; !strings.Contains(buf.String(), want) {
+	if want := `firestore_backend_commit_latency_seconds_count{code="OK",db="alpha"} 5`; !strings.Contains(buf.String(), want) {
 		t.Fatalf("prometheus output missing %q", want)
 	}
 }
@@ -253,10 +251,8 @@ func TestSlowLog(t *testing.T) {
 // with nested spans, error ends, and concurrent scrapes of every read
 // path. Run under -race.
 func TestConcurrentStartSpanEnd(t *testing.T) {
-	rec := NewRecorder()
-	reg := obs.NewRegistry()
-	rec.SetRegistry(reg)
-	tz := NewTracer(TracerConfig{SampleProb: 0.5, RingSize: 8})
+	rec, reg := newRecorder()
+	tz := NewTracer(TracerConfig{SampleProb: 0.5})
 	rec.SetTracer(tz)
 	base := WithRecorder(context.Background(), rec)
 
@@ -298,7 +294,7 @@ func TestConcurrentStartSpanEnd(t *testing.T) {
 		tz.Stats()
 		var buf bytes.Buffer
 		reg.WritePrometheus(&buf)
-		rec.Summary("frontend.commit")
+		reg.Snapshot()
 	}
 
 	st := tz.Stats()
@@ -308,16 +304,22 @@ func TestConcurrentStartSpanEnd(t *testing.T) {
 	if st.Active != 0 {
 		t.Fatalf("active = %d, want 0", st.Active)
 	}
-	if len(tz.Recent(KeepError, 0)) != 8 {
-		t.Fatalf("error ring = %d, want full 8", len(tz.Recent(KeepError, 0)))
+	if got := len(tz.Recent(KeepError, 0)); got != ringSize {
+		t.Fatalf("error ring = %d, want full %d", got, ringSize)
 	}
-	if got := rec.Summary("backend.commit").Count; got != workers*perWorker {
-		t.Fatalf("backend.commit count = %d, want %d", got, workers*perWorker)
+	var commits uint64
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == "backend.commit" {
+			commits += h.Count
+		}
+	}
+	if commits != workers*perWorker {
+		t.Fatalf("backend.commit count = %d, want %d", commits, workers*perWorker)
 	}
 }
 
 func TestSpanWithoutTracerStillRecords(t *testing.T) {
-	rec := NewRecorder()
+	rec, reg := newRecorder()
 	ctx := WithRecorder(context.Background(), rec)
 	c, end := StartSpan(ctx, "backend.get")
 	if TraceID(c) != "" {
@@ -325,7 +327,41 @@ func TestSpanWithoutTracerStillRecords(t *testing.T) {
 	}
 	Annotate(c, "k", "v") // must be a safe no-op
 	end(nil)
-	if rec.Summary("backend.get").Count != 1 {
+	if spanCount(reg, "backend.get", "", status.OK) != 1 {
 		t.Fatal("histogram not recorded without tracer")
+	}
+}
+
+// TestSpanAllocs pins the bookkeeping cost of one write's four spans
+// (frontend -> wfq -> backend -> spanner) wired as core.OpenRegion wires
+// them: registry + tracer attached, head sampling off, every code OK.
+// The budget is the trace tree alone (trace, four spans, four contexts,
+// four end closures): a seen (span, db, code) costs the metrics path
+// nothing — no Labels map, no registry lookup — and a trace that will
+// not be kept is never snapshotted.
+func TestSpanAllocs(t *testing.T) {
+	rec, reg := newRecorder()
+	tz := NewTracer(TracerConfig{SampleProb: -1})
+	rec.SetTracer(tz)
+	ctx := With(WithRecorder(context.Background(), rec), Meta{RequestID: "rid", DB: "app"})
+	write := func() {
+		c1, end1 := StartSpan(ctx, "frontend.commit")
+		c2, end2 := StartSpan(c1, "wfq.submit")
+		c3, end3 := StartSpan(c2, "backend.commit")
+		_, end4 := StartSpan(c3, "spanner.txn.commit")
+		end4(nil)
+		end3(nil)
+		end2(nil)
+		end1(nil)
+	}
+	write() // mint the four handles
+	if got := testing.AllocsPerRun(200, write); got > 21 {
+		t.Fatalf("four-span write = %v allocs, want <= 21", got)
+	}
+	if got := spanCount(reg, "spanner.txn.commit", "app", status.OK); got != 202 {
+		t.Fatalf("spanner.txn.commit count = %d, want 202", got)
+	}
+	if st := tz.Stats(); st.Kept != 0 || st.Active != 0 {
+		t.Fatalf("tracer stats = %+v, want nothing kept or active", st)
 	}
 }

@@ -20,7 +20,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
+	"time"
 )
 
 // Code is a canonical status code. The values follow the gRPC canonical
@@ -181,6 +183,22 @@ func Retryable(code Code) bool {
 		return true
 	}
 	return false
+}
+
+// Backoff paces the retries of a Retryable failure: each delay is the
+// current base — 2ms, doubling to a 100ms cap — plus up to 100% jitter
+// to decorrelate retry storms. Callers own the attempt limit. The zero
+// value is ready to use.
+type Backoff struct{ base time.Duration }
+
+// Next returns the delay to wait before the next attempt.
+func (b *Backoff) Next() time.Duration {
+	if b.base == 0 {
+		b.base = 2 * time.Millisecond
+	}
+	d := b.base + time.Duration(rand.Int63n(int64(b.base)))
+	b.base = min(2*b.base, 100*time.Millisecond)
+	return d
 }
 
 // HTTPStatus is the single code→HTTP mapping used by the server edge.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+	"time"
 )
 
 func TestCodeOf(t *testing.T) {
@@ -103,6 +104,21 @@ func TestRetryable(t *testing.T) {
 	for _, c := range all {
 		if got := Retryable(c); got != retryable[c] {
 			t.Errorf("Retryable(%v) = %v, want %v", c, got, retryable[c])
+		}
+	}
+}
+
+// TestBackoffSequence pins the one retry pacing every client loop
+// shares: bases 2ms doubling to the 100ms cap, each delay the base plus
+// less than 100% jitter.
+func TestBackoffSequence(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		var b Backoff
+		for i, base := range []time.Duration{2, 4, 8, 16, 32, 64, 100, 100, 100} {
+			base *= time.Millisecond
+			if d := b.Next(); d < base || d >= 2*base {
+				t.Fatalf("delay %d = %v, want in [%v, %v)", i, d, base, 2*base)
+			}
 		}
 	}
 }

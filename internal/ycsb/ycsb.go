@@ -13,7 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"firestore/internal/metric"
+	"firestore/internal/obs"
 )
 
 // Client is the system under test: one YCSB record per document.
@@ -212,8 +212,8 @@ type Result struct {
 	Workload  Workload
 	TargetQPS int
 	Achieved  float64
-	Reads     *metric.Histogram
-	Updates   *metric.Histogram
+	Reads     *obs.Histogram
+	Updates   *obs.Histogram
 	Errors    int64
 }
 
@@ -251,8 +251,8 @@ func Run(ctx context.Context, cl Client, w Workload, targetQPS int, opts RunOpti
 	res := &Result{
 		Workload:  w,
 		TargetQPS: targetQPS,
-		Reads:     &metric.Histogram{},
-		Updates:   &metric.Histogram{},
+		Reads:     &obs.Histogram{},
+		Updates:   &obs.Histogram{},
 	}
 	value := make([]byte, w.RecordSize)
 	interval := time.Second / time.Duration(targetQPS)

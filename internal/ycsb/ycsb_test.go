@@ -112,11 +112,12 @@ func TestRunMixAndRate(t *testing.T) {
 		Workers:  16,
 		Seed:     42,
 	})
-	total := res.Reads.Count() + res.Updates.Count()
+	reads := res.Reads.Snapshot().Count
+	total := reads + res.Updates.Snapshot().Count
 	if total == 0 {
 		t.Fatal("no measured operations")
 	}
-	readFrac := float64(res.Reads.Count()) / float64(total)
+	readFrac := float64(reads) / float64(total)
 	if readFrac < 0.85 || readFrac > 1.0 {
 		t.Fatalf("workload B read fraction = %.2f, want ~0.95", readFrac)
 	}
@@ -139,7 +140,7 @@ func TestRunOpenLoopRecordsQueueing(t *testing.T) {
 		Workers:  4, // capacity = 4/5ms = 800/s < 2000/s offered
 		Seed:     1,
 	})
-	total := res.Reads.Count() + res.Updates.Count()
+	total := res.Reads.Snapshot().Count + res.Updates.Snapshot().Count
 	if total == 0 {
 		t.Fatal("no operations measured")
 	}

@@ -554,7 +554,7 @@ func (c *Client) RunTransaction(ctx context.Context, fn func(tx *Txn) error) err
 	if !c.Online() {
 		return ErrOffline
 	}
-	backoff := 2 * time.Millisecond
+	var backoff status.Backoff
 	var lastErr error
 	for attempt := 0; attempt < 8; attempt++ {
 		tx := &Txn{c: c, ctx: ctx, seen: map[string]bool{}, opIdx: map[string]int{}}
@@ -588,9 +588,8 @@ func (c *Client) RunTransaction(ctx context.Context, fn func(tx *Txn) error) err
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(backoff):
+		case <-time.After(backoff.Next()):
 		}
-		backoff *= 2
 	}
 	return fmt.Errorf("mobile: transaction failed: %w", lastErr)
 }
