@@ -49,12 +49,15 @@ test-race:
 # recorder's handle cache, the /debug suite and fsctl under concurrent
 # scrapes), and the two layers the lockorder and atomicdiscipline
 # analyzers watch most closely — the lock-free keyviz collector and the
-# durable storage engine (WAL append vs sync vs segment refcounts).
+# durable storage engine (WAL append vs sync vs segment refcounts) —
+# and the streaming range-read path above it (spanner, cluster, query):
+# a scan interleaves with writers, flushes, splits and peer death chunk
+# by chunk, not under one lock hold.
 race-repeat:
 	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend
 	$(GO) test -race -count=2 ./firestore/ ./internal/backend/ ./internal/wfq/ ./internal/ramp/ \
 		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ ./cmd/fsctl/ \
-		./internal/keyviz/ ./internal/storage/
+		./internal/keyviz/ ./internal/storage/ ./internal/spanner/ ./internal/cluster/ ./internal/query/
 
 # End-to-end /debug smoke: boots a region, runs a workload, asserts
 # metricz shows per-layer {db, code} histograms, tracez nests the layers,

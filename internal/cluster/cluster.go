@@ -253,17 +253,27 @@ type getBatchResp struct {
 	Results []storage.BatchGet `json:"results"`
 }
 
+// scanReq asks for at most Limit rows of the range; scanResp.More says
+// the range holds rows beyond those returned. The server keeps nothing
+// between calls: the client continues from the last key's successor.
 type scanReq struct {
 	H       uint64             `json:"h"`
 	Lo      []byte             `json:"lo"`
 	Hi      []byte             `json:"hi"`
 	TS      truetime.Timestamp `json:"ts"`
 	Reverse bool               `json:"reverse,omitempty"`
+	Limit   int                `json:"limit"`
 }
 
 type scanResp struct {
 	Rows []storage.Row `json:"rows,omitempty"`
+	More bool          `json:"more,omitempty"`
 }
+
+// maxScanBytes bounds an engine.scan response beside its row limit (at
+// most storage.MaxScanChunk): past this many row bytes the server stops
+// early, so no frame nears transport.MaxFrame however wide the rows.
+const maxScanBytes = 4 << 20
 
 type applyReq struct {
 	H      uint64             `json:"h"`

@@ -89,6 +89,35 @@ func getBatch(e storage.Engine, keys [][]byte, ts truetime.Timestamp) []storage.
 	return out
 }
 
+// engineKinds are the engines the suite holds interchangeable. Disk
+// engines flush every 1 KiB and compact every third segment, so both
+// happen many times within a run.
+var engineKinds = []struct {
+	name    string
+	stats   string // Stats().Kind
+	durable bool   // survives the process: the factory Lists it, flushes happen
+	factory func(t *testing.T) storage.Factory
+}{
+	{"mem", "mem", false, func(*testing.T) storage.Factory {
+		return &stickyMemFactory{engines: map[uint64]*storage.Mem{}}
+	}},
+	{"disk", "disk", true, func(t *testing.T) storage.Factory {
+		fac, err := storage.NewDiskFactory(t.TempDir(), storage.Options{MemtableCap: 1 << 10, CompactAt: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fac
+	}},
+	{"remote-mem", "remote-mem", false, func(t *testing.T) storage.Factory {
+		coord, _ := startCluster(t, 2, KindMem)
+		return coord.Factory(0)
+	}},
+	{"remote-disk", "remote-disk", true, func(t *testing.T) storage.Factory {
+		coord, _ := startCluster(t, 2, KindDisk)
+		return coord.Factory(0)
+	}},
+}
+
 // TestEngineConformance proves the three storage.Engine implementations
 // interchangeable: one seeded random op sequence — Apply, Get, GetBatch,
 // Scan (both directions, bounded and unbounded, stopped early),
@@ -97,32 +126,7 @@ func getBatch(e storage.Engine, keys [][]byte, ts truetime.Timestamp) []storage.
 // Disk and the remote engine on Mem- and Disk-backed peers, every result
 // checked against the model.
 func TestEngineConformance(t *testing.T) {
-	diskOpts := storage.Options{MemtableCap: 1 << 10, CompactAt: 3} // flush and compact within the run
-	for _, kind := range []struct {
-		name    string
-		stats   string // Stats().Kind
-		durable bool   // survives the process: the factory Lists it, flushes happen
-		factory func(t *testing.T) storage.Factory
-	}{
-		{"mem", "mem", false, func(*testing.T) storage.Factory {
-			return &stickyMemFactory{engines: map[uint64]*storage.Mem{}}
-		}},
-		{"disk", "disk", true, func(t *testing.T) storage.Factory {
-			fac, err := storage.NewDiskFactory(t.TempDir(), diskOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fac
-		}},
-		{"remote-mem", "remote-mem", false, func(t *testing.T) storage.Factory {
-			coord, _ := startCluster(t, 2, KindMem)
-			return coord.Factory(0)
-		}},
-		{"remote-disk", "remote-disk", true, func(t *testing.T) storage.Factory {
-			coord, _ := startCluster(t, 2, KindDisk)
-			return coord.Factory(0)
-		}},
-	} {
+	for _, kind := range engineKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			c := &conformance{t: t, fac: kind.factory(t), rng: rand.New(rand.NewSource(20)), head: 100}
 			c.open(1, nil, nil, model{})
@@ -441,4 +445,127 @@ func (c *conformance) checkList() {
 	if !ok {
 		c.t.Fatalf("List = %+v, want the %d tablets of the run with their bounds", metas, len(want))
 	}
+}
+
+// TestScanInvalidation extends the oracle to a scan that is still running
+// while the engine changes under it. fn — which may use the engine it is
+// called from — applies newer versions and new keys inside the range,
+// forces a flush, forces a compaction and, last, splits away the half of
+// the range the scan has not reached (PurgeChains + SetBounds), each
+// between chunks of one Scan. Every delivered row must be the model's at
+// the scan's timestamp, in order, none twice and none skipped, at least
+// up to the split point.
+func TestScanInvalidation(t *testing.T) {
+	for _, kind := range engineKinds {
+		for _, reverse := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/reverse=%v", kind.name, reverse), func(t *testing.T) {
+				c := &conformance{t: t, fac: kind.factory(t), rng: rand.New(rand.NewSource(22)), head: 100}
+				tb := c.open(1, nil, nil, model{})
+				defer func() { tb.eng.Close() }()
+				key := func(i int) []byte { return []byte(fmt.Sprintf("row-%04d", i)) }
+				// put applies one small version (25 accounted bytes: a 1 KiB
+				// memtable holds 40) or, with pad, one that alone forces a flush.
+				put := func(k []byte, pad bool) {
+					c.head++
+					w := storage.Write{Key: k, Value: []byte{byte(c.rng.Intn(256))}}
+					if pad {
+						w.Value = make([]byte, 1<<10)
+					}
+					if c.rng.Intn(12) == 0 {
+						w = storage.Write{Key: k, Delete: true}
+					}
+					tb.model[string(k)] = append(tb.model[string(k)], storage.Version{TS: c.head, Value: w.Value, Deleted: w.Delete})
+					if err := tb.eng.Apply(context.Background(), []storage.Write{w}, c.head); err != nil {
+						t.Fatalf("Apply@%d: %v", c.head, err)
+					}
+				}
+				const n = 400
+				for i := 0; i < n; i++ {
+					put(key(i), false)
+				}
+				for i := 0; i < n; i++ { // overwrites: a key's versions span segments
+					put(key(c.rng.Intn(n)), false)
+				}
+				// Empty the memtable, then leave it more than one chunk deep
+				// where the scan starts.
+				put([]byte("zz-pad"), true)
+				for i := 0; i < 36; i++ {
+					if reverse {
+						put(key(n-1-i), false)
+					} else {
+						put(key(i), false)
+					}
+				}
+
+				lo, hi, ts := key(3), key(n-3), c.head
+				want := tb.model.rows(lo, hi, ts, reverse)
+				splitAt := want[len(want)*3/4].Key // the scan reaches it after every step below
+				var got []storage.Row
+				// deepen rewrites the 36 keys the scan is about to reach, so the
+				// memtable it reads next is again more than one chunk deep.
+				deepen := func() {
+					for _, r := range want[len(got)+8:][:36] {
+						put(r.Key, false)
+					}
+				}
+				finished := tb.eng.Scan(lo, hi, ts, reverse, func(r storage.Row) bool {
+					got = append(got, r)
+					switch len(got) {
+					case 5: // newer versions behind and ahead of the scan, and new keys
+						for i := 0; i < 30; i++ {
+							put(key(c.rng.Intn(n)), false)
+							put(append(key(c.rng.Intn(n)), '+'), false)
+						}
+					case 20: // a flush: the memtable the scan was reading is reset
+						put([]byte("zz-pad"), true)
+						deepen()
+					case 70: // three more: the third compacts away every pinned segment
+						for i := 0; i < 3; i++ {
+							put(key(c.rng.Intn(n)), false)
+							put([]byte("zz-pad"), true)
+						}
+						deepen()
+					case len(want) / 2: // split off the far half
+						from, to := splitAt, hi
+						keep := [2][]byte{lo, splitAt}
+						if reverse {
+							from, to, keep = lo, storage.KeyAfter(splitAt), [2][]byte{storage.KeyAfter(splitAt), hi}
+						}
+						var purge [][]byte
+						tb.eng.AscendChains(from, to, func(ch storage.Chain) bool {
+							purge = append(purge, ch.Key)
+							return true
+						})
+						if err := tb.eng.PurgeChains(purge); err != nil {
+							t.Fatalf("PurgeChains: %v", err)
+						}
+						if err := tb.eng.SetBounds(keep[0], keep[1]); err != nil {
+							t.Fatalf("SetBounds: %v", err)
+						}
+					}
+					return true
+				})
+				reached := slices.IndexFunc(want, func(r storage.Row) bool { return bytes.Equal(r.Key, splitAt) })
+				if !finished || len(got) < reached || len(got) > len(want) || !sameRows(got, want[:len(got)]) {
+					t.Fatalf("Scan across changes finished=%v with %d rows (split point at %d of %d); first difference at %d",
+						finished, len(got), reached, len(want), firstDiff(got, want))
+				}
+				if tb.eng.Crashed() {
+					t.Fatal("engine crashed")
+				}
+				if st := tb.eng.Stats(); kind.durable && (st.Flushes < 4 || st.Compactions < 1) {
+					t.Fatalf("%d flushes, %d compactions: the scan crossed neither", st.Flushes, st.Compactions)
+				}
+			})
+		}
+	}
+}
+
+func firstDiff(got, want []storage.Row) int {
+	for i := range got {
+		if i >= len(want) || !sameRows(got[i:i+1], want[i:i+1]) {
+			return i
+		}
+	}
+	return len(got)
 }

@@ -63,14 +63,28 @@ func (e *remoteEngine) GetBatch(keys [][]byte, ts truetime.Timestamp) []storage.
 	return make([]storage.BatchGet, len(keys))
 }
 
+// Scan fetches the range one bounded chunk per RPC, each from the last
+// key's successor, and stops asking when fn does: a limit-20 query is one
+// small frame, an arbitrarily large range many bounded ones. A failed
+// chunk marks the engine crashed (call does) and ends the scan; the
+// tablet layer's Crashed() check discards what it was about to emit.
 func (e *remoteEngine) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(storage.Row) bool) bool {
-	resp, _ := call(context.Background(), e.via, mScan, scanReq{H: e.handle, Lo: lo, Hi: hi, TS: ts, Reverse: reverse})
-	for _, r := range resp.Rows {
-		if !fn(r) {
-			return false
+	for n := storage.NextScanChunk(0); ; n = storage.NextScanChunk(n) {
+		resp, err := call(context.Background(), e.via, mScan, scanReq{H: e.handle, Lo: lo, Hi: hi, TS: ts, Reverse: reverse, Limit: n})
+		for _, r := range resp.Rows {
+			if !fn(r) {
+				return false
+			}
+		}
+		if err != nil || !resp.More || len(resp.Rows) == 0 {
+			return true
+		}
+		if last := resp.Rows[len(resp.Rows)-1].Key; reverse {
+			hi = last
+		} else {
+			lo = storage.KeyAfter(last)
 		}
 	}
-	return true
 }
 
 func (e *remoteEngine) Apply(ctx context.Context, writes []storage.Write, ts truetime.Timestamp) error {

@@ -321,9 +321,14 @@ func (ts *TabletServer) registerHandlers() {
 		return getBatchResp{Results: results}, nil
 	})
 	handleEngine(ts, mScan, func(_ context.Context, he *hostedEngine, req scanReq) (resp scanResp, _ error) {
-		he.eng.Scan(req.Lo, req.Hi, req.TS, req.Reverse, func(r storage.Row) bool {
+		if req.Limit < 1 || req.Limit > storage.MaxScanChunk {
+			return resp, status.Errorf(status.InvalidArgument, "cluster", "scan limit %d outside [1, %d]", req.Limit, storage.MaxScanChunk)
+		}
+		size := 0
+		resp.More = !he.eng.Scan(req.Lo, req.Hi, req.TS, req.Reverse, func(r storage.Row) bool {
 			resp.Rows = append(resp.Rows, r)
-			return true
+			size += len(r.Key) + len(r.Value)
+			return len(resp.Rows) < req.Limit && size < maxScanBytes
 		})
 		return resp, nil
 	})

@@ -128,12 +128,14 @@ func TestWireGolden(t *testing.T) {
 		`{"h":7,"keys":["a2V5","b3RoZXI="],"ts":12}`,
 		getBatchResp{Results: []storage.BatchGet{{Value: v, TS: 10, OK: true}, {}}},
 		`{"results":[{"value":"dmFs","vts":10,"ok":true},{"ok":false}]}`)
-	golden(p, mScan, scanReq{H: 7, Hi: []byte("z"), TS: 12, Reverse: true},
-		`{"h":7,"lo":null,"hi":"eg==","ts":12,"reverse":true}`,
-		scanResp{Rows: []storage.Row{{Key: k, Value: v, TS: 10}, {Key: []byte("e"), TS: 3}}},
-		`{"rows":[{"k":"a2V5","v":"dmFs","ts":10},{"k":"ZQ==","ts":3}]}`)
-	golden(p, mScan, scanReq{H: 7, TS: 12},
-		`{"h":7,"lo":null,"hi":null,"ts":12}`, scanResp{}, `{}`)
+	// engine.scan was re-captured when scans became chunked (a row limit
+	// in, a "more" flag out); every other entry is as first captured.
+	golden(p, mScan, scanReq{H: 7, Hi: []byte("z"), TS: 12, Reverse: true, Limit: 2},
+		`{"h":7,"lo":null,"hi":"eg==","ts":12,"reverse":true,"limit":2}`,
+		scanResp{Rows: []storage.Row{{Key: k, Value: v, TS: 10}, {Key: []byte("e"), TS: 3}}, More: true},
+		`{"rows":[{"k":"a2V5","v":"dmFs","ts":10},{"k":"ZQ==","ts":3}],"more":true}`)
+	golden(p, mScan, scanReq{H: 7, TS: 12, Limit: 32},
+		`{"h":7,"lo":null,"hi":null,"ts":12,"limit":32}`, scanResp{}, `{}`)
 	golden(p, mApply, applyReq{H: 7, Writes: []storage.Write{{Key: k, Value: v}, {Key: []byte("gone"), Delete: true}}, TS: 13},
 		`{"h":7,"writes":[{"k":"a2V5","v":"dmFs"},{"k":"Z29uZQ==","d":true}],"ts":13}`, none{}, "")
 	golden(p, mLen, handleReq{7}, `{"h":7}`, lenResp{N: 2}, `{"n":2}`)
@@ -227,6 +229,22 @@ func TestMalformedRequests(t *testing.T) {
 				t.Errorf("%s with %s: err = %v, want InvalidArgument or ErrStaleHandle", name, probe.what, err)
 			}
 		}
+	}
+
+	// A scan limit no coordinator sends — negative, zero (an omitted
+	// field) or beyond the largest chunk — is refused before the engine
+	// is touched, and a refusal is not a crash.
+	h := e.(*remoteEngine).handle
+	for _, limit := range []int{-1, 0, storage.MaxScanChunk + 1, 1 << 40} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := toTablet.Call(ctx, mScan.name, scanReq{H: h, TS: 10, Limit: limit}, nil)
+		cancel()
+		if status.CodeOf(err) != status.InvalidArgument {
+			t.Errorf("engine.scan with limit %d: err = %v, want InvalidArgument", limit, err)
+		}
+	}
+	if e.Crashed() {
+		t.Fatal("a refused request marked the engine crashed")
 	}
 
 	// Still serving: the engine plane and the control plane.

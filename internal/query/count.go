@@ -71,10 +71,7 @@ func (p *Plan) walkIndexOnly(ctx context.Context, st Storage, emit func(suffix [
 		return visited, err
 	}
 	// Zig-zag join: same loop as Execute, skipping document fetches.
-	iters := make([]*scanIter, len(p.Scans))
-	for i := range p.Scans {
-		iters[i] = &scanIter{st: st, scan: &p.Scans[i]}
-	}
+	iters := p.newScanIters(st, iterBatch)
 	total := func() int {
 		n := 0
 		for _, it := range iters {

@@ -14,7 +14,9 @@ import (
 type Storage interface {
 	// ScanIndex iterates IndexEntries rows with lo <= key < hi in key
 	// order. The row value is the named document's full textual name.
-	// fn returning false stops the scan.
+	// fn returning false stops the scan, and the work done follows the
+	// rows delivered, not the range. lo is not retained past the call;
+	// key and value are immutable, so fn may keep or slice them.
 	ScanIndex(ctx context.Context, lo, hi []byte, fn func(key, value []byte) bool) error
 	// ScanCollection iterates the documents directly inside c in name
 	// order, starting after startAfterID when non-empty.
@@ -105,10 +107,7 @@ func (p *Plan) executeEntitiesScan(ctx context.Context, st Storage, resume []byt
 // iterators over each scan's range, emit documents whose join suffix
 // (sort values + document ID) appears in every range.
 func (p *Plan) executeIndexScans(ctx context.Context, st Storage, resume []byte, offset, limit int) (*Result, error) {
-	iters := make([]*scanIter, len(p.Scans))
-	for i := range p.Scans {
-		iters[i] = &scanIter{st: st, scan: &p.Scans[i]}
-	}
+	iters := p.newScanIters(st, limit+offset)
 	var candidate []byte
 	if resume != nil {
 		candidate = encoding.Successor(resume)
@@ -128,8 +127,7 @@ func (p *Plan) executeIndexScans(ctx context.Context, st Storage, resume []byte,
 		// join hit; otherwise the max head becomes the next candidate
 		// (the "zig") and laggards re-seek to it (the "zag").
 		allEqual := true
-		var maxSuffix []byte
-		var name string
+		var maxSuffix, name []byte
 		for _, it := range iters {
 			suffix, docName, ok, err := it.seek(ctx, candidate)
 			if err != nil {
@@ -161,7 +159,7 @@ func (p *Plan) executeIndexScans(ctx context.Context, st Storage, resume []byte,
 		if offset > 0 && !hasCursor {
 			offset--
 		} else {
-			d, err := p.fetch(ctx, st, name)
+			d, err := p.fetch(ctx, st, string(name))
 			if err != nil {
 				return nil, err
 			}
@@ -208,80 +206,94 @@ func (p *Plan) fetch(ctx context.Context, st Storage, name string) (*doc.Documen
 	return st.GetDocument(ctx, n)
 }
 
-// scanIter is a pull iterator over one index scan range, refilling in
-// batches.
+// scanIter is the one pull adapter over the push scans below it: a
+// bounded buffer of one index range's entries, refilled from where the
+// last refill stopped or, when a zig-zag seek jumps further, from the
+// seek target. Entries alias the delivered keys and values, which are
+// immutable.
 type scanIter struct {
-	st      st
+	st      Storage
 	scan    *Scan
 	buf     []entry
-	next    []byte // resume key for refill
+	head    int    // buf[head:] is unconsumed
+	batch   int    // size of the next refill
+	last    []byte // last key read; a refill resumes after it
+	lo      []byte // scratch: a refill's lower bound
 	eof     bool
 	scanned int
 }
 
-// st aliases Storage for brevity inside the iterator.
-type st = Storage
-
 type entry struct {
-	suffix []byte
-	name   string
+	suffix, name []byte
 }
 
-const iterBatch = 64
+// Refill sizes. A single scan's first refill is what the query can
+// return (limit + offset); a zig-zag leg starts at iterBatchMin. Both
+// double up to iterBatch while the leg is read on sequentially, and a
+// jump starts small again.
+const (
+	iterBatchMin = 8
+	iterBatch    = 64
+)
+
+// newScanIters returns one iterator per scan of the plan; want is the
+// number of entries a single-scan plan expects to consume.
+func (p *Plan) newScanIters(st Storage, want int) []*scanIter {
+	first := iterBatchMin
+	if len(p.Scans) == 1 {
+		first = min(want, iterBatch)
+	}
+	iters := make([]*scanIter, len(p.Scans))
+	for i := range p.Scans {
+		iters[i] = &scanIter{st: st, scan: &p.Scans[i], batch: first}
+	}
+	return iters
+}
 
 // seek peeks at the first entry with suffix >= target (nil = first). The
 // entry is not consumed: a subsequent seek with the same target returns
 // it again, and a larger target drops it.
-func (it *scanIter) seek(ctx context.Context, target []byte) (suffix []byte, name string, ok bool, err error) {
+func (it *scanIter) seek(ctx context.Context, target []byte) (suffix, name []byte, ok bool, err error) {
 	for {
 		// Drop buffered entries below the target.
-		for len(it.buf) > 0 && target != nil && compare(it.buf[0].suffix, target) < 0 {
-			it.buf = it.buf[1:]
+		for it.head < len(it.buf) && target != nil && compare(it.buf[it.head].suffix, target) < 0 {
+			it.head++
 		}
-		if len(it.buf) > 0 {
-			e := it.buf[0]
+		if it.head < len(it.buf) {
+			e := it.buf[it.head]
 			return e.suffix, e.name, true, nil
 		}
 		if it.eof {
-			return nil, "", false, nil
+			return nil, nil, false, nil
 		}
 		if err := it.refill(ctx, target); err != nil {
-			return nil, "", false, err
-		}
-		if len(it.buf) == 0 && it.eof {
-			return nil, "", false, nil
+			return nil, nil, false, err
 		}
 	}
 }
 
 func (it *scanIter) refill(ctx context.Context, target []byte) error {
 	lo := it.scan.Lo
-	if it.next != nil {
-		lo = it.next
+	if it.last != nil {
+		it.lo = append(append(it.lo[:0], it.last...), 0)
+		lo = it.lo
 	}
-	if target != nil {
-		withTarget := append(append([]byte(nil), it.scan.Prefix...), target...)
-		if compare(withTarget, lo) > 0 {
-			lo = withTarget
+	if target != nil && compare(target, lo[len(it.scan.Prefix):]) > 0 {
+		if it.last != nil {
+			it.batch = iterBatchMin
 		}
+		it.lo = append(append(it.lo[:0], it.scan.Prefix...), target...)
+		lo = it.lo
 	}
-	count := 0
-	var lastKey []byte
+	n := it.batch
+	it.batch = min(2*n, iterBatch)
+	it.buf, it.head = it.buf[:0], 0
 	err := it.st.ScanIndex(ctx, lo, it.scan.Hi, func(key, value []byte) bool {
-		it.scanned++
-		suffix := append([]byte(nil), key[len(it.scan.Prefix):]...)
-		it.buf = append(it.buf, entry{suffix: suffix, name: string(value)})
-		lastKey = key
-		count++
-		return count < iterBatch
+		it.buf = append(it.buf, entry{suffix: key[len(it.scan.Prefix):], name: value})
+		it.last = key
+		return len(it.buf) < n
 	})
-	if err != nil {
-		return err
-	}
-	if count < iterBatch {
-		it.eof = true
-	} else {
-		it.next = encoding.Successor(lastKey)
-	}
-	return nil
+	it.scanned += len(it.buf)
+	it.eof = len(it.buf) < n
+	return err
 }

@@ -2,7 +2,9 @@ package spanner
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -294,17 +296,17 @@ func TestStaleTabletReadAfterMerge(t *testing.T) {
 		if err != nil || !ok || string(v) != "v" {
 			t.Fatalf("SnapshotGet(%q) = %q, %v, %v; want v", key, v, ok, err)
 		}
-		if _, _, ok, err := db.readOwned(key, truetime.Max); err != nil || !ok {
+		if _, _, ok, err := db.readOwned(ctx, key, truetime.Max); err != nil || !ok {
 			t.Fatalf("readOwned(%q) = %v, %v; want hit", key, ok, err)
 		}
 		// Scans revalidate ownership too: a full-range scan through a
 		// retired tablet restarts against the current owners.
 		count := 0
-		more, valid := stale.scanAt(nil, nil, truetime.Max, false, func(ScanRow) bool {
+		more, valid, err := stale.scanAt(ctx, nil, nil, truetime.Max, false, func(ScanRow) bool {
 			count++
 			return true
 		})
-		if valid || !more || count != 0 {
+		if err != nil || valid || !more || count != 0 {
 			t.Fatalf("stale scanAt = (more=%v valid=%v count=%d), want invalid with no rows", more, valid, count)
 		}
 		count = 0
@@ -485,4 +487,67 @@ func TestCommitInterruptedPhase2RollsForward(t *testing.T) {
 	if err != nil || !ok || string(v2) != "forward" {
 		t.Fatalf("second participant's write missing after roll-forward (ok=%v v=%q err=%v)", ok, v2, err)
 	}
+}
+
+// downFactory opens one engine and then refuses every re-open, and its
+// engine can be switched to report Crashed(): a tablet server that died
+// and is not respawned.
+type downFactory struct {
+	storage.MemFactory
+	opened bool
+	down   atomic.Bool
+}
+
+type downEngine struct {
+	storage.Engine
+	fac *downFactory
+}
+
+func (e *downEngine) Crashed() bool { return e.fac.down.Load() }
+
+func (f *downFactory) Open(id uint64, start, end []byte) (storage.Engine, error) {
+	if f.opened {
+		return nil, storage.ErrCrashed
+	}
+	f.opened = true
+	return &downEngine{Engine: storage.NewMem(), fac: f}, nil
+}
+
+// TestCrashRetryHonoursDeadline: with the engine crashed and recovery
+// failing every time, a read holding a deadline returns DeadlineExceeded
+// instead of spinning on recover-and-sleep forever.
+func TestCrashRetryHonoursDeadline(t *testing.T) {
+	fac := &downFactory{}
+	db, err := Open(Config{Clock: truetime.NewSystem(10 * time.Microsecond), Storage: fac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	put(t, db, "k", "v")
+	ts := db.StrongReadTimestamp()
+	fac.down.Store(true)
+
+	for name, read := range map[string]func(context.Context) error{
+		"SnapshotGet": func(ctx context.Context) error {
+			_, _, _, err := db.SnapshotGet(ctx, []byte("k"), ts)
+			return err
+		},
+		"SnapshotScan": func(ctx context.Context) error {
+			return db.SnapshotScan(ctx, nil, nil, ts, false, func(ScanRow) bool { return true })
+		},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		done := make(chan error, 1)
+		go func() { done <- read(ctx) }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s on a dead tablet = %v, want DeadlineExceeded", name, err)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("%s on a dead tablet ignores its 50ms deadline", name)
+		}
+		cancel()
+	}
+	fac.down.Store(false) // let Close release the engine
 }

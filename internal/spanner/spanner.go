@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -515,7 +516,10 @@ func (db *DB) SnapshotGet(ctx context.Context, key []byte, ts truetime.Timestamp
 			return nil, 0, false, err
 		}
 		t.recordOp(1, keyviz.OpRead)
-		v, vts, ok := t.readAt(key, ts)
+		v, vts, ok, err := t.readAt(ctx, key, ts)
+		if err != nil {
+			return nil, 0, false, err
+		}
 		if !t.ownsKey(key) {
 			// A split or merge moved the key between resolution and the
 			// read; re-resolve the owner.
@@ -530,16 +534,16 @@ func (db *DB) SnapshotGet(ctx context.Context, key []byte, ts truetime.Timestamp
 // the owning tablet when a concurrent split or merge migrates the key
 // between resolution and the engine read. Used by locked transactional
 // reads, which need no safe-time wait.
-func (db *DB) readOwned(key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool, error) {
+func (db *DB) readOwned(ctx context.Context, key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool, error) {
 	for {
 		t := db.tabletFor(key)
 		if t == nil {
 			return nil, 0, false, ErrClosed
 		}
 		t.recordOp(1, keyviz.OpRead)
-		v, vts, ok := t.readAt(key, ts)
-		if t.ownsKey(key) {
-			return v, vts, ok, nil
+		v, vts, ok, err := t.readAt(ctx, key, ts)
+		if err != nil || t.ownsKey(key) {
+			return v, vts, ok, err
 		}
 	}
 }
@@ -547,7 +551,7 @@ func (db *DB) readOwned(key []byte, ts truetime.Timestamp) ([]byte, truetime.Tim
 // readOwnedBatch is readOwned over many keys: it groups keys by owning
 // tablet, reads each group in one engine call, and re-resolves keys a
 // concurrent split or merge migrates mid-read. Results align with keys.
-func (db *DB) readOwnedBatch(keys [][]byte, ts truetime.Timestamp) ([]storage.BatchGet, error) {
+func (db *DB) readOwnedBatch(ctx context.Context, keys [][]byte, ts truetime.Timestamp) ([]storage.BatchGet, error) {
 	out := make([]storage.BatchGet, len(keys))
 	pending := make([]int, len(keys))
 	for i := range keys {
@@ -569,7 +573,10 @@ func (db *DB) readOwnedBatch(keys [][]byte, ts truetime.Timestamp) ([]storage.Ba
 				ks[j] = keys[i]
 			}
 			t.recordOp(int64(len(ks)), keyviz.OpRead)
-			res := t.readBatchAt(ks, ts)
+			res, err := t.readBatchAt(ctx, ks, ts)
+			if err != nil {
+				return nil, err
+			}
 			for j, i := range idxs {
 				if !t.ownsKey(keys[i]) {
 					pending = append(pending, i)
@@ -600,9 +607,7 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 	for {
 		tablets := db.tabletsInRange(lo, hi)
 		if reverse {
-			for i, j := 0, len(tablets)-1; i < j; i, j = i+1, j-1 {
-				tablets[i], tablets[j] = tablets[j], tablets[i]
-			}
+			slices.Reverse(tablets)
 		}
 		var last []byte
 		emit := func(r ScanRow) bool {
@@ -615,14 +620,15 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 				return err
 			}
 			t.recordOp(1, keyviz.OpScan)
-			more, valid := t.scanAt(lo, hi, ts, reverse, emit)
+			more, valid, err := t.scanAt(ctx, lo, hi, ts, reverse, emit)
+			if err != nil || !more {
+				return err
+			}
 			if !valid {
-				// A split or merge migrated part of the range mid-scan.
+				// A split or merge migrated part of the range, or the
+				// engine crashed, mid-scan.
 				restart = true
 				break
-			}
-			if !more {
-				return nil
 			}
 		}
 		if !restart {
@@ -633,9 +639,9 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 		// invisible to fn.
 		if last != nil {
 			if reverse {
-				hi = append([]byte(nil), last...)
+				hi = last
 			} else {
-				lo = append(append([]byte(nil), last...), 0)
+				lo = storage.KeyAfter(last)
 			}
 		}
 	}

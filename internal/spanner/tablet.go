@@ -180,25 +180,37 @@ func waitCond(c *sync.Cond, d time.Duration) {
 	close(done)
 }
 
+// awaitRecovery is the retry step of a read that found engine e crashed:
+// recover the tablet from disk, backing off on the clock when recovery
+// itself fails (real storage trouble) — but never past the request's
+// deadline: with a tablet server down for good, ctx's error, not a hang.
+func (t *tablet) awaitRecovery(ctx context.Context, e storage.Engine) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if !t.db.recoverTablet(t, e) {
+		t.clock.Sleep(time.Millisecond)
+	}
+	return nil
+}
+
 // readAt returns the value of key visible at ts and its version
 // timestamp. A result read off an engine that crashed mid-read is
 // discarded and retried against the recovered engine.
-func (t *tablet) readAt(key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool) {
+func (t *tablet) readAt(ctx context.Context, key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool, error) {
 	for {
 		e := t.engine()
 		v, vts, ok := e.Get(key, ts)
 		if !e.Crashed() {
-			return v, vts, ok
+			return v, vts, ok, nil
 		}
 		if t.isRetired() {
 			// A merge closed this engine for good; the caller's ownership
 			// check re-resolves to the absorbing tablet.
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
-		if !t.db.recoverTablet(t, e) {
-			// Recovery itself failed (real storage trouble); back off on
-			// the clock instead of spinning.
-			t.clock.Sleep(time.Millisecond)
+		if err := t.awaitRecovery(ctx, e); err != nil {
+			return nil, 0, false, err
 		}
 	}
 }
@@ -207,7 +219,7 @@ func (t *tablet) readAt(key []byte, ts truetime.Timestamp) ([]byte, truetime.Tim
 // engine supports batched reads (the cluster's remote engine coalesces
 // the batch into a single round trip), falling back to per-key gets.
 // Results align with keys.
-func (t *tablet) readBatchAt(keys [][]byte, ts truetime.Timestamp) []storage.BatchGet {
+func (t *tablet) readBatchAt(ctx context.Context, keys [][]byte, ts truetime.Timestamp) ([]storage.BatchGet, error) {
 	for {
 		e := t.engine()
 		var res []storage.BatchGet
@@ -221,69 +233,72 @@ func (t *tablet) readBatchAt(keys [][]byte, ts truetime.Timestamp) []storage.Bat
 			}
 		}
 		if !e.Crashed() {
-			return res
+			return res, nil
 		}
 		if t.isRetired() {
 			// Every key reads as missing; the caller's ownership check
 			// re-resolves each to the absorbing tablet.
-			return make([]storage.BatchGet, len(keys))
+			return make([]storage.BatchGet, len(keys)), nil
 		}
-		if !t.db.recoverTablet(t, e) {
-			t.clock.Sleep(time.Millisecond)
+		if err := t.awaitRecovery(ctx, e); err != nil {
+			return nil, err
 		}
 	}
 }
 
-// scanAt iterates rows of [begin, end) ∩ [t.start, t.end) visible at ts.
-// The first result is false if fn stopped the scan. valid is false when
-// a concurrent split or merge changed what the tablet owns of [begin,
-// end) between resolution and the engine scan — no rows were emitted
-// and the caller must re-resolve tablets for the range and retry.
-func (t *tablet) scanAt(begin, end []byte, ts truetime.Timestamp, reverse bool, fn func(ScanRow) bool) (more, valid bool) {
+// scanChunks pools scanAt's row chunks (emit clears them: a pooled chunk
+// pins no keys or values).
+var scanChunks = sync.Pool{New: func() any {
+	rows := make([]ScanRow, 0, storage.NextScanChunk(0))
+	return &rows
+}}
+
+// scanAt iterates rows of [begin, end) ∩ [t.start, t.end) visible at ts,
+// forwarding them to fn a chunk at a time as the engine streams them.
+// more is false if fn stopped the scan. valid is false when the rows not
+// yet emitted cannot be trusted: a split or merge changed what the
+// tablet owns of [begin, end), or the engine crashed (it is recovered
+// before returning). The caller re-resolves tablets and resumes after
+// the last row emitted; at a fixed ts the re-read rows are identical.
+func (t *tablet) scanAt(ctx context.Context, begin, end []byte, ts truetime.Timestamp, reverse bool, fn func(ScanRow) bool) (more, valid bool, err error) {
 	t.mu.Lock()
 	lo, hi := clampRange(begin, end, t.start, t.end)
-	retired := t.retired
+	e, retired := t.store, t.retired
 	t.mu.Unlock()
 	if retired {
-		return true, false
+		return true, false, nil
 	}
-	// Collect rows first, then call fn outside any engine state so
-	// callbacks may issue further reads; re-check Crashed so a scan that
-	// raced a crash retries instead of reporting a hole.
-	for {
-		e := t.engine()
-		var rows []ScanRow
-		e.Scan(lo, hi, ts, reverse, func(r ScanRow) bool {
-			rows = append(rows, r)
-			return true
-		})
-		if e.Crashed() {
-			if t.isRetired() {
-				return true, false
-			}
-			if !t.db.recoverTablet(t, e) {
-				t.clock.Sleep(time.Millisecond)
-			}
-			continue
-		}
-		// Revalidate ownership before emitting anything: split/merge
-		// migrate chains while holding t.mu, so an unchanged clamp means
-		// the engine scan above was ordered entirely before any migration
-		// of this range.
+	chunk := scanChunks.Get().(*[]ScanRow)
+	defer scanChunks.Put(chunk)
+	// emit forwards the chunk's rows. They were read before this check,
+	// and split/merge migrate chains while holding t.mu: an unchanged
+	// clamp on a live engine means every one of them was read before any
+	// migration of the range, so validate, then emit, per chunk.
+	more, valid = true, true
+	emit := func() bool {
+		rows, crashed := *chunk, e.Crashed()
 		t.mu.Lock()
 		lo2, hi2 := clampRange(begin, end, t.start, t.end)
-		valid = !t.retired && sameBound(lo, lo2) && sameBound(hi, hi2)
+		valid = !crashed && !t.retired && sameBound(lo, lo2) && sameBound(hi, hi2)
 		t.mu.Unlock()
-		if !valid {
-			return true, false
+		for i := 0; valid && more && i < len(rows); i++ {
+			more = fn(rows[i])
 		}
-		for _, r := range rows {
-			if !fn(r) {
-				return false, true
-			}
-		}
-		return true, true
+		clear(rows)
+		*chunk = rows[:0]
+		return valid && more
 	}
+	e.Scan(lo, hi, ts, reverse, func(r ScanRow) bool {
+		*chunk = append(*chunk, r)
+		return len(*chunk) < cap(*chunk) || emit()
+	})
+	if valid && more {
+		emit()
+	}
+	if e.Crashed() && !t.isRetired() {
+		err = t.awaitRecovery(ctx, e)
+	}
+	return more, valid, err
 }
 
 // sameBound reports equality of two range bounds where nil means

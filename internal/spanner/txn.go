@@ -122,7 +122,7 @@ func (t *Txn) GetVersioned(ctx context.Context, key []byte, forUpdate bool) ([]b
 	if err := t.lock(ctx, key, mode); err != nil {
 		return nil, 0, false, err
 	}
-	v, vts, ok, err := t.db.readOwned(key, truetime.Max)
+	v, vts, ok, err := t.db.readOwned(ctx, key, truetime.Max)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -163,7 +163,7 @@ func (t *Txn) PrefetchForUpdate(ctx context.Context, keys [][]byte) error {
 	if len(fetch) == 0 {
 		return nil
 	}
-	res, err := t.db.readOwnedBatch(fetch, truetime.Max)
+	res, err := t.db.readOwnedBatch(ctx, fetch, truetime.Max)
 	if err != nil {
 		return err
 	}
@@ -183,20 +183,29 @@ func (t *Txn) Scan(ctx context.Context, begin, end []byte, fn func(ScanRow) bool
 	if t.done {
 		return ErrTxnDone
 	}
-	// Collect committed rows, then overlay buffered writes. A split or
-	// merge racing the collection invalidates a tablet's contribution;
-	// restart the whole collection (values are re-read under locks below,
-	// so only the key set needs to be complete).
+	// Collect the committed key set, then overlay buffered writes. The
+	// set is read at one fixed timestamp: engines stream a range chunk
+	// by chunk, and a read at truetime.Max would be a different instant
+	// per chunk. A split or merge racing the collection invalidates a
+	// tablet's contribution; restart the whole collection (values are
+	// re-read under locks below: only the key set must be complete).
+	ts := t.db.StrongReadTimestamp()
 	var rows []ScanRow
 	for {
 		rows = rows[:0]
 		ok := true
 		for _, tab := range t.db.tabletsInRange(begin, end) {
+			if err := tab.waitSafe(ctx, ts); err != nil {
+				return err
+			}
 			tab.recordOp(1, keyviz.OpScan)
-			_, valid := tab.scanAt(begin, end, truetime.Max, false, func(r ScanRow) bool {
+			_, valid, err := tab.scanAt(ctx, begin, end, ts, false, func(r ScanRow) bool {
 				rows = append(rows, r)
 				return true
 			})
+			if err != nil {
+				return err
+			}
 			if !valid {
 				ok = false
 				break
@@ -219,7 +228,7 @@ func (t *Txn) Scan(ctx context.Context, begin, end []byte, fn func(ScanRow) bool
 				continue
 			}
 			r.Value = w.value
-		} else if v, _, ok, err := t.db.readOwned(r.Key, truetime.Max); err != nil {
+		} else if v, _, ok, err := t.db.readOwned(ctx, r.Key, truetime.Max); err != nil {
 			return err
 		} else if ok {
 			r.Value = v

@@ -224,9 +224,13 @@ type Disk struct {
 	// recovers a fresh engine from disk.
 	dead atomic.Bool
 
-	mu          sync.RWMutex
-	tab         memtable
-	segs        []*segment // oldest first
+	mu   sync.RWMutex
+	tab  memtable
+	segs []*segment // oldest first
+	// gen counts changes of the layer set (a flush resets the memtable
+	// into a new segment, a compaction swaps the segments): a merge that
+	// pinned segs under one gen must not read tab under another.
+	gen         uint64
 	man         manifestData
 	lastDurable truetime.Timestamp
 
@@ -627,82 +631,156 @@ func (e *Disk) Get(key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestam
 	return nil, 0, false
 }
 
-// resolveState tracks the per-key outcome while layering newest-first.
-type resolveState struct {
-	val     []byte
-	ts      truetime.Timestamp
-	present bool
-	done    bool
+// mergeLayers is the one k-way merge over an engine's layers: the chain
+// streams of its segments, oldest first, and, newest, a slice of
+// memtable chains. It calls fn once per key of [lo, hi) that any layer
+// holds, ascending, with that key's chain from each such layer, oldest
+// layer first (the slice is reused between calls). It returns false if
+// fn stopped it. Streams keep their position, so a later call continues
+// where this one's hi left them.
+func mergeLayers(streams []*chainStream, mem []Chain, lo, hi []byte, fn func(layers []Chain) bool) (bool, error) {
+	var layers []Chain
+	for {
+		var key []byte
+		if len(mem) > 0 {
+			key = mem[0].Key
+		}
+		for _, cs := range streams {
+			k, err := cs.peek(lo)
+			if err != nil {
+				return false, err
+			}
+			if k != nil && (key == nil || bytes.Compare(k, key) < 0) {
+				key = k
+			}
+		}
+		if key == nil || hi != nil && bytes.Compare(key, hi) >= 0 {
+			return true, nil
+		}
+		layers = layers[:0]
+		for _, cs := range streams {
+			if cs.head != nil && bytes.Equal(cs.head, key) {
+				c, err := cs.take()
+				if err != nil {
+					return false, err
+				}
+				layers = append(layers, c)
+			}
+		}
+		if len(mem) > 0 && bytes.Equal(mem[0].Key, key) {
+			layers, mem = append(layers, mem[0]), mem[1:]
+		}
+		if !fn(layers) {
+			return false, nil
+		}
+	}
 }
 
-// resolveRange merges memtable and segments for [lo, hi) at ts,
-// returning the visible rows sorted by key.
-func (e *Disk) resolveRange(lo, hi []byte, ts truetime.Timestamp) []Row {
-	m := map[string]*resolveState{}
-	decide := func(key []byte, versions []Version, purged bool) {
-		k := string(key)
-		st := m[k]
-		if st == nil {
-			st = &resolveState{}
-			m[k] = st
+// rowAt projects one key's layers to the row visible at ts: the newest
+// layer holding a version at or before ts decides, and a purge marker
+// masks every layer below it.
+func rowAt(layers []Chain, ts truetime.Timestamp) (Row, bool) {
+	for i := len(layers) - 1; i >= 0; i-- {
+		if v, found := newestAtOrBefore(layers[i].Versions, ts); found {
+			return Row{Key: layers[i].Key, Value: v.Value, TS: v.TS}, !v.Deleted
 		}
-		if st.done {
-			return
+		if layers[i].Purged {
+			break
 		}
-		if v, found := newestAtOrBefore(versions, ts); found {
-			st.done = true
-			if !v.Deleted {
-				st.val, st.ts, st.present = v.Value, v.TS, true
+	}
+	return Row{}, false
+}
+
+// fullChain projects one key's layers to its whole version chain: a
+// purge marker resets the accumulation, otherwise layers concatenate
+// (per-key timestamps only ascend across generations, so the result
+// stays ordered). The result shares no memory with the memtable.
+func fullChain(layers []Chain) Chain {
+	c := Chain{Key: layers[0].Key}
+	for _, l := range layers {
+		if l.Purged {
+			c.Versions, c.Purged = nil, true
+		}
+		c.Versions = append(c.Versions, l.Versions...)
+	}
+	return c
+}
+
+// merge runs mergeLayers over [lo, hi) of the live engine in rounds. A
+// round snapshots the next chunk of memtable chains under RLock, then
+// merges, lock-free, up to that chunk's last key against the pinned
+// segments. A flush or compaction between rounds changes the layer set
+// (the memtable is no longer the one the pin was taken with): the
+// generation check re-pins and re-seeks from the round's lo, below which
+// every key has been merged. The pin lives exactly as long as the call.
+// Returns false if fn stopped the merge. An I/O error fails the engine —
+// silently missing keys would lose rows in a scan and whole chains in a
+// split — and callers observe Crashed().
+func (e *Disk) merge(lo, hi []byte, fn func(layers []Chain) bool) bool {
+	var (
+		segs    []*segment
+		streams []*chainStream
+		mem     []Chain
+		gen     uint64
+	)
+	release := func() {
+		for _, cs := range streams {
+			cs.close()
+		}
+		releaseSegments(segs)
+		segs, streams = nil, streams[:0]
+	}
+	defer release()
+	for n := NextScanChunk(0); ; n = NextScanChunk(n) {
+		mem = mem[:0]
+		e.mu.RLock()
+		if segs == nil || gen != e.gen {
+			release()
+			segs, gen = e.pinSegmentsLocked(), e.gen
+			for _, s := range segs {
+				streams = append(streams, s.stream(lo, false))
 			}
-			return
 		}
-		if purged {
-			st.done = true
+		e.tab.rows.Ascend(lo, hi, func(k []byte, v any) bool {
+			c := v.(*memChain)
+			mem = append(mem, Chain{Key: k, Versions: c.versions, Purged: c.purged})
+			return len(mem) < n
+		})
+		e.mu.RUnlock()
+		end := hi
+		if len(mem) == n {
+			end = KeyAfter(mem[n-1].Key)
 		}
-	}
-	e.mu.RLock()
-	e.tab.rows.Ascend(lo, hi, func(k []byte, v any) bool {
-		c := v.(*memChain)
-		decide(k, c.versions, c.purged)
-		return true
-	})
-	segs := e.pinSegmentsLocked()
-	e.mu.RUnlock()
-	defer releaseSegments(segs)
-	for i := len(segs) - 1; i >= 0; i-- {
-		if err := segs[i].ascend(lo, hi, func(c Chain) bool {
-			decide(c.Key, c.Versions, c.Purged)
-			return true
-		}); err != nil {
-			// Real I/O trouble on a pinned file: fail the engine rather
-			// than return a scan with silently missing rows; the tablet
-			// layer observes Crashed() and retries post-recovery.
+		more, err := mergeLayers(streams, mem, lo, end, fn)
+		if err != nil {
 			e.markDead()
-			return nil
+			return true
 		}
-	}
-	rows := make([]Row, 0, len(m))
-	for k, st := range m {
-		if st.present {
-			rows = append(rows, Row{Key: []byte(k), Value: st.val, TS: st.ts})
+		if !more || len(mem) < n {
+			return more
 		}
+		lo = end
 	}
-	sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i].Key, rows[j].Key) < 0 })
-	return rows
 }
 
 func (e *Disk) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(Row) bool) bool {
-	rows := e.resolveRange(lo, hi, ts)
-	if reverse {
-		for i := len(rows) - 1; i >= 0; i-- {
-			if !fn(rows[i]) {
-				return false
-			}
+	if !reverse {
+		return e.merge(lo, hi, func(layers []Chain) bool {
+			r, ok := rowAt(layers, ts)
+			return !ok || fn(r)
+		})
+	}
+	// Segment files only stream forward, and no serving path scans in
+	// reverse: resolve the range, then walk it backwards.
+	var rows []Row
+	e.merge(lo, hi, func(layers []Chain) bool {
+		if r, ok := rowAt(layers, ts); ok {
+			rows = append(rows, r)
 		}
 		return true
-	}
-	for _, r := range rows {
-		if !fn(r) {
+	})
+	for i := len(rows) - 1; i >= 0; i-- {
+		if !fn(rows[i]) {
 			return false
 		}
 	}
@@ -722,79 +800,24 @@ func (e *Disk) Len() int {
 	return n
 }
 
-// mergedChains resolves the full version chain per key across segments
-// (oldest first) and the memtable: purge markers reset accumulation,
-// otherwise layers concatenate (per-key timestamps only ascend across
-// generations, so concatenation keeps chains ordered).
-func (e *Disk) mergedChains(lo, hi []byte) []Chain {
-	type acc struct {
-		versions []Version
-		purged   bool
-	}
-	m := map[string]*acc{}
-	layer := func(key []byte, versions []Version, purged bool) {
-		k := string(key)
-		a := m[k]
-		if a == nil {
-			a = &acc{}
-			m[k] = a
+func (e *Disk) KeyAt(i int) (key []byte, ok bool) {
+	e.AscendChains(nil, nil, func(c Chain) bool {
+		if i == 0 {
+			key, ok = c.Key, true
 		}
-		if purged {
-			a.versions = append([]Version(nil), versions...)
-			a.purged = true
-			return
-		}
-		a.versions = append(a.versions, versions...)
-	}
-	e.mu.RLock()
-	segs := e.pinSegmentsLocked()
-	e.mu.RUnlock()
-	defer releaseSegments(segs)
-	for _, s := range segs {
-		if err := s.ascend(lo, hi, func(c Chain) bool {
-			layer(c.Key, c.Versions, c.Purged)
-			return true
-		}); err != nil {
-			// A truncated chain set would migrate partial data during a
-			// split or merge; fail the engine so callers see Crashed().
-			e.markDead()
-			return nil
-		}
-	}
-	e.mu.RLock()
-	e.tab.rows.Ascend(lo, hi, func(k []byte, v any) bool {
-		c := v.(*memChain)
-		layer(k, c.versions, c.purged)
-		return true
+		i--
+		return !ok
 	})
-	e.mu.RUnlock()
-	chains := make([]Chain, 0, len(m))
-	for k, a := range m {
-		if len(a.versions) == 0 {
-			continue
-		}
-		chains = append(chains, Chain{Key: []byte(k), Versions: a.versions, Purged: a.purged})
-	}
-	sort.Slice(chains, func(i, j int) bool { return bytes.Compare(chains[i].Key, chains[j].Key) < 0 })
-	return chains
-}
-
-func (e *Disk) KeyAt(i int) ([]byte, bool) {
-	chains := e.mergedChains(nil, nil)
-	if i < 0 || i >= len(chains) {
-		return nil, false
-	}
-	return chains[i].Key, true
+	return key, ok
 }
 
 func (e *Disk) AscendChains(lo, hi []byte, fn func(Chain) bool) {
-	for _, c := range e.mergedChains(lo, hi) {
-		// Resolved chains are complete; the purge marker has done its
-		// masking and is not reported.
-		if !fn(Chain{Key: c.Key, Versions: c.Versions}) {
-			return
-		}
-	}
+	e.merge(lo, hi, func(layers []Chain) bool {
+		// A resolved chain is complete: the purge marker has done its
+		// masking and is not reported, nor is a key it emptied.
+		c := fullChain(layers)
+		return len(c.Versions) == 0 || fn(Chain{Key: c.Key, Versions: c.Versions})
+	})
 }
 
 // logThenApply is the shared WAL-first path of IngestChains/PurgeChains.
@@ -963,6 +986,7 @@ func (e *Disk) flushLocked(ctx context.Context) {
 	e.man = man
 	e.segs = append(e.segs, seg)
 	e.tab.reset()
+	e.gen++
 	e.flushes.Add(1)
 	met := e.metrics()
 	met.add(met.flushes, 1)
@@ -987,52 +1011,27 @@ func (e *Disk) maybeCompactLocked() {
 	if e.opts.CompactAt <= 0 || len(e.segs) < e.opts.CompactAt {
 		return
 	}
-	type acc struct {
-		versions []Version
-		purged   bool
+	streams := make([]*chainStream, len(e.segs))
+	for i, s := range e.segs {
+		streams[i] = s.stream(nil, false)
+		defer streams[i].close()
 	}
-	m := map[string]*acc{}
-	var order [][]byte
-	for _, s := range e.segs {
-		err := s.ascend(nil, nil, func(c Chain) bool {
-			k := string(c.Key)
-			a := m[k]
-			if a == nil {
-				a = &acc{}
-				m[k] = a
-				order = append(order, c.Key)
-			}
-			if c.Purged {
-				a.versions = append([]Version(nil), c.Versions...)
-				a.purged = true
-			} else {
-				a.versions = append(a.versions, c.Versions...)
-			}
-			return true
-		})
-		if err != nil {
-			// Real I/O trouble (e.mu excludes concurrent swaps here):
-			// recovery revalidates the segment set instead of retrying a
-			// doomed compaction at every flush.
-			e.markDead()
-			return
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return bytes.Compare(order[i], order[j]) < 0 })
-	chains := make([]Chain, 0, len(order))
-	for _, k := range order {
-		a := m[string(k)]
+	var chains []Chain
+	if _, err := mergeLayers(streams, nil, nil, nil, func(layers []Chain) bool {
 		// A full compaction sees every older generation, so purge
 		// markers have nothing left to mask and bounds are final: drop
 		// masked-out and migrated-away state for good.
-		if !boundsContain(e.man.Start, e.man.End, k) {
-			continue
+		c := fullChain(layers)
+		if vs := trimChain(c.Versions, GCHorizon); len(vs) > 0 && boundsContain(e.man.Start, e.man.End, c.Key) {
+			chains = append(chains, Chain{Key: c.Key, Versions: vs})
 		}
-		vs := trimChain(a.versions, GCHorizon)
-		if len(vs) == 0 {
-			continue
-		}
-		chains = append(chains, Chain{Key: k, Versions: vs})
+		return true
+	}); err != nil {
+		// Real I/O trouble (e.mu excludes concurrent swaps here):
+		// recovery revalidates the segment set instead of retrying a
+		// doomed compaction at every flush.
+		e.markDead()
+		return
 	}
 	name := fmt.Sprintf("seg-%08d.seg", e.man.NextSeg)
 	meta, err := writeSegment(e.dir, name, chains)
@@ -1054,6 +1053,7 @@ func (e *Disk) maybeCompactLocked() {
 	olds := e.segs
 	e.man = man
 	e.segs = []*segment{seg}
+	e.gen++
 	for _, s := range olds {
 		// Close and unlink are deferred until in-flight readers that
 		// pinned the old segment set drain (they still see a complete,

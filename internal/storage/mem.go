@@ -17,11 +17,6 @@ type memChain struct {
 	purged bool
 }
 
-// at returns the value visible at ts and its version timestamp.
-func (c *memChain) at(ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool) {
-	return chainAt(c.versions, ts)
-}
-
 // memtable is a B-tree of version chains with byte accounting. Not
 // self-locking: the owning engine serializes access.
 type memtable struct {
@@ -113,32 +108,48 @@ func (e *Mem) Get(key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestamp
 	if !ok {
 		return nil, 0, false
 	}
-	return cv.(*memChain).at(ts)
+	return chainAt(cv.(*memChain).versions, ts)
 }
 
 func (e *Mem) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(Row) bool) bool {
-	// Collect matching rows under the lock, then call fn outside it so
-	// callbacks may issue further reads.
-	e.mu.Lock()
+	// Each round visits one chunk of chains under the lock, resolving
+	// the rows visible at ts, and delivers them outside it; the next
+	// round re-seeks past the last chain visited (the tree cannot be
+	// snapshotted: btree.Clone is a deep copy).
 	var rows []Row
-	visit := func(k []byte, v any) bool {
-		if val, vts, ok := v.(*memChain).at(ts); ok {
-			rows = append(rows, Row{Key: k, Value: val, TS: vts})
+	for n := NextScanChunk(0); ; n = NextScanChunk(n) {
+		rows = rows[:0]
+		var last []byte
+		visited := 0
+		visit := func(k []byte, v any) bool {
+			if val, vts, ok := chainAt(v.(*memChain).versions, ts); ok {
+				rows = append(rows, Row{Key: k, Value: val, TS: vts})
+			}
+			last = k
+			visited++
+			return visited < n
 		}
-		return true
-	}
-	if reverse {
-		e.tab.rows.Descend(lo, hi, visit)
-	} else {
-		e.tab.rows.Ascend(lo, hi, visit)
-	}
-	e.mu.Unlock()
-	for _, r := range rows {
-		if !fn(r) {
-			return false
+		e.mu.Lock()
+		if reverse {
+			e.tab.rows.Descend(lo, hi, visit)
+		} else {
+			e.tab.rows.Ascend(lo, hi, visit)
+		}
+		e.mu.Unlock()
+		for _, r := range rows {
+			if !fn(r) {
+				return false
+			}
+		}
+		if visited < n {
+			return true
+		}
+		if reverse {
+			hi = last
+		} else {
+			lo = KeyAfter(last)
 		}
 	}
-	return true
 }
 
 func (e *Mem) Apply(_ context.Context, writes []Write, ts truetime.Timestamp) error {

@@ -9,7 +9,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"firestore/internal/truetime"
@@ -225,125 +227,147 @@ func loadSegment(f *os.File, meta segmentMeta) (*segment, error) {
 	return s, nil
 }
 
-// seekOff returns the file offset at which a forward parse can start to
-// find key (the greatest sparse entry <= key, or the first chain).
-func (s *segment) seekOff(key []byte) int64 {
-	if key == nil {
-		return int64(len(segMagic))
-	}
-	// First sparse entry strictly greater than key; start from its
-	// predecessor.
-	i := sort.Search(len(s.index), func(i int) bool {
-		return bytes.Compare(s.index[i].key, key) > 0
-	})
-	if i == 0 {
-		return int64(len(segMagic))
-	}
-	return s.index[i-1].off
-}
-
-// get returns key's chain, if present.
+// get returns key's chain, if present: one pread of key's sparse block,
+// allocating nothing for the chains around it.
 func (s *segment) get(key []byte) (Chain, bool, error) {
-	start := s.seekOff(key)
-	r := bufio.NewReaderSize(io.NewSectionReader(s.f, start, s.indexOff-start), 32<<10)
-	br := &chainStream{r: r}
-	for {
-		c, err := br.next()
-		if err == io.EOF {
-			return Chain{}, false, nil
-		}
-		if err != nil {
-			return Chain{}, false, err
-		}
-		switch bytes.Compare(c.Key, key) {
-		case 0:
-			return c, true, nil
-		case 1:
-			return Chain{}, false, nil
-		}
+	cs := s.stream(key, true)
+	defer cs.close()
+	if k, err := cs.peek(key); err != nil || k == nil || !bytes.Equal(k, key) {
+		return Chain{}, false, err
 	}
+	c, err := cs.take()
+	return c, err == nil, err
 }
 
-// ascend streams chains of [lo, hi) in key order. fn returning false
-// stops the iteration.
-func (s *segment) ascend(lo, hi []byte, fn func(Chain) bool) error {
-	start := s.seekOff(lo)
-	r := bufio.NewReaderSize(io.NewSectionReader(s.f, start, s.indexOff-start), 64<<10)
-	br := &chainStream{r: r}
-	for {
-		c, err := br.next()
+// segReadBuf sizes the pooled segment readers: a point read's sparse
+// block and a short scan's rows fit in one pread, a long scan pays one
+// pread per this many bytes.
+const segReadBuf = 16 << 10
+
+// chainStream incrementally decodes the appendChain-encoded chains of a
+// byte range of a segment file, in key order. Streams are pooled: the
+// buffered reader and the key scratch outlive any one get or scan.
+type chainStream struct {
+	sec io.SectionReader
+	br  *bufio.Reader
+	// key is scratch for the current chain's key; head is key once a
+	// chain is loaded and not yet taken, eof is set at the range's end.
+	key, head []byte
+	eof       bool
+}
+
+var chainStreams = sync.Pool{New: func() any {
+	return &chainStream{br: bufio.NewReaderSize(nil, segReadBuf), key: make([]byte, 0, 64)}
+}}
+
+// stream opens a pooled chain stream from where a forward parse must
+// start to find the first chain with key >= lo — the greatest sparse
+// entry <= lo, or the first chain — to the end of the chains or, for a
+// point read, of lo's sparse block. The caller holds a reference on the
+// segment until it closes the stream.
+func (s *segment) stream(lo []byte, point bool) *chainStream {
+	start, end := int64(len(segMagic)), s.indexOff
+	if lo != nil {
+		// First sparse entry strictly greater than lo: it ends the block
+		// its predecessor starts.
+		i := sort.Search(len(s.index), func(i int) bool {
+			return bytes.Compare(s.index[i].key, lo) > 0
+		})
+		if i > 0 {
+			start = s.index[i-1].off
+		}
+		if point && i < len(s.index) {
+			end = s.index[i].off
+		}
+	}
+	cs := chainStreams.Get().(*chainStream)
+	cs.sec = *io.NewSectionReader(s.f, start, end-start)
+	cs.br.Reset(&cs.sec)
+	cs.head, cs.eof = nil, false
+	return cs
+}
+
+func (cs *chainStream) close() {
+	cs.br.Reset(nil)
+	chainStreams.Put(cs)
+}
+
+// peek returns the key of the stream's current chain, first advancing —
+// when the last one was taken — to the next chain with key >= min (nil =
+// any); chains below min are consumed without allocating. nil at the
+// end of the range. The slice is scratch, valid until the chain after
+// this one is loaded.
+func (cs *chainStream) peek(min []byte) ([]byte, error) {
+	for cs.head == nil && !cs.eof {
+		n, err := binary.ReadUvarint(cs.br)
 		if err == io.EOF {
-			return nil
+			cs.eof = true
+			break
 		}
-		if err != nil {
-			return err
+		if err != nil || n > maxFrameSize {
+			return nil, errTornFrame
 		}
-		if lo != nil && bytes.Compare(c.Key, lo) < 0 {
+		cs.key = slices.Grow(cs.key[:0], int(n))[:n]
+		if _, err := io.ReadFull(cs.br, cs.key); err != nil {
+			return nil, errTornFrame
+		}
+		if min != nil && bytes.Compare(cs.key, min) < 0 {
+			if _, err := cs.body(false); err != nil {
+				return nil, err
+			}
 			continue
 		}
-		if hi != nil && bytes.Compare(c.Key, hi) >= 0 {
-			return nil
-		}
-		if !fn(c) {
-			return nil
-		}
+		cs.head = cs.key
 	}
+	return cs.head, nil
 }
 
-// chainStream incrementally decodes appendChain-encoded chains from a
-// reader.
-type chainStream struct {
-	r *bufio.Reader
+// take decodes and consumes the chain peek stopped at.
+func (cs *chainStream) take() (Chain, error) {
+	c, err := cs.body(true)
+	cs.head = nil
+	return c, err
 }
 
-func (cs *chainStream) next() (Chain, error) {
-	key, err := readBytesField(cs.r)
-	if err != nil {
-		return Chain{}, err
-	}
-	flags, err := cs.r.ReadByte()
+// body reads the flags and versions that follow a chain's key, into a
+// Chain owning its memory if keep is set and discarding them otherwise.
+func (cs *chainStream) body(keep bool) (Chain, error) {
+	flags, err := cs.br.ReadByte()
 	if err != nil {
 		return Chain{}, errTornFrame
 	}
-	nv, err := binary.ReadUvarint(cs.r)
+	nv, err := binary.ReadUvarint(cs.br)
 	if err != nil {
 		return Chain{}, errTornFrame
 	}
-	c := Chain{Key: key, Purged: flags&1 != 0}
+	var c Chain
+	if keep {
+		c = Chain{Key: bytes.Clone(cs.key), Purged: flags&1 != 0, Versions: make([]Version, 0, min(nv, 2*GCHorizon))}
+	}
 	for i := uint64(0); i < nv; i++ {
-		ts, err := binary.ReadUvarint(cs.r)
+		ts, err := binary.ReadUvarint(cs.br)
 		if err != nil {
 			return Chain{}, errTornFrame
 		}
-		vflags, err := cs.r.ReadByte()
+		vflags, err := cs.br.ReadByte()
 		if err != nil {
 			return Chain{}, errTornFrame
 		}
-		val, err := readBytesField(cs.r)
-		if err != nil {
+		n, err := binary.ReadUvarint(cs.br)
+		if err != nil || n > maxFrameSize {
+			return Chain{}, errTornFrame
+		}
+		if !keep {
+			if _, err := cs.br.Discard(int(n)); err != nil {
+				return Chain{}, errTornFrame
+			}
+			continue
+		}
+		val := make([]byte, n)
+		if _, err := io.ReadFull(cs.br, val); err != nil {
 			return Chain{}, errTornFrame
 		}
 		c.Versions = append(c.Versions, Version{TS: truetime.Timestamp(ts), Value: val, Deleted: vflags&1 != 0})
 	}
 	return c, nil
-}
-
-// readBytesField reads a uvarint-length-prefixed byte field. Returns
-// io.EOF only when the stream ends cleanly before the length prefix.
-func readBytesField(r *bufio.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err == io.EOF {
-		return nil, io.EOF
-	}
-	if err != nil {
-		return nil, errTornFrame
-	}
-	if n > maxFrameSize {
-		return nil, errTornFrame
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, errTornFrame
-	}
-	return b, nil
 }

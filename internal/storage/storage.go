@@ -152,7 +152,12 @@ type Engine interface {
 	// Scan iterates rows of [lo, hi) visible at ts (nil bound =
 	// unbounded) in ascending (or descending if reverse) key order,
 	// calling fn until it returns false or the range is exhausted.
-	// Returns false if fn stopped the scan.
+	// Returns false if fn stopped the scan. A forward scan does
+	// O(log n + rows delivered) work and holds O(chunk) memory
+	// (NextScanChunk): it reads the range chunk by chunk, re-seeking
+	// after the last key, and never holds a lock across fn, which may
+	// read the same engine. A delivered row's Key and Value are
+	// immutable: callers may keep or slice them without copying.
 	Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(Row) bool) bool
 
 	// Apply atomically installs a batch of writes at commit timestamp
@@ -228,17 +233,26 @@ type Factory interface {
 	Destroy(id uint64) error
 }
 
+// NextScanChunk returns the size of the chunk that follows one of n rows
+// (0 = the first). Every layer that reads a range across a lock or an
+// RPC reads it in chunks of these sizes: small first, so a limit-20
+// query touches little, then doubling to MaxScanChunk, so a long scan
+// amortises its re-seeks while no layer ever holds more than that.
+func NextScanChunk(n int) int { return min(max(2*n, 32), MaxScanChunk) }
+
+const MaxScanChunk = 1024
+
+// KeyAfter returns the smallest key greater than key: where a forward
+// scan that delivered key resumes.
+func KeyAfter(key []byte) []byte {
+	return append(append(make([]byte, 0, len(key)+1), key...), 0)
+}
+
 // chainAt returns the value visible at ts within a version chain (oldest
 // first) and its version timestamp.
 func chainAt(versions []Version, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool) {
-	for i := len(versions) - 1; i >= 0; i-- {
-		v := versions[i]
-		if v.TS <= ts {
-			if v.Deleted {
-				return nil, 0, false
-			}
-			return v.Value, v.TS, true
-		}
+	if v, ok := newestAtOrBefore(versions, ts); ok && !v.Deleted {
+		return v.Value, v.TS, true
 	}
 	return nil, 0, false
 }
