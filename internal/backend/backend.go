@@ -10,8 +10,10 @@ package backend
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -288,6 +290,12 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	// commit), then buffer the Entities row and the IndexEntries diff.
 	// Indexes under backfill are maintained too so they stay consistent
 	// (§IV-D1).
+	// Each op's Entities row key is built once and shared by the
+	// prefetch, the read and the write.
+	keys := make([][]byte, len(ops))
+	for i, op := range ops {
+		keys[i] = db.EntityKey(op.Name)
+	}
 	// Coalesce the per-op reads: every op's current row is locked
 	// exclusively and read up front with one batched engine call per
 	// tablet, so a clustered deployment pays one round trip per tablet
@@ -295,126 +303,140 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	// order the loop below would acquire them — and ops still observe
 	// their predecessors through the transaction's write buffer.
 	if len(ops) > 1 {
-		prefetch := make([][]byte, len(ops))
-		for i, op := range ops {
-			prefetch[i] = db.EntityKey(encoding.EncodeName(nil, op.Name))
-		}
-		if err := txn.PrefetchForUpdate(ctx, prefetch); err != nil {
+		if err := txn.PrefetchForUpdate(ctx, keys); err != nil {
 			return abort(err)
 		}
 	}
 
-	changes := make([]change, 0, len(ops))
 	names := make([]doc.Name, 0, len(ops))
 	muts := make([]rtcache.Mutation, 0, len(ops))
 	// Planner statistics deltas, applied only after the Spanner commit
 	// succeeds so estimates track durable state.
 	var statRemoved, statAdded []index.Entry
 	docDeltas := map[string]int64{}
+	topic := TriggerTopic(db.ID)
 	for i, op := range ops {
-		// failOp routes an op-level failure: recorded and skipped in
-		// per-op mode, transaction-fatal otherwise.
-		failOp := func(err error) (bool, truetime.Timestamp, error) {
+		// failOp routes an op-level failure: recorded in per-op mode
+		// (nil: skip the op), transaction-fatal otherwise.
+		failOp := func(err error) error {
 			if opErrs != nil {
 				opErrs[i] = err
-				return true, 0, nil
+				return nil
 			}
-			ts, aerr := abort(err)
-			return false, ts, aerr
+			txn.Abort()
+			return err
 		}
-		old, err := b.readInTxn(ctx, db, txn, op.Name, true)
+		// The stored row and its version timestamp are kept next to the
+		// decoded document: the trigger payload is framed from them.
+		oldBlob, oldTS, exists, err := txn.GetVersioned(ctx, keys[i], true)
 		if err != nil {
 			return abort(err) // storage-level: fatal in both modes
+		}
+		var old, new *doc.Document
+		if exists {
+			if old, err = ResolveDoc(oldBlob, oldTS); err != nil {
+				return abort(err)
+			}
 		}
 		switch op.Kind {
 		case OpCreate:
 			if old != nil {
-				if skip, ts, err := failOp(fmt.Errorf("%w: %s", ErrAlreadyExists, op.Name)); !skip {
-					return ts, err
+				if err := failOp(fmt.Errorf("%w: %s", ErrAlreadyExists, op.Name)); err != nil {
+					return 0, err
 				}
 				continue
 			}
 		case OpUpdate:
 			if old == nil {
-				if skip, ts, err := failOp(fmt.Errorf("%w: %s", ErrNotFound, op.Name)); !skip {
-					return ts, err
+				if err := failOp(fmt.Errorf("%w: %s", ErrNotFound, op.Name)); err != nil {
+					return 0, err
 				}
 				continue
 			}
 		}
-		ch := change{op: op, old: old}
 		if op.Kind != OpDelete {
-			ch.new = doc.New(op.Name, op.Fields)
+			// The one document built for this commit: a deep copy of the
+			// caller's fields (the caller may reuse its map and slices),
+			// marshalled for the row below, stamped with the commit
+			// timestamp once there is one, and then published to the
+			// Real-time Cache. Nothing may modify it after that.
+			new = doc.New(op.Name, op.Fields)
 			if old != nil {
-				ch.new.CreateTime = old.CreateTime
+				new.CreateTime = old.CreateTime
 			}
-			if err := ch.new.CheckSize(); err != nil {
-				if skip, ts, aerr := failOp(err); !skip {
-					return ts, aerr
+			if err := new.CheckSize(); err != nil {
+				if err := failOp(err); err != nil {
+					return 0, err
 				}
 				continue
 			}
 		}
 		if !p.Privileged {
 			req := &rules.Request{
-				Method:      writeMethod(ch),
-				Path:        ch.op.Name,
+				Method:      writeMethod(old, new),
+				Path:        op.Name,
 				Auth:        p.Auth,
-				Resource:    ch.old,
-				NewResource: ch.new,
+				Resource:    old,
+				NewResource: new,
 				Get: func(n doc.Name) (*doc.Document, error) {
 					return b.readInTxn(ctx, db, txn, n, false)
 				},
 			}
 			if err := meta.Rules.Authorize(req); err != nil {
-				if skip, ts, aerr := failOp(err); !skip {
-					return ts, aerr
+				if err := failOp(err); err != nil {
+					return 0, err
 				}
 				continue
 			}
 		}
-		nameEnc := encoding.EncodeName(nil, ch.op.Name)
-		if ch.new != nil {
-			txn.Put(db.EntityKey(nameEnc), doc.Marshal(ch.new))
-		} else if ch.old != nil {
-			txn.Delete(db.EntityKey(nameEnc))
+		// Every slice handed to the transaction from here on is its to
+		// keep (DESIGN.md "Write path: who owns the bytes").
+		var newBlob []byte
+		if new != nil {
+			newBlob = doc.Marshal(new)
+			txn.Put(keys[i], newBlob)
+		} else if old != nil {
+			txn.Delete(keys[i])
 		}
-		removed, added := index.DiffEntries(ch.old, ch.new, meta.Composites, &meta.Exemptions)
+		removed, added := index.DiffEntries(db.IndexPrefix(), old, new, meta.Composites, &meta.Exemptions)
 		for _, e := range removed {
-			txn.Delete(db.IndexKey(e.Key))
+			txn.Delete(e.Key)
 		}
-		nameText := []byte(ch.op.Name.String())
-		for _, e := range added {
-			txn.Put(db.IndexKey(e.Key), nameText)
+		nameText := op.Name.String()
+		if len(added) > 0 {
+			value := []byte(nameText) // shared by the added rows, never modified
+			for _, e := range added {
+				txn.Put(e.Key, value)
+			}
 		}
-		statRemoved = append(statRemoved, removed...)
-		statAdded = append(statAdded, added...)
+		// Write triggers ride Spanner's transactional messaging (§IV-D2).
+		txn.Message(topic, changePayload(nameText, oldBlob, oldTS, newBlob))
+		if statRemoved == nil && statAdded == nil {
+			statRemoved, statAdded = removed, added
+		} else {
+			statRemoved, statAdded = append(statRemoved, removed...), append(statAdded, added...)
+		}
 		switch {
-		case ch.old == nil && ch.new != nil:
-			docDeltas[ch.op.Name.Collection().String()]++
-		case ch.old != nil && ch.new == nil:
-			docDeltas[ch.op.Name.Collection().String()]--
+		case old == nil && new != nil:
+			docDeltas[op.Name.Collection().String()]++
+		case old != nil && new == nil:
+			docDeltas[op.Name.Collection().String()]--
 		}
-		changes = append(changes, ch)
-		names = append(names, ch.op.Name)
-		muts = append(muts, rtcache.Mutation{Name: ch.op.Name, Old: ch.old, New: ch.new})
+		names = append(names, op.Name)
+		muts = append(muts, rtcache.Mutation{Name: op.Name, Old: old, New: new})
 	}
 
 	// Bulk mode with every op skipped: nothing to commit, and each op
 	// already carries its own error.
-	if opErrs != nil && len(changes) == 0 {
+	if opErrs != nil && len(muts) == 0 {
 		txn.Abort()
 		return 0, nil
 	}
 
-	// Write triggers ride Spanner's transactional messaging (§IV-D2).
-	for _, ch := range changes {
-		txn.Message(TriggerTopic(db.ID), marshalChange(ch.old, ch.new, ch.op.Name))
-	}
-
 	// Step 5: two-phase commit with the Real-time Cache: Prepare with a
 	// max commit timestamp M, collect the minimum allowed timestamp m.
-	writeID := fmt.Sprintf("%s/%d", db.ID, b.writeSeq.Add(1))
+	var idBuf [48]byte
+	writeID := string(strconv.AppendInt(append(append(idBuf[:0], db.ID...), '/'), b.writeSeq.Add(1), 10))
 	maxTS := clock.Now().Latest.Add(b.cfg.MaxCommitWindow)
 	var minTS truetime.Timestamp
 	if b.cache != nil {
@@ -459,7 +481,7 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	}
 
 	// Step 7: finish the two-phase commit with the Accept carrying the
-	// outcome and full document copies. The injected fault here models the
+	// outcome and the committed documents. The injected fault here models the
 	// mid-protocol failure window between the Spanner commit and the RTC
 	// Accept: a drop loses the Accept entirely, an error means the Backend
 	// no longer knows the outcome it should report.
@@ -471,15 +493,11 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		case fault.KindError:
 			b.cache.Accept(ctx, writeID, rtcache.OutcomeUnknown, 0, nil)
 		default:
-			// Stamp timestamps on the forwarded copies.
-			for i := range muts {
-				if muts[i].New != nil {
-					n := muts[i].New.Clone()
-					n.UpdateTime = ts
-					if n.CreateTime == 0 {
-						n.CreateTime = ts
-					}
-					muts[i].New = n
+			// Stamp the commit's documents in place: nothing else holds
+			// them yet, and the cache publishes these very pointers.
+			for _, m := range muts {
+				if m.New != nil {
+					resolveTimes(m.New, ts)
 				}
 			}
 			b.cache.Accept(ctx, writeID, rtcache.OutcomeSuccess, ts, muts)
@@ -488,8 +506,8 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 
 	if b.cfg.Billing != nil {
 		var writes, deletes int64
-		for _, ch := range changes {
-			if ch.new == nil {
+		for _, m := range muts {
+			if m.New == nil {
 				deletes++
 			} else {
 				writes++
@@ -505,18 +523,11 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	return ts, nil
 }
 
-// change pairs a write op with the document versions it transforms.
-type change struct {
-	op  WriteOp
-	old *doc.Document
-	new *doc.Document
-}
-
-func writeMethod(ch change) rules.Method {
+func writeMethod(old, new *doc.Document) rules.Method {
 	switch {
-	case ch.new == nil:
+	case new == nil:
 		return rules.MethodDelete
-	case ch.old == nil:
+	case old == nil:
 		return rules.MethodCreate
 	default:
 		return rules.MethodUpdate
@@ -528,8 +539,7 @@ func writeMethod(ch change) rules.Method {
 // write time); reads resolve it from the row's MVCC version timestamp,
 // and a zero stored CreateTime means "created by that same version".
 func (b *Backend) readInTxn(ctx context.Context, db *catalog.Database, txn *spanner.Txn, name doc.Name, forUpdate bool) (*doc.Document, error) {
-	key := db.EntityKey(encoding.EncodeName(nil, name))
-	blob, vts, ok, err := txn.GetVersioned(ctx, key, forUpdate)
+	blob, vts, ok, err := txn.GetVersioned(ctx, db.EntityKey(name), forUpdate)
 	if err != nil {
 		return nil, err
 	}
@@ -546,58 +556,72 @@ func ResolveDoc(blob []byte, versionTS truetime.Timestamp) (*doc.Document, error
 	if err != nil {
 		return nil, err
 	}
+	resolveTimes(d, versionTS)
+	return d, nil
+}
+
+func resolveTimes(d *doc.Document, versionTS truetime.Timestamp) {
 	d.UpdateTime = versionTS
 	if d.CreateTime == 0 {
 		d.CreateTime = versionTS
 	}
-	return d, nil
 }
 
-// marshalChange serializes a trigger payload: the op name plus old and
-// new document blobs.
-func marshalChange(old, new *doc.Document, name doc.Name) []byte {
-	var out []byte
-	out = encoding.AppendEscaped(out, []byte(name.String()))
-	var ob, nb []byte
-	if old != nil {
-		ob = doc.Marshal(old)
-	}
-	if new != nil {
-		nb = doc.Marshal(new)
-	}
-	out = appendBlob(out, ob)
-	out = appendBlob(out, nb)
-	return out
+// changePayload frames a trigger message from bytes the commit already
+// holds, in one exact-size allocation: the escaped document name, the
+// stored row the write replaces (empty for a create), the blob just
+// marshalled for the new row (empty for a delete), and the version
+// timestamp the old row was read at. Stored blobs carry a zero
+// UpdateTime, so the decoder resolves the old document's timestamps
+// from that last field, as ResolveDoc does for a read.
+func changePayload(name string, oldBlob []byte, oldTS truetime.Timestamp, newBlob []byte) []byte {
+	out := make([]byte, 0, len(name)+2+4+len(oldBlob)+4+len(newBlob)+8)
+	out = encoding.AppendEscaped(out, name)
+	out = appendBlob(out, oldBlob)
+	out = appendBlob(out, newBlob)
+	return binary.BigEndian.AppendUint64(out, uint64(oldTS))
 }
 
 func appendBlob(dst, b []byte) []byte {
-	n := len(b)
-	dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	return append(dst, b...)
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(b))), b...)
+}
+
+// ChangeName decodes only the document name of a trigger payload,
+// returning the rest of the frame: what a subscriber needs to decide
+// whether the change concerns it at all.
+func ChangeName(payload []byte) (name doc.Name, rest []byte, err error) {
+	raw, used, err := encoding.ReadEscaped(payload)
+	if err != nil {
+		return doc.Name{}, nil, err
+	}
+	name, err = doc.ParseName(string(raw))
+	return name, payload[used:], err
 }
 
 // UnmarshalChange decodes a trigger payload produced by the write path.
+// A frame without the trailing timestamp (or with a zero one) keeps the
+// timestamps its old blob carries.
 func UnmarshalChange(payload []byte) (name doc.Name, old, new *doc.Document, err error) {
-	raw, used, err := encoding.ReadEscaped(payload)
+	name, rest, err := ChangeName(payload)
 	if err != nil {
 		return doc.Name{}, nil, nil, err
 	}
-	name, err = doc.ParseName(string(raw))
-	if err != nil {
-		return doc.Name{}, nil, nil, err
-	}
-	rest := payload[used:]
 	ob, rest, err := readBlob(rest)
 	if err != nil {
 		return doc.Name{}, nil, nil, err
 	}
-	nb, _, err := readBlob(rest)
+	nb, rest, err := readBlob(rest)
 	if err != nil {
 		return doc.Name{}, nil, nil, err
 	}
 	if len(ob) > 0 {
 		if old, err = doc.Unmarshal(ob); err != nil {
 			return doc.Name{}, nil, nil, err
+		}
+		if len(rest) >= 8 {
+			if ts := truetime.Timestamp(binary.BigEndian.Uint64(rest)); ts != 0 {
+				resolveTimes(old, ts)
+			}
 		}
 	}
 	if len(nb) > 0 {
@@ -612,8 +636,8 @@ func readBlob(b []byte) (blob, rest []byte, err error) {
 	if len(b) < 4 {
 		return nil, nil, status.New(status.Internal, "backend", "truncated blob length")
 	}
-	n := int(b[0])<<24 | int(b[1])<<16 | int(b[2])<<8 | int(b[3])
-	if n < 0 || n > len(b)-4 {
+	n := int(binary.BigEndian.Uint32(b))
+	if n > len(b)-4 {
 		return nil, nil, status.Errorf(status.Internal, "backend", "bad blob length %d", n)
 	}
 	return b[4 : 4+n], b[4+n:], nil

@@ -6,6 +6,7 @@ import (
 
 	"firestore/internal/catalog"
 	"firestore/internal/doc"
+	"firestore/internal/encoding"
 	"firestore/internal/index"
 	"firestore/internal/spanner"
 	"firestore/internal/status"
@@ -55,14 +56,14 @@ func (b *Backend) backfill(ctx context.Context, db *catalog.Database, def index.
 			if d == nil {
 				continue
 			}
-			for _, e := range index.EntryList(d, []index.Definition{def}, nil) {
-				// EntryList() computed with only this def still includes
-				// the automatic entries; keep only this index's.
-				if !hasIDPrefix(e.Key, def.ID) {
-					continue
+			_, entries := index.DiffEntries(db.IndexPrefix(), nil, d, []index.Definition{def}, nil)
+			for _, e := range entries {
+				// The entries of a whole document include the automatic
+				// ones; keep only this index's.
+				if e.ID == def.ID {
+					txn.Put(e.Key, []byte(d.Name.String()))
+					added = append(added, e)
 				}
-				txn.Put(db.IndexKey(e.Key), []byte(d.Name.String()))
-				added = append(added, e)
 			}
 		}
 		if _, err := txn.Commit(ctx, 0, 0); err != nil {
@@ -87,11 +88,7 @@ func (b *Backend) RemoveCompositeIndex(ctx context.Context, dbID string, id uint
 	// Backremoval: delete the index's whole IndexEntries range in
 	// batches.
 	prefix := index.IDPrefix(id)
-	klo, khi := db.IndexRange(prefix, nil)
-	khi2 := db.IndexKey(prefixSuccessorOrMax(prefix))
-	if khi2 != nil {
-		khi = khi2
-	}
+	klo, khi := db.IndexRange(prefix, encoding.PrefixSuccessor(prefix))
 	for {
 		var keys [][]byte
 		err := db.Spanner.SnapshotScan(ctx, klo, khi, db.Spanner.StrongReadTimestamp(), false, func(r spanner.ScanRow) bool {
@@ -119,7 +116,7 @@ func (b *Backend) RemoveCompositeIndex(ctx context.Context, dbID string, id uint
 
 // scanAllDocuments streams every document of the database in batches.
 func (b *Backend) scanAllDocuments(ctx context.Context, db *catalog.Database, fn func([]*doc.Document) error) error {
-	lo, hi := db.EntitiesRange()
+	lo, hi := db.EntityRange(nil, nil)
 	var batch []*doc.Document
 	flush := func() error {
 		if len(batch) == 0 {
@@ -150,29 +147,4 @@ func (b *Backend) scanAllDocuments(ctx context.Context, db *catalog.Database, fn
 		return scanErr
 	}
 	return flush()
-}
-
-func hasIDPrefix(key []byte, id uint64) bool {
-	p := index.IDPrefix(id)
-	if len(key) < len(p) {
-		return false
-	}
-	for i, c := range p {
-		if key[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
-func prefixSuccessorOrMax(p []byte) []byte {
-	out := make([]byte, len(p))
-	copy(out, p)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xff {
-			out[i]++
-			return out[:i+1]
-		}
-	}
-	return nil
 }

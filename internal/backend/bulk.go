@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"firestore/internal/encoding"
 	"firestore/internal/reqctx"
 	"firestore/internal/routing"
 	"firestore/internal/truetime"
@@ -42,7 +41,7 @@ func (b *Backend) CommitBulk(ctx context.Context, dbID string, p Principal, ops 
 	}
 	results := make([]BulkResult, len(ops))
 	groups := routing.GroupByTablet(db.Spanner, ops, func(op WriteOp) []byte {
-		return db.EntityKey(encoding.EncodeName(nil, op.Name))
+		return db.EntityKey(op.Name)
 	})
 	key := b.schedKey(dbID, p)
 	var wg sync.WaitGroup

@@ -11,7 +11,11 @@ import (
 // decoder. The decoder consumes untrusted persisted bytes (a topic
 // subscriber may replay old or corrupted payloads), so it must return an
 // error — never panic or over-read — on any input. Seeds are real
-// payloads from marshalChange so the fuzzer starts inside the format.
+// payloads so the fuzzer starts inside the format: frames whose old blob
+// carries its own timestamps (marshalChange, what was persisted before
+// the version timestamp joined the frame, cut short of it) and frames as
+// the write path builds them, a stored row plus the timestamp it was
+// read at.
 func FuzzUnmarshalChange(f *testing.F) {
 	mustDoc := func(name string, fields map[string]doc.Value) *doc.Document {
 		return &doc.Document{Name: doc.MustName(name), Fields: fields, CreateTime: 1, UpdateTime: 2}
@@ -22,6 +26,11 @@ func FuzzUnmarshalChange(f *testing.F) {
 	f.Add(marshalChange(nil, created, created.Name))     // create
 	f.Add(marshalChange(created, updated, created.Name)) // update
 	f.Add(marshalChange(updated, nil, updated.Name))     // delete
+	legacy := marshalChange(created, updated, created.Name)
+	f.Add(legacy[:len(legacy)-8]) // no trailing timestamp
+	stored := &doc.Document{Name: created.Name, Fields: created.Fields}
+	f.Add(changePayload("/rooms/a", doc.Marshal(stored), 41, doc.Marshal(updated))) // the write path's frame
+	f.Add(changePayload("/rooms/a", doc.Marshal(stored), 41, nil))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add(marshalChange(nil, created, created.Name)[:5]) // truncated
@@ -45,6 +54,19 @@ func FuzzUnmarshalChange(f *testing.F) {
 			t.Fatal("document changed across round-trip")
 		}
 	})
+}
+
+// marshalChange frames a change from documents that carry their own
+// timestamps (no version timestamp in the frame).
+func marshalChange(old, new *doc.Document, name doc.Name) []byte {
+	var ob, nb []byte
+	if old != nil {
+		ob = doc.Marshal(old)
+	}
+	if new != nil {
+		nb = doc.Marshal(new)
+	}
+	return changePayload(name.String(), ob, 0, nb)
 }
 
 func sameDoc(a, b *doc.Document) bool {

@@ -77,8 +77,7 @@ func (b *Backend) GetDocument(ctx context.Context, dbID string, p Principal, nam
 }
 
 func (b *Backend) getAt(ctx context.Context, db *catalog.Database, name doc.Name, ts truetime.Timestamp) (*doc.Document, error) {
-	key := db.EntityKey(encoding.EncodeName(nil, name))
-	blob, vts, ok, err := db.Spanner.SnapshotGet(ctx, key, ts)
+	blob, vts, ok, err := db.Spanner.SnapshotGet(ctx, db.EntityKey(name), ts)
 	if err != nil {
 		return nil, err
 	}
@@ -338,12 +337,10 @@ func (s *snapshotStorage) ScanCollection(ctx context.Context, c doc.CollectionPa
 	prefix := encoding.EncodeCollection(nil, c)
 	lo := prefix
 	if startAfterID != "" {
-		withID := encoding.AppendEscaped(append([]byte(nil), prefix...), []byte(startAfterID))
+		withID := encoding.AppendEscaped(append([]byte(nil), prefix...), startAfterID)
 		lo = encoding.PrefixSuccessor(withID)
 	}
-	hi := encoding.PrefixSuccessor(prefix)
-	klo := s.db.EntityKey(lo)
-	khi := s.db.EntityKey(hi)
+	klo, khi := s.db.EntityRange(lo, encoding.PrefixSuccessor(prefix))
 	want := len(c.Segments()) + 1
 	return s.db.Spanner.SnapshotScan(ctx, klo, khi, s.ts, false, func(r spanner.ScanRow) bool {
 		d, err := ResolveDoc(r.Value, r.TS)
@@ -358,8 +355,7 @@ func (s *snapshotStorage) ScanCollection(ctx context.Context, c doc.CollectionPa
 }
 
 func (s *snapshotStorage) GetDocument(ctx context.Context, name doc.Name) (*doc.Document, error) {
-	key := s.db.EntityKey(encoding.EncodeName(nil, name))
-	blob, vts, ok, err := s.db.Spanner.SnapshotGet(ctx, key, s.ts)
+	blob, vts, ok, err := s.db.Spanner.SnapshotGet(ctx, s.db.EntityKey(name), s.ts)
 	if err != nil {
 		return nil, err
 	}

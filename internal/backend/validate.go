@@ -53,7 +53,7 @@ func (b *Backend) ValidateDatabase(ctx context.Context, dbID string) (*Validatio
 
 	// Pass 1: documents → expected entries.
 	expected := map[string]bool{}
-	lo, hi := db.EntitiesRange()
+	lo, hi := db.EntityRange(nil, nil)
 	err = db.Spanner.SnapshotScan(ctx, lo, hi, ts, false, func(r spanner.ScanRow) bool {
 		report.Documents++
 		d, derr := ResolveDoc(r.Value, r.TS)

@@ -11,6 +11,7 @@ package catalog
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -65,11 +66,13 @@ func (c *Catalog) Create(id string) (*Database, error) {
 	}
 	h := fnv.New32a()
 	h.Write([]byte(id))
+	dir := append(encoding.AppendEscaped(nil, id), 0x00)
 	db := &Database{
-		ID:      id,
-		Spanner: c.spanners[int(h.Sum32())%len(c.spanners)],
-		dir:     append(encoding.AppendEscaped(nil, []byte(id)), 0x00),
-		stats:   index.NewStats(),
+		ID:       id,
+		Spanner:  c.spanners[int(h.Sum32())%len(c.spanners)],
+		entities: append(slices.Clone(dir), TableEntities),
+		indexes:  append(slices.Clone(dir), TableIndexEntries),
+		stats:    index.NewStats(),
 	}
 	db.meta.Store(&Meta{})
 	c.dbs[id] = db
@@ -114,7 +117,9 @@ type Database struct {
 	ID      string
 	Spanner *spanner.DB
 
-	dir []byte
+	// entities and indexes are the two tables' row-key prefixes (directory,
+	// then table byte), shared by every key built behind them.
+	entities, indexes []byte
 
 	metaMu sync.Mutex // serializes metadata writers
 	meta   atomic.Pointer[Meta]
@@ -222,42 +227,48 @@ func (db *Database) RemoveComposite(id uint64) {
 	})
 }
 
-// EntityKey returns the Spanner row key for a document's Entities row:
-// directory prefix, table byte, encoded name.
-func (db *Database) EntityKey(encodedName []byte) []byte {
-	key := make([]byte, 0, len(db.dir)+1+len(encodedName))
-	key = append(key, db.dir...)
-	key = append(key, TableEntities)
-	return append(key, encodedName...)
+// EntityKey returns the Spanner row key for a document's Entities row —
+// directory prefix, table byte, encoded name — in one allocation.
+func (db *Database) EntityKey(name doc.Name) []byte {
+	key := make([]byte, 0, len(db.entities)+encoding.NameLen(name))
+	return encoding.EncodeName(append(key, db.entities...), name)
 }
+
+// IndexPrefix returns the row-key prefix of the IndexEntries table, for
+// index.DiffEntries to build row keys behind. Callers must not modify it.
+func (db *Database) IndexPrefix() []byte { return db.indexes }
 
 // IndexKey returns the Spanner row key for an IndexEntries row.
 func (db *Database) IndexKey(entry []byte) []byte {
-	key := make([]byte, 0, len(db.dir)+1+len(entry))
-	key = append(key, db.dir...)
-	key = append(key, TableIndexEntries)
-	return append(key, entry...)
+	return rowKey(db.indexes, entry)
 }
 
-// EntitiesRange returns the key range [lo, hi) of the whole Entities
-// table for this database.
-func (db *Database) EntitiesRange() (lo, hi []byte) {
-	lo = append(append([]byte(nil), db.dir...), TableEntities)
-	return lo, encoding.PrefixSuccessor(lo)
+func rowKey(table, rest []byte) []byte {
+	key := make([]byte, 0, len(table)+len(rest))
+	return append(append(key, table...), rest...)
+}
+
+// EntityRange maps a range of encoded names (or name prefixes) into
+// Spanner key space; a nil hi is the end of the Entities table, so
+// (nil, nil) is all of it.
+func (db *Database) EntityRange(lo, hi []byte) (klo, khi []byte) {
+	return tableRange(db.entities, lo, hi)
 }
 
 // IndexRange maps an IndexEntries-space range into Spanner key space.
 func (db *Database) IndexRange(lo, hi []byte) (klo, khi []byte) {
-	klo = db.IndexKey(lo)
+	return tableRange(db.indexes, lo, hi)
+}
+
+func tableRange(table, lo, hi []byte) (klo, khi []byte) {
 	if hi == nil {
-		base := append(append([]byte(nil), db.dir...), TableIndexEntries)
-		return klo, encoding.PrefixSuccessor(base)
+		return rowKey(table, lo), encoding.PrefixSuccessor(table)
 	}
-	return klo, db.IndexKey(hi)
+	return rowKey(table, lo), rowKey(table, hi)
 }
 
 // StripIndexKey removes the directory+table prefix from a Spanner key,
 // recovering the IndexEntries-space key.
 func (db *Database) StripIndexKey(key []byte) []byte {
-	return key[len(db.dir)+1:]
+	return key[len(db.indexes):]
 }

@@ -70,13 +70,12 @@ func TestDirectoryIsolation(t *testing.T) {
 	c := New(pool(1))
 	a, _ := c.Create("a")
 	b, _ := c.Create("ab") // IDs that are prefixes of each other
-	nameEnc := encoding.EncodeName(nil, doc.MustName("/c/d"))
-	ka := a.EntityKey(nameEnc)
-	kb := b.EntityKey(nameEnc)
+	ka := a.EntityKey(doc.MustName("/c/d"))
+	kb := b.EntityKey(doc.MustName("/c/d"))
 	if bytes.Equal(ka, kb) {
 		t.Fatal("different databases share entity keys")
 	}
-	loA, hiA := a.EntitiesRange()
+	loA, hiA := a.EntityRange(nil, nil)
 	if !(bytes.Compare(ka, loA) >= 0 && bytes.Compare(ka, hiA) < 0) {
 		t.Fatal("a's key outside a's range")
 	}
@@ -89,7 +88,13 @@ func TestEntityVsIndexKeySpaces(t *testing.T) {
 	c := New(pool(1))
 	db, _ := c.Create("x")
 	nameEnc := encoding.EncodeName(nil, doc.MustName("/c/d"))
-	e := db.EntityKey(nameEnc)
+	e := db.EntityKey(doc.MustName("/c/d"))
+	if want := append(append(append(encoding.AppendEscaped(nil, "x"), 0x00), TableEntities), nameEnc...); !bytes.Equal(e, want) {
+		t.Fatalf("entity key %x, want directory, table byte, encoded name: %x", e, want)
+	}
+	if i := db.IndexPrefix(); !bytes.Equal(db.IndexKey(nameEnc), append(i[:len(i):len(i)], nameEnc...)) {
+		t.Fatal("IndexKey is not IndexPrefix + entry")
+	}
 	i := db.IndexKey(nameEnc)
 	if bytes.Equal(e, i) {
 		t.Fatal("entity and index keys collide")

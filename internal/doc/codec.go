@@ -33,12 +33,19 @@ var ErrChecksum = status.New(status.Internal, "doc", "checksum mismatch")
 // travels with the blob from the writing Backend through Spanner to every
 // reader, so corruption anywhere in between is detected at decode time.
 func Marshal(d *Document) []byte {
-	var b []byte
-	b = appendString(b, d.Name.String())
+	names := d.FieldNames()
+	// Sized up front from the document's own estimate plus the framing
+	// (lengths, kind bytes, timestamps, checksum), so a typical document
+	// is one allocation; an underestimate only costs a regrowth.
+	b := make([]byte, 0, d.Size()+8*len(names)+32)
+	b = binary.AppendUvarint(b, uint64(d.Name.textLen()))
+	for _, seg := range d.Name.segs {
+		b = append(append(b, '/'), seg...)
+	}
 	b = binary.AppendVarint(b, int64(d.CreateTime))
 	b = binary.AppendVarint(b, int64(d.UpdateTime))
 	b = binary.AppendUvarint(b, uint64(len(d.Fields)))
-	for _, k := range d.FieldNames() {
+	for _, k := range names {
 		b = appendString(b, k)
 		b = appendValue(b, d.Fields[k])
 	}

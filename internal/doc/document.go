@@ -47,7 +47,7 @@ func (d *Document) Clone() *Document {
 
 // Size estimates the stored size in bytes (name + fields).
 func (d *Document) Size() int {
-	n := len(d.Name.String())
+	n := d.Name.textLen()
 	for k, v := range d.Fields {
 		n += len(k) + 1 + v.EstimateSize()
 	}

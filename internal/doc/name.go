@@ -76,6 +76,15 @@ func (n Name) String() string {
 	return "/" + strings.Join(n.segs, "/")
 }
 
+// textLen is len(n.String()) without building the string.
+func (n Name) textLen() int {
+	size := 0
+	for _, seg := range n.segs {
+		size += 1 + len(seg)
+	}
+	return size
+}
+
 // ID returns the final segment (the document's identifying string).
 func (n Name) ID() string {
 	if n.IsZero() {

@@ -311,14 +311,19 @@ func cmpInt64(a, b int64) int {
 	return 0
 }
 
+// cmpFloat is a total order: NaN sorts first and equals itself (a
+// geopoint's coordinates are compared raw), -0.0 equals 0. Values it
+// calls equal encode identically (encoding.appendSortableFloat).
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
+	case a == b:
+		return 0
 	}
-	return 0
+	return cmpBool(b != b, a != a)
 }
 
 func cmpBool(a, b bool) int {

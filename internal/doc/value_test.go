@@ -149,6 +149,18 @@ func TestGeoOrder(t *testing.T) {
 	if Compare(Geo(1, 5), Geo(1, 6)) != -1 {
 		t.Error("lng breaks ties")
 	}
+	// Coordinates are ordered totally, as numbers are: NaN first and
+	// equal to itself (it used to equal everything), -0.0 equal to 0.
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	if Compare(Geo(nan, 1), Geo(math.Inf(-1), 1)) != -1 || Compare(Geo(5, 1), Geo(nan, 1)) != 1 {
+		t.Error("NaN latitude must sort first")
+	}
+	if !Equal(Geo(nan, nan), Geo(nan, nan)) || Equal(Geo(nan, 1), Geo(5, 1)) || Equal(Geo(1, nan), Geo(1, 2)) {
+		t.Error("NaN equals only NaN")
+	}
+	if !Equal(Geo(negZero, negZero), Geo(0, 0)) {
+		t.Error("-0.0 != 0")
+	}
 }
 
 func TestTimestampTruncation(t *testing.T) {

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"time"
@@ -44,19 +45,22 @@ func DecodeValue(b []byte) (doc.Value, int, error) {
 		}
 		return doc.Timestamp(time.UnixMicro(us).UTC()), 1 + n, nil
 	case tagString:
-		payload, n, err := readEscaped(b[1:])
+		payload, n, err := ReadEscaped(b[1:])
 		if err != nil {
 			return doc.Value{}, 0, err
 		}
 		return doc.String(string(payload)), 1 + n, nil
 	case tagBytes:
-		payload, n, err := readEscaped(b[1:])
+		payload, n, err := ReadEscaped(b[1:])
 		if err != nil {
 			return doc.Value{}, 0, err
 		}
+		if n == len(payload)+2 {
+			payload = bytes.Clone(payload) // no escapes: payload aliases b
+		}
 		return doc.Bytes(payload), 1 + n, nil
 	case tagReference:
-		payload, n, err := readEscaped(b[1:])
+		payload, n, err := ReadEscaped(b[1:])
 		if err != nil {
 			return doc.Value{}, 0, err
 		}
@@ -101,7 +105,7 @@ func DecodeValue(b []byte) (doc.Value, int, error) {
 			if b[i] != 0x01 {
 				return doc.Value{}, 0, fmt.Errorf("%w: bad map entry marker 0x%02x", ErrCorrupt, b[i])
 			}
-			key, n, err := readEscaped(b[i+1:])
+			key, n, err := ReadEscaped(b[i+1:])
 			if err != nil {
 				return doc.Value{}, 0, err
 			}

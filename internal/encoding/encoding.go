@@ -16,9 +16,11 @@
 package encoding
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"firestore/internal/doc"
 	"firestore/internal/status"
@@ -66,14 +68,11 @@ func EncodeValue(dst []byte, v doc.Value) []byte {
 		dst = append(dst, tagTimestamp)
 		return appendSortableInt64(dst, v.TimeVal().UnixMicro())
 	case doc.KindString:
-		dst = append(dst, tagString)
-		return appendEscaped(dst, []byte(v.StringVal()))
+		return appendTagged(dst, tagString, v.StringVal())
 	case doc.KindBytes:
-		dst = append(dst, tagBytes)
-		return appendEscaped(dst, v.BytesVal())
+		return appendTagged(dst, tagBytes, v.BytesVal())
 	case doc.KindReference:
-		dst = append(dst, tagReference)
-		return appendEscaped(dst, []byte(v.RefVal()))
+		return appendTagged(dst, tagReference, v.RefVal())
 	case doc.KindGeoPoint:
 		dst = append(dst, tagGeoPoint)
 		dst = appendSortableFloat(dst, v.GeoVal().Lat)
@@ -92,8 +91,7 @@ func EncodeValue(dst []byte, v doc.Value) []byte {
 		dst = append(dst, tagMap)
 		m := v.MapVal()
 		for _, k := range sortedKeys(m) {
-			dst = append(dst, 0x01)
-			dst = appendEscaped(dst, []byte(k))
+			dst = appendTagged(dst, 0x01, k)
 			dst = EncodeValue(dst, m[k])
 		}
 		return append(dst, terminator)
@@ -106,20 +104,23 @@ func EncodeValue(dst []byte, v doc.Value) []byte {
 func EncodeValueDesc(dst []byte, v doc.Value) []byte {
 	start := len(dst)
 	dst = EncodeValue(dst, v)
-	invert(dst[start:])
+	InvertInPlace(dst[start:])
 	return dst
 }
 
 // Invert returns a copy of b with every byte complemented.
 func Invert(b []byte) []byte {
-	out := make([]byte, len(b))
-	for i, c := range b {
-		out[i] = ^c
-	}
+	out := slices.Clone(b)
+	InvertInPlace(out)
 	return out
 }
 
-func invert(b []byte) {
+// InvertInPlace complements every byte of b, turning an ascending
+// encoding into the descending one (and back).
+func InvertInPlace(b []byte) {
+	for ; len(b) >= 8; b = b[8:] {
+		binary.LittleEndian.PutUint64(b, ^binary.LittleEndian.Uint64(b))
+	}
 	for i := range b {
 		b[i] = ^b[i]
 	}
@@ -157,11 +158,7 @@ func encodeNumber(dst []byte, v doc.Value) []byte {
 		dst = appendSortableFloat(dst, f)
 		return appendSortableInt64(dst, intResidual(i, f))
 	}
-	f := v.DoubleVal()
-	if f == 0 {
-		f = 0 // normalize -0.0 to +0.0
-	}
-	dst = appendSortableFloat(dst, f)
+	dst = appendSortableFloat(dst, v.DoubleVal())
 	return appendSortableInt64(dst, 0)
 }
 
@@ -179,9 +176,17 @@ func intResidual(i int64, f float64) int64 {
 	return i - int64(f)
 }
 
-// appendSortableFloat appends 8 bytes whose unsigned byte order equals the
-// numeric order of f (callers exclude NaN).
+// appendSortableFloat appends 8 bytes whose unsigned byte order equals
+// doc.Compare's order of floats, and which are the same bytes whenever
+// doc.Compare says equal (the field-wise index diff skips equal values
+// unencoded): every NaN is the eight zero bytes below -Inf, -0.0 is +0.0.
 func appendSortableFloat(dst []byte, f float64) []byte {
+	if f != f {
+		return appendUint64(dst, 0)
+	}
+	if f == 0 {
+		f = 0 // -0.0 to +0.0
+	}
 	bits := math.Float64bits(f)
 	if bits&(1<<63) != 0 {
 		bits = ^bits // negative: flip everything
@@ -203,17 +208,42 @@ func appendUint64(dst []byte, u uint64) []byte {
 		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
 }
 
-// appendEscaped appends payload with 0x00 bytes escaped and a terminator,
-// preserving order and prefix-freedom.
-func appendEscaped(dst, payload []byte) []byte {
-	for _, c := range payload {
-		if c == escape {
-			dst = append(dst, escape, escapedFF)
-		} else {
-			dst = append(dst, c)
+// escapedLen is the length AppendEscaped adds for payload: one extra
+// byte per 0x00 and the two-byte terminator.
+func escapedLen[T string | []byte](payload T) int {
+	n := len(payload) + 2
+	for i := 0; i < len(payload); i++ {
+		if payload[i] == escape {
+			n++
 		}
 	}
-	return append(dst, escape, escapedEnd)
+	return n
+}
+
+// AppendEscaped appends payload with 0x00 bytes escaped and an
+// order-preserving terminator, the primitive underlying string, name, and
+// segment encodings. The result is prefix-free against other
+// AppendEscaped outputs. dst grows at most once, to the exact size.
+func AppendEscaped[T string | []byte](dst []byte, payload T) []byte {
+	return copyEscaped(slices.Grow(dst, escapedLen(payload)), payload)
+}
+
+// appendTagged is AppendEscaped behind one tag byte, sized together so
+// an encoding into a nil dst is one allocation.
+func appendTagged[T string | []byte](dst []byte, tag byte, payload T) []byte {
+	dst = slices.Grow(dst, 1+escapedLen(payload))
+	return copyEscaped(append(dst, tag), payload)
+}
+
+func copyEscaped[T string | []byte](dst []byte, payload T) []byte {
+	start := 0
+	for i := 0; i < len(payload); i++ {
+		if payload[i] == escape {
+			dst = append(append(dst, payload[start:i]...), escape, escapedFF)
+			start = i + 1
+		}
+	}
+	return append(append(dst, payload[start:]...), escape, escapedEnd)
 }
 
 // KindTag returns the type-tag byte that begins the ascending encoding of
@@ -244,33 +274,19 @@ func KindTag(k doc.Kind) byte {
 	}
 }
 
-// AppendEscaped appends payload with 0x00 bytes escaped and an
-// order-preserving terminator, the primitive underlying string, name, and
-// segment encodings. The result is prefix-free against other
-// AppendEscaped outputs.
-func AppendEscaped(dst, payload []byte) []byte {
-	return appendEscaped(dst, payload)
-}
-
-// ReadEscaped decodes an AppendEscaped payload from the front of b,
-// returning the payload and the number of bytes consumed.
-func ReadEscaped(b []byte) ([]byte, int, error) {
-	return readEscaped(b)
-}
-
 // ErrCorrupt reports an undecodable encoding.
 var ErrCorrupt = status.New(status.Internal, "encoding", "corrupt")
 
-// readEscaped decodes an escaped payload from b, returning the payload and
-// the number of input bytes consumed.
-func readEscaped(b []byte) ([]byte, int, error) {
-	var out []byte
-	i := 0
-	for i < len(b) {
-		c := b[i]
-		if c != escape {
-			out = append(out, c)
-			i++
+// ReadEscaped decodes an AppendEscaped payload from the front of b,
+// returning the payload and the number of input bytes consumed: the
+// payload's length plus two exactly when it had no escapes, in which
+// case it is a sub-slice of b, not a copy. A first pass finds the
+// terminator and counts the escapes, so a payload that has some is
+// allocated once, at its size.
+func ReadEscaped(b []byte) ([]byte, int, error) {
+	escapes := 0
+	for i := 0; i < len(b); i++ {
+		if b[i] != escape {
 			continue
 		}
 		if i+1 >= len(b) {
@@ -278,9 +294,19 @@ func readEscaped(b []byte) ([]byte, int, error) {
 		}
 		switch b[i+1] {
 		case escapedFF:
-			out = append(out, 0x00)
-			i += 2
+			escapes++
+			i++
 		case escapedEnd:
+			if escapes == 0 {
+				return b[:i:i], i + 2, nil
+			}
+			out := make([]byte, 0, i-escapes)
+			for j := 0; j < i; j++ {
+				out = append(out, b[j])
+				if b[j] == escape {
+					j++ // its escapedFF
+				}
+			}
 			return out, i + 2, nil
 		default:
 			return nil, 0, fmt.Errorf("%w: bad escape 0x%02x", ErrCorrupt, b[i+1])
@@ -293,10 +319,21 @@ func readEscaped(b []byte) ([]byte, int, error) {
 // each segment escaped-and-terminated, so byte order equals segment-wise
 // name order and no encoded name is a prefix of another.
 func EncodeName(dst []byte, n doc.Name) []byte {
+	dst = slices.Grow(dst, NameLen(n))
 	for _, seg := range n.Segments() {
-		dst = appendEscaped(dst, []byte(seg))
+		dst = copyEscaped(dst, seg)
 	}
 	return append(dst, terminator)
+}
+
+// NameLen returns len(EncodeName(nil, n)), so callers can size a row key
+// before encoding the name into it.
+func NameLen(n doc.Name) int {
+	size := 1
+	for _, seg := range n.Segments() {
+		size += escapedLen(seg)
+	}
+	return size
 }
 
 // DecodeName decodes a name encoded by EncodeName, returning the name and
@@ -312,7 +349,7 @@ func DecodeName(b []byte) (doc.Name, int, error) {
 			i++
 			break
 		}
-		seg, n, err := readEscaped(b[i:])
+		seg, n, err := ReadEscaped(b[i:])
 		if err != nil {
 			return doc.Name{}, 0, err
 		}
@@ -322,22 +359,11 @@ func DecodeName(b []byte) (doc.Name, int, error) {
 	if len(segs) == 0 || len(segs)%2 != 0 {
 		return doc.Name{}, 0, fmt.Errorf("%w: %d name segments", ErrCorrupt, len(segs))
 	}
-	name, err := doc.ParseName("/" + joinSegs(segs))
+	name, err := doc.ParseName("/" + strings.Join(segs, "/"))
 	if err != nil {
 		return doc.Name{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return name, i, nil
-}
-
-func joinSegs(segs []string) string {
-	var b bytes.Buffer
-	for i, s := range segs {
-		if i > 0 {
-			b.WriteByte('/')
-		}
-		b.WriteString(s)
-	}
-	return b.String()
 }
 
 // EncodeCollection appends the encoding of a collection path WITHOUT the
@@ -347,7 +373,7 @@ func joinSegs(segs []string) string {
 // structure. Used to compute collection scan ranges.
 func EncodeCollection(dst []byte, c doc.CollectionPath) []byte {
 	for _, seg := range c.Segments() {
-		dst = appendEscaped(dst, []byte(seg))
+		dst = AppendEscaped(dst, seg)
 	}
 	return dst
 }

@@ -52,7 +52,11 @@ func TestEncodePreservesOrderSamples(t *testing.T) {
 		doc.Bytes([]byte{0xff}),
 		doc.Reference("/a/b"),
 		doc.Reference("/a/c"),
+		doc.Geo(math.NaN(), 0), // NaN first, as for numbers
+		doc.Geo(math.Inf(-1), 0),
 		doc.Geo(-10, 5),
+		doc.Geo(0, math.NaN()),
+		doc.Geo(0, 1),
 		doc.Geo(3, -2),
 		doc.Geo(3, 7),
 		doc.Array(),
@@ -96,8 +100,15 @@ func TestIntDoubleCanonical(t *testing.T) {
 		{doc.Int(0), doc.Double(math.Copysign(0, -1))},
 		{doc.Int(1 << 52), doc.Double(1 << 52)},
 		{doc.Int(-1 << 60), doc.Double(-(1 << 60))},
+		// Geopoints too: the index diff skips doc.Equal values unencoded.
+		{doc.Geo(math.Copysign(0, -1), 1), doc.Geo(0, 1)},
+		{doc.Geo(1, math.Copysign(0, -1)), doc.Geo(1, 0)},
+		{doc.Geo(math.NaN(), 1), doc.Geo(math.Float64frombits(0xfff8000000000001), 1)},
 	}
 	for _, p := range pairs {
+		if !doc.Equal(p[0], p[1]) {
+			t.Errorf("%v != %v", p[0], p[1])
+		}
 		if !bytes.Equal(enc(p[0]), enc(p[1])) {
 			t.Errorf("enc(%v) != enc(%v)", p[0], p[1])
 		}
@@ -269,7 +280,7 @@ func TestDecodeNameErrors(t *testing.T) {
 		{'a', escape, 0x7}, // bad escape
 		EncodeName(nil, doc.MustName("/a/b"))[:3],
 		// Odd number of segments: one segment then terminator.
-		append(appendEscaped(nil, []byte("seg")), terminator),
+		append(AppendEscaped(nil, "seg"), terminator),
 	}
 	for i, c := range cases {
 		if _, _, err := DecodeName(c); err == nil {

@@ -61,7 +61,7 @@ func TestFlattenFields(t *testing.T) {
 		"empty": doc.Map(map[string]doc.Value{}),
 		"arr":   doc.Array(doc.Int(1), doc.Int(2)),
 	})
-	flat := FlattenFields(d)
+	flat := flatten(nil, d)
 	got := map[string]bool{}
 	for _, fv := range flat {
 		got[string(fv.Path)] = true

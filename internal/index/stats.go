@@ -1,7 +1,6 @@
 package index
 
 import (
-	"hash/fnv"
 	"sort"
 	"sync"
 )
@@ -48,9 +47,7 @@ func NewStats() *Stats {
 }
 
 func prefixBucket(p []byte) int {
-	h := fnv.New64a()
-	h.Write(p)
-	return int(h.Sum64() % statsBuckets)
+	return int(fnv1a(fnvOffset, p) % statsBuckets)
 }
 
 // ApplyDiff folds one write's index-entry diff into the statistics.
@@ -81,11 +78,15 @@ func (s *Stats) applyEntryLocked(e Entry, delta int64) {
 		sk = new([statsBuckets]int64)
 		s.prefixes[e.ID] = sk
 	}
+	// The prefixes nest, so the key is hashed once: each prefix's bucket
+	// is the running FNV state where that prefix ends.
+	h, at := fnvOffset, e.skip
 	for _, end := range e.PrefixEnds {
-		if end < 0 || end > len(e.Key) {
+		if end < at || end > len(e.Key) {
 			continue
 		}
-		b := prefixBucket(e.Key[:end])
+		h, at = fnv1a(h, e.Key[at:end]), end
+		b := h % statsBuckets
 		if sk[b] += delta; sk[b] < 0 {
 			sk[b] = 0
 		}

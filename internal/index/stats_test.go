@@ -28,7 +28,7 @@ func TestStatsPrefixEstimates(t *testing.T) {
 	cities := []string{"SF", "SF", "SF", "NY", "LA"}
 	for i, city := range cities {
 		d := statDoc(t, fmt.Sprintf("r%d", i), city, "BBQ", int64(i))
-		_, added := DiffEntries(nil, d, nil, nil)
+		_, added := DiffEntries(nil, nil, d, nil, nil)
 		if len(added) == 0 {
 			t.Fatal("no entries for insert")
 		}
@@ -61,7 +61,7 @@ func TestStatsPrefixEstimates(t *testing.T) {
 	// Update r0 from SF to NY: the diff removes SF entries, adds NY ones.
 	oldD := statDoc(t, "r0", "SF", "BBQ", 0)
 	newD := statDoc(t, "r0", "NY", "BBQ", 0)
-	rem, add := DiffEntries(oldD, newD, nil, nil)
+	rem, add := DiffEntries(nil, oldD, newD, nil, nil)
 	s.ApplyDiff(rem, add)
 	if got := s.PrefixEntries(cityAsc.ID, sfPrefix); got != 2 {
 		t.Fatalf("PrefixEntries(city=SF) after move = %d, want 2", got)
@@ -71,7 +71,7 @@ func TestStatsPrefixEstimates(t *testing.T) {
 	}
 
 	// Delete r1: everything decrements.
-	rem, add = DiffEntries(statDoc(t, "r1", "SF", "BBQ", 1), nil, nil, nil)
+	rem, add = DiffEntries(nil, statDoc(t, "r1", "SF", "BBQ", 1), nil, nil, nil)
 	s.ApplyDiff(rem, add)
 	s.ApplyDoc(coll.String(), -1)
 	if got := s.IndexEntries(cityAsc.ID); got != 4 {
@@ -91,7 +91,7 @@ func TestStatsCompositeAndDrop(t *testing.T) {
 		Field{Path: "rating", Dir: Descending},
 	)
 	d := statDoc(t, "r9", "SF", "BBQ", 7)
-	_, added := DiffEntries(nil, d, []Definition{comp}, nil)
+	_, added := DiffEntries(nil, nil, d, []Definition{comp}, nil)
 	s.ApplyDiff(nil, added)
 	if got := s.IndexEntries(comp.ID); got != 1 {
 		t.Fatalf("IndexEntries(composite) = %d, want 1", got)
@@ -126,19 +126,23 @@ func TestStatsNilSafe(t *testing.T) {
 	}
 }
 
-// TestEntryPrefixEndsMatchEntryKey: EntryList keys must be byte-identical
-// to the legacy Entries/EntryKey output.
-func TestEntryPrefixEndsMatchEntryKey(t *testing.T) {
+// TestEntriesMatchReference: the entries of a whole document are the
+// reference builder's, key for key and offset for offset.
+func TestEntriesMatchReference(t *testing.T) {
 	d := statDoc(t, "r1", "SF", "BBQ", 3)
 	d.Fields["tags"] = doc.Array(doc.String("a"), doc.String("b"), doc.String("a"))
 	comp := CompositeDef("restaurants",
 		Field{Path: "city", Dir: Ascending},
 		Field{Path: "type", Dir: Ascending},
 	)
+	_, want := refDiffEntries(nil, d, []Definition{comp}, nil)
+	_, list := DiffEntries(nil, nil, d, []Definition{comp}, nil)
+	if err := sameEntries(list, want, nil); err != nil {
+		t.Fatal(err)
+	}
 	keys := Entries(d, []Definition{comp}, nil)
-	list := EntryList(d, []Definition{comp}, nil)
 	if len(keys) != len(list) {
-		t.Fatalf("Entries len %d != EntryList len %d", len(keys), len(list))
+		t.Fatalf("Entries len %d != DiffEntries len %d", len(keys), len(list))
 	}
 	for i := range keys {
 		if string(keys[i]) != string(list[i].Key) {

@@ -25,7 +25,7 @@ func newStatsStore(composites []index.Definition, ex *index.Exemptions) *statsSt
 
 func (s *statsStore) put(d *doc.Document) {
 	old := s.docs[d.Name.String()]
-	rem, add := index.DiffEntries(old, d, s.composites, s.ex)
+	rem, add := index.DiffEntries(nil, old, d, s.composites, s.ex)
 	if old == nil {
 		s.stats.ApplyDoc(d.Name.Collection().String(), 1)
 	}

@@ -2,6 +2,7 @@ package spanner
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,11 +17,15 @@ const (
 	lockExclusive
 )
 
-// lockEntry tracks the holders of one row lock and the channels of
-// waiting transactions (closed on any release so waiters re-check).
+// lockEntry tracks the holders of one row lock and the channel its
+// waiting transactions share (closed on any release so waiters re-check).
+// Nearly every lock has one holder, which lives in the entry itself; only
+// a second shared holder allocates.
 type lockEntry struct {
-	holders map[*Txn]lockMode
-	waiters []chan struct{}
+	mode    lockMode
+	holders []*Txn        // exactly one when mode is lockExclusive
+	first   [1]*Txn       // backing array of a single holder
+	wake    chan struct{} // nil while nobody waits
 }
 
 // lockTable is the database-wide row lock manager. Deadlocks are resolved
@@ -38,17 +43,19 @@ func newLockTable(clock truetime.Clock) *lockTable {
 	return &lockTable{clock: clock, locks: map[string]*lockEntry{}}
 }
 
-// canGrant reports whether txn may take key in mode given current
-// holders. Lock upgrades (shared->exclusive) succeed when txn is the sole
-// holder.
-func (e *lockEntry) canGrant(txn *Txn, mode lockMode) bool {
-	for holder, hmode := range e.holders {
-		if holder == txn {
-			continue
-		}
-		if mode == lockExclusive || hmode == lockExclusive {
-			return false
-		}
+// grant gives txn the lock in mode if the current holders allow it,
+// upgrading shared to exclusive when txn is the sole holder.
+func (e *lockEntry) grant(txn *Txn, mode lockMode) bool {
+	held := slices.Contains(e.holders, txn)
+	switch {
+	case len(e.holders) == 0:
+		e.holders, e.mode = append(e.first[:0], txn), mode
+	case held && len(e.holders) == 1:
+		e.mode = max(e.mode, mode)
+	case mode == lockExclusive || e.mode == lockExclusive:
+		return false
+	case !held:
+		e.holders = append(e.holders, txn)
 	}
 	return true
 }
@@ -68,18 +75,17 @@ func (lt *lockTable) acquire(ctx context.Context, txn *Txn, key string, mode loc
 	for {
 		e, ok := lt.locks[key]
 		if !ok {
-			e = &lockEntry{holders: map[*Txn]lockMode{}}
+			e = &lockEntry{}
 			lt.locks[key] = e
 		}
-		if e.canGrant(txn, mode) {
-			if cur, held := e.holders[txn]; !held || mode == lockExclusive && cur == lockShared {
-				e.holders[txn] = mode
-			}
+		if e.grant(txn, mode) {
 			lt.mu.Unlock()
 			return nil
 		}
-		ch := make(chan struct{})
-		e.waiters = append(e.waiters, ch)
+		if e.wake == nil {
+			e.wake = make(chan struct{})
+		}
+		ch := e.wake
 		lt.mu.Unlock()
 
 		if lt.clock.After(deadline) {
@@ -107,19 +113,21 @@ func (lt *lockTable) acquire(ctx context.Context, txn *Txn, key string, mode loc
 
 // release drops all locks held by txn on the given keys and wakes
 // waiters.
-func (lt *lockTable) release(txn *Txn, keys []string) {
+func (lt *lockTable) release(txn *Txn, keys map[string]lockMode) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	for _, key := range keys {
+	for key := range keys {
 		e, ok := lt.locks[key]
 		if !ok {
 			continue
 		}
-		delete(e.holders, txn)
-		for _, ch := range e.waiters {
-			close(ch)
+		if i := slices.Index(e.holders, txn); i >= 0 {
+			e.holders = slices.Delete(e.holders, i, i+1)
 		}
-		e.waiters = nil
+		if e.wake != nil {
+			close(e.wake)
+			e.wake = nil
+		}
 		if len(e.holders) == 0 {
 			delete(lt.locks, key)
 		}

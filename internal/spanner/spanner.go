@@ -20,6 +20,7 @@
 package spanner
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -275,7 +276,7 @@ func (db *DB) openTablets() error {
 			db.closeTablets()
 			return err
 		}
-		if !bytesEqualNil(start, m.Start) || !bytesEqualNil(end, m.End) {
+		if !sameBound(start, m.Start) || !sameBound(end, m.End) {
 			if err := e.SetBounds(start, end); err != nil {
 				e.Close()
 				db.closeTablets()
@@ -303,13 +304,6 @@ func (db *DB) openTablets() error {
 		f.Forward(maxDurable)
 	}
 	return nil
-}
-
-func bytesEqualNil(a, b []byte) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	return compareBytes(a, b) == 0
 }
 
 func (db *DB) closeTablets() {
@@ -512,7 +506,7 @@ func (db *DB) SnapshotGet(ctx context.Context, key []byte, ts truetime.Timestamp
 		if t == nil {
 			return nil, 0, false, ErrClosed
 		}
-		if err := t.waitSafe(ctx, ts); err != nil {
+		if err := t.waitSafe(ctx, key, ts); err != nil {
 			return nil, 0, false, err
 		}
 		t.recordOp(1, keyviz.OpRead)
@@ -616,7 +610,7 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 		}
 		restart := false
 		for _, t := range tablets {
-			if err := t.waitSafe(ctx, ts); err != nil {
+			if err := t.waitSafe(ctx, nil, ts); err != nil {
 				return err
 			}
 			t.recordOp(1, keyviz.OpScan)
@@ -664,29 +658,7 @@ func lessOrEqual(a, b []byte) bool {
 	if a == nil {
 		return true
 	}
-	return compareBytes(a, b) <= 0
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
+	return bytes.Compare(a, b) <= 0
 }
 
 // Message is a transactional message delivered after its enclosing

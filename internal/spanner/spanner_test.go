@@ -515,6 +515,66 @@ func TestSnapshotGetContextCancel(t *testing.T) {
 	_ = err // either outcome is fine; the call must not hang
 }
 
+// A commit held inside its prepared window blocks point reads of the rows
+// it writes and range reads of its tablet, and no other point read.
+func TestSafeTimeIsPerKeyForPointReads(t *testing.T) {
+	prepared, release := make(chan struct{}), make(chan struct{})
+	hold := false
+	db := New(Config{
+		Clock: truetime.NewSystem(10 * time.Microsecond),
+		CommitLatency: func() time.Duration { // runs between prepare and apply
+			if hold {
+				close(prepared)
+				<-release
+			}
+			return 0
+		},
+	})
+	ctx := context.Background()
+	put(t, db, "a", "old")
+	put(t, db, "b", "b")
+	hold = true
+	committed := make(chan error, 1)
+	go func() {
+		txn := db.Begin()
+		txn.Put([]byte("a"), []byte("new"))
+		txn.Put([]byte("c"), []byte("new"))
+		_, err := txn.Commit(ctx, 0, 0)
+		committed <- err
+	}()
+	<-prepared
+	ts := db.StrongReadTimestamp()
+	bctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	if v, _, ok, err := db.SnapshotGet(bctx, []byte("b"), ts); err != nil || !ok || string(v) != "b" {
+		t.Fatalf("read of an unwritten row: %q %v %v", v, ok, err)
+	}
+	got, scanned := make(chan string, 1), make(chan int, 1)
+	go func() {
+		v, _, _, _ := db.SnapshotGet(ctx, []byte("a"), ts)
+		got <- string(v)
+	}()
+	go func() {
+		n := 0
+		db.SnapshotScan(ctx, nil, nil, ts, false, func(ScanRow) bool { n++; return true })
+		scanned <- n
+	}()
+	select {
+	case v := <-got:
+		t.Fatalf("read of a prepared row returned %q before the commit applied", v)
+	case n := <-scanned:
+		t.Fatalf("scan returned %d rows before the commit applied", n)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if v, n := <-got, <-scanned; v != "new" || n != 3 {
+		t.Fatalf("after the commit: read %q, scanned %d rows; want \"new\", 3", v, n)
+	}
+}
+
 func TestStatsCounters(t *testing.T) {
 	db := testDB(t)
 	put(t, db, "k", "v")

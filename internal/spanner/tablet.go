@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -95,7 +96,7 @@ func (t *tablet) ownsKey(key []byte) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return !t.retired && lessOrEqual(t.start, key) &&
-		(t.end == nil || compareBytes(key, t.end) < 0)
+		(t.end == nil || bytes.Compare(key, t.end) < 0)
 }
 
 // loadWindow is the decay window for tablet load accounting.
@@ -143,14 +144,17 @@ func (t *tablet) finish(txn *Txn) {
 }
 
 // waitSafe blocks until no in-flight commit could receive a timestamp
-// <= ts, making a snapshot read at ts stable.
-func (t *tablet) waitSafe(ctx context.Context, ts truetime.Timestamp) error {
+// <= ts, making a snapshot read at ts stable. A point read passes its
+// key and waits only for the prepared transactions that write it (the
+// Spanner paper's fine-grained safe time, §4.2.3; DESIGN.md "Safe time
+// is per key"); a range read passes nil and waits for all of them.
+func (t *tablet) waitSafe(ctx context.Context, key []byte, ts truetime.Timestamp) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
 		blocked := false
-		for _, bound := range t.prepared {
-			if bound <= ts {
+		for txn, bound := range t.prepared {
+			if bound <= ts && (key == nil || txn.writesKey(key)) {
 				blocked = true
 				break
 			}
@@ -307,19 +311,15 @@ func sameBound(a, b []byte) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	return compareBytes(a, b) == 0
+	return bytes.Compare(a, b) == 0
 }
 
 // apply installs a set of writes at commit timestamp ts. An
 // ErrCrashed-classified failure triggers tablet recovery (manifest load
 // + WAL replay) before returning; the commit itself reports the error.
-func (t *tablet) apply(ctx context.Context, writes []bufferedWrite, ts truetime.Timestamp) error {
-	sw := make([]storage.Write, len(writes))
-	for i, w := range writes {
-		sw[i] = storage.Write{Key: w.key, Value: w.value, Delete: w.delete}
-	}
+func (t *tablet) apply(ctx context.Context, writes []storage.Write, ts truetime.Timestamp) error {
 	e := t.engine()
-	if err := e.Apply(ctx, sw, ts); err != nil {
+	if err := e.Apply(ctx, writes, ts); err != nil {
 		if errors.Is(err, storage.ErrCrashed) {
 			t.db.recoverTablet(t, e)
 		}
@@ -342,7 +342,7 @@ const applyMaxAttempts = 8
 // retrying on crash. A replayed record surviving a failed fsync can
 // legally duplicate a version at the same timestamp; reads resolve the
 // newest entry at or below ts, so the duplicate is benign.
-func (t *tablet) applyRollForward(ctx context.Context, writes []bufferedWrite, ts truetime.Timestamp) error {
+func (t *tablet) applyRollForward(ctx context.Context, writes []storage.Write, ts truetime.Timestamp) error {
 	var err error
 	for attempt := 0; attempt < applyMaxAttempts; attempt++ {
 		if err = t.apply(ctx, writes, ts); err == nil {
@@ -372,11 +372,11 @@ func (t *tablet) crashRestart() {
 // unbounded.
 func clampRange(begin, end, start, end2 []byte) (lo, hi []byte) {
 	lo = begin
-	if start != nil && (lo == nil || compareBytes(start, lo) > 0) {
+	if start != nil && (lo == nil || bytes.Compare(start, lo) > 0) {
 		lo = start
 	}
 	hi = end
-	if end2 != nil && (hi == nil || compareBytes(end2, hi) < 0) {
+	if end2 != nil && (hi == nil || bytes.Compare(end2, hi) < 0) {
 		hi = end2
 	}
 	return lo, hi
@@ -455,7 +455,7 @@ func (db *DB) maybeSplit() {
 			continue
 		}
 		midKey, ok := e.KeyAt(n / 2)
-		if !ok || (t.start != nil && compareBytes(midKey, t.start) <= 0) {
+		if !ok || (t.start != nil && bytes.Compare(midKey, t.start) <= 0) {
 			t.mu.Unlock()
 			continue
 		}

@@ -1,10 +1,11 @@
 package spanner
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -15,13 +16,6 @@ import (
 	"firestore/internal/truetime"
 )
 
-// bufferedWrite is a pending row mutation in a transaction.
-type bufferedWrite struct {
-	key    []byte
-	value  []byte
-	delete bool
-}
-
 // Txn is a lock-based read-write transaction. Reads take row locks;
 // writes are buffered and applied atomically at a TrueTime commit
 // timestamp via two-phase commit across the tablets involved. Txn is not
@@ -30,14 +24,22 @@ type Txn struct {
 	db   *DB
 	done bool
 
-	// writes keyed by string(key); ordered on commit for determinism.
-	writes map[string]bufferedWrite
-	// held are the lock-table keys this transaction holds.
+	// writes is the write buffer in arrival order. Put and Delete own
+	// their arguments and append them as they are; Commit sorts it stably
+	// by key, keeps the last write of each key, and hands each participant
+	// tablet its sub-slice — no byte is copied between caller and engine.
+	writes []storage.Write
+	// latest maps a written key to its last position in writes, built by
+	// the first read that follows a write and kept up from then on; a
+	// transaction that reads before it writes never pays for it.
+	latest map[string]int
+	// held are the lock-table keys this transaction holds; each key is
+	// the one string the lock table holds too.
 	held map[string]lockMode
 	// cached are row versions read by PrefetchForUpdate under exclusive
 	// locks this transaction still holds, so they cannot change under us;
 	// later Gets on these keys are served locally. Buffered writes shadow
-	// the cache (the writes map is always consulted first).
+	// the cache (the write buffer is always consulted first).
 	cached map[string]storage.BatchGet
 	// msgs are transactional messages delivered only on commit.
 	msgs []Message
@@ -45,23 +47,48 @@ type Txn struct {
 
 // Begin starts a read-write transaction.
 func (db *DB) Begin() *Txn {
-	return &Txn{
-		db:     db,
-		writes: map[string]bufferedWrite{},
-		held:   map[string]lockMode{},
+	return &Txn{db: db, held: map[string]lockMode{}}
+}
+
+// indexed returns latest, building it if writes were buffered without it.
+func (t *Txn) indexed() map[string]int {
+	if t.latest == nil && len(t.writes) > 0 {
+		t.latest = make(map[string]int, len(t.writes))
+		for i, w := range t.writes {
+			t.latest[string(w.Key)] = i
+		}
+	}
+	return t.latest
+}
+
+// buffered returns the transaction's latest write to key, if any.
+func (t *Txn) buffered(key []byte) (storage.Write, bool) {
+	if i, ok := t.indexed()[string(key)]; ok {
+		return t.writes[i], true
+	}
+	return storage.Write{}, false
+}
+
+func (t *Txn) buffer(w storage.Write) {
+	if t.writes == nil {
+		t.writes = make([]storage.Write, 0, 8) // a document and its index rows
+	}
+	t.writes = append(t.writes, w)
+	if t.latest != nil {
+		t.latest[string(w.Key)] = len(t.writes) - 1
 	}
 }
 
 // lock acquires key in mode for the transaction.
 func (t *Txn) lock(ctx context.Context, key []byte, mode lockMode) error {
-	k := string(key)
-	if cur, ok := t.held[k]; ok && (cur == lockExclusive || cur == mode) {
+	if cur, ok := t.held[string(key)]; ok && (cur == lockExclusive || cur == mode) {
 		return nil
 	}
 	if err := fault.Point(ctx, fault.SpannerLockWait); err != nil {
 		t.db.sampleFault(key)
 		return err
 	}
+	k := string(key) // the row key's one copy: held and the lock table share it
 	start := t.db.clock.Now().Latest
 	if err := t.db.locks.acquire(ctx, t, k, mode, t.db.lockTimeout); err != nil {
 		t.db.mu.Lock()
@@ -101,11 +128,11 @@ func (t *Txn) GetVersioned(ctx context.Context, key []byte, forUpdate bool) ([]b
 	if t.done {
 		return nil, 0, false, ErrTxnDone
 	}
-	if w, ok := t.writes[string(key)]; ok {
-		if w.delete {
+	if w, ok := t.buffered(key); ok {
+		if w.Delete {
 			return nil, 0, false, nil
 		}
-		return w.value, 0, true, nil
+		return w.Value, 0, true, nil
 	}
 	mode := lockShared
 	if forUpdate {
@@ -151,7 +178,7 @@ func (t *Txn) PrefetchForUpdate(ctx context.Context, keys [][]byte) error {
 		if _, already := t.cached[k]; seen[k] || already {
 			continue
 		}
-		if _, buffered := t.writes[k]; buffered {
+		if _, buffered := t.buffered(key); buffered {
 			continue
 		}
 		seen[k] = true
@@ -195,7 +222,7 @@ func (t *Txn) Scan(ctx context.Context, begin, end []byte, fn func(ScanRow) bool
 		rows = rows[:0]
 		ok := true
 		for _, tab := range t.db.tabletsInRange(begin, end) {
-			if err := tab.waitSafe(ctx, ts); err != nil {
+			if err := tab.waitSafe(ctx, nil, ts); err != nil {
 				return err
 			}
 			tab.recordOp(1, keyviz.OpScan)
@@ -223,11 +250,11 @@ func (t *Txn) Scan(ctx context.Context, begin, end []byte, fn func(ScanRow) bool
 		}
 		// Re-read under the lock: the row may have changed between the
 		// unlocked scan and lock acquisition.
-		if w, ok := t.writes[string(r.Key)]; ok {
-			if w.delete {
+		if w, ok := t.buffered(r.Key); ok {
+			if w.Delete {
 				continue
 			}
-			r.Value = w.value
+			r.Value = w.Value
 		} else if v, _, ok, err := t.db.readOwned(ctx, r.Key, truetime.Max); err != nil {
 			return err
 		} else if ok {
@@ -248,64 +275,41 @@ func (t *Txn) overlay(rows []ScanRow, begin, end []byte) []ScanRow {
 	if len(t.writes) == 0 {
 		return rows
 	}
-	byKey := make(map[string]int, len(rows))
-	for i, r := range rows {
-		byKey[string(r.Key)] = i
-	}
-	var added []ScanRow
-	removed := map[int]bool{}
-	for k, w := range t.writes {
-		kb := []byte(k)
-		if begin != nil && compareBytes(kb, begin) < 0 {
-			continue
-		}
-		if end != nil && compareBytes(kb, end) >= 0 {
-			continue
-		}
-		if i, ok := byKey[k]; ok {
-			if w.delete {
-				removed[i] = true
-			} else {
-				rows[i].Value = w.value
-			}
-			continue
-		}
-		if !w.delete {
-			added = append(added, ScanRow{Key: kb, Value: w.value})
-		}
-	}
 	out := rows[:0]
-	for i, r := range rows {
-		if !removed[i] {
+	for _, r := range rows {
+		if _, ok := t.buffered(r.Key); !ok {
 			out = append(out, r)
 		}
 	}
-	out = append(out, added...)
-	sort.Slice(out, func(i, j int) bool { return compareBytes(out[i].Key, out[j].Key) < 0 })
+	for _, i := range t.indexed() {
+		w := t.writes[i]
+		if !w.Delete && (begin == nil || bytes.Compare(w.Key, begin) >= 0) && (end == nil || bytes.Compare(w.Key, end) < 0) {
+			out = append(out, ScanRow{Key: w.Key, Value: w.Value})
+		}
+	}
+	slices.SortFunc(out, func(a, b ScanRow) int { return bytes.Compare(a.Key, b.Key) })
 	return out
 }
 
-// Put buffers an insert-or-update of key.
+// Put buffers an insert-or-update of key. The transaction takes
+// ownership of both slices: they reach the storage engine as they are
+// and the engine retains them, so the caller must not modify either
+// afterwards (DESIGN.md "Write path: who owns the bytes").
 func (t *Txn) Put(key, value []byte) {
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
-	t.writes[string(k)] = bufferedWrite{key: k, value: v}
+	t.buffer(storage.Write{Key: key, Value: value})
 }
 
-// Delete buffers a deletion of key.
+// Delete buffers a deletion of key, taking ownership of it like Put.
 func (t *Txn) Delete(key []byte) {
-	k := append([]byte(nil), key...)
-	t.writes[string(k)] = bufferedWrite{key: k, delete: true}
+	t.buffer(storage.Write{Key: key, Delete: true})
 }
 
 // Message buffers a transactional message, delivered to topic subscribers
-// only if the transaction commits.
+// only if the transaction commits. The transaction takes ownership of
+// payload.
 func (t *Txn) Message(topic string, payload []byte) {
-	t.msgs = append(t.msgs, Message{Topic: topic, Payload: append([]byte(nil), payload...)})
+	t.msgs = append(t.msgs, Message{Topic: topic, Payload: payload})
 }
-
-// WriteCount returns the number of buffered mutations.
-func (t *Txn) WriteCount() int { return len(t.writes) }
 
 // Abort releases the transaction's locks without applying writes.
 func (t *Txn) Abort() {
@@ -321,11 +325,20 @@ func (t *Txn) Abort() {
 
 func (t *Txn) finish() {
 	t.done = true
-	keys := make([]string, 0, len(t.held))
-	for k := range t.held {
-		keys = append(keys, k)
-	}
-	t.db.locks.release(t, keys)
+	t.db.locks.release(t, t.held)
+}
+
+// writesKey reports whether a prepared transaction writes key: Commit
+// sorts writes before it prepares and then leaves them alone.
+func (t *Txn) writesKey(key []byte) bool {
+	_, ok := slices.BinarySearchFunc(t.writes, key, func(w storage.Write, k []byte) int { return bytes.Compare(w.Key, k) })
+	return ok
+}
+
+// participant is one tablet of a commit and its run of the sorted writes.
+type participant struct {
+	tab    *tablet
+	writes []storage.Write
 }
 
 // rollForwardAsync drives an interrupted phase 2 to completion in the
@@ -338,34 +351,30 @@ func (t *Txn) finish() {
 // whose first attempt did reach the WAL is benign: reads resolve the
 // newest version at or below ts, so a duplicate at the same timestamp
 // is invisible.
-func (t *Txn) rollForwardAsync(participants []*tablet, from int, groups map[*tablet][]bufferedWrite, ts truetime.Timestamp) {
+func (t *Txn) rollForwardAsync(participants []participant, from int, ts truetime.Timestamp) {
 	t.done = true // the txn handle is spent; a later Abort is a no-op
 	db := t.db
 	db.mu.Lock()
 	db.stats.RollForwards++
 	db.mu.Unlock()
 	db.count("spanner.roll_forwards", "")
-	keys := make([]string, 0, len(t.held))
-	for k := range t.held {
-		keys = append(keys, k)
-	}
 	go func() {
-		for _, tab := range participants[from:] {
+		for _, p := range participants[from:] {
 			// The client's ctx may be cancelled, but the roll-forward
 			// must outlive it (as a Paxos group's would), so retries run
 			// on a background context. Prepared tablets are exempt from
 			// split and merge, so the participant set stays valid.
 			for !db.isClosed() {
-				if err := tab.apply(context.Background(), groups[tab], ts); err == nil { //fslint:ignore ctxdiscipline commit-lifecycle root: roll-forward must outlive the request that committed
+				if err := p.tab.apply(context.Background(), p.writes, ts); err == nil { //fslint:ignore ctxdiscipline commit-lifecycle root: roll-forward must outlive the request that committed
 					break
 				}
 				db.clock.Sleep(time.Millisecond)
 			}
 		}
-		for _, tab := range participants {
-			tab.finish(t)
+		for _, p := range participants {
+			p.tab.finish(t)
 		}
-		db.locks.release(t, keys)
+		db.locks.release(t, t.held)
 	}()
 }
 
@@ -401,40 +410,46 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 		return t.db.clock.Now().Latest, nil
 	}
 
-	// Deterministic lock order avoids self-inflicted deadlocks between
-	// writers of the same key sets.
-	ordered := make([]bufferedWrite, 0, len(t.writes))
-	for _, w := range t.writes {
-		ordered = append(ordered, w)
+	// Sort by key: a deterministic lock order avoids self-inflicted
+	// deadlocks between writers of the same key sets, and each tablet's
+	// writes become one contiguous run. The sort is stable, so of several
+	// writes to one key the last buffered is the last of its run — the one
+	// that wins.
+	slices.SortStableFunc(t.writes, func(a, b storage.Write) int { return bytes.Compare(a.Key, b.Key) })
+	writes := t.writes[:0]
+	for i, w := range t.writes {
+		if i+1 == len(t.writes) || !bytes.Equal(w.Key, t.writes[i+1].Key) {
+			writes = append(writes, w)
+		}
 	}
-	sort.Slice(ordered, func(i, j int) bool { return compareBytes(ordered[i].key, ordered[j].key) < 0 })
-	for _, w := range ordered {
-		if err := t.lock(ctx, w.key, lockExclusive); err != nil {
+	t.writes, t.latest = writes, nil
+	for _, w := range writes {
+		if err := t.lock(ctx, w.Key, lockExclusive); err != nil {
 			t.Abort()
 			return 0, fmt.Errorf("acquiring commit locks: %w", err)
 		}
 	}
 
-	// Group writes by participant tablet and register prepare bounds
-	// under db.mu so no split can migrate rows between grouping and
+	// Cut the sorted writes into participant tablets and register prepare
+	// bounds under db.mu so no split can migrate rows between grouping and
 	// apply (maybeSplit holds db.mu exclusively and skips prepared
 	// tablets).
 	bound := t.db.clock.Now().Earliest
-	groups := map[*tablet][]bufferedWrite{}
+	var participants []participant
 	t.db.mu.RLock()
 	if len(t.db.tablets) == 0 {
 		t.db.mu.RUnlock()
 		t.Abort()
 		return 0, ErrClosed
 	}
-	for _, w := range ordered {
-		tab := t.db.tablets[t.db.tabletIndexLocked(w.key)]
-		groups[tab] = append(groups[tab], w)
-	}
-	participants := make([]*tablet, 0, len(groups))
-	for tab := range groups {
-		tab.prepare(t, bound)
-		participants = append(participants, tab)
+	for i, w := range writes {
+		tab := t.db.tablets[t.db.tabletIndexLocked(w.Key)]
+		if n := len(participants); n == 0 || participants[n-1].tab != tab {
+			tab.prepare(t, bound)
+			participants = append(participants, participant{tab: tab, writes: writes[i:i]})
+		}
+		p := &participants[len(participants)-1]
+		p.writes = p.writes[:len(p.writes)+1]
 	}
 	t.db.mu.RUnlock()
 
@@ -444,16 +459,16 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 	if minTS > ts {
 		ts = minTS
 	}
-	for _, tab := range participants {
-		tab.mu.Lock()
-		if tab.lastCommit >= ts {
-			ts = tab.lastCommit + 1
+	for _, p := range participants {
+		p.tab.mu.Lock()
+		if p.tab.lastCommit >= ts {
+			ts = p.tab.lastCommit + 1
 		}
-		tab.mu.Unlock()
+		p.tab.mu.Unlock()
 	}
 	if ts > maxTS {
-		for _, tab := range participants {
-			tab.finish(t)
+		for _, p := range participants {
+			p.tab.finish(t)
 		}
 		t.Abort()
 		return 0, fmt.Errorf("%w: need %d > max %d", ErrCommitWindow, ts, maxTS)
@@ -464,12 +479,12 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 	// anything; injected latency models a quorum slowdown.
 	if err := fault.Point(ctx, fault.SpannerCommitQuorum); err != nil {
 		if t.db.kv.Armed() {
-			for _, tab := range participants {
-				t.db.kv.Sample(keyviz.SrcTablet, tab.id, keyviz.OpFault, 1, 0, 0)
+			for _, p := range participants {
+				t.db.kv.Sample(keyviz.SrcTablet, p.tab.id, keyviz.OpFault, 1, 0, 0)
 			}
 		}
-		for _, tab := range participants {
-			tab.finish(t)
+		for _, p := range participants {
+			p.tab.finish(t)
 		}
 		t.Abort()
 		return 0, err
@@ -487,13 +502,13 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 	}
 	if t.db.commitBytesDelay != nil {
 		total := 0
-		for _, w := range ordered {
-			total += len(w.key) + len(w.value)
+		for _, w := range writes {
+			total += len(w.Key) + len(w.Value)
 		}
 		delay += t.db.commitBytesDelay(total)
 	}
 	if t.db.commitRowDelay != nil {
-		delay += t.db.commitRowDelay(len(ordered))
+		delay += t.db.commitRowDelay(len(writes))
 	}
 	if delay > 0 {
 		t.db.clock.Sleep(delay)
@@ -505,14 +520,14 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 	// a participant that crashes mid-apply recovers (manifest + WAL
 	// replay) and the apply rolls forward rather than aborting, so the
 	// batch stays atomic across tablets.
-	for i, tab := range participants {
-		if err := tab.applyRollForward(ctx, groups[tab], ts); err != nil {
+	for i, p := range participants {
+		if err := p.tab.applyRollForward(ctx, p.writes, ts); err != nil {
 			if i == 0 && !errors.Is(err, storage.ErrCrashed) {
 				// Every attempt on the first participant failed cleanly
 				// (nothing reached any WAL), so no participant holds
 				// durable state: aborting keeps the batch atomic.
 				for _, p := range participants {
-					p.finish(t)
+					p.tab.finish(t)
 				}
 				t.Abort()
 				return 0, err
@@ -525,18 +540,18 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 			// prepare bounds pin the state out of every reader's view.
 			// The caller sees the outcome as unknown (Unavailable) and
 			// its retry finds the transaction fully applied.
-			t.rollForwardAsync(participants, i, groups, ts)
+			t.rollForwardAsync(participants, i, ts)
 			return 0, fmt.Errorf("%w: %v", ErrOutcomeUnknown, err)
 		}
-		tab.recordOp(int64(len(groups[tab])), keyviz.OpCommit)
+		p.tab.recordOp(int64(len(p.writes)), keyviz.OpCommit)
 	}
 	// Injected tablet crash AFTER the applies are durable: the tablet
 	// drops its volatile engine state and recovers from disk before the
 	// commit is acknowledged — a strong read right after Commit returns
 	// must still observe this transaction.
 	if fault.Decide(ctx, fault.TabletCrashRestart).Kind == fault.KindCrash {
-		for _, tab := range participants {
-			tab.crashRestart()
+		for _, p := range participants {
+			p.tab.crashRestart()
 		}
 	}
 	reqctx.Annotate(ctx, "participants", strconv.Itoa(len(participants)))
@@ -550,16 +565,16 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 	// were already counted by recordOp at apply time, so n is zero.
 	if t.db.kv.Armed() {
 		lat := t.db.clock.Now().Latest.Sub(kvStart)
-		for _, tab := range participants {
+		for _, p := range participants {
 			var nbytes int64
-			for _, w := range groups[tab] {
-				nbytes += int64(len(w.key) + len(w.value))
+			for _, w := range p.writes {
+				nbytes += int64(len(w.Key) + len(w.Value))
 			}
-			t.db.kv.Sample(keyviz.SrcTablet, tab.id, keyviz.OpCommit, 0, nbytes, lat)
+			t.db.kv.Sample(keyviz.SrcTablet, p.tab.id, keyviz.OpCommit, 0, nbytes, lat)
 		}
 	}
-	for _, tab := range participants {
-		tab.finish(t)
+	for _, p := range participants {
+		p.tab.finish(t)
 	}
 	t.finish()
 

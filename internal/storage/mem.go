@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sync"
 
 	"firestore/internal/btree"
@@ -116,9 +117,11 @@ func (e *Mem) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(R
 	// the rows visible at ts, and delivers them outside it; the next
 	// round re-seeks past the last chain visited (the tree cannot be
 	// snapshotted: btree.Clone is a deep copy).
+	// rows is sized to the chunk before the lock is taken, so no round
+	// grows it while writers wait.
 	var rows []Row
 	for n := NextScanChunk(0); ; n = NextScanChunk(n) {
-		rows = rows[:0]
+		rows = slices.Grow(rows[:0], n)
 		var last []byte
 		visited := 0
 		visit := func(k []byte, v any) bool {

@@ -10,6 +10,7 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"firestore/internal/backend"
 	"firestore/internal/doc"
@@ -62,8 +63,8 @@ type Service struct {
 
 	mu       sync.Mutex
 	triggers []trigger
-	errs     int64
-	handled  int64
+
+	errs, handled atomic.Int64
 }
 
 // New starts the trigger service for one database, consuming the
@@ -91,18 +92,10 @@ func (s *Service) OnWrite(collection string, h Handler) {
 }
 
 // Handled returns the number of deliveries performed.
-func (s *Service) Handled() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.handled
-}
+func (s *Service) Handled() int64 { return s.handled.Load() }
 
 // Errors returns the number of handler errors observed.
-func (s *Service) Errors() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.errs
-}
+func (s *Service) Errors() int64 { return s.errs.Load() }
 
 func (s *Service) run(ch <-chan spanner.Message) {
 	defer s.wg.Done()
@@ -116,31 +109,40 @@ func (s *Service) run(ch <-chan spanner.Message) {
 	}
 }
 
+// dispatch delivers one committed change. Its cost follows the
+// triggers, not the writes: with none registered the payload is not
+// touched, and the two documents are decoded only once some trigger
+// matches the changed document's name.
 func (s *Service) dispatch(m spanner.Message) {
-	name, old, new, err := backend.UnmarshalChange(m.Payload)
-	if err != nil {
-		s.mu.Lock()
-		s.errs++
-		s.mu.Unlock()
+	s.mu.Lock()
+	regs := s.triggers // append-only: the prefix seen here never changes
+	s.mu.Unlock()
+	if len(regs) == 0 {
 		return
 	}
-	change := Change{DB: s.db, Name: name, Old: old, New: new, TS: m.CommitTS}
-	s.mu.Lock()
-	regs := append([]trigger(nil), s.triggers...)
-	s.mu.Unlock()
+	name, _, err := backend.ChangeName(m.Payload)
+	if err != nil {
+		s.errs.Add(1)
+		return
+	}
+	var change *Change
 	for _, t := range regs {
 		if !t.matches(name) {
 			continue
 		}
-		if err := t.handler(context.Background(), change); err != nil {
-			s.mu.Lock()
-			s.errs++
-			s.mu.Unlock()
-			continue
+		if change == nil {
+			_, old, new, err := backend.UnmarshalChange(m.Payload)
+			if err != nil {
+				s.errs.Add(1)
+				return
+			}
+			change = &Change{DB: s.db, Name: name, Old: old, New: new, TS: m.CommitTS}
 		}
-		s.mu.Lock()
-		s.handled++
-		s.mu.Unlock()
+		if err := t.handler(context.Background(), *change); err != nil {
+			s.errs.Add(1)
+		} else {
+			s.handled.Add(1)
+		}
 	}
 }
 

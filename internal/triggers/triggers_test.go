@@ -10,6 +10,7 @@ import (
 	"firestore/internal/backend"
 	"firestore/internal/catalog"
 	"firestore/internal/doc"
+	"firestore/internal/encoding"
 	"firestore/internal/spanner"
 	"firestore/internal/truetime"
 )
@@ -129,5 +130,50 @@ func TestAbortedWriteNoTrigger(t *testing.T) {
 	case <-fired:
 		t.Fatal("aborted write fired a trigger")
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestDispatchCostFollowsTriggers: a delivered change is decoded only as
+// far as the registered triggers need it. The payloads here name a
+// document and then carry garbage where the two document blobs belong,
+// so any decode of the documents shows up in Errors.
+func TestDispatchCostFollowsTriggers(t *testing.T) {
+	e := newEnv(t)
+	ctx := context.Background()
+	send := func(name string) {
+		t.Helper()
+		txn := e.sp.Begin()
+		txn.Put([]byte("row/"+name), nil)
+		txn.Message(backend.TriggerTopic("app"), append(encoding.AppendEscaped(nil, name), 0, 0, 0, 3, 0xde, 0xad))
+		if _, err := txn.Commit(ctx, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// barrier returns once everything sent before it has been dispatched:
+	// a real commit handled by the "sync" trigger, on the same queue.
+	handled := int64(0)
+	barrier := func() {
+		t.Helper()
+		e.b.Commit(ctx, "app", priv, []backend.WriteOp{{Kind: backend.OpSet, Name: doc.MustName("/sync/s"), Fields: nil}})
+		handled++
+		waitHandled(t, e.svc, handled)
+	}
+
+	send("/ratings/no-trigger-yet") // nothing registered: the payload is not touched
+	e.svc.OnWrite("sync", func(context.Context, Change) error { return nil })
+	barrier()
+	if got := e.svc.Errors(); got != 0 {
+		t.Fatalf("with no trigger registered the payload was decoded: %d errors", got)
+	}
+	send("/ratings/not-matching") // a trigger exists, but for another collection: name only
+	barrier()
+	if got := e.svc.Errors(); got != 0 {
+		t.Fatalf("a change no trigger matches had its documents decoded: %d errors", got)
+	}
+	e.svc.OnWrite("ratings", func(context.Context, Change) error { return nil })
+	send("/ratings/matching") // now the documents are needed, and they are garbage
+	barrier()
+	if got := e.svc.Errors(); got != 1 {
+		t.Fatalf("errors = %d after a matching trigger met a corrupt payload, want 1", got)
 	}
 }
