@@ -17,13 +17,13 @@
 // with no new protocol: the coordinator's roll-forward loop finds the
 // reopened engine and completes phase 2.
 //
-// Tablet handoff between live processes reuses the split/commission
-// protocol: the source's engine is sealed (no new applies), its chains
-// are exported, the target opens a fresh engine on its own WAL
-// directory, ingests durably, and commissions — only then is the source
-// demoted and destroyed. The swap itself rides the recovery path: the
-// moved tablet's client engine is poisoned, and the next touch re-opens
-// it on the target.
+// Tablet handoff between live processes is the migration a split runs
+// (DESIGN.md "Tablet migration"): the source's engine is sealed (no new
+// applies), the target opens a fresh engine on its own WAL directory,
+// storage.CopyChains streams the chains across, and the target
+// commissions — only then is the source demoted and destroyed. The swap
+// itself rides the recovery path: the moved tablet's client engine is
+// poisoned, and the next touch re-opens it on the target.
 package cluster
 
 import (
@@ -80,11 +80,9 @@ var (
 	mGetBatch   = rpc[getBatchReq, getBatchResp]("engine.getbatch")
 	mScan       = rpc[scanReq, scanResp]("engine.scan")
 	mApply      = rpc[applyReq, none]("engine.apply")
-	mLen        = rpc[handleReq, lenResp]("engine.len").whileSealed()
 	mKeyAt      = rpc[keyAtReq, keyAtResp]("engine.key-at").whileSealed()
 	mChains     = rpc[chainsReq, chainsResp]("engine.chains").whileSealed()
 	mIngest     = rpc[ingestReq, none]("engine.ingest")
-	mPurge      = rpc[purgeReq, none]("engine.purge")
 	mSetBounds  = rpc[setBoundsReq, none]("engine.set-bounds")
 	mCommission = rpc[handleReq, none]("engine.commission")
 	mStats      = rpc[handleReq, statsResp]("engine.stats").whileSealed()
@@ -208,7 +206,6 @@ func (r applyReq) handle() uint64     { return r.H }
 func (r keyAtReq) handle() uint64     { return r.H }
 func (r chainsReq) handle() uint64    { return r.H }
 func (r ingestReq) handle() uint64    { return r.H }
-func (r purgeReq) handle() uint64     { return r.H }
 func (r setBoundsReq) handle() uint64 { return r.H }
 
 type joinReq struct {
@@ -228,12 +225,9 @@ type openReq struct {
 	End   []byte `json:"end"`
 }
 
-// openResp and statsResp keep flushed_ts on the wire for older
-// coordinators; this one reads it from Stats.
 type openResp struct {
 	Handle      uint64             `json:"h"`
 	LastDurable truetime.Timestamp `json:"last_durable"`
-	FlushedTS   truetime.Timestamp `json:"flushed_ts"`
 }
 
 type getReq struct {
@@ -270,19 +264,10 @@ type scanResp struct {
 	More bool          `json:"more,omitempty"`
 }
 
-// maxScanBytes bounds an engine.scan response beside its row limit (at
-// most storage.MaxScanChunk): past this many row bytes the server stops
-// early, so no frame nears transport.MaxFrame however wide the rows.
-const maxScanBytes = 4 << 20
-
 type applyReq struct {
 	H      uint64             `json:"h"`
 	Writes []storage.Write    `json:"writes"`
 	TS     truetime.Timestamp `json:"ts"`
-}
-
-type lenResp struct {
-	N int `json:"n"`
 }
 
 type keyAtReq struct {
@@ -295,24 +280,23 @@ type keyAtResp struct {
 	OK  bool   `json:"ok"`
 }
 
+// chainsReq and chainsResp chunk a chain export the way scanReq and
+// scanResp chunk a scan.
 type chainsReq struct {
-	H  uint64 `json:"h"`
-	Lo []byte `json:"lo"`
-	Hi []byte `json:"hi"`
+	H     uint64 `json:"h"`
+	Lo    []byte `json:"lo"`
+	Hi    []byte `json:"hi"`
+	Limit int    `json:"limit"`
 }
 
 type chainsResp struct {
 	Chains []storage.Chain `json:"chains,omitempty"`
+	More   bool            `json:"more,omitempty"`
 }
 
 type ingestReq struct {
 	H      uint64          `json:"h"`
 	Chains []storage.Chain `json:"chains"`
-}
-
-type purgeReq struct {
-	H    uint64   `json:"h"`
-	Keys [][]byte `json:"keys"`
 }
 
 type setBoundsReq struct {
@@ -322,9 +306,7 @@ type setBoundsReq struct {
 }
 
 type statsResp struct {
-	Stats       storage.Stats      `json:"stats"`
-	LastDurable truetime.Timestamp `json:"last_durable"`
-	FlushedTS   truetime.Timestamp `json:"flushed_ts"`
+	Stats storage.Stats `json:"stats"`
 }
 
 type listReq struct {

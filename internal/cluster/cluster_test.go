@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"firestore/internal/status"
 	"firestore/internal/storage"
 	"firestore/internal/truetime"
 )
@@ -129,6 +132,8 @@ func TestPeerDeathMarksCrashedAndReopenRecovers(t *testing.T) {
 	}
 }
 
+// TestMoveTablet moves a tablet whose export does not fit one chunk:
+// 300 chains, each with an old version, some ending in a tombstone.
 func TestMoveTablet(t *testing.T) {
 	coord, _ := startCluster(t, 2, KindDisk)
 	fac := coord.Factory(0)
@@ -139,8 +144,7 @@ func TestMoveTablet(t *testing.T) {
 	if err := e.Commission(); err != nil {
 		t.Fatalf("Commission: %v", err)
 	}
-	apply(t, e, "x", "1", 5)
-	apply(t, e, "y", "2", 6)
+	m := fillForMove(t, e)
 	source, _ := coord.ownerOf(dbTablet{0, 1})
 	target := "b"
 	if source == "b" {
@@ -165,12 +169,7 @@ func TestMoveTablet(t *testing.T) {
 	if owner, _ := coord.ownerOf(dbTablet{0, 1}); owner != target {
 		t.Fatalf("owner after move = %q, want %q", owner, target)
 	}
-	for key, want := range map[string]string{"x": "1", "y": "2"} {
-		v, _, ok := e2.Get([]byte(key), 100)
-		if !ok || string(v) != want {
-			t.Fatalf("Get(%s) after move = %q, %v; want %q", key, v, ok, want)
-		}
-	}
+	checkAgainst(t, e2, m, "after the move")
 	apply(t, e2, "z", "3", 9)
 
 	// The source's durable state was destroyed: only the target lists
@@ -182,6 +181,136 @@ func TestMoveTablet(t *testing.T) {
 	if len(metas) != 1 || metas[0].ID != 1 {
 		t.Fatalf("List after move = %+v, want exactly tablet 1", metas)
 	}
+}
+
+// fillForMove writes 300 keys twice and deletes every ninth, and returns
+// the model of what it wrote.
+func fillForMove(t *testing.T, e storage.Engine) model {
+	t.Helper()
+	m := model{}
+	ts := truetime.Timestamp(100)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 300; i++ {
+			w := storage.Write{Key: []byte(fmt.Sprintf("row-%03d", i)), Value: []byte(fmt.Sprintf("v%d.%d", round, i))}
+			if round == 2 {
+				if i%9 != 0 {
+					continue
+				}
+				w = storage.Write{Key: w.Key, Delete: true}
+			}
+			ts++
+			if err := e.Apply(context.Background(), []storage.Write{w}, ts); err != nil {
+				t.Fatalf("Apply(%s@%d): %v", w.Key, ts, err)
+			}
+			m[string(w.Key)] = append(m[string(w.Key)], storage.Version{TS: ts, Value: w.Value, Deleted: w.Delete})
+		}
+	}
+	return m
+}
+
+// checkAgainst compares e with the model: every chain, and a full scan at
+// timestamps across the history.
+func checkAgainst(t *testing.T, e storage.Engine, m model, when string) {
+	t.Helper()
+	var got []storage.Chain
+	e.AscendChains(nil, nil, func(c storage.Chain) bool { got = append(got, c); return true })
+	if want := m.chains(nil, nil); !sameChains(got, want) {
+		t.Fatalf("%s: engine holds %d chains that differ from the model's %d", when, len(got), len(want))
+	}
+	for _, ts := range []truetime.Timestamp{100, 250, 500, 800, truetime.Max} {
+		var rows []storage.Row
+		e.Scan(nil, nil, ts, false, func(r storage.Row) bool { rows = append(rows, r); return true })
+		if want := m.rows(nil, nil, ts, false); !sameRows(rows, want) {
+			t.Fatalf("%s: scan @%d: %d rows, want %d; first difference at %d", when, ts, len(rows), len(want), firstDiff(rows, want))
+		}
+	}
+}
+
+// failingIngests wraps a tablet server's factory so that one IngestChains
+// on the engines it hosts fails: the one after left more succeeded.
+type failingIngests struct {
+	storage.Factory
+	left atomic.Int64
+}
+
+func (f *failingIngests) Open(id uint64, start, end []byte) (storage.Engine, error) {
+	e, err := f.Factory.Open(id, start, end)
+	if err != nil {
+		return nil, err
+	}
+	return &failingIngestEngine{Engine: e, fac: f}, nil
+}
+
+type failingIngestEngine struct {
+	storage.Engine
+	fac *failingIngests
+}
+
+func (e *failingIngestEngine) IngestChains(chains []storage.Chain) error {
+	if e.fac.left.Add(-1) == -1 {
+		return status.New(status.Unavailable, "test", "injected ingest failure")
+	}
+	return e.Engine.IngestChains(chains)
+}
+
+// TestMoveTabletAbortedMidCopy: the target fails its second ingest. The
+// move reports the error and changes nothing: the sealed source heals on
+// the re-open the abort forces, serving everything and taking writes, and
+// a second move — over the pending directory the first left on the target
+// — succeeds.
+func TestMoveTabletAbortedMidCopy(t *testing.T) {
+	coord, servers := startCluster(t, 2, KindDisk)
+	fac := coord.Factory(0)
+	e, err := fac.Open(1, nil, nil)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := e.Commission(); err != nil {
+		t.Fatalf("Commission: %v", err)
+	}
+	m := fillForMove(t, e)
+	source, _ := coord.ownerOf(dbTablet{0, 1})
+	target := servers[1]
+	if source == "b" {
+		target = servers[0]
+	}
+	wrapFactory(t, target, 0, func(inner storage.Factory) storage.Factory {
+		failing := &failingIngests{Factory: inner}
+		failing.left.Store(1)
+		return failing
+	})
+
+	if err := coord.MoveTablet(0, 1, target.cfg.Name); err == nil {
+		t.Fatal("MoveTablet succeeded although the target failed an ingest")
+	}
+	if owner, _ := coord.ownerOf(dbTablet{0, 1}); owner != source {
+		t.Fatalf("owner after the aborted move = %q, want %q still", owner, source)
+	}
+	if !e.Crashed() {
+		t.Fatal("the abort did not send the live engine down the recovery path")
+	}
+	e.Close()
+	e2, err := fac.Open(1, nil, nil)
+	if err != nil {
+		t.Fatalf("re-Open after the aborted move: %v", err)
+	}
+	checkAgainst(t, e2, m, "after the aborted move")
+	apply(t, e2, "row-000", "back", 900)
+	m["row-000"] = append(m["row-000"], storage.Version{TS: 900, Value: []byte("back")})
+
+	if err := coord.MoveTablet(0, 1, target.cfg.Name); err != nil {
+		t.Fatalf("second MoveTablet: %v", err)
+	}
+	e2.Close()
+	e3, err := fac.Open(1, nil, nil)
+	if err != nil {
+		t.Fatalf("Open after the second move: %v", err)
+	}
+	defer e3.Close()
+	if owner, _ := coord.ownerOf(dbTablet{0, 1}); owner != target.cfg.Name {
+		t.Fatalf("owner after the second move = %q, want %q", owner, target.cfg.Name)
+	}
+	checkAgainst(t, e3, m, "after the second move")
 }
 
 func TestMoveTabletValidation(t *testing.T) {

@@ -121,16 +121,19 @@ var engineKinds = []struct {
 // TestEngineConformance proves the three storage.Engine implementations
 // interchangeable: one seeded random op sequence — Apply, Get, GetBatch,
 // Scan (both directions, bounded and unbounded, stopped early),
-// AscendChains → IngestChains into a sibling (a split) with PurgeChains +
-// SetBounds on the source, close-and-reopen — runs identically over Mem,
-// Disk and the remote engine on Mem- and Disk-backed peers, every result
-// checked against the model.
+// AscendChains, the migration protocol in both directions (a split:
+// CopyChains of the upper half into a pending sibling, Commission, a
+// narrowing SetBounds on the source; a merge: a widening SetBounds,
+// CopyChains of the right neighbour back, Destroy), close-and-reopen — runs
+// identically over Mem, Disk and the remote engine on Mem- and Disk-backed
+// peers, every result checked against the model.
 func TestEngineConformance(t *testing.T) {
 	for _, kind := range engineKinds {
 		t.Run(kind.name, func(t *testing.T) {
-			c := &conformance{t: t, fac: kind.factory(t), rng: rand.New(rand.NewSource(20)), head: 100}
+			c := &conformance{t: t, fac: kind.factory(t), rng: rand.New(rand.NewSource(20)), head: 100,
+				statsKind: kind.stats, durable: kind.durable}
 			c.open(1, nil, nil, model{})
-			for step := 0; step < 450; step++ {
+			for step := 0; step < 700; step++ {
 				tb := c.tablets[c.rng.Intn(len(c.tablets))]
 				switch op := c.rng.Intn(100); {
 				case op < 55:
@@ -141,21 +144,24 @@ func TestEngineConformance(t *testing.T) {
 					c.getBatch(tb)
 				case op < 90:
 					c.scan(tb)
-				case op < 94:
+				case op < 93:
 					c.chains(tb)
-				case op < 97:
+				case op < 96:
 					c.split(tb)
+				case op < 98:
+					c.merge(tb)
 				default:
 					c.reopen(tb)
 				}
 			}
 			for _, tb := range c.tablets {
 				c.reopen(tb)
-				c.checkAll(tb, kind.stats, kind.durable)
+				c.checkAll(tb)
 				tb.eng.Close()
 			}
-			if len(c.tablets) < 2 {
-				t.Fatal("the sequence never split: the migration ops went unexercised")
+			// Three chunks of chains: 32 + 64 + at least one more.
+			if c.splits == 0 || c.merges == 0 || c.moved <= 96 {
+				t.Fatalf("%d splits, %d merges, largest copy %d chains: no migration spanned three chunks", c.splits, c.merges, c.moved)
 			}
 			if kind.durable {
 				if c.flushes == 0 {
@@ -175,12 +181,18 @@ type confTablet struct {
 }
 
 type conformance struct {
-	t       *testing.T
-	fac     storage.Factory
-	rng     *rand.Rand
-	head    truetime.Timestamp // newest applied timestamp
-	tablets []*confTablet
-	flushes int64 // memtable flushes seen, summed over engine lifetimes
+	t         *testing.T
+	fac       storage.Factory
+	rng       *rand.Rand
+	head      truetime.Timestamp // newest applied timestamp
+	tablets   []*confTablet
+	statsKind string // Stats().Kind of every engine
+	durable   bool
+	flushes   int64  // memtable flushes seen, summed over engine lifetimes
+	lastID    uint64 // tablet ids are never reused
+	splits    int
+	merges    int
+	moved     int // most chains one migration copied
 }
 
 func (c *conformance) open(id uint64, lo, hi []byte, m model) *confTablet {
@@ -194,13 +206,14 @@ func (c *conformance) open(id uint64, lo, hi []byte, m model) *confTablet {
 	}
 	tb := &confTablet{id: id, lo: lo, hi: hi, eng: e, model: m}
 	c.tablets = append(c.tablets, tb)
+	c.lastID = max(c.lastID, id)
 	return tb
 }
 
-// key draws a key inside tb's bounds from a 60-key space.
+// key draws a key inside tb's bounds from a 300-key space.
 func (c *conformance) key(tb *confTablet) []byte {
 	for {
-		k := []byte(fmt.Sprintf("row-%03d", c.rng.Intn(60)))
+		k := []byte(fmt.Sprintf("row-%03d", c.rng.Intn(300)))
 		if (tb.lo == nil || bytes.Compare(k, tb.lo) >= 0) && (tb.hi == nil || bytes.Compare(k, tb.hi) < 0) {
 			return k
 		}
@@ -325,43 +338,88 @@ func (c *conformance) chains(tb *confTablet) {
 }
 
 // split moves the upper half of tb's keys to a new sibling engine the way
-// spanner splits a tablet: export, ingest + commission on the sibling,
-// then purge and narrow the source.
+// spanner splits a tablet: copy into a pending sibling, commission it,
+// narrow the source. It waits for a tablet whose upper half spans three
+// chunks.
 func (c *conformance) split(tb *confTablet) {
 	c.t.Helper()
 	keys := tb.model.keys(nil, nil)
-	if len(c.tablets) >= 3 || len(keys) < 8 {
+	if len(keys) < 200 {
 		return
 	}
 	at := []byte(keys[len(keys)/2])
-	var moved []storage.Chain
-	tb.eng.AscendChains(at, nil, func(ch storage.Chain) bool {
-		moved = append(moved, ch)
-		return true
-	})
-	if want := tb.model.chains(at, nil); !sameChains(moved, want) {
-		c.t.Fatalf("split export [%s,):\n got %v\nwant %v", at, moved, want)
+	c.lastID++
+	e, err := c.fac.Open(c.lastID, at, tb.hi)
+	if err != nil {
+		c.t.Fatalf("Open(%d): %v", c.lastID, err)
 	}
-	sib := c.open(uint64(len(c.tablets)+1), at, tb.hi, model{})
-	if err := sib.eng.IngestChains(moved); err != nil {
-		c.t.Fatalf("IngestChains: %v", err)
-	}
-	var purge [][]byte
-	for _, ch := range moved {
-		sib.model[string(ch.Key)] = tb.model[string(ch.Key)]
-		delete(tb.model, string(ch.Key))
-		purge = append(purge, ch.Key)
+	sib := &confTablet{id: c.lastID, lo: at, hi: tb.hi, eng: e, model: model{}}
+	c.tablets = append(c.tablets, sib)
+	c.copy(sib, tb, at, nil)
+	if err := e.Commission(); err != nil {
+		c.t.Fatalf("Commission(%d): %v", sib.id, err)
 	}
 	// A sibling that holds nothing but ingested chains must recover them,
 	// and report them durable, like applied writes.
 	c.reopen(sib)
-	if err := tb.eng.PurgeChains(purge); err != nil {
-		c.t.Fatalf("PurgeChains: %v", err)
+	oldHi := tb.hi
+	c.setBounds(tb, tb.lo, at)
+	// The narrowed source reads absent outside its bounds at every
+	// timestamp, and widening it back resurrects nothing.
+	c.checkAll(tb)
+	c.setBounds(tb, tb.lo, oldHi)
+	c.checkAll(tb)
+	c.setBounds(tb, tb.lo, at)
+	c.checkAll(sib)
+	c.splits++
+}
+
+// merge folds tb's right neighbour back into it the way spanner merges
+// cold tablets: widen, copy, destroy. The chains land on whatever the
+// split that once narrowed tb left behind there.
+func (c *conformance) merge(tb *confTablet) {
+	c.t.Helper()
+	i := slices.IndexFunc(c.tablets, func(o *confTablet) bool { return tb.hi != nil && bytes.Equal(o.lo, tb.hi) })
+	if i < 0 {
+		return
 	}
-	if err := tb.eng.SetBounds(tb.lo, at); err != nil {
-		c.t.Fatalf("SetBounds: %v", err)
+	nb := c.tablets[i]
+	c.setBounds(tb, tb.lo, nb.hi)
+	c.copy(tb, nb, nil, nil)
+	if err := nb.eng.Close(); err != nil {
+		c.t.Fatalf("Close(%d): %v", nb.id, err)
 	}
-	tb.hi = at
+	if err := c.fac.Destroy(nb.id); err != nil {
+		c.t.Fatalf("Destroy(%d): %v", nb.id, err)
+	}
+	c.tablets = slices.Delete(c.tablets, i, i+1)
+	c.checkAll(tb)
+	c.merges++
+}
+
+// copy runs storage.CopyChains over [lo, hi) of src and moves the model's
+// chains with it. Old versions and tombstones travel: every check after
+// it reads the destination at timestamps across the whole history.
+func (c *conformance) copy(dst, src *confTablet, lo, hi []byte) {
+	c.t.Helper()
+	keys := src.model.keys(lo, hi)
+	n, err := storage.CopyChains(dst.eng, src.eng, lo, hi)
+	if err != nil || n != len(keys) {
+		c.t.Fatalf("CopyChains[%s,%s) %d -> %d = %d, %v; want %d chains", lo, hi, src.id, dst.id, n, err, len(keys))
+	}
+	for _, k := range keys {
+		dst.model[k] = src.model[k]
+		delete(src.model, k)
+	}
+	c.moved = max(c.moved, n)
+}
+
+func (c *conformance) setBounds(tb *confTablet, lo, hi []byte) {
+	c.t.Helper()
+	if err := tb.eng.SetBounds(lo, hi); err != nil {
+		c.t.Fatalf("SetBounds(%d, [%s,%s)): %v", tb.id, lo, hi, err)
+	}
+	tb.lo, tb.hi = lo, hi
 }
 
 func (c *conformance) reopen(tb *confTablet) {
@@ -390,14 +448,15 @@ func (tb *confTablet) newest() truetime.Timestamp {
 }
 
 // checkAll compares everything the engine can report with the model.
-func (c *conformance) checkAll(tb *confTablet, statsKind string, durable bool) {
+func (c *conformance) checkAll(tb *confTablet) {
 	c.t.Helper()
 	for _, ts := range []truetime.Timestamp{99, 100 + (c.head-100)/2, c.head, truetime.Max} {
 		for _, reverse := range []bool{false, true} {
 			var got []storage.Row
 			tb.eng.Scan(nil, nil, ts, reverse, func(r storage.Row) bool { got = append(got, r); return true })
 			if want := tb.model.rows(nil, nil, ts, reverse); !sameRows(got, want) {
-				c.t.Fatalf("tablet %d full scan @%d reverse=%v:\n got %v\nwant %v", tb.id, ts, reverse, got, want)
+				c.t.Fatalf("tablet %d [%s,%s) full scan @%d reverse=%v: %d rows, want %d; first difference at %d",
+					tb.id, tb.lo, tb.hi, ts, reverse, len(got), len(want), firstDiff(got, want))
 			}
 		}
 	}
@@ -407,10 +466,10 @@ func (c *conformance) checkAll(tb *confTablet, statsKind string, durable bool) {
 		c.t.Fatalf("tablet %d chains:\n got %v\nwant %v", tb.id, got, want)
 	}
 	keys := tb.model.keys(nil, nil)
-	// Len is exact for memory engines; Disk may count a key once per
-	// flush generation.
-	if n := tb.eng.Len(); n < len(keys) || (!durable && n != len(keys)) {
-		c.t.Fatalf("tablet %d Len = %d, model has %d keys", tb.id, n, len(keys))
+	// Stats().Keys is exact for memory engines; Disk may count a key once
+	// per flush generation.
+	if n := tb.eng.Stats().Keys; n < len(keys) || (!c.durable && n != len(keys)) {
+		c.t.Fatalf("tablet %d Stats().Keys = %d, model has %d keys", tb.id, n, len(keys))
 	}
 	for _, i := range []int{0, len(keys) / 2, len(keys) - 1} {
 		if k, ok := tb.eng.KeyAt(i); !ok || string(k) != keys[i] {
@@ -420,8 +479,8 @@ func (c *conformance) checkAll(tb *confTablet, statsKind string, durable bool) {
 	if k, ok := tb.eng.KeyAt(len(keys)); ok {
 		c.t.Fatalf("tablet %d KeyAt(%d) = %q past the last key", tb.id, len(keys), k)
 	}
-	if st := tb.eng.Stats(); st.Kind != statsKind {
-		c.t.Fatalf("tablet %d Stats.Kind = %q, want %q", tb.id, st.Kind, statsKind)
+	if st := tb.eng.Stats(); st.Kind != c.statsKind {
+		c.t.Fatalf("tablet %d Stats.Kind = %q, want %q", tb.id, st.Kind, c.statsKind)
 	}
 	if tb.eng.Crashed() {
 		c.t.Fatalf("tablet %d crashed after a healthy run", tb.id)
@@ -451,7 +510,7 @@ func (c *conformance) checkList() {
 // while the engine changes under it. fn — which may use the engine it is
 // called from — applies newer versions and new keys inside the range,
 // forces a flush, forces a compaction and, last, splits away the half of
-// the range the scan has not reached (PurgeChains + SetBounds), each
+// the range the scan has not reached (a narrowing SetBounds), each
 // between chunks of one Scan. Every delivered row must be the model's at
 // the scan's timestamp, in order, none twice and none skipped, at least
 // up to the split point.
@@ -526,18 +585,9 @@ func TestScanInvalidation(t *testing.T) {
 						}
 						deepen()
 					case len(want) / 2: // split off the far half
-						from, to := splitAt, hi
 						keep := [2][]byte{lo, splitAt}
 						if reverse {
-							from, to, keep = lo, storage.KeyAfter(splitAt), [2][]byte{storage.KeyAfter(splitAt), hi}
-						}
-						var purge [][]byte
-						tb.eng.AscendChains(from, to, func(ch storage.Chain) bool {
-							purge = append(purge, ch.Key)
-							return true
-						})
-						if err := tb.eng.PurgeChains(purge); err != nil {
-							t.Fatalf("PurgeChains: %v", err)
+							keep = [2][]byte{storage.KeyAfter(splitAt), hi}
 						}
 						if err := tb.eng.SetBounds(keep[0], keep[1]); err != nil {
 							t.Fatalf("SetBounds: %v", err)

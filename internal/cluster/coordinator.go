@@ -237,14 +237,15 @@ func (c *Coordinator) dropLive(dt dbTablet, e *remoteEngine) {
 }
 
 // MoveTablet hands tablet (db, id) off from its current owner to target,
-// live. The protocol mirrors a tablet split's durability order:
+// live. It is DESIGN.md "Tablet migration" between two processes:
 //
 //  1. seal the source engine (reads and writes start failing, which at
 //     worst sends concurrent transactions down the recovery path — Open
 //     blocks on the in-flight move),
-//  2. export the source's version chains through the sealed handle,
-//  3. open a fresh engine on the target (its own WAL directory), ingest
-//     the chains durably, and commission it — the point of no return,
+//  2. open a fresh pending engine on the target (its own WAL directory)
+//     and copy the source's chains into it through the sealed handle,
+//     chunk by chunk,
+//  3. commission the target — the point of no return,
 //  4. flip the assignment, then poison the live coordinator-side engine
 //     so its next touch recovers onto the target,
 //  5. best-effort destroy the source's state (a crash before this leaves
@@ -253,7 +254,8 @@ func (c *Coordinator) dropLive(dt dbTablet, e *remoteEngine) {
 //
 // A failure before step 3 completes leaves the assignment on the source;
 // the sealed engine heals because recovery's re-open supersedes the
-// sealed handle with a fresh one.
+// sealed handle with a fresh one, and what reached the target is destroyed
+// (or, the target unreachable, emptied by the tablet's next open there).
 func (c *Coordinator) MoveTablet(db int, id uint64, target string) error {
 	dt := dbTablet{db, id}
 	c.mu.Lock()
@@ -290,45 +292,40 @@ func (c *Coordinator) MoveTablet(db int, id uint64, target string) error {
 	}
 	start, end := eng.bounds()
 	ctx := context.Background()
-	src, dst := c.peer(source), c.peer(target)
 
 	// 1. Seal. On failure nothing changed; on later failures the sealed
 	// source heals via recovery's re-open.
-	sealed, err := call(ctx, src, mSeal, dt)
+	sealed, err := call(ctx, c.peer(source), mSeal, dt)
 	if err != nil {
 		return err
 	}
 	abort := func(err error) error {
-		// Kick the live engine onto the recovery path now rather than on
-		// its next organic failure; Open will re-open on the source and
-		// supersede the sealed handle.
+		// Drop what reached the target, and kick the live engine onto the
+		// recovery path now rather than on its next organic failure; Open
+		// will re-open on the source and supersede the sealed handle.
+		call(ctx, c.peer(target), mDestroy, dt) //nolint:errcheck
 		eng.crashed.Store(true)
 		return err
 	}
 
-	// 2. Export.
-	exported, err := call(ctx, src, mChains, chainsReq{H: sealed.H})
+	// 2-3. Open the target, copy, commission, between two bare engines:
+	// handles on peers, outside the factory's bookkeeping (never Close them).
+	opened, err := call(ctx, c.peer(target), mOpen, openReq{dbTablet: dt, Start: start, End: end})
 	if err != nil {
 		return abort(err)
 	}
-
-	// 3. Open + ingest + commission on the target.
-	opened, err := call(ctx, dst, mOpen, openReq{dbTablet: dt, Start: start, End: end})
+	src := &remoteEngine{via: c.peer(source), handle: sealed.H}
+	src.via.eng = src // a failed export reads as a crash, not as the end of the range
+	dst := &remoteEngine{via: c.peer(target), handle: opened.Handle}
+	if _, err = storage.CopyChains(dst, src, nil, nil); err == nil {
+		err = dst.Commission()
+	}
 	if err != nil {
-		return abort(err)
-	}
-	h := handleReq{opened.Handle}
-	if len(exported.Chains) > 0 {
-		if _, err := call(ctx, dst, mIngest, ingestReq{H: h.H, Chains: exported.Chains}); err != nil {
-			return abort(err)
-		}
-	}
-	if _, err := call(ctx, dst, mCommission, h); err != nil {
 		return abort(err)
 	}
 	// The target copy is durable and live: close its bootstrap handle so
 	// the recovery re-open below owns the engine lifecycle.
-	call(ctx, dst, mCloseEng, h) //nolint:errcheck
+	call(ctx, dst.via, mCloseEng, handleReq{dst.handle}) //nolint:errcheck
 
 	// 4. Flip ownership, then poison the old engine.
 	c.mu.Lock()
@@ -337,7 +334,7 @@ func (c *Coordinator) MoveTablet(db int, id uint64, target string) error {
 	eng.poison()
 
 	// 5. Demote the source.
-	_, err = call(ctx, src, mDestroy, dt)
+	_, err = call(ctx, src.via, mDestroy, dt)
 	return err
 }
 

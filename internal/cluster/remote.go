@@ -106,32 +106,31 @@ func (e *remoteEngine) Apply(ctx context.Context, writes []storage.Write, ts tru
 	return nil
 }
 
-func (e *remoteEngine) Len() int {
-	resp, _ := call(context.Background(), e.via, mLen, handleReq{e.handle})
-	return resp.N
-}
-
 func (e *remoteEngine) KeyAt(i int) ([]byte, bool) {
 	resp, _ := call(context.Background(), e.via, mKeyAt, keyAtReq{H: e.handle, I: i})
 	return resp.Key, resp.OK
 }
 
+// AscendChains fetches the range the way Scan does: one bounded chunk per
+// RPC, each from the last key's successor. A failed chunk marks the
+// engine crashed and ends the iteration.
 func (e *remoteEngine) AscendChains(lo, hi []byte, fn func(storage.Chain) bool) {
-	resp, _ := call(context.Background(), e.via, mChains, chainsReq{H: e.handle, Lo: lo, Hi: hi})
-	for _, c := range resp.Chains {
-		if !fn(c) {
+	for n := storage.NextScanChunk(0); ; n = storage.NextScanChunk(n) {
+		resp, err := call(context.Background(), e.via, mChains, chainsReq{H: e.handle, Lo: lo, Hi: hi, Limit: n})
+		for _, c := range resp.Chains {
+			if !fn(c) {
+				return
+			}
+		}
+		if err != nil || !resp.More || len(resp.Chains) == 0 {
 			return
 		}
+		lo = storage.KeyAfter(resp.Chains[len(resp.Chains)-1].Key)
 	}
 }
 
 func (e *remoteEngine) IngestChains(chains []storage.Chain) error {
 	_, err := call(context.Background(), e.via, mIngest, ingestReq{H: e.handle, Chains: chains})
-	return err
-}
-
-func (e *remoteEngine) PurgeChains(keys [][]byte) error {
-	_, err := call(context.Background(), e.via, mPurge, purgeReq{H: e.handle, Keys: keys})
 	return err
 }
 

@@ -328,32 +328,32 @@ func (ts *TabletServer) registerHandlers() {
 		resp.More = !he.eng.Scan(req.Lo, req.Hi, req.TS, req.Reverse, func(r storage.Row) bool {
 			resp.Rows = append(resp.Rows, r)
 			size += len(r.Key) + len(r.Value)
-			return len(resp.Rows) < req.Limit && size < maxScanBytes
+			return len(resp.Rows) < req.Limit && size < storage.MaxScanBytes
 		})
 		return resp, nil
 	})
 	handleEngine(ts, mApply, func(ctx context.Context, he *hostedEngine, req applyReq) (none, error) {
 		return none{}, he.eng.Apply(ctx, req.Writes, req.TS)
 	})
-	handleEngine(ts, mLen, func(_ context.Context, he *hostedEngine, _ handleReq) (lenResp, error) {
-		return lenResp{N: he.eng.Len()}, nil
-	})
 	handleEngine(ts, mKeyAt, func(_ context.Context, he *hostedEngine, req keyAtReq) (resp keyAtResp, _ error) {
 		resp.Key, resp.OK = he.eng.KeyAt(req.I)
 		return resp, nil
 	})
 	handleEngine(ts, mChains, func(_ context.Context, he *hostedEngine, req chainsReq) (resp chainsResp, _ error) {
+		if req.Limit < 1 || req.Limit > storage.MaxScanChunk {
+			return resp, status.Errorf(status.InvalidArgument, "cluster", "chains limit %d outside [1, %d]", req.Limit, storage.MaxScanChunk)
+		}
+		size := 0
 		he.eng.AscendChains(req.Lo, req.Hi, func(c storage.Chain) bool {
 			resp.Chains = append(resp.Chains, c)
-			return true
+			size += c.Bytes()
+			resp.More = len(resp.Chains) == req.Limit || size >= storage.MaxScanBytes
+			return !resp.More
 		})
 		return resp, nil
 	})
 	handleEngine(ts, mIngest, func(_ context.Context, he *hostedEngine, req ingestReq) (none, error) {
 		return none{}, he.eng.IngestChains(req.Chains)
-	})
-	handleEngine(ts, mPurge, func(_ context.Context, he *hostedEngine, req purgeReq) (none, error) {
-		return none{}, he.eng.PurgeChains(req.Keys)
 	})
 	handleEngine(ts, mSetBounds, func(_ context.Context, he *hostedEngine, req setBoundsReq) (none, error) {
 		if err := he.eng.SetBounds(req.Start, req.End); err != nil {
@@ -368,8 +368,7 @@ func (ts *TabletServer) registerHandlers() {
 		return none{}, he.eng.Commission()
 	})
 	handleEngine(ts, mStats, func(_ context.Context, he *hostedEngine, _ handleReq) (statsResp, error) {
-		st := he.eng.Stats()
-		return statsResp{Stats: st, LastDurable: he.eng.LastDurable(), FlushedTS: st.FlushedTS}, nil
+		return statsResp{Stats: he.eng.Stats()}, nil
 	})
 	handle(ts.srv, mCloseEng, func(_ context.Context, req handleReq) (none, error) {
 		ts.mu.Lock()
@@ -456,7 +455,7 @@ func (ts *TabletServer) open(_ context.Context, req openReq) (openResp, error) {
 	ts.handles[h] = he
 	ts.byTablet[req.dbTablet] = h
 	ts.mu.Unlock()
-	return openResp{Handle: h, LastDurable: eng.LastDurable(), FlushedTS: eng.Stats().FlushedTS}, nil
+	return openResp{Handle: h, LastDurable: eng.LastDurable()}, nil
 }
 
 // introspect reports every hosted engine for /debug/clusterz.

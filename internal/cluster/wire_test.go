@@ -118,7 +118,7 @@ func TestWireGolden(t *testing.T) {
 		`{"name":"a","tablets":3}`, none{}, "")
 	golden(p, mOpen, openReq{dbTablet: dbTablet{1, 2}, End: []byte("m")},
 		`{"db":1,"tablet":2,"start":null,"end":"bQ=="}`,
-		openResp{Handle: 7, LastDurable: 11, FlushedTS: 4}, `{"h":7,"last_durable":11,"flushed_ts":4}`)
+		openResp{Handle: 7, LastDurable: 11}, `{"h":7,"last_durable":11}`)
 	golden(p, mGet, getReq{H: 7, Key: k, TS: 12},
 		`{"h":7,"key":"a2V5","ts":12}`,
 		storage.BatchGet{Value: v, TS: 10, OK: true}, `{"value":"dmFs","vts":10,"ok":true}`)
@@ -129,7 +129,12 @@ func TestWireGolden(t *testing.T) {
 		getBatchResp{Results: []storage.BatchGet{{Value: v, TS: 10, OK: true}, {}}},
 		`{"results":[{"value":"dmFs","vts":10,"ok":true},{"ok":false}]}`)
 	// engine.scan was re-captured when scans became chunked (a row limit
-	// in, a "more" flag out); every other entry is as first captured.
+	// in, a "more" flag out). engine.chains followed it, and in that one
+	// re-capture engine.open and engine.stats lost the fields no reader
+	// was left for (flushed_ts and last_durable beside Stats, which
+	// carries both) and engine.len / engine.purge left the table. Every
+	// other entry — get, getbatch, scan, apply among them — is as first
+	// captured.
 	golden(p, mScan, scanReq{H: 7, Hi: []byte("z"), TS: 12, Reverse: true, Limit: 2},
 		`{"h":7,"lo":null,"hi":"eg==","ts":12,"reverse":true,"limit":2}`,
 		scanResp{Rows: []storage.Row{{Key: k, Value: v, TS: 10}, {Key: []byte("e"), TS: 3}}, More: true},
@@ -138,19 +143,18 @@ func TestWireGolden(t *testing.T) {
 		`{"h":7,"lo":null,"hi":null,"ts":12,"limit":32}`, scanResp{}, `{}`)
 	golden(p, mApply, applyReq{H: 7, Writes: []storage.Write{{Key: k, Value: v}, {Key: []byte("gone"), Delete: true}}, TS: 13},
 		`{"h":7,"writes":[{"k":"a2V5","v":"dmFs"},{"k":"Z29uZQ==","d":true}],"ts":13}`, none{}, "")
-	golden(p, mLen, handleReq{7}, `{"h":7}`, lenResp{N: 2}, `{"n":2}`)
 	golden(p, mKeyAt, keyAtReq{H: 7, I: 1}, `{"h":7,"i":1}`, keyAtResp{Key: k, OK: true}, `{"key":"a2V5","ok":true}`)
-	golden(p, mChains, chainsReq{H: 7},
-		`{"h":7,"lo":null,"hi":null}`, chainsResp{Chains: chains}, `{"chains":`+chainsJSON+`}`)
+	golden(p, mChains, chainsReq{H: 7, Lo: []byte("a"), Limit: 2},
+		`{"h":7,"lo":"YQ==","hi":null,"limit":2}`, chainsResp{Chains: chains, More: true}, `{"chains":`+chainsJSON+`,"more":true}`)
+	golden(p, mChains, chainsReq{H: 7, Limit: 32},
+		`{"h":7,"lo":null,"hi":null,"limit":32}`, chainsResp{}, `{}`)
 	golden(p, mIngest, ingestReq{H: 7, Chains: chains},
 		`{"h":7,"chains":`+chainsJSON+`}`, none{}, "")
-	golden(p, mPurge, purgeReq{H: 7, Keys: [][]byte{k}}, `{"h":7,"keys":["a2V5"]}`, none{}, "")
 	golden(p, mSetBounds, setBoundsReq{H: 7, Start: []byte("a")},
 		`{"h":7,"start":"YQ==","end":null}`, none{}, "")
 	golden(p, mCommission, handleReq{7}, `{"h":7}`, none{}, "")
 	golden(p, mStats, handleReq{7}, `{"h":7}`,
-		statsResp{Stats: stats, LastDurable: 11, FlushedTS: 4},
-		`{"stats":`+statsJSON+`,"last_durable":11,"flushed_ts":4}`)
+		statsResp{Stats: stats}, `{"stats":`+statsJSON+`}`)
 	golden(p, mCloseEng, handleReq{7}, `{"h":7}`, none{}, "")
 	golden(p, mSeal, dbTablet{1, 2}, `{"db":1,"tablet":2}`, handleReq{7}, `{"h":7}`)
 	golden(p, mList, listReq{DB: 1}, `{"db":1}`,
@@ -231,16 +235,21 @@ func TestMalformedRequests(t *testing.T) {
 		}
 	}
 
-	// A scan limit no coordinator sends — negative, zero (an omitted
+	// A chunk limit no coordinator sends — negative, zero (an omitted
 	// field) or beyond the largest chunk — is refused before the engine
 	// is touched, and a refusal is not a crash.
 	h := e.(*remoteEngine).handle
 	for _, limit := range []int{-1, 0, storage.MaxScanChunk + 1, 1 << 40} {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		err := toTablet.Call(ctx, mScan.name, scanReq{H: h, TS: 10, Limit: limit}, nil)
-		cancel()
-		if status.CodeOf(err) != status.InvalidArgument {
-			t.Errorf("engine.scan with limit %d: err = %v, want InvalidArgument", limit, err)
+		for name, req := range map[string]any{
+			mScan.name:   scanReq{H: h, TS: 10, Limit: limit},
+			mChains.name: chainsReq{H: h, Limit: limit},
+		} {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			err := toTablet.Call(ctx, name, req, nil)
+			cancel()
+			if status.CodeOf(err) != status.InvalidArgument {
+				t.Errorf("%s with limit %d: err = %v, want InvalidArgument", name, limit, err)
+			}
 		}
 	}
 	if e.Crashed() {

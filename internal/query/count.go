@@ -70,47 +70,15 @@ func (p *Plan) walkIndexOnly(ctx context.Context, st Storage, emit func(suffix [
 		})
 		return visited, err
 	}
-	// Zig-zag join: same loop as Execute, skipping document fetches.
+	// Zig-zag join: Execute's join, skipping document fetches.
 	iters := p.newScanIters(st, iterBatch)
-	total := func() int {
-		n := 0
-		for _, it := range iters {
-			n += it.scanned
-		}
-		return n
-	}
 	var candidate []byte
 	for {
-		if err := ctx.Err(); err != nil {
-			return total(), err
+		suffix, _, ok, err := nextHit(ctx, iters, candidate)
+		if err != nil || !ok || !emit(suffix) {
+			return scannedEntries(iters), err
 		}
-		allEqual := true
-		var maxSuffix []byte
-		for _, it := range iters {
-			suffix, _, ok, err := it.seek(ctx, candidate)
-			if err != nil {
-				return total(), err
-			}
-			if !ok {
-				return total(), nil
-			}
-			switch {
-			case maxSuffix == nil:
-				maxSuffix = suffix
-			case compare(suffix, maxSuffix) > 0:
-				allEqual = false
-				maxSuffix = suffix
-			case compare(suffix, maxSuffix) < 0:
-				allEqual = false
-			}
-		}
-		candidate = maxSuffix
-		if allEqual {
-			if !emit(maxSuffix) {
-				return total(), nil
-			}
-			candidate = encoding.Successor(maxSuffix)
-		}
+		candidate = encoding.Successor(suffix)
 	}
 }
 

@@ -114,41 +114,16 @@ func (p *Plan) executeIndexScans(ctx context.Context, st Storage, resume []byte,
 	}
 	res := &Result{}
 	finalize := func() *Result {
-		for _, it := range iters {
-			res.ScannedEntries += it.scanned
-		}
+		res.ScannedEntries = scannedEntries(iters)
 		return res
 	}
 	for {
-		if err := ctx.Err(); err != nil {
+		suffix, name, ok, err := nextHit(ctx, iters, candidate)
+		if err != nil {
 			return nil, err
 		}
-		// Peek every iterator at >= candidate. All-equal heads are a
-		// join hit; otherwise the max head becomes the next candidate
-		// (the "zig") and laggards re-seek to it (the "zag").
-		allEqual := true
-		var maxSuffix, name []byte
-		for _, it := range iters {
-			suffix, docName, ok, err := it.seek(ctx, candidate)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return finalize(), nil // some range exhausted: done
-			}
-			switch {
-			case maxSuffix == nil:
-				maxSuffix, name = suffix, docName
-			case compare(suffix, maxSuffix) > 0:
-				allEqual = false
-				maxSuffix, name = suffix, docName
-			case compare(suffix, maxSuffix) < 0:
-				allEqual = false
-			}
-		}
-		candidate = maxSuffix
-		if !allEqual {
-			continue
+		if !ok {
+			return finalize(), nil // some range exhausted: done
 		}
 		// Join hit: emit. Cursor bounds apply before offset/limit
 		// accounting and need the document fetched; without cursors,
@@ -172,13 +147,58 @@ func (p *Plan) executeIndexScans(ctx context.Context, st Storage, resume []byte,
 			default:
 				res.Docs = append(res.Docs, p.Query.Project(d))
 				if len(res.Docs) == limit {
-					res.Resume = append([]byte(nil), maxSuffix...)
+					res.Resume = append([]byte(nil), suffix...)
 					return finalize(), nil
 				}
 			}
 		}
-		candidate = encoding.Successor(maxSuffix)
+		candidate = encoding.Successor(suffix)
 	}
+}
+
+// nextHit advances the zig-zag join over iters to its first hit at or
+// after candidate (nil = the first) and returns the hit's join suffix and
+// document name. It peeks every iterator at >= candidate: all-equal heads
+// are a hit, otherwise the max head becomes the next candidate (the
+// "zig") and the laggards re-seek to it (the "zag"). ok is false once
+// some range is exhausted. A single scan joins with itself: every entry
+// is a hit.
+func nextHit(ctx context.Context, iters []*scanIter, candidate []byte) (suffix, name []byte, ok bool, err error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, false, err
+		}
+		allEqual := true
+		suffix, name = nil, nil
+		for _, it := range iters {
+			s, n, ok, err := it.seek(ctx, candidate)
+			if err != nil || !ok {
+				return nil, nil, false, err
+			}
+			switch {
+			case suffix == nil:
+				suffix, name = s, n
+			case compare(s, suffix) > 0:
+				allEqual = false
+				suffix, name = s, n
+			case compare(s, suffix) < 0:
+				allEqual = false
+			}
+		}
+		if allEqual {
+			return suffix, name, true, nil
+		}
+		candidate = suffix
+	}
+}
+
+// scannedEntries sums the index entries the iterators read.
+func scannedEntries(iters []*scanIter) int {
+	n := 0
+	for _, it := range iters {
+		n += it.scanned
+	}
+	return n
 }
 
 // matchesResidual applies the query's predicates and order-existence

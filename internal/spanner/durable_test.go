@@ -360,7 +360,7 @@ func TestSplitSourceFailureKeepsCommissionedTarget(t *testing.T) {
 	tab := db.tablets[0]
 	tab.mu.Lock()
 	e := tab.store
-	mid, ok := e.KeyAt(e.Len() / 2)
+	mid, ok := e.KeyAt(e.Stats().Keys / 2)
 	if !ok {
 		tab.mu.Unlock()
 		db.mu.Unlock()

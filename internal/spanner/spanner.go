@@ -263,7 +263,8 @@ func (db *DB) openTablets() error {
 	for i, m := range metas {
 		// Resolve bound overlap from a crash mid-split/merge in favor of
 		// the later (split-target) tablet, and force full keyspace
-		// coverage at the edges.
+		// coverage at the edges; SetBounds masks what the earlier tablet
+		// holds of the later one's range, as the interrupted split would.
 		var start, end []byte
 		if i > 0 {
 			start = m.Start

@@ -447,7 +447,7 @@ func (db *DB) maybeSplit() {
 		t := db.tablets[i]
 		t.mu.Lock()
 		e := t.store
-		n := e.Len()
+		n := e.Stats().Keys
 		hot := db.splitThreshold > 0 && t.load > db.splitThreshold && n >= 2
 		big := db.maxTabletRows > 0 && n > db.maxTabletRows
 		if len(t.prepared) > 0 || e.Crashed() || !hot && !big {
@@ -494,55 +494,31 @@ func (db *DB) maybeSplit() {
 
 // splitLocked migrates [midKey, t.end) of t into a new tablet and
 // returns it, or nil if the split could not start. Caller holds db.mu
-// and t.mu. The durable protocol is crash-ordered: the target is
-// created pending (recovery removes it if abandoned), receives the
-// chains, is commissioned, and only then does the source narrow its
-// bounds and purge the moved keys. Commission is the point of no
-// return: before it, every key's only durable owner is the source and
-// the target is abandoned on failure; after it, the target owns
-// [midKey, end) and the split always completes (source-side failures
-// are absorbed by recovery and restart-time overlap resolution).
+// and t.mu. DESIGN.md "Tablet migration": the target opens pending, and
+// its Commission is the point of no return — before it the source is
+// every key's only durable owner and a failure abandons the target.
 func (db *DB) splitLocked(t *tablet, e storage.Engine, midKey []byte) *tablet {
 	rid := db.allocTabletID()
 	re, err := db.storage.Open(rid, midKey, t.end)
 	if err != nil {
 		return nil
 	}
-	abandon := func() *tablet {
+	n, err := storage.CopyChains(re, e, midKey, nil)
+	if err == nil && n > 0 {
+		err = re.Commission()
+	}
+	if err != nil || n == 0 {
 		re.Close()
 		db.storage.Destroy(rid)
 		return nil
 	}
-	var moved []storage.Chain
-	var movedKeys [][]byte
-	e.AscendChains(midKey, nil, func(c storage.Chain) bool {
-		moved = append(moved, c)
-		movedKeys = append(movedKeys, c.Key)
-		return true
-	})
-	if len(moved) == 0 || e.Crashed() {
-		// A crash mid-iteration can truncate the chain set; migrating a
-		// partial set would lose keys. Nothing durable happened to the
-		// pending target yet, so abandoning is safe.
-		return abandon()
-	}
-	if err := re.IngestChains(moved); err != nil {
-		return abandon()
-	}
-	if err := re.Commission(); err != nil {
-		return abandon()
-	}
-	// The target is the durable owner of [midKey, end) from here on —
-	// it must NEVER be destroyed, or those keys lose their only owner.
-	// Narrow the source; a failure marks the source engine crashed, and
-	// the split still completes: the source tablet's in-memory bounds
-	// clamp serving to [start, midKey), recovery reopens it within those
-	// bounds, and the next restart's overlap resolution (later tablet
-	// wins) plus compaction converge the durable state. A failed purge
-	// likewise leaves only unreachable duplicate chains behind.
-	if err := e.SetBounds(t.start, midKey); err == nil {
-		e.PurgeChains(movedKeys)
-	}
+	// The target is the durable owner of [midKey, end) from here on — it
+	// must NEVER be destroyed. Narrow the source, which masks the moved
+	// chains there. If that fails the source engine has crashed and the
+	// split still completes: the tablet's in-memory bounds clamp serving to
+	// [start, midKey), recovery reopens it within them, and the next
+	// restart's overlap resolution (later tablet wins) narrows it again.
+	e.SetBounds(t.start, midKey) //nolint:errcheck
 	right := newTablet(db, rid, re, midKey, t.end)
 	right.lastCommit = t.lastCommit
 	t.end = midKey
@@ -555,58 +531,19 @@ func (db *DB) splitLocked(t *tablet, e storage.Engine, midKey []byte) *tablet {
 // adjacent tablets merge.
 const mergeThresholdRows = 64
 
+// mergeColdLocked folds each cold right neighbor into its left neighbor.
+// Caller holds db.mu.
 func (db *DB) mergeColdLocked() {
 	for i := 0; i+1 < len(db.tablets); i++ {
 		a, b := db.tablets[i], db.tablets[i+1]
 		a.mu.Lock()
 		b.mu.Lock()
-		cold := a.load == 0 && b.load == 0 &&
-			a.store.Len()+b.store.Len() <= mergeThresholdRows &&
-			len(a.prepared) == 0 && len(b.prepared) == 0 &&
-			!a.store.Crashed() && !b.store.Crashed()
-		if !cold {
-			b.mu.Unlock()
-			a.mu.Unlock()
-			continue
-		}
-		var chains []storage.Chain
-		b.store.AscendChains(nil, nil, func(c storage.Chain) bool {
-			chains = append(chains, c)
-			return true
-		})
-		if b.store.Crashed() {
-			// A crash mid-iteration can truncate the chain set; absorbing
-			// a partial set and destroying b would lose the rest.
-			b.mu.Unlock()
-			a.mu.Unlock()
-			continue
-		}
-		// Crash ordering: a absorbs b's chains and widens durably before
-		// b's storage is destroyed, so a restart between the steps serves
-		// b's keys from exactly one of the two (overlap clamps to b until
-		// the destroy).
-		if err := a.store.IngestChains(chains); err != nil {
-			b.mu.Unlock()
-			a.mu.Unlock()
-			continue
-		}
-		if err := a.store.SetBounds(a.start, b.end); err != nil {
-			b.mu.Unlock()
-			a.mu.Unlock()
-			continue
-		}
-		a.end = b.end
-		if b.lastCommit > a.lastCommit {
-			a.lastCommit = b.lastCommit
-		}
-		// Retire before closing: a stale reader holding b sees the flag,
-		// treats the closed engine as "no longer owns anything", and
-		// re-resolves to a instead of recovering the destroyed directory.
-		b.retired = true
-		b.store.Close()
-		db.storage.Destroy(b.id)
+		absorbed, ok := db.absorbLocked(a, b)
 		b.mu.Unlock()
 		a.mu.Unlock()
+		if !ok {
+			continue
+		}
 		db.tablets = append(db.tablets[:i+1], db.tablets[i+2:]...)
 		db.stats.Merges++
 		db.count("spanner.merges", "")
@@ -616,8 +553,42 @@ func (db *DB) mergeColdLocked() {
 			Source: keyviz.SrcTablet.String(),
 			Shard:  a.id,
 			Peer:   b.id,
-			Detail: fmt.Sprintf("%d rows absorbed", len(chains)),
+			Detail: fmt.Sprintf("%d rows absorbed", absorbed),
 		})
 		i--
 	}
+}
+
+// absorbLocked merges b into its left neighbor a if both are cold and
+// small, and reports how many chains moved. Caller holds db.mu and both
+// tablets' mu. DESIGN.md "Tablet migration": a widens first — an engine
+// may drop what lies outside its bounds at any compaction — and b's
+// Destroy is the point of no return: until then b holds the whole range
+// and a restart resolves the overlap in its favour (the later tablet).
+func (db *DB) absorbLocked(a, b *tablet) (int, bool) {
+	cold := a.load == 0 && b.load == 0 &&
+		len(a.prepared) == 0 && len(b.prepared) == 0 &&
+		!a.store.Crashed() && !b.store.Crashed() &&
+		a.store.Stats().Keys+b.store.Stats().Keys <= mergeThresholdRows
+	if !cold || a.store.SetBounds(a.start, b.end) != nil {
+		return 0, false
+	}
+	n, err := storage.CopyChains(a.store, b.store, nil, nil)
+	if err != nil {
+		// Give the range back: narrowing masks what was copied of it (if
+		// a crashed instead, the next restart narrows it).
+		a.store.SetBounds(a.start, a.end) //nolint:errcheck
+		return 0, false
+	}
+	a.end = b.end
+	if b.lastCommit > a.lastCommit {
+		a.lastCommit = b.lastCommit
+	}
+	// Retire before closing: a stale reader holding b sees the flag,
+	// treats the closed engine as "no longer owns anything", and
+	// re-resolves to a instead of recovering the destroyed directory.
+	b.retired = true
+	b.store.Close()
+	db.storage.Destroy(b.id)
+	return n, true
 }

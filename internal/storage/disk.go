@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"firestore/internal/fault"
 	"firestore/internal/keyviz"
 	"firestore/internal/obs"
+	"firestore/internal/status"
 	"firestore/internal/truetime"
 )
 
@@ -177,16 +178,9 @@ func (f *DiskFactory) List() ([]TabletMeta, error) {
 		}
 		metas = append(metas, TabletMeta{ID: man.TabletID, Start: man.Start, End: man.End})
 	}
-	sort.Slice(metas, func(i, j int) bool {
-		a, b := metas[i].Start, metas[j].Start
-		if a == nil {
-			return b != nil
-		}
-		if b == nil {
-			return false
-		}
-		return bytes.Compare(a, b) < 0
-	})
+	// By start key, nil (unbounded) first: recovery resolves overlapping
+	// bounds by this order.
+	slices.SortFunc(metas, func(a, b TabletMeta) int { return bytes.Compare(a.Start, b.Start) })
 	return metas, nil
 }
 
@@ -214,7 +208,7 @@ func (f *DiskFactory) forget(id uint64, e *Disk) {
 // zero, so every memtable snapshot is exactly the set of records in WAL
 // generations below the rotation point.
 type Disk struct {
-	fac  *DiskFactory // nil in unit tests
+	fac  *DiskFactory
 	dir  string
 	id   uint64
 	opts Options
@@ -261,16 +255,7 @@ func openDisk(fac *DiskFactory, dir string, id uint64, start, end []byte) (*Disk
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	e := &Disk{fac: fac, dir: dir, id: id, tab: newMemtable()}
-	if fac != nil {
-		e.opts = fac.opts
-	}
-	if e.opts.MemtableCap == 0 {
-		e.opts.MemtableCap = DefaultMemtableCap
-	}
-	if e.opts.CompactAt == 0 {
-		e.opts.CompactAt = DefaultCompactAt
-	}
+	e := &Disk{fac: fac, dir: dir, id: id, opts: fac.opts, tab: newMemtable()}
 	e.syncCond = sync.NewCond(&e.syncMu)
 
 	man, ok, err := readManifest(dir)
@@ -286,20 +271,7 @@ func openDisk(fac *DiskFactory, dir string, id uint64, start, end []byte) (*Disk
 		ok = false
 	}
 	if !ok {
-		e.man = manifestData{
-			TabletID: id,
-			Pending:  true,
-			Start:    append([]byte(nil), start...),
-			End:      append([]byte(nil), end...),
-			WALSeq:   1,
-			NextSeg:  1,
-		}
-		if len(start) == 0 {
-			e.man.Start = nil
-		}
-		if len(end) == 0 {
-			e.man.End = nil
-		}
+		e.man = manifestData{TabletID: id, Pending: true, Start: ownBound(start), End: ownBound(end), WALSeq: 1, NextSeg: 1}
 		if err := writeManifest(dir, e.man); err != nil {
 			return nil, err
 		}
@@ -418,7 +390,7 @@ func (e *Disk) recover(man manifestData) error {
 var noMetrics = &factoryMetrics{}
 
 func (e *Disk) metrics() *factoryMetrics {
-	if e.fac == nil || e.fac.met == nil {
+	if e.fac.met == nil {
 		return noMetrics
 	}
 	return e.fac.met
@@ -439,6 +411,12 @@ func (e *Disk) markDead() {
 // file (pinned against rotation by the outstanding count) and the
 // record's sync index.
 func (e *Disk) append(payload []byte) (*os.File, int64, error) {
+	if len(payload) > maxFrameSize {
+		// Replay would take the frame for a torn tail and truncate it away
+		// with every record after it. Nothing was written: keep serving.
+		return nil, 0, status.Errorf(status.InvalidArgument, "storage",
+			"WAL record of %d bytes exceeds the %d-byte frame limit", len(payload), maxFrameSize)
+	}
 	framed := appendFrame(nil, payload)
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
@@ -787,19 +765,6 @@ func (e *Disk) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(
 	return true
 }
 
-// Len approximates distinct keys: exact memtable keys plus per-segment
-// chain counts (a key rewritten across generations counts once per
-// generation until compaction folds them).
-func (e *Disk) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	n := e.tab.rows.Len()
-	for _, s := range e.segs {
-		n += s.meta.Chains
-	}
-	return n
-}
-
 func (e *Disk) KeyAt(i int) (key []byte, ok bool) {
 	e.AscendChains(nil, nil, func(c Chain) bool {
 		if i == 0 {
@@ -820,7 +785,8 @@ func (e *Disk) AscendChains(lo, hi []byte, fn func(Chain) bool) {
 	})
 }
 
-// logThenApply is the shared WAL-first path of IngestChains/PurgeChains.
+// logThenApply is the shared WAL-first path of ingest and purge records.
+// Like Apply it flushes a full memtable: a migration holds one in memory.
 func (e *Disk) logThenApply(payload []byte, apply func()) error {
 	if e.dead.Load() {
 		return ErrCrashed
@@ -836,6 +802,7 @@ func (e *Disk) logThenApply(payload []byte, apply func()) error {
 	e.mu.Lock()
 	apply()
 	e.outstanding.Add(-1)
+	e.maybeFlushLocked(context.Background())
 	e.mu.Unlock()
 	return nil
 }
@@ -852,7 +819,7 @@ func (e *Disk) IngestChains(chains []Chain) error {
 // and WAL replay (before the engine is shared) both use it, so a
 // recovered engine reports the horizon the live one did.
 func (e *Disk) applyIngest(chains []Chain) {
-	e.tab.ingest(chains)
+	e.tab.ingest(chains, true)
 	for _, c := range chains {
 		if n := len(c.Versions); n > 0 && c.Versions[n-1].TS > e.lastDurable {
 			e.lastDurable = c.Versions[n-1].TS
@@ -860,31 +827,41 @@ func (e *Disk) applyIngest(chains []Chain) {
 	}
 }
 
-func (e *Disk) PurgeChains(keys [][]byte) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	return e.logThenApply(encodePurge(keys), func() {
-		for _, k := range keys {
-			e.tab.purge(k)
+// purgeRange durably masks every chain the engine holds in [lo, hi), one
+// purge record per chunk of keys.
+func (e *Disk) purgeRange(lo, hi []byte) error {
+	return chainChunks(e, lo, hi, func(chunk []Chain) error {
+		keys := make([][]byte, len(chunk))
+		for i, c := range chunk {
+			keys[i] = c.Key
 		}
+		return e.logThenApply(encodePurge(keys), func() {
+			for _, k := range keys {
+				e.tab.purge(k)
+			}
+		})
 	})
 }
 
-func (e *Disk) SetBounds(start, end []byte) error {
+// ownBound copies a key bound for the manifest; empty means unbounded.
+func ownBound(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return append([]byte(nil), b...)
+}
+
+// editManifest durably swaps in the manifest as edit leaves it, unless
+// edit reports nothing to change.
+func (e *Disk) editManifest(edit func(*manifestData) bool) error {
 	if e.dead.Load() {
 		return ErrCrashed
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	man := e.man
-	man.Start = append([]byte(nil), start...)
-	man.End = append([]byte(nil), end...)
-	if len(start) == 0 {
-		man.Start = nil
-	}
-	if len(end) == 0 {
-		man.End = nil
+	if !edit(&man) {
+		return nil
 	}
 	if err := writeManifest(e.dir, man); err != nil {
 		e.markDead()
@@ -894,23 +871,30 @@ func (e *Disk) SetBounds(start, end []byte) error {
 	return nil
 }
 
+// SetBounds swaps the manifest, then purges what lies outside the new
+// bounds. A crash between the two leaves chains nothing can reach: tablets
+// serve only within bounds, compaction drops them, a later ingest masks them.
+func (e *Disk) SetBounds(start, end []byte) error {
+	start, end = ownBound(start), ownBound(end)
+	err := e.editManifest(func(m *manifestData) bool {
+		m.Start, m.End = start, end
+		return true
+	})
+	if err == nil && start != nil {
+		err = e.purgeRange(nil, start)
+	}
+	if err == nil && end != nil {
+		err = e.purgeRange(end, nil)
+	}
+	return err
+}
+
 func (e *Disk) Commission() error {
-	if e.dead.Load() {
-		return ErrCrashed
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.man.Pending {
-		return nil
-	}
-	man := e.man
-	man.Pending = false
-	if err := writeManifest(e.dir, man); err != nil {
-		e.markDead()
-		return ErrCrashed
-	}
-	e.man = man
-	return nil
+	return e.editManifest(func(m *manifestData) bool {
+		pending := m.Pending
+		m.Pending = false
+		return pending
+	})
 }
 
 // maybeFlushLocked flushes the memtable to a segment once it exceeds the
@@ -1127,8 +1111,6 @@ func (e *Disk) closeFiles() {
 func (e *Disk) Close() error {
 	e.markDead()
 	e.closeFiles()
-	if e.fac != nil {
-		e.fac.forget(e.id, e)
-	}
+	e.fac.forget(e.id, e)
 	return nil
 }

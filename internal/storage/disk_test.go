@@ -326,7 +326,7 @@ func TestDiskFsyncFaultOutcomeUnknown(t *testing.T) {
 	}
 }
 
-// TestDiskSplitProtocol: ingest + commission + purge + bounds narrow,
+// TestDiskSplitProtocol: copy + commission + a narrowing SetBounds,
 // across a crash on both sides.
 func TestDiskSplitProtocol(t *testing.T) {
 	dir := t.TempDir()
@@ -352,30 +352,17 @@ func TestDiskSplitProtocol(t *testing.T) {
 		}
 	}
 	mid := []byte("doc-050")
-	var moved []Chain
-	var movedKeys [][]byte
-	left.AscendChains(mid, nil, func(c Chain) bool {
-		moved = append(moved, c)
-		movedKeys = append(movedKeys, c.Key)
-		return true
-	})
-	if len(moved) != 50 {
-		t.Fatalf("moved %d chains, want 50", len(moved))
-	}
 	right, err := fac.Open(2, mid, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := right.IngestChains(moved); err != nil {
-		t.Fatal(err)
+	if n, err := CopyChains(right, left, mid, nil); err != nil || n != 50 {
+		t.Fatalf("CopyChains = %d, %v; want 50 chains", n, err)
 	}
 	if err := right.Commission(); err != nil {
 		t.Fatal(err)
 	}
 	if err := left.SetBounds(nil, mid); err != nil {
-		t.Fatal(err)
-	}
-	if err := left.PurgeChains(movedKeys); err != nil {
 		t.Fatal(err)
 	}
 

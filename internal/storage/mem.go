@@ -49,35 +49,30 @@ func (m *memtable) add(key []byte, v Version, trimTo int) {
 	}
 }
 
-// purge installs a purge marker for key: the key reads as absent at
-// every timestamp, masking any flushed state. Used by the Disk memtable;
-// Mem deletes chains directly.
-func (m *memtable) purge(key []byte) {
-	if cv, ok := m.rows.Get(key); ok {
-		c := cv.(*memChain)
-		for _, v := range c.versions {
-			m.bytes -= versionBytes(key, v)
-		}
-		c.versions = nil
-		c.purged = true
-		return
-	}
-	m.rows.Set(key, &memChain{purged: true})
-}
+// purge installs a purge marker for key — an empty chain masking any
+// flushed state: the key reads as absent at every timestamp. Used by the
+// Disk memtable; Mem deletes chains directly.
+func (m *memtable) purge(key []byte) { m.ingest([]Chain{{Key: key}}, true) }
 
-// ingest installs full chains (replacing any existing chain per key).
-func (m *memtable) ingest(chains []Chain) {
+// ingest installs full chains, replacing any existing chain per key. With
+// mask set (Disk) each also masks whatever older layers hold for its key:
+// an ingested chain is the key's whole history.
+func (m *memtable) ingest(chains []Chain, mask bool) {
 	for _, ch := range chains {
-		if cv, ok := m.rows.Get(ch.Key); ok {
-			old := cv.(*memChain)
-			for _, v := range old.versions {
-				m.bytes -= versionBytes(ch.Key, v)
-			}
-		}
+		m.drop(ch.Key)
 		vs := append([]Version(nil), ch.Versions...)
-		m.rows.Set(append([]byte(nil), ch.Key...), &memChain{versions: vs, purged: ch.Purged})
+		m.rows.Set(append([]byte(nil), ch.Key...), &memChain{versions: vs, purged: mask})
 		for _, v := range vs {
 			m.bytes += versionBytes(ch.Key, v)
+		}
+	}
+}
+
+// drop removes key's chain, if any.
+func (m *memtable) drop(key []byte) {
+	if cv, ok := m.rows.Delete(key); ok {
+		for _, v := range cv.(*memChain).versions {
+			m.bytes -= versionBytes(key, v)
 		}
 	}
 }
@@ -164,12 +159,6 @@ func (e *Mem) Apply(_ context.Context, writes []Write, ts truetime.Timestamp) er
 	return nil
 }
 
-func (e *Mem) Len() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tab.rows.Len()
-}
-
 func (e *Mem) KeyAt(i int) ([]byte, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -177,46 +166,54 @@ func (e *Mem) KeyAt(i int) ([]byte, bool) {
 }
 
 func (e *Mem) AscendChains(lo, hi []byte, fn func(Chain) bool) {
-	// Chains are collected under the lock and reported after, mirroring
-	// Scan; callers see a consistent snapshot.
-	e.mu.Lock()
+	// Chunked like Scan: one chunk of chains copied under the lock,
+	// delivered outside it, the next round re-seeking past the last.
 	var chains []Chain
-	e.tab.rows.Ascend(lo, hi, func(k []byte, v any) bool {
-		c := v.(*memChain)
-		if !c.purged {
-			chains = append(chains, Chain{Key: k, Versions: c.versions})
+	for n := NextScanChunk(0); ; n = NextScanChunk(n) {
+		chains = slices.Grow(chains[:0], n)
+		e.mu.Lock()
+		e.tab.rows.Ascend(lo, hi, func(k []byte, v any) bool {
+			chains = append(chains, Chain{Key: k, Versions: slices.Clone(v.(*memChain).versions)})
+			return len(chains) < n
+		})
+		e.mu.Unlock()
+		for _, c := range chains {
+			if !fn(c) {
+				return
+			}
 		}
-		return true
-	})
-	e.mu.Unlock()
-	for _, c := range chains {
-		if !fn(c) {
+		if len(chains) < n {
 			return
 		}
+		lo = KeyAfter(chains[n-1].Key)
 	}
 }
 
 func (e *Mem) IngestChains(chains []Chain) error {
 	e.mu.Lock()
-	e.tab.ingest(chains)
+	e.tab.ingest(chains, false)
 	e.mu.Unlock()
 	return nil
 }
 
-func (e *Mem) PurgeChains(keys [][]byte) error {
+// SetBounds drops the chains outside [start, end): Mem keeps no bounds,
+// and nothing beneath a dropped chain could show through.
+func (e *Mem) SetBounds(start, end []byte) error {
+	start, end = ownBound(start), ownBound(end)
 	e.mu.Lock()
-	for _, k := range keys {
-		if cv, ok := e.tab.rows.Delete(k); ok {
-			for _, v := range cv.(*memChain).versions {
-				e.tab.bytes -= versionBytes(k, v)
-			}
+	defer e.mu.Unlock()
+	var out [][]byte // points into the tree: no row bytes
+	e.tab.rows.Ascend(nil, nil, func(k []byte, _ any) bool {
+		if !boundsContain(start, end, k) {
+			out = append(out, k)
 		}
+		return true
+	})
+	for _, k := range out {
+		e.tab.drop(k)
 	}
-	e.mu.Unlock()
 	return nil
 }
-
-func (e *Mem) SetBounds(start, end []byte) error { return nil }
 
 func (e *Mem) Commission() error { return nil }
 

@@ -27,6 +27,11 @@
 // but the memtable and WAL, so trimming it would serve stale segment
 // data; chains are trimmed to GCHorizon only at compaction, where every
 // older version is provably covered by the merged result.
+//
+// Tablet migration lives here too, once: a split, a merge and a move are
+// each CopyChains between an opening and a closing step, and the Engine's
+// KeyAt, AscendChains, IngestChains, SetBounds and Commission exist for
+// it. DESIGN.md "Tablet migration" states the steps and the crash ordering.
 package storage
 
 import (
@@ -166,33 +171,36 @@ type Engine interface {
 	// must be recovered from disk by the owner.
 	Apply(ctx context.Context, writes []Write, ts truetime.Timestamp) error
 
-	// Len approximates the number of distinct keys (exact for Mem).
-	Len() int
-
-	// KeyAt returns the i-th smallest key (0-based), for median split
-	// points. Returns false if i is out of range.
+	// KeyAt returns the i-th smallest key (0-based) — with Stats().Keys,
+	// a split's median — or false if i is out of range. The copy cannot
+	// yield it: the split key opens the target, so it is needed first, and
+	// over the wire it is one small RPC, not half a tablet streamed.
 	KeyAt(i int) ([]byte, bool)
 
-	// AscendChains iterates full version chains of [lo, hi) in key
-	// order, for split/merge migration. Purge markers are not reported.
+	// AscendChains iterates the full version chains of [lo, hi) in key
+	// order, chunk by chunk and lock-free across fn like Scan: the giving
+	// side of CopyChains. A delivered chain shares no memory with the
+	// engine; purge markers are not reported. A crash ends the iteration
+	// early: check Crashed() before trusting that the range was exhausted.
 	AscendChains(lo, hi []byte, fn func(Chain) bool)
 
-	// IngestChains bulk-installs chains (the receiving side of a tablet
-	// split or merge), durably for disk engines.
+	// IngestChains installs chains inside the engine's bounds, each as its
+	// key's whole history, replacing whatever the engine held for the key:
+	// the receiving side of CopyChains. Durable engines log one record per
+	// call, so callers bound the batch.
 	IngestChains(chains []Chain) error
 
-	// PurgeChains removes the given keys' chains entirely, masking any
-	// flushed state (the giving side of a tablet split).
-	PurgeChains(keys [][]byte) error
-
-	// SetBounds durably narrows the engine's key bounds [start, end)
-	// (nil = unbounded). Out-of-bounds chains are dropped at the next
-	// compaction; recovery uses bounds to rebuild tablet ranges.
+	// SetBounds durably sets the engine's key bounds [start, end) (nil =
+	// unbounded) and masks every chain it holds outside them for good: a
+	// later widening does not bring them back, and compaction may drop
+	// them. A split source narrows with it, a merge absorber widens, and
+	// recovery resolves two tablets' overlapping bounds.
 	SetBounds(start, end []byte) error
 
-	// Commission marks a newly created engine as live: until then,
-	// recovery treats its directory as an abandoned half-split and
-	// removes it. No-op for Mem and for engines opened by recovery.
+	// Commission marks a newly created engine live: until then recovery
+	// removes its directory as an abandoned migration target. No-op for
+	// Mem and for engines opened by recovery. (Also what the frozen
+	// benchmark calls on the engines it opens, through this interface.)
 	Commission() error
 
 	// LastDurable is the largest commit timestamp recoverable after a
@@ -241,6 +249,59 @@ type Factory interface {
 func NextScanChunk(n int) int { return min(max(2*n, 32), MaxScanChunk) }
 
 const MaxScanChunk = 1024
+
+// MaxScanBytes bounds a chunk beside its row count: a chunk ends with the
+// row or chain that takes it past this many bytes, which keeps every scan,
+// chains and ingest frame far below transport.MaxFrame and every ingest or
+// purge record far below the WAL's maxFrameSize, however wide the rows.
+const MaxScanBytes = 4 << 20
+
+// Bytes is the chain's size as MaxScanBytes counts it.
+func (c Chain) Bytes() (n int) {
+	for _, v := range c.Versions {
+		n += int(versionBytes(c.Key, v))
+	}
+	return n
+}
+
+// chainChunks streams the chains of [lo, hi) out of e to fn one chunk
+// (NextScanChunk chains, MaxScanBytes) at a time, reusing fn's slice. It
+// fails with fn's first error, or with ErrCrashed if e crashed on the way.
+func chainChunks(e Engine, lo, hi []byte, fn func([]Chain) error) error {
+	var chunk []Chain
+	var err error
+	size, limit := 0, NextScanChunk(0)
+	flush := func() bool {
+		err = fn(chunk)
+		chunk, size, limit = chunk[:0], 0, NextScanChunk(limit)
+		return err == nil
+	}
+	e.AscendChains(lo, hi, func(c Chain) bool {
+		chunk = append(chunk, c)
+		size += c.Bytes()
+		return len(chunk) < limit && size < MaxScanBytes || flush()
+	})
+	if err == nil && e.Crashed() {
+		err = ErrCrashed
+	}
+	if err == nil && len(chunk) > 0 {
+		flush()
+	}
+	return err
+}
+
+// CopyChains is the one tablet-migration primitive: it copies the chains
+// of [lo, hi) from src into dst, one bounded chunk per IngestChains, and
+// returns how many: any range moves through O(chunk) memory, WAL records
+// and frames. On an error dst holds a prefix and the caller abandons the
+// migration; src is untouched either way.
+func CopyChains(dst, src Engine, lo, hi []byte) (n int, err error) {
+	err = chainChunks(src, lo, hi, func(chunk []Chain) error {
+		n += len(chunk)
+		return dst.IngestChains(chunk)
+	})
+	return n, err
+}
 
 // KeyAfter returns the smallest key greater than key: where a forward
 // scan that delivered key resumes.
