@@ -37,7 +37,8 @@ test:
 # the aliasing test that guards the single copy they rely on — without it.
 test-race:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -run 'Allocs|CostFollowsResult|NotAlias' ./internal/index ./internal/backend ./internal/spanner ./internal/core
+	$(GO) test -run 'Allocs|CostFollowsResult|NotAlias' ./internal/index ./internal/backend ./internal/spanner ./internal/core \
+		./internal/cluster ./internal/transport
 
 # Repeated race passes over the packages whose concurrency a single run
 # under-samples, each line a package list and a -count. Ten rounds over
@@ -52,12 +53,14 @@ test-race:
 # durable storage engine (WAL append vs sync vs segment refcounts) —
 # and the streaming range-read path above it (spanner, cluster, query):
 # a scan interleaves with writers, flushes, splits and peer death chunk
-# by chunk, not under one lock hold.
+# by chunk, not under one lock hold — and the wire under that (transport):
+# pooled frame buffers and reusable call slots under multiplexing.
 race-repeat:
 	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend
 	$(GO) test -race -count=2 ./firestore/ ./internal/backend/ ./internal/wfq/ ./internal/ramp/ \
 		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ ./cmd/fsctl/ \
-		./internal/keyviz/ ./internal/storage/ ./internal/spanner/ ./internal/cluster/ ./internal/query/
+		./internal/keyviz/ ./internal/storage/ ./internal/spanner/ ./internal/cluster/ ./internal/query/ \
+		./internal/transport/
 
 # End-to-end /debug smoke: boots a region, runs a workload, asserts
 # metricz shows per-layer {db, code} histograms, tracez nests the layers,
@@ -83,9 +86,14 @@ RUN ?= Smoke|Recovery|Cluster
 chaos:
 	$(GO) test -race -run 'TestChaos($(RUN))' -v ./internal/chaos/
 
-# Short fuzz pass over the trigger-payload decoder.
+# Short fuzz passes over the decoders that read bytes from outside the
+# process: the trigger payload, a transport frame, the binary engine-plane
+# bodies. One pkg:Target pair per decoder.
 fuzz:
-	$(GO) test -run=FuzzUnmarshalChange -fuzz=FuzzUnmarshalChange -fuzztime=30s ./internal/backend/
+	@for pair in backend:FuzzUnmarshalChange transport:FuzzReadFrame cluster:FuzzEngineBodies; do \
+		echo "fuzz $$pair"; \
+		$(GO) test -run=$${pair#*:} -fuzz=$${pair#*:} -fuzztime=30s ./internal/$${pair%%:*}/ || exit 1; \
+	done
 
 bench:
 	$(GO) run ./cmd/firestore-bench -all -spans

@@ -722,6 +722,11 @@ func storageActivity(region *core.Region) (recoveries, flushes, compactions int6
 			compactions += ti.Storage.Compactions
 		}
 	}
+	// An engine's own Stats start over when a crash reopens it; where the
+	// engines feed the region's registry its counters span their lifetimes,
+	// so a crash after the last compaction does not hide it.
+	flushes = max(flushes, region.Obs.Counter("storage.flushes", nil).Value())
+	compactions = max(compactions, region.Obs.Counter("storage.compactions", nil).Value())
 	return recoveries, flushes, compactions
 }
 

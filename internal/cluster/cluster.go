@@ -37,15 +37,28 @@ import (
 )
 
 // method is one RPC of the coordinator <-> tablet-server protocol,
-// declared once: its wire name and, in its type, the bodies it carries.
-// call is the only client of a method and handle / handleEngine the only
-// servers, so no call site can pair a request with another method's
-// response.
+// declared once: its wire name, in its type the bodies it carries, and in
+// wire how they are encoded. call is the only client of a method and
+// handle / handleEngine the only servers, so no call site can pair a
+// request with another method's response or another method's encoding.
 type method[Req, Resp any] struct {
 	name string
 	// sealedOK lets an engine sealed for handoff keep serving the method:
 	// the handoff reads the frozen state through it.
 	sealedOK bool
+	// wire, if set, is the method's binary body codec (wire.go). Without
+	// it the bodies are JSON, through the transport's adapter.
+	wire *codec[Req, Resp]
+}
+
+// codec is a method's binary bodies: requests are encoded by call and
+// decoded by handle, responses the other way round. A decoder refuses
+// trailing bytes; what it returns may alias the body it was given.
+type codec[Req, Resp any] struct {
+	encReq  func([]byte, Req) []byte
+	decReq  func([]byte) (Req, error)
+	encResp func([]byte, Resp) []byte
+	decResp func([]byte) (Resp, error)
 }
 
 // none is the body of a method without a request or a response. It
@@ -65,9 +78,17 @@ func (m method[Req, Resp]) whileSealed() method[Req, Resp] {
 	return m
 }
 
-// The method table. Wire names and JSON field names are frozen:
-// transport.rpcs_total{method} labels, /debug/clusterz and a
-// mixed-version coordinator/tablet pair depend on them.
+func (m method[Req, Resp]) binary(c codec[Req, Resp]) method[Req, Resp] {
+	m.wire = &c
+	return m
+}
+
+// The method table. Wire names are frozen: transport.rpcs_total{method}
+// labels and /debug/clusterz depend on them. Encodings are not negotiated:
+// a coordinator and a tablet server must share transport's frame version,
+// which changes with any body below. The six methods that carry keys and
+// values are binary, in storage's own codec (every RPC of a serving
+// workload is one of them); the rest are rare, small, and stay JSON.
 var (
 	// Control plane: tablet server -> coordinator.
 	mJoin      = rpc[joinReq, none]("cluster.join")
@@ -76,13 +97,13 @@ var (
 	// Engine plane: coordinator -> tablet server. One method per
 	// storage.Engine method, addressed by the handle mOpen returned.
 	mOpen       = rpc[openReq, openResp]("engine.open")
-	mGet        = rpc[getReq, storage.BatchGet]("engine.get")
-	mGetBatch   = rpc[getBatchReq, getBatchResp]("engine.getbatch")
-	mScan       = rpc[scanReq, scanResp]("engine.scan")
-	mApply      = rpc[applyReq, none]("engine.apply")
+	mGet        = rpc[getReq, storage.BatchGet]("engine.get").binary(getCodec)
+	mGetBatch   = rpc[getBatchReq, getBatchResp]("engine.getbatch").binary(getBatchCodec)
+	mScan       = rpc[scanReq, scanResp]("engine.scan").binary(scanCodec)
+	mApply      = rpc[applyReq, none]("engine.apply").binary(applyCodec)
 	mKeyAt      = rpc[keyAtReq, keyAtResp]("engine.key-at").whileSealed()
-	mChains     = rpc[chainsReq, chainsResp]("engine.chains").whileSealed()
-	mIngest     = rpc[ingestReq, none]("engine.ingest")
+	mChains     = rpc[scanReq, chainsResp]("engine.chains").whileSealed().binary(chainsCodec)
+	mIngest     = rpc[ingestReq, none]("engine.ingest").binary(ingestCodec)
 	mSetBounds  = rpc[setBoundsReq, none]("engine.set-bounds")
 	mCommission = rpc[handleReq, none]("engine.commission")
 	mStats      = rpc[handleReq, statsResp]("engine.stats").whileSealed()
@@ -97,8 +118,8 @@ var (
 	mPeerInfo = rpc[none, PeerIntrospection]("peer.info")
 )
 
-// wireBody is v as the transport should carry it: nil, an empty body,
-// for none.
+// wireBody is v as the transport's JSON adapter should carry it: nil, an
+// empty body, for none.
 func wireBody[T any](v T) any {
 	if _, empty := any(v).(none); empty {
 		return nil
@@ -118,14 +139,37 @@ type endpoint struct {
 	eng *remoteEngine
 }
 
+// do is transport's Do against the endpoint, callJSON its Call.
+func (to endpoint) do(ctx context.Context, name string, enc func([]byte) []byte) ([]byte, error) {
+	if to.conn != nil {
+		return to.conn.Do(ctx, name, enc)
+	}
+	return to.pool.Do(ctx, to.peer, name, enc)
+}
+
+func (to endpoint) callJSON(ctx context.Context, name string, req, resp any) error {
+	if to.conn != nil {
+		return to.conn.Call(ctx, name, req, resp)
+	}
+	return to.pool.Call(ctx, to.peer, name, req, resp)
+}
+
 // call performs m against to.
 func call[Req, Resp any](ctx context.Context, to endpoint, m method[Req, Resp], req Req) (Resp, error) {
 	var resp Resp
 	var err error
-	if to.conn != nil {
-		err = to.conn.Call(ctx, m.name, wireBody(req), &resp)
+	if w := m.wire; w != nil {
+		var body []byte
+		body, err = to.do(ctx, m.name, func(buf []byte) []byte { return w.encReq(buf, req) })
+		if err == nil {
+			if resp, err = w.decResp(body); err != nil {
+				err = status.Errorf(status.Internal, "cluster", "decoding %s response: %v", m.name, err)
+			}
+		}
 	} else {
-		err = to.pool.Call(ctx, to.peer, m.name, wireBody(req), &resp)
+		var r Resp // boxed for the JSON adapter, so not the result itself
+		err = to.callJSON(ctx, m.name, wireBody(req), &r)
+		resp = r
 	}
 	if err != nil && to.eng != nil {
 		to.eng.crashed.Store(true)
@@ -134,8 +178,23 @@ func call[Req, Resp any](ctx context.Context, to endpoint, m method[Req, Resp], 
 }
 
 // handle serves m on srv with fn. An undecodable body is the caller's
-// InvalidArgument; fn never sees it.
+// InvalidArgument; fn never sees it. A binary request body lives in the
+// transport's pooled buffer: its decoder copies out whatever fn keeps.
 func handle[Req, Resp any](srv *transport.Server, m method[Req, Resp], fn func(context.Context, Req) (Resp, error)) {
+	if w := m.wire; w != nil {
+		srv.HandleBytes(m.name, func(ctx context.Context, body, reply []byte) ([]byte, error) {
+			req, err := w.decReq(body)
+			if err != nil {
+				return reply, status.Wrap(status.InvalidArgument, "cluster", err)
+			}
+			resp, err := fn(ctx, req)
+			if err != nil {
+				return reply, err
+			}
+			return w.encResp(reply, resp), nil
+		})
+		return
+	}
 	_, noRequest := any(*new(Req)).(none)
 	srv.Handle(m.name, func(ctx context.Context, body json.RawMessage) (any, error) {
 		var req Req
@@ -178,10 +237,10 @@ const (
 	KindMem  = "mem"
 )
 
-// Request and response bodies. Rows, writes, version chains and tablet
-// metadata are storage's own types (their JSON tags live there). []byte
-// fields ride JSON base64; nil bounds (= unbounded) survive the trip
-// because they marshal as null, not "".
+// Request and response bodies; those without JSON tags travel through
+// their method's codec (wire.go). Rows, writes, version chains and tablet
+// metadata are storage's own types. []byte fields ride JSON base64; nil
+// bounds (= unbounded) survive either trip, as null or as a flag.
 
 // dbTablet addresses one tablet of one pool database across the cluster.
 type dbTablet struct {
@@ -190,10 +249,7 @@ type dbTablet struct {
 }
 
 // handleReq addresses one hosted engine. Every engine-plane request
-// leads with the same field; handle is how handleEngine reads it. (The
-// requests do not embed handleReq: encoding/json allocates once more per
-// decode for a promoted field, and get / getbatch / apply are every
-// operation of a wire-backed region.)
+// leads with the same field; handle is how handleEngine reads it.
 type handleReq struct {
 	H uint64 `json:"h"`
 }
@@ -204,7 +260,6 @@ func (r getBatchReq) handle() uint64  { return r.H }
 func (r scanReq) handle() uint64      { return r.H }
 func (r applyReq) handle() uint64     { return r.H }
 func (r keyAtReq) handle() uint64     { return r.H }
-func (r chainsReq) handle() uint64    { return r.H }
 func (r ingestReq) handle() uint64    { return r.H }
 func (r setBoundsReq) handle() uint64 { return r.H }
 
@@ -231,43 +286,42 @@ type openResp struct {
 }
 
 type getReq struct {
-	H   uint64             `json:"h"`
-	Key []byte             `json:"key"`
-	TS  truetime.Timestamp `json:"ts"`
+	H   uint64
+	Key []byte
+	TS  truetime.Timestamp
 }
 
 type getBatchReq struct {
-	H    uint64             `json:"h"`
-	Keys [][]byte           `json:"keys"`
-	TS   truetime.Timestamp `json:"ts"`
+	H    uint64
+	Keys [][]byte
+	TS   truetime.Timestamp
 }
 
 type getBatchResp struct {
 	// Results aligns with the request's Keys.
-	Results []storage.BatchGet `json:"results"`
+	Results []storage.BatchGet
 }
 
 // scanReq asks for at most Limit rows of the range; scanResp.More says
 // the range holds rows beyond those returned. The server keeps nothing
 // between calls: the client continues from the last key's successor.
 type scanReq struct {
-	H       uint64             `json:"h"`
-	Lo      []byte             `json:"lo"`
-	Hi      []byte             `json:"hi"`
-	TS      truetime.Timestamp `json:"ts"`
-	Reverse bool               `json:"reverse,omitempty"`
-	Limit   int                `json:"limit"`
+	H       uint64
+	Lo, Hi  []byte
+	TS      truetime.Timestamp
+	Reverse bool
+	Limit   int
 }
 
 type scanResp struct {
-	Rows []storage.Row `json:"rows,omitempty"`
-	More bool          `json:"more,omitempty"`
+	Rows []storage.Row
+	More bool
 }
 
 type applyReq struct {
-	H      uint64             `json:"h"`
-	Writes []storage.Write    `json:"writes"`
-	TS     truetime.Timestamp `json:"ts"`
+	H      uint64
+	Writes []storage.Write
+	TS     truetime.Timestamp
 }
 
 type keyAtReq struct {
@@ -280,23 +334,16 @@ type keyAtResp struct {
 	OK  bool   `json:"ok"`
 }
 
-// chainsReq and chainsResp chunk a chain export the way scanReq and
-// scanResp chunk a scan.
-type chainsReq struct {
-	H     uint64 `json:"h"`
-	Lo    []byte `json:"lo"`
-	Hi    []byte `json:"hi"`
-	Limit int    `json:"limit"`
-}
-
+// chainsResp chunks a chain export the way scanResp chunks a scan, and
+// engine.chains asks with a scanReq, its TS and Reverse unused.
 type chainsResp struct {
-	Chains []storage.Chain `json:"chains,omitempty"`
-	More   bool            `json:"more,omitempty"`
+	Chains []storage.Chain
+	More   bool
 }
 
 type ingestReq struct {
-	H      uint64          `json:"h"`
-	Chains []storage.Chain `json:"chains"`
+	H      uint64
+	Chains []storage.Chain
 }
 
 type setBoundsReq struct {

@@ -23,7 +23,7 @@ func TestMain(m *testing.M) {
 }
 
 // startCluster runs a coordinator plus n in-process tablet servers.
-func startCluster(t *testing.T, n int, kind string) (*Coordinator, []*TabletServer) {
+func startCluster(t testing.TB, n int, kind string) (*Coordinator, []*TabletServer) {
 	t.Helper()
 	coord, err := NewCoordinator(CoordinatorConfig{})
 	if err != nil {

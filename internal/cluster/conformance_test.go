@@ -619,3 +619,80 @@ func firstDiff(got, want []storage.Row) int {
 	}
 	return len(got)
 }
+
+// oneHop is a remote engine on a Mem-backed peer over TCP loopback, and a
+// five-write batch around one 1 KiB document: what BenchmarkRemoteGet,
+// BenchmarkRemoteApply and the allocation guards send across.
+func oneHop(t testing.TB) (storage.Engine, []storage.Write) {
+	coord, _ := startCluster(t, 1, KindMem)
+	e, err := coord.Factory(0).Open(1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	writes := []storage.Write{{Key: []byte("d/users/user000042"), Value: bytes.Repeat([]byte("v"), 1024)}}
+	for _, field := range []string{"age", "city", "name"} {
+		writes = append(writes, storage.Write{Key: []byte("i/users/" + field + "/000042/user000042"), Value: []byte("/users/user000042")})
+	}
+	writes = append(writes, storage.Write{Key: []byte("i/users/name/alice/user000042"), Delete: true})
+	if err := e.Apply(context.Background(), writes, 5); err != nil {
+		t.Fatal(err)
+	}
+	return e, writes
+}
+
+// BenchmarkRemoteGet and BenchmarkRemoteApply are one engine-plane hop
+// each, client and server in this process: the way to take a CPU or an
+// allocation profile of the wire (-cpuprofile, -memprofile), as
+// firestore.BenchmarkYCSBA is for the commit path.
+func BenchmarkRemoteGet(b *testing.B) {
+	e, writes := oneHop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := e.Get(writes[0].Key, truetime.Max); !ok {
+			b.Fatal("row missing")
+		}
+	}
+}
+
+func BenchmarkRemoteApply(b *testing.B) {
+	e, writes := oneHop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.Apply(context.Background(), writes, truetime.Timestamp(10+i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRemoteGetAllocs and TestRemoteApplyAllocs bound what one hop
+// allocates on both sides together (JSON bodies cost 40 and 50): a point
+// read is its response, its goroutine and little else; a five-write apply
+// adds the ten copies the engine keeps and the memtable's own nodes.
+func TestRemoteGetAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	e, writes := oneHop(t)
+	if got := testing.AllocsPerRun(200, func() { e.Get(writes[0].Key, truetime.Max) }); got > 10 {
+		t.Errorf("remote Get: %.0f allocs, want <= 10", got)
+	}
+}
+
+func TestRemoteApplyAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	e, writes := oneHop(t)
+	ts := truetime.Timestamp(10)
+	if got := testing.AllocsPerRun(200, func() {
+		ts++
+		if err := e.Apply(context.Background(), writes, ts); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 25 {
+		t.Errorf("remote Apply of five writes: %.0f allocs, want <= 25", got)
+	}
+}

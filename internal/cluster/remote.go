@@ -116,7 +116,7 @@ func (e *remoteEngine) KeyAt(i int) ([]byte, bool) {
 // engine crashed and ends the iteration.
 func (e *remoteEngine) AscendChains(lo, hi []byte, fn func(storage.Chain) bool) {
 	for n := storage.NextScanChunk(0); ; n = storage.NextScanChunk(n) {
-		resp, err := call(context.Background(), e.via, mChains, chainsReq{H: e.handle, Lo: lo, Hi: hi, Limit: n})
+		resp, err := call(context.Background(), e.via, mChains, scanReq{H: e.handle, Lo: lo, Hi: hi, Limit: n})
 		for _, c := range resp.Chains {
 			if !fn(c) {
 				return

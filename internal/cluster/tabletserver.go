@@ -339,7 +339,7 @@ func (ts *TabletServer) registerHandlers() {
 		resp.Key, resp.OK = he.eng.KeyAt(req.I)
 		return resp, nil
 	})
-	handleEngine(ts, mChains, func(_ context.Context, he *hostedEngine, req chainsReq) (resp chainsResp, _ error) {
+	handleEngine(ts, mChains, func(_ context.Context, he *hostedEngine, req scanReq) (resp chainsResp, _ error) {
 		if req.Limit < 1 || req.Limit > storage.MaxScanChunk {
 			return resp, status.Errorf(status.InvalidArgument, "cluster", "chains limit %d outside [1, %d]", req.Limit, storage.MaxScanChunk)
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -75,36 +76,47 @@ type walRecord struct {
 	keys   [][]byte           // recPurge
 }
 
-func appendBytesField(buf, b []byte) []byte {
+// The append functions and the Decoder below are the one binary encoding
+// of writes, versions, chains, rows and point-read results: WAL records,
+// segment files and internal/cluster's engine-plane bodies all carry these
+// bytes (DESIGN.md "The wire").
+
+// AppendBytes appends b behind its uvarint length.
+func AppendBytes(buf, b []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b)))
 	return append(buf, b...)
 }
 
 func appendVersion(buf []byte, v Version) []byte {
 	buf = binary.AppendUvarint(buf, uint64(v.TS))
-	var flags byte
-	if v.Deleted {
-		flags |= 1
+	buf = append(buf, Flag(v.Deleted))
+	return AppendBytes(buf, v.Value)
+}
+
+// Flag is a flags byte's low bit.
+func Flag(set bool) byte {
+	if set {
+		return 1
 	}
-	buf = append(buf, flags)
-	return appendBytesField(buf, v.Value)
+	return 0
+}
+
+// AppendWrites appends a batch and its commit timestamp: a recCommit
+// record behind its type byte, an engine.apply body behind its handle.
+func AppendWrites(buf []byte, writes []Write, ts truetime.Timestamp) []byte {
+	buf = binary.AppendUvarint(buf, uint64(ts))
+	buf = binary.AppendUvarint(buf, uint64(len(writes)))
+	for _, w := range writes {
+		buf = AppendBytes(buf, w.Key)
+		buf = append(buf, Flag(w.Delete))
+		buf = AppendBytes(buf, w.Value)
+	}
+	return buf
 }
 
 // encodeCommit builds a recCommit payload.
 func encodeCommit(writes []Write, ts truetime.Timestamp) []byte {
-	buf := []byte{recCommit}
-	buf = binary.AppendUvarint(buf, uint64(ts))
-	buf = binary.AppendUvarint(buf, uint64(len(writes)))
-	for _, w := range writes {
-		buf = appendBytesField(buf, w.Key)
-		var flags byte
-		if w.Delete {
-			flags |= 1
-		}
-		buf = append(buf, flags)
-		buf = appendBytesField(buf, w.Value)
-	}
-	return buf
+	return AppendWrites([]byte{recCommit}, writes, ts)
 }
 
 // encodeIngest builds a recIngest payload.
@@ -112,7 +124,7 @@ func encodeIngest(chains []Chain) []byte {
 	buf := []byte{recIngest}
 	buf = binary.AppendUvarint(buf, uint64(len(chains)))
 	for _, c := range chains {
-		buf = appendChain(buf, c)
+		buf = AppendChain(buf, c)
 	}
 	return buf
 }
@@ -122,20 +134,16 @@ func encodePurge(keys [][]byte) []byte {
 	buf := []byte{recPurge}
 	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	for _, k := range keys {
-		buf = appendBytesField(buf, k)
+		buf = AppendBytes(buf, k)
 	}
 	return buf
 }
 
-// appendChain encodes one chain (shared by WAL ingest records and
-// segment files).
-func appendChain(buf []byte, c Chain) []byte {
-	buf = appendBytesField(buf, c.Key)
-	var flags byte
-	if c.Purged {
-		flags |= 1
-	}
-	buf = append(buf, flags)
+// AppendChain encodes one chain (WAL ingest records, segment files,
+// engine.chains and engine.ingest bodies).
+func AppendChain(buf []byte, c Chain) []byte {
+	buf = AppendBytes(buf, c.Key)
+	buf = append(buf, Flag(c.Purged))
 	buf = binary.AppendUvarint(buf, uint64(len(c.Versions)))
 	for _, v := range c.Versions {
 		buf = appendVersion(buf, v)
@@ -143,14 +151,49 @@ func appendChain(buf []byte, c Chain) []byte {
 	return buf
 }
 
-// byteReader walks an in-memory payload for decoding.
-type byteReader struct {
-	buf []byte
-	off int
-	err error
+// AppendRow encodes one scan row.
+func AppendRow(buf []byte, r Row) []byte {
+	buf = AppendBytes(buf, r.Key)
+	buf = binary.AppendUvarint(buf, uint64(r.TS))
+	return AppendBytes(buf, r.Value)
 }
 
-func (r *byteReader) uvarint() uint64 {
+// AppendBatchGet encodes one point-read result.
+func AppendBatchGet(buf []byte, g BatchGet) []byte {
+	buf = append(buf, Flag(g.OK))
+	buf = binary.AppendUvarint(buf, uint64(g.TS))
+	return AppendBytes(buf, g.Value)
+}
+
+// Decoder walks an encoded payload. The first malformed field fails it
+// for good: every later read returns a zero value, and Err reports it.
+type Decoder struct {
+	buf  []byte
+	off  int
+	err  error
+	copy bool
+}
+
+// NewDecoder decodes payload. Decoded byte fields alias payload unless
+// copy is set, which gives each its own exact-size allocation: what a
+// reader does whose payload is a pooled buffer and whose engine keeps what
+// it is handed. Either way an empty field decodes as nil and pins nothing.
+func NewDecoder(payload []byte, copy bool) *Decoder {
+	return &Decoder{buf: payload, copy: copy}
+}
+
+// Err is nil if every field so far was well-formed.
+func (r *Decoder) Err() error { return r.err }
+
+// Finish is Err, or an error if bytes remain undecoded.
+func (r *Decoder) Finish() error {
+	if r.err == nil && r.off != len(r.buf) {
+		r.err = errTornFrame
+	}
+	return r.err
+}
+
+func (r *Decoder) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -163,21 +206,31 @@ func (r *byteReader) uvarint() uint64 {
 	return v
 }
 
-func (r *byteReader) bytes() []byte {
-	n := int(r.uvarint())
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.buf) {
+// Count reads an element count and refuses one the remaining bytes cannot
+// hold at min bytes an element, so a caller may size a slice from it.
+func (r *Decoder) Count(min int) int {
+	n := r.Uvarint()
+	if n > uint64((len(r.buf)-r.off)/min) {
 		r.err = errTornFrame
+		return 0
+	}
+	return int(n)
+}
+
+func (r *Decoder) Bytes() []byte {
+	n := r.Count(1)
+	if n == 0 {
 		return nil
 	}
 	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
+	if r.copy {
+		b = bytes.Clone(b)
+	}
 	return b
 }
 
-func (r *byteReader) byte() byte {
+func (r *Decoder) Byte() byte {
 	if r.err != nil {
 		return 0
 	}
@@ -190,26 +243,45 @@ func (r *byteReader) byte() byte {
 	return b
 }
 
-func (r *byteReader) version() Version {
-	ts := truetime.Timestamp(r.uvarint())
-	flags := r.byte()
-	val := r.bytes()
-	return Version{TS: ts, Value: val, Deleted: flags&1 != 0}
+// Bool reads a flag byte written by the append functions.
+func (r *Decoder) Bool() bool { return r.Byte()&1 != 0 }
+
+// Writes decodes what AppendWrites wrote.
+func (r *Decoder) Writes() (writes []Write, ts truetime.Timestamp) {
+	ts = truetime.Timestamp(r.Uvarint())
+	if n := r.Count(3); n > 0 {
+		writes = make([]Write, 0, n)
+		for ; n > 0 && r.err == nil; n-- {
+			writes = append(writes, Write{Key: r.Bytes(), Delete: r.Bool(), Value: r.Bytes()})
+		}
+	}
+	return writes, ts
 }
 
-func (r *byteReader) chain() Chain {
-	key := r.bytes()
-	flags := r.byte()
-	nv := int(r.uvarint())
-	if r.err != nil || nv > len(r.buf) {
-		r.err = errTornFrame
-		return Chain{}
-	}
-	c := Chain{Key: key, Purged: flags&1 != 0}
-	for i := 0; i < nv; i++ {
-		c.Versions = append(c.Versions, r.version())
+func (r *Decoder) version() Version {
+	return Version{TS: truetime.Timestamp(r.Uvarint()), Deleted: r.Bool(), Value: r.Bytes()}
+}
+
+// Chain decodes what AppendChain wrote.
+func (r *Decoder) Chain() Chain {
+	c := Chain{Key: r.Bytes(), Purged: r.Bool()}
+	if n := r.Count(3); n > 0 {
+		c.Versions = make([]Version, 0, n)
+		for ; n > 0 && r.err == nil; n-- {
+			c.Versions = append(c.Versions, r.version())
+		}
 	}
 	return c
+}
+
+// Row decodes what AppendRow wrote.
+func (r *Decoder) Row() Row {
+	return Row{Key: r.Bytes(), TS: truetime.Timestamp(r.Uvarint()), Value: r.Bytes()}
+}
+
+// BatchGet decodes what AppendBatchGet wrote.
+func (r *Decoder) BatchGet() BatchGet {
+	return BatchGet{OK: r.Bool(), TS: truetime.Timestamp(r.Uvarint()), Value: r.Bytes()}
 }
 
 // decodeRecord parses a framed WAL payload.
@@ -217,42 +289,21 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	if len(payload) == 0 {
 		return walRecord{}, errTornFrame
 	}
-	r := &byteReader{buf: payload, off: 1}
+	r := &Decoder{buf: payload, off: 1}
 	rec := walRecord{kind: payload[0]}
 	switch rec.kind {
 	case recCommit:
-		rec.ts = truetime.Timestamp(r.uvarint())
-		n := int(r.uvarint())
-		if r.err != nil || n > len(payload) {
-			return walRecord{}, errTornFrame
-		}
-		for i := 0; i < n; i++ {
-			key := r.bytes()
-			flags := r.byte()
-			val := r.bytes()
-			rec.writes = append(rec.writes, Write{Key: key, Value: val, Delete: flags&1 != 0})
-		}
+		rec.writes, rec.ts = r.Writes()
 	case recIngest:
-		n := int(r.uvarint())
-		if r.err != nil || n > len(payload) {
-			return walRecord{}, errTornFrame
-		}
-		for i := 0; i < n; i++ {
-			rec.chains = append(rec.chains, r.chain())
+		for n := r.Count(3); n > 0 && r.err == nil; n-- {
+			rec.chains = append(rec.chains, r.Chain())
 		}
 	case recPurge:
-		n := int(r.uvarint())
-		if r.err != nil || n > len(payload) {
-			return walRecord{}, errTornFrame
-		}
-		for i := 0; i < n; i++ {
-			rec.keys = append(rec.keys, r.bytes())
+		for n := r.Count(1); n > 0 && r.err == nil; n-- {
+			rec.keys = append(rec.keys, r.Bytes())
 		}
 	default:
 		return walRecord{}, errTornFrame
 	}
-	if r.err != nil {
-		return walRecord{}, r.err
-	}
-	return rec, nil
+	return rec, r.err
 }

@@ -20,7 +20,7 @@ import (
 // Segment file layout (all integers little-endian):
 //
 //	magic "FSSEG001" (8 bytes)
-//	chains: appendChain encoding, sorted by key, back to back
+//	chains: AppendChain encoding, sorted by key, back to back
 //	index: every sparseEvery-th chain: uvarint keyLen, key, uvarint offset
 //	footer (28 bytes):
 //	    u64 index offset
@@ -89,10 +89,10 @@ func writeSegmentTo(w io.Writer, chains []Chain) (segmentMeta, error) {
 	buf := make([]byte, 0, 4096)
 	for i, c := range chains {
 		if i%sparseEvery == 0 {
-			index = appendBytesField(index, c.Key)
+			index = AppendBytes(index, c.Key)
 			index = binary.AppendUvarint(index, uint64(off))
 		}
-		buf = appendChain(buf[:0], c)
+		buf = AppendChain(buf[:0], c)
 		if err := write(buf); err != nil {
 			return segmentMeta{}, err
 		}
@@ -209,11 +209,11 @@ func loadSegment(f *os.File, meta segmentMeta) (*segment, error) {
 	if _, err := f.ReadAt(raw, indexOff); err != nil {
 		return nil, err
 	}
-	r := &byteReader{buf: raw}
+	r := NewDecoder(raw, false)
 	var index []indexEntry
 	for r.off < len(raw) && r.err == nil {
-		key := append([]byte(nil), r.bytes()...)
-		off := int64(r.uvarint())
+		key := append([]byte(nil), r.Bytes()...)
+		off := int64(r.Uvarint())
 		if r.err == nil {
 			index = append(index, indexEntry{key: key, off: off})
 		}
@@ -244,7 +244,7 @@ func (s *segment) get(key []byte) (Chain, bool, error) {
 // pread per this many bytes.
 const segReadBuf = 16 << 10
 
-// chainStream incrementally decodes the appendChain-encoded chains of a
+// chainStream incrementally decodes the AppendChain-encoded chains of a
 // byte range of a segment file, in key order. Streams are pooled: the
 // buffered reader and the key scratch outlive any one get or scan.
 type chainStream struct {

@@ -60,43 +60,42 @@ const GCRetention = time.Second
 // errors.Is.
 var ErrCrashed = status.New(status.Unavailable, "storage", "engine crashed; recover from disk")
 
-// The JSON tags on Write, Row, Version, Chain, BatchGet and TabletMeta
-// are internal/cluster's wire format: these types cross the
-// coordinator/tablet-server boundary as they are, and a mixed-version
-// pair must keep decoding them.
+// Write, Row, Version, Chain and BatchGet cross the coordinator/
+// tablet-server boundary in this package's own binary codec (codec.go),
+// the one WAL records and segments use; Stats and TabletMeta as JSON.
 
 // Write is one row mutation in an atomically applied batch.
 type Write struct {
-	Key    []byte `json:"k"`
-	Value  []byte `json:"v,omitempty"`
-	Delete bool   `json:"d,omitempty"`
+	Key    []byte
+	Value  []byte
+	Delete bool
 }
 
 // Row is one visible row produced by a scan.
 type Row struct {
-	Key   []byte `json:"k"`
-	Value []byte `json:"v,omitempty"`
+	Key   []byte
+	Value []byte
 	// TS is the version (commit) timestamp of the row value.
-	TS truetime.Timestamp `json:"ts"`
+	TS truetime.Timestamp
 }
 
 // Version is one MVCC version of a row.
 type Version struct {
-	TS      truetime.Timestamp `json:"ts"`
-	Value   []byte             `json:"v,omitempty"`
-	Deleted bool               `json:"d,omitempty"`
+	TS      truetime.Timestamp
+	Value   []byte
+	Deleted bool
 }
 
 // Chain is a row's full version history, oldest first, as moved between
 // engines during tablet splits and merges.
 type Chain struct {
-	Key      []byte    `json:"k"`
-	Versions []Version `json:"vs"`
+	Key      []byte
+	Versions []Version
 	// Purged marks a chain that masks any older (already-flushed) state
 	// for its key: the key reads as absent at every timestamp not covered
 	// by Versions. Split sources leave purge markers behind for moved
 	// keys; compaction retires them.
-	Purged bool `json:"p,omitempty"`
+	Purged bool
 }
 
 // Stats reports one engine's storage state for /debug/storagez, fsctl,
@@ -132,9 +131,9 @@ type Stats struct {
 // BatchGet is one result of a BatchGetter read, aligned with the
 // requested key.
 type BatchGet struct {
-	Value []byte             `json:"value,omitempty"`
-	TS    truetime.Timestamp `json:"vts,omitempty"`
-	OK    bool               `json:"ok"`
+	Value []byte
+	TS    truetime.Timestamp
+	OK    bool
 }
 
 // BatchGetter is an optional Engine capability: read many keys at one

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"net"
 	"sync"
@@ -27,10 +28,22 @@ type Conn struct {
 	wmu sync.Mutex    // serializes request frames
 
 	mu      sync.Mutex
-	pending map[uint64]chan *frame
+	pending map[uint64]*callSlot
 	nextID  uint64
 	err     error // non-nil once broken; guarded by mu
 }
+
+// callSlot is one in-flight call's rendezvous with the read loop, reused
+// across calls. Whoever removes it from pending owns it: the read loop and
+// fail fill in the outcome and signal done, once; abandon recycles it.
+type callSlot struct {
+	id   uint64
+	done chan struct{}
+	body []byte
+	err  error
+}
+
+var callSlots = sync.Pool{New: func() any { return &callSlot{done: make(chan struct{}, 1)} }}
 
 // Dial connects to a peer's transport address.
 func Dial(addr string) (*Conn, error) {
@@ -44,32 +57,43 @@ func Dial(addr string) (*Conn, error) {
 // NewConn wraps an established connection (tests use net.Pipe halves)
 // and starts its response-demultiplexing loop.
 func NewConn(nc net.Conn) *Conn {
-	c := &Conn{nc: nc, br: bufio.NewReaderSize(nc, 32<<10), pending: map[uint64]chan *frame{}}
+	c := &Conn{nc: nc, br: bufio.NewReaderSize(nc, 32<<10), pending: map[uint64]*callSlot{}}
 	go c.readLoop()
 	return c
 }
 
 func (c *Conn) readLoop() {
 	for {
-		f, err := readFrame(c.br)
+		// A response's payload is its own allocation, never pooled: the
+		// body and whatever the caller decodes out of it alias these bytes.
+		payload, err := readFrame(c.br, nil)
+		var h header
+		var body []byte
+		if err == nil {
+			h, body, err = parseFrame(payload)
+		}
+		if err == nil && h.flags&flagResponse == 0 {
+			err = malformed("request %q on a client connection", h.method)
+		}
 		if err != nil {
 			c.fail(err)
 			return
 		}
 		c.mu.Lock()
-		ch := c.pending[f.ID]
-		delete(c.pending, f.ID)
+		slot := c.pending[h.id]
+		delete(c.pending, h.id)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- f
+		if slot != nil {
+			slot.body, slot.err = body, h.remoteError()
+			slot.done <- struct{}{}
 		}
 		// A response with no waiter was abandoned (deadline, injected
 		// half-open); drop it.
 	}
 }
 
-// fail breaks the connection: every pending call is woken with nil (it
-// reads c.err) and future calls fail immediately.
+// fail breaks the connection: every pending call is woken with the
+// connection's error and future calls fail immediately.
 func (c *Conn) fail(cause error) {
 	c.mu.Lock()
 	if c.err == nil {
@@ -78,12 +102,14 @@ func (c *Conn) fail(cause error) {
 		}
 		c.err = unreachable(cause)
 	}
+	err := c.err
 	waiters := c.pending
-	c.pending = map[uint64]chan *frame{}
+	c.pending = map[uint64]*callSlot{}
 	c.mu.Unlock()
 	c.nc.Close()
-	for _, ch := range waiters {
-		close(ch)
+	for _, slot := range waiters {
+		slot.err = err
+		slot.done <- struct{}{}
 	}
 }
 
@@ -105,113 +131,124 @@ func (c *Conn) Reset() {
 	c.nc.Close() // the read loop observes the error and fails the conn
 }
 
-// Call performs one RPC: req is marshaled as the request body, the
-// response body (if any) is unmarshaled into resp (which may be nil).
-// The ctx's reqctx metadata and deadline travel in the frame header.
-// Transport-level failures wrap ErrPeerUnreachable; remote application
-// errors come back with their canonical status code intact.
-func (c *Conn) Call(ctx context.Context, method string, req, resp any) error {
-	ch, err := c.send(ctx, method, req)
+// Do performs one RPC at the byte level: enc (nil = an empty body)
+// appends the request body to the frame under construction, and the
+// response body comes back in memory the caller owns. A ctx that is done
+// abandons the response, not the request. The ctx's reqctx metadata and
+// deadline travel in the frame header. Transport-level failures wrap
+// ErrPeerUnreachable; remote application errors come back with their
+// canonical status code intact.
+func (c *Conn) Do(ctx context.Context, method string, enc func([]byte) []byte) ([]byte, error) {
+	slot, err := c.send(ctx, method, enc)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	select {
-	case f, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return err
-		}
-		if err := remoteError(f); err != nil {
-			return err
-		}
-		if resp != nil && len(f.Body) > 0 {
-			if err := json.Unmarshal(f.Body, resp); err != nil {
-				return status.Errorf(status.Internal, "transport", "unmarshaling %q response: %v", method, err)
-			}
-		}
-		return nil
+	case <-slot.done:
 	case <-ctx.Done():
-		c.abandon(ch)
-		return status.FromContext("transport", ctx.Err())
+		if c.abandon(slot) {
+			return nil, status.FromContext("transport", ctx.Err())
+		}
+		<-slot.done // the read loop or fail took the slot first: its delivery is due
 	}
+	body, err := slot.body, slot.err
+	slot.release()
+	return body, err
 }
 
-// Post sends a request and abandons its response: the peer executes the
-// method but the caller never learns the outcome. The half-open fault
-// site uses it to model a response lost on the wire.
-func (c *Conn) Post(ctx context.Context, method string, req any) error {
-	ch, err := c.send(ctx, method, req)
+// Call is Do with JSON bodies: req is marshaled as the request body (nil
+// = empty), the response body (if any) is unmarshaled into resp (which
+// may be nil).
+func (c *Conn) Call(ctx context.Context, method string, req, resp any) error {
+	enc, err := jsonRequest(method, req)
 	if err != nil {
 		return err
 	}
-	c.abandon(ch)
+	body, err := c.Do(ctx, method, enc)
+	if err != nil {
+		return err
+	}
+	return jsonResponse(method, body, resp)
+}
+
+func jsonRequest(method string, req any) (func([]byte) []byte, error) {
+	if req == nil {
+		return nil, nil
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		return nil, status.Errorf(status.InvalidArgument, "transport", "marshaling %q request: %v", method, err)
+	}
+	return func(buf []byte) []byte { return append(buf, b...) }, nil
+}
+
+func jsonResponse(method string, body []byte, resp any) error {
+	if resp == nil || len(body) == 0 {
+		return nil
+	}
+	if err := json.Unmarshal(body, resp); err != nil {
+		return status.Errorf(status.Internal, "transport", "unmarshaling %q response: %v", method, err)
+	}
 	return nil
 }
 
-// abandon unregisters a pending call so its late response is dropped by
-// the read loop.
-func (c *Conn) abandon(ch chan *frame) {
+// abandon unregisters a pending call, so the read loop drops its late
+// response, and recycles its slot; false if the slot is already taken for
+// delivery.
+func (c *Conn) abandon(slot *callSlot) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, pch := range c.pending {
-		if pch == ch {
-			delete(c.pending, id)
-			return
-		}
+	_, pending := c.pending[slot.id]
+	delete(c.pending, slot.id)
+	c.mu.Unlock()
+	if pending {
+		slot.release()
 	}
+	return pending
 }
 
-// send marshals and writes one request frame, returning the channel its
-// response will arrive on.
-func (c *Conn) send(ctx context.Context, method string, req any) (chan *frame, error) {
-	var body json.RawMessage
-	if req != nil {
-		b, err := json.Marshal(req)
-		if err != nil {
-			return nil, status.Errorf(status.InvalidArgument, "transport", "marshaling %q request: %v", method, err)
-		}
-		body = b
+func (s *callSlot) release() {
+	s.body, s.err = nil, nil
+	callSlots.Put(s)
+}
+
+// send builds and writes one request frame, returning the slot its
+// response, or a failure from here on, is delivered to.
+func (c *Conn) send(ctx context.Context, method string, enc func([]byte) []byte) (*callSlot, error) {
+	deadline, _ := ctx.Deadline() // the zero time when there is none
+	var unixNano int64
+	if !deadline.IsZero() {
+		unixNano = deadline.UnixNano()
 	}
-	meta := reqctx.From(ctx)
-	f := &frame{
-		Method: method,
-		RID:    meta.RequestID,
-		DB:     meta.DB,
-		QoS:    int(meta.QoS),
-		Body:   body,
+	bp := getBuf()
+	frame := appendRequest(*bp, method, reqctx.From(ctx), unixNano)
+	if enc != nil {
+		frame = enc(frame)
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		f.Deadline = dl.UnixNano()
+	defer func() { putBuf(bp, frame) }()
+	if err := seal(frame); err != nil {
+		return nil, err
 	}
 
-	ch := make(chan *frame, 1)
+	slot := callSlots.Get().(*callSlot)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		slot.release()
 		return nil, err
 	}
 	c.nextID++
-	f.ID = c.nextID
-	c.pending[f.ID] = ch
+	slot.id = c.nextID
+	c.pending[slot.id] = slot
 	c.mu.Unlock()
+	binary.BigEndian.PutUint64(frame[idOff:], slot.id)
 
 	c.wmu.Lock()
-	if dl, ok := ctx.Deadline(); ok {
-		c.nc.SetWriteDeadline(dl)
-	} else {
-		c.nc.SetWriteDeadline(time.Time{})
-	}
-	err := writeFrame(c.nc, f)
+	c.nc.SetWriteDeadline(deadline)
+	_, err := c.nc.Write(frame)
 	c.wmu.Unlock()
 	if err != nil {
-		c.fail(err)
-		c.mu.Lock()
-		err = c.err
-		c.mu.Unlock()
-		return nil, err
+		c.fail(err) // wakes slot, unless an earlier failure already has
 	}
-	return ch, nil
+	return slot, nil
 }

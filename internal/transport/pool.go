@@ -3,6 +3,8 @@ package transport
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -58,6 +60,16 @@ type poolPeer struct {
 	errs        int64
 	lastErr     string
 	lastOK      time.Time
+
+	// metrics caches this peer's per-method handles in metricsReg, so a
+	// call resolves no labels; a swapped registry (SetObs) drops it.
+	metricsReg *obs.Registry
+	metrics    map[string]rpcMetrics
+}
+
+type rpcMetrics struct {
+	calls, errs *obs.Counter
+	latency     *obs.Histogram
 }
 
 // NewPool returns a pool dialing TCP; reg (optional) receives
@@ -83,13 +95,6 @@ func (p *Pool) SetObs(reg *obs.Registry) {
 	p.reg = reg
 }
 
-// obs returns the current registry.
-func (p *Pool) obs() *obs.Registry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reg
-}
-
 // SetPeer adds a peer or updates its address (a rejoining process
 // listens on a fresh port). An address change drops the old connection.
 func (p *Pool) SetPeer(name, addr string) {
@@ -113,58 +118,71 @@ func (p *Pool) SetPeer(name, addr string) {
 	}
 }
 
-// Call performs one RPC against peer, evaluating the network fault sites
-// and recording per-peer metrics and health.
-func (p *Pool) Call(ctx context.Context, peer, method string, req, resp any) error {
+// Do performs one RPC against peer at the byte level (Conn.Do),
+// evaluating the network fault sites and recording per-peer metrics and
+// health.
+func (p *Pool) Do(ctx context.Context, peer, method string, enc func([]byte) []byte) ([]byte, error) {
 	p.mu.Lock()
 	pp := p.peers[peer]
-	dial := p.dial
+	dial, reg := p.dial, p.reg
 	p.mu.Unlock()
 	if pp == nil {
-		return status.Errorf(status.NotFound, "transport", "unknown peer %q", peer)
+		return nil, status.Errorf(status.NotFound, "transport", "unknown peer %q", peer)
 	}
 
 	// Network fault sites, evaluated before anything touches the wire.
 	// slow-link first (latency mode returns nil after sleeping), then the
 	// hard failures.
 	if err := fault.Point(ctx, fault.TransportSlowLink); err != nil {
-		return p.finish(pp, method, 0, unreachable(err))
+		return nil, pp.finish(reg, method, 0, unreachable(err))
 	}
 	if err := fault.Point(ctx, fault.TransportPartition); err != nil {
-		return p.finish(pp, method, 0, unreachable(err))
+		return nil, pp.finish(reg, method, 0, unreachable(err))
 	}
 	reset := fault.Decide(ctx, fault.TransportConnReset).Kind == fault.KindCrash
 	halfOpen := fault.Decide(ctx, fault.TransportHalfOpen).Kind == fault.KindDrop
 
 	conn, reconnected, err := p.connFor(pp, dial)
 	if err != nil {
-		return p.finish(pp, method, 0, err)
+		return nil, pp.finish(reg, method, 0, err)
 	}
-	if reconnected {
-		if reg := p.obs(); reg != nil {
-			reg.Counter("transport.reconnects_total", obs.Labels{"peer": peer}).Inc()
-		}
+	if reconnected && reg != nil {
+		reg.Counter("transport.reconnects_total", obs.Labels{"peer": peer}).Inc()
 	}
 
 	if reset {
 		// Tear the socket down mid-conversation: every in-flight call on
 		// it fails and the next call re-dials.
 		conn.Reset()
-		return p.finish(pp, method, 0, unreachable(status.New(status.Unavailable, "transport", "injected connection reset")))
+		return nil, pp.finish(reg, method, 0, unreachable(status.New(status.Unavailable, "transport", "injected connection reset")))
 	}
 	if halfOpen {
-		// The request reaches the peer and executes; the response is
-		// abandoned, so the caller's outcome is ambiguous.
-		if err := conn.Post(ctx, method, req); err != nil {
-			return p.finish(pp, method, 0, err)
+		// The request reaches the peer and executes; the caller has stopped
+		// listening by the time it answers, so the outcome is ambiguous.
+		gone, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, err := conn.Do(gone, method, enc); errors.Is(err, ErrPeerUnreachable) {
+			return nil, pp.finish(reg, method, 0, err)
 		}
-		return p.finish(pp, method, 0,
-			status.New(status.DeadlineExceeded, "transport", "injected half-open connection: response lost"))
+		return nil, pp.finish(reg, method, 0, status.New(status.DeadlineExceeded, "transport", "injected half-open connection: response lost"))
 	}
 
 	start := time.Now()
-	err = conn.Call(ctx, method, req, resp)
-	return p.finish(pp, method, time.Since(start), err)
+	body, err := conn.Do(ctx, method, enc)
+	return body, pp.finish(reg, method, time.Since(start), err)
+}
+
+// Call is Do with JSON bodies (Conn.Call).
+func (p *Pool) Call(ctx context.Context, peer, method string, req, resp any) error {
+	enc, err := jsonRequest(method, req)
+	if err != nil {
+		return err
+	}
+	body, err := p.Do(ctx, peer, method, enc)
+	if err != nil {
+		return err
+	}
+	return jsonResponse(method, body, resp)
 }
 
 // connFor returns the peer's live connection, dialing if absent or
@@ -191,9 +209,9 @@ func (p *Pool) connFor(pp *poolPeer, dial func(string) (*Conn, error)) (conn *Co
 	return c, reconnected, nil
 }
 
-// finish records one call's outcome in health state and metrics,
-// returning err unchanged.
-func (p *Pool) finish(pp *poolPeer, method string, latency time.Duration, err error) error {
+// finish records one call's outcome in health state and in reg's
+// metrics, returning err unchanged.
+func (pp *poolPeer) finish(reg *obs.Registry, method string, latency time.Duration, err error) error {
 	pp.mu.Lock()
 	pp.calls++
 	if err != nil {
@@ -207,14 +225,26 @@ func (p *Pool) finish(pp *poolPeer, method string, latency time.Duration, err er
 		pp.consecFails = 0
 		pp.lastOK = time.Now()
 	}
-	pp.mu.Unlock()
-	if reg := p.obs(); reg != nil {
+	if pp.metricsReg != reg {
+		pp.metricsReg, pp.metrics = reg, map[string]rpcMetrics{}
+	}
+	m, cached := pp.metrics[method]
+	if !cached && reg != nil {
 		labels := obs.Labels{"peer": pp.name, "method": method}
-		reg.Counter("transport.rpcs_total", labels).Inc()
+		m = rpcMetrics{
+			calls:   reg.Counter("transport.rpcs_total", labels),
+			errs:    reg.Counter("transport.errors_total", labels),
+			latency: reg.Histogram("transport.rpc_latency", obs.Labels{"peer": pp.name}),
+		}
+		pp.metrics[method] = m
+	}
+	pp.mu.Unlock()
+	if reg != nil {
+		m.calls.Inc()
 		if err != nil {
-			reg.Counter("transport.errors_total", labels).Inc()
+			m.errs.Inc()
 		} else if latency > 0 {
-			reg.Histogram("transport.rpc_latency", obs.Labels{"peer": pp.name}).Record(latency)
+			m.latency.Record(latency)
 		}
 	}
 	return err
@@ -248,16 +278,8 @@ func (p *Pool) Health() []PeerHealth {
 		pp.mu.Unlock()
 		out = append(out, h)
 	}
-	sortHealth(out)
+	slices.SortFunc(out, func(a, b PeerHealth) int { return strings.Compare(a.Peer, b.Peer) })
 	return out
-}
-
-func sortHealth(hs []PeerHealth) {
-	for i := 1; i < len(hs); i++ {
-		for j := i; j > 0 && hs[j].Peer < hs[j-1].Peer; j-- {
-			hs[j], hs[j-1] = hs[j-1], hs[j]
-		}
-	}
 }
 
 // Close drops every connection.

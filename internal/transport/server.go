@@ -5,46 +5,74 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"firestore/internal/reqctx"
 	"firestore/internal/status"
 )
 
-// Handler serves one RPC method. The ctx carries the caller's reqctx
-// metadata and absolute deadline (propagated in the frame header); body
-// is the request's JSON payload. The returned value is marshaled as the
-// response body; a returned error is mapped to a canonical status code
-// with status.CodeOf.
+// BytesHandler serves one RPC method at the byte level. The ctx carries
+// the caller's reqctx metadata and absolute deadline (propagated in the
+// frame header). body is the request body, in a pooled buffer: it is valid
+// only until the handler returns, so whatever must outlive the call is
+// copied out. The handler appends the response body to reply, a response
+// frame under construction, and returns it; a returned error is mapped to
+// a canonical status code with status.CodeOf and travels instead.
+type BytesHandler func(ctx context.Context, body, reply []byte) ([]byte, error)
+
+// Handler is a BytesHandler with JSON bodies: body is the request's JSON
+// payload (only valid until the handler returns), the returned value is
+// marshaled as the response body.
 type Handler func(ctx context.Context, body json.RawMessage) (any, error)
 
 // Server listens for frame connections and dispatches requests to
 // registered method handlers, each on its own goroutine.
 type Server struct {
-	mu       sync.Mutex
-	handlers map[string]Handler
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	// handlers is replaced, never mutated, by Handle: dispatch reads it
+	// without a lock.
+	handlers atomic.Pointer[map[string]BytesHandler]
+
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewServer returns a server with no handlers and no listener.
 func NewServer() *Server {
-	return &Server{
-		handlers: map[string]Handler{},
-		conns:    map[net.Conn]struct{}{},
-	}
+	s := &Server{conns: map[net.Conn]struct{}{}}
+	s.handlers.Store(&map[string]BytesHandler{})
+	return s
 }
 
-// Handle registers h for method. Must be called before the first
+// HandleBytes registers h for method. Must be called before the first
 // connection arrives for deterministic behavior; re-registering replaces.
-func (s *Server) Handle(method string, h Handler) {
+func (s *Server) HandleBytes(method string, h BytesHandler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[method] = h
+	handlers := maps.Clone(*s.handlers.Load())
+	handlers[method] = h
+	s.handlers.Store(&handlers)
+}
+
+// Handle registers the JSON handler h for method, as HandleBytes does.
+func (s *Server) Handle(method string, h Handler) {
+	s.HandleBytes(method, func(ctx context.Context, body, reply []byte) ([]byte, error) {
+		out, err := h(ctx, body)
+		if err != nil || out == nil {
+			return reply, err
+		}
+		b, err := json.Marshal(out)
+		if err != nil {
+			return reply, status.Errorf(status.Internal, "transport", "marshaling %q response: %v", method, err)
+		}
+		return append(reply, b...), nil
+	})
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting in the
@@ -111,74 +139,88 @@ func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	defer s.untrack(conn)
 	var wmu sync.Mutex // serializes response frames from handler goroutines
-	var hwg sync.WaitGroup
-	defer hwg.Wait()
+	write := func(frame []byte) {
+		err := seal(frame)
+		if err == nil {
+			wmu.Lock()
+			_, err = conn.Write(frame)
+			wmu.Unlock()
+		}
+		if err != nil {
+			conn.Close() // the read loop will observe it and exit
+		}
+	}
+	var handlers sync.WaitGroup
+	defer handlers.Wait()
 	br := bufio.NewReaderSize(conn, 32<<10)
 	for {
-		req, err := readFrame(br)
+		in := getBuf()
+		payload, err := readFrame(br, *in)
+		var h header
+		var body []byte
+		if err == nil {
+			h, body, err = parseFrame(payload)
+		}
+		if err == nil && h.flags&flagResponse != 0 {
+			err = malformed("response on a server connection")
+		}
 		if err != nil {
+			// A frame this peer cannot read (another version, garbage) is
+			// refused in so many words, as the response to a call nobody
+			// made, and the connection dropped: framing is lost for good.
+			if status.CodeOf(err) == status.InvalidArgument {
+				write(appendResponse(nil, 0, status.InvalidArgument, err.Error()))
+			}
 			return
 		}
-		hwg.Add(1)
+		handlers.Add(1)
 		go func() {
-			defer hwg.Done()
-			resp := s.dispatch(req)
-			wmu.Lock()
-			defer wmu.Unlock()
-			if err := writeFrame(conn, resp); err != nil {
-				conn.Close() // the read loop will observe it and exit
-			}
+			defer handlers.Done()
+			// The request's buffer goes back to the pool once the handler
+			// is done with the body, the response's once it is written.
+			out := getBuf()
+			frame := s.dispatch(h, body, *out)
+			putBuf(in, payload)
+			write(frame)
+			putBuf(out, frame)
 		}()
 	}
 }
 
 // dispatch runs one request through its handler, rebuilding the caller's
-// request context (metadata + deadline) on this side of the wire.
-func (s *Server) dispatch(req *frame) (resp *frame) {
-	resp = &frame{ID: req.ID}
+// request context (metadata + deadline) on this side of the wire, and
+// returns the response frame, built in buf.
+func (s *Server) dispatch(req header, body, buf []byte) (frame []byte) {
+	fail := func(code status.Code, msg string) []byte {
+		return appendResponse(buf[:0], req.id, code, msg)
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			resp.Code = int(status.Internal)
-			resp.Err = fmt.Sprintf("transport: handler panic: %v", r)
-			resp.Body = nil
+			frame = fail(status.Internal, fmt.Sprintf("transport: handler panic: %v", r))
 		}
 	}()
-	s.mu.Lock()
-	h := s.handlers[req.Method]
-	s.mu.Unlock()
+	h := (*s.handlers.Load())[string(req.method)]
 	if h == nil {
-		resp.Code = int(status.NotFound)
-		resp.Err = fmt.Sprintf("transport: no handler for method %q", req.Method)
-		return resp
+		return fail(status.NotFound, fmt.Sprintf("transport: no handler for method %q", req.method))
 	}
 	ctx := context.Background()
-	if req.Deadline > 0 {
+	if req.deadline != 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, req.Deadline))
+		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, int64(req.deadline)))
 		defer cancel()
 	}
-	if req.RID != "" || req.DB != "" || req.QoS != 0 {
-		ctx = reqctx.With(ctx, reqctx.Meta{RequestID: req.RID, DB: req.DB, QoS: reqctx.QoS(req.QoS)})
+	if len(req.rid) > 0 || len(req.db) > 0 || req.qos != 0 {
+		ctx = reqctx.With(ctx, reqctx.Meta{RequestID: string(req.rid), DB: string(req.db), QoS: reqctx.QoS(req.qos)})
 	}
-	out, err := h(ctx, req.Body)
+	frame, err := h(ctx, body, appendResponse(buf[:0], req.id, status.OK, ""))
 	if err != nil {
-		resp.Code = int(status.CodeOf(err))
-		if resp.Code == int(status.OK) {
-			resp.Code = int(status.Internal)
+		code := status.CodeOf(err)
+		if code == status.OK {
+			code = status.Internal
 		}
-		resp.Err = err.Error()
-		return resp
+		return fail(code, err.Error())
 	}
-	if out != nil {
-		body, err := json.Marshal(out)
-		if err != nil {
-			resp.Code = int(status.Internal)
-			resp.Err = fmt.Sprintf("transport: marshaling %q response: %v", req.Method, err)
-			return resp
-		}
-		resp.Body = body
-	}
-	return resp
+	return frame
 }
 
 // Close stops the listener, closes every live connection, and waits for

@@ -1,10 +1,18 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -430,4 +438,178 @@ func BenchmarkLoopbackCall(b *testing.B) {
 		}
 	}
 	_ = fmt.Sprint()
+}
+
+// TestFrameGolden pins the frame layout byte for byte: a request with and
+// without caller metadata, an empty and an error response.
+func TestFrameGolden(t *testing.T) {
+	seal := func(frame []byte, id uint64) string {
+		if err := seal(frame); err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint64(frame[idOff:], id)
+		return hex.EncodeToString(frame)
+	}
+	// length 12 | version 1 | flags 0 | id 7 | "get" | body "k".
+	bare := append(appendRequest(nil, "get", reqctx.Meta{}, 0), 'k')
+	if got, want := seal(bare, 7), "0000000f"+"01"+"00"+"0000000000000007"+"03676574"+"6b"; got != want {
+		t.Errorf("bare request\n  %s\nwant\n  %s", got, want)
+	}
+	// flags 2 (meta) | ... | qos 1 | deadline 300 | "r1" | "db".
+	full := appendRequest(nil, "get", reqctx.Meta{RequestID: "r1", DB: "db", QoS: reqctx.Batch}, 300)
+	if got, want := seal(full, 7), "00000017"+"01"+"02"+"0000000000000007"+"03676574"+"01"+"ac02"+"027231"+"026462"; got != want {
+		t.Errorf("request with metadata\n  %s\nwant\n  %s", got, want)
+	}
+	// flags 1 (response) | id 7 | body "v".
+	ok := append(appendResponse(nil, 7, status.OK, ""), 'v')
+	if got, want := seal(ok, 7), "0000000b"+"01"+"01"+"0000000000000007"+"76"; got != want {
+		t.Errorf("response\n  %s\nwant\n  %s", got, want)
+	}
+	// flags 5 (response, error) | id 7 | code 6 (Aborted) | "no".
+	failed := appendResponse(nil, 7, status.Aborted, "no")
+	if got, want := seal(failed, 7), "0000000e"+"01"+"05"+"0000000000000007"+"06"+"026e6f"; got != want {
+		t.Errorf("error response\n  %s\nwant\n  %s", got, want)
+	}
+	for _, frame := range [][]byte{bare, full, ok, failed} {
+		h, body, err := parseFrame(frame[prefixLen:])
+		if err != nil || h.id != 7 {
+			t.Fatalf("parseFrame(%x) = %+v, %v", frame, h, err)
+		}
+		var again []byte
+		if h.flags&flagResponse != 0 {
+			again = appendResponse(nil, h.id, status.Code(h.code), string(h.msg))
+		} else {
+			meta := reqctx.Meta{RequestID: string(h.rid), DB: string(h.db), QoS: reqctx.QoS(h.qos)}
+			again = appendRequest(nil, string(h.method), meta, int64(h.deadline))
+		}
+		if got := seal(append(again, body...), h.id); got != hex.EncodeToString(frame) {
+			t.Errorf("frame %x re-encodes as %s", frame, got)
+		}
+	}
+}
+
+// TestUnknownVersionRefused: a peer that speaks another frame version —
+// the parent commit's JSON framing included, whose payloads begin with a
+// zero byte — is told so and disconnected, and the server keeps serving.
+func TestUnknownVersionRefused(t *testing.T) {
+	_, addr := startEchoServer(t)
+	for _, payload := range []string{
+		"\x09\x00\x00\x00\x00\x00\x00\x00\x00\x07\x04echo",
+		"\x00\x00\x00\x13" + `{"id":1,"m":"echo"}` + `{}`,
+	} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		if _, err := nc.Write(append(frame, payload...)); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reply, err := readFrame(bufio.NewReader(nc), nil)
+		if err != nil {
+			t.Fatalf("reading the refusal: %v", err)
+		}
+		h, _, err := parseFrame(reply)
+		if err != nil || h.id != 0 || status.Code(h.code) != status.InvalidArgument || !strings.Contains(string(h.msg), "version") {
+			t.Errorf("refusal = %+v (%q), %v; want InvalidArgument naming the version", h, h.msg, err)
+		}
+		if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("after the refusal: read err = %v, want EOF", err)
+		}
+		nc.Close()
+	}
+	conn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var resp echoResp
+	if err := conn.Call(context.Background(), "echo", echoReq{N: 4}, &resp); err != nil || resp.N != 8 {
+		t.Fatalf("call after the refusals: %+v, %v", resp, err)
+	}
+}
+
+// TestLengthPrefixAloneAllocatesLittle: a 64 MiB length prefix followed by
+// nothing costs a chunk, not 64 MiB.
+func TestLengthPrefixAloneAllocatesLittle(t *testing.T) {
+	in := append(binary.BigEndian.AppendUint32(nil, MaxFrame), "only this much"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(in)), nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated frame was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*frameChunk {
+		t.Errorf("readFrame allocated %d bytes for a %d-byte input", grew, len(in))
+	}
+}
+
+// FuzzReadFrame: arbitrary bytes never panic the frame reader, yield an
+// error or a frame that re-encodes, and cost memory in proportion to the
+// input, whatever its length prefix claims.
+func FuzzReadFrame(f *testing.F) {
+	f.Add(seeded(append(appendRequest(nil, "engine.get", reqctx.Meta{RequestID: "r", DB: "d", QoS: reqctx.Batch}, 9), "body"...)))
+	f.Add(seeded(append(appendResponse(nil, 3, status.OK, ""), "body"...)))
+	f.Add(seeded(appendResponse(nil, 3, status.Aborted, "conflict")))
+	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrame))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		payload, err := readFrame(bufio.NewReader(bytes.NewReader(in)), nil)
+		if err != nil {
+			return
+		}
+		if cap(payload) > 2*len(in)+frameChunk {
+			t.Fatalf("%d-byte input grew a %d-byte buffer", len(in), cap(payload))
+		}
+		h, body, err := parseFrame(payload)
+		if err != nil {
+			if status.CodeOf(err) != status.InvalidArgument {
+				t.Fatalf("parseFrame: %v, want InvalidArgument", err)
+			}
+			return
+		}
+		if len(body) > len(payload) || h.flags&flagResponse == 0 && len(h.method) > len(payload) {
+			t.Fatalf("header %+v and %d-byte body out of a %d-byte payload", h, len(body), len(payload))
+		}
+	})
+}
+
+func seeded(frame []byte) []byte {
+	if err := seal(frame); err != nil {
+		panic(err)
+	}
+	return frame
+}
+
+// TestDoAllocs bounds a byte-level round trip on both sides together: the
+// response's payload and the serving goroutine, not a slot, a channel, a
+// header or a frame buffer per call.
+func TestDoAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	srv := NewServer()
+	srv.HandleBytes("echo", func(_ context.Context, body, reply []byte) ([]byte, error) {
+		return append(reply, body...), nil
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := bytes.Repeat([]byte("x"), 1024)
+	enc := func(b []byte) []byte { return append(b, body...) }
+	if got := testing.AllocsPerRun(200, func() {
+		if resp, err := conn.Do(context.Background(), "echo", enc); err != nil || len(resp) != len(body) {
+			t.Fatalf("Do = %d bytes, %v", len(resp), err)
+		}
+	}); got > 4 {
+		t.Errorf("Do round trip: %.0f allocs, want <= 4", got)
+	}
 }
