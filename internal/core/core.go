@@ -100,9 +100,10 @@ type Config struct {
 	// the in-memory engine (tests, examples). Reopening a Region on the
 	// same directory recovers all committed state.
 	StorageDir string
-	// CompactAt is the live-segment count that triggers a full compaction
-	// on durable tablets (storage.DefaultCompactAt if zero; negative
-	// disables). Only meaningful with StorageDir.
+	// CompactAt is the fan-in of durable tablets' size-tiered compaction:
+	// that many neighbouring segments of one size class merge into one
+	// (storage.DefaultCompactAt if zero; negative disables). Only
+	// meaningful with StorageDir.
 	CompactAt int
 	// MemtableCap caps each durable tablet's memtable in bytes before a
 	// segment flush; zero uses the storage default. Ignored without

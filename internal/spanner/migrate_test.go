@@ -3,8 +3,13 @@ package spanner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -273,4 +278,120 @@ func TestMergeKilledBetweenChunks(t *testing.T) {
 		t.Fatalf("%d tablets after the last restart, want 1", db.TabletCount())
 	}
 	h.check(t, db, "after the last restart")
+}
+
+// chunkCountingFactory records how many chains each IngestChains carried.
+type chunkCountingFactory struct {
+	storage.Factory
+	ingests []int
+}
+
+func (f *chunkCountingFactory) Open(id uint64, start, end []byte) (storage.Engine, error) {
+	e, err := f.Factory.Open(id, start, end)
+	if err != nil {
+		return nil, err
+	}
+	return &chunkCountingEngine{Engine: e, fac: f}, nil
+}
+
+type chunkCountingEngine struct {
+	storage.Engine
+	fac *chunkCountingFactory
+}
+
+func (e *chunkCountingEngine) IngestChains(chains []storage.Chain) error {
+	e.fac.ingests = append(e.fac.ingests, len(chains))
+	return e.Engine.IngestChains(chains)
+}
+
+// TestSplitUnderTiering: a Disk tablet counts a key once per segment
+// that holds it, and under tiered compaction a hot key sits in every
+// tier: after a zipfian workload over 80 keys has spread them over three
+// size classes, half of Stats().Keys is past the last key. At the parent
+// commit maybeSplit asked KeyAt for it, got nothing, and never split the
+// tablet; now it halves until a key is there. The split then moves
+// bounded chunks and every key reads its newest value on whichever side
+// it landed.
+func TestSplitUnderTiering(t *testing.T) {
+	const (
+		distinct = 80
+		memCap   = 2 << 10 // diskConfig's
+	)
+	dir := t.TempDir()
+	cfg := diskConfig(t, dir)
+	fac := &chunkCountingFactory{Factory: cfg.Storage}
+	cfg.Storage = fac
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(9))
+	zipf := rand.NewZipf(rng, 1.1, 1, distinct-1)
+	newest := map[string]string{}
+	for i := 0; i < distinct; i++ { // every key once, then the skew
+		key := fmt.Sprintf("k-%03d", i)
+		newest[key] = "v0"
+		put(t, db, key, newest[key])
+	}
+	for i := 0; i < 4000; i++ {
+		key := fmt.Sprintf("k-%03d", zipf.Uint64())
+		newest[key] = fmt.Sprintf("v%d-%040d", i, i)
+		put(t, db, key, newest[key])
+	}
+
+	// The tablet's segments, from its manifest: three size classes or
+	// more, and more chains between them than twice the keys there are.
+	var man struct {
+		Segments []struct {
+			Bytes  int64 `json:"bytes"`
+			Chains int   `json:"chains"`
+		} `json:"segments"`
+	}
+	manifests, _ := filepath.Glob(filepath.Join(dir, "t-*", "MANIFEST.json"))
+	if len(manifests) != 1 {
+		t.Fatalf("%d tablet directories before the split, want 1", len(manifests))
+	}
+	data, err := os.ReadFile(manifests[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	classes := map[int]bool{}
+	for _, s := range man.Segments {
+		classes[int(math.Max(math.Log(float64(s.Bytes)/memCap)/math.Log(storage.DefaultCompactAt)+0.5, 0))] = true
+	}
+	keys := db.TabletStats()[0].Storage.Keys
+	t.Logf("%d segments in %d size classes count %d keys for %d distinct", len(man.Segments), len(classes), keys, distinct)
+	if len(classes) < 3 || keys/2 < distinct {
+		t.Fatalf("the workload left %d size classes and a count of %d: want >= 3 and >= %d, or the median is in range and the test shows nothing", len(classes), keys, 2*distinct)
+	}
+
+	db.mu.Lock()
+	db.maxTabletRows = distinct / 2
+	db.mu.Unlock()
+	db.maybeSplit()
+	if db.Stats().Splits != 1 {
+		t.Fatalf("%d splits, want 1", db.Stats().Splits)
+	}
+	infos := db.TabletStats()
+	if len(infos) != 2 || infos[1].Start <= "k-000" || infos[1].Start >= fmt.Sprintf("k-%03d", distinct-1) {
+		t.Fatalf("tablets after the split: %+v, want two with the split key inside the key range", infos)
+	}
+	if len(fac.ingests) == 0 || slices.Max(fac.ingests) > storage.MaxScanChunk {
+		t.Fatalf("the split's ingests carried %v chains, want some, each <= %d", fac.ingests, storage.MaxScanChunk)
+	}
+	ctx := context.Background()
+	ts := db.StrongReadTimestamp()
+	for key, want := range newest {
+		if got, _, ok, err := db.SnapshotGet(ctx, []byte(key), ts); err != nil || !ok || string(got) != want {
+			t.Fatalf("%s after the split = %q, %v, %v; want %q", key, got, ok, err, want)
+		}
+	}
+	n := 0
+	if err := db.SnapshotScan(ctx, nil, nil, ts, false, func(ScanRow) bool { n++; return true }); err != nil || n != distinct {
+		t.Fatalf("scan after the split: %d rows, %v; want %d", n, err, distinct)
+	}
 }

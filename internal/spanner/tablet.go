@@ -454,7 +454,13 @@ func (db *DB) maybeSplit() {
 			t.mu.Unlock()
 			continue
 		}
+		// A durable engine counts a key once per layer that holds it, so
+		// half its count can lie past its last key: halve again until a
+		// key is there, rather than never split a tablet of hot keys.
 		midKey, ok := e.KeyAt(n / 2)
+		for i := n / 4; !ok && i > 0; i /= 2 {
+			midKey, ok = e.KeyAt(i)
+		}
 		if !ok || (t.start != nil && bytes.Compare(midKey, t.start) <= 0) {
 			t.mu.Unlock()
 			continue

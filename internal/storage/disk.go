@@ -3,10 +3,13 @@ package storage
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,8 +24,8 @@ import (
 const (
 	// DefaultMemtableCap is the memtable byte size that triggers a flush.
 	DefaultMemtableCap = 4 << 20
-	// DefaultCompactAt is the segment count that triggers a full
-	// compaction after a flush.
+	// DefaultCompactAt is the tier fan-in: this many neighbouring
+	// segments of one size class merge into one of the next.
 	DefaultCompactAt = 4
 )
 
@@ -33,6 +36,10 @@ const (
 	metricFsyncs        = "storage.wal.fsyncs"
 	metricFlushes       = "storage.flushes"
 	metricCompactions   = "storage.compactions"
+	metricMergeRead     = "storage.compaction.read.bytes"
+	metricMergeWritten  = "storage.compaction.written.bytes"
+	metricMergeDebt     = "storage.compaction.debt.bytes"
+	metricFilterSkips   = "storage.segment.filter.skips"
 	metricRecoveries    = "storage.recoveries"
 	metricMemtableBytes = "storage.memtable.bytes"
 	metricSegments      = "storage.segments"
@@ -44,8 +51,9 @@ type Options struct {
 	// MemtableCap is the memtable byte size that triggers a flush
 	// (DefaultMemtableCap if zero).
 	MemtableCap int64
-	// CompactAt is the live-segment count that triggers a full
-	// compaction (DefaultCompactAt if zero; negative disables).
+	// CompactAt is the size-tiered compaction's fan-in: neighbouring
+	// segments of one size class merge once there are this many
+	// (DefaultCompactAt if zero; negative disables; at least 2).
 	CompactAt int
 	// Obs, when set, registers storage counters and gauges.
 	Obs *obs.Registry
@@ -63,6 +71,12 @@ type factoryMetrics struct {
 	flushes     *obs.Counter
 	compactions *obs.Counter
 	recoveries  *obs.Counter
+	// mergeRead and mergeWritten count the segment bytes compaction
+	// consumed and produced; filterSkips the segments a point read did
+	// not touch because their filter ruled its key out.
+	mergeRead    *obs.Counter
+	mergeWritten *obs.Counter
+	filterSkips  *obs.Counter
 }
 
 func (m *factoryMetrics) add(c *obs.Counter, n int64) {
@@ -103,21 +117,26 @@ func NewDiskFactory(dir string, opts Options) (*DiskFactory, error) {
 			flushes:     reg.Counter(metricFlushes, nil),
 			compactions: reg.Counter(metricCompactions, nil),
 			recoveries:  reg.Counter(metricRecoveries, nil),
+
+			mergeRead:    reg.Counter(metricMergeRead, nil),
+			mergeWritten: reg.Counter(metricMergeWritten, nil),
+			filterSkips:  reg.Counter(metricFilterSkips, nil),
 		}
 		reg.GaugeFunc(metricMemtableBytes, nil, func() float64 {
-			return float64(f.sumStats(func(s Stats) int64 { return s.MemtableBytes }))
+			return f.sumEngines(func(e *Disk) int64 { return e.Stats().MemtableBytes })
 		})
 		reg.GaugeFunc(metricSegments, nil, func() float64 {
-			return float64(f.sumStats(func(s Stats) int64 { return int64(s.Segments) }))
+			return f.sumEngines(func(e *Disk) int64 { return int64(e.Stats().Segments) })
 		})
 		reg.GaugeFunc(metricSegmentBytes, nil, func() float64 {
-			return float64(f.sumStats(func(s Stats) int64 { return s.SegmentBytes }))
+			return f.sumEngines(func(e *Disk) int64 { return e.Stats().SegmentBytes })
 		})
+		reg.GaugeFunc(metricMergeDebt, nil, func() float64 { return f.sumEngines((*Disk).compactionDebt) })
 	}
 	return f, nil
 }
 
-func (f *DiskFactory) sumStats(field func(Stats) int64) int64 {
+func (f *DiskFactory) sumEngines(of func(*Disk) int64) float64 {
 	f.mu.Lock()
 	engines := make([]*Disk, 0, len(f.open))
 	for _, e := range f.open {
@@ -126,9 +145,9 @@ func (f *DiskFactory) sumStats(field func(Stats) int64) int64 {
 	f.mu.Unlock()
 	var sum int64
 	for _, e := range engines {
-		sum += field(e.Stats())
+		sum += of(e)
 	}
-	return sum
+	return float64(sum)
 }
 
 func tabletDirName(id uint64) string { return fmt.Sprintf("t-%016x", id) }
@@ -222,9 +241,12 @@ type Disk struct {
 	tab  memtable
 	segs []*segment // oldest first
 	// gen counts changes of the layer set (a flush resets the memtable
-	// into a new segment, a compaction swaps the segments): a merge that
-	// pinned segs under one gen must not read tab under another.
-	gen         uint64
+	// into a new segment, a compaction swaps a run of segments for one):
+	// a scan that pinned segs under one gen must not read tab under another.
+	gen uint64
+	// merging is the one compaction in flight, nil when there is none. It
+	// is planned and installed under mu and runs outside it.
+	merging     *compaction
 	man         manifestData
 	lastDurable truetime.Timestamp
 
@@ -310,6 +332,9 @@ func removeDirContents(dir string) error {
 func (e *Disk) recover(man manifestData) error {
 	e.man = man
 	e.lastDurable = man.FlushedTS
+	if err := removeStrays(e.dir, man); err != nil {
+		return err
+	}
 	for _, meta := range man.Segments {
 		seg, err := openSegment(e.dir, meta)
 		if err != nil {
@@ -382,6 +407,27 @@ func (e *Disk) recover(man manifestData) error {
 	e.recoveries.Add(1)
 	met := e.metrics()
 	met.add(met.recoveries, 1)
+	return nil
+}
+
+// removeStrays deletes the files of a tablet directory that the manifest
+// does not account for: temp files a crash tore, and segment files whose
+// manifest swap never happened (a flush or a merge renamed its output and
+// died, or the swap's write failed). Nothing else ever would.
+func removeStrays(dir string, man manifestData) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, ent := range entries {
+		name := ent.Name()
+		live := slices.ContainsFunc(man.Segments, func(m segmentMeta) bool { return m.Name == name })
+		if strings.HasSuffix(name, ".tmp") || strings.HasPrefix(name, "seg-") && !live {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
@@ -531,8 +577,11 @@ func (e *Disk) Apply(ctx context.Context, writes []Write, ts truetime.Timestamp)
 		e.lastDurable = ts
 	}
 	e.outstanding.Add(-1)
-	e.maybeFlushLocked(ctx)
+	flushed := e.maybeFlushLocked(ctx)
 	e.mu.Unlock()
+	if flushed {
+		e.compact()
+	}
 	return nil
 }
 
@@ -582,42 +631,59 @@ func (e *Disk) Get(key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestam
 	}
 	segs := e.pinSegmentsLocked()
 	e.mu.RUnlock()
-	defer releaseSegments(segs)
+	v, found, skips, err := newestInSegments(segs, key, ts)
+	releaseSegments(segs)
+	met := e.metrics()
+	met.add(met.filterSkips, skips)
+	if err != nil {
+		// The pin rules out a racing compaction close, so this is real
+		// I/O trouble. A plain not-found here would silently drop
+		// committed data; fail the engine instead so the tablet layer
+		// observes Crashed(), recovers, and retries.
+		e.markDead()
+		return nil, 0, false
+	}
+	if !found || v.Deleted {
+		return nil, 0, false
+	}
+	return v.Value, v.TS, true
+}
+
+// newestInSegments returns key's newest version at or before ts in segs
+// (oldest first), if there is one, and how many segments their filters
+// spared it: a segment costs a pread only if it holds the key, or one
+// time in a hundred if it does not.
+func newestInSegments(segs []*segment, key []byte, ts truetime.Timestamp) (v Version, found bool, skips int64, err error) {
+	h := keyHash(key)
 	for i := len(segs) - 1; i >= 0; i-- {
+		if !segs[i].mayContain(h) {
+			skips++
+			continue
+		}
 		c, ok, err := segs[i].get(key)
 		if err != nil {
-			// The pin rules out a racing compaction close, so this is
-			// real I/O trouble. A plain not-found here would silently
-			// drop committed data; fail the engine instead so the tablet
-			// layer observes Crashed(), recovers, and retries.
-			e.markDead()
-			return nil, 0, false
+			return Version{}, false, skips, err
 		}
 		if !ok {
 			continue
 		}
-		if v, found := newestAtOrBefore(c.Versions, ts); found {
-			if v.Deleted {
-				return nil, 0, false
-			}
-			return v.Value, v.TS, true
-		}
-		if c.Purged {
-			return nil, 0, false
+		if v, found := newestAtOrBefore(c.Versions, ts); found || c.Purged {
+			return v, found, skips, nil
 		}
 	}
-	return nil, 0, false
+	return Version{}, false, skips, nil
 }
 
 // mergeLayers is the one k-way merge over an engine's layers: the chain
 // streams of its segments, oldest first, and, newest, a slice of
 // memtable chains. It calls fn once per key of [lo, hi) that any layer
-// holds, ascending, with that key's chain from each such layer, oldest
-// layer first (the slice is reused between calls). It returns false if
-// fn stopped it. Streams keep their position, so a later call continues
-// where this one's hi left them.
-func mergeLayers(streams []*chainStream, mem []Chain, lo, hi []byte, fn func(layers []Chain) bool) (bool, error) {
-	var layers []Chain
+// holds, ascending, with the streams stopped at that key, oldest layer
+// first (the slice is reused between calls) — fn consumes the chain of
+// each, decoded (take) or not (raw) — and the memtable's chain for the
+// key, if it has one. It returns false if fn stopped it. Streams keep
+// their position, so a later call continues where this one's hi left them.
+func mergeLayers(streams []*chainStream, mem []Chain, lo, hi []byte, fn func(holders []*chainStream, mem *Chain) (bool, error)) (bool, error) {
+	var holders []*chainStream
 	for {
 		var key []byte
 		if len(mem) > 0 {
@@ -635,21 +701,18 @@ func mergeLayers(streams []*chainStream, mem []Chain, lo, hi []byte, fn func(lay
 		if key == nil || hi != nil && bytes.Compare(key, hi) >= 0 {
 			return true, nil
 		}
-		layers = layers[:0]
+		holders = holders[:0]
 		for _, cs := range streams {
 			if cs.head != nil && bytes.Equal(cs.head, key) {
-				c, err := cs.take()
-				if err != nil {
-					return false, err
-				}
-				layers = append(layers, c)
+				holders = append(holders, cs)
 			}
 		}
+		var inMem *Chain
 		if len(mem) > 0 && bytes.Equal(mem[0].Key, key) {
-			layers, mem = append(layers, mem[0]), mem[1:]
+			inMem, mem = &mem[0], mem[1:]
 		}
-		if !fn(layers) {
-			return false, nil
+		if more, err := fn(holders, inMem); !more || err != nil {
+			return false, err
 		}
 	}
 }
@@ -699,6 +762,7 @@ func (e *Disk) merge(lo, hi []byte, fn func(layers []Chain) bool) bool {
 		segs    []*segment
 		streams []*chainStream
 		mem     []Chain
+		layers  []Chain
 		gen     uint64
 	)
 	release := func() {
@@ -729,7 +793,20 @@ func (e *Disk) merge(lo, hi []byte, fn func(layers []Chain) bool) bool {
 		if len(mem) == n {
 			end = KeyAfter(mem[n-1].Key)
 		}
-		more, err := mergeLayers(streams, mem, lo, end, fn)
+		more, err := mergeLayers(streams, mem, lo, end, func(holders []*chainStream, inMem *Chain) (bool, error) {
+			layers = layers[:0]
+			for _, cs := range holders {
+				c, err := cs.take()
+				if err != nil {
+					return false, err
+				}
+				layers = append(layers, c)
+			}
+			if inMem != nil {
+				layers = append(layers, *inMem)
+			}
+			return fn(layers), nil
+		})
 		if err != nil {
 			e.markDead()
 			return true
@@ -802,8 +879,11 @@ func (e *Disk) logThenApply(payload []byte, apply func()) error {
 	e.mu.Lock()
 	apply()
 	e.outstanding.Add(-1)
-	e.maybeFlushLocked(context.Background())
+	flushed := e.maybeFlushLocked(context.Background())
 	e.mu.Unlock()
+	if flushed {
+		e.compact()
+	}
 	return nil
 }
 
@@ -898,12 +978,13 @@ func (e *Disk) Commission() error {
 }
 
 // maybeFlushLocked flushes the memtable to a segment once it exceeds the
-// cap. Caller holds e.mu.
-func (e *Disk) maybeFlushLocked(ctx context.Context) {
+// cap and reports whether it did: the caller then owes a compact, after
+// it has released e.mu. Caller holds e.mu.
+func (e *Disk) maybeFlushLocked(ctx context.Context) bool {
 	if e.tab.bytes < e.opts.MemtableCap || e.tab.rows.Len() == 0 {
-		return
+		return false
 	}
-	e.flushLocked(ctx)
+	return e.flushLocked(ctx)
 }
 
 // flushLocked rotates the WAL, writes the memtable as an immutable
@@ -911,12 +992,12 @@ func (e *Disk) maybeFlushLocked(ctx context.Context) {
 // Any failure leaves the memtable intact for a later retry — the
 // manifest boundary only moves after the segment is durable. Caller
 // holds e.mu.
-func (e *Disk) flushLocked(ctx context.Context) {
+func (e *Disk) flushLocked(ctx context.Context) bool {
 	if e.dead.Load() {
-		return
+		return false
 	}
 	if err := fault.Point(ctx, fault.SegmentFlush); err != nil {
-		return
+		return false
 	}
 	// Rotate first so the flushed snapshot is exactly the generations
 	// below newSeq. Records mid-Apply (appended, not yet in the
@@ -925,52 +1006,42 @@ func (e *Disk) flushLocked(ctx context.Context) {
 	e.walMu.Lock()
 	if e.outstanding.Load() != 0 {
 		e.walMu.Unlock()
-		return
+		return false
 	}
 	newSeq := e.walSeq + 1
 	nf, err := createWAL(e.dir, newSeq)
 	if err != nil {
 		e.walMu.Unlock()
 		e.markDead()
-		return
+		return false
 	}
 	old := e.walF
 	e.walF, e.walSeq, e.walSize = nf, newSeq, 0
 	old.Close()
 	e.walMu.Unlock()
 
-	var chains []Chain
-	e.tab.rows.Ascend(nil, nil, func(k []byte, v any) bool {
-		c := v.(*memChain)
-		chains = append(chains, Chain{Key: k, Versions: c.versions, Purged: c.purged})
-		return true
+	meta, err := writeSegment(e.dir, segmentName(e.man.NextSeg), func(w *segmentWriter) error {
+		e.tab.rows.Ascend(nil, nil, func(k []byte, v any) bool {
+			c := v.(*memChain)
+			w.add(Chain{Key: k, Versions: c.versions, Purged: c.purged})
+			return w.err == nil
+		})
+		return w.err
 	})
-	name := fmt.Sprintf("seg-%08d.seg", e.man.NextSeg)
-	meta, err := writeSegment(e.dir, name, chains)
 	if err != nil {
-		// The memtable and the old WAL generations are untouched; the
+		// The memtable and the old WAL generations are untouched and the
 		// manifest still points below them, so nothing is lost and the
 		// flush retries on a later commit.
-		return
+		return false
 	}
-	man := e.man
-	man.Segments = append(append([]segmentMeta(nil), man.Segments...), meta)
-	man.WALSeq = newSeq
-	man.NextSeg++
-	man.FlushedTS = e.lastDurable
-	if err := writeManifest(e.dir, man); err != nil {
-		e.markDead()
-		return
+	if n := len(e.segs); !e.installLocked(meta, n, n, func(m *manifestData) {
+		m.WALSeq = newSeq
+		m.NextSeg++
+		m.FlushedTS = e.lastDurable
+	}) {
+		return false
 	}
-	seg, err := openSegment(e.dir, meta)
-	if err != nil {
-		e.markDead()
-		return
-	}
-	e.man = man
-	e.segs = append(e.segs, seg)
 	e.tab.reset()
-	e.gen++
 	e.flushes.Add(1)
 	met := e.metrics()
 	met.add(met.flushes, 1)
@@ -979,80 +1050,311 @@ func (e *Disk) flushLocked(ctx context.Context) {
 	e.opts.KeyViz.Record(keyviz.EvFlush, keyviz.Event{
 		Source: keyviz.SrcTablet.String(),
 		Shard:  e.id,
-		Detail: fmt.Sprintf("%d chains -> %s (%d bytes)", len(chains), name, meta.Bytes),
+		Detail: fmt.Sprintf("%d chains -> %s (%d bytes)", meta.Chains, meta.Name, meta.Bytes),
 	})
 	// Covered generations are garbage now; deletion is best-effort
 	// (recovery re-deletes anything left behind).
 	removeWALsBelow(e.dir, newSeq)
-	e.maybeCompactLocked()
+	return true
 }
 
-// maybeCompactLocked folds every live segment into one once the count
-// reaches CompactAt: chains merge with purge-mask semantics, trim to
-// GCHorizon, and drop keys now outside the tablet bounds. Caller holds
-// e.mu.
-func (e *Disk) maybeCompactLocked() {
-	if e.opts.CompactAt <= 0 || len(e.segs) < e.opts.CompactAt {
-		return
-	}
-	streams := make([]*chainStream, len(e.segs))
-	for i, s := range e.segs {
-		streams[i] = s.stream(nil, false)
-		defer streams[i].close()
-	}
-	var chains []Chain
-	if _, err := mergeLayers(streams, nil, nil, nil, func(layers []Chain) bool {
-		// A full compaction sees every older generation, so purge
-		// markers have nothing left to mask and bounds are final: drop
-		// masked-out and migrated-away state for good.
-		c := fullChain(layers)
-		if vs := trimChain(c.Versions, GCHorizon); len(vs) > 0 && boundsContain(e.man.Start, e.man.End, c.Key) {
-			chains = append(chains, Chain{Key: c.Key, Versions: vs})
-		}
-		return true
-	}); err != nil {
-		// Real I/O trouble (e.mu excludes concurrent swaps here):
-		// recovery revalidates the segment set instead of retrying a
-		// doomed compaction at every flush.
-		e.markDead()
-		return
-	}
-	name := fmt.Sprintf("seg-%08d.seg", e.man.NextSeg)
-	meta, err := writeSegment(e.dir, name, chains)
-	if err != nil {
-		return
+// installLocked is how a written segment file goes live, for a flush and
+// a merge alike: it takes the place of e.segs[lo:hi] — of nothing for a
+// flush, of its inputs for a merge, and a merge that kept no chain has no
+// file to put there — by manifest swap (with edit's other changes), then
+// open, then splice. The replaced segments are unlinked once the readers
+// that pinned them drain; they still see a complete, consistent view,
+// and e.gen sends scans to re-pin. Caller holds e.mu.
+func (e *Disk) installLocked(meta segmentMeta, lo, hi int, edit func(*manifestData)) bool {
+	var metas []segmentMeta
+	if meta.Chains > 0 {
+		metas = []segmentMeta{meta}
 	}
 	man := e.man
-	man.Segments = []segmentMeta{meta}
-	man.NextSeg++
+	man.Segments = slices.Replace(slices.Clone(man.Segments), lo, hi, metas...)
+	if edit != nil {
+		edit(&man)
+	}
 	if err := writeManifest(e.dir, man); err != nil {
 		e.markDead()
-		return
+		return false
 	}
-	seg, err := openSegment(e.dir, meta)
-	if err != nil {
-		e.markDead()
-		return
+	var segs []*segment
+	for _, m := range metas {
+		seg, err := openSegment(e.dir, m)
+		if err != nil {
+			e.markDead()
+			return false
+		}
+		segs = append(segs, seg)
 	}
-	olds := e.segs
+	olds := slices.Clone(e.segs[lo:hi])
 	e.man = man
-	e.segs = []*segment{seg}
+	e.segs = slices.Replace(e.segs, lo, hi, segs...)
 	e.gen++
 	for _, s := range olds {
-		// Close and unlink are deferred until in-flight readers that
-		// pinned the old segment set drain (they still see a complete,
-		// consistent view — the new segment holds the same data).
 		s.markObsolete()
 		s.decRef()
+	}
+	return true
+}
+
+// compaction is one merge in flight: an age-contiguous run of segments,
+// pinned, being folded into one.
+type compaction struct {
+	inputs []*segment
+	name   string // the output file, its number reserved when planned
+	// bottom marks a run that starts at the oldest segment. Nothing lies
+	// beneath its output, so it alone may drop state: purge markers and
+	// what they mask, chains outside the bounds (start, end: as they were
+	// when the merge was planned), versions and tombstones past retention.
+	bottom     bool
+	start, end []byte
+	done       chan struct{} // closed when the merge has been installed or abandoned
+}
+
+// tier is the size class of a segment of n bytes. Class t is centred on
+// MemtableCap * fan^t — a flushed memtable is class 0, fan of those
+// merged are class 1 — and reaches a factor sqrt(fan) to either side, so
+// neither a flush that ran a little over nor a merge that found keys to
+// fold falls out of the class its neighbours are in.
+func (e *Disk) tier(n int64) int {
+	t := math.Log(float64(n)/float64(e.opts.MemtableCap))/math.Log(float64(e.fan())) + 0.5
+	return int(max(t, 0))
+}
+
+// fan is the tier fan-in: CompactAt, and two at least.
+func (e *Disk) fan() int { return max(e.opts.CompactAt, 2) }
+
+// pickRun is the tiering rule: of segments in age order with size classes
+// tiers, it returns the run [lo, hi) to merge next, or lo == hi. A run
+// is fan or more neighbours of one class; smaller segments caught between
+// them do not break it and are swept along (a memtable that flushed
+// early must not keep its neighbours apart for good), larger ones do.
+// The lowest class that has a run goes first. The bottom is leveled: a
+// run of class t, whose output lands in t+1, takes with it everything
+// older when none of that is above t+1. The oldest segment is thereby
+// rewritten once per its own size or so of newer data rather than once
+// per fan times it, which buys what only a merge that includes it can
+// do (compaction.bottom) at that rate: dead chains cost a bounded
+// fraction of the tablet, not a multiple.
+func pickRun(tiers []int, fan int) (lo, hi int) {
+	for t, top := 0, slices.Max(tiers); t <= top; t++ {
+		n := 0
+		for i := 0; i <= len(tiers); i++ {
+			switch {
+			case i < len(tiers) && tiers[i] == t:
+				if n == 0 {
+					lo = i
+				}
+				n, hi = n+1, i+1
+			case i == len(tiers) || tiers[i] > t:
+				if n >= fan {
+					if lo > 0 && slices.Max(tiers[:lo]) <= t+1 {
+						lo = 0
+					}
+					return lo, hi
+				}
+				n = 0
+			}
+		}
+	}
+	return 0, 0
+}
+
+// nextRunLocked applies pickRun to the live segments. Caller holds e.mu.
+func (e *Disk) nextRunLocked() (lo, hi int) {
+	if e.opts.CompactAt <= 0 || len(e.segs) < e.fan() {
+		return 0, 0
+	}
+	tiers := make([]int, len(e.segs))
+	for i, s := range e.segs {
+		tiers[i] = e.tier(s.meta.Bytes)
+	}
+	return pickRun(tiers, e.fan())
+}
+
+// compactionDebt is the size of the run compaction would merge next: 0
+// while every tier is below its fan-in.
+func (e *Disk) compactionDebt() (n int64) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	lo, hi := e.nextRunLocked()
+	for _, s := range e.segs[lo:hi] {
+		n += s.meta.Bytes
+	}
+	return n
+}
+
+// compact runs the merges the tiering rule asks for, one after another,
+// on the calling writer — the one whose flush may have completed a tier —
+// and outside e.mu: readers and other writers carry on, and a flush that
+// completes another tier meanwhile leaves it to this loop's next turn.
+// One merge is in flight per engine; a writer that finds one returns. No
+// timer and no goroutine: flushes and merges are a function of the write
+// sequence.
+func (e *Disk) compact() {
+	for {
+		e.mu.Lock()
+		var c *compaction
+		if lo, hi := e.nextRunLocked(); lo < hi {
+			c = e.startMergeLocked(lo, hi)
+		}
+		e.mu.Unlock()
+		if c == nil {
+			return
+		}
+		if meta, err := e.runMerge(c); !e.finishMerge(c, meta, err) {
+			return
+		}
+	}
+}
+
+// startMergeLocked pins e.segs[lo:hi] as the inputs of a merge and
+// reserves its output's name, so that a flush meanwhile takes the next
+// one; nil if the engine is dead or already merging. Caller holds e.mu.
+func (e *Disk) startMergeLocked(lo, hi int) *compaction {
+	if e.merging != nil || e.dead.Load() {
+		return nil
+	}
+	c := &compaction{
+		inputs: slices.Clone(e.segs[lo:hi]),
+		name:   segmentName(e.man.NextSeg),
+		bottom: lo == 0,
+		start:  e.man.Start,
+		end:    e.man.End,
+		done:   make(chan struct{}),
+	}
+	for _, s := range c.inputs {
+		s.incRef()
+	}
+	e.man.NextSeg++
+	e.merging = c
+	return c
+}
+
+// runMerge streams c's inputs through mergeLayers into its output file
+// and never holds more than one chain: a chain that a single input holds
+// and that nothing is to be cut from is copied as the bytes it is, the
+// rest are decoded into scratch, folded as fullChain folds layers and
+// re-encoded. It takes no lock and touches no engine state; it stops
+// early if the engine dies.
+func (e *Disk) runMerge(c *compaction) (segmentMeta, error) {
+	streams := make([]*chainStream, len(c.inputs))
+	var newest truetime.Timestamp
+	for i, s := range c.inputs {
+		streams[i] = s.stream(nil, false)
+		defer streams[i].close()
+		newest = max(newest, s.meta.MaxTS)
+	}
+	// A chain that ends in a tombstone at or before horizon reads as
+	// absent at every timestamp retention still covers.
+	horizon := newest.Add(-GCRetention)
+	var versions []Version // scratch
+	return writeSegment(e.dir, c.name, func(w *segmentWriter) error {
+		_, err := mergeLayers(streams, nil, nil, nil, func(holders []*chainStream, _ *Chain) (bool, error) {
+			if e.dead.Load() {
+				return false, ErrCrashed
+			}
+			key := holders[0].head
+			out := Chain{Key: key, Versions: versions[:0]}
+			for _, cs := range holders {
+				enc, shape, err := cs.raw()
+				if err != nil {
+					return false, err
+				}
+				if len(holders) == 1 && !(c.bottom && (shape.purged || shape.versions > GCHorizon)) {
+					// Nothing to fold it with and nothing to cut from it.
+					if !c.retires(key, shape.versions, shape.last, horizon) {
+						w.addEncoded(key, enc, shape.last.TS)
+					}
+					return true, w.err
+				}
+				r := NewDecoder(enc, false)
+				r.Bytes()
+				if r.Bool() {
+					out.Versions, out.Purged = out.Versions[:0], true
+				}
+				for n := r.Count(3); n > 0 && r.err == nil; n-- {
+					out.Versions = append(out.Versions, r.version())
+				}
+				if r.err != nil {
+					return false, r.err
+				}
+			}
+			versions = out.Versions
+			if c.bottom {
+				out.Versions, out.Purged = trimChain(out.Versions, GCHorizon), false
+			}
+			var last Version
+			if n := len(out.Versions); n > 0 {
+				last = out.Versions[n-1]
+			}
+			if !c.retires(key, len(out.Versions), last, horizon) {
+				w.add(out)
+			}
+			return true, w.err
+		})
+		return err
+	})
+}
+
+// retires reports whether the merge drops the chain of key, folded and
+// trimmed to n versions of which last is the newest. Only a bottom merge
+// drops any: one a purge marker emptied, one outside the bounds, one that
+// ends in a tombstone at or before horizon.
+func (c *compaction) retires(key []byte, n int, last Version, horizon truetime.Timestamp) bool {
+	return c.bottom && (n == 0 || !boundsContain(c.start, c.end, key) || last.Deleted && last.TS <= horizon)
+}
+
+// finishMerge retakes e.mu and puts c's output in place of exactly its
+// inputs, wherever they are in the manifest by now: segments that
+// flushed during the merge are newer than every input and stay after
+// the output, and nothing else removes a segment while c is in flight. A
+// failed merge is abandoned — its inputs stay — and so is one whose
+// engine died meanwhile.
+func (e *Disk) finishMerge(c *compaction, meta segmentMeta, err error) bool {
+	e.mu.Lock()
+	if errors.Is(err, errTornFrame) {
+		// An input does not parse: real I/O trouble (the pins rule out a
+		// racing close). Recovery revalidates the segment set instead of
+		// this merge being retried, doomed, after every flush.
+		e.markDead()
+	}
+	if err == nil && e.dead.Load() {
+		err = ErrCrashed
+		os.Remove(filepath.Join(e.dir, c.name)) // else a stray for the next open
+	}
+	ok := err == nil
+	if ok {
+		lo := slices.Index(e.segs, c.inputs[0])
+		ok = e.installLocked(meta, lo, lo+len(c.inputs), nil)
+	}
+	e.merging = nil
+	e.mu.Unlock()
+	// The inputs' last references: their files go here, outside the lock.
+	releaseSegments(c.inputs)
+	close(c.done)
+	if !ok {
+		return false
+	}
+	var read int64
+	for _, s := range c.inputs {
+		read += s.meta.Bytes
 	}
 	e.compactions.Add(1)
 	met := e.metrics()
 	met.add(met.compactions, 1)
-	e.opts.KeyViz.Record(keyviz.EvCompaction, keyviz.Event{
-		Source: keyviz.SrcTablet.String(),
-		Shard:  e.id,
-		Detail: fmt.Sprintf("%d segments -> %d chains (%d bytes)", len(olds), len(chains), meta.Bytes),
-	})
+	met.add(met.mergeRead, read)
+	met.add(met.mergeWritten, meta.Bytes)
+	newest := c.inputs[len(c.inputs)-1].meta
+	detail := fmt.Sprintf("tier %d: %s..%s (%d segments, %d bytes) -> %d chains (%d bytes)",
+		e.tier(newest.Bytes), c.inputs[0].meta.Name, newest.Name, len(c.inputs), read, meta.Chains, meta.Bytes)
+	if c.bottom {
+		detail += ", bottom"
+	}
+	e.opts.KeyViz.Record(keyviz.EvCompaction, keyviz.Event{Source: keyviz.SrcTablet.String(), Shard: e.id, Detail: detail})
+	return true
 }
 
 func (e *Disk) LastDurable() truetime.Timestamp {
@@ -1111,6 +1413,14 @@ func (e *Disk) closeFiles() {
 func (e *Disk) Close() error {
 	e.markDead()
 	e.closeFiles()
+	// A merge in flight stops at its next chain and leaves no output: the
+	// directory is quiet when Close returns, whoever opens it next.
+	e.mu.RLock()
+	c := e.merging
+	e.mu.RUnlock()
+	if c != nil {
+		<-c.done
+	}
 	e.fac.forget(e.id, e)
 	return nil
 }

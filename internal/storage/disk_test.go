@@ -149,6 +149,16 @@ func versionVisibleEqual(gotVal []byte, gotOK bool, wantVal []byte, wantOK bool)
 	return gotOK == wantOK && bytes.Equal(gotVal, wantVal)
 }
 
+// mergeRun folds the live segments [lo, hi) into one on the calling
+// goroutine, as compact does a run the tiering rule picked.
+func mergeRun(e *Disk, lo, hi int) bool {
+	e.mu.Lock()
+	c := e.startMergeLocked(lo, hi)
+	e.mu.Unlock()
+	meta, err := e.runMerge(c)
+	return e.finishMerge(c, meta, err)
+}
+
 func randomWrites(rng *rand.Rand, n int) []Write {
 	var writes []Write
 	for j := 0; j < 1+rng.Intn(n); j++ {
@@ -198,8 +208,8 @@ func TestDiskCompactionEquivalence(t *testing.T) {
 	}
 	e.mu.Lock()
 	e.opts.CompactAt = 2
-	e.maybeCompactLocked()
 	e.mu.Unlock()
+	e.compact() // every segment is one memtable: one tier, one run
 	if got := e.Stats(); got.Segments != 1 || got.Compactions != 1 {
 		t.Fatalf("post-compaction stats %+v, want 1 segment, 1 compaction", got)
 	}
@@ -409,9 +419,10 @@ func TestDiskSplitProtocol(t *testing.T) {
 	ld := l2.(*Disk)
 	ld.mu.Lock()
 	ld.flushLocked(ctx)
-	ld.opts.CompactAt = 1
-	ld.maybeCompactLocked()
 	ld.mu.Unlock()
+	if !mergeRun(ld, 0, ld.Stats().Segments) || ld.Stats().Segments != 1 {
+		t.Fatalf("bottom merge of every segment left %d", ld.Stats().Segments)
+	}
 	check(l2, r2)
 }
 

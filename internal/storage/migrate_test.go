@@ -225,9 +225,11 @@ func TestNarrowingInterruptedBeforeThePurge(t *testing.T) {
 	}
 }
 
-// TestParentCommitDirectoriesOpen: nothing on disk moved. The two tablet
-// directories under testdata/parent_split were written by the commit
-// before migration became CopyChains — 40 keys (doc-000..doc-039, every
+// TestParentCommitDirectoriesOpen: the WAL records and the manifest did
+// not move. The two tablet directories under testdata/parent_split were
+// written by the commit before migration became CopyChains (the one
+// segment file among them re-encoded since, chain for chain, when the
+// segment layout gained its filter block: FSSEG002) — 40 keys (doc-000..doc-039, every
 // second rewritten, every eighth then deleted, memtable 1 KiB) split at
 // doc-020 the old way (one ingest record, SetBounds, one purge record of
 // caller-listed keys), then every sixth key from doc-001 rewritten — and

@@ -25,8 +25,9 @@
 // GC by age similarly), while the Disk engine's memtable consults the
 // flushed horizon — a version newer than the last flush exists nowhere
 // but the memtable and WAL, so trimming it would serve stale segment
-// data; chains are trimmed to GCHorizon only at compaction, where every
-// older version is provably covered by the merged result.
+// data; chains are trimmed to GCHorizon, and chains that end in a
+// tombstone past retention dropped, only by a merge that includes the
+// oldest segment, where nothing older can show through.
 //
 // Tablet migration lives here too, once: a split, a merge and a move are
 // each CopyChains between an opening and a closing step, and the Engine's
@@ -94,7 +95,7 @@ type Chain struct {
 	// Purged marks a chain that masks any older (already-flushed) state
 	// for its key: the key reads as absent at every timestamp not covered
 	// by Versions. Split sources leave purge markers behind for moved
-	// keys; compaction retires them.
+	// keys; a merge down to the oldest segment retires them.
 	Purged bool
 }
 
@@ -103,8 +104,9 @@ type Chain struct {
 type Stats struct {
 	// Kind is "mem" or "disk".
 	Kind string `json:"kind"`
-	// Keys approximates the number of distinct keys (exact for Mem; Disk
-	// may overcount a key rewritten across flush generations).
+	// Keys bounds the number of distinct keys from above (exact for Mem;
+	// Disk counts a key once per layer — memtable, segment — holding it,
+	// so KeyAt(Keys/2) may be out of range and callers fall back).
 	Keys int `json:"keys"`
 	// MemtableKeys and MemtableBytes size the unflushed state.
 	MemtableKeys  int   `json:"memtable_keys"`
