@@ -38,7 +38,7 @@ test:
 test-race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run 'Allocs|CostFollowsResult|NotAlias' ./internal/index ./internal/backend ./internal/spanner ./internal/core \
-		./internal/cluster ./internal/transport ./internal/storage
+		./internal/cluster ./internal/transport ./internal/storage ./internal/doc
 
 # Repeated race passes over the packages whose concurrency a single run
 # under-samples, each line a package list and a -count. Ten rounds over
@@ -88,11 +88,12 @@ chaos:
 
 # Short fuzz passes over the decoders that read bytes from outside the
 # process: the trigger payload, a transport frame, the binary engine-plane
-# bodies, a segment file. One pkg:Target pair per decoder. Minimising is
-# capped: the default minute per interesting input, on a segment file of a
-# few KB, is the whole pass.
+# bodies, a segment file, a stored document, an index-key value. One
+# pkg:Target pair per decoder. Minimising is capped: the default minute
+# per interesting input, on a segment file of a few KB, is the whole pass.
 fuzz:
-	@for pair in backend:FuzzUnmarshalChange transport:FuzzReadFrame cluster:FuzzEngineBodies storage:FuzzLoadSegment; do \
+	@for pair in backend:FuzzUnmarshalChange transport:FuzzReadFrame cluster:FuzzEngineBodies storage:FuzzLoadSegment \
+		doc:FuzzUnmarshal encoding:FuzzDecodeValue; do \
 		echo "fuzz $$pair"; \
 		$(GO) test -run=$${pair#*:} -fuzz=$${pair#*:} -fuzztime=30s -fuzzminimizetime=5s ./internal/$${pair%%:*}/ || exit 1; \
 	done

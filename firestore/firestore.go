@@ -214,7 +214,25 @@ func (dr *DocumentRef) Get(ctx context.Context) (*DocumentSnapshot, error) {
 }
 
 func snapshotOf(dr *DocumentRef, d *doc.Document, readTS truetime.Timestamp) *DocumentSnapshot {
-	return &DocumentSnapshot{
+	s := new(DocumentSnapshot)
+	s.set(dr, d, readTS)
+	return s
+}
+
+// resultSnapshot is snapshotOf for a document a query or a listener
+// returned, which nobody holds a reference to yet: the reference is
+// allocated in one piece with the snapshot.
+func resultSnapshot(c *Client, d *doc.Document, readTS truetime.Timestamp) *DocumentSnapshot {
+	s := &struct {
+		DocumentSnapshot
+		ref DocumentRef
+	}{ref: DocumentRef{c: c, name: d.Name}}
+	s.set(&s.ref, d, readTS)
+	return &s.DocumentSnapshot
+}
+
+func (s *DocumentSnapshot) set(dr *DocumentRef, d *doc.Document, readTS truetime.Timestamp) {
+	*s = DocumentSnapshot{
 		Ref:        dr,
 		exists:     true,
 		fields:     d.Fields,

@@ -11,6 +11,7 @@ import (
 	"firestore/internal/backend"
 	"firestore/internal/core"
 	"firestore/internal/rules"
+	"firestore/internal/status"
 )
 
 func newClient(t *testing.T) *Client {
@@ -68,6 +69,17 @@ func TestSetGetRoundTrip(t *testing.T) {
 	}
 	if snap.CreateTime.IsZero() || snap.UpdateTime.IsZero() {
 		t.Fatal("timestamps missing")
+	}
+	// The service's timestamp range is years 0001-9999: the zero Time is
+	// storable, a year the value's microseconds cannot reach is refused.
+	if err := ref.Set(ctx, map[string]any{"t": time.Time{}}); err != nil {
+		t.Fatalf("zero time: %v", err)
+	}
+	for _, y := range []int{0, 10_000, 400_000, -400_000} {
+		err := ref.Set(ctx, map[string]any{"nested": []any{time.Date(y, 6, 1, 0, 0, 0, 0, time.UTC)}})
+		if status.CodeOf(err) != status.InvalidArgument {
+			t.Errorf("timestamp in year %d: err = %v, want InvalidArgument", y, err)
+		}
 	}
 }
 

@@ -94,7 +94,7 @@ func (it *DocumentIterator) fetchPage() error {
 		return err
 	}
 	for _, d := range res.Docs {
-		it.buf = append(it.buf, snapshotOf(&DocumentRef{c: it.c, name: d.Name}, d, readTS))
+		it.buf = append(it.buf, resultSnapshot(it.c, d, readTS))
 	}
 	if res.Resume == nil {
 		it.noMore = true

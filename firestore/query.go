@@ -282,7 +282,7 @@ func (it *QuerySnapshotIterator) apply(ev frontend.SnapshotEvent) *QuerySnapshot
 			if !include(d.Name.String()) {
 				continue
 			}
-			fresh[d.Name.String()] = snapshotOf(&DocumentRef{c: it.c, name: d.Name}, d, ev.TS)
+			fresh[d.Name.String()] = resultSnapshot(it.c, d, ev.TS)
 		}
 		for name, s := range fresh {
 			old, ok := it.results[name]
@@ -305,7 +305,7 @@ func (it *QuerySnapshotIterator) apply(ev frontend.SnapshotEvent) *QuerySnapshot
 		if !include(d.Name.String()) {
 			continue
 		}
-		s := snapshotOf(&DocumentRef{c: it.c, name: d.Name}, d, ev.TS)
+		s := resultSnapshot(it.c, d, ev.TS)
 		it.results[d.Name.String()] = s
 		changes = append(changes, DocumentChange{Kind: DocumentAdded, Doc: s})
 	}
@@ -313,7 +313,7 @@ func (it *QuerySnapshotIterator) apply(ev frontend.SnapshotEvent) *QuerySnapshot
 		if !include(d.Name.String()) {
 			continue
 		}
-		s := snapshotOf(&DocumentRef{c: it.c, name: d.Name}, d, ev.TS)
+		s := resultSnapshot(it.c, d, ev.TS)
 		it.results[d.Name.String()] = s
 		changes = append(changes, DocumentChange{Kind: DocumentModified, Doc: s})
 	}

@@ -334,7 +334,7 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		}
 		var old, new *doc.Document
 		if exists {
-			if old, err = ResolveDoc(oldBlob, oldTS); err != nil {
+			if old, err = ResolveDoc(oldBlob, op.Name, oldTS); err != nil {
 				return abort(err)
 			}
 		}
@@ -546,13 +546,15 @@ func (b *Backend) readInTxn(ctx context.Context, db *catalog.Database, txn *span
 	if !ok {
 		return nil, nil
 	}
-	return ResolveDoc(blob, vts)
+	return ResolveDoc(blob, name, vts)
 }
 
 // ResolveDoc decodes a stored document blob, resolving its timestamps
-// against the row's version timestamp.
-func ResolveDoc(blob []byte, versionTS truetime.Timestamp) (*doc.Document, error) {
-	d, err := doc.Unmarshal(blob)
+// against the row's version timestamp. name is the name the row was read
+// by, which the blob must carry (doc.UnmarshalNamed), or zero for a row
+// a scan came across.
+func ResolveDoc(blob []byte, name doc.Name, versionTS truetime.Timestamp) (*doc.Document, error) {
+	d, err := doc.UnmarshalNamed(blob, name)
 	if err != nil {
 		return nil, err
 	}

@@ -128,7 +128,7 @@ func (b *Backend) scanAllDocuments(ctx context.Context, db *catalog.Database, fn
 	}
 	var scanErr error
 	err := db.Spanner.SnapshotScan(ctx, lo, hi, db.Spanner.StrongReadTimestamp(), false, func(r spanner.ScanRow) bool {
-		d, err := ResolveDoc(r.Value, r.TS)
+		d, err := ResolveDoc(r.Value, doc.Name{}, r.TS)
 		if err != nil {
 			return true
 		}

@@ -84,7 +84,7 @@ func (b *Backend) getAt(ctx context.Context, db *catalog.Database, name doc.Name
 	if !ok {
 		return nil, nil
 	}
-	return ResolveDoc(blob, vts)
+	return ResolveDoc(blob, name, vts)
 }
 
 // RunQuery plans and executes q. A zero readTS means a strong read. It
@@ -320,15 +320,19 @@ func (b *Backend) noteActual(dbID string, q *query.Query, p *query.Plan, scanned
 
 // snapshotStorage adapts a database snapshot to the query executor's
 // Storage interface: index scans over IndexEntries rows, document reads
-// over Entities rows (§IV-D3).
+// over Entities rows (§IV-D3). One execution owns it and makes one call
+// at a time, so the row keys of the call in flight are built in its own
+// buffers — Spanner keeps no key past a call, and a scan's bounds stay
+// untouched by the gets between its refills.
 type snapshotStorage struct {
-	db *catalog.Database
-	ts truetime.Timestamp
+	db          *catalog.Database
+	ts          truetime.Timestamp
+	lo, hi, key []byte
 }
 
 func (s *snapshotStorage) ScanIndex(ctx context.Context, lo, hi []byte, fn func(key, value []byte) bool) error {
-	klo, khi := s.db.IndexRange(lo, hi)
-	return s.db.Spanner.SnapshotScan(ctx, klo, khi, s.ts, false, func(r spanner.ScanRow) bool {
+	s.lo, s.hi = s.db.AppendIndexRange(s.lo[:0], s.hi[:0], lo, hi)
+	return s.db.Spanner.SnapshotScan(ctx, s.lo, s.hi, s.ts, false, func(r spanner.ScanRow) bool {
 		return fn(s.db.StripIndexKey(r.Key), r.Value)
 	})
 }
@@ -343,7 +347,7 @@ func (s *snapshotStorage) ScanCollection(ctx context.Context, c doc.CollectionPa
 	klo, khi := s.db.EntityRange(lo, encoding.PrefixSuccessor(prefix))
 	want := len(c.Segments()) + 1
 	return s.db.Spanner.SnapshotScan(ctx, klo, khi, s.ts, false, func(r spanner.ScanRow) bool {
-		d, err := ResolveDoc(r.Value, r.TS)
+		d, err := ResolveDoc(r.Value, doc.Name{}, r.TS)
 		if err != nil {
 			return true // skip corrupt rows; validation jobs catch them
 		}
@@ -355,12 +359,13 @@ func (s *snapshotStorage) ScanCollection(ctx context.Context, c doc.CollectionPa
 }
 
 func (s *snapshotStorage) GetDocument(ctx context.Context, name doc.Name) (*doc.Document, error) {
-	blob, vts, ok, err := s.db.Spanner.SnapshotGet(ctx, s.db.EntityKey(name), s.ts)
+	s.key = s.db.AppendEntityKey(s.key[:0], name)
+	blob, vts, ok, err := s.db.Spanner.SnapshotGet(ctx, s.key, s.ts)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, nil
 	}
-	return ResolveDoc(blob, vts)
+	return ResolveDoc(blob, name, vts)
 }

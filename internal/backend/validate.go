@@ -56,7 +56,7 @@ func (b *Backend) ValidateDatabase(ctx context.Context, dbID string) (*Validatio
 	lo, hi := db.EntityRange(nil, nil)
 	err = db.Spanner.SnapshotScan(ctx, lo, hi, ts, false, func(r spanner.ScanRow) bool {
 		report.Documents++
-		d, derr := ResolveDoc(r.Value, r.TS)
+		d, derr := ResolveDoc(r.Value, doc.Name{}, r.TS)
 		if derr != nil {
 			if len(report.CorruptDocs) < reportCap {
 				report.CorruptDocs = append(report.CorruptDocs, fmt.Sprintf("%x: %v", r.Key, derr))

@@ -230,8 +230,13 @@ func (db *Database) RemoveComposite(id uint64) {
 // EntityKey returns the Spanner row key for a document's Entities row —
 // directory prefix, table byte, encoded name — in one allocation.
 func (db *Database) EntityKey(name doc.Name) []byte {
-	key := make([]byte, 0, len(db.entities)+encoding.NameLen(name))
-	return encoding.EncodeName(append(key, db.entities...), name)
+	return db.AppendEntityKey(make([]byte, 0, len(db.entities)+encoding.NameLen(name)), name)
+}
+
+// AppendEntityKey appends EntityKey(name) to dst, for a reader that
+// builds one key after another in its own buffer.
+func (db *Database) AppendEntityKey(dst []byte, name doc.Name) []byte {
+	return encoding.EncodeName(append(dst, db.entities...), name)
 }
 
 // IndexPrefix returns the row-key prefix of the IndexEntries table, for
@@ -260,11 +265,25 @@ func (db *Database) IndexRange(lo, hi []byte) (klo, khi []byte) {
 	return tableRange(db.indexes, lo, hi)
 }
 
+// AppendIndexRange is IndexRange appended to klo and khi, for a reader
+// that builds one range after another in its own buffers.
+func (db *Database) AppendIndexRange(klo, khi, lo, hi []byte) ([]byte, []byte) {
+	return appendTableRange(klo, khi, db.indexes, lo, hi)
+}
+
 func tableRange(table, lo, hi []byte) (klo, khi []byte) {
-	if hi == nil {
-		return rowKey(table, lo), encoding.PrefixSuccessor(table)
+	if hi != nil {
+		khi = make([]byte, 0, len(table)+len(hi))
 	}
-	return rowKey(table, lo), rowKey(table, hi)
+	return appendTableRange(make([]byte, 0, len(table)+len(lo)), khi, table, lo, hi)
+}
+
+func appendTableRange(klo, khi, table, lo, hi []byte) ([]byte, []byte) {
+	klo = append(append(klo, table...), lo...)
+	if hi == nil {
+		return klo, encoding.PrefixSuccessor(table) // the table's end
+	}
+	return klo, append(append(khi, table...), hi...)
 }
 
 // StripIndexKey removes the directory+table prefix from a Spanner key,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strings"
 	"time"
 
 	"firestore/internal/status"
@@ -54,7 +55,20 @@ func Marshal(d *Document) []byte {
 
 // Unmarshal decodes a document encoded by Marshal, verifying the
 // end-to-end checksum first.
-func Unmarshal(data []byte) (*Document, error) {
+func Unmarshal(data []byte) (*Document, error) { return UnmarshalNamed(data, Name{}) }
+
+// UnmarshalNamed is Unmarshal for a blob that was read by name: the
+// blob's own name is checked against name, byte for byte, and name is
+// reused rather than parsed a second time. A zero name parses the
+// blob's.
+//
+// Each payload byte is copied once (DESIGN.md "Read path: who owns the
+// bytes"): a first pass over the fields validates them and adds up the
+// text they hold — field names, map keys, strings, references — and the
+// second decodes them into one arena of exactly that size, which every
+// string of the document is a substring of. Bytes values get their own
+// copies; nothing aliases data.
+func UnmarshalNamed(data []byte, name Name) (*Document, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(data))
 	}
@@ -62,17 +76,38 @@ func Unmarshal(data []byte) (*Document, error) {
 	if got := crc32.ChecksumIEEE(body); got != sum {
 		return nil, fmt.Errorf("%w: crc32 %08x, stored %08x", ErrChecksum, got, sum)
 	}
-	r := &reader{buf: body}
-	nameStr := r.string()
+	r := reader{buf: body}
+	rawName := r.take(r.length())
 	create := r.varint()
 	update := r.varint()
-	n := r.uvarint()
+	n := r.length()
+	if n > (len(r.buf)-r.pos)/2 {
+		r.fail("field count overflows buffer") // a field is at least two bytes
+	}
+	fields, text := r.pos, 0
+	for i := 0; i < n && r.err == nil; i++ {
+		_, kt := r.str(false)
+		_, vt := r.value(0, false)
+		text += kt + vt
+	}
+	if r.err == nil && r.pos != len(r.buf) {
+		r.fail("trailing bytes")
+	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	name, err := ParseName(nameStr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if name.IsZero() {
+		r.text.Grow(len(rawName) + text)
+		r.text.Write(rawName)
+		var err error
+		if name, err = ParseName(r.text.String()); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	} else {
+		r.text.Grow(text)
+		if !name.matches(rawName) {
+			return nil, fmt.Errorf("%w: blob of %q read as %s", ErrCorrupt, rawName, name)
+		}
 	}
 	d := &Document{
 		Name:       name,
@@ -80,18 +115,11 @@ func Unmarshal(data []byte) (*Document, error) {
 		CreateTime: truetime.Timestamp(create),
 		UpdateTime: truetime.Timestamp(update),
 	}
-	for i := uint64(0); i < n; i++ {
-		k := r.string()
-		v := r.value(0)
-		if r.err != nil {
-			return nil, r.err
-		}
-		d.Fields[k] = v
+	for r.pos = fields; n > 0; n-- {
+		k, _ := r.str(true)
+		d.Fields[k], _ = r.value(0, true)
 	}
-	if len(r.buf) != r.pos {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf)-r.pos)
-	}
-	return d, nil
+	return d, r.err
 }
 
 func appendString(b []byte, s string) []byte {
@@ -154,10 +182,15 @@ func appendValue(b []byte, v Value) []byte {
 	panic(fmt.Sprintf("doc: unknown kind %v", v.Kind()))
 }
 
+// reader decodes one document body. text is the document's arena: str
+// appends to it and returns the appended substring, so it must have been
+// grown to its final size first (a regrowth would strand the strings
+// already handed out in the old buffer: correct, but copied twice).
 type reader struct {
-	buf []byte
-	pos int
-	err error
+	buf  []byte
+	pos  int
+	err  error
+	text strings.Builder
 }
 
 func (r *reader) fail(msg string) {
@@ -167,16 +200,10 @@ func (r *reader) fail(msg string) {
 }
 
 func (r *reader) byte() byte {
-	if r.err != nil {
-		return 0
+	if b := r.take(1); b != nil {
+		return b[0]
 	}
-	if r.pos >= len(r.buf) {
-		r.fail("truncated")
-		return 0
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b
+	return 0
 }
 
 func (r *reader) take(n int) []byte {
@@ -218,98 +245,112 @@ func (r *reader) varint() int64 {
 	return v
 }
 
-func (r *reader) string() string {
+// length reads a byte length or an element count, which the bytes that
+// remain must be able to hold: an element is at least one byte.
+func (r *reader) length() int {
 	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
 	if n > uint64(len(r.buf)-r.pos) {
-		r.fail("string length overflows buffer")
-		return ""
-	}
-	return string(r.take(int(n)))
-}
-
-func (r *reader) uint64() uint64 {
-	b := r.take(8)
-	if r.err != nil {
+		r.fail("length overflows buffer")
 		return 0
 	}
-	return binary.BigEndian.Uint64(b)
+	return int(n)
+}
+
+// str consumes one length-prefixed text and returns its length; with
+// build set it is also copied into the arena and returned.
+func (r *reader) str(build bool) (string, int) {
+	b := r.take(r.length())
+	if !build {
+		return "", len(b)
+	}
+	at := r.text.Len()
+	r.text.Write(b)
+	return r.text.String()[at:], len(b)
+}
+
+func (r *reader) float64() float64 {
+	b := r.take(8)
+	if b == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.BigEndian.Uint64(b))
 }
 
 // maxValueDepth bounds nesting to keep malicious inputs from exhausting
 // the stack.
 const maxValueDepth = 64
 
-func (r *reader) value(depth int) Value {
+// value consumes one value and returns the bytes of text in it, its share
+// of the arena. It is both passes of UnmarshalNamed: with build unset it
+// only validates and measures, with build set it also decodes into the
+// (by then grown) arena. One switch, so the two cannot disagree about the
+// format.
+func (r *reader) value(depth int, build bool) (v Value, text int) {
 	if depth > maxValueDepth {
 		r.fail("value nested too deeply")
-		return Null()
+		return
 	}
 	switch k := Kind(r.byte()); k {
 	case KindNull:
-		return Null()
 	case KindBool:
-		return Bool(r.byte() != 0)
+		v = Bool(r.byte() != 0)
 	case KindNumber:
 		if r.byte() == 0 {
-			return Int(r.varint())
+			v = Int(r.varint())
+		} else {
+			v = Double(r.float64())
 		}
-		return Double(math.Float64frombits(r.uint64()))
 	case KindTimestamp:
 		sec := r.varint()
-		nsec := r.varint()
-		return Timestamp(time.Unix(sec, nsec).UTC())
-	case KindString:
-		return String(r.string())
+		if sec < -maxTimestampSec || sec > maxTimestampSec {
+			r.fail("timestamp out of range")
+		}
+		v = Timestamp(time.Unix(sec, r.varint()))
+	case KindString, KindReference:
+		v.kind = k
+		v.s, text = r.str(build)
 	case KindBytes:
-		n := r.uvarint()
-		if r.err != nil {
-			return Null()
+		if b := r.take(r.length()); build {
+			v = Bytes(append([]byte(nil), b...))
 		}
-		if n > uint64(len(r.buf)-r.pos) {
-			r.fail("bytes length overflows buffer")
-			return Null()
-		}
-		return Bytes(append([]byte(nil), r.take(int(n))...))
-	case KindReference:
-		return Reference(r.string())
 	case KindGeoPoint:
-		lat := math.Float64frombits(r.uint64())
-		lng := math.Float64frombits(r.uint64())
-		return Geo(lat, lng)
+		lat := r.float64()
+		v = Geo(lat, r.float64())
 	case KindArray:
-		n := r.uvarint()
-		if r.err != nil {
-			return Null()
+		n := r.length()
+		var arr []Value
+		if build {
+			arr = make([]Value, 0, n)
 		}
-		if n > uint64(len(r.buf)-r.pos) {
-			r.fail("array length overflows buffer")
-			return Null()
+		for ; n > 0 && r.err == nil; n-- {
+			e, t := r.value(depth+1, build)
+			text += t
+			if build {
+				arr = append(arr, e)
+			}
 		}
-		arr := make([]Value, 0, n)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			arr = append(arr, r.value(depth+1))
+		if build {
+			v = Array(arr...)
 		}
-		return Array(arr...)
 	case KindMap:
-		n := r.uvarint()
-		if r.err != nil {
-			return Null()
+		n := r.length()
+		var m map[string]Value
+		if build {
+			m = make(map[string]Value, n)
 		}
-		if n > uint64(len(r.buf)-r.pos) {
-			r.fail("map length overflows buffer")
-			return Null()
+		for ; n > 0 && r.err == nil; n-- {
+			k, kt := r.str(build)
+			e, t := r.value(depth+1, build)
+			text += kt + t
+			if build {
+				m[k] = e
+			}
 		}
-		m := make(map[string]Value, n)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			key := r.string()
-			m[key] = r.value(depth + 1)
+		if build {
+			v = Map(m)
 		}
-		return Map(m)
 	default:
 		r.fail(fmt.Sprintf("unknown value kind %d", k))
-		return Null()
 	}
+	return v, text
 }

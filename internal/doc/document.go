@@ -66,27 +66,21 @@ func (d *Document) CheckSize() error {
 // "address.city". Path components are dot-separated.
 type FieldPath string
 
-// Split returns the path components.
-func (p FieldPath) Split() []string { return strings.Split(string(p), ".") }
-
 // Get returns the value at field path p, or (Null, false) if any component
 // is missing or a non-map is traversed.
 func (d *Document) Get(p FieldPath) (Value, bool) {
-	parts := p.Split()
-	cur, ok := d.Fields[parts[0]]
-	if !ok {
-		return Null(), false
-	}
-	for _, part := range parts[1:] {
-		if cur.Kind() != KindMap {
+	m := d.Fields
+	for {
+		head, rest, dotted := strings.Cut(string(p), ".")
+		v, ok := m[head]
+		if !ok || !dotted {
+			return v, ok
+		}
+		if m = v.MapVal(); m == nil {
 			return Null(), false
 		}
-		cur, ok = cur.MapVal()[part]
-		if !ok {
-			return Null(), false
-		}
+		p = FieldPath(rest)
 	}
-	return cur, true
 }
 
 // Set returns a copy of d with the value at field path p replaced,
@@ -94,39 +88,45 @@ func (d *Document) Get(p FieldPath) (Value, bool) {
 // replaces it with a map.
 func (d *Document) Set(p FieldPath, v Value) *Document {
 	c := d.Clone()
-	parts := p.Split()
-	setPath(c.Fields, parts, v)
+	SetPath(c.Fields, p, v.Clone())
 	return c
 }
 
-func setPath(m map[string]Value, parts []string, v Value) {
-	if len(parts) == 1 {
-		m[parts[0]] = v.Clone()
-		return
+// SetPath stores v at field path p under m, creating intermediate maps
+// as needed and replacing a non-map value on the way with a map. v is
+// stored as it is, not cloned.
+func SetPath(m map[string]Value, p FieldPath, v Value) {
+	for {
+		head, rest, dotted := strings.Cut(string(p), ".")
+		if !dotted {
+			m[head] = v
+			return
+		}
+		child := m[head].MapVal()
+		if child == nil {
+			child = map[string]Value{}
+			m[head] = Map(child)
+		}
+		m, p = child, FieldPath(rest)
 	}
-	child, ok := m[parts[0]]
-	if !ok || child.Kind() != KindMap {
-		child = Map(map[string]Value{})
-	}
-	setPath(child.MapVal(), parts[1:], v)
-	m[parts[0]] = child
 }
 
 // DeleteField returns a copy of d with the field at p removed. Removing a
 // missing field is a no-op.
 func (d *Document) DeleteField(p FieldPath) *Document {
 	c := d.Clone()
-	parts := p.Split()
 	m := c.Fields
-	for _, part := range parts[:len(parts)-1] {
-		child, ok := m[part]
-		if !ok || child.Kind() != KindMap {
+	for {
+		head, rest, dotted := strings.Cut(string(p), ".")
+		if !dotted {
+			delete(m, head)
 			return c
 		}
-		m = child.MapVal()
+		if m = m[head].MapVal(); m == nil {
+			return c
+		}
+		p = FieldPath(rest)
 	}
-	delete(m, parts[len(parts)-1])
-	return c
 }
 
 // FieldNames returns the sorted top-level field names.

@@ -217,13 +217,28 @@ func TestUnmarshalDeepNesting(t *testing.T) {
 	}
 }
 
-func TestFieldPathSplit(t *testing.T) {
-	got := FieldPath("a.b.c").Split()
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Errorf("Split = %v", got)
+// TestFieldPathWalk covers the dotted-path walk Get, SetPath and
+// DeleteField share (FieldPath.Split is gone: no slice per lookup).
+func TestFieldPathWalk(t *testing.T) {
+	m := map[string]Value{"plain": Int(1), "a": String("not a map")}
+	SetPath(m, "a.b.c", Int(2))
+	SetPath(m, "a.b.d", Int(3))
+	d := &Document{Name: MustName("/c/d"), Fields: m}
+	for path, want := range map[FieldPath]Value{"plain": Int(1), "a.b.c": Int(2), "a.b.d": Int(3)} {
+		if got, ok := d.Get(path); !ok || !Equal(got, want) {
+			t.Errorf("Get(%q) = %v, %v; want %v", path, got, ok, want)
+		}
 	}
-	if got := FieldPath("plain").Split(); len(got) != 1 {
-		t.Errorf("Split plain = %v", got)
+	for _, path := range []FieldPath{"", "missing", "plain.x", "a.x.c", "a.b.c.e", "a..b"} {
+		if got, ok := d.Get(path); ok || !got.IsNull() {
+			t.Errorf("Get(%q) = %v, %v; want null, false", path, got, ok)
+		}
+	}
+	if _, ok := d.DeleteField("a.b.c").Get("a.b.c"); ok {
+		t.Error("DeleteField left a.b.c behind")
+	}
+	if !d.DeleteField("plain.x").Equal(d) || !d.DeleteField("a.b.c.e").Equal(d) {
+		t.Error("DeleteField through a non-map changed the document")
 	}
 }
 

@@ -50,17 +50,20 @@ func parseSegments(s string) ([]string, error) {
 	if len(s) > MaxNameLen {
 		return nil, fmt.Errorf("%w: %q exceeds %d bytes", ErrInvalidName, s, MaxNameLen)
 	}
-	segs := strings.Split(s[1:], "/")
-	for _, seg := range segs {
+	segs := make([]string, 0, strings.Count(s, "/"))
+	for rest, more := s[1:], true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
 		if seg == "" {
 			return nil, fmt.Errorf("%w: %q has an empty segment", ErrInvalidName, s)
 		}
 		if seg == "." || seg == ".." {
 			return nil, fmt.Errorf("%w: segment %q is reserved", ErrInvalidName, seg)
 		}
-		if strings.ContainsAny(seg, "\x00") {
+		if strings.IndexByte(seg, 0) >= 0 {
 			return nil, fmt.Errorf("%w: segment contains NUL", ErrInvalidName)
 		}
+		segs = append(segs, seg)
 	}
 	return segs, nil
 }
@@ -83,6 +86,17 @@ func (n Name) textLen() int {
 		size += 1 + len(seg)
 	}
 	return size
+}
+
+// matches reports whether text is n's textual form, without building it.
+func (n Name) matches(text []byte) bool {
+	for _, seg := range n.segs {
+		if len(text) <= len(seg) || text[0] != '/' || string(text[1:1+len(seg)]) != seg {
+			return false
+		}
+		text = text[1+len(seg):]
+	}
+	return len(text) == 0
 }
 
 // ID returns the final segment (the document's identifying string).

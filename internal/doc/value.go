@@ -8,6 +8,7 @@
 package doc
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -21,7 +22,7 @@ import (
 // of a larger Kind, matching Firestore's documented ordering
 // (Null < Bool < Number < Timestamp < String < Bytes < Reference <
 // GeoPoint < Array < Map).
-type Kind int
+type Kind uint8
 
 const (
 	KindNull Kind = iota
@@ -42,7 +43,7 @@ var kindNames = [...]string{
 }
 
 func (k Kind) String() string {
-	if k < 0 || int(k) >= len(kindNames) {
+	if int(k) >= len(kindNames) {
 		return "invalid"
 	}
 	return kindNames[k]
@@ -55,21 +56,21 @@ type GeoPoint struct {
 
 // Value is a single Firestore value. The zero Value is null.
 //
-// Exactly one representation is active, selected by Kind(): integers and
-// doubles are both KindNumber but retain their representation (isInt) so
-// round-trips are lossless while comparisons are numeric across the two.
+// It is three words of payload behind a kind byte, 48 bytes in all, so
+// that map and array elements hold it inline and passing it by value is
+// cheap (DESIGN.md "Read path: who owns the bytes"): num carries a bool,
+// an int64, a double's bits, a timestamp's microseconds since the Unix
+// epoch or a geopoint's latitude bits; s a string or reference; ref a
+// []byte, []Value, map[string]Value, or a geopoint's longitude. Integers
+// and doubles are both KindNumber but retain their representation
+// (isInt) so round-trips are lossless while comparisons are numeric
+// across the two.
 type Value struct {
 	kind  Kind
 	isInt bool
-	b     bool
-	i     int64
-	f     float64
-	s     string // string and reference payloads
-	bs    []byte
-	t     time.Time
-	g     GeoPoint
-	arr   []Value
-	m     map[string]Value
+	num   uint64
+	s     string
+	ref   any
 }
 
 // Constructors.
@@ -78,44 +79,64 @@ type Value struct {
 func Null() Value { return Value{} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, num: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindNumber, isInt: true, i: v} }
+func Int(v int64) Value { return Value{kind: KindNumber, isInt: true, num: uint64(v)} }
 
 // Double returns a double value.
-func Double(v float64) Value { return Value{kind: KindNumber, f: v} }
+func Double(v float64) Value { return Value{kind: KindNumber, num: math.Float64bits(v)} }
+
+// maxTimestampSec is the largest count of seconds either side of 1970
+// whose microseconds fit an int64 (some 292 000 years).
+const maxTimestampSec = math.MaxInt64 / 1_000_000
 
 // Timestamp returns a timestamp value, truncated to microseconds as the
-// production service does.
+// production service does (toward the past, also before 1970). A time
+// further from 1970 than maxTimestampSec saturates at that second, never
+// wraps; the SDK refuses one long before it gets here.
 func Timestamp(t time.Time) Value {
-	return Value{kind: KindTimestamp, t: t.UTC().Truncate(time.Microsecond)}
+	us := t.UnixMicro()
+	if sec := t.Unix(); sec >= maxTimestampSec {
+		us = maxTimestampSec * 1_000_000
+	} else if sec < -maxTimestampSec {
+		us = -maxTimestampSec * 1_000_000
+	}
+	return Value{kind: KindTimestamp, num: uint64(us)}
 }
 
 // String returns a string value.
 func String(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bytes returns a bytes value; the slice is retained.
-func Bytes(v []byte) Value { return Value{kind: KindBytes, bs: v} }
+func Bytes(v []byte) Value { return Value{kind: KindBytes, ref: v} }
 
 // Reference returns a document-reference value naming another document.
 func Reference(name string) Value { return Value{kind: KindReference, s: name} }
 
 // Geo returns a geopoint value.
-func Geo(lat, lng float64) Value { return Value{kind: KindGeoPoint, g: GeoPoint{lat, lng}} }
+func Geo(lat, lng float64) Value {
+	return Value{kind: KindGeoPoint, num: math.Float64bits(lat), ref: lng}
+}
 
 // Array returns an array value; the slice is retained.
-func Array(vs ...Value) Value { return Value{kind: KindArray, arr: vs} }
+func Array(vs ...Value) Value { return Value{kind: KindArray, ref: vs} }
 
 // Map returns a map value; the map is retained.
 func Map(m map[string]Value) Value {
 	if m == nil {
 		m = map[string]Value{}
 	}
-	return Value{kind: KindMap, m: m}
+	return Value{kind: KindMap, ref: m}
 }
 
-// Accessors.
+// Accessors. Each returns the zero value of its type when v is of
+// another kind.
 
 // Kind returns the value's type.
 func (v Value) Kind() Kind { return v.kind }
@@ -124,47 +145,70 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // IsInt reports whether v is a number stored as an integer.
-func (v Value) IsInt() bool { return v.kind == KindNumber && v.isInt }
+func (v Value) IsInt() bool { return v.isInt }
 
-// BoolVal returns the boolean payload (false if not a bool).
-func (v Value) BoolVal() bool { return v.b }
+// BoolVal returns the boolean payload.
+func (v Value) BoolVal() bool { return v.kind == KindBool && v.num != 0 }
 
 // IntVal returns the integer payload; for a double it truncates.
 func (v Value) IntVal() int64 {
 	if v.isInt {
-		return v.i
+		return int64(v.num)
 	}
-	return int64(v.f)
+	return int64(v.DoubleVal())
 }
 
 // DoubleVal returns the numeric payload as float64.
 func (v Value) DoubleVal() float64 {
-	if v.isInt {
-		return float64(v.i)
+	switch {
+	case v.isInt:
+		return float64(int64(v.num))
+	case v.kind == KindNumber:
+		return math.Float64frombits(v.num)
 	}
-	return v.f
+	return 0
 }
 
-// StringVal returns the string payload ("" if not a string).
+// StringVal returns the string payload.
 func (v Value) StringVal() string { return v.s }
 
-// BytesVal returns the bytes payload (nil if not bytes).
-func (v Value) BytesVal() []byte { return v.bs }
+// BytesVal returns the bytes payload.
+func (v Value) BytesVal() []byte {
+	b, _ := v.ref.([]byte)
+	return b
+}
 
-// TimeVal returns the timestamp payload.
-func (v Value) TimeVal() time.Time { return v.t }
+// TimeVal returns the timestamp payload, in UTC.
+func (v Value) TimeVal() time.Time {
+	if v.kind != KindTimestamp {
+		return time.Time{}
+	}
+	return time.UnixMicro(int64(v.num)).UTC()
+}
 
-// RefVal returns the reference payload ("" if not a reference).
+// RefVal returns the reference payload.
 func (v Value) RefVal() string { return v.s }
 
 // GeoVal returns the geopoint payload.
-func (v Value) GeoVal() GeoPoint { return v.g }
+func (v Value) GeoVal() GeoPoint {
+	lng, ok := v.ref.(float64)
+	if !ok {
+		return GeoPoint{}
+	}
+	return GeoPoint{Lat: math.Float64frombits(v.num), Lng: lng}
+}
 
-// ArrayVal returns the array payload (nil if not an array).
-func (v Value) ArrayVal() []Value { return v.arr }
+// ArrayVal returns the array payload.
+func (v Value) ArrayVal() []Value {
+	arr, _ := v.ref.([]Value)
+	return arr
+}
 
-// MapVal returns the map payload (nil if not a map).
-func (v Value) MapVal() map[string]Value { return v.m }
+// MapVal returns the map payload.
+func (v Value) MapVal() map[string]Value {
+	m, _ := v.ref.(map[string]Value)
+	return m
+}
 
 // Compare returns -1, 0, or +1 ordering a before, equal to, or after b in
 // Firestore's total order. Within KindNumber, NaN sorts before all other
@@ -180,44 +224,39 @@ func Compare(a, b Value) int {
 	case KindNull:
 		return 0
 	case KindBool:
-		return cmpBool(a.b, b.b)
+		return cmpInt64(int64(a.num), int64(b.num))
 	case KindNumber:
 		return compareNumbers(a, b)
 	case KindTimestamp:
-		return a.t.Compare(b.t)
+		return cmpInt64(int64(a.num), int64(b.num))
 	case KindString, KindReference:
 		return strings.Compare(a.s, b.s)
 	case KindBytes:
-		return cmpBytes(a.bs, b.bs)
+		return bytes.Compare(a.BytesVal(), b.BytesVal())
 	case KindGeoPoint:
-		if c := cmpFloat(a.g.Lat, b.g.Lat); c != 0 {
+		ag, bg := a.GeoVal(), b.GeoVal()
+		if c := cmpFloat(ag.Lat, bg.Lat); c != 0 {
 			return c
 		}
-		return cmpFloat(a.g.Lng, b.g.Lng)
+		return cmpFloat(ag.Lng, bg.Lng)
 	case KindArray:
-		n := len(a.arr)
-		if len(b.arr) < n {
-			n = len(b.arr)
-		}
-		for i := 0; i < n; i++ {
-			if c := Compare(a.arr[i], b.arr[i]); c != 0 {
+		aa, ba := a.ArrayVal(), b.ArrayVal()
+		for i := 0; i < len(aa) && i < len(ba); i++ {
+			if c := Compare(aa[i], ba[i]); c != 0 {
 				return c
 			}
 		}
-		return cmpInt(len(a.arr), len(b.arr))
+		return cmpInt(len(aa), len(ba))
 	case KindMap:
 		// Maps compare by sorted key, then value, like an association
 		// list — matching Firestore semantics.
-		ak, bk := sortedKeys(a.m), sortedKeys(b.m)
-		n := len(ak)
-		if len(bk) < n {
-			n = len(bk)
-		}
-		for i := 0; i < n; i++ {
+		am, bm := a.MapVal(), b.MapVal()
+		ak, bk := sortedKeys(am), sortedKeys(bm)
+		for i := 0; i < len(ak) && i < len(bk); i++ {
 			if c := strings.Compare(ak[i], bk[i]); c != 0 {
 				return c
 			}
-			if c := Compare(a.m[ak[i]], b.m[bk[i]]); c != 0 {
+			if c := Compare(am[ak[i]], bm[bk[i]]); c != 0 {
 				return c
 			}
 		}
@@ -226,46 +265,26 @@ func Compare(a, b Value) int {
 	return 0
 }
 
+// compareNumbers treats integer and double representations of the same
+// number as equal (Firestore: 3 == 3.0); -0.0 equals 0.
 func compareNumbers(a, b Value) int {
-	an, bn := math.IsNaN(a.numNaN()), math.IsNaN(b.numNaN())
-	switch {
-	case an && bn:
-		return 0
-	case an:
-		return -1
-	case bn:
-		return 1
-	}
-	var c int
 	switch {
 	case a.isInt && b.isInt:
-		c = cmpInt64(a.i, b.i)
-	case !a.isInt && !b.isInt:
-		c = cmpFloat(a.f, b.f)
+		return cmpInt64(int64(a.num), int64(b.num))
 	case a.isInt:
-		c = -cmpFloatInt(b.f, a.i)
-	default:
-		c = cmpFloatInt(a.f, b.i)
+		return -cmpFloatInt(b.DoubleVal(), int64(a.num))
+	case b.isInt:
+		return cmpFloatInt(a.DoubleVal(), int64(b.num))
 	}
-	if c != 0 {
-		return c
-	}
-	// Numerically equal. Treat integer and double representations of the
-	// same number as equal (Firestore: 3 == 3.0). -0.0 equals 0.
-	return 0
-}
-
-func (v Value) numNaN() float64 {
-	if v.isInt {
-		return 0
-	}
-	return v.f
+	return cmpFloat(a.DoubleVal(), b.DoubleVal())
 }
 
 // cmpFloatInt compares a float64 against an int64 exactly, without
 // rounding the integer through float64.
 func cmpFloatInt(f float64, i int64) int {
 	switch {
+	case f != f: // NaN sorts before every number
+		return -1
 	case math.IsInf(f, 1):
 		return 1
 	case math.IsInf(f, -1):
@@ -336,22 +355,6 @@ func cmpBool(a, b bool) int {
 	return 0
 }
 
-func cmpBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return cmpInt(len(a), len(b))
-}
-
 func sortedKeys(m map[string]Value) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {
@@ -370,32 +373,33 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.BoolVal())
 	case KindNumber:
 		if v.isInt {
-			return strconv.FormatInt(v.i, 10)
+			return strconv.FormatInt(v.IntVal(), 10)
 		}
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.DoubleVal(), 'g', -1, 64)
 	case KindTimestamp:
-		return v.t.Format(time.RFC3339Nano)
+		return v.TimeVal().Format(time.RFC3339Nano)
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindBytes:
-		return fmt.Sprintf("bytes(%x)", v.bs)
+		return fmt.Sprintf("bytes(%x)", v.BytesVal())
 	case KindReference:
 		return "ref(" + v.s + ")"
 	case KindGeoPoint:
-		return fmt.Sprintf("geo(%g,%g)", v.g.Lat, v.g.Lng)
+		return fmt.Sprintf("geo(%g,%g)", v.GeoVal().Lat, v.GeoVal().Lng)
 	case KindArray:
-		parts := make([]string, len(v.arr))
-		for i, e := range v.arr {
+		parts := make([]string, len(v.ArrayVal()))
+		for i, e := range v.ArrayVal() {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case KindMap:
-		parts := make([]string, 0, len(v.m))
-		for _, k := range sortedKeys(v.m) {
-			parts = append(parts, k+": "+v.m[k].String())
+		m := v.MapVal()
+		parts := make([]string, 0, len(m))
+		for _, k := range sortedKeys(m) {
+			parts = append(parts, k+": "+m[k].String())
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	}
@@ -407,19 +411,19 @@ func (v Value) String() string {
 func (v Value) Clone() Value {
 	switch v.kind {
 	case KindBytes:
-		v.bs = append([]byte(nil), v.bs...)
+		v.ref = append([]byte(nil), v.BytesVal()...)
 	case KindArray:
-		arr := make([]Value, len(v.arr))
-		for i, e := range v.arr {
+		arr := make([]Value, len(v.ArrayVal()))
+		for i, e := range v.ArrayVal() {
 			arr[i] = e.Clone()
 		}
-		v.arr = arr
+		v.ref = arr
 	case KindMap:
-		m := make(map[string]Value, len(v.m))
-		for k, e := range v.m {
+		m := make(map[string]Value, len(v.MapVal()))
+		for k, e := range v.MapVal() {
 			m[k] = e.Clone()
 		}
-		v.m = m
+		v.ref = m
 	}
 	return v
 }
@@ -437,16 +441,16 @@ func (v Value) EstimateSize() int {
 	case KindString, KindReference:
 		return len(v.s) + 1
 	case KindBytes:
-		return len(v.bs)
+		return len(v.BytesVal())
 	case KindArray:
 		n := 0
-		for _, e := range v.arr {
+		for _, e := range v.ArrayVal() {
 			n += e.EstimateSize()
 		}
 		return n
 	case KindMap:
 		n := 0
-		for k, e := range v.m {
+		for k, e := range v.MapVal() {
 			n += len(k) + 1 + e.EstimateSize()
 		}
 		return n

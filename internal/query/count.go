@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"firestore/internal/doc"
-	"firestore/internal/encoding"
 )
 
 // This file implements COUNT aggregation, the extension §VIII sketches:
@@ -78,7 +77,7 @@ func (p *Plan) walkIndexOnly(ctx context.Context, st Storage, emit func(suffix [
 		if err != nil || !ok || !emit(suffix) {
 			return scannedEntries(iters), err
 		}
-		candidate = encoding.Successor(suffix)
+		candidate = append(append(candidate[:0], suffix...), 0) // Successor, in place
 	}
 }
 

@@ -152,7 +152,7 @@ func (p *Plan) executeIndexScans(ctx context.Context, st Storage, resume []byte,
 				}
 			}
 		}
-		candidate = encoding.Successor(suffix)
+		candidate = append(append(candidate[:0], suffix...), 0) // Successor, in place
 	}
 }
 

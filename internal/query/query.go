@@ -331,31 +331,32 @@ func (q *Query) Project(d *doc.Document) *doc.Document {
 	if len(q.Projection) == 0 {
 		return d
 	}
-	out := doc.New(d.Name, nil)
-	out.CreateTime, out.UpdateTime = d.CreateTime, d.UpdateTime
+	out := &doc.Document{Name: d.Name, Fields: make(map[string]doc.Value, len(q.Projection)), CreateTime: d.CreateTime, UpdateTime: d.UpdateTime}
 	for _, p := range q.Projection {
+		// A stored document is immutable, so its values are shared, not
+		// cloned; the maps a dotted path nests them in are new. A path
+		// under another projected path comes with that ancestor, in either
+		// order — and the ancestor's map is d's own, which must not be
+		// written to.
+		if q.projectsAncestorOf(p) {
+			continue
+		}
 		if v, ok := d.Get(p); ok {
-			parts := p.Split()
-			cur := out
-			_ = cur
-			// Rebuild nested structure for dotted paths.
-			setProjected(out.Fields, parts, v)
+			doc.SetPath(out.Fields, p, v)
 		}
 	}
 	return out
 }
 
-func setProjected(m map[string]doc.Value, parts []string, v doc.Value) {
-	if len(parts) == 1 {
-		m[parts[0]] = v.Clone()
-		return
+// projectsAncestorOf reports whether the projection names a strict ancestor
+// of p ("address" of "address.zip").
+func (q *Query) projectsAncestorOf(p doc.FieldPath) bool {
+	for _, a := range q.Projection {
+		if len(p) > len(a) && p[len(a)] == '.' && p[:len(a)] == a {
+			return true
+		}
 	}
-	child, ok := m[parts[0]]
-	if !ok || child.Kind() != doc.KindMap {
-		child = doc.Map(map[string]doc.Value{})
-	}
-	setProjected(child.MapVal(), parts[1:], v)
-	m[parts[0]] = child
+	return false
 }
 
 // String renders the query roughly as SQL, as the paper's examples do.

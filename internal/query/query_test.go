@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"firestore/internal/doc"
@@ -506,6 +507,78 @@ func TestProjection(t *testing.T) {
 		}
 	}
 	assertSameDocs(t, q, docs, m.naive(q))
+}
+
+// TestProjectSharesNothingMutable: Project copies no value — a stored
+// document is immutable, so the projection shares its leaves — but every
+// map it builds to nest a dotted path in is its own, so projecting never
+// changes the source, and an empty projection is the source itself.
+func TestProjectSharesNothingMutable(t *testing.T) {
+	src := doc.New(doc.MustName("/restaurants/one"), map[string]doc.Value{
+		"name": doc.String("Burger Garden"),
+		"tags": doc.Array(doc.String("bbq")),
+		"address": doc.Map(map[string]doc.Value{
+			"city": doc.String("SF"), "zip": doc.Int(94105),
+			"geo": doc.Map(map[string]doc.Value{"lat": doc.Double(37.7), "lng": doc.Double(-122.4)}),
+		}),
+	})
+	src.CreateTime, src.UpdateTime = 3, 9
+	before := doc.Marshal(src)
+	if got := (&Query{}).Project(src); got != src {
+		t.Error("empty projection did not return the document itself")
+	}
+	q := &Query{Projection: []doc.FieldPath{"tags", "address.zip", "address.geo.lat", "address.geo.lat.deeper", "missing.x", "name"}}
+	got := q.Project(src)
+	want := doc.New(src.Name, map[string]doc.Value{
+		"name": doc.String("Burger Garden"),
+		"tags": doc.Array(doc.String("bbq")),
+		"address": doc.Map(map[string]doc.Value{
+			"zip": doc.Int(94105), "geo": doc.Map(map[string]doc.Value{"lat": doc.Double(37.7)}),
+		}),
+	})
+	if !got.Equal(want) || got.CreateTime != 3 || got.UpdateTime != 9 {
+		t.Errorf("Project = %v (create %d, update %d), want %v", got, got.CreateTime, got.UpdateTime, want)
+	}
+	// Writing through every map the projection built leaves the source
+	// as it was.
+	got.Fields["extra"] = doc.Null()
+	got.Fields["address"].MapVal()["city"] = doc.String("LA")
+	got.Fields["address"].MapVal()["geo"].MapVal()["lng"] = doc.Double(0)
+	if after := doc.Marshal(src); !bytes.Equal(before, after) {
+		t.Errorf("projecting changed the source document:\n%x\n%x", before, after)
+	}
+	// A path under a projected map is that map's business, whichever of
+	// the two the projection names first: the whole map comes back, and
+	// since it is the source's own, concurrent projections (every reader
+	// of a cached document) must not write to it, not even the value it
+	// holds. The race detector is the judge.
+	var wg sync.WaitGroup
+	for _, paths := range [][]doc.FieldPath{
+		{"address", "address.zip", "address.geo.lat"},
+		{"address.zip", "address", "address.geo.lat"},
+		{"address.geo.lat", "address.geo", "address.zip", "address"},
+		{"address", "address"},
+	} {
+		nested := &Query{Projection: paths}
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					if p := nested.Project(src); len(p.Fields) != 1 || !doc.Equal(p.Fields["address"], src.Fields["address"]) {
+						t.Errorf("Project(%v) = %v", paths, p)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	// A prefix of a name is not an ancestor.
+	onlyLat := doc.Map(map[string]doc.Value{"geo": doc.Map(map[string]doc.Value{"lat": doc.Double(37.7)})})
+	if p := (&Query{Projection: []doc.FieldPath{"address.geo.lat", "address.ge"}}).Project(src); !doc.Equal(p.Fields["address"], onlyLat) {
+		t.Errorf("Project = %v", p)
+	}
 }
 
 func TestSubCollectionIsolation(t *testing.T) {

@@ -159,6 +159,9 @@ type DB struct {
 	queues  map[string]chan Message
 
 	stats Stats
+	// reads and scans are Stats' Reads and Scans, counted outside mu: a
+	// read takes mu shared to find its tablet and never exclusively.
+	reads, scans atomic.Int64
 }
 
 // Stats carries engine counters, retrieved with DB.Stats.
@@ -360,7 +363,9 @@ func (db *DB) StrongReadTimestamp() truetime.Timestamp {
 func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.stats
+	st := db.stats
+	st.Reads, st.Scans = db.reads.Load(), db.scans.Load()
+	return st
 }
 
 // TabletCount returns the current number of tablets.
@@ -520,7 +525,7 @@ func (db *DB) SnapshotGet(ctx context.Context, key []byte, ts truetime.Timestamp
 			// read; re-resolve the owner.
 			continue
 		}
-		db.bumpReads(1)
+		db.reads.Add(1)
 		return v, vts, ok, nil
 	}
 }
@@ -581,7 +586,7 @@ func (db *DB) readOwnedBatch(ctx context.Context, keys [][]byte, ts truetime.Tim
 			}
 		}
 	}
-	db.bumpReads(int64(len(keys)))
+	db.reads.Add(int64(len(keys)))
 	return out, nil
 }
 
@@ -597,7 +602,7 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 		db.sampleFault(begin)
 		return err
 	}
-	db.bumpScans(1)
+	db.scans.Add(1)
 	lo, hi := begin, end
 	for {
 		tablets := db.tabletsInRange(lo, hi)
@@ -605,17 +610,16 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 			slices.Reverse(tablets)
 		}
 		var last []byte
-		emit := func(r ScanRow) bool {
-			last = r.Key
-			return fn(r)
-		}
 		restart := false
 		for _, t := range tablets {
 			if err := t.waitSafe(ctx, nil, ts); err != nil {
 				return err
 			}
 			t.recordOp(1, keyviz.OpScan)
-			more, valid, err := t.scanAt(ctx, lo, hi, ts, reverse, emit)
+			more, valid, emitted, err := t.scanAt(ctx, lo, hi, ts, reverse, fn)
+			if emitted != nil {
+				last = emitted
+			}
 			if err != nil || !more {
 				return err
 			}
@@ -640,18 +644,6 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 			}
 		}
 	}
-}
-
-func (db *DB) bumpReads(n int64) {
-	db.mu.Lock()
-	db.stats.Reads += n
-	db.mu.Unlock()
-}
-
-func (db *DB) bumpScans(n int64) {
-	db.mu.Lock()
-	db.stats.Scans += n
-	db.mu.Unlock()
 }
 
 // lessOrEqual reports a <= b treating nil a as -infinity.

@@ -250,12 +250,48 @@ func (t *tablet) readBatchAt(ctx context.Context, keys [][]byte, ts truetime.Tim
 	}
 }
 
-// scanChunks pools scanAt's row chunks (emit clears them: a pooled chunk
-// pins no keys or values).
-var scanChunks = sync.Pool{New: func() any {
-	rows := make([]ScanRow, 0, storage.NextScanChunk(0))
-	return &rows
+// tabletScan is the state of one scanAt, pooled with stage already bound
+// to it: Engine.Scan is an interface call, and a func literal handed
+// through one is allocated with everything it captures, per scan.
+type tabletScan struct {
+	t           *tablet
+	e           storage.Engine
+	begin, end  []byte // the caller's range
+	lo, hi      []byte // what of it t owned when the scan began
+	fn          func(ScanRow) bool
+	rows        *[]ScanRow
+	last        []byte
+	more, valid bool
+	stage       func(ScanRow) bool
+}
+
+var tabletScans = sync.Pool{New: func() any {
+	s := new(tabletScan)
+	s.stage = func(r ScanRow) bool {
+		*s.rows = append(*s.rows, r)
+		return len(*s.rows) < storage.NextScanChunk(0) || s.emit()
+	}
+	return s
 }}
+
+// emit forwards the staged rows. They were read before this check, and
+// split/merge migrate chains while holding t.mu: an unchanged clamp on a
+// live engine means every one of them was read before any migration of
+// the range, so validate, then emit, per chunk.
+func (s *tabletScan) emit() bool {
+	rows, crashed := *s.rows, s.e.Crashed()
+	s.t.mu.Lock()
+	lo, hi := clampRange(s.begin, s.end, s.t.start, s.t.end)
+	s.valid = !crashed && !s.t.retired && sameBound(s.lo, lo) && sameBound(s.hi, hi)
+	s.t.mu.Unlock()
+	for i := 0; s.valid && s.more && i < len(rows); i++ {
+		s.last = rows[i].Key
+		s.more = s.fn(rows[i])
+	}
+	clear(rows)
+	*s.rows = rows[:0]
+	return s.valid && s.more
+}
 
 // scanAt iterates rows of [begin, end) ∩ [t.start, t.end) visible at ts,
 // forwarding them to fn a chunk at a time as the engine streams them.
@@ -263,46 +299,30 @@ var scanChunks = sync.Pool{New: func() any {
 // yet emitted cannot be trusted: a split or merge changed what the
 // tablet owns of [begin, end), or the engine crashed (it is recovered
 // before returning). The caller re-resolves tablets and resumes after
-// the last row emitted; at a fixed ts the re-read rows are identical.
-func (t *tablet) scanAt(ctx context.Context, begin, end []byte, ts truetime.Timestamp, reverse bool, fn func(ScanRow) bool) (more, valid bool, err error) {
+// last, the key of the last row emitted (nil: none); at a fixed ts the
+// re-read rows are identical.
+func (t *tablet) scanAt(ctx context.Context, begin, end []byte, ts truetime.Timestamp, reverse bool, fn func(ScanRow) bool) (more, valid bool, last []byte, err error) {
 	t.mu.Lock()
 	lo, hi := clampRange(begin, end, t.start, t.end)
 	e, retired := t.store, t.retired
 	t.mu.Unlock()
 	if retired {
-		return true, false, nil
+		return true, false, nil, nil
 	}
-	chunk := scanChunks.Get().(*[]ScanRow)
-	defer scanChunks.Put(chunk)
-	// emit forwards the chunk's rows. They were read before this check,
-	// and split/merge migrate chains while holding t.mu: an unchanged
-	// clamp on a live engine means every one of them was read before any
-	// migration of the range, so validate, then emit, per chunk.
-	more, valid = true, true
-	emit := func() bool {
-		rows, crashed := *chunk, e.Crashed()
-		t.mu.Lock()
-		lo2, hi2 := clampRange(begin, end, t.start, t.end)
-		valid = !crashed && !t.retired && sameBound(lo, lo2) && sameBound(hi, hi2)
-		t.mu.Unlock()
-		for i := 0; valid && more && i < len(rows); i++ {
-			more = fn(rows[i])
-		}
-		clear(rows)
-		*chunk = rows[:0]
-		return valid && more
+	s := tabletScans.Get().(*tabletScan)
+	*s = tabletScan{t: t, e: e, begin: begin, end: end, lo: lo, hi: hi, fn: fn, rows: storage.GetRows(), more: true, valid: true, stage: s.stage}
+	e.Scan(lo, hi, ts, reverse, s.stage)
+	if s.valid && s.more {
+		s.emit()
 	}
-	e.Scan(lo, hi, ts, reverse, func(r ScanRow) bool {
-		*chunk = append(*chunk, r)
-		return len(*chunk) < cap(*chunk) || emit()
-	})
-	if valid && more {
-		emit()
-	}
+	more, valid, last = s.more, s.valid, s.last
+	storage.PutRows(s.rows)
+	*s = tabletScan{stage: s.stage} // a pooled scan pins nothing
+	tabletScans.Put(s)
 	if e.Crashed() && !t.isRetired() {
 		err = t.awaitRecovery(ctx, e)
 	}
-	return more, valid, err
+	return more, valid, last, err
 }
 
 // sameBound reports equality of two range bounds where nil means

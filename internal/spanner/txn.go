@@ -153,7 +153,7 @@ func (t *Txn) GetVersioned(ctx context.Context, key []byte, forUpdate bool) ([]b
 	if err != nil {
 		return nil, 0, false, err
 	}
-	t.db.bumpReads(1)
+	t.db.reads.Add(1)
 	return v, vts, ok, nil
 }
 
@@ -226,7 +226,7 @@ func (t *Txn) Scan(ctx context.Context, begin, end []byte, fn func(ScanRow) bool
 				return err
 			}
 			tab.recordOp(1, keyviz.OpScan)
-			_, valid, err := tab.scanAt(ctx, begin, end, ts, false, func(r ScanRow) bool {
+			_, valid, _, err := tab.scanAt(ctx, begin, end, ts, false, func(r ScanRow) bool {
 				rows = append(rows, r)
 				return true
 			})
@@ -242,7 +242,7 @@ func (t *Txn) Scan(ctx context.Context, begin, end []byte, fn func(ScanRow) bool
 			break
 		}
 	}
-	t.db.bumpScans(1)
+	t.db.scans.Add(1)
 	rows = t.overlay(rows, begin, end)
 	for _, r := range rows {
 		if err := t.lock(ctx, r.Key, lockShared); err != nil {

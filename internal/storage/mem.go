@@ -112,16 +112,19 @@ func (e *Mem) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(R
 	// the rows visible at ts, and delivers them outside it; the next
 	// round re-seeks past the last chain visited (the tree cannot be
 	// snapshotted: btree.Clone is a deep copy).
-	// rows is sized to the chunk before the lock is taken, so no round
-	// grows it while writers wait.
-	var rows []Row
+	// The pooled chunk is grown to the round's size before the lock is
+	// taken, so no round grows it while writers wait.
+	chunk := GetRows()
+	defer PutRows(chunk)
+	var resume []byte // KeyAfter(last), one buffer for all rounds
 	for n := NextScanChunk(0); ; n = NextScanChunk(n) {
-		rows = slices.Grow(rows[:0], n)
+		clear(*chunk) // the round before may have held more rows
+		*chunk = slices.Grow((*chunk)[:0], n)
 		var last []byte
 		visited := 0
 		visit := func(k []byte, v any) bool {
 			if val, vts, ok := chainAt(v.(*memChain).versions, ts); ok {
-				rows = append(rows, Row{Key: k, Value: val, TS: vts})
+				*chunk = append(*chunk, Row{Key: k, Value: val, TS: vts})
 			}
 			last = k
 			visited++
@@ -134,7 +137,7 @@ func (e *Mem) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(R
 			e.tab.rows.Ascend(lo, hi, visit)
 		}
 		e.mu.Unlock()
-		for _, r := range rows {
+		for _, r := range *chunk {
 			if !fn(r) {
 				return false
 			}
@@ -145,7 +148,8 @@ func (e *Mem) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(R
 		if reverse {
 			hi = last
 		} else {
-			lo = KeyAfter(last)
+			resume = append(append(resume[:0], last...), 0)
+			lo = resume
 		}
 	}
 }

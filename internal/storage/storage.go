@@ -37,6 +37,7 @@ package storage
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"firestore/internal/status"
@@ -250,6 +251,23 @@ type Factory interface {
 func NextScanChunk(n int) int { return min(max(2*n, 32), MaxScanChunk) }
 
 const MaxScanChunk = 1024
+
+// rowChunks pools the slices scans stage a chunk of rows in: Mem.Scan
+// between reading it under the engine lock and delivering it outside,
+// a spanner tablet between the engine and its per-chunk ownership check.
+// A chunk keeps the capacity it grew to, so a warm scan allocates none;
+// PutRows clears it, so the pool pins no key or value.
+var rowChunks = sync.Pool{New: func() any { return new([]Row) }}
+
+// GetRows returns an empty chunk from the pool, to be handed back with
+// PutRows with its length covering every row written to it.
+func GetRows() *[]Row { return rowChunks.Get().(*[]Row) }
+
+func PutRows(c *[]Row) {
+	clear(*c)
+	*c = (*c)[:0]
+	rowChunks.Put(c)
+}
 
 // MaxScanBytes bounds a chunk beside its row count: a chunk ends with the
 // row or chain that takes it past this many bytes, which keeps every scan,
