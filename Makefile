@@ -11,10 +11,10 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# fslint: the repo's own analyzers (status/lock/lockorder/atomic/ctx/
-# clock/obs/io discipline). Exits non-zero on any finding; see DESIGN.md
+# fslint: the repo's own analyzers (status/lock/lockorder/ctx/
+# clock/obs/io/net discipline). Exits non-zero on any finding; see DESIGN.md
 # "Static analysis". It runs on a wall-clock budget: the whole-repo load,
-# call-graph build, and all nine analyzers must finish inside 60s or the
+# call-graph build, and all eight analyzers must finish inside 60s or the
 # lint gate stops being something people run before every push.
 lint:
 	@start=$$(date +%s); $(GO) run ./cmd/fslint ./... || exit 1; \
@@ -45,19 +45,20 @@ test-race:
 # real-time delivery: the per-range outbox and its one-drainer hand-off
 # (rtcache), and the frontend that relies on the ordering it promises
 # (DESIGN.md "Real-time delivery contract"). Two rounds over the write
-# pipeline (SDK BulkWriter/iterators, backend group commit, fair
-# scheduler, ramp), the observability spine (lock-free histogram, span
-# recorder's handle cache, the /debug suite and fsctl under concurrent
-# scrapes), and the two layers the lockorder and atomicdiscipline
-# analyzers watch most closely — the lock-free keyviz collector and the
-# durable storage engine (WAL append vs sync vs segment refcounts) —
+# pipeline (SDK BulkWriter/iterators and the listener demultiplexer,
+# the mobile layer's flush goroutine and listener pumps over it, backend
+# group commit, fair scheduler, ramp), the observability spine
+# (lock-free histogram, span recorder's handle cache, the /debug suite
+# and fsctl under concurrent scrapes), the lock-free keyviz collector,
+# the layer the lockorder analyzer watches most closely — the durable
+# storage engine (WAL append vs sync vs segment refcounts) —
 # and the streaming range-read path above it (spanner, cluster, query):
 # a scan interleaves with writers, flushes, splits and peer death chunk
 # by chunk, not under one lock hold — and the wire under that (transport):
 # pooled frame buffers and reusable call slots under multiplexing.
 race-repeat:
 	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend
-	$(GO) test -race -count=2 ./firestore/ ./internal/backend/ ./internal/wfq/ ./internal/ramp/ \
+	$(GO) test -race -count=2 ./firestore/ ./mobile/ ./internal/backend/ ./internal/wfq/ ./internal/ramp/ \
 		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ ./cmd/fsctl/ \
 		./internal/keyviz/ ./internal/storage/ ./internal/spanner/ ./internal/cluster/ ./internal/query/ \
 		./internal/transport/

@@ -414,7 +414,7 @@ func (qj *queryJSON) build() (*query.Query, error) {
 	}
 	q := &query.Query{Collection: coll, Limit: qj.Limit, Offset: qj.Offset}
 	for _, wc := range qj.Where {
-		op, err := parseOp(wc.Op)
+		op, err := query.ParseOperator(wc.Op)
 		if err != nil {
 			return nil, err
 		}
@@ -441,24 +441,6 @@ func (qj *queryJSON) build() (*query.Query, error) {
 		return nil, err
 	}
 	return q, q.Validate()
-}
-
-func parseOp(s string) (query.Operator, error) {
-	switch s {
-	case "<":
-		return query.Lt, nil
-	case "<=":
-		return query.Le, nil
-	case "==":
-		return query.Eq, nil
-	case ">":
-		return query.Gt, nil
-	case ">=":
-		return query.Ge, nil
-	case "array-contains":
-		return query.ArrayContains, nil
-	}
-	return 0, fmt.Errorf("unknown operator %q", s)
 }
 
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
@@ -544,7 +526,7 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) {
 			httpError(w, status.New(status.InvalidArgument, "server", "where must be field,op,value"))
 			return
 		}
-		op, err := parseOp(parts[1])
+		op, err := query.ParseOperator(parts[1])
 		if err != nil {
 			badRequest(w, err)
 			return

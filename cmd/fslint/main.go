@@ -2,9 +2,9 @@
 // analyzers that mechanically enforce the cross-cutting invariants the
 // codebase is built on (canonical status codes, context propagation,
 // the *Locked mutex convention, global lock-acquisition order,
-// atomic-field discipline, TrueTime-only timestamps, and constant
-// metric names). See internal/analysis for the invariants and the
-// //fslint:ignore allowlist syntax.
+// TrueTime-only timestamps, and constant metric names). See
+// internal/analysis for the invariants and the //fslint:ignore allowlist
+// syntax.
 //
 // Usage:
 //

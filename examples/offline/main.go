@@ -9,10 +9,8 @@ import (
 	"fmt"
 	"log"
 
-	"firestore/internal/backend"
+	"firestore/firestore"
 	"firestore/internal/core"
-	"firestore/internal/doc"
-	"firestore/internal/query"
 	"firestore/internal/rules"
 	"firestore/mobile"
 )
@@ -28,14 +26,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	alice := mobile.NewClient(&mobile.RegionRemote{
-		Region: region, DB: "todos", Auth: &rules.Auth{UID: "alice"},
-	})
+	// The device's client is the offline layer over a Server SDK client
+	// that carries the end user's identity.
+	sdk := firestore.NewUserClient(region, "todos", &rules.Auth{UID: "alice"})
+	alice := mobile.NewClient(sdk)
 	defer alice.Close()
+	server := firestore.NewClient(region, "todos") // what the service holds
 
 	// A listener over the todo list: fires immediately from local state.
-	q := &query.Query{Collection: doc.MustCollection("/todos")}
-	stop, err := alice.OnSnapshot(q, func(s mobile.Snapshot) {
+	stop, err := alice.OnSnapshot(sdk.Collection("todos").Query(), func(s mobile.Snapshot) {
 		fmt.Printf("snapshot: %d todo(s), fromCache=%v pendingWrites=%v\n",
 			len(s.Docs), s.FromCache, s.HasPendingWrites)
 	})
@@ -45,7 +44,7 @@ func main() {
 	defer stop()
 
 	// Online write.
-	alice.Set("/todos/buy-milk", map[string]doc.Value{"done": doc.Bool(false)})
+	alice.Set("/todos/buy-milk", map[string]any{"done": false})
 	if err := alice.WaitForPendingWrites(ctx); err != nil {
 		log.Fatal(err)
 	}
@@ -54,16 +53,19 @@ func main() {
 	// The device loses connectivity. Writes keep working locally.
 	alice.GoOffline()
 	fmt.Println("-> went offline")
-	alice.Set("/todos/walk-dog", map[string]doc.Value{"done": doc.Bool(false)})
-	alice.Set("/todos/buy-milk", map[string]doc.Value{"done": doc.Bool(true)})
+	alice.Set("/todos/walk-dog", map[string]any{"done": false})
+	alice.Set("/todos/buy-milk", map[string]any{"done": true})
 	d, _ := alice.Get(ctx, "/todos/buy-milk")
 	fmt.Printf("offline read sees done=%v (pending writes: %d)\n",
-		d.Fields["done"].BoolVal(), alice.PendingWrites())
+		d.Data()["done"], alice.PendingWrites())
 
 	// The server has not seen any of it.
-	_, _, err = region.GetDocument(ctx, "todos", backend.Principal{Privileged: true},
-		doc.MustName("/todos/walk-dog"), 0)
-	fmt.Printf("server sees /todos/walk-dog while client offline: %v\n", err != nil)
+	got, err := server.Doc("todos/walk-dog").Get(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// (The line has always reported that the lookup came back empty.)
+	fmt.Printf("server sees /todos/walk-dog while client offline: %v\n", !got.Exists())
 
 	// Reconnect: the queue drains and the server converges.
 	alice.GoOnline()
@@ -71,10 +73,8 @@ func main() {
 	if err := alice.WaitForPendingWrites(ctx); err != nil {
 		log.Fatal(err)
 	}
-	got, _, err := region.GetDocument(ctx, "todos", backend.Principal{Privileged: true},
-		doc.MustName("/todos/buy-milk"), 0)
-	if err != nil {
+	if got, err = server.Doc("todos/buy-milk").Get(ctx); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("server now sees buy-milk done=%v\n", got.Fields["done"].BoolVal())
+	fmt.Printf("server now sees buy-milk done=%v\n", got.Data()["done"])
 }

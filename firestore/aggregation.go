@@ -69,7 +69,7 @@ func (a *AggregationQuery) Get(ctx context.Context) (AggregationResult, error) {
 		return nil, status.New(status.InvalidArgument, "firestore", "aggregation query has no aggregations")
 	}
 	var res *query.AggregationResult
-	err = withRetry(ctx, func() error {
+	err = status.Retry(ctx, maxRPCAttempts, func() error {
 		var err error
 		res, _, err = a.q.c.region.Backend.RunAggregation(ctx, a.q.c.dbID, a.q.c.p, iq, a.aggs, 0)
 		return err

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"firestore/internal/backend"
-	"firestore/internal/doc"
 	"firestore/internal/ramp"
 	"firestore/internal/status"
 	"firestore/internal/truetime"
@@ -24,8 +23,6 @@ const (
 	// bulkFlushInterval bounds how long a partial batch may sit waiting
 	// for more ops before it is sent anyway.
 	bulkFlushInterval = 2 * time.Millisecond
-	// bulkMaxAttempts bounds per-op retries of retryable failures.
-	bulkMaxAttempts = 5
 )
 
 // BulkWriterOptions tunes a BulkWriter. The zero value gives the
@@ -148,21 +145,11 @@ func (bw *BulkWriter) maxPending() int {
 }
 
 func (bw *BulkWriter) enqueue(dr *DocumentRef, kind backend.OpKind, data map[string]any) (*BulkWriterJob, error) {
-	if dr.err != nil {
-		return nil, dr.err
+	op, err := dr.op(kind, data)
+	if err != nil {
+		return nil, err
 	}
-	var fields map[string]doc.Value
-	if kind != backend.OpDelete {
-		f, err := toFields(data)
-		if err != nil {
-			return nil, fmtErr(dr, err)
-		}
-		fields = f
-	}
-	j := &BulkWriterJob{
-		op:   backend.WriteOp{Kind: kind, Name: dr.name, Fields: fields},
-		done: make(chan struct{}),
-	}
+	j := &BulkWriterJob{op: op, done: make(chan struct{})}
 	bw.mu.Lock()
 	defer bw.mu.Unlock()
 	for !bw.ended && bw.pending >= bw.maxPending() {
@@ -247,7 +234,7 @@ func (bw *BulkWriter) finishBatch(batch []*BulkWriterJob, res []backend.BulkResu
 		if reqErr == nil {
 			ts, err = res[i].TS, res[i].Err
 		}
-		if err != nil && status.Retryable(status.CodeOf(err)) && j.attempt+1 < bulkMaxAttempts {
+		if err != nil && status.Retryable(status.CodeOf(err)) && j.attempt+1 < maxRPCAttempts {
 			bw.scheduleRetry(j)
 			continue
 		}

@@ -3,7 +3,8 @@
 // data model to Go values and provides document references, collection
 // references, a chainable query builder, write batches, transactions with
 // automatic retry and backoff, and snapshot listeners over real-time
-// queries.
+// queries. Package mobile is an offline cache and mutation queue layered
+// over a *Client, so there is one client core (DESIGN.md "Client SDKs").
 //
 // A quickstart:
 //
@@ -21,15 +22,22 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"firestore/internal/backend"
 	"firestore/internal/core"
 	"firestore/internal/doc"
+	"firestore/internal/frontend"
 	"firestore/internal/rules"
+	"firestore/internal/status"
 	"firestore/internal/truetime"
 )
+
+// maxRPCAttempts bounds status.Retry's tries of one idempotent RPC: a
+// read, a blind write, a batch, a query page, an aggregation.
+const maxRPCAttempts = 5
 
 // Client is a handle to one Firestore database.
 type Client struct {
@@ -37,6 +45,15 @@ type Client struct {
 	dbID   string
 	p      backend.Principal
 	rng    atomic.Int64
+
+	// The client's listeners share one long-lived connection, so the
+	// frontend advances them to one consistent timestamp (§IV-D4); it is
+	// nil while there are none. demuxDone closes when the goroutine
+	// routing its events by target has exited.
+	mu        sync.Mutex
+	conn      *frontend.Conn
+	demuxDone chan struct{}
+	iters     map[int64]*QuerySnapshotIterator
 }
 
 // NewClient returns a privileged (server-side) client for the database.
@@ -47,8 +64,8 @@ func NewClient(region *core.Region, dbID string) *Client {
 }
 
 // NewUserClient returns a client acting as an authenticated end user;
-// the database's security rules apply to every operation. It exists for
-// tests and tools; end-user devices use package mobile.
+// the database's security rules apply to every operation. End-user
+// devices wrap one in a mobile.Client.
 func NewUserClient(region *core.Region, dbID string, auth *rules.Auth) *Client {
 	c := &Client{region: region, dbID: dbID, p: backend.Principal{Auth: auth}}
 	c.rng.Store(time.Now().UnixNano())
@@ -192,34 +209,32 @@ func (s *DocumentSnapshot) DataAt(fieldPath string) (any, bool) {
 }
 
 // Get reads the document with strong consistency, retrying transient
-// failures per the interceptor policy in retry.go.
-func (dr *DocumentRef) Get(ctx context.Context) (*DocumentSnapshot, error) {
+// failures.
+func (dr *DocumentRef) Get(ctx context.Context) (s *DocumentSnapshot, err error) {
+	err = status.Retry(ctx, maxRPCAttempts, func() error {
+		s, err = dr.fetch(ctx, 0)
+		return err
+	})
+	return s, err
+}
+
+// fetch reads the document at readTS (zero: now). A missing document is
+// a snapshot that does not exist, not an error.
+func (dr *DocumentRef) fetch(ctx context.Context, readTS truetime.Timestamp) (*DocumentSnapshot, error) {
 	if dr.err != nil {
 		return nil, dr.err
 	}
-	var d *doc.Document
-	var readTS truetime.Timestamp
-	err := withRetry(ctx, func() error {
-		var err error
-		d, readTS, err = dr.c.region.GetDocument(ctx, dr.c.dbID, dr.c.p, dr.name, 0)
-		return err
-	})
+	d, readTS, err := dr.c.region.GetDocument(ctx, dr.c.dbID, dr.c.p, dr.name, readTS)
 	if errors.Is(err, backend.ErrNotFound) {
 		return &DocumentSnapshot{Ref: dr, ReadTime: tsTime(readTS)}, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	return snapshotOf(dr, d, readTS), nil
+	return new(DocumentSnapshot).set(dr, d, readTS), nil
 }
 
-func snapshotOf(dr *DocumentRef, d *doc.Document, readTS truetime.Timestamp) *DocumentSnapshot {
-	s := new(DocumentSnapshot)
-	s.set(dr, d, readTS)
-	return s
-}
-
-// resultSnapshot is snapshotOf for a document a query or a listener
+// resultSnapshot is the snapshot of a document a query or a listener
 // returned, which nobody holds a reference to yet: the reference is
 // allocated in one piece with the snapshot.
 func resultSnapshot(c *Client, d *doc.Document, readTS truetime.Timestamp) *DocumentSnapshot {
@@ -231,7 +246,7 @@ func resultSnapshot(c *Client, d *doc.Document, readTS truetime.Timestamp) *Docu
 	return &s.DocumentSnapshot
 }
 
-func (s *DocumentSnapshot) set(dr *DocumentRef, d *doc.Document, readTS truetime.Timestamp) {
+func (s *DocumentSnapshot) set(dr *DocumentRef, d *doc.Document, readTS truetime.Timestamp) *DocumentSnapshot {
 	*s = DocumentSnapshot{
 		Ref:        dr,
 		exists:     true,
@@ -241,6 +256,77 @@ func (s *DocumentSnapshot) set(dr *DocumentRef, d *doc.Document, readTS truetime
 		ReadTime:   tsTime(readTS),
 		updateTS:   d.UpdateTime,
 	}
+	return s
+}
+
+// document is the snapshot as the engine's document type, sharing its
+// fields.
+func (s *DocumentSnapshot) document() *doc.Document {
+	return &doc.Document{
+		Name:       s.Ref.name,
+		Fields:     s.fields,
+		CreateTime: truetime.Timestamp(s.CreateTime.UnixNano()),
+		UpdateTime: s.updateTS,
+	}
+}
+
+// LocalSnapshot is the snapshot of a write no server has acknowledged:
+// what the document reads as once data is set — or, for nil data,
+// deleted — with zero timestamps. An offline layer overlays these on
+// cached server snapshots.
+func (dr *DocumentRef) LocalSnapshot(data map[string]any) (*DocumentSnapshot, error) {
+	kind := backend.OpSet
+	if data == nil {
+		kind = backend.OpDelete
+	}
+	op, err := dr.op(kind, data)
+	if err != nil {
+		return nil, err
+	}
+	return dr.c.localSnapshot(op), nil
+}
+
+func (c *Client) localSnapshot(op backend.WriteOp) *DocumentSnapshot {
+	if op.Kind == backend.OpDelete {
+		return &DocumentSnapshot{Ref: &DocumentRef{c: c, name: op.Name}}
+	}
+	return resultSnapshot(c, &doc.Document{Name: op.Name, Fields: op.Fields}, 0)
+}
+
+// Writes returns what the attempt has buffered, as LocalSnapshots: what
+// an offline layer folds into its cache once RunTransaction returns nil.
+func (tx *Transaction) Writes() []*DocumentSnapshot {
+	out := make([]*DocumentSnapshot, len(tx.ops))
+	for i, op := range tx.ops {
+		out[i] = tx.c.localSnapshot(op)
+	}
+	return out
+}
+
+// MarshalBinary encodes the snapshot — path, existence, timestamps,
+// fields, checksummed — for a local cache that outlives the process.
+// ReadTime is not kept.
+func (s *DocumentSnapshot) MarshalBinary() ([]byte, error) {
+	if !s.exists {
+		return append(doc.Marshal(&doc.Document{Name: s.Ref.name}), 0), nil
+	}
+	return append(doc.Marshal(s.document()), 1), nil
+}
+
+// UnmarshalSnapshot decodes a MarshalBinary encoding into a snapshot
+// whose Ref belongs to this client.
+func (c *Client) UnmarshalSnapshot(data []byte) (*DocumentSnapshot, error) {
+	if len(data) == 0 || data[len(data)-1] > 1 {
+		return nil, status.New(status.InvalidArgument, "firestore", "malformed snapshot encoding")
+	}
+	d, err := doc.Unmarshal(data[:len(data)-1])
+	if err != nil {
+		return nil, err
+	}
+	if data[len(data)-1] == 0 {
+		return &DocumentSnapshot{Ref: &DocumentRef{c: c, name: d.Name}}, nil
+	}
+	return resultSnapshot(c, d, 0), nil
 }
 
 // tsTime renders an engine timestamp as wall-clock-ish time (the engine's
@@ -270,19 +356,30 @@ func (dr *DocumentRef) Delete(ctx context.Context) error {
 }
 
 func (dr *DocumentRef) write(ctx context.Context, kind backend.OpKind, data map[string]any) error {
-	if dr.err != nil {
-		return dr.err
-	}
-	fields, err := toFields(data)
+	op, err := dr.op(kind, data)
 	if err != nil {
 		return err
 	}
-	return withRetry(ctx, func() error {
-		_, err := dr.c.region.Commit(ctx, dr.c.dbID, dr.c.p, []backend.WriteOp{
-			{Kind: kind, Name: dr.name, Fields: fields},
-		})
+	return status.Retry(ctx, maxRPCAttempts, func() error {
+		_, err := dr.c.region.Commit(ctx, dr.c.dbID, dr.c.p, []backend.WriteOp{op})
 		return err
 	})
+}
+
+// op is one write to the document as the backend takes it: every write
+// path — blind, batched, transactional, bulk — validates the reference
+// and converts the data here.
+func (dr *DocumentRef) op(kind backend.OpKind, data map[string]any) (op backend.WriteOp, err error) {
+	if dr.err != nil {
+		return op, dr.err
+	}
+	op = backend.WriteOp{Kind: kind, Name: dr.name}
+	if kind != backend.OpDelete {
+		if op.Fields, err = toFields(data); err != nil {
+			err = fmt.Errorf("%s: %w", dr.Path(), err)
+		}
+	}
+	return op, err
 }
 
 // Snapshots opens a real-time listener on this single document,
@@ -301,12 +398,4 @@ func (dr *DocumentRef) Snapshots(ctx context.Context) (*QuerySnapshotIterator, e
 	}
 	it.filterName = dr.name.String()
 	return it, nil
-}
-
-// fmtErr decorates an error with the ref path.
-func fmtErr(dr *DocumentRef, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%s: %w", dr.Path(), err)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"firestore/internal/query"
+	"firestore/internal/status"
 	"firestore/internal/truetime"
 )
 
@@ -85,7 +86,7 @@ func (it *DocumentIterator) GetAll() ([]*DocumentSnapshot, error) {
 func (it *DocumentIterator) fetchPage() error {
 	var res *query.Result
 	var readTS truetime.Timestamp
-	err := withRetry(it.ctx, func() error {
+	err := status.Retry(it.ctx, maxRPCAttempts, func() error {
 		var err error
 		res, readTS, err = it.c.region.RunQuery(it.ctx, it.c.dbID, it.c.p, it.iq, it.resume, 0)
 		return err

@@ -3,12 +3,11 @@ package firestore
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"firestore/internal/doc"
-	"firestore/internal/frontend"
 	"firestore/internal/index"
 	"firestore/internal/query"
-	"firestore/internal/status"
 	"firestore/internal/truetime"
 )
 
@@ -42,22 +41,9 @@ func (q Query) Where(fieldPath, op string, value any) Query {
 	if q.err != nil {
 		return q
 	}
-	var qop query.Operator
-	switch op {
-	case "<":
-		qop = query.Lt
-	case "<=":
-		qop = query.Le
-	case "==":
-		qop = query.Eq
-	case ">":
-		qop = query.Gt
-	case ">=":
-		qop = query.Ge
-	case "array-contains":
-		qop = query.ArrayContains
-	default:
-		q.err = status.Errorf(status.InvalidArgument, "firestore", "unknown operator %q", op)
+	qop, err := query.ParseOperator(op)
+	if err != nil {
+		q.err = err
 		return q
 	}
 	dv, err := toValue(value)
@@ -183,185 +169,36 @@ func (q Query) GetAll(ctx context.Context) ([]*DocumentSnapshot, error) {
 	return q.Documents(ctx).GetAll()
 }
 
-// QuerySnapshot is one consistent view of a real-time query's results.
-type QuerySnapshot struct {
-	// Docs is the full result set in query order.
-	Docs []*DocumentSnapshot
-	// Changes lists the delta from the previous snapshot.
-	Changes []DocumentChange
-	// ReadTime is the snapshot's consistent timestamp.
-	ReadTime int64
+// compareSnapshots is the query's result order over snapshots: what
+// Evaluate sorts by and a listener's view is kept in.
+func compareSnapshots(iq *query.Query, a, b *DocumentSnapshot) int {
+	return iq.Compare(a.document(), b.document())
 }
 
-// DocumentChangeKind classifies a delta entry.
-type DocumentChangeKind int
-
-// Delta kinds.
-const (
-	DocumentAdded DocumentChangeKind = iota
-	DocumentModified
-	DocumentRemoved
-)
-
-// DocumentChange is one result-set delta entry.
-type DocumentChange struct {
-	Kind DocumentChangeKind
-	Doc  *DocumentSnapshot // for Removed, only Ref is set
-}
-
-// QuerySnapshotIterator streams consistent snapshots of a real-time
-// query (the Web SDK's onSnapshot, §III-E).
-type QuerySnapshotIterator struct {
-	c          *Client
-	conn       *frontend.Conn
-	targetID   int64
-	q          *query.Query
-	results    map[string]*DocumentSnapshot
-	filterName string
-	closed     bool
-}
-
-// Snapshots registers the query as a real-time query and returns an
-// iterator of consistent snapshots; the first Next returns the initial
-// result set.
-func (q Query) Snapshots(ctx context.Context) (*QuerySnapshotIterator, error) {
+// Evaluate runs the query over docs instead of the service — the
+// matching documents in query order, after offset, limit and projection
+// — which is how an offline layer answers from its cache. Absent
+// snapshots never match.
+func (q Query) Evaluate(docs []*DocumentSnapshot) ([]*DocumentSnapshot, error) {
 	iq, err := q.build()
 	if err != nil {
 		return nil, err
 	}
-	conn := q.c.region.NewConn(q.c.dbID, q.c.p)
-	targetID, err := conn.Listen(ctx, iq)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return &QuerySnapshotIterator{
-		c:        q.c,
-		conn:     conn,
-		targetID: targetID,
-		q:        iq,
-		results:  map[string]*DocumentSnapshot{},
-	}, nil
-}
-
-// Next blocks for the next snapshot. It returns an error when the
-// iterator is stopped or ctx is done.
-func (it *QuerySnapshotIterator) Next(ctx context.Context) (*QuerySnapshot, error) {
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case ev, ok := <-it.conn.Events():
-			if !ok {
-				return nil, status.New(status.FailedPrecondition, "firestore", "listener stopped")
-			}
-			if ev.TargetID != it.targetID {
-				continue
-			}
-			snap := it.apply(ev)
-			if snap == nil {
-				continue // filtered out entirely (single-doc listener)
-			}
-			return snap, nil
+	var out []*DocumentSnapshot
+	for _, s := range docs {
+		if s.exists && iq.Matches(s.document()) {
+			out = append(out, s)
 		}
 	}
-}
-
-func (it *QuerySnapshotIterator) apply(ev frontend.SnapshotEvent) *QuerySnapshot {
-	var changes []DocumentChange
-	include := func(name string) bool {
-		return it.filterName == "" || name == it.filterName
+	slices.SortFunc(out, func(a, b *DocumentSnapshot) int { return compareSnapshots(iq, a, b) })
+	out = out[min(max(iq.Offset, 0), len(out)):]
+	if iq.Limit > 0 && len(out) > iq.Limit {
+		out = out[:iq.Limit]
 	}
-	if ev.Initial {
-		// Full-state snapshot: the first event of a listener, or a
-		// recovery emitted after the server dropped a delta (the query
-		// went out-of-sync). Replace local state wholesale, reporting
-		// the difference from what this iterator had.
-		fresh := map[string]*DocumentSnapshot{}
-		for _, d := range ev.Added {
-			if !include(d.Name.String()) {
-				continue
-			}
-			fresh[d.Name.String()] = resultSnapshot(it.c, d, ev.TS)
-		}
-		for name, s := range fresh {
-			old, ok := it.results[name]
-			switch {
-			case !ok:
-				changes = append(changes, DocumentChange{Kind: DocumentAdded, Doc: s})
-			case old.updateTS != s.updateTS:
-				changes = append(changes, DocumentChange{Kind: DocumentModified, Doc: s})
-			}
-		}
-		for name, old := range it.results {
-			if _, ok := fresh[name]; !ok {
-				changes = append(changes, DocumentChange{Kind: DocumentRemoved, Doc: &DocumentSnapshot{Ref: old.Ref}})
-			}
-		}
-		it.results = fresh
-		return it.snapshot(changes, ev.TS)
-	}
-	for _, d := range ev.Added {
-		if !include(d.Name.String()) {
-			continue
-		}
-		s := resultSnapshot(it.c, d, ev.TS)
-		it.results[d.Name.String()] = s
-		changes = append(changes, DocumentChange{Kind: DocumentAdded, Doc: s})
-	}
-	for _, d := range ev.Modified {
-		if !include(d.Name.String()) {
-			continue
-		}
-		s := resultSnapshot(it.c, d, ev.TS)
-		it.results[d.Name.String()] = s
-		changes = append(changes, DocumentChange{Kind: DocumentModified, Doc: s})
-	}
-	for _, n := range ev.Removed {
-		if !include(n.String()) {
-			continue
-		}
-		if _, ok := it.results[n.String()]; !ok {
-			continue
-		}
-		delete(it.results, n.String())
-		changes = append(changes, DocumentChange{
-			Kind: DocumentRemoved,
-			Doc:  &DocumentSnapshot{Ref: &DocumentRef{c: it.c, name: n}},
-		})
-	}
-	if len(changes) == 0 {
-		return nil
-	}
-	return it.snapshot(changes, ev.TS)
-}
-
-// snapshot orders the full result set per the query and packages it with
-// the delta.
-func (it *QuerySnapshotIterator) snapshot(changes []DocumentChange, ts truetime.Timestamp) *QuerySnapshot {
-	docs := make([]*DocumentSnapshot, 0, len(it.results))
-	for _, s := range it.results {
-		docs = append(docs, s)
-	}
-	for i := 1; i < len(docs); i++ {
-		for j := i; j > 0 && it.less(docs[j], docs[j-1]); j-- {
-			docs[j], docs[j-1] = docs[j-1], docs[j]
+	if len(iq.Projection) > 0 {
+		for i, s := range out {
+			out[i] = resultSnapshot(q.c, iq.Project(s.document()), truetime.Timestamp(s.ReadTime.UnixNano()))
 		}
 	}
-	return &QuerySnapshot{Docs: docs, Changes: changes, ReadTime: int64(ts)}
-}
-
-func (it *QuerySnapshotIterator) less(a, b *DocumentSnapshot) bool {
-	da := &doc.Document{Name: a.Ref.name, Fields: a.fields}
-	db := &doc.Document{Name: b.Ref.name, Fields: b.fields}
-	return it.q.Compare(da, db) < 0
-}
-
-// Stop tears the listener down.
-func (it *QuerySnapshotIterator) Stop() {
-	if it.closed {
-		return
-	}
-	it.closed = true
-	it.conn.Close()
+	return out, nil
 }

@@ -2,9 +2,6 @@ package firestore
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"time"
 
 	"firestore/internal/backend"
 	"firestore/internal/status"
@@ -31,70 +28,37 @@ type Transaction struct {
 const MaxTransactionRetries = 8
 
 // RunTransaction runs fn, committing its buffered writes with read
-// revalidation and retrying with exponential backoff on conflicts.
+// revalidation. A conflict (Aborted), shed load (ResourceExhausted) or
+// transient unavailability — at commit or from a read inside fn — re-runs
+// the whole function against a fresh snapshot under status.Retry; any
+// other error, fn's own included, ends the transaction.
 func (c *Client) RunTransaction(ctx context.Context, fn func(tx *Transaction) error) error {
-	var backoff status.Backoff
-	var lastErr error
-	for attempt := 0; attempt < MaxTransactionRetries; attempt++ {
-		tx := &Transaction{
-			c:      c,
-			ctx:    ctx,
-			seen:   map[string]bool{},
-			opIdx:  map[string]int{},
-			readTS: 0,
-		}
+	return status.Retry(ctx, MaxTransactionRetries, func() error {
+		tx := &Transaction{c: c, ctx: ctx, seen: map[string]bool{}, opIdx: map[string]int{}}
 		if err := fn(tx); err != nil {
 			return err
 		}
 		_, err := c.region.CommitTransactional(ctx, c.dbID, c.p, tx.ops, tx.reads)
-		if err == nil {
-			return nil
-		}
-		// Retryability is decided by the canonical status code, not by
-		// matching individual sentinels: conflicts (Aborted), shed load
-		// (ResourceExhausted), and transient unavailability all re-run
-		// the whole function against a fresh snapshot.
-		if !status.Retryable(status.CodeOf(err)) {
-			return err
-		}
-		lastErr = err
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(backoff.Next()):
-		}
-	}
-	return fmt.Errorf("firestore: transaction failed after %d attempts: %w", MaxTransactionRetries, lastErr)
+		return err
+	})
 }
 
 // Get reads a document inside the transaction, recording its version for
 // commit-time revalidation. All reads within one attempt observe a single
 // consistent snapshot.
 func (tx *Transaction) Get(dr *DocumentRef) (*DocumentSnapshot, error) {
-	if dr.err != nil {
-		return nil, dr.err
-	}
-	d, readTS, err := tx.c.region.GetDocument(tx.ctx, tx.c.dbID, tx.c.p, dr.name, tx.readTS)
-	notFound := errors.Is(err, backend.ErrNotFound)
-	if err != nil && !notFound {
+	s, err := dr.fetch(tx.ctx, tx.readTS)
+	if err != nil {
 		return nil, err
 	}
 	if tx.readTS == 0 {
-		tx.readTS = readTS
+		tx.readTS = truetime.Timestamp(s.ReadTime.UnixNano())
 	}
-	key := dr.name.String()
-	if !tx.seen[key] {
+	if key := dr.name.String(); !tx.seen[key] {
 		tx.seen[key] = true
-		rv := backend.ReadValidation{Name: dr.name}
-		if d != nil {
-			rv.UpdateTime = d.UpdateTime
-		}
-		tx.reads = append(tx.reads, rv)
+		tx.reads = append(tx.reads, backend.ReadValidation{Name: dr.name, UpdateTime: s.updateTS}) // zero: absent
 	}
-	if notFound {
-		return &DocumentSnapshot{Ref: dr, ReadTime: tsTime(readTS)}, nil
-	}
-	return snapshotOf(dr, d, readTS), nil
+	return s, nil
 }
 
 // Set buffers a create-or-replace.
@@ -118,14 +82,10 @@ func (tx *Transaction) Delete(dr *DocumentRef) error {
 }
 
 func (tx *Transaction) buffer(dr *DocumentRef, kind backend.OpKind, data map[string]any) error {
-	if dr.err != nil {
-		return dr.err
-	}
-	fields, err := toFields(data)
+	op, err := dr.op(kind, data)
 	if err != nil {
 		return err
 	}
-	op := backend.WriteOp{Kind: kind, Name: dr.name, Fields: fields}
 	key := dr.name.String()
 	if i, ok := tx.opIdx[key]; ok {
 		tx.ops[i] = op // last write to a doc wins within the txn
@@ -181,22 +141,17 @@ func (b *WriteBatch) add(dr *DocumentRef, kind backend.OpKind, data map[string]a
 		b.err = ErrBatchCommitted
 		return b
 	}
-	if dr.err != nil {
-		b.err = dr.err
-		return b
-	}
-	fields, err := toFields(data)
+	op, err := dr.op(kind, data)
 	if err != nil {
-		b.err = fmtErr(dr, err)
+		b.err = err
 		return b
 	}
-	b.ops = append(b.ops, backend.WriteOp{Kind: kind, Name: dr.name, Fields: fields})
+	b.ops = append(b.ops, op)
 	return b
 }
 
-// Commit applies the batch atomically, retrying transient failures per
-// the interceptor policy in retry.go (blind writes are last-update-wins,
-// so re-applying a batch is safe).
+// Commit applies the batch atomically, retrying transient failures
+// (blind writes are last-update-wins, so re-applying a batch is safe).
 func (b *WriteBatch) Commit(ctx context.Context) error {
 	if b.err != nil {
 		return b.err
@@ -208,7 +163,7 @@ func (b *WriteBatch) Commit(ctx context.Context) error {
 	if len(b.ops) == 0 {
 		return nil
 	}
-	return withRetry(ctx, func() error {
+	return status.Retry(ctx, maxRPCAttempts, func() error {
 		_, err := b.c.region.Commit(ctx, b.c.dbID, b.c.p, b.ops)
 		return err
 	})

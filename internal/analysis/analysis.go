@@ -4,7 +4,7 @@
 // *Locked mutex-held naming convention, and TrueTime-driven timestamps —
 // and this package makes them mechanically un-violable: a loader drives
 // go/parser and go/types over packages enumerated with `go list -json`
-// (keeping go.mod dependency-free), and nine repo-specific analyzers
+// (keeping go.mod dependency-free), and eight repo-specific analyzers
 // report violations as findings a CI gate turns into failures. Packages
 // type-check from source in dependency order, so type identities unify
 // across the whole load — the substrate the interprocedural layer
@@ -16,16 +16,13 @@
 //     canonical internal/status constructors, never bare errors.New or
 //     fmt.Errorf without %w, and compare sentinels with errors.Is.
 //   - lockdiscipline: a fooLocked method is only called with its
-//     receiver's mutex held; mutex-containing values are never copied;
-//     defer mu.Unlock() never follows a conditional Lock.
+//     receiver's mutex held; defer mu.Unlock() never follows a
+//     conditional Lock. (Copied locks and copied atomic wrappers are go
+//     vet's copylocks, which `make verify` runs.)
 //   - lockorder: the global lock-acquisition order over mutex classes is
 //     acyclic — held sets propagate through the call graph and every
 //     cycle is reported with concrete witness call chains (the AB-BA
 //     deadlock class that per-function checks cannot see).
-//   - atomicdiscipline: a struct field accessed through sync/atomic
-//     anywhere is accessed atomically everywhere, wrapper-typed fields
-//     are never copied or overwritten, and pre-1.19 64-bit atomics sit
-//     at 8-aligned offsets under 32-bit layout.
 //   - ctxdiscipline: context.Context parameters come first, and
 //     request-path packages never mint context.Background()/TODO()
 //     outside tests.
@@ -76,7 +73,7 @@ type Analyzer struct {
 	Run func(pass *Pass)
 	// RunProgram inspects the whole program — every loaded package plus
 	// the call graph — and reports findings via pass.Reportf. Used by
-	// the interprocedural analyzers (lockorder, atomicdiscipline).
+	// the interprocedural analyzer (lockorder).
 	RunProgram func(pass *ProgramPass)
 }
 
@@ -147,7 +144,6 @@ func Analyzers() []*Analyzer {
 		StatusDiscipline,
 		LockDiscipline,
 		LockOrder,
-		AtomicDiscipline,
 		CtxDiscipline,
 		ClockDiscipline,
 		ObsDiscipline,

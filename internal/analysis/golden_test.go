@@ -278,14 +278,6 @@ func TestLockOrderDOT(t *testing.T) {
 	}
 }
 
-func TestAtomicDisciplineGolden(t *testing.T) {
-	findings := runGolden(t, filepath.Join("testdata", "src", "atomicdiscipline"),
-		"fslint/testdata/atomicdiscipline", AtomicDiscipline)
-	if len(findings) == 0 {
-		t.Fatal("seeded mixed-access mutations produced no findings; fslint would exit 0")
-	}
-}
-
 func TestFindingString(t *testing.T) {
 	f := Finding{Path: "a/b.go", Line: 7, Col: 3, Analyzer: "statusdiscipline", Message: "boom"}
 	if got, wantStr := f.String(), "a/b.go:7: [statusdiscipline] boom"; got != wantStr {

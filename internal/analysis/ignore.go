@@ -86,7 +86,7 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 				if fields[0] != "*" {
 					d.analyzers = map[string]bool{}
 					// One directive may name several analyzers:
-					// //fslint:ignore lockorder,atomicdiscipline <reason>.
+					// //fslint:ignore lockorder,lockdiscipline <reason>.
 					// Unknown names are themselves findings — a typo'd
 					// directive silently suppressing nothing (or the
 					// wrong thing) defeats the allowlist.

@@ -73,20 +73,20 @@ func f() {
 	}
 }
 
-// TestIgnoreDirectiveInterprocedural pins the multi-analyzer form the
-// ISSUE calls out: one directive naming both interprocedural analyzers.
-func TestIgnoreDirectiveInterprocedural(t *testing.T) {
+// TestIgnoreDirectiveMultiple pins the multi-analyzer form: one
+// directive naming two analyzers.
+func TestIgnoreDirectiveMultiple(t *testing.T) {
 	idx := indexOf(t, `package p
 
 func f() {
-	//fslint:ignore lockorder,atomicdiscipline init path, value unpublished
+	//fslint:ignore lockorder,obsdiscipline init path, value unpublished
 	_ = 1
 }
 `)
 	if n := len(idx.malformed); n != 0 {
 		t.Fatalf("malformed = %d findings, want 0", n)
 	}
-	for _, analyzer := range []string{"lockorder", "atomicdiscipline"} {
+	for _, analyzer := range []string{"lockorder", "obsdiscipline"} {
 		if !idx.suppressed(Finding{Path: "ignore_input.go", Line: 5, Analyzer: analyzer}) {
 			t.Errorf("directive did not suppress %s", analyzer)
 		}

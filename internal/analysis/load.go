@@ -51,7 +51,7 @@ type Loader struct {
 	// srcPkgs caches packages this loader has already type-checked from
 	// source. Imports prefer these over export data so that types.Object
 	// identities unify across the whole load — the property the
-	// interprocedural analyzers (call graph, lockorder, atomicdiscipline)
+	// interprocedural analyzers (call graph, lockorder)
 	// rely on to match a method seen at a call site in one package with
 	// its declaration in another.
 	srcPkgs map[string]*Package

@@ -18,13 +18,13 @@ import (
 //     .Lock()/.RLock() call appears (the caller acquired it).
 //
 // Function literals are separate scopes: a goroutine body does not hold
-// the lock its creator held. The analyzer additionally flags copies of
-// mutex-containing values (a copied lock guards nothing) and
+// the lock its creator held. The analyzer additionally flags
 // defer mu.Unlock() when every preceding mu.Lock() is inside a
 // conditional (the defer then unlocks a mutex that may not be held).
+// Copies of a mutex-containing value are go vet's copylocks.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "*Locked methods are called with the receiver's mutex held; no mutex copies; no defer Unlock after a conditional Lock",
+	Doc:  "*Locked methods are called with the receiver's mutex held; no defer Unlock after a conditional Lock",
 	Run:  runLockDiscipline,
 }
 
@@ -43,7 +43,6 @@ func runLockDiscipline(pass *Pass) {
 				checkLockFunc(pass, fd)
 			}
 		}
-		checkMutexCopies(pass, file)
 	}
 }
 
@@ -201,92 +200,4 @@ func mutexCallTarget(call *ast.CallExpr) (key, method string, ok bool) {
 	default:
 		return types.ExprString(sel.X), sel.Sel.Name, true
 	}
-}
-
-// checkMutexCopies flags expressions that copy a value whose type
-// (directly or through nested structs/arrays) contains a sync.Mutex or
-// sync.RWMutex. It is narrower than vet's copylocks — it exists so the
-// suite is self-contained and the golden tests document the invariant.
-func checkMutexCopies(pass *Pass, file *ast.File) {
-	flag := func(expr ast.Expr, what string) {
-		switch expr.(type) {
-		case *ast.StarExpr, *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-		default:
-			return // composite literals, calls, and &x do not copy an existing lock
-		}
-		tv, ok := pass.Info.Types[expr]
-		if !ok || tv.Type == nil {
-			return
-		}
-		if containsMutex(tv.Type, 0) {
-			pass.Reportf(expr.Pos(), "%s copies %s, which contains a mutex; a copied lock guards nothing — use a pointer", what, tv.Type)
-		}
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				flag(ast.Unparen(rhs), "assignment")
-			}
-		case *ast.ValueSpec:
-			for _, v := range n.Values {
-				flag(ast.Unparen(v), "declaration")
-			}
-		case *ast.CallExpr:
-			if _, _, isMutexOp := mutexCallTarget(n); isMutexOp {
-				return true
-			}
-			for _, arg := range n.Args {
-				flag(ast.Unparen(arg), "call argument")
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if tv, ok := pass.Info.Types[n.X]; ok && tv.Type != nil {
-					if elem := rangeElemType(tv.Type); elem != nil && containsMutex(elem, 0) {
-						pass.Reportf(n.Value.Pos(), "range copies %s values, which contain a mutex; iterate over pointers", elem)
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-func rangeElemType(t types.Type) types.Type {
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		return u.Elem()
-	case *types.Array:
-		return u.Elem()
-	case *types.Map:
-		return u.Elem()
-	}
-	return nil
-}
-
-// containsMutex reports whether a value of type t embeds a sync.Mutex or
-// sync.RWMutex by value (directly, or nested in structs/arrays).
-func containsMutex(t types.Type, depth int) bool {
-	if depth > 10 {
-		return false
-	}
-	if isNamedType(t, "sync", "Mutex") || isNamedType(t, "sync", "RWMutex") {
-		// Pointer-to-mutex does not copy; isNamedType unwraps one
-		// pointer, so re-check.
-		if _, isPtr := t.(*types.Pointer); isPtr {
-			return false
-		}
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsMutex(u.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsMutex(u.Elem(), depth+1)
-	}
-	return false
 }

@@ -1,5 +1,5 @@
 // Package lockdiscipline is golden-test input for the *Locked calling
-// convention, mutex-copy, and conditional-Lock/defer-Unlock checks.
+// convention and the conditional-Lock/defer-Unlock check.
 package lockdiscipline
 
 import "sync"
@@ -43,36 +43,4 @@ func (t *table) MaybeLock(cond bool) int {
 	}
 	defer t.mu.Unlock() // want `every preceding t.Lock\(\) is inside a conditional`
 	return len(t.items)
-}
-
-var sink table
-
-// snapshot copies a mutex-containing struct by value.
-func snapshot(t *table) {
-	sink = *t // want `assignment copies .*table, which contains a mutex`
-}
-
-func use(tb table) int { return len(tb.items) }
-
-// passByValue hands a mutex-containing struct to a function by value.
-func passByValue() int {
-	return use(sink) // want `call argument copies .*table, which contains a mutex`
-}
-
-// sum ranges over mutex-containing values, copying each element.
-func sum(tables []table) int {
-	n := 0
-	for _, tb := range tables { // want `range copies .*table values, which contain a mutex`
-		n += len(tb.items)
-	}
-	return n
-}
-
-// sumPtrs iterates over pointers: no finding.
-func sumPtrs(tables []*table) int {
-	n := 0
-	for _, tb := range tables {
-		n += len(tb.items)
-	}
-	return n
 }

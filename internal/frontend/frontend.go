@@ -271,12 +271,13 @@ func (c *Conn) Listen(ctx context.Context, q *query.Query) (_ int64, retErr erro
 	c.mu.Unlock()
 	c.f.count("frontend.listens", c.dbID)
 
-	// Initial snapshot (step 3).
+	// Initial snapshot (step 3): the query's result, in the order the
+	// query returned it.
 	delivered := c.deliver(SnapshotEvent{
 		TargetID: targetID,
 		TS:       readTS,
 		Initial:  true,
-		Added:    sortedDocs(q, rq.results),
+		Added:    res.Docs,
 	})
 
 	// Subscribe (step 4). The subscription ID is reserved and the query
@@ -720,10 +721,6 @@ func sortedDocs(q *query.Query, m map[string]*doc.Document) []*doc.Document {
 	for _, d := range m {
 		out = append(out, d)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && q.Compare(out[j], out[j-1]) < 0; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, q.Compare)
 	return out
 }

@@ -38,6 +38,17 @@ func (o Operator) String() string {
 	return opNames[o]
 }
 
+// ParseOperator is the inverse of String: the one table of operator
+// spellings the SDK's Where and the HTTP edge both accept.
+func ParseOperator(s string) (Operator, error) {
+	for o, name := range opNames {
+		if s == name {
+			return Operator(o), nil
+		}
+	}
+	return 0, status.Errorf(status.InvalidArgument, "query", "unknown operator %q", s)
+}
+
 // IsInequality reports whether o is a range operator.
 func (o Operator) IsInequality() bool { return o == Lt || o == Le || o == Gt || o == Ge }
 

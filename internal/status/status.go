@@ -201,6 +201,27 @@ func (b *Backoff) Next() time.Duration {
 	return d
 }
 
+// Retry is the client SDKs' one retry loop: it runs op until it succeeds,
+// fails with a code that is not Retryable, or has been tried attempts
+// times, sleeping a Backoff between tries. It returns op's last error,
+// or DeadlineExceeded if ctx ends during a sleep. What a retry re-runs
+// is the caller's business: one idempotent RPC, or a whole optimistic
+// transaction function against a fresh snapshot.
+func Retry(ctx context.Context, attempts int, op func() error) error {
+	var backoff Backoff
+	for try := 1; ; try++ {
+		err := op()
+		if err == nil || !Retryable(CodeOf(err)) || try >= attempts {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return FromContext("retry", ctx.Err())
+		case <-time.After(backoff.Next()):
+		}
+	}
+}
+
 // HTTPStatus is the single code→HTTP mapping used by the server edge.
 // FailedPrecondition maps to 424 to preserve the needs-index contract
 // (the console-link error the paper describes in §IV-D3).

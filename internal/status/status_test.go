@@ -123,6 +123,41 @@ func TestBackoffSequence(t *testing.T) {
 	}
 }
 
+// TestRetry pins the one retry loop: a retryable failure is tried again
+// up to the limit, anything else returns at once, and a context that ends
+// during a backoff ends the loop with DeadlineExceeded.
+func TestRetry(t *testing.T) {
+	transient, fatal := New(Unavailable, "t", "try again"), New(PermissionDenied, "t", "no")
+	for _, tc := range []struct {
+		name      string
+		fail      []error // op's results in order; nil after them
+		want      error
+		wantTries int
+	}{
+		{"first try", nil, nil, 1},
+		{"recovers", []error{transient, transient}, nil, 3},
+		{"not retryable", []error{transient, fatal}, fatal, 2},
+		{"limit", []error{transient, transient, transient, transient}, transient, 4},
+	} {
+		tries := 0
+		err := Retry(context.Background(), 4, func() error {
+			tries++
+			if tries <= len(tc.fail) {
+				return tc.fail[tries-1]
+			}
+			return nil
+		})
+		if !errors.Is(err, tc.want) || tries != tc.wantTries {
+			t.Errorf("%s: %d tries, err %v; want %d, %v", tc.name, tries, err, tc.wantTries, tc.want)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	err := Retry(ctx, 1<<30, func() error { cancel(); return transient })
+	if CodeOf(err) != DeadlineExceeded || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled during backoff: %v", err)
+	}
+}
+
 func TestHTTPStatus(t *testing.T) {
 	cases := map[Code]int{
 		OK:                 http.StatusOK,

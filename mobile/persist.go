@@ -4,8 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"firestore/internal/backend"
-	"firestore/internal/doc"
+	"firestore/firestore"
 )
 
 // This file implements optional local-cache persistence (§IV-E: "an end
@@ -13,20 +12,22 @@ import (
 // a warm cache as a starting point" after a device restart).
 
 // Export serializes the client's cached documents and pending mutation
-// queue.
+// queue: two counted lists of length-prefixed snapshot encodings.
 func (c *Client) Export() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []byte
-	out = binary.AppendUvarint(out, uint64(len(c.serverDocs)))
-	for _, d := range c.serverDocs {
-		out = appendBlob(out, doc.Marshal(d))
+	cached := make([]*firestore.DocumentSnapshot, 0, len(c.docs))
+	for _, s := range c.docs {
+		cached = append(cached, s)
 	}
-	out = binary.AppendUvarint(out, uint64(len(c.mutations)))
-	for _, m := range c.mutations {
-		out = append(out, byte(m.Kind))
-		d := doc.New(m.Name, m.Fields)
-		out = appendBlob(out, doc.Marshal(d))
+	var out []byte
+	for _, list := range [][]*firestore.DocumentSnapshot{cached, c.mutations} {
+		out = binary.AppendUvarint(out, uint64(len(list)))
+		for _, s := range list {
+			blob, _ := s.MarshalBinary() // never fails
+			out = binary.AppendUvarint(out, uint64(len(blob)))
+			out = append(out, blob...)
+		}
 	}
 	return out
 }
@@ -35,70 +36,39 @@ func (c *Client) Export() []byte {
 // its cache and re-queuing unflushed mutations. It then kicks a flush if
 // online.
 func (c *Client) Import(state []byte) error {
-	docsN, state, err := readUvarint(state)
-	if err != nil {
-		return err
-	}
-	serverDocs := map[string]*doc.Document{}
-	for i := uint64(0); i < docsN; i++ {
-		var blob []byte
-		blob, state, err = readBlob(state)
+	var lists [2][]*firestore.DocumentSnapshot
+	for i := range lists {
+		n, rest, err := readUvarint(state)
 		if err != nil {
 			return err
 		}
-		d, err := doc.Unmarshal(blob)
-		if err != nil {
-			return err
+		for state = rest; n > 0; n-- {
+			size, rest, err := readUvarint(state)
+			if err != nil {
+				return err
+			}
+			if size > uint64(len(rest)) {
+				return fmt.Errorf("mobile: snapshot length %d overflows state", size)
+			}
+			s, err := c.fs.UnmarshalSnapshot(rest[:size])
+			if err != nil {
+				return err
+			}
+			lists[i], state = append(lists[i], s), rest[size:]
 		}
-		serverDocs[d.Name.String()] = d
-	}
-	mutsN, state, err := readUvarint(state)
-	if err != nil {
-		return err
-	}
-	var muts []mutation
-	for i := uint64(0); i < mutsN; i++ {
-		if len(state) == 0 {
-			return fmt.Errorf("mobile: truncated mutation state")
-		}
-		kind := backend.OpKind(state[0])
-		state = state[1:]
-		var blob []byte
-		blob, state, err = readBlob(state)
-		if err != nil {
-			return err
-		}
-		d, err := doc.Unmarshal(blob)
-		if err != nil {
-			return err
-		}
-		muts = append(muts, mutation{Kind: kind, Name: d.Name, Fields: d.Fields})
 	}
 	if len(state) != 0 {
 		return fmt.Errorf("mobile: %d trailing state bytes", len(state))
 	}
 	c.mu.Lock()
-	c.serverDocs = serverDocs
-	c.mutations = muts
+	c.docs = make(map[string]*firestore.DocumentSnapshot, len(lists[0]))
+	for _, s := range lists[0] {
+		c.cacheLocked(s)
+	}
+	c.mutations = lists[1]
 	c.mu.Unlock()
 	c.flushAsync()
 	return nil
-}
-
-func appendBlob(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-func readBlob(b []byte) (blob, rest []byte, err error) {
-	n, rest, err := readUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("mobile: blob length %d overflows state", n)
-	}
-	return rest[:n], rest[n:], nil
 }
 
 func readUvarint(b []byte) (uint64, []byte, error) {
