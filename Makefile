@@ -37,8 +37,8 @@ test:
 # the aliasing test that guards the single copy they rely on — without it.
 test-race:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -run 'Allocs|CostFollowsResult|NotAlias' ./internal/index ./internal/backend ./internal/spanner ./internal/core \
-		./internal/cluster ./internal/transport ./internal/storage ./internal/doc
+	$(GO) test -run 'Allocs|CostFollowsResult|NotAlias|TestVec' ./internal/index ./internal/backend ./internal/spanner ./internal/core \
+		./internal/cluster ./internal/transport ./internal/storage ./internal/doc ./internal/obs
 
 # Repeated race passes over the packages whose concurrency a single run
 # under-samples, each line a package list and a -count. Ten rounds over
@@ -48,8 +48,8 @@ test-race:
 # pipeline (SDK BulkWriter/iterators and the listener demultiplexer,
 # the mobile layer's flush goroutine and listener pumps over it, backend
 # group commit, fair scheduler, ramp), the observability spine
-# (lock-free histogram, span recorder's handle cache, the /debug suite
-# and fsctl under concurrent scrapes), the lock-free keyviz collector,
+# (lock-free histogram, the registry's copy-on-write family and Vec
+# indexes, the /debug suite and fsctl under concurrent scrapes), the lock-free keyviz collector,
 # the layer the lockorder analyzer watches most closely — the durable
 # storage engine (WAL append vs sync vs segment refcounts) —
 # and the streaming range-read path above it (spanner, cluster, query):
@@ -64,7 +64,8 @@ race-repeat:
 		./internal/transport/
 
 # End-to-end /debug smoke: boots a region, runs a workload, asserts
-# metricz shows per-layer {db, code} histograms, tracez nests the layers,
+# metricz shows per-layer {db, code} histograms and exactly the pinned set
+# of (metric name, label keys) shapes, tracez nests the layers,
 # keyvizz serves the keyspace heatmap (JSON and SVG) and every page
 # decodes into the type fsctl reads it with; then drives every fsctl
 # command that reads a /debug page against a live server.
@@ -89,12 +90,12 @@ chaos:
 
 # Short fuzz passes over the decoders that read bytes from outside the
 # process: the trigger payload, a transport frame, the binary engine-plane
-# bodies, a segment file, a stored document, an index-key value. One
+# bodies, a segment file, a WAL file, a stored document, an index-key value. One
 # pkg:Target pair per decoder. Minimising is capped: the default minute
 # per interesting input, on a segment file of a few KB, is the whole pass.
 fuzz:
 	@for pair in backend:FuzzUnmarshalChange transport:FuzzReadFrame cluster:FuzzEngineBodies storage:FuzzLoadSegment \
-		doc:FuzzUnmarshal encoding:FuzzDecodeValue; do \
+		storage:FuzzReplayWAL doc:FuzzUnmarshal encoding:FuzzDecodeValue; do \
 		echo "fuzz $$pair"; \
 		$(GO) test -run=$${pair#*:} -fuzz=$${pair#*:} -fuzztime=30s -fuzzminimizetime=5s ./internal/$${pair%%:*}/ || exit 1; \
 	done

@@ -143,10 +143,6 @@ func (s *Server) EnableDebug(opts DebugOptions) {
 
 func (s *Server) metricz(w http.ResponseWriter, r *http.Request) {
 	reg := s.region.Obs
-	if reg == nil {
-		http.Error(w, "metrics registry not configured", http.StatusNotFound)
-		return
-	}
 	if r.URL.Query().Get("format") == "json" {
 		writeJSON(w, reg.Snapshot())
 		return

@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -103,6 +106,56 @@ func TestDebugMetricz(t *testing.T) {
 			t.Errorf("metricz json: no populated db=app histogram for %q (have %v)", want, found)
 		}
 	}
+
+	// Metric names and label keys are an interface (dashboards, fsctl
+	// stats, the benchmark's counters): the set this workload produces
+	// is pinned. Regenerate with -update-metricz only from a commit
+	// whose names you mean to keep.
+	got := strings.Join(metricShapes(snap), "\n") + "\n"
+	const golden = "testdata/metricz_shapes.golden"
+	if *updateMetricz {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("metricz (name, label keys) set changed:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+var updateMetricz = flag.Bool("update-metricz", false, "rewrite testdata/metricz_shapes.golden from this run")
+
+// metricShapes returns the sorted, de-duplicated "kind name{label keys}"
+// lines of a snapshot.
+func metricShapes(snap obs.Snapshot) []string {
+	set := map[string]bool{}
+	add := func(kind, name string, labels obs.Labels) {
+		keys := make([]string, 0, len(labels))
+		for k := range labels {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		set[kind+" "+name+"{"+strings.Join(keys, ",")+"}"] = true
+	}
+	for _, c := range snap.Counters {
+		add("counter", c.Name, c.Labels)
+	}
+	for _, g := range snap.Gauges {
+		add("gauge", g.Name, g.Labels)
+	}
+	for _, h := range snap.Histograms {
+		add("histogram", h.Name, h.Labels)
+	}
+	out := make([]string, 0, len(set))
+	for s := range set {
+		out = append(out, s)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestDebugTracez is the tracing half of the acceptance criterion: a

@@ -139,9 +139,6 @@ func (g *CallGraph) NodeOf(fn *types.Func) *Node {
 	return g.nodes[fn.Origin()]
 }
 
-// LitNode returns the node for a function literal.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *Node { return g.lits[lit] }
-
 // Program is one whole-repository load: every package plus the call
 // graph over them. Interprocedural analyzers receive it via ProgramPass.
 type Program struct {

@@ -2,25 +2,25 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 )
 
-// ObsDiscipline enforces bounded metric cardinality: every metric name
-// reaching an internal/obs registration (Counter, Gauge, GaugeFunc,
-// Histogram) is a compile-time string constant, and composite label
-// literals use constant keys. Formatting a name per request would mint
-// an unbounded family set, blowing up the registry and every scrape.
+// ObsDiscipline enforces bounded metric cardinality and one way to reach
+// a labelled instrument. Every metric name reaching an internal/obs
+// registration (Counter, Gauge, GaugeFunc, Histogram) or family
+// declaration (CounterVec, GaugeVec, HistogramVec — label names too) is a
+// compile-time string constant: formatting a name per request would mint
+// an unbounded family set, blowing up the registry and every scrape. And
+// an obs.Labels literal is constant in keys and values: a label value
+// known only at run time (a database, a peer) reaches its instrument
+// through the family's Vec, declared once and held, never through a map
+// built where the event happens.
 // The same discipline covers keyviz instrumentation points: the site
 // argument of keyviz.Collector.Record names a fixed event kind on the
-// keyspace timeline, never a per-request string.
-//
-// A function that merely forwards its own parameter as the name (e.g.
-// the count(name, db) helpers) is treated as a registration wrapper:
-// the constant-name requirement moves to its call sites within the
-// package.
+// keyspace timeline, never a per-request string. internal/obs itself is
+// exempt: it is where a Vec's values become a label set.
 var ObsDiscipline = &Analyzer{
 	Name: "obsdiscipline",
-	Doc:  "metric names registered with internal/obs and keyviz event sites are compile-time constants with fixed label sets",
+	Doc:  "metric names and label sets given to internal/obs and keyviz event sites are compile-time constants; run-time label values go through a Vec",
 	Run:  runObsDiscipline,
 }
 
@@ -29,178 +29,85 @@ const (
 	keyvizPath = "firestore/internal/keyviz"
 )
 
-// obsRegistrationMethods maps registration method name to the index of
-// its name argument.
+// obsRegistrationMethods maps an obs.Registry method to how many leading
+// arguments must be constant: the name, or (-1) every argument.
 var obsRegistrationMethods = map[string]int{
-	"Counter":   0,
-	"Gauge":     0,
-	"GaugeFunc": 0,
-	"Histogram": 0,
+	"Counter":      1,
+	"Gauge":        1,
+	"GaugeFunc":    1,
+	"Histogram":    1,
+	"CounterVec":   -1,
+	"GaugeVec":     -1,
+	"HistogramVec": -1,
 }
 
 func runObsDiscipline(pass *Pass) {
-	// wrappers maps a function object to the indices of parameters it
-	// forwards as metric names. Propagation iterates so wrappers of
-	// wrappers resolve (bounded by the package's call depth).
-	wrappers := map[types.Object]map[int]bool{}
-
-	// nameArgSites collects every (call, name-expression) that must be
-	// constant, re-derived each round as wrappers are discovered.
-	type site struct {
-		call *ast.CallExpr
-		name ast.Expr
+	if pass.ImportPath == obsPath {
+		return
 	}
-	collect := func() []site {
-		var sites []site
-		for _, file := range pass.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if idx, ok := obsNameArgIndex(pass, call); ok && idx < len(call.Args) {
-					sites = append(sites, site{call: call, name: call.Args[idx]})
-				}
-				if callee := calleeOf(pass.Info, call); callee != nil {
-					if params, ok := wrappers[callee]; ok {
-						for idx := range params {
-							if idx < len(call.Args) {
-								sites = append(sites, site{call: call, name: call.Args[idx]})
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
-		return sites
-	}
-
-	// Discover wrappers to a fixpoint: a non-constant name that is a
-	// parameter of its enclosing function promotes that function to a
-	// wrapper, which can in turn promote its callers.
-	for round := 0; round < 4; round++ {
-		grew := false
-		for _, s := range collect() {
-			if _, isConst := constString(pass.Info, s.name); isConst {
-				continue
-			}
-			if fn, idx, ok := enclosingParam(pass, s.name); ok {
-				if wrappers[fn] == nil {
-					wrappers[fn] = map[int]bool{}
-				}
-				if !wrappers[fn][idx] {
-					wrappers[fn][idx] = true
-					grew = true
-				}
-			}
-		}
-		if !grew {
-			break
-		}
-	}
-
-	for _, s := range collect() {
-		if _, isConst := constString(pass.Info, s.name); isConst {
-			continue
-		}
-		if _, _, isWrapperParam := enclosingParam(pass, s.name); isWrapperParam {
-			continue // checked at this wrapper's own call sites
-		}
-		pass.Reportf(s.name.Pos(),
-			"metric name must be a compile-time constant (per-request names explode metric cardinality); hoist it to a const or check the wrapper's callers")
-	}
-
-	checkLabelLiterals(pass)
-}
-
-// obsNameArgIndex reports whether call is a direct obs.Registry
-// registration or a keyviz.Collector.Record instrumentation point, and
-// returns the index of its name/site argument.
-func obsNameArgIndex(pass *Pass, call *ast.CallExpr) (int, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return 0, false
-	}
-	selection, ok := pass.Info.Selections[sel]
-	if !ok {
-		return 0, false
-	}
-	if idx, ok := obsRegistrationMethods[sel.Sel.Name]; ok &&
-		isNamedType(selection.Recv(), obsPath, "Registry") {
-		return idx, true
-	}
-	if sel.Sel.Name == "Record" && isNamedType(selection.Recv(), keyvizPath, "Collector") {
-		return 0, true
-	}
-	return 0, false
-}
-
-// enclosingParam reports whether expr is an identifier bound to a
-// parameter of the function declaration lexically enclosing it, and
-// returns that function's object and the parameter's index.
-func enclosingParam(pass *Pass, expr ast.Expr) (types.Object, int, bool) {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
-	if !ok {
-		return nil, 0, false
-	}
-	obj := pass.Info.Uses[id]
-	if obj == nil {
-		return nil, 0, false
-	}
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return nil, 0, false
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			fnObj := pass.Info.Defs[fd.Name]
-			if fnObj == nil {
-				continue
-			}
-			sig, ok := fnObj.Type().(*types.Signature)
-			if !ok {
-				continue
-			}
-			for i := 0; i < sig.Params().Len(); i++ {
-				if sig.Params().At(i) == v {
-					return fnObj, i, true
-				}
-			}
-		}
-	}
-	return nil, 0, false
-}
-
-// checkLabelLiterals flags obs.Labels composite literals with
-// non-constant keys anywhere in the package: the label *set* must be
-// fixed even when label values vary per database.
-func checkLabelLiterals(pass *Pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if !ok {
-				return true
-			}
-			tv, ok := pass.Info.Types[lit]
-			if !ok || !isNamedType(tv.Type, obsPath, "Labels") {
-				return true
-			}
-			for _, elt := range lit.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
-				if !ok {
-					continue
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				for _, arg := range constArgs(pass, n) {
+					if _, isConst := constString(pass.Info, arg); !isConst {
+						pass.Reportf(arg.Pos(),
+							"metric name must be a compile-time constant (per-request names explode metric cardinality); hoist it to a const")
+					}
 				}
-				if _, isConst := constString(pass.Info, kv.Key); !isConst {
-					pass.Reportf(kv.Key.Pos(),
-						"obs.Labels key must be a compile-time constant: the label set of a metric family is fixed")
-				}
+			case *ast.CompositeLit:
+				checkLabelLiteral(pass, n)
 			}
 			return true
 		})
+	}
+}
+
+// constArgs returns the arguments of call that must be constant: the
+// name (and label names) of an obs.Registry registration, or the site of
+// a keyviz.Collector.Record instrumentation point.
+func constArgs(pass *Pass, call *ast.CallExpr) []ast.Expr {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	selection, ok := pass.Info.Selections[sel]
+	if !ok {
+		return nil
+	}
+	n, ok := obsRegistrationMethods[sel.Sel.Name]
+	switch {
+	case ok && isNamedType(selection.Recv(), obsPath, "Registry"):
+	case sel.Sel.Name == "Record" && isNamedType(selection.Recv(), keyvizPath, "Collector"):
+		n = 1
+	default:
+		return nil
+	}
+	if n < 0 || n > len(call.Args) {
+		n = len(call.Args)
+	}
+	return call.Args[:n]
+}
+
+// checkLabelLiteral flags an obs.Labels composite literal with a
+// non-constant key or value.
+func checkLabelLiteral(pass *Pass, lit *ast.CompositeLit) {
+	tv, ok := pass.Info.Types[lit]
+	if !ok || !isNamedType(tv.Type, obsPath, "Labels") {
+		return
+	}
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		if _, isConst := constString(pass.Info, kv.Key); !isConst {
+			pass.Reportf(kv.Key.Pos(),
+				"obs.Labels key must be a compile-time constant: the label set of a metric family is fixed")
+		}
+		if _, isConst := constString(pass.Info, kv.Value); !isConst {
+			pass.Reportf(kv.Value.Pos(),
+				"obs.Labels value must be a compile-time constant: a run-time label value reaches its instrument through the family's Vec (reg.CounterVec(name, keys...).With(values...))")
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package obsd is golden-test input for bounded metric cardinality:
 // names reaching an obs.Registry registration must be compile-time
-// constants, directly or through a forwarding wrapper.
+// constants, and so must the keys and values of an obs.Labels literal —
+// a run-time label value goes through a Vec.
 package obsd
 
 import (
@@ -13,26 +14,23 @@ import (
 const reqCounter = "fslint_requests_total"
 
 func direct(r *obs.Registry, db string) {
-	// Constant name with a variable label VALUE is the intended shape.
-	r.Counter(reqCounter, obs.Labels{"db": db}).Add(1)
+	r.Counter(reqCounter, obs.Labels{"kind": "fixed"}).Add(1)
 	r.Counter("fslint_literal_total", nil).Add(1)
 	r.Counter(fmt.Sprintf("req_%s_total", db), nil).Add(1) // want `metric name must be a compile-time constant`
 }
 
-// count forwards its name parameter: it is a registration wrapper, so
-// the constant-name requirement moves to its call sites.
-func count(r *obs.Registry, name, db string) {
-	r.Counter(name, obs.Labels{"db": db}).Add(1)
+// A constant name with a variable label VALUE is a Vec, declared once.
+func viaVec(r *obs.Registry, db, key string) {
+	r.CounterVec(reqCounter, "db").With(db).Add(1)
+	r.HistogramVec("fslint_latency", "db", "code").With(db, "OK")
+	r.GaugeVec(db+"_depth", "db")           // want `metric name must be a compile-time constant`
+	r.CounterVec("fslint_keyed_total", key) // want `metric name must be a compile-time constant`
 }
 
-func viaWrapper(r *obs.Registry, db string) {
-	count(r, reqCounter, db)
-	count(r, "fslint_ok_total", db)
-	count(r, db+"_total", db) // want `metric name must be a compile-time constant`
-}
-
-func badKey(r *obs.Registry, k string) {
-	r.Gauge("fslint_gauge", obs.Labels{k: "v"}).Set(1) // want `obs.Labels key must be a compile-time constant`
+func badLabels(r *obs.Registry, k, db string) {
+	r.Gauge("fslint_gauge", obs.Labels{k: "v"}).Set(1)       // want `obs.Labels key must be a compile-time constant`
+	r.Counter(reqCounter, obs.Labels{"db": db}).Add(1)       // want `obs.Labels value must be a compile-time constant`
+	_ = obs.Labels{"peer": "p" + db, "method": "engine.get"} // want `obs.Labels value must be a compile-time constant`
 }
 
 // Keyviz instrumentation points follow the same discipline: the event

@@ -40,8 +40,8 @@ type Config struct {
 	MaxStepFactor float64
 	// Name labels this pool's metrics (e.g. "frontend", "backend").
 	Name string
-	// Obs, when set, receives pool-size and utilization gauges plus
-	// resize-event counters, labeled {pool=Name}.
+	// Obs receives pool-size and utilization gauges plus resize-event
+	// counters, labeled {pool=Name}.
 	Obs *obs.Registry
 }
 
@@ -61,6 +61,8 @@ type Pool struct {
 	// began, for the reaction delay.
 	pendingSince time.Time
 	pendingDir   int
+
+	resizes *obs.CounterVec // autoscale.resizes{pool,dir}
 }
 
 // New creates a pool.
@@ -84,25 +86,14 @@ func New(cfg Config) *Pool {
 		cfg.MaxStepFactor = 2.0
 	}
 	now := time.Now()
-	p := &Pool{cfg: cfg, tasks: cfg.MinTasks, lastResize: now, lastUpdate: now}
-	if cfg.Obs != nil {
-		l := p.labels()
-		cfg.Obs.GaugeFunc("autoscale.tasks", l, func() float64 {
-			return float64(p.Tasks())
-		})
-		cfg.Obs.GaugeFunc("autoscale.utilization", l, func() float64 {
-			return p.Utilization()
-		})
-	}
+	reg := obs.OrNew(cfg.Obs)
+	p := &Pool{cfg: cfg, tasks: cfg.MinTasks, lastResize: now, lastUpdate: now,
+		resizes: reg.CounterVec("autoscale.resizes", "pool", "dir")}
+	reg.GaugeVec("autoscale.tasks", "pool").With(cfg.Name).SetFunc(func() float64 {
+		return float64(p.Tasks())
+	})
+	reg.GaugeVec("autoscale.utilization", "pool").With(cfg.Name).SetFunc(p.Utilization)
 	return p
-}
-
-// labels returns the pool's metric labels ({pool=Name}, or none).
-func (p *Pool) labels() obs.Labels {
-	if p.cfg.Name == "" {
-		return nil
-	}
-	return obs.Labels{"pool": p.cfg.Name}
 }
 
 // rateHalfLife is the decay half-life of the load estimate.
@@ -178,19 +169,13 @@ func (p *Pool) maybeResizeLocked(now time.Time) {
 			next = p.cfg.MinTasks
 		}
 	}
-	if p.cfg.Obs != nil {
-		dirLabel := "up"
-		if dir < 0 {
-			dirLabel = "down"
-		}
-		l := obs.Labels{"dir": dirLabel}
-		if p.cfg.Name != "" {
-			l["pool"] = p.cfg.Name
-		}
-		// Each resize happened only after the reaction delay elapsed, so
-		// this counter also counts reaction-delay expiry events.
-		p.cfg.Obs.Counter("autoscale.resizes", l).Inc()
+	dirLabel := "up"
+	if dir < 0 {
+		dirLabel = "down"
 	}
+	// Each resize happened only after the reaction delay elapsed, so
+	// this counter also counts reaction-delay expiry events.
+	p.resizes.With(p.cfg.Name, dirLabel).Inc()
 	p.tasks = next
 	p.lastResize = now
 	p.pendingDir = 0

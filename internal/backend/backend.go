@@ -135,8 +135,8 @@ type Config struct {
 	// MaxCommitWindow bounds how far past "now" a commit timestamp may
 	// be (the max commit timestamp M in §IV-D2 step 5). Default 1s.
 	MaxCommitWindow time.Duration
-	// Obs, when set, records query-planner metrics (plan choices,
-	// estimated vs actual entries scanned).
+	// Obs records query-planner metrics (plan choices, estimated vs
+	// actual entries scanned).
 	Obs *obs.Registry
 }
 
@@ -152,6 +152,9 @@ type Backend struct {
 	// advisor aggregates per-query-shape planner outcomes for the index
 	// suggestion report.
 	advisor advisor
+
+	plans                     *obs.CounterVec   // query.plans_total{db,choice}
+	planEstimated, planActual *obs.HistogramVec // {db}; entries, recorded as a Duration
 }
 
 // New creates a Backend.
@@ -162,7 +165,13 @@ func New(cfg Config) *Backend {
 	if cfg.MaxCommitWindow <= 0 {
 		cfg.MaxCommitWindow = time.Second
 	}
-	return &Backend{cfg: cfg, cat: cfg.Catalog, cache: cfg.Cache}
+	reg := obs.OrNew(cfg.Obs)
+	return &Backend{
+		cfg: cfg, cat: cfg.Catalog, cache: cfg.Cache,
+		plans:         reg.CounterVec("query.plans_total", "db", "choice"),
+		planEstimated: reg.HistogramVec("query.plan_estimated_entries", "db"),
+		planActual:    reg.HistogramVec("query.plan_actual_entries", "db"),
+	}
 }
 
 // submit runs fn through the fair scheduler (if configured) under the

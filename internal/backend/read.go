@@ -9,7 +9,6 @@ import (
 	"firestore/internal/catalog"
 	"firestore/internal/doc"
 	"firestore/internal/encoding"
-	"firestore/internal/obs"
 	"firestore/internal/query"
 	"firestore/internal/rules"
 	"firestore/internal/spanner"
@@ -299,22 +298,17 @@ func drainPlan(ctx context.Context, st query.Storage, p *query.Plan) (scanned, r
 	}
 }
 
-// notePlan records a planning decision in the obs registry: which plan
-// family won and the estimated entries it will visit.
+// notePlan records a planning decision: which plan family won and the
+// estimated entries it will visit.
 func (b *Backend) notePlan(dbID string, p *query.Plan) {
-	if b.cfg.Obs == nil {
-		return
-	}
-	b.cfg.Obs.Counter("query.plans_total", obs.Labels{"db": dbID, "choice": p.Choice}).Inc()
-	b.cfg.Obs.Histogram("query.plan_estimated_entries", obs.DB(dbID)).Record(time.Duration(p.Cost))
+	b.plans.With(dbID, p.Choice).Inc()
+	b.planEstimated.With(dbID).Record(time.Duration(p.Cost))
 }
 
 // noteActual records a query execution's observed index work, feeding
 // both the estimated-vs-actual histograms and the index advisor.
 func (b *Backend) noteActual(dbID string, q *query.Query, p *query.Plan, scanned, results int) {
-	if b.cfg.Obs != nil {
-		b.cfg.Obs.Histogram("query.plan_actual_entries", obs.DB(dbID)).Record(time.Duration(scanned))
-	}
+	b.planActual.With(dbID).Record(time.Duration(scanned))
 	b.advisor.record(dbID, q, p, scanned, results)
 }
 

@@ -314,8 +314,7 @@ func OpenRegion(cfg Config) (*Region, error) {
 		Costs:     cfg.Costs,
 		Obs:       reg,
 	})
-	f := frontend.New(b, cache)
-	f.SetObs(reg)
+	f := frontend.New(b, cache, reg)
 	return &Region{
 		Config:    cfg,
 		Clock:     clock,

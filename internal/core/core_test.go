@@ -322,3 +322,7 @@ func TestRealTimeDeliveryThroughRebalance(t *testing.T) {
 		}
 	}
 }
+
+// RaceDetector lets the external test package skip allocation counts
+// under -race.
+const RaceDetector = raceDetector

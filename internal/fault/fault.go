@@ -199,7 +199,6 @@ type site struct {
 	enabled bool
 	hits    atomic.Int64
 	fired   atomic.Int64
-	counter atomic.Pointer[obs.Counter]
 }
 
 // Registry is a fault-injection plane. The zero value is not usable; use
@@ -213,7 +212,10 @@ type Registry struct {
 
 	mu    sync.Mutex
 	sites map[string]*site
-	reg   *obs.Registry
+
+	// injected is fault.injected_total{site}, in the registry SetObs
+	// named last (a private one until then).
+	injected atomic.Pointer[obs.CounterVec]
 
 	// sink, when set, is called with the site name on every injection
 	// (armed path only), so observability planes can place faults on a
@@ -230,6 +232,7 @@ type clockBox struct{ c truetime.Clock }
 func NewRegistry() *Registry {
 	r := &Registry{sites: map[string]*site{}}
 	r.clock.Store(clockBox{truetime.NewSystem(0)})
+	r.SetObs(obs.NewRegistry())
 	return r
 }
 
@@ -251,12 +254,7 @@ func (r *Registry) SetClock(c truetime.Clock) {
 // fault.injected_total{site=...} there (firestore_fault_injected_total
 // in the Prometheus rendering).
 func (r *Registry) SetObs(reg *obs.Registry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reg = reg
-	for name, s := range r.sites {
-		s.counter.Store(counterFor(reg, name))
-	}
+	r.injected.Store(reg.CounterVec("fault.injected_total", "site"))
 }
 
 // SetEventSink installs fn to be called with the site name each time a
@@ -269,13 +267,6 @@ func (r *Registry) SetEventSink(fn func(site string)) {
 		return
 	}
 	r.sink.Store(&fn)
-}
-
-func counterFor(reg *obs.Registry, siteName string) *obs.Counter {
-	if reg == nil {
-		return nil
-	}
-	return reg.Counter("fault.injected_total", obs.Labels{"site": siteName})
 }
 
 // Enable arms a site. Re-enabling an armed site replaces its spec and
@@ -304,7 +295,6 @@ func (r *Registry) Enable(spec Spec) error {
 		s = &site{}
 		r.sites[spec.Site] = s
 	}
-	s.counter.Store(counterFor(r.reg, spec.Site))
 	s.mu.Lock()
 	wasEnabled := s.enabled
 	s.spec = spec
@@ -373,9 +363,7 @@ func (r *Registry) eval(siteName string) (Spec, bool) {
 		s.fired.Add(-1)
 		return Spec{}, false
 	}
-	if c := s.counter.Load(); c != nil {
-		c.Inc()
-	}
+	r.injected.Load().With(siteName).Inc()
 	if f := r.sink.Load(); f != nil {
 		(*f)(siteName)
 	}

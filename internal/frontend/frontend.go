@@ -39,25 +39,28 @@ type Frontend struct {
 	backend *backend.Backend
 	cache   *rtcache.Cache
 	targets atomic.Int64
-	obs     *obs.Registry
 	active  atomic.Int64 // live real-time targets
+
+	// Per-database delivery counters, {db}.
+	listens, delivered, dropped, lateUpdates, requeries *obs.CounterVec
 
 	mu    sync.Mutex
 	conns map[*Conn]struct{}
 }
 
-// New creates a Frontend over a Backend and the Real-time Cache.
-func New(b *backend.Backend, cache *rtcache.Cache) *Frontend {
-	return &Frontend{backend: b, cache: cache, conns: map[*Conn]struct{}{}}
-}
-
-// SetObs attaches the metrics registry: connection/target gauges plus
-// per-database delivery, drop, and requery counters. Call before serving
-// traffic; the field is read without synchronization afterwards.
-func (f *Frontend) SetObs(reg *obs.Registry) {
-	f.obs = reg
-	if reg == nil {
-		return
+// New creates a Frontend over a Backend and the Real-time Cache,
+// declaring its instruments in reg (nil means a private registry):
+// connection/target gauges plus per-database delivery, drop, and requery
+// counters.
+func New(b *backend.Backend, cache *rtcache.Cache, reg *obs.Registry) *Frontend {
+	reg = obs.OrNew(reg)
+	f := &Frontend{
+		backend: b, cache: cache, conns: map[*Conn]struct{}{},
+		listens:     reg.CounterVec("frontend.listens", "db"),
+		delivered:   reg.CounterVec("frontend.events_delivered", "db"),
+		dropped:     reg.CounterVec("frontend.events_dropped", "db"),
+		lateUpdates: reg.CounterVec("frontend.late_updates", "db"),
+		requeries:   reg.CounterVec("frontend.requeries", "db"),
 	}
 	reg.GaugeFunc("frontend.connections", nil, func() float64 {
 		f.mu.Lock()
@@ -67,13 +70,7 @@ func (f *Frontend) SetObs(reg *obs.Registry) {
 	reg.GaugeFunc("frontend.targets", nil, func() float64 {
 		return float64(f.active.Load())
 	})
-}
-
-// count bumps a per-database frontend counter when metrics are attached.
-func (f *Frontend) count(name, db string) {
-	if f.obs != nil {
-		f.obs.Counter(name, obs.DB(db)).Inc()
-	}
+	return f
 }
 
 // ConnInfo is one connection's state in a ConnStats snapshot
@@ -269,7 +266,7 @@ func (c *Conn) Listen(ctx context.Context, q *query.Query) (_ int64, retErr erro
 	c.targets[targetID] = rq
 	c.f.active.Add(1)
 	c.mu.Unlock()
-	c.f.count("frontend.listens", c.dbID)
+	c.f.listens.With(c.dbID).Inc()
 
 	// Initial snapshot (step 3): the query's result, in the order the
 	// query returned it.
@@ -356,15 +353,15 @@ func (c *Conn) deliver(ev SnapshotEvent) bool {
 	// mid-stream; the caller's recovery is the same reset-and-requery
 	// path a full buffer takes.
 	if fault.Decide(c.ctx, fault.FrontendConnDeliver).Kind == fault.KindDrop {
-		c.f.count("frontend.events_dropped", c.dbID)
+		c.f.dropped.With(c.dbID).Inc()
 		return false
 	}
 	select {
 	case c.events <- ev:
-		c.f.count("frontend.events_delivered", c.dbID)
+		c.f.delivered.With(c.dbID).Inc()
 		return true
 	default:
-		c.f.count("frontend.events_dropped", c.dbID)
+		c.f.dropped.With(c.dbID).Inc()
 		return false
 	}
 }
@@ -523,7 +520,7 @@ func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (*SnapshotEve
 			// a watermark never overtakes an update it covers. Reaching it
 			// means that contract broke upstream; count it and recover by
 			// requery rather than dropping the document silently.
-			c.f.count("frontend.late_updates", c.dbID)
+			c.f.lateUpdates.With(c.dbID).Inc()
 			return nil, true
 		}
 		key := u.Name.String()
@@ -610,7 +607,7 @@ func (c *Conn) OnReset(rangeID int, subID int64) {
 // full is true the client's state is unknown (a snapshot was dropped) and
 // the requery re-emits a full Initial snapshot instead of a delta.
 func (c *Conn) scheduleRequery(rq *rtQuery, full bool) {
-	c.f.count("frontend.requeries", c.dbID)
+	c.f.requeries.With(c.dbID).Inc()
 	rq.resetting = true
 	rq.pending = nil
 	delete(c.queries, rq.subID)

@@ -63,9 +63,8 @@ func newEnvWithHeartbeat(t *testing.T, margin, heartbeat time.Duration) *env {
 	if _, err := cat.Create("app"); err != nil {
 		t.Fatal(err)
 	}
-	e := &env{f: New(b, cache), b: b, cache: cache, obs: obs.NewRegistry(), dbID: "app"}
-	e.f.SetObs(e.obs)
-	return e
+	reg := obs.NewRegistry()
+	return &env{f: New(b, cache, reg), b: b, cache: cache, obs: reg, dbID: "app"}
 }
 
 func (e *env) set(t *testing.T, name string, fields map[string]doc.Value) truetime.Timestamp {

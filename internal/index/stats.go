@@ -1,9 +1,6 @@
 package index
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // statsBuckets sizes the per-index prefix-selectivity sketch. Each
 // sketch is a counting array indexed by hash(prefix); 1024 buckets keeps
@@ -188,20 +185,4 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		snap.Collections[c] = n
 	}
 	return snap
-}
-
-// TrackedCollections lists collection paths with a positive document
-// count, sorted, for deterministic debug output.
-func (s *Stats) TrackedCollections() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.docs))
-	for c := range s.docs {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

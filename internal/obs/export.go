@@ -42,7 +42,7 @@ type Snapshot struct {
 }
 
 // view is a frozen copy of one family taken under the registry lock:
-// exporters iterate it (and invoke gauge funcs) lock-free while new
+// exporters iterate it (and read callback gauges) lock-free while new
 // instances keep registering concurrently.
 type view[T any] struct {
 	name    string
@@ -50,10 +50,10 @@ type view[T any] struct {
 	members map[string]member[T]
 }
 
-// freeze copies a family map into sorted views. Caller holds r.mu — the
-// instances themselves are safe to read unlocked, but the per-family
-// maps are not.
-func freeze[T any](fams map[string]*family[T]) []view[T] {
+// freeze copies every family of one kind into views sorted by name.
+// Caller holds r.mu — the instances themselves are safe to read
+// unlocked, but the per-family maps are not.
+func freeze[T any](fams map[string]*Vec[T]) []view[T] {
 	out := make([]view[T], 0, len(fams))
 	for _, f := range fams {
 		v := view[T]{name: f.name, keys: make([]string, 0, len(f.members)), members: maps.Clone(f.members)}
@@ -68,16 +68,16 @@ func freeze[T any](fams map[string]*family[T]) []view[T] {
 }
 
 // collect copies every family out under the lock so exporters iterate
-// (and call gauge funcs) without holding it.
-func (r *Registry) collect() (cs []view[*Counter], gs []view[*Gauge], gfs []view[func() float64], hs []view[*Histogram]) {
+// (and call gauge callbacks) without holding it.
+func (r *Registry) collect() (cs []view[Counter], gs []view[Gauge], hs []view[Histogram]) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return freeze(r.counters), freeze(r.gauges), freeze(r.gaugeFuncs), freeze(r.histograms)
+	return freeze(r.counters.load()), freeze(r.gauges.load()), freeze(r.histograms.load())
 }
 
 // Snapshot captures every metric's current value.
 func (r *Registry) Snapshot() Snapshot {
-	cs, gs, gfs, hs := r.collect()
+	cs, gs, hs := r.collect()
 	var s Snapshot
 	for _, f := range cs {
 		for _, k := range f.keys {
@@ -87,11 +87,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, f := range gs {
 		for _, k := range f.keys {
 			s.Gauges = append(s.Gauges, GaugeValue{Name: f.name, Labels: f.members[k].labels, Value: f.members[k].inst.Value()})
-		}
-	}
-	for _, f := range gfs {
-		for _, k := range f.keys {
-			s.Gauges = append(s.Gauges, GaugeValue{Name: f.name, Labels: f.members[k].labels, Value: f.members[k].inst()})
 		}
 	}
 	for _, f := range hs {
@@ -142,7 +137,7 @@ func withLabel(labelKey, k, v string) string {
 // format. Counters and gauges map directly; histograms are rendered as
 // summaries (quantile label, _sum in seconds, _count).
 func (r *Registry) WritePrometheus(w io.Writer) {
-	cs, gs, gfs, hs := r.collect()
+	cs, gs, hs := r.collect()
 	for _, f := range cs {
 		n := promName(f.name)
 		fmt.Fprintf(w, "# TYPE %s counter\n", n)
@@ -155,13 +150,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# TYPE %s gauge\n", n)
 		for _, k := range f.keys {
 			promLine(w, n, k, formatFloat(f.members[k].inst.Value()))
-		}
-	}
-	for _, f := range gfs {
-		n := promName(f.name)
-		fmt.Fprintf(w, "# TYPE %s gauge\n", n)
-		for _, k := range f.keys {
-			promLine(w, n, k, formatFloat(f.members[k].inst()))
 		}
 	}
 	for _, f := range hs {

@@ -208,3 +208,72 @@ func TestCardinalityCap(t *testing.T) {
 		t.Fatal("fresh family should not fold below the cap")
 	}
 }
+
+// TestVec: a Vec is the family's own index, not a second store — With
+// and Registry.Counter(name, labels) return one instance, an empty value
+// leaves its label off, a seen tuple allocates nothing, concurrent With
+// of new and seen tuples is safe (run under -race), and the cardinality
+// cap folds the 257th value into "other".
+func TestVec(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("reqs", "db", "code")
+	if again := r.CounterVec("reqs", "db", "code"); again != v {
+		t.Fatal("declaring a family twice must return one Vec")
+	}
+	c := v.With("app", "OK")
+	if c != r.Counter("reqs", Labels{"code": "OK", "db": "app"}) {
+		t.Fatal("With and Registry.Counter must resolve to the same instance")
+	}
+	if v.With("", "OK") != r.Counter("reqs", Labels{"code": "OK"}) {
+		t.Fatal(`an empty value must leave its label off, as DB("") does`)
+	}
+	h := r.HistogramVec("lat", "db")
+	h.With("app")
+	warm := func() {
+		v.With("app", "OK").Inc()
+		r.HistogramVec("lat", "db").With("app").Record(time.Microsecond)
+	}
+	if got := testing.AllocsPerRun(100, warm); got != 0 {
+		t.Fatalf("warm With = %v allocations, want 0", got)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				v.With(fmt.Sprintf("db%d", i%40), "OK").Inc()
+				r.CounterVec("reqs", "db", "code").With("app", "OK").Inc()
+				r.GaugeVec("depth", "db").With(fmt.Sprintf("db%d", g)).Set(float64(i))
+			}
+		}(g)
+	}
+	wg.Wait()
+	var total int64
+	dbs := map[string]bool{}
+	v.Each(func(values []string, c *Counter) {
+		total += c.Value()
+		dbs[values[0]] = true
+	})
+	if want := int64(101 + 2*8*200); total != want || len(dbs) != 42 {
+		t.Fatalf("Each saw total %d over %d dbs, want %d over 42 (db0..db39, app, none)", total, len(dbs), want)
+	}
+
+	for i := 0; i < MaxCardinality; i++ {
+		h.With(fmt.Sprintf("db%d", i))
+	}
+	if other := h.With("one-too-many"); other != h.With("and-another") || other != r.Histogram("lat", DB("other")) {
+		t.Fatal(`past MaxCardinality new values must share the "other" instance`)
+	}
+	if h.With("app") == h.With("one-too-many") {
+		t.Fatal("an instance minted before the cap must survive it")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("declaring a family with a second key list must panic")
+		}
+	}()
+	r.CounterVec("reqs", "db")
+}

@@ -2,8 +2,6 @@ package reqctx
 
 import (
 	"context"
-	"maps"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,32 +14,14 @@ import (
 // "backend.commit" labeled {db=..., code=...}, read back through the
 // registry's Snapshot — plus, when attached, a Tracer that assembles
 // spans into hierarchical traces and a structured trace sink. The
-// Recorder stores no latencies itself; it only caches the registry's
-// histogram handles so a span end is one lock-free Record. The zero
-// value is not usable; call NewRecorder.
+// Recorder stores no latencies and no handles: a span end resolves its
+// histogram through the registry's own lock-free family and Vec index
+// and is one Record. The zero value is not usable; call NewRecorder.
 type Recorder struct {
 	trace  atomic.Pointer[func(TraceEvent)]
 	tracer atomic.Pointer[Tracer]
-
-	// handles is a copy-on-write cache of registry handles: readers load
-	// the map without locking; mu serializes the rare insert and guards
-	// reg, so a handle is always minted from the registry it is cached
-	// for.
-	handles atomic.Pointer[map[handleKey]*obs.Histogram]
-	mu      sync.Mutex
-	reg     *obs.Registry
+	reg    atomic.Pointer[obs.Registry]
 }
-
-type handleKey struct {
-	span, db string
-	code     status.Code
-}
-
-// maxHandles bounds the handle cache. The registry already folds
-// runaway label sets into "other" (obs.MaxCardinality); past this many
-// distinct keys the recorder stops caching and asks the registry each
-// time rather than grow without bound.
-const maxHandles = 4096
 
 // NewRecorder returns a recorder feeding obs.Default.
 func NewRecorder() *Recorder {
@@ -95,42 +75,12 @@ func (r *Recorder) SetRegistry(reg *obs.Registry) {
 	if reg == nil {
 		reg = obs.Default
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reg = reg
-	r.handles.Store(&map[handleKey]*obs.Histogram{})
+	r.reg.Store(reg)
 }
 
 // SetTracer attaches a tracer: StartSpan then assembles spans into
 // per-request trace trees (nil disables tracing).
 func (r *Recorder) SetTracer(t *Tracer) { r.tracer.Store(t) }
-
-// histogram returns the registry handle for one (span, db, code). The
-// steady state is a map read: no lock, no Labels map, no registry
-// lookup.
-func (r *Recorder) histogram(name, db string, code status.Code) *obs.Histogram {
-	k := handleKey{name, db, code}
-	if h, ok := (*r.handles.Load())[k]; ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cached := *r.handles.Load()
-	if h, ok := cached[k]; ok {
-		return h
-	}
-	labels := obs.Labels{"code": code.String()}
-	if db != "" {
-		labels["db"] = db
-	}
-	h := r.reg.Histogram(name, labels)
-	if len(cached) < maxHandles {
-		next := maps.Clone(cached)
-		next[k] = h
-		r.handles.Store(&next)
-	}
-	return h
-}
 
 // StartSpan begins a span named like "backend.commit" and returns the
 // context plus an end function. Call end with the operation's error
@@ -163,7 +113,8 @@ func StartSpan(ctx context.Context, name string) (context.Context, func(error)) 
 		now := time.Now()
 		d := now.Sub(start)
 		code := status.CodeOf(err)
-		rec.histogram(name, meta.DB, code).Record(d)
+		//fslint:ignore obsdiscipline span names are constants where StartSpan is called; warm, the declaration is a lock-free read
+		rec.reg.Load().HistogramVec(name, "db", "code").With(meta.DB, code.String()).Record(d)
 		if tr != nil {
 			tr.endSpan(sp, code, now)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"firestore/internal/doc"
 	"firestore/internal/keyviz"
-	"firestore/internal/obs"
 	"firestore/internal/query"
 	"firestore/internal/truetime"
 )
@@ -47,8 +46,7 @@ type subscription struct {
 // queues at most one event per subscription however slow the subscriber.
 type nameRange struct {
 	id  int
-	obs *obs.Registry
-	oos *obs.Counter // rtcache.out_of_sync; nil without a registry
+	met *metrics
 	kv  *keyviz.Collector
 
 	mu sync.Mutex
@@ -155,12 +153,8 @@ type event struct {
 	u     Update
 }
 
-func newNameRange(id int, reg *obs.Registry, kv *keyviz.Collector) *nameRange {
-	r := &nameRange{id: id, obs: reg, kv: kv, subs: map[int64]*subscription{}, gen: 1}
-	if reg != nil {
-		r.oos = reg.Counter("rtcache.out_of_sync", nil)
-	}
-	return r
+func newNameRange(id int, met *metrics, kv *keyviz.Collector) *nameRange {
+	return &nameRange{id: id, met: met, kv: kv, subs: map[int64]*subscription{}, gen: 1}
 }
 
 // startDrainLocked claims the drainer role and takes the queued batch,
@@ -249,11 +243,9 @@ func (r *nameRange) resolve(w *write, muts []Mutation, ts truetime.Timestamp) {
 	batch := r.startDrainLocked()
 	r.mu.Unlock()
 	if muts != nil {
-		if r.obs != nil {
-			r.obs.Counter("rtcache.forwarded", obs.DB(w.db)).Add(int64(len(muts)))
-			if matched > 0 {
-				r.obs.Counter("rtcache.fanout", obs.DB(w.db)).Add(int64(matched))
-			}
+		r.met.forwarded.With(w.db).Add(int64(len(muts)))
+		if matched > 0 {
+			r.met.fanout.With(w.db).Add(int64(matched))
 		}
 		// Deliver heat: mutations resolved on this range, with fan-out
 		// cost as bytes-free op weight (matcher work scales with
@@ -388,9 +380,7 @@ func (r *nameRange) markOutOfSync() {
 
 func (r *nameRange) markOutOfSyncLocked() {
 	r.outOfSyncs++
-	if r.oos != nil {
-		r.oos.Inc()
-	}
+	r.met.outOfSync.Inc()
 	// Abandoned prepares may still commit at any timestamp up to their
 	// maxTS (the Accept is simply lost to this range). Raise the trim
 	// horizon past every such potential commit so no later subscription

@@ -107,9 +107,9 @@ type Config struct {
 	// slots spread over a new range (the Slicer behavior, §IV-D4).
 	// Zero disables automatic rebalancing.
 	AutoSplitSubs int
-	// Obs, when set, receives cache metrics: per-database fan-out
-	// counters, out-of-sync resets, a subscription gauge, and the
-	// watermark lag updated by the heartbeat loop.
+	// Obs receives cache metrics: per-database fan-out counters,
+	// out-of-sync resets, a subscription gauge, and the watermark lag
+	// updated by the heartbeat loop.
 	Obs *obs.Registry
 	// KeyViz, when set, receives per-range deliver heat and rebalance/
 	// crash events for the keyspace heatmap. A disarmed collector costs
@@ -122,7 +122,7 @@ type Cache struct {
 	clock         truetime.Clock
 	acceptMargin  time.Duration
 	autoSplitSubs int
-	obs           *obs.Registry
+	met           *metrics
 	kv            *keyviz.Collector
 	stop          chan struct{}
 	stopOnce      sync.Once
@@ -133,6 +133,14 @@ type Cache struct {
 	assign  []int32           // slot -> range ID
 	writes  map[string]*write // writeID -> prepared, not yet accepted
 	nextSub int64
+}
+
+// metrics are the instruments the cache declares when it starts; its
+// ranges share them.
+type metrics struct {
+	outOfSync         *obs.Counter
+	forwarded, fanout *obs.CounterVec // {db}
+	watermarkLag      *obs.Gauge
 }
 
 // New starts a cache.
@@ -149,30 +157,34 @@ func New(cfg Config) *Cache {
 	if cfg.AcceptMargin <= 0 {
 		cfg.AcceptMargin = 50 * time.Millisecond
 	}
+	reg := obs.OrNew(cfg.Obs)
 	c := &Cache{
 		clock:         cfg.Clock,
 		acceptMargin:  cfg.AcceptMargin,
 		autoSplitSubs: cfg.AutoSplitSubs,
-		obs:           cfg.Obs,
 		kv:            cfg.KeyViz,
 		stop:          make(chan struct{}),
 		writes:        map[string]*write{},
 		assign:        make([]int32, slots),
+		met: &metrics{
+			outOfSync:    reg.Counter("rtcache.out_of_sync", nil),
+			forwarded:    reg.CounterVec("rtcache.forwarded", "db"),
+			fanout:       reg.CounterVec("rtcache.fanout", "db"),
+			watermarkLag: reg.Gauge("rtcache.watermark_lag_seconds", nil),
+		},
 	}
 	for i := 0; i < cfg.Ranges; i++ {
-		c.ranges = append(c.ranges, newNameRange(i, c.obs, c.kv))
+		c.ranges = append(c.ranges, newNameRange(i, c.met, c.kv))
 	}
 	for slot := range c.assign {
 		c.assign[slot] = int32(slot * cfg.Ranges / slots)
 	}
-	if c.obs != nil {
-		c.obs.GaugeFunc("rtcache.subscriptions", nil, func() float64 {
-			return float64(c.Stats().Subscriptions)
-		})
-		c.obs.GaugeFunc("rtcache.ranges", nil, func() float64 {
-			return float64(c.RangeCount())
-		})
-	}
+	reg.GaugeFunc("rtcache.subscriptions", nil, func() float64 {
+		return float64(c.Stats().Subscriptions)
+	})
+	reg.GaugeFunc("rtcache.ranges", nil, func() float64 {
+		return float64(c.RangeCount())
+	})
 	c.wg.Add(1)
 	go c.heartbeatLoop(cfg.HeartbeatEvery)
 	return c
@@ -264,7 +276,7 @@ func (c *Cache) splitHotRange(threshold int) bool {
 		c.mu.Unlock()
 		return false
 	}
-	fresh := newNameRange(len(c.ranges), c.obs, c.kv)
+	fresh := newNameRange(len(c.ranges), c.met, c.kv)
 	c.ranges = append(c.ranges, fresh)
 	owned := slotsOf[hot.id]
 	for _, slot := range owned[:len(owned)/2] {
@@ -450,23 +462,21 @@ func (c *Cache) heartbeatLoop(every time.Duration) {
 		for _, r := range ranges {
 			r.heartbeat(now, wall)
 		}
-		if c.obs != nil {
-			// Watermark lag: how far the slowest range trails TrueTime
-			// now — the staleness bound listeners observe.
-			var maxLag time.Duration
-			for _, r := range ranges {
-				r.mu.Lock()
-				wm := r.watermark
-				r.mu.Unlock()
-				if wm == 0 {
-					continue // never advanced: no listeners observed it yet
-				}
-				if lag := now.Sub(wm); lag > maxLag {
-					maxLag = lag
-				}
+		// Watermark lag: how far the slowest range trails TrueTime now —
+		// the staleness bound listeners observe.
+		var maxLag time.Duration
+		for _, r := range ranges {
+			r.mu.Lock()
+			wm := r.watermark
+			r.mu.Unlock()
+			if wm == 0 {
+				continue // never advanced: no listeners observed it yet
 			}
-			c.obs.Gauge("rtcache.watermark_lag_seconds", nil).Set(maxLag.Seconds())
+			if lag := now.Sub(wm); lag > maxLag {
+				maxLag = lag
+			}
 		}
+		c.met.watermarkLag.Set(maxLag.Seconds())
 		if c.autoSplitSubs > 0 {
 			c.splitHotRange(c.autoSplitSubs)
 		}

@@ -94,9 +94,9 @@ type Config struct {
 	LockTimeout time.Duration
 	// Seed seeds the latency sampler's jitter.
 	Seed int64
-	// Obs, when set, receives engine metrics: per-database lock-wait and
-	// commit-wait histograms, commit/abort/2PC counters, split/merge
-	// events, and a tablet-count gauge.
+	// Obs receives engine metrics: per-database lock-wait and commit-wait
+	// histograms, commit/abort/2PC counters, split/merge events, and a
+	// tablet-count gauge.
 	Obs *obs.Registry
 	// Storage creates and recovers tablet row engines. Nil means the
 	// in-memory engine (storage.MemFactory): fastest, volatile, the
@@ -135,7 +135,7 @@ type DB struct {
 	commitBytesDelay func(int) time.Duration
 	commitRowDelay   func(int) time.Duration
 	lockTimeout      time.Duration
-	obs              *obs.Registry
+	met              metrics
 	kv               *keyviz.Collector
 
 	locks *lockTable
@@ -158,10 +158,38 @@ type DB struct {
 	queueMu sync.Mutex
 	queues  map[string]chan Message
 
-	stats Stats
-	// reads and scans are Stats' Reads and Scans, counted outside mu: a
-	// read takes mu shared to find its tablet and never exclusively.
-	reads, scans atomic.Int64
+	// stats are this pool database's own tallies behind Stats — finer
+	// than any exported label, since the pool shares the region's
+	// registry — kept as atomics so that no operation takes mu to say it
+	// happened.
+	stats struct {
+		commits, aborts, splits, merges, reads, scans atomic.Int64
+		lockTimeout, recoveries, rollForwards         atomic.Int64
+	}
+}
+
+// metrics are the instruments a DB declares when it opens. Every family
+// is {db}: the request's database, or no label for internal work.
+type metrics struct {
+	commits, twoPCCommits, twoPCParticipants, lockTimeout *obs.CounterVec
+	aborts, rollForwards, splits, merges, recoveries      *obs.CounterVec
+	lockWait, commitWait                                  *obs.HistogramVec
+}
+
+func newMetrics(reg *obs.Registry) metrics {
+	return metrics{
+		commits:           reg.CounterVec("spanner.commits", "db"),
+		twoPCCommits:      reg.CounterVec("spanner.2pc_commits", "db"),
+		twoPCParticipants: reg.CounterVec("spanner.2pc_participants", "db"),
+		lockTimeout:       reg.CounterVec("spanner.lock_timeout", "db"),
+		aborts:            reg.CounterVec("spanner.aborts", "db"),
+		rollForwards:      reg.CounterVec("spanner.roll_forwards", "db"),
+		splits:            reg.CounterVec("spanner.splits", "db"),
+		merges:            reg.CounterVec("spanner.merges", "db"),
+		recoveries:        reg.CounterVec("spanner.tablet_recoveries", "db"),
+		lockWait:          reg.HistogramVec("spanner.lock_wait", "db"),
+		commitWait:        reg.HistogramVec("spanner.commit_wait", "db"),
+	}
 }
 
 // Stats carries engine counters, retrieved with DB.Stats.
@@ -213,13 +241,14 @@ func Open(cfg Config) (*DB, error) {
 	if fac == nil {
 		fac = storage.MemFactory{}
 	}
+	reg := obs.OrNew(cfg.Obs)
 	db := &DB{
 		clock:            clock,
 		commitDelay:      cfg.CommitLatency,
 		commitBytesDelay: cfg.CommitBytesLatency,
 		commitRowDelay:   cfg.CommitRowLatency,
 		lockTimeout:      lt,
-		obs:              cfg.Obs,
+		met:              newMetrics(reg),
 		kv:               cfg.KeyViz,
 		locks:            newLockTable(clock),
 		storage:          fac,
@@ -230,11 +259,9 @@ func Open(cfg Config) (*DB, error) {
 	if err := db.openTablets(); err != nil {
 		return nil, err
 	}
-	if db.obs != nil {
-		db.obs.GaugeFunc("spanner.tablets", nil, func() float64 {
-			return float64(db.TabletCount())
-		})
-	}
+	reg.GaugeFunc("spanner.tablets", nil, func() float64 {
+		return float64(db.TabletCount())
+	})
 	return db, nil
 }
 
@@ -332,23 +359,6 @@ func (db *DB) Close() error {
 
 func (db *DB) isClosed() bool { return db.closed.Load() }
 
-// dbLabel builds the {db=...} label set; empty dbID (internal work, no
-// request context) means no label.
-func dbLabel(dbID string) obs.Labels {
-	if dbID == "" {
-		return nil
-	}
-	return obs.DB(dbID)
-}
-
-// count bumps a labeled engine counter when a registry is configured.
-func (db *DB) count(name, dbID string) {
-	if db.obs == nil {
-		return
-	}
-	db.obs.Counter(name, dbLabel(dbID)).Inc()
-}
-
 // Clock returns the database's TrueTime clock.
 func (db *DB) Clock() truetime.Clock { return db.clock }
 
@@ -361,11 +371,14 @@ func (db *DB) StrongReadTimestamp() truetime.Timestamp {
 
 // Stats returns a copy of the engine counters.
 func (db *DB) Stats() Stats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	st := db.stats
-	st.Reads, st.Scans = db.reads.Load(), db.scans.Load()
-	return st
+	s := &db.stats
+	return Stats{
+		Commits: s.commits.Load(), Aborts: s.aborts.Load(),
+		Splits: s.splits.Load(), Merges: s.merges.Load(),
+		Reads: s.reads.Load(), Scans: s.scans.Load(),
+		LockTimeout: s.lockTimeout.Load(), Recoveries: s.recoveries.Load(),
+		RollForwards: s.rollForwards.Load(),
+	}
 }
 
 // TabletCount returns the current number of tablets.
@@ -525,7 +538,7 @@ func (db *DB) SnapshotGet(ctx context.Context, key []byte, ts truetime.Timestamp
 			// read; re-resolve the owner.
 			continue
 		}
-		db.reads.Add(1)
+		db.stats.reads.Add(1)
 		return v, vts, ok, nil
 	}
 }
@@ -586,7 +599,7 @@ func (db *DB) readOwnedBatch(ctx context.Context, keys [][]byte, ts truetime.Tim
 			}
 		}
 	}
-	db.reads.Add(int64(len(keys)))
+	db.stats.reads.Add(int64(len(keys)))
 	return out, nil
 }
 
@@ -602,7 +615,7 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 		db.sampleFault(begin)
 		return err
 	}
-	db.scans.Add(1)
+	db.stats.scans.Add(1)
 	lo, hi := begin, end
 	for {
 		tablets := db.tabletsInRange(lo, hi)

@@ -138,9 +138,6 @@ func TestTxnDoneErrors(t *testing.T) {
 	if _, _, err := txn.Get(context.Background(), []byte("k"), false); !errors.Is(err, ErrTxnDone) {
 		t.Errorf("Get after done = %v", err)
 	}
-	if err := txn.Scan(context.Background(), nil, nil, func(ScanRow) bool { return true }); !errors.Is(err, ErrTxnDone) {
-		t.Errorf("Scan after done = %v", err)
-	}
 }
 
 func TestWriteWriteConflictTimesOut(t *testing.T) {
@@ -229,28 +226,6 @@ func TestScanOrderAndRange(t *testing.T) {
 	if err != nil || len(keys) != 10 || keys[0] != "k19" || keys[9] != "k10" {
 		t.Fatalf("reverse scan = %v, %v", keys, err)
 	}
-}
-
-func TestTxnScanSeesBufferedWrites(t *testing.T) {
-	db := testDB(t)
-	put(t, db, "a", "1")
-	put(t, db, "c", "3")
-	txn := db.Begin()
-	txn.Put([]byte("b"), []byte("2"))
-	txn.Delete([]byte("c"))
-	txn.Put([]byte("a"), []byte("1x"))
-	var got []string
-	if err := txn.Scan(context.Background(), nil, nil, func(r ScanRow) bool {
-		got = append(got, string(r.Key)+"="+string(r.Value))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a=1x", "b=2"}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Scan = %v, want %v", got, want)
-	}
-	txn.Abort()
 }
 
 func TestSnapshotIsolationUnderConcurrentWrites(t *testing.T) {

@@ -116,16 +116,6 @@ func (t *tablet) recordOp(n int64, op keyviz.Op) {
 	t.db.kv.SampleAt(now, keyviz.SrcTablet, t.id, op, n, 0, 0)
 }
 
-func (t *tablet) currentLoad() int64 {
-	now := t.clock.Now().Latest
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if now.Sub(t.windowStart) > loadWindow {
-		return 0
-	}
-	return t.load
-}
-
 // prepare registers txn's commit-timestamp lower bound for safe-time
 // tracking.
 func (t *tablet) prepare(txn *Txn, bound truetime.Timestamp) {
@@ -410,13 +400,8 @@ func clampRange(begin, end, start, end2 []byte) (lo, hi []byte) {
 func (db *DB) recoverTablet(t *tablet, failed storage.Engine) bool {
 	ok, recovered := t.swapRecoveredEngine(db.storage, failed)
 	if recovered {
-		// Stats are bumped strictly after t.mu is released: maybeSplit
-		// and mergeColdLocked take t.mu while holding db.mu, so taking
-		// db.mu under t.mu here would be an AB-BA deadlock.
-		db.mu.Lock()
-		db.stats.Recoveries++
-		db.mu.Unlock()
-		db.count("spanner.tablet_recoveries", "")
+		db.stats.recoveries.Add(1)
+		db.met.recoveries.With("").Inc()
 	}
 	return ok
 }
@@ -496,8 +481,8 @@ func (db *DB) maybeSplit() {
 		db.tablets = append(db.tablets, nil)
 		copy(db.tablets[i+2:], db.tablets[i+1:])
 		db.tablets[i+1] = right
-		db.stats.Splits++
-		db.count("spanner.splits", "")
+		db.stats.splits.Add(1)
+		db.met.splits.With("").Inc()
 		// Annotate the decision with the triggering hot cell: the source
 		// tablet and the load that crossed the threshold, plus the
 		// per-child load after halving.
@@ -571,8 +556,8 @@ func (db *DB) mergeColdLocked() {
 			continue
 		}
 		db.tablets = append(db.tablets[:i+1], db.tablets[i+2:]...)
-		db.stats.Merges++
-		db.count("spanner.merges", "")
+		db.stats.merges.Add(1)
+		db.met.merges.With("").Inc()
 		// Both tablets were cold (load 0) by definition; annotate the
 		// merge with the surviving row count for the timeline.
 		db.kv.Record(keyviz.EvMerge, keyviz.Event{

@@ -50,20 +50,16 @@ func (db *DB) Begin() *Txn {
 	return &Txn{db: db, held: map[string]lockMode{}}
 }
 
-// indexed returns latest, building it if writes were buffered without it.
-func (t *Txn) indexed() map[string]int {
+// buffered returns the transaction's latest write to key, if any,
+// building latest if writes were buffered without it.
+func (t *Txn) buffered(key []byte) (storage.Write, bool) {
 	if t.latest == nil && len(t.writes) > 0 {
 		t.latest = make(map[string]int, len(t.writes))
 		for i, w := range t.writes {
 			t.latest[string(w.Key)] = i
 		}
 	}
-	return t.latest
-}
-
-// buffered returns the transaction's latest write to key, if any.
-func (t *Txn) buffered(key []byte) (storage.Write, bool) {
-	if i, ok := t.indexed()[string(key)]; ok {
+	if i, ok := t.latest[string(key)]; ok {
 		return t.writes[i], true
 	}
 	return storage.Write{}, false
@@ -91,23 +87,17 @@ func (t *Txn) lock(ctx context.Context, key []byte, mode lockMode) error {
 	k := string(key) // the row key's one copy: held and the lock table share it
 	start := t.db.clock.Now().Latest
 	if err := t.db.locks.acquire(ctx, t, k, mode, t.db.lockTimeout); err != nil {
-		t.db.mu.Lock()
-		t.db.stats.LockTimeout++
-		t.db.mu.Unlock()
-		t.db.count("spanner.lock_timeout", reqctx.From(ctx).DB)
+		t.db.stats.lockTimeout.Add(1)
+		t.db.met.lockTimeout.With(reqctx.From(ctx).DB).Inc()
 		return err
 	}
-	if t.db.obs != nil || t.db.kv.Armed() {
-		wait := t.db.clock.Now().Latest.Sub(start)
-		if t.db.obs != nil {
-			t.db.obs.Histogram("spanner.lock_wait", dbLabel(reqctx.From(ctx).DB)).Record(wait)
-		}
-		// Lock-wait heat lands on the tablet owning the contended key —
-		// the per-range contention signal a heatmap is for.
-		if t.db.kv.Armed() {
-			if tab := t.db.tabletFor(key); tab != nil {
-				t.db.kv.Sample(keyviz.SrcTablet, tab.id, keyviz.OpLockWait, 1, 0, wait)
-			}
+	wait := t.db.clock.Now().Latest.Sub(start)
+	t.db.met.lockWait.With(reqctx.From(ctx).DB).Record(wait)
+	// Lock-wait heat lands on the tablet owning the contended key — the
+	// per-range contention signal a heatmap is for.
+	if t.db.kv.Armed() {
+		if tab := t.db.tabletFor(key); tab != nil {
+			t.db.kv.Sample(keyviz.SrcTablet, tab.id, keyviz.OpLockWait, 1, 0, wait)
 		}
 	}
 	t.held[k] = mode
@@ -153,7 +143,7 @@ func (t *Txn) GetVersioned(ctx context.Context, key []byte, forUpdate bool) ([]b
 	if err != nil {
 		return nil, 0, false, err
 	}
-	t.db.reads.Add(1)
+	t.db.stats.reads.Add(1)
 	return v, vts, ok, nil
 }
 
@@ -203,94 +193,6 @@ func (t *Txn) PrefetchForUpdate(ctx context.Context, keys [][]byte) error {
 	return nil
 }
 
-// Scan reads [begin, end) in order with shared locks on each returned
-// row, merging in the transaction's buffered writes. fn returning false
-// stops the scan.
-func (t *Txn) Scan(ctx context.Context, begin, end []byte, fn func(ScanRow) bool) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	// Collect the committed key set, then overlay buffered writes. The
-	// set is read at one fixed timestamp: engines stream a range chunk
-	// by chunk, and a read at truetime.Max would be a different instant
-	// per chunk. A split or merge racing the collection invalidates a
-	// tablet's contribution; restart the whole collection (values are
-	// re-read under locks below: only the key set must be complete).
-	ts := t.db.StrongReadTimestamp()
-	var rows []ScanRow
-	for {
-		rows = rows[:0]
-		ok := true
-		for _, tab := range t.db.tabletsInRange(begin, end) {
-			if err := tab.waitSafe(ctx, nil, ts); err != nil {
-				return err
-			}
-			tab.recordOp(1, keyviz.OpScan)
-			_, valid, _, err := tab.scanAt(ctx, begin, end, ts, false, func(r ScanRow) bool {
-				rows = append(rows, r)
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			if !valid {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			break
-		}
-	}
-	t.db.scans.Add(1)
-	rows = t.overlay(rows, begin, end)
-	for _, r := range rows {
-		if err := t.lock(ctx, r.Key, lockShared); err != nil {
-			return err
-		}
-		// Re-read under the lock: the row may have changed between the
-		// unlocked scan and lock acquisition.
-		if w, ok := t.buffered(r.Key); ok {
-			if w.Delete {
-				continue
-			}
-			r.Value = w.Value
-		} else if v, _, ok, err := t.db.readOwned(ctx, r.Key, truetime.Max); err != nil {
-			return err
-		} else if ok {
-			r.Value = v
-		} else {
-			continue // deleted concurrently before we locked it
-		}
-		if !fn(r) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// overlay merges buffered writes within [begin, end) into rows, keeping
-// ascending key order.
-func (t *Txn) overlay(rows []ScanRow, begin, end []byte) []ScanRow {
-	if len(t.writes) == 0 {
-		return rows
-	}
-	out := rows[:0]
-	for _, r := range rows {
-		if _, ok := t.buffered(r.Key); !ok {
-			out = append(out, r)
-		}
-	}
-	for _, i := range t.indexed() {
-		w := t.writes[i]
-		if !w.Delete && (begin == nil || bytes.Compare(w.Key, begin) >= 0) && (end == nil || bytes.Compare(w.Key, end) < 0) {
-			out = append(out, ScanRow{Key: w.Key, Value: w.Value})
-		}
-	}
-	slices.SortFunc(out, func(a, b ScanRow) int { return bytes.Compare(a.Key, b.Key) })
-	return out
-}
-
 // Put buffers an insert-or-update of key. The transaction takes
 // ownership of both slices: they reach the storage engine as they are
 // and the engine retains them, so the caller must not modify either
@@ -317,10 +219,8 @@ func (t *Txn) Abort() {
 		return
 	}
 	t.finish()
-	t.db.mu.Lock()
-	t.db.stats.Aborts++
-	t.db.mu.Unlock()
-	t.db.count("spanner.aborts", "")
+	t.db.stats.aborts.Add(1)
+	t.db.met.aborts.With("").Inc()
 }
 
 func (t *Txn) finish() {
@@ -354,10 +254,8 @@ type participant struct {
 func (t *Txn) rollForwardAsync(participants []participant, from int, ts truetime.Timestamp) {
 	t.done = true // the txn handle is spent; a later Abort is a no-op
 	db := t.db
-	db.mu.Lock()
-	db.stats.RollForwards++
-	db.mu.Unlock()
-	db.count("spanner.roll_forwards", "")
+	db.stats.rollForwards.Add(1)
+	db.met.rollForwards.With("").Inc()
 	go func() {
 		for _, p := range participants[from:] {
 			// The client's ctx may be cancelled, but the roll-forward
@@ -403,10 +301,8 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 	// them no commit timestamp.
 	if len(t.writes) == 0 {
 		t.finish()
-		t.db.mu.Lock()
-		t.db.stats.Commits++
-		t.db.mu.Unlock()
-		t.db.count("spanner.commits", dbID)
+		t.db.stats.commits.Add(1)
+		t.db.met.commits.With(dbID).Inc()
 		return t.db.clock.Now().Latest, nil
 	}
 
@@ -557,10 +453,8 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 	reqctx.Annotate(ctx, "participants", strconv.Itoa(len(participants)))
 	cwStart := t.db.clock.Now().Latest
 	t.db.clock.CommitWait(ts)
-	if t.db.obs != nil {
-		t.db.obs.Histogram("spanner.commit_wait", dbLabel(dbID)).Record(t.db.clock.Now().Latest.Sub(cwStart))
-		t.db.obs.Counter("spanner.2pc_participants", dbLabel(dbID)).Add(int64(len(participants)))
-	}
+	t.db.met.commitWait.With(dbID).Record(t.db.clock.Now().Latest.Sub(cwStart))
+	t.db.met.twoPCParticipants.With(dbID).Add(int64(len(participants)))
 	// Per-participant commit bytes and end-to-end commit latency; ops
 	// were already counted by recordOp at apply time, so n is zero.
 	if t.db.kv.Armed() {
@@ -578,12 +472,10 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 	}
 	t.finish()
 
-	t.db.mu.Lock()
-	t.db.stats.Commits++
-	t.db.mu.Unlock()
-	t.db.count("spanner.commits", dbID)
+	t.db.stats.commits.Add(1)
+	t.db.met.commits.With(dbID).Inc()
 	if len(participants) > 1 {
-		t.db.count("spanner.2pc_commits", dbID)
+		t.db.met.twoPCCommits.With(dbID).Inc()
 	}
 	t.db.deliver(ctx, t.msgs, ts)
 	t.db.maybeSplit()

@@ -10,8 +10,8 @@ import (
 
 // TestTxnWriteBuffer: the write buffer is a slice resolved at commit, so
 // the last write to a key must win wherever a map used to make it so —
-// in the transaction's own reads between the writes, in its Scan
-// overlay, and in what Commit applies. "k" starts committed as "0".
+// in the transaction's own reads between the writes and in what Commit
+// applies. "k" starts committed as "0".
 func TestTxnWriteBuffer(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -48,20 +48,6 @@ func TestTxnWriteBuffer(t *testing.T) {
 					}
 				}
 				txn.Put([]byte("m"), []byte("last"))
-				var rows []string
-				if err := txn.Scan(ctx, []byte("b"), nil, func(r ScanRow) bool {
-					rows = append(rows, string(r.Key)+"="+string(r.Value))
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-				wantRows := "m=last z=kept" // "a" is below the range
-				if c.want != "" {
-					wantRows = "k=" + c.want + " " + wantRows
-				}
-				if got := strings.Join(rows, " "); got != wantRows {
-					t.Fatalf("Scan overlay = %q, want %q", got, wantRows)
-				}
 				ts := mustCommit(t, txn)
 				got, _, found, err := db.SnapshotGet(ctx, []byte("k"), ts)
 				if err != nil || found != (c.want != "") || string(got) != c.want {
@@ -75,27 +61,6 @@ func TestTxnWriteBuffer(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestTxnScanOverlayOnEmptyRange: buffered writes show up in a Scan of a
-// range that holds no committed row at all.
-func TestTxnScanOverlayOnEmptyRange(t *testing.T) {
-	db := testDB(t)
-	txn := db.Begin()
-	txn.Put([]byte("b"), []byte("2"))
-	txn.Put([]byte("a"), []byte("1"))
-	txn.Delete([]byte("c"))
-	var rows []string
-	if err := txn.Scan(context.Background(), nil, nil, func(r ScanRow) bool {
-		rows = append(rows, string(r.Key)+"="+string(r.Value))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(rows, " "); got != "a=1 b=2" {
-		t.Fatalf("Scan = %q, want %q", got, "a=1 b=2")
-	}
-	txn.Abort()
 }
 
 // TestTxnCommitAllocs holds the allocation count of committing a

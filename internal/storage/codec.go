@@ -43,9 +43,13 @@ func appendFrame(buf, payload []byte) []byte {
 // the replay must stop and truncate here (prefix-consistent recovery).
 var errTornFrame = fmt.Errorf("storage: torn or corrupt frame")
 
-// readFrame reads one framed payload from r. io.EOF means a clean end;
-// errTornFrame means a partial or corrupt tail.
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame reads one framed payload from r, of which remain bytes are
+// left. io.EOF means a clean end: of the file, or of its records at a
+// zero length (the reservation; no record is empty). errTornFrame means
+// a partial or corrupt tail. A length prefix is believed only up to the
+// bytes that remain, so a torn tail costs its own size, not the 64 MiB
+// its prefix may claim.
+func readFrame(r io.Reader, remain int64) ([]byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -54,7 +58,10 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, errTornFrame
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxFrameSize {
+	if n == 0 {
+		return nil, io.EOF
+	}
+	if n > maxFrameSize || int64(n) > remain-frameHeaderSize {
 		return nil, errTornFrame
 	}
 	payload := make([]byte, n)

@@ -55,15 +55,15 @@ type Options struct {
 	// segments of one size class merge once there are this many
 	// (DefaultCompactAt if zero; negative disables; at least 2).
 	CompactAt int
-	// Obs, when set, registers storage counters and gauges.
+	// Obs is where the factory declares its counters and gauges.
 	Obs *obs.Registry
 	// KeyViz, when set, records flush and compaction events on the
 	// keyspace heatmap timeline, keyed by tablet ID.
 	KeyViz *keyviz.Collector
 }
 
-// factoryMetrics are the obs instruments shared by a factory's engines
-// (nil pointers when no registry is configured).
+// factoryMetrics are the obs instruments a factory declares and its
+// engines share.
 type factoryMetrics struct {
 	walAppends  *obs.Counter
 	walBytes    *obs.Counter
@@ -79,18 +79,12 @@ type factoryMetrics struct {
 	filterSkips  *obs.Counter
 }
 
-func (m *factoryMetrics) add(c *obs.Counter, n int64) {
-	if m != nil && c != nil {
-		c.Add(n)
-	}
-}
-
 // DiskFactory creates and recovers durable engines under one root
 // directory, one subdirectory (t-<id>) per tablet.
 type DiskFactory struct {
 	dir  string
 	opts Options
-	met  *factoryMetrics
+	met  factoryMetrics
 
 	mu   sync.Mutex
 	open map[uint64]*Disk
@@ -108,31 +102,29 @@ func NewDiskFactory(dir string, opts Options) (*DiskFactory, error) {
 	if opts.CompactAt == 0 {
 		opts.CompactAt = DefaultCompactAt
 	}
-	f := &DiskFactory{dir: dir, opts: opts, open: map[uint64]*Disk{}}
-	if reg := opts.Obs; reg != nil {
-		f.met = &factoryMetrics{
-			walAppends:  reg.Counter(metricWALAppends, nil),
-			walBytes:    reg.Counter(metricWALBytes, nil),
-			fsyncs:      reg.Counter(metricFsyncs, nil),
-			flushes:     reg.Counter(metricFlushes, nil),
-			compactions: reg.Counter(metricCompactions, nil),
-			recoveries:  reg.Counter(metricRecoveries, nil),
+	reg := obs.OrNew(opts.Obs)
+	f := &DiskFactory{dir: dir, opts: opts, open: map[uint64]*Disk{}, met: factoryMetrics{
+		walAppends:  reg.Counter(metricWALAppends, nil),
+		walBytes:    reg.Counter(metricWALBytes, nil),
+		fsyncs:      reg.Counter(metricFsyncs, nil),
+		flushes:     reg.Counter(metricFlushes, nil),
+		compactions: reg.Counter(metricCompactions, nil),
+		recoveries:  reg.Counter(metricRecoveries, nil),
 
-			mergeRead:    reg.Counter(metricMergeRead, nil),
-			mergeWritten: reg.Counter(metricMergeWritten, nil),
-			filterSkips:  reg.Counter(metricFilterSkips, nil),
-		}
-		reg.GaugeFunc(metricMemtableBytes, nil, func() float64 {
-			return f.sumEngines(func(e *Disk) int64 { return e.Stats().MemtableBytes })
-		})
-		reg.GaugeFunc(metricSegments, nil, func() float64 {
-			return f.sumEngines(func(e *Disk) int64 { return int64(e.Stats().Segments) })
-		})
-		reg.GaugeFunc(metricSegmentBytes, nil, func() float64 {
-			return f.sumEngines(func(e *Disk) int64 { return e.Stats().SegmentBytes })
-		})
-		reg.GaugeFunc(metricMergeDebt, nil, func() float64 { return f.sumEngines((*Disk).compactionDebt) })
-	}
+		mergeRead:    reg.Counter(metricMergeRead, nil),
+		mergeWritten: reg.Counter(metricMergeWritten, nil),
+		filterSkips:  reg.Counter(metricFilterSkips, nil),
+	}}
+	reg.GaugeFunc(metricMemtableBytes, nil, func() float64 {
+		return f.sumEngines(func(e *Disk) int64 { return e.Stats().MemtableBytes })
+	})
+	reg.GaugeFunc(metricSegments, nil, func() float64 {
+		return f.sumEngines(func(e *Disk) int64 { return int64(e.Stats().Segments) })
+	})
+	reg.GaugeFunc(metricSegmentBytes, nil, func() float64 {
+		return f.sumEngines(func(e *Disk) int64 { return e.Stats().SegmentBytes })
+	})
+	reg.GaugeFunc(metricMergeDebt, nil, func() float64 { return f.sumEngines((*Disk).compactionDebt) })
 	return f, nil
 }
 
@@ -253,7 +245,8 @@ type Disk struct {
 	walMu       sync.Mutex
 	walF        *os.File
 	walSeq      int
-	walSize     int64
+	walSize     int64 // end of the last record
+	walReserved int64 // end of the file: zeros from walSize on (wal.go)
 	walIdx      int64
 	outstanding atomic.Int64
 
@@ -373,40 +366,32 @@ func (e *Disk) recover(man manifestData) error {
 		}
 		return nil
 	}
-	lastSeq := man.WALSeq
+	lastSeq, size := man.WALSeq, int64(0)
 	for i, seq := range seqs {
-		lastSeq = seq
 		path := filepath.Join(e.dir, walFileName(seq))
 		goodOff, torn, err := replayWAL(path, apply)
 		if err != nil {
 			return err
 		}
-		if torn {
-			// Only the newest generation can legally tear (older ones
-			// were complete before rotation); truncating restores the
-			// longest intact prefix either way.
-			if err := os.Truncate(path, goodOff); err != nil {
-				return err
-			}
-			if i != len(seqs)-1 {
-				return fmt.Errorf("storage: torn WAL %s is not the newest generation", path)
-			}
+		lastSeq, size = seq, goodOff
+		// What follows the last intact record goes: reserved zeros, or a
+		// torn tail. Only the newest generation can legally tear (older
+		// ones were complete before rotation).
+		if err := os.Truncate(path, goodOff); err != nil {
+			return err
+		}
+		if torn && i != len(seqs)-1 {
+			return fmt.Errorf("storage: torn WAL %s is not the newest generation", path)
 		}
 	}
-	// Continue appending to the newest generation.
+	// Continue appending to the newest generation, where its records end.
 	f, err := os.OpenFile(filepath.Join(e.dir, walFileName(lastSeq)), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
-	size, err := f.Seek(0, 2)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	e.walF, e.walSeq, e.walSize = f, lastSeq, size
+	e.walF, e.walSeq, e.walSize, e.walReserved = f, lastSeq, size, size
 	e.recoveries.Add(1)
-	met := e.metrics()
-	met.add(met.recoveries, 1)
+	e.fac.met.recoveries.Inc()
 	return nil
 }
 
@@ -429,17 +414,6 @@ func removeStrays(dir string, man manifestData) error {
 		}
 	}
 	return nil
-}
-
-// noMetrics is the instrument set used when no registry is configured
-// (all nil counters; add is a no-op).
-var noMetrics = &factoryMetrics{}
-
-func (e *Disk) metrics() *factoryMetrics {
-	if e.fac.met == nil {
-		return noMetrics
-	}
-	return e.fac.met
 }
 
 // markDead flips the engine to the crashed state and wakes sync waiters.
@@ -469,19 +443,25 @@ func (e *Disk) append(payload []byte) (*os.File, int64, error) {
 	if e.dead.Load() {
 		return nil, 0, ErrCrashed
 	}
-	if _, err := e.walF.Write(framed); err != nil {
+	end := e.walSize + int64(len(framed))
+	if chunk := min(walChunk, e.opts.MemtableCap); end > e.walReserved && int64(len(framed)) <= chunk {
+		// Best effort: without the chunk the record below extends the file.
+		if _, err := e.walF.WriteAt(walZeros[:chunk], e.walReserved); err == nil {
+			e.walReserved += chunk
+		}
+	}
+	if _, err := e.walF.WriteAt(framed, e.walSize); err != nil {
 		e.markDead()
 		return nil, 0, ErrCrashed
 	}
-	e.walSize += int64(len(framed))
+	e.walSize, e.walReserved = end, max(e.walReserved, end)
 	e.walIdx++
 	e.appendedIdx.Store(e.walIdx)
 	e.outstanding.Add(1)
 	e.walRecords.Add(1)
 	e.walBytes.Add(int64(len(framed)))
-	met := e.metrics()
-	met.add(met.walAppends, 1)
-	met.add(met.walBytes, int64(len(framed)))
+	e.fac.met.walAppends.Inc()
+	e.fac.met.walBytes.Add(int64(len(framed)))
 	return e.walF, e.walIdx, nil
 }
 
@@ -491,7 +471,7 @@ func (e *Disk) tear(payload []byte) {
 	framed := appendFrame(nil, payload)
 	e.walMu.Lock()
 	if !e.dead.Load() {
-		e.walF.Write(framed[:len(framed)/2])
+		e.walF.WriteAt(framed[:len(framed)/2], e.walSize)
 		e.markDead()
 	}
 	e.walMu.Unlock()
@@ -516,11 +496,10 @@ func (e *Disk) syncTo(ctx context.Context, f *os.File, idx int64) error {
 			if d := fault.Decide(ctx, fault.WALFsync); d.Kind == fault.KindError {
 				serr = d.Err
 			} else {
-				serr = f.Sync()
+				serr = datasync(f)
 			}
 			e.fsyncs.Add(1)
-			met := e.metrics()
-			met.add(met.fsyncs, 1)
+			e.fac.met.fsyncs.Inc()
 
 			e.syncMu.Lock()
 			e.syncing = false
@@ -633,8 +612,7 @@ func (e *Disk) Get(key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestam
 	e.mu.RUnlock()
 	v, found, skips, err := newestInSegments(segs, key, ts)
 	releaseSegments(segs)
-	met := e.metrics()
-	met.add(met.filterSkips, skips)
+	e.fac.met.filterSkips.Add(skips)
 	if err != nil {
 		// The pin rules out a racing compaction close, so this is real
 		// I/O trouble. A plain not-found here would silently drop
@@ -1016,7 +994,7 @@ func (e *Disk) flushLocked(ctx context.Context) bool {
 		return false
 	}
 	old := e.walF
-	e.walF, e.walSeq, e.walSize = nf, newSeq, 0
+	e.walF, e.walSeq, e.walSize, e.walReserved = nf, newSeq, 0, 0
 	old.Close()
 	e.walMu.Unlock()
 
@@ -1043,8 +1021,7 @@ func (e *Disk) flushLocked(ctx context.Context) bool {
 	}
 	e.tab.reset()
 	e.flushes.Add(1)
-	met := e.metrics()
-	met.add(met.flushes, 1)
+	e.fac.met.flushes.Inc()
 	// Background-work attribution: the flush lands on this tablet's
 	// heatmap row so operators can correlate write stalls with it.
 	e.opts.KeyViz.Record(keyviz.EvFlush, keyviz.Event{
@@ -1343,10 +1320,9 @@ func (e *Disk) finishMerge(c *compaction, meta segmentMeta, err error) bool {
 		read += s.meta.Bytes
 	}
 	e.compactions.Add(1)
-	met := e.metrics()
-	met.add(met.compactions, 1)
-	met.add(met.mergeRead, read)
-	met.add(met.mergeWritten, meta.Bytes)
+	e.fac.met.compactions.Inc()
+	e.fac.met.mergeRead.Add(read)
+	e.fac.met.mergeWritten.Add(meta.Bytes)
 	newest := c.inputs[len(c.inputs)-1].meta
 	detail := fmt.Sprintf("tier %d: %s..%s (%d segments, %d bytes) -> %d chains (%d bytes)",
 		e.tier(newest.Bytes), c.inputs[0].meta.Name, newest.Name, len(c.inputs), read, meta.Chains, meta.Bytes)

@@ -14,6 +14,15 @@ import (
 // to a new file first, so the segment-covered generations can be deleted
 // after the manifest swap.
 
+// A generation's file is zero-filled walChunk bytes ahead of its last
+// record (Disk.append): a record then overwrites bytes the file has, and
+// the fdatasync before its ack is not a commit of the file system's
+// journal, which costs twice the time and waits for what a flush or a
+// merge wrote. Replay ends at the zeros; recovery cuts them off.
+const walChunk = 256 << 10
+
+var walZeros [walChunk]byte
+
 func walFileName(seq int) string { return fmt.Sprintf("wal-%08d.log", seq) }
 
 // parseWALName extracts the rotation sequence from a WAL file name.
@@ -54,9 +63,13 @@ func replayWAL(path string, fn func(walRecord) error) (goodOff int64, torn bool,
 		return 0, false, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, false, err
+	}
 	r := bufio.NewReaderSize(f, 256<<10)
 	for {
-		payload, err := readFrame(r)
+		payload, err := readFrame(r, fi.Size()-goodOff)
 		if err == io.EOF {
 			return goodOff, false, nil
 		}

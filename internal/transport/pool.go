@@ -36,15 +36,31 @@ type PeerHealth struct {
 }
 
 // Pool dials and holds one multiplexed connection per peer, tracking
-// per-peer health (failure streaks, reconnects) and feeding per-peer RPC
-// metrics into an obs.Registry. It is the single place network fault
-// sites are evaluated, so an armed transport.partition covers every RPC
-// the coordinator makes.
+// per-peer health (failure streaks) and feeding per-peer RPC metrics into
+// an obs.Registry. It is the single place network fault sites are
+// evaluated, so an armed transport.partition covers every RPC the
+// coordinator makes.
 type Pool struct {
 	mu    sync.Mutex
 	peers map[string]*poolPeer
-	dial  func(addr string) (*Conn, error)
-	reg   *obs.Registry
+	met   *poolMetrics
+}
+
+// poolMetrics are the pool's instruments; Health reads its call, error
+// and reconnect counts back from them.
+type poolMetrics struct {
+	calls, errs *obs.CounterVec   // transport.rpcs_total, transport.errors_total {peer,method}
+	reconnects  *obs.CounterVec   // transport.reconnects_total{peer}
+	latency     *obs.HistogramVec // transport.rpc_latency{peer}
+}
+
+func newPoolMetrics(reg *obs.Registry) *poolMetrics {
+	return &poolMetrics{
+		calls:      reg.CounterVec("transport.rpcs_total", "peer", "method"),
+		errs:       reg.CounterVec("transport.errors_total", "peer", "method"),
+		reconnects: reg.CounterVec("transport.reconnects_total", "peer"),
+		latency:    reg.HistogramVec("transport.rpc_latency", "peer"),
+	}
 }
 
 type poolPeer struct {
@@ -55,44 +71,34 @@ type poolPeer struct {
 	conn        *Conn
 	dialed      bool // a first dial happened (later dials count as reconnects)
 	consecFails int64
-	reconnects  int64
-	calls       int64
-	errs        int64
 	lastErr     string
 	lastOK      time.Time
-
-	// metrics caches this peer's per-method handles in metricsReg, so a
-	// call resolves no labels; a swapped registry (SetObs) drops it.
-	metricsReg *obs.Registry
-	metrics    map[string]rpcMetrics
 }
 
-type rpcMetrics struct {
-	calls, errs *obs.Counter
-	latency     *obs.Histogram
-}
-
-// NewPool returns a pool dialing TCP; reg (optional) receives
-// transport.rpcs_total{peer,method}, transport.errors_total{peer,method},
-// transport.rpc_latency{peer}, and transport.reconnects_total{peer}.
+// NewPool returns a pool dialing TCP; reg (nil means a private registry)
+// receives transport.rpcs_total{peer,method},
+// transport.errors_total{peer,method}, transport.rpc_latency{peer}, and
+// transport.reconnects_total{peer}.
 func NewPool(reg *obs.Registry) *Pool {
-	return &Pool{peers: map[string]*poolPeer{}, dial: Dial, reg: reg}
+	return &Pool{peers: map[string]*poolPeer{}, met: newPoolMetrics(obs.OrNew(reg))}
 }
 
-// SetDialer replaces the dial function (tests inject net.Pipe loopbacks).
-func (p *Pool) SetDialer(dial func(addr string) (*Conn, error)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dial = dial
-}
-
-// SetObs attaches (or replaces) the metrics registry. The coordinator
-// uses it after the fact: the region's registry only exists once the
-// region opens, which itself already drives pool RPCs during recovery.
+// SetObs re-declares the pool's instruments in reg and carries the counts
+// so far over, so Health keeps counting from where it was. The
+// coordinator uses it after the fact: the region's registry only exists
+// once the region opens, which itself already drives pool RPCs during
+// recovery.
 func (p *Pool) SetObs(reg *obs.Registry) {
+	next := newPoolMetrics(reg)
+	carry := func(from, to *obs.CounterVec) {
+		from.Each(func(values []string, c *obs.Counter) { to.With(values...).Add(c.Value()) })
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.reg = reg
+	carry(p.met.calls, next.calls)
+	carry(p.met.errs, next.errs)
+	carry(p.met.reconnects, next.reconnects)
+	p.met = next
 }
 
 // SetPeer adds a peer or updates its address (a rejoining process
@@ -124,7 +130,7 @@ func (p *Pool) SetPeer(name, addr string) {
 func (p *Pool) Do(ctx context.Context, peer, method string, enc func([]byte) []byte) ([]byte, error) {
 	p.mu.Lock()
 	pp := p.peers[peer]
-	dial, reg := p.dial, p.reg
+	met := p.met
 	p.mu.Unlock()
 	if pp == nil {
 		return nil, status.Errorf(status.NotFound, "transport", "unknown peer %q", peer)
@@ -134,27 +140,27 @@ func (p *Pool) Do(ctx context.Context, peer, method string, enc func([]byte) []b
 	// slow-link first (latency mode returns nil after sleeping), then the
 	// hard failures.
 	if err := fault.Point(ctx, fault.TransportSlowLink); err != nil {
-		return nil, pp.finish(reg, method, 0, unreachable(err))
+		return nil, pp.finish(met, method, 0, unreachable(err))
 	}
 	if err := fault.Point(ctx, fault.TransportPartition); err != nil {
-		return nil, pp.finish(reg, method, 0, unreachable(err))
+		return nil, pp.finish(met, method, 0, unreachable(err))
 	}
 	reset := fault.Decide(ctx, fault.TransportConnReset).Kind == fault.KindCrash
 	halfOpen := fault.Decide(ctx, fault.TransportHalfOpen).Kind == fault.KindDrop
 
-	conn, reconnected, err := p.connFor(pp, dial)
+	conn, reconnected, err := p.connFor(pp)
 	if err != nil {
-		return nil, pp.finish(reg, method, 0, err)
+		return nil, pp.finish(met, method, 0, err)
 	}
-	if reconnected && reg != nil {
-		reg.Counter("transport.reconnects_total", obs.Labels{"peer": peer}).Inc()
+	if reconnected {
+		met.reconnects.With(peer).Inc()
 	}
 
 	if reset {
 		// Tear the socket down mid-conversation: every in-flight call on
 		// it fails and the next call re-dials.
 		conn.Reset()
-		return nil, pp.finish(reg, method, 0, unreachable(status.New(status.Unavailable, "transport", "injected connection reset")))
+		return nil, pp.finish(met, method, 0, unreachable(status.New(status.Unavailable, "transport", "injected connection reset")))
 	}
 	if halfOpen {
 		// The request reaches the peer and executes; the caller has stopped
@@ -162,14 +168,14 @@ func (p *Pool) Do(ctx context.Context, peer, method string, enc func([]byte) []b
 		gone, cancel := context.WithCancel(ctx)
 		cancel()
 		if _, err := conn.Do(gone, method, enc); errors.Is(err, ErrPeerUnreachable) {
-			return nil, pp.finish(reg, method, 0, err)
+			return nil, pp.finish(met, method, 0, err)
 		}
-		return nil, pp.finish(reg, method, 0, status.New(status.DeadlineExceeded, "transport", "injected half-open connection: response lost"))
+		return nil, pp.finish(met, method, 0, status.New(status.DeadlineExceeded, "transport", "injected half-open connection: response lost"))
 	}
 
 	start := time.Now()
 	body, err := conn.Do(ctx, method, enc)
-	return body, pp.finish(reg, method, time.Since(start), err)
+	return body, pp.finish(met, method, time.Since(start), err)
 }
 
 // Call is Do with JSON bodies (Conn.Call).
@@ -187,7 +193,7 @@ func (p *Pool) Call(ctx context.Context, peer, method string, req, resp any) err
 
 // connFor returns the peer's live connection, dialing if absent or
 // broken. reconnected reports a dial that replaced a previous one.
-func (p *Pool) connFor(pp *poolPeer, dial func(string) (*Conn, error)) (conn *Conn, reconnected bool, err error) {
+func (p *Pool) connFor(pp *poolPeer) (conn *Conn, reconnected bool, err error) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	if pp.conn != nil && !pp.conn.Broken() {
@@ -196,26 +202,21 @@ func (p *Pool) connFor(pp *poolPeer, dial func(string) (*Conn, error)) (conn *Co
 	if pp.addr == "" {
 		return nil, false, unreachable(status.Errorf(status.Unavailable, "transport", "peer %q has no address", pp.name))
 	}
-	c, err := dial(pp.addr)
+	c, err := Dial(pp.addr)
 	if err != nil {
 		return nil, false, err
 	}
 	reconnected = pp.dialed
-	if reconnected {
-		pp.reconnects++
-	}
 	pp.dialed = true
 	pp.conn = c
 	return c, reconnected, nil
 }
 
-// finish records one call's outcome in health state and in reg's
-// metrics, returning err unchanged.
-func (pp *poolPeer) finish(reg *obs.Registry, method string, latency time.Duration, err error) error {
+// finish records one call's outcome in health state and in met,
+// returning err unchanged.
+func (pp *poolPeer) finish(met *poolMetrics, method string, latency time.Duration, err error) error {
 	pp.mu.Lock()
-	pp.calls++
 	if err != nil {
-		pp.errs++
 		pp.consecFails++
 		pp.lastErr = err.Error()
 		if errors.Is(err, ErrPeerUnreachable) && pp.conn != nil && pp.conn.Broken() {
@@ -225,27 +226,12 @@ func (pp *poolPeer) finish(reg *obs.Registry, method string, latency time.Durati
 		pp.consecFails = 0
 		pp.lastOK = time.Now()
 	}
-	if pp.metricsReg != reg {
-		pp.metricsReg, pp.metrics = reg, map[string]rpcMetrics{}
-	}
-	m, cached := pp.metrics[method]
-	if !cached && reg != nil {
-		labels := obs.Labels{"peer": pp.name, "method": method}
-		m = rpcMetrics{
-			calls:   reg.Counter("transport.rpcs_total", labels),
-			errs:    reg.Counter("transport.errors_total", labels),
-			latency: reg.Histogram("transport.rpc_latency", obs.Labels{"peer": pp.name}),
-		}
-		pp.metrics[method] = m
-	}
 	pp.mu.Unlock()
-	if reg != nil {
-		m.calls.Inc()
-		if err != nil {
-			m.errs.Inc()
-		} else if latency > 0 {
-			m.latency.Record(latency)
-		}
+	met.calls.With(pp.name, method).Inc()
+	if err != nil {
+		met.errs.With(pp.name, method).Inc()
+	} else if latency > 0 {
+		met.latency.With(pp.name).Record(latency)
 	}
 	return err
 }
@@ -257,7 +243,15 @@ func (p *Pool) Health() []PeerHealth {
 	for _, pp := range p.peers {
 		peers = append(peers, pp)
 	}
+	met := p.met
 	p.mu.Unlock()
+	// Per-peer totals, summed over methods from the instruments.
+	sum := func(v *obs.CounterVec) map[string]int64 {
+		by := map[string]int64{}
+		v.Each(func(values []string, c *obs.Counter) { by[values[0]] += c.Value() })
+		return by
+	}
+	calls, errs, reconnects := sum(met.calls), sum(met.errs), sum(met.reconnects)
 	out := make([]PeerHealth, 0, len(peers))
 	for _, pp := range peers {
 		pp.mu.Lock()
@@ -267,9 +261,9 @@ func (p *Pool) Health() []PeerHealth {
 			Healthy:             pp.consecFails == 0,
 			Connected:           pp.conn != nil && !pp.conn.Broken(),
 			ConsecutiveFailures: pp.consecFails,
-			Reconnects:          pp.reconnects,
-			Calls:               pp.calls,
-			Errors:              pp.errs,
+			Reconnects:          reconnects[pp.name],
+			Calls:               calls[pp.name],
+			Errors:              errs[pp.name],
 			LastError:           pp.lastErr,
 		}
 		if !pp.lastOK.IsZero() {

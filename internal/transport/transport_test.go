@@ -613,3 +613,28 @@ func TestDoAllocs(t *testing.T) {
 		t.Errorf("Do round trip: %.0f allocs, want <= 4", got)
 	}
 }
+
+// TestSetObsCarriesCounts: Health reads the instruments, so swapping the
+// registry must not restart a peer's counts.
+func TestSetObsCarriesCounts(t *testing.T) {
+	_, addr := startEchoServer(t)
+	pool := NewPool(nil)
+	defer pool.Close()
+	pool.SetPeer("t1", addr)
+	var resp echoResp
+	call := func() {
+		if err := pool.Call(context.Background(), "t1", "echo", echoReq{N: 1}, &resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	reg := obs.NewRegistry()
+	pool.SetObs(reg)
+	call()
+	if h := pool.Health(); len(h) != 1 || h[0].Calls != 2 || h[0].Errors != 0 {
+		t.Fatalf("health after SetObs = %+v, want 2 calls", h)
+	}
+	if got := reg.Counter("transport.rpcs_total", obs.Labels{"peer": "t1", "method": "echo"}).Value(); got != 2 {
+		t.Fatalf("transport.rpcs_total in the new registry = %d, want 2", got)
+	}
+}

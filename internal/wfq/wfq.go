@@ -62,9 +62,8 @@ type Config struct {
 	// DefaultWeight is the fair-share weight for keys without an
 	// explicit weight. Defaults to 1.
 	DefaultWeight float64
-	// Obs, when set, receives scheduler metrics: per-database shed/
-	// expired/dispatched counters, queue-wait histograms, and queue
-	// gauges.
+	// Obs receives scheduler metrics: per-database shed/expired/
+	// dispatched counters, queue-wait histograms, and queue gauges.
 	Obs *obs.Registry
 	// KeyViz, when set, receives shed events (queue-depth and in-flight
 	// rejections) on the keyspace timeline so noisy-neighbor shedding can
@@ -106,11 +105,10 @@ type Scheduler struct {
 	accounted map[string]time.Duration
 	queued    int
 	queuedBy  map[string]int
-	// dispatched/shed/expired count per-key task outcomes for Snapshot
-	// (and mirror into cfg.Obs when configured).
-	dispatched map[string]int64
-	shed       map[string]int64
-	expired    map[string]int64
+
+	// Per-key task outcomes, {db=key}; Snapshot reads them back.
+	dispatched, shed, limited, expired *obs.CounterVec
+	queueWait                          *obs.HistogramVec
 
 	wg sync.WaitGroup
 }
@@ -123,6 +121,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.DefaultWeight <= 0 {
 		cfg.DefaultWeight = 1
 	}
+	reg := obs.OrNew(cfg.Obs)
 	s := &Scheduler{
 		cfg:        cfg,
 		lastVFT:    map[string]float64{},
@@ -131,37 +130,26 @@ func New(cfg Config) *Scheduler {
 		limits:     map[string]int{},
 		accounted:  map[string]time.Duration{},
 		queuedBy:   map[string]int{},
-		dispatched: map[string]int64{},
-		shed:       map[string]int64{},
-		expired:    map[string]int64{},
+		dispatched: reg.CounterVec("wfq.dispatched", "db"),
+		shed:       reg.CounterVec("wfq.shed", "db"),
+		limited:    reg.CounterVec("wfq.inflight_limited", "db"),
+		expired:    reg.CounterVec("wfq.expired", "db"),
+		queueWait:  reg.HistogramVec("wfq.queue_wait", "db"),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if cfg.Obs != nil {
-		cfg.Obs.GaugeFunc("wfq.queue_depth", nil, func() float64 {
-			return float64(s.QueueDepth())
-		})
-		cfg.Obs.GaugeFunc("wfq.virtual_time", nil, func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.vtime
-		})
-	}
+	reg.GaugeFunc("wfq.queue_depth", nil, func() float64 {
+		return float64(s.QueueDepth())
+	})
+	reg.GaugeFunc("wfq.virtual_time", nil, func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.vtime
+	})
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s
-}
-
-// count bumps a per-key outcome counter and mirrors it into the obs
-// registry. Caller must NOT hold s.mu.
-func (s *Scheduler) count(m map[string]int64, name, key string) {
-	s.mu.Lock()
-	m[key]++
-	s.mu.Unlock()
-	if s.cfg.Obs != nil {
-		s.cfg.Obs.Counter(name, obs.DB(key)).Inc()
-	}
 }
 
 // SetWeight sets the fair-share weight for key (higher = more capacity).
@@ -220,7 +208,7 @@ func (s *Scheduler) Close() {
 // and re-checked at dispatch so expired work never burns a worker.
 func (s *Scheduler) Submit(ctx context.Context, key string, cost time.Duration, fn func()) error {
 	if err := ctx.Err(); err != nil {
-		s.count(s.expired, "wfq.expired", key)
+		s.expired.With(key).Inc()
 		return status.FromContext("wfq", err)
 	}
 	s.mu.Lock()
@@ -231,7 +219,7 @@ func (s *Scheduler) Submit(ctx context.Context, key string, cost time.Duration, 
 	if s.cfg.MaxQueue > 0 && s.queued >= s.cfg.MaxQueue {
 		depth := s.queued
 		s.mu.Unlock()
-		s.count(s.shed, "wfq.shed", key)
+		s.shed.With(key).Inc()
 		s.cfg.KeyViz.Record(keyviz.EvShed, keyviz.Event{
 			Source: "wfq", Key: key,
 			Detail: fmt.Sprintf("queue depth %d >= %d", depth, s.cfg.MaxQueue),
@@ -241,7 +229,7 @@ func (s *Scheduler) Submit(ctx context.Context, key string, cost time.Duration, 
 	if limit, ok := s.limits[key]; ok && s.inflight[key] >= limit {
 		inflight := s.inflight[key]
 		s.mu.Unlock()
-		s.count(s.shed, "wfq.inflight_limited", key)
+		s.limited.With(key).Inc()
 		s.cfg.KeyViz.Record(keyviz.EvShed, keyviz.Event{
 			Source: "wfq", Key: key,
 			Detail: fmt.Sprintf("in-flight %d >= limit %d", inflight, limit),
@@ -301,9 +289,7 @@ func (s *Scheduler) worker() {
 		}
 		s.mu.Unlock()
 
-		if s.cfg.Obs != nil {
-			s.cfg.Obs.Histogram("wfq.queue_wait", obs.DB(t.key)).Record(time.Since(t.enqueued))
-		}
+		s.queueWait.With(t.key).Record(time.Since(t.enqueued))
 
 		// Deadline enforcement at dispatch: work that expired while
 		// queued is dropped without burning CPU (the caller already got
@@ -311,7 +297,7 @@ func (s *Scheduler) worker() {
 		ran := false
 		if err := t.ctx.Err(); err != nil {
 			t.rejected = status.FromContext("wfq", err)
-			s.count(s.expired, "wfq.expired", t.key)
+			s.expired.With(t.key).Inc()
 		} else {
 			if t.cost > 0 {
 				time.Sleep(t.cost) // hold the worker slot: simulated CPU burn
@@ -320,7 +306,7 @@ func (s *Scheduler) worker() {
 				t.fn()
 			}
 			ran = true
-			s.count(s.dispatched, "wfq.dispatched", t.key)
+			s.dispatched.With(t.key).Inc()
 		}
 
 		s.mu.Lock()
@@ -359,8 +345,24 @@ type Stats struct {
 	Keys        []KeyStats `json:"keys"`
 }
 
-// Snapshot reports global and per-key scheduler state, keys sorted.
+// Snapshot reports global and per-key scheduler state, keys sorted. The
+// outcome counts are read from the instruments; Shed is queue-depth
+// shedding plus in-flight limiting.
 func (s *Scheduler) Snapshot() Stats {
+	byKey := map[string]*KeyStats{}
+	key := func(k string) *KeyStats {
+		ks := byKey[k]
+		if ks == nil {
+			ks = &KeyStats{Key: k}
+			byKey[k] = ks
+		}
+		return ks
+	}
+	s.dispatched.Each(func(v []string, c *obs.Counter) { key(v[0]).Dispatched = c.Value() })
+	s.shed.Each(func(v []string, c *obs.Counter) { key(v[0]).Shed += c.Value() })
+	s.limited.Each(func(v []string, c *obs.Counter) { key(v[0]).Shed += c.Value() })
+	s.expired.Each(func(v []string, c *obs.Counter) { key(v[0]).Expired = c.Value() })
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mode := "fair"
@@ -368,38 +370,23 @@ func (s *Scheduler) Snapshot() Stats {
 		mode = "fifo"
 	}
 	st := Stats{Mode: mode, Workers: s.cfg.Workers, Queued: s.queued, VirtualTime: s.vtime}
-	keys := map[string]struct{}{}
-	for _, m := range []map[string]int64{s.dispatched, s.shed, s.expired} {
-		for k := range m {
-			keys[k] = struct{}{}
-		}
-	}
 	for k := range s.queuedBy {
-		keys[k] = struct{}{}
+		key(k)
 	}
 	for k := range s.inflight {
-		keys[k] = struct{}{}
+		key(k)
 	}
 	for k := range s.lastVFT {
-		keys[k] = struct{}{}
+		key(k)
 	}
-	for k := range keys {
-		w := s.cfg.DefaultWeight
-		if ww, ok := s.weights[k]; ok {
-			w = ww
+	for k, ks := range byKey {
+		ks.Queued, ks.InFlight, ks.Limit = s.queuedBy[k], s.inflight[k], s.limits[k]
+		ks.LastVFT, ks.Accounted = s.lastVFT[k], s.accounted[k]
+		ks.Weight = s.cfg.DefaultWeight
+		if w, ok := s.weights[k]; ok {
+			ks.Weight = w
 		}
-		st.Keys = append(st.Keys, KeyStats{
-			Key:        k,
-			Queued:     s.queuedBy[k],
-			InFlight:   s.inflight[k],
-			Weight:     w,
-			Limit:      s.limits[k],
-			LastVFT:    s.lastVFT[k],
-			Accounted:  s.accounted[k],
-			Dispatched: s.dispatched[k],
-			Shed:       s.shed[k],
-			Expired:    s.expired[k],
-		})
+		st.Keys = append(st.Keys, *ks)
 	}
 	sort.Slice(st.Keys, func(i, j int) bool { return st.Keys[i].Key < st.Keys[j].Key })
 	return st
