@@ -56,8 +56,11 @@ test-race:
 # a scan interleaves with writers, flushes, splits and peer death chunk
 # by chunk, not under one lock hold — and the wire under that (transport):
 # pooled frame buffers and reusable call slots under multiplexing.
+# Twenty rounds of the contended read-modify-write transactions, which
+# deadlocked on a shared-to-exclusive lock upgrade until LockTimeout.
 race-repeat:
 	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend
+	$(GO) test -race -count=20 -run 'TestRunTransactionRetries|TestReadModifyWriteDoesNotDeadlock' ./firestore/ ./internal/backend/
 	$(GO) test -race -count=2 ./firestore/ ./mobile/ ./internal/backend/ ./internal/wfq/ ./internal/ramp/ \
 		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ ./cmd/fsctl/ \
 		./internal/keyviz/ ./internal/storage/ ./internal/spanner/ ./internal/cluster/ ./internal/query/ \

@@ -6,7 +6,7 @@
 //
 //	firestore-bench -fig 6            # one figure: 6, 7, 8, 9, 10a, 10b, 11
 //	firestore-bench -tab 1            # the ease-of-use table
-//	firestore-bench -abl zigzag       # ablations: zigzag, multiregion, shedding, planner
+//	firestore-bench -abl zigzag       # ablations: zigzag, multiregion, shedding
 //	firestore-bench -bulk             # YCSB bulk load: sequential Set vs BulkWriter
 //	firestore-bench -chaos list       # list fault-injection scenarios
 //	firestore-bench -chaos accept-blackhole -seed 7   # run one scenario
@@ -33,7 +33,7 @@ func main() {
 	cluster.MaybeRunTabletChild()
 	fig := flag.String("fig", "", "figure to regenerate: 6, 7, 8, 7+8, 9, 10a, 10b, 11")
 	tab := flag.String("tab", "", "table to regenerate: 1")
-	abl := flag.String("abl", "", "ablation to run: zigzag, multiregion, shedding, planner")
+	abl := flag.String("abl", "", "ablation to run: zigzag, multiregion, shedding")
 	bulk := flag.Bool("bulk", false, "run the YCSB bulk-load comparison (sequential Set vs BulkWriter)")
 	chaosName := flag.String("chaos", "", "fault-injection scenario to run (or \"list\", \"all\")")
 	all := flag.Bool("all", false, "run every experiment")
@@ -63,7 +63,6 @@ func main() {
 		bench.AblZigzag(opts).Fprint(out)
 		bench.AblMultiRegion(opts).Fprint(out)
 		bench.AblShedding(opts).Fprint(out)
-		bench.AblPlanner(opts).Fprint(out)
 		bench.BulkLoad(opts).Fprint(out)
 		if *spans {
 			printSpans(out)
@@ -117,8 +116,6 @@ func main() {
 			bench.AblMultiRegion(opts).Fprint(out)
 		case "shedding":
 			bench.AblShedding(opts).Fprint(out)
-		case "planner":
-			bench.AblPlanner(opts).Fprint(out)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown ablation %q\n", *abl)
 			os.Exit(2)

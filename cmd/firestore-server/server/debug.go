@@ -86,9 +86,8 @@ type (
 	}
 	// ExplainPage answers a query posted with explain or analyze set.
 	ExplainPage struct {
-		Plan         backend.PlanExplain   `json:"plan"`
-		Alternatives []backend.PlanExplain `json:"alternatives"`
-		ReadTime     int64                 `json:"readTime"`
+		Plan     backend.PlanExplain `json:"plan"`
+		ReadTime int64               `json:"readTime"`
 	}
 )
 

@@ -455,12 +455,12 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if qj.Explain || qj.Analyze {
-		alts, readTS, err := s.region.Backend.ExplainQuery(r.Context(), r.PathValue("db"), principal(r), q, qj.Analyze, 0)
+		plan, readTS, err := s.region.Backend.ExplainQuery(r.Context(), r.PathValue("db"), principal(r), q, qj.Analyze, 0)
 		if err != nil {
 			httpError(w, err)
 			return
 		}
-		writeJSON(w, ExplainPage{Plan: alts[0], Alternatives: alts[1:], ReadTime: int64(readTS)})
+		writeJSON(w, ExplainPage{Plan: plan, ReadTime: int64(readTS)})
 		return
 	}
 	if len(qj.Aggregations) > 0 {

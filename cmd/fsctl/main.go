@@ -16,7 +16,7 @@
 //	get <path>                         read a document
 //	delete <path>                      delete a document
 //	query <json>                       run a query (see firestore-server docs)
-//	explain <json> [analyze]           show the planner's alternatives and costs
+//	explain <json> [analyze]           show the plan the planner picks
 //	advisor                            index advisor report from /debug/advisorz
 //	scan <collection> [pageSize]       page through a whole collection by cursor
 //	watch <collection>                 stream real-time snapshots (SSE)
@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"firestore/cmd/firestore-server/server"
-	"firestore/internal/backend"
 	"firestore/internal/fault"
 	"firestore/internal/keyviz"
 	"firestore/internal/obs"
@@ -220,10 +219,9 @@ func (c *cli) query(args []string) error {
 	return c.echo("POST", c.dbPath("/query"), args[0])
 }
 
-// explain posts the query with the explain flag set and renders the
-// planner's chosen plan and its rejected alternatives with cost
-// estimates; with "analyze", every alternative is also executed so
-// estimated and actual index entries visited appear side by side.
+// explain posts the query with the explain flag set and prints the plan
+// the planner picks on one line; with "analyze", the plan is also
+// executed and the index entries it visited and its results follow.
 func (c *cli) explain(args []string) error {
 	if len(args) < 1 || len(args) > 2 || (len(args) == 2 && args[1] != "analyze") {
 		return fmt.Errorf("explain <json> [analyze]")
@@ -245,17 +243,11 @@ func (c *cli) explain(args []string) error {
 	if err := c.decode("POST", c.dbPath("/query"), string(body), &view); err != nil {
 		return err
 	}
-	emit := func(marker string, a backend.PlanExplain) {
-		line := fmt.Sprintf("%s %-10s est=%-8d %s", marker, a.Choice, a.Cost, a.Plan)
-		if analyze {
-			line += fmt.Sprintf("  [actual=%d results=%d]", a.ActualEntries, a.Results)
-		}
-		fmt.Println(line)
+	line := fmt.Sprintf("%-10s %s", view.Plan.Choice, view.Plan.Plan)
+	if analyze {
+		line += fmt.Sprintf("  [actual=%d results=%d]", view.Plan.ActualEntries, view.Plan.Results)
 	}
-	emit("*", view.Plan)
-	for _, a := range view.Alternatives {
-		emit(" ", a)
-	}
+	fmt.Println(line)
 	return nil
 }
 

@@ -103,45 +103,10 @@ func TestRunAggregationSnapshotAndIndexOnly(t *testing.T) {
 	}
 }
 
-// TestCommitMaintainsPlannerStats: committed writes (and deletes) keep
-// the per-index cardinality statistics in step with durable state, and
-// the cost-based planner uses them to prefer the cheaper index.
-func TestCommitMaintainsPlannerStats(t *testing.T) {
-	e := newEnv(t)
-	ctx := context.Background()
-	db, err := e.cat.Get(e.dbID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		set(t, e, fmt.Sprintf("/c/x%d", i), map[string]doc.Value{"v": doc.Int(int64(i))})
-	}
-	if got := db.Stats().CollectionDocs("/c"); got != 10 {
-		t.Fatalf("collection docs = %d, want 10", got)
-	}
-	auto := index.AutoDef("c", "v", index.Ascending)
-	if got := db.Stats().IndexEntries(auto.ID); got != 10 {
-		t.Fatalf("auto index entries = %d, want 10", got)
-	}
-	// Delete half; stats follow.
-	for i := 0; i < 5; i++ {
-		if _, err := e.b.Commit(ctx, e.dbID, priv, []WriteOp{
-			{Kind: OpDelete, Name: doc.MustName(fmt.Sprintf("/c/x%d", i))},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := db.Stats().CollectionDocs("/c"); got != 5 {
-		t.Fatalf("collection docs after deletes = %d, want 5", got)
-	}
-	if got := db.Stats().IndexEntries(auto.ID); got != 5 {
-		t.Fatalf("auto index entries after deletes = %d, want 5", got)
-	}
-}
-
-// TestExplainQueryAlternatives: explain returns the chosen plan first
-// with cost estimates for every alternative, and analyze mode reports
-// actual entries visited per alternative.
+// TestExplainQueryAlternatives: explain returns the plan RunQuery
+// executes — the composite over the zig-zag join of two automatic
+// indexes — and analyze mode counts the entries and results RunQuery
+// reports for it.
 func TestExplainQueryAlternatives(t *testing.T) {
 	e := newEnv(t)
 	ctx := context.Background()
@@ -162,23 +127,27 @@ func TestExplainQueryAlternatives(t *testing.T) {
 			{Path: "city", Op: query.Eq, Value: doc.String("SF")},
 			{Path: "type", Op: query.Eq, Value: doc.String("BBQ")},
 		}}
-	alts, _, err := e.b.ExplainQuery(ctx, e.dbID, priv, q, true, 0)
+	plain, _, err := e.b.ExplainQuery(ctx, e.dbID, priv, q, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(alts) < 2 {
-		t.Fatalf("want >=2 alternatives (composite + zigzag), got %d: %v", len(alts), alts)
+	want := PlanExplain{Plan: "scan " + comp.String(), Choice: "composite"}
+	if plain != want {
+		t.Fatalf("explain = %+v, want %+v", plain, want)
 	}
-	if !alts[0].Chosen || alts[0].Choice != "composite" {
-		t.Fatalf("chosen plan = %+v, want chosen composite", alts[0])
+	analyzed, readTS, err := e.b.ExplainQuery(ctx, e.dbID, priv, q, true, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	results := alts[0].Results
-	for _, a := range alts {
-		if a.Results != results {
-			t.Fatalf("alternative %q returned %d results, chosen returned %d", a.Plan, a.Results, results)
-		}
-		if a.ActualEntries < alts[0].ActualEntries {
-			t.Fatalf("chosen plan visited %d entries but %q visited %d", alts[0].ActualEntries, a.Plan, a.ActualEntries)
-		}
+	res, _, err := e.b.RunQuery(ctx, e.dbID, priv, q, nil, readTS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.ActualEntries, want.Results = res.ScannedEntries, len(res.Docs)
+	if analyzed != want || want.Results != 2 {
+		t.Fatalf("analyze = %+v, want %+v with 2 results", analyzed, want)
+	}
+	if rep := e.b.AdvisorReport(e.dbID); len(rep) != 1 || rep[0].Choice != want.Choice {
+		t.Fatalf("RunQuery recorded %+v, want one %s execution", rep, want.Choice)
 	}
 }

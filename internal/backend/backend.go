@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -136,8 +137,7 @@ type Config struct {
 	// MaxCommitWindow bounds how far past "now" a commit timestamp may
 	// be (the max commit timestamp M in §IV-D2 step 5). Default 1s.
 	MaxCommitWindow time.Duration
-	// Obs records query-planner metrics (plan choices, estimated vs
-	// actual entries scanned).
+	// Obs records query-planner metrics (plan choices, entries scanned).
 	Obs *obs.Registry
 }
 
@@ -154,8 +154,8 @@ type Backend struct {
 	// suggestion report.
 	advisor advisor
 
-	plans                     *obs.CounterVec   // query.plans_total{db,choice}
-	planEstimated, planActual *obs.HistogramVec // {db}; entries, recorded as a Duration
+	plans      *obs.CounterVec   // query.plans_total{db,choice}
+	planActual *obs.HistogramVec // query.plan_actual_entries{db}; entries, recorded as a Duration
 }
 
 // New creates a Backend.
@@ -178,9 +178,8 @@ func New(cfg Config) *Backend {
 	reg := obs.OrNew(cfg.Obs)
 	return &Backend{
 		cfg: cfg, cat: cfg.Catalog, cache: cfg.Cache,
-		plans:         reg.CounterVec("query.plans_total", "db", "choice"),
-		planEstimated: reg.HistogramVec("query.plan_estimated_entries", "db"),
-		planActual:    reg.HistogramVec("query.plan_actual_entries", "db"),
+		plans:      reg.CounterVec("query.plans_total", "db", "choice"),
+		planActual: reg.HistogramVec("query.plan_actual_entries", "db"),
 	}
 }
 
@@ -281,9 +280,13 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		return 0, err
 	}
 
-	// Optimistic read-set revalidation under shared locks.
+	// Optimistic read-set revalidation under shared locks — except for a
+	// document the commit also writes, which takes the exclusive lock the
+	// write needs now: two transactions each holding the shared lock and
+	// waiting to upgrade it would block each other until LockTimeout.
 	for _, r := range reads {
-		cur, err := b.readInTxn(ctx, db, txn, r.Name, false)
+		written := slices.ContainsFunc(ops, func(op WriteOp) bool { return op.Name.Compare(r.Name) == 0 })
+		cur, err := b.readInTxn(ctx, db, txn, r.Name, written)
 		if err != nil {
 			return abort(err)
 		}
@@ -327,10 +330,6 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 
 	names := make([]doc.Name, 0, len(ops))
 	muts := make([]rtcache.Mutation, 0, len(ops))
-	// Planner statistics deltas, applied only after the Spanner commit
-	// succeeds so estimates track durable state.
-	var statRemoved, statAdded []index.Entry
-	docDeltas := map[string]int64{}
 	topic := TriggerTopic(db.ID)
 	for i, op := range ops {
 		// failOp routes an op-level failure: recorded in per-op mode
@@ -428,17 +427,6 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		}
 		// Write triggers ride Spanner's transactional messaging (§IV-D2).
 		txn.Message(topic, changePayload(nameText, oldBlob, oldTS, newBlob))
-		if statRemoved == nil && statAdded == nil {
-			statRemoved, statAdded = removed, added
-		} else {
-			statRemoved, statAdded = append(statRemoved, removed...), append(statAdded, added...)
-		}
-		switch {
-		case old == nil && new != nil:
-			docDeltas[op.Name.Collection().String()]++
-		case old != nil && new == nil:
-			docDeltas[op.Name.Collection().String()]--
-		}
 		names = append(names, op.Name)
 		muts = append(muts, rtcache.Mutation{Name: op.Name, Old: old, New: new})
 	}
@@ -487,14 +475,6 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 			b.cache.Accept(ctx, writeID, outcome, 0, nil)
 		}
 		return 0, err
-	}
-
-	// Commit durable: fold the index-entry diff into the planner's
-	// cardinality statistics.
-	stats := db.Stats()
-	stats.ApplyDiff(statRemoved, statAdded)
-	for coll, delta := range docDeltas {
-		stats.ApplyDoc(coll, delta)
 	}
 
 	// Step 7: finish the two-phase commit with the Accept carrying the

@@ -310,6 +310,54 @@ func TestOCCConflict(t *testing.T) {
 	}
 }
 
+// TestReadModifyWriteDoesNotDeadlock: concurrent read-modify-write
+// transactions on one document serialize on its exclusive lock instead
+// of each holding a shared lock and waiting for the other's to upgrade —
+// losers see ErrConflict at once and retry, and no lock wait times out.
+func TestReadModifyWriteDoesNotDeadlock(t *testing.T) {
+	e := newEnv(t)
+	ctx := context.Background()
+	db, err := e.cat.Get(e.dbID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := doc.MustName("/counters/hits")
+	set(t, e, name.String(), map[string]doc.Value{"n": doc.Int(0)})
+	increment := func() error {
+		for {
+			d, _, err := e.b.GetDocument(ctx, e.dbID, priv, name, 0)
+			if err != nil {
+				return err
+			}
+			_, err = e.b.CommitTransactional(ctx, e.dbID, priv,
+				[]WriteOp{{Kind: OpSet, Name: name, Fields: map[string]doc.Value{"n": doc.Int(d.Fields["n"].IntVal() + 1)}}},
+				[]ReadValidation{{Name: name, UpdateTime: d.UpdateTime}})
+			if !errors.Is(err, ErrConflict) {
+				return err
+			}
+		}
+	}
+	const rounds, workers = 20, 8
+	for round := 1; round <= rounds; round++ {
+		start := time.Now()
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			go func() { errs <- increment() }()
+		}
+		for w := 0; w < workers; w++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		if took, timeouts := time.Since(start), db.Spanner.Stats().LockTimeout; took >= time.Second || timeouts != 0 {
+			t.Fatalf("round %d took %v with %d lock timeouts, want < 1s and none", round, took, timeouts)
+		}
+	}
+	if n := get(t, e, name.String()).Fields["n"].IntVal(); n != rounds*workers {
+		t.Fatalf("counter = %d, want %d", n, rounds*workers)
+	}
+}
+
 func TestRealTimeCacheReceivesWrites(t *testing.T) {
 	e := newEnv(t)
 	rec := &countingSub{}

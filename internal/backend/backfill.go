@@ -40,7 +40,6 @@ func (b *Backend) AddCompositeIndex(ctx context.Context, dbID string, def index.
 func (b *Backend) backfill(ctx context.Context, db *catalog.Database, def index.Definition) error {
 	return b.scanAllDocuments(ctx, db, func(batch []*doc.Document) error {
 		txn := db.Spanner.Begin()
-		var added []index.Entry
 		for _, snap := range batch {
 			if snap.Name.Collection().ID() != def.Collection {
 				continue
@@ -62,17 +61,11 @@ func (b *Backend) backfill(ctx context.Context, db *catalog.Database, def index.
 				// ones; keep only this index's.
 				if e.ID == def.ID {
 					txn.Put(e.Key, []byte(d.Name.String()))
-					added = append(added, e)
 				}
 			}
 		}
-		if _, err := txn.Commit(ctx, 0, 0); err != nil {
-			return err
-		}
-		// Fold the committed batch into the planner statistics so the
-		// index is costed sensibly as soon as it becomes ready.
-		db.Stats().ApplyDiff(nil, added)
-		return nil
+		_, err := txn.Commit(ctx, 0, 0)
+		return err
 	})
 }
 
@@ -84,7 +77,6 @@ func (b *Backend) RemoveCompositeIndex(ctx context.Context, dbID string, id uint
 		return err
 	}
 	db.RemoveComposite(id)
-	db.Stats().DropIndex(id)
 	// Backremoval: delete the index's whole IndexEntries range in
 	// batches.
 	prefix := index.IDPrefix(id)

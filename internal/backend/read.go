@@ -92,27 +92,14 @@ func (b *Backend) RunQuery(ctx context.Context, dbID string, p Principal, q *que
 		return nil, 0, err
 	}
 	meta := db.Meta()
-	if !p.Privileged {
-		if meta.Rules == nil {
-			return nil, 0, fmt.Errorf("%w: no rules deployed", rules.ErrDenied)
-		}
-		// The list authorization is evaluated against the collection's
-		// document pattern; conditions inspecting document data cannot
-		// grant a whole query.
-		probe, perr := q.Collection.Doc("?")
-		if perr != nil {
-			return nil, 0, perr
-		}
-		req := &rules.Request{Method: rules.MethodList, Path: probe, Auth: p.Auth}
-		if err := meta.Rules.Authorize(req); err != nil {
-			return nil, 0, err
-		}
+	if err := authorizeList(meta, p, q); err != nil {
+		return nil, 0, err
 	}
-	plan, err := query.BuildPlanWithStats(q, meta.ReadyComposites(), &meta.Exemptions, db.Stats())
+	plan, err := planQuery(meta, q)
 	if err != nil {
 		return nil, 0, err
 	}
-	b.notePlan(dbID, plan)
+	b.plans.With(dbID, plan.Choice).Inc()
 	if readTS == 0 {
 		readTS = db.Spanner.StrongReadTimestamp()
 	}
@@ -126,7 +113,10 @@ func (b *Backend) RunQuery(ctx context.Context, dbID string, p Principal, q *que
 	if err != nil {
 		return nil, 0, err
 	}
-	b.noteActual(dbID, q, plan, res.ScannedEntries, len(res.Docs))
+	// What the query actually did feeds the histogram and the index
+	// advisor.
+	b.planActual.With(dbID).Record(time.Duration(res.ScannedEntries))
+	b.advisor.record(dbID, q, plan, res.ScannedEntries, len(res.Docs))
 	if b.cfg.Billing != nil {
 		n := int64(len(res.Docs))
 		if n == 0 {
@@ -150,18 +140,8 @@ func (b *Backend) RunAggregation(ctx context.Context, dbID string, p Principal, 
 		return nil, 0, err
 	}
 	meta := db.Meta()
-	if !p.Privileged {
-		if meta.Rules == nil {
-			return nil, 0, fmt.Errorf("%w: no rules deployed", rules.ErrDenied)
-		}
-		probe, perr := q.Collection.Doc("?")
-		if perr != nil {
-			return nil, 0, perr
-		}
-		req := &rules.Request{Method: rules.MethodList, Path: probe, Auth: p.Auth}
-		if err := meta.Rules.Authorize(req); err != nil {
-			return nil, 0, err
-		}
+	if err := authorizeList(meta, p, q); err != nil {
+		return nil, 0, err
 	}
 	if err := query.ValidateAggregations(q, aggs); err != nil {
 		return nil, 0, err
@@ -170,14 +150,13 @@ func (b *Backend) RunAggregation(ctx context.Context, dbID string, p Principal, 
 		readTS = db.Spanner.StrongReadTimestamp()
 	}
 	// Every aggregation (the base query and each SUM/AVG field variant)
-	// is planned with the cost-based planner against current statistics.
+	// is planned like a query.
 	planner := func(vq *query.Query) (*query.Plan, error) {
-		pl, perr := query.BuildPlanWithStats(vq, meta.ReadyComposites(), &meta.Exemptions, db.Stats())
-		if perr != nil {
-			return nil, perr
+		pl, perr := planQuery(meta, vq)
+		if perr == nil {
+			b.plans.With(dbID, pl.Choice).Inc()
 		}
-		b.notePlan(dbID, pl)
-		return pl, nil
+		return pl, perr
 	}
 	var res *query.AggregationResult
 	err = b.submit(ctx, db, "backend.aggregate", b.schedKey(dbID, p), b.cfg.Costs.Query(dbID, q), func(ctx context.Context) error {
@@ -198,106 +177,78 @@ func (b *Backend) RunAggregation(ctx context.Context, dbID string, p Principal, 
 	return res, readTS, nil
 }
 
-// PlanExplain describes one plan alternative the cost-based planner
-// considered for a query, in the order considered (the chosen plan
-// first).
+// PlanExplain describes the plan the planner picks for a query.
 type PlanExplain struct {
 	// Plan is the human-readable plan description.
 	Plan string `json:"plan"`
 	// Choice is the plan family: composite, auto, zigzag, or entities.
 	Choice string `json:"choice"`
-	// Cost is the planner's estimated index entries visited.
-	Cost int64 `json:"cost"`
-	// Chosen marks the plan the planner would execute.
-	Chosen bool `json:"chosen"`
-	// ActualEntries and Results report a full drain of the alternative
-	// when explain runs in analyze mode.
+	// ActualEntries and Results report a full drain of the plan when
+	// explain runs in analyze mode.
 	ActualEntries int `json:"actualEntries,omitempty"`
 	Results       int `json:"results,omitempty"`
 }
 
-// ExplainQuery enumerates and costs every plan alternative for q without
-// serving results. With analyze set, each alternative is also executed
-// to exhaustion at one shared snapshot so estimated and actual entries
-// visited can be compared side by side.
-func (b *Backend) ExplainQuery(ctx context.Context, dbID string, p Principal, q *query.Query, analyze bool, readTS truetime.Timestamp) ([]PlanExplain, truetime.Timestamp, error) {
+// ExplainQuery returns the plan RunQuery would execute for q without
+// serving results. With analyze set, the plan is also executed to
+// exhaustion at the read timestamp, following resume tokens, to count
+// the index entries it visits and the results it returns.
+func (b *Backend) ExplainQuery(ctx context.Context, dbID string, p Principal, q *query.Query, analyze bool, readTS truetime.Timestamp) (PlanExplain, truetime.Timestamp, error) {
 	db, err := b.cat.Get(dbID)
 	if err != nil {
-		return nil, 0, err
+		return PlanExplain{}, 0, err
 	}
 	meta := db.Meta()
-	if !p.Privileged {
-		if meta.Rules == nil {
-			return nil, 0, fmt.Errorf("%w: no rules deployed", rules.ErrDenied)
-		}
-		probe, perr := q.Collection.Doc("?")
-		if perr != nil {
-			return nil, 0, perr
-		}
-		req := &rules.Request{Method: rules.MethodList, Path: probe, Auth: p.Auth}
-		if err := meta.Rules.Authorize(req); err != nil {
-			return nil, 0, err
-		}
+	if err := authorizeList(meta, p, q); err != nil {
+		return PlanExplain{}, 0, err
 	}
-	alts, err := query.EnumeratePlans(q, meta.ReadyComposites(), &meta.Exemptions, db.Stats())
+	plan, err := planQuery(meta, q)
 	if err != nil {
-		return nil, 0, err
+		return PlanExplain{}, 0, err
 	}
 	if readTS == 0 {
 		readTS = db.Spanner.StrongReadTimestamp()
 	}
-	out := make([]PlanExplain, len(alts))
-	for i, alt := range alts {
-		out[i] = PlanExplain{
-			Plan:   alt.Plan.String(),
-			Choice: alt.Plan.Choice,
-			Cost:   alt.Cost,
-			Chosen: i == 0,
-		}
-		if !analyze {
-			continue
-		}
-		st := &snapshotStorage{db: db, ts: readTS}
-		scanned, results, aerr := drainPlan(ctx, st, alt.Plan)
-		if aerr != nil {
-			return nil, 0, aerr
-		}
-		out[i].ActualEntries = scanned
-		out[i].Results = results
+	out := PlanExplain{Plan: plan.String(), Choice: plan.Choice}
+	if !analyze {
+		return out, readTS, nil
 	}
-	return out, readTS, nil
-}
-
-// drainPlan executes a plan to exhaustion, following resume tokens, and
-// reports total index entries visited and result rows produced.
-func drainPlan(ctx context.Context, st query.Storage, p *query.Plan) (scanned, results int, err error) {
+	st := &snapshotStorage{db: db, ts: readTS}
 	var resume []byte
 	for {
-		res, err := p.Execute(ctx, st, resume)
+		res, err := plan.Execute(ctx, st, resume)
 		if err != nil {
-			return scanned, results, err
+			return PlanExplain{}, 0, err
 		}
-		scanned += res.ScannedEntries
-		results += len(res.Docs)
+		out.ActualEntries += res.ScannedEntries
+		out.Results += len(res.Docs)
 		if res.Resume == nil {
-			return scanned, results, nil
+			return out, readTS, nil
 		}
 		resume = res.Resume
 	}
 }
 
-// notePlan records a planning decision: which plan family won and the
-// estimated entries it will visit.
-func (b *Backend) notePlan(dbID string, p *query.Plan) {
-	b.plans.With(dbID, p.Choice).Inc()
-	b.planEstimated.With(dbID).Record(time.Duration(p.Cost))
+// authorizeList checks a third-party principal's list permission on q's
+// collection. It is evaluated against the collection's document pattern;
+// conditions inspecting document data cannot grant a whole query.
+func authorizeList(meta *catalog.Meta, p Principal, q *query.Query) error {
+	if p.Privileged {
+		return nil
+	}
+	if meta.Rules == nil {
+		return fmt.Errorf("%w: no rules deployed", rules.ErrDenied)
+	}
+	probe, err := q.Collection.Doc("?")
+	if err != nil {
+		return err
+	}
+	return meta.Rules.Authorize(&rules.Request{Method: rules.MethodList, Path: probe, Auth: p.Auth})
 }
 
-// noteActual records a query execution's observed index work, feeding
-// both the estimated-vs-actual histograms and the index advisor.
-func (b *Backend) noteActual(dbID string, q *query.Query, p *query.Plan, scanned, results int) {
-	b.planActual.With(dbID).Record(time.Duration(scanned))
-	b.advisor.record(dbID, q, p, scanned, results)
+// planQuery plans q against the database's ready index set.
+func planQuery(meta *catalog.Meta, q *query.Query) (*query.Plan, error) {
+	return query.BuildPlanWithStats(q, meta.ReadyComposites(), &meta.Exemptions, nil)
 }
 
 // snapshotStorage adapts a database snapshot to the query executor's

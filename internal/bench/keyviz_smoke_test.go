@@ -26,6 +26,7 @@ func TestKeyVizOverheadGate(t *testing.T) {
 // TestKeyVizDisarmedSampleCost pins the disarmed hot-path contract: a
 // sample against a disabled collector is one atomic load — zero
 // allocations and a handful of nanoseconds even on a loaded CI worker.
+// The time bound holds only without the race detector.
 func TestKeyVizDisarmedSampleCost(t *testing.T) {
 	c := keyviz.New(truetime.NewManual(1000, 0), keyviz.Options{})
 	res := testing.Benchmark(func(b *testing.B) {
@@ -37,7 +38,7 @@ func TestKeyVizDisarmedSampleCost(t *testing.T) {
 	if allocs := res.AllocsPerOp(); allocs != 0 {
 		t.Fatalf("disarmed Sample allocates %d times per op, want 0", allocs)
 	}
-	if perOp := res.NsPerOp(); perOp > 50 {
+	if perOp := res.NsPerOp(); perOp > 50 && !raceDetector {
 		t.Fatalf("disarmed Sample costs %dns/op, want <= 50ns (single atomic load)", perOp)
 	}
 	t.Logf("disarmed Sample: %dns/op, %d allocs/op", res.NsPerOp(), res.AllocsPerOp())

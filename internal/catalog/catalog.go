@@ -72,7 +72,6 @@ func (c *Catalog) Create(id string) (*Database, error) {
 		Spanner:  c.spanners[int(h.Sum32())%len(c.spanners)],
 		entities: append(slices.Clone(dir), TableEntities),
 		indexes:  append(slices.Clone(dir), TableIndexEntries),
-		stats:    index.NewStats(),
 	}
 	db.meta.Store(&Meta{})
 	c.dbs[id] = db
@@ -123,13 +122,12 @@ type Database struct {
 
 	metaMu sync.Mutex // serializes metadata writers
 	meta   atomic.Pointer[Meta]
-
-	stats *index.Stats
 }
 
-// Stats returns the database's index-cardinality tracker. It is nil-safe
-// to use but never nil for catalog-created databases.
-func (db *Database) Stats() *index.Stats { return db.stats }
+// Stats returns nil: the query planner reads no statistics. It remains
+// only because the frozen benchmark probe passes its result to
+// query.BuildPlanWithStats; ROADMAP item 2(d) deletes it with them.
+func (db *Database) Stats() *index.Stats { return nil }
 
 // Meta is the immutable metadata snapshot hot paths read — the paper's
 // Metadata Cache (Figure 4). Mutators install a fresh snapshot.

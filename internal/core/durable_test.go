@@ -94,3 +94,62 @@ func TestRegionDurableRestart(t *testing.T) {
 		t.Fatalf("second recovery lost post-recovery write: %v, %v", d, err)
 	}
 }
+
+// TestPlanSurvivesRestart: a plan is a function of the query and the
+// index set, so a restarted Disk region plans an equality query onto the
+// field's index however few writes it has seen since — the query visits
+// what it returns, not the collection.
+func TestPlanSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	cfg := Config{Name: "durable", StorageDir: dir}
+	r, err := OpenRegion(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.CreateDatabase("app"); err != nil {
+		t.Fatal(err)
+	}
+	setF := func(r *Region, from, to, plus int) {
+		var ops []backend.WriteOp
+		for i := from; i < to; i++ {
+			ops = append(ops, backend.WriteOp{Kind: backend.OpSet, Name: doc.MustName(fmt.Sprintf("/c/d%03d", i)),
+				Fields: map[string]doc.Value{"f": doc.Int(int64(plus + i))}})
+		}
+		if _, err := r.Commit(ctx, "app", priv, ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 300; i += 100 {
+		setF(r, i, i+100, 0)
+	}
+	r.Close()
+
+	re, err := OpenRegion(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, err := re.CreateDatabase("app"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		setF(re, i, i+1, 1000)
+	}
+	q := &query.Query{Collection: doc.MustCollection("/c"), Limit: 20,
+		Predicates: []query.Predicate{{Path: "f", Op: query.Eq, Value: doc.Int(1003)}}}
+	res, _, err := re.RunQuery(ctx, "app", priv, q, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Docs) != 1 || res.ScannedEntries > 21 {
+		t.Fatalf("%s: %d results for %d entries scanned, want 1 for <= 21", q, len(res.Docs), res.ScannedEntries)
+	}
+	pe, _, err := re.Backend.ExplainQuery(ctx, "app", priv, q, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "scan index(c: f asc)"; pe.Plan != want {
+		t.Fatalf("explain %q, want %q", pe.Plan, want)
+	}
+}

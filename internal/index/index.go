@@ -236,10 +236,10 @@ func compareFields(a, b FieldValue) int {
 	return doc.Compare(a.Value, b.Value)
 }
 
-// Entry pairs an IndexEntries row key with the structural offsets the
-// cardinality statistics need: without them a raw key is opaque (the
-// escaped document ID can begin with any byte, so value boundaries are
-// not recoverable from the bytes alone).
+// Entry pairs an IndexEntries row key with its structural offsets:
+// without them a raw key is opaque (the escaped document ID can begin
+// with any byte, so value boundaries are not recoverable from the bytes
+// alone).
 //
 // An IndexEntries key is the paper's (index-id, values, name) tuple with
 // the name split around the values for range-scan locality: 8-byte
@@ -253,15 +253,12 @@ type Entry struct {
 	// key, allocated once at its final size.
 	Key []byte
 	ID  uint64
-	// PrefixEnds holds the offsets in Key where the statistically
-	// interesting prefixes of the IndexEntries key end: the collection
-	// prefix first, then the prefix through each successive value
-	// component. The query planner estimates equality-prefix selectivity
-	// by looking up exactly these prefixes; statistics hash Key[skip:end],
-	// skip being the length of the row-key prefix. The entries of one
-	// diff share one backing array.
+	// PrefixEnds holds the offsets in Key where the equality prefixes of
+	// the IndexEntries key end: the collection prefix first, then the
+	// prefix through each successive value component — exactly the
+	// prefixes a query's equality-covered scan ranges over. The entries
+	// of one diff share one backing array.
 	PrefixEnds []int
-	skip       int
 }
 
 // differ is the pooled scratch of one DiffEntries call: what exists only
@@ -299,7 +296,7 @@ func (d *differ) entry(id uint64, fields []Field) Entry {
 		d.ends = append(d.ends, len(key))
 		at = cut
 	}
-	return Entry{Key: append(key, d.tail...), ID: id, PrefixEnds: d.ends[first:], skip: len(d.prefix)}
+	return Entry{Key: append(key, d.tail...), ID: id, PrefixEnds: d.ends[first:]}
 }
 
 // field appends the entries one flattened field implies: the ascending
@@ -383,8 +380,7 @@ func keysOf(es []Entry) [][]byte {
 // DiffEntries is Diff with the structural offsets preserved and every
 // key built behind keyPrefix (a database's IndexEntries row-key prefix,
 // or nil), so commit paths can hand the keys to the transaction as they
-// are and fold the same diff into the cardinality statistics. Both lists
-// come back sorted by key.
+// are. Both lists come back sorted by key.
 //
 // The diff is by field, not by entry: a (path, value) pair present in
 // both versions (doc.Equal values encode identically) emits and encodes

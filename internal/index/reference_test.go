@@ -291,22 +291,33 @@ func TestGoldenIDs(t *testing.T) {
 	}
 }
 
-// TestStatsBucketsMatchWholePrefixHash: hashing a key once with the
-// running state snapshotted at each prefix end lands in the buckets that
-// hashing each prefix from byte 0 does — the buckets PrefixEntries reads.
-func TestStatsBucketsMatchWholePrefixHash(t *testing.T) {
-	comp := CompositeDef("restaurants", Field{"city", Ascending}, Field{"type", Descending}, Field{"rating", Ascending})
+// TestEntriesMatchReference: the entries of a whole document are the
+// reference implementation's, key for key and offset for offset.
+func TestEntriesMatchReference(t *testing.T) {
 	d := &doc.Document{Name: doc.MustName("/restaurants/r1"), Fields: map[string]doc.Value{
 		"city": doc.String("SF"), "type": doc.String("BBQ"), "rating": doc.Int(3),
+		"tags": doc.Array(doc.String("a"), doc.String("b"), doc.String("a")),
 	}}
-	s := NewStats()
-	_, added := DiffEntries([]byte("dir\x00I"), nil, d, []Definition{comp}, nil)
-	s.ApplyDiff(nil, added)
-	for _, e := range refEntryList(d, []Definition{comp}, nil) {
-		for _, end := range e.PrefixEnds {
-			if got := s.PrefixEntries(e.ID, e.Key[:end]); got != 1 {
-				t.Fatalf("index %x prefix %x: %d entries, want 1", e.ID, e.Key[:end], got)
-			}
+	comp := CompositeDef("restaurants",
+		Field{Path: "city", Dir: Ascending},
+		Field{Path: "type", Dir: Ascending},
+	)
+	_, want := refDiffEntries(nil, d, []Definition{comp}, nil)
+	_, list := DiffEntries(nil, nil, d, []Definition{comp}, nil)
+	if err := sameEntries(list, want, nil); err != nil {
+		t.Fatal(err)
+	}
+	keys := Entries(d, []Definition{comp}, nil)
+	if len(keys) != len(list) {
+		t.Fatalf("Entries len %d != DiffEntries len %d", len(keys), len(list))
+	}
+	for i := range keys {
+		if string(keys[i]) != string(list[i].Key) {
+			t.Fatalf("entry %d: key mismatch", i)
+		}
+		ends := list[i].PrefixEnds
+		if len(ends) < 2 || ends[len(ends)-1] >= len(list[i].Key) {
+			t.Fatalf("entry %d: bad PrefixEnds %v for key len %d", i, ends, len(list[i].Key))
 		}
 	}
 }

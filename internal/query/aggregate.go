@@ -61,12 +61,11 @@ type AggregationResult struct {
 
 // Aggregation request shape errors.
 var (
-	ErrAggEmpty        = status.New(status.InvalidArgument, "query", "at least one aggregation is required")
-	ErrAggAlias        = status.New(status.InvalidArgument, "query", "aggregation aliases must be unique and non-empty")
-	ErrAggPath         = status.New(status.InvalidArgument, "query", "sum/avg require a field path; count takes none")
-	ErrAggCursor       = status.New(status.InvalidArgument, "query", "aggregation queries do not support cursors")
-	ErrAggLimitOffset  = status.New(status.InvalidArgument, "query", "sum/avg do not support limit or offset")
-	errAggSumAvgEntity = status.New(status.Internal, "query", "sum/avg planned onto an Entities scan")
+	ErrAggEmpty       = status.New(status.InvalidArgument, "query", "at least one aggregation is required")
+	ErrAggAlias       = status.New(status.InvalidArgument, "query", "aggregation aliases must be unique and non-empty")
+	ErrAggPath        = status.New(status.InvalidArgument, "query", "sum/avg require a field path; count takes none")
+	ErrAggCursor      = status.New(status.InvalidArgument, "query", "aggregation queries do not support cursors")
+	ErrAggLimitOffset = status.New(status.InvalidArgument, "query", "sum/avg do not support limit or offset")
 )
 
 // ValidateAggregations checks an aggregation request's shape against the
@@ -108,8 +107,7 @@ func ValidateAggregations(q *Query, aggs []Aggregation) error {
 // SUM/AVG field runs on a variant query whose order suffix carries the
 // field, so its value decodes straight from the index key (one scan is
 // shared by every aggregation over the same field). The planner callback
-// plans each (variant) query — the backend passes its cost-based
-// planner; tests plan without statistics.
+// plans each (variant) query against the caller's index set.
 //
 // On error the partial result is still returned so callers bill the
 // entries already visited.
@@ -172,15 +170,10 @@ func ExecuteAggregations(ctx context.Context, st Storage, q *Query, aggs []Aggre
 // accumulator, without fetching documents.
 func aggregateField(ctx context.Context, st Storage, q *Query, f doc.FieldPath, planner func(*Query) (*Plan, error)) (*numAccum, int, error) {
 	qf, pos := fieldVariant(q, f)
+	// qf has an order, so its plan is an index scan (never Entities).
 	p, err := planner(qf)
 	if err != nil {
 		return nil, 0, err
-	}
-	if p.Scans[0].Def.ID == 0 {
-		// Cannot happen: qf always has a non-empty order suffix, which
-		// excludes the Entities alternative. Guard anyway — decoding a
-		// field from an Entities row is impossible.
-		return nil, 0, errAggSumAvgEntity
 	}
 	sortFields := sortFieldsOf(qf)
 	acc := &numAccum{}

@@ -42,9 +42,9 @@ func oracleAgg(docs []*doc.Document, f doc.FieldPath) (sum float64, n int) {
 	return sum, n
 }
 
-func planWith(composites []index.Definition, stats Stats) func(*Query) (*Plan, error) {
+func planWith(composites []index.Definition) func(*Query) (*Plan, error) {
 	return func(q *Query) (*Plan, error) {
-		return BuildPlanWithStats(q, composites, nil, stats)
+		return BuildPlanWithStats(q, composites, nil, nil)
 	}
 }
 
@@ -69,8 +69,8 @@ func TestAggregationsMatchOracle(t *testing.T) {
 			index.Field{Path: "city", Dir: index.Ascending},
 			index.Field{Path: "avgRating", Dir: index.Ascending}),
 	}
-	s := newStatsStore(comps, nil)
-	seedRestaurants(s.memStore)
+	s := newMemStore(comps, nil)
+	seedRestaurants(s)
 
 	queries := []*Query{
 		{Collection: doc.MustCollection("/restaurants")},
@@ -93,7 +93,7 @@ func TestAggregationsMatchOracle(t *testing.T) {
 			aggs = aggs[:3]
 		}
 		fc := &fetchCountingStore{Storage: s}
-		res, err := ExecuteAggregations(context.Background(), fc, q, aggs, planWith(s.composites, s.stats))
+		res, err := ExecuteAggregations(context.Background(), fc, q, aggs, planWith(s.composites))
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -146,7 +146,7 @@ func TestAggregationsMatchOracle(t *testing.T) {
 // TestAggregationEmptyAndMissing: SUM over no numeric values is Int(0),
 // AVG is Null; documents missing the field are skipped.
 func TestAggregationEmptyAndMissing(t *testing.T) {
-	s := newStatsStore(nil, nil)
+	s := newMemStore(nil, nil)
 	// Two docs with score, one without, one with a string score.
 	put := func(id string, fields map[string]doc.Value) {
 		s.put(doc.New(doc.MustName("/games/"+id), fields))
@@ -162,7 +162,7 @@ func TestAggregationEmptyAndMissing(t *testing.T) {
 			{Kind: AggSum, Path: "score", Alias: "s"},
 			{Kind: AggAvg, Path: "score", Alias: "a"},
 			{Kind: AggCount, Alias: "n"},
-		}, planWith(nil, s.stats))
+		}, planWith(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestAggregationEmptyAndMissing(t *testing.T) {
 		[]Aggregation{
 			{Kind: AggSum, Path: "absent", Alias: "s"},
 			{Kind: AggAvg, Path: "absent", Alias: "a"},
-		}, planWith(nil, s.stats))
+		}, planWith(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,13 +197,13 @@ func TestAggregationEmptyAndMissing(t *testing.T) {
 // TestAggregationOverflowAndNaN: int sums promote to float on overflow;
 // NaN propagates.
 func TestAggregationOverflowAndNaN(t *testing.T) {
-	s := newStatsStore(nil, nil)
+	s := newMemStore(nil, nil)
 	big := int64(math.MaxInt64 - 10)
 	s.put(doc.New(doc.MustName("/n/a"), map[string]doc.Value{"v": doc.Int(big)}))
 	s.put(doc.New(doc.MustName("/n/b"), map[string]doc.Value{"v": doc.Int(big)}))
 	q := &Query{Collection: doc.MustCollection("/n")}
 	res, err := ExecuteAggregations(context.Background(), s, q,
-		[]Aggregation{{Kind: AggSum, Path: "v", Alias: "s"}}, planWith(nil, s.stats))
+		[]Aggregation{{Kind: AggSum, Path: "v", Alias: "s"}}, planWith(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +211,11 @@ func TestAggregationOverflowAndNaN(t *testing.T) {
 		t.Fatalf("overflowing sum = %s, want ~%g", v, 2*float64(big))
 	}
 
-	s2 := newStatsStore(nil, nil)
+	s2 := newMemStore(nil, nil)
 	s2.put(doc.New(doc.MustName("/n/a"), map[string]doc.Value{"v": doc.Int(1)}))
 	s2.put(doc.New(doc.MustName("/n/b"), map[string]doc.Value{"v": doc.Double(math.NaN())}))
 	res, err = ExecuteAggregations(context.Background(), s2, q,
-		[]Aggregation{{Kind: AggSum, Path: "v", Alias: "s"}}, planWith(nil, s2.stats))
+		[]Aggregation{{Kind: AggSum, Path: "v", Alias: "s"}}, planWith(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +227,14 @@ func TestAggregationOverflowAndNaN(t *testing.T) {
 // TestAggregationSharesScans: multiple aggregations over the same field
 // share one index scan.
 func TestAggregationSharesScans(t *testing.T) {
-	s := newStatsStore(nil, nil)
+	s := newMemStore(nil, nil)
 	for i := 0; i < 10; i++ {
 		s.put(doc.New(doc.MustName(fmt.Sprintf("/n/d%d", i)),
 			map[string]doc.Value{"v": doc.Int(int64(i))}))
 	}
 	q := &Query{Collection: doc.MustCollection("/n")}
 	one, err := ExecuteAggregations(context.Background(), s, q,
-		[]Aggregation{{Kind: AggSum, Path: "v", Alias: "s"}}, planWith(nil, s.stats))
+		[]Aggregation{{Kind: AggSum, Path: "v", Alias: "s"}}, planWith(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestAggregationSharesScans(t *testing.T) {
 		[]Aggregation{
 			{Kind: AggSum, Path: "v", Alias: "s"},
 			{Kind: AggAvg, Path: "v", Alias: "a"},
-		}, planWith(nil, s.stats))
+		}, planWith(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

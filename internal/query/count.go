@@ -24,8 +24,7 @@ type CountResult struct {
 
 // ExecuteCount counts the plan's result set without fetching any
 // documents: single scans count index entries in range; zig-zag joins
-// count join hits; Entities plans count rows passing the residual
-// filter. On error (including context cancellation mid-join) the
+// count join hits; Entities plans count rows. On error (including context cancellation mid-join) the
 // partial result is still returned so the entries already visited are
 // billed.
 func (p *Plan) ExecuteCount(ctx context.Context, st Storage) (*CountResult, error) {
@@ -48,14 +47,10 @@ func (p *Plan) ExecuteCount(ctx context.Context, st Storage) (*CountResult, erro
 // It reports the entries visited even when err != nil, so billing
 // reflects the work performed before a failure or cancellation.
 func (p *Plan) walkIndexOnly(ctx context.Context, st Storage, emit func(suffix []byte) bool) (visited int, err error) {
-	// Entities plan: scan the collection, re-applying predicates when
-	// the plan carries a residual filter.
+	// Entities plan: every document of the collection is a result.
 	if p.Scans[0].Def.ID == 0 {
-		err := st.ScanCollection(ctx, p.Query.Collection, "", func(d *doc.Document) bool {
+		err := st.ScanCollection(ctx, p.Query.Collection, "", func(*doc.Document) bool {
 			visited++
-			if !p.Query.matchesResidual(d) {
-				return true
-			}
 			return emit(nil)
 		})
 		return visited, err

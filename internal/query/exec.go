@@ -60,11 +60,9 @@ func (p *Plan) Execute(ctx context.Context, st Storage, resume []byte) (*Result,
 	return p.executeIndexScans(ctx, st, resume, offset, limit)
 }
 
-// executeEntitiesScan serves a collection query straight from the
-// Entities table, which is already in name order. Cost-based plans may
-// route predicated queries here (full scan + residual filter), so every
-// visited document counts as scan work and the query's predicates are
-// re-applied per document.
+// executeEntitiesScan serves a bare collection query (no predicates, no
+// order) straight from the Entities table, which is already in name
+// order; every visited document counts as scan work.
 func (p *Plan) executeEntitiesScan(ctx context.Context, st Storage, resume []byte, offset, limit int) (*Result, error) {
 	res := &Result{}
 	startAfter := string(resume)
@@ -79,9 +77,6 @@ func (p *Plan) executeEntitiesScan(ctx context.Context, st Storage, resume []byt
 		}
 		if p.Query.PastEnd(d) {
 			return false
-		}
-		if !p.Query.matchesResidual(d) {
-			return true
 		}
 		if offset > 0 {
 			offset--
@@ -199,23 +194,6 @@ func scannedEntries(iters []*scanIter) int {
 		n += it.scanned
 	}
 	return n
-}
-
-// matchesResidual applies the query's predicates and order-existence
-// requirements to a document, excluding cursor bounds (the scan applies
-// those positionally).
-func (q *Query) matchesResidual(d *doc.Document) bool {
-	for _, p := range q.Predicates {
-		if !matchPredicate(d, p) {
-			return false
-		}
-	}
-	for _, o := range q.EffectiveOrders() {
-		if _, ok := d.Get(o.Path); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 func (p *Plan) fetch(ctx context.Context, st Storage, name string) (*doc.Document, error) {

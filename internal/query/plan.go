@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"firestore/internal/doc"
 	"firestore/internal/encoding"
@@ -10,6 +12,7 @@ import (
 
 // Scan is one index range in a plan: scan keys in [Lo, Hi) and join on
 // the byte suffix after Prefix (the shared sort-values + document ID).
+// The zero Scan stands for the collection's Entities range.
 type Scan struct {
 	Def    index.Definition
 	Prefix []byte
@@ -23,16 +26,12 @@ type Plan struct {
 	Scans []Scan
 
 	// Choice labels the plan family ("composite", "auto", "zigzag",
-	// "entities") for metrics and EXPLAIN.
+	// "entities") for metrics and EXPLAIN; choices lists them in the
+	// planner's order of preference.
 	Choice string
-	// Cost is the planner's estimated index entries (or weighted
-	// Entities rows) visited, from the statistics available at plan
-	// time; zero when no statistics were available.
-	Cost int64
-	// Residual marks an Entities full scan that must re-apply the
-	// query's predicates per document.
-	Residual bool
 }
+
+var choices = []string{"composite", "auto", "zigzag", "entities"}
 
 // ZigZag reports whether the plan joins multiple indexes.
 func (p *Plan) ZigZag() bool { return len(p.Scans) > 1 }
@@ -40,9 +39,6 @@ func (p *Plan) ZigZag() bool { return len(p.Scans) > 1 }
 func (p *Plan) String() string {
 	if len(p.Scans) == 1 {
 		if p.Scans[0].Def.ID == 0 {
-			if p.Residual {
-				return "scan entities + residual filter"
-			}
 			return "scan entities"
 		}
 		return fmt.Sprintf("scan %s", p.Scans[0].Def)
@@ -57,9 +53,166 @@ func (p *Plan) String() string {
 	return s + ")"
 }
 
-// planInputs is the analyzed, validated query shape shared by the plan
-// enumerator: predicates partitioned by class, the required sort
-// suffix, and the candidate index definitions.
+// maxCovers bounds how many equality covers the planner explores;
+// queries with that many legal index covers are adversarial, not real.
+const maxCovers = 32
+
+// BuildPlanWithStats plans q from the query and its ready index set
+// alone, in the greedy order of §IV-D3: one composite scan, otherwise
+// one automatic-index scan, otherwise the zig-zag join with the fewest
+// scans, ties broken by plan text. Only a query with no predicates and no
+// order scans the Entities table; every other query is served by an
+// index, so its cost follows its result. It returns a *NeedsIndexError
+// when no usable index set exists, which in production surfaces to the
+// developer with a creation link.
+//
+// The last parameter is ignored: the planner reads no statistics. It
+// stays, with catalog.Database.Stats, because the frozen benchmark probe
+// passes it; ROADMAP item 2(d) deletes both.
+func BuildPlanWithStats(q *Query, composites []index.Definition, ex *index.Exemptions, _ *index.Stats) (*Plan, error) {
+	in, err := analyzeQuery(q, composites, ex)
+	if err != nil {
+		return nil, err
+	}
+	var best *Plan
+	consider := func(scans []Scan) {
+		if p := finishPlan(q, in, scans); best == nil || before(p, best) {
+			best = p
+		}
+	}
+	switch {
+	case len(in.contains) > 0 && len(in.sortFields) > 0:
+		// Array-contains scans join only on the document ID, so they
+		// are incompatible with a sort suffix (a composite is required).
+	case len(in.eqs) > 0 || len(in.contains) > 0:
+		// One plan per distinct cover of the equality predicates, plus
+		// one contains scan per array predicate.
+		for _, cover := range enumerateCovers(in) {
+			scans := make([]Scan, 0, len(cover)+len(in.contains))
+			for _, c := range cover {
+				scans = append(scans, buildScan(q, c.def, c.values))
+			}
+			for _, p := range in.contains {
+				scans = append(scans, buildScan(q, index.ContainsDef(in.coll, p.Path), []doc.Value{p.Value}))
+			}
+			consider(scans)
+		}
+	case len(in.sortFields) == 0:
+		consider([]Scan{{}}) // the Entities table, already in name order
+	case len(in.sortFields) == 1:
+		consider([]Scan{buildScan(q, index.AutoDef(in.coll, in.sortFields[0].Path, in.sortFields[0].Dir), nil)})
+	default:
+		if def := index.CompositeDef(in.coll, in.sortFields...); hasComposite(in.composites, def.ID) {
+			consider([]Scan{buildScan(q, def, nil)})
+		}
+	}
+	if best == nil {
+		return nil, &NeedsIndexError{Collection: in.coll, Fields: requiredFields(q)}
+	}
+	return best, nil
+}
+
+// before reports whether plan a precedes b in the planner's order.
+func before(a, b *Plan) bool {
+	if ra, rb := slices.Index(choices, a.Choice), slices.Index(choices, b.Choice); ra != rb {
+		return ra < rb
+	}
+	if len(a.Scans) != len(b.Scans) {
+		return len(a.Scans) < len(b.Scans)
+	}
+	return a.String() < b.String()
+}
+
+// finishPlan applies inequality suffix bounds and labels the plan.
+func finishPlan(q *Query, in *planInputs, scans []Scan) *Plan {
+	if len(in.ineqs) > 0 {
+		lo, hi := suffixBounds(in.ineqs, in.sortFields[0].Dir)
+		for i := range scans {
+			scans[i].Lo = append(append([]byte(nil), scans[i].Prefix...), lo...)
+			if hi != nil {
+				scans[i].Hi = append(append([]byte(nil), scans[i].Prefix...), hi...)
+			}
+		}
+	}
+	p := &Plan{Query: q, Scans: scans}
+	switch {
+	case len(scans) > 1:
+		p.Choice = "zigzag"
+	case scans[0].Def.ID == 0:
+		p.Choice = "entities"
+	case scans[0].Def.Kind == index.KindComposite:
+		p.Choice = "composite"
+	default:
+		p.Choice = "auto"
+	}
+	return p
+}
+
+// coverScan is one chosen index within an equality cover.
+type coverScan struct {
+	def    index.Definition
+	values []doc.Value
+}
+
+// enumerateCovers returns every distinct set of usable indexes that
+// together cover all equality predicates. The DFS always extends with a
+// candidate covering the first (deterministically ordered) uncovered
+// path, so each set is emitted exactly once and permutations are never
+// revisited. With no equality predicates it yields one empty cover.
+func enumerateCovers(in *planInputs) [][]coverScan {
+	uncovered := map[doc.FieldPath]doc.Value{}
+	var order []doc.FieldPath
+	for _, p := range in.eqs {
+		if _, ok := uncovered[p.Path]; !ok {
+			order = append(order, p.Path)
+		}
+		uncovered[p.Path] = p.Value
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+
+	var out [][]coverScan
+	var sel []coverScan
+	var dfs func()
+	dfs = func() {
+		if len(out) >= maxCovers {
+			return
+		}
+		if len(uncovered) == 0 {
+			out = append(out, append([]coverScan(nil), sel...))
+			return
+		}
+		var first doc.FieldPath
+		for _, p := range order {
+			if _, ok := uncovered[p]; ok {
+				first = p
+				break
+			}
+		}
+		for _, c := range in.candidates {
+			covers, ok := usable(c, uncovered, in.sortFields)
+			if !ok || !slices.Contains(covers, first) {
+				continue
+			}
+			values := make([]doc.Value, len(covers))
+			for i, p := range covers {
+				values[i] = uncovered[p]
+				delete(uncovered, p)
+			}
+			sel = append(sel, coverScan{def: c, values: values})
+			dfs()
+			sel = sel[:len(sel)-1]
+			for i, p := range covers {
+				uncovered[p] = values[i]
+			}
+		}
+	}
+	dfs()
+	return out
+}
+
+// planInputs is the analyzed, validated query shape the planner works
+// from: predicates partitioned by class, the required sort suffix, and
+// the candidate index definitions.
 type planInputs struct {
 	coll       string
 	sortFields []index.Field
@@ -209,13 +362,7 @@ func hasComposite(defs []index.Definition, id uint64) bool {
 // buildScan constructs the scan for def with the given equality-prefix
 // values; bounds default to the whole prefix range.
 func buildScan(q *Query, def index.Definition, eqValues []doc.Value) Scan {
-	var prefix []byte
-	if def.ID == 0 {
-		// Entities scan sentinel; the executor substitutes the
-		// collection's Entities range.
-		return Scan{Def: def}
-	}
-	prefix = index.CollectionPrefix(def.ID, q.Collection)
+	prefix := index.CollectionPrefix(def.ID, q.Collection)
 	for i, v := range eqValues {
 		if def.Fields[i].Dir == index.Descending {
 			prefix = encoding.EncodeValueDesc(prefix, v)

@@ -12,31 +12,10 @@ import (
 	"firestore/internal/status"
 )
 
-// statsStore is memStore plus the index-cardinality statistics the
-// backend maintains from commit-time entry diffs.
-type statsStore struct {
-	*memStore
-	stats *index.Stats
-}
-
-func newStatsStore(composites []index.Definition, ex *index.Exemptions) *statsStore {
-	return &statsStore{memStore: newMemStore(composites, ex), stats: index.NewStats()}
-}
-
-func (s *statsStore) put(d *doc.Document) {
-	old := s.docs[d.Name.String()]
-	rem, add := index.DiffEntries(nil, old, d, s.composites, s.ex)
-	if old == nil {
-		s.stats.ApplyDoc(d.Name.Collection().String(), 1)
-	}
-	s.stats.ApplyDiff(rem, add)
-	s.memStore.put(d)
-}
-
 // seedABL1 reproduces the ABL1 zig-zag workload shape: cities and types
 // assigned round-robin so every (city, type) pair holds n/16 documents
 // while each single-field prefix holds n/4.
-func seedABL1(s *statsStore, n int) {
+func seedABL1(s *memStore, n int) {
 	cities := []string{"SF", "NY", "LA", "CHI"}
 	types := []string{"BBQ", "Sushi", "Pizza", "Thai"}
 	for i := 0; i < n; i++ {
@@ -50,15 +29,15 @@ func seedABL1(s *statsStore, n int) {
 	}
 }
 
-// TestCostPlannerPicksCheapestOnABL1: with statistics available the
-// planner must choose the composite single scan over the zig-zag join
-// (the documented 8x entry gap), and the picked plan's actual visited
-// entries must be <= every alternative's.
+// TestCostPlannerPicksCheapestOnABL1: with a (city, type) composite the
+// planner picks its single scan over the zig-zag join of the two
+// automatic indexes — by order, not by any estimate — and the composite
+// returns the same documents while visiting 1/8 of the entries.
 func TestCostPlannerPicksCheapestOnABL1(t *testing.T) {
 	comp := index.CompositeDef("restaurants",
 		index.Field{Path: "city", Dir: index.Ascending},
 		index.Field{Path: "type", Dir: index.Ascending})
-	s := newStatsStore([]index.Definition{comp}, nil)
+	s := newMemStore([]index.Definition{comp}, nil)
 	seedABL1(s, 800)
 
 	q := &Query{
@@ -68,68 +47,40 @@ func TestCostPlannerPicksCheapestOnABL1(t *testing.T) {
 			{"type", Eq, doc.String("BBQ")},
 		},
 	}
-	alts, err := EnumeratePlans(q, s.composites, nil, s.stats)
+	picked, err := BuildPlanWithStats(q, s.composites, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(alts) < 3 {
-		t.Fatalf("want composite, zigzag, and entities alternatives, got %d: %v", len(alts), altStrings(alts))
-	}
-	picked := alts[0].Plan
 	if picked.Choice != "composite" || picked.ZigZag() {
-		t.Fatalf("picked %s (%s), want single composite scan; alternatives: %v",
-			picked, picked.Choice, altStrings(alts))
+		t.Fatalf("picked %s (%s), want the single composite scan", picked, picked.Choice)
 	}
-	// The estimate must reflect the skew: ~n/16 for the composite
-	// prefix vs ~2*(n/4) for the zig-zag.
-	if picked.Cost <= 0 || picked.Cost > 100 {
-		t.Fatalf("composite cost = %d, want ~50", picked.Cost)
+	zigzag, err := BuildPlanWithStats(q, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range alts[1:] {
-		if a.Cost < picked.Cost {
-			t.Fatalf("alternative %s cost %d beats picked %d", a.Plan, a.Cost, picked.Cost)
-		}
+	if zigzag.Choice != "zigzag" {
+		t.Fatalf("without the composite: %s (%s), want the zig-zag join", zigzag, zigzag.Choice)
 	}
-
-	// Every alternative returns the identical result set, and the
-	// cost-picked plan actually visits the fewest entries.
 	want := s.naive(q)
-	pickedScanned := -1
-	for _, a := range alts {
-		res, err := a.Plan.Execute(context.Background(), s, nil)
+	scanned := map[string]int{}
+	for _, p := range []*Plan{picked, zigzag} {
+		res, err := p.Execute(context.Background(), s, nil)
 		if err != nil {
-			t.Fatalf("Execute(%s): %v", a.Plan, err)
+			t.Fatalf("Execute(%s): %v", p, err)
 		}
 		assertSameDocs(t, q, res.Docs, want)
-		if pickedScanned < 0 {
-			pickedScanned = res.ScannedEntries
-		} else if res.ScannedEntries < pickedScanned {
-			t.Fatalf("alternative %s visited %d entries, picked plan visited %d",
-				a.Plan, res.ScannedEntries, pickedScanned)
-		}
+		scanned[p.Choice] = res.ScannedEntries
 	}
-
-	// BuildPlanWithStats agrees with the head of the enumeration.
-	p, err := BuildPlanWithStats(q, s.composites, nil, s.stats)
-	if err != nil {
-		t.Fatal(err)
+	if scanned["composite"] != len(want) || scanned["zigzag"] < 8*len(want) {
+		t.Fatalf("entries visited %v for %d results, want composite = results and zigzag >= 8x", scanned, len(want))
 	}
-	if p.String() != picked.String() {
-		t.Fatalf("BuildPlanWithStats = %s, want %s", p, picked)
-	}
-}
-
-func altStrings(alts []Alternative) []string {
-	out := make([]string, len(alts))
-	for i, a := range alts {
-		out[i] = fmt.Sprintf("%s cost=%d", a.Plan, a.Cost)
-	}
-	return out
 }
 
 // TestEnumeratedAlternativesAgree is the property test: for randomized
-// query shapes, every enumerated alternative executes to the identical
-// result set.
+// query shapes, every ordering of the same index set yields one plan —
+// a plan is a function of the query and the index set — and it executes
+// to the naive result set. A query with a predicate or an order is never
+// planned onto the Entities table.
 func TestEnumeratedAlternativesAgree(t *testing.T) {
 	comp1 := index.CompositeDef("restaurants",
 		index.Field{Path: "city", Dir: index.Ascending},
@@ -140,11 +91,14 @@ func TestEnumeratedAlternativesAgree(t *testing.T) {
 	comp3 := index.CompositeDef("restaurants",
 		index.Field{Path: "city", Dir: index.Ascending},
 		index.Field{Path: "type", Dir: index.Ascending})
-	composites := []index.Definition{comp1, comp2, comp3}
+	orders := [][]index.Definition{
+		{comp1, comp2, comp3}, {comp1, comp3, comp2}, {comp2, comp1, comp3},
+		{comp2, comp3, comp1}, {comp3, comp1, comp2}, {comp3, comp2, comp1},
+	}
 
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 40; trial++ {
-		s := newStatsStore(composites, nil)
+		s := newMemStore(orders[0], nil)
 		for i := 0; i < 30; i++ {
 			s.put(restaurant(
 				fmt.Sprintf("r%02d", i),
@@ -155,28 +109,78 @@ func TestEnumeratedAlternativesAgree(t *testing.T) {
 			))
 		}
 		q := randomQuery(rng)
-		alts, err := EnumeratePlans(q, composites, nil, s.stats)
+		p, err := BuildPlanWithStats(q, orders[0], nil, nil)
 		if err != nil {
 			var nie *NeedsIndexError
 			if errors.As(err, &nie) {
 				continue
 			}
-			t.Fatalf("trial %d: EnumeratePlans(%s): %v", trial, q, err)
+			t.Fatalf("trial %d: BuildPlanWithStats(%s): %v", trial, q, err)
 		}
-		want := s.naive(q)
-		for _, a := range alts {
-			res, err := a.Plan.Execute(context.Background(), s, nil)
-			if err != nil {
-				t.Fatalf("trial %d: Execute(%s): %v", trial, a.Plan, err)
+		for _, set := range orders[1:] {
+			if again, err := BuildPlanWithStats(q, set, nil, nil); err != nil || again.String() != p.String() {
+				t.Fatalf("trial %d: %s plans %s from one index order, %v (%v) from another", trial, q, p, again, err)
 			}
-			assertSameDocs(t, q, res.Docs, want)
+		}
+		if p.Choice == "entities" && (len(q.Predicates) > 0 || len(q.Orders) > 0) {
+			t.Fatalf("trial %d: %s planned onto the Entities table", trial, q)
+		}
+		res, err := p.Execute(context.Background(), s, nil)
+		if err != nil {
+			t.Fatalf("trial %d: Execute(%s): %v", trial, p, err)
+		}
+		assertSameDocs(t, q, res.Docs, s.naive(q))
+	}
+}
+
+// TestPlanBenchmarkShapes pins the plan of each query shape the
+// benchmark runs, against the index set its workload creates.
+func TestPlanBenchmarkShapes(t *testing.T) {
+	cityRating := index.CompositeDef("restaurants",
+		index.Field{Path: "city", Dir: index.Ascending},
+		index.Field{Path: "avgRating", Dir: index.Descending})
+	roomTS := index.CompositeDef("messages",
+		index.Field{Path: "room", Dir: index.Ascending},
+		index.Field{Path: "ts", Dir: index.Descending})
+	eq := func(path string, v doc.Value) Predicate { return Predicate{doc.FieldPath(path), Eq, v} }
+	restaurants, city := doc.MustCollection("/restaurants"), eq("city", doc.String("SF"))
+	for _, c := range []struct {
+		name       string
+		q          *Query
+		composites []index.Definition
+		want       string
+	}{
+		{"ycsb field0 == limit 20", &Query{Collection: doc.MustCollection("/ycsb"),
+			Predicates: []Predicate{eq("field0", doc.Bytes([]byte{1, 2, 3}))}, Limit: 20},
+			nil, "scan index(ycsb: field0 asc)"},
+		{"query_mix city == limit 20", &Query{Collection: restaurants,
+			Predicates: []Predicate{city}, Limit: 20},
+			[]index.Definition{cityRating}, "scan index(restaurants: city asc)"},
+		{"query_mix city == category ==", &Query{Collection: restaurants,
+			Predicates: []Predicate{city, eq("category", doc.String("bbq"))}},
+			[]index.Definition{cityRating}, "zigzag(index(restaurants: category asc) ⋈ index(restaurants: city asc))"},
+		{"query_mix city == order by avgRating desc limit 20", &Query{Collection: restaurants,
+			Predicates: []Predicate{city}, Orders: []Order{{"avgRating", index.Descending}}, Limit: 20},
+			[]index.Definition{cityRating}, "scan index(restaurants: city asc, avgRating desc)"},
+		{"query_mix count(city ==)", &Query{Collection: restaurants, Predicates: []Predicate{city}},
+			[]index.Definition{cityRating}, "scan index(restaurants: city asc)"},
+		{"listen room == order by ts desc limit 20", &Query{Collection: doc.MustCollection("/messages"),
+			Predicates: []Predicate{eq("room", doc.Int(3))}, Orders: []Order{{"ts", index.Descending}}, Limit: 20},
+			[]index.Definition{roomTS}, "scan index(messages: room asc, ts desc)"},
+	} {
+		p, err := BuildPlanWithStats(c.q, c.composites, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.String() != c.want {
+			t.Errorf("%s: plan %s, want %s", c.name, p, c.want)
 		}
 	}
 }
 
-// TestNeedsIndexErrorGoldenParity pins the enumerator's NeedsIndexError
-// behavior to the old greedy planner's: the same query shapes fail with
-// the same suggested composite, and the same shapes still plan.
+// TestNeedsIndexErrorGoldenParity pins the planner's NeedsIndexError
+// behavior: these query shapes fail with the suggested composite, and
+// the served shapes plan to their family.
 func TestNeedsIndexErrorGoldenParity(t *testing.T) {
 	coll := doc.MustCollection("/restaurants")
 	cases := []struct {
@@ -214,32 +218,29 @@ func TestNeedsIndexErrorGoldenParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, stats := range []Stats{nil, index.NewStats()} {
-				_, err := BuildPlanWithStats(tc.q, tc.composites, nil, stats)
-				var nie *NeedsIndexError
-				if !errors.As(err, &nie) {
-					t.Fatalf("BuildPlanWithStats(%s) err = %v, want NeedsIndexError", tc.q, err)
-				}
-				if status.CodeOf(err) != status.FailedPrecondition {
-					t.Fatalf("status = %v, want FailedPrecondition", status.CodeOf(err))
-				}
-				if nie.Collection != "restaurants" {
-					t.Fatalf("collection = %q", nie.Collection)
-				}
-				if len(nie.Fields) != len(tc.wantFields) {
+			_, err := BuildPlanWithStats(tc.q, tc.composites, nil, nil)
+			var nie *NeedsIndexError
+			if !errors.As(err, &nie) {
+				t.Fatalf("BuildPlanWithStats(%s) err = %v, want NeedsIndexError", tc.q, err)
+			}
+			if status.CodeOf(err) != status.FailedPrecondition {
+				t.Fatalf("status = %v, want FailedPrecondition", status.CodeOf(err))
+			}
+			if nie.Collection != "restaurants" {
+				t.Fatalf("collection = %q", nie.Collection)
+			}
+			if len(nie.Fields) != len(tc.wantFields) {
+				t.Fatalf("suggested fields = %v, want %v", nie.Fields, tc.wantFields)
+			}
+			for i := range nie.Fields {
+				if nie.Fields[i] != tc.wantFields[i] {
 					t.Fatalf("suggested fields = %v, want %v", nie.Fields, tc.wantFields)
-				}
-				for i := range nie.Fields {
-					if nie.Fields[i] != tc.wantFields[i] {
-						t.Fatalf("suggested fields = %v, want %v", nie.Fields, tc.wantFields)
-					}
 				}
 			}
 		})
 	}
 
-	// Shapes the greedy planner served must still plan, with the same
-	// plan family at zero statistics.
+	// Served shapes plan to the same family they always have.
 	served := []struct {
 		q    *Query
 		want string
@@ -342,49 +343,5 @@ func TestCountBillsPartialScanOnError(t *testing.T) {
 	}
 	if res == nil {
 		t.Fatal("nil result on cancellation")
-	}
-}
-
-// TestEntitiesResidualScan: the Entities full-scan alternative filters
-// predicates per document and bills every row visited, not every row
-// matched.
-func TestEntitiesResidualScan(t *testing.T) {
-	s := newStatsStore(nil, nil)
-	seedRestaurants(s.memStore)
-	q := &Query{Collection: doc.MustCollection("/restaurants"),
-		Predicates: []Predicate{{"city", Eq, doc.String("SF")}}}
-	alts, err := EnumeratePlans(q, nil, nil, s.stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ent *Plan
-	for _, a := range alts {
-		if a.Plan.Choice == "entities" {
-			ent = a.Plan
-		}
-	}
-	if ent == nil {
-		t.Fatalf("no entities alternative in %v", altStrings(alts))
-	}
-	if !ent.Residual {
-		t.Fatal("entities alternative not marked residual")
-	}
-	res, err := ent.Execute(context.Background(), s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDocs(t, q, res.Docs, s.naive(q))
-	if res.ScannedEntries != 60 {
-		t.Fatalf("ScannedEntries = %d, want 60 (every row visited)", res.ScannedEntries)
-	}
-	cr, err := ent.ExecuteCount(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cr.Count != int64(len(s.naive(q))) {
-		t.Fatalf("residual count = %d, want %d", cr.Count, len(s.naive(q)))
-	}
-	if cr.ScannedEntries != 60 {
-		t.Fatalf("count ScannedEntries = %d, want 60", cr.ScannedEntries)
 	}
 }
