@@ -245,7 +245,7 @@ func (c *cli) explain(args []string) error {
 	}
 	line := fmt.Sprintf("%-10s %s", view.Plan.Choice, view.Plan.Plan)
 	if analyze {
-		line += fmt.Sprintf("  [actual=%d results=%d]", view.Plan.ActualEntries, view.Plan.Results)
+		line += fmt.Sprintf("  [actual=%d scans=%d results=%d]", view.Plan.ActualEntries, view.Plan.Scans, view.Plan.Results)
 	}
 	fmt.Println(line)
 	return nil

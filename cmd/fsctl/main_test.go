@@ -158,7 +158,7 @@ func TestDebugCommands(t *testing.T) {
 		{"faults reset", func() error { return c.faults([]string{"reset"}) },
 			[]string{`"site":"backend.prepare"`}},
 		{"explain", func() error { return c.explain([]string{`{"collection":"/users"}`, "analyze"}) },
-			[]string{"entities   scan entities  [actual=3 results=3]"}},
+			[]string{"entities   scan entities  [actual=3 scans=1 results=3]"}},
 		{"advisor", func() error { return c.advisor(nil) },
 			[]string{"CHOICE", "/users"}},
 	} {

@@ -234,16 +234,21 @@ func (dr *DocumentRef) fetch(ctx context.Context, readTS truetime.Timestamp) (*D
 	return new(DocumentSnapshot).set(dr, d, readTS), nil
 }
 
-// resultSnapshot is the snapshot of a document a query or a listener
+// resultSnap is the snapshot of a document a query or a listener
 // returned, which nobody holds a reference to yet: the reference is
 // allocated in one piece with the snapshot.
+type resultSnap struct {
+	DocumentSnapshot
+	ref DocumentRef
+}
+
+func (s *resultSnap) set(c *Client, d *doc.Document, readTS truetime.Timestamp) *DocumentSnapshot {
+	s.ref = DocumentRef{c: c, name: d.Name}
+	return s.DocumentSnapshot.set(&s.ref, d, readTS)
+}
+
 func resultSnapshot(c *Client, d *doc.Document, readTS truetime.Timestamp) *DocumentSnapshot {
-	s := &struct {
-		DocumentSnapshot
-		ref DocumentRef
-	}{ref: DocumentRef{c: c, name: d.Name}}
-	s.set(&s.ref, d, readTS)
-	return &s.DocumentSnapshot
+	return new(resultSnap).set(c, d, readTS)
 }
 
 func (s *DocumentSnapshot) set(dr *DocumentRef, d *doc.Document, readTS truetime.Timestamp) *DocumentSnapshot {

@@ -3,6 +3,7 @@ package firestore
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"firestore/internal/query"
 	"firestore/internal/status"
@@ -78,7 +79,7 @@ func (it *DocumentIterator) GetAll() ([]*DocumentSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, d)
+		out = append(slices.Grow(out, 1+len(it.buf)), d) // by the page, not per append
 	}
 }
 
@@ -94,8 +95,11 @@ func (it *DocumentIterator) fetchPage() error {
 	if err != nil {
 		return err
 	}
-	for _, d := range res.Docs {
-		it.buf = append(it.buf, resultSnapshot(it.c, d, readTS))
+	// The page's snapshots are one allocation.
+	snaps := make([]resultSnap, len(res.Docs))
+	it.buf = slices.Grow(it.buf, len(res.Docs))
+	for i, d := range res.Docs {
+		it.buf = append(it.buf, snaps[i].set(it.c, d, readTS))
 	}
 	if res.Resume == nil {
 		it.noMore = true

@@ -103,10 +103,21 @@ func TestRunAggregationSnapshotAndIndexOnly(t *testing.T) {
 	}
 }
 
+// countingStorage counts the scans an execution makes of its Storage.
+type countingStorage struct {
+	query.Storage
+	scans int
+}
+
+func (c *countingStorage) ScanIndex(ctx context.Context, lo, hi []byte, fn func(key, value []byte) bool) error {
+	c.scans++
+	return c.Storage.ScanIndex(ctx, lo, hi, fn)
+}
+
 // TestExplainQueryAlternatives: explain returns the plan RunQuery
 // executes — the composite over the zig-zag join of two automatic
 // indexes — and analyze mode counts the entries and results RunQuery
-// reports for it.
+// reports for it, and the scans a counting Storage sees.
 func TestExplainQueryAlternatives(t *testing.T) {
 	e := newEnv(t)
 	ctx := context.Background()
@@ -143,8 +154,20 @@ func TestExplainQueryAlternatives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.ActualEntries, want.Results = res.ScannedEntries, len(res.Docs)
-	if analyzed != want || want.Results != 2 {
+	db, err := e.cat.Get(e.dbID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planQuery(db.Meta(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &countingStorage{Storage: &snapshotStorage{db: db, ts: readTS}}
+	if _, err := plan.Execute(ctx, st, nil); err != nil {
+		t.Fatal(err)
+	}
+	want.ActualEntries, want.Scans, want.Results = res.ScannedEntries, st.scans, len(res.Docs)
+	if analyzed != want || want.Results != 2 || want.Scans != res.Scans {
 		t.Fatalf("analyze = %+v, want %+v with 2 results", analyzed, want)
 	}
 	if rep := e.b.AdvisorReport(e.dbID); len(rep) != 1 || rep[0].Choice != want.Choice {

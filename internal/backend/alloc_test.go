@@ -110,3 +110,60 @@ func TestQueryAllocs(t *testing.T) {
 		t.Errorf("Backend.RunQuery allocates %.1f times per extra returned document, want <= 20", perDoc)
 	}
 }
+
+// TestZigZagRefillAllocs: re-entering a scan allocates nothing. The same
+// zig-zag query returns the same 20 documents over two layouts: alone, and
+// a hundred other city entries apart, where the city leg refills after
+// every hit. The layouts' allocation counts must not follow the refills.
+func TestZigZagRefillAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
+	}
+	ctx := context.Background()
+	q := &query.Query{
+		Collection: doc.MustCollection("/restaurants"),
+		Predicates: []query.Predicate{
+			{Path: "city", Op: query.Eq, Value: doc.String("LA")},
+			{Path: "category", Op: query.Eq, Value: doc.String("sushi")},
+		},
+	}
+	measure := func(gap int) (allocs float64, scans int64) {
+		e := newEnv(t)
+		var ops []WriteOp
+		for i := 0; i < 20*gap; i++ {
+			fields := map[string]doc.Value{"city": doc.String("LA"), "category": doc.String("bbq")}
+			if i%gap == 0 {
+				fields = restaurantFields(i / gap)
+				fields["city"], fields["category"] = doc.String("LA"), doc.String("sushi")
+			}
+			ops = append(ops, WriteOp{Kind: OpSet, Name: doc.MustName(fmt.Sprintf("/restaurants/r%06d", i*100/gap)), Fields: fields})
+			if len(ops) == 200 || i == 20*gap-1 {
+				if _, err := e.b.Commit(ctx, e.dbID, priv, ops); err != nil {
+					t.Fatal(err)
+				}
+				ops = ops[:0]
+			}
+		}
+		db, err := e.cat.Get(e.dbID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := db.Spanner.Stats().Scans
+		allocs = testing.AllocsPerRun(50, func() {
+			res, _, err := e.b.RunQuery(ctx, e.dbID, priv, q, nil, 0)
+			if err != nil || len(res.Docs) != 20 || res.Docs[19].Name.ID() != "r001900" {
+				t.Fatalf("RunQuery: %d documents, %v", len(res.Docs), err)
+			}
+		})
+		return allocs, (db.Spanner.Stats().Scans - before) / 51
+	}
+	alone, aloneScans := measure(1)
+	apart, apartScans := measure(100)
+	t.Logf("zig-zag RunQuery: %.0f allocations in %d scans alone, %.0f in %d scans apart", alone, aloneScans, apart, apartScans)
+	if apartScans < 3*aloneScans {
+		t.Fatalf("the layouts make %d and %d scans, want the second >= 3x the first", aloneScans, apartScans)
+	}
+	if apart > alone+5 {
+		t.Errorf("%d refills cost %.0f allocations more than %d", apartScans, apart-alone, aloneScans)
+	}
+}

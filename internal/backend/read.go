@@ -183,16 +183,19 @@ type PlanExplain struct {
 	Plan string `json:"plan"`
 	// Choice is the plan family: composite, auto, zigzag, or entities.
 	Choice string `json:"choice"`
-	// ActualEntries and Results report a full drain of the plan when
-	// explain runs in analyze mode.
+	// ActualEntries, Scans and Results report a full drain of the plan
+	// when explain runs in analyze mode: index entries read, storage scans
+	// (round trips) made, documents returned.
 	ActualEntries int `json:"actualEntries,omitempty"`
+	Scans         int `json:"scans,omitempty"`
 	Results       int `json:"results,omitempty"`
 }
 
 // ExplainQuery returns the plan RunQuery would execute for q without
 // serving results. With analyze set, the plan is also executed to
 // exhaustion at the read timestamp, following resume tokens, to count
-// the index entries it visits and the results it returns.
+// the index entries it visits, the scans it makes and the results it
+// returns.
 func (b *Backend) ExplainQuery(ctx context.Context, dbID string, p Principal, q *query.Query, analyze bool, readTS truetime.Timestamp) (PlanExplain, truetime.Timestamp, error) {
 	db, err := b.cat.Get(dbID)
 	if err != nil {
@@ -221,6 +224,7 @@ func (b *Backend) ExplainQuery(ctx context.Context, dbID string, p Principal, q 
 			return PlanExplain{}, 0, err
 		}
 		out.ActualEntries += res.ScannedEntries
+		out.Scans += res.Scans
 		out.Results += len(res.Docs)
 		if res.Resume == nil {
 			return out, readTS, nil
@@ -261,13 +265,20 @@ type snapshotStorage struct {
 	db          *catalog.Database
 	ts          truetime.Timestamp
 	lo, hi, key []byte
+	// fn is the callback of the ScanIndex call in flight, and strip hands
+	// it the rows with their table prefix stripped, bound once: a literal
+	// per call escapes into the scan.
+	fn    func(key, value []byte) bool
+	strip func(spanner.ScanRow) bool
 }
 
 func (s *snapshotStorage) ScanIndex(ctx context.Context, lo, hi []byte, fn func(key, value []byte) bool) error {
+	if s.strip == nil {
+		s.strip = func(r spanner.ScanRow) bool { return s.fn(s.db.StripIndexKey(r.Key), r.Value) }
+	}
+	s.fn = fn
 	s.lo, s.hi = s.db.AppendIndexRange(s.lo[:0], s.hi[:0], lo, hi)
-	return s.db.Spanner.SnapshotScan(ctx, s.lo, s.hi, s.ts, false, func(r spanner.ScanRow) bool {
-		return fn(s.db.StripIndexKey(r.Key), r.Value)
-	})
+	return s.db.Spanner.SnapshotScan(ctx, s.lo, s.hi, s.ts, false, s.strip)
 }
 
 func (s *snapshotStorage) ScanCollection(ctx context.Context, c doc.CollectionPath, startAfterID string, fn func(*doc.Document) bool) error {

@@ -263,25 +263,31 @@ func (t *Tree) Ascend(begin, end []byte, fn func(key []byte, value any) bool) {
 	}
 }
 
+// ascend walks the range once: begin is searched for only on the leftmost
+// descent and is nil right of it, and end is compared only against
+// separators and in the boundary leaf — a child left of a separator below
+// end is walked with end nil.
 func (n *node) ascend(begin, end []byte, fn func([]byte, any) bool) bool {
 	i := 0
 	if begin != nil {
 		i, _ = n.find(begin)
 	}
 	for ; i < len(n.items); i++ {
-		if !n.leaf() && !n.children[i].ascend(begin, end, fn) {
-			return false
-		}
 		it := n.items[i]
-		if begin != nil && bytes.Compare(it.key, begin) < 0 {
-			continue
+		past := end != nil && bytes.Compare(it.key, end) >= 0
+		if !n.leaf() {
+			childEnd := end
+			if !past {
+				childEnd = nil
+			}
+			if !n.children[i].ascend(begin, childEnd, fn) {
+				return false
+			}
 		}
-		if end != nil && bytes.Compare(it.key, end) >= 0 {
+		if past || !fn(it.key, it.value) {
 			return false
 		}
-		if !fn(it.key, it.value) {
-			return false
-		}
+		begin = nil
 	}
 	if !n.leaf() {
 		return n.children[len(n.children)-1].ascend(begin, end, fn)
@@ -297,32 +303,33 @@ func (t *Tree) Descend(begin, end []byte, fn func(key []byte, value any) bool) {
 	}
 }
 
+// descend mirrors ascend: end is searched for only on the rightmost
+// descent, and begin is compared only against separators and in the
+// boundary leaf.
 func (n *node) descend(begin, end []byte, fn func([]byte, any) bool) bool {
 	i := len(n.items)
 	if end != nil {
 		i, _ = n.find(end)
 	}
-	if !n.leaf() && i < len(n.children) {
-		if !n.children[i].descend(begin, end, fn) {
-			return false
-		}
-	}
-	for i--; i >= 0; i-- {
-		it := n.items[i]
-		if end != nil && bytes.Compare(it.key, end) >= 0 {
-			continue
-		}
-		if begin != nil && bytes.Compare(it.key, begin) < 0 {
-			return false
-		}
-		if !fn(it.key, it.value) {
-			return false
-		}
+	for ; i > 0; i-- {
+		it := n.items[i-1]
+		before := begin != nil && bytes.Compare(it.key, begin) < 0
 		if !n.leaf() {
-			if !n.children[i].descend(begin, end, fn) {
+			childBegin := begin
+			if !before {
+				childBegin = nil
+			}
+			if !n.children[i].descend(childBegin, end, fn) {
 				return false
 			}
 		}
+		if before || !fn(it.key, it.value) {
+			return false
+		}
+		end = nil
+	}
+	if !n.leaf() {
+		return n.children[0].descend(begin, end, fn)
 	}
 	return true
 }

@@ -327,6 +327,79 @@ func TestQuickAgainstMap(t *testing.T) {
 	}
 }
 
+func (n *node) depth() int {
+	if n.leaf() {
+		return 1
+	}
+	return 1 + n.children[0].depth()
+}
+
+// TestRangeWalksMatchReference checks Ascend and Descend against a sorted
+// slice over random bounds — present keys, absent keys, nil, begin >= end
+// — each stopped at a random row, on small trees and on trees deep enough
+// that a range crosses separators at every level.
+func TestRangeWalksMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, n := range []int{0, 1, 7, 63, 64, 500, 12000, 30000} {
+		tr := New()
+		var ref [][]byte // the tree's keys in order: key(2i), so odd keys are absent
+		for _, i := range rng.Perm(n) {
+			tr.Set(key(2*i), 2*i)
+		}
+		for i := 0; i < n; i++ {
+			// Delete every fifth key, so nodes are not all split-fresh.
+			if i%5 == 4 {
+				tr.Delete(key(2 * i))
+				continue
+			}
+			ref = append(ref, key(2*i))
+		}
+		if n >= 10000 && tr.root.depth() < 3 {
+			t.Fatalf("%d keys: depth %d, want >= 3", n, tr.root.depth())
+		}
+		bound := func() []byte {
+			if rng.Intn(8) == 0 {
+				return nil
+			}
+			return key(rng.Intn(2*n+4) - 2)
+		}
+		for round := 0; round < 300; round++ {
+			begin, end := bound(), bound()
+			var want [][]byte
+			for _, k := range ref {
+				if (begin == nil || bytes.Compare(k, begin) >= 0) && (end == nil || bytes.Compare(k, end) < 0) {
+					want = append(want, k)
+				}
+			}
+			stop := rng.Intn(len(want) + 2) // rows before fn says stop; > len(want): never
+			walk := func(name string, visit func([]byte, []byte, func([]byte, any) bool), want [][]byte) {
+				var got [][]byte
+				visit(begin, end, func(k []byte, _ any) bool {
+					got = append(got, k)
+					return len(got) != stop
+				})
+				if stop > 0 && stop < len(want) {
+					want = want[:stop]
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%d keys, %s [%q, %q) stop %d: %d rows, want %d", n, name, begin, end, stop, len(got), len(want))
+				}
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("%d keys, %s [%q, %q) stop %d: row %d is %q, want %q", n, name, begin, end, stop, i, got[i], want[i])
+					}
+				}
+			}
+			walk("Ascend", tr.Ascend, want)
+			rev := make([][]byte, len(want))
+			for i, k := range want {
+				rev[len(want)-1-i] = k
+			}
+			walk("Descend", tr.Descend, rev)
+		}
+	}
+}
+
 func BenchmarkSet(b *testing.B) {
 	tr := New()
 	keys := make([][]byte, b.N)

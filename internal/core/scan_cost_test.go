@@ -54,10 +54,16 @@ func (e *countingEngine) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool
 	})
 }
 
-// costRegion opens a region of n restaurants (ten cities, round robin)
-// over the named engine kind with every engine counted. rpcs reads the
+// tenCities is restaurant i of the default cost region: ten cities, round
+// robin.
+func tenCities(i int) map[string]doc.Value {
+	return map[string]doc.Value{"city": doc.String(fmt.Sprintf("c%d", i%10)), "kind": doc.String("r")}
+}
+
+// costRegion opens a region of n restaurants with the given fields over
+// the named engine kind with every engine counted. rpcs reads the
 // engine.scan RPCs issued so far (always 0 off the wire).
-func costRegion(t *testing.T, kind string, n int) (r *Region, c *scanCount, rpcs func() int64) {
+func costRegion(t *testing.T, kind string, n int, fields func(i int) map[string]doc.Value) (r *Region, c *scanCount, rpcs func() int64) {
 	t.Helper()
 	c = &scanCount{segments: func() int { return 0 }}
 	rpcs = func() int64 { return 0 }
@@ -114,8 +120,7 @@ func costRegion(t *testing.T, kind string, n int) (r *Region, c *scanCount, rpcs
 		var ops []backend.WriteOp
 		for ; i < n && len(ops) < 200; i++ {
 			ops = append(ops, backend.WriteOp{
-				Kind: backend.OpSet, Name: doc.MustName(fmt.Sprintf("/restaurants/r%06d", i)),
-				Fields: map[string]doc.Value{"city": doc.String(fmt.Sprintf("c%d", i%10)), "kind": doc.String("r")},
+				Kind: backend.OpSet, Name: doc.MustName(fmt.Sprintf("/restaurants/r%06d", i)), Fields: fields(i),
 			})
 		}
 		if _, err := r.Commit(ctx, "app", priv, ops); err != nil {
@@ -163,7 +168,7 @@ func TestQueryCostFollowsResult(t *testing.T) {
 				bytes, count      uint64
 			}
 			measure := func(n int) (c cost) {
-				r, sc, rpcs := costRegion(t, kind, n)
+				r, sc, rpcs := costRegion(t, kind, n, tenCities)
 				if kind == "disk" && n == big && sc.segments() < 3 {
 					t.Fatalf("%d segments under the query, want >= 3", sc.segments())
 				}
@@ -215,13 +220,59 @@ func TestQueryCostFollowsResult(t *testing.T) {
 	}
 }
 
+// TestZigZagCostFollowsResult holds a zig-zag join of two automatic
+// indexes (§IV-D3) to the rows it takes, on every engine: its legs refill
+// by the engines' own chunk, so the engines hand up at most one chunk more
+// than the join reads, in a few Scan calls — not a chunk staged per leg
+// re-seek, most of it thrown away.
+func TestZigZagCostFollowsResult(t *testing.T) {
+	const n = 4000
+	ctx := context.Background()
+	for _, kind := range []string{"mem", "disk", "wire"} {
+		t.Run(kind, func(t *testing.T) {
+			// Documents i = 67 + 200k, k < 20, are in city c7 and category
+			// k3: every twentieth city entry, one in each 200-document block
+			// of twenty category entries.
+			r, sc, _ := costRegion(t, kind, n, func(i int) map[string]doc.Value {
+				return map[string]doc.Value{
+					"city":     doc.String(fmt.Sprintf("c%d", i%20)),
+					"category": doc.String(fmt.Sprintf("k%d", i/20%10)),
+				}
+			})
+			for _, limit := range []int{0, 5} {
+				q := eq("city", "c7")
+				q.Predicates = append(q.Predicates, query.Predicate{Path: "category", Op: query.Eq, Value: doc.String("k3")})
+				q.Limit = limit
+				if pe, _, err := r.Backend.ExplainQuery(ctx, "app", priv, q, false, 0); err != nil || pe.Choice != "zigzag" {
+					t.Fatalf("plan %+v, %v; want a zig-zag join", pe, err)
+				}
+				rows, scans := sc.rows.Load(), sc.scans.Load()
+				res, _, err := r.RunQuery(ctx, "app", priv, q, nil, 0)
+				want := 20
+				if limit > 0 {
+					want = limit
+				}
+				if err != nil || len(res.Docs) != want || res.Docs[want-1].Name.ID() != fmt.Sprintf("r%06d", 67+200*(want-1)) {
+					t.Fatalf("limit %d: %d documents, %v", limit, len(res.Docs), err)
+				}
+				rows, scans = sc.rows.Load()-rows, sc.scans.Load()-scans
+				t.Logf("limit %d: %d Scan calls handing up %d rows; the join read %d entries", limit, scans, rows, res.ScannedEntries)
+				if scans > 20 || rows > int64(res.ScannedEntries+storage.NextScanChunk(0)) {
+					t.Errorf("limit %d: %d Scan calls handing up %d rows for %d entries read, want <= 20 calls and <= %d rows",
+						limit, scans, rows, res.ScannedEntries, res.ScannedEntries+storage.NextScanChunk(0))
+				}
+			}
+		})
+	}
+}
+
 // TestWireScanArrivesInBoundedFrames: a range of a few thousand rows read
 // to exhaustion over the wire arrives in several engine.scan RPCs — no
 // frame grows with the range, which is what makes a range beyond
 // transport.MaxFrame readable at all — complete and in order.
 func TestWireScanArrivesInBoundedFrames(t *testing.T) {
 	const n = 3000
-	r, c, rpcs := costRegion(t, "wire", n)
+	r, c, rpcs := costRegion(t, "wire", n, tenCities)
 	before := rpcs()
 	res, _, err := r.Backend.RunAggregation(context.Background(), "app", priv, eq("kind", "r"), countAll, 0)
 	if err != nil || res.Values["n"].IntVal() != n {

@@ -65,12 +65,13 @@ func (p *Plan) walkIndexOnly(ctx context.Context, st Storage, emit func(suffix [
 		return visited, err
 	}
 	// Zig-zag join: Execute's join, skipping document fetches.
-	iters := p.newScanIters(st, iterBatch)
+	iters := p.newScanIters(st, 0)
 	var candidate []byte
 	for {
 		suffix, _, ok, err := nextHit(ctx, iters, candidate)
 		if err != nil || !ok || !emit(suffix) {
-			return scannedEntries(iters), err
+			visited, _ = scanTotals(iters)
+			return visited, err
 		}
 		candidate = append(append(candidate[:0], suffix...), 0) // Successor, in place
 	}

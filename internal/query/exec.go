@@ -3,9 +3,11 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"firestore/internal/doc"
 	"firestore/internal/encoding"
+	"firestore/internal/storage"
 )
 
 // Storage is what the executor needs from the storage layer. The backend
@@ -36,6 +38,9 @@ type Result struct {
 	Resume []byte
 	// ScannedEntries counts index entries visited (plan cost metric).
 	ScannedEntries int
+	// Scans counts the storage scans the execution made: its ScanIndex
+	// calls, or the one ScanCollection of an Entities plan.
+	Scans int
 }
 
 // MaxResultSize bounds the documents one execution returns ("we limit the
@@ -64,7 +69,7 @@ func (p *Plan) Execute(ctx context.Context, st Storage, resume []byte) (*Result,
 // order) straight from the Entities table, which is already in name
 // order; every visited document counts as scan work.
 func (p *Plan) executeEntitiesScan(ctx context.Context, st Storage, resume []byte, offset, limit int) (*Result, error) {
-	res := &Result{}
+	res := &Result{Scans: 1}
 	startAfter := string(resume)
 	truncated := false
 	err := st.ScanCollection(ctx, p.Query.Collection, startAfter, func(d *doc.Document) bool {
@@ -107,9 +112,9 @@ func (p *Plan) executeIndexScans(ctx context.Context, st Storage, resume []byte,
 	if resume != nil {
 		candidate = encoding.Successor(resume)
 	}
-	res := &Result{}
+	res := &Result{Docs: make([]*doc.Document, 0, min(limit, storage.NextScanChunk(0)))}
 	finalize := func() *Result {
-		res.ScannedEntries = scannedEntries(iters)
+		res.ScannedEntries, res.Scans = scanTotals(iters)
 		return res
 	}
 	for {
@@ -187,13 +192,14 @@ func nextHit(ctx context.Context, iters []*scanIter, candidate []byte) (suffix, 
 	}
 }
 
-// scannedEntries sums the index entries the iterators read.
-func scannedEntries(iters []*scanIter) int {
-	n := 0
+// scanTotals sums the index entries the iterators read and the scans
+// they made.
+func scanTotals(iters []*scanIter) (entries, scans int) {
 	for _, it := range iters {
-		n += it.scanned
+		entries += it.scanned
+		scans += it.scans
 	}
-	return n
+	return entries, scans
 }
 
 func (p *Plan) fetch(ctx context.Context, st Storage, name string) (*doc.Document, error) {
@@ -209,41 +215,50 @@ func (p *Plan) fetch(ctx context.Context, st Storage, name string) (*doc.Documen
 // last refill stopped or, when a zig-zag seek jumps further, from the
 // seek target. Entries alias the delivered keys and values, which are
 // immutable.
+//
+// Refills are sized as the engines below stage their chunks
+// (storage.NextScanChunk), so a refill takes every row a chunk read: a
+// zig-zag leg's first refill, and its first after a jump, is the first
+// chunk, and a leg read on sequentially doubles. A single scan's first
+// refill is what the query can return (limit + offset).
 type scanIter struct {
 	st      Storage
 	scan    *Scan
 	buf     []entry
 	head    int    // buf[head:] is unconsumed
+	want    int    // size of the refill in flight
 	batch   int    // size of the next refill
 	last    []byte // last key read; a refill resumes after it
 	lo      []byte // scratch: a refill's lower bound
 	eof     bool
 	scanned int
+	scans   int // ScanIndex calls made
+	// visit is the refill's callback, bound once per iterator: a literal
+	// per refill escapes through Storage.
+	visit func(key, value []byte) bool
 }
 
 type entry struct {
 	suffix, name []byte
 }
 
-// Refill sizes. A single scan's first refill is what the query can
-// return (limit + offset); a zig-zag leg starts at iterBatchMin. Both
-// double up to iterBatch while the leg is read on sequentially, and a
-// jump starts small again.
-const (
-	iterBatchMin = 8
-	iterBatch    = 64
-)
-
 // newScanIters returns one iterator per scan of the plan; want is the
-// number of entries a single-scan plan expects to consume.
+// number of entries a single-scan plan expects to consume (a join's legs
+// ignore it).
 func (p *Plan) newScanIters(st Storage, want int) []*scanIter {
-	first := iterBatchMin
+	first := storage.NextScanChunk(0)
 	if len(p.Scans) == 1 {
-		first = min(want, iterBatch)
+		first = min(want, storage.MaxScanChunk)
 	}
 	iters := make([]*scanIter, len(p.Scans))
 	for i := range p.Scans {
-		iters[i] = &scanIter{st: st, scan: &p.Scans[i], batch: first}
+		it := &scanIter{st: st, scan: &p.Scans[i], batch: first}
+		it.visit = func(key, value []byte) bool {
+			it.buf = append(it.buf, entry{suffix: key[len(it.scan.Prefix):], name: value})
+			it.last = key
+			return len(it.buf) < it.want
+		}
+		iters[i] = it
 	}
 	return iters
 }
@@ -278,20 +293,16 @@ func (it *scanIter) refill(ctx context.Context, target []byte) error {
 	}
 	if target != nil && compare(target, lo[len(it.scan.Prefix):]) > 0 {
 		if it.last != nil {
-			it.batch = iterBatchMin
+			it.batch = storage.NextScanChunk(0)
 		}
 		it.lo = append(append(it.lo[:0], it.scan.Prefix...), target...)
 		lo = it.lo
 	}
-	n := it.batch
-	it.batch = min(2*n, iterBatch)
-	it.buf, it.head = it.buf[:0], 0
-	err := it.st.ScanIndex(ctx, lo, it.scan.Hi, func(key, value []byte) bool {
-		it.buf = append(it.buf, entry{suffix: key[len(it.scan.Prefix):], name: value})
-		it.last = key
-		return len(it.buf) < n
-	})
+	it.want, it.batch = it.batch, storage.NextScanChunk(it.batch)
+	it.buf, it.head = slices.Grow(it.buf[:0], it.want), 0
+	err := it.st.ScanIndex(ctx, lo, it.scan.Hi, it.visit)
+	it.scans++
 	it.scanned += len(it.buf)
-	it.eof = len(it.buf) < n
+	it.eof = len(it.buf) < it.want
 	return err
 }

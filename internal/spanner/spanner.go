@@ -461,16 +461,15 @@ func (db *DB) tabletIndexLocked(key []byte) int {
 	return lo
 }
 
-// tabletsInRange returns tablets intersecting [begin, end); nil end means
-// unbounded.
-func (db *DB) tabletsInRange(begin, end []byte) []*tablet {
+// tabletsInRange appends to out the tablets intersecting [begin, end);
+// nil end means unbounded.
+func (db *DB) tabletsInRange(out []*tablet, begin, end []byte) []*tablet {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	i := 0
 	if begin != nil {
 		i = db.tabletIndexLocked(begin)
 	}
-	var out []*tablet
 	for ; i < len(db.tablets); i++ {
 		t := db.tablets[i]
 		if end != nil && t.start != nil && lessOrEqual(end, t.start) {
@@ -495,7 +494,7 @@ func (db *DB) SnapshotGet(ctx context.Context, key []byte, ts truetime.Timestamp
 		if t == nil {
 			return nil, 0, false, ErrClosed
 		}
-		if err := t.waitSafe(ctx, key, ts); err != nil {
+		if err := t.waitSafe(ctx, ts, func(txn *Txn) bool { return txn.writesKey(key) }); err != nil {
 			return nil, 0, false, err
 		}
 		t.recordOp(1, keyviz.OpRead)
@@ -587,15 +586,16 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 	}
 	db.stats.scans.Add(1)
 	lo, hi := begin, end
+	var buf [4]*tablet
 	for {
-		tablets := db.tabletsInRange(lo, hi)
+		tablets := db.tabletsInRange(buf[:0], lo, hi)
 		if reverse {
 			slices.Reverse(tablets)
 		}
 		var last []byte
 		restart := false
 		for _, t := range tablets {
-			if err := t.waitSafe(ctx, nil, ts); err != nil {
+			if err := t.waitSafe(ctx, ts, func(txn *Txn) bool { return txn.writesIn(lo, hi) }); err != nil {
 				return err
 			}
 			t.recordOp(1, keyviz.OpScan)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -546,6 +548,76 @@ func TestSafeTimeIsPerKeyForPointReads(t *testing.T) {
 	}
 	if v, n := <-got, <-scanned; v != "new" || n != 3 {
 		t.Fatalf("after the commit: read %q, scanned %d rows; want \"new\", 3", v, n)
+	}
+}
+
+// TestSafeTimeIsPerRangeForScans: a scan waits only on the prepared
+// transactions that write inside its range. With a commit of a and c held
+// prepared, a scan of [b, b\x00) returns at once, and scans that cover a
+// or c wait for the commit.
+func TestSafeTimeIsPerRangeForScans(t *testing.T) {
+	prepared, release := make(chan struct{}), make(chan struct{})
+	hold := false
+	db := New(Config{
+		Clock: truetime.NewSystem(10 * time.Microsecond),
+		CommitDelay: func(int, int, int) time.Duration { // runs between prepare and apply
+			if hold {
+				close(prepared)
+				<-release
+			}
+			return 0
+		},
+	})
+	ctx := context.Background()
+	put(t, db, "a", "old")
+	put(t, db, "b", "b")
+	hold = true
+	committed := make(chan error, 1)
+	go func() {
+		txn := db.Begin()
+		txn.Put([]byte("a"), []byte("new"))
+		txn.Put([]byte("c"), []byte("new"))
+		_, err := txn.Commit(ctx, 0, 0)
+		committed <- err
+	}()
+	<-prepared
+	ts := db.StrongReadTimestamp()
+	scan := func(ctx context.Context, lo, hi string) (rows []string, err error) {
+		var end []byte
+		if hi != "" {
+			end = []byte(hi)
+		}
+		err = db.SnapshotScan(ctx, []byte(lo), end, ts, false, func(r ScanRow) bool {
+			rows = append(rows, string(r.Key)+"="+string(r.Value))
+			return true
+		})
+		return rows, err
+	}
+	bctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	if rows, err := scan(bctx, "b", "b\x00"); err != nil || len(rows) != 1 || rows[0] != "b=b" {
+		t.Fatalf("scan of [b, b\\x00) beside a prepared commit of a and c: %q, %v", rows, err)
+	}
+	blocked := make(chan string, 2)
+	for _, r := range [][2]string{{"a", "b"}, {"b", ""}} {
+		go func() {
+			rows, _ := scan(ctx, r[0], r[1])
+			blocked <- strings.Join(rows, " ")
+		}()
+	}
+	select {
+	case rows := <-blocked:
+		t.Fatalf("a scan over a prepared write returned %q before the commit applied", rows)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	got := []string{<-blocked, <-blocked}
+	slices.Sort(got)
+	if got[0] != "a=new" || got[1] != "b=b c=new" {
+		t.Fatalf("after the commit, the scans of [a, b) and [b, ∞) returned %q", got)
 	}
 }
 

@@ -133,18 +133,19 @@ func (t *tablet) finish(txn *Txn) {
 	t.cond.Broadcast()
 }
 
-// waitSafe blocks until no in-flight commit could receive a timestamp
-// <= ts, making a snapshot read at ts stable. A point read passes its
-// key and waits only for the prepared transactions that write it (the
-// Spanner paper's fine-grained safe time, §4.2.3; DESIGN.md "Safe time
-// is per key"); a range read passes nil and waits for all of them.
-func (t *tablet) waitSafe(ctx context.Context, key []byte, ts truetime.Timestamp) error {
+// waitSafe blocks until no in-flight commit that writes what the read
+// covers could receive a timestamp <= ts, making a snapshot read at ts
+// stable. writes says whether a prepared transaction writes inside the
+// read: its key for a point read, its range for a scan (the Spanner
+// paper's fine-grained safe time, §4.2.3; DESIGN.md "Safe time is per
+// key").
+func (t *tablet) waitSafe(ctx context.Context, ts truetime.Timestamp, writes func(*Txn) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
 		blocked := false
 		for txn, bound := range t.prepared {
-			if bound <= ts && (key == nil || txn.writesKey(key)) {
+			if bound <= ts && writes(txn) {
 				blocked = true
 				break
 			}

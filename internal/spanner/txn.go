@@ -231,9 +231,18 @@ func (t *Txn) finish() {
 // writesKey reports whether a prepared transaction writes key: Commit
 // sorts writes before it prepares and then leaves them alone.
 func (t *Txn) writesKey(key []byte) bool {
-	_, ok := slices.BinarySearchFunc(t.writes, key, func(w storage.Write, k []byte) int { return bytes.Compare(w.Key, k) })
+	_, ok := slices.BinarySearchFunc(t.writes, key, compareWrite)
 	return ok
 }
+
+// writesIn reports whether a prepared transaction writes a key in
+// [lo, hi) (nil hi = unbounded), by the same one binary search.
+func (t *Txn) writesIn(lo, hi []byte) bool {
+	i, _ := slices.BinarySearchFunc(t.writes, lo, compareWrite)
+	return i < len(t.writes) && (hi == nil || bytes.Compare(t.writes[i].Key, hi) < 0)
+}
+
+func compareWrite(w storage.Write, k []byte) int { return bytes.Compare(w.Key, k) }
 
 // participant is one tablet of a commit and its run of the sorted writes.
 type participant struct {
