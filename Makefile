@@ -38,16 +38,17 @@ test:
 test-race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run 'Allocs|CostFollowsResult|NotAlias|TestVec' ./internal/index ./internal/backend ./internal/spanner ./internal/core \
-		./internal/cluster ./internal/transport ./internal/storage ./internal/doc ./internal/obs
+		./internal/cluster ./internal/transport ./internal/storage ./internal/doc ./internal/obs ./internal/wfq
 
 # Repeated race passes over the packages whose concurrency a single run
 # under-samples, each line a package list and a -count. Ten rounds over
 # real-time delivery: the per-range outbox and its one-drainer hand-off
 # (rtcache), and the frontend that relies on the ordering it promises
-# (DESIGN.md "Real-time delivery contract"). Two rounds over the write
-# pipeline (SDK BulkWriter/iterators and the listener demultiplexer,
-# the mobile layer's flush goroutine and listener pumps over it, backend
-# group commit, fair scheduler, ramp), the observability spine
+# (DESIGN.md "Real-time delivery contract"), and over the fair
+# scheduler's slot hand-off, where a grant races its waiter's cancel.
+# Two rounds over the write pipeline (SDK BulkWriter/iterators and the
+# listener demultiplexer, the mobile layer's flush goroutine and listener
+# pumps over it, backend group commit, ramp), the observability spine
 # (lock-free histogram, the registry's copy-on-write family and Vec
 # indexes, the /debug suite and fsctl under concurrent scrapes), the lock-free keyviz collector,
 # the layer the lockorder analyzer watches most closely — the durable
@@ -59,9 +60,9 @@ test-race:
 # Twenty rounds of the contended read-modify-write transactions, which
 # deadlocked on a shared-to-exclusive lock upgrade until LockTimeout.
 race-repeat:
-	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend
+	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend ./internal/wfq
 	$(GO) test -race -count=20 -run 'TestRunTransactionRetries|TestReadModifyWriteDoesNotDeadlock' ./firestore/ ./internal/backend/
-	$(GO) test -race -count=2 ./firestore/ ./mobile/ ./internal/backend/ ./internal/wfq/ ./internal/ramp/ \
+	$(GO) test -race -count=2 ./firestore/ ./mobile/ ./internal/backend/ ./internal/ramp/ \
 		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ ./cmd/fsctl/ \
 		./internal/keyviz/ ./internal/storage/ ./internal/spanner/ ./internal/cluster/ ./internal/query/ \
 		./internal/transport/

@@ -117,7 +117,7 @@ type ReadValidation struct {
 
 // Costs model the CPU time of operations: the fair scheduler prices each
 // task by it, and the task burns it on the database's clock while it
-// holds a worker. A nil function costs nothing.
+// holds a scheduler slot. A nil function costs nothing.
 type Costs struct {
 	Read  func(db string) time.Duration
 	Query func(db string, q *query.Query) time.Duration
@@ -185,9 +185,10 @@ func New(cfg Config) *Backend {
 
 // submit runs fn through the fair scheduler (if configured) under the
 // given scheduling key (database ID, possibly QoS-tagged). Work whose
-// deadline already expired is rejected before any Spanner access. The
+// deadline already expired is rejected before any Spanner access. fn
+// runs on the caller's goroutine once it holds a scheduler slot. The
 // operation's CPU cost is burned first, slept on db's clock inside the
-// worker slot.
+// slot.
 //
 // The queue wait and the burn are bracketed in a "wfq.submit" span and fn
 // itself in an op span (the per-layer name, e.g. "backend.commit"), so

@@ -22,7 +22,7 @@ type BulkResult struct {
 // in parallel — no batch-wide 2PC, no cross-group atomicity. Each group
 // is charged to the fair scheduler separately (under the batch-tagged
 // key when p.Batch is set), so a large bulk batch cannot monopolize a
-// worker slot for its whole duration.
+// scheduler slot for its whole duration.
 //
 // The returned slice has one entry per op, in op order. Per-op failures
 // (preconditions, size limits, rules denials) are reported individually

@@ -58,16 +58,18 @@ type Config struct {
 	// Cache range serving at least this many subscriptions is split.
 	// Zero disables it.
 	RTAutoSplitSubs int
-	// SchedulerWorkers sizes the Backend fair scheduler; zero runs
-	// requests unscheduled, still burning their Costs.
+	// SchedulerWorkers is the number of Backend fair-scheduler slots,
+	// requests that may run at once, each on its caller's goroutine; zero
+	// runs requests unscheduled, still burning their Costs.
 	SchedulerWorkers int
 	// SchedulerMode selects Fair (default) or FIFO for the isolation
 	// ablation.
 	SchedulerMode wfq.Mode
 	// SchedulerMaxQueue enables load shedding past this queue depth.
 	SchedulerMaxQueue int
-	// Costs is the CPU time each operation holds a worker for, slept on
-	// the region clock; it is at the harness's scale, not TimeScale's.
+	// Costs is the CPU time each operation holds a scheduler slot for,
+	// slept on the region clock; it is at the harness's scale, not
+	// TimeScale's.
 	Costs backend.Costs
 	// Billing enables the accountant.
 	Billing bool

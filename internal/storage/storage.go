@@ -7,9 +7,10 @@
 //
 // Two implementations exist:
 //
-//   - Mem: the original in-memory copy-on-write B-tree of version
-//     chains, extracted verbatim from internal/spanner. The default —
-//     fastest, volatile, "crash" means total state loss.
+//   - Mem: an in-memory B-tree of version chains (internal/btree, not
+//     copy-on-write: Clone is a deep copy), extracted from
+//     internal/spanner. The default — fastest, volatile, "crash" means
+//     total state loss.
 //   - Disk: a durable engine in the log-then-apply shape of Taurus and
 //     the classic LSM tree: a per-tablet write-ahead log (length+CRC
 //     framed records, group fsync on commit), a memtable over
@@ -22,12 +23,13 @@
 // Version-retention (GC) policy lives here too: the Mem engine trims
 // each chain to the newest GCHorizon versions on write, sparing any
 // version superseded less than GCRetention ago (Spanner bounds version
-// GC by age similarly), while the Disk engine's memtable consults the
-// flushed horizon — a version newer than the last flush exists nowhere
-// but the memtable and WAL, so trimming it would serve stale segment
-// data; chains are trimmed to GCHorizon, and chains that end in a
-// tombstone past retention dropped, only by a merge that includes the
-// oldest segment, where nothing older can show through.
+// GC by age similarly). It never drops a chain, even one that ends in a
+// tombstone: a deleted row's key stays for the engine's life. The Disk
+// engine's memtable consults the flushed horizon — a version newer than
+// the last flush exists nowhere but the memtable and WAL, so trimming it
+// would serve stale segment data; chains are trimmed to GCHorizon, and
+// chains that end in a tombstone past retention dropped, only by a merge
+// that includes the oldest segment, where nothing older can show through.
 //
 // Tablet migration lives here too, once: a split, a merge and a move are
 // each CopyChains between an opening and a closing step, and the Engine's

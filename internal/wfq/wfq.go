@@ -1,16 +1,22 @@
 // Package wfq implements the fair-CPU-share scheduler Firestore uses in
 // its Backend tasks, keyed by database ID (§IV-C): a weighted-fair-queue
-// of work items executed by a fixed pool of workers, so one database's
+// in front of a fixed number of slots (CPU capacity), so one database's
 // expensive traffic cannot starve other databases of CPU. A FIFO mode
 // exists for the Fig. 11 ablation ("fair CPU scheduling enabled or
 // disabled"). The package also provides the two §VI emergency tools:
 // per-database in-flight limits and queue-depth load shedding.
 //
+// The scheduler is a slot ledger with no goroutines of its own: Submit
+// runs the task body on the submitting goroutine once that goroutine
+// holds a slot. A free slot with nobody queued is taken at once;
+// otherwise the task queues, and the task that frees a slot grants it to
+// the queue's head (least virtual finish time, or arrival order in FIFO).
+//
 // The scheduler prices work but never burns it: a task's cost orders it
 // (its virtual finish time) and is charged to its key (AccountedCost),
-// and the task body holds the worker slot for as long as it runs. A
-// caller modelling CPU time sleeps it inside the body, on its own clock;
-// the queueing delay under contention for that fixed capacity is what the
+// and the task body holds its slot for as long as it runs. A caller
+// modelling CPU time sleeps it inside the body, on its own clock; the
+// queueing delay under contention for that fixed capacity is what the
 // paper's experiment measures.
 package wfq
 
@@ -52,8 +58,8 @@ const (
 
 // Config tunes a Scheduler.
 type Config struct {
-	// Workers is the number of concurrent worker slots (CPU capacity).
-	// Defaults to 4.
+	// Workers is the number of slots, tasks that may run at once (CPU
+	// capacity). Defaults to 4.
 	Workers int
 	// Mode selects Fair (default) or FIFO.
 	Mode Mode
@@ -72,27 +78,23 @@ type Config struct {
 	KeyViz *keyviz.Collector
 }
 
-// task is one queued work item.
+// task is one queued waiter; its body stays on the submitter's stack.
 type task struct {
-	ctx      context.Context
-	key      string
-	cost     time.Duration
-	fn       func()
-	vft      float64 // virtual finish time (Fair)
-	seq      int64   // arrival order (FIFO + tie break)
-	enqueued time.Time
-	done     chan struct{}
-	rejected error
+	key   string
+	vft   float64       // virtual finish time (Fair)
+	seq   int64         // arrival order (FIFO + tie break)
+	index int           // position in the queue, -1 once granted or removed
+	ready chan struct{} // closed when the task is granted a slot
 }
 
-// Scheduler dispatches submitted tasks to a fixed worker pool in fair or
-// FIFO order.
+// Scheduler grants its slots to submitted tasks in fair or FIFO order.
 type Scheduler struct {
 	cfg Config
 
 	mu       sync.Mutex
-	cond     *sync.Cond
 	queue    taskHeap
+	running  int            // slots held
+	slots    sync.WaitGroup // one count per slot held, for Close
 	closed   bool
 	seq      int64
 	vtime    float64 // global virtual time (max dispatched vft)
@@ -104,17 +106,13 @@ type Scheduler struct {
 	// or expired work is not charged), so operators can see how much
 	// capacity e.g. a database's batch traffic consumed.
 	accounted map[string]time.Duration
-	queued    int
-	queuedBy  map[string]int
 
 	// Per-key task outcomes, {db=key}; Snapshot reads them back.
 	dispatched, shed, limited, expired *obs.CounterVec
 	queueWait                          *obs.HistogramVec
-
-	wg sync.WaitGroup
 }
 
-// New starts a scheduler with cfg.
+// New returns a scheduler with cfg.
 func New(cfg Config) *Scheduler {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -130,14 +128,12 @@ func New(cfg Config) *Scheduler {
 		inflight:   map[string]int{},
 		limits:     map[string]int{},
 		accounted:  map[string]time.Duration{},
-		queuedBy:   map[string]int{},
 		dispatched: reg.CounterVec("wfq.dispatched", "db"),
 		shed:       reg.CounterVec("wfq.shed", "db"),
 		limited:    reg.CounterVec("wfq.inflight_limited", "db"),
 		expired:    reg.CounterVec("wfq.expired", "db"),
 		queueWait:  reg.HistogramVec("wfq.queue_wait", "db"),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	reg.GaugeFunc("wfq.queue_depth", nil, func() float64 {
 		return float64(s.QueueDepth())
 	})
@@ -146,10 +142,6 @@ func New(cfg Config) *Scheduler {
 		defer s.mu.Unlock()
 		return s.vtime
 	})
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -185,28 +177,31 @@ func (s *Scheduler) AccountedCost(key string) time.Duration {
 	return s.accounted[key]
 }
 
-// QueueDepth returns the number of tasks waiting for a worker.
+// QueueDepth returns the number of tasks waiting for a slot.
 func (s *Scheduler) QueueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queued
+	return s.queue.Len()
 }
 
-// Close stops the scheduler after draining queued tasks. Subsequent
-// Submits fail with ErrClosed.
+// Close stops the scheduler: queued tasks are still granted slots, and
+// Close returns once every slot is free. Subsequent Submits fail with
+// ErrClosed.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.cond.Broadcast()
-	s.wg.Wait()
+	s.slots.Wait()
 }
 
-// Submit enqueues fn, priced at cost, under key and blocks until it has
-// run, it is shed, or ctx is done. The returned error is nil if fn ran.
-// Work whose context is already cancelled or past its deadline is
-// rejected DeadlineExceeded without consuming a queue slot, and
-// re-checked at dispatch so expired work never occupies a worker.
+// Submit runs fn, priced at cost, under key on the calling goroutine
+// once it holds a slot, and returns after fn has returned; a task that is
+// shed, or whose ctx is done while it waits, returns without running. The
+// returned error is nil if fn ran. Work whose context is already
+// cancelled or past its deadline is rejected DeadlineExceeded without
+// consuming a queue slot, and re-checked when a slot is granted so
+// expired work never holds one. A panic in fn frees its slot and reaches
+// the caller.
 func (s *Scheduler) Submit(ctx context.Context, key string, cost time.Duration, fn func()) error {
 	if err := ctx.Err(); err != nil {
 		s.expired.With(key).Inc()
@@ -217,8 +212,8 @@ func (s *Scheduler) Submit(ctx context.Context, key string, cost time.Duration, 
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if s.cfg.MaxQueue > 0 && s.queued >= s.cfg.MaxQueue {
-		depth := s.queued
+	if s.cfg.MaxQueue > 0 && s.queue.Len() >= s.cfg.MaxQueue {
+		depth := s.queue.Len()
 		s.mu.Unlock()
 		s.shed.With(key).Inc()
 		s.cfg.KeyViz.Record(keyviz.EvShed, keyviz.Event{
@@ -238,7 +233,7 @@ func (s *Scheduler) Submit(ctx context.Context, key string, cost time.Duration, 
 		return ErrInFlightLimit
 	}
 	s.seq++
-	t := &task{ctx: ctx, key: key, cost: cost, fn: fn, seq: s.seq, enqueued: time.Now(), done: make(chan struct{})}
+	var vft float64
 	if s.cfg.Mode == Fair {
 		w := s.cfg.DefaultWeight
 		if ww, ok := s.weights[key]; ok {
@@ -248,75 +243,86 @@ func (s *Scheduler) Submit(ctx context.Context, key string, cost time.Duration, 
 		if last := s.lastVFT[key]; last > start {
 			start = last
 		}
-		t.vft = start + float64(cost)/w
-		s.lastVFT[key] = t.vft
+		vft = start + float64(cost)/w
+		s.lastVFT[key] = vft
 	}
 	s.inflight[key]++
-	s.queued++
-	s.queuedBy[key]++
+	if s.running < s.cfg.Workers && s.queue.Len() == 0 {
+		s.startLocked(vft)
+		s.mu.Unlock()
+		s.queueWait.With(key).Record(0)
+		return s.run(key, cost, fn)
+	}
+	t := &task{key: key, vft: vft, seq: s.seq, ready: make(chan struct{})}
 	heap.Push(&s.queue, t)
 	s.mu.Unlock()
-	s.cond.Signal()
+	enqueued := time.Now()
 
 	select {
-	case <-t.done:
-		return t.rejected
+	case <-t.ready:
 	case <-ctx.Done():
-		// The task will not run: the worker sees the done context when
-		// it pops the task and skips it.
-		return status.FromContext("wfq", ctx.Err())
+		s.mu.Lock()
+		if t.index >= 0 {
+			heap.Remove(&s.queue, t.index)
+			s.leaveLocked(key)
+			s.mu.Unlock()
+			s.expired.With(key).Inc()
+			return status.FromContext("wfq", ctx.Err())
+		}
+		// The grant won the race: the slot is handed on below.
+		s.mu.Unlock()
+	}
+	s.queueWait.With(key).Record(time.Since(enqueued))
+	if err := ctx.Err(); err != nil {
+		s.expired.With(key).Inc()
+		s.release(key, 0)
+		return status.FromContext("wfq", err)
+	}
+	return s.run(key, cost, fn)
+}
+
+// run runs fn in the slot the caller holds and frees the slot, charging
+// cost to key, even if fn panics.
+func (s *Scheduler) run(key string, cost time.Duration, fn func()) error {
+	defer s.release(key, cost)
+	s.dispatched.With(key).Inc()
+	if fn != nil {
+		fn()
+	}
+	return nil
+}
+
+// release frees one of key's slots, charges cost to key, and grants the
+// freed slot to the queue's head. The grant is counted before the freed
+// slot, so Close's count never touches zero while a task is queued.
+func (s *Scheduler) release(key string, cost time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.accounted[key] += cost
+	s.leaveLocked(key)
+	s.running--
+	for s.running < s.cfg.Workers && s.queue.Len() > 0 {
+		t := heap.Pop(&s.queue).(*task)
+		s.startLocked(t.vft)
+		close(t.ready)
+	}
+	s.slots.Done()
+}
+
+// startLocked takes a slot for a task of virtual finish time vft.
+func (s *Scheduler) startLocked(vft float64) {
+	s.running++
+	s.slots.Add(1)
+	if vft > s.vtime {
+		s.vtime = vft
 	}
 }
 
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for s.queue.Len() == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if s.queue.Len() == 0 && s.closed {
-			s.mu.Unlock()
-			return
-		}
-		t := heap.Pop(&s.queue).(*task)
-		s.queued--
-		s.queuedBy[t.key]--
-		if s.queuedBy[t.key] <= 0 {
-			delete(s.queuedBy, t.key)
-		}
-		if s.cfg.Mode == Fair && t.vft > s.vtime {
-			s.vtime = t.vft
-		}
-		s.mu.Unlock()
-
-		s.queueWait.With(t.key).Record(time.Since(t.enqueued))
-
-		// Deadline enforcement at dispatch: work that expired while
-		// queued is dropped without running (the caller already got
-		// DeadlineExceeded, or gets it via rejected below).
-		ran := false
-		if err := t.ctx.Err(); err != nil {
-			t.rejected = status.FromContext("wfq", err)
-			s.expired.With(t.key).Inc()
-		} else {
-			if t.fn != nil {
-				t.fn()
-			}
-			ran = true
-			s.dispatched.With(t.key).Inc()
-		}
-
-		s.mu.Lock()
-		if ran {
-			s.accounted[t.key] += t.cost
-		}
-		s.inflight[t.key]--
-		if s.inflight[t.key] <= 0 {
-			delete(s.inflight, t.key)
-		}
-		s.mu.Unlock()
-		close(t.done)
+// leaveLocked counts one of key's tasks out of the scheduler.
+func (s *Scheduler) leaveLocked(key string) {
+	s.inflight[key]--
+	if s.inflight[key] <= 0 {
+		delete(s.inflight, key)
 	}
 }
 
@@ -367,9 +373,9 @@ func (s *Scheduler) Snapshot() Stats {
 	if s.cfg.Mode == FIFO {
 		mode = "fifo"
 	}
-	st := Stats{Mode: mode, Workers: s.cfg.Workers, Queued: s.queued, VirtualTime: s.vtime}
-	for k := range s.queuedBy {
-		key(k)
+	st := Stats{Mode: mode, Workers: s.cfg.Workers, Queued: s.queue.Len(), VirtualTime: s.vtime}
+	for _, t := range s.queue {
+		key(t.key).Queued++
 	}
 	for k := range s.inflight {
 		key(k)
@@ -378,7 +384,7 @@ func (s *Scheduler) Snapshot() Stats {
 		key(k)
 	}
 	for k, ks := range byKey {
-		ks.Queued, ks.InFlight, ks.Limit = s.queuedBy[k], s.inflight[k], s.limits[k]
+		ks.InFlight, ks.Limit = s.inflight[k], s.limits[k]
 		ks.LastVFT, ks.Accounted = s.lastVFT[k], s.accounted[k]
 		ks.Weight = s.cfg.DefaultWeight
 		if w, ok := s.weights[k]; ok {
@@ -392,6 +398,7 @@ func (s *Scheduler) Snapshot() Stats {
 
 // taskHeap orders by virtual finish time (Fair) falling back to arrival
 // sequence; in FIFO mode vft is zero for every task so sequence decides.
+// Each task knows its index, so a cancelled waiter can leave.
 type taskHeap []*task
 
 func (h taskHeap) Len() int { return len(h) }
@@ -401,13 +408,21 @@ func (h taskHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*task)) }
+func (h taskHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *taskHeap) Push(x any) {
+	t := x.(*task)
+	t.index = len(*h)
+	*h = append(*h, t)
+}
 func (h *taskHeap) Pop() any {
 	old := *h
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
+	t.index = -1
 	*h = old[:n-1]
 	return t
 }
