@@ -57,11 +57,14 @@ test-race:
 # a scan interleaves with writers, flushes, splits and peer death chunk
 # by chunk, not under one lock hold — and the wire under that (transport):
 # pooled frame buffers and reusable call slots under multiplexing.
-# Twenty rounds of the contended read-modify-write transactions, which
-# deadlocked on a shared-to-exclusive lock upgrade until LockTimeout.
+# Twenty rounds of the contended commits that used to wait out
+# LockTimeout: read-modify-write transactions on one document (a
+# shared-to-exclusive upgrade), and two commits taking the same documents'
+# locks in opposite orders (op order, or read A / write B against read B /
+# write A) before every commit took its lock set in key order.
 race-repeat:
 	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend ./internal/wfq
-	$(GO) test -race -count=20 -run 'TestRunTransactionRetries|TestReadModifyWriteDoesNotDeadlock' ./firestore/ ./internal/backend/
+	$(GO) test -race -count=20 -run 'TestRunTransactionRetries|TestReadModifyWriteDoesNotDeadlock|TestOppositeOrderBatchesDoNotStall|TestCrossDocumentCycleResolvesFast' ./firestore/ ./internal/backend/
 	$(GO) test -race -count=2 ./firestore/ ./mobile/ ./internal/backend/ ./internal/ramp/ \
 		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ ./cmd/fsctl/ \
 		./internal/keyviz/ ./internal/storage/ ./internal/spanner/ ./internal/cluster/ ./internal/query/ \

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -32,6 +31,7 @@ import (
 	"firestore/internal/rules"
 	"firestore/internal/spanner"
 	"firestore/internal/status"
+	"firestore/internal/storage"
 	"firestore/internal/truetime"
 	"firestore/internal/wfq"
 )
@@ -281,19 +281,29 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		return 0, err
 	}
 
-	// Optimistic read-set revalidation under shared locks — except for a
-	// document the commit also writes, which takes the exclusive lock the
-	// write needs now: two transactions each holding the shared lock and
-	// waiting to upgrade it would block each other until LockTimeout.
+	// The commit's whole lock set, declared before any lock is taken: every
+	// op's document exclusively, every other document of the read set
+	// shared (a document both read and written is locked once,
+	// exclusively). LockRead takes it in key order — the one order every
+	// backend commit shares, so no two of them can deadlock — and reads it
+	// with one engine call per tablet, which on a clustered deployment is
+	// one round trip per tablet instead of one per document.
+	rows := make([]spanner.LockedRow, len(ops), len(ops)+len(reads))
+	for i, op := range ops {
+		rows[i] = spanner.LockedRow{Key: db.EntityKey(op.Name), Exclusive: true}
+	}
 	for _, r := range reads {
-		written := slices.ContainsFunc(ops, func(op WriteOp) bool { return op.Name.Compare(r.Name) == 0 })
-		cur, err := b.readInTxn(ctx, db, txn, r.Name, written)
-		if err != nil {
-			return abort(err)
-		}
+		rows = append(rows, spanner.LockedRow{Key: db.EntityKey(r.Name)})
+	}
+	if err := txn.LockRead(ctx, rows); err != nil {
+		return abort(err)
+	}
+
+	// Optimistic read-set revalidation against the rows just locked.
+	for j, r := range reads {
 		var curTS truetime.Timestamp
-		if cur != nil {
-			curTS = cur.UpdateTime
+		if row := rows[len(ops)+j]; row.OK {
+			curTS = row.TS
 		}
 		if curTS != r.UpdateTime {
 			return abort(fmt.Errorf("%w: %s changed (read at %d, now %d)", ErrConflict, r.Name, r.UpdateTime, curTS))
@@ -305,30 +315,12 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	}
 
 	// Steps 2-4, per operation and in order so each op observes the
-	// effects of those before it: read the affected document under an
-	// exclusive lock, verify preconditions, evaluate the write security
-	// rules (with get() lookups transactionally consistent with this
-	// commit), then buffer the Entities row and the IndexEntries diff.
-	// Indexes under backfill are maintained too so they stay consistent
-	// (§IV-D1).
-	// Each op's Entities row key is built once and shared by the
-	// prefetch, the read and the write.
-	keys := make([][]byte, len(ops))
-	for i, op := range ops {
-		keys[i] = db.EntityKey(op.Name)
-	}
-	// Coalesce the per-op reads: every op's current row is locked
-	// exclusively and read up front with one batched engine call per
-	// tablet, so a clustered deployment pays one round trip per tablet
-	// instead of one per op. Locks are taken in op order — the same
-	// order the loop below would acquire them — and ops still observe
-	// their predecessors through the transaction's write buffer.
-	if len(ops) > 1 {
-		if err := txn.PrefetchForUpdate(ctx, keys); err != nil {
-			return abort(err)
-		}
-	}
-
+	// effects of those before it (through the transaction's write
+	// buffer): take the affected document as locked above, verify
+	// preconditions, evaluate the write security rules (with get()
+	// lookups transactionally consistent with this commit), then buffer
+	// the Entities row and the IndexEntries diff. Indexes under backfill
+	// are maintained too so they stay consistent (§IV-D1).
 	names := make([]doc.Name, 0, len(ops))
 	muts := make([]rtcache.Mutation, 0, len(ops))
 	topic := TriggerTopic(db.ID)
@@ -345,7 +337,7 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		}
 		// The stored row and its version timestamp are kept next to the
 		// decoded document: the trigger payload is framed from them.
-		oldBlob, oldTS, exists, err := txn.GetVersioned(ctx, keys[i], true)
+		oldBlob, oldTS, exists, err := txn.GetVersioned(ctx, rows[i].Key, true)
 		if err != nil {
 			return abort(err) // storage-level: fatal in both modes
 		}
@@ -389,6 +381,10 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 			}
 		}
 		if !p.Privileged {
+			// A get() lookup is discovered only while the rules run, after
+			// the lock set was taken, so it does not wait for a lock: a
+			// document another transaction holds aborts the commit at once.
+			var getErr error
 			req := &rules.Request{
 				Method:      writeMethod(old, new),
 				Path:        op.Name,
@@ -396,10 +392,18 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 				Resource:    old,
 				NewResource: new,
 				Get: func(n doc.Name) (*doc.Document, error) {
-					return b.readInTxn(ctx, db, txn, n, false)
+					r, err := txn.TryGet(ctx, db.EntityKey(n))
+					if err != nil {
+						getErr = err
+						return nil, err
+					}
+					return rowDoc(r, n)
 				},
 			}
 			if err := meta.Rules.Authorize(req); err != nil {
+				if getErr != nil {
+					return abort(getErr) // a lookup that could not read is no denial
+				}
 				if err := failOp(err); err != nil {
 					return 0, err
 				}
@@ -411,9 +415,9 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		var newBlob []byte
 		if new != nil {
 			newBlob = doc.Marshal(new)
-			txn.Put(keys[i], newBlob)
+			txn.Put(rows[i].Key, newBlob)
 		} else if old != nil {
-			txn.Delete(keys[i])
+			txn.Delete(rows[i].Key)
 		}
 		removed, added := index.DiffEntries(db.IndexPrefix(), old, new, meta.Composites, &meta.Exemptions)
 		for _, e := range removed {
@@ -532,19 +536,15 @@ func writeMethod(old, new *doc.Document) rules.Method {
 	}
 }
 
-// readInTxn reads and decodes a document inside a transaction. Stored
-// blobs carry a zero UpdateTime (the commit timestamp is not known at
-// write time); reads resolve it from the row's MVCC version timestamp,
-// and a zero stored CreateTime means "created by that same version".
-func (b *Backend) readInTxn(ctx context.Context, db *catalog.Database, txn *spanner.Txn, name doc.Name, forUpdate bool) (*doc.Document, error) {
-	blob, vts, ok, err := txn.GetVersioned(ctx, db.EntityKey(name), forUpdate)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
+// rowDoc decodes a document row read inside a transaction: nil if the
+// row is absent. Stored blobs carry a zero UpdateTime (the commit
+// timestamp is not known at write time); ResolveDoc takes it from the
+// row's MVCC version timestamp.
+func rowDoc(r storage.BatchGet, name doc.Name) (*doc.Document, error) {
+	if !r.OK {
 		return nil, nil
 	}
-	return ResolveDoc(blob, name, vts)
+	return ResolveDoc(r.Value, name, r.TS)
 }
 
 // ResolveDoc decodes a stored document blob, resolving its timestamps

@@ -358,6 +358,141 @@ func TestReadModifyWriteDoesNotDeadlock(t *testing.T) {
 	}
 }
 
+// concurrently runs each function on its own goroutine, released together, and
+// returns their errors in order.
+func concurrently(fns ...func() error) []error {
+	errs := make([]error, len(fns))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, fn := range fns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs[i] = fn()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	return errs
+}
+
+// TestOppositeOrderBatchesDoNotStall: two commits naming the same two
+// documents in opposite orders take their locks in one (key) order, so
+// neither holds a lock the other waits for while it waits for one the
+// other holds.
+func TestOppositeOrderBatchesDoNotStall(t *testing.T) {
+	e := newEnv(t)
+	ctx := context.Background()
+	db := e.cat.MustGet(e.dbID)
+	a, b := doc.MustName("/c/a"), doc.MustName("/c/b")
+	commit := func(first, second doc.Name) func() error {
+		fields := map[string]doc.Value{"first": doc.String(first.ID())}
+		return func() error {
+			_, err := e.b.Commit(ctx, e.dbID, priv, []WriteOp{
+				{Kind: OpSet, Name: first, Fields: fields},
+				{Kind: OpSet, Name: second, Fields: fields},
+			})
+			return err
+		}
+	}
+	for round := 1; round <= 50; round++ {
+		start := time.Now()
+		for _, err := range concurrently(commit(a, b), commit(b, a)) {
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		if took := time.Since(start); took >= 100*time.Millisecond {
+			t.Fatalf("round %d took %v, want < 100ms", round, took)
+		}
+	}
+	if n := db.Spanner.Stats().LockTimeout; n != 0 {
+		t.Fatalf("%d lock timeouts, want none", n)
+	}
+}
+
+// TestCrossDocumentCycleResolvesFast: a transaction that read A and
+// writes B races one that read B and writes A. Both lock A first, so the
+// second to get it finds its read stale: one commits, the other gets
+// ErrConflict at once, and no lock wait times out.
+func TestCrossDocumentCycleResolvesFast(t *testing.T) {
+	e := newEnv(t)
+	ctx := context.Background()
+	db := e.cat.MustGet(e.dbID)
+	a, b := doc.MustName("/c/a"), doc.MustName("/c/b")
+	set(t, e, a.String(), nil)
+	set(t, e, b.String(), nil)
+	for round := 1; round <= 50; round++ {
+		readA, readB := get(t, e, a.String()), get(t, e, b.String())
+		commit := func(read *doc.Document, write doc.Name) func() error {
+			return func() error {
+				_, err := e.b.CommitTransactional(ctx, e.dbID, priv,
+					[]WriteOp{{Kind: OpSet, Name: write, Fields: map[string]doc.Value{"round": doc.Int(int64(round))}}},
+					[]ReadValidation{{Name: read.Name, UpdateTime: read.UpdateTime}})
+				return err
+			}
+		}
+		start := time.Now()
+		errs := concurrently(commit(readA, b), commit(readB, a))
+		took := time.Since(start)
+		committed, conflicted := 0, 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				committed++
+			case errors.Is(err, ErrConflict):
+				conflicted++
+			}
+		}
+		if committed != 1 || conflicted != 1 {
+			t.Fatalf("round %d: errors %v, want one commit and one ErrConflict", round, errs)
+		}
+		if took >= 100*time.Millisecond {
+			t.Fatalf("round %d took %v, want < 100ms", round, took)
+		}
+	}
+	if n := db.Spanner.Stats().LockTimeout; n != 0 {
+		t.Fatalf("%d lock timeouts, want none", n)
+	}
+}
+
+// TestRulesGetDoesNotWait: a rule's get() lookup is the one lock a commit
+// takes outside its sorted lock set, so it never waits: a document
+// another transaction holds exclusively aborts the write at once.
+func TestRulesGetDoesNotWait(t *testing.T) {
+	e := newEnv(t)
+	ctx := context.Background()
+	db := e.cat.MustGet(e.dbID)
+	rs, err := rules.Parse(`
+match /posts/{id} {
+  allow write: if get(/config/open).data.ok == true;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetRules(rs)
+	config := doc.MustName("/config/open")
+	set(t, e, config.String(), map[string]doc.Value{"ok": doc.Bool(true)})
+	alice := Principal{Auth: &rules.Auth{UID: "alice"}}
+	post := []WriteOp{{Kind: OpSet, Name: doc.MustName("/posts/1"), Fields: map[string]doc.Value{"v": doc.Int(1)}}}
+
+	holder := db.Spanner.Begin()
+	if _, _, err := holder.Get(ctx, db.EntityKey(config), true); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = e.b.Commit(ctx, e.dbID, alice, post)
+	if took := time.Since(start); status.CodeOf(err) != status.Aborted || took >= 50*time.Millisecond {
+		t.Fatalf("write whose rule reads a locked document = %v after %v, want Aborted in < 50ms", err, took)
+	}
+	holder.Abort()
+	if _, err := e.b.Commit(ctx, e.dbID, alice, post); err != nil {
+		t.Fatalf("write once the lock is free = %v", err)
+	}
+}
+
 func TestRealTimeCacheReceivesWrites(t *testing.T) {
 	e := newEnv(t)
 	rec := &countingSub{}

@@ -39,15 +39,24 @@ func (b *Backend) AddCompositeIndex(ctx context.Context, dbID string, def index.
 
 func (b *Backend) backfill(ctx context.Context, db *catalog.Database, def index.Definition) error {
 	return b.scanAllDocuments(ctx, db, func(batch []*doc.Document) error {
-		txn := db.Spanner.Begin()
+		// Re-read the batch's documents under lock: one deleted or
+		// rewritten since the snapshot must not resurrect stale entries
+		// (concurrent writers maintain the index themselves).
+		var names []doc.Name
+		var rows []spanner.LockedRow
 		for _, snap := range batch {
-			if snap.Name.Collection().ID() != def.Collection {
-				continue
+			if snap.Name.Collection().ID() == def.Collection {
+				names = append(names, snap.Name)
+				rows = append(rows, spanner.LockedRow{Key: db.EntityKey(snap.Name)})
 			}
-			// Re-read under lock: a document deleted or rewritten since
-			// the snapshot must not resurrect stale entries (concurrent
-			// writers maintain the index themselves).
-			d, err := b.readInTxn(ctx, db, txn, snap.Name, false)
+		}
+		txn := db.Spanner.Begin()
+		if err := txn.LockRead(ctx, rows); err != nil {
+			txn.Abort()
+			return err
+		}
+		for i, r := range rows {
+			d, err := rowDoc(r.BatchGet, names[i])
 			if err != nil {
 				txn.Abort()
 				return err

@@ -42,12 +42,17 @@ func (b *Backend) CommitBulk(ctx context.Context, dbID string, p Principal, ops 
 		return db.Spanner.TabletIndex(db.EntityKey(op.Name))
 	})
 	key := b.schedKey(dbID, p)
+	// A panic in a group is recovered there and re-raised here, on the
+	// caller's goroutine, as a single commit's would be (net/http's
+	// per-request recover sees it); on a group goroutine it would kill
+	// the process.
+	panics := make([]any, len(groups))
 	var wg sync.WaitGroup
-	for _, g := range groups {
-		g := g
+	for gi, g := range groups {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() { panics[gi] = recover() }()
 			opErrs := make([]error, len(g.ops))
 			var ts truetime.Timestamp
 			cerr := b.submit(ctx, db, "backend.bulkgroup", key, b.cfg.Costs.Write(dbID, len(g.ops)), func(ctx context.Context) error {
@@ -70,6 +75,11 @@ func (b *Backend) CommitBulk(ctx context.Context, dbID string, p Principal, ops 
 		}()
 	}
 	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
+		}
+	}
 	return results, nil
 }
 

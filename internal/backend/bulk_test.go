@@ -192,3 +192,24 @@ func TestGroupByTablet(t *testing.T) {
 		t.Errorf("empty input: got %v, want nil", g)
 	}
 }
+
+// TestCommitBulkGroupPanicReachesCaller: a panic in one of CommitBulk's
+// group goroutines is re-raised on the caller's goroutine, where a
+// server's per-request recover catches it, instead of killing the
+// process.
+func TestCommitBulkGroupPanicReachesCaller(t *testing.T) {
+	sp := spanner.New(spanner.Config{Clock: truetime.NewSystem(10 * time.Microsecond)})
+	cat := catalog.New([]*spanner.DB{sp})
+	if _, err := cat.Create("app"); err != nil {
+		t.Fatal(err)
+	}
+	b := New(Config{Catalog: cat, Costs: Costs{Write: func(string, int) time.Duration { panic("write cost") }}})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		b.CommitBulk(context.Background(), "app", priv, []WriteOp{{Kind: OpSet, Name: doc.MustName("/c/a")}})
+	}()
+	if got != "write cost" {
+		t.Fatalf("CommitBulk raised %v, want the group's panic", got)
+	}
+}

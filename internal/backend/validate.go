@@ -129,23 +129,44 @@ func (b *Backend) RepairIndexes(ctx context.Context, dbID string) (int, error) {
 	meta := db.Meta()
 	fixes := 0
 	err = b.scanAllDocuments(ctx, db, func(batch []*doc.Document) error {
+		// The batch's lock set is its documents, shared, and then their
+		// index rows, exclusively since any of them may be written: two
+		// key-sorted passes that are one, as every index key sorts after
+		// every document key of the database.
+		docs := make([]spanner.LockedRow, len(batch))
+		for i, snap := range batch {
+			docs[i] = spanner.LockedRow{Key: db.EntityKey(snap.Name)}
+		}
 		txn := db.Spanner.Begin()
-		changed := false
-		for _, snap := range batch {
-			d, err := b.readInTxn(ctx, db, txn, snap.Name, false)
+		if err := txn.LockRead(ctx, docs); err != nil {
+			txn.Abort()
+			return err
+		}
+		var entries []spanner.LockedRow
+		var names [][]byte
+		for i, r := range docs {
+			d, err := rowDoc(r.BatchGet, batch[i].Name)
 			if err != nil || d == nil {
 				continue
 			}
+			name := []byte(d.Name.String())
 			for _, k := range index.Entries(d, meta.Composites, &meta.Exemptions) {
-				key := db.IndexKey(k)
-				if _, ok, _ := txn.Get(ctx, key, false); !ok {
-					txn.Put(key, []byte(d.Name.String()))
-					fixes++
-					changed = true
-				}
+				entries = append(entries, spanner.LockedRow{Key: db.IndexKey(k), Exclusive: true})
+				names = append(names, name)
 			}
 		}
-		if !changed {
+		if err := txn.LockRead(ctx, entries); err != nil {
+			txn.Abort()
+			return err
+		}
+		before := fixes
+		for i, e := range entries {
+			if !e.OK {
+				txn.Put(e.Key, names[i])
+				fixes++
+			}
+		}
+		if fixes == before {
 			txn.Abort()
 			return nil
 		}

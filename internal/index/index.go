@@ -253,12 +253,6 @@ type Entry struct {
 	// key, allocated once at its final size.
 	Key []byte
 	ID  uint64
-	// PrefixEnds holds the offsets in Key where the equality prefixes of
-	// the IndexEntries key end: the collection prefix first, then the
-	// prefix through each successive value component — exactly the
-	// prefixes a query's equality-covered scan ranges over. The entries
-	// of one diff share one backing array.
-	PrefixEnds []int
 }
 
 // differ is the pooled scratch of one DiffEntries call: what exists only
@@ -270,7 +264,6 @@ type differ struct {
 	head, tail []byte // encoded collection path and 0x00; escaped document ID
 	vals       []byte // ascending encodings of the current entry's values
 	cuts       []int  // where each value ends in vals
-	ends       []int  // backing of the PrefixEnds built so far
 	old, new   []FieldValue
 	rem, add   []Entry
 }
@@ -285,18 +278,15 @@ func (d *differ) entry(id uint64, fields []Field) Entry {
 	key := make([]byte, 0, len(d.prefix)+8+len(d.head)+len(d.vals)+len(d.tail))
 	key = binary.BigEndian.AppendUint64(append(key, d.prefix...), id)
 	key = append(key, d.head...)
-	first := len(d.ends)
-	d.ends = append(d.ends, len(key))
 	at := 0
 	for i, cut := range d.cuts {
 		key = append(key, d.vals[at:cut]...)
 		if fields[i].Dir == Descending {
 			encoding.InvertInPlace(key[len(key)-(cut-at):])
 		}
-		d.ends = append(d.ends, len(key))
 		at = cut
 	}
-	return Entry{Key: append(key, d.tail...), ID: id, PrefixEnds: d.ends[first:]}
+	return Entry{Key: append(key, d.tail...), ID: id}
 }
 
 // field appends the entries one flattened field implies: the ascending
@@ -377,7 +367,7 @@ func keysOf(es []Entry) [][]byte {
 	return keys
 }
 
-// DiffEntries is Diff with the structural offsets preserved and every
+// DiffEntries is Diff with each key's index ID kept and every
 // key built behind keyPrefix (a database's IndexEntries row-key prefix,
 // or nil), so commit paths can hand the keys to the transaction as they
 // are. Both lists come back sorted by key.
@@ -404,7 +394,7 @@ func DiffEntries(keyPrefix []byte, old, new *doc.Document, composites []Definiti
 	d.head = append(encoding.EncodeCollection(d.head[:0], parent), 0x00)
 	d.tail = encoding.AppendEscaped(d.tail[:0], name.Name.ID())
 	d.old, d.new = flatten(d.old[:0], old), flatten(d.new[:0], new)
-	d.rem, d.add, d.ends = d.rem[:0], d.add[:0], d.ends[:0]
+	d.rem, d.add = d.rem[:0], d.add[:0]
 
 	difference(d.old, d.new, compareFields,
 		func(fv FieldValue) { d.rem = d.field(d.rem, coll, ex, fv) },
@@ -430,7 +420,7 @@ func DiffEntries(keyPrefix []byte, old, new *doc.Document, composites []Definiti
 	}
 
 	removed, added = cancel(d.rem, d.add)
-	removed, added = export(removed), export(added)
+	removed, added = slices.Clone(removed), slices.Clone(added) // out of the pooled scratch
 	// Drop the references so an idle pool entry pins no document.
 	clear(d.old)
 	clear(d.new)
@@ -476,24 +466,4 @@ func difference[T any](a, b []T, cmp func(T, T) int, onlyA, onlyB func(T)) {
 			b = b[1:]
 		}
 	}
-}
-
-// export copies scratch entries into a caller-owned list whose
-// PrefixEnds share one exact-size backing array.
-func export(es []Entry) []Entry {
-	if len(es) == 0 {
-		return nil
-	}
-	n := 0
-	for _, e := range es {
-		n += len(e.PrefixEnds)
-	}
-	out, ends := make([]Entry, len(es)), make([]int, 0, n)
-	for i, e := range es {
-		at := len(ends)
-		ends = append(ends, e.PrefixEnds...)
-		e.PrefixEnds = ends[at:len(ends):len(ends)]
-		out[i] = e
-	}
-	return out
 }

@@ -27,17 +27,15 @@ func EntryKey(def Definition, values []doc.Value, name doc.Name) []byte {
 
 func entryOf(def Definition, values []doc.Value, name doc.Name) Entry {
 	key := CollectionPrefix(def.ID, name.Collection())
-	ends := []int{len(key)}
 	for i, v := range values {
 		if def.Fields[i].Dir == Descending {
 			key = encoding.EncodeValueDesc(key, v)
 		} else {
 			key = encoding.EncodeValue(key, v)
 		}
-		ends = append(ends, len(key))
 	}
 	key = encoding.AppendEscaped(key, []byte(name.ID()))
-	return Entry{Key: key, ID: def.ID, PrefixEnds: ends}
+	return Entry{Key: key, ID: def.ID}
 }
 
 func refEntryList(d *doc.Document, composites []Definition, ex *Exemptions) []Entry {
@@ -128,14 +126,6 @@ func sameEntries(got, want []Entry, prefix []byte) error {
 		g := got[i]
 		if !bytes.Equal(g.Key, append(slices.Clone(prefix), w.Key...)) || g.ID != w.ID {
 			return fmt.Errorf("entry %d: key %x (id %x), want %x behind %x (id %x)", i, g.Key, g.ID, w.Key, prefix, w.ID)
-		}
-		if len(g.PrefixEnds) != len(w.PrefixEnds) {
-			return fmt.Errorf("entry %d: PrefixEnds %v, want %v + %d", i, g.PrefixEnds, w.PrefixEnds, len(prefix))
-		}
-		for j, end := range w.PrefixEnds {
-			if g.PrefixEnds[j] != end+len(prefix) {
-				return fmt.Errorf("entry %d: PrefixEnds %v, want %v + %d", i, g.PrefixEnds, w.PrefixEnds, len(prefix))
-			}
 		}
 	}
 	return nil
@@ -292,7 +282,7 @@ func TestGoldenIDs(t *testing.T) {
 }
 
 // TestEntriesMatchReference: the entries of a whole document are the
-// reference implementation's, key for key and offset for offset.
+// reference implementation's, key for key.
 func TestEntriesMatchReference(t *testing.T) {
 	d := &doc.Document{Name: doc.MustName("/restaurants/r1"), Fields: map[string]doc.Value{
 		"city": doc.String("SF"), "type": doc.String("BBQ"), "rating": doc.Int(3),
@@ -314,10 +304,6 @@ func TestEntriesMatchReference(t *testing.T) {
 	for i := range keys {
 		if string(keys[i]) != string(list[i].Key) {
 			t.Fatalf("entry %d: key mismatch", i)
-		}
-		ends := list[i].PrefixEnds
-		if len(ends) < 2 || ends[len(ends)-1] >= len(list[i].Key) {
-			t.Fatalf("entry %d: bad PrefixEnds %v for key len %d", i, ends, len(list[i].Key))
 		}
 	}
 }

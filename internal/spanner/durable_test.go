@@ -296,8 +296,8 @@ func TestStaleTabletReadAfterMerge(t *testing.T) {
 		if err != nil || !ok || string(v) != "v" {
 			t.Fatalf("SnapshotGet(%q) = %q, %v, %v; want v", key, v, ok, err)
 		}
-		if _, _, ok, err := db.readOwned(ctx, key, truetime.Max); err != nil || !ok {
-			t.Fatalf("readOwned(%q) = %v, %v; want hit", key, ok, err)
+		if row := []LockedRow{{Key: key}}; db.readOwnedBatch(ctx, row, truetime.Max) != nil || !row[0].OK {
+			t.Fatalf("readOwnedBatch(%q) = %+v; want hit", key, row[0])
 		}
 		// Scans revalidate ownership too: a full-range scan through a
 		// retired tablet restarts against the current owners.

@@ -62,13 +62,12 @@ func (e *lockEntry) grant(txn *Txn, mode lockMode) bool {
 
 // lockPoll bounds how long a lock waiter sleeps before re-reading the
 // TrueTime clock: a Manual clock advances without waking real-time
-// timers, so expiry is noticed by polling (the same watchdog idiom
-// tablet.waitSafe uses).
+// timers, so expiry is noticed by polling.
 const lockPoll = 5 * time.Millisecond
 
 // acquire takes the lock on key for txn, blocking up to timeout of the
-// database's TrueTime clock. A nil return means the lock is held
-// (recorded in txn.held).
+// database's TrueTime clock (zero: not at all). A nil return means the
+// lock is held (recorded in txn.held).
 func (lt *lockTable) acquire(ctx context.Context, txn *Txn, key string, mode lockMode, timeout time.Duration) error {
 	deadline := lt.clock.Now().Latest.Add(timeout)
 	lt.mu.Lock()
@@ -81,6 +80,10 @@ func (lt *lockTable) acquire(ctx context.Context, txn *Txn, key string, mode loc
 		if e.grant(txn, mode) {
 			lt.mu.Unlock()
 			return nil
+		}
+		if timeout == 0 {
+			lt.mu.Unlock()
+			return ErrAborted
 		}
 		if e.wake == nil {
 			e.wake = make(chan struct{})

@@ -498,8 +498,8 @@ func (db *DB) SnapshotGet(ctx context.Context, key []byte, ts truetime.Timestamp
 			return nil, 0, false, err
 		}
 		t.recordOp(1, keyviz.OpRead)
-		v, vts, ok, err := t.readAt(ctx, key, ts)
-		if err != nil {
+		row := [1]LockedRow{{Key: key}}
+		if err := t.readAt(ctx, row[:], ts); err != nil {
 			return nil, 0, false, err
 		}
 		if !t.ownsKey(key) {
@@ -508,68 +508,41 @@ func (db *DB) SnapshotGet(ctx context.Context, key []byte, ts truetime.Timestamp
 			continue
 		}
 		db.stats.reads.Add(1)
-		return v, vts, ok, nil
+		return row[0].Value, row[0].TS, row[0].OK, nil
 	}
 }
 
-// readOwned reads the newest version of key visible at ts, re-resolving
-// the owning tablet when a concurrent split or merge migrates the key
-// between resolution and the engine read. Used by locked transactional
-// reads, which need no safe-time wait.
-func (db *DB) readOwned(ctx context.Context, key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool, error) {
-	for {
-		t := db.tabletFor(key)
-		if t == nil {
-			return nil, 0, false, ErrClosed
+// readOwnedBatch reads the newest version visible at ts of each row,
+// sorted by key, for locked transactional reads (which need no safe-time
+// wait): it cuts the rows into per-tablet runs in one pass, reads each
+// run in one engine call, and re-resolves the rest of a run that a
+// concurrent split or merge moved mid-read. Each row's result is filled
+// in place.
+func (db *DB) readOwnedBatch(ctx context.Context, rows []LockedRow, ts truetime.Timestamp) error {
+	for i := 0; i < len(rows); {
+		db.mu.RLock()
+		if len(db.tablets) == 0 {
+			db.mu.RUnlock()
+			return ErrClosed
 		}
-		t.recordOp(1, keyviz.OpRead)
-		v, vts, ok, err := t.readAt(ctx, key, ts)
-		if err != nil || t.ownsKey(key) {
-			return v, vts, ok, err
+		n := db.tabletIndexLocked(rows[i].Key)
+		t, j := db.tablets[n], len(rows)
+		if n+1 < len(db.tablets) {
+			run, _ := slices.BinarySearchFunc(rows[i:], db.tablets[n+1].start, compareRow)
+			j = i + run
 		}
-	}
-}
-
-// readOwnedBatch is readOwned over many keys: it groups keys by owning
-// tablet, reads each group in one engine call, and re-resolves keys a
-// concurrent split or merge migrates mid-read. Results align with keys.
-func (db *DB) readOwnedBatch(ctx context.Context, keys [][]byte, ts truetime.Timestamp) ([]storage.BatchGet, error) {
-	out := make([]storage.BatchGet, len(keys))
-	pending := make([]int, len(keys))
-	for i := range keys {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		groups := map[*tablet][]int{}
-		for _, i := range pending {
-			t := db.tabletFor(keys[i])
-			if t == nil {
-				return nil, ErrClosed
-			}
-			groups[t] = append(groups[t], i)
+		db.mu.RUnlock()
+		t.recordOp(int64(j-i), keyviz.OpRead)
+		if err := t.readAt(ctx, rows[i:j], ts); err != nil {
+			return err
 		}
-		pending = pending[:0]
-		for t, idxs := range groups {
-			ks := make([][]byte, len(idxs))
-			for j, i := range idxs {
-				ks[j] = keys[i]
-			}
-			t.recordOp(int64(len(ks)), keyviz.OpRead)
-			res, err := t.readBatchAt(ctx, ks, ts)
-			if err != nil {
-				return nil, err
-			}
-			for j, i := range idxs {
-				if !t.ownsKey(keys[i]) {
-					pending = append(pending, i)
-					continue
-				}
-				out[i] = res[j]
-			}
+		// A tablet keeps its start, so what a split or merge took from it
+		// is a suffix of the run.
+		for ; i < j && t.ownsKey(rows[i].Key); i++ {
 		}
 	}
-	db.stats.reads.Add(int64(len(keys)))
-	return out, nil
+	db.stats.reads.Add(int64(len(rows)))
+	return nil
 }
 
 // ScanRow is one row produced by a scan: the storage engine's row, as it

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -201,6 +202,126 @@ func TestDeadlockResolvedByAbort(t *testing.T) {
 	}
 	a.Abort()
 	b.Abort()
+}
+
+// TestLockReadTakesTheSetOnce: LockRead locks a key named twice once, in
+// the stronger mode, reads every row it has not read in one pass, and
+// fills each row in place — a row the transaction wrote reads back as
+// written, and Commit will lock it.
+func TestLockReadTakesTheSetOnce(t *testing.T) {
+	db := testDB(t)
+	ctx := context.Background()
+	put(t, db, "a", "1")
+	put(t, db, "z", "26")
+	txn := db.Begin()
+	txn.Put([]byte("m"), []byte("mine"))
+	rows := []LockedRow{{Key: []byte("z")}, {Key: []byte("a")}, {Key: []byte("m")}, {Key: []byte("a"), Exclusive: true}, {Key: []byte("q")}}
+	reads := db.Stats().Reads
+	if err := txn.LockRead(ctx, rows); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range rows {
+		got = append(got, fmt.Sprintf("%s=%s/%v", r.Key, r.Value, r.OK))
+	}
+	if want := []string{"z=26/true", "a=1/true", "m=mine/true", "a=1/true", "q=/false"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows = %v, want %v", got, want)
+	}
+	if n := db.Stats().Reads - reads; n != 3 {
+		t.Fatalf("LockRead read %d rows, want 3 (a, q, z)", n)
+	}
+	if want := map[string]lockMode{"a": lockExclusive, "q": lockShared, "z": lockShared}; !reflect.DeepEqual(txn.held, want) {
+		t.Fatalf("held %v, want %v", txn.held, want)
+	}
+	// A later read of a locked row is served from the cache.
+	if v, _, ok, err := txn.GetVersioned(ctx, []byte("a"), true); err != nil || !ok || string(v) != "1" || db.Stats().Reads-reads != 3 {
+		t.Fatalf("cached read = %q, %v, %v after %d reads", v, ok, err, db.Stats().Reads-reads)
+	}
+	txn.Abort()
+}
+
+// TestLockReadUpgradesOnForUpdate: a row LockRead cached under a shared
+// lock answers a read for update only once the lock is upgraded, which
+// waits for every other shared holder.
+func TestLockReadUpgradesOnForUpdate(t *testing.T) {
+	db := testDB(t)
+	ctx := context.Background()
+	put(t, db, "k", "v")
+	a, b := db.Begin(), db.Begin()
+	for _, txn := range []*Txn{a, b} {
+		rows := []LockedRow{{Key: []byte("k")}}
+		if err := txn.LockRead(ctx, rows); err != nil || string(rows[0].Value) != "v" {
+			t.Fatalf("shared LockRead = %q, %v", rows[0].Value, err)
+		}
+	}
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if _, _, err := a.Get(short, []byte("k"), true); err == nil {
+		t.Fatal("read for update answered from the cache while another transaction shares the row")
+	}
+	b.Abort()
+	if v, _, err := a.Get(ctx, []byte("k"), true); err != nil || string(v) != "v" {
+		t.Fatalf("read for update once alone = %q, %v", v, err)
+	}
+	c := db.Begin()
+	if _, err := c.TryGet(ctx, []byte("k")); !errors.Is(err, ErrAborted) {
+		t.Fatalf("shared read of an exclusively held row = %v, want ErrAborted", err)
+	}
+	c.Abort()
+	a.Abort()
+}
+
+// TestSafeTimeWait: a snapshot read blocked on a prepared write waits on
+// the tablet's wake channel — no goroutine or timer per wait — and
+// returns as soon as the transaction finishes or the read is cancelled.
+func TestSafeTimeWait(t *testing.T) {
+	db := testDB(t)
+	key := []byte("k")
+	put(t, db, "k", "v0")
+	for _, end := range []string{"finish", "cancel"} {
+		// A transaction between prepare and apply, as Commit leaves it.
+		txn := db.Begin()
+		txn.Put(key, []byte("v1"))
+		tab := db.tabletFor(key)
+		tab.prepare(txn, db.clock.Now().Earliest)
+		ctx, cancel := context.WithCancel(context.Background())
+		base := runtime.NumGoroutine()
+		done := make(chan error, 1)
+		go func() {
+			_, _, _, err := db.SnapshotGet(ctx, key, db.StrongReadTimestamp())
+			done <- err
+		}()
+		for i := 0; i < 20; i++ {
+			time.Sleep(time.Millisecond)
+			select {
+			case err := <-done:
+				t.Fatalf("%s: read returned %v past a prepared write", end, err)
+			default:
+			}
+			if n := runtime.NumGoroutine(); n > base+1 {
+				t.Fatalf("%s: %d goroutines during the wait, want at most %d (the reader's)", end, n, base+1)
+			}
+		}
+		start := time.Now()
+		want := error(nil)
+		if end == "finish" {
+			tab.finish(txn)
+		} else {
+			cancel()
+			want = context.Canceled
+		}
+		select {
+		case err := <-done:
+			if took := time.Since(start); !errors.Is(err, want) || took > 50*time.Millisecond {
+				t.Fatalf("%s: read returned %v after %v, want %v in < 50ms", end, err, took, want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s: read still blocked", end)
+		}
+		cancel()
+		tab.finish(txn)
+		txn.Abort()
+	}
 }
 
 func TestScanOrderAndRange(t *testing.T) {

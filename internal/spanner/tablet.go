@@ -30,7 +30,6 @@ type tablet struct {
 	id uint64
 
 	mu    sync.Mutex
-	cond  *sync.Cond
 	start []byte
 	end   []byte
 	// store is the row engine. Swapped under mu by recoverTablet when
@@ -49,6 +48,9 @@ type tablet struct {
 	// transaction currently two-phase committing on this tablet. Snapshot
 	// reads at ts wait while any bound <= ts (safe-time).
 	prepared map[*Txn]truetime.Timestamp
+	// finished is closed (and reset) by the next finish, waking snapshot
+	// readers blocked on a prepared transaction; nil while nobody waits.
+	finished chan struct{}
 
 	// lastCommit is the largest commit timestamp applied here.
 	lastCommit truetime.Timestamp
@@ -70,7 +72,6 @@ func newTablet(db *DB, id uint64, store storage.Engine, start, end []byte) *tabl
 		prepared:    map[*Txn]truetime.Timestamp{},
 		windowStart: db.clock.Now().Latest,
 	}
-	t.cond = sync.NewCond(&t.mu)
 	return t
 }
 
@@ -129,8 +130,11 @@ func (t *tablet) prepare(txn *Txn, bound truetime.Timestamp) {
 func (t *tablet) finish(txn *Txn) {
 	t.mu.Lock()
 	delete(t.prepared, txn)
+	if t.finished != nil {
+		close(t.finished)
+		t.finished = nil
+	}
 	t.mu.Unlock()
-	t.cond.Broadcast()
 }
 
 // waitSafe blocks until no in-flight commit that writes what the read
@@ -141,7 +145,6 @@ func (t *tablet) finish(txn *Txn) {
 // key").
 func (t *tablet) waitSafe(ctx context.Context, ts truetime.Timestamp, writes func(*Txn) bool) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	for {
 		blocked := false
 		for txn, bound := range t.prepared {
@@ -151,28 +154,21 @@ func (t *tablet) waitSafe(ctx context.Context, ts truetime.Timestamp, writes fun
 			}
 		}
 		if !blocked {
+			t.mu.Unlock()
 			return nil
 		}
-		if err := ctx.Err(); err != nil {
-			return err
+		if t.finished == nil {
+			t.finished = make(chan struct{})
 		}
-		// Commits are short; poll via cond with a watchdog wake so a
-		// cancelled context is noticed.
-		waitCond(t.cond, 5*time.Millisecond)
+		ch := t.finished
+		t.mu.Unlock()
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		t.mu.Lock()
 	}
-}
-
-// waitCond waits on c with an upper bound, so loops can re-check ctx.
-// Caller holds c.L.
-func waitCond(c *sync.Cond, d time.Duration) {
-	done := make(chan struct{})
-	timer := time.AfterFunc(d, func() { c.Broadcast() })
-	go func() {
-		<-done
-		timer.Stop()
-	}()
-	c.Wait()
-	close(done)
 }
 
 // awaitRecovery is the retry step of a read that found engine e crashed:
@@ -189,54 +185,35 @@ func (t *tablet) awaitRecovery(ctx context.Context, e storage.Engine) error {
 	return nil
 }
 
-// readAt returns the value of key visible at ts and its version
-// timestamp. A result read off an engine that crashed mid-read is
-// discarded and retried against the recovered engine.
-func (t *tablet) readAt(ctx context.Context, key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool, error) {
+// readAt reads the rows' versions visible at ts, filling each row's
+// result in place: many rows in one engine call when the engine supports
+// batched reads (the cluster's remote engine coalesces them into a single
+// round trip), otherwise one get per row. A result read off an engine
+// that crashed mid-read is discarded and read again from the recovered
+// engine; a merge that retired the tablet leaves the caller's ownership
+// check to re-resolve every row.
+func (t *tablet) readAt(ctx context.Context, rows []LockedRow, ts truetime.Timestamp) error {
 	for {
 		e := t.engine()
-		v, vts, ok := e.Get(key, ts)
-		if !e.Crashed() {
-			return v, vts, ok, nil
-		}
-		if t.isRetired() {
-			// A merge closed this engine for good; the caller's ownership
-			// check re-resolves to the absorbing tablet.
-			return nil, 0, false, nil
-		}
-		if err := t.awaitRecovery(ctx, e); err != nil {
-			return nil, 0, false, err
-		}
-	}
-}
-
-// readBatchAt is readAt over many keys in one engine call when the
-// engine supports batched reads (the cluster's remote engine coalesces
-// the batch into a single round trip), falling back to per-key gets.
-// Results align with keys.
-func (t *tablet) readBatchAt(ctx context.Context, keys [][]byte, ts truetime.Timestamp) ([]storage.BatchGet, error) {
-	for {
-		e := t.engine()
-		var res []storage.BatchGet
-		if bg, ok := e.(storage.BatchGetter); ok {
-			res = bg.GetBatch(keys, ts)
+		if bg, ok := e.(storage.BatchGetter); ok && len(rows) > 1 {
+			keys := make([][]byte, len(rows))
+			for i := range rows {
+				keys[i] = rows[i].Key
+			}
+			for i, r := range bg.GetBatch(keys, ts) {
+				rows[i].BatchGet = r
+			}
 		} else {
-			res = make([]storage.BatchGet, len(keys))
-			for i, k := range keys {
-				v, vts, ok := e.Get(k, ts)
-				res[i] = storage.BatchGet{Value: v, TS: vts, OK: ok}
+			for i := range rows {
+				r := &rows[i]
+				r.Value, r.TS, r.OK = e.Get(r.Key, ts)
 			}
 		}
-		if !e.Crashed() {
-			return res, nil
-		}
-		if t.isRetired() {
-			// Every key reads as missing; the caller's ownership check
-			// re-resolves each to the absorbing tablet.
-			return make([]storage.BatchGet, len(keys)), nil
+		if !e.Crashed() || t.isRetired() {
+			return nil
 		}
 		if err := t.awaitRecovery(ctx, e); err != nil {
-			return nil, err
+			return err
 		}
 	}
 }

@@ -36,11 +36,13 @@ type Txn struct {
 	// held are the lock-table keys this transaction holds; each key is
 	// the one string the lock table holds too.
 	held map[string]lockMode
-	// cached are row versions read by PrefetchForUpdate under exclusive
-	// locks this transaction still holds, so they cannot change under us;
-	// later Gets on these keys are served locally. Buffered writes shadow
-	// the cache (the write buffer is always consulted first).
-	cached map[string]storage.BatchGet
+	// cached are the rows locked reads read, sorted by key. Their locks
+	// are held until the transaction ends, so no other transaction can
+	// write them; a later read is served from here once it holds the lock
+	// it asks for. Buffered writes shadow the cache (the write buffer is
+	// always consulted first). first backs a single cached row.
+	cached []LockedRow
+	first  [1]LockedRow
 	// msgs are transactional messages delivered only on commit.
 	msgs []Message
 }
@@ -75,8 +77,9 @@ func (t *Txn) buffer(w storage.Write) {
 	}
 }
 
-// lock acquires key in mode for the transaction.
-func (t *Txn) lock(ctx context.Context, key []byte, mode lockMode) error {
+// lock acquires key in mode for the transaction, waiting up to timeout
+// (zero: not at all) for another transaction to release it.
+func (t *Txn) lock(ctx context.Context, key []byte, mode lockMode, timeout time.Duration) error {
 	if cur, ok := t.held[string(key)]; ok && (cur == lockExclusive || cur == mode) {
 		return nil
 	}
@@ -86,18 +89,20 @@ func (t *Txn) lock(ctx context.Context, key []byte, mode lockMode) error {
 	}
 	k := string(key) // the row key's one copy: held and the lock table share it
 	start := t.db.clock.Now().Latest
-	if err := t.db.locks.acquire(ctx, t, k, mode, t.db.lockTimeout); err != nil {
-		t.db.stats.lockTimeout.Add(1)
-		t.db.met.lockTimeout.With(reqctx.From(ctx).DB).Inc()
+	if err := t.db.locks.acquire(ctx, t, k, mode, timeout); err != nil {
+		if timeout > 0 {
+			t.db.stats.lockTimeout.Add(1)
+			t.db.met.lockTimeout.With(reqctx.From(ctx).DB).Inc()
+		}
 		return err
 	}
-	wait := t.db.clock.Now().Latest.Sub(start)
-	t.db.met.lockWait.With(reqctx.From(ctx).DB).Record(wait)
+	waited := t.db.clock.Now().Latest.Sub(start)
+	t.db.met.lockWait.With(reqctx.From(ctx).DB).Record(waited)
 	// Lock-wait heat lands on the tablet owning the contended key — the
 	// per-range contention signal a heatmap is for.
 	if t.db.kv.Armed() {
 		if tab := t.db.tabletFor(key); tab != nil {
-			t.db.kv.Sample(keyviz.SrcTablet, tab.id, keyviz.OpLockWait, 1, 0, wait)
+			t.db.kv.Sample(keyviz.SrcTablet, tab.id, keyviz.OpLockWait, 1, 0, waited)
 		}
 	}
 	t.held[k] = mode
@@ -115,83 +120,106 @@ func (t *Txn) Get(ctx context.Context, key []byte, forUpdate bool) ([]byte, bool
 // timestamp; the transaction's own buffered writes read back with a zero
 // timestamp (they have no commit timestamp yet).
 func (t *Txn) GetVersioned(ctx context.Context, key []byte, forUpdate bool) ([]byte, truetime.Timestamp, bool, error) {
-	if t.done {
-		return nil, 0, false, ErrTxnDone
-	}
-	if w, ok := t.buffered(key); ok {
-		if w.Delete {
-			return nil, 0, false, nil
-		}
-		return w.Value, 0, true, nil
-	}
-	mode := lockShared
-	if forUpdate {
-		mode = lockExclusive
-	}
-	if err := fault.Point(ctx, fault.SpannerRead); err != nil {
-		return nil, 0, false, err
-	}
-	if c, ok := t.cached[string(key)]; ok {
-		// Prefetched under an exclusive lock this transaction still
-		// holds: the committed version cannot have changed.
-		return c.Value, c.TS, c.OK, nil
-	}
-	if err := t.lock(ctx, key, mode); err != nil {
-		return nil, 0, false, err
-	}
-	v, vts, ok, err := t.db.readOwned(ctx, key, truetime.Max)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	t.db.stats.reads.Add(1)
-	return v, vts, ok, nil
+	r := [1]LockedRow{{Key: key, Exclusive: forUpdate}}
+	err := t.lockRead(ctx, r[:], t.db.lockTimeout)
+	return r[0].Value, r[0].TS, r[0].OK, err
 }
 
-// PrefetchForUpdate locks each distinct key exclusively (in first-
-// occurrence order, exactly as a per-key Get loop would) and reads the
-// current versions with one batched engine call per owning tablet,
-// seeding the transaction's read cache. Later Gets on these keys are
-// served locally — on a clustered deployment this turns a commit's
-// per-row read RPCs into one round trip per tablet. Keys already read
-// or written by this transaction are skipped.
-func (t *Txn) PrefetchForUpdate(ctx context.Context, keys [][]byte) error {
+// TryGet is GetVersioned under a shared lock it does not wait for: a row
+// another transaction holds exclusively aborts the read (ErrAborted) at
+// once. It is for a read discovered after the transaction took its lock
+// set, which would otherwise be the one lock taken out of key order.
+func (t *Txn) TryGet(ctx context.Context, key []byte) (storage.BatchGet, error) {
+	r := [1]LockedRow{{Key: key}}
+	err := t.lockRead(ctx, r[:], 0)
+	return r[0].BatchGet, err
+}
+
+// LockedRow is one row of a transaction's lock set: the caller names the
+// key and the mode, and LockRead fills in what the row holds.
+type LockedRow struct {
+	Key       []byte
+	Exclusive bool
+	storage.BatchGet
+}
+
+// LockRead takes a lock set in one pass and reads it. The rows are
+// locked in key order, a key named twice once in the stronger of its
+// modes, so transactions that declare their lock sets up front take
+// their locks in one global order and cannot deadlock each other. Every
+// row not yet read is then read with one engine call per owning tablet
+// (one round trip per tablet on a clustered deployment) and cached for
+// the transaction's later reads. Each row's result is filled in place. A
+// row the transaction wrote reads back as written (with a zero TS) and is
+// not locked until Commit.
+func (t *Txn) LockRead(ctx context.Context, rows []LockedRow) error {
+	return t.lockRead(ctx, rows, t.db.lockTimeout)
+}
+
+func (t *Txn) lockRead(ctx context.Context, rows []LockedRow, timeout time.Duration) error {
 	if t.done {
 		return ErrTxnDone
 	}
-	if err := fault.Point(ctx, fault.SpannerRead); err != nil {
-		return err
+	var buf [16]int
+	order := buf[:0]
+	for i := range rows {
+		order = append(order, i)
 	}
-	fetch := make([][]byte, 0, len(keys))
-	seen := make(map[string]bool, len(keys))
-	for _, key := range keys {
-		k := string(key)
-		if _, already := t.cached[k]; seen[k] || already {
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(rows[a].Key, rows[b].Key) })
+	cached := t.cached
+	if cached == nil {
+		cached = t.first[:0]
+	}
+	n := len(cached) // cached[n:] are the rows to read
+	for i := 0; i < len(order); {
+		key, mode := rows[order[i]].Key, lockShared
+		for ; i < len(order) && bytes.Equal(rows[order[i]].Key, key); i++ {
+			if rows[order[i]].Exclusive {
+				mode = lockExclusive
+			}
+		}
+		if _, ok := t.buffered(key); ok {
 			continue
 		}
-		if _, buffered := t.buffered(key); buffered {
-			continue
-		}
-		seen[k] = true
-		if err := t.lock(ctx, key, lockExclusive); err != nil {
+		// The lock first: a row cached under a shared lock answers a
+		// read for update only once the lock is upgraded.
+		if err := t.lock(ctx, key, mode, timeout); err != nil {
 			return err
 		}
-		fetch = append(fetch, key)
+		if _, ok := t.local(key); !ok {
+			cached = append(cached, LockedRow{Key: key})
+		}
 	}
-	if len(fetch) == 0 {
-		return nil
+	if n < len(cached) {
+		if err := fault.Point(ctx, fault.SpannerRead); err != nil {
+			return err
+		}
+		if err := t.db.readOwnedBatch(ctx, cached[n:], truetime.Max); err != nil {
+			return err
+		}
+		slices.SortFunc(cached, func(a, b LockedRow) int { return bytes.Compare(a.Key, b.Key) })
 	}
-	res, err := t.db.readOwnedBatch(ctx, fetch, truetime.Max)
-	if err != nil {
-		return err
-	}
-	if t.cached == nil {
-		t.cached = make(map[string]storage.BatchGet, len(fetch))
-	}
-	for i, key := range fetch {
-		t.cached[string(key)] = res[i]
+	t.cached = cached
+	for i := range rows {
+		rows[i].BatchGet, _ = t.local(rows[i].Key)
 	}
 	return nil
 }
+
+// local answers a read of key from the transaction itself: its buffered
+// write, or the row a locked read cached.
+func (t *Txn) local(key []byte) (storage.BatchGet, bool) {
+	if w, ok := t.buffered(key); ok {
+		return storage.BatchGet{Value: w.Value, OK: !w.Delete}, true
+	}
+	i, ok := slices.BinarySearchFunc(t.cached, key, compareRow)
+	if !ok {
+		return storage.BatchGet{}, false
+	}
+	return t.cached[i].BatchGet, true
+}
+
+func compareRow(r LockedRow, k []byte) int { return bytes.Compare(r.Key, k) }
 
 // Put buffers an insert-or-update of key. The transaction takes
 // ownership of both slices: they reach the storage engine as they are
@@ -329,7 +357,7 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 	}
 	t.writes, t.latest = writes, nil
 	for _, w := range writes {
-		if err := t.lock(ctx, w.Key, lockExclusive); err != nil {
+		if err := t.lock(ctx, w.Key, lockExclusive, t.db.lockTimeout); err != nil {
 			t.Abort()
 			return 0, fmt.Errorf("acquiring commit locks: %w", err)
 		}
