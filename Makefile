@@ -61,10 +61,13 @@ test-race:
 # LockTimeout: read-modify-write transactions on one document (a
 # shared-to-exclusive upgrade), and two commits taking the same documents'
 # locks in opposite orders (op order, or read A / write B against read B /
-# write A) before every commit took its lock set in key order.
+# write A) before every commit took its lock set in key order — and
+# readers racing those writers on one document, each of which must get
+# back the version the engine read, whether decoded or shared from the
+# backend's memo of decoded versions.
 race-repeat:
 	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend ./internal/wfq
-	$(GO) test -race -count=20 -run 'TestRunTransactionRetries|TestReadModifyWriteDoesNotDeadlock|TestOppositeOrderBatchesDoNotStall|TestCrossDocumentCycleResolvesFast' ./firestore/ ./internal/backend/
+	$(GO) test -race -count=20 -run 'TestRunTransactionRetries|TestReadModifyWriteDoesNotDeadlock|TestOppositeOrderBatchesDoNotStall|TestCrossDocumentCycleResolvesFast|TestMemoConcurrentReadersSeeTheirVersion' ./firestore/ ./internal/backend/
 	$(GO) test -race -count=2 ./firestore/ ./mobile/ ./internal/backend/ ./internal/ramp/ \
 		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ ./cmd/fsctl/ \
 		./internal/keyviz/ ./internal/storage/ ./internal/spanner/ ./internal/cluster/ ./internal/query/ \

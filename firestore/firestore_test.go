@@ -428,3 +428,53 @@ func TestQueryCount(t *testing.T) {
 		}
 	}
 }
+
+// TestDataBytesAreCallerOwned: a bytes value handed out by Data or DataAt
+// is the caller's to write to. Readers of one document version share one
+// decoded document — two listeners get the commit's, two reads the
+// backend's memoized one — so a shared slice would let one reader's
+// write show through another's snapshot.
+func TestDataBytesAreCallerOwned(t *testing.T) {
+	c := newClient(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ref := c.Collection("c").Doc("d")
+	var its [2]*QuerySnapshotIterator
+	for i := range its {
+		it, err := ref.Snapshots(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Stop()
+		if _, err := it.Next(ctx); err != nil {
+			t.Fatal(err)
+		}
+		its[i] = it
+	}
+	if err := ref.Set(ctx, map[string]any{"b": []byte("hello")}); err != nil {
+		t.Fatal(err)
+	}
+	var snaps []*DocumentSnapshot
+	for _, it := range its {
+		qs, err := it.Next(ctx)
+		if err != nil || len(qs.Docs) != 1 {
+			t.Fatalf("listener snapshot = %+v, %v", qs, err)
+		}
+		snaps = append(snaps, qs.Docs[0])
+	}
+	for i := 0; i < 2; i++ {
+		s, err := ref.Get(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, s)
+	}
+	for i, s := range snaps {
+		got := s.Data()["b"].([]byte)
+		at, _ := s.DataAt("b")
+		if string(got) != "hello" || string(at.([]byte)) != "hello" {
+			t.Fatalf("snapshot %d reads %q and %q, want \"hello\"", i, got, at)
+		}
+		got[0], at.([]byte)[0] = 'J', 'M'
+	}
+}

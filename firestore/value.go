@@ -1,6 +1,7 @@
 package firestore
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -91,7 +92,8 @@ func toValue(v any) (doc.Value, error) {
 	}
 }
 
-// fromValue converts a Firestore value back to a Go value.
+// fromValue converts a Firestore value back to a Go value. A bytes value
+// is copied: its document may be shared, and the caller may write to it.
 func fromValue(v doc.Value) any {
 	switch v.Kind() {
 	case doc.KindNull:
@@ -108,7 +110,7 @@ func fromValue(v doc.Value) any {
 	case doc.KindString:
 		return v.StringVal()
 	case doc.KindBytes:
-		return v.BytesVal()
+		return bytes.Clone(v.BytesVal())
 	case doc.KindReference:
 		return Ref(v.RefVal())
 	case doc.KindGeoPoint:

@@ -162,7 +162,7 @@ func TestExplainQueryAlternatives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &countingStorage{Storage: &snapshotStorage{db: db, ts: readTS}}
+	st := &countingStorage{Storage: e.b.snapshot(db, readTS)}
 	if _, err := plan.Execute(ctx, st, nil); err != nil {
 		t.Fatal(err)
 	}

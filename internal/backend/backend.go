@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -153,6 +154,8 @@ type Backend struct {
 	// advisor aggregates per-query-shape planner outcomes for the index
 	// suggestion report.
 	advisor advisor
+	// memo shares decoded document versions between the read sites.
+	memo *docMemo
 
 	plans      *obs.CounterVec   // query.plans_total{db,choice}
 	planActual *obs.HistogramVec // query.plan_actual_entries{db}; entries, recorded as a Duration
@@ -177,7 +180,7 @@ func New(cfg Config) *Backend {
 	}
 	reg := obs.OrNew(cfg.Obs)
 	return &Backend{
-		cfg: cfg, cat: cfg.Catalog, cache: cfg.Cache,
+		cfg: cfg, cat: cfg.Catalog, cache: cfg.Cache, memo: &docMemo{seed: maphash.MakeSeed()},
 		plans:      reg.CounterVec("query.plans_total", "db", "choice"),
 		planActual: reg.HistogramVec("query.plan_actual_entries", "db"),
 	}
@@ -323,6 +326,10 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	// are maintained too so they stay consistent (§IV-D1).
 	names := make([]doc.Name, 0, len(ops))
 	muts := make([]rtcache.Mutation, 0, len(ops))
+	// The documents this commit writes, for the memo once it has a
+	// timestamp; not a bulk load's, which is written once.
+	var builtBuf [4]*memoEntry
+	built := builtBuf[:0]
 	topic := TriggerTopic(db.ID)
 	for i, op := range ops {
 		// failOp routes an op-level failure: recorded in per-op mode
@@ -343,7 +350,7 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		}
 		var old, new *doc.Document
 		if exists {
-			if old, err = ResolveDoc(oldBlob, op.Name, oldTS); err != nil {
+			if old, err = b.memo.resolve(db.ID, rows[i].Key, oldBlob, op.Name, oldTS); err != nil {
 				return abort(err)
 			}
 		}
@@ -392,12 +399,16 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 				Resource:    old,
 				NewResource: new,
 				Get: func(n doc.Name) (*doc.Document, error) {
-					r, err := txn.TryGet(ctx, db.EntityKey(n))
+					key := db.EntityKey(n)
+					r, err := txn.TryGet(ctx, key)
 					if err != nil {
 						getErr = err
 						return nil, err
 					}
-					return rowDoc(r, n)
+					if !r.OK {
+						return nil, nil
+					}
+					return b.memo.resolve(db.ID, key, r.Value, n, r.TS)
 				},
 			}
 			if err := meta.Rules.Authorize(req); err != nil {
@@ -416,6 +427,9 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		if new != nil {
 			newBlob = doc.Marshal(new)
 			txn.Put(rows[i].Key, newBlob)
+			if opErrs == nil {
+				built = append(built, newMemoEntry(db.ID, rows[i].Key, newBlob, new))
+			}
 		} else if old != nil {
 			txn.Delete(rows[i].Key)
 		}
@@ -482,6 +496,17 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		return 0, err
 	}
 
+	// Stamp the commit's documents once, whatever becomes of the Accept:
+	// the memo and the cache share these very pointers from here on.
+	for _, m := range muts {
+		if m.New != nil {
+			resolveTimes(m.New, ts)
+		}
+	}
+	for _, e := range built {
+		b.memo.put(e, ts)
+	}
+
 	// Step 7: finish the two-phase commit with the Accept carrying the
 	// outcome and the committed documents. The injected fault here models the
 	// mid-protocol failure window between the Spanner commit and the RTC
@@ -495,13 +520,6 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		case fault.KindError:
 			b.cache.Accept(ctx, writeID, rtcache.OutcomeUnknown, 0, nil)
 		default:
-			// Stamp the commit's documents in place: nothing else holds
-			// them yet, and the cache publishes these very pointers.
-			for _, m := range muts {
-				if m.New != nil {
-					resolveTimes(m.New, ts)
-				}
-			}
 			b.cache.Accept(ctx, writeID, rtcache.OutcomeSuccess, ts, muts)
 		}
 	}

@@ -1,0 +1,87 @@
+package backend
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"hash/maphash"
+	"sync/atomic"
+
+	"firestore/internal/doc"
+	"firestore/internal/truetime"
+)
+
+// The memo's bounds: memoSlots direct-mapped entries whose stored blobs
+// add up to at most memoBudget bytes.
+const memoSlots, memoBudget = 1 << 15, 32 << 20
+
+// docMemo remembers decoded document versions. An MVCC version never
+// changes, so the document ResolveDoc builds for (database, row key,
+// version timestamp) is the same for every reader the engine resolves to
+// that version (DESIGN.md "Read path: who owns the bytes"). A hit still
+// verifies the engine's blob against the CRC-32 it carries (§VI). One
+// memo serves all of a Backend's databases, which evict each other.
+type docMemo struct {
+	seed         maphash.Seed
+	slots        [memoSlots]atomic.Pointer[memoEntry]
+	bytes        atomic.Int64 // stored size of the documents in slots
+	hits, misses atomic.Int64 // for tests; no metric family reports them
+}
+
+// memoEntry is one decoded version, immutable once published.
+type memoEntry struct {
+	db, key string
+	ts      truetime.Timestamp
+	sum     uint32 // the blob's stored CRC-32
+	size    int    // len(blob)
+	doc     *doc.Document
+}
+
+// resolve is ResolveDoc for the row stored under key in database db,
+// answered from the memo when it holds that version and the blob
+// verifies, and remembered otherwise. A zero ts is a transaction's own
+// buffered write, which is no version.
+func (m *docMemo) resolve(db string, key, blob []byte, name doc.Name, ts truetime.Timestamp) (*doc.Document, error) {
+	if ts == 0 {
+		return ResolveDoc(blob, name, ts)
+	}
+	if e := m.slots[maphash.Bytes(m.seed, key)%memoSlots].Load(); e != nil && e.ts == ts && e.db == db && e.key == string(key) && verifies(blob, e.sum) {
+		m.hits.Add(1)
+		return e.doc, nil
+	}
+	m.misses.Add(1)
+	d, err := ResolveDoc(blob, name, ts)
+	if err == nil {
+		m.put(newMemoEntry(db, key, blob, d), ts)
+	}
+	return d, err
+}
+
+// verifies reports whether blob carries sum and its body still matches.
+func verifies(blob []byte, sum uint32) bool {
+	n := len(blob) - 4
+	return n >= 0 && binary.BigEndian.Uint32(blob[n:]) == sum && crc32.ChecksumIEEE(blob[:n]) == sum
+}
+
+// newMemoEntry builds an unpublished entry for d, decoded from (or
+// marshalled into) blob.
+func newMemoEntry(db string, key, blob []byte, d *doc.Document) *memoEntry {
+	return &memoEntry{db: db, key: string(key), sum: binary.BigEndian.Uint32(blob[len(blob)-4:]), size: len(blob), doc: d}
+}
+
+// put publishes e as version ts, unless its slot holds a newer version
+// of the same row or e would take the memo past its budget.
+func (m *docMemo) put(e *memoEntry, ts truetime.Timestamp) {
+	e.ts = ts
+	slot := &m.slots[maphash.String(m.seed, e.key)%memoSlots]
+	old := slot.Load()
+	delta := int64(e.size)
+	if old != nil {
+		if old.ts > ts && old.key == e.key && old.db == e.db {
+			return
+		}
+		delta -= int64(old.size)
+	}
+	if m.bytes.Load()+delta <= memoBudget && slot.CompareAndSwap(old, e) {
+		m.bytes.Add(delta)
+	}
+}

@@ -72,14 +72,15 @@ func (b *Backend) GetDocument(ctx context.Context, dbID string, p Principal, nam
 }
 
 func (b *Backend) getAt(ctx context.Context, db *catalog.Database, name doc.Name, ts truetime.Timestamp) (*doc.Document, error) {
-	blob, vts, ok, err := db.Spanner.SnapshotGet(ctx, db.EntityKey(name), ts)
+	key := db.EntityKey(name)
+	blob, vts, ok, err := db.Spanner.SnapshotGet(ctx, key, ts)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, nil
 	}
-	return ResolveDoc(blob, name, vts)
+	return b.memo.resolve(db.ID, key, blob, name, vts)
 }
 
 // RunQuery plans and executes q. A zero readTS means a strong read. It
@@ -105,7 +106,7 @@ func (b *Backend) RunQuery(ctx context.Context, dbID string, p Principal, q *que
 	}
 	var res *query.Result
 	err = b.submit(ctx, db, "backend.query", b.schedKey(dbID, p), b.cfg.Costs.Query(dbID, q), func(ctx context.Context) error {
-		st := &snapshotStorage{db: db, ts: readTS}
+		st := b.snapshot(db, readTS)
 		var qerr error
 		res, qerr = plan.Execute(ctx, st, resume)
 		return qerr
@@ -160,7 +161,7 @@ func (b *Backend) RunAggregation(ctx context.Context, dbID string, p Principal, 
 	}
 	var res *query.AggregationResult
 	err = b.submit(ctx, db, "backend.aggregate", b.schedKey(dbID, p), b.cfg.Costs.Query(dbID, q), func(ctx context.Context) error {
-		st := &snapshotStorage{db: db, ts: readTS}
+		st := b.snapshot(db, readTS)
 		var qerr error
 		res, qerr = query.ExecuteAggregations(ctx, st, q, aggs, planner)
 		return qerr
@@ -216,7 +217,7 @@ func (b *Backend) ExplainQuery(ctx context.Context, dbID string, p Principal, q 
 	if !analyze {
 		return out, readTS, nil
 	}
-	st := &snapshotStorage{db: db, ts: readTS}
+	st := b.snapshot(db, readTS)
 	var resume []byte
 	for {
 		res, err := plan.Execute(ctx, st, resume)
@@ -263,6 +264,7 @@ func planQuery(meta *catalog.Meta, q *query.Query) (*query.Plan, error) {
 // untouched by the gets between its refills.
 type snapshotStorage struct {
 	db          *catalog.Database
+	memo        *docMemo
 	ts          truetime.Timestamp
 	lo, hi, key []byte
 	// fn is the callback of the ScanIndex call in flight, and strip hands
@@ -270,6 +272,11 @@ type snapshotStorage struct {
 	// per call escapes into the scan.
 	fn    func(key, value []byte) bool
 	strip func(spanner.ScanRow) bool
+}
+
+// snapshot is the storage one query execution reads db through at ts.
+func (b *Backend) snapshot(db *catalog.Database, ts truetime.Timestamp) *snapshotStorage {
+	return &snapshotStorage{db: db, memo: b.memo, ts: ts}
 }
 
 func (s *snapshotStorage) ScanIndex(ctx context.Context, lo, hi []byte, fn func(key, value []byte) bool) error {
@@ -290,16 +297,21 @@ func (s *snapshotStorage) ScanCollection(ctx context.Context, c doc.CollectionPa
 	}
 	klo, khi := s.db.EntityRange(lo, encoding.PrefixSuccessor(prefix))
 	want := len(c.Segments()) + 1
-	return s.db.Spanner.SnapshotScan(ctx, klo, khi, s.ts, false, func(r spanner.ScanRow) bool {
-		d, err := ResolveDoc(r.Value, doc.Name{}, r.TS)
-		if err != nil {
-			return true // skip corrupt rows; validation jobs catch them
+	var derr error
+	err := s.db.Spanner.SnapshotScan(ctx, klo, khi, s.ts, false, func(r spanner.ScanRow) bool {
+		var d *doc.Document
+		if d, derr = s.memo.resolve(s.db.ID, r.Key, r.Value, doc.Name{}, r.TS); derr != nil {
+			return false // a corrupt row fails the scan, as it fails a get
 		}
 		if len(d.Name.Segments()) != want {
 			return true // nested sub-collection document
 		}
 		return fn(d)
 	})
+	if err == nil {
+		err = derr
+	}
+	return err
 }
 
 func (s *snapshotStorage) GetDocument(ctx context.Context, name doc.Name) (*doc.Document, error) {
@@ -311,5 +323,5 @@ func (s *snapshotStorage) GetDocument(ctx context.Context, name doc.Name) (*doc.
 	if !ok {
 		return nil, nil
 	}
-	return ResolveDoc(blob, name, vts)
+	return s.memo.resolve(s.db.ID, s.key, blob, name, vts)
 }
