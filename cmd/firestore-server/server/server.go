@@ -570,11 +570,18 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) {
 				removed = append(removed, n.String())
 			}
 			payload["added"], payload["modified"], payload["removed"] = documents(ev.Added), documents(ev.Modified), removed
+			if ev.Err != nil {
+				// The query could not be rebuilt: the stream ends with it.
+				payload = map[string]any{"error": ev.Err.Error()}
+			}
 			fmt.Fprintf(w, "data: ")
 			enc.Encode(payload)
 			fmt.Fprintf(w, "\n")
 			if flusher != nil {
 				flusher.Flush()
+			}
+			if ev.Err != nil {
+				return
 			}
 		}
 	}

@@ -46,9 +46,11 @@ type QuerySnapshotIterator struct {
 	q          *query.Query
 	filterName string
 
-	// The result set, in query order and by path. Only Next touches it.
-	docs   []*DocumentSnapshot
-	byPath map[string]*DocumentSnapshot
+	// The result set, in query order and by path, and whether a snapshot
+	// of it was returned. Only Next touches them.
+	docs    []*DocumentSnapshot
+	byPath  map[string]*DocumentSnapshot
+	started bool
 
 	// Events routed here that Next has not consumed. Unbounded: the
 	// frontend drops a connection's events when its buffer fills, so a
@@ -137,7 +139,8 @@ func (it *QuerySnapshotIterator) push(ev frontend.SnapshotEvent, stop bool) {
 }
 
 // Next blocks for the next snapshot. It returns an error when the
-// iterator is stopped or ctx is done.
+// iterator is stopped or ctx is done, or the server's error when it could
+// not rebuild the query; the iterator is stopped after that.
 func (it *QuerySnapshotIterator) Next(ctx context.Context) (*QuerySnapshot, error) {
 	for {
 		it.mu.Lock()
@@ -155,10 +158,15 @@ func (it *QuerySnapshotIterator) Next(ctx context.Context) (*QuerySnapshot, erro
 		}
 		it.mu.Unlock()
 		if have {
+			if ev.Err != nil {
+				// The server could not rebuild the query and dropped it.
+				it.Stop()
+				return nil, ev.Err
+			}
 			if snap := it.apply(ev); snap != nil {
 				return snap, nil
 			}
-			continue // filtered out entirely (single-doc listener)
+			continue // nothing this iterator shows changed
 		}
 		select {
 		case <-ctx.Done():
@@ -209,9 +217,11 @@ func (it *QuerySnapshotIterator) compare(a, b *DocumentSnapshot) int {
 
 // apply folds one event into the view and packages the result set with
 // the delta, or returns nil when nothing this iterator shows changed. An
-// Initial event — a listener's first, or the recovery after the server
-// dropped a delta — is a delta whose removals are implied: it lists the
-// whole result set, and whatever else the view held goes.
+// Initial event — a listener's first, or the server's rebuild of the
+// query after a reset or a dropped delta — is a delta whose removals are
+// implied: it lists the whole result set, and whatever else the view
+// held goes. Only the first snapshot is returned without a change, so a
+// rebuild that changed nothing stays invisible.
 func (it *QuerySnapshotIterator) apply(ev frontend.SnapshotEvent) *QuerySnapshot {
 	var changes []DocumentChange
 	var listed map[string]bool
@@ -258,9 +268,10 @@ func (it *QuerySnapshotIterator) apply(ev frontend.SnapshotEvent) *QuerySnapshot
 			}
 		}
 	}
-	if len(changes) == 0 && !ev.Initial {
+	if len(changes) == 0 && it.started {
 		return nil
 	}
+	it.started = true
 	// Docs is a copy: the view keeps changing.
 	return &QuerySnapshot{Docs: slices.Clone(it.docs), Changes: changes, ReadTime: int64(ev.TS)}
 }

@@ -11,6 +11,7 @@ import (
 	"firestore/internal/doc"
 	"firestore/internal/frontend"
 	"firestore/internal/obs"
+	"firestore/internal/status"
 )
 
 // TestListenersShareOneConnection: a client's listeners multiplex on one
@@ -156,6 +157,59 @@ func TestListenerViewStaysOrdered(t *testing.T) {
 		if snap := it.apply(ev); snap != nil {
 			check(step, snap)
 		}
+	}
+}
+
+// TestRebuildThatChangesNothingIsSilent: the server rebuilds a query with
+// an Initial snapshot after a reset or a dropped delta. The application
+// sees the first Initial, and a later one only if it changed something.
+func TestRebuildThatChangesNothingIsSilent(t *testing.T) {
+	c := newClient(t)
+	iq, err := c.Collection("items").Query().build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := &QuerySnapshotIterator{c: c, q: iq, byPath: map[string]*DocumentSnapshot{}}
+	if snap := it.apply(frontend.SnapshotEvent{Initial: true, TS: 1}); snap == nil || len(snap.Docs) != 0 {
+		t.Fatalf("first, empty Initial = %+v, want an empty snapshot", snap)
+	}
+	a := &doc.Document{Name: doc.MustName("/items/a"), UpdateTime: 2}
+	b := &doc.Document{Name: doc.MustName("/items/b"), UpdateTime: 2}
+	if snap := it.apply(frontend.SnapshotEvent{Initial: true, TS: 3, Added: []*doc.Document{a, b}}); snap == nil || len(snap.Changes) != 2 {
+		t.Fatalf("Initial adding two = %+v", snap)
+	}
+	if snap := it.apply(frontend.SnapshotEvent{Initial: true, TS: 4, Added: []*doc.Document{b, a}}); snap != nil {
+		t.Fatalf("a rebuild that changed nothing raised %+v", snap)
+	}
+	snap := it.apply(frontend.SnapshotEvent{Initial: true, TS: 5, Added: []*doc.Document{b}})
+	if snap == nil || len(snap.Changes) != 1 || snap.Changes[0].Kind != DocumentRemoved || len(snap.Docs) != 1 {
+		t.Fatalf("a rebuild without a = %+v, want a removed", snap)
+	}
+}
+
+// TestNextEndsWithTheRebuildError: when the server cannot rebuild a query
+// it ends the target with the error; Next returns it and the listener
+// is stopped, its connection released with it.
+func TestNextEndsWithTheRebuildError(t *testing.T) {
+	c := newClient(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	it, err := c.Collection("items").Snapshots(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := it.Next(ctx); err != nil {
+		t.Fatal(err)
+	}
+	it.push(frontend.SnapshotEvent{TargetID: it.targetID, Err: status.New(status.Internal, "frontend", "rebuild failed")}, false)
+	if _, err := it.Next(ctx); status.CodeOf(err) != status.Internal {
+		t.Fatalf("Next after the error event = %v", err)
+	}
+	if _, err := it.Next(ctx); status.CodeOf(err) != status.FailedPrecondition {
+		t.Fatalf("Next after that = %v, want stopped", err)
+	}
+	if stats := c.region.Frontend.ConnStats(); len(stats) != 0 {
+		t.Fatalf("connections = %+v, want none", stats)
 	}
 }
 

@@ -221,11 +221,16 @@ type listenerView struct {
 	mu   sync.Mutex
 	docs map[string]*doc.Document
 	ts   truetime.Timestamp
+	err  error // why the frontend ended the listener, if it did
 }
 
 func (v *listenerView) apply(ev frontend.SnapshotEvent) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	if ev.Err != nil {
+		v.err = ev.Err
+		return
+	}
 	if ev.Initial {
 		v.docs = make(map[string]*doc.Document, len(ev.Added))
 	}
@@ -242,6 +247,13 @@ func (v *listenerView) apply(ev frontend.SnapshotEvent) {
 		delete(v.docs, n.String())
 	}
 	v.ts = ev.TS
+}
+
+// ended returns the error the frontend ended the listener with, if any.
+func (v *listenerView) ended() error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.err
 }
 
 // snapshot returns a copy of the current view keyed by document name,
@@ -548,6 +560,10 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		for {
 			got := v.snapshot()
 			if mapsEqual(got, want) {
+				break
+			}
+			if err := v.ended(); err != nil {
+				rep.check("listener-convergence", false, "listener %d ended: %v", i, err)
 				break
 			}
 			if time.Now().After(deadline) {

@@ -63,7 +63,7 @@ const (
 	// reports the outcome as unknown.
 	BackendAccept = "backend.accept"
 	// FrontendConnDeliver: a connection drops a snapshot mid-stream; the
-	// frontend must recover via full reset-and-requery.
+	// frontend must recover by rebuilding the target.
 	FrontendConnDeliver = "frontend.conn.deliver"
 	// WALAppend: the durable engine's WAL append fails cleanly (error:
 	// nothing written, commit aborts) or tears (crash: a partial frame is

@@ -116,12 +116,16 @@ func (f *Frontend) ConnStats() []ConnInfo {
 type SnapshotEvent struct {
 	TargetID int64
 	TS       truetime.Timestamp
-	// Initial marks the first snapshot of a (re-)registered query; its
-	// Added holds the full result set.
+	// Initial marks a snapshot of a built or rebuilt query: its Added
+	// holds the whole result set, in query order, and replaces whatever
+	// the client held for the target.
 	Initial  bool
 	Added    []*doc.Document
 	Modified []*doc.Document
 	Removed  []doc.Name
+	// Err, when set, ends the target: its rebuild failed, and no event
+	// of the target follows.
+	Err error
 }
 
 // Conn is one client's long-lived connection. It implements
@@ -132,7 +136,7 @@ type Conn struct {
 	dbID string
 	p    backend.Principal
 
-	// ctx is the connection's lifecycle context: requeries run under it
+	// ctx is the connection's lifecycle context: rebuilds run under it
 	// (carrying the db label for metrics) and abort when the connection
 	// closes.
 	ctx    context.Context
@@ -170,9 +174,9 @@ func (f *Frontend) NewConn(dbID string, p backend.Principal) *Conn {
 		queries: map[int64]*rtQuery{},
 		targets: map[int64]*rtQuery{},
 	}
-	// Requeries are connection-scoped background work, detached from any
+	// Rebuilds are connection-scoped background work, detached from any
 	// single request's deadline, so the connection mints its own root.
-	ctx := context.Background() //fslint:ignore ctxdiscipline connection-lifecycle root: requeries outlive the request that triggered them
+	ctx := context.Background() //fslint:ignore ctxdiscipline connection-lifecycle root: rebuilds outlive the request that triggered them
 	c.ctx, c.cancel = context.WithCancel(reqctx.With(ctx, reqctx.Meta{DB: dbID}))
 	f.mu.Lock()
 	f.conns[c] = struct{}{}
@@ -200,12 +204,10 @@ type rtQuery struct {
 	pending []rtcache.Update
 	// watermarks per subscribed range.
 	watermarks map[int]truetime.Timestamp
-	// limited remembers whether the initial result filled the limit, in
-	// which case evictions require a requery (the matcher cannot know
+	// limited remembers whether the built result filled the limit, in
+	// which case an eviction requires a rebuild (the matcher cannot know
 	// the replacement document).
 	limited bool
-	// resetting suppresses updates while a requery is in flight.
-	resetting bool
 }
 
 // resolved returns the timestamp up to which this query has certainly
@@ -227,77 +229,27 @@ func (rq *rtQuery) resolved() truetime.Timestamp {
 	return min
 }
 
-// Listen registers a real-time query (§IV-D4 steps 1-4): runs the initial
-// query on a Backend, emits the initial snapshot, and subscribes to the
-// Query Matcher ranges with the snapshot's max-commit-version. It returns
-// the target ID identifying the query's events.
+// Listen registers a real-time query (§IV-D4 steps 1-4) and returns the
+// target ID identifying its events. The target is built the one way every
+// target is (build): its first event is an Initial snapshot.
 func (c *Conn) Listen(ctx context.Context, q *query.Query) (_ int64, retErr error) {
 	ctx, end := reqctx.StartSpan(ctx, "frontend.listen")
 	defer func() { end(retErr) }()
+	rq := &rtQuery{targetID: c.f.targets.Add(1), q: q}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return 0, ErrConnClosed
 	}
-	c.mu.Unlock()
-
-	res, readTS, err := c.f.backend.RunQuery(ctx, c.dbID, c.p, q, nil, 0)
-	if err != nil {
-		return 0, err
-	}
-	targetID := c.f.targets.Add(1)
-	rq := &rtQuery{
-		targetID:         targetID,
-		q:                q,
-		results:          map[string]*doc.Document{},
-		maxCommitVersion: readTS,
-		watermarks:       map[int]truetime.Timestamp{},
-		limited:          q.Limit > 0 && len(res.Docs) == q.Limit,
-	}
-	for _, d := range res.Docs {
-		rq.results[d.Name.String()] = d
-	}
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return 0, ErrConnClosed
-	}
-	c.targets[targetID] = rq
+	c.targets[rq.targetID] = rq
 	c.f.active.Add(1)
 	c.mu.Unlock()
-	c.f.listens.With(c.dbID).Inc()
-
-	// Initial snapshot (step 3): the query's result, in the order the
-	// query returned it.
-	delivered := c.deliver(SnapshotEvent{
-		TargetID: targetID,
-		TS:       readTS,
-		Initial:  true,
-		Added:    res.Docs,
-	})
-
-	// Subscribe (step 4). The subscription ID is reserved and the query
-	// state registered under it BEFORE the Query Matcher sees it, so a
-	// concurrent write matched immediately after registration cannot be
-	// delivered to an unknown subscription and dropped.
-	subID := c.f.cache.ReserveSub()
-	c.mu.Lock()
-	rq.subID = subID
-	c.queries[subID] = rq
-	c.holders = 0
-	c.mu.Unlock()
-	_, rangeIDs := c.f.cache.Subscribe(c, c.dbID, q, readTS, subID)
-	c.mu.Lock()
-	rq.rangeIDs = rangeIDs
-	c.holders = 0
-	if !delivered && !rq.resetting {
-		// The initial snapshot never reached the client: the query is
-		// out-of-sync from birth; reset and requery with a full snapshot.
-		c.scheduleRequery(rq, true)
+	if err := c.build(ctx, rq); err != nil {
+		c.StopListening(rq.targetID)
+		return 0, err
 	}
-	c.mu.Unlock()
-	return targetID, nil
+	c.f.listens.With(c.dbID).Inc()
+	return rq.targetID, nil
 }
 
 // StopListening unregisters a query.
@@ -305,15 +257,20 @@ func (c *Conn) StopListening(targetID int64) {
 	c.mu.Lock()
 	rq, ok := c.targets[targetID]
 	if ok {
-		delete(c.targets, targetID)
-		delete(c.queries, rq.subID)
-		c.holders = 0
-		c.f.active.Add(-1)
+		c.forgetLocked(rq)
 	}
 	c.mu.Unlock()
 	if ok {
 		c.f.cache.Unsubscribe(c, rq.subID)
 	}
+}
+
+// forgetLocked removes rq from the connection. Caller holds c.mu.
+func (c *Conn) forgetLocked(rq *rtQuery) {
+	delete(c.targets, rq.targetID)
+	delete(c.queries, rq.subID)
+	c.holders = 0
+	c.f.active.Add(-1)
 }
 
 // Close shuts the connection and its subscriptions down.
@@ -343,15 +300,14 @@ func (c *Conn) Close() {
 	close(c.events)
 }
 
-// deliver attempts non-blocking delivery of ev. A false return means the
-// per-connection buffer is full; the caller must treat the query as
-// out-of-sync (the client has NOT seen ev) and recover via a full
-// reset-and-requery — a delta stream with a hole in it is worse than a
-// reset ("this reset is fast, and is mostly transparent to the end-user").
-func (c *Conn) deliver(ev SnapshotEvent) bool {
-	// An injected drop models the connection losing this snapshot
-	// mid-stream; the caller's recovery is the same reset-and-requery
-	// path a full buffer takes.
+// deliverLocked puts ev on the connection without blocking. Caller holds
+// c.mu, so events leave in the order the connection's state changed: a
+// delta never overtakes an older one or its target's Initial snapshot.
+// A false return means the client has NOT seen ev (the buffer is full,
+// or an injected drop lost it mid-stream): the caller rebuilds the
+// target, since a delta stream with a hole in it is worse than a reset
+// ("this reset is fast, and is mostly transparent to the end-user").
+func (c *Conn) deliverLocked(ev SnapshotEvent) bool {
 	if fault.Decide(c.ctx, fault.FrontendConnDeliver).Kind == fault.KindDrop {
 		c.f.dropped.With(c.dbID).Inc()
 		return false
@@ -366,50 +322,79 @@ func (c *Conn) deliver(ev SnapshotEvent) bool {
 	}
 }
 
-// emitInitial delivers a full Initial snapshot of rq's current result
-// set, retrying every millisecond of the region clock until buffer space
-// frees up or the connection closes.
-// Used to recover a query whose delta stream lost an event: the client's
-// state is unknown, so only a full snapshot can resynchronize it.
-func (c *Conn) emitInitial(rq *rtQuery, ts truetime.Timestamp) {
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		ev := SnapshotEvent{
-			TargetID: rq.targetID,
-			TS:       ts,
-			Initial:  true,
-			Added:    sortedDocs(rq.q, rq.results),
-		}
-		c.mu.Unlock()
-		if c.deliver(ev) {
-			return
-		}
-		c.f.cache.Clock().Sleep(time.Millisecond)
+// build (re)builds rq from scratch: it runs rq's query on a Backend,
+// replaces rq's state with the result, delivers that result as one
+// Initial snapshot (step 3) and subscribes rq to the Query Matcher ranges
+// at the query's read timestamp (step 4). Listen builds a target; a range
+// reset, a late update, a limit query losing a member and a dropped
+// event all rebuild it (scheduleRebuild). It fails if the query does, or
+// if rq stopped or the connection closed meanwhile.
+func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
+	res, readTS, err := c.f.backend.RunQuery(ctx, c.dbID, c.p, rq.q, nil, 0)
+	if err != nil {
+		return err
 	}
+	// The subscription ID is reserved and rq registered under it before
+	// the Query Matcher sees it, so a write matched right after
+	// registration cannot reach an unknown subscription and be dropped.
+	subID := c.f.cache.ReserveSub()
+	c.mu.Lock()
+	if c.targets[rq.targetID] != rq {
+		c.mu.Unlock()
+		return ErrConnClosed
+	}
+	rq.results = make(map[string]*doc.Document, len(res.Docs))
+	for _, d := range res.Docs {
+		rq.results[d.Name.String()] = d
+	}
+	rq.maxCommitVersion = readTS
+	rq.watermarks = map[int]truetime.Timestamp{}
+	rq.pending, rq.rangeIDs = nil, nil
+	rq.limited = rq.q.Limit > 0 && len(res.Docs) == rq.q.Limit
+	// The result in the order the query returned it, before rq can
+	// receive anything: no delta of rq precedes it on the connection.
+	if !c.deliverLocked(SnapshotEvent{TargetID: rq.targetID, TS: readTS, Initial: true, Added: res.Docs}) {
+		c.scheduleRebuild(rq)
+		c.mu.Unlock()
+		return nil
+	}
+	rq.subID = subID
+	c.queries[subID] = rq
+	c.holders = 0
+	c.mu.Unlock()
+
+	_, rangeIDs := c.f.cache.Subscribe(c, c.dbID, rq.q, readTS, subID)
+	c.mu.Lock()
+	live := c.queries[subID] == rq
+	if live {
+		rq.rangeIDs = rangeIDs
+		c.holders = 0
+	}
+	c.mu.Unlock()
+	if !live {
+		// Stopped, closed or reset while subscribing: whoever removed rq
+		// may have unsubscribed before Subscribe had registered it.
+		c.f.cache.Unsubscribe(c, subID)
+	}
+	return nil
 }
 
 // OnUpdate implements rtcache.Subscriber.
 func (c *Conn) OnUpdate(rangeID int, subID int64, u rtcache.Update) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rq, ok := c.queries[subID]
-	if !ok || rq.resetting {
-		return
+	if rq, ok := c.queries[subID]; ok {
+		rq.pending = append(rq.pending, u)
 	}
-	rq.pending = append(rq.pending, u)
 }
 
 // OnWatermark implements rtcache.Subscriber: watermark advances drive
 // snapshot emission.
 func (c *Conn) OnWatermark(rangeID int, subID int64, ts truetime.Timestamp) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	rq, ok := c.queries[subID]
-	if !ok || rq.resetting {
-		c.mu.Unlock()
+	if !ok {
 		return
 	}
 	was := rq.resolved()
@@ -423,39 +408,19 @@ func (c *Conn) OnWatermark(rangeID int, subID int64, ts truetime.Timestamp) {
 			c.holders--
 		}
 		if c.holders > 0 {
-			c.mu.Unlock()
 			return
 		}
 	}
-	events := c.flushLocked()
-	c.mu.Unlock()
-	var lost []int64
-	for _, ev := range events {
-		if !c.deliver(ev) {
-			lost = append(lost, ev.TargetID)
-		}
-	}
-	if len(lost) == 0 {
-		return
-	}
-	// A delta was dropped: the client's view of those targets is now
-	// behind rq.results with no way to catch up incrementally. Mark them
-	// out-of-sync and recover with a full reset-and-requery.
-	c.mu.Lock()
-	for _, tid := range lost {
-		if rq, ok := c.targets[tid]; ok && !rq.resetting {
-			c.scheduleRequery(rq, true)
-		}
-	}
-	c.mu.Unlock()
+	c.flushLocked()
 }
 
-// flushLocked emits snapshots for every query that can advance to the
+// flushLocked delivers snapshots for every query that can advance to the
 // connection-consistent timestamp: min over all queries' resolved
 // timestamps ("queries on the same connection are only updated to a
 // timestamp t once all queries' max-commit-version has reached at least
-// t").
-func (c *Conn) flushLocked() []SnapshotEvent {
+// t"). A query whose delta is dropped, or that cannot be updated by a
+// delta, is rebuilt.
+func (c *Conn) flushLocked() {
 	c.connTS, c.holders = truetime.Max, 0
 	for _, rq := range c.queries {
 		switch r := rq.resolved(); {
@@ -466,9 +431,8 @@ func (c *Conn) flushLocked() []SnapshotEvent {
 		}
 	}
 	connTS := c.connTS
-	var events []SnapshotEvent
 	for _, rq := range c.queries {
-		if rq.resetting || connTS <= rq.maxCommitVersion {
+		if connTS <= rq.maxCommitVersion {
 			continue
 		}
 		if len(rq.pending) == 0 {
@@ -476,19 +440,14 @@ func (c *Conn) flushLocked() []SnapshotEvent {
 			continue
 		}
 		ev, needsReset := c.applyLocked(rq, connTS)
-		if needsReset {
-			c.scheduleRequery(rq, false)
-			continue
-		}
-		if ev != nil {
-			events = append(events, *ev)
+		if needsReset || ev != nil && !c.deliverLocked(*ev) {
+			c.scheduleRebuild(rq)
 		}
 	}
-	return events
 }
 
 // applyLocked applies rq's pending updates with TS <= connTS and builds
-// the delta snapshot. It reports whether the query needs a requery: a
+// the delta snapshot. It reports whether the query needs a rebuild: a
 // limited query lost a member, or an update arrived late.
 func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (*SnapshotEvent, bool) {
 	// Pending updates can arrive out of timestamp order even though each
@@ -519,8 +478,8 @@ func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (*SnapshotEve
 			// The rtcache delivery contract rules this out: replay and
 			// live matching only send TS > the subscription's afterTS, and
 			// a watermark never overtakes an update it covers. Reaching it
-			// means that contract broke upstream; count it and recover by
-			// requery rather than dropping the document silently.
+			// means that contract broke upstream; count it and rebuild
+			// rather than dropping the document silently.
 			c.f.lateUpdates.With(c.dbID).Inc()
 			return nil, true
 		}
@@ -535,7 +494,7 @@ func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (*SnapshotEve
 		case have:
 			if rq.limited {
 				// A member left a limit query: the replacement is
-				// unknown here; redo the initial query (fast reset).
+				// unknown here; rebuild (fast reset).
 				return nil, true
 			}
 			delete(rq.results, key)
@@ -591,126 +550,60 @@ func dropDoc(ds []*doc.Document, key string) []*doc.Document {
 	return out
 }
 
-// OnReset implements rtcache.Subscriber: the range went out-of-sync; drop
-// accumulated state and redo the initial query ("this reset is fast, and
-// is mostly transparent to the end-user").
+// OnReset implements rtcache.Subscriber: the range went out-of-sync, so
+// the query is rebuilt ("this reset is fast, and is mostly transparent to
+// the end-user").
 func (c *Conn) OnReset(rangeID int, subID int64) {
 	c.mu.Lock()
-	rq, ok := c.queries[subID]
-	if ok && !rq.resetting {
-		c.scheduleRequery(rq, false)
+	if rq, ok := c.queries[subID]; ok {
+		c.scheduleRebuild(rq)
 	}
 	c.mu.Unlock()
 }
 
-// scheduleRequery re-runs rq's initial query asynchronously (the cache
-// forbids synchronous re-entry from callbacks). Caller holds c.mu. When
-// full is true the client's state is unknown (a snapshot was dropped) and
-// the requery re-emits a full Initial snapshot instead of a delta.
-func (c *Conn) scheduleRequery(rq *rtQuery, full bool) {
+// scheduleRebuild takes rq off its subscription, if it has one, and
+// builds it again on another goroutine (the cache forbids synchronous
+// re-entry from callbacks). Caller holds c.mu. The client hears nothing
+// more of rq until the rebuilt Initial snapshot, or until the event that
+// ends rq if the rebuild fails.
+func (c *Conn) scheduleRebuild(rq *rtQuery) {
 	c.f.requeries.With(c.dbID).Inc()
-	rq.resetting = true
-	rq.pending = nil
 	delete(c.queries, rq.subID)
+	rq.pending = nil
 	c.holders = 0
 	oldSub := rq.subID
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		c.f.cache.Unsubscribe(c, oldSub)
-		c.requery(rq, full)
+		// A snapshot dropped for a full buffer would be dropped again:
+		// wait, on the region clock, until the client has drained some.
+		for len(c.events) == cap(c.events) && c.ctx.Err() == nil {
+			c.f.cache.Clock().Sleep(time.Millisecond)
+		}
+		if err := c.build(c.ctx, rq); err != nil {
+			c.end(rq, err)
+		}
 	}()
 }
 
-func (c *Conn) requery(rq *rtQuery, full bool) {
-	res, readTS, err := c.f.backend.RunQuery(c.ctx, c.dbID, c.p, rq.q, nil, 0)
-	if err != nil {
-		// Backend unavailable: retry is the client SDK's job; surface a
-		// terminal removal of the target.
-		c.mu.Lock()
-		if _, ok := c.targets[rq.targetID]; ok {
-			delete(c.targets, rq.targetID)
-			c.f.active.Add(-1)
-		}
-		c.mu.Unlock()
-		return
-	}
-	fresh := map[string]*doc.Document{}
-	for _, d := range res.Docs {
-		fresh[d.Name.String()] = d
-	}
-	// Delta between the last emitted state and the fresh result (unused
-	// when the client's state is unknown and a full snapshot goes out).
-	var added, modified []*doc.Document
-	var removed []doc.Name
+// end removes rq, whose rebuild failed, and sends the client an event
+// carrying the error. It waits for buffer room rather than drop it:
+// nothing else of rq follows, so it cannot overtake anything.
+func (c *Conn) end(rq *rtQuery, err error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
+	live := c.targets[rq.targetID] == rq
+	if live {
+		c.forgetLocked(rq)
 	}
-	if !full {
-		for key, d := range fresh {
-			old, ok := rq.results[key]
-			switch {
-			case !ok:
-				added = append(added, d)
-			case !old.Equal(d) || old.UpdateTime != d.UpdateTime:
-				modified = append(modified, d)
-			}
-		}
-		for key, d := range rq.results {
-			if _, ok := fresh[key]; !ok {
-				removed = append(removed, d.Name)
-			}
-		}
-	}
-	rq.results = fresh
-	rq.maxCommitVersion = readTS
-	rq.watermarks = map[int]truetime.Timestamp{}
-	rq.limited = rq.q.Limit > 0 && len(res.Docs) == rq.q.Limit
 	c.mu.Unlock()
-
-	// Emit before resubscribing, while rq.resetting still suppresses
-	// updates: no delta from the new subscription can overtake this
-	// snapshot in the event stream.
-	if full {
-		c.emitInitial(rq, readTS)
-	} else if len(added)+len(modified)+len(removed) > 0 {
-		if !c.deliver(SnapshotEvent{
-			TargetID: rq.targetID,
-			TS:       readTS,
-			Added:    added,
-			Modified: modified,
-			Removed:  removed,
-		}) {
-			// The catch-up delta itself was dropped; only a full snapshot
-			// can resynchronize the client now.
-			c.emitInitial(rq, readTS)
-		}
+	if !live {
+		return // stopped, or the connection closed
 	}
-
-	subID := c.f.cache.ReserveSub()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
+	select {
+	case c.events <- SnapshotEvent{TargetID: rq.targetID, Err: err}:
+	case <-c.ctx.Done():
 	}
-	rq.subID = subID
-	rq.rangeIDs = nil
-	rq.resetting = false
-	c.queries[subID] = rq
-	c.holders = 0
-	c.mu.Unlock()
-	_, rangeIDs := c.f.cache.Subscribe(c, c.dbID, rq.q, readTS, subID)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.f.cache.Unsubscribe(c, subID)
-		return
-	}
-	rq.rangeIDs = rangeIDs
-	c.holders = 0
-	c.mu.Unlock()
 }
 
 // sortedDocs returns the result set in query order.

@@ -55,15 +55,7 @@ func TestStreamConvergesToQuery(t *testing.T) {
 						continue
 					}
 					mu.Lock()
-					for _, d := range ev.Added {
-						folded[d.Name.String()] = d
-					}
-					for _, d := range ev.Modified {
-						folded[d.Name.String()] = d
-					}
-					for _, n := range ev.Removed {
-						delete(folded, n.String())
-					}
+					fold(folded, ev)
 					mu.Unlock()
 				}
 			}()
@@ -117,6 +109,23 @@ func TestStreamConvergesToQuery(t *testing.T) {
 	}
 }
 
+// fold applies one snapshot event to a client's view of its target: an
+// Initial snapshot replaces the view, a delta patches it.
+func fold(view map[string]*doc.Document, ev SnapshotEvent) {
+	if ev.Initial {
+		clear(view)
+	}
+	for _, d := range ev.Added {
+		view[d.Name.String()] = d
+	}
+	for _, d := range ev.Modified {
+		view[d.Name.String()] = d
+	}
+	for _, n := range ev.Removed {
+		delete(view, n.String())
+	}
+}
+
 func equalSets(t *testing.T, q *query.Query, folded map[string]*doc.Document, want []*doc.Document, mu *sync.Mutex) bool {
 	t.Helper()
 	mu.Lock()
@@ -155,15 +164,7 @@ func TestStreamConvergesUnderResets(t *testing.T) {
 				continue
 			}
 			mu.Lock()
-			for _, d := range ev.Added {
-				folded[d.Name.String()] = d
-			}
-			for _, d := range ev.Modified {
-				folded[d.Name.String()] = d
-			}
-			for _, n := range ev.Removed {
-				delete(folded, n.String())
-			}
+			fold(folded, ev)
 			mu.Unlock()
 		}
 	}()
