@@ -38,7 +38,7 @@ test:
 test-race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run 'Allocs|CostFollowsResult|NotAlias|TestVec' ./internal/index ./internal/backend ./internal/spanner ./internal/core \
-		./internal/cluster ./internal/transport ./internal/storage ./internal/doc ./internal/obs ./internal/wfq
+		./internal/cluster ./internal/transport ./internal/storage ./internal/doc ./internal/obs ./internal/wfq ./internal/btree
 
 # Repeated race passes over the packages whose concurrency a single run
 # under-samples, each line a package list and a -count. Ten rounds over

@@ -14,7 +14,7 @@ import (
 // benchmark's YCSB document — one 900-byte binary field, every byte
 // replaced — committed over storage.Mem with the Real-time Cache and
 // billing attached: 196 before the path was rebuilt around one encoding
-// per byte (DESIGN.md "Write path: who owns the bytes"), 64 after, 59
+// per byte (DESIGN.md "Write path: who owns the bytes"), 64 after, 50
 // now — with the instruments of every layer declared and fed, which the
 // layers used to leave out when built without a registry.
 func TestCommitAllocs(t *testing.T) {
@@ -42,8 +42,8 @@ func TestCommitAllocs(t *testing.T) {
 	commit() // the create; every run below is an update
 	got := testing.AllocsPerRun(200, commit)
 	t.Logf("Backend.Commit: %.0f allocations per YCSB update", got)
-	if got > 64 {
-		t.Errorf("Backend.Commit allocates %.0f times per YCSB update, want <= 64", got)
+	if got > 52 {
+		t.Errorf("Backend.Commit allocates %.0f times per YCSB update, want <= 52", got)
 	}
 }
 

@@ -5,12 +5,20 @@
 // §IV-D3), and cheap splitting at a median key (Spanner's load-based
 // tablet splitting, §IV-D1).
 //
-// The tree stores opaque values of any type; the Spanner layer stores
-// per-key MVCC version chains in it. It is not safe for concurrent use;
+// A Tree[V] keeps each value by value in its node's item, so a lookup or
+// a range walk reaches it with no further pointer hop; the storage layer
+// keeps per-key MVCC version chains in it. Get, Upsert, Ascend and
+// Descend hand out a *V into the node, through which the caller may
+// write; it is valid until the next Upsert or Set of an absent key or
+// the next Delete. Get, Ascend, Descend, KeyAt and Len only read, so
+// they may run concurrently with each other but not with a write;
 // callers synchronize (each tablet guards its tree with its own lock).
 package btree
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 // degree is the minimum number of children of an internal node. Nodes hold
 // between degree-1 and 2*degree-1 items.
@@ -18,21 +26,42 @@ const degree = 32
 
 const maxItems = 2*degree - 1
 
-type item struct {
+type item[V any] struct {
 	key   []byte
-	value any
+	value V
 }
 
-type node struct {
-	items    []item
-	children []*node // nil for leaves
+type node[V any] struct {
+	items    []item[V]
+	children []*node[V] // nil for leaves
 }
 
-func (n *node) leaf() bool { return len(n.children) == 0 }
+// newNode allocates a node and its item (and, for an internal node,
+// child) array at full capacity in one object, so no insert, borrow or
+// merge regrows them and a split allocates only the new sibling.
+func newNode[V any](leaf bool) *node[V] {
+	if leaf {
+		b := new(struct {
+			n     node[V]
+			items [maxItems]item[V]
+		})
+		b.n.items = b.items[:0]
+		return &b.n
+	}
+	b := new(struct {
+		n        node[V]
+		items    [maxItems]item[V]
+		children [maxItems + 1]*node[V]
+	})
+	b.n.items, b.n.children = b.items[:0], b.children[:0]
+	return &b.n
+}
+
+func (n *node[V]) leaf() bool { return len(n.children) == 0 }
 
 // find returns the index of the first item with key >= k and whether that
 // item's key equals k.
-func (n *node) find(k []byte) (int, bool) {
+func (n *node[V]) find(k []byte) (int, bool) {
 	lo, hi := 0, len(n.items)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -45,112 +74,116 @@ func (n *node) find(k []byte) (int, bool) {
 	return lo, lo < len(n.items) && bytes.Equal(n.items[lo].key, k)
 }
 
-// Tree is a B-tree mapping byte-string keys to values. The zero value is
-// an empty tree ready to use.
-type Tree struct {
-	root   *node
+// Tree is a B-tree mapping byte-string keys to values of type V. The zero
+// value is an empty tree ready to use.
+type Tree[V any] struct {
+	root   *node[V]
 	length int
 }
 
-// New returns an empty tree. Equivalent to new(Tree).
-func New() *Tree { return new(Tree) }
-
 // Len returns the number of keys in the tree.
-func (t *Tree) Len() int { return t.length }
+func (t *Tree[V]) Len() int { return t.length }
 
-// Get returns the value stored for key, or (nil, false) if absent.
-func (t *Tree) Get(key []byte) (any, bool) {
+// Get returns a pointer to the value stored for key, or nil if absent.
+func (t *Tree[V]) Get(key []byte) *V {
 	n := t.root
 	for n != nil {
 		i, eq := n.find(key)
 		if eq {
-			return n.items[i].value, true
+			return &n.items[i].value
 		}
 		if n.leaf() {
-			return nil, false
+			return nil
 		}
 		n = n.children[i]
 	}
-	return nil, false
+	return nil
+}
+
+// Upsert returns a pointer to key's value and whether key was present,
+// first inserting key with the zero value if it was not. An inserted key
+// slice is retained; the caller must not mutate it afterwards.
+func (t *Tree[V]) Upsert(key []byte) (*V, bool) {
+	// The first descent changes nothing, so a present key never splits
+	// a node, and an absent one lands in a leaf with room.
+	for n := t.root; n != nil; {
+		i, eq := n.find(key)
+		if eq {
+			return &n.items[i].value, true
+		}
+		if n.leaf() {
+			if len(n.items) < maxItems {
+				return t.insertAt(n, i, key), false
+			}
+			break
+		}
+		n = n.children[i]
+	}
+	// The leaf is full: descend again, splitting every full node before
+	// entering it, so each split's median has room in its parent.
+	if t.root == nil {
+		t.root = newNode[V](true)
+	} else if len(t.root.items) == maxItems {
+		old := t.root
+		t.root = newNode[V](false)
+		t.root.children = append(t.root.children, old)
+	}
+	n := t.root
+	for {
+		i, _ := n.find(key)
+		if n.leaf() {
+			return t.insertAt(n, i, key), false
+		}
+		if len(n.children[i].items) == maxItems {
+			median, right := n.children[i].split()
+			n.items = slices.Insert(n.items, i, median)
+			n.children = slices.Insert(n.children, i+1, right)
+			if bytes.Compare(key, median.key) > 0 {
+				i++
+			}
+		}
+		n = n.children[i]
+	}
+}
+
+func (t *Tree[V]) insertAt(leaf *node[V], i int, key []byte) *V {
+	leaf.items = slices.Insert(leaf.items, i, item[V]{key: key})
+	t.length++
+	return &leaf.items[i].value
 }
 
 // Set stores value for key, replacing any existing value. It returns the
-// previous value and whether one existed. The key slice is retained; the
-// caller must not mutate it afterwards.
-func (t *Tree) Set(key []byte, value any) (any, bool) {
-	if t.root == nil {
-		t.root = &node{items: []item{{key: key, value: value}}}
-		t.length = 1
-		return nil, false
-	}
-	if len(t.root.items) == maxItems {
-		left := t.root
-		mid, right := left.split()
-		t.root = &node{
-			items:    []item{mid},
-			children: []*node{left, right},
-		}
-	}
-	prev, existed := t.root.insert(key, value)
-	if !existed {
-		t.length++
-	}
+// previous value and whether one existed. An inserted key slice is
+// retained; the caller must not mutate it afterwards.
+func (t *Tree[V]) Set(key []byte, value V) (prev V, existed bool) {
+	p, existed := t.Upsert(key)
+	prev, *p = *p, value
 	return prev, existed
 }
 
 // split splits a full node into two, returning the median item and the new
 // right sibling.
-func (n *node) split() (item, *node) {
+func (n *node[V]) split() (item[V], *node[V]) {
 	mid := len(n.items) / 2
 	median := n.items[mid]
-	right := &node{}
+	right := newNode[V](n.leaf())
 	right.items = append(right.items, n.items[mid+1:]...)
-	n.items = n.items[:mid:mid]
+	clear(n.items[mid:])
+	n.items = n.items[:mid]
 	if !n.leaf() {
 		right.children = append(right.children, n.children[mid+1:]...)
-		n.children = n.children[: mid+1 : mid+1]
+		clear(n.children[mid+1:])
+		n.children = n.children[:mid+1]
 	}
 	return median, right
 }
 
-func (n *node) insert(key []byte, value any) (any, bool) {
-	i, eq := n.find(key)
-	if eq {
-		prev := n.items[i].value
-		n.items[i].value = value
-		return prev, true
-	}
-	if n.leaf() {
-		n.items = append(n.items, item{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = item{key: key, value: value}
-		return nil, false
-	}
-	if len(n.children[i].items) == maxItems {
-		median, right := n.children[i].split()
-		n.items = append(n.items, item{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = median
-		n.children = append(n.children, nil)
-		copy(n.children[i+2:], n.children[i+1:])
-		n.children[i+1] = right
-		switch c := bytes.Compare(key, median.key); {
-		case c == 0:
-			prev := n.items[i].value
-			n.items[i].value = value
-			return prev, true
-		case c > 0:
-			i++
-		}
-	}
-	return n.children[i].insert(key, value)
-}
-
 // Delete removes key from the tree, returning its value and whether it was
 // present.
-func (t *Tree) Delete(key []byte) (any, bool) {
+func (t *Tree[V]) Delete(key []byte) (V, bool) {
 	if t.root == nil {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	v, ok := t.root.remove(key)
 	if ok {
@@ -166,14 +199,15 @@ func (t *Tree) Delete(key []byte) (any, bool) {
 	return v, ok
 }
 
-func (n *node) remove(key []byte) (any, bool) {
+func (n *node[V]) remove(key []byte) (V, bool) {
 	i, eq := n.find(key)
 	if n.leaf() {
 		if !eq {
-			return nil, false
+			var zero V
+			return zero, false
 		}
 		v := n.items[i].value
-		n.items = append(n.items[:i], n.items[i+1:]...)
+		n.items = slices.Delete(n.items, i, i+1)
 		return v, true
 	}
 	if eq {
@@ -204,7 +238,7 @@ func (n *node) remove(key []byte) (any, bool) {
 
 // growChild ensures children[i] has at least degree items so a delete can
 // recurse into it safely, borrowing from or merging with a sibling.
-func (n *node) growChild(i int) {
+func (n *node[V]) growChild(i int) {
 	if len(n.children[i].items) >= degree {
 		return
 	}
@@ -212,26 +246,23 @@ func (n *node) growChild(i int) {
 	case i > 0 && len(n.children[i-1].items) >= degree:
 		// Borrow from left sibling.
 		child, left := n.children[i], n.children[i-1]
-		child.items = append(child.items, item{})
-		copy(child.items[1:], child.items)
-		child.items[0] = n.items[i-1]
-		n.items[i-1] = left.items[len(left.items)-1]
-		left.items = left.items[:len(left.items)-1]
+		last := len(left.items) - 1
+		child.items = slices.Insert(child.items, 0, n.items[i-1])
+		n.items[i-1] = left.items[last]
+		left.items = slices.Delete(left.items, last, last+1)
 		if !left.leaf() {
-			child.children = append(child.children, nil)
-			copy(child.children[1:], child.children)
-			child.children[0] = left.children[len(left.children)-1]
-			left.children = left.children[:len(left.children)-1]
+			child.children = slices.Insert(child.children, 0, left.children[last+1])
+			left.children = slices.Delete(left.children, last+1, last+2)
 		}
 	case i < len(n.children)-1 && len(n.children[i+1].items) >= degree:
 		// Borrow from right sibling.
 		child, right := n.children[i], n.children[i+1]
 		child.items = append(child.items, n.items[i])
 		n.items[i] = right.items[0]
-		right.items = append(right.items[:0], right.items[1:]...)
+		right.items = slices.Delete(right.items, 0, 1)
 		if !right.leaf() {
 			child.children = append(child.children, right.children[0])
-			right.children = append(right.children[:0], right.children[1:]...)
+			right.children = slices.Delete(right.children, 0, 1)
 		}
 	default:
 		// Merge with a sibling.
@@ -239,15 +270,14 @@ func (n *node) growChild(i int) {
 			i--
 		}
 		child, right := n.children[i], n.children[i+1]
-		child.items = append(child.items, n.items[i])
-		child.items = append(child.items, right.items...)
+		child.items = append(append(child.items, n.items[i]), right.items...)
 		child.children = append(child.children, right.children...)
-		n.items = append(n.items[:i], n.items[i+1:]...)
-		n.children = append(n.children[:i+1], n.children[i+2:]...)
+		n.items = slices.Delete(n.items, i, i+1)
+		n.children = slices.Delete(n.children, i+1, i+2)
 	}
 }
 
-func (n *node) max() item {
+func (n *node[V]) max() item[V] {
 	for !n.leaf() {
 		n = n.children[len(n.children)-1]
 	}
@@ -257,7 +287,7 @@ func (n *node) max() item {
 // Ascend calls fn for each key/value with begin <= key < end in ascending
 // order. A nil begin means from the start; a nil end means to the end.
 // Iteration stops early if fn returns false.
-func (t *Tree) Ascend(begin, end []byte, fn func(key []byte, value any) bool) {
+func (t *Tree[V]) Ascend(begin, end []byte, fn func(key []byte, value *V) bool) {
 	if t.root != nil {
 		t.root.ascend(begin, end, fn)
 	}
@@ -267,13 +297,13 @@ func (t *Tree) Ascend(begin, end []byte, fn func(key []byte, value any) bool) {
 // descent and is nil right of it, and end is compared only against
 // separators and in the boundary leaf — a child left of a separator below
 // end is walked with end nil.
-func (n *node) ascend(begin, end []byte, fn func([]byte, any) bool) bool {
+func (n *node[V]) ascend(begin, end []byte, fn func([]byte, *V) bool) bool {
 	i := 0
 	if begin != nil {
 		i, _ = n.find(begin)
 	}
 	for ; i < len(n.items); i++ {
-		it := n.items[i]
+		it := &n.items[i]
 		past := end != nil && bytes.Compare(it.key, end) >= 0
 		if !n.leaf() {
 			childEnd := end
@@ -284,7 +314,7 @@ func (n *node) ascend(begin, end []byte, fn func([]byte, any) bool) bool {
 				return false
 			}
 		}
-		if past || !fn(it.key, it.value) {
+		if past || !fn(it.key, &it.value) {
 			return false
 		}
 		begin = nil
@@ -297,7 +327,7 @@ func (n *node) ascend(begin, end []byte, fn func([]byte, any) bool) bool {
 
 // Descend calls fn for each key/value with begin <= key < end in
 // descending order. Semantics mirror Ascend.
-func (t *Tree) Descend(begin, end []byte, fn func(key []byte, value any) bool) {
+func (t *Tree[V]) Descend(begin, end []byte, fn func(key []byte, value *V) bool) {
 	if t.root != nil {
 		t.root.descend(begin, end, fn)
 	}
@@ -306,13 +336,13 @@ func (t *Tree) Descend(begin, end []byte, fn func(key []byte, value any) bool) {
 // descend mirrors ascend: end is searched for only on the rightmost
 // descent, and begin is compared only against separators and in the
 // boundary leaf.
-func (n *node) descend(begin, end []byte, fn func([]byte, any) bool) bool {
+func (n *node[V]) descend(begin, end []byte, fn func([]byte, *V) bool) bool {
 	i := len(n.items)
 	if end != nil {
 		i, _ = n.find(end)
 	}
 	for ; i > 0; i-- {
-		it := n.items[i-1]
+		it := &n.items[i-1]
 		before := begin != nil && bytes.Compare(it.key, begin) < 0
 		if !n.leaf() {
 			childBegin := begin
@@ -323,7 +353,7 @@ func (n *node) descend(begin, end []byte, fn func([]byte, any) bool) bool {
 				return false
 			}
 		}
-		if before || !fn(it.key, it.value) {
+		if before || !fn(it.key, &it.value) {
 			return false
 		}
 		end = nil
@@ -334,40 +364,16 @@ func (n *node) descend(begin, end []byte, fn func([]byte, any) bool) bool {
 	return true
 }
 
-// Min returns the smallest key and its value, or (nil, nil, false) on an
-// empty tree.
-func (t *Tree) Min() ([]byte, any, bool) {
-	n := t.root
-	if n == nil {
-		return nil, nil, false
-	}
-	for !n.leaf() {
-		n = n.children[0]
-	}
-	it := n.items[0]
-	return it.key, it.value, true
-}
-
-// MaxKey returns the largest key and its value, or (nil, nil, false) on an
-// empty tree.
-func (t *Tree) MaxKey() ([]byte, any, bool) {
-	if t.root == nil {
-		return nil, nil, false
-	}
-	it := t.root.max()
-	return it.key, it.value, true
-}
-
 // KeyAt returns the i-th smallest key (0-based). It is used to find median
 // split points; it runs in O(log n + i) via iteration and returns false if
 // i is out of range.
-func (t *Tree) KeyAt(i int) ([]byte, bool) {
+func (t *Tree[V]) KeyAt(i int) ([]byte, bool) {
 	if i < 0 || i >= t.length {
 		return nil, false
 	}
 	var key []byte
 	idx := 0
-	t.Ascend(nil, nil, func(k []byte, _ any) bool {
+	t.Ascend(nil, nil, func(k []byte, _ *V) bool {
 		if idx == i {
 			key = k
 			return false
@@ -376,25 +382,4 @@ func (t *Tree) KeyAt(i int) ([]byte, bool) {
 		return true
 	})
 	return key, key != nil
-}
-
-// Clone returns a copy of the tree sharing no mutable structure with the
-// original. Values are copied by reference.
-func (t *Tree) Clone() *Tree {
-	c := &Tree{length: t.length}
-	if t.root != nil {
-		c.root = t.root.clone()
-	}
-	return c
-}
-
-func (n *node) clone() *node {
-	c := &node{items: append([]item(nil), n.items...)}
-	if !n.leaf() {
-		c.children = make([]*node, len(n.children))
-		for i, ch := range n.children {
-			c.children[i] = ch.clone()
-		}
-	}
-	return c
 }

@@ -12,27 +12,21 @@ import (
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New()
+	tr := new(Tree[int])
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", tr.Len())
 	}
-	if _, ok := tr.Get([]byte("x")); ok {
-		t.Fatal("Get on empty tree returned ok")
+	if tr.Get([]byte("x")) != nil {
+		t.Fatal("Get on empty tree returned a value")
 	}
 	if _, ok := tr.Delete([]byte("x")); ok {
 		t.Fatal("Delete on empty tree returned ok")
 	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree returned ok")
-	}
-	if _, _, ok := tr.MaxKey(); ok {
-		t.Fatal("MaxKey on empty tree returned ok")
-	}
-	tr.Ascend(nil, nil, func([]byte, any) bool { t.Fatal("Ascend visited on empty tree"); return false })
+	tr.Ascend(nil, nil, func([]byte, *int) bool { t.Fatal("Ascend visited on empty tree"); return false })
 }
 
 func TestSetGetSequential(t *testing.T) {
-	tr := New()
+	tr := new(Tree[int])
 	const n = 5000
 	for i := 0; i < n; i++ {
 		if _, existed := tr.Set(key(i), i); existed {
@@ -43,32 +37,30 @@ func TestSetGetSequential(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), n)
 	}
 	for i := 0; i < n; i++ {
-		v, ok := tr.Get(key(i))
-		if !ok || v.(int) != i {
-			t.Fatalf("Get(%d) = %v, %v", i, v, ok)
+		if v := tr.Get(key(i)); v == nil || *v != i {
+			t.Fatalf("Get(%d) = %v", i, v)
 		}
 	}
 }
 
 func TestSetReplace(t *testing.T) {
-	tr := New()
+	tr := new(Tree[int])
 	tr.Set([]byte("a"), 1)
 	prev, existed := tr.Set([]byte("a"), 2)
-	if !existed || prev.(int) != 1 {
+	if !existed || prev != 1 {
 		t.Fatalf("replace = %v, %v; want 1, true", prev, existed)
 	}
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d after replace, want 1", tr.Len())
 	}
-	v, _ := tr.Get([]byte("a"))
-	if v.(int) != 2 {
-		t.Fatalf("Get = %v, want 2", v)
+	if v := tr.Get([]byte("a")); *v != 2 {
+		t.Fatalf("Get = %d, want 2", *v)
 	}
 }
 
 func TestDeleteRandomOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	tr := New()
+	tr := new(Tree[int])
 	const n = 3000
 	perm := rng.Perm(n)
 	for _, i := range perm {
@@ -77,7 +69,7 @@ func TestDeleteRandomOrder(t *testing.T) {
 	perm2 := rng.Perm(n)
 	for cnt, i := range perm2 {
 		v, ok := tr.Delete(key(i))
-		if !ok || v.(int) != i {
+		if !ok || v != i {
 			t.Fatalf("Delete(%d) = %v, %v", i, v, ok)
 		}
 		if tr.Len() != n-cnt-1 {
@@ -90,7 +82,7 @@ func TestDeleteRandomOrder(t *testing.T) {
 }
 
 func TestDeleteMissing(t *testing.T) {
-	tr := New()
+	tr := new(Tree[int])
 	for i := 0; i < 100; i++ {
 		tr.Set(key(i), i)
 	}
@@ -104,13 +96,13 @@ func TestDeleteMissing(t *testing.T) {
 
 func TestAscendFullOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tr := New()
+	tr := new(Tree[int])
 	const n = 2000
 	for _, i := range rng.Perm(n) {
 		tr.Set(key(i), i)
 	}
 	var got [][]byte
-	tr.Ascend(nil, nil, func(k []byte, _ any) bool {
+	tr.Ascend(nil, nil, func(k []byte, _ *int) bool {
 		got = append(got, k)
 		return true
 	})
@@ -125,13 +117,13 @@ func TestAscendFullOrder(t *testing.T) {
 }
 
 func TestAscendRange(t *testing.T) {
-	tr := New()
+	tr := new(Tree[int])
 	for i := 0; i < 100; i++ {
 		tr.Set(key(i), i)
 	}
 	var got []int
-	tr.Ascend(key(10), key(20), func(_ []byte, v any) bool {
-		got = append(got, v.(int))
+	tr.Ascend(key(10), key(20), func(_ []byte, v *int) bool {
+		got = append(got, *v)
 		return true
 	})
 	if len(got) != 10 {
@@ -145,12 +137,12 @@ func TestAscendRange(t *testing.T) {
 }
 
 func TestAscendEarlyStop(t *testing.T) {
-	tr := New()
+	tr := new(Tree[int])
 	for i := 0; i < 100; i++ {
 		tr.Set(key(i), i)
 	}
 	count := 0
-	tr.Ascend(nil, nil, func([]byte, any) bool {
+	tr.Ascend(nil, nil, func([]byte, *int) bool {
 		count++
 		return count < 5
 	})
@@ -160,14 +152,14 @@ func TestAscendEarlyStop(t *testing.T) {
 }
 
 func TestDescend(t *testing.T) {
-	tr := New()
+	tr := new(Tree[int])
 	const n = 500
 	for i := 0; i < n; i++ {
 		tr.Set(key(i), i)
 	}
 	var got []int
-	tr.Descend(key(100), key(110), func(_ []byte, v any) bool {
-		got = append(got, v.(int))
+	tr.Descend(key(100), key(110), func(_ []byte, v *int) bool {
+		got = append(got, *v)
 		return true
 	})
 	want := []int{109, 108, 107, 106, 105, 104, 103, 102, 101, 100}
@@ -183,18 +175,18 @@ func TestDescend(t *testing.T) {
 
 func TestDescendFullOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tr := New()
+	tr := new(Tree[int])
 	const n = 1500
 	for _, i := range rng.Perm(n) {
 		tr.Set(key(i), i)
 	}
 	prev := n
 	count := 0
-	tr.Descend(nil, nil, func(_ []byte, v any) bool {
-		if v.(int) >= prev {
-			t.Fatalf("descend out of order: %d after %d", v, prev)
+	tr.Descend(nil, nil, func(_ []byte, v *int) bool {
+		if *v >= prev {
+			t.Fatalf("descend out of order: %d after %d", *v, prev)
 		}
-		prev = v.(int)
+		prev = *v
 		count++
 		return true
 	})
@@ -204,12 +196,12 @@ func TestDescendFullOrder(t *testing.T) {
 }
 
 func TestDescendEarlyStop(t *testing.T) {
-	tr := New()
+	tr := new(Tree[int])
 	for i := 0; i < 100; i++ {
 		tr.Set(key(i), i)
 	}
 	count := 0
-	tr.Descend(nil, nil, func([]byte, any) bool {
+	tr.Descend(nil, nil, func([]byte, *int) bool {
 		count++
 		return count < 3
 	})
@@ -218,23 +210,8 @@ func TestDescendEarlyStop(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	tr := New()
-	for _, i := range rand.New(rand.NewSource(3)).Perm(1000) {
-		tr.Set(key(i), i)
-	}
-	k, v, ok := tr.Min()
-	if !ok || !bytes.Equal(k, key(0)) || v.(int) != 0 {
-		t.Fatalf("Min = %q, %v", k, v)
-	}
-	k, v, ok = tr.MaxKey()
-	if !ok || !bytes.Equal(k, key(999)) || v.(int) != 999 {
-		t.Fatalf("MaxKey = %q, %v", k, v)
-	}
-}
-
 func TestKeyAt(t *testing.T) {
-	tr := New()
+	tr := new(Tree[int])
 	for i := 0; i < 200; i++ {
 		tr.Set(key(i), i)
 	}
@@ -252,40 +229,27 @@ func TestKeyAt(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	tr := New()
-	for i := 0; i < 1000; i++ {
-		tr.Set(key(i), i)
-	}
-	c := tr.Clone()
-	// Mutate original; clone must not change.
-	for i := 0; i < 500; i++ {
-		tr.Delete(key(i))
-	}
-	tr.Set(key(2000), 2000)
-	if c.Len() != 1000 {
-		t.Fatalf("clone Len = %d, want 1000", c.Len())
-	}
-	for i := 0; i < 1000; i++ {
-		if v, ok := c.Get(key(i)); !ok || v.(int) != i {
-			t.Fatalf("clone Get(%d) = %v, %v", i, v, ok)
-		}
-	}
-	if _, ok := c.Get(key(2000)); ok {
-		t.Fatal("clone sees key added to original")
-	}
-}
-
 // TestQuickAgainstMap drives random operations against the tree and a
 // reference map, checking full equivalence including iteration order.
+// Upsert's flag must match the reference and its pointer must read the
+// reference's value; writes through the *V of Upsert, Ascend and Descend
+// must land in the tree.
 func TestQuickAgainstMap(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := New()
+		tr := new(Tree[int])
 		ref := map[string]int{}
+		// bump adds d to every value a walk visits, through its *V.
+		bump := func(d int) func([]byte, *int) bool {
+			return func(k []byte, v *int) bool {
+				*v += d
+				ref[string(k)] += d
+				return rng.Intn(50) != 0
+			}
+		}
 		for op := 0; op < 3000; op++ {
 			k := []byte(fmt.Sprintf("%04d", rng.Intn(500)))
-			switch rng.Intn(3) {
+			switch rng.Intn(7) {
 			case 0, 1:
 				v := rng.Int()
 				_, existed := tr.Set(k, v)
@@ -293,13 +257,25 @@ func TestQuickAgainstMap(t *testing.T) {
 					return false
 				}
 				ref[string(k)] = v
-			case 2:
+			case 2, 3:
+				p, existed := tr.Upsert(k)
+				refV, refExists := ref[string(k)]
+				if existed != refExists || *p != refV {
+					return false
+				}
+				*p = rng.Int()
+				ref[string(k)] = *p
+			case 4:
 				_, ok := tr.Delete(k)
 				_, refOK := ref[string(k)]
 				if ok != refOK {
 					return false
 				}
 				delete(ref, string(k))
+			case 5:
+				tr.Ascend(k, nil, bump(1))
+			case 6:
+				tr.Descend(nil, k, bump(-3))
 			}
 		}
 		if tr.Len() != len(ref) {
@@ -312,8 +288,8 @@ func TestQuickAgainstMap(t *testing.T) {
 		sort.Strings(keys)
 		i := 0
 		okAll := true
-		tr.Ascend(nil, nil, func(k []byte, v any) bool {
-			if i >= len(keys) || string(k) != keys[i] || v.(int) != ref[keys[i]] {
+		tr.Ascend(nil, nil, func(k []byte, v *int) bool {
+			if i >= len(keys) || string(k) != keys[i] || *v != ref[keys[i]] {
 				okAll = false
 				return false
 			}
@@ -327,7 +303,48 @@ func TestQuickAgainstMap(t *testing.T) {
 	}
 }
 
-func (n *node) depth() int {
+// TestUpsertAllocs pins the node layout: an Upsert of a present key
+// changes nothing and allocates nothing, and a node's arrays are
+// allocated with it at full capacity, so inserts allocate only at a
+// split, one object per new node (a leaf splits about once per 32).
+func TestUpsertAllocs(t *testing.T) {
+	const n = 10000
+	keys := make([][]byte, 2*n) // even keys present, odd keys fresh
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	rng := rand.New(rand.NewSource(42))
+	tr := new(Tree[int])
+	for _, i := range rng.Perm(n) {
+		tr.Set(keys[2*i], i)
+	}
+	existing := testing.AllocsPerRun(1, func() {
+		for j := 0; j < 1000; j++ {
+			p, _ := tr.Upsert(keys[2*rng.Intn(n)])
+			*p++
+		}
+	})
+	if existing != 0 {
+		t.Errorf("1 000 Upserts of present keys allocate %.0f times, want 0", existing)
+	}
+	fresh := rng.Perm(n)
+	inserts := 0
+	got := testing.AllocsPerRun(1, func() {
+		for j := 0; j < 1000; j++ {
+			tr.Upsert(keys[2*fresh[inserts]+1])
+			inserts++
+		}
+	})
+	if tr.Len() != n+inserts {
+		t.Fatalf("Len = %d after %d fresh inserts, want %d", tr.Len(), inserts, n+inserts)
+	}
+	t.Logf("1 000 fresh inserts: %.0f allocations", got)
+	if got > 1000/16 {
+		t.Errorf("1 000 fresh inserts allocate %.0f times, want <= %d", got, 1000/16)
+	}
+}
+
+func (n *node[V]) depth() int {
 	if n.leaf() {
 		return 1
 	}
@@ -341,7 +358,7 @@ func (n *node) depth() int {
 func TestRangeWalksMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for _, n := range []int{0, 1, 7, 63, 64, 500, 12000, 30000} {
-		tr := New()
+		tr := new(Tree[int])
 		var ref [][]byte // the tree's keys in order: key(2i), so odd keys are absent
 		for _, i := range rng.Perm(n) {
 			tr.Set(key(2*i), 2*i)
@@ -372,9 +389,9 @@ func TestRangeWalksMatchReference(t *testing.T) {
 				}
 			}
 			stop := rng.Intn(len(want) + 2) // rows before fn says stop; > len(want): never
-			walk := func(name string, visit func([]byte, []byte, func([]byte, any) bool), want [][]byte) {
+			walk := func(name string, visit func([]byte, []byte, func([]byte, *int) bool), want [][]byte) {
 				var got [][]byte
-				visit(begin, end, func(k []byte, _ any) bool {
+				visit(begin, end, func(k []byte, _ *int) bool {
 					got = append(got, k)
 					return len(got) != stop
 				})
@@ -401,7 +418,7 @@ func TestRangeWalksMatchReference(t *testing.T) {
 }
 
 func BenchmarkSet(b *testing.B) {
-	tr := New()
+	tr := new(Tree[int])
 	keys := make([][]byte, b.N)
 	for i := range keys {
 		keys[i] = key(i)
@@ -413,7 +430,7 @@ func BenchmarkSet(b *testing.B) {
 }
 
 func BenchmarkGet(b *testing.B) {
-	tr := New()
+	tr := new(Tree[int])
 	const n = 100000
 	for i := 0; i < n; i++ {
 		tr.Set(key(i), i)
@@ -425,7 +442,7 @@ func BenchmarkGet(b *testing.B) {
 }
 
 func BenchmarkAscend100(b *testing.B) {
-	tr := New()
+	tr := new(Tree[int])
 	const n = 100000
 	for i := 0; i < n; i++ {
 		tr.Set(key(i), i)
@@ -433,7 +450,7 @@ func BenchmarkAscend100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		tr.Ascend(key(i%1000*50), nil, func([]byte, any) bool {
+		tr.Ascend(key(i%1000*50), nil, func([]byte, *int) bool {
 			count++
 			return count < 100
 		})

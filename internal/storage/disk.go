@@ -270,7 +270,7 @@ func openDisk(fac *DiskFactory, dir string, id uint64, start, end []byte) (*Disk
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	e := &Disk{fac: fac, dir: dir, id: id, opts: fac.opts, tab: newMemtable()}
+	e := &Disk{fac: fac, dir: dir, id: id, opts: fac.opts}
 	e.syncCond = sync.NewCond(&e.syncMu)
 
 	man, ok, err := readManifest(dir)
@@ -594,9 +594,8 @@ func newestAtOrBefore(versions []Version, ts truetime.Timestamp) (Version, bool)
 
 func (e *Disk) Get(key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool) {
 	e.mu.RLock()
-	if cv, ok := e.tab.rows.Get(key); ok {
-		c := cv.(*memChain)
-		if v, found := newestAtOrBefore(c.versions, ts); found {
+	if c := e.tab.rows.Get(key); c != nil {
+		if v, found := c.at(ts); found {
 			e.mu.RUnlock()
 			if v.Deleted {
 				return nil, 0, false
@@ -761,8 +760,7 @@ func (e *Disk) merge(lo, hi []byte, fn func(layers []Chain) bool) bool {
 				streams = append(streams, s.stream(lo, false))
 			}
 		}
-		e.tab.rows.Ascend(lo, hi, func(k []byte, v any) bool {
-			c := v.(*memChain)
+		e.tab.rows.Ascend(lo, hi, func(k []byte, c *memChain) bool {
 			mem = append(mem, Chain{Key: k, Versions: c.versions, Purged: c.purged})
 			return len(mem) < n
 		})
@@ -999,8 +997,7 @@ func (e *Disk) flushLocked(ctx context.Context) bool {
 	e.walMu.Unlock()
 
 	meta, err := writeSegment(e.dir, segmentName(e.man.NextSeg), func(w *segmentWriter) error {
-		e.tab.rows.Ascend(nil, nil, func(k []byte, v any) bool {
-			c := v.(*memChain)
+		e.tab.rows.Ascend(nil, nil, func(k []byte, c *memChain) bool {
 			w.add(Chain{Key: k, Versions: c.versions, Purged: c.purged})
 			return w.err == nil
 		})

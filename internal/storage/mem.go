@@ -10,36 +10,49 @@ import (
 	"firestore/internal/truetime"
 )
 
-// memChain is the in-memory form of a version chain (oldest first).
+// memChain is the in-memory form of a version chain, kept by value in
+// the B-tree's items. top is a copy of the newest version, so a read at
+// or after it touches only the tree node, not the versions array.
 type memChain struct {
-	versions []Version
+	top      Version
+	versions []Version // oldest first; versions[len-1] == top
 	// purged masks any flushed state for this key (Disk memtable only;
 	// the Mem engine deletes chains outright).
 	purged bool
 }
 
-// memtable is a B-tree of version chains with byte accounting. Not
-// self-locking: the owning engine serializes access.
-type memtable struct {
-	rows  *btree.Tree
-	bytes int64
+// at returns the newest version with TS <= ts.
+func (c *memChain) at(ts truetime.Timestamp) (Version, bool) {
+	if len(c.versions) > 0 && c.top.TS <= ts {
+		return c.top, true
+	}
+	return newestAtOrBefore(c.versions, ts)
 }
 
-func newMemtable() memtable {
-	return memtable{rows: btree.New()}
+// visible returns the value the chain shows at ts and its version
+// timestamp.
+func (c *memChain) visible(ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool) {
+	if v, ok := c.at(ts); ok && !v.Deleted {
+		return v.Value, v.TS, true
+	}
+	return nil, 0, false
+}
+
+// memtable is a B-tree of version chains with byte accounting. Not
+// self-locking: the owning engine serializes access. The zero value is
+// empty.
+type memtable struct {
+	rows  btree.Tree[memChain]
+	bytes int64
 }
 
 // add appends one version to key's chain, trimming to trimTo newest
 // versions (see trimmable) when trimTo > 0.
 func (m *memtable) add(key []byte, v Version, trimTo int) {
 	m.bytes += versionBytes(key, v)
-	cv, ok := m.rows.Get(key)
-	if !ok {
-		m.rows.Set(key, &memChain{versions: []Version{v}})
-		return
-	}
-	c := cv.(*memChain)
+	c, _ := m.rows.Upsert(key)
 	c.versions = append(c.versions, v)
+	c.top = v
 	if trimTo > 0 {
 		drop := trimmable(c.versions, trimTo)
 		for _, old := range c.versions[:drop] {
@@ -60,18 +73,19 @@ func (m *memtable) purge(key []byte) { m.ingest([]Chain{{Key: key}}, true) }
 func (m *memtable) ingest(chains []Chain, mask bool) {
 	for _, ch := range chains {
 		m.drop(ch.Key)
-		vs := append([]Version(nil), ch.Versions...)
-		m.rows.Set(append([]byte(nil), ch.Key...), &memChain{versions: vs, purged: mask})
-		for _, v := range vs {
+		c := memChain{versions: slices.Clone(ch.Versions), purged: mask}
+		for _, v := range c.versions {
+			c.top = v
 			m.bytes += versionBytes(ch.Key, v)
 		}
+		m.rows.Set(bytes.Clone(ch.Key), c)
 	}
 }
 
 // drop removes key's chain, if any.
 func (m *memtable) drop(key []byte) {
-	if cv, ok := m.rows.Delete(key); ok {
-		for _, v := range cv.(*memChain).versions {
+	if c, ok := m.rows.Delete(key); ok {
+		for _, v := range c.versions {
 			m.bytes -= versionBytes(key, v)
 		}
 	}
@@ -79,8 +93,7 @@ func (m *memtable) drop(key []byte) {
 
 // reset drops all chains.
 func (m *memtable) reset() {
-	m.rows = btree.New()
-	m.bytes = 0
+	*m = memtable{}
 }
 
 // Mem is the original in-memory engine extracted from
@@ -88,30 +101,31 @@ func (m *memtable) reset() {
 // GCHorizon on write. It is the default engine; it has no durability, so
 // a crash is total state loss.
 type Mem struct {
-	mu  sync.Mutex
+	// mu is shared by reads (Get, Scan, AscendChains, KeyAt, Stats), so
+	// concurrent queries do not queue behind one another; writes take it
+	// alone.
+	mu  sync.RWMutex
 	tab memtable
 }
 
 // NewMem returns an empty in-memory engine.
-func NewMem() *Mem {
-	return &Mem{tab: newMemtable()}
-}
+func NewMem() *Mem { return new(Mem) }
 
 func (e *Mem) Get(key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cv, ok := e.tab.rows.Get(key)
-	if !ok {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	c := e.tab.rows.Get(key)
+	if c == nil {
 		return nil, 0, false
 	}
-	return chainAt(cv.(*memChain).versions, ts)
+	return c.visible(ts)
 }
 
 func (e *Mem) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(Row) bool) bool {
-	// Each round visits one chunk of chains under the lock, resolving
+	// Each round visits one chunk of chains under the read lock, resolving
 	// the rows visible at ts, and delivers them outside it; the next
-	// round re-seeks past the last chain visited (the tree cannot be
-	// snapshotted: btree.Clone is a deep copy).
+	// round re-seeks past the last chain visited (the tree is not
+	// copy-on-write, so there is no snapshot to read outside the lock).
 	// The pooled chunk is grown to the round's size before the lock is
 	// taken, so no round grows it while writers wait.
 	chunk := GetRows()
@@ -122,21 +136,21 @@ func (e *Mem) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(R
 		*chunk = slices.Grow((*chunk)[:0], n)
 		var last []byte
 		visited := 0
-		visit := func(k []byte, v any) bool {
-			if val, vts, ok := chainAt(v.(*memChain).versions, ts); ok {
+		visit := func(k []byte, c *memChain) bool {
+			if val, vts, ok := c.visible(ts); ok {
 				*chunk = append(*chunk, Row{Key: k, Value: val, TS: vts})
 			}
 			last = k
 			visited++
 			return visited < n
 		}
-		e.mu.Lock()
+		e.mu.RLock()
 		if reverse {
 			e.tab.rows.Descend(lo, hi, visit)
 		} else {
 			e.tab.rows.Ascend(lo, hi, visit)
 		}
-		e.mu.Unlock()
+		e.mu.RUnlock()
 		for _, r := range *chunk {
 			if !fn(r) {
 				return false
@@ -164,8 +178,8 @@ func (e *Mem) Apply(_ context.Context, writes []Write, ts truetime.Timestamp) er
 }
 
 func (e *Mem) KeyAt(i int) ([]byte, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return e.tab.rows.KeyAt(i)
 }
 
@@ -175,12 +189,12 @@ func (e *Mem) AscendChains(lo, hi []byte, fn func(Chain) bool) {
 	var chains []Chain
 	for n := NextScanChunk(0); ; n = NextScanChunk(n) {
 		chains = slices.Grow(chains[:0], n)
-		e.mu.Lock()
-		e.tab.rows.Ascend(lo, hi, func(k []byte, v any) bool {
-			chains = append(chains, Chain{Key: k, Versions: slices.Clone(v.(*memChain).versions)})
+		e.mu.RLock()
+		e.tab.rows.Ascend(lo, hi, func(k []byte, c *memChain) bool {
+			chains = append(chains, Chain{Key: k, Versions: slices.Clone(c.versions)})
 			return len(chains) < n
 		})
-		e.mu.Unlock()
+		e.mu.RUnlock()
 		for _, c := range chains {
 			if !fn(c) {
 				return
@@ -207,7 +221,7 @@ func (e *Mem) SetBounds(start, end []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out [][]byte // points into the tree: no row bytes
-	e.tab.rows.Ascend(nil, nil, func(k []byte, _ any) bool {
+	e.tab.rows.Ascend(nil, nil, func(k []byte, _ *memChain) bool {
 		if !boundsContain(start, end, k) {
 			out = append(out, k)
 		}
@@ -228,8 +242,8 @@ func (e *Mem) LastDurable() truetime.Timestamp { return truetime.Max }
 func (e *Mem) Crashed() bool { return false }
 
 func (e *Mem) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return Stats{
 		Kind:          "mem",
 		Keys:          e.tab.rows.Len(),

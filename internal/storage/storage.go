@@ -330,15 +330,6 @@ func KeyAfter(key []byte) []byte {
 	return append(append(make([]byte, 0, len(key)+1), key...), 0)
 }
 
-// chainAt returns the value visible at ts within a version chain (oldest
-// first) and its version timestamp.
-func chainAt(versions []Version, ts truetime.Timestamp) ([]byte, truetime.Timestamp, bool) {
-	if v, ok := newestAtOrBefore(versions, ts); ok && !v.Deleted {
-		return v.Value, v.TS, true
-	}
-	return nil, 0, false
-}
-
 // trimmable returns how many of a chain's oldest versions (it is oldest
 // first) may be dropped: those beyond the newest max whose successor —
 // the version that hides them from later reads — is at least
