@@ -56,7 +56,8 @@ test-race:
 # and the streaming range-read path above it (spanner, cluster, query):
 # a scan interleaves with writers, flushes, splits and peer death chunk
 # by chunk, not under one lock hold — and the wire under that (transport):
-# pooled frame buffers and reusable call slots under multiplexing.
+# pooled frame buffers and reusable call slots under multiplexing — and
+# the write triggers' queue and its dispatch goroutine (triggers).
 # Twenty rounds of the contended commits that used to wait out
 # LockTimeout: read-modify-write transactions on one document (a
 # shared-to-exclusive upgrade), and two commits taking the same documents'
@@ -71,7 +72,7 @@ race-repeat:
 	$(GO) test -race -count=2 ./firestore/ ./mobile/ ./internal/backend/ ./internal/ramp/ \
 		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ ./cmd/fsctl/ \
 		./internal/keyviz/ ./internal/storage/ ./internal/spanner/ ./internal/cluster/ ./internal/query/ \
-		./internal/transport/
+		./internal/transport/ ./internal/triggers/
 
 # End-to-end /debug smoke: boots a region, runs a workload, asserts
 # metricz shows per-layer {db, code} histograms and exactly the pinned set
@@ -99,7 +100,7 @@ chaos:
 	$(GO) test -race -run 'TestChaos($(RUN))' -v ./internal/chaos/
 
 # Short fuzz passes over the decoders that read bytes from outside the
-# process: the trigger payload, a transport frame, the binary engine-plane
+# process: a transport frame, the binary engine-plane
 # bodies, a segment file, a WAL file, a tablet manifest, a stored document,
 # an index-key value, a mobile client's persisted state. One pkg:Target
 # pair per decoder; pkg is under internal/ unless it is a top-level
@@ -108,7 +109,7 @@ chaos:
 # the whole pass.
 FUZZTIME ?= 30s
 fuzz:
-	@for pair in backend:FuzzUnmarshalChange transport:FuzzReadFrame cluster:FuzzEngineBodies storage:FuzzLoadSegment \
+	@for pair in transport:FuzzReadFrame cluster:FuzzEngineBodies storage:FuzzLoadSegment \
 		storage:FuzzReplayWAL storage:FuzzLoadManifest doc:FuzzUnmarshal encoding:FuzzDecodeValue mobile:FuzzImport; do \
 		echo "fuzz $$pair"; dir=./internal/$${pair%%:*}; [ -d $$dir ] || dir=./$${pair%%:*}; \
 		$(GO) test -run=$${pair#*:} -fuzz=$${pair#*:} -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s $$dir/ || exit 1; \

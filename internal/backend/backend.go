@@ -4,13 +4,13 @@
 // documents and runs a two-phase commit with the Real-time Cache, query
 // execution over the IndexEntries/Entities tables, security-rule
 // enforcement for third-party requests, optimistic transaction commits
-// with freshness revalidation, write triggers via the transactional
-// message queue, and the background index backfill/backremoval service.
+// with freshness revalidation, the hand-off of each commit's changes to
+// the database's write triggers, and the background index
+// backfill/backremoval service.
 package backend
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -22,7 +22,6 @@ import (
 	"firestore/internal/billing"
 	"firestore/internal/catalog"
 	"firestore/internal/doc"
-	"firestore/internal/encoding"
 	"firestore/internal/fault"
 	"firestore/internal/index"
 	"firestore/internal/obs"
@@ -135,9 +134,6 @@ type Config struct {
 	// Billing, when set, records billable operations.
 	Billing *billing.Accountant
 	Costs   Costs
-	// MaxCommitWindow bounds how far past "now" a commit timestamp may
-	// be (the max commit timestamp M in §IV-D2 step 5). Default 1s.
-	MaxCommitWindow time.Duration
 	// Obs records query-planner metrics (plan choices, entries scanned).
 	Obs *obs.Registry
 }
@@ -165,9 +161,6 @@ type Backend struct {
 func New(cfg Config) *Backend {
 	if cfg.Catalog == nil {
 		panic("backend: Catalog required")
-	}
-	if cfg.MaxCommitWindow <= 0 {
-		cfg.MaxCommitWindow = time.Second
 	}
 	if cfg.Costs.Read == nil {
 		cfg.Costs.Read = func(string) time.Duration { return 0 }
@@ -233,9 +226,9 @@ func (b *Backend) submit(ctx context.Context, db *catalog.Database, op, key stri
 	return ferr
 }
 
-// TriggerTopic is the transactional message topic carrying write-trigger
-// payloads for a database.
-func TriggerTopic(dbID string) string { return "triggers/" + dbID }
+// maxCommitWindow bounds how far past "now" a commit timestamp may be
+// (the max commit timestamp M in §IV-D2 step 5).
+const maxCommitWindow = time.Second
 
 // Commit applies ops atomically (§IV-D2). For third-party principals the
 // database's security rules are evaluated transactionally for each
@@ -330,7 +323,6 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	// timestamp; not a bulk load's, which is written once.
 	var builtBuf [4]*memoEntry
 	built := builtBuf[:0]
-	topic := TriggerTopic(db.ID)
 	for i, op := range ops {
 		// failOp routes an op-level failure: recorded in per-op mode
 		// (nil: skip the op), transaction-fatal otherwise.
@@ -342,8 +334,8 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 			txn.Abort()
 			return err
 		}
-		// The stored row and its version timestamp are kept next to the
-		// decoded document: the trigger payload is framed from them.
+		// The stored row and its version timestamp key the memo's
+		// decoded copy.
 		oldBlob, oldTS, exists, err := txn.GetVersioned(ctx, rows[i].Key, true)
 		if err != nil {
 			return abort(err) // storage-level: fatal in both modes
@@ -423,9 +415,8 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		}
 		// Every slice handed to the transaction from here on is its to
 		// keep (DESIGN.md "Write path: who owns the bytes").
-		var newBlob []byte
 		if new != nil {
-			newBlob = doc.Marshal(new)
+			newBlob := doc.Marshal(new)
 			txn.Put(rows[i].Key, newBlob)
 			if opErrs == nil {
 				built = append(built, newMemoEntry(db.ID, rows[i].Key, newBlob, new))
@@ -437,15 +428,12 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		for _, e := range removed {
 			txn.Delete(e.Key)
 		}
-		nameText := op.Name.String()
 		if len(added) > 0 {
-			value := []byte(nameText) // shared by the added rows, never modified
+			value := []byte(op.Name.String()) // shared by the added rows, never modified
 			for _, e := range added {
 				txn.Put(e.Key, value)
 			}
 		}
-		// Write triggers ride Spanner's transactional messaging (§IV-D2).
-		txn.Message(topic, changePayload(nameText, oldBlob, oldTS, newBlob))
 		names = append(names, op.Name)
 		muts = append(muts, rtcache.Mutation{Name: op.Name, Old: old, New: new})
 	}
@@ -461,7 +449,7 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	// max commit timestamp M, collect the minimum allowed timestamp m.
 	var idBuf [48]byte
 	writeID := string(strconv.AppendInt(append(append(idBuf[:0], db.ID...), '/'), b.writeSeq.Add(1), 10))
-	maxTS := clock.Now().Latest.Add(b.cfg.MaxCommitWindow)
+	maxTS := clock.Now().Latest.Add(maxCommitWindow)
 	var minTS truetime.Timestamp
 	if b.cache != nil {
 		_, endPrepare := reqctx.StartSpan(ctx, "rtcache.prepare")
@@ -497,7 +485,9 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	}
 
 	// Stamp the commit's documents once, whatever becomes of the Accept:
-	// the memo and the cache share these very pointers from here on.
+	// the memo, the cache and the write triggers share these very
+	// pointers from here on. A commit whose outcome is unknown returned
+	// above and fires no trigger, though it may still land.
 	for _, m := range muts {
 		if m.New != nil {
 			resolveTimes(m.New, ts)
@@ -506,6 +496,7 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	for _, e := range built {
 		b.memo.put(e, ts)
 	}
+	db.Triggers.Deliver(ctx, ts, muts)
 
 	// Step 7: finish the two-phase commit with the Accept carrying the
 	// outcome and the committed documents. The injected fault here models the
@@ -583,80 +574,4 @@ func resolveTimes(d *doc.Document, versionTS truetime.Timestamp) {
 	if d.CreateTime == 0 {
 		d.CreateTime = versionTS
 	}
-}
-
-// changePayload frames a trigger message from bytes the commit already
-// holds, in one exact-size allocation: the escaped document name, the
-// stored row the write replaces (empty for a create), the blob just
-// marshalled for the new row (empty for a delete), and the version
-// timestamp the old row was read at. Stored blobs carry a zero
-// UpdateTime, so the decoder resolves the old document's timestamps
-// from that last field, as ResolveDoc does for a read.
-func changePayload(name string, oldBlob []byte, oldTS truetime.Timestamp, newBlob []byte) []byte {
-	out := make([]byte, 0, len(name)+2+4+len(oldBlob)+4+len(newBlob)+8)
-	out = encoding.AppendEscaped(out, name)
-	out = appendBlob(out, oldBlob)
-	out = appendBlob(out, newBlob)
-	return binary.BigEndian.AppendUint64(out, uint64(oldTS))
-}
-
-func appendBlob(dst, b []byte) []byte {
-	return append(binary.BigEndian.AppendUint32(dst, uint32(len(b))), b...)
-}
-
-// ChangeName decodes only the document name of a trigger payload,
-// returning the rest of the frame: what a subscriber needs to decide
-// whether the change concerns it at all.
-func ChangeName(payload []byte) (name doc.Name, rest []byte, err error) {
-	raw, used, err := encoding.ReadEscaped(payload)
-	if err != nil {
-		return doc.Name{}, nil, err
-	}
-	name, err = doc.ParseName(string(raw))
-	return name, payload[used:], err
-}
-
-// UnmarshalChange decodes a trigger payload produced by the write path.
-// A frame without the trailing timestamp (or with a zero one) keeps the
-// timestamps its old blob carries.
-func UnmarshalChange(payload []byte) (name doc.Name, old, new *doc.Document, err error) {
-	name, rest, err := ChangeName(payload)
-	if err != nil {
-		return doc.Name{}, nil, nil, err
-	}
-	ob, rest, err := readBlob(rest)
-	if err != nil {
-		return doc.Name{}, nil, nil, err
-	}
-	nb, rest, err := readBlob(rest)
-	if err != nil {
-		return doc.Name{}, nil, nil, err
-	}
-	if len(ob) > 0 {
-		if old, err = doc.Unmarshal(ob); err != nil {
-			return doc.Name{}, nil, nil, err
-		}
-		if len(rest) >= 8 {
-			if ts := truetime.Timestamp(binary.BigEndian.Uint64(rest)); ts != 0 {
-				resolveTimes(old, ts)
-			}
-		}
-	}
-	if len(nb) > 0 {
-		if new, err = doc.Unmarshal(nb); err != nil {
-			return doc.Name{}, nil, nil, err
-		}
-	}
-	return name, old, new, nil
-}
-
-func readBlob(b []byte) (blob, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, status.New(status.Internal, "backend", "truncated blob length")
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	if n > len(b)-4 {
-		return nil, nil, status.Errorf(status.Internal, "backend", "bad blob length %d", n)
-	}
-	return b[4 : 4+n], b[4+n:], nil
 }

@@ -21,6 +21,7 @@ import (
 	"firestore/internal/rules"
 	"firestore/internal/spanner"
 	"firestore/internal/status"
+	"firestore/internal/triggers"
 )
 
 // Table prefixes within a database's directory.
@@ -70,6 +71,7 @@ func (c *Catalog) Create(id string) (*Database, error) {
 	db := &Database{
 		ID:       id,
 		Spanner:  c.spanners[int(h.Sum32())%len(c.spanners)],
+		Triggers: triggers.New(id),
 		entities: append(slices.Clone(dir), TableEntities),
 		indexes:  append(slices.Clone(dir), TableIndexEntries),
 	}
@@ -110,11 +112,12 @@ func (c *Catalog) List() []string {
 	return out
 }
 
-// Database is one tenant: a directory within a Spanner database plus
-// metadata.
+// Database is one tenant: a directory within a Spanner database,
+// metadata, and the write triggers its commits feed.
 type Database struct {
-	ID      string
-	Spanner *spanner.DB
+	ID       string
+	Spanner  *spanner.DB
+	Triggers *triggers.Service
 
 	// entities and indexes are the two tables' row-key prefixes (directory,
 	// then table byte), shared by every key built behind them.

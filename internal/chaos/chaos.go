@@ -16,8 +16,8 @@
 //     equals a fresh re-execution of its query (§IV-D4 reset-and-requery
 //     must heal any stream the faults disrupted).
 //   - trigger-at-least-once: every committed write is observed by the
-//     trigger handler at least once (the transactional message queue may
-//     redeliver, never lose).
+//     trigger handler at least once (the commit's hand-off to the
+//     triggers may redeliver, never lose).
 //   - external-consistency: a strong read issued after a commit returns
 //     a document at least as new as that commit (§IV-C TrueTime commit
 //     wait).

@@ -50,7 +50,7 @@ func TestChaosSmoke(t *testing.T) {
 	}
 
 	rep = runScenario(t, "queue-redelivery", 7)
-	if rep.Injected[fault.SpannerQueueDeliver] == 0 {
+	if rep.Injected[fault.TriggersDeliver] == 0 {
 		t.Errorf("queue-redelivery: duplicate fault never fired")
 	}
 }

@@ -81,9 +81,9 @@ var scenarios = []Scenario{
 	},
 	{
 		Name: "queue-redelivery",
-		Doc:  "The transactional message queue redelivers most messages; trigger delivery stays at-least-once with no lost changes.",
+		Doc:  "The hand-off of commits to write triggers redelivers most of them; trigger delivery stays at-least-once with no lost changes.",
 		Faults: []fault.Spec{
-			{Site: fault.SpannerQueueDeliver, Mode: fault.ModeDuplicate, Prob: 0.6},
+			{Site: fault.TriggersDeliver, Mode: fault.ModeDuplicate, Prob: 0.6},
 		},
 		Listeners: 1,
 	},

@@ -10,6 +10,7 @@ import (
 	"firestore/internal/doc"
 	"firestore/internal/query"
 	"firestore/internal/triggers"
+	"firestore/internal/truetime"
 )
 
 // TestCommitDoesNotAliasCallerFields: Commit builds one document per
@@ -128,4 +129,84 @@ func TestCommitDoesNotAliasCallerFields(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("no trigger delivery for the update")
 	}
+}
+
+// TestTriggerCopiesDoNotAlias: a handler owns the documents of its
+// Change. The commit's own documents are shared with the Real-time Cache
+// and the Backend's memo, so a handler that scribbles over its Old and
+// New must change neither a listener's snapshot nor a later read, at
+// the new version or the old one.
+func TestTriggerCopiesDoNotAlias(t *testing.T) {
+	r := newRegion(t, Config{})
+	r.CreateDatabase("app")
+	ctx := context.Background()
+	priv := backend.Principal{Privileged: true}
+	name := doc.MustName("/notes/n1")
+
+	scribbled := make(chan struct{}, 2)
+	r.Triggers("app").OnWrite("notes", func(_ context.Context, ch triggers.Change) error {
+		for _, d := range []*doc.Document{ch.Old, ch.New} {
+			if d != nil {
+				d.Fields["n"] = doc.Int(-1)
+				d.Fields["evil"] = doc.Bool(true)
+			}
+		}
+		scribbled <- struct{}{}
+		return nil
+	})
+	conn := r.NewConn("app", priv)
+	defer conn.Close()
+	if _, err := conn.Listen(ctx, &query.Query{Collection: doc.MustCollection("/notes")}); err != nil {
+		t.Fatal(err)
+	}
+	<-conn.Events() // the initial, empty snapshot
+
+	check := func(what string, d *doc.Document, want int64) {
+		t.Helper()
+		if d == nil || d.Fields["n"].IntVal() != want || len(d.Fields) != 1 {
+			t.Errorf("%s = %v, want n=%d", what, d, want)
+		}
+	}
+	listened := func() *doc.Document {
+		t.Helper()
+		select {
+		case ev := <-conn.Events():
+			if len(ev.Added)+len(ev.Modified) != 1 {
+				t.Fatalf("listener delta = %+v", ev)
+			}
+			return append(ev.Added, ev.Modified...)[0]
+		case <-time.After(3 * time.Second):
+			t.Fatal("no real-time delta")
+			return nil
+		}
+	}
+	read := func(readTS truetime.Timestamp) *doc.Document {
+		t.Helper()
+		d, _, err := r.GetDocument(ctx, "app", priv, name, readTS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	commit := func(n int64) truetime.Timestamp {
+		t.Helper()
+		ts, err := r.Commit(ctx, "app", priv, []backend.WriteOp{{Kind: backend.OpSet, Name: name, Fields: map[string]doc.Value{"n": doc.Int(n)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-scribbled:
+		case <-time.After(3 * time.Second):
+			t.Fatal("no trigger delivery")
+		}
+		return ts
+	}
+
+	ts1 := commit(1)
+	check("listener after create", listened(), 1)
+	check("read after create", read(0), 1)
+	commit(2) // the handler scribbles over the old version too
+	check("listener after update", listened(), 2)
+	check("read after update", read(0), 2)
+	check("read of the old version", read(ts1), 1)
 }

@@ -142,9 +142,8 @@ type Region struct {
 	// only when Config.KeyVizOff is set.
 	KeyViz *keyviz.Collector
 
-	mu       sync.Mutex
-	triggers map[string]*triggers.Service
-	closed   bool
+	mu     sync.Mutex
+	closed bool
 }
 
 // spannerPoolSize is the number of pre-initialized Spanner databases
@@ -317,7 +316,6 @@ func OpenRegion(cfg Config) (*Region, error) {
 		Recorder:  rec,
 		Tracer:    tracer,
 		KeyViz:    kv,
-		triggers:  map[string]*triggers.Service{},
 	}, nil
 }
 
@@ -352,13 +350,9 @@ func (r *Region) Close() {
 		return
 	}
 	r.closed = true
-	svcs := make([]*triggers.Service, 0, len(r.triggers))
-	for _, s := range r.triggers {
-		svcs = append(svcs, s)
-	}
 	r.mu.Unlock()
-	for _, s := range svcs {
-		s.Close()
+	for _, id := range r.Catalog.List() {
+		r.Catalog.MustGet(id).Triggers.Close()
 	}
 	r.Cache.Close()
 	if r.Scheduler != nil {
@@ -371,24 +365,19 @@ func (r *Region) Close() {
 }
 
 // CreateDatabase initializes a database in this region ("a customer picks
-// the location of a database at creation time") and starts its trigger
-// service.
+// the location of a database at creation time").
 func (r *Region) CreateDatabase(id string) (*catalog.Database, error) {
-	db, err := r.Catalog.Create(id)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.triggers[id] = triggers.New(db.Spanner, id)
-	r.mu.Unlock()
-	return db, nil
+	return r.Catalog.Create(id)
 }
 
-// Triggers returns the database's trigger service.
+// Triggers returns the database's trigger service, nil if there is no
+// such database.
 func (r *Region) Triggers(dbID string) *triggers.Service {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.triggers[dbID]
+	db, err := r.Catalog.Get(dbID)
+	if err != nil {
+		return nil
+	}
+	return db.Triggers
 }
 
 // Convenience pass-throughs used by the SDKs, server, and harness.

@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection plane. Every layer
 // the paper's reliability story depends on (§IV-D2 two-phase commit with
-// the Real-time Cache, §IV-D4 out-of-sync signalling, the transactional
-// message queue, TrueTime uncertainty) exposes named injection points —
+// the Real-time Cache, §IV-D4 out-of-sync signalling, write-trigger
+// delivery, TrueTime uncertainty) exposes named injection points —
 // fault.Point(ctx, fault.SpannerCommitQuorum) style hooks — that a
 // registry arms with programmable behaviors: an error carrying a
 // canonical status code, added latency drawn from the injected
@@ -41,9 +41,6 @@ const (
 	// SpannerLockWait: lock acquisition fails (lock-wait timeout) or is
 	// delayed.
 	SpannerLockWait = "spanner.lock.wait"
-	// SpannerQueueDeliver: transactional message-queue delivery is
-	// dropped or duplicated (redelivery).
-	SpannerQueueDeliver = "spanner.queue.deliver"
 	// TrueTimeEpsilon: the clock's uncertainty interval is widened by the
 	// spec's Latency on every reading (ModeInflate).
 	TrueTimeEpsilon = "truetime.epsilon"
@@ -62,6 +59,9 @@ const (
 	// the RTC Accept (step 7): drop loses the Accept entirely, error
 	// reports the outcome as unknown.
 	BackendAccept = "backend.accept"
+	// TriggersDeliver: a commit's hand-off to its write triggers is
+	// dropped or duplicated (redelivery).
+	TriggersDeliver = "triggers.deliver"
 	// FrontendConnDeliver: a connection drops a snapshot mid-stream; the
 	// frontend must recover by rebuilding the target.
 	FrontendConnDeliver = "frontend.conn.deliver"
@@ -113,13 +113,13 @@ var Sites = []SiteDoc{
 	{SpannerRead, "spanner", "error,latency", "tablet unavailable: snapshot/txn reads fail"},
 	{SpannerCommitQuorum, "spanner", "error,latency", "replication-quorum latency spike or commit failure"},
 	{SpannerLockWait, "spanner", "error,latency", "lock-wait timeout or delayed acquisition"},
-	{SpannerQueueDeliver, "spanner", "drop,duplicate", "transactional message queue loses or redelivers"},
 	{TrueTimeEpsilon, "truetime", "inflate", "clock uncertainty widened by Latency per reading"},
 	{RTCacheAccept, "rtcache", "drop", "Accept lost at the cache; prepare expires, range resets"},
 	{RTCacheHeartbeat, "rtcache", "drop", "heartbeat tick skipped (Changelog stall)"},
 	{RTCacheChangelogCrash, "rtcache", "crash", "Changelog task crash-and-restart, state lost"},
 	{BackendPrepare, "backend", "error", "Real-time Cache Prepare fails (write aborts)"},
 	{BackendAccept, "backend", "drop,error", "Accept dropped or outcome reported unknown after commit"},
+	{TriggersDeliver, "triggers", "drop,duplicate", "commit hand-off to write triggers loses or redelivers"},
 	{FrontendConnDeliver, "frontend", "drop", "connection drops a snapshot mid-stream"},
 	{WALAppend, "storage", "error,crash,latency", "WAL append fails cleanly or tears a partial frame"},
 	{WALFsync, "storage", "error,latency", "group fsync fails after append: commit outcome unknown"},

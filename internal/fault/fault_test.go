@@ -67,10 +67,10 @@ func TestDecideKinds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		r := NewRegistry()
-		if err := r.Enable(Spec{Site: SpannerQueueDeliver, Mode: tc.mode}); err != nil {
+		if err := r.Enable(Spec{Site: TriggersDeliver, Mode: tc.mode}); err != nil {
 			t.Fatal(err)
 		}
-		if d := r.Decide(context.Background(), SpannerQueueDeliver); d.Kind != tc.want {
+		if d := r.Decide(context.Background(), TriggersDeliver); d.Kind != tc.want {
 			t.Fatalf("mode %s: kind = %v, want %v", tc.mode, d.Kind, tc.want)
 		}
 	}

@@ -22,8 +22,16 @@ type env struct {
 	f     *Frontend
 	b     *backend.Backend
 	cache *rtcache.Cache
+	clock *truetime.System
 	obs   *obs.Registry
 	dbID  string
+}
+
+// pastMaxCommitTS moves TrueTime past the max commit timestamp of every
+// write prepared so far, so the next heartbeat expires a prepare whose
+// Accept never came.
+func (e *env) pastMaxCommitTS() {
+	e.clock.Forward(e.clock.Now().Latest.Add(2 * time.Second))
 }
 
 // lateUpdates is how many updates reached a query at or below the
@@ -45,26 +53,22 @@ func arm(t *testing.T, spec fault.Spec) {
 }
 
 func newEnv(t *testing.T) *env {
-	return newEnvWithMargin(t, 100*time.Millisecond)
+	return newEnvWithHeartbeat(t, time.Millisecond)
 }
 
-func newEnvWithMargin(t *testing.T, margin time.Duration) *env {
-	return newEnvWithHeartbeat(t, margin, time.Millisecond)
-}
-
-func newEnvWithHeartbeat(t *testing.T, margin, heartbeat time.Duration) *env {
+func newEnvWithHeartbeat(t *testing.T, heartbeat time.Duration) *env {
 	t.Helper()
 	clock := truetime.NewSystem(10 * time.Microsecond)
 	sp := spanner.New(spanner.Config{Clock: clock, LockTimeout: 300 * time.Millisecond})
 	cat := catalog.New([]*spanner.DB{sp})
-	cache := rtcache.New(rtcache.Config{Clock: clock, Ranges: 4, HeartbeatEvery: heartbeat, AcceptMargin: margin})
+	cache := rtcache.New(rtcache.Config{Clock: clock, Ranges: 4, HeartbeatEvery: heartbeat})
 	t.Cleanup(cache.Close)
 	b := backend.New(backend.Config{Catalog: cat, Cache: cache})
 	if _, err := cat.Create("app"); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	return &env{f: New(b, cache, reg), b: b, cache: cache, obs: reg, dbID: "app"}
+	return &env{f: New(b, cache, reg), b: b, cache: cache, clock: clock, obs: reg, dbID: "app"}
 }
 
 func (e *env) set(t *testing.T, name string, fields map[string]doc.Value) truetime.Timestamp {
@@ -394,7 +398,7 @@ func TestManyListenersBroadcast(t *testing.T) {
 // and scan the connection's queries once — on the tick's last watermark,
 // when the connection-consistent timestamp can finally move.
 func TestIdleHeartbeatIsFlat(t *testing.T) {
-	e := newEnvWithHeartbeat(t, time.Hour, time.Hour)
+	e := newEnvWithHeartbeat(t, time.Hour)
 	conn := e.f.NewConn(e.dbID, priv)
 	defer conn.Close()
 	const listeners = 32

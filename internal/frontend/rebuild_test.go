@@ -150,7 +150,7 @@ func TestFailedRebuildEndsTheTarget(t *testing.T) {
 // that leaves the connection before an older one would have the client
 // regress a document.
 func TestEventsLeaveInStateOrder(t *testing.T) {
-	e := newEnvWithHeartbeat(t, time.Hour, time.Hour)
+	e := newEnvWithHeartbeat(t, time.Hour)
 	conn := e.f.NewConn(e.dbID, priv)
 	defer conn.Close()
 	target, err := conn.Listen(context.Background(), &query.Query{Collection: doc.MustCollection("/items")})

@@ -144,9 +144,10 @@ func equalSets(t *testing.T, q *query.Query, folded map[string]*doc.Document, wa
 
 // TestStreamConvergesUnderResets repeats the convergence check while
 // one Accept in five is dropped, forcing out-of-sync resets and requery
-// recovery mid-stream.
+// recovery mid-stream: after each write TrueTime jumps past its max
+// commit timestamp, so a lost Accept expires on the next heartbeat.
 func TestStreamConvergesUnderResets(t *testing.T) {
-	e := newEnvWithMargin(t, 20*time.Millisecond)
+	e := newEnv(t)
 	arm(t, fault.Spec{Site: fault.BackendAccept, Mode: fault.ModeDrop, Prob: 0.2})
 	ctx := context.Background()
 	q := &query.Query{Collection: doc.MustCollection("/items")}
@@ -175,6 +176,7 @@ func TestStreamConvergesUnderResets(t *testing.T) {
 			Kind: backend.OpSet, Name: doc.MustName("/items/" + id),
 			Fields: map[string]doc.Value{"n": doc.Int(int64(i))},
 		}})
+		e.pastMaxCommitTS()
 		time.Sleep(2 * time.Millisecond)
 	}
 	if fault.Injected(fault.BackendAccept) == 0 {

@@ -21,7 +21,6 @@ func quietCache(t *testing.T) *Cache {
 		Clock:          truetime.NewSystem(10 * time.Microsecond),
 		Ranges:         4,
 		HeartbeatEvery: time.Hour,
-		AcceptMargin:   time.Hour,
 	})
 	t.Cleanup(c.Close)
 	return c
@@ -153,7 +152,7 @@ func TestWatermarkNeverOvertakesUpdate(t *testing.T) {
 	go func() { unblocked <- put(t, c, "w2", ratingDoc("2", 4)) }()
 	ts2 := <-unblocked
 	now := ts2.Add(time.Second)
-	r.heartbeat(now, time.Now())
+	r.heartbeat(now)
 	late := newGated()
 	late.parked = true // records only
 	subC, _ := c.Subscribe(late, "db1", q, 0, 0)
@@ -197,7 +196,7 @@ func TestWatermarkNeverOvertakesUpdate(t *testing.T) {
 	// After a reset nothing more reaches the old subscriptions.
 	r.markOutOfSync()
 	put(t, c, "w4", ratingDoc("3", 3))
-	r.heartbeat(now.Add(time.Second), time.Now())
+	r.heartbeat(now.Add(time.Second))
 	for who, evs := range map[string][]seen{"A": g.of(subA), "B": g.of(subB), "C": late.of(subC)} {
 		checkContract(t, who, evs)
 		if last := evs[len(evs)-1]; last.kind != evReset || count(evs, evReset) != 1 {

@@ -10,12 +10,12 @@ import (
 )
 
 // TestPostExpiryAcceptNotAppliedOutOfOrder is the regression test for the
-// late-Accept hazard: a prepare expires (heartbeat passes its accept
-// margin, the range resets), but the Spanner commit may still land at any
-// timestamp up to the prepare's maxTS. A subscription registered after
-// the reset with afterTS below that maxTS could then silently miss the
-// write — its watermark advances past the commit timestamp without ever
-// delivering the update. The range must instead refuse such
+// late-Accept hazard: a prepare expires (TrueTime passes its maxTS
+// without an Accept, the range resets), but the Spanner commit may have
+// landed at any timestamp up to that maxTS, its Accept still in flight. A
+// subscription registered after the reset with afterTS below that maxTS
+// could then silently miss the write — its watermark advances past the
+// commit timestamp without ever delivering the update. The range must instead refuse such
 // registrations (trimmedBefore raised to the abandoned prepare's maxTS),
 // forcing them through the reset-and-requery path, and the late Accept
 // itself must not be applied.
@@ -25,30 +25,25 @@ func TestPostExpiryAcceptNotAppliedOutOfOrder(t *testing.T) {
 		Clock:          clock,
 		Ranges:         4,
 		HeartbeatEvery: time.Millisecond,
-		AcceptMargin:   5 * time.Millisecond,
 	})
 	t.Cleanup(c.Close)
 
 	d := ratingDoc("late", 5)
-	maxTS := clock.Now().Latest.Add(10 * time.Second)
+	maxTS := clock.Now().Latest.Add(20 * time.Millisecond)
 	min, err := c.Prepare("w1", "db1", []doc.Name{d.Name}, maxTS)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Let the heartbeat loop expire the prepare well past the margin.
+	// Let the heartbeat loop expire the prepare once TrueTime passes maxTS.
 	waitFor(t, "prepare expiry reset", func() bool {
 		return c.Stats().OutOfSyncs >= 1
 	})
 
 	// A subscription below the abandoned prepare's maxTS cannot be served
-	// a complete stream — the commit may still land under it. It must be
+	// a complete stream — the commit may have landed under it. It must be
 	// reset immediately, not registered.
-	rid := c.RangeForName("db1", d.Name)
-	afterTS := c.Watermark(rid)
-	if afterTS >= maxTS {
-		t.Fatalf("watermark %d already past maxTS %d; test window too small", afterTS, maxTS)
-	}
+	afterTS := maxTS - 1
 	rec := newRecorder()
 	c.Subscribe(rec, "db1", ratingsQuery(), afterTS, 0)
 	waitFor(t, "post-expiry subscription reset", func() bool {
@@ -57,10 +52,7 @@ func TestPostExpiryAcceptNotAppliedOutOfOrder(t *testing.T) {
 
 	// The late Accept arrives inside [min, maxTS]. It must be discarded —
 	// the range already gave up ordering for it — not forwarded to anyone.
-	late := min + 1
-	if now := clock.Now().Earliest; now > late {
-		late = now // commit timestamps exceed the prepare minimum in practice
-	}
+	late := max(min+1, maxTS)
 	c.Accept(context.Background(), "w1", OutcomeSuccess, late, []Mutation{{Name: d.Name, New: d}})
 	time.Sleep(10 * time.Millisecond)
 	if n := rec.updateCount(); n != 0 {

@@ -3,7 +3,6 @@ package rtcache
 import (
 	"slices"
 	"sync"
-	"time"
 
 	"firestore/internal/doc"
 	"firestore/internal/keyviz"
@@ -82,8 +81,8 @@ type nameRange struct {
 }
 
 // prepare is one outstanding Prepare on a range. The write record
-// carries everything the ranges share (database, max timestamp,
-// deadline); only the minimum timestamp is per range.
+// carries everything the ranges share (database, max timestamp); only
+// the minimum timestamp is per range.
 type prepare struct {
 	w     *write
 	minTS truetime.Timestamp
@@ -326,10 +325,11 @@ func (r *nameRange) setWatermarkLocked(ts truetime.Timestamp) {
 }
 
 // heartbeat advances the watermark on idle ranges and expires prepares
-// whose Accept never arrived (→ out-of-sync).
-func (r *nameRange) heartbeat(now truetime.Timestamp, wall time.Time) {
+// whose Accept never arrived by the time TrueTime passed their max commit
+// timestamp (→ out-of-sync).
+func (r *nameRange) heartbeat(now truetime.Timestamp) {
 	r.mu.Lock()
-	if slices.ContainsFunc(r.pending, func(p prepare) bool { return wall.After(p.w.deadline) }) {
+	if slices.ContainsFunc(r.pending, func(p prepare) bool { return now > p.w.maxTS }) {
 		r.markOutOfSyncLocked()
 	} else if len(r.pending) == 0 && now > r.watermark {
 		r.lastTS = max(r.lastTS, now)

@@ -97,11 +97,6 @@ type Config struct {
 	// ("Changelog tasks generate a heartbeat every few milliseconds").
 	// Default 2ms.
 	HeartbeatEvery time.Duration
-	// AcceptMargin is how long, in wall-clock time from the moment Prepare
-	// is called, the Changelog waits for the Accept before declaring the
-	// range out-of-sync; the Prepare's max timestamp plays no part in it.
-	// Default 50ms.
-	AcceptMargin time.Duration
 	// AutoSplitSubs, when positive, rebalances on the heartbeat loop:
 	// a range serving at least this many subscriptions is split and its
 	// slots spread over a new range (the Slicer behavior, §IV-D4).
@@ -120,7 +115,6 @@ type Config struct {
 // Cache is the assembled Real-time Cache.
 type Cache struct {
 	clock         truetime.Clock
-	acceptMargin  time.Duration
 	autoSplitSubs int
 	met           *metrics
 	kv            *keyviz.Collector
@@ -154,13 +148,9 @@ func New(cfg Config) *Cache {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 2 * time.Millisecond
 	}
-	if cfg.AcceptMargin <= 0 {
-		cfg.AcceptMargin = 50 * time.Millisecond
-	}
 	reg := obs.OrNew(cfg.Obs)
 	c := &Cache{
 		clock:         cfg.Clock,
-		acceptMargin:  cfg.AcceptMargin,
 		autoSplitSubs: cfg.AutoSplitSubs,
 		kv:            cfg.KeyViz,
 		stop:          make(chan struct{}),
@@ -308,16 +298,17 @@ func (c *Cache) splitHotRange(threshold int) bool {
 // tests; with Config.AutoSplitSubs it also runs on the heartbeat loop.
 func (c *Cache) Rebalance(threshold int) bool { return c.splitHotRange(threshold) }
 
-// write is the one record of a prepared write: what Prepare was told,
-// the wall-clock deadline for its Accept, and the ranges it prepared on.
-// It is immutable once Prepare returns, so ranges read it under their
-// own lock.
+// write is the one record of a prepared write: what Prepare was told and
+// the ranges it prepared on. It is immutable once Prepare returns, so
+// ranges read it under their own lock.
 type write struct {
-	db       string
-	maxTS    truetime.Timestamp // §IV-D2 step 5: the commit lands at or below it, if at all
-	deadline time.Time
-	ranges   []*nameRange
-	one      [1]*nameRange // backs ranges for the usual single-range write
+	db string
+	// maxTS is §IV-D2 step 5's M: the commit lands at or below it, if at
+	// all, so once TrueTime is past it a missing Accept is lost for good
+	// and the heartbeat expires the prepare.
+	maxTS  truetime.Timestamp
+	ranges []*nameRange
+	one    [1]*nameRange // backs ranges for the usual single-range write
 }
 
 // Prepare begins the two-phase commit for writeID in database db touching
@@ -325,7 +316,7 @@ type write struct {
 // allowed commit timestamp (the max of the per-range minimums, §IV-D2
 // step 5).
 func (c *Cache) Prepare(writeID, db string, names []doc.Name, maxTS truetime.Timestamp) (truetime.Timestamp, error) {
-	w := &write{db: db, maxTS: maxTS, deadline: time.Now().Add(c.acceptMargin)}
+	w := &write{db: db, maxTS: maxTS}
 	w.ranges = w.one[:0]
 	c.mu.Lock()
 	if _, dup := c.writes[writeID]; dup {
@@ -458,12 +449,11 @@ func (c *Cache) heartbeatLoop(every time.Duration) {
 			victim.crash()
 		}
 		now := c.clock.Now().Earliest
-		wall := time.Now()
 		c.mu.Lock()
 		ranges := append([]*nameRange(nil), c.ranges...)
 		c.mu.Unlock()
 		for _, r := range ranges {
-			r.heartbeat(now, wall)
+			r.heartbeat(now)
 		}
 		// Watermark lag: how far the slowest range trails TrueTime now —
 		// the staleness bound listeners observe.
@@ -484,10 +474,10 @@ func (c *Cache) heartbeatLoop(every time.Duration) {
 			c.splitHotRange(c.autoSplitSubs)
 		}
 		// Drop the records of writes whose Accept never came: their ranges
-		// expired them above (same wall reading) and reset.
+		// expired them above (same reading) and reset.
 		c.mu.Lock()
 		for id, w := range c.writes {
-			if wall.After(w.deadline) {
+			if now > w.maxTS {
 				delete(c.writes, id)
 			}
 		}

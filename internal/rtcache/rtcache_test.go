@@ -68,7 +68,6 @@ func testCache(t *testing.T) *Cache {
 		Clock:          truetime.NewSystem(10 * time.Microsecond),
 		Ranges:         4,
 		HeartbeatEvery: time.Millisecond,
-		AcceptMargin:   100 * time.Millisecond,
 	})
 	t.Cleanup(c.Close)
 	return c
@@ -224,21 +223,21 @@ func TestUnknownOutcomeResetsRange(t *testing.T) {
 }
 
 func TestMissingAcceptTimesOut(t *testing.T) {
+	clock := truetime.NewSystem(10 * time.Microsecond)
 	c := New(Config{
-		Clock:          truetime.NewSystem(10 * time.Microsecond),
+		Clock:          clock,
 		Ranges:         2,
 		HeartbeatEvery: time.Millisecond,
-		AcceptMargin:   20 * time.Millisecond,
 	})
 	defer c.Close()
 	rec := newRecorder()
 	q := ratingsQuery()
 	c.Subscribe(rec, "db1", q, 0, 0)
 	d := ratingDoc("1", 5)
-	c.Prepare("w1", "db1", []doc.Name{d.Name}, truetime.Max)
-	// Never send the Accept: the range must reset via timeout (the
-	// "Spanner commit is successful but the Accept RPC is not received"
-	// failure mode).
+	c.Prepare("w1", "db1", []doc.Name{d.Name}, clock.Now().Latest.Add(20*time.Millisecond))
+	// Never send the Accept: the range must reset once TrueTime passes
+	// the max commit timestamp (the "Spanner commit is successful but the
+	// Accept RPC is not received" failure mode).
 	waitFor(t, "timeout reset", func() bool { return rec.resetCount() >= 1 })
 	// A very late Accept is ignored harmlessly.
 	c.Accept(context.Background(), "w1", OutcomeSuccess, 999999, []Mutation{{Name: d.Name, New: d}})

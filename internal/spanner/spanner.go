@@ -3,8 +3,7 @@
 // with lock-based read-write transactions, two-phase commit across
 // tablets, TrueTime commit timestamps with commit wait, lock-free
 // consistent snapshot (timestamp) reads, load-based tablet splitting and
-// merging, directories that guide placement, and a transactional message
-// queue (used for write triggers).
+// merging, and directories that guide placement.
 //
 // Rows are opaque: a key and a value, both byte strings. Firestore's
 // fixed-schema Entities and IndexEntries tables are realized as key
@@ -127,9 +126,6 @@ type DB struct {
 	splitThreshold int64
 	maxTabletRows  int
 
-	queueMu sync.Mutex
-	queues  map[string]chan Message
-
 	// stats are this pool database's own tallies behind Stats — finer
 	// than any exported label, since the pool shares the region's
 	// registry — kept as atomics so that no operation takes mu to say it
@@ -224,7 +220,6 @@ func Open(cfg Config) (*DB, error) {
 		storage:        fac,
 		splitThreshold: cfg.SplitThreshold,
 		maxTabletRows:  cfg.MaxTabletRows,
-		queues:         make(map[string]chan Message),
 	}
 	if err := db.openTablets(); err != nil {
 		return nil, err
@@ -608,58 +603,6 @@ func lessOrEqual(a, b []byte) bool {
 		return true
 	}
 	return bytes.Compare(a, b) <= 0
-}
-
-// Message is a transactional message delivered after its enclosing
-// transaction commits (the paper's "transactional messaging system",
-// §IV-D2, used to implement write triggers).
-type Message struct {
-	Topic    string
-	Payload  []byte
-	CommitTS truetime.Timestamp
-}
-
-// Subscribe returns the delivery channel for topic, creating it if
-// needed. Messages buffered by committed transactions are delivered
-// at-least-once in commit order per topic.
-func (db *DB) Subscribe(topic string) <-chan Message {
-	return db.queue(topic)
-}
-
-func (db *DB) queue(topic string) chan Message {
-	db.queueMu.Lock()
-	defer db.queueMu.Unlock()
-	q, ok := db.queues[topic]
-	if !ok {
-		q = make(chan Message, 4096)
-		db.queues[topic] = q
-	}
-	return q
-}
-
-func (db *DB) deliver(ctx context.Context, msgs []Message, ts truetime.Timestamp) {
-	for _, m := range msgs {
-		m.CommitTS = ts
-		copies := 1
-		switch fault.Decide(ctx, fault.SpannerQueueDeliver).Kind {
-		case fault.KindDrop:
-			copies = 0
-		case fault.KindDuplicate:
-			// At-least-once redelivery: the consumer must tolerate the
-			// same (topic, commit-TS) message arriving twice.
-			copies = 2
-		}
-		q := db.queue(m.Topic)
-		for i := 0; i < copies; i++ {
-			select {
-			case q <- m:
-			default:
-				// Queue full: drop rather than stall commits. Triggers are
-				// at-least-once in production via redelivery; a bounded
-				// simulation accepts loss under extreme backlog.
-			}
-		}
-	}
 }
 
 func (db *DB) String() string {

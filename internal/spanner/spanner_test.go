@@ -482,32 +482,6 @@ func TestCrossTabletTransactionAtomicity(t *testing.T) {
 	}
 }
 
-func TestTransactionalMessages(t *testing.T) {
-	db := testDB(t)
-	ch := db.Subscribe("triggers")
-	txn := db.Begin()
-	txn.Put([]byte("k"), []byte("v"))
-	txn.Message("triggers", []byte("changed k"))
-	ts := mustCommit(t, txn)
-	select {
-	case m := <-ch:
-		if string(m.Payload) != "changed k" || m.CommitTS != ts {
-			t.Fatalf("message = %q @%d, want @%d", m.Payload, m.CommitTS, ts)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("message not delivered")
-	}
-	// Aborted transactions must not deliver.
-	txn2 := db.Begin()
-	txn2.Message("triggers", []byte("never"))
-	txn2.Abort()
-	select {
-	case m := <-ch:
-		t.Fatalf("aborted txn delivered %q", m.Payload)
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
 // The model is asked once per commit with the commit's shape, and the
 // delay it returns is paid before the commit is acknowledged.
 func TestCommitLatencyModel(t *testing.T) {

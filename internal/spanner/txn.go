@@ -43,8 +43,6 @@ type Txn struct {
 	// always consulted first). first backs a single cached row.
 	cached []LockedRow
 	first  [1]LockedRow
-	// msgs are transactional messages delivered only on commit.
-	msgs []Message
 }
 
 // Begin starts a read-write transaction.
@@ -232,13 +230,6 @@ func (t *Txn) Put(key, value []byte) {
 // Delete buffers a deletion of key, taking ownership of it like Put.
 func (t *Txn) Delete(key []byte) {
 	t.buffer(storage.Write{Key: key, Delete: true})
-}
-
-// Message buffers a transactional message, delivered to topic subscribers
-// only if the transaction commits. The transaction takes ownership of
-// payload.
-func (t *Txn) Message(topic string, payload []byte) {
-	t.msgs = append(t.msgs, Message{Topic: topic, Payload: payload})
 }
 
 // Abort releases the transaction's locks without applying writes.
@@ -502,7 +493,6 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 	if len(participants) > 1 {
 		t.db.met.twoPCCommits.With(dbID).Inc()
 	}
-	t.db.deliver(ctx, t.msgs, ts)
 	t.db.maybeSplit()
 	return ts, nil
 }

@@ -1,4 +1,4 @@
-package triggers
+package triggers_test
 
 import (
 	"context"
@@ -9,20 +9,20 @@ import (
 	"firestore/internal/backend"
 	"firestore/internal/doc"
 	"firestore/internal/fault"
+	"firestore/internal/triggers"
 )
 
-// TestAtLeastOnceRedeliveryTolerated verifies the transactional message
-// queue → triggers path under redelivery: production delivery is
-// at-least-once, so a handler must tolerate the same change arriving
-// more than once. The spanner.queue.deliver fault duplicates every
-// message; an idempotent handler (keyed by document name + commit
-// timestamp, the natural dedup key for a change) must converge to
-// exactly one applied effect per commit even though delivery counts
-// double.
+// TestAtLeastOnceRedeliveryTolerated verifies the commit → triggers
+// hand-off under redelivery: production delivery is at-least-once, so a
+// handler must tolerate the same change arriving more than once. The
+// triggers.deliver fault duplicates every commit's hand-off; an
+// idempotent handler (keyed by document name + commit timestamp, the
+// natural dedup key for a change) must converge to exactly one applied
+// effect per commit even though delivery counts double.
 func TestAtLeastOnceRedeliveryTolerated(t *testing.T) {
 	e := newEnv(t)
 	fault.SetSeed(1)
-	if err := fault.Enable(fault.Spec{Site: fault.SpannerQueueDeliver, Mode: fault.ModeDuplicate}); err != nil {
+	if err := fault.Enable(fault.Spec{Site: fault.TriggersDeliver, Mode: fault.ModeDuplicate}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fault.Reset)
@@ -30,7 +30,7 @@ func TestAtLeastOnceRedeliveryTolerated(t *testing.T) {
 	var mu sync.Mutex
 	applied := map[string]int64{} // dedup key -> applied rating
 	deliveries := 0
-	e.svc.OnWrite("ratings", func(_ context.Context, ch Change) error {
+	e.svc.OnWrite("ratings", func(_ context.Context, ch triggers.Change) error {
 		mu.Lock()
 		defer mu.Unlock()
 		deliveries++
@@ -53,9 +53,9 @@ func TestAtLeastOnceRedeliveryTolerated(t *testing.T) {
 		}
 	}
 
-	// Every message is duplicated, so the handler runs 2x per write...
+	// Every hand-off is duplicated, so the handler runs 2x per write...
 	waitHandled(t, e.svc, 2*writes)
-	if got := fault.Injected(fault.SpannerQueueDeliver); got < writes {
+	if got := fault.Injected(fault.TriggersDeliver); got < writes {
 		t.Fatalf("duplicate fault fired %d times, want >= %d", got, writes)
 	}
 
@@ -63,7 +63,7 @@ func TestAtLeastOnceRedeliveryTolerated(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if deliveries != 2*writes {
-		t.Fatalf("deliveries = %d, want %d (each message delivered twice)", deliveries, 2*writes)
+		t.Fatalf("deliveries = %d, want %d (each change delivered twice)", deliveries, 2*writes)
 	}
 	if len(applied) != writes {
 		t.Fatalf("applied %d distinct changes, want %d", len(applied), writes)

@@ -1,9 +1,11 @@
 // Package triggers implements Firestore's write triggers (§III-F): the
-// developer defines handlers on database changes; the Backend persists a
-// message describing each change through Spanner's transactional
-// messaging system, and this service asynchronously removes and delivers
-// it to the handler with the change delta — the stand-in for Google Cloud
-// Functions.
+// developer defines handlers on database changes, and this service
+// delivers each committed change to them asynchronously with the change
+// delta — the stand-in for Google Cloud Functions. The Backend hands the
+// service the very mutations its Accept hands the Real-time Cache, once
+// the commit has its timestamp. The queue between the two lives in
+// memory: unlike the paper's transactional messages it is not durable,
+// and a change outruns a full queue by being dropped (Dropped counts it).
 package triggers
 
 import (
@@ -12,11 +14,16 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"firestore/internal/backend"
 	"firestore/internal/doc"
-	"firestore/internal/spanner"
+	"firestore/internal/fault"
+	"firestore/internal/rtcache"
 	"firestore/internal/truetime"
 )
+
+// queueLen bounds the commits waiting for dispatch. A commit never waits
+// for a handler, so the queue absorbs a burst of writes behind a slow one
+// and drops what does not fit (Dropped).
+const queueLen = 4096
 
 // Change is the delta a handler receives.
 type Change struct {
@@ -40,9 +47,9 @@ func (c Change) Kind() string {
 }
 
 // Handler processes one change. Handlers run asynchronously after the
-// triggering commit; returning an error is logged-and-dropped (delivery
-// is at-least-once in production; the simulation is at-most-once under
-// queue overflow, see spanner.Message).
+// triggering commit; returning an error is counted and dropped. Delivery
+// is at-least-once in production; here a change is lost if the queue is
+// full or the commit's outcome was unknown to the Backend.
 type Handler func(ctx context.Context, ch Change) error
 
 // trigger is one registration.
@@ -54,27 +61,31 @@ type trigger struct {
 	handler    Handler
 }
 
-// Service dispatches a database's change stream to registered handlers.
+// commit is one queued hand-off: a commit's mutations, shared with the
+// Real-time Cache and the Backend's memo and never modified.
+type commit struct {
+	ts   truetime.Timestamp
+	muts []rtcache.Mutation
+}
+
+// Service dispatches a database's committed changes to registered
+// handlers. Its queue and goroutine start with the first registration.
 type Service struct {
-	db   string
-	stop chan struct{}
-	once sync.Once
-	wg   sync.WaitGroup
+	db    string
+	queue atomic.Pointer[chan commit] // nil until a trigger is registered
+	stop  chan struct{}
+	once  sync.Once
+	wg    sync.WaitGroup
 
 	mu       sync.Mutex
 	triggers []trigger
 
-	errs, handled atomic.Int64
+	errs, handled, dropped atomic.Int64
 }
 
-// New starts the trigger service for one database, consuming the
-// Backend's transactional trigger topic from sp.
-func New(sp *spanner.DB, dbID string) *Service {
-	s := &Service{db: dbID, stop: make(chan struct{})}
-	ch := sp.Subscribe(backend.TriggerTopic(dbID))
-	s.wg.Add(1)
-	go s.run(ch)
-	return s
+// New returns the trigger service of database dbID.
+func New(dbID string) *Service {
+	return &Service{db: dbID, stop: make(chan struct{})}
 }
 
 // Close stops dispatching.
@@ -87,8 +98,14 @@ func (s *Service) Close() {
 // matching the given collection ID, collection path, or "*".
 func (s *Service) OnWrite(collection string, h Handler) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.triggers = append(s.triggers, trigger{collection: collection, handler: h})
-	s.mu.Unlock()
+	if s.queue.Load() == nil {
+		q := make(chan commit, queueLen)
+		s.wg.Add(1)
+		go s.run(q)
+		s.queue.Store(&q)
+	}
 }
 
 // Handled returns the number of deliveries performed.
@@ -97,53 +114,74 @@ func (s *Service) Handled() int64 { return s.handled.Load() }
 // Errors returns the number of handler errors observed.
 func (s *Service) Errors() int64 { return s.errs.Load() }
 
-func (s *Service) run(ch <-chan spanner.Message) {
+// Dropped returns the number of commits lost to a full queue.
+func (s *Service) Dropped() int64 { return s.dropped.Load() }
+
+// Deliver queues a commit's mutations, committed at ts, for the
+// registered triggers. With none registered it does nothing. It never
+// blocks the commit: a full queue drops the change.
+func (s *Service) Deliver(ctx context.Context, ts truetime.Timestamp, muts []rtcache.Mutation) {
+	q := s.queue.Load()
+	if q == nil {
+		return
+	}
+	copies := 1
+	switch fault.Decide(ctx, fault.TriggersDeliver).Kind {
+	case fault.KindDrop:
+		copies = 0
+	case fault.KindDuplicate:
+		// At-least-once redelivery: handlers must tolerate the same
+		// (name, commit-TS) change arriving twice.
+		copies = 2
+	}
+	for i := 0; i < copies; i++ {
+		select {
+		case *q <- commit{ts: ts, muts: muts}:
+		default:
+			s.dropped.Add(1)
+		}
+	}
+}
+
+func (s *Service) run(q <-chan commit) {
 	defer s.wg.Done()
 	for {
 		select {
 		case <-s.stop:
 			return
-		case m := <-ch:
-			s.dispatch(m)
+		case c := <-q:
+			s.dispatch(c)
 		}
 	}
 }
 
-// dispatch delivers one committed change. Its cost follows the
-// triggers, not the writes: with none registered the payload is not
-// touched, and the two documents are decoded only once some trigger
-// matches the changed document's name.
-func (s *Service) dispatch(m spanner.Message) {
+// dispatch delivers one commit's changes. Each handler call gets its own
+// copy of the documents: the commit's are shared with the Real-time Cache
+// and the Backend's memo.
+func (s *Service) dispatch(c commit) {
 	s.mu.Lock()
 	regs := s.triggers // append-only: the prefix seen here never changes
 	s.mu.Unlock()
-	if len(regs) == 0 {
-		return
-	}
-	name, _, err := backend.ChangeName(m.Payload)
-	if err != nil {
-		s.errs.Add(1)
-		return
-	}
-	var change *Change
-	for _, t := range regs {
-		if !t.matches(name) {
-			continue
-		}
-		if change == nil {
-			_, old, new, err := backend.UnmarshalChange(m.Payload)
-			if err != nil {
-				s.errs.Add(1)
-				return
+	for _, m := range c.muts {
+		for _, t := range regs {
+			if !t.matches(m.Name) {
+				continue
 			}
-			change = &Change{DB: s.db, Name: name, Old: old, New: new, TS: m.CommitTS}
-		}
-		if err := t.handler(context.Background(), *change); err != nil {
-			s.errs.Add(1)
-		} else {
-			s.handled.Add(1)
+			change := Change{DB: s.db, Name: m.Name, Old: clone(m.Old), New: clone(m.New), TS: c.ts}
+			if err := t.handler(context.Background(), change); err != nil {
+				s.errs.Add(1)
+			} else {
+				s.handled.Add(1)
+			}
 		}
 	}
+}
+
+func clone(d *doc.Document) *doc.Document {
+	if d == nil {
+		return nil
+	}
+	return d.Clone()
 }
 
 func (t trigger) matches(name doc.Name) bool {

@@ -1,4 +1,6 @@
-package triggers
+// The tests drive the service through the Backend, which imports it
+// (through catalog), so they live outside the package.
+package triggers_test
 
 import (
 	"context"
@@ -10,31 +12,34 @@ import (
 	"firestore/internal/backend"
 	"firestore/internal/catalog"
 	"firestore/internal/doc"
-	"firestore/internal/encoding"
+	"firestore/internal/fault"
+	"firestore/internal/rtcache"
 	"firestore/internal/spanner"
+	"firestore/internal/triggers"
 	"firestore/internal/truetime"
 )
 
 type env struct {
 	b   *backend.Backend
-	sp  *spanner.DB
-	svc *Service
+	svc *triggers.Service
 }
 
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	sp := spanner.New(spanner.Config{Clock: truetime.NewSystem(10 * time.Microsecond)})
 	cat := catalog.New([]*spanner.DB{sp})
-	cat.Create("app")
+	db, err := cat.Create("app")
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := backend.New(backend.Config{Catalog: cat})
-	svc := New(sp, "app")
-	t.Cleanup(svc.Close)
-	return &env{b: b, sp: sp, svc: svc}
+	t.Cleanup(db.Triggers.Close)
+	return &env{b: b, svc: db.Triggers}
 }
 
 var priv = backend.Principal{Privileged: true}
 
-func waitHandled(t *testing.T, svc *Service, want int64) {
+func waitHandled(t *testing.T, svc *triggers.Service, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -50,7 +55,7 @@ func TestTriggerLifecycle(t *testing.T) {
 	e := newEnv(t)
 	var mu sync.Mutex
 	var kinds []string
-	e.svc.OnWrite("ratings", func(_ context.Context, ch Change) error {
+	e.svc.OnWrite("ratings", func(_ context.Context, ch triggers.Change) error {
 		mu.Lock()
 		kinds = append(kinds, ch.Kind())
 		mu.Unlock()
@@ -72,8 +77,8 @@ func TestTriggerLifecycle(t *testing.T) {
 func TestTriggerCollectionMatching(t *testing.T) {
 	e := newEnv(t)
 	var count sync.Map
-	bump := func(key string) Handler {
-		return func(context.Context, Change) error {
+	bump := func(key string) triggers.Handler {
+		return func(context.Context, triggers.Change) error {
 			v, _ := count.LoadOrStore(key, new(int64))
 			*(v.(*int64))++
 			return nil
@@ -101,7 +106,7 @@ func TestTriggerCollectionMatching(t *testing.T) {
 
 func TestTriggerHandlerErrorCounted(t *testing.T) {
 	e := newEnv(t)
-	e.svc.OnWrite("*", func(context.Context, Change) error { return errors.New("boom") })
+	e.svc.OnWrite("*", func(context.Context, triggers.Change) error { return errors.New("boom") })
 	e.b.Commit(context.Background(), "app", priv, []backend.WriteOp{{Kind: backend.OpSet, Name: doc.MustName("/c/x"), Fields: nil}})
 	deadline := time.Now().Add(2 * time.Second)
 	for e.svc.Errors() == 0 && time.Now().Before(deadline) {
@@ -115,7 +120,7 @@ func TestTriggerHandlerErrorCounted(t *testing.T) {
 func TestAbortedWriteNoTrigger(t *testing.T) {
 	e := newEnv(t)
 	fired := make(chan struct{}, 1)
-	e.svc.OnWrite("*", func(context.Context, Change) error {
+	e.svc.OnWrite("*", func(context.Context, triggers.Change) error {
 		fired <- struct{}{}
 		return nil
 	})
@@ -133,47 +138,100 @@ func TestAbortedWriteNoTrigger(t *testing.T) {
 	}
 }
 
-// TestDispatchCostFollowsTriggers: a delivered change is decoded only as
-// far as the registered triggers need it. The payloads here name a
-// document and then carry garbage where the two document blobs belong,
-// so any decode of the documents shows up in Errors.
+// TestChangeCarriesCommitTimes: a change is stamped with the timestamp
+// Commit returned, and its documents carry resolved times — the new
+// version's update time is the commit's, the old one's what a read of it
+// would have shown.
+func TestChangeCarriesCommitTimes(t *testing.T) {
+	e := newEnv(t)
+	changes := make(chan triggers.Change, 2)
+	e.svc.OnWrite("c", func(_ context.Context, ch triggers.Change) error {
+		changes <- ch
+		return nil
+	})
+	ctx := context.Background()
+	n := doc.MustName("/c/x")
+	ts1, err := e.b.Commit(ctx, "app", priv, []backend.WriteOp{{Kind: backend.OpSet, Name: n, Fields: map[string]doc.Value{"a": doc.Int(1)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2, err := e.b.Commit(ctx, "app", priv, []backend.WriteOp{{Kind: backend.OpSet, Name: n, Fields: map[string]doc.Value{"a": doc.Int(2)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	create, update := <-changes, <-changes
+	if create.TS != ts1 || create.Old != nil || create.New.UpdateTime != ts1 || create.New.CreateTime != ts1 {
+		t.Errorf("create: ts %d, old %v, new times %d/%d, want all %d", create.TS, create.Old, create.New.CreateTime, create.New.UpdateTime, ts1)
+	}
+	if update.TS != ts2 || update.New.UpdateTime != ts2 || update.New.CreateTime != ts1 {
+		t.Errorf("update: ts %d, new times %d/%d, want %d/%d at %d", update.TS, update.New.CreateTime, update.New.UpdateTime, ts1, ts2, ts2)
+	}
+	if update.Old.UpdateTime != ts1 || update.Old.CreateTime != ts1 || update.Old.Fields["a"].IntVal() != 1 {
+		t.Errorf("update: old = %v at %d/%d, want a=1 at %d", update.Old.Fields, update.Old.CreateTime, update.Old.UpdateTime, ts1)
+	}
+	if update.New.Fields["a"].IntVal() != 2 || update.DB != "app" || update.Name.String() != "/c/x" {
+		t.Errorf("update: %s in %s = %v", update.Name, update.DB, update.New.Fields)
+	}
+}
+
+// TestDispatchCostFollowsTriggers: with no trigger registered a commit
+// hands its change to nothing — the hand-off returns before its fault
+// site, let alone the queue — and once one is registered the next commit
+// is delivered.
 func TestDispatchCostFollowsTriggers(t *testing.T) {
 	e := newEnv(t)
+	fault.SetSeed(1)
+	if err := fault.Enable(fault.Spec{Site: fault.TriggersDeliver, Mode: fault.ModeDuplicate}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.Reset)
 	ctx := context.Background()
-	send := func(name string) {
+	write := func() {
 		t.Helper()
-		txn := e.sp.Begin()
-		txn.Put([]byte("row/"+name), nil)
-		txn.Message(backend.TriggerTopic("app"), append(encoding.AppendEscaped(nil, name), 0, 0, 0, 3, 0xde, 0xad))
-		if _, err := txn.Commit(ctx, 0, 0); err != nil {
+		if _, err := e.b.Commit(ctx, "app", priv, []backend.WriteOp{{Kind: backend.OpSet, Name: doc.MustName("/c/x")}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// barrier returns once everything sent before it has been dispatched:
-	// a real commit handled by the "sync" trigger, on the same queue.
-	handled := int64(0)
-	barrier := func() {
-		t.Helper()
-		e.b.Commit(ctx, "app", priv, []backend.WriteOp{{Kind: backend.OpSet, Name: doc.MustName("/sync/s"), Fields: nil}})
-		handled++
-		waitHandled(t, e.svc, handled)
+	write()
+	if got := fault.Injected(fault.TriggersDeliver); got != 0 {
+		t.Fatalf("a commit with no trigger registered reached the hand-off %d times", got)
 	}
+	e.svc.OnWrite("c", func(context.Context, triggers.Change) error { return nil })
+	write()
+	waitHandled(t, e.svc, 2) // duplicated, once
+	if got := fault.Injected(fault.TriggersDeliver); got != 1 {
+		t.Fatalf("hand-off reached %d times, want 1", got)
+	}
+	if e.svc.Dropped() != 0 {
+		t.Fatalf("dropped = %d", e.svc.Dropped())
+	}
+}
 
-	send("/ratings/no-trigger-yet") // nothing registered: the payload is not touched
-	e.svc.OnWrite("sync", func(context.Context, Change) error { return nil })
-	barrier()
-	if got := e.svc.Errors(); got != 0 {
-		t.Fatalf("with no trigger registered the payload was decoded: %d errors", got)
+// TestQueueOverflowCounted: a change that finds the queue full is dropped
+// without stalling the commit, and counted.
+func TestQueueOverflowCounted(t *testing.T) {
+	svc := triggers.New("app")
+	defer svc.Close()
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before Close, which waits for the handler
+	svc.OnWrite("*", func(context.Context, triggers.Change) error {
+		<-release
+		return nil
+	})
+	muts := []rtcache.Mutation{{Name: doc.MustName("/c/x"), New: &doc.Document{Name: doc.MustName("/c/x")}}}
+	const sent = 5000 // one is taken by the blocked handler, at most 4096 more wait
+	for i := 1; i <= sent; i++ {
+		svc.Deliver(context.Background(), truetime.Timestamp(i), muts)
 	}
-	send("/ratings/not-matching") // a trigger exists, but for another collection: name only
-	barrier()
-	if got := e.svc.Errors(); got != 0 {
-		t.Fatalf("a change no trigger matches had its documents decoded: %d errors", got)
+	dropped := svc.Dropped()
+	if dropped < sent-4097 || dropped > sent-4096 {
+		t.Fatalf("dropped = %d of %d, want %d or %d", dropped, sent, sent-4097, sent-4096)
 	}
-	e.svc.OnWrite("ratings", func(context.Context, Change) error { return nil })
-	send("/ratings/matching") // now the documents are needed, and they are garbage
-	barrier()
-	if got := e.svc.Errors(); got != 1 {
-		t.Fatalf("errors = %d after a matching trigger met a corrupt payload, want 1", got)
+	unblock()
+	waitHandled(t, svc, sent-dropped)
+	if svc.Handled() != sent-dropped {
+		t.Fatalf("handled = %d, want %d", svc.Handled(), sent-dropped)
 	}
 }

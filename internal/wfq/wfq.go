@@ -66,9 +66,6 @@ type Config struct {
 	// MaxQueue sheds load when more than this many tasks are queued.
 	// Zero disables shedding.
 	MaxQueue int
-	// DefaultWeight is the fair-share weight for keys without an
-	// explicit weight. Defaults to 1.
-	DefaultWeight float64
 	// Obs receives scheduler metrics: per-database shed/expired/
 	// dispatched counters, queue-wait histograms, and queue gauges.
 	Obs *obs.Registry
@@ -112,13 +109,14 @@ type Scheduler struct {
 	queueWait                          *obs.HistogramVec
 }
 
+// defaultWeight is the fair-share weight of a key without an explicit
+// weight (SetWeight).
+const defaultWeight = 1.0
+
 // New returns a scheduler with cfg.
 func New(cfg Config) *Scheduler {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
-	}
-	if cfg.DefaultWeight <= 0 {
-		cfg.DefaultWeight = 1
 	}
 	reg := obs.OrNew(cfg.Obs)
 	s := &Scheduler{
@@ -235,7 +233,7 @@ func (s *Scheduler) Submit(ctx context.Context, key string, cost time.Duration, 
 	s.seq++
 	var vft float64
 	if s.cfg.Mode == Fair {
-		w := s.cfg.DefaultWeight
+		w := defaultWeight
 		if ww, ok := s.weights[key]; ok {
 			w = ww
 		}
@@ -386,7 +384,7 @@ func (s *Scheduler) Snapshot() Stats {
 	for k, ks := range byKey {
 		ks.InFlight, ks.Limit = s.inflight[k], s.limits[k]
 		ks.LastVFT, ks.Accounted = s.lastVFT[k], s.accounted[k]
-		ks.Weight = s.cfg.DefaultWeight
+		ks.Weight = defaultWeight
 		if w, ok := s.weights[k]; ok {
 			ks.Weight = w
 		}
