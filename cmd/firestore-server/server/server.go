@@ -95,15 +95,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Root span: the trace lives exactly as long as the request. The
 		// streaming listen endpoint is exempt — its trace is rooted by the
 		// frontend layer's registration span, not the connection lifetime.
-		var end func(error)
-		ctx, end = reqctx.StartSpan(ctx, opName(r))
+		var span reqctx.Span
+		ctx, span = reqctx.StartSpan(ctx, opName(r))
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
 			var err error
 			if c := status.CodeFromHTTP(sw.code); c != status.OK {
 				err = status.New(c, "server", http.StatusText(sw.code))
 			}
-			end(err)
+			span.End(err)
 		}()
 		w = sw
 	}

@@ -194,20 +194,20 @@ func New(cfg Config) *Backend {
 // code, keeping per-op histograms complete. The returned error is the
 // scheduler rejection or fn's own error.
 func (b *Backend) submit(ctx context.Context, db *catalog.Database, op, key string, cost time.Duration, fn func(context.Context) error) error {
-	sctx, endSubmit := reqctx.StartSpan(ctx, "wfq.submit")
+	sctx, submitSpan := reqctx.StartSpan(ctx, "wfq.submit")
 	run := func() error {
 		if cost > 0 {
 			db.Spanner.Clock().Sleep(cost)
 		}
-		octx, endOp := reqctx.StartSpan(sctx, op)
+		octx, opSpan := reqctx.StartSpan(sctx, op)
 		err := fn(octx)
-		endOp(err)
+		opSpan.End(err)
 		return err
 	}
 	reject := func(err error) error {
-		_, endOp := reqctx.StartSpan(sctx, op)
-		endOp(err)
-		endSubmit(err)
+		_, opSpan := reqctx.StartSpan(sctx, op)
+		opSpan.End(err)
+		submitSpan.End(err)
 		return err
 	}
 	if b.cfg.Scheduler == nil {
@@ -215,14 +215,14 @@ func (b *Backend) submit(ctx context.Context, db *catalog.Database, op, key stri
 			return reject(status.FromContext("backend", err))
 		}
 		err := run()
-		endSubmit(nil)
+		submitSpan.End(nil)
 		return err
 	}
 	var ferr error
 	if err := b.cfg.Scheduler.Submit(ctx, key, cost, func() { ferr = run() }); err != nil {
 		return reject(err)
 	}
-	endSubmit(nil)
+	submitSpan.End(nil)
 	return ferr
 }
 
@@ -452,13 +452,13 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	maxTS := clock.Now().Latest.Add(maxCommitWindow)
 	var minTS truetime.Timestamp
 	if b.cache != nil {
-		_, endPrepare := reqctx.StartSpan(ctx, "rtcache.prepare")
+		_, prepareSpan := reqctx.StartSpan(ctx, "rtcache.prepare")
 		if err := fault.Point(ctx, fault.BackendPrepare); err != nil {
-			endPrepare(err)
+			prepareSpan.End(err)
 			return abort(err)
 		}
 		m, err := b.cache.Prepare(writeID, db.ID, names, maxTS)
-		endPrepare(status.Wrap(status.Unavailable, "rtcache", err))
+		prepareSpan.End(status.Wrap(status.Unavailable, "rtcache", err))
 		if err != nil {
 			return abort(fmt.Errorf("%w: %v", ErrUnavailable, err))
 		}

@@ -31,8 +31,8 @@ type BulkResult struct {
 // that group, typically with a retryable code. The error return is
 // reserved for request-level failures such as an unknown database.
 func (b *Backend) CommitBulk(ctx context.Context, dbID string, p Principal, ops []WriteOp) (_ []BulkResult, retErr error) {
-	ctx, end := reqctx.StartSpan(ctx, "backend.bulkcommit")
-	defer func() { end(retErr) }()
+	ctx, span := reqctx.StartSpan(ctx, "backend.bulkcommit")
+	defer func() { span.End(retErr) }()
 	db, err := b.cat.Get(dbID)
 	if err != nil {
 		return nil, err

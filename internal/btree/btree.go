@@ -179,7 +179,7 @@ func (n *node[V]) split() (item[V], *node[V]) {
 }
 
 // Delete removes key from the tree, returning its value and whether it was
-// present.
+// present. A tree emptied by Delete keeps its root leaf.
 func (t *Tree[V]) Delete(key []byte) (V, bool) {
 	if t.root == nil {
 		var zero V
@@ -189,12 +189,10 @@ func (t *Tree[V]) Delete(key []byte) (V, bool) {
 	if ok {
 		t.length--
 	}
-	if len(t.root.items) == 0 {
-		if t.root.leaf() {
-			t.root = nil
-		} else {
-			t.root = t.root.children[0]
-		}
+	// An emptied root leaf stays, so a tree that drains and refills (a
+	// lock table between commits) does not allocate it again.
+	if len(t.root.items) == 0 && !t.root.leaf() {
+		t.root = t.root.children[0]
 	}
 	return v, ok
 }

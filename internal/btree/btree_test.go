@@ -76,9 +76,14 @@ func TestDeleteRandomOrder(t *testing.T) {
 			t.Fatalf("Len = %d, want %d", tr.Len(), n-cnt-1)
 		}
 	}
-	if tr.root != nil {
-		t.Fatal("root not nil after deleting everything")
+	// The emptied tree keeps its root leaf but holds nothing.
+	if tr.Len() != 0 || tr.Get(key(perm[0])) != nil {
+		t.Fatalf("after deleting everything: Len = %d, Get(%d) = %v", tr.Len(), perm[0], tr.Get(key(perm[0])))
 	}
+	tr.Ascend(nil, nil, func(k []byte, _ *int) bool {
+		t.Fatalf("Ascend visits %q after deleting everything", k)
+		return false
+	})
 }
 
 func TestDeleteMissing(t *testing.T) {

@@ -16,6 +16,7 @@
 package encoding
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -225,12 +226,19 @@ func escapedLen[T string | []byte](payload T) int {
 // segment encodings. The result is prefix-free against other
 // AppendEscaped outputs. dst grows at most once, to the exact size.
 func AppendEscaped[T string | []byte](dst []byte, payload T) []byte {
+	if len(payload) >= longPayload {
+		return copyEscapedLong(slices.Grow(dst, 2+len(payload)+countEscapes(payload)), payload)
+	}
 	return copyEscaped(slices.Grow(dst, escapedLen(payload)), payload)
 }
 
 // appendTagged is AppendEscaped behind one tag byte, sized together so
 // an encoding into a nil dst is one allocation.
 func appendTagged[T string | []byte](dst []byte, tag byte, payload T) []byte {
+	if len(payload) >= longPayload {
+		dst = slices.Grow(dst, 3+len(payload)+countEscapes(payload))
+		return copyEscapedLong(append(dst, tag), payload)
+	}
 	dst = slices.Grow(dst, 1+escapedLen(payload))
 	return copyEscaped(append(dst, tag), payload)
 }
@@ -244,6 +252,37 @@ func copyEscaped[T string | []byte](dst []byte, payload T) []byte {
 		}
 	}
 	return append(append(dst, payload[start:]...), escape, escapedEnd)
+}
+
+// longPayload is the length from which a value's payload is scanned for
+// escapes by the vectorised bytes/strings routines rather than by the
+// inlined byte loops of escapedLen and copyEscaped, whose call they
+// would not repay on a shorter one. Name segments keep the loops.
+const longPayload = 32
+
+// copyEscapedLong is copyEscaped by indexEscape.
+func copyEscapedLong[T string | []byte](dst []byte, payload T) []byte {
+	for i := indexEscape(payload); i >= 0; i = indexEscape(payload) {
+		dst = append(append(dst, payload[:i]...), escape, escapedFF)
+		payload = payload[i+1:]
+	}
+	return append(append(dst, payload...), escape, escapedEnd)
+}
+
+// countEscapes and indexEscape are bytes.Count and bytes.IndexByte of
+// the escape byte, or their strings counterparts for a string.
+func countEscapes[T string | []byte](payload T) int {
+	if s, ok := any(payload).(string); ok {
+		return strings.Count(s, "\x00")
+	}
+	return bytes.Count(any(payload).([]byte), []byte{escape})
+}
+
+func indexEscape[T string | []byte](payload T) int {
+	if s, ok := any(payload).(string); ok {
+		return strings.IndexByte(s, escape)
+	}
+	return bytes.IndexByte(any(payload).([]byte), escape)
 }
 
 // KindTag returns the type-tag byte that begins the ascending encoding of

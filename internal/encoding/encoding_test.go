@@ -351,6 +351,50 @@ func TestInvert(t *testing.T) {
 	}
 }
 
+// TestEscapedMatchesByteLoop: the vectorised scans a long payload takes
+// write the bytes the byte loop writes, for strings and byte slices of
+// every length to 300 — across the longPayload cut-over — at escape
+// densities from none to all, behind a tag and after existing bytes.
+func TestEscapedMatchesByteLoop(t *testing.T) {
+	reference := func(dst []byte, payload []byte) []byte {
+		for _, c := range payload {
+			if c == escape {
+				dst = append(dst, escape, escapedFF)
+			} else {
+				dst = append(dst, c)
+			}
+		}
+		return append(dst, escape, escapedEnd)
+	}
+	r := rand.New(rand.NewSource(44))
+	prefix := []byte("prefix")
+	for n := 0; n <= 300; n++ {
+		for _, density := range []float64{0, 0.01, 1.0 / 64, 0.1, 0.5, 1} {
+			payload := make([]byte, n)
+			for i := range payload {
+				if r.Float64() >= density {
+					payload[i] = byte(1 + r.Intn(255))
+				}
+			}
+			want := reference(bytes.Clone(prefix), payload)
+			wantTagged := reference(append(bytes.Clone(prefix), 0x7f), payload)
+			for _, c := range []struct{ got, want []byte }{
+				{AppendEscaped(bytes.Clone(prefix), payload), want},
+				{AppendEscaped(bytes.Clone(prefix), string(payload)), want},
+				{appendTagged(bytes.Clone(prefix), 0x7f, payload), wantTagged},
+				{appendTagged(bytes.Clone(prefix), 0x7f, string(payload)), wantTagged},
+			} {
+				if !bytes.Equal(c.got, c.want) {
+					t.Fatalf("length %d, density %v: got %x, want %x", n, density, c.got, c.want)
+				}
+			}
+			if got, want := escapedLen(payload), len(want)-len(prefix); got != want {
+				t.Fatalf("length %d, density %v: escapedLen = %d, want %d", n, density, got, want)
+			}
+		}
+	}
+}
+
 func BenchmarkEncodeValue(b *testing.B) {
 	v := doc.Map(map[string]doc.Value{
 		"city":   doc.String("SF"),

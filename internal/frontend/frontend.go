@@ -233,8 +233,8 @@ func (rq *rtQuery) resolved() truetime.Timestamp {
 // target ID identifying its events. The target is built the one way every
 // target is (build): its first event is an Initial snapshot.
 func (c *Conn) Listen(ctx context.Context, q *query.Query) (_ int64, retErr error) {
-	ctx, end := reqctx.StartSpan(ctx, "frontend.listen")
-	defer func() { end(retErr) }()
+	ctx, span := reqctx.StartSpan(ctx, "frontend.listen")
+	defer func() { span.End(retErr) }()
 	rq := &rtQuery{targetID: c.f.targets.Add(1), q: q}
 	c.mu.Lock()
 	if c.closed {

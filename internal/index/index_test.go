@@ -290,3 +290,22 @@ func BenchmarkDiffUpdate(b *testing.B) {
 		Diff(old, new, nil, nil)
 	}
 }
+
+// BenchmarkDiffYCSB is the benchmark's YCSB update: one 900-byte binary
+// field, every byte replaced, so the diff encodes two long payloads.
+func BenchmarkDiffYCSB(b *testing.B) {
+	n := doc.MustName("/ycsb/user00000042")
+	payload := func(seed byte) doc.Value {
+		v := make([]byte, 900)
+		for i := range v {
+			v[i] = byte(i*131) ^ seed
+		}
+		return doc.Bytes(v)
+	}
+	old := doc.New(n, map[string]doc.Value{"field0": payload(1)})
+	new := doc.New(n, map[string]doc.Value{"field0": payload(2)})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		DiffEntries(nil, old, new, nil, nil)
+	}
+}

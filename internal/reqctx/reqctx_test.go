@@ -68,9 +68,9 @@ func TestStartSpanRecords(t *testing.T) {
 	ctx := WithRecorder(context.Background(), rec)
 
 	_, end := StartSpan(ctx, "backend.commit")
-	end(nil)
+	end.End(nil)
 	_, end = StartSpan(ctx, "backend.commit")
-	end(fmt.Errorf("conflict: %w", status.New(status.Aborted, "backend", "transaction conflict")))
+	end.End(fmt.Errorf("conflict: %w", status.New(status.Aborted, "backend", "transaction conflict")))
 
 	// One histogram per (span, code), and nothing else: a finished span
 	// is recorded exactly once.
@@ -89,7 +89,7 @@ func TestStartSpanUsesDefaultRecorder(t *testing.T) {
 	const name = "reqctx_test.default_recorder"
 	before := spanCount(obs.Default, name, "", status.OK) // -count=N reuses the process
 	_, end := StartSpan(context.Background(), name)
-	end(nil)
+	end.End(nil)
 	if got := spanCount(obs.Default, name, "", status.OK) - before; got != 1 {
 		t.Fatalf("obs.Default count grew by %d, want 1", got)
 	}
@@ -102,11 +102,11 @@ func TestSetRegistryRepointsHandles(t *testing.T) {
 	rec, first := newRecorder()
 	ctx := With(WithRecorder(context.Background(), rec), Meta{DB: "app"})
 	_, end := StartSpan(ctx, "x")
-	end(nil)
+	end.End(nil)
 	second := obs.NewRegistry()
 	rec.SetRegistry(second)
 	_, end = StartSpan(ctx, "x")
-	end(nil)
+	end.End(nil)
 	if a, b := spanCount(first, "x", "app", status.OK), spanCount(second, "x", "app", status.OK); a != 1 || b != 1 {
 		t.Fatalf("counts = %d (first), %d (second), want 1 and 1", a, b)
 	}
@@ -121,7 +121,7 @@ func TestTraceEvents(t *testing.T) {
 	ctx = With(ctx, Meta{RequestID: "rid-1", DB: "app", QoS: Batch})
 	_, end := StartSpan(ctx, "backend.query")
 	time.Sleep(time.Millisecond)
-	end(status.New(status.NotFound, "backend", "document not found"))
+	end.End(status.New(status.NotFound, "backend", "document not found"))
 
 	if len(events) != 1 {
 		t.Fatalf("trace events = %d, want 1", len(events))
@@ -142,7 +142,7 @@ func TestStartSpanClassifiesContextErrors(t *testing.T) {
 	rec, reg := newRecorder()
 	ctx := WithRecorder(context.Background(), rec)
 	_, end := StartSpan(ctx, "wfq.submit")
-	end(fmt.Errorf("queued: %w", context.Canceled))
+	end.End(fmt.Errorf("queued: %w", context.Canceled))
 	if got := spanCount(reg, "wfq.submit", "", status.DeadlineExceeded); got != 1 {
 		t.Fatalf("DeadlineExceeded count = %d, want 1", got)
 	}

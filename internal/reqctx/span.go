@@ -83,7 +83,7 @@ func (r *Recorder) SetRegistry(reg *obs.Registry) {
 func (r *Recorder) SetTracer(t *Tracer) { r.tracer.Store(t) }
 
 // StartSpan begins a span named like "backend.commit" and returns the
-// context plus an end function. Call end with the operation's error
+// context plus the started Span. Call its End with the operation's error
 // (nil on success); the elapsed time lands in the registry histogram
 // name{db, code=status.CodeOf(err)} and, when a trace sink is installed,
 // one TraceEvent is emitted with the request metadata.
@@ -93,7 +93,7 @@ func (r *Recorder) SetTracer(t *Tracer) { r.tracer.Store(t) }
 // request ID when set), and nested StartSpan calls become children of
 // the context's span. The returned context carries the new span, so it
 // must be the one passed to downstream layers.
-func StartSpan(ctx context.Context, name string) (context.Context, func(error)) {
+func StartSpan(ctx context.Context, name string) (context.Context, Span) {
 	rec := RecorderFrom(ctx)
 	meta := From(ctx)
 	start := time.Now()
@@ -108,26 +108,39 @@ func StartSpan(ctx context.Context, name string) (context.Context, func(error)) 
 		tr, sp = tz.startTrace(meta.RequestID, meta, name, start)
 		ctx = withSpan(ctx, tr, sp)
 	}
+	return ctx, Span{rec: rec, meta: meta, name: name, start: start, tr: tr, sp: sp}
+}
 
-	return ctx, func(err error) {
-		now := time.Now()
-		d := now.Sub(start)
-		code := status.CodeOf(err)
-		//fslint:ignore obsdiscipline span names are constants where StartSpan is called; warm, the declaration is a lock-free read
-		rec.reg.Load().HistogramVec(name, "db", "code").With(meta.DB, code.String()).Record(d)
-		if tr != nil {
-			tr.endSpan(sp, code, now)
-		}
-		if fn := rec.trace.Load(); fn != nil {
-			(*fn)(TraceEvent{
-				RequestID: meta.RequestID,
-				DB:        meta.DB,
-				QoS:       meta.QoS,
-				Span:      name,
-				Code:      code,
-				Start:     start,
-				Duration:  d,
-			})
-		}
+// Span is a span StartSpan began, held by value so that a span no tracer
+// follows allocates nothing.
+type Span struct {
+	rec   *Recorder
+	meta  Meta
+	name  string
+	start time.Time
+	tr    *Trace // nil when no tracer follows the span
+	sp    *span
+}
+
+// End finishes the span with the operation's error (nil on success).
+func (s Span) End(err error) {
+	now := time.Now()
+	d := now.Sub(s.start)
+	code := status.CodeOf(err)
+	//fslint:ignore obsdiscipline span names are constants where StartSpan is called; warm, the declaration is a lock-free read
+	s.rec.reg.Load().HistogramVec(s.name, "db", "code").With(s.meta.DB, code.String()).Record(d)
+	if s.tr != nil {
+		s.tr.endSpan(s.sp, code, now)
+	}
+	if fn := s.rec.trace.Load(); fn != nil {
+		(*fn)(TraceEvent{
+			RequestID: s.meta.RequestID,
+			DB:        s.meta.DB,
+			QoS:       s.meta.QoS,
+			Span:      s.name,
+			Code:      code,
+			Start:     s.start,
+			Duration:  d,
+		})
 	}
 }

@@ -36,10 +36,10 @@ func TestTraceHierarchy(t *testing.T) {
 	ctx3, endB := StartSpan(ctx2, "backend.commit")
 	Annotate(ctx3, "tablet", "t-42")
 	_, endS := StartSpan(ctx3, "spanner.txn.commit")
-	endS(nil)
-	endB(nil)
-	endW(nil)
-	endRoot(nil)
+	endS.End(nil)
+	endB.End(nil)
+	endW.End(nil)
+	endRoot.End(nil)
 
 	traces := tz.Recent(KeepSampled, 0)
 	if len(traces) != 1 {
@@ -92,15 +92,15 @@ func TestTraceKeepPolicies(t *testing.T) {
 	ctx, _, tz := tracedCtx(t, TracerConfig{SampleProb: -1, SlowThreshold: 30 * time.Millisecond})
 
 	_, end := StartSpan(ctx, "frontend.get")
-	end(nil)
+	end.End(nil)
 	if got := len(tz.Recent(KeepSampled, 0)) + len(tz.Recent(KeepSlow, 0)) + len(tz.Recent(KeepError, 0)); got != 0 {
 		t.Fatalf("fast OK trace kept: %d", got)
 	}
 
 	ctx1, endRoot := StartSpan(ctx, "frontend.get")
 	_, endInner := StartSpan(ctx1, "backend.get")
-	endInner(status.Errorf(status.NotFound, "test", "missing"))
-	endRoot(nil)
+	endInner.End(status.Errorf(status.NotFound, "test", "missing"))
+	endRoot.End(nil)
 	errs := tz.Recent(KeepError, 0)
 	if len(errs) != 1 || !errs[0].Error {
 		t.Fatalf("error traces = %+v", errs)
@@ -108,7 +108,7 @@ func TestTraceKeepPolicies(t *testing.T) {
 
 	_, endSlow := StartSpan(ctx, "frontend.query")
 	time.Sleep(35 * time.Millisecond)
-	endSlow(nil)
+	endSlow.End(nil)
 	slow := tz.Recent(KeepSlow, 0)
 	if len(slow) != 1 || !slow[0].Slow {
 		t.Fatalf("slow traces = %+v", slow)
@@ -121,7 +121,7 @@ func TestTraceRingEvictionOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c := With(ctx, Meta{RequestID: fmt.Sprintf("req-%02d", i), DB: "d"})
 		_, end := StartSpan(c, "frontend.put")
-		end(nil)
+		end.End(nil)
 	}
 	got := tz.Recent(KeepSampled, 0)
 	if len(got) != ringSize {
@@ -155,8 +155,8 @@ func TestTracerActiveRequests(t *testing.T) {
 		t.Fatalf("active request = %+v", act[0])
 	}
 
-	endInner(nil)
-	endRoot(nil)
+	endInner.End(nil)
+	endRoot.End(nil)
 	if got := tz.Active(); len(got) != 0 {
 		t.Fatalf("active after end = %+v", got)
 	}
@@ -167,9 +167,9 @@ func TestTraceMaxSpansCap(t *testing.T) {
 	ctx1, endRoot := StartSpan(ctx, "frontend.bulk")
 	for i := 0; i < maxSpans+7; i++ {
 		_, end := StartSpan(ctx1, "backend.commit")
-		end(nil)
+		end.End(nil)
 	}
-	endRoot(nil)
+	endRoot.End(nil)
 	td := tz.Recent(KeepSampled, 1)[0]
 	if len(td.Spans) != maxSpans {
 		t.Fatalf("spans = %d, want capped at %d", len(td.Spans), maxSpans)
@@ -186,7 +186,7 @@ func TestRecorderRegistryPerDB(t *testing.T) {
 		c := With(ctx, Meta{DB: db})
 		for i := 0; i < 5; i++ {
 			_, end := StartSpan(c, "backend.commit")
-			end(nil)
+			end.End(nil)
 		}
 	}
 	if got := spanCount(reg, "backend.commit", "alpha", status.OK); got != 5 {
@@ -215,14 +215,14 @@ func TestSlowLog(t *testing.T) {
 
 	// Fast trace: below the log threshold, no line.
 	_, endFast := StartSpan(ctx, "frontend.get")
-	endFast(nil)
+	endFast.End(nil)
 
 	ctx1, endRoot := StartSpan(ctx, "frontend.query")
 	Annotate(ctx1, "shape", "collection=users order=age limit=10")
 	_, endInner := StartSpan(ctx1, "backend.query")
 	time.Sleep(15 * time.Millisecond)
-	endInner(nil)
-	endRoot(nil)
+	endInner.End(nil)
+	endRoot.End(nil)
 
 	mu.Lock()
 	out := buf.String()
@@ -273,9 +273,9 @@ func TestConcurrentStartSpanEnd(t *testing.T) {
 				if i%7 == 0 {
 					err = status.Errorf(status.Aborted, "test", "contention")
 				}
-				endB(err)
-				endW(err)
-				endRoot(err)
+				endB.End(err)
+				endW.End(err)
+				endRoot.End(err)
 			}
 		}(w)
 	}
@@ -326,7 +326,7 @@ func TestSpanWithoutTracerStillRecords(t *testing.T) {
 		t.Fatal("no tracer should mean no trace ID")
 	}
 	Annotate(c, "k", "v") // must be a safe no-op
-	end(nil)
+	end.End(nil)
 	if spanCount(reg, "backend.get", "", status.OK) != 1 {
 		t.Fatal("histogram not recorded without tracer")
 	}
@@ -335,8 +335,8 @@ func TestSpanWithoutTracerStillRecords(t *testing.T) {
 // TestSpanAllocs pins the bookkeeping cost of one write's four spans
 // (frontend -> wfq -> backend -> spanner) wired as core.OpenRegion wires
 // them: registry + tracer attached, head sampling off, every code OK.
-// The budget is the trace tree alone (trace, four spans, four contexts,
-// four end closures): a seen (span, db, code) costs the metrics path
+// The budget is the trace tree alone (trace, four spans, four contexts;
+// a Span is a value, so ending one allocates nothing): a seen (span, db, code) costs the metrics path
 // nothing — no Labels map, no registry lookup — and a trace that will
 // not be kept is never snapshotted.
 func TestSpanAllocs(t *testing.T) {
@@ -349,14 +349,14 @@ func TestSpanAllocs(t *testing.T) {
 		c2, end2 := StartSpan(c1, "wfq.submit")
 		c3, end3 := StartSpan(c2, "backend.commit")
 		_, end4 := StartSpan(c3, "spanner.txn.commit")
-		end4(nil)
-		end3(nil)
-		end2(nil)
-		end1(nil)
+		end4.End(nil)
+		end3.End(nil)
+		end2.End(nil)
+		end1.End(nil)
 	}
 	write() // mint the four handles
-	if got := testing.AllocsPerRun(200, write); got > 21 {
-		t.Fatalf("four-span write = %v allocs, want <= 21", got)
+	if got := testing.AllocsPerRun(200, write); got > 17 {
+		t.Fatalf("four-span write = %v allocs, want <= 17", got)
 	}
 	if got := spanCount(reg, "spanner.txn.commit", "app", status.OK); got != 202 {
 		t.Fatalf("spanner.txn.commit count = %d, want 202", got)

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"firestore/internal/btree"
 	"firestore/internal/fault"
 	"firestore/internal/keyviz"
 	"firestore/internal/reqctx"
@@ -29,13 +30,15 @@ type Txn struct {
 	// by key, keeps the last write of each key, and hands each participant
 	// tablet its sub-slice — no byte is copied between caller and engine.
 	writes []storage.Write
-	// latest maps a written key to its last position in writes, built by
-	// the first read that follows a write and kept up from then on; a
+	// latest indexes writes by key, mapping each key (the first written
+	// slice of it) to its last position in writes. The first read that
+	// follows a write builds it and every later write keeps it up; a
 	// transaction that reads before it writes never pays for it.
-	latest map[string]int
-	// held are the lock-table keys this transaction holds; each key is
-	// the one string the lock table holds too.
-	held map[string]lockMode
+	latest btree.Tree[int]
+	// held are the lock-table entries this transaction holds, each once;
+	// the table keys them by the transaction's own key slices.
+	held      []*lockEntry
+	heldFirst [8]*lockEntry // backing array of a document's lock set
 	// cached are the rows locked reads read, sorted by key. Their locks
 	// are held until the transaction ends, so no other transaction can
 	// write them; a later read is served from here once it holds the lock
@@ -47,20 +50,21 @@ type Txn struct {
 
 // Begin starts a read-write transaction.
 func (db *DB) Begin() *Txn {
-	return &Txn{db: db, held: map[string]lockMode{}}
+	t := &Txn{db: db}
+	t.held = t.heldFirst[:0]
+	return t
 }
 
 // buffered returns the transaction's latest write to key, if any,
 // building latest if writes were buffered without it.
 func (t *Txn) buffered(key []byte) (storage.Write, bool) {
-	if t.latest == nil && len(t.writes) > 0 {
-		t.latest = make(map[string]int, len(t.writes))
+	if t.latest.Len() == 0 {
 		for i, w := range t.writes {
-			t.latest[string(w.Key)] = i
+			t.latest.Set(w.Key, i)
 		}
 	}
-	if i, ok := t.latest[string(key)]; ok {
-		return t.writes[i], true
+	if i := t.latest.Get(key); i != nil {
+		return t.writes[*i], true
 	}
 	return storage.Write{}, false
 }
@@ -70,31 +74,30 @@ func (t *Txn) buffer(w storage.Write) {
 		t.writes = make([]storage.Write, 0, 8) // a document and its index rows
 	}
 	t.writes = append(t.writes, w)
-	if t.latest != nil {
-		t.latest[string(w.Key)] = len(t.writes) - 1
+	if t.latest.Len() > 0 {
+		t.latest.Set(w.Key, len(t.writes)-1)
 	}
 }
 
 // lock acquires key in mode for the transaction, waiting up to timeout
-// (zero: not at all) for another transaction to release it.
+// (zero: not at all) for another transaction to release it. A key it
+// already holds in mode or a stronger one is a no-op.
 func (t *Txn) lock(ctx context.Context, key []byte, mode lockMode, timeout time.Duration) error {
-	if cur, ok := t.held[string(key)]; ok && (cur == lockExclusive || cur == mode) {
+	if t.db.locks.holds(t, key, mode) {
 		return nil
 	}
 	if err := fault.Point(ctx, fault.SpannerLockWait); err != nil {
 		t.db.sampleFault(key)
 		return err
 	}
-	k := string(key) // the row key's one copy: held and the lock table share it
-	start := t.db.clock.Now().Latest
-	if err := t.db.locks.acquire(ctx, t, k, mode, timeout); err != nil {
+	waited, err := t.db.locks.acquire(ctx, t, key, mode, timeout)
+	if err != nil {
 		if timeout > 0 {
 			t.db.stats.lockTimeout.Add(1)
 			t.db.met.lockTimeout.With(reqctx.From(ctx).DB).Inc()
 		}
 		return err
 	}
-	waited := t.db.clock.Now().Latest.Sub(start)
 	t.db.met.lockWait.With(reqctx.From(ctx).DB).Record(waited)
 	// Lock-wait heat lands on the tablet owning the contended key — the
 	// per-range contention signal a heatmap is for.
@@ -103,12 +106,13 @@ func (t *Txn) lock(ctx context.Context, key []byte, mode lockMode, timeout time.
 			t.db.kv.Sample(keyviz.SrcTablet, tab.id, keyviz.OpLockWait, 1, 0, waited)
 		}
 	}
-	t.held[k] = mode
 	return nil
 }
 
 // Get reads key with a shared lock (or exclusive if forUpdate), seeing
-// the transaction's own buffered writes.
+// the transaction's own buffered writes. The transaction keeps key until
+// it ends (the lock table indexes the lock under it), so the caller must
+// not modify it before then.
 func (t *Txn) Get(ctx context.Context, key []byte, forUpdate bool) ([]byte, bool, error) {
 	v, _, ok, err := t.GetVersioned(ctx, key, forUpdate)
 	return v, ok, err
@@ -116,7 +120,7 @@ func (t *Txn) Get(ctx context.Context, key []byte, forUpdate bool) ([]byte, bool
 
 // GetVersioned is Get returning also the row's version (commit)
 // timestamp; the transaction's own buffered writes read back with a zero
-// timestamp (they have no commit timestamp yet).
+// timestamp (they have no commit timestamp yet). It keeps key like Get.
 func (t *Txn) GetVersioned(ctx context.Context, key []byte, forUpdate bool) ([]byte, truetime.Timestamp, bool, error) {
 	r := [1]LockedRow{{Key: key, Exclusive: forUpdate}}
 	err := t.lockRead(ctx, r[:], t.db.lockTimeout)
@@ -126,7 +130,8 @@ func (t *Txn) GetVersioned(ctx context.Context, key []byte, forUpdate bool) ([]b
 // TryGet is GetVersioned under a shared lock it does not wait for: a row
 // another transaction holds exclusively aborts the read (ErrAborted) at
 // once. It is for a read discovered after the transaction took its lock
-// set, which would otherwise be the one lock taken out of key order.
+// set, which would otherwise be the one lock taken out of key order. It
+// keeps key like Get.
 func (t *Txn) TryGet(ctx context.Context, key []byte) (storage.BatchGet, error) {
 	r := [1]LockedRow{{Key: key}}
 	err := t.lockRead(ctx, r[:], 0)
@@ -149,7 +154,8 @@ type LockedRow struct {
 // (one round trip per tablet on a clustered deployment) and cached for
 // the transaction's later reads. Each row's result is filled in place. A
 // row the transaction wrote reads back as written (with a zero TS) and is
-// not locked until Commit.
+// not locked until Commit. The transaction keeps every row's Key until
+// it ends, like Get's.
 func (t *Txn) LockRead(ctx context.Context, rows []LockedRow) error {
 	return t.lockRead(ctx, rows, t.db.lockTimeout)
 }
@@ -244,7 +250,7 @@ func (t *Txn) Abort() {
 
 func (t *Txn) finish() {
 	t.done = true
-	t.db.locks.release(t, t.held)
+	t.db.locks.release(t)
 }
 
 // writesKey reports whether a prepared transaction writes key: Commit
@@ -300,7 +306,7 @@ func (t *Txn) rollForwardAsync(participants []participant, from int, ts truetime
 		for _, p := range participants {
 			p.tab.finish(t)
 		}
-		db.locks.release(t, t.held)
+		db.locks.release(t)
 	}()
 }
 
@@ -310,8 +316,8 @@ func (t *Txn) rollForwardAsync(participants []participant, from int, ts truetime
 // participant tablets, pays the replication quorum latency, performs
 // commit wait, and returns the commit timestamp.
 func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ truetime.Timestamp, retErr error) {
-	ctx, end := reqctx.StartSpan(ctx, "spanner.txn.commit")
-	defer func() { end(retErr) }()
+	ctx, span := reqctx.StartSpan(ctx, "spanner.txn.commit")
+	defer func() { span.End(retErr) }()
 	dbID := reqctx.From(ctx).DB
 	if t.done {
 		return 0, ErrTxnDone
@@ -346,7 +352,7 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 			writes = append(writes, w)
 		}
 	}
-	t.writes, t.latest = writes, nil
+	t.writes, t.latest = writes, btree.Tree[int]{}
 	for _, w := range writes {
 		if err := t.lock(ctx, w.Key, lockExclusive, t.db.lockTimeout); err != nil {
 			t.Abort()
