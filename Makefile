@@ -67,10 +67,12 @@ test-race:
 # back the version the engine read, whether decoded or shared from the
 # backend's memo of decoded versions — and the lock table itself under
 # overlapping shared and exclusive sets, upgrades and a ten-thousand-key
-# transaction (spanner).
+# transaction (spanner) — and index repair and validation looping, a
+# batch under locks at a time, amid writers of an indexed collection
+# (backend).
 race-repeat:
 	$(GO) test -race -count=10 ./internal/rtcache ./internal/frontend ./internal/wfq
-	$(GO) test -race -count=20 -run 'TestRunTransactionRetries|TestReadModifyWriteDoesNotDeadlock|TestOppositeOrderBatchesDoNotStall|TestCrossDocumentCycleResolvesFast|TestMemoConcurrentReadersSeeTheirVersion|TestLockTableStress' ./firestore/ ./internal/backend/ ./internal/spanner/
+	$(GO) test -race -count=20 -run 'TestRunTransactionRetries|TestReadModifyWriteDoesNotDeadlock|TestOppositeOrderBatchesDoNotStall|TestCrossDocumentCycleResolvesFast|TestMemoConcurrentReadersSeeTheirVersion|TestLockTableStress|TestReconcileUnderWriters' ./firestore/ ./internal/backend/ ./internal/spanner/
 	$(GO) test -race -count=2 ./firestore/ ./mobile/ ./internal/backend/ ./internal/ramp/ \
 		./internal/reqctx/ ./internal/obs/ ./cmd/firestore-server/server/ ./cmd/fsctl/ \
 		./internal/keyviz/ ./internal/storage/ ./internal/spanner/ ./internal/cluster/ ./internal/query/ \

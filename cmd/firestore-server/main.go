@@ -28,7 +28,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"io"
 	"log"
@@ -42,7 +41,6 @@ import (
 	"firestore/internal/cluster"
 	"firestore/internal/core"
 	"firestore/internal/storage"
-	"firestore/internal/transport"
 )
 
 func main() {
@@ -155,27 +153,16 @@ func runTablet(join, name, dataDir, kind string, memtableCap int64) {
 	if kind == cluster.KindDisk && dataDir == "" {
 		log.Fatal("firestore-server: -role tablet with disk engines requires -data-dir")
 	}
-	// Operators start tablets and the coordinator in any order, so a
-	// refused join dial retries for a bounded window instead of exiting
-	// (the coordinator's control plane may be a moment behind us).
-	var ts *cluster.TabletServer
-	var err error
-	for deadline := time.Now().Add(15 * time.Second); ; {
-		ts, err = cluster.NewTabletServer(cluster.TabletServerConfig{
-			Name:        name,
-			Join:        join,
-			DataDir:     dataDir,
-			Kind:        kind,
-			MemtableCap: memtableCap,
-		})
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, transport.ErrPeerUnreachable) || time.Now().After(deadline) {
-			log.Fatalf("firestore-server: start tablet server: %v", err)
-		}
-		log.Printf("tablet server %q: coordinator %s not up yet (%v), retrying", name, join, err)
-		time.Sleep(500 * time.Millisecond)
+	// NewTabletServer retries the join while the coordinator is not up yet.
+	ts, err := cluster.NewTabletServer(cluster.TabletServerConfig{
+		Name:        name,
+		Join:        join,
+		DataDir:     dataDir,
+		Kind:        kind,
+		MemtableCap: memtableCap,
+	})
+	if err != nil {
+		log.Fatalf("firestore-server: start tablet server: %v", err)
 	}
 	defer ts.Close()
 	log.Printf("tablet server %q (%s engines) serving on %s, joined %s", name, kind, ts.Addr(), join)

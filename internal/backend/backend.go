@@ -5,8 +5,8 @@
 // execution over the IndexEntries/Entities tables, security-rule
 // enforcement for third-party requests, optimistic transaction commits
 // with freshness revalidation, the hand-off of each commit's changes to
-// the database's write triggers, and the background index
-// backfill/backremoval service.
+// the database's write triggers, and one walk that reconciles indexes
+// with documents: backfill, backremoval, validation and repair.
 package backend
 
 import (

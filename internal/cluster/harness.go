@@ -50,22 +50,11 @@ func MaybeRunTabletChild() {
 }
 
 // runChild serves until stdin closes (the parent exited or released us)
-// or the orphan watchdog fires. The join is retried briefly: a respawned
-// child can race the coordinator noticing its predecessor's death.
+// or the orphan watchdog fires.
 func runChild(cfg TabletServerConfig) error {
-	var ts *TabletServer
-	var err error
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ts, err = NewTabletServer(cfg)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return err
-		}
-		//fslint:ignore clockdiscipline a child process's join retry runs before any region or clock exists
-		time.Sleep(100 * time.Millisecond)
+	ts, err := NewTabletServer(cfg)
+	if err != nil {
+		return err
 	}
 	defer ts.Close()
 	stdinClosed := make(chan struct{})

@@ -115,9 +115,22 @@ func NewTabletServer(cfg TabletServerConfig) (*TabletServer, error) {
 		return nil, err
 	}
 	ts.addr = addr
-	if err := ts.join(); err != nil {
-		ts.srv.Close()
-		return nil, err
+	// Operators start tablet servers and the coordinator in any order, and
+	// a respawned process can race the coordinator noticing its
+	// predecessor's death, so the first join is retried on a retryable
+	// failure for a bounded window, over the one listener.
+	var backoff status.Backoff
+	for deadline := time.Now().Add(joinWindow); ; {
+		err := ts.join()
+		if err == nil {
+			break
+		}
+		if !status.Retryable(status.CodeOf(err)) || time.Now().After(deadline) {
+			ts.srv.Close()
+			return nil, fmt.Errorf("joining coordinator %s: %w", cfg.Join, err)
+		}
+		//fslint:ignore clockdiscipline a tablet server's first join runs before any region or clock exists
+		time.Sleep(backoff.Next())
 	}
 	ts.wg.Add(1)
 	go ts.heartbeatLoop()
@@ -154,6 +167,9 @@ func (ts *TabletServer) join() error {
 	}
 	return nil
 }
+
+// joinWindow bounds how long NewTabletServer retries its first join.
+const joinWindow = 15 * time.Second
 
 // heartbeatEvery is the control-plane heartbeat period. orphanAfter is
 // how long heartbeats may fail before Orphaned fires; it keeps

@@ -432,12 +432,8 @@ func (r *Region) AddCompositeIndex(ctx context.Context, dbID string, def index.D
 	return r.Backend.AddCompositeIndex(ctx, dbID, def)
 }
 
-// AddExemption excludes a field from automatic indexing.
-func (r *Region) AddExemption(dbID, collection string, path doc.FieldPath) error {
-	db, err := r.Catalog.Get(dbID)
-	if err != nil {
-		return err
-	}
-	db.AddExemption(collection, path)
-	return nil
+// AddExemption excludes a field from automatic indexing and backremoves
+// its automatic entries.
+func (r *Region) AddExemption(ctx context.Context, dbID, collection string, path doc.FieldPath) error {
+	return r.Backend.AddExemption(ctx, dbID, collection, path)
 }

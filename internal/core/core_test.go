@@ -239,10 +239,10 @@ func TestRegionIndexExemption(t *testing.T) {
 	r := newRegion(t, Config{})
 	r.CreateDatabase("app")
 	ctx := context.Background()
-	if err := r.AddExemption("app", "events", "seq"); err != nil {
+	if err := r.AddExemption(ctx, "app", "events", "seq"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddExemption("missing", "events", "seq"); err == nil {
+	if err := r.AddExemption(ctx, "missing", "events", "seq"); err == nil {
 		t.Fatal("exemption on missing db accepted")
 	}
 	for i := 0; i < 5; i++ {

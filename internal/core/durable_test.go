@@ -7,6 +7,7 @@ import (
 
 	"firestore/internal/backend"
 	"firestore/internal/doc"
+	"firestore/internal/index"
 	"firestore/internal/query"
 )
 
@@ -151,5 +152,68 @@ func TestPlanSurvivesRestart(t *testing.T) {
 	}
 	if want := "scan index(c: f asc)"; pe.Plan != want {
 		t.Fatalf("explain %q, want %q", pe.Plan, want)
+	}
+}
+
+// TestCompositeReAddedAfterRestart: the catalog does not survive a
+// restart, so writes made before a composite is re-added do not maintain
+// it, and its entries from before the restart go stale. Re-adding it must
+// remove them: the executor trusts index entries, so a stale one returns
+// a document the query does not match.
+func TestCompositeReAddedAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	cfg := Config{Name: "durable", StorageDir: dir}
+	def := index.CompositeDef("cities",
+		index.Field{Path: "state", Dir: index.Ascending},
+		index.Field{Path: "pop", Dir: index.Ascending})
+	setCity := func(r *Region, state string) {
+		if _, err := r.Commit(ctx, "app", priv, []backend.WriteOp{{Kind: backend.OpSet, Name: doc.MustName("/cities/sf"),
+			Fields: map[string]doc.Value{"state": doc.String(state), "pop": doc.Int(870)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := OpenRegion(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.CreateDatabase("app"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddCompositeIndex(ctx, "app", def); err != nil {
+		t.Fatal(err)
+	}
+	setCity(r, "CA")
+	r.Close()
+
+	re, err := OpenRegion(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, err := re.CreateDatabase("app"); err != nil {
+		t.Fatal(err)
+	}
+	setCity(re, "NV")
+	if err := re.AddCompositeIndex(ctx, "app", def); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := re.RunQuery(ctx, "app", priv, &query.Query{
+		Collection: doc.MustCollection("/cities"),
+		Predicates: []query.Predicate{{Path: "state", Op: query.Eq, Value: doc.String("CA")}},
+		Orders:     []query.Order{{Path: "pop", Dir: index.Ascending}},
+	}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range res.Docs {
+		t.Errorf("state == CA returned %s with state %v", d.Name, d.Fields["state"])
+	}
+	report, err := re.Backend.ValidateDatabase(ctx, "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Clean() {
+		t.Fatalf("validation after the re-add: %v (orphans %v)", report, report.OrphanEntries)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // Storage is what the executor needs from the storage layer. The backend
 // implements it over the Spanner IndexEntries and Entities tables; the
-// mobile SDK implements it over the client's local cache.
+// benchmark's query probe implements it over sorted in-memory slices.
 type Storage interface {
 	// ScanIndex iterates IndexEntries rows with lo <= key < hi in key
 	// order. The row value is the named document's full textual name.
