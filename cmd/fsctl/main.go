@@ -52,6 +52,7 @@ import (
 	"firestore/internal/fault"
 	"firestore/internal/keyviz"
 	"firestore/internal/obs"
+	"firestore/internal/query"
 	"firestore/internal/reqctx"
 )
 
@@ -279,7 +280,9 @@ func (c *cli) advisor(args []string) error {
 // scan pages through an entire collection in name order, one JSON
 // document per line: each page is a limited query whose startAfter
 // cursor is the previous page's last document name, so arbitrarily
-// large collections stream in bounded requests.
+// large collections stream in bounded requests. A page size above what
+// the server returns in one page (query.MaxResultSize) is clamped to it,
+// since a short page ends the scan.
 func (c *cli) scan(args []string) error {
 	if len(args) < 1 || len(args) > 2 {
 		return fmt.Errorf("scan <collection> [pageSize]")
@@ -290,7 +293,7 @@ func (c *cli) scan(args []string) error {
 		if err != nil || n <= 0 {
 			return fmt.Errorf("scan: page size must be a positive integer, got %q", args[1])
 		}
-		pageSize = n
+		pageSize = min(n, query.MaxResultSize)
 	}
 	coll := ensureSlash(args[0])
 	var after string

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -10,12 +12,22 @@ import (
 	"time"
 
 	"firestore/cmd/firestore-server/server"
+	"firestore/internal/backend"
 	"firestore/internal/core"
+	"firestore/internal/doc"
+	"firestore/internal/query"
 )
 
 // newLiveServer starts a real firestore-server (debug suite mounted)
 // and returns a cli pointed at it.
 func newLiveServer(t *testing.T) *cli {
+	t.Helper()
+	c, _ := newLiveRegion(t)
+	return c
+}
+
+// newLiveRegion is newLiveServer that also returns the server's region.
+func newLiveRegion(t *testing.T) (*cli, *core.Region) {
 	t.Helper()
 	region := core.NewRegion(core.Config{Name: "fsctl-test", SchedulerWorkers: 2})
 	t.Cleanup(region.Close)
@@ -23,7 +35,34 @@ func newLiveServer(t *testing.T) *cli {
 	srv.EnableDebug(server.DebugOptions{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return &cli{base: ts.URL, db: "app"}
+	return &cli{base: ts.URL, db: "app"}, region
+}
+
+// TestScanPageSizeAboveServerPage: a page size above the server's page
+// (query.MaxResultSize) still prints the whole collection, not the first
+// page.
+func TestScanPageSizeAboveServerPage(t *testing.T) {
+	c, region := newLiveRegion(t)
+	if _, err := region.CreateDatabase("app"); err != nil {
+		t.Fatal(err)
+	}
+	const n = query.MaxResultSize + 500
+	ops := make([]backend.WriteOp, 0, n)
+	for i := range n {
+		ops = append(ops, backend.WriteOp{Kind: backend.OpSet, Name: doc.MustName(fmt.Sprintf("/c/d%04d", i)),
+			Fields: map[string]doc.Value{"i": doc.Int(int64(i))}})
+	}
+	for len(ops) > 0 {
+		k := min(len(ops), 500)
+		if _, err := region.Commit(context.Background(), "app", backend.Principal{Privileged: true}, ops[:k]); err != nil {
+			t.Fatal(err)
+		}
+		ops = ops[k:]
+	}
+	out := capture(t, func() error { return c.scan([]string{"/c", "5000"}) })
+	if got := strings.Count(out, "\n"); got != n {
+		t.Fatalf("scan /c 5000 printed %d documents, want %d", got, n)
+	}
 }
 
 // capture runs fn with os.Stdout redirected to a pipe and returns what

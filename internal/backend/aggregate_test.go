@@ -173,4 +173,31 @@ func TestExplainQueryAlternatives(t *testing.T) {
 	if rep := e.b.AdvisorReport(e.dbID); len(rep) != 1 || rep[0].Choice != want.Choice {
 		t.Fatalf("RunQuery recorded %+v, want one %s execution", rep, want.Choice)
 	}
+
+	// A limit ends the drain where the SDK iterator stops, and COUNT stops
+	// at offset+limit: over 100 matching documents, limit 5 reads 5
+	// entries, in one scan.
+	for i := 0; i < 100; i++ {
+		set(t, e, fmt.Sprintf("/big/d%03d", i), map[string]doc.Value{"k": doc.Int(1)})
+	}
+	big := &query.Query{Collection: doc.MustCollection("/big"),
+		Predicates: []query.Predicate{{Path: "k", Op: query.Eq, Value: doc.Int(1)}}, Limit: 5}
+	analyzed, _, err = e.b.ExplainQuery(ctx, e.dbID, priv, big, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if analyzed.Results != 5 || analyzed.ActualEntries != 5 || analyzed.Scans != 1 {
+		t.Fatalf("analyze of %s = %+v, want 5 results from 5 entries in 1 scan", big, analyzed)
+	}
+	count := []query.Aggregation{{Kind: query.AggCount, Alias: "n"}}
+	for _, offset := range []int{0, 3} {
+		big.Offset = offset
+		agg, _, err := e.b.RunAggregation(ctx, e.dbID, priv, big, count, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := agg.Values["n"].IntVal(); n != 5 || agg.ScannedEntries != offset+5 {
+			t.Fatalf("count of %s = %d from %d entries, want 5 from %d", big, n, agg.ScannedEntries, offset+5)
+		}
+	}
 }

@@ -88,12 +88,8 @@ func (b *Backend) getAt(ctx context.Context, db *catalog.Database, name doc.Name
 // doubles as the max-commit-version for real-time subscriptions (§IV-D4
 // step 2).
 func (b *Backend) RunQuery(ctx context.Context, dbID string, p Principal, q *query.Query, resume []byte, readTS truetime.Timestamp) (*query.Result, truetime.Timestamp, error) {
-	db, err := b.cat.Get(dbID)
+	db, meta, readTS, err := b.openQuery(dbID, p, q, readTS)
 	if err != nil {
-		return nil, 0, err
-	}
-	meta := db.Meta()
-	if err := authorizeList(meta, p, q); err != nil {
 		return nil, 0, err
 	}
 	plan, err := planQuery(meta, q)
@@ -101,9 +97,6 @@ func (b *Backend) RunQuery(ctx context.Context, dbID string, p Principal, q *que
 		return nil, 0, err
 	}
 	b.plans.With(dbID, plan.Choice).Inc()
-	if readTS == 0 {
-		readTS = db.Spanner.StrongReadTimestamp()
-	}
 	var res *query.Result
 	err = b.submit(ctx, db, "backend.query", b.schedKey(dbID, p), b.cfg.Costs.Query(dbID, q), func(ctx context.Context) error {
 		st := b.snapshot(db, readTS)
@@ -136,19 +129,12 @@ func (b *Backend) RunQuery(ctx context.Context, dbID string, p Principal, q *que
 // of documents stays pay-as-you-go; partial work is billed even when
 // execution fails mid-scan.
 func (b *Backend) RunAggregation(ctx context.Context, dbID string, p Principal, q *query.Query, aggs []query.Aggregation, readTS truetime.Timestamp) (*query.AggregationResult, truetime.Timestamp, error) {
-	db, err := b.cat.Get(dbID)
+	db, meta, readTS, err := b.openQuery(dbID, p, q, readTS)
 	if err != nil {
-		return nil, 0, err
-	}
-	meta := db.Meta()
-	if err := authorizeList(meta, p, q); err != nil {
 		return nil, 0, err
 	}
 	if err := query.ValidateAggregations(q, aggs); err != nil {
 		return nil, 0, err
-	}
-	if readTS == 0 {
-		readTS = db.Spanner.StrongReadTimestamp()
 	}
 	// Every aggregation (the base query and each SUM/AVG field variant)
 	// is planned like a query.
@@ -184,34 +170,29 @@ type PlanExplain struct {
 	Plan string `json:"plan"`
 	// Choice is the plan family: composite, auto, zigzag, or entities.
 	Choice string `json:"choice"`
-	// ActualEntries, Scans and Results report a full drain of the plan
-	// when explain runs in analyze mode: index entries read, storage scans
-	// (round trips) made, documents returned.
+	// ActualEntries, Scans and Results report, when explain runs in
+	// analyze mode, what RunQuery and the SDK iterator do with the query:
+	// index entries read, storage scans (round trips) made and documents
+	// returned over the pages it takes to exhaust the query or reach its
+	// limit.
 	ActualEntries int `json:"actualEntries,omitempty"`
 	Scans         int `json:"scans,omitempty"`
 	Results       int `json:"results,omitempty"`
 }
 
 // ExplainQuery returns the plan RunQuery would execute for q without
-// serving results. With analyze set, the plan is also executed to
-// exhaustion at the read timestamp, following resume tokens, to count
-// the index entries it visits, the scans it makes and the results it
-// returns.
+// serving results. With analyze set, the plan is also executed at the
+// read timestamp, following resume tokens as the SDK iterator does until
+// the query runs out or has its limit, to count the index entries it
+// visits, the scans it makes and the results it returns.
 func (b *Backend) ExplainQuery(ctx context.Context, dbID string, p Principal, q *query.Query, analyze bool, readTS truetime.Timestamp) (PlanExplain, truetime.Timestamp, error) {
-	db, err := b.cat.Get(dbID)
+	db, meta, readTS, err := b.openQuery(dbID, p, q, readTS)
 	if err != nil {
-		return PlanExplain{}, 0, err
-	}
-	meta := db.Meta()
-	if err := authorizeList(meta, p, q); err != nil {
 		return PlanExplain{}, 0, err
 	}
 	plan, err := planQuery(meta, q)
 	if err != nil {
 		return PlanExplain{}, 0, err
-	}
-	if readTS == 0 {
-		readTS = db.Spanner.StrongReadTimestamp()
 	}
 	out := PlanExplain{Plan: plan.String(), Choice: plan.Choice}
 	if !analyze {
@@ -227,6 +208,10 @@ func (b *Backend) ExplainQuery(ctx context.Context, dbID string, p Principal, q 
 		out.ActualEntries += res.ScannedEntries
 		out.Scans += res.Scans
 		out.Results += len(res.Docs)
+		if q.Limit > 0 && out.Results >= q.Limit {
+			out.Results = q.Limit // the iterator yields no more
+			return out, readTS, nil
+		}
 		if res.Resume == nil {
 			return out, readTS, nil
 		}
@@ -234,21 +219,34 @@ func (b *Backend) ExplainQuery(ctx context.Context, dbID string, p Principal, q 
 	}
 }
 
-// authorizeList checks a third-party principal's list permission on q's
-// collection. It is evaluated against the collection's document pattern;
-// conditions inspecting document data cannot grant a whole query.
-func authorizeList(meta *catalog.Meta, p Principal, q *query.Query) error {
-	if p.Privileged {
-		return nil
-	}
-	if meta.Rules == nil {
-		return fmt.Errorf("%w: no rules deployed", rules.ErrDenied)
-	}
-	probe, err := q.Collection.Doc("?")
+// openQuery is the prologue RunQuery, RunAggregation and ExplainQuery
+// share: it looks up the database and its metadata, checks a third-party
+// principal's list permission on q's collection, and resolves a zero
+// readTS to a strong read. The permission is evaluated against the
+// collection's document pattern; conditions inspecting document data
+// cannot grant a whole query.
+func (b *Backend) openQuery(dbID string, p Principal, q *query.Query, readTS truetime.Timestamp) (*catalog.Database, *catalog.Meta, truetime.Timestamp, error) {
+	db, err := b.cat.Get(dbID)
 	if err != nil {
-		return err
+		return nil, nil, 0, err
 	}
-	return meta.Rules.Authorize(&rules.Request{Method: rules.MethodList, Path: probe, Auth: p.Auth})
+	meta := db.Meta()
+	if !p.Privileged {
+		if meta.Rules == nil {
+			return nil, nil, 0, fmt.Errorf("%w: no rules deployed", rules.ErrDenied)
+		}
+		probe, err := q.Collection.Doc("?")
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if err := meta.Rules.Authorize(&rules.Request{Method: rules.MethodList, Path: probe, Auth: p.Auth}); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if readTS == 0 {
+		readTS = db.Spanner.StrongReadTimestamp()
+	}
+	return db, meta, readTS, nil
 }
 
 // planQuery plans q against the database's ready index set.
@@ -258,10 +256,10 @@ func planQuery(meta *catalog.Meta, q *query.Query) (*query.Plan, error) {
 
 // snapshotStorage adapts a database snapshot to the query executor's
 // Storage interface: index scans over IndexEntries rows, document reads
-// over Entities rows (§IV-D3). One execution owns it and makes one call
-// at a time, so the row keys of the call in flight are built in its own
-// buffers — Spanner keeps no key past a call, and a scan's bounds stay
-// untouched by the gets between its refills.
+// over Entities rows (§IV-D3). One execution owns it, and the only call
+// it nests is a get inside a scan's callback, so the scan's bounds and a
+// get's key are built in buffers of their own — Spanner keeps no key
+// past a call.
 type snapshotStorage struct {
 	db          *catalog.Database
 	memo        *docMemo

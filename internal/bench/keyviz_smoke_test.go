@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"firestore/internal/keyviz"
-	"firestore/internal/truetime"
 )
 
 // TestKeyVizOverheadGate runs the fixed-op YCSB-A workload with the
@@ -24,11 +23,11 @@ func TestKeyVizOverheadGate(t *testing.T) {
 }
 
 // TestKeyVizDisarmedSampleCost pins the disarmed hot-path contract: a
-// sample against a disabled collector is one atomic load — zero
+// sample against a nil collector (keyviz off) is one nil check — zero
 // allocations and a handful of nanoseconds even on a loaded CI worker.
 // The time bound holds only without the race detector.
 func TestKeyVizDisarmedSampleCost(t *testing.T) {
-	c := keyviz.New(truetime.NewManual(1000, 0), keyviz.Options{})
+	var c *keyviz.Collector
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -39,7 +38,7 @@ func TestKeyVizDisarmedSampleCost(t *testing.T) {
 		t.Fatalf("disarmed Sample allocates %d times per op, want 0", allocs)
 	}
 	if perOp := res.NsPerOp(); perOp > 50 && !raceDetector {
-		t.Fatalf("disarmed Sample costs %dns/op, want <= 50ns (single atomic load)", perOp)
+		t.Fatalf("disarmed Sample costs %dns/op, want <= 50ns (one nil check)", perOp)
 	}
 	t.Logf("disarmed Sample: %dns/op, %d allocs/op", res.NsPerOp(), res.AllocsPerOp())
 }

@@ -112,8 +112,8 @@ type Config struct {
 	StorageFactory func(i int) (storage.Factory, error)
 	// KeyVizOff disables the keyspace heatmap collector. By default every
 	// region samples per-tablet and per-range heat into a bounded ring of
-	// time windows (the "Key Visualizer"); the disarmed-per-sample cost is
-	// one atomic load, and the armed cost a handful of atomic adds, so it
+	// time windows (the "Key Visualizer"). Off, the collector is nil and a
+	// sample costs one nil check; on, a handful of atomic adds, so it
 	// stays on unless an experiment wants it out of the way.
 	KeyVizOff bool
 }
@@ -216,7 +216,6 @@ func OpenRegion(cfg Config) (*Region, error) {
 		// must never evaluate fault sites, or the fault sink's event
 		// recording would recurse through the truetime.epsilon hook.
 		kv = keyviz.New(innerClock, keyviz.Options{})
-		kv.Enable()
 		// Injected faults land on the same timeline as splits, sheds, and
 		// compactions; the sink records the fault site only (shard
 		// attribution happens at the faulting layer's own sample calls).

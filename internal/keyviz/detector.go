@@ -74,7 +74,7 @@ func (c *Collector) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		Enabled:      c.enabled.Load(),
+		Enabled:      true,
 		WindowMillis: int64(c.windowDur / time.Millisecond),
 		Dropped:      c.dropped.Load(),
 	}

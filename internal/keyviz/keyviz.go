@@ -9,8 +9,8 @@
 // (§IV-D4), and WFQ noisy-tenant isolation (§IV-C) are all invisible
 // without per-range load attribution.
 //
-// Hot-path discipline mirrors internal/fault: a disarmed sample site
-// costs one atomic load (Collector.Armed fast path), and armed samples
+// Hot-path discipline mirrors internal/fault: a disarmed sample site — a
+// nil collector — costs one nil check (Collector.Armed), and armed samples
 // touch only per-cell atomics — cells are the shards, found by lock-free
 // open addressing in a fixed table per window, so two tablets never
 // contend on one counter. Time comes from the injected truetime.Clock,
@@ -173,17 +173,14 @@ type Options struct {
 }
 
 // Collector is the keyspace/time heat collector. The zero value is not
-// usable; call New. A nil *Collector is safe to sample against (no-op),
-// so layers keep a plain field without nil checks at every site.
+// usable; call New. A nil *Collector is keyviz off: it is safe to sample
+// against (no-op), so layers keep a plain field without nil checks at
+// every site.
 type Collector struct {
 	clock     truetime.Clock
 	windowDur time.Duration
 	maxRing   int
 	eventCap  int
-
-	// enabled is the armed fast path: a disabled collector costs every
-	// sample site exactly this one atomic load.
-	enabled atomic.Bool
 
 	// cur is the active window, published by rotation.
 	cur atomic.Pointer[window]
@@ -194,8 +191,7 @@ type Collector struct {
 	dropped atomic.Int64
 }
 
-// New builds a collector on the region's TrueTime clock. The collector
-// starts disabled; call Enable to arm sampling.
+// New builds a collector, armed, on the region's TrueTime clock.
 func New(clock truetime.Clock, opts Options) *Collector {
 	if opts.Window <= 0 {
 		opts.Window = DefaultWindow
@@ -214,33 +210,19 @@ func New(clock truetime.Clock, opts Options) *Collector {
 	}
 }
 
-// Enable arms sampling.
-func (c *Collector) Enable() {
-	if c != nil {
-		c.enabled.Store(true)
-	}
-}
-
-// Disable disarms sampling; history and events are retained.
-func (c *Collector) Disable() {
-	if c != nil {
-		c.enabled.Store(false)
-	}
-}
-
-// Armed reports whether sampling is active. It is the one-atomic-load
-// fast path instrumentation sites use to gate any extra work (an extra
-// clock read, a tablet resolution) beyond the sample itself.
+// Armed reports whether sampling is active: whether c is non-nil.
+// Instrumentation sites use it to gate any extra work (an extra clock
+// read, a tablet resolution) beyond the sample itself.
 func (c *Collector) Armed() bool {
-	return c != nil && c.enabled.Load()
+	return c != nil
 }
 
 // Sample records n operations of kind op on (src, shard), with optional
 // payload bytes and an optional latency observation (zero to skip).
-// Disarmed cost is one atomic load; armed cost is a clock read plus a
+// Disarmed cost is one nil check; armed cost is a clock read plus a
 // handful of per-cell atomic adds.
 func (c *Collector) Sample(src Source, shard uint64, op Op, n, bytes int64, lat time.Duration) {
-	if c == nil || !c.enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.sampleAt(c.clock.Now().Latest, src, shard, op, n, bytes, lat)
@@ -250,7 +232,7 @@ func (c *Collector) Sample(src Source, shard uint64, op Op, n, bytes int64, lat 
 // same clock, saving the duplicate clock read on paths that have one in
 // hand (tablet load accounting).
 func (c *Collector) SampleAt(now truetime.Timestamp, src Source, shard uint64, op Op, n, bytes int64, lat time.Duration) {
-	if c == nil || !c.enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.sampleAt(now, src, shard, op, n, bytes, lat)

@@ -14,7 +14,6 @@ func newTestCollector(t *testing.T) (*Collector, *truetime.Manual) {
 	t.Helper()
 	clock := truetime.NewManual(1000, 0)
 	c := New(clock, Options{Window: 100 * time.Millisecond, Windows: 4, EventCap: 8})
-	c.Enable()
 	return c, clock
 }
 
@@ -27,14 +26,6 @@ func TestDisarmedAndNilAreNoOps(t *testing.T) {
 	}
 	if s := nilC.Snapshot(); s.Enabled || len(s.Windows) != 0 {
 		t.Fatal("nil snapshot not empty")
-	}
-
-	c := New(truetime.NewManual(0, 0), Options{})
-	c.Sample(SrcTablet, 1, OpRead, 5, 0, 0)
-	c.Record(EvSplit, Event{Shard: 1})
-	s := c.Snapshot()
-	if len(s.Windows) != 0 || len(s.Events) != 0 {
-		t.Fatalf("disabled collector recorded: %+v", s)
 	}
 }
 
@@ -188,7 +179,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestConcurrentSampling(t *testing.T) {
 	clock := truetime.NewSystem(0)
 	c := New(clock, Options{Window: time.Second, Windows: 8})
-	c.Enable()
 	var wg sync.WaitGroup
 	const workers, per = 8, 2000
 	for w := 0; w < workers; w++ {
@@ -234,7 +224,7 @@ func TestRenderText(t *testing.T) {
 }
 
 func TestRenderTextEmpty(t *testing.T) {
-	c := New(truetime.NewManual(0, 0), Options{})
+	var c *Collector
 	out := RenderText(c.Snapshot(), 0)
 	if !strings.Contains(out, "no heat recorded") || !strings.Contains(out, "disabled") {
 		t.Fatalf("empty render wrong:\n%s", out)

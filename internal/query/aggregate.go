@@ -59,6 +59,34 @@ type AggregationResult struct {
 	ScannedEntries int
 }
 
+// CountResult is a COUNT execution's output.
+type CountResult struct {
+	Count int64
+	// ScannedEntries is the index work performed, as for
+	// AggregationResult.
+	ScannedEntries int
+}
+
+// ExecuteCount counts the plan's result set, after its offset and up to
+// its limit, without fetching any documents, and stops once it has
+// offset+limit rows. On error (including context cancellation mid-join)
+// the partial result is still returned so the entries already visited
+// are billed.
+func (p *Plan) ExecuteCount(ctx context.Context, st Storage) (*CountResult, error) {
+	res := &CountResult{}
+	skip, limit := p.Query.Offset, int64(p.Query.Limit)
+	var err error
+	res.ScannedEntries, _, err = p.walk(ctx, st, nil, func([]byte, []byte, *doc.Document) bool {
+		if skip > 0 {
+			skip--
+			return true
+		}
+		res.Count++
+		return limit <= 0 || res.Count < limit
+	})
+	return res, err
+}
+
 // Aggregation request shape errors.
 var (
 	ErrAggEmpty       = status.New(status.InvalidArgument, "query", "at least one aggregation is required")
@@ -178,7 +206,7 @@ func aggregateField(ctx context.Context, st Storage, q *Query, f doc.FieldPath, 
 	sortFields := sortFieldsOf(qf)
 	acc := &numAccum{}
 	var decErr error
-	visited, err := p.walkIndexOnly(ctx, st, func(suffix []byte) bool {
+	visited, _, err := p.walk(ctx, st, nil, func(suffix, _ []byte, _ *doc.Document) bool {
 		v, derr := decodeSuffixComponent(suffix, sortFields, pos)
 		if derr != nil {
 			decErr = derr

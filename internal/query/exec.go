@@ -33,8 +33,10 @@ type Storage interface {
 // partially-executed query").
 type Result struct {
 	Docs []*doc.Document
-	// Resume restarts the query after the last returned document; nil
-	// when the result set was exhausted.
+	// Resume restarts the query after the last returned document. It is
+	// set when the page filled, even if no result follows (the next page
+	// is then empty), and nil when the query ran out before the page
+	// filled.
 	Resume []byte
 	// ScannedEntries counts index entries visited (plan cost metric).
 	ScannedEntries int
@@ -51,108 +53,117 @@ const MaxResultSize = 1000
 // a previous partial execution. The offset applies only to the first
 // page.
 func (p *Plan) Execute(ctx context.Context, st Storage, resume []byte) (*Result, error) {
-	limit := p.Query.Limit
+	q := p.Query
+	limit := q.Limit
 	if limit <= 0 || limit > MaxResultSize {
 		limit = MaxResultSize
 	}
-	offset := p.Query.Offset
+	offset := q.Offset
 	if resume != nil {
 		offset = 0
 	}
-	if p.Scans[0].Def.ID == 0 {
-		return p.executeEntitiesScan(ctx, st, resume, offset, limit)
-	}
-	return p.executeIndexScans(ctx, st, resume, offset, limit)
-}
-
-// executeEntitiesScan serves a bare collection query (no predicates, no
-// order) straight from the Entities table, which is already in name
-// order; every visited document counts as scan work.
-func (p *Plan) executeEntitiesScan(ctx context.Context, st Storage, resume []byte, offset, limit int) (*Result, error) {
-	res := &Result{Scans: 1}
-	startAfter := string(resume)
-	truncated := false
-	err := st.ScanCollection(ctx, p.Query.Collection, startAfter, func(d *doc.Document) bool {
-		res.ScannedEntries++
-		// Cursor bounds apply before offset/limit accounting: the scan is
-		// in name order, which is the bare collection query's effective
-		// order, so the first past-end document ends the scan.
-		if p.Query.BeforeStart(d) {
+	// Cursor bounds apply before the offset and need the document; without
+	// cursors, an index row the offset skips is never fetched.
+	hasCursor := q.Start != nil || q.End != nil
+	res := &Result{Docs: make([]*doc.Document, 0, min(limit, storage.NextScanChunk(0)))}
+	var ferr, err error
+	res.ScannedEntries, res.Scans, err = p.walk(ctx, st, resume, func(pos, name []byte, d *doc.Document) bool {
+		if d == nil {
+			if offset > 0 && !hasCursor {
+				offset--
+				return true
+			}
+			if d, ferr = p.fetch(ctx, st, string(name)); d == nil {
+				return ferr == nil // an entry whose document is gone is skipped
+			}
+		}
+		// The walk is in the query's order, so the first document past the
+		// end cursor ends the query.
+		switch {
+		case q.BeforeStart(d):
 			return true
-		}
-		if p.Query.PastEnd(d) {
+		case q.PastEnd(d):
 			return false
-		}
-		if offset > 0 {
+		case offset > 0:
 			offset--
 			return true
 		}
-		if len(res.Docs) == limit {
-			truncated = true
-			return false
+		res.Docs = append(res.Docs, q.Project(d))
+		if len(res.Docs) < limit {
+			return true
 		}
-		res.Docs = append(res.Docs, p.Query.Project(d))
-		return true
+		if pos != nil {
+			res.Resume = append([]byte(nil), pos...)
+		} else {
+			res.Resume = []byte(d.Name.ID())
+		}
+		return false
 	})
+	if err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return nil, err
-	}
-	if truncated && len(res.Docs) > 0 {
-		res.Resume = []byte(res.Docs[len(res.Docs)-1].Name.ID())
 	}
 	return res, nil
 }
 
-// executeIndexScans runs the single-index or zig-zag join path: advance
-// iterators over each scan's range, emit documents whose join suffix
-// (sort values + document ID) appears in every range.
-func (p *Plan) executeIndexScans(ctx context.Context, st Storage, resume []byte, offset, limit int) (*Result, error) {
-	iters := p.newScanIters(st, limit+offset)
+// walk streams the plan's result rows to visit, in the query's order,
+// until visit returns false or the rows run out. An index row comes as
+// its position — the join suffix past the scan prefix (sort values +
+// escaped document ID), which a resume token names — and the named
+// document's name, with d nil. An Entities row comes as its document,
+// with pos and name nil. A non-nil resume starts the walk after that
+// position (a document ID for an Entities plan). walk returns the rows
+// it read and the storage scans it made, also with an error, so the work
+// done before a failure is still billed.
+//
+// An Entities plan pushes the collection's documents, already in name
+// order, from one ScanCollection; a single index scan pushes its entries
+// from one ScanIndex; a zig-zag join pulls its legs through scanIters.
+func (p *Plan) walk(ctx context.Context, st Storage, resume []byte, visit func(pos, name []byte, d *doc.Document) bool) (entries, scans int, err error) {
+	// Each push branch counts in a local of its own: a variable an
+	// escaping callback captures lives on the heap, and the join need not
+	// pay for it.
+	if p.Scans[0].Def.ID == 0 {
+		n := 0
+		err = st.ScanCollection(ctx, p.Query.Collection, string(resume), func(d *doc.Document) bool {
+			n++
+			return visit(nil, nil, d)
+		})
+		return n, 1, err
+	}
+	if len(p.Scans) == 1 {
+		sc := &p.Scans[0]
+		lo := sc.Lo
+		if resume != nil {
+			// The successor of the resume key, unless the range starts later.
+			if after := append(append(append([]byte(nil), sc.Prefix...), resume...), 0); compare(after, lo) > 0 {
+				lo = after
+			}
+		}
+		n := 0
+		err = st.ScanIndex(ctx, lo, sc.Hi, func(key, value []byte) bool {
+			n++
+			return visit(key[len(sc.Prefix):], value, nil)
+		})
+		return n, 1, err
+	}
+	iters := p.newScanIters(st)
 	var candidate []byte
 	if resume != nil {
 		candidate = encoding.Successor(resume)
 	}
-	res := &Result{Docs: make([]*doc.Document, 0, min(limit, storage.NextScanChunk(0)))}
-	finalize := func() *Result {
-		res.ScannedEntries, res.Scans = scanTotals(iters)
-		return res
-	}
 	for {
-		suffix, name, ok, err := nextHit(ctx, iters, candidate)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return finalize(), nil // some range exhausted: done
-		}
-		// Join hit: emit. Cursor bounds apply before offset/limit
-		// accounting and need the document fetched; without cursors,
-		// offset skipping stays fetch-free. Index scans emit in
-		// effective-sort order, so the first past-end document ends the
-		// query.
-		hasCursor := p.Query.Start != nil || p.Query.End != nil
-		if offset > 0 && !hasCursor {
-			offset--
-		} else {
-			d, err := p.fetch(ctx, st, string(name))
-			if err != nil {
-				return nil, err
+		pos, name, ok, err := nextHit(ctx, iters, candidate)
+		if err != nil || !ok || !visit(pos, name, nil) {
+			for _, it := range iters {
+				entries += it.scanned
+				scans += it.scans
 			}
-			switch {
-			case d == nil || p.Query.BeforeStart(d):
-			case p.Query.PastEnd(d):
-				return finalize(), nil
-			case offset > 0:
-				offset--
-			default:
-				res.Docs = append(res.Docs, p.Query.Project(d))
-				if len(res.Docs) == limit {
-					res.Resume = append([]byte(nil), suffix...)
-					return finalize(), nil
-				}
-			}
+			return entries, scans, err
 		}
-		candidate = append(append(candidate[:0], suffix...), 0) // Successor, in place
+		candidate = append(append(candidate[:0], pos...), 0) // Successor, in place
 	}
 }
 
@@ -161,8 +172,7 @@ func (p *Plan) executeIndexScans(ctx context.Context, st Storage, resume []byte,
 // document name. It peeks every iterator at >= candidate: all-equal heads
 // are a hit, otherwise the max head becomes the next candidate (the
 // "zig") and the laggards re-seek to it (the "zag"). ok is false once
-// some range is exhausted. A single scan joins with itself: every entry
-// is a hit.
+// some range is exhausted.
 func nextHit(ctx context.Context, iters []*scanIter, candidate []byte) (suffix, name []byte, ok bool, err error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -192,16 +202,6 @@ func nextHit(ctx context.Context, iters []*scanIter, candidate []byte) (suffix, 
 	}
 }
 
-// scanTotals sums the index entries the iterators read and the scans
-// they made.
-func scanTotals(iters []*scanIter) (entries, scans int) {
-	for _, it := range iters {
-		entries += it.scanned
-		scans += it.scans
-	}
-	return entries, scans
-}
-
 func (p *Plan) fetch(ctx context.Context, st Storage, name string) (*doc.Document, error) {
 	n, err := doc.ParseName(name)
 	if err != nil {
@@ -210,17 +210,15 @@ func (p *Plan) fetch(ctx context.Context, st Storage, name string) (*doc.Documen
 	return st.GetDocument(ctx, n)
 }
 
-// scanIter is the one pull adapter over the push scans below it: a
-// bounded buffer of one index range's entries, refilled from where the
-// last refill stopped or, when a zig-zag seek jumps further, from the
-// seek target. Entries alias the delivered keys and values, which are
-// immutable.
+// scanIter pulls one zig-zag leg's index range: a bounded buffer of its
+// entries, refilled from where the last refill stopped or, when a seek
+// jumps further, from the seek target. Entries alias the delivered keys
+// and values, which are immutable.
 //
 // Refills are sized as the engines below stage their chunks
 // (storage.NextScanChunk), so a refill takes every row a chunk read: a
-// zig-zag leg's first refill, and its first after a jump, is the first
-// chunk, and a leg read on sequentially doubles. A single scan's first
-// refill is what the query can return (limit + offset).
+// leg's first refill, and its first after a jump, is the first chunk,
+// and a leg read on sequentially doubles.
 type scanIter struct {
 	st      Storage
 	scan    *Scan
@@ -242,17 +240,11 @@ type entry struct {
 	suffix, name []byte
 }
 
-// newScanIters returns one iterator per scan of the plan; want is the
-// number of entries a single-scan plan expects to consume (a join's legs
-// ignore it).
-func (p *Plan) newScanIters(st Storage, want int) []*scanIter {
-	first := storage.NextScanChunk(0)
-	if len(p.Scans) == 1 {
-		first = min(want, storage.MaxScanChunk)
-	}
+// newScanIters returns one iterator per leg of a zig-zag plan.
+func (p *Plan) newScanIters(st Storage) []*scanIter {
 	iters := make([]*scanIter, len(p.Scans))
 	for i := range p.Scans {
-		it := &scanIter{st: st, scan: &p.Scans[i], batch: first}
+		it := &scanIter{st: st, scan: &p.Scans[i], batch: storage.NextScanChunk(0)}
 		it.visit = func(key, value []byte) bool {
 			it.buf = append(it.buf, entry{suffix: key[len(it.scan.Prefix):], name: value})
 			it.last = key

@@ -438,30 +438,41 @@ func TestOffsetAndLimit(t *testing.T) {
 func TestResumeToken(t *testing.T) {
 	m := newMemStore(nil, nil)
 	seedRestaurants(m)
-	q := &Query{
-		Collection: doc.MustCollection("/restaurants"),
-		Predicates: []Predicate{{"city", Eq, doc.String("SF")}},
-		Limit:      4,
-	}
-	full := m.naive(&Query{Collection: q.Collection, Predicates: q.Predicates})
-	plan, err := BuildPlanWithStats(q, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []*doc.Document
-	var resume []byte
-	for {
-		res, err := plan.Execute(context.Background(), m, resume)
+	for _, q := range []*Query{
+		{Collection: doc.MustCollection("/restaurants"),
+			Predicates: []Predicate{{"city", Eq, doc.String("SF")}}, Limit: 4},
+		// A range predicate: the single scan's Lo is past its prefix, and
+		// each page restarts the scan after its token, never below Lo.
+		{Collection: doc.MustCollection("/restaurants"),
+			Predicates: []Predicate{{"numRatings", Gt, doc.Int(100)}}, Limit: 4},
+	} {
+		full := m.naive(&Query{Collection: q.Collection, Predicates: q.Predicates})
+		plan, err := BuildPlanWithStats(q, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, res.Docs...)
-		if res.Resume == nil {
-			break
+		var got []*doc.Document
+		var resume []byte
+		for {
+			res, err := plan.Execute(context.Background(), m, resume)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, res.Docs...)
+			if res.Resume == nil {
+				break
+			}
+			resume = res.Resume
 		}
-		resume = res.Resume
+		assertSameDocs(t, q, got, full)
+
+		// A token below the scan's range resumes at its start.
+		res, err := plan.Execute(context.Background(), m, []byte{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameDocs(t, q, res.Docs, full[:q.Limit])
 	}
-	assertSameDocs(t, q, got, full)
 }
 
 func TestResumeTokenEntitiesScan(t *testing.T) {
@@ -735,40 +746,73 @@ func BenchmarkZigZagJoin(b *testing.B) {
 	}
 }
 
+// TestCountMatchesExecute: for every plan family and offset/limit, COUNT
+// equals what an Execute drain returns (following resume tokens until the
+// limit, as the SDK iterator does), and a limited COUNT stops where the
+// query stops: a pushed scan reads no more than offset+limit entries,
+// and a zig-zag join, whose legs read whole chunks, no more than the
+// Execute page that returns those rows.
 func TestCountMatchesExecute(t *testing.T) {
 	comp := index.CompositeDef("restaurants",
 		index.Field{Path: "city", Dir: index.Ascending},
 		index.Field{Path: "avgRating", Dir: index.Descending})
 	m := newMemStore([]index.Definition{comp}, nil)
 	seedRestaurants(m)
-	queries := []*Query{
-		{Collection: doc.MustCollection("/restaurants")},
-		{Collection: doc.MustCollection("/restaurants"),
-			Predicates: []Predicate{{"city", Eq, doc.String("SF")}}},
-		{Collection: doc.MustCollection("/restaurants"),
-			Predicates: []Predicate{{"city", Eq, doc.String("SF")}, {"type", Eq, doc.String("BBQ")}}},
-		{Collection: doc.MustCollection("/restaurants"),
-			Predicates: []Predicate{{"numRatings", Gt, doc.Int(100)}}},
-		{Collection: doc.MustCollection("/restaurants"),
-			Predicates: []Predicate{{"city", Eq, doc.String("SF")}}, Limit: 3},
-		{Collection: doc.MustCollection("/restaurants"),
-			Predicates: []Predicate{{"city", Eq, doc.String("SF")}}, Offset: 2},
+	families := []struct {
+		choice string
+		q      Query
+	}{
+		{"entities", Query{}},
+		{"auto", Query{Predicates: []Predicate{{"numRatings", Gt, doc.Int(100)}}}},
+		{"composite", Query{Predicates: []Predicate{{"city", Eq, doc.String("SF")}},
+			Orders: []Order{{"avgRating", index.Descending}}}},
+		{"zigzag", Query{Predicates: []Predicate{{"city", Eq, doc.String("SF")}, {"type", Eq, doc.String("BBQ")}}}},
 	}
-	for _, q := range queries {
-		plan, err := BuildPlanWithStats(q, m.composites, nil, nil)
-		if err != nil {
-			t.Fatalf("BuildPlanWithStats(%s, nil): %v", q, err)
-		}
-		want := int64(len(m.naive(q)))
-		got, err := plan.ExecuteCount(context.Background(), m)
-		if err != nil {
-			t.Fatalf("ExecuteCount(%s): %v", q, err)
-		}
-		if got.Count != want {
-			t.Errorf("%s: count = %d, want %d", q, got.Count, want)
-		}
-		if got.Count > 0 && got.ScannedEntries == 0 && plan.Scans[0].Def.ID != 0 {
-			t.Errorf("%s: no scan work reported", q)
+	for _, f := range families {
+		for _, ol := range [][2]int{{0, 0}, {0, 3}, {2, 0}, {2, 3}, {0, 100}, {50, 5}} {
+			q := f.q
+			q.Collection = doc.MustCollection("/restaurants")
+			q.Offset, q.Limit = ol[0], ol[1]
+			plan, err := BuildPlanWithStats(&q, m.composites, nil, nil)
+			if err != nil {
+				t.Fatalf("BuildPlanWithStats(%s, nil): %v", &q, err)
+			}
+			if plan.Choice != f.choice {
+				t.Fatalf("%s: plan %s, want %s", &q, plan.Choice, f.choice)
+			}
+			drained, firstPage := 0, -1
+			var resume []byte
+			for {
+				res, err := plan.Execute(context.Background(), m, resume)
+				if err != nil {
+					t.Fatalf("Execute(%s): %v", &q, err)
+				}
+				if firstPage < 0 {
+					firstPage = res.ScannedEntries
+				}
+				drained += len(res.Docs)
+				if res.Resume == nil || (q.Limit > 0 && drained >= q.Limit) {
+					break
+				}
+				resume = res.Resume
+			}
+			got, err := plan.ExecuteCount(context.Background(), m)
+			if err != nil {
+				t.Fatalf("ExecuteCount(%s): %v", &q, err)
+			}
+			if got.Count != int64(drained) || got.Count != int64(len(m.naive(&q))) {
+				t.Errorf("%s: count = %d, Execute returned %d, want %d", &q, got.Count, drained, len(m.naive(&q)))
+			}
+			if got.Count > 0 && got.ScannedEntries == 0 {
+				t.Errorf("%s: no scan work reported", &q)
+			}
+			bound := q.Offset + q.Limit
+			if plan.ZigZag() {
+				bound = firstPage
+			}
+			if q.Limit > 0 && got.ScannedEntries > bound {
+				t.Errorf("%s: count read %d entries, want <= %d", &q, got.ScannedEntries, bound)
+			}
 		}
 	}
 }

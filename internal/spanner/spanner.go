@@ -95,8 +95,8 @@ type Config struct {
 	Storage storage.Factory
 	// KeyViz, when set, receives per-tablet heat samples (reads, scans,
 	// commit applies, lock waits, fault hits) and split/merge events
-	// annotated with before/after load. Nil disables attribution; a
-	// disarmed collector costs one atomic load per sample site.
+	// annotated with before/after load. Nil disables attribution at the
+	// cost of one nil check per sample site.
 	KeyViz *keyviz.Collector
 }
 

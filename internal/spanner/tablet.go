@@ -113,7 +113,7 @@ func (t *tablet) recordOp(n int64, op keyviz.Op) {
 	t.load += n
 	t.mu.Unlock()
 	// Heat attribution reuses the clock reading the load window already
-	// paid for; a disarmed collector costs one atomic load here.
+	// paid for; a nil collector costs one nil check here.
 	t.db.kv.SampleAt(now, keyviz.SrcTablet, t.id, op, n, 0, 0)
 }
 

@@ -323,7 +323,7 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 		return 0, ErrTxnDone
 	}
 	// Commit latency for the heatmap's sketch, measured only when the
-	// collector is armed (the check is one atomic load).
+	// collector is armed (non-nil).
 	var kvStart truetime.Timestamp
 	if t.db.kv.Armed() {
 		kvStart = t.db.clock.Now().Latest
