@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"firestore/internal/fault"
 	"firestore/internal/storage"
 	"firestore/internal/truetime"
 )
@@ -126,7 +127,8 @@ var engineKinds = []struct {
 // narrowing SetBounds on the source; a merge: a widening SetBounds,
 // CopyChains of the right neighbour back, Destroy), close-and-reopen — runs
 // identically over Mem, Disk and the remote engine on Mem- and Disk-backed
-// peers, every result checked against the model.
+// peers, every result checked against the model. Durable kinds also crash
+// at a point each: between a commit's WAL append and its fdatasync.
 func TestEngineConformance(t *testing.T) {
 	for _, kind := range engineKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -152,6 +154,9 @@ func TestEngineConformance(t *testing.T) {
 					c.merge(tb)
 				default:
 					c.reopen(tb)
+				}
+				if kind.durable && step%175 == 174 {
+					c.syncFails(c.tablets[c.rng.Intn(len(c.tablets))])
 				}
 			}
 			for _, tb := range c.tablets {
@@ -246,6 +251,57 @@ func (c *conformance) bounds(tb *confTablet) (lo, hi []byte) {
 func (c *conformance) apply(tb *confTablet) {
 	c.t.Helper()
 	c.head++
+	writes := c.writes(tb)
+	tb.model.add(writes, c.head)
+	if err := tb.eng.Apply(context.Background(), writes, c.head); err != nil {
+		c.t.Fatalf("Apply@%d: %v", c.head, err)
+	}
+}
+
+// syncFails crashes a commit between its WAL append and its fdatasync:
+// an injected wal.fsync error fails the Apply, then the tablet reopens.
+// Every acknowledged commit survives (checkAll), and the failed one is
+// absent or whole, each of its writes at its timestamp; the model takes
+// it if the engine kept it.
+func (c *conformance) syncFails(tb *confTablet) {
+	c.t.Helper()
+	c.head++
+	writes := c.writes(tb)
+	if err := fault.Enable(fault.Spec{Site: fault.WALFsync, Mode: fault.ModeError, MaxCount: 1}); err != nil {
+		c.t.Fatal(err)
+	}
+	err := tb.eng.Apply(context.Background(), writes, c.head)
+	fault.Disable(fault.WALFsync)
+	if err == nil {
+		c.t.Fatalf("Apply@%d was acknowledged through a failed fdatasync", c.head)
+	}
+	c.reopen(tb)
+	kept := 0
+	for _, w := range writes {
+		tb.eng.AscendChains(w.Key, storage.KeyAfter(w.Key), func(ch storage.Chain) bool {
+			for _, v := range ch.Versions {
+				if v.TS != c.head {
+					continue
+				}
+				if v.Deleted != w.Delete || !bytes.Equal(v.Value, w.Value) {
+					c.t.Fatalf("%s@%d after the failed fdatasync = %+v, want the write %+v", w.Key, c.head, v, w)
+				}
+				kept++
+			}
+			return true
+		})
+	}
+	if kept != 0 && kept != len(writes) {
+		c.t.Fatalf("%d of the %d writes of Apply@%d survived its failed fdatasync: want none or all", kept, len(writes), c.head)
+	}
+	if kept > 0 {
+		tb.model.add(writes, c.head)
+	}
+	c.checkAll(tb)
+}
+
+// writes draws a one- to three-write batch of distinct keys in tb.
+func (c *conformance) writes(tb *confTablet) []storage.Write {
 	var writes []storage.Write
 	seen := map[string]bool{}
 	for n := 1 + c.rng.Intn(3); len(writes) < n; {
@@ -266,10 +322,13 @@ func (c *conformance) apply(tb *confTablet) {
 			c.rng.Read(w.Value)
 		}
 		writes = append(writes, w)
-		tb.model[string(k)] = append(tb.model[string(k)], storage.Version{TS: c.head, Value: w.Value, Deleted: w.Delete})
 	}
-	if err := tb.eng.Apply(context.Background(), writes, c.head); err != nil {
-		c.t.Fatalf("Apply@%d: %v", c.head, err)
+	return writes
+}
+
+func (m model) add(writes []storage.Write, ts truetime.Timestamp) {
+	for _, w := range writes {
+		m[string(w.Key)] = append(m[string(w.Key)], storage.Version{TS: ts, Value: w.Value, Deleted: w.Delete})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"firestore/internal/truetime"
 )
@@ -30,13 +31,34 @@ const frameHeaderSize = 8
 // treated as a torn tail rather than an allocation request.
 const maxFrameSize = 64 << 20
 
-// appendFrame appends a length+CRC framed payload to buf.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// walFrame is one WAL record built in place in a pooled buffer: the
+// header's room, the type byte, the payload appended behind them, and
+// then seal patches in the length and the CRC. The buffer goes back to the
+// pool once WriteAt has returned, unless it grew past maxPooledFrame.
+type walFrame struct{ b []byte }
+
+const maxPooledFrame = 1 << 20
+
+var walFrames = sync.Pool{New: func() any { return &walFrame{b: make([]byte, 0, 4<<10)} }}
+
+func newFrame(kind byte) *walFrame {
+	fr := walFrames.Get().(*walFrame)
+	fr.b = append(fr.b[:0], 0, 0, 0, 0, 0, 0, 0, 0, kind)
+	return fr
+}
+
+// seal writes the header: the length and CRC-32C of the payload behind it.
+func (fr *walFrame) seal() {
+	payload := fr.b[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(fr.b[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(fr.b[4:8], crc32.Checksum(payload, castagnoli))
+}
+
+func (fr *walFrame) release() {
+	if cap(fr.b) > maxPooledFrame {
+		fr.b = nil
+	}
+	walFrames.Put(fr)
 }
 
 // errTornFrame reports a frame that is incomplete or fails its checksum:
@@ -121,29 +143,24 @@ func AppendWrites(buf []byte, writes []Write, ts truetime.Timestamp) []byte {
 	return buf
 }
 
-// encodeCommit builds a recCommit payload.
-func encodeCommit(writes []Write, ts truetime.Timestamp) []byte {
-	return AppendWrites([]byte{recCommit}, writes, ts)
-}
-
-// encodeIngest builds a recIngest payload.
-func encodeIngest(chains []Chain) []byte {
-	buf := []byte{recIngest}
-	buf = binary.AppendUvarint(buf, uint64(len(chains)))
+// ingestFrame builds a recIngest record.
+func ingestFrame(chains []Chain) *walFrame {
+	fr := newFrame(recIngest)
+	fr.b = binary.AppendUvarint(fr.b, uint64(len(chains)))
 	for _, c := range chains {
-		buf = AppendChain(buf, c)
+		fr.b = AppendChain(fr.b, c)
 	}
-	return buf
+	return fr
 }
 
-// encodePurge builds a recPurge payload.
-func encodePurge(keys [][]byte) []byte {
-	buf := []byte{recPurge}
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
+// purgeFrame builds a recPurge record.
+func purgeFrame(keys [][]byte) *walFrame {
+	fr := newFrame(recPurge)
+	fr.b = binary.AppendUvarint(fr.b, uint64(len(keys)))
 	for _, k := range keys {
-		buf = AppendBytes(buf, k)
+		fr.b = AppendBytes(fr.b, k)
 	}
-	return buf
+	return fr
 }
 
 // AppendChain encodes one chain (WAL ingest records, segment files,

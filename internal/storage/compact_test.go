@@ -3,12 +3,14 @@ package storage
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -468,5 +470,73 @@ func TestOldFormatSegmentRefused(t *testing.T) {
 	}
 	if _, err := openSegment(dir, segmentMeta{Name: "old.seg"}); err == nil || !bytes.Contains([]byte(err.Error()), []byte("FSSEG001")) {
 		t.Fatalf("opening a FSSEG001 file: %v, want an error naming the magic", err)
+	}
+}
+
+// TestMergeVerifiesChecksums: a merge checks each input's footer CRC as
+// it streams the input, before its output is renamed into place. One
+// value byte flipped in a flushed segment fails the merge as a chain that
+// does not parse does: the engine is marked crashed, the inputs stay
+// live, and no other file carries the byte. Unchecked, the chain only
+// that input holds was copied as its bytes into an output with a fresh,
+// valid checksum, and the flip was permanent.
+func TestMergeVerifiesChecksums(t *testing.T) {
+	dir := t.TempDir()
+	e := openDiskAt(t, dir, 1, Options{MemtableCap: bigCap, CompactAt: -1})
+	defer e.Close()
+	val := []byte("a value one bit of which goes bad")
+	for i, key := range []string{"a", "b"} {
+		put(t, e, key, val, truetime.Timestamp(i+1))
+		e.mu.Lock()
+		flushed := e.flushLocked(context.Background())
+		e.mu.Unlock()
+		if !flushed {
+			t.Fatal("flush failed")
+		}
+	}
+	inputs := []string{e.segs[0].meta.Name, e.segs[1].meta.Name}
+	path := filepath.Join(e.dir, inputs[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, val)
+	bad := bytes.Clone(val)
+	bad[5] ^= 0x20
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bad, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	e.mu.Lock()
+	c := e.startMergeLocked(0, 2)
+	e.mu.Unlock()
+	meta, err := e.runMerge(c)
+	installed := e.finishMerge(c, meta, err)
+	if !errors.Is(err, errTornFrame) {
+		t.Fatalf("merging a segment with a flipped value byte: %v, want a checksum failure", err)
+	}
+	if installed || !e.Crashed() {
+		t.Fatalf("the failed merge installed, or the engine serves on (crashed %v)", e.Crashed())
+	}
+	if got := e.man.Segments; len(got) != 2 || got[0].Name != inputs[0] || got[1].Name != inputs[1] {
+		t.Fatalf("manifest lists %+v after the refused merge, want the inputs %v", got, inputs)
+	}
+	entries, err := os.ReadDir(e.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		name := ent.Name()
+		if b, err := os.ReadFile(filepath.Join(e.dir, name)); err != nil || name != inputs[0] && bytes.Contains(b, bad) {
+			t.Errorf("%s carries the flipped byte (%v)", name, err)
+		}
+		if strings.HasSuffix(name, ".tmp") || strings.HasPrefix(name, "seg-") && !slices.Contains(inputs, name) {
+			t.Errorf("the refused merge left %s behind", name)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -243,7 +244,7 @@ type Disk struct {
 	lastDurable truetime.Timestamp
 
 	walMu       sync.Mutex
-	walF        *os.File
+	walF        *walFile
 	walSeq      int
 	walSize     int64 // end of the last record
 	walReserved int64 // end of the file: zeros from walSize on (wal.go)
@@ -294,7 +295,7 @@ func openDisk(fac *DiskFactory, dir string, id uint64, start, end []byte) (*Disk
 		if err != nil {
 			return nil, err
 		}
-		e.walF, e.walSeq = f, 1
+		e.walF, e.walSeq = newWALFile(f), 1
 		return e, nil
 	}
 	if err := e.recover(man); err != nil {
@@ -389,7 +390,7 @@ func (e *Disk) recover(man manifestData) error {
 	if err != nil {
 		return err
 	}
-	e.walF, e.walSeq, e.walSize, e.walReserved = f, lastSeq, size, size
+	e.walF, e.walSeq, e.walSize, e.walReserved = newWALFile(f), lastSeq, size, size
 	e.recoveries.Add(1)
 	e.fac.met.recoveries.Inc()
 	return nil
@@ -427,30 +428,32 @@ func (e *Disk) markDead() {
 	e.syncMu.Unlock()
 }
 
-// append frames payload into the current WAL generation and returns the
-// file (pinned against rotation by the outstanding count) and the
-// record's sync index.
-func (e *Disk) append(payload []byte) (*os.File, int64, error) {
-	if len(payload) > maxFrameSize {
+// append seals fr and writes it into the current WAL generation, then
+// releases it. It returns the file (pinned against rotation by the
+// outstanding count) and the record's sync index.
+func (e *Disk) append(fr *walFrame) (*walFile, int64, error) {
+	defer fr.release()
+	if n := len(fr.b) - frameHeaderSize; n > maxFrameSize {
 		// Replay would take the frame for a torn tail and truncate it away
 		// with every record after it. Nothing was written: keep serving.
 		return nil, 0, status.Errorf(status.InvalidArgument, "storage",
-			"WAL record of %d bytes exceeds the %d-byte frame limit", len(payload), maxFrameSize)
+			"WAL record of %d bytes exceeds the %d-byte frame limit", n, maxFrameSize)
 	}
-	framed := appendFrame(nil, payload)
+	fr.seal()
+	n := int64(len(fr.b))
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	if e.dead.Load() {
 		return nil, 0, ErrCrashed
 	}
-	end := e.walSize + int64(len(framed))
-	if chunk := min(walChunk, e.opts.MemtableCap); end > e.walReserved && int64(len(framed)) <= chunk {
+	end := e.walSize + n
+	if chunk := min(walChunk, e.opts.MemtableCap); end > e.walReserved && n <= chunk {
 		// Best effort: without the chunk the record below extends the file.
 		if _, err := e.walF.WriteAt(walZeros[:chunk], e.walReserved); err == nil {
 			e.walReserved += chunk
 		}
 	}
-	if _, err := e.walF.WriteAt(framed, e.walSize); err != nil {
+	if _, err := e.walF.WriteAt(fr.b, e.walSize); err != nil {
 		e.markDead()
 		return nil, 0, ErrCrashed
 	}
@@ -459,28 +462,29 @@ func (e *Disk) append(payload []byte) (*os.File, int64, error) {
 	e.appendedIdx.Store(e.walIdx)
 	e.outstanding.Add(1)
 	e.walRecords.Add(1)
-	e.walBytes.Add(int64(len(framed)))
+	e.walBytes.Add(n)
 	e.fac.met.walAppends.Inc()
-	e.fac.met.walBytes.Add(int64(len(framed)))
+	e.fac.met.walBytes.Add(n)
 	return e.walF, e.walIdx, nil
 }
 
-// tear simulates a torn write: half a frame reaches the file, then the
+// tear simulates a torn write: half of fr reaches the file, then the
 // engine dies. Recovery truncates the partial frame away.
-func (e *Disk) tear(payload []byte) {
-	framed := appendFrame(nil, payload)
+func (e *Disk) tear(fr *walFrame) {
+	fr.seal()
 	e.walMu.Lock()
 	if !e.dead.Load() {
-		e.walF.WriteAt(framed[:len(framed)/2], e.walSize)
+		e.walF.WriteAt(fr.b[:len(fr.b)/2], e.walSize)
 		e.markDead()
 	}
 	e.walMu.Unlock()
+	fr.release()
 }
 
 // syncTo blocks until a group fsync covers record idx of file f. One
 // waiter at a time leads an fsync covering everything appended so far;
 // the rest piggyback (group commit).
-func (e *Disk) syncTo(ctx context.Context, f *os.File, idx int64) error {
+func (e *Disk) syncTo(ctx context.Context, f *walFile, idx int64) error {
 	e.syncMu.Lock()
 	for e.syncedIdx < idx {
 		if e.syncErr != nil {
@@ -496,7 +500,7 @@ func (e *Disk) syncTo(ctx context.Context, f *os.File, idx int64) error {
 			if d := fault.Decide(ctx, fault.WALFsync); d.Kind == fault.KindError {
 				serr = d.Err
 			} else {
-				serr = datasync(f)
+				serr = f.datasync()
 			}
 			e.fsyncs.Add(1)
 			e.fac.met.fsyncs.Inc()
@@ -531,16 +535,19 @@ func (e *Disk) Apply(ctx context.Context, writes []Write, ts truetime.Timestamp)
 	if e.dead.Load() {
 		return ErrCrashed
 	}
-	switch d := fault.Decide(ctx, fault.WALAppend); d.Kind {
-	case fault.KindError:
+	d := fault.Decide(ctx, fault.WALAppend)
+	if d.Kind == fault.KindError {
 		// Clean append failure: nothing reached the log, the commit
 		// aborts with the injected status.
 		return d.Err
-	case fault.KindCrash:
-		e.tear(encodeCommit(writes, ts))
+	}
+	fr := newFrame(recCommit)
+	fr.b = AppendWrites(fr.b, writes, ts)
+	if d.Kind == fault.KindCrash {
+		e.tear(fr)
 		return ErrCrashed
 	}
-	f, idx, err := e.append(encodeCommit(writes, ts))
+	f, idx, err := e.append(fr)
 	if err != nil {
 		return err
 	}
@@ -564,16 +571,16 @@ func (e *Disk) Apply(ctx context.Context, writes []Write, ts truetime.Timestamp)
 	return nil
 }
 
-// pinSegments snapshots the live segment set with a reference held on
-// each, so a compaction that swaps e.segs concurrently cannot close or
-// unlink the files under an in-flight pread. Caller must
+// pinSegmentsLocked appends the live segment set to dst with a reference
+// held on each, so a compaction that swaps e.segs concurrently cannot
+// close or unlink the files under an in-flight pread. Caller must
 // releaseSegments when done. Caller holds e.mu (read or write).
-func (e *Disk) pinSegmentsLocked() []*segment {
-	segs := append([]*segment(nil), e.segs...)
-	for _, s := range segs {
+func (e *Disk) pinSegmentsLocked(dst []*segment) []*segment {
+	dst = append(dst, e.segs...)
+	for _, s := range dst {
 		s.incRef()
 	}
-	return segs
+	return dst
 }
 
 func releaseSegments(segs []*segment) {
@@ -607,7 +614,9 @@ func (e *Disk) Get(key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestam
 			return nil, 0, false
 		}
 	}
-	segs := e.pinSegmentsLocked()
+	// Pinned on the stack: a point read allocates only the value it returns.
+	var pinned [16]*segment
+	segs := e.pinSegmentsLocked(pinned[:0])
 	e.mu.RUnlock()
 	v, found, skips, err := newestInSegments(segs, key, ts)
 	releaseSegments(segs)
@@ -637,15 +646,9 @@ func newestInSegments(segs []*segment, key []byte, ts truetime.Timestamp) (v Ver
 			skips++
 			continue
 		}
-		c, ok, err := segs[i].get(key)
-		if err != nil {
-			return Version{}, false, skips, err
-		}
-		if !ok {
-			continue
-		}
-		if v, found := newestAtOrBefore(c.Versions, ts); found || c.Purged {
-			return v, found, skips, nil
+		v, found, purged, err := segs[i].getAt(key, ts)
+		if err != nil || found || purged {
+			return v, found, skips, err
 		}
 	}
 	return Version{}, false, skips, nil
@@ -755,7 +758,7 @@ func (e *Disk) merge(lo, hi []byte, fn func(layers []Chain) bool) bool {
 		e.mu.RLock()
 		if segs == nil || gen != e.gen {
 			release()
-			segs, gen = e.pinSegmentsLocked(), e.gen
+			segs, gen = e.pinSegmentsLocked(nil), e.gen
 			for _, s := range segs {
 				streams = append(streams, s.stream(lo, false))
 			}
@@ -840,11 +843,8 @@ func (e *Disk) AscendChains(lo, hi []byte, fn func(Chain) bool) {
 
 // logThenApply is the shared WAL-first path of ingest and purge records.
 // Like Apply it flushes a full memtable: a migration holds one in memory.
-func (e *Disk) logThenApply(payload []byte, apply func()) error {
-	if e.dead.Load() {
-		return ErrCrashed
-	}
-	f, idx, err := e.append(payload)
+func (e *Disk) logThenApply(fr *walFrame, apply func()) error {
+	f, idx, err := e.append(fr)
 	if err != nil {
 		return err
 	}
@@ -867,7 +867,7 @@ func (e *Disk) IngestChains(chains []Chain) error {
 	if len(chains) == 0 {
 		return nil
 	}
-	return e.logThenApply(encodeIngest(chains), func() { e.applyIngest(chains) })
+	return e.logThenApply(ingestFrame(chains), func() { e.applyIngest(chains) })
 }
 
 // applyIngest installs chains in the memtable and advances lastDurable
@@ -891,7 +891,7 @@ func (e *Disk) purgeRange(lo, hi []byte) error {
 		for i, c := range chunk {
 			keys[i] = c.Key
 		}
-		return e.logThenApply(encodePurge(keys), func() {
+		return e.logThenApply(purgeFrame(keys), func() {
 			for _, k := range keys {
 				e.tab.purge(k)
 			}
@@ -992,7 +992,7 @@ func (e *Disk) flushLocked(ctx context.Context) bool {
 		return false
 	}
 	old := e.walF
-	e.walF, e.walSeq, e.walSize, e.walReserved = nf, newSeq, 0, 0
+	e.walF, e.walSeq, e.walSize, e.walReserved = newWALFile(nf), newSeq, 0, 0
 	old.Close()
 	e.walMu.Unlock()
 
@@ -1211,13 +1211,15 @@ func (e *Disk) startMergeLocked(lo, hi int) *compaction {
 // and never holds more than one chain: a chain that a single input holds
 // and that nothing is to be cut from is copied as the bytes it is, the
 // rest are decoded into scratch, folded as fullChain folds layers and
-// re-encoded. It takes no lock and touches no engine state; it stops
-// early if the engine dies.
+// re-encoded. Each input's checksum is verified before the output is
+// renamed into place, so a flipped byte is refused rather than carried
+// into a file with a fresh, valid checksum. It takes no lock and touches
+// no engine state; it stops early if the engine dies.
 func (e *Disk) runMerge(c *compaction) (segmentMeta, error) {
 	streams := make([]*chainStream, len(c.inputs))
 	var newest truetime.Timestamp
 	for i, s := range c.inputs {
-		streams[i] = s.stream(nil, false)
+		streams[i] = s.verifyingStream()
 		defer streams[i].close()
 		newest = max(newest, s.meta.MaxTS)
 	}
@@ -1269,6 +1271,12 @@ func (e *Disk) runMerge(c *compaction) (segmentMeta, error) {
 			}
 			return true, w.err
 		})
+		for i, s := range c.inputs {
+			if err == nil && crc32.Update(streams[i].crc, castagnoli, s.tail) != s.crc {
+				// As a chain that does not parse fails the merge.
+				err = fmt.Errorf("%w: segment %s fails its checksum", errTornFrame, s.meta.Name)
+			}
+		}
 		return err
 	})
 }

@@ -621,3 +621,98 @@ func TestDiskScanRepinsAcrossLayerChanges(t *testing.T) {
 		t.Fatalf("compactions=%d crashed=%v: the scans crossed no compaction", st.Compactions, e.Crashed())
 	}
 }
+
+// TestDiskApplyAllocs: a commit's WAL record is built once, in place, in
+// a pooled frame, and the group fsync runs through the file's own
+// syncer, so a warm Disk.Apply of a YCSB-shaped update allocates exactly
+// what its memtable does and nothing for the log. The parent commit grew
+// the record from one byte, copied it into a frame, and made a RawConn
+// and a closure for every fdatasync.
+func TestDiskApplyAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
+	}
+	const warm, runs = 50, 100
+	entity := []byte("E/ycsb/user00000042")
+	doc := bytes.Repeat([]byte("d"), 1024)
+	batches := make([][]Write, warm+runs+1)
+	for b := range batches {
+		batches[b] = []Write{
+			{Key: entity, Value: doc},
+			{Key: []byte(fmt.Sprintf("I/ycsb/field0/%04d/old", b)), Delete: true},
+			{Key: []byte(fmt.Sprintf("I/ycsb/field0/%04d/new", b)), Value: entity},
+		}
+	}
+	measure := func(apply func([]Write, truetime.Timestamp)) float64 {
+		b := 0
+		next := func() {
+			apply(batches[b], truetime.Timestamp(b+1))
+			b++
+		}
+		for b < warm {
+			next()
+		}
+		return testing.AllocsPerRun(runs, next)
+	}
+	e := openDiskAt(t, t.TempDir(), 1, Options{MemtableCap: bigCap, CompactAt: -1})
+	defer e.Close()
+	disk := measure(func(writes []Write, ts truetime.Timestamp) {
+		if err := e.Apply(context.Background(), writes, ts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var tab memtable
+	mem := measure(func(writes []Write, ts truetime.Timestamp) {
+		for _, w := range writes {
+			tab.add(w.Key, Version{TS: ts, Value: w.Value, Deleted: w.Delete}, 0)
+		}
+	})
+	if st := e.Stats(); st.Flushes != 0 || st.WALRecords != warm+runs+1 {
+		t.Fatalf("%d flushes, %d WAL records: want none and one a batch", st.Flushes, st.WALRecords)
+	}
+	if disk != mem {
+		t.Errorf("a warm Disk.Apply allocates %.0f times, its memtable alone %.0f: the WAL should allocate nothing", disk, mem)
+	}
+}
+
+// TestDiskGetAllocs: a point read of a key that only a segment holds,
+// eight versions deep, allocates once, for the value it returns. Its
+// segments are pinned on the stack, its stream is pooled, and the chain
+// is walked, not decoded: the values of the other versions are skipped.
+// The parent commit decoded the whole chain (key, versions and every
+// value) and copied the segment list: eleven allocations.
+func TestDiskGetAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
+	}
+	e := openDiskAt(t, t.TempDir(), 1, Options{MemtableCap: bigCap, CompactAt: -1})
+	defer e.Close()
+	key := []byte("E/ycsb/user00000042")
+	for i := 0; i < 40; i++ { // neighbours in its sparse block
+		put(t, e, fmt.Sprintf("E/ycsb/user%08d", 2*i+1), []byte("x"), 1)
+	}
+	for v := 1; v <= 8; v++ {
+		put(t, e, string(key), bytes.Repeat([]byte{byte(v)}, 1024), truetime.Timestamp(10*v))
+	}
+	e.mu.Lock()
+	flushed := e.flushLocked(context.Background())
+	e.mu.Unlock()
+	if !flushed {
+		t.Fatal("flush failed")
+	}
+	for _, at := range []truetime.Timestamp{truetime.Max, 45, 30, 10} {
+		want := at / 10
+		if want > 8 {
+			want = 8
+		}
+		get := func() {
+			if v, ts, ok := e.Get(key, at); !ok || ts != 10*want || len(v) != 1024 || v[0] != byte(want) {
+				t.Fatalf("Get@%d = %d bytes of %v at %d, %v; want version %d", at, len(v), v[:min(len(v), 1)], ts, ok, want)
+			}
+		}
+		get()
+		if got := testing.AllocsPerRun(100, get); got != 1 {
+			t.Errorf("a point read at %d of an eight-version chain in a segment allocates %.0f times, want 1 (its value)", at, got)
+		}
+	}
+}

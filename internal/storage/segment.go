@@ -66,7 +66,8 @@ func filterBits(h uint32) (at, step uint32) {
 
 // segmentWriter streams chains, in key order, into one segment file:
 // buffered, checksummed as it goes, holding of the chains it has written
-// only their sparse index entries and their key hashes.
+// only their sparse index entries and their key hashes. Writers are
+// pooled: the buffer and the scratch outlive any one flush or merge.
 type segmentWriter struct {
 	bw     *bufio.Writer
 	crc    uint32
@@ -77,6 +78,8 @@ type segmentWriter struct {
 	buf    []byte // add's encoding scratch
 	err    error  // the first write error; later writes are dropped
 }
+
+var segmentWriters = sync.Pool{New: func() any { return &segmentWriter{bw: bufio.NewWriterSize(nil, segWriteBuf)} }}
 
 func (w *segmentWriter) write(b []byte) {
 	if w.err != nil {
@@ -149,7 +152,10 @@ func writeSegment(dir, name string, fill func(*segmentWriter) error) (segmentMet
 	if err != nil {
 		return segmentMeta{}, err
 	}
-	w := &segmentWriter{bw: bufio.NewWriterSize(f, segWriteBuf)}
+	w := segmentWriters.Get().(*segmentWriter)
+	*w = segmentWriter{bw: w.bw, index: w.index[:0], hashes: w.hashes[:0], buf: w.buf}
+	w.bw.Reset(f)
+	defer segmentWriters.Put(w)
 	w.write([]byte(segMagic))
 	var meta segmentMeta
 	if err = fill(w); err == nil {
@@ -194,6 +200,8 @@ type segment struct {
 	index    []indexEntry
 	indexOff int64
 	filter   []byte
+	tail     []byte // the index and the filter as read
+	crc      uint32 // the footer's
 
 	refs     atomic.Int32
 	obsolete atomic.Bool
@@ -296,7 +304,8 @@ func loadSegment(f *os.File, meta segmentMeta) (*segment, error) {
 		return corrupt("index corrupt")
 	}
 	meta.Chains = int(count)
-	s := &segment{f: f, meta: meta, index: index, indexOff: int64(indexOff), filter: raw[filterOff-indexOff:]}
+	s := &segment{f: f, meta: meta, index: index, indexOff: int64(indexOff), filter: raw[filterOff-indexOff:],
+		tail: raw, crc: binary.LittleEndian.Uint32(footer[24:28])}
 	s.refs.Store(1)
 	return s, nil
 }
@@ -319,16 +328,35 @@ func (s *segment) mayContain(h uint32) bool {
 	return true
 }
 
-// get returns key's chain, if present: one pread of key's sparse block,
-// allocating nothing for the chains around it.
-func (s *segment) get(key []byte) (Chain, bool, error) {
+// getAt returns key's newest version at or before ts, if the segment
+// holds one, and whether its chain of key is purged: one pread of key's
+// sparse block, allocating only the value it returns.
+func (s *segment) getAt(key []byte, ts truetime.Timestamp) (v Version, found, purged bool, err error) {
 	cs := s.stream(key, true)
 	defer cs.close()
 	if k, err := cs.peek(key); err != nil || k == nil || !bytes.Equal(k, key) {
-		return Chain{}, false, err
+		return Version{}, false, false, err
 	}
-	c, err := cs.take()
-	return c, err == nil, err
+	cs.readTS = ts
+	_, shape, err := cs.body(bodyAt)
+	return shape.at, shape.found, shape.purged, err
+}
+
+// verifyingStream is stream(nil, false) reading through Read, which folds
+// every chain byte into cs.crc: once a merge has read them all, the index
+// and the filter (tail) complete the segment's checksum.
+func (s *segment) verifyingStream() *chainStream {
+	cs := s.stream(nil, false)
+	cs.crc = crc32.Checksum([]byte(segMagic), castagnoli)
+	cs.br.Reset(cs)
+	return cs
+}
+
+// Read is a verifyingStream's source: sec, folded into cs.crc.
+func (cs *chainStream) Read(p []byte) (int, error) {
+	n, err := cs.sec.Read(p)
+	cs.crc = crc32.Update(cs.crc, castagnoli, p[:n])
+	return n, err
 }
 
 // segReadBuf sizes the pooled segment readers: a point read's sparse
@@ -342,12 +370,14 @@ const segReadBuf = 16 << 10
 type chainStream struct {
 	sec io.SectionReader
 	br  *bufio.Reader
+	crc uint32 // of the bytes Read passed on
 	// key is scratch for the current chain's key; head is key once a
 	// chain is loaded and not yet consumed, eof is set at the range's end.
 	key, head []byte
 	eof       bool
 	// enc is scratch for raw: the current chain, still encoded.
-	enc []byte
+	enc    []byte
+	readTS truetime.Timestamp // bodyAt's
 }
 
 var chainStreams = sync.Pool{New: func() any {
@@ -443,6 +473,9 @@ type chainShape struct {
 	versions int
 	// last is the newest version, without its value.
 	last Version
+	// at is the newest version at or before readTS, if found (bodyAt).
+	at    Version
+	found bool
 }
 
 // raw consumes the chain peek stopped at without decoding it: its
@@ -459,6 +492,7 @@ const (
 	bodySkip   = iota // nothing: a chain below the range
 	bodyDecode        // a Chain owning its memory
 	bodyRaw           // re-encode them behind the key in cs.enc
+	bodyAt            // copy out the value of the newest version at or before cs.readTS
 )
 
 // body consumes the flags and versions that follow the current chain's
@@ -507,6 +541,19 @@ func (cs *chainStream) body(mode int) (c Chain, shape chainShape, err error) {
 			val := cs.enc[len(cs.enc) : len(cs.enc)+n]
 			_, err = io.ReadFull(cs.br, val)
 			cs.enc = cs.enc[:len(cs.enc)+n]
+		case bodyAt:
+			// Skipped unless it is the newest at or before readTS: the next
+			// version's timestamp is peeked past the value (a value too long
+			// to look past in the buffer is copied, and may be replaced).
+			next, _ := cs.br.Peek(n + binary.MaxVarintLen64)
+			nextTS, k := binary.Uvarint(next[min(n, len(next)):])
+			if shape.last.TS > cs.readTS || i+1 < nv && k > 0 && truetime.Timestamp(nextTS) <= cs.readTS {
+				_, err = cs.br.Discard(n)
+				break
+			}
+			shape.at, shape.found = shape.last, true
+			shape.at.Value = make([]byte, n)
+			_, err = io.ReadFull(cs.br, shape.at.Value)
 		}
 		if err != nil {
 			return c, shape, errTornFrame

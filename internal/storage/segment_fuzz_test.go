@@ -11,7 +11,8 @@ import (
 	"firestore/internal/truetime"
 )
 
-// segmentBytes is a well-formed segment file of n chains.
+// segmentBytes is a well-formed segment file of n chains, and of one
+// more whose values are longer than a point read can look past.
 func segmentBytes(t testing.TB, n int) []byte {
 	dir := t.TempDir()
 	meta, err := writeSegment(dir, "seed.seg", func(w *segmentWriter) error {
@@ -22,6 +23,11 @@ func segmentBytes(t testing.TB, n int) []byte {
 			}
 			w.add(c)
 		}
+		long := Chain{Key: []byte("long")}
+		for v := 1; v <= 3; v++ {
+			long.Versions = append(long.Versions, Version{TS: truetime.Timestamp(v), Value: bytes.Repeat([]byte{byte(v)}, segReadBuf+v)})
+		}
+		w.add(long)
 		return w.err
 	})
 	if err != nil {
@@ -60,8 +66,11 @@ func FuzzLoadSegment(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		walkSegment(dir, "fuzz.seg")
+		err := walkSegment(dir, "fuzz.seg")
 		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// A decoded Version is 40 bytes for the 3 its encoding may take; the
 		// constant covers a pooled stream's first use and the runtime's own.
 		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1<<20); grew > bound {
@@ -70,11 +79,14 @@ func FuzzLoadSegment(f *testing.F) {
 	})
 }
 
-// walkSegment opens the file and reads it every way the engine does.
-func walkSegment(dir, name string) {
+// walkSegment opens the file and reads it every way the engine does. A
+// point read of each key it finds, at timestamps around each version,
+// must answer as decoding the chain from the same sparse block and
+// picking with newestAtOrBefore does, error for error.
+func walkSegment(dir, name string) error {
 	s, err := openSegment(dir, segmentMeta{Name: name})
 	if err != nil {
-		return
+		return nil
 	}
 	defer s.decRef()
 	var keys [][]byte
@@ -104,6 +116,37 @@ func walkSegment(dir, name string) {
 	cs.close()
 	for _, k := range keys {
 		s.mayContain(keyHash(k))
-		s.get(k) //nolint:errcheck // a corrupt block is an error, which is fine
+		ref, refErr := pointChain(s, k)
+		ats := []truetime.Timestamp{0, truetime.Max}
+		for _, v := range ref.Versions[:min(len(ref.Versions), 4)] {
+			ats = append(ats, v.TS-1, v.TS, v.TS+1)
+		}
+		for _, ts := range ats {
+			v, found, purged, err := s.getAt(k, ts)
+			if refErr != nil {
+				if err == nil {
+					return fmt.Errorf("point read of %q at %d succeeded where decoding the chain fails: %v", k, ts, refErr)
+				}
+				continue
+			}
+			want, wantFound := newestAtOrBefore(ref.Versions, ts)
+			if err != nil || found != wantFound || purged != ref.Purged ||
+				found && (v.TS != want.TS || v.Deleted != want.Deleted || !bytes.Equal(v.Value, want.Value)) {
+				return fmt.Errorf("point read of %q at %d = %+v, found %v, purged %v, err %v; the decoded chain gives %+v, found %v, purged %v",
+					k, ts, v, found, purged, err, want, wantFound, ref.Purged)
+			}
+		}
 	}
+	return nil
+}
+
+// pointChain is the reference point read: key's chain from its sparse
+// block, decoded whole.
+func pointChain(s *segment, key []byte) (Chain, error) {
+	cs := s.stream(key, true)
+	defer cs.close()
+	if k, err := cs.peek(key); err != nil || k == nil || !bytes.Equal(k, key) {
+		return Chain{}, err
+	}
+	return cs.take()
 }

@@ -4,4 +4,8 @@ package storage
 
 import "os"
 
-func datasync(f *os.File) error { return f.Sync() }
+type walFile struct{ *os.File }
+
+func newWALFile(f *os.File) *walFile { return &walFile{f} }
+
+func (w *walFile) datasync() error { return w.Sync() }

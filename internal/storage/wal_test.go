@@ -15,6 +15,21 @@ import (
 	"firestore/internal/truetime"
 )
 
+// encodeCommit builds a commit record as Disk.Apply does.
+func encodeCommit(writes []Write, ts truetime.Timestamp) *walFrame {
+	fr := newFrame(recCommit)
+	fr.b = AppendWrites(fr.b, writes, ts)
+	return fr
+}
+
+// appendFrame appends fr to buf as Disk.append writes it, and releases it.
+func appendFrame(buf []byte, fr *walFrame) []byte {
+	fr.seal()
+	buf = append(buf, fr.b...)
+	fr.release()
+	return buf
+}
+
 // buildWAL encodes n commit records and returns the file bytes plus the
 // offset just past each frame (boundaries[i] = end of record i).
 func buildWAL(n int, rng *rand.Rand) (data []byte, boundaries []int64, recs [][]Write) {
@@ -231,7 +246,9 @@ func FuzzReplayWAL(f *testing.F) {
 	good, _, _ := buildWAL(8, rand.New(rand.NewSource(3)))
 	f.Add(good)
 	f.Add(good[:len(good)-3])
-	f.Add(appendFrame(bytes.Clone(good), []byte{recCommit, 0x80})) // an intact frame that does not decode
+	undecodable := newFrame(recCommit)
+	undecodable.b = append(undecodable.b, 0x80)
+	f.Add(appendFrame(bytes.Clone(good), undecodable)) // an intact frame that does not decode
 	f.Add(binary.LittleEndian.AppendUint32(nil, maxFrameSize))
 	f.Add(append(bytes.Clone(good), make([]byte, 64)...)) // records, then reservation
 	path := filepath.Join(f.TempDir(), walFileName(1))
