@@ -1,11 +1,14 @@
 package backend
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"firestore/internal/index"
 	"firestore/internal/query"
 )
 
@@ -24,6 +27,10 @@ const advisorWasteFactor = 2
 type advisor struct {
 	mu     sync.Mutex
 	shapes map[string]*AdvisorEntry
+	// key and preds are record's scratch, held under mu: a query's map
+	// key (database, NUL, shape) and its predicates, sorted.
+	key   []byte
+	preds []query.Predicate
 }
 
 // AdvisorEntry aggregates planner outcomes for one query shape in one
@@ -54,60 +61,63 @@ func (e *AdvisorEntry) Waste() float64 {
 	return float64(e.Scanned) / float64(e.Results)
 }
 
-// shapeOf renders q's value-free canonical form: collection, predicate
-// paths+operators, and effective orders, with predicates sorted so
-// equivalent conjunct orderings collapse to one shape.
-func shapeOf(q *query.Query) string {
-	preds := make([]string, len(q.Predicates))
-	for i, p := range q.Predicates {
-		preds[i] = string(p.Path) + " " + p.Op.String()
+// appendShape appends q's shape to a.key: its value-free canonical form
+// — collection, predicate paths+operators, and effective orders, with
+// predicates sorted so equivalent conjunct orderings collapse to one
+// shape.
+func (a *advisor) appendShape(q *query.Query) {
+	a.key = append(a.key, q.Collection.String()...)
+	a.preds = append(a.preds[:0], q.Predicates...)
+	slices.SortFunc(a.preds, func(x, y query.Predicate) int {
+		return cmp.Or(strings.Compare(string(x.Path), string(y.Path)), strings.Compare(x.Op.String(), y.Op.String()))
+	})
+	sep := " where "
+	for _, p := range a.preds {
+		a.key = append(append(append(append(a.key, sep...), p.Path...), ' '), p.Op.String()...)
+		sep = " and "
 	}
-	sort.Strings(preds)
-	var b strings.Builder
-	b.WriteString(q.Collection.String())
-	if len(preds) > 0 {
-		b.WriteString(" where ")
-		b.WriteString(strings.Join(preds, " and "))
+	clear(a.preds) // the scratch keeps no query's values
+	orders := q.Orders
+	if p := q.InequalityPath(); len(orders) == 0 && p != "" {
+		orders = []query.Order{{Path: p, Dir: index.Ascending}}
 	}
-	orders := q.EffectiveOrders()
-	if len(orders) > 0 {
-		parts := make([]string, len(orders))
-		for i, o := range orders {
-			parts[i] = string(o.Path) + " " + o.Dir.String()
-		}
-		b.WriteString(" order by ")
-		b.WriteString(strings.Join(parts, ", "))
+	sep = " order by "
+	for _, o := range orders {
+		a.key = append(append(append(append(a.key, sep...), o.Path...), ' '), o.Dir.String()...)
+		sep = ", "
 	}
-	return b.String()
 }
 
-// record folds one executed query into the advisor.
+// record folds one executed query into the advisor. The entry's
+// suggestion is worked out when the entry is made and again whenever the
+// shape's plan family changes.
 func (a *advisor) record(dbID string, q *query.Query, p *query.Plan, scanned, results int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.shapes == nil {
 		a.shapes = map[string]*AdvisorEntry{}
 	}
-	shape := shapeOf(q)
-	key := dbID + "\x00" + shape
-	e, ok := a.shapes[key]
+	a.key = append(append(a.key[:0], dbID...), 0)
+	a.appendShape(q)
+	e, ok := a.shapes[string(a.key)]
 	if !ok {
-		e = &AdvisorEntry{DB: dbID, Shape: shape}
+		key := string(a.key)
+		e = &AdvisorEntry{DB: dbID, Shape: key[len(dbID)+1:]}
 		a.shapes[key] = e
 	}
-	e.Choice = p.Choice
 	e.Queries++
 	e.Scanned += int64(scanned)
 	e.Results += int64(results)
-	e.Suggested = ""
-	if p.Choice != "composite" {
-		if fields := query.SuggestedFields(q); len(fields) > 1 {
-			parts := make([]string, len(fields))
-			for i, f := range fields {
-				parts[i] = f.String()
-			}
-			e.Suggested = fmt.Sprintf("composite(%s) on %s", strings.Join(parts, ", "), q.Collection.ID())
+	if ok && e.Choice == p.Choice {
+		return
+	}
+	e.Choice, e.Suggested = p.Choice, ""
+	if fields := query.SuggestedFields(q); p.Choice != "composite" && len(fields) > 1 {
+		parts := make([]string, len(fields))
+		for i, f := range fields {
+			parts[i] = f.String()
 		}
+		e.Suggested = fmt.Sprintf("composite(%s) on %s", strings.Join(parts, ", "), q.Collection.ID())
 	}
 }
 

@@ -169,3 +169,37 @@ func TestZigZagRefillAllocs(t *testing.T) {
 		t.Errorf("%d refills cost %.0f allocations more than %d", apartScans, apart-alone, aloneScans)
 	}
 }
+
+// TestQueryFetchAllocs: once the memo holds a query's documents, fetching
+// one more of them allocates nothing — its name is cut from the page's
+// arena and its document is the memo's. Each fetch used to cost two: the
+// name's string and its segments.
+func TestQueryFetchAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
+	}
+	e := newEnv(t)
+	ctx := context.Background()
+	for i := 0; i < 400; i++ {
+		set(t, e, fmt.Sprintf("/restaurants/r%06d", i), restaurantFields(i))
+	}
+	run := func(limit int) float64 {
+		q := &query.Query{
+			Collection: doc.MustCollection("/restaurants"),
+			Predicates: []query.Predicate{{Path: "city", Op: query.Eq, Value: doc.String("SF")}},
+			Limit:      limit,
+		}
+		return testing.AllocsPerRun(100, func() {
+			res, _, err := e.b.RunQuery(ctx, e.dbID, priv, q, nil, 0)
+			if err != nil || len(res.Docs) != limit {
+				t.Fatalf("RunQuery: %d documents, %v", len(res.Docs), err)
+			}
+		})
+	}
+	at10, at90 := run(10), run(90)
+	perDoc := (at90 - at10) / 80
+	t.Logf("memo-warm RunQuery: %.0f allocations at limit 10, %.2f per extra document", at10, perDoc)
+	if perDoc > 0.5 {
+		t.Errorf("memo-warm RunQuery allocates %.2f times per extra returned document, want <= 0.5", perDoc)
+	}
+}

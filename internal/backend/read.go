@@ -294,14 +294,13 @@ func (s *snapshotStorage) ScanCollection(ctx context.Context, c doc.CollectionPa
 		lo = encoding.PrefixSuccessor(withID)
 	}
 	klo, khi := s.db.EntityRange(lo, encoding.PrefixSuccessor(prefix))
-	want := len(c.Segments()) + 1
 	var derr error
 	err := s.db.Spanner.SnapshotScan(ctx, klo, khi, s.ts, false, func(r spanner.ScanRow) bool {
 		var d *doc.Document
 		if d, derr = s.memo.resolve(s.db.ID, r.Key, r.Value, doc.Name{}, r.TS); derr != nil {
 			return false // a corrupt row fails the scan, as it fails a get
 		}
-		if len(d.Name.Segments()) != want {
+		if !c.Contains(d.Name) {
 			return true // nested sub-collection document
 		}
 		return fn(d)

@@ -75,6 +75,8 @@ func (c *Catalog) Create(id string) (*Database, error) {
 		entities: append(slices.Clone(dir), TableEntities),
 		indexes:  append(slices.Clone(dir), TableIndexEntries),
 	}
+	db.entitiesEnd = encoding.PrefixSuccessor(db.entities)
+	db.indexesEnd = encoding.PrefixSuccessor(db.indexes)
 	db.meta.Store(&Meta{})
 	c.dbs[id] = db
 	return db, nil
@@ -120,8 +122,10 @@ type Database struct {
 	Triggers *triggers.Service
 
 	// entities and indexes are the two tables' row-key prefixes (directory,
-	// then table byte), shared by every key built behind them.
-	entities, indexes []byte
+	// then table byte), shared by every key built behind them, and
+	// entitiesEnd and indexesEnd the ends of the tables' key ranges.
+	entities, indexes       []byte
+	entitiesEnd, indexesEnd []byte
 
 	metaMu sync.Mutex // serializes metadata writers
 	meta   atomic.Pointer[Meta]
@@ -258,31 +262,33 @@ func rowKey(table, rest []byte) []byte {
 // Spanner key space; a nil hi is the end of the Entities table, so
 // (nil, nil) is all of it.
 func (db *Database) EntityRange(lo, hi []byte) (klo, khi []byte) {
-	return tableRange(db.entities, lo, hi)
+	return tableRange(db.entities, db.entitiesEnd, lo, hi)
 }
 
 // IndexRange maps an IndexEntries-space range into Spanner key space.
 func (db *Database) IndexRange(lo, hi []byte) (klo, khi []byte) {
-	return tableRange(db.indexes, lo, hi)
+	return tableRange(db.indexes, db.indexesEnd, lo, hi)
 }
 
 // AppendIndexRange is IndexRange appended to klo and khi, for a reader
 // that builds one range after another in its own buffers.
 func (db *Database) AppendIndexRange(klo, khi, lo, hi []byte) ([]byte, []byte) {
-	return appendTableRange(klo, khi, db.indexes, lo, hi)
+	return appendTableRange(klo, khi, db.indexes, db.indexesEnd, lo, hi)
 }
 
-func tableRange(table, lo, hi []byte) (klo, khi []byte) {
+func tableRange(table, end, lo, hi []byte) (klo, khi []byte) {
 	if hi != nil {
 		khi = make([]byte, 0, len(table)+len(hi))
 	}
-	return appendTableRange(make([]byte, 0, len(table)+len(lo)), khi, table, lo, hi)
+	return appendTableRange(make([]byte, 0, len(table)+len(lo)), khi, table, end, lo, hi)
 }
 
-func appendTableRange(klo, khi, table, lo, hi []byte) ([]byte, []byte) {
+// appendTableRange appends the key range [table+lo, table+hi) to klo and
+// khi; a nil hi is the table's end.
+func appendTableRange(klo, khi, table, end, lo, hi []byte) ([]byte, []byte) {
 	klo = append(append(klo, table...), lo...)
 	if hi == nil {
-		return klo, encoding.PrefixSuccessor(table) // the table's end
+		return klo, append(khi, end...)
 	}
 	return klo, append(append(khi, table...), hi...)
 }

@@ -39,10 +39,7 @@ func Marshal(d *Document) []byte {
 	// (lengths, kind bytes, timestamps, checksum), so a typical document
 	// is one allocation; an underestimate only costs a regrowth.
 	b := make([]byte, 0, d.Size()+8*len(names)+32)
-	b = binary.AppendUvarint(b, uint64(d.Name.textLen()))
-	for _, seg := range d.Name.segs {
-		b = append(append(b, '/'), seg...)
-	}
+	b = appendString(b, d.Name.text)
 	b = binary.AppendVarint(b, int64(d.CreateTime))
 	b = binary.AppendVarint(b, int64(d.UpdateTime))
 	b = binary.AppendUvarint(b, uint64(len(d.Fields)))
@@ -58,16 +55,18 @@ func Marshal(d *Document) []byte {
 func Unmarshal(data []byte) (*Document, error) { return UnmarshalNamed(data, Name{}) }
 
 // UnmarshalNamed is Unmarshal for a blob that was read by name: the
-// blob's own name is checked against name, byte for byte, and name is
-// reused rather than parsed a second time. A zero name parses the
-// blob's.
+// blob's own name must be name, byte for byte, and is then not parsed a
+// second time. A zero name parses the blob's. Either way the document's
+// name is the blob's, copied into the document's arena, so a document
+// never keeps its reader's name (and whatever that name is cut from)
+// alive.
 //
 // Each payload byte is copied once (DESIGN.md "Read path: who owns the
 // bytes"): a first pass over the fields validates them and adds up the
 // text they hold — field names, map keys, strings, references — and the
-// second decodes them into one arena of exactly that size, which every
-// string of the document is a substring of. Bytes values get their own
-// copies; nothing aliases data.
+// second decodes them into one arena of exactly that size plus the name,
+// which every string of the document is a substring of. Bytes values get
+// their own copies; nothing aliases data.
 func UnmarshalNamed(data []byte, name Name) (*Document, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(data))
@@ -96,18 +95,18 @@ func UnmarshalNamed(data []byte, name Name) (*Document, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	if !name.IsZero() && string(rawName) != name.text {
+		return nil, fmt.Errorf("%w: blob of %q read as %s", ErrCorrupt, rawName, name)
+	}
+	r.text.Grow(len(rawName) + text)
+	r.text.Write(rawName)
 	if name.IsZero() {
-		r.text.Grow(len(rawName) + text)
-		r.text.Write(rawName)
 		var err error
 		if name, err = ParseName(r.text.String()); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	} else {
-		r.text.Grow(text)
-		if !name.matches(rawName) {
-			return nil, fmt.Errorf("%w: blob of %q read as %s", ErrCorrupt, rawName, name)
-		}
+		name = Name{text: r.text.String()}
 	}
 	d := &Document{
 		Name:       name,

@@ -47,7 +47,7 @@ func (d *Document) Clone() *Document {
 
 // Size estimates the stored size in bytes (name + fields).
 func (d *Document) Size() int {
-	n := d.Name.textLen()
+	n := len(d.Name.text)
 	for k, v := range d.Fields {
 		n += len(k) + 1 + v.EstimateSize()
 	}

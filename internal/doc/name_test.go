@@ -1,6 +1,7 @@
 package doc
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -120,6 +121,9 @@ func TestNameChild(t *testing.T) {
 	if _, err := n.Child("", "x"); err == nil {
 		t.Error("empty collection accepted")
 	}
+	if _, err := n.Child("a/b", "x"); err == nil {
+		t.Error("collection ID with slash accepted")
+	}
 }
 
 func TestZeroName(t *testing.T) {
@@ -143,4 +147,75 @@ func TestMustNamePanics(t *testing.T) {
 		}
 	}()
 	MustName("bad")
+}
+
+// parentParse is the segment-slice parser names had before a Name became
+// its text, kept as the reference ParseName and ParseCollection must
+// agree with: the number of segments, or an error.
+func parentParse(s string) (int, bool) {
+	if len(s) == 0 || s[0] != '/' || len(s) > MaxNameLen {
+		return 0, false
+	}
+	n := 0
+	for rest, more := s[1:], true; more; n++ {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
+		if seg == "" || seg == "." || seg == ".." || strings.IndexByte(seg, 0) >= 0 {
+			return 0, false
+		}
+	}
+	return n, true
+}
+
+// TestParseMatchesParent: ParseName and ParseCollection accept and reject
+// exactly what the segment parser did, and what they accept round-trips
+// through String, Segments and (for a name) Collection and ID.
+func TestParseMatchesParent(t *testing.T) {
+	cases := []string{
+		"", "/", "//", "a/b", "/a", "/a/b", "/a/b/c", "/a/b/c/d", "/a//b", "/a/b/", "//a/b",
+		"/.", "/a/.", "/a/..", "/./b", "/../b", "/a/...", "/a/.b", "/a/b\x00", "/\x00/b",
+		"/a/" + strings.Repeat("x", MaxNameLen-3), "/a/" + strings.Repeat("x", MaxNameLen-2),
+	}
+	r := rand.New(rand.NewSource(1))
+	alphabet := []string{"/", "/", "a", "b", ".", "-", "\x00", "é"}
+	for range 5000 {
+		var b strings.Builder
+		for n := r.Intn(12); n > 0; n-- {
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		cases = append(cases, b.String())
+	}
+	for _, s := range cases {
+		segs, ok := parentParse(s)
+		n, err := ParseName(s)
+		if want := ok && segs%2 == 0; (err == nil) != want {
+			t.Errorf("ParseName(%q) = %v, want accepted %v", s, err, want)
+		} else if err == nil && (n.String() != s || len(n.Segments()) != segs || n.Collection().String()+"/"+n.ID() != s || n.Depth() != segs/2) {
+			t.Errorf("ParseName(%q) = %q: segments %q, collection %q, ID %q", s, n, n.Segments(), n.Collection(), n.ID())
+		}
+		c, err := ParseCollection(s)
+		if want := ok && segs%2 == 1; (err == nil) != want {
+			t.Errorf("ParseCollection(%q) = %v, want accepted %v", s, err, want)
+		} else if err == nil && (c.String() != s || c.First() != strings.Split(s, "/")[1] || c.ID() != s[strings.LastIndex(s, "/")+1:]) {
+			t.Errorf("ParseCollection(%q) = %q: first %q, ID %q", s, c, c.First(), c.ID())
+		}
+	}
+}
+
+// TestParseNameAllocs: parsing a name, and reading its parts, allocates
+// nothing.
+func TestParseNameAllocs(t *testing.T) {
+	s := "/restaurants/one/ratings/2"
+	got := testing.AllocsPerRun(100, func() {
+		n, err := ParseName(s)
+		if err != nil || n.ID() != "2" || n.First() != "restaurants" || n.Depth() != 2 || !n.Collection().Contains(n) {
+			t.Fatalf("ParseName(%q) = %v, %v", s, n, err)
+		}
+		if p, ok := n.Parent(); !ok || p.Compare(n) >= 0 {
+			t.Fatalf("Parent(%q) = %v, %v", s, p, ok)
+		}
+	})
+	if got != 0 {
+		t.Errorf("ParseName and its accessors allocate %.0f times, want 0", got)
+	}
 }

@@ -358,28 +358,33 @@ func ReadEscaped(b []byte) ([]byte, int, error) {
 // each segment escaped-and-terminated, so byte order equals segment-wise
 // name order and no encoded name is a prefix of another.
 func EncodeName(dst []byte, n doc.Name) []byte {
-	dst = slices.Grow(dst, NameLen(n))
-	for _, seg := range n.Segments() {
-		dst = copyEscaped(dst, seg)
-	}
-	return append(dst, terminator)
+	return append(appendSegments(slices.Grow(dst, NameLen(n)), n.String()), terminator)
 }
 
 // NameLen returns len(EncodeName(nil, n)), so callers can size a row key
 // before encoding the name into it.
 func NameLen(n doc.Name) int {
-	size := 1
-	for _, seg := range n.Segments() {
-		size += escapedLen(seg)
+	// Each segment's '/' becomes its two-byte terminator; a NUL, two bytes.
+	text := n.String()
+	return 1 + len(text) + strings.Count(text, "/") + strings.Count(text, "\x00")
+}
+
+// appendSegments appends each segment of a name's or a collection's text
+// escaped-and-terminated, walking the text, into a dst sized for them.
+func appendSegments(dst []byte, text string) []byte {
+	for text != "" {
+		seg, _, _ := strings.Cut(text[1:], "/")
+		dst = copyEscaped(dst, seg)
+		text = text[1+len(seg):]
 	}
-	return size
+	return dst
 }
 
 // DecodeName decodes a name encoded by EncodeName, returning the name and
 // the number of bytes consumed.
 func DecodeName(b []byte) (doc.Name, int, error) {
-	var segs []string
-	i := 0
+	var text []byte
+	segs, i := 0, 0
 	for {
 		if i >= len(b) {
 			return doc.Name{}, 0, fmt.Errorf("%w: unterminated name", ErrCorrupt)
@@ -392,13 +397,14 @@ func DecodeName(b []byte) (doc.Name, int, error) {
 		if err != nil {
 			return doc.Name{}, 0, err
 		}
-		segs = append(segs, string(seg))
+		text = append(append(text, '/'), seg...)
+		segs++
 		i += n
 	}
-	if len(segs) == 0 || len(segs)%2 != 0 {
-		return doc.Name{}, 0, fmt.Errorf("%w: %d name segments", ErrCorrupt, len(segs))
+	if segs == 0 || segs%2 != 0 {
+		return doc.Name{}, 0, fmt.Errorf("%w: %d name segments", ErrCorrupt, segs)
 	}
-	name, err := doc.ParseName("/" + strings.Join(segs, "/"))
+	name, err := doc.ParseName(string(text))
 	if err != nil {
 		return doc.Name{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -411,10 +417,8 @@ func DecodeName(b []byte) (doc.Name, int, error) {
 // which callers exclude via segment count or by the extra terminator
 // structure. Used to compute collection scan ranges.
 func EncodeCollection(dst []byte, c doc.CollectionPath) []byte {
-	for _, seg := range c.Segments() {
-		dst = AppendEscaped(dst, seg)
-	}
-	return dst
+	text := c.String()
+	return appendSegments(slices.Grow(dst, len(text)+strings.Count(text, "/")), text)
 }
 
 // PrefixSuccessor returns the smallest byte string greater than every

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -267,6 +268,47 @@ func TestEncodeNameOrder(t *testing.T) {
 			got := sign(bytes.Compare(EncodeName(nil, a), EncodeName(nil, b)))
 			if got != want {
 				t.Errorf("EncodeName order (%s, %s) = %d, want %d", ordered[i], ordered[j], got, want)
+			}
+		}
+	}
+}
+
+// TestNameCompareMatchesSegments: a name's Compare, which walks its text,
+// orders names as comparing their segments one by one does — also where
+// a segment ends inside another and '/' sorts above '-' and '.' — and
+// EncodeName's byte order agrees with both.
+func TestNameCompareMatchesSegments(t *testing.T) {
+	segCompare := func(a, b doc.Name) int {
+		x, y := a.Segments(), b.Segments()
+		for i := 0; i < len(x) && i < len(y); i++ {
+			if c := strings.Compare(x[i], y[i]); c != 0 {
+				return c
+			}
+		}
+		return len(x) - len(y)
+	}
+	sign := func(c int) int { return min(max(c, -1), 1) }
+	r := rand.New(rand.NewSource(1))
+	alphabet := []string{"-", ".", "0", "A", "\x7f", "é", "/"}
+	var names []doc.Name
+	for len(names) < 500 {
+		var b strings.Builder
+		b.WriteString("/")
+		for n := 1 + r.Intn(10); n > 0; n-- {
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		if n, err := doc.ParseName(b.String()); err == nil {
+			names = append(names, n)
+		}
+	}
+	for _, a := range names {
+		for _, b := range names {
+			want := sign(segCompare(a, b))
+			if got := a.Compare(b); got != want {
+				t.Fatalf("Compare(%q, %q) = %d, segment-wise %d", a, b, got, want)
+			}
+			if got := bytes.Compare(EncodeName(nil, a), EncodeName(nil, b)); got != want {
+				t.Fatalf("EncodeName order of %q, %q = %d, segment-wise %d", a, b, got, want)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"firestore/internal/doc"
 	"firestore/internal/encoding"
@@ -66,6 +67,9 @@ func (p *Plan) Execute(ctx context.Context, st Storage, resume []byte) (*Result,
 	// cursors, an index row the offset skips is never fetched.
 	hasCursor := q.Start != nil || q.End != nil
 	res := &Result{Docs: make([]*doc.Document, 0, min(limit, storage.NextScanChunk(0)))}
+	// names is the page's arena for its index entries' names (DESIGN.md
+	// "Read path: who owns the bytes"); a fetched document has its own.
+	var names strings.Builder
 	var ferr, err error
 	res.ScannedEntries, res.Scans, err = p.walk(ctx, st, resume, func(pos, name []byte, d *doc.Document) bool {
 		if d == nil {
@@ -73,7 +77,7 @@ func (p *Plan) Execute(ctx context.Context, st Storage, resume []byte) (*Result,
 				offset--
 				return true
 			}
-			if d, ferr = p.fetch(ctx, st, string(name)); d == nil {
+			if d, ferr = p.fetch(ctx, st, arenaString(&names, name, cap(res.Docs))); d == nil {
 				return ferr == nil // an entry whose document is gone is skipped
 			}
 		}
@@ -200,6 +204,20 @@ func nextHit(ctx context.Context, iters []*scanIter, candidate []byte) (suffix, 
 		}
 		candidate = suffix
 	}
+}
+
+// arenaString copies b into arena a and returns the copy. A full arena is
+// replaced, not regrown, by one twice its size (the first holds n strings
+// the size of b), so no string already cut from it is copied again.
+func arenaString(a *strings.Builder, b []byte, n int) string {
+	if a.Cap()-a.Len() < len(b) {
+		size := max(2*a.Cap(), n*len(b))
+		a.Reset()
+		a.Grow(size)
+	}
+	at := a.Len()
+	a.Write(b)
+	return a.String()[at:]
 }
 
 func (p *Plan) fetch(ctx context.Context, st Storage, name string) (*doc.Document, error) {

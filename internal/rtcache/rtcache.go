@@ -211,7 +211,7 @@ const slots = 256
 func (c *Cache) rangeFor(db string, name doc.Name) *nameRange {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ownerLocked(db, name.Segments()[0])
+	return c.ownerLocked(db, name.First())
 }
 
 func (c *Cache) ownerLocked(db, topCollection string) *nameRange {
@@ -236,7 +236,7 @@ func slotOf(db, topCollection string) int {
 func (c *Cache) RangesForCollection(db string, coll doc.CollectionPath) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return []int{c.ownerLocked(db, coll.Segments()[0]).id}
+	return []int{c.ownerLocked(db, coll.First()).id}
 }
 
 // splitHotRange rebalances load once: the range with the most
@@ -324,7 +324,7 @@ func (c *Cache) Prepare(writeID, db string, names []doc.Name, maxTS truetime.Tim
 		return 0, status.Errorf(status.Internal, "rtcache", "duplicate write ID %q", writeID)
 	}
 	for _, n := range names {
-		if r := c.ownerLocked(db, n.Segments()[0]); !slices.Contains(w.ranges, r) {
+		if r := c.ownerLocked(db, n.First()); !slices.Contains(w.ranges, r) {
 			w.ranges = append(w.ranges, r)
 		}
 	}
@@ -376,7 +376,7 @@ func (c *Cache) forward(w *write, ts truetime.Timestamp, muts []Mutation) {
 	single := len(w.ranges) == 1
 	c.mu.Lock()
 	for i, m := range muts {
-		routes[i] = c.ownerLocked(w.db, m.Name.Segments()[0])
+		routes[i] = c.ownerLocked(w.db, m.Name.First())
 		single = single && routes[i] == w.ranges[0]
 	}
 	c.mu.Unlock()
