@@ -359,6 +359,8 @@ type queryJSON struct {
 	// alternative and reports actual index entries visited.
 	Explain bool `json:"explain"`
 	Analyze bool `json:"analyze"`
+	// PageToken resumes the query after the page whose next it was.
+	PageToken []byte `json:"pageToken"`
 }
 
 // aggregationJSON is the wire form of one aggregation.
@@ -483,18 +485,29 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"aggregations": vals, "readTime": int64(readTS)})
 		return
 	}
-	res, readTS, err := s.region.RunQuery(r.Context(), r.PathValue("db"), principal(r), q, nil, 0)
+	res, readTS, err := s.region.RunQuery(r.Context(), r.PathValue("db"), principal(r), q, qj.PageToken, 0)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, QueryPage{Documents: documents(res.Docs), ReadTime: int64(readTS)})
+	next := res.Resume
+	if q.Limit > 0 && len(res.Docs) >= q.Limit {
+		next = nil // the page holds the whole limit
+	}
+	writeJSON(w, QueryPage{Documents: documents(res.Docs), ReadTime: int64(readTS), Next: next})
 }
 
-// QueryPage answers a plain query; fsctl scan pages through it.
+// QueryPage answers a plain query; fsctl scan pages through it. A result
+// larger than one page (query.MaxResultSize documents) continues when the
+// same query is sent again with next as its pageToken; each page has its
+// own readTime. Each page of a query whose limit exceeds one page is
+// limited afresh: the client stops at the limit, as the SDK iterator does.
 type QueryPage struct {
 	Documents []Document `json:"documents"`
 	ReadTime  int64      `json:"readTime"`
+	// Next is the page token of the page after this one, absent when the
+	// query ran out.
+	Next []byte `json:"next,omitempty"`
 }
 
 // Document is one document in a query answer or a listen event.

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"firestore/internal/backend"
 	"firestore/internal/core"
+	"firestore/internal/doc"
 )
 
 func newServer(t *testing.T) *httptest.Server {
@@ -151,6 +154,42 @@ func TestQueryOverHTTP(t *testing.T) {
 	}
 	if len(out.Documents) != 3 || out.Documents[0].Name != "/restaurants/r9" {
 		t.Fatalf("query result = %+v", out.Documents)
+	}
+}
+
+// TestQueryPagesOverHTTP pages a result of one and a half pages: the
+// first page holds 1000 documents and a next token, the page it names the
+// other 500 and none.
+func TestQueryPagesOverHTTP(t *testing.T) {
+	region := core.NewRegion(core.Config{Name: "test"})
+	t.Cleanup(region.Close)
+	ts := httptest.NewServer(New(region))
+	t.Cleanup(ts.Close)
+	do(t, ts, "POST", "/v1/databases", map[string]string{"id": "app"}, nil)
+	for lo := 0; lo < 1500; lo += 250 {
+		var ops []backend.WriteOp
+		for i := lo; i < lo+250; i++ {
+			ops = append(ops, backend.WriteOp{Kind: backend.OpSet, Name: doc.MustName(fmt.Sprintf("/items/%04d", i)), Fields: map[string]doc.Value{}})
+		}
+		if _, err := region.Backend.Commit(context.Background(), "app", backend.Principal{Privileged: true}, ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pages []QueryPage
+	for token := []byte(nil); len(pages) == 0 || token != nil && len(pages) < 3; {
+		resp, body := do(t, ts, "POST", "/v1/databases/app/query", map[string]any{"collection": "/items", "pageToken": token}, nil)
+		var page QueryPage
+		if err := json.Unmarshal(body, &page); resp.StatusCode != 200 || err != nil {
+			t.Fatalf("page %d: %d %s", len(pages), resp.StatusCode, body)
+		}
+		pages, token = append(pages, page), page.Next
+	}
+	var sizes []int
+	for _, p := range pages {
+		sizes = append(sizes, len(p.Documents))
+	}
+	if fmt.Sprint(sizes) != "[1000 500]" || pages[1].Documents[0].Name != "/items/1000" {
+		t.Fatalf("pages of %v documents, want [1000 500] in name order", sizes)
 	}
 }
 

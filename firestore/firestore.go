@@ -387,20 +387,13 @@ func (dr *DocumentRef) op(kind backend.OpKind, data map[string]any) (op backend.
 	return op, err
 }
 
-// Snapshots opens a real-time listener on this single document,
-// implemented as a listener on an ID-constrained query.
+// Snapshots opens a real-time listener on this single document: a
+// query on its collection that starts and ends at its name, so the
+// matcher delivers that document's writes alone.
 func (dr *DocumentRef) Snapshots(ctx context.Context) (*QuerySnapshotIterator, error) {
 	if dr.err != nil {
 		return nil, dr.err
 	}
 	coll := &CollectionRef{c: dr.c, path: dr.name.Collection()}
-	// A bare collection listener filtered client-side would over-match;
-	// the engine has no __name__ predicate, so we listen on the
-	// collection and filter in the iterator.
-	it, err := coll.Query().Snapshots(ctx)
-	if err != nil {
-		return nil, err
-	}
-	it.filterName = dr.name.String()
-	return it, nil
+	return coll.Query().StartAt(dr).EndAt(dr).Snapshots(ctx)
 }

@@ -378,6 +378,59 @@ func TestDocumentSnapshots(t *testing.T) {
 	}
 }
 
+// TestDocumentListenerIsAQuery listens to a document past the first page
+// of its collection: the first snapshot holds it, and writes to other
+// documents of the collection reach the listener not at all.
+func TestDocumentListenerIsAQuery(t *testing.T) {
+	c := newClient(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	items := c.Collection("items")
+	for lo := 0; lo < 1500; lo += 250 {
+		b := c.Batch()
+		for i := lo; i < lo+250; i++ {
+			b.Set(items.Doc(fmt.Sprintf("%04d", i)), map[string]any{"v": i})
+		}
+		if err := b.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it, err := items.Doc("1400").Snapshots(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Stop()
+	if snap, err := it.Next(ctx); err != nil || len(snap.Docs) != 1 || snap.Docs[0].Ref.ID() != "1400" {
+		t.Fatalf("first snapshot = %+v, %v; want document 1400", snap, err)
+	}
+	// A collection listener on the same connection sees each of two
+	// writes to other documents, the second in a later window than the
+	// first: by then whatever the first sent the document listener has
+	// been routed to it.
+	all, err := items.Snapshots(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer all.Stop()
+	if _, err := all.Next(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"0007", "1401"} {
+		if err := items.Doc(id).Set(ctx, map[string]any{"v": -1}); err != nil {
+			t.Fatal(err)
+		}
+		if snap, err := all.Next(ctx); err != nil || len(snap.Changes) != 1 || snap.Changes[0].Doc.Ref.ID() != id {
+			t.Fatalf("collection listener after writing %s = %+v, %v", id, snap, err)
+		}
+	}
+	it.mu.Lock()
+	queued := len(it.queue)
+	it.mu.Unlock()
+	if queued != 0 {
+		t.Fatalf("writes to other documents sent the document listener %d events", queued)
+	}
+}
+
 func TestUserClientRespectsRules(t *testing.T) {
 	region := core.NewRegion(core.Config{})
 	defer region.Close()

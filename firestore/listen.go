@@ -41,10 +41,9 @@ type DocumentChange struct {
 // query (the Web SDK's onSnapshot, §III-E). Next and Stop may be called
 // from different goroutines; Next itself is for one consumer.
 type QuerySnapshotIterator struct {
-	c          *Client
-	targetID   int64
-	q          *query.Query
-	filterName string
+	c        *Client
+	targetID int64
+	q        *query.Query
 
 	// The result set, in query order and by path, and whether a snapshot
 	// of it was returned. Only Next touches them.
@@ -231,9 +230,6 @@ func (it *QuerySnapshotIterator) apply(ev frontend.SnapshotEvent) *QuerySnapshot
 	upsert := func(docs []*doc.Document) {
 		for _, d := range docs {
 			path := d.Name.String()
-			if it.filterName != "" && path != it.filterName {
-				continue
-			}
 			s := resultSnapshot(it.c, d, ev.TS)
 			was, had := it.byPath[path]
 			it.put(path, s)

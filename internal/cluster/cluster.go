@@ -47,18 +47,51 @@ type method[Req, Resp any] struct {
 	// the handoff reads the frozen state through it.
 	sealedOK bool
 	// wire, if set, is the method's binary body codec (wire.go). Without
-	// it the bodies are JSON, through the transport's adapter.
+	// it the bodies are JSON (bodies).
 	wire *codec[Req, Resp]
 }
 
-// codec is a method's binary bodies: requests are encoded by call and
-// decoded by handle, responses the other way round. A decoder refuses
-// trailing bytes; what it returns may alias the body it was given.
+// codec is a method's bodies: requests are encoded by call and decoded
+// by handle, responses the other way round. A decoder refuses trailing
+// bytes; what it returns may alias the body it was given.
 type codec[Req, Resp any] struct {
 	encReq  func([]byte, Req) []byte
 	decReq  func([]byte) (Req, error)
 	encResp func([]byte, Resp) []byte
 	decResp func([]byte) (Resp, error)
+}
+
+// bodies is m's codec, the one place call and handle get it from: the
+// binary one, or JSON of the same structs.
+func (m method[Req, Resp]) bodies() *codec[Req, Resp] {
+	if m.wire != nil {
+		return m.wire
+	}
+	return &codec[Req, Resp]{appendJSON[Req], parseJSON[Req], appendJSON[Resp], parseJSON[Resp]}
+}
+
+// appendJSON appends v as JSON, none as nothing. The table's bodies hold
+// strings, integers, booleans and byte slices, which json.Marshal cannot
+// refuse.
+func appendJSON[T any](buf []byte, v T) []byte {
+	if _, empty := any(v).(none); empty {
+		return buf
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return append(buf, b...)
+}
+
+// parseJSON decodes what appendJSON wrote. none takes any body.
+func parseJSON[T any](b []byte) (T, error) {
+	var v T
+	if _, empty := any(v).(none); empty {
+		return v, nil
+	}
+	err := json.Unmarshal(b, &v)
+	return v, err
 }
 
 // none is the body of a method without a request or a response. It
@@ -118,15 +151,6 @@ var (
 	mPeerInfo = rpc[none, PeerIntrospection]("peer.info")
 )
 
-// wireBody is v as the transport's JSON adapter should carry it: nil, an
-// empty body, for none.
-func wireBody[T any](v T) any {
-	if _, empty := any(v).(none); empty {
-		return nil
-	}
-	return v
-}
-
 // endpoint is the far side of a call: a tablet server reached through
 // the coordinator's pool or, when conn is set, the coordinator reached
 // over a tablet server's control connection.
@@ -139,7 +163,7 @@ type endpoint struct {
 	eng *remoteEngine
 }
 
-// do is transport's Do against the endpoint, callJSON its Call.
+// do is transport's Do against the endpoint.
 func (to endpoint) do(ctx context.Context, name string, enc func([]byte) []byte) ([]byte, error) {
 	if to.conn != nil {
 		return to.conn.Do(ctx, name, enc)
@@ -147,29 +171,15 @@ func (to endpoint) do(ctx context.Context, name string, enc func([]byte) []byte)
 	return to.pool.Do(ctx, to.peer, name, enc)
 }
 
-func (to endpoint) callJSON(ctx context.Context, name string, req, resp any) error {
-	if to.conn != nil {
-		return to.conn.Call(ctx, name, req, resp)
-	}
-	return to.pool.Call(ctx, to.peer, name, req, resp)
-}
-
 // call performs m against to.
 func call[Req, Resp any](ctx context.Context, to endpoint, m method[Req, Resp], req Req) (Resp, error) {
+	w := m.bodies()
 	var resp Resp
-	var err error
-	if w := m.wire; w != nil {
-		var body []byte
-		body, err = to.do(ctx, m.name, func(buf []byte) []byte { return w.encReq(buf, req) })
-		if err == nil {
-			if resp, err = w.decResp(body); err != nil {
-				err = status.Errorf(status.Internal, "cluster", "decoding %s response: %v", m.name, err)
-			}
+	body, err := to.do(ctx, m.name, func(buf []byte) []byte { return w.encReq(buf, req) })
+	if err == nil {
+		if resp, err = w.decResp(body); err != nil {
+			err = status.Errorf(status.Internal, "cluster", "decoding %s response: %v", m.name, err)
 		}
-	} else {
-		var r Resp // boxed for the JSON adapter, so not the result itself
-		err = to.callJSON(ctx, m.name, wireBody(req), &r)
-		resp = r
 	}
 	if err != nil && to.eng != nil {
 		to.eng.crashed.Store(true)
@@ -178,36 +188,20 @@ func call[Req, Resp any](ctx context.Context, to endpoint, m method[Req, Resp], 
 }
 
 // handle serves m on srv with fn. An undecodable body is the caller's
-// InvalidArgument; fn never sees it. A binary request body lives in the
+// InvalidArgument; fn never sees it. A request body lives in the
 // transport's pooled buffer: its decoder copies out whatever fn keeps.
 func handle[Req, Resp any](srv *transport.Server, m method[Req, Resp], fn func(context.Context, Req) (Resp, error)) {
-	if w := m.wire; w != nil {
-		srv.HandleBytes(m.name, func(ctx context.Context, body, reply []byte) ([]byte, error) {
-			req, err := w.decReq(body)
-			if err != nil {
-				return reply, status.Wrap(status.InvalidArgument, "cluster", err)
-			}
-			resp, err := fn(ctx, req)
-			if err != nil {
-				return reply, err
-			}
-			return w.encResp(reply, resp), nil
-		})
-		return
-	}
-	_, noRequest := any(*new(Req)).(none)
-	srv.Handle(m.name, func(ctx context.Context, body json.RawMessage) (any, error) {
-		var req Req
-		if !noRequest {
-			if err := json.Unmarshal(body, &req); err != nil {
-				return nil, status.Wrap(status.InvalidArgument, "cluster", err)
-			}
+	w := m.bodies()
+	srv.HandleBytes(m.name, func(ctx context.Context, body, reply []byte) ([]byte, error) {
+		req, err := w.decReq(body)
+		if err != nil {
+			return reply, status.Wrap(status.InvalidArgument, "cluster", err)
 		}
 		resp, err := fn(ctx, req)
 		if err != nil {
-			return nil, err
+			return reply, err
 		}
-		return wireBody(resp), nil
+		return w.encResp(reply, resp), nil
 	})
 }
 

@@ -158,6 +158,9 @@ func TestEngineConformance(t *testing.T) {
 				if kind.durable && step%175 == 174 {
 					c.syncFails(c.tablets[c.rng.Intn(len(c.tablets))])
 				}
+				if kind.durable && step%350 == 261 {
+					c.purgeFails(c.tablets[c.rng.Intn(len(c.tablets))])
+				}
 			}
 			for _, tb := range c.tablets {
 				c.reopen(tb)
@@ -297,6 +300,53 @@ func (c *conformance) syncFails(tb *confTablet) {
 	if kept > 0 {
 		tb.model.add(writes, c.head)
 	}
+	c.checkAll(tb)
+}
+
+// purgeFails crashes a split in the source's narrowing SetBounds: the
+// same injected wal.fsync error fails its first purge record, after the
+// manifest has taken the new bounds, then the source reopens. Inside
+// those bounds it answers the model at every timestamp, and the target
+// holds the moved range. Last, SetBounds runs again, as spanner's next
+// restart does on overlapping bounds, and the source is whole.
+func (c *conformance) purgeFails(tb *confTablet) {
+	c.t.Helper()
+	keys := tb.model.keys(nil, nil)
+	if len(keys) < 2 {
+		return
+	}
+	at := []byte(keys[len(keys)/2])
+	c.lastID++
+	e, err := c.fac.Open(c.lastID, at, tb.hi)
+	if err != nil {
+		c.t.Fatalf("Open(%d): %v", c.lastID, err)
+	}
+	sib := &confTablet{id: c.lastID, lo: at, hi: tb.hi, eng: e, model: model{}}
+	c.tablets = append(c.tablets, sib)
+	c.copy(sib, tb, at, nil)
+	if err := e.Commission(); err != nil {
+		c.t.Fatalf("Commission(%d): %v", sib.id, err)
+	}
+	if err := fault.Enable(fault.Spec{Site: fault.WALFsync, Mode: fault.ModeError, MaxCount: 1}); err != nil {
+		c.t.Fatal(err)
+	}
+	err = tb.eng.SetBounds(tb.lo, at)
+	fault.Disable(fault.WALFsync)
+	if err == nil {
+		c.t.Fatalf("SetBounds(%d, [%s,%s)) was acknowledged through a failed fdatasync", tb.id, tb.lo, at)
+	}
+	tb.hi = at
+	c.reopen(tb)
+	for _, ts := range []truetime.Timestamp{99, 100 + (c.head-100)/2, c.head, truetime.Max} {
+		var got []storage.Row
+		tb.eng.Scan(tb.lo, tb.hi, ts, false, func(r storage.Row) bool { got = append(got, r); return true })
+		if want := tb.model.rows(nil, nil, ts, false); !sameRows(got, want) {
+			c.t.Fatalf("tablet %d [%s,%s) @%d after the failed purge: %d rows, want %d; first difference at %d",
+				tb.id, tb.lo, tb.hi, ts, len(got), len(want), firstDiff(got, want))
+		}
+	}
+	c.checkAll(sib)
+	c.setBounds(tb, tb.lo, at)
 	c.checkAll(tb)
 }
 

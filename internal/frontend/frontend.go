@@ -327,12 +327,24 @@ func (c *Conn) deliverLocked(ev SnapshotEvent) bool {
 // Initial snapshot (step 3) and subscribes rq to the Query Matcher ranges
 // at the query's read timestamp (step 4). Listen builds a target; a range
 // reset, a late update, a limit query losing a member and a dropped
-// event all rebuild it (scheduleRebuild). It fails if the query does, or
-// if rq stopped or the connection closed meanwhile.
+// event all rebuild it (scheduleRebuild). A result of more than one page
+// is read page after page at the first page's timestamp, up to the
+// query's limit. It fails if the query does, or if rq stopped or the
+// connection closed meanwhile.
 func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
 	res, readTS, err := c.f.backend.RunQuery(ctx, c.dbID, c.p, rq.q, nil, 0)
 	if err != nil {
 		return err
+	}
+	docs, limit := res.Docs, rq.q.Limit
+	for res.Resume != nil && (limit <= 0 || len(docs) < limit) {
+		if res, _, err = c.f.backend.RunQuery(ctx, c.dbID, c.p, rq.q, res.Resume, readTS); err != nil {
+			return err
+		}
+		docs = append(docs, res.Docs...)
+	}
+	if limit > 0 && len(docs) > limit {
+		docs = docs[:limit]
 	}
 	// The subscription ID is reserved and rq registered under it before
 	// the Query Matcher sees it, so a write matched right after
@@ -343,17 +355,17 @@ func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
 		c.mu.Unlock()
 		return ErrConnClosed
 	}
-	rq.results = make(map[string]*doc.Document, len(res.Docs))
-	for _, d := range res.Docs {
+	rq.results = make(map[string]*doc.Document, len(docs))
+	for _, d := range docs {
 		rq.results[d.Name.String()] = d
 	}
 	rq.maxCommitVersion = readTS
 	rq.watermarks = map[int]truetime.Timestamp{}
 	rq.pending, rq.rangeIDs = nil, nil
-	rq.limited = rq.q.Limit > 0 && len(res.Docs) == rq.q.Limit
+	rq.limited = limit > 0 && len(docs) == limit
 	// The result in the order the query returned it, before rq can
 	// receive anything: no delta of rq precedes it on the connection.
-	if !c.deliverLocked(SnapshotEvent{TargetID: rq.targetID, TS: readTS, Initial: true, Added: res.Docs}) {
+	if !c.deliverLocked(SnapshotEvent{TargetID: rq.targetID, TS: readTS, Initial: true, Added: docs}) {
 		c.scheduleRebuild(rq)
 		c.mu.Unlock()
 		return nil

@@ -160,6 +160,36 @@ func TestInitialSnapshotThenIncrements(t *testing.T) {
 	}
 }
 
+// TestInitialSnapshotHoldsEveryPage listens to a query whose result is
+// one and a half pages: the Initial snapshot holds all of it, and a write
+// to a document of the second page arrives as Modified.
+func TestInitialSnapshotHoldsEveryPage(t *testing.T) {
+	e := newEnv(t)
+	const n = query.MaxResultSize * 3 / 2
+	for lo := 0; lo < n; lo += 250 {
+		var ops []backend.WriteOp
+		for i := lo; i < lo+250; i++ {
+			ops = append(ops, backend.WriteOp{Kind: backend.OpSet, Name: doc.MustName(fmt.Sprintf("/items/%04d", i)), Fields: rating(1)})
+		}
+		if _, err := e.b.Commit(context.Background(), e.dbID, priv, ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := e.f.NewConn(e.dbID, priv)
+	defer conn.Close()
+	target, err := conn.Listen(context.Background(), &query.Query{Collection: doc.MustCollection("/items")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if init := nextEvent(t, conn, target); !init.Initial || len(init.Added) != n {
+		t.Fatalf("initial snapshot: Initial=%v with %d documents, want %d", init.Initial, len(init.Added), n)
+	}
+	e.set(t, "/items/1400", rating(2))
+	if ev := nextEvent(t, conn, target); len(ev.Modified) != 1 || ev.Modified[0].Name.ID() != "1400" || len(ev.Added) != 0 {
+		t.Fatalf("write to /items/1400 = %+v, want it Modified", ev)
+	}
+}
+
 func TestPredicateTransitions(t *testing.T) {
 	e := newEnv(t)
 	conn := e.f.NewConn(e.dbID, priv)

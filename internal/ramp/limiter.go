@@ -10,9 +10,7 @@ import (
 // token bucket whose refill rate starts at BaseQPS and multiplies by
 // GrowthFactor once per Period, so a client that keeps pressing against
 // the ceiling ramps exactly as the paper's 500/50/5 rule allows. The
-// BulkWriter throttles its batch sends through one of these, making bulk
-// traffic conforming by construction instead of advisory (contrast with
-// Monitor, which only reports violations).
+// BulkWriter throttles its batch sends through one of these.
 type Limiter struct {
 	rule Rule
 	now  func() time.Time

@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// TestDefaultsApplied: a zero Rule ramps from the paper's 500 QPS base.
+func TestDefaultsApplied(t *testing.T) {
+	if got := NewLimiter(Rule{}, nil).Rate(); got != 500 {
+		t.Fatalf("default base = %v", got)
+	}
+}
+
 func TestLimiterRateGrowth(t *testing.T) {
 	base := time.Unix(0, 0)
 	cur := base

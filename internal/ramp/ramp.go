@@ -1,18 +1,12 @@
 // Package ramp implements Firestore's conforming-traffic rule (§IV-C):
 // traffic to a database should "increase at most 50% every 5 minutes,
 // starting from a 500 QPS base", a bound chosen to conservatively match
-// Spanner's load-based splitting speed. The Monitor tracks per-database
-// offered QPS and reports whether a ramp conforms; Firestore accepts
-// non-conforming traffic anyway as long as isolation holds, so this is
-// advisory — the production best-practices warning, not an enforcement
-// gate.
+// Spanner's load-based splitting speed. The Limiter admits traffic at
+// exactly that ramp; the BulkWriter sends its batches through one, so
+// bulk traffic conforms by construction.
 package ramp
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "time"
 
 // Rule is the conforming-traffic parameters.
 type Rule struct {
@@ -26,134 +20,3 @@ type Rule struct {
 
 // DefaultRule is the paper's published rule.
 var DefaultRule = Rule{BaseQPS: 500, GrowthFactor: 1.5, Period: 5 * time.Minute}
-
-// Monitor tracks per-database traffic against a Rule.
-type Monitor struct {
-	rule Rule
-	now  func() time.Time
-
-	mu  sync.Mutex
-	dbs map[string]*dbState
-}
-
-type dbState struct {
-	// window counts ops in the current measurement window.
-	windowStart time.Time
-	windowOps   float64
-	// allowed is the current conforming ceiling; it grows by
-	// GrowthFactor each Period while traffic presses against it.
-	allowed     float64
-	lastGrow    time.Time
-	violations  int64
-	peakQPS     float64
-	lastWindowQ float64
-}
-
-// windowLen is the QPS measurement window (a fraction of the period).
-func (r Rule) windowLen() time.Duration {
-	w := r.Period / 10
-	if w < time.Millisecond {
-		w = time.Millisecond
-	}
-	return w
-}
-
-// NewMonitor creates a monitor; nil now uses time.Now.
-func NewMonitor(rule Rule, now func() time.Time) *Monitor {
-	if rule.BaseQPS <= 0 {
-		rule.BaseQPS = DefaultRule.BaseQPS
-	}
-	if rule.GrowthFactor <= 1 {
-		rule.GrowthFactor = DefaultRule.GrowthFactor
-	}
-	if rule.Period <= 0 {
-		rule.Period = DefaultRule.Period
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &Monitor{rule: rule, now: now, dbs: map[string]*dbState{}}
-}
-
-// Observe records n operations arriving now for db.
-func (m *Monitor) Observe(db string, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.state(db)
-	m.roll(st)
-	st.windowOps += float64(n)
-}
-
-func (m *Monitor) state(db string) *dbState {
-	st, ok := m.dbs[db]
-	if !ok {
-		now := m.now()
-		st = &dbState{windowStart: now, allowed: m.rule.BaseQPS, lastGrow: now}
-		m.dbs[db] = st
-	}
-	return st
-}
-
-// roll closes expired measurement windows, evaluating the rule and
-// growing the ceiling on period boundaries.
-func (m *Monitor) roll(st *dbState) {
-	now := m.now()
-	w := m.rule.windowLen()
-	for now.Sub(st.windowStart) >= w {
-		qps := st.windowOps / w.Seconds()
-		st.lastWindowQ = qps
-		if qps > st.peakQPS {
-			st.peakQPS = qps
-		}
-		if qps > st.allowed {
-			st.violations++
-		}
-		st.windowOps = 0
-		st.windowStart = st.windowStart.Add(w)
-		if now.Sub(st.windowStart) > m.rule.Period {
-			// Far behind (idle gap): jump to the present.
-			st.windowStart = now
-		}
-	}
-	// Ceiling growth: one factor per elapsed period.
-	for now.Sub(st.lastGrow) >= m.rule.Period {
-		st.allowed *= m.rule.GrowthFactor
-		st.lastGrow = st.lastGrow.Add(m.rule.Period)
-	}
-}
-
-// Report summarizes a database's traffic conformance.
-type Report struct {
-	DB         string
-	AllowedQPS float64
-	LastQPS    float64
-	PeakQPS    float64
-	Violations int64
-}
-
-// Conforming reports whether the database has stayed within the ramp.
-func (r Report) Conforming() bool { return r.Violations == 0 }
-
-func (r Report) String() string {
-	status := "conforming"
-	if !r.Conforming() {
-		status = fmt.Sprintf("NON-CONFORMING (%d windows over)", r.Violations)
-	}
-	return fmt.Sprintf("db=%s allowed=%.0fqps last=%.0fqps peak=%.0fqps %s",
-		r.DB, r.AllowedQPS, r.LastQPS, r.PeakQPS, status)
-}
-
-// Report returns db's current conformance summary.
-func (m *Monitor) Report(db string) Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.state(db)
-	m.roll(st)
-	return Report{
-		DB:         db,
-		AllowedQPS: st.allowed,
-		LastQPS:    st.lastWindowQ,
-		PeakQPS:    st.peakQPS,
-		Violations: st.violations,
-	}
-}

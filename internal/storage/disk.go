@@ -349,28 +349,13 @@ func (e *Disk) recover(man manifestData) error {
 	if err != nil {
 		return err
 	}
-	apply := func(rec walRecord) error {
-		switch rec.kind {
-		case recCommit:
-			for _, w := range rec.writes {
-				e.tab.add(w.Key, Version{TS: rec.ts, Value: w.Value, Deleted: w.Delete}, 0)
-			}
-			if rec.ts > e.lastDurable {
-				e.lastDurable = rec.ts
-			}
-		case recIngest:
-			e.applyIngest(rec.chains)
-		case recPurge:
-			for _, k := range rec.keys {
-				e.tab.purge(k)
-			}
-		}
-		return nil
-	}
 	lastSeq, size := man.WALSeq, int64(0)
 	for i, seq := range seqs {
 		path := filepath.Join(e.dir, walFileName(seq))
-		goodOff, torn, err := replayWAL(path, apply)
+		goodOff, torn, err := replayWAL(path, func(rec walRecord) error {
+			e.install(rec)
+			return nil
+		})
 		if err != nil {
 			return err
 		}
@@ -547,28 +532,7 @@ func (e *Disk) Apply(ctx context.Context, writes []Write, ts truetime.Timestamp)
 		e.tear(fr)
 		return ErrCrashed
 	}
-	f, idx, err := e.append(fr)
-	if err != nil {
-		return err
-	}
-	if err := e.syncTo(ctx, f, idx); err != nil {
-		e.outstanding.Add(-1)
-		return err
-	}
-	e.mu.Lock()
-	for _, w := range writes {
-		e.tab.add(w.Key, Version{TS: ts, Value: w.Value, Deleted: w.Delete}, 0)
-	}
-	if ts > e.lastDurable {
-		e.lastDurable = ts
-	}
-	e.outstanding.Add(-1)
-	flushed := e.maybeFlushLocked(ctx)
-	e.mu.Unlock()
-	if flushed {
-		e.compact()
-	}
-	return nil
+	return e.logThenApply(ctx, fr, walRecord{kind: recCommit, ts: ts, writes: writes})
 }
 
 // pinSegmentsLocked appends the live segment set to dst with a reference
@@ -841,21 +805,23 @@ func (e *Disk) AscendChains(lo, hi []byte, fn func(Chain) bool) {
 	})
 }
 
-// logThenApply is the shared WAL-first path of ingest and purge records.
-// Like Apply it flushes a full memtable: a migration holds one in memory.
-func (e *Disk) logThenApply(fr *walFrame, apply func()) error {
+// logThenApply is the one path of a record into the engine: fr, which
+// holds rec, is appended to the WAL and group-fsynced, then rec is
+// installed and a full memtable flushed (a migration holds one in memory
+// too). Commits, ingests and purges all come this way.
+func (e *Disk) logThenApply(ctx context.Context, fr *walFrame, rec walRecord) error {
 	f, idx, err := e.append(fr)
 	if err != nil {
 		return err
 	}
-	if err := e.syncTo(context.Background(), f, idx); err != nil {
+	if err := e.syncTo(ctx, f, idx); err != nil {
 		e.outstanding.Add(-1)
 		return err
 	}
 	e.mu.Lock()
-	apply()
+	e.install(rec)
 	e.outstanding.Add(-1)
-	flushed := e.maybeFlushLocked(context.Background())
+	flushed := e.maybeFlushLocked(ctx)
 	e.mu.Unlock()
 	if flushed {
 		e.compact()
@@ -863,24 +829,37 @@ func (e *Disk) logThenApply(fr *walFrame, apply func()) error {
 	return nil
 }
 
+// install puts a logged record into the memtable and advances
+// lastDurable to its newest version. It is the only code that does
+// either: logThenApply calls it under e.mu, WAL replay before the engine
+// is shared, so a recovered engine holds what the live one did.
+func (e *Disk) install(rec walRecord) {
+	newest := rec.ts
+	switch rec.kind {
+	case recCommit:
+		for _, w := range rec.writes {
+			e.tab.add(w.Key, Version{TS: rec.ts, Value: w.Value, Deleted: w.Delete}, 0)
+		}
+	case recIngest:
+		e.tab.ingest(rec.chains, true)
+		for _, c := range rec.chains {
+			if n := len(c.Versions); n > 0 {
+				newest = max(newest, c.Versions[n-1].TS)
+			}
+		}
+	case recPurge:
+		for _, k := range rec.keys {
+			e.tab.purge(k)
+		}
+	}
+	e.lastDurable = max(e.lastDurable, newest)
+}
+
 func (e *Disk) IngestChains(chains []Chain) error {
 	if len(chains) == 0 {
 		return nil
 	}
-	return e.logThenApply(ingestFrame(chains), func() { e.applyIngest(chains) })
-}
-
-// applyIngest installs chains in the memtable and advances lastDurable
-// to their newest version. IngestChains (under e.mu, via logThenApply)
-// and WAL replay (before the engine is shared) both use it, so a
-// recovered engine reports the horizon the live one did.
-func (e *Disk) applyIngest(chains []Chain) {
-	e.tab.ingest(chains, true)
-	for _, c := range chains {
-		if n := len(c.Versions); n > 0 && c.Versions[n-1].TS > e.lastDurable {
-			e.lastDurable = c.Versions[n-1].TS
-		}
-	}
+	return e.logThenApply(context.Background(), ingestFrame(chains), walRecord{kind: recIngest, chains: chains})
 }
 
 // purgeRange durably masks every chain the engine holds in [lo, hi), one
@@ -891,11 +870,7 @@ func (e *Disk) purgeRange(lo, hi []byte) error {
 		for i, c := range chunk {
 			keys[i] = c.Key
 		}
-		return e.logThenApply(purgeFrame(keys), func() {
-			for _, k := range keys {
-				e.tab.purge(k)
-			}
-		})
+		return e.logThenApply(context.Background(), purgeFrame(keys), walRecord{kind: recPurge, keys: keys})
 	})
 }
 
