@@ -37,7 +37,7 @@ test:
 # the aliasing test that guards the single copy they rely on — without it.
 test-race:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -run 'Allocs|CostFollowsResult|NotAlias|TestVec' ./internal/index ./internal/backend ./internal/spanner ./internal/core \
+	$(GO) test -run 'Allocs|CostFollowsResult|NotAlias|TestVec|TestAdvisorRecord' ./internal/index ./internal/backend ./internal/spanner ./internal/core \
 		./internal/cluster ./internal/transport ./internal/storage ./internal/doc ./internal/obs ./internal/wfq ./internal/btree
 
 # Repeated race passes over the packages whose concurrency a single run

@@ -253,8 +253,8 @@ func (c *cli) explain(args []string) error {
 }
 
 // advisor renders the index advisor report: per-query-shape planner
-// choices, scan efficiency, and composite index suggestions for shapes
-// scanning far more entries than they return.
+// choices and plannings, scan efficiency, and composite index
+// suggestions for shapes scanning far more entries than they return.
 func (c *cli) advisor(args []string) error {
 	if len(args) != 0 {
 		return fmt.Errorf("advisor takes no arguments")
@@ -267,11 +267,11 @@ func (c *cli) advisor(args []string) error {
 		fmt.Println("no queries observed yet")
 		return nil
 	}
-	fmt.Printf("%-10s %8s %10s %8s  %s\n", "CHOICE", "QUERIES", "SCANNED", "RESULTS", "SHAPE")
+	fmt.Printf("%-10s %8s %8s %10s %8s  %s\n", "CHOICE", "PLANNED", "QUERIES", "SCANNED", "RESULTS", "SHAPE")
 	for _, s := range view.Shapes {
-		fmt.Printf("%-10s %8d %10d %8d  %s\n", s.Choice, s.Queries, s.Scanned, s.Results, s.Shape)
+		fmt.Printf("%-10s %8d %8d %10d %8d  %s\n", s.Choice, s.Planned, s.Queries, s.Scanned, s.Results, s.Shape)
 		if s.Suggested != "" {
-			fmt.Printf("%32s suggest: %s\n", "", s.Suggested)
+			fmt.Printf("%41s suggest: %s\n", "", s.Suggested)
 		}
 	}
 	return nil

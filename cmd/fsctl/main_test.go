@@ -199,7 +199,7 @@ func TestDebugCommands(t *testing.T) {
 		{"explain", func() error { return c.explain([]string{`{"collection":"/users"}`, "analyze"}) },
 			[]string{"entities   scan entities  [actual=3 scans=1 results=3]"}},
 		{"advisor", func() error { return c.advisor(nil) },
-			[]string{"CHOICE", "/users"}},
+			[]string{"CHOICE", "PLANNED", "/users"}},
 	} {
 		out := capture(t, tc.run)
 		for _, want := range tc.want {

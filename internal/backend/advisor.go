@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
+	"firestore/internal/catalog"
 	"firestore/internal/index"
 	"firestore/internal/query"
 )
@@ -24,13 +26,28 @@ import (
 // is flagged for a composite index suggestion.
 const advisorWasteFactor = 2
 
+// maxShapes bounds the shapes the advisor tracks per database, and with
+// them the plans it keeps: an app that queries map fields by key
+// (`prefs.<uid> == true`) makes one shape per key. A shape past the
+// bound is planned on every execution and not tracked.
+const maxShapes = 1000
+
 type advisor struct {
 	mu     sync.Mutex
-	shapes map[string]*AdvisorEntry
-	// key and preds are record's scratch, held under mu: a query's map
+	shapes map[string]*shapeEntry
+	perDB  map[string]int // shapes tracked per database
+	// key and preds are shape's scratch, held under mu: a query's map
 	// key (database, NUL, shape) and its predicates, sorted.
 	key   []byte
 	preds []query.Predicate
+}
+
+// shapeEntry is one tracked shape: its advisor entry, and the plan of
+// the shape the planner made under meta.
+type shapeEntry struct {
+	AdvisorEntry
+	meta  *catalog.Meta
+	shape *query.Shape
 }
 
 // AdvisorEntry aggregates planner outcomes for one query shape in one
@@ -41,6 +58,10 @@ type AdvisorEntry struct {
 	// Choice is the planner's most recent plan family for the shape
 	// (composite, auto, zigzag, entities).
 	Choice string `json:"choice"`
+	// Planned counts the times the shape was planned: once, then once
+	// after each change to the database's index set. Every other
+	// execution binds its values to the kept plan.
+	Planned int64 `json:"planned"`
 	// Queries, Scanned, and Results accumulate executions, index entries
 	// visited, and result rows produced.
 	Queries int64 `json:"queries"`
@@ -66,14 +87,15 @@ func (e *AdvisorEntry) Waste() float64 {
 // predicates sorted so equivalent conjunct orderings collapse to one
 // shape.
 func (a *advisor) appendShape(q *query.Query) {
-	a.key = append(a.key, q.Collection.String()...)
+	a.key = appendName(a.key, q.Collection.String())
 	a.preds = append(a.preds[:0], q.Predicates...)
 	slices.SortFunc(a.preds, func(x, y query.Predicate) int {
 		return cmp.Or(strings.Compare(string(x.Path), string(y.Path)), strings.Compare(x.Op.String(), y.Op.String()))
 	})
 	sep := " where "
 	for _, p := range a.preds {
-		a.key = append(append(append(append(a.key, sep...), p.Path...), ' '), p.Op.String()...)
+		a.key = append(appendName(append(a.key, sep...), string(p.Path)), ' ')
+		a.key = append(a.key, p.Op.String()...)
 		sep = " and "
 	}
 	clear(a.preds) // the scratch keeps no query's values
@@ -83,42 +105,72 @@ func (a *advisor) appendShape(q *query.Query) {
 	}
 	sep = " order by "
 	for _, o := range orders {
-		a.key = append(append(append(append(a.key, sep...), o.Path...), ' '), o.Dir.String()...)
+		a.key = append(appendName(append(a.key, sep...), string(o.Path)), ' ')
+		a.key = append(a.key, o.Dir.String()...)
 		sep = ", "
 	}
 }
 
-// record folds one executed query into the advisor. The entry's
-// suggestion is worked out when the entry is made and again whenever the
-// shape's plan family changes.
-func (a *advisor) record(dbID string, q *query.Query, p *query.Plan, scanned, results int) {
+// appendName appends a collection or field name to a shape, quoted when
+// it holds a space or a quote, so that two shapes never read alike.
+func appendName(key []byte, name string) []byte {
+	if strings.ContainsAny(name, " \"") {
+		return strconv.AppendQuote(key, name)
+	}
+	return append(key, name...)
+}
+
+// shape returns the plan of q's shape in database dbID under meta, and
+// the shape's entry (nil past maxShapes). The entry keeps the plan while
+// meta is the one it was made under: the catalog installs a new Meta on
+// every change to composites, backfills, exemptions or rules. A failed
+// plan is not kept. Choice and suggestion follow each planning.
+func (a *advisor) shape(dbID string, meta *catalog.Meta, q *query.Query) (*query.Shape, *shapeEntry, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.shapes == nil {
-		a.shapes = map[string]*AdvisorEntry{}
-	}
 	a.key = append(append(a.key[:0], dbID...), 0)
 	a.appendShape(q)
-	e, ok := a.shapes[string(a.key)]
-	if !ok {
+	e := a.shapes[string(a.key)]
+	if e != nil && e.meta == meta {
+		return e.shape, e, nil
+	}
+	s, err := query.PlanShape(q, meta.ReadyComposites(), &meta.Exemptions)
+	if err != nil {
+		return nil, nil, err
+	}
+	if e == nil {
+		if a.perDB[dbID] >= maxShapes {
+			return s, nil, nil
+		}
+		if a.shapes == nil {
+			a.shapes, a.perDB = map[string]*shapeEntry{}, map[string]int{}
+		}
 		key := string(a.key)
-		e = &AdvisorEntry{DB: dbID, Shape: key[len(dbID)+1:]}
+		e = &shapeEntry{AdvisorEntry: AdvisorEntry{DB: dbID, Shape: key[len(dbID)+1:]}}
 		a.shapes[key] = e
+		a.perDB[dbID]++
 	}
-	e.Queries++
-	e.Scanned += int64(scanned)
-	e.Results += int64(results)
-	if ok && e.Choice == p.Choice {
-		return
-	}
-	e.Choice, e.Suggested = p.Choice, ""
-	if fields := query.SuggestedFields(q); p.Choice != "composite" && len(fields) > 1 {
+	e.meta, e.shape = meta, s
+	e.Planned++
+	e.Choice, e.Suggested = s.Choice(), ""
+	if fields := query.SuggestedFields(q); e.Choice != "composite" && len(fields) > 1 {
 		parts := make([]string, len(fields))
 		for i, f := range fields {
 			parts[i] = f.String()
 		}
 		e.Suggested = fmt.Sprintf("composite(%s) on %s", strings.Join(parts, ", "), q.Collection.ID())
 	}
+	return s, e, nil
+}
+
+// record folds one executed query into its shape's entry, if tracked.
+func (a *advisor) record(e *shapeEntry, scanned, results int) {
+	if e == nil {
+		return
+	}
+	a.mu.Lock()
+	e.Queries, e.Scanned, e.Results = e.Queries+1, e.Scanned+int64(scanned), e.Results+int64(results)
+	a.mu.Unlock()
 }
 
 // AdvisorReport returns the advisor's entries for one database (or all
@@ -133,7 +185,7 @@ func (b *Backend) AdvisorReport(dbID string) []AdvisorEntry {
 		if dbID != "" && e.DB != dbID {
 			continue
 		}
-		c := *e
+		c := e.AdvisorEntry
 		if c.Waste() <= advisorWasteFactor {
 			c.Suggested = ""
 		}

@@ -158,7 +158,7 @@ func TestExplainQueryAlternatives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planQuery(db.Meta(), q)
+	plan, _, err := e.b.planQuery(e.dbID, db.Meta(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

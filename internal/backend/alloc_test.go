@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"firestore/internal/doc"
+	"firestore/internal/index"
 	"firestore/internal/query"
 )
 
@@ -79,7 +80,9 @@ func restaurantFields(i int) map[string]doc.Value {
 // engine for the benchmark's most common query: one equality, limit 20,
 // over the restaurant document on storage.Mem. 1 181 per RunQuery before
 // the decode diet (DESIGN.md "Read path: who owns the bytes"), of which
-// ~57 per returned document; the second bound is that marginal cost.
+// ~57 per returned document; the second bound is that marginal cost. 35
+// before a shape's plan was remembered (DESIGN.md "Planning &
+// aggregations") and a scan's bounds had buffers of their own, 17 after.
 func TestQueryAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
@@ -105,8 +108,8 @@ func TestQueryAllocs(t *testing.T) {
 	at20, at60 := run(20), run(60)
 	perDoc := (at60 - at20) / 40
 	t.Logf("Backend.RunQuery: %.0f allocations at limit 20, %.1f per extra document", at20, perDoc)
-	if at20 > 450 {
-		t.Errorf("Backend.RunQuery allocates %.0f times at limit 20, want <= 450", at20)
+	if at20 > 24 {
+		t.Errorf("Backend.RunQuery allocates %.0f times at limit 20, want <= 24", at20)
 	}
 	if perDoc > 20 {
 		t.Errorf("Backend.RunQuery allocates %.1f times per extra returned document, want <= 20", perDoc)
@@ -201,5 +204,45 @@ func TestQueryFetchAllocs(t *testing.T) {
 	t.Logf("memo-warm RunQuery: %.0f allocations at limit 10, %.2f per extra document", at10, perDoc)
 	if perDoc > 0.5 {
 		t.Errorf("memo-warm RunQuery allocates %.2f times per extra returned document, want <= 0.5", perDoc)
+	}
+}
+
+// TestPlanTableAllocs: a remembered shape plans in two allocations, the
+// plan with its scans and one arena for their bytes, whether it is a
+// single scan (an equality, or an equality and a range over a composite)
+// or a zig-zag join.
+func TestPlanTableAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
+	}
+	e := newEnv(t)
+	db, err := e.cat.Get(e.dbID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AddComposite(index.CompositeDef("restaurants",
+		index.Field{Path: "city", Dir: index.Ascending},
+		index.Field{Path: "avgRating", Dir: index.Descending}))
+	db.FinishBackfill(db.Meta().Composites[0].ID)
+	meta := db.Meta()
+	city := query.Predicate{Path: "city", Op: query.Eq, Value: doc.String("LA")}
+	for _, q := range []*query.Query{
+		{Collection: restaurants, Predicates: []query.Predicate{city}, Limit: 20},
+		{Collection: restaurants, Predicates: []query.Predicate{city, {Path: "avgRating", Op: query.Gt, Value: doc.Double(3)}},
+			Orders: []query.Order{{Path: "avgRating", Dir: index.Descending}}},
+		{Collection: restaurants, Predicates: []query.Predicate{city, {Path: "category", Op: query.Eq, Value: doc.String("sushi")}}},
+	} {
+		if _, _, err := e.b.planQuery(e.dbID, meta, q); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if _, _, err := e.b.planQuery(e.dbID, meta, q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", q, got)
+		if got > 2 {
+			t.Errorf("planning %s again allocates %.0f times, want <= 2", q, got)
+		}
 	}
 }

@@ -92,7 +92,7 @@ func (b *Backend) RunQuery(ctx context.Context, dbID string, p Principal, q *que
 	if err != nil {
 		return nil, 0, err
 	}
-	plan, err := planQuery(meta, q)
+	plan, shape, err := b.planQuery(dbID, meta, q)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -110,7 +110,7 @@ func (b *Backend) RunQuery(ctx context.Context, dbID string, p Principal, q *que
 	// What the query actually did feeds the histogram and the index
 	// advisor.
 	b.planActual.With(dbID).Record(time.Duration(res.ScannedEntries))
-	b.advisor.record(dbID, q, plan, res.ScannedEntries, len(res.Docs))
+	b.advisor.record(shape, res.ScannedEntries, len(res.Docs))
 	if b.cfg.Billing != nil {
 		n := int64(len(res.Docs))
 		if n == 0 {
@@ -139,7 +139,7 @@ func (b *Backend) RunAggregation(ctx context.Context, dbID string, p Principal, 
 	// Every aggregation (the base query and each SUM/AVG field variant)
 	// is planned like a query.
 	planner := func(vq *query.Query) (*query.Plan, error) {
-		pl, perr := planQuery(meta, vq)
+		pl, _, perr := b.planQuery(dbID, meta, vq)
 		if perr == nil {
 			b.plans.With(dbID, pl.Choice).Inc()
 		}
@@ -190,7 +190,7 @@ func (b *Backend) ExplainQuery(ctx context.Context, dbID string, p Principal, q 
 	if err != nil {
 		return PlanExplain{}, 0, err
 	}
-	plan, err := planQuery(meta, q)
+	plan, _, err := b.planQuery(dbID, meta, q)
 	if err != nil {
 		return PlanExplain{}, 0, err
 	}
@@ -249,9 +249,16 @@ func (b *Backend) openQuery(dbID string, p Principal, q *query.Query, readTS tru
 	return db, meta, readTS, nil
 }
 
-// planQuery plans q against the database's ready index set.
-func planQuery(meta *catalog.Meta, q *query.Query) (*query.Plan, error) {
-	return query.BuildPlanWithStats(q, meta.ReadyComposites(), &meta.Exemptions, nil)
+// planQuery plans q against database dbID's ready index set under meta:
+// it binds q's values to the plan of q's shape, which the advisor keeps
+// in the shape's entry (advisor.shape), also returned.
+func (b *Backend) planQuery(dbID string, meta *catalog.Meta, q *query.Query) (*query.Plan, *shapeEntry, error) {
+	s, e, err := b.advisor.shape(dbID, meta, q)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := s.Bind(q)
+	return p, e, err
 }
 
 // snapshotStorage adapts a database snapshot to the query executor's
@@ -259,12 +266,14 @@ func planQuery(meta *catalog.Meta, q *query.Query) (*query.Plan, error) {
 // over Entities rows (§IV-D3). One execution owns it, and the only call
 // it nests is a get inside a scan's callback, so the scan's bounds and a
 // get's key are built in buffers of their own — Spanner keeps no key
-// past a call.
+// past a call. The bounds start in arrays of the storage's own: an index
+// key of the restaurant queries in alloc_test.go takes 34–43 bytes.
 type snapshotStorage struct {
-	db          *catalog.Database
-	memo        *docMemo
-	ts          truetime.Timestamp
-	lo, hi, key []byte
+	db           *catalog.Database
+	memo         *docMemo
+	ts           truetime.Timestamp
+	lo, hi, key  []byte
+	loBuf, hiBuf [64]byte
 	// fn is the callback of the ScanIndex call in flight, and strip hands
 	// it the rows with their table prefix stripped, bound once: a literal
 	// per call escapes into the scan.
@@ -274,7 +283,9 @@ type snapshotStorage struct {
 
 // snapshot is the storage one query execution reads db through at ts.
 func (b *Backend) snapshot(db *catalog.Database, ts truetime.Timestamp) *snapshotStorage {
-	return &snapshotStorage{db: db, memo: b.memo, ts: ts}
+	s := &snapshotStorage{db: db, memo: b.memo, ts: ts}
+	s.lo, s.hi = s.loBuf[:0], s.hiBuf[:0]
+	return s
 }
 
 func (s *snapshotStorage) ScanIndex(ctx context.Context, lo, hi []byte, fn func(key, value []byte) bool) error {

@@ -133,7 +133,7 @@ type Database struct {
 
 // Stats returns nil: the query planner reads no statistics. It remains
 // only because the frozen benchmark probe passes its result to
-// query.BuildPlanWithStats; ROADMAP item 2(d) deletes it with them.
+// query.BuildPlanWithStats; ROADMAP item 3(d) deletes it with them.
 func (db *Database) Stats() *index.Stats { return nil }
 
 // Meta is the immutable metadata snapshot hot paths read — the paper's

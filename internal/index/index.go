@@ -181,13 +181,12 @@ func (e *Exemptions) List() []string {
 	return out
 }
 
-// CollectionPrefix returns the key prefix shared by every entry of index
-// id for documents directly inside collection c.
-func CollectionPrefix(id uint64, c doc.CollectionPath) []byte {
-	key := make([]byte, 0, 64)
-	key = binary.BigEndian.AppendUint64(key, id)
-	key = encoding.EncodeCollection(key, c)
-	return append(key, 0x00)
+// AppendCollectionPrefix appends to dst the key prefix shared by every
+// entry of index id for documents directly inside collection c.
+func AppendCollectionPrefix(dst []byte, id uint64, c doc.CollectionPath) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, id)
+	dst = encoding.EncodeCollection(dst, c)
+	return append(dst, 0x00)
 }
 
 // IDPrefix returns the 8-byte key prefix of an index's entries.

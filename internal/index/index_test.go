@@ -219,9 +219,9 @@ func TestEntryKeyLayout(t *testing.T) {
 	if binary.BigEndian.Uint64(key[:8]) != def.ID {
 		t.Fatal("ID prefix wrong")
 	}
-	// Entries for one collection share the CollectionPrefix; a sibling
+	// Entries for one collection share the collection prefix; a sibling
 	// collection with the same ID does not.
-	prefix := CollectionPrefix(def.ID, name.Collection())
+	prefix := AppendCollectionPrefix(nil, def.ID, name.Collection())
 	if !bytes.HasPrefix(key, prefix) {
 		t.Fatal("entry lacks its collection prefix")
 	}

@@ -26,7 +26,7 @@ func EntryKey(def Definition, values []doc.Value, name doc.Name) []byte {
 }
 
 func entryOf(def Definition, values []doc.Value, name doc.Name) Entry {
-	key := CollectionPrefix(def.ID, name.Collection())
+	key := AppendCollectionPrefix(nil, def.ID, name.Collection())
 	for i, v := range values {
 		if def.Fields[i].Dir == Descending {
 			key = encoding.EncodeValueDesc(key, v)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -142,7 +143,7 @@ func (p *Plan) walk(ctx context.Context, st Storage, resume []byte, visit func(p
 		lo := sc.Lo
 		if resume != nil {
 			// The successor of the resume key, unless the range starts later.
-			if after := append(append(append([]byte(nil), sc.Prefix...), resume...), 0); compare(after, lo) > 0 {
+			if after := append(append(append([]byte(nil), sc.Prefix...), resume...), 0); bytes.Compare(after, lo) > 0 {
 				lo = after
 			}
 		}
@@ -192,10 +193,10 @@ func nextHit(ctx context.Context, iters []*scanIter, candidate []byte) (suffix, 
 			switch {
 			case suffix == nil:
 				suffix, name = s, n
-			case compare(s, suffix) > 0:
+			case bytes.Compare(s, suffix) > 0:
 				allEqual = false
 				suffix, name = s, n
-			case compare(s, suffix) < 0:
+			case bytes.Compare(s, suffix) < 0:
 				allEqual = false
 			}
 		}
@@ -279,7 +280,7 @@ func (p *Plan) newScanIters(st Storage) []*scanIter {
 func (it *scanIter) seek(ctx context.Context, target []byte) (suffix, name []byte, ok bool, err error) {
 	for {
 		// Drop buffered entries below the target.
-		for it.head < len(it.buf) && target != nil && compare(it.buf[it.head].suffix, target) < 0 {
+		for it.head < len(it.buf) && target != nil && bytes.Compare(it.buf[it.head].suffix, target) < 0 {
 			it.head++
 		}
 		if it.head < len(it.buf) {
@@ -301,7 +302,7 @@ func (it *scanIter) refill(ctx context.Context, target []byte) error {
 		it.lo = append(append(it.lo[:0], it.last...), 0)
 		lo = it.lo
 	}
-	if target != nil && compare(target, lo[len(it.scan.Prefix):]) > 0 {
+	if target != nil && bytes.Compare(target, lo[len(it.scan.Prefix):]) > 0 {
 		if it.last != nil {
 			it.batch = storage.NextScanChunk(0)
 		}

@@ -1,9 +1,9 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 
 	"firestore/internal/doc"
 	"firestore/internal/encoding"
@@ -53,31 +53,56 @@ func (p *Plan) String() string {
 	return s + ")"
 }
 
+// Shape is the value-free half of a plan: the index set chosen for a
+// query shape (collection, predicate paths and operators, effective
+// orders). Bind makes it the Plan of one query of that shape; a Shape is
+// immutable, so executions bind it concurrently.
+type Shape struct {
+	proto Plan            // Choice and each scan's Def; no bytes
+	sorts int             // length of every non-contains scan's sort suffix
+	dir   index.Direction // of the first sort field, which inequalities bound
+}
+
+// Choice is the plan family of every plan bound from s.
+func (s *Shape) Choice() string { return s.proto.Choice }
+
 // maxCovers bounds how many equality covers the planner explores;
 // queries with that many legal index covers are adversarial, not real.
 const maxCovers = 32
 
 // BuildPlanWithStats plans q from the query and its ready index set
-// alone, in the greedy order of §IV-D3: one composite scan, otherwise
-// one automatic-index scan, otherwise the zig-zag join with the fewest
-// scans, ties broken by plan text. Only a query with no predicates and no
-// order scans the Entities table; every other query is served by an
-// index, so its cost follows its result. It returns a *NeedsIndexError
-// when no usable index set exists, which in production surfaces to the
-// developer with a creation link.
+// alone: PlanShape, then Bind.
 //
 // The last parameter is ignored: the planner reads no statistics. It
 // stays, with catalog.Database.Stats, because the frozen benchmark probe
-// passes it; ROADMAP item 2(d) deletes both.
+// passes it; ROADMAP item 3(d) deletes both.
 func BuildPlanWithStats(q *Query, composites []index.Definition, ex *index.Exemptions, _ *index.Stats) (*Plan, error) {
+	s, err := PlanShape(q, composites, ex)
+	if err != nil {
+		return nil, err
+	}
+	return s.Bind(q)
+}
+
+// PlanShape chooses the index set for q's shape in the greedy order of
+// §IV-D3: one composite scan, otherwise one automatic-index scan,
+// otherwise the zig-zag join with the fewest scans, ties broken by plan
+// text. Only a query with no predicates and no order scans the Entities
+// table; every other query is served by an index, so its cost follows
+// its result. It reads no value of q, so the Shape serves every query of
+// q's shape over the same index set. It returns a *NeedsIndexError when
+// no usable index set exists, which in production surfaces to the
+// developer with a creation link.
+func PlanShape(q *Query, composites []index.Definition, ex *index.Exemptions) (*Shape, error) {
 	in, err := analyzeQuery(q, composites, ex)
 	if err != nil {
 		return nil, err
 	}
-	var best *Plan
+	var best *Shape
 	consider := func(scans []Scan) {
-		if p := finishPlan(q, in, scans); best == nil || before(p, best) {
-			best = p
+		s := &Shape{proto: Plan{Scans: scans, Choice: choiceOf(scans)}, sorts: len(in.sortFields)}
+		if best == nil || before(&s.proto, &best.proto) {
+			best = s
 		}
 	}
 	switch {
@@ -89,25 +114,28 @@ func BuildPlanWithStats(q *Query, composites []index.Definition, ex *index.Exemp
 		// one contains scan per array predicate.
 		for _, cover := range enumerateCovers(in) {
 			scans := make([]Scan, 0, len(cover)+len(in.contains))
-			for _, c := range cover {
-				scans = append(scans, buildScan(q, c.def, c.values))
+			for _, def := range cover {
+				scans = append(scans, Scan{Def: def})
 			}
 			for _, p := range in.contains {
-				scans = append(scans, buildScan(q, index.ContainsDef(in.coll, p.Path), []doc.Value{p.Value}))
+				scans = append(scans, Scan{Def: index.ContainsDef(in.coll, p)})
 			}
 			consider(scans)
 		}
 	case len(in.sortFields) == 0:
 		consider([]Scan{{}}) // the Entities table, already in name order
 	case len(in.sortFields) == 1:
-		consider([]Scan{buildScan(q, index.AutoDef(in.coll, in.sortFields[0].Path, in.sortFields[0].Dir), nil)})
+		consider([]Scan{{Def: index.AutoDef(in.coll, in.sortFields[0].Path, in.sortFields[0].Dir)}})
 	default:
-		if def := index.CompositeDef(in.coll, in.sortFields...); hasComposite(in.composites, def.ID) {
-			consider([]Scan{buildScan(q, def, nil)})
+		if def := index.CompositeDef(in.coll, in.sortFields...); slices.ContainsFunc(in.composites, func(d index.Definition) bool { return d.ID == def.ID }) {
+			consider([]Scan{{Def: def}})
 		}
 	}
 	if best == nil {
-		return nil, &NeedsIndexError{Collection: in.coll, Fields: requiredFields(q)}
+		return nil, &NeedsIndexError{Collection: in.coll, Fields: SuggestedFields(q)}
+	}
+	if len(in.sortFields) > 0 {
+		best.dir = in.sortFields[0].Dir
 	}
 	return best, nil
 }
@@ -123,67 +151,42 @@ func before(a, b *Plan) bool {
 	return a.String() < b.String()
 }
 
-// finishPlan applies inequality suffix bounds and labels the plan.
-func finishPlan(q *Query, in *planInputs, scans []Scan) *Plan {
-	if len(in.ineqs) > 0 {
-		lo, hi := suffixBounds(in.ineqs, in.sortFields[0].Dir)
-		for i := range scans {
-			scans[i].Lo = append(append([]byte(nil), scans[i].Prefix...), lo...)
-			if hi != nil {
-				scans[i].Hi = append(append([]byte(nil), scans[i].Prefix...), hi...)
-			}
-		}
-	}
-	p := &Plan{Query: q, Scans: scans}
+func choiceOf(scans []Scan) string {
 	switch {
 	case len(scans) > 1:
-		p.Choice = "zigzag"
+		return "zigzag"
 	case scans[0].Def.ID == 0:
-		p.Choice = "entities"
+		return "entities"
 	case scans[0].Def.Kind == index.KindComposite:
-		p.Choice = "composite"
-	default:
-		p.Choice = "auto"
+		return "composite"
 	}
-	return p
-}
-
-// coverScan is one chosen index within an equality cover.
-type coverScan struct {
-	def    index.Definition
-	values []doc.Value
+	return "auto"
 }
 
 // enumerateCovers returns every distinct set of usable indexes that
-// together cover all equality predicates. The DFS always extends with a
-// candidate covering the first (deterministically ordered) uncovered
-// path, so each set is emitted exactly once and permutations are never
-// revisited. With no equality predicates it yields one empty cover.
-func enumerateCovers(in *planInputs) [][]coverScan {
-	uncovered := map[doc.FieldPath]doc.Value{}
-	var order []doc.FieldPath
+// together cover all equality paths. The DFS always extends with a
+// candidate covering the first (sorted) uncovered path, so each set is
+// emitted exactly once and permutations are never revisited. With no
+// equality predicates it yields one empty cover.
+func enumerateCovers(in *planInputs) [][]index.Definition {
+	uncovered := map[doc.FieldPath]bool{}
 	for _, p := range in.eqs {
-		if _, ok := uncovered[p.Path]; !ok {
-			order = append(order, p.Path)
-		}
-		uncovered[p.Path] = p.Value
+		uncovered[p] = true
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-
-	var out [][]coverScan
-	var sel []coverScan
+	var out [][]index.Definition
+	var sel []index.Definition
 	var dfs func()
 	dfs = func() {
 		if len(out) >= maxCovers {
 			return
 		}
 		if len(uncovered) == 0 {
-			out = append(out, append([]coverScan(nil), sel...))
+			out = append(out, slices.Clone(sel))
 			return
 		}
 		var first doc.FieldPath
-		for _, p := range order {
-			if _, ok := uncovered[p]; ok {
+		for _, p := range in.eqs {
+			if uncovered[p] {
 				first = p
 				break
 			}
@@ -193,16 +196,14 @@ func enumerateCovers(in *planInputs) [][]coverScan {
 			if !ok || !slices.Contains(covers, first) {
 				continue
 			}
-			values := make([]doc.Value, len(covers))
-			for i, p := range covers {
-				values[i] = uncovered[p]
+			for _, p := range covers {
 				delete(uncovered, p)
 			}
-			sel = append(sel, coverScan{def: c, values: values})
+			sel = append(sel, c)
 			dfs()
 			sel = sel[:len(sel)-1]
-			for i, p := range covers {
-				uncovered[p] = values[i]
+			for _, p := range covers {
+				uncovered[p] = true
 			}
 		}
 	}
@@ -211,14 +212,14 @@ func enumerateCovers(in *planInputs) [][]coverScan {
 }
 
 // planInputs is the analyzed, validated query shape the planner works
-// from: predicates partitioned by class, the required sort suffix, and
-// the candidate index definitions.
+// from: the distinct equality paths, sorted; the array-contains paths,
+// one per predicate, sorted; the required sort suffix; and the candidate
+// index definitions.
 type planInputs struct {
 	coll       string
 	sortFields []index.Field
-	eqs        []Predicate
-	contains   []Predicate
-	ineqs      map[Operator]doc.Value
+	eqs        []doc.FieldPath
+	contains   []doc.FieldPath
 	candidates []index.Definition
 	composites []index.Definition
 }
@@ -233,30 +234,28 @@ func analyzeQuery(q *Query, composites []index.Definition, ex *index.Exemptions)
 	in := &planInputs{
 		coll:       q.Collection.ID(),
 		sortFields: sortFieldsOf(q),
-		ineqs:      map[Operator]doc.Value{},
 		composites: composites,
 	}
 	for _, p := range q.Predicates {
-		switch {
-		case p.Op == Eq:
-			in.eqs = append(in.eqs, p)
-		case p.Op == ArrayContains:
-			in.contains = append(in.contains, p)
-		default:
-			in.ineqs[p.Op] = p.Value
-		}
-	}
-
-	for _, p := range q.Predicates {
 		if ex.IsExempt(in.coll, p.Path) {
 			return nil, fmt.Errorf("query: field %q is exempted from indexing: %w",
-				p.Path, &NeedsIndexError{Collection: in.coll, Fields: requiredFields(q)})
+				p.Path, &NeedsIndexError{Collection: in.coll, Fields: SuggestedFields(q)})
+		}
+		switch p.Op {
+		case Eq:
+			if !slices.Contains(in.eqs, p.Path) {
+				in.eqs = append(in.eqs, p.Path)
+			}
+		case ArrayContains:
+			in.contains = append(in.contains, p.Path)
 		}
 	}
+	slices.Sort(in.eqs)
+	slices.Sort(in.contains)
 	for _, o := range in.sortFields {
 		if ex.IsExempt(in.coll, o.Path) {
 			return nil, fmt.Errorf("query: order field %q is exempted from indexing: %w",
-				o.Path, &NeedsIndexError{Collection: in.coll, Fields: requiredFields(q)})
+				o.Path, &NeedsIndexError{Collection: in.coll, Fields: SuggestedFields(q)})
 		}
 	}
 
@@ -275,7 +274,7 @@ func analyzeQuery(q *Query, composites []index.Definition, ex *index.Exemptions)
 		}
 	}
 	for _, p := range in.eqs {
-		add(index.AutoDef(in.coll, p.Path, index.Ascending))
+		add(index.AutoDef(in.coll, p, index.Ascending))
 	}
 	if len(in.sortFields) == 1 {
 		add(index.AutoDef(in.coll, in.sortFields[0].Path, in.sortFields[0].Dir))
@@ -297,11 +296,6 @@ func sortFieldsOf(q *Query) []index.Field {
 // what the backend's index advisor recommends for queries observed to
 // scan far more entries than they return.
 func SuggestedFields(q *Query) []index.Field {
-	return requiredFields(q)
-}
-
-// requiredFields suggests the composite index that would serve q alone.
-func requiredFields(q *Query) []index.Field {
 	var fields []index.Field
 	seen := map[doc.FieldPath]bool{}
 	for _, p := range q.Predicates {
@@ -323,8 +317,8 @@ func requiredFields(q *Query) []index.Field {
 
 // usable reports whether candidate c's fields decompose as P ++ S with S
 // equal to the required sort suffix and every field of P an uncovered
-// equality path; it returns P.
-func usable(c index.Definition, uncovered map[doc.FieldPath]doc.Value, sortFields []index.Field) ([]doc.FieldPath, bool) {
+// equality path, ascending; it returns P's paths.
+func usable(c index.Definition, uncovered map[doc.FieldPath]bool, sortFields []index.Field) ([]doc.FieldPath, bool) {
 	if c.Kind == index.KindContains {
 		return nil, false
 	}
@@ -339,7 +333,7 @@ func usable(c index.Definition, uncovered map[doc.FieldPath]doc.Value, sortField
 	}
 	var covers []doc.FieldPath
 	for _, f := range c.Fields[:split] {
-		if _, ok := uncovered[f.Path]; !ok || f.Dir != index.Ascending {
+		if !uncovered[f.Path] || f.Dir != index.Ascending {
 			return nil, false
 		}
 		covers = append(covers, f.Path)
@@ -350,127 +344,165 @@ func usable(c index.Definition, uncovered map[doc.FieldPath]doc.Value, sortField
 	return covers, true
 }
 
-func hasComposite(defs []index.Definition, id uint64) bool {
-	for _, d := range defs {
-		if d.ID == id {
-			return true
-		}
-	}
-	return false
+// boundPlan is a Plan with room for the scans of a one- or two-index
+// plan, so that Bind allocates the plan and its scans together.
+type boundPlan struct {
+	Plan
+	scans [2]Scan
 }
 
-// buildScan constructs the scan for def with the given equality-prefix
-// values; bounds default to the whole prefix range.
-func buildScan(q *Query, def index.Definition, eqValues []doc.Value) Scan {
-	prefix := index.CollectionPrefix(def.ID, q.Collection)
-	for i, v := range eqValues {
-		if def.Fields[i].Dir == index.Descending {
-			prefix = encoding.EncodeValueDesc(prefix, v)
+// Bind returns the plan of q, a query of the shape s was planned for:
+// each scan's Prefix is its index's collection prefix followed by q's
+// equality values for the index's leading fields (or the array-contains
+// operand), and Lo and Hi narrow it by q's inequality bounds. Every
+// predicate binds: the range is the tightest all of q's inequalities
+// allow, and empty when two equalities on one path disagree. The plan
+// and its scans are one allocation, and their bytes one arena.
+func (s *Shape) Bind(q *Query) (*Plan, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	b := &boundPlan{Plan: s.proto}
+	b.Query, b.Scans = q, append(b.scans[:0], s.proto.Scans...)
+	if b.Scans[0].Def.ID == 0 {
+		return &b.Plan, nil // an Entities plan reads no value
+	}
+	// A slice cut from the arena stays valid if a later append moves it.
+	arena, lo, hi := s.appendBounds(make([]byte, 0, 128*len(b.Scans)), q)
+	empty := lo != nil && bytes.Compare(lo, hi) >= 0
+	for i := range b.Scans {
+		sc := &b.Scans[i]
+		at := len(arena)
+		arena = index.AppendCollectionPrefix(arena, sc.Def.ID, q.Collection)
+		if sc.Def.Kind == index.KindContains {
+			arena = encoding.EncodeValue(arena, containsValue(b.Scans, i, q))
 		} else {
-			prefix = encoding.EncodeValue(prefix, v)
+			for _, f := range sc.Def.Fields[:len(sc.Def.Fields)-s.sorts] {
+				v, ok := eqValue(q, f.Path)
+				empty = empty || !ok
+				arena = encoding.EncodeValue(arena, v)
+			}
+		}
+		sc.Prefix = arena[at:len(arena):len(arena)]
+		arena = append(arena, lo...)
+		sc.Lo = arena[at:len(arena):len(arena)]
+		at = len(arena)
+		if arena = append(arena, sc.Prefix...); lo != nil {
+			arena = append(arena, hi...)
+		} else {
+			arena = appendSuccessorInPlace(arena, at)
+		}
+		if sc.Hi = arena[at:len(arena):len(arena)]; len(sc.Hi) == 0 {
+			sc.Hi = nil // a prefix of 0xff bytes has no successor
 		}
 	}
-	return Scan{
-		Def:    def,
-		Prefix: prefix,
-		Lo:     prefix,
-		Hi:     encoding.PrefixSuccessor(prefix),
+	for i := 0; empty && i < len(b.Scans); i++ {
+		b.Scans[i].Hi = b.Scans[i].Lo
 	}
+	return &b.Plan, nil
 }
 
-// suffixBounds converts the inequality conjuncts on the first sort
-// component into byte bounds on the suffix, restricted to the operand's
-// type (inequalities match same-type values only).
-func suffixBounds(ineqs map[Operator]doc.Value, dir index.Direction) (lo, hi []byte) {
-	// Type bounds from any operand (validation ensures one path; mixed
-	// operand types across ops yield an empty range naturally).
-	var kind doc.Kind
-	for _, v := range ineqs {
-		kind = v.Kind()
-		break
+// eqValue returns the value of q's equality predicates on path, and
+// false when two of them disagree (no document matches both).
+func eqValue(q *Query, path doc.FieldPath) (v doc.Value, ok bool) {
+	found := false
+	for _, p := range q.Predicates {
+		if p.Op == Eq && p.Path == path {
+			if found && !doc.Equal(v, p.Value) {
+				return v, false
+			}
+			v, found = p.Value, true
+		}
 	}
-	tag := encoding.KindTag(kind)
-	if dir == index.Ascending {
-		lo, hi = []byte{tag}, []byte{tag + 1}
-	} else {
-		inv := ^tag
-		lo, hi = []byte{inv}, []byte{inv + 1}
+	return v, true
+}
+
+// containsValue returns the operand of the array-contains predicate that
+// scans[i] serves: a shape lists its contains scans sorted by path, so
+// the k-th on a path takes q's k-th array-contains predicate on it.
+func containsValue(scans []Scan, i int, q *Query) doc.Value {
+	path := scans[i].Def.Fields[0].Path
+	k := 0
+	for _, sc := range scans[:i] {
+		if sc.Def.Kind == index.KindContains && sc.Def.Fields[0].Path == path {
+			k++
+		}
 	}
-	for op, v := range ineqs {
+	for _, p := range q.Predicates {
+		if p.Op == ArrayContains && p.Path == path {
+			if k == 0 {
+				return p.Value
+			}
+			k--
+		}
+	}
+	return doc.Value{}
+}
+
+// appendBounds appends to buf the sort-suffix bounds of q's inequality
+// predicates and returns them, cut from buf: the largest lower bound and
+// the smallest upper bound over every predicate's own range, which is
+// its operand's type (inequalities match same-type values only)
+// narrowed by its operand. Both are nil when q has no inequality.
+func (s *Shape) appendBounds(buf []byte, q *Query) (_, lo, hi []byte) {
+	asc := s.dir == index.Ascending
+	for _, p := range q.Predicates {
+		if !p.Op.IsInequality() {
+			continue
+		}
+		tag := encoding.KindTag(p.Value.Kind())
+		if !asc {
+			tag = ^tag
+		}
 		// Index keys continue with the document ID after the component,
 		// so "past every entry with this exact value" is the PREFIX
 		// successor of the value encoding, while the value encoding
 		// itself is the inclusive start of those entries.
-		if dir == index.Ascending {
-			enc := encoding.EncodeValue(nil, v)
-			switch op {
-			case Gt:
-				lo = maxBytes(lo, prefixSucc(enc, hi))
-			case Ge:
-				lo = maxBytes(lo, enc)
-			case Lt:
-				hi = minBytes(hi, enc)
-			case Le:
-				hi = minBytes(hi, prefixSucc(enc, hi))
-			}
+		at := len(buf)
+		if asc {
+			buf = encoding.EncodeValue(buf, p.Value)
 		} else {
-			enc := encoding.EncodeValueDesc(nil, v)
-			switch op {
-			case Gt:
-				hi = minBytes(hi, enc)
-			case Ge:
-				hi = minBytes(hi, prefixSucc(enc, hi))
-			case Lt:
-				lo = maxBytes(lo, prefixSucc(enc, hi))
-			case Le:
-				lo = maxBytes(lo, enc)
+			buf = encoding.EncodeValueDesc(buf, p.Value)
+		}
+		if (p.Op == Gt || p.Op == Le) == asc {
+			if buf = appendSuccessorInPlace(buf, at); len(buf) == at {
+				buf = append(buf, tag+1)
 			}
 		}
-	}
-	return lo, hi
-}
-
-// prefixSucc returns the smallest byte string past every string prefixed
-// by p, falling back to fallback when p is all 0xff.
-func prefixSucc(p, fallback []byte) []byte {
-	if s := encoding.PrefixSuccessor(p); s != nil {
-		return s
-	}
-	return fallback
-}
-
-func maxBytes(a, b []byte) []byte {
-	if compare(a, b) >= 0 {
-		return a
-	}
-	return b
-}
-
-func minBytes(a, b []byte) []byte {
-	if compare(a, b) <= 0 {
-		return a
-	}
-	return b
-}
-
-func compare(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
+		operand := buf[at:len(buf):len(buf)]
+		// The operand bounds the low end of the key range when the
+		// predicate keeps larger keys (> and >= ascending, < and <=
+		// descending), and the type bounds the other end.
+		if (p.Op == Gt || p.Op == Ge) == asc {
+			buf = append(buf, tag+1)
+			lo, hi = tighter(lo, operand, 1), tighter(hi, buf[len(buf)-1:], -1)
+		} else {
+			buf = append(buf, tag)
+			lo, hi = tighter(lo, buf[len(buf)-1:], 1), tighter(hi, operand, -1)
 		}
 	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
+	return buf, lo, hi
+}
+
+// tighter returns next when there is no bound yet or next lies beyond
+// cur in direction sign (1: larger, for a lower bound; -1: smaller, for
+// an upper bound), and cur otherwise.
+func tighter(cur, next []byte, sign int) []byte {
+	if cur == nil || bytes.Compare(next, cur) == sign {
+		return next
 	}
-	return 0
+	return cur
+}
+
+// appendSuccessorInPlace replaces buf[from:] with its prefix successor —
+// the smallest byte string past every string it prefixes — or with
+// nothing when it is all 0xff bytes.
+func appendSuccessorInPlace(buf []byte, from int) []byte {
+	for i := len(buf) - 1; i >= from; i-- {
+		if buf[i] != 0xff {
+			buf[i]++
+			return buf[:i+1]
+		}
+	}
+	return buf[:from]
 }
