@@ -1,7 +1,6 @@
 package firestore
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -93,7 +92,8 @@ func toValue(v any) (doc.Value, error) {
 }
 
 // fromValue converts a Firestore value back to a Go value. A bytes value
-// is copied: its document may be shared, and the caller may write to it.
+// comes back as a fresh slice (doc.Value.BytesVal): its document may be
+// shared, and the caller may write to it.
 func fromValue(v doc.Value) any {
 	switch v.Kind() {
 	case doc.KindNull:
@@ -110,7 +110,7 @@ func fromValue(v doc.Value) any {
 	case doc.KindString:
 		return v.StringVal()
 	case doc.KindBytes:
-		return bytes.Clone(v.BytesVal())
+		return v.BytesVal()
 	case doc.KindReference:
 		return Ref(v.RefVal())
 	case doc.KindGeoPoint:

@@ -317,8 +317,14 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 	// lookups transactionally consistent with this commit), then buffer
 	// the Entities row and the IndexEntries diff. Indexes under backfill
 	// are maintained too so they stay consistent (§IV-D1).
-	names := make([]doc.Name, 0, len(ops))
+	var nameBuf [4]doc.Name
+	names := nameBuf[:0] // for Prepare, which keeps none of them
 	muts := make([]rtcache.Mutation, 0, len(ops))
+	// Each op's index diff, built in these and then handed over entry by
+	// entry: the transaction keeps the keys, not the lists. Sixteen
+	// entries hold the insert or delete of a document of seven indexed
+	// scalar fields; a longer list goes to the heap at its length.
+	var remBuf, addBuf [16]index.Entry
 	// The documents this commit writes, for the memo once it has a
 	// timestamp; not a bulk load's, which is written once.
 	var builtBuf [4]*memoEntry
@@ -424,7 +430,7 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 		} else if old != nil {
 			txn.Delete(rows[i].Key)
 		}
-		removed, added := index.DiffEntries(db.IndexPrefix(), old, new, meta.Composites, &meta.Exemptions)
+		removed, added := index.DiffEntries(remBuf[:0], addBuf[:0], db.IndexPrefix(), old, new, meta.Composites, &meta.Exemptions)
 		for _, e := range removed {
 			txn.Delete(e.Key)
 		}

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"hash/maphash"
@@ -35,11 +36,14 @@ type docMemo struct {
 
 // memoEntry is one decoded version, immutable once published.
 type memoEntry struct {
-	db, key string
-	ts      truetime.Timestamp
-	sum     uint32 // the blob's stored CRC-32
-	size    int    // len(blob)
-	doc     *doc.Document
+	db string
+	// key is the row key, shared with the engine or copied by resolve:
+	// nothing writes to it once the entry is built.
+	key  []byte
+	ts   truetime.Timestamp
+	sum  uint32 // the blob's stored CRC-32
+	size int    // len(blob)
+	doc  *doc.Document
 }
 
 // resolve is ResolveDoc for the row stored under key in database db,
@@ -52,7 +56,7 @@ func (m *docMemo) resolve(db string, key, blob []byte, name doc.Name, ts truetim
 	}
 	h := maphash.Bytes(m.seed, key)
 	for w := range memoWays {
-		if e := m.slot(h, w).Load(); e != nil && e.ts == ts && e.db == db && e.key == string(key) && verifies(blob, e.sum) {
+		if e := m.slot(h, w).Load(); e != nil && e.ts == ts && e.db == db && bytes.Equal(e.key, key) && verifies(blob, e.sum) {
 			m.hits.Add(1)
 			return e.doc, nil
 		}
@@ -60,7 +64,7 @@ func (m *docMemo) resolve(db string, key, blob []byte, name doc.Name, ts truetim
 	m.misses.Add(1)
 	d, err := ResolveDoc(blob, name, ts)
 	if err == nil {
-		m.put(newMemoEntry(db, key, blob, d), ts)
+		m.put(newMemoEntry(db, bytes.Clone(key), blob, d), ts) // key may be the caller's scratch
 	}
 	return d, err
 }
@@ -72,9 +76,10 @@ func verifies(blob []byte, sum uint32) bool {
 }
 
 // newMemoEntry builds an unpublished entry for d, decoded from (or
-// marshalled into) blob.
+// marshalled into) blob. The entry keeps key, which must never change
+// (a key handed to the engine, which keeps it too).
 func newMemoEntry(db string, key, blob []byte, d *doc.Document) *memoEntry {
-	return &memoEntry{db: db, key: string(key), sum: binary.BigEndian.Uint32(blob[len(blob)-4:]), size: len(blob), doc: d}
+	return &memoEntry{db: db, key: key, sum: binary.BigEndian.Uint32(blob[len(blob)-4:]), size: len(blob), doc: d}
 }
 
 // slot is way w's slot for a row key that hashes to h.
@@ -88,7 +93,7 @@ func (m *docMemo) slot(h uint64, w int) *atomic.Pointer[memoEntry] {
 // past its budget.
 func (m *docMemo) put(e *memoEntry, ts truetime.Timestamp) {
 	e.ts = ts
-	h := maphash.String(m.seed, e.key)
+	h := maphash.Bytes(m.seed, e.key)
 	var slot *atomic.Pointer[memoEntry]
 	var old *memoEntry
 	for w := range memoWays {
@@ -98,7 +103,7 @@ func (m *docMemo) put(e *memoEntry, ts truetime.Timestamp) {
 			if slot == nil {
 				slot = s
 			}
-		case o.key == e.key && o.db == e.db:
+		case bytes.Equal(o.key, e.key) && o.db == e.db:
 			if o.ts > ts {
 				return
 			}

@@ -215,8 +215,10 @@ func TestMemoConcurrentReadersSeeTheirVersion(t *testing.T) {
 }
 
 // TestMemoHitAllocs holds the allocation count of a point read the memo
-// answers: the row key and the layers around the engine read, nothing per
-// field of the document. The decoded read of this document made 14.
+// answers: the layers around the engine read, nothing per field of the
+// document, and no row key (a miss copies the pooled one). The decoded
+// read of this document made 14, and a hit 2 while each read allocated
+// its row key.
 func TestMemoHitAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
@@ -235,8 +237,8 @@ func TestMemoHitAllocs(t *testing.T) {
 		t.Fatalf("%d of 201 reads were memo hits", n)
 	}
 	t.Logf("memoized GetDocument: %.0f allocations", got)
-	if got > 4 {
-		t.Errorf("memoized GetDocument allocates %.0f times, want <= 4", got)
+	if got > 1 {
+		t.Errorf("memoized GetDocument allocates %.0f times, want <= 1", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"firestore/internal/catalog"
@@ -71,8 +72,15 @@ func (b *Backend) GetDocument(ctx context.Context, dbID string, p Principal, nam
 	return d, readTS, nil
 }
 
+// entityKeys holds point reads' row keys: a key lives for its read, and
+// only a memo miss, which keeps it, copies it.
+var entityKeys = sync.Pool{New: func() any { return new([]byte) }}
+
 func (b *Backend) getAt(ctx context.Context, db *catalog.Database, name doc.Name, ts truetime.Timestamp) (*doc.Document, error) {
-	key := db.EntityKey(name)
+	buf := entityKeys.Get().(*[]byte)
+	defer entityKeys.Put(buf)
+	key := db.AppendEntityKey((*buf)[:0], name)
+	*buf = key
 	blob, vts, ok, err := db.Spanner.SnapshotGet(ctx, key, ts)
 	if err != nil {
 		return nil, err

@@ -278,7 +278,7 @@ func (w *walk) entries(ctx context.Context, prefix []byte) error {
 // implied returns the IndexEntries rows a document implies under meta,
 // sorted by key; none for an absent document.
 func (w *walk) implied(d *doc.Document, meta *catalog.Meta) []index.Entry {
-	_, es := index.DiffEntries(w.db.IndexPrefix(), nil, d, meta.Composites, &meta.Exemptions)
+	_, es := index.DiffEntries(nil, nil, w.db.IndexPrefix(), nil, d, meta.Composites, &meta.Exemptions)
 	return es
 }
 

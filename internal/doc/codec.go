@@ -34,7 +34,8 @@ var ErrChecksum = status.New(status.Internal, "doc", "checksum mismatch")
 // travels with the blob from the writing Backend through Spanner to every
 // reader, so corruption anywhere in between is detected at decode time.
 func Marshal(d *Document) []byte {
-	names := d.FieldNames()
+	var scratch [16]string // the sorted field names of a typical document
+	names := appendSortedKeys(scratch[:0], d.Fields)
 	// Sized up front from the document's own estimate plus the framing
 	// (lengths, kind bytes, timestamps, checksum), so a typical document
 	// is one allocation; an underestimate only costs a regrowth.
@@ -63,10 +64,10 @@ func Unmarshal(data []byte) (*Document, error) { return UnmarshalNamed(data, Nam
 //
 // Each payload byte is copied once (DESIGN.md "Read path: who owns the
 // bytes"): a first pass over the fields validates them and adds up the
-// text they hold — field names, map keys, strings, references — and the
-// second decodes them into one arena of exactly that size plus the name,
-// which every string of the document is a substring of. Bytes values get
-// their own copies; nothing aliases data.
+// text they hold — field names, map keys, strings, references, bytes
+// payloads — and the second decodes them into one arena of exactly that
+// size plus the name, which every string of the document is a substring
+// of; nothing aliases data.
 func UnmarshalNamed(data []byte, name Name) (*Document, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(data))
@@ -152,8 +153,7 @@ func appendValue(b []byte, v Value) []byte {
 		return appendString(b, v.StringVal())
 	case KindBytes:
 		b = append(b, byte(KindBytes))
-		b = binary.AppendUvarint(b, uint64(len(v.BytesVal())))
-		return append(b, v.BytesVal()...)
+		return appendString(b, v.BytesString())
 	case KindReference:
 		b = append(b, byte(KindReference))
 		return appendString(b, v.RefVal())
@@ -305,13 +305,9 @@ func (r *reader) value(depth int, build bool) (v Value, text int) {
 			r.fail("timestamp out of range")
 		}
 		v = Timestamp(time.Unix(sec, r.varint()))
-	case KindString, KindReference:
+	case KindString, KindReference, KindBytes:
 		v.kind = k
 		v.s, text = r.str(build)
-	case KindBytes:
-		if b := r.take(r.length()); build {
-			v = Bytes(append([]byte(nil), b...))
-		}
 	case KindGeoPoint:
 		lat := r.float64()
 		v = Geo(lat, r.float64())

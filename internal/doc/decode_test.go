@@ -57,8 +57,8 @@ func ycsbDoc() *Document {
 // every 144-byte map element its own object; now: the Document, the
 // arena (the name is text in it), the Fields map (4: twelve fields are
 // two groups behind a directory), the array's elements and box, the
-// nested map (2). The YCSB document took 8, and 7 while a name held a
-// slice of its segments.
+// nested map (2). The YCSB document took 8, 7 while a name held a slice
+// of its segments, and 6 until its bytes value became text in the arena.
 func TestUnmarshalAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector changes allocation counts")
@@ -67,7 +67,7 @@ func TestUnmarshalAllocs(t *testing.T) {
 		name string
 		d    *Document
 		max  float64
-	}{{"restaurant", restaurantDoc(), 10}, {"ycsb", ycsbDoc(), 6}} {
+	}{{"restaurant", restaurantDoc(), 10}, {"ycsb", ycsbDoc(), 4}} {
 		blob := Marshal(tc.d)
 		got := testing.AllocsPerRun(200, func() {
 			if _, err := Unmarshal(blob); err != nil {

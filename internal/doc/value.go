@@ -8,10 +8,9 @@
 package doc
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -60,8 +59,9 @@ type GeoPoint struct {
 // that map and array elements hold it inline and passing it by value is
 // cheap (DESIGN.md "Read path: who owns the bytes"): num carries a bool,
 // an int64, a double's bits, a timestamp's microseconds since the Unix
-// epoch or a geopoint's latitude bits; s a string or reference; ref a
-// []byte, []Value, map[string]Value, or a geopoint's longitude. Integers
+// epoch or a geopoint's latitude bits; s a string, a reference or a
+// bytes value's payload, which is immutable like them; ref a []Value,
+// map[string]Value, or a geopoint's longitude. Integers
 // and doubles are both KindNumber but retain their representation
 // (isInt) so round-trips are lossless while comparisons are numeric
 // across the two.
@@ -113,8 +113,8 @@ func Timestamp(t time.Time) Value {
 // String returns a string value.
 func String(v string) Value { return Value{kind: KindString, s: v} }
 
-// Bytes returns a bytes value; the slice is retained.
-func Bytes(v []byte) Value { return Value{kind: KindBytes, ref: v} }
+// Bytes returns a bytes value holding a copy of v: the caller keeps v.
+func Bytes(v []byte) Value { return Value{kind: KindBytes, s: string(v)} }
 
 // Reference returns a document-reference value naming another document.
 func Reference(name string) Value { return Value{kind: KindReference, s: name} }
@@ -170,12 +170,23 @@ func (v Value) DoubleVal() float64 {
 }
 
 // StringVal returns the string payload.
-func (v Value) StringVal() string { return v.s }
+func (v Value) StringVal() string {
+	if v.kind == KindBytes {
+		return ""
+	}
+	return v.s
+}
 
-// BytesVal returns the bytes payload.
-func (v Value) BytesVal() []byte {
-	b, _ := v.ref.([]byte)
-	return b
+// BytesVal returns a copy of the bytes payload, the caller's to keep and
+// modify.
+func (v Value) BytesVal() []byte { return []byte(v.BytesString()) }
+
+// BytesString returns the bytes payload as a string, without a copy.
+func (v Value) BytesString() string {
+	if v.kind != KindBytes {
+		return ""
+	}
+	return v.s
 }
 
 // TimeVal returns the timestamp payload, in UTC.
@@ -187,7 +198,7 @@ func (v Value) TimeVal() time.Time {
 }
 
 // RefVal returns the reference payload.
-func (v Value) RefVal() string { return v.s }
+func (v Value) RefVal() string { return v.StringVal() }
 
 // GeoVal returns the geopoint payload.
 func (v Value) GeoVal() GeoPoint {
@@ -229,10 +240,8 @@ func Compare(a, b Value) int {
 		return compareNumbers(a, b)
 	case KindTimestamp:
 		return cmpInt64(int64(a.num), int64(b.num))
-	case KindString, KindReference:
+	case KindString, KindReference, KindBytes:
 		return strings.Compare(a.s, b.s)
-	case KindBytes:
-		return bytes.Compare(a.BytesVal(), b.BytesVal())
 	case KindGeoPoint:
 		ag, bg := a.GeoVal(), b.GeoVal()
 		if c := cmpFloat(ag.Lat, bg.Lat); c != 0 {
@@ -356,11 +365,16 @@ func cmpBool(a, b bool) int {
 }
 
 func sortedKeys(m map[string]Value) []string {
-	ks := make([]string, 0, len(m))
+	return appendSortedKeys(make([]string, 0, len(m)), m)
+}
+
+// appendSortedKeys appends m's keys to ks in order.
+func appendSortedKeys(ks []string, m map[string]Value) []string {
+	at := len(ks)
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Strings(ks)
+	slices.Sort(ks[at:])
 	return ks
 }
 
@@ -384,7 +398,7 @@ func (v Value) String() string {
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindBytes:
-		return fmt.Sprintf("bytes(%x)", v.BytesVal())
+		return fmt.Sprintf("bytes(%x)", v.s)
 	case KindReference:
 		return "ref(" + v.s + ")"
 	case KindGeoPoint:
@@ -406,12 +420,10 @@ func (v Value) String() string {
 	return "invalid"
 }
 
-// Clone returns a deep copy of v; mutating the copy's arrays, maps, or
-// byte slices does not affect v.
+// Clone returns a deep copy of v; mutating the copy's arrays or maps
+// does not affect v. Strings and bytes payloads are immutable and shared.
 func (v Value) Clone() Value {
 	switch v.kind {
-	case KindBytes:
-		v.ref = append([]byte(nil), v.BytesVal()...)
 	case KindArray:
 		arr := make([]Value, len(v.ArrayVal()))
 		for i, e := range v.ArrayVal() {
@@ -441,7 +453,7 @@ func (v Value) EstimateSize() int {
 	case KindString, KindReference:
 		return len(v.s) + 1
 	case KindBytes:
-		return len(v.BytesVal())
+		return len(v.s)
 	case KindArray:
 		n := 0
 		for _, e := range v.ArrayVal() {

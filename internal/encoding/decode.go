@@ -1,7 +1,6 @@
 package encoding
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"time"
@@ -55,10 +54,7 @@ func DecodeValue(b []byte) (doc.Value, int, error) {
 		if err != nil {
 			return doc.Value{}, 0, err
 		}
-		if n == len(payload)+2 {
-			payload = bytes.Clone(payload) // no escapes: payload aliases b
-		}
-		return doc.Bytes(payload), 1 + n, nil
+		return doc.Bytes(payload), 1 + n, nil // a copy: payload may alias b
 	case tagReference:
 		payload, n, err := ReadEscaped(b[1:])
 		if err != nil {

@@ -71,7 +71,7 @@ func EncodeValue(dst []byte, v doc.Value) []byte {
 	case doc.KindString:
 		return appendTagged(dst, tagString, v.StringVal())
 	case doc.KindBytes:
-		return appendTagged(dst, tagBytes, v.BytesVal())
+		return appendTagged(dst, tagBytes, v.BytesString())
 	case doc.KindReference:
 		return appendTagged(dst, tagReference, v.RefVal())
 	case doc.KindGeoPoint:

@@ -204,9 +204,9 @@ type rtQuery struct {
 	pending []rtcache.Update
 	// watermarks per subscribed range.
 	watermarks map[int]truetime.Timestamp
-	// limited remembers whether the built result filled the limit, in
-	// which case an eviction requires a rebuild (the matcher cannot know
-	// the replacement document).
+	// limited remembers whether the result filled the limit, at its build
+	// or by an eviction since, in which case a departure requires a
+	// rebuild (the matcher cannot know the replacement document).
 	limited bool
 }
 
@@ -527,21 +527,26 @@ func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (*SnapshotEve
 			removed = append(removed, m.name)
 		}
 	}
-	if len(added)+len(modified)+len(removed) == 0 {
-		return nil, false
-	}
 	// Limit overflow: adding beyond the limit evicts the worst-ranked
-	// members.
+	// members, and the result is full from then on: a member that leaves
+	// later must rebuild it to bring an evicted document back.
 	if rq.q.Limit > 0 && len(rq.results) > rq.q.Limit {
+		rq.limited = true
 		ordered := sortedDocs(rq.q, rq.results)
 		for _, d := range ordered[rq.q.Limit:] {
 			key := d.Name.String()
 			delete(rq.results, key)
+			if m, touched := before[key]; touched && !m.was {
+				// Added in this snapshot: the client never had it.
+				added = dropDoc(added, key)
+				continue
+			}
 			removed = append(removed, d.Name)
-			// If it was just added in this snapshot, cancel that out.
-			added = dropDoc(added, key)
 			modified = dropDoc(modified, key)
 		}
+	}
+	if len(added)+len(modified)+len(removed) == 0 {
+		return nil, false
 	}
 	return &SnapshotEvent{
 		TargetID: rq.targetID,

@@ -296,6 +296,61 @@ func TestLimitQueryEviction(t *testing.T) {
 	}
 }
 
+// TestLimitQueryFilledAfterBuild: a limit query built empty fills by
+// deltas. The document those deltas evict was never delivered, so no
+// event removes it, and once a member leaves, it comes back.
+func TestLimitQueryFilledAfterBuild(t *testing.T) {
+	e := newEnv(t)
+	conn := e.f.NewConn(e.dbID, priv)
+	defer conn.Close()
+	top2, err := conn.Listen(context.Background(), &query.Query{
+		Collection: doc.MustCollection("/ratings"),
+		Orders:     []query.Order{{Path: "rating", Dir: index.Descending}},
+		Limit:      2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every document, on the same connection: its snapshot reaching a
+	// timestamp means the limit query's has too.
+	all, err := conn.Listen(context.Background(), &query.Query{Collection: doc.MustCollection("/ratings")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := map[int64]map[string]bool{top2: {}, all: {}}
+	// await applies events to views until the two targets show want.
+	await := func(wantTop2, wantAll string) {
+		t.Helper()
+		deadline := time.After(3 * time.Second)
+		for fmt.Sprint(views[top2]) != wantTop2 || fmt.Sprint(views[all]) != wantAll {
+			select {
+			case ev := <-conn.Events():
+				v := views[ev.TargetID]
+				if ev.Initial {
+					clear(v)
+				}
+				for _, n := range ev.Removed {
+					if !v[n.ID()] {
+						t.Fatalf("target %d: event removes %s, which it never delivered: %+v", ev.TargetID, n.ID(), ev)
+					}
+					delete(v, n.ID())
+				}
+				for _, d := range ev.Added {
+					v[d.Name.ID()] = true
+				}
+			case <-deadline:
+				t.Fatalf("top-2 view %v, all view %v; want %s and %s", views[top2], views[all], wantTop2, wantAll)
+			}
+		}
+	}
+	e.set(t, "/ratings/a", rating(5))
+	e.set(t, "/ratings/b", rating(4))
+	e.set(t, "/ratings/c", rating(3))
+	await("map[a:true b:true]", "map[a:true b:true c:true]")
+	e.delete(t, "/ratings/a")
+	await("map[b:true c:true]", "map[b:true c:true]")
+}
+
 func TestMultiQueryConnectionConsistency(t *testing.T) {
 	// Two queries on one connection: snapshots must advance together —
 	// after both have seen a write at ts, neither may be behind.

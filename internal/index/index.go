@@ -255,9 +255,10 @@ type Entry struct {
 }
 
 // differ is the pooled scratch of one DiffEntries call: what exists only
-// to be compared or copied from lives here and is reused; the emitted
-// keys, which the storage engine retains, are allocated one by one
-// (DESIGN.md "Write path: who owns the bytes").
+// to be compared or copied from lives here and is reused, the entry lists
+// before they cancel included; the emitted keys, which the storage engine
+// retains, are allocated one by one (DESIGN.md "Write path: who owns the
+// bytes").
 type differ struct {
 	prefix     []byte // caller's row-key prefix
 	head, tail []byte // encoded collection path and 0x00; escaped document ID
@@ -343,7 +344,7 @@ func lookup(d *doc.Document, flat []FieldValue, p doc.FieldPath) (doc.Value, boo
 // entry per matching composite index. The per-write cost is linear in the
 // number of fields, which is exactly the Fig. 10b relationship.
 func Entries(d *doc.Document, composites []Definition, ex *Exemptions) [][]byte {
-	_, added := DiffEntries(nil, nil, d, composites, ex)
+	_, added := DiffEntries(nil, nil, nil, nil, d, composites, ex)
 	return keysOf(added)
 }
 
@@ -351,7 +352,7 @@ func Entries(d *doc.Document, composites []Definition, ex *Exemptions) [][]byte 
 // (present for old but not new) and keys to add (present for new but not
 // old). Either document may be nil (insert / delete).
 func Diff(old, new *doc.Document, composites []Definition, ex *Exemptions) (removed, added [][]byte) {
-	rem, add := DiffEntries(nil, old, new, composites, ex)
+	rem, add := DiffEntries(nil, nil, nil, old, new, composites, ex)
 	return keysOf(rem), keysOf(add)
 }
 
@@ -369,7 +370,10 @@ func keysOf(es []Entry) [][]byte {
 // DiffEntries is Diff with each key's index ID kept and every
 // key built behind keyPrefix (a database's IndexEntries row-key prefix,
 // or nil), so commit paths can hand the keys to the transaction as they
-// are. Both lists come back sorted by key.
+// are. It appends the removed entries to rem and the added ones to add,
+// each run sorted by key: a caller whose buffers hold them (a commit
+// keeps its on the stack) allocates no list, and nil buffers get lists
+// of exactly their length.
 //
 // The diff is by field, not by entry: a (path, value) pair present in
 // both versions (doc.Equal values encode identically) emits and encodes
@@ -378,9 +382,9 @@ func keysOf(es []Entry) [][]byte {
 // versions of a changed array, duplicate elements — cancels in a final
 // merge of the sorted keys, so the result is exactly the set difference
 // of the two versions' entries.
-func DiffEntries(keyPrefix []byte, old, new *doc.Document, composites []Definition, ex *Exemptions) (removed, added []Entry) {
+func DiffEntries(rem, add []Entry, keyPrefix []byte, old, new *doc.Document, composites []Definition, ex *Exemptions) (removed, added []Entry) {
 	if old == nil && new == nil {
-		return nil, nil
+		return rem, add
 	}
 	name := new
 	if name == nil {
@@ -419,7 +423,7 @@ func DiffEntries(keyPrefix []byte, old, new *doc.Document, composites []Definiti
 	}
 
 	removed, added = cancel(d.rem, d.add)
-	removed, added = slices.Clone(removed), slices.Clone(added) // out of the pooled scratch
+	removed, added = append(rem, removed...), append(add, added...) // out of the pooled scratch
 	// Drop the references so an idle pool entry pins no document.
 	clear(d.old)
 	clear(d.new)

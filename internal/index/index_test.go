@@ -306,6 +306,6 @@ func BenchmarkDiffYCSB(b *testing.B) {
 	new := doc.New(n, map[string]doc.Value{"field0": payload(2)})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		DiffEntries(nil, old, new, nil, nil)
+		DiffEntries(nil, nil, nil, old, new, nil, nil)
 	}
 }

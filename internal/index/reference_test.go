@@ -211,7 +211,18 @@ func TestDiffMatchesReference(t *testing.T) {
 		exs := []*Exemptions{nil, &ex}[i%2]
 		wantRem, wantAdd := refDiffEntries(old, new, composites, exs)
 		for _, p := range [][]byte{nil, prefix} {
-			rem, add := DiffEntries(p, old, new, composites, exs)
+			// With a prefix, the lists go behind an entry each buffer
+			// already holds, which must survive.
+			var rem, add []Entry
+			if p != nil {
+				rem, add = []Entry{{ID: 1}}, make([]Entry, 1, 8)
+			}
+			n := len(rem)
+			rem, add = DiffEntries(rem, add, p, old, new, composites, exs)
+			if p != nil && (rem[0].ID != 1 || add[0].ID != 0 || rem[0].Key != nil || add[0].Key != nil) {
+				t.Fatalf("pair %d: DiffEntries overwrote its buffers' entries %v, %v", i, rem[0], add[0])
+			}
+			rem, add = rem[n:], add[n:]
 			if err := sameEntries(rem, wantRem, p); err != nil {
 				t.Fatalf("pair %d removed: %v\nold %v\nnew %v", i, err, old, new)
 			}
@@ -235,7 +246,7 @@ func TestDiffCollidingPaths(t *testing.T) {
 	for _, c := range [][4]int64{{1, 2, 2, 1}, {1, 1, 1, 2}, {1, 2, 1, 1}, {1, 2, 3, 1}} {
 		old, new := mk(c[0], c[1]), mk(c[2], c[3])
 		wantRem, wantAdd := refDiffEntries(old, new, nil, nil)
-		rem, add := DiffEntries(nil, old, new, nil, nil)
+		rem, add := DiffEntries(nil, nil, nil, old, new, nil, nil)
 		if err := sameEntries(rem, wantRem, nil); err != nil {
 			t.Fatalf("%v removed: %v", c, err)
 		}
@@ -293,7 +304,7 @@ func TestEntriesMatchReference(t *testing.T) {
 		Field{Path: "type", Dir: Ascending},
 	)
 	_, want := refDiffEntries(nil, d, []Definition{comp}, nil)
-	_, list := DiffEntries(nil, nil, d, []Definition{comp}, nil)
+	_, list := DiffEntries(nil, nil, nil, nil, d, []Definition{comp}, nil)
 	if err := sameEntries(list, want, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -372,12 +372,13 @@ func (c *Cache) Accept(ctx context.Context, writeID string, outcome Outcome, ts 
 // forward hands a committed write's mutations to the ranges owning them
 // under the CURRENT assignment.
 func (c *Cache) forward(w *write, ts truetime.Timestamp, muts []Mutation) {
-	routes := make([]*nameRange, len(muts))
+	var routeBuf [4]*nameRange // a typical write's; a larger one allocates
+	routes := routeBuf[:0]
 	single := len(w.ranges) == 1
 	c.mu.Lock()
-	for i, m := range muts {
-		routes[i] = c.ownerLocked(w.db, m.Name.First())
-		single = single && routes[i] == w.ranges[0]
+	for _, m := range muts {
+		routes = append(routes, c.ownerLocked(w.db, m.Name.First()))
+		single = single && routes[len(routes)-1] == w.ranges[0]
 	}
 	c.mu.Unlock()
 	if single {

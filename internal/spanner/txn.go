@@ -29,7 +29,12 @@ type Txn struct {
 	// their arguments and append them as they are; Commit sorts it stably
 	// by key, keeps the last write of each key, and hands each participant
 	// tablet its sub-slice — no byte is copied between caller and engine.
-	writes []storage.Write
+	// writeBuf backs it for a document and its index rows: with it the
+	// Txn is 688 bytes, a 704-byte size class, less than the 240-byte Txn
+	// and the eight-write array it replaces, and a larger commit regrows
+	// to sixteen writes, as it did from that array.
+	writes   []storage.Write
+	writeBuf [8]storage.Write
 	// latest indexes writes by key, mapping each key (the first written
 	// slice of it) to its last position in writes. The first read that
 	// follows a write builds it and every later write keeps it up; a
@@ -51,7 +56,7 @@ type Txn struct {
 // Begin starts a read-write transaction.
 func (db *DB) Begin() *Txn {
 	t := &Txn{db: db}
-	t.held = t.heldFirst[:0]
+	t.held, t.writes = t.heldFirst[:0], t.writeBuf[:0]
 	return t
 }
 
@@ -70,9 +75,6 @@ func (t *Txn) buffered(key []byte) (storage.Write, bool) {
 }
 
 func (t *Txn) buffer(w storage.Write) {
-	if t.writes == nil {
-		t.writes = make([]storage.Write, 0, 8) // a document and its index rows
-	}
 	t.writes = append(t.writes, w)
 	if t.latest.Len() > 0 {
 		t.latest.Set(w.Key, len(t.writes)-1)
@@ -290,8 +292,9 @@ func (t *Txn) rollForwardAsync(participants []participant, from int, ts truetime
 	db := t.db
 	db.stats.rollForwards.Add(1)
 	db.met.rollForwards.With("").Inc()
+	own := slices.Clone(participants)
 	go func() {
-		for _, p := range participants[from:] {
+		for _, p := range own[from:] {
 			// The client's ctx may be cancelled, but the roll-forward
 			// must outlive it (as a Paxos group's would), so retries run
 			// on a background context. Prepared tablets are exempt from
@@ -303,7 +306,7 @@ func (t *Txn) rollForwardAsync(participants []participant, from int, ts truetime
 				db.clock.Sleep(time.Millisecond)
 			}
 		}
-		for _, p := range participants {
+		for _, p := range own {
 			p.tab.finish(t)
 		}
 		db.locks.release(t)
@@ -365,7 +368,8 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 	// apply (maybeSplit holds db.mu exclusively and skips prepared
 	// tablets).
 	bound := t.db.clock.Now().Earliest
-	var participants []participant
+	var partBuf [2]participant // a roll-forward, which outlives Commit, copies it
+	participants := partBuf[:0]
 	t.db.mu.RLock()
 	if len(t.db.tablets) == 0 {
 		t.db.mu.RUnlock()

@@ -953,9 +953,10 @@ func (e *Disk) flushLocked(ctx context.Context) bool {
 	// Rotate first so the flushed snapshot is exactly the generations
 	// below newSeq. Records mid-Apply (appended, not yet in the
 	// memtable) would be lost from both snapshot and replay range, so
-	// wait for the next commit instead of flushing under them.
+	// wait for the next commit instead of flushing under them. A crash or
+	// Close since the check above has closed the WAL (closeFiles).
 	e.walMu.Lock()
-	if e.outstanding.Load() != 0 {
+	if e.outstanding.Load() != 0 || e.dead.Load() {
 		e.walMu.Unlock()
 		return false
 	}

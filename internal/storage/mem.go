@@ -51,6 +51,11 @@ type memtable struct {
 func (m *memtable) add(key []byte, v Version, trimTo int) {
 	m.bytes += versionBytes(key, v)
 	c, _ := m.rows.Upsert(key)
+	if c.versions == nil {
+		// Room for the version that usually follows, an update or a
+		// tombstone, so that it does not regrow a new chain's array.
+		c.versions = make([]Version, 0, 2)
+	}
 	c.versions = append(c.versions, v)
 	c.top = v
 	if trimTo > 0 {
