@@ -39,7 +39,7 @@ test-race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run 'Allocs|CostFollowsResult|NotAlias|TestVec|TestAdvisorRecord' ./internal/index ./internal/backend ./internal/spanner ./internal/core \
 		./internal/cluster ./internal/transport ./internal/storage ./internal/doc ./internal/obs ./internal/wfq ./internal/btree \
-		./internal/rtcache
+		./internal/rtcache ./internal/frontend
 
 # Repeated race passes over the packages whose concurrency a single run
 # under-samples, each line a package list and a -count. Ten rounds over

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -322,5 +323,62 @@ func TestLocalSnapshots(t *testing.T) {
 	}
 	if _, err := c.Collection("r").Where("n", "~", 1).Evaluate(local); err == nil {
 		t.Fatal("invalid query evaluated")
+	}
+}
+
+// TestSnapshotsRefuseOffset: a listener with an offset would be shown a
+// wrong view as soon as a write lands before the offset, so the server
+// refuses it and Snapshots returns its error.
+func TestSnapshotsRefuseOffset(t *testing.T) {
+	c := newClient(t)
+	ctx := context.Background()
+	for i, id := range []string{"a", "b", "c"} {
+		if err := c.Collection("ratings").Doc(id).Set(ctx, map[string]any{"rating": 10 + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it, err := c.Collection("ratings").OrderBy("rating", Asc).Offset(2).Snapshots(ctx)
+	if status.CodeOf(err) != status.InvalidArgument {
+		t.Fatalf("Snapshots with an offset = %v, %v; want InvalidArgument", it, err)
+	}
+}
+
+// TestChangesFollowQueryOrder: a batch of eight inserts reaches the
+// listener as one snapshot whose Changes list them in query order, every
+// time.
+func TestChangesFollowQueryOrder(t *testing.T) {
+	c := newClient(t)
+	ctx := context.Background()
+	for rep := 0; rep < 50; rep++ {
+		coll := c.Collection(fmt.Sprintf("rep%d", rep))
+		it, err := coll.OrderBy("rank", Asc).Snapshots(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := it.Next(ctx); err != nil {
+			t.Fatal(err)
+		}
+		b := c.Batch()
+		for i := 0; i < 8; i++ {
+			b.Set(coll.Doc(fmt.Sprintf("d%d", i)), map[string]any{"rank": (i * 5) % 8})
+		}
+		if err := b.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := it.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ranks []int64
+		for _, ch := range snap.Changes {
+			if ch.Kind != DocumentAdded {
+				t.Fatalf("rep %d: change %+v, want only additions", rep, ch)
+			}
+			ranks = append(ranks, ch.Doc.document().Fields["rank"].IntVal())
+		}
+		if len(ranks) != 8 || !slices.IsSorted(ranks) {
+			t.Fatalf("rep %d: Changes list ranks %v, want all eight in query order", rep, ranks)
+		}
+		it.Stop()
 	}
 }

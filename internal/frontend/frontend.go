@@ -159,6 +159,15 @@ type Conn struct {
 	// a query's resolved() zeroes holders to force a rescan.
 	connTS  truetime.Timestamp
 	holders int
+
+	// touched is applyLocked's scratch: the documents one window of a
+	// target changes, each with whether the client held it before.
+	touched []touch
+}
+
+type touch struct {
+	name doc.Name
+	was  bool
 }
 
 // eventBuffer bounds in-flight snapshots per connection.
@@ -193,48 +202,91 @@ type rtQuery struct {
 	targetID int64
 	q        *query.Query
 	subID    int64
-	rangeIDs []int
 
-	// results is the last emitted result set, keyed by document name.
+	// results is the last emitted result set by name, whole documents
+	// (only what is emitted is projected), and ordered the same documents
+	// in q.Compare order, kept by binary search.
 	results map[string]*doc.Document
+	ordered []*doc.Document
 	// maxCommitVersion: snapshots emitted so far reflect everything up
 	// to this timestamp.
 	maxCommitVersion truetime.Timestamp
 	// pending buffers matched updates until the watermark passes them.
 	pending []rtcache.Update
-	// watermarks per subscribed range.
-	watermarks map[int]truetime.Timestamp
+	// marks holds the watermark of each range subscribed (one today);
+	// until Subscribe returns none counts, and an unlisted range is added.
+	marks      []rangeMark
+	subscribed bool
 	// limited remembers whether the result filled the limit, at its build
-	// or by an eviction since, in which case a departure requires a
-	// rebuild (the matcher cannot know the replacement document).
+	// or by an eviction since; then a member that leaves or falls past the
+	// last place needs a rebuild (the matcher cannot know its replacement).
 	limited bool
 }
 
 // resolved returns the timestamp up to which this query has certainly
 // seen every update.
 func (rq *rtQuery) resolved() truetime.Timestamp {
-	min := truetime.Max
-	for _, rid := range rq.rangeIDs {
-		w := rq.watermarks[rid]
-		if w < min {
-			min = w
+	if !rq.subscribed || len(rq.marks) == 0 {
+		return rq.maxCommitVersion
+	}
+	low := truetime.Max
+	for _, m := range rq.marks {
+		low = min(low, m.ts)
+	}
+	return max(low, rq.maxCommitVersion)
+}
+
+type rangeMark struct {
+	id int
+	ts truetime.Timestamp
+}
+
+// raise records that range rangeID has delivered everything up to ts.
+func (rq *rtQuery) raise(rangeID int, ts truetime.Timestamp) {
+	for i := range rq.marks {
+		if rq.marks[i].id == rangeID {
+			rq.marks[i].ts = max(rq.marks[i].ts, ts)
+			return
 		}
 	}
-	if min == truetime.Max {
-		return rq.maxCommitVersion
+	if !rq.subscribed {
+		rq.marks = append(rq.marks, rangeMark{id: rangeID, ts: ts})
 	}
-	if min < rq.maxCommitVersion {
-		return rq.maxCommitVersion
+}
+
+// put makes d (nil: none) the version of document key, in query order.
+func (rq *rtQuery) put(key string, d *doc.Document) {
+	if old, ok := rq.results[key]; ok {
+		i, _ := slices.BinarySearchFunc(rq.ordered, old, rq.q.Compare)
+		rq.ordered = slices.Delete(rq.ordered, i, i+1)
+		delete(rq.results, key)
 	}
-	return min
+	if d != nil {
+		i, _ := slices.BinarySearchFunc(rq.ordered, d, rq.q.Compare)
+		rq.ordered = slices.Insert(rq.ordered, i, d)
+		rq.results[key] = d
+	}
+}
+
+// project restricts ds in place to the query's projection.
+func (rq *rtQuery) project(ds []*doc.Document) {
+	if len(rq.q.Projection) > 0 {
+		for i, d := range ds {
+			ds[i] = rq.q.Project(d)
+		}
+	}
 }
 
 // Listen registers a real-time query (§IV-D4 steps 1-4) and returns the
 // target ID identifying its events. The target is built the one way every
-// target is (build): its first event is an Initial snapshot.
+// target is (build): its first event is an Initial snapshot. A query with
+// an offset is refused: a delta cannot tell which documents it skips.
 func (c *Conn) Listen(ctx context.Context, q *query.Query) (_ int64, retErr error) {
 	ctx, span := reqctx.StartSpan(ctx, "frontend.listen")
 	defer func() { span.End(retErr) }()
+	if q.Offset > 0 {
+		return 0, status.New(status.InvalidArgument, "frontend", "a real-time query cannot have an offset: a delta cannot tell which documents it skips")
+	}
 	rq := &rtQuery{targetID: c.f.targets.Add(1), q: q}
 	c.mu.Lock()
 	if c.closed {
@@ -329,16 +381,19 @@ func (c *Conn) deliverLocked(ev SnapshotEvent) bool {
 // reset, a late update, a limit query losing a member and a dropped
 // event all rebuild it (scheduleRebuild). A result of more than one page
 // is read page after page at the first page's timestamp, up to the
-// query's limit. It fails if the query does, or if rq stopped or the
-// connection closed meanwhile.
+// query's limit, without projection: the target orders and evicts by
+// fields it may drop, and projects what it emits. It fails if the query
+// does, or if rq stopped or the connection closed meanwhile.
 func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
-	res, readTS, err := c.f.backend.RunQuery(ctx, c.dbID, c.p, rq.q, nil, 0)
+	whole := *rq.q
+	whole.Projection = nil
+	res, readTS, err := c.f.backend.RunQuery(ctx, c.dbID, c.p, &whole, nil, 0)
 	if err != nil {
 		return err
 	}
 	docs, limit := res.Docs, rq.q.Limit
 	for res.Resume != nil && (limit <= 0 || len(docs) < limit) {
-		if res, _, err = c.f.backend.RunQuery(ctx, c.dbID, c.p, rq.q, res.Resume, readTS); err != nil {
+		if res, _, err = c.f.backend.RunQuery(ctx, c.dbID, c.p, &whole, res.Resume, readTS); err != nil {
 			return err
 		}
 		docs = append(docs, res.Docs...)
@@ -359,10 +414,12 @@ func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
 	for _, d := range docs {
 		rq.results[d.Name.String()] = d
 	}
+	rq.ordered = slices.Clone(docs)
+	slices.SortFunc(rq.ordered, rq.q.Compare)
 	rq.maxCommitVersion = readTS
-	rq.watermarks = map[int]truetime.Timestamp{}
-	rq.pending, rq.rangeIDs = nil, nil
+	rq.pending, rq.marks, rq.subscribed = nil, nil, false
 	rq.limited = limit > 0 && len(docs) == limit
+	rq.project(docs)
 	// The result in the order the query returned it, before rq can
 	// receive anything: no delta of rq precedes it on the connection.
 	if !c.deliverLocked(SnapshotEvent{TargetID: rq.targetID, TS: readTS, Initial: true, Added: docs}) {
@@ -379,7 +436,10 @@ func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
 	c.mu.Lock()
 	live := c.queries[subID] == rq
 	if live {
-		rq.rangeIDs = rangeIDs
+		for _, rid := range rangeIDs {
+			rq.raise(rid, 0) // lists the range, keeping a watermark that came first
+		}
+		rq.subscribed = true
 		c.holders = 0
 	}
 	c.mu.Unlock()
@@ -410,9 +470,7 @@ func (c *Conn) OnWatermark(rangeID int, subID int64, ts truetime.Timestamp) {
 		return
 	}
 	was := rq.resolved()
-	if ts > rq.watermarks[rangeID] {
-		rq.watermarks[rangeID] = ts
-	}
+	rq.raise(rangeID, ts)
 	if c.holders > 0 {
 		// The last scan is still valid: connTS moves only once every
 		// query that sat on it has advanced.
@@ -451,17 +509,19 @@ func (c *Conn) flushLocked() {
 			rq.maxCommitVersion = connTS // idle: nothing to apply, nothing to emit
 			continue
 		}
-		ev, needsReset := c.applyLocked(rq, connTS)
-		if needsReset || ev != nil && !c.deliverLocked(*ev) {
+		ev, emit, reset := c.applyLocked(rq, connTS)
+		if reset || emit && !c.deliverLocked(ev) {
 			c.scheduleRebuild(rq)
 		}
 	}
 }
 
 // applyLocked applies rq's pending updates with TS <= connTS and builds
-// the delta snapshot. It reports whether the query needs a rebuild: a
-// limited query lost a member, or an update arrived late.
-func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (*SnapshotEvent, bool) {
+// the delta snapshot, if any (emit): Added and Modified in query order,
+// Removed in name order, and nothing else allocated. reset reports that
+// the query needs a rebuild: a limited query lost a member or one fell
+// past its last place, or an update arrived late.
+func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (ev SnapshotEvent, emit, reset bool) {
 	// Pending updates can arrive out of timestamp order even though each
 	// range delivers in the order its lock produced them: Accepts of
 	// concurrent writes reach a range in Accept order, not commit order
@@ -470,21 +530,16 @@ func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (*SnapshotEve
 	// streams. Apply in commit order or an older delete could clobber a
 	// newer set.
 	slices.SortStableFunc(rq.pending, func(a, b rtcache.Update) int { return cmp.Compare(a.TS, b.TS) })
-	var rest []rtcache.Update
-	// before records each touched document's membership at the window
+	// touched records each touched document's membership at the window
 	// start so the snapshot carries the NET change per document: a
 	// delete-then-set of the same document within one window must emit a
 	// single Modified entry, not a Removed and an Added whose relative
 	// order the consumer cannot know.
-	type membership struct {
-		name doc.Name
-		was  bool
-	}
-	before := map[string]membership{}
-	for _, u := range rq.pending {
+	touched, window := c.touched[:0], rq.pending
+	for i, u := range rq.pending {
 		if u.TS > connTS {
-			rest = append(rest, u)
-			continue
+			window = rq.pending[:i]
+			break
 		}
 		if u.TS <= rq.maxCommitVersion {
 			// The rtcache delivery contract rules this out: replay and
@@ -493,78 +548,62 @@ func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (*SnapshotEve
 			// means that contract broke upstream; count it and rebuild
 			// rather than dropping the document silently.
 			c.f.lateUpdates.With(c.dbID).Inc()
-			return nil, true
+			return ev, false, true
 		}
+		_, was := rq.results[u.Name.String()]
+		touched = append(touched, touch{name: u.Name, was: was})
+	}
+	for _, u := range window {
 		key := u.Name.String()
-		_, have := rq.results[key]
-		if _, seen := before[key]; !seen {
-			before[key] = membership{name: u.Name, was: have}
+		if _, have := rq.results[key]; have && rq.limited && (!u.Matches || rq.q.Compare(u.New, rq.ordered[rq.q.Limit-1]) > 0) {
+			// A member left a limit query or fell past its last place: the
+			// document to take its place is unknown here; rebuild.
+			return ev, false, true
 		}
-		switch {
-		case u.Matches:
-			rq.results[key] = u.New
-		case have:
-			if rq.limited {
-				// A member left a limit query: the replacement is
-				// unknown here; rebuild (fast reset).
-				return nil, true
-			}
-			delete(rq.results, key)
-		}
+		rq.put(key, u.New)
 	}
-	rq.pending = rest
+	rq.pending = slices.Delete(rq.pending, 0, len(window))
 	rq.maxCommitVersion = connTS
-	var added, modified []*doc.Document
-	var removed []doc.Name
-	for key, m := range before {
-		cur, have := rq.results[key]
-		switch {
-		case have && !m.was:
-			added = append(added, cur)
-		case have && m.was:
-			modified = append(modified, cur)
-		case !have && m.was:
-			removed = append(removed, m.name)
-		}
-	}
+	byName := func(a, b touch) int { return a.name.Compare(b.name) }
+	slices.SortFunc(touched, byName)
+	touched = slices.CompactFunc(touched, func(a, b touch) bool { return a.name == b.name })
 	// Limit overflow: adding beyond the limit evicts the worst-ranked
 	// members, and the result is full from then on: a member that leaves
-	// later must rebuild it to bring an evicted document back.
-	if rq.q.Limit > 0 && len(rq.results) > rq.q.Limit {
+	// later must rebuild it to bring an evicted document back. An evicted
+	// document this window did not touch is one the client holds.
+	if lim := rq.q.Limit; lim > 0 && len(rq.ordered) > lim {
 		rq.limited = true
-		ordered := sortedDocs(rq.q, rq.results)
-		for _, d := range ordered[rq.q.Limit:] {
-			key := d.Name.String()
-			delete(rq.results, key)
-			if m, touched := before[key]; touched && !m.was {
-				// Added in this snapshot: the client never had it.
-				added = dropDoc(added, key)
-				continue
+		for _, d := range rq.ordered[lim:] {
+			delete(rq.results, d.Name.String())
+			if _, hit := slices.BinarySearchFunc(touched, touch{name: d.Name}, byName); !hit {
+				ev.Removed = append(ev.Removed, d.Name)
 			}
-			removed = append(removed, d.Name)
-			modified = dropDoc(modified, key)
+		}
+		clear(rq.ordered[lim:])
+		rq.ordered = rq.ordered[:lim]
+	}
+	for _, t := range touched {
+		switch cur, have := rq.results[t.name.String()]; {
+		case have && !t.was:
+			ev.Added = append(ev.Added, cur)
+		case have:
+			ev.Modified = append(ev.Modified, cur)
+		case t.was:
+			ev.Removed = append(ev.Removed, t.name)
 		}
 	}
-	if len(added)+len(modified)+len(removed) == 0 {
-		return nil, false
+	clear(touched)
+	c.touched = touched[:0]
+	if len(ev.Added)+len(ev.Modified)+len(ev.Removed) == 0 {
+		return ev, false, false
 	}
-	return &SnapshotEvent{
-		TargetID: rq.targetID,
-		TS:       connTS,
-		Added:    added,
-		Modified: modified,
-		Removed:  removed,
-	}, false
-}
-
-func dropDoc(ds []*doc.Document, key string) []*doc.Document {
-	out := ds[:0]
-	for _, d := range ds {
-		if d.Name.String() != key {
-			out = append(out, d)
-		}
-	}
-	return out
+	slices.SortFunc(ev.Added, rq.q.Compare)
+	slices.SortFunc(ev.Modified, rq.q.Compare)
+	slices.SortFunc(ev.Removed, doc.Name.Compare)
+	rq.project(ev.Added)
+	rq.project(ev.Modified)
+	ev.TargetID, ev.TS = rq.targetID, connTS
+	return ev, true, false
 }
 
 // OnReset implements rtcache.Subscriber: the range went out-of-sync, so
@@ -621,14 +660,4 @@ func (c *Conn) end(rq *rtQuery, err error) {
 	case c.events <- SnapshotEvent{TargetID: rq.targetID, Err: err}:
 	case <-c.ctx.Done():
 	}
-}
-
-// sortedDocs returns the result set in query order.
-func sortedDocs(q *query.Query, m map[string]*doc.Document) []*doc.Document {
-	out := make([]*doc.Document, 0, len(m))
-	for _, d := range m {
-		out = append(out, d)
-	}
-	slices.SortFunc(out, q.Compare)
-	return out
 }

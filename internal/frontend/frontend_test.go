@@ -502,7 +502,7 @@ func TestIdleHeartbeatIsFlat(t *testing.T) {
 	var ts truetime.Timestamp
 	conn.mu.Lock()
 	for id, rq := range conn.queries {
-		subs = append(subs, sub{rq, rq.rangeIDs[0], id})
+		subs = append(subs, sub{rq, rq.marks[0].id, id})
 		ts = max(ts, rq.maxCommitVersion)
 	}
 	conn.mu.Unlock()

@@ -23,7 +23,7 @@ func subscription(c *Conn, target int64) (int64, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rq := c.targets[target]
-	return rq.subID, rq.rangeIDs[0]
+	return rq.subID, rq.marks[0].id
 }
 
 // TestEveryRebuildDeliversOneInitial: whatever makes the connection give
@@ -163,7 +163,10 @@ func TestEventsLeaveInStateOrder(t *testing.T) {
 	sub, _ := subscription(conn, target)
 	conn.mu.Lock()
 	rq := conn.targets[target]
-	rq.rangeIDs = ranges
+	rq.marks = nil
+	for _, rid := range ranges {
+		rq.marks = append(rq.marks, rangeMark{id: rid})
+	}
 	base := rq.maxCommitVersion
 	conn.mu.Unlock()
 

@@ -1,10 +1,12 @@
 package rtcache
 
 import (
+	"bytes"
 	"slices"
 	"sync"
 
 	"firestore/internal/doc"
+	"firestore/internal/encoding"
 	"firestore/internal/keyviz"
 	"firestore/internal/query"
 	"firestore/internal/truetime"
@@ -25,6 +27,77 @@ type subscription struct {
 	// place instead of appending another.
 	wmAt  int
 	wmGen uint64
+	// coll lists the subscription in its range's matcher: in
+	// coll.eq[eqKey], by its value at eqPath, or in coll.any if eqKey is "".
+	coll   *collSubs
+	eqPath doc.FieldPath
+	eqKey  string
+}
+
+// matcher indexes a range's subscriptions by (db, collection) and the
+// path and value of the first equality conjunct, or by (db, collection)
+// alone in the any bucket. A mutation's candidates, that bucket and those
+// of its old and new values at each listed path, are a superset of its
+// matches: a value keys by its index encoding, the same bytes exactly
+// when doc.Equal holds (1 and 1.0, -0 and 0, NaN and NaN).
+type matcher struct {
+	colls    map[string]*collSubs // by db, 0, collection
+	key, alt []byte               // lookup scratch
+}
+
+type collSubs struct {
+	any   []*subscription
+	eq    map[string][]*subscription // by path, 0, encoded value
+	paths map[doc.FieldPath]int      // eq's paths, with their subscription counts
+}
+
+func (m *matcher) collKey(db string, coll doc.CollectionPath) []byte {
+	m.key = append(append(append(m.key[:0], db...), 0), coll.String()...)
+	return m.key
+}
+
+// valueKey appends to dst the bucket key of d's value at path, if any.
+func valueKey(dst []byte, path doc.FieldPath, d *doc.Document) ([]byte, bool) {
+	if d == nil {
+		return dst, false
+	}
+	v, ok := d.Get(path)
+	return encoding.EncodeValue(append(append(dst, path...), 0), v), ok
+}
+
+func (m *matcher) add(s *subscription) {
+	cs := m.colls[string(m.collKey(s.db, s.q.Collection))]
+	if cs == nil {
+		cs = &collSubs{eq: map[string][]*subscription{}, paths: map[doc.FieldPath]int{}}
+		m.colls[string(m.key)] = cs
+	}
+	s.coll = cs
+	i := slices.IndexFunc(s.q.Predicates, func(p query.Predicate) bool { return p.Op == query.Eq })
+	if i < 0 {
+		cs.any = append(cs.any, s)
+		return
+	}
+	p := s.q.Predicates[i]
+	s.eqPath, s.eqKey = p.Path, string(encoding.EncodeValue(append([]byte(p.Path), 0), p.Value))
+	cs.eq[s.eqKey] = append(cs.eq[s.eqKey], s)
+	cs.paths[p.Path]++
+}
+
+func (m *matcher) remove(s *subscription) {
+	cs, self := s.coll, func(o *subscription) bool { return o == s }
+	if s.eqKey == "" {
+		cs.any = slices.DeleteFunc(cs.any, self)
+	} else {
+		if cs.eq[s.eqKey] = slices.DeleteFunc(cs.eq[s.eqKey], self); len(cs.eq[s.eqKey]) == 0 {
+			delete(cs.eq, s.eqKey)
+		}
+		if cs.paths[s.eqPath]--; cs.paths[s.eqPath] == 0 {
+			delete(cs.paths, s.eqPath)
+		}
+	}
+	if len(cs.any) == 0 && len(cs.eq) == 0 {
+		delete(m.colls, string(m.collKey(s.db, s.q.Collection)))
+	}
 }
 
 // nameRange is one document-name range: its Changelog state (pending
@@ -56,8 +129,10 @@ type nameRange struct {
 	watermark truetime.Timestamp
 	// lastTS is the largest commit timestamp resolved here.
 	lastTS truetime.Timestamp
-	// subs holds the registered queries by subscription ID.
-	subs map[int64]*subscription
+	// subs holds the registered queries by subscription ID, and match
+	// indexes the same subscriptions by the mutations that can match them.
+	subs  map[int64]*subscription
+	match matcher
 
 	// log retains recently forwarded mutations (the "In-memory
 	// Changelog"), replayed to new subscriptions whose max-commit-version
@@ -153,7 +228,7 @@ type event struct {
 }
 
 func newNameRange(id int, met *metrics, kv *keyviz.Collector) *nameRange {
-	return &nameRange{id: id, met: met, kv: kv, subs: map[int64]*subscription{}, gen: 1}
+	return &nameRange{id: id, met: met, kv: kv, subs: map[int64]*subscription{}, match: matcher{colls: map[string]*collSubs{}}, gen: 1}
 }
 
 // startDrainLocked claims the drainer role and takes the queued batch,
@@ -268,20 +343,45 @@ func matchUpdate(q *query.Query, m Mutation, ts truetime.Timestamp) (Update, boo
 	return u, true
 }
 
-// matchLocked evaluates mutations against every registered query
-// ("matches it with all the queries registered for that key range"),
-// queues the matches and returns their count.
+// matchLocked evaluates mutations against the registered queries its
+// matcher names as candidates, queues the matches in mutation order and
+// returns their count.
 func (r *nameRange) matchLocked(db string, muts []Mutation, ts truetime.Timestamp) int {
+	if len(r.subs) == 0 {
+		return 0
+	}
 	matched := 0
-	for _, s := range r.subs {
+	for _, m := range muts {
+		cs := r.match.colls[string(r.match.collKey(db, m.Name.Collection()))]
+		if cs == nil {
+			continue
+		}
+		matched += r.queueMatchesLocked(cs.any, db, m, ts)
+		for path := range cs.paths {
+			var hasOld, hasNew bool
+			r.match.key, hasOld = valueKey(r.match.key[:0], path, m.Old)
+			r.match.alt, hasNew = valueKey(r.match.alt[:0], path, m.New)
+			if hasOld {
+				matched += r.queueMatchesLocked(cs.eq[string(r.match.key)], db, m, ts)
+			}
+			if hasNew && !(hasOld && bytes.Equal(r.match.key, r.match.alt)) {
+				matched += r.queueMatchesLocked(cs.eq[string(r.match.alt)], db, m, ts)
+			}
+		}
+	}
+	return matched
+}
+
+// queueMatchesLocked queues m for each candidate in subs it matches.
+func (r *nameRange) queueMatchesLocked(subs []*subscription, db string, m Mutation, ts truetime.Timestamp) int {
+	matched := 0
+	for _, s := range subs {
 		if s.db != db || ts <= s.afterTS {
 			continue // other databases' queries (multi-tenant range), or already in the initial snapshot
 		}
-		for _, m := range muts {
-			if u, ok := matchUpdate(s.q, m, ts); ok {
-				r.queueUpdateLocked(s, u)
-				matched++
-			}
+		if u, ok := matchUpdate(s.q, m, ts); ok {
+			r.queueUpdateLocked(s, u)
+			matched++
 		}
 	}
 	return matched
@@ -399,6 +499,7 @@ func (r *nameRange) markOutOfSyncLocked() {
 		r.outbox = append(r.outbox, event{kind: evReset, sub: s.sub, subID: s.subID})
 	}
 	clear(r.subs)
+	clear(r.match.colls)
 }
 
 // ReserveSub allocates a subscription ID before Subscribe, letting the
@@ -451,6 +552,7 @@ func (r *nameRange) subscribe(s *subscription) {
 			}
 		}
 		r.subs[s.subID] = s
+		r.match.add(s)
 		if r.watermark > 0 {
 			r.queueWatermarkLocked(s)
 		}
@@ -470,20 +572,8 @@ func (c *Cache) Unsubscribe(sub Subscriber, subID int64) {
 		r.mu.Lock()
 		if s, ok := r.subs[subID]; ok && s.sub == sub {
 			delete(r.subs, subID)
+			r.match.remove(s)
 		}
 		r.mu.Unlock()
 	}
 }
-
-// Watermark returns a range's current watermark (for tests).
-func (c *Cache) Watermark(rangeID int) truetime.Timestamp {
-	c.mu.Lock()
-	r := c.ranges[rangeID]
-	c.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.watermark
-}
-
-// RangeForName exposes range routing (for tests and the frontend).
-func (c *Cache) RangeForName(db string, n doc.Name) int { return c.rangeFor(db, n).id }

@@ -415,75 +415,79 @@ func (c *Cache) heartbeatLoop(every time.Duration) {
 	ctx := context.Background()
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
+	var ranges []*nameRange // reused by every tick
 	for {
 		select {
 		case <-c.stop:
 			return
 		case <-ticker.C:
 		}
-		// Injected heartbeat stall: the Changelog tasks skip this tick, so
-		// watermarks stop advancing and overdue prepares are detected late.
-		if fault.Decide(ctx, fault.RTCacheHeartbeat).Kind == fault.KindDrop {
-			continue
-		}
-		// Injected Changelog crash: one range loses its in-memory state and
-		// restarts. The victim is the busiest task — the one serving the
-		// most subscriptions — because that is the crash that actually
-		// hurts (and the adversarial choice a chaos run wants); an idle
-		// cache rotates victims with the injection count instead.
-		if fault.Decide(ctx, fault.RTCacheChangelogCrash).Kind == fault.KindCrash {
-			c.mu.Lock()
-			ranges := append([]*nameRange(nil), c.ranges...)
-			c.mu.Unlock()
-			victim, busiest := ranges[0], -1
-			for _, r := range ranges {
-				r.mu.Lock()
-				subs := len(r.subs)
-				r.mu.Unlock()
-				if subs > busiest {
-					victim, busiest = r, subs
-				}
-			}
-			if busiest == 0 { // a fault.Reset racing this tick reads the count as 0
-				victim = ranges[int(max(fault.Injected(fault.RTCacheChangelogCrash)-1, 0)%int64(len(ranges)))]
-			}
-			victim.crash()
-		}
-		now := c.clock.Now().Earliest
-		c.mu.Lock()
-		ranges := append([]*nameRange(nil), c.ranges...)
-		c.mu.Unlock()
-		for _, r := range ranges {
-			r.heartbeat(now)
-		}
-		// Watermark lag: how far the slowest range trails TrueTime now —
-		// the staleness bound listeners observe.
-		var maxLag time.Duration
+		ranges = c.tick(ctx, ranges)
+	}
+}
+
+// tick runs one heartbeat, copying the range list into ranges' storage.
+func (c *Cache) tick(ctx context.Context, ranges []*nameRange) []*nameRange {
+	// Injected heartbeat stall: the Changelog tasks skip this tick, so
+	// watermarks stop advancing and overdue prepares are detected late.
+	if fault.Decide(ctx, fault.RTCacheHeartbeat).Kind == fault.KindDrop {
+		return ranges
+	}
+	c.mu.Lock()
+	ranges = append(ranges[:0], c.ranges...)
+	c.mu.Unlock()
+	// Injected Changelog crash: one range loses its in-memory state and
+	// restarts. The victim is the busiest task — the one serving the
+	// most subscriptions — because that is the crash that actually
+	// hurts (and the adversarial choice a chaos run wants); an idle
+	// cache rotates victims with the injection count instead.
+	if fault.Decide(ctx, fault.RTCacheChangelogCrash).Kind == fault.KindCrash {
+		victim, busiest := ranges[0], -1
 		for _, r := range ranges {
 			r.mu.Lock()
-			wm := r.watermark
+			subs := len(r.subs)
 			r.mu.Unlock()
-			if wm == 0 {
-				continue // never advanced: no listeners observed it yet
-			}
-			if lag := now.Sub(wm); lag > maxLag {
-				maxLag = lag
+			if subs > busiest {
+				victim, busiest = r, subs
 			}
 		}
-		c.met.watermarkLag.Set(maxLag.Seconds())
-		if c.autoSplitSubs > 0 {
-			c.splitHotRange(c.autoSplitSubs)
+		if busiest == 0 { // a fault.Reset racing this tick reads the count as 0
+			victim = ranges[int(max(fault.Injected(fault.RTCacheChangelogCrash)-1, 0)%int64(len(ranges)))]
 		}
-		// Drop the records of writes whose Accept never came: their ranges
-		// expired them above (same reading) and reset.
-		c.mu.Lock()
-		for id, w := range c.writes {
-			if now > w.maxTS {
-				delete(c.writes, id)
-			}
-		}
-		c.mu.Unlock()
+		victim.crash()
 	}
+	now := c.clock.Now().Earliest
+	for _, r := range ranges {
+		r.heartbeat(now)
+	}
+	// Watermark lag: how far the slowest range trails TrueTime now —
+	// the staleness bound listeners observe.
+	var maxLag time.Duration
+	for _, r := range ranges {
+		r.mu.Lock()
+		wm := r.watermark
+		r.mu.Unlock()
+		if wm == 0 {
+			continue // never advanced: no listeners observed it yet
+		}
+		if lag := now.Sub(wm); lag > maxLag {
+			maxLag = lag
+		}
+	}
+	c.met.watermarkLag.Set(maxLag.Seconds())
+	if c.autoSplitSubs > 0 {
+		c.splitHotRange(c.autoSplitSubs)
+	}
+	// Drop the records of writes whose Accept never came: their ranges
+	// expired them above (same reading) and reset.
+	c.mu.Lock()
+	for id, w := range c.writes {
+		if now > w.maxTS {
+			delete(c.writes, id)
+		}
+	}
+	c.mu.Unlock()
+	return ranges
 }
 
 // Stats reports cache counters for tests and monitoring.
@@ -538,15 +542,10 @@ func (c *Cache) RangeStats() []RangeInfo {
 // Stats aggregates across ranges.
 func (c *Cache) Stats() Stats {
 	var s Stats
-	c.mu.Lock()
-	ranges := append([]*nameRange(nil), c.ranges...)
-	c.mu.Unlock()
-	for _, r := range ranges {
-		r.mu.Lock()
-		s.Subscriptions += len(r.subs)
-		s.OutOfSyncs += r.outOfSyncs
-		s.Forwarded += r.forwarded
-		r.mu.Unlock()
+	for _, r := range c.RangeStats() {
+		s.Subscriptions += r.Subscriptions
+		s.OutOfSyncs += r.OutOfSyncs
+		s.Forwarded += r.Forwarded
 	}
 	return s
 }

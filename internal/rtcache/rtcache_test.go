@@ -117,7 +117,7 @@ func TestPrepareAcceptDeliversMatch(t *testing.T) {
 		t.Fatalf("update = %+v", u)
 	}
 	// The range's watermark must reach the commit timestamp.
-	rid := c.RangeForName("db1", d.Name)
+	rid := c.rangeFor("db1", d.Name).id
 	waitFor(t, "watermark", func() bool { return rec.watermark(rid) >= ts })
 }
 
@@ -253,16 +253,16 @@ func TestWatermarkHeldByPendingPrepare(t *testing.T) {
 	q := ratingsQuery()
 	c.Subscribe(rec, "db1", q, 0, 0)
 	d := ratingDoc("1", 5)
-	rid := c.RangeForName("db1", d.Name)
+	rid := c.rangeFor("db1", d.Name).id
 
 	min, _ := c.Prepare("w1", "db1", []doc.Name{d.Name}, truetime.Max)
 	time.Sleep(20 * time.Millisecond) // heartbeats run but must not pass min
-	if wm := c.Watermark(rid); wm >= min {
+	if wm := c.RangeStats()[rid].Watermark; wm >= min {
 		t.Fatalf("watermark %d advanced past pending prepare min %d", wm, min)
 	}
 	ts := min + 10
 	c.Accept(context.Background(), "w1", OutcomeSuccess, ts, []Mutation{{Name: d.Name, New: d}})
-	waitFor(t, "watermark past commit", func() bool { return c.Watermark(rid) >= ts })
+	waitFor(t, "watermark past commit", func() bool { return c.RangeStats()[rid].Watermark >= ts })
 }
 
 func TestHeartbeatAdvancesIdleRange(t *testing.T) {
@@ -464,10 +464,10 @@ func TestSubscribeBelowTrimmedHorizonResets(t *testing.T) {
 	// afterTS predates trimmed entries) must reset immediately.
 	c := testCache(t)
 	d := ratingDoc("1", 5)
-	rid := c.RangeForName("db1", d.Name)
+	rid := c.rangeFor("db1", d.Name).id
 	// Let heartbeats advance the watermark first so the reset records a
 	// meaningful horizon.
-	waitFor(t, "watermark progress", func() bool { return c.Watermark(rid) > 1 })
+	waitFor(t, "watermark progress", func() bool { return c.RangeStats()[rid].Watermark > 1 })
 	c.Prepare("w1", "db1", []doc.Name{d.Name}, truetime.Max)
 	c.Accept(context.Background(), "w1", OutcomeUnknown, 0, nil) // forces trimmedBefore forward
 	rec := newRecorder()
