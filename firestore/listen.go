@@ -5,9 +5,7 @@ import (
 	"slices"
 	"sync"
 
-	"firestore/internal/doc"
 	"firestore/internal/frontend"
-	"firestore/internal/query"
 	"firestore/internal/status"
 )
 
@@ -43,10 +41,9 @@ type DocumentChange struct {
 type QuerySnapshotIterator struct {
 	c        *Client
 	targetID int64
-	q        *query.Query
 
-	// The result set, in query order and by path, and whether a snapshot
-	// of it was returned. Only Next touches them.
+	// The result set, in the server's order and by path, and whether a
+	// snapshot of it was returned. Only Next touches them.
 	docs    []*DocumentSnapshot
 	byPath  map[string]*DocumentSnapshot
 	started bool
@@ -70,7 +67,7 @@ func (q Query) Snapshots(ctx context.Context) (*QuerySnapshotIterator, error) {
 		return nil, err
 	}
 	c := q.c
-	it := &QuerySnapshotIterator{c: c, q: iq, byPath: map[string]*DocumentSnapshot{}, ready: make(chan struct{}, 1)}
+	it := &QuerySnapshotIterator{c: c, ready: make(chan struct{}, 1)}
 	// Registration holds c.mu: Listen puts the initial snapshot on the
 	// connection before it returns the target, and the demultiplexer
 	// must not look that target up until it is in iters.
@@ -190,84 +187,55 @@ func (it *QuerySnapshotIterator) Stop() {
 	it.push(frontend.SnapshotEvent{}, true)
 }
 
-// put places s in the ordered view, replacing the document's previous
-// snapshot if it had one, by binary search on the query's order; drop
-// removes a document and reports whether it was there.
-func (it *QuerySnapshotIterator) put(path string, s *DocumentSnapshot) {
-	it.drop(path)
-	i, _ := slices.BinarySearchFunc(it.docs, s, it.compare)
-	it.docs = slices.Insert(it.docs, i, s)
-	it.byPath[path] = s
-}
-
-func (it *QuerySnapshotIterator) drop(path string) bool {
-	old, ok := it.byPath[path]
-	if ok {
-		i, _ := slices.BinarySearchFunc(it.docs, old, it.compare)
-		it.docs = slices.Delete(it.docs, i, i+1)
-		delete(it.byPath, path)
-	}
-	return ok
-}
-
-func (it *QuerySnapshotIterator) compare(a, b *DocumentSnapshot) int {
-	return compareSnapshots(it.q, a, b)
-}
-
 // apply folds one event into the view and packages the result set with
-// the delta, or returns nil when nothing this iterator shows changed. An
-// Initial event — a listener's first, or the server's rebuild of the
-// query after a reset or a dropped delta — is a delta whose removals are
-// implied: it lists the whole result set, and whatever else the view
-// held goes. Only the first snapshot is returned without a change, so a
-// rebuild that changed nothing stays invisible.
+// the delta, or returns nil when nothing this iterator shows changed.
+// The server orders the view: an Initial's documents go in its order, a
+// delta's at their positions (ev.At), and those a delta leaves alone
+// keep their order in the places left. An Initial — a listener's first,
+// or a rebuild after a reset or a dropped delta — lists the whole result
+// set: what else the view held goes, and a document at the update time
+// the view holds is no change, so a rebuild that changed nothing stays
+// invisible (only the first snapshot is returned without a change).
 func (it *QuerySnapshotIterator) apply(ev frontend.SnapshotEvent) *QuerySnapshot {
-	var changes []DocumentChange
-	var listed map[string]bool
+	old, was := it.docs, it.byPath
+	size := len(old) + len(ev.Added) - len(ev.Removed)
 	if ev.Initial {
-		listed = make(map[string]bool, len(ev.Added))
+		size, it.byPath = len(ev.Added), make(map[string]*DocumentSnapshot, len(ev.Added))
 	}
-	upsert := func(docs []*doc.Document) {
-		for _, d := range docs {
-			path := d.Name.String()
-			s := resultSnapshot(it.c, d, ev.TS)
-			was, had := it.byPath[path]
-			it.put(path, s)
-			switch {
-			case !had:
-				changes = append(changes, DocumentChange{Kind: DocumentAdded, Doc: s})
-			case !ev.Initial || was.updateTS != s.updateTS:
-				changes = append(changes, DocumentChange{Kind: DocumentModified, Doc: s})
-			}
-			if ev.Initial {
-				listed[path] = true
-			}
+	it.docs = make([]*DocumentSnapshot, size)
+	var changes []DocumentChange
+	for i, d := range slices.Concat(ev.Added, ev.Modified) {
+		s, path := resultSnapshot(it.c, d, ev.TS), d.Name.String()
+		switch prev, had := was[path]; {
+		case !had:
+			changes = append(changes, DocumentChange{Kind: DocumentAdded, Doc: s})
+		case !ev.Initial || prev.updateTS != s.updateTS:
+			changes = append(changes, DocumentChange{Kind: DocumentModified, Doc: s})
 		}
-	}
-	upsert(ev.Added)
-	upsert(ev.Modified)
-	remove := func(n doc.Name) {
-		if it.drop(n.String()) {
-			changes = append(changes, DocumentChange{
-				Kind: DocumentRemoved,
-				Doc:  &DocumentSnapshot{Ref: &DocumentRef{c: it.c, name: n}},
-			})
+		if !ev.Initial {
+			i = int(ev.At[i]) // an Initial's index is its place
 		}
+		it.docs[i], it.byPath[path] = s, s
 	}
 	for _, n := range ev.Removed {
-		remove(n)
+		delete(it.byPath, n.String())
 	}
-	if ev.Initial {
-		for path, was := range it.byPath {
-			if !listed[path] {
-				remove(was.Ref.name)
+	next := 0
+	for _, s := range old {
+		switch cur, ok := it.byPath[s.Ref.Path()]; {
+		case !ok:
+			changes = append(changes, DocumentChange{Kind: DocumentRemoved, Doc: &DocumentSnapshot{Ref: s.Ref}})
+		case cur == s: // left alone by a delta
+			for it.docs[next] != nil {
+				next++
 			}
+			it.docs[next] = s
 		}
 	}
 	if len(changes) == 0 && it.started {
 		return nil
 	}
 	it.started = true
-	// Docs is a copy: the view keeps changing.
+	// Docs is a copy: the application may reorder it.
 	return &QuerySnapshot{Docs: slices.Clone(it.docs), Changes: changes, ReadTime: int64(ev.TS)}
 }

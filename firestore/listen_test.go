@@ -90,16 +90,13 @@ func TestListenersShareOneConnection(t *testing.T) {
 }
 
 // TestListenerViewStaysOrdered drives an iterator's view with random
-// deltas and checks it, after each, against a from-scratch evaluation of
-// the same documents.
+// deltas, each listing its documents in map order and placing them with
+// positions taken from a from-scratch evaluation of the same documents,
+// and checks the view against that evaluation after each.
 func TestListenerViewStaysOrdered(t *testing.T) {
 	c := newClient(t)
 	q := c.Collection("items").OrderBy("rank", Desc).Limit(500)
-	iq, err := q.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := &QuerySnapshotIterator{c: c, q: iq, byPath: map[string]*DocumentSnapshot{}}
+	it := &QuerySnapshotIterator{c: c}
 	rng := rand.New(rand.NewSource(28))
 	model := map[string]*doc.Document{}
 	fresh := func(id int) *doc.Document {
@@ -112,7 +109,9 @@ func TestListenerViewStaysOrdered(t *testing.T) {
 		model[d.Name.String()] = d
 		return d
 	}
-	check := func(step int, snap *QuerySnapshot) {
+	// evaluate is the model's result in query order, as the server
+	// orders it.
+	evaluate := func() []*DocumentSnapshot {
 		t.Helper()
 		var all []*DocumentSnapshot
 		for _, d := range model {
@@ -122,16 +121,23 @@ func TestListenerViewStaysOrdered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return want
+	}
+	check := func(step int, snap *QuerySnapshot, want []*DocumentSnapshot) {
+		t.Helper()
 		if got, want := refs(snap.Docs), refs(want); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: view\n%v\nfrom scratch\n%v", step, got, want)
 		}
 	}
-	initial := frontend.SnapshotEvent{Initial: true}
 	for id := 0; id < 500; id++ {
-		initial.Added = append(initial.Added, fresh(id))
+		fresh(id)
 	}
-	rng.Shuffle(len(initial.Added), func(i, j int) { initial.Added[i], initial.Added[j] = initial.Added[j], initial.Added[i] })
-	check(0, it.apply(initial))
+	want := evaluate()
+	initial := frontend.SnapshotEvent{Initial: true}
+	for _, s := range want {
+		initial.Added = append(initial.Added, model[s.Ref.Path()])
+	}
+	check(0, it.apply(initial), want)
 	next := 500
 	for step := 1; step <= 200; step++ {
 		var ev frontend.SnapshotEvent
@@ -155,22 +161,21 @@ func TestListenerViewStaysOrdered(t *testing.T) {
 				next++
 			}
 		}
-		if snap := it.apply(ev); snap != nil {
-			check(step, snap)
+		want := evaluate()
+		for _, d := range slices.Concat(ev.Added, ev.Modified) {
+			ev.At = append(ev.At, int32(slices.IndexFunc(want, func(s *DocumentSnapshot) bool { return s.Ref.name == d.Name })))
 		}
+		check(step, it.apply(ev), want)
 	}
 }
 
 // TestRebuildThatChangesNothingIsSilent: the server rebuilds a query with
 // an Initial snapshot after a reset or a dropped delta. The application
-// sees the first Initial, and a later one only if it changed something.
+// sees the first Initial, and a later one only if it changed something
+// that the deltas before it had not.
 func TestRebuildThatChangesNothingIsSilent(t *testing.T) {
 	c := newClient(t)
-	iq, err := c.Collection("items").Query().build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := &QuerySnapshotIterator{c: c, q: iq, byPath: map[string]*DocumentSnapshot{}}
+	it := &QuerySnapshotIterator{c: c}
 	if snap := it.apply(frontend.SnapshotEvent{Initial: true, TS: 1}); snap == nil || len(snap.Docs) != 0 {
 		t.Fatalf("first, empty Initial = %+v, want an empty snapshot", snap)
 	}
@@ -179,12 +184,79 @@ func TestRebuildThatChangesNothingIsSilent(t *testing.T) {
 	if snap := it.apply(frontend.SnapshotEvent{Initial: true, TS: 3, Added: []*doc.Document{a, b}}); snap == nil || len(snap.Changes) != 2 {
 		t.Fatalf("Initial adding two = %+v", snap)
 	}
-	if snap := it.apply(frontend.SnapshotEvent{Initial: true, TS: 4, Added: []*doc.Document{b, a}}); snap != nil {
+	d := &doc.Document{Name: doc.MustName("/items/d"), UpdateTime: 4}
+	snap := it.apply(frontend.SnapshotEvent{TS: 4, Added: []*doc.Document{d}, At: []int32{1}})
+	if snap == nil || len(snap.Changes) != 1 || !reflect.DeepEqual(refs(snap.Docs), []string{"/items/a", "/items/d", "/items/b"}) {
+		t.Fatalf("a delta putting d at 1 = %+v", snap)
+	}
+	if snap := it.apply(frontend.SnapshotEvent{Initial: true, TS: 5, Added: []*doc.Document{a, d, b}}); snap != nil {
 		t.Fatalf("a rebuild that changed nothing raised %+v", snap)
 	}
-	snap := it.apply(frontend.SnapshotEvent{Initial: true, TS: 5, Added: []*doc.Document{b}})
-	if snap == nil || len(snap.Changes) != 1 || snap.Changes[0].Kind != DocumentRemoved || len(snap.Docs) != 1 {
+	snap = it.apply(frontend.SnapshotEvent{Initial: true, TS: 6, Added: []*doc.Document{d, b}})
+	if snap == nil || len(snap.Changes) != 1 || snap.Changes[0].Kind != DocumentRemoved || !reflect.DeepEqual(refs(snap.Docs), []string{"/items/d", "/items/b"}) {
 		t.Fatalf("a rebuild without a = %+v, want a removed", snap)
+	}
+}
+
+// TestListenerDocsMatchGetAll: a listener's Docs equal GetAll of the
+// same query after every event, in order and field for field, where a
+// projection drops the field the query orders by: after the initial
+// result, an insert into the middle and updates that move a document,
+// with and without a limit that evicts.
+func TestListenerDocsMatchGetAll(t *testing.T) {
+	c := newClient(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	type rated struct {
+		id     string
+		rating int
+	}
+	for _, tc := range []struct {
+		query  func(*CollectionRef) Query
+		writes []rated // each changes the result
+	}{
+		{func(cr *CollectionRef) Query { return cr.OrderBy("rating", Asc).Select("name") },
+			[]rated{{"d", 9}, {"a", 1}, {"b", 20}}},
+		{func(cr *CollectionRef) Query { return cr.OrderBy("rating", Desc).Limit(3).Select("name") },
+			[]rated{{"d", 9}, {"b", 11}, {"c", 10}, {"a", 1}}},
+	} {
+		notes := c.Collection(fmt.Sprint("notes", len(tc.writes)))
+		set := func(w rated) {
+			t.Helper()
+			if err := notes.Doc(w.id).Set(ctx, map[string]any{"name": w.id, "rating": w.rating}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, w := range []rated{{"a", 10}, {"b", 9}, {"c", 8}} {
+			set(w)
+		}
+		q := tc.query(notes)
+		it, err := q.Snapshots(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step <= len(tc.writes); step++ {
+			if step > 0 {
+				set(tc.writes[step-1])
+			}
+			snap, err := it.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := q.GetAll(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(refs(snap.Docs), refs(want)) {
+				t.Fatalf("step %d: listener %v, GetAll %v", step, refs(snap.Docs), refs(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(snap.Docs[i].Data(), want[i].Data()) {
+					t.Fatalf("step %d: listener has %v, GetAll %v", step, snap.Docs[i].Data(), want[i].Data())
+				}
+			}
+		}
+		it.Stop()
 	}
 }
 

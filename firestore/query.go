@@ -169,12 +169,6 @@ func (q Query) GetAll(ctx context.Context) ([]*DocumentSnapshot, error) {
 	return q.Documents(ctx).GetAll()
 }
 
-// compareSnapshots is the query's result order over snapshots: what
-// Evaluate sorts by and a listener's view is kept in.
-func compareSnapshots(iq *query.Query, a, b *DocumentSnapshot) int {
-	return iq.Compare(a.document(), b.document())
-}
-
 // Evaluate runs the query over docs instead of the service — the
 // matching documents in query order, after offset, limit and projection
 // — which is how an offline layer answers from its cache. Absent
@@ -190,7 +184,7 @@ func (q Query) Evaluate(docs []*DocumentSnapshot) ([]*DocumentSnapshot, error) {
 			out = append(out, s)
 		}
 	}
-	slices.SortFunc(out, func(a, b *DocumentSnapshot) int { return compareSnapshots(iq, a, b) })
+	slices.SortFunc(out, func(a, b *DocumentSnapshot) int { return iq.Compare(a.document(), b.document()) })
 	out = out[min(max(iq.Offset, 0), len(out)):]
 	if iq.Limit > 0 && len(out) > iq.Limit {
 		out = out[:iq.Limit]

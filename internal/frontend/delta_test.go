@@ -311,3 +311,126 @@ func TestSnapshotChangesInQueryOrder(t *testing.T) {
 		conn.StopListening(target)
 	}
 }
+
+// foldAt applies one event to a client's ordered view of its target
+// without comparing documents: an Initial snapshot replaces the view; a
+// delta drops every document it names and inserts each listed one at its
+// position, lowest position first.
+func foldAt(t *testing.T, view []*doc.Document, ev SnapshotEvent) []*doc.Document {
+	t.Helper()
+	if ev.Initial {
+		return slices.Clone(ev.Added)
+	}
+	listed := slices.Concat(ev.Added, ev.Modified)
+	if len(ev.At) != len(listed) {
+		t.Fatalf("delta lists %d documents and %d positions", len(listed), len(ev.At))
+	}
+	gone := map[doc.Name]bool{}
+	for _, n := range ev.Removed {
+		gone[n] = true
+	}
+	type placed struct {
+		at int32
+		d  *doc.Document
+	}
+	var put []placed
+	for i, d := range listed {
+		gone[d.Name] = true
+		put = append(put, placed{ev.At[i], d})
+	}
+	view = slices.DeleteFunc(slices.Clone(view), func(d *doc.Document) bool { return gone[d.Name] })
+	slices.SortFunc(put, func(a, b placed) int { return int(a.at - b.at) })
+	for _, p := range put {
+		if int(p.at) > len(view) {
+			t.Fatalf("position %d past a view of %d: %+v", p.at, len(view), ev)
+		}
+		view = slices.Insert(view, int(p.at), p.d)
+	}
+	return view
+}
+
+// TestPositionsFoldToQueryResult: a client that keeps each target as a
+// slice, folded by foldAt, holds after every event exactly what the query
+// returns at the event's timestamp, in the query's order and field for
+// field: over TestOrderedTargetMatchesReference's query shapes and a
+// projected limit target, with random sets, order-changing updates,
+// field-only modifies and deletes, several to a commit.
+func TestPositionsFoldToQueryResult(t *testing.T) {
+	e := newEnv(t)
+	conn := e.f.NewConn(e.dbID, priv)
+	defer conn.Close()
+	coll := doc.MustCollection("/scores")
+	queries := []*query.Query{
+		{Collection: coll, Orders: []query.Order{{Path: "rating", Dir: index.Descending}}},
+		{Collection: coll, Orders: []query.Order{{Path: "rating", Dir: index.Ascending}}, Limit: 4},
+		{Collection: coll, Predicates: []query.Predicate{{Path: "rating", Op: query.Ge, Value: doc.Int(4)}},
+			Orders: []query.Order{{Path: "rating", Dir: index.Descending}}, Limit: 3},
+		{Collection: coll},
+		{Collection: coll, Orders: []query.Order{{Path: "rating", Dir: index.Ascending}}, Limit: 3, Projection: []doc.FieldPath{"note"}},
+	}
+	targets := map[int64]*query.Query{}
+	views := map[int64][]*doc.Document{}
+	for _, q := range queries {
+		id, err := conn.Listen(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets[id] = q
+	}
+	atTS := func(q *query.Query, ts truetime.Timestamp) []*doc.Document {
+		t.Helper()
+		res, _, err := e.b.RunQuery(context.Background(), e.dbID, priv, q, nil, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Docs
+	}
+	same := func(id int64, ts truetime.Timestamp) bool {
+		return slices.EqualFunc(views[id], atTS(targets[id], ts), (*doc.Document).Equal)
+	}
+	consume := func(ev SnapshotEvent) {
+		t.Helper()
+		views[ev.TargetID] = foldAt(t, views[ev.TargetID], ev)
+		if !same(ev.TargetID, ev.TS) {
+			t.Fatalf("target %d at %d: view %s, query returns %s", ev.TargetID, ev.TS, names(views[ev.TargetID]), names(atTS(targets[ev.TargetID], ev.TS)))
+		}
+	}
+
+	rng := rand.New(rand.NewSource(56))
+	var last truetime.Timestamp
+	for step := 0; step < 120; step++ {
+		var ops []backend.WriteOp
+		for _, i := range rng.Perm(10)[:1+rng.Intn(3)] {
+			name := doc.MustName(fmt.Sprintf("/scores/d%d", i))
+			fields := map[string]doc.Value{"note": doc.Int(int64(step))}
+			switch k := rng.Intn(10); {
+			case k < 6: // a set that may move the document
+				fields["rating"] = doc.Int(int64(rng.Intn(8)))
+			case k < 8: // a set without the ordered field
+			default:
+				ops = append(ops, backend.WriteOp{Kind: backend.OpDelete, Name: name})
+				continue
+			}
+			ops = append(ops, backend.WriteOp{Kind: backend.OpSet, Name: name, Fields: fields})
+		}
+		ts, err := e.b.Commit(context.Background(), e.dbID, priv, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = ts
+		for len(conn.Events()) > 0 {
+			consume(<-conn.Events())
+		}
+	}
+	deadline := time.After(3 * time.Second)
+	for id := range targets {
+		for !same(id, last) {
+			select {
+			case ev := <-conn.Events():
+				consume(ev)
+			case <-deadline:
+				t.Fatalf("target %d view %s, want %s", id, names(views[id]), names(atTS(targets[id], last)))
+			}
+		}
+	}
+}

@@ -112,17 +112,23 @@ func (f *Frontend) ConnStats() []ConnInfo {
 
 // SnapshotEvent is one incremental snapshot delivered to the client: the
 // delta from the previous snapshot of the target query, at a consistent
-// timestamp (§III-C).
+// timestamp (§III-C). The server owns the result's order: a client keeps
+// its view as the events lay it out and compares no documents.
 type SnapshotEvent struct {
 	TargetID int64
 	TS       truetime.Timestamp
 	// Initial marks a snapshot of a built or rebuilt query: its Added
-	// holds the whole result set, in query order, and replaces whatever
-	// the client held for the target.
+	// holds the whole result set, in the target's order, and replaces
+	// whatever the client held for the target.
 	Initial  bool
 	Added    []*doc.Document
 	Modified []*doc.Document
 	Removed  []doc.Name
+	// At holds, for a delta, the index each document of Added and then
+	// of Modified takes in the target's new result: a client drops every
+	// document the delta names and puts each listed one at its index.
+	// Read it, never write it: it shares memory with other events'.
+	At []int32
 	// Err, when set, ends the target: its rebuild failed, and no event
 	// of the target follows.
 	Err error
@@ -163,6 +169,9 @@ type Conn struct {
 	// touched is applyLocked's scratch: the documents one window of a
 	// target changes, each with whether the client held it before.
 	touched []touch
+	// at is what is left of the slab deltas' positions are carved from;
+	// a carved range is never written again, so a consumer may keep it.
+	at []int32
 }
 
 type touch struct {
@@ -266,6 +275,12 @@ func (rq *rtQuery) put(key string, d *doc.Document) {
 		rq.ordered = slices.Insert(rq.ordered, i, d)
 		rq.results[key] = d
 	}
+}
+
+// position returns the index of member d in rq.ordered.
+func (rq *rtQuery) position(d *doc.Document) int32 {
+	i, _ := slices.BinarySearchFunc(rq.ordered, d, rq.q.Compare)
+	return int32(i)
 }
 
 // project restricts ds in place to the query's projection.
@@ -414,14 +429,15 @@ func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
 	for _, d := range docs {
 		rq.results[d.Name.String()] = d
 	}
+	slices.SortFunc(docs, rq.q.Compare)
 	rq.ordered = slices.Clone(docs)
-	slices.SortFunc(rq.ordered, rq.q.Compare)
 	rq.maxCommitVersion = readTS
 	rq.pending, rq.marks, rq.subscribed = nil, nil, false
 	rq.limited = limit > 0 && len(docs) == limit
 	rq.project(docs)
-	// The result in the order the query returned it, before rq can
-	// receive anything: no delta of rq precedes it on the connection.
+	// The result in the target's order, the one every later delta's
+	// positions refer to, before rq can receive anything: no delta of rq
+	// precedes it on the connection.
 	if !c.deliverLocked(SnapshotEvent{TargetID: rq.targetID, TS: readTS, Initial: true, Added: docs}) {
 		c.scheduleRebuild(rq)
 		c.mu.Unlock()
@@ -517,8 +533,9 @@ func (c *Conn) flushLocked() {
 }
 
 // applyLocked applies rq's pending updates with TS <= connTS and builds
-// the delta snapshot, if any (emit): Added and Modified in query order,
-// Removed in name order, and nothing else allocated. reset reports that
+// the delta snapshot, if any (emit): Added and Modified in query order
+// with their positions in rq.ordered, Removed in name order, and nothing
+// else allocated but a slab of positions now and then. reset reports that
 // the query needs a rebuild: a limited query lost a member or one fell
 // past its last place, or an update arrived late.
 func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (ev SnapshotEvent, emit, reset bool) {
@@ -600,10 +617,28 @@ func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (ev SnapshotE
 	slices.SortFunc(ev.Added, rq.q.Compare)
 	slices.SortFunc(ev.Modified, rq.q.Compare)
 	slices.SortFunc(ev.Removed, doc.Name.Compare)
+	ev.At = c.carveLocked(len(ev.Added) + len(ev.Modified))
+	for i, d := range ev.Added {
+		ev.At[i] = rq.position(d)
+	}
+	for i, d := range ev.Modified {
+		ev.At[len(ev.Added)+i] = rq.position(d)
+	}
 	rq.project(ev.Added)
 	rq.project(ev.Modified)
 	ev.TargetID, ev.TS = rq.targetID, connTS
 	return ev, true, false
+}
+
+// carveLocked returns n positions no event holds, from a slab of 512
+// allocated when the last is spent. Caller holds c.mu.
+func (c *Conn) carveLocked(n int) []int32 {
+	if len(c.at) < n {
+		c.at = make([]int32, max(n, 512))
+	}
+	at := c.at[:n:n]
+	c.at = c.at[n:]
+	return at
 }
 
 // OnReset implements rtcache.Subscriber: the range went out-of-sync, so

@@ -409,7 +409,8 @@ func (c *Client) attach(l *listener) {
 	l.detach = cancel
 	c.running++
 	c.mu.Unlock()
-	it, err := l.q.Snapshots(ctx)
+	// Whole documents: they go into the cache, and Evaluate projects.
+	it, err := l.q.Select().Snapshots(ctx)
 	if err != nil {
 		cancel()
 		c.exit()

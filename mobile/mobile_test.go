@@ -218,6 +218,39 @@ func TestOnSnapshotLocalThenServer(t *testing.T) {
 	rec.eventually(t, "the server update", func(s Snapshot) bool { return len(s.Docs) == 2 })
 }
 
+// TestProjectedListenerCachesWholeDocuments: a projected listener fills
+// the cache with whole documents and gets the server's result in query
+// order, so a later Get and a local query over the field the projection
+// drops still see it.
+func TestProjectedListenerCachesWholeDocuments(t *testing.T) {
+	e := newEnv(t, openRules)
+	ctx := context.Background()
+	for id, rating := range map[string]int{"a": 10, "b": 9, "c": 8} {
+		if err := e.admin.Doc("notes/"+id).Set(ctx, fields("name", id, "rating", rating)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.client.Get(ctx, "/notes/a"); err != nil {
+		t.Fatal(err)
+	}
+	var rec recorder
+	stop, err := e.client.OnSnapshot(e.fs.Collection("notes").OrderBy("rating", firestore.Asc).Select("name"), rec.add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	rec.eventually(t, "the server's result", func(s Snapshot) bool {
+		return !s.FromCache && paths(s) == "/notes/c /notes/b /notes/a"
+	})
+	if a, err := e.client.Get(ctx, "/notes/a"); err != nil || at(a, "rating") != int64(10) {
+		t.Fatalf("cached a = %v, %v; want its rating kept", a.Data(), err)
+	}
+	snap, err := e.client.Query(e.fs.Collection("notes").Where("rating", ">=", 9))
+	if err != nil || len(snap.Docs) != 2 {
+		t.Fatalf("local rating >= 9 = %s, %v; want a and b", paths(snap), err)
+	}
+}
+
 func TestOnSnapshotOfflineServesCache(t *testing.T) {
 	e := newEnv(t, openRules)
 	e.client.Set("/notes/1", fields("n", 1))
