@@ -1,9 +1,9 @@
 // Package frontend implements Firestore's Frontend tasks (§IV-D4): they
 // hold the long-lived client connections over which real-time queries are
 // registered, obtain each query's initial snapshot from a Backend,
-// subscribe to the Query Matcher tasks covering the query's result set,
-// and assemble the per-range update streams and watermarks into
-// consistent, timestamped incremental snapshots. Queries multiplexed on
+// subscribe it to the Query Matcher range that owns its collection, and
+// turn that range's update stream and watermarks into consistent,
+// timestamped incremental snapshots. Queries multiplexed on
 // one connection advance to a timestamp t only once every query on the
 // connection can reach t, so an end-user never sees mutually inconsistent
 // result sets.
@@ -222,10 +222,10 @@ type rtQuery struct {
 	maxCommitVersion truetime.Timestamp
 	// pending buffers matched updates until the watermark passes them.
 	pending []rtcache.Update
-	// marks holds the watermark of each range subscribed (one today);
-	// until Subscribe returns none counts, and an unlisted range is added.
-	marks      []rangeMark
-	subscribed bool
+	// mark is the watermark of the range the query is subscribed to. Its
+	// first one queues behind the subscription's replay, so it counts as
+	// soon as it arrives, even before Subscribe has returned.
+	mark truetime.Timestamp
 	// limited remembers whether the result filled the limit, at its build
 	// or by an eviction since; then a member that leaves or falls past the
 	// last place needs a rebuild (the matcher cannot know its replacement).
@@ -235,32 +235,7 @@ type rtQuery struct {
 // resolved returns the timestamp up to which this query has certainly
 // seen every update.
 func (rq *rtQuery) resolved() truetime.Timestamp {
-	if !rq.subscribed || len(rq.marks) == 0 {
-		return rq.maxCommitVersion
-	}
-	low := truetime.Max
-	for _, m := range rq.marks {
-		low = min(low, m.ts)
-	}
-	return max(low, rq.maxCommitVersion)
-}
-
-type rangeMark struct {
-	id int
-	ts truetime.Timestamp
-}
-
-// raise records that range rangeID has delivered everything up to ts.
-func (rq *rtQuery) raise(rangeID int, ts truetime.Timestamp) {
-	for i := range rq.marks {
-		if rq.marks[i].id == rangeID {
-			rq.marks[i].ts = max(rq.marks[i].ts, ts)
-			return
-		}
-	}
-	if !rq.subscribed {
-		rq.marks = append(rq.marks, rangeMark{id: rangeID, ts: ts})
-	}
+	return max(rq.mark, rq.maxCommitVersion)
 }
 
 // put makes d (nil: none) the version of document key, in query order.
@@ -391,7 +366,7 @@ func (c *Conn) deliverLocked(ev SnapshotEvent) bool {
 
 // build (re)builds rq from scratch: it runs rq's query on a Backend,
 // replaces rq's state with the result, delivers that result as one
-// Initial snapshot (step 3) and subscribes rq to the Query Matcher ranges
+// Initial snapshot (step 3) and subscribes rq to the Query Matcher range
 // at the query's read timestamp (step 4). Listen builds a target; a range
 // reset, a late update, a limit query losing a member and a dropped
 // event all rebuild it (scheduleRebuild). A result of more than one page
@@ -432,7 +407,7 @@ func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
 	slices.SortFunc(docs, rq.q.Compare)
 	rq.ordered = slices.Clone(docs)
 	rq.maxCommitVersion = readTS
-	rq.pending, rq.marks, rq.subscribed = nil, nil, false
+	rq.pending, rq.mark = nil, 0
 	rq.limited = limit > 0 && len(docs) == limit
 	rq.project(docs)
 	// The result in the target's order, the one every later delta's
@@ -448,16 +423,9 @@ func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
 	c.holders = 0
 	c.mu.Unlock()
 
-	_, rangeIDs := c.f.cache.Subscribe(c, c.dbID, rq.q, readTS, subID)
+	c.f.cache.Subscribe(c, c.dbID, rq.q, readTS, subID)
 	c.mu.Lock()
 	live := c.queries[subID] == rq
-	if live {
-		for _, rid := range rangeIDs {
-			rq.raise(rid, 0) // lists the range, keeping a watermark that came first
-		}
-		rq.subscribed = true
-		c.holders = 0
-	}
 	c.mu.Unlock()
 	if !live {
 		// Stopped, closed or reset while subscribing: whoever removed rq
@@ -486,7 +454,7 @@ func (c *Conn) OnWatermark(rangeID int, subID int64, ts truetime.Timestamp) {
 		return
 	}
 	was := rq.resolved()
-	rq.raise(rangeID, ts)
+	rq.mark = max(rq.mark, ts)
 	if c.holders > 0 {
 		// The last scan is still valid: connTS moves only once every
 		// query that sat on it has advanced.
@@ -539,13 +507,11 @@ func (c *Conn) flushLocked() {
 // the query needs a rebuild: a limited query lost a member or one fell
 // past its last place, or an update arrived late.
 func (c *Conn) applyLocked(rq *rtQuery, connTS truetime.Timestamp) (ev SnapshotEvent, emit, reset bool) {
-	// Pending updates can arrive out of timestamp order even though each
+	// Pending updates can arrive out of timestamp order even though the
 	// range delivers in the order its lock produced them: Accepts of
-	// concurrent writes reach a range in Accept order, not commit order
-	// (only the watermark promises "everything at or below has been
-	// sent"), and a query spanning several ranges interleaves their
-	// streams. Apply in commit order or an older delete could clobber a
-	// newer set.
+	// concurrent writes reach it in Accept order, not commit order (only
+	// the watermark promises "everything at or below has been sent").
+	// Apply in commit order or an older delete could clobber a newer set.
 	slices.SortStableFunc(rq.pending, func(a, b rtcache.Update) int { return cmp.Compare(a.TS, b.TS) })
 	// touched records each touched document's membership at the window
 	// start so the snapshot carries the NET change per document: a

@@ -494,15 +494,14 @@ func TestIdleHeartbeatIsFlat(t *testing.T) {
 		}
 	}
 	type sub struct {
-		rq      *rtQuery
-		rangeID int
-		subID   int64
+		rq    *rtQuery
+		subID int64
 	}
 	var subs []sub
 	var ts truetime.Timestamp
 	conn.mu.Lock()
 	for id, rq := range conn.queries {
-		subs = append(subs, sub{rq, rq.marks[0].id, id})
+		subs = append(subs, sub{rq, id})
 		ts = max(ts, rq.maxCommitVersion)
 	}
 	conn.mu.Unlock()
@@ -515,7 +514,7 @@ func TestIdleHeartbeatIsFlat(t *testing.T) {
 	tick := func() {
 		ts += 1000
 		for _, s := range subs {
-			conn.OnWatermark(s.rangeID, s.subID, ts)
+			conn.OnWatermark(0, s.subID, ts)
 		}
 	}
 	tick() // the first scan counts the holders
@@ -527,7 +526,7 @@ func TestIdleHeartbeatIsFlat(t *testing.T) {
 	before := ts
 	ts += 1000
 	for _, s := range subs[:listeners-1] {
-		conn.OnWatermark(s.rangeID, s.subID, ts)
+		conn.OnWatermark(0, s.subID, ts)
 	}
 	for _, s := range subs {
 		if got := version(s); got != before {
@@ -535,7 +534,7 @@ func TestIdleHeartbeatIsFlat(t *testing.T) {
 		}
 	}
 	last := subs[listeners-1]
-	conn.OnWatermark(last.rangeID, last.subID, ts)
+	conn.OnWatermark(0, last.subID, ts)
 	for _, s := range subs {
 		if got := version(s); got != ts {
 			t.Fatalf("query at %d after the tick, want %d", got, ts)

@@ -17,13 +17,12 @@ import (
 	"firestore/internal/truetime"
 )
 
-// subscription returns the subscription ID and first range of target's
-// query.
+// subscription returns the subscription ID of target's query and a range
+// ID to deliver its events as; the connection reads only the former.
 func subscription(c *Conn, target int64) (int64, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rq := c.targets[target]
-	return rq.subID, rq.marks[0].id
+	return c.targets[target].subID, 0
 }
 
 // TestEveryRebuildDeliversOneInitial: whatever makes the connection give
@@ -144,54 +143,55 @@ func TestFailedRebuildEndsTheTarget(t *testing.T) {
 	}
 }
 
-// TestEventsLeaveInStateOrder: four ranges of one query advance their
-// watermarks concurrently, each flush applying what all have covered.
-// The deltas must reach the client in the order they were applied: one
-// that leaves the connection before an older one would have the client
-// regress a document.
+// TestEventsLeaveInStateOrder: four targets on one connection advance
+// their watermarks concurrently, each flush applying what all have
+// covered. The deltas must reach the client in the order they were
+// applied: one that leaves the connection before an older one would have
+// the client regress a document. So each target's events rise strictly,
+// and the connection's never fall.
 func TestEventsLeaveInStateOrder(t *testing.T) {
 	e := newEnvWithHeartbeat(t, time.Hour)
 	conn := e.f.NewConn(e.dbID, priv)
 	defer conn.Close()
-	target, err := conn.Listen(context.Background(), &query.Query{Collection: doc.MustCollection("/items")})
-	if err != nil {
-		t.Fatal(err)
+	const targets = 4
+	var subs [targets]int64
+	var ids [targets]int64
+	var base truetime.Timestamp
+	for g := range targets {
+		target, err := conn.Listen(context.Background(), &query.Query{Collection: doc.MustCollection(fmt.Sprintf("/items%d", g))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nextEvent(t, conn, target)
+		ids[g] = target
+		subs[g], _ = subscription(conn, target)
+		conn.mu.Lock()
+		base = max(base, conn.targets[target].maxCommitVersion)
+		conn.mu.Unlock()
 	}
-	nextEvent(t, conn, target)
-	// Made-up ranges stand in for the query's: only they resolve it.
-	ranges := []int{1000, 1001, 1002, 1003}
-	sub, _ := subscription(conn, target)
-	conn.mu.Lock()
-	rq := conn.targets[target]
-	rq.marks = nil
-	for _, rid := range ranges {
-		rq.marks = append(rq.marks, rangeMark{id: rid})
-	}
-	base := rq.maxCommitVersion
-	conn.mu.Unlock()
 
 	const rounds = 2000
 	var order []truetime.Timestamp
+	perTarget := map[int64][]truetime.Timestamp{}
 	consumed := make(chan struct{})
 	go func() {
 		defer close(consumed)
 		for ev := range conn.Events() {
-			if ev.TargetID == target {
-				order = append(order, ev.TS)
-			}
+			order = append(order, ev.TS)
+			perTarget[ev.TargetID] = append(perTarget[ev.TargetID], ev.TS)
 		}
 	}()
 	var wg sync.WaitGroup
-	for g, rid := range ranges {
+	for g, sub := range subs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			name := doc.MustName(fmt.Sprintf("/items/d%d", g))
+			name := doc.MustName(fmt.Sprintf("/items%d/d", g))
 			for i := 1; i <= rounds; i++ {
-				ts := base + truetime.Timestamp(len(ranges)*i+g)
+				ts := base + truetime.Timestamp(targets*i+g)
 				d := &doc.Document{Name: name, Fields: map[string]doc.Value{"i": doc.Int(int64(i))}, UpdateTime: ts}
-				conn.OnUpdate(rid, sub, rtcache.Update{TS: ts, Name: name, New: d, Matches: true})
-				conn.OnWatermark(rid, sub, ts)
+				conn.OnUpdate(0, sub, rtcache.Update{TS: ts, Name: name, New: d, Matches: true})
+				conn.OnWatermark(0, sub, ts)
 				for len(conn.Events()) > eventBuffer/2 {
 					time.Sleep(10 * time.Microsecond)
 				}
@@ -205,8 +205,19 @@ func TestEventsLeaveInStateOrder(t *testing.T) {
 		t.Fatalf("%d events dropped: the run did not test ordering", n)
 	}
 	for i := 1; i < len(order); i++ {
-		if order[i] <= order[i-1] {
+		if order[i] < order[i-1] {
 			t.Fatalf("event %d of %d at %d follows one at %d", i, len(order), order[i], order[i-1])
+		}
+	}
+	for _, id := range ids {
+		tss := perTarget[id]
+		if len(tss) < 2 {
+			t.Fatalf("target %d got %d deltas, want many", id, len(tss))
+		}
+		for i := 1; i < len(tss); i++ {
+			if tss[i] <= tss[i-1] {
+				t.Fatalf("target %d: event %d of %d at %d follows one at %d", id, i, len(tss), tss[i], tss[i-1])
+			}
 		}
 	}
 }

@@ -512,33 +512,35 @@ func (c *Cache) ReserveSub() int64 {
 	return c.nextSub
 }
 
-// Subscribe registers q for matching on the ranges covering database db's
-// query collection, delivering only updates after afterTS (§IV-D4 step
-// 4). reserved, when non-zero, is an ID from ReserveSub; zero allocates
-// one. It returns the subscription ID and the covered range IDs.
+// Subscribe registers q for matching on the range that owns database
+// db's query collection, delivering only updates after afterTS (§IV-D4
+// step 4). reserved, when non-zero, is an ID from ReserveSub; zero
+// allocates one. It returns the subscription ID and the range's ID. The
+// range is found and locked under c.mu, so a split either reassigns the
+// collection before the lookup or resets the registration after it.
 func (c *Cache) Subscribe(sub Subscriber, db string, q *query.Query, afterTS truetime.Timestamp, reserved int64) (int64, []int) {
 	subID := reserved
 	if subID == 0 {
 		subID = c.ReserveSub()
 	}
-	rangeIDs := c.RangesForCollection(db, q.Collection)
-	for _, rid := range rangeIDs {
-		c.mu.Lock()
-		r := c.ranges[rid]
-		c.mu.Unlock()
-		r.subscribe(&subscription{subID: subID, sub: sub, db: db, afterTS: afterTS, q: q})
-	}
-	return subID, rangeIDs
+	c.mu.Lock()
+	r := c.ownerLocked(db, q.Collection.First())
+	r.mu.Lock()
+	c.mu.Unlock()
+	r.subscribeLocked(&subscription{subID: subID, sub: sub, db: db, afterTS: afterTS, q: q})
+	batch := r.startDrainLocked()
+	r.mu.Unlock()
+	r.drain(batch)
+	return subID, []int{r.id}
 }
 
-// subscribe registers s and queues, in one critical section, what it
-// missed: updates after s.afterTS may already have been forwarded before
-// this registration, so they are replayed from the in-memory changelog,
-// followed by the current watermark. If the log no longer reaches back
-// to afterTS the subscription cannot be served completely and is reset
-// instead (the frontend requeries at a fresher timestamp).
-func (r *nameRange) subscribe(s *subscription) {
-	r.mu.Lock()
+// subscribeLocked registers s and queues, in one critical section, what
+// it missed: updates after s.afterTS may already have been forwarded
+// before this registration, so they are replayed from the in-memory
+// changelog, followed by the current watermark. If the log no longer
+// reaches back to afterTS the subscription cannot be served completely
+// and is reset instead (the frontend requeries at a fresher timestamp).
+func (r *nameRange) subscribeLocked(s *subscription) {
 	if s.afterTS < r.trimmedBefore {
 		r.outbox = append(r.outbox, event{kind: evReset, sub: s.sub, subID: s.subID})
 	} else {
@@ -557,9 +559,6 @@ func (r *nameRange) subscribe(s *subscription) {
 			r.queueWatermarkLocked(s)
 		}
 	}
-	batch := r.startDrainLocked()
-	r.mu.Unlock()
-	r.drain(batch)
 }
 
 // Unsubscribe removes a subscription from every range. Events already

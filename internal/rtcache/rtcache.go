@@ -230,21 +230,15 @@ func slotOf(db, topCollection string) int {
 	return int(h % slots)
 }
 
-// RangesForCollection returns the IDs of ranges that may own documents of
-// a database's collection. Documents directly inside one collection share
-// their top-level segment, so this is a single range.
-func (c *Cache) RangesForCollection(db string, coll doc.CollectionPath) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return []int{c.ownerLocked(db, coll.First()).id}
-}
-
 // splitHotRange rebalances load once: the range with the most
 // subscriptions (above threshold) that owns at least two slots hands half
-// of its slots to a newly created range. Affected subscribers are reset —
-// the same fail-safe path used for out-of-sync ranges — and land on the
-// new assignment when they resubscribe, exactly how ownership changes
-// surface in the paper's design. It reports whether a split happened.
+// of its slots to a newly created range. The hot range is reset before
+// any slot moves — the same fail-safe path used for out-of-sync ranges —
+// so its subscribers land on the new assignment when they resubscribe,
+// exactly how ownership changes surface in the paper's design. The new
+// range takes the hot range's raised trim horizon: it never saw the
+// history below it, so a subscription from there resets rather than miss
+// a write the old owner took. It reports whether a split happened.
 func (c *Cache) splitHotRange(threshold int) bool {
 	c.mu.Lock()
 	// Pick the hottest eligible range.
@@ -270,6 +264,11 @@ func (c *Cache) splitHotRange(threshold int) bool {
 		return false
 	}
 	fresh := newNameRange(len(c.ranges), c.met, c.kv)
+	hot.mu.Lock()
+	hot.markOutOfSyncLocked()
+	fresh.trimmedBefore = hot.trimmedBefore
+	batch := hot.startDrainLocked()
+	hot.mu.Unlock()
 	c.ranges = append(c.ranges, fresh)
 	owned := slotsOf[hot.id]
 	for _, slot := range owned[:len(owned)/2] {
@@ -286,10 +285,7 @@ func (c *Cache) splitHotRange(threshold int) bool {
 		HeatAfter:  int64(hotSubs) / 2,
 		Detail:     fmt.Sprintf("%d of %d slots reassigned", len(owned)/2, len(owned)),
 	})
-	// The old range's subscriptions may now span reassigned slots; reset
-	// them all (fast requery) so they re-subscribe under the new
-	// ownership.
-	hot.markOutOfSync()
+	hot.drain(batch)
 	return true
 }
 

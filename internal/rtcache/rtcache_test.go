@@ -269,8 +269,8 @@ func TestHeartbeatAdvancesIdleRange(t *testing.T) {
 	c := testCache(t)
 	rec := newRecorder()
 	q := ratingsQuery()
-	rid := c.RangesForCollection("db1", q.Collection)[0]
-	c.Subscribe(rec, "db1", q, 0, 0)
+	_, rids := c.Subscribe(rec, "db1", q, 0, 0)
+	rid := rids[0]
 	waitFor(t, "idle heartbeat watermark", func() bool { return rec.watermark(rid) > 0 })
 	w1 := rec.watermark(rid)
 	waitFor(t, "watermark still advancing", func() bool { return rec.watermark(rid) > w1 })

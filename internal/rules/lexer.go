@@ -8,6 +8,7 @@ package rules
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -120,21 +121,23 @@ func (l *lexer) lexString(quote byte) error {
 			l.emit(tokString, b.String())
 			return nil
 		case '\\':
-			l.pos++
-			if l.pos >= len(l.src) {
-				return fmt.Errorf("rules: dangling escape at line %d", l.line)
+			// Go's escapes, which the printer writes (strconv.Quote), and
+			// either quote escaped in either kind of string.
+			if l.peek(1) == '\'' || l.peek(1) == '"' {
+				b.WriteByte(l.peek(1))
+				l.pos += 2
+				continue
 			}
-			switch e := l.src[l.pos]; e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case '\\', '"', '\'':
-				b.WriteByte(e)
-			default:
-				return fmt.Errorf("rules: unknown escape \\%c at line %d", e, l.line)
+			v, multibyte, tail, err := strconv.UnquoteChar(l.src[l.pos:], quote)
+			if err != nil {
+				return fmt.Errorf("rules: bad escape at line %d", l.line)
 			}
-			l.pos++
+			if multibyte {
+				b.WriteRune(v)
+			} else {
+				b.WriteByte(byte(v))
+			}
+			l.pos = len(l.src) - len(tail)
 		case '\n':
 			return fmt.Errorf("rules: unterminated string at line %d", startLine)
 		default:

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"firestore/internal/status"
@@ -683,7 +684,14 @@ func writeExpr(b *strings.Builder, e Expr) {
 		case nil:
 			b.WriteString("null")
 		case string:
-			fmt.Fprintf(b, "%q", v)
+			b.WriteString(strconv.Quote(v))
+		case float64:
+			// Positional digits with a point, as the lexer reads a float.
+			f := strconv.FormatFloat(v, 'f', -1, 64)
+			if !strings.Contains(f, ".") {
+				f += ".0"
+			}
+			b.WriteString(f)
 		default:
 			fmt.Fprintf(b, "%v", v)
 		}
@@ -731,7 +739,7 @@ func writeExpr(b *strings.Builder, e Expr) {
 		for _, part := range x.Parts {
 			b.WriteString("/")
 			if lit, ok := part.(*LitExpr); ok {
-				if s, ok := lit.Value.(string); ok {
+				if s, ok := lit.Value.(string); ok && isPathWord(s) {
 					b.WriteString(s)
 					continue
 				}
@@ -741,6 +749,13 @@ func writeExpr(b *strings.Builder, e Expr) {
 			b.WriteString(")")
 		}
 	}
+}
+
+// isPathWord reports whether s lexes as one path segment token: an
+// identifier or an integer.
+func isPathWord(s string) bool {
+	toks, err := lex(s)
+	return err == nil && len(toks) == 2 && toks[0].text == s && (toks[0].kind == tokIdent || toks[0].kind == tokInt)
 }
 
 func binOpText(op string) string {

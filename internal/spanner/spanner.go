@@ -131,8 +131,8 @@ type DB struct {
 	// registry — kept as atomics so that no operation takes mu to say it
 	// happened.
 	stats struct {
-		commits, aborts, splits, merges, reads, scans atomic.Int64
-		lockTimeout, recoveries, rollForwards         atomic.Int64
+		commits, aborts, splits, merges, reads, scans    atomic.Int64
+		snapWaits, lockTimeout, recoveries, rollForwards atomic.Int64
 	}
 }
 
@@ -341,8 +341,8 @@ func (db *DB) Stats() Stats {
 		Commits: s.commits.Load(), Aborts: s.aborts.Load(),
 		Splits: s.splits.Load(), Merges: s.merges.Load(),
 		Reads: s.reads.Load(), Scans: s.scans.Load(),
-		LockTimeout: s.lockTimeout.Load(), Recoveries: s.recoveries.Load(),
-		RollForwards: s.rollForwards.Load(),
+		SnapWaits: s.snapWaits.Load(), LockTimeout: s.lockTimeout.Load(),
+		Recoveries: s.recoveries.Load(), RollForwards: s.rollForwards.Load(),
 	}
 }
 
@@ -484,12 +484,18 @@ func (db *DB) SnapshotGet(ctx context.Context, key []byte, ts truetime.Timestamp
 		db.sampleFault(key)
 		return nil, 0, false, err
 	}
+	counted := false
 	for {
 		t := db.tabletFor(key)
 		if t == nil {
 			return nil, 0, false, ErrClosed
 		}
-		if err := t.waitSafe(ctx, ts, func(txn *Txn) bool { return txn.writesKey(key) }); err != nil {
+		waited, err := t.waitSafe(ctx, ts, func(txn *Txn) bool { return txn.writesKey(key) })
+		if waited && !counted {
+			counted = true
+			db.stats.snapWaits.Add(1)
+		}
+		if err != nil {
 			return nil, 0, false, err
 		}
 		t.recordOp(1, keyviz.OpRead)
@@ -555,6 +561,7 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 	db.stats.scans.Add(1)
 	lo, hi := begin, end
 	var buf [4]*tablet
+	counted := false
 	for {
 		tablets := db.tabletsInRange(buf[:0], lo, hi)
 		if reverse {
@@ -563,7 +570,12 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 		var last []byte
 		restart := false
 		for _, t := range tablets {
-			if err := t.waitSafe(ctx, ts, func(txn *Txn) bool { return txn.writesIn(lo, hi) }); err != nil {
+			waited, err := t.waitSafe(ctx, ts, func(txn *Txn) bool { return txn.writesIn(lo, hi) })
+			if waited && !counted {
+				counted = true
+				db.stats.snapWaits.Add(1)
+			}
+			if err != nil {
 				return err
 			}
 			t.recordOp(1, keyviz.OpScan)

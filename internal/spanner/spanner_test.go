@@ -720,6 +720,46 @@ func TestSafeTimeIsPerRangeForScans(t *testing.T) {
 	}
 }
 
+// TestSnapWaitsCounted: Stats.SnapWaits counts each snapshot read and
+// scan that waited behind a prepared commit, once, and no other read.
+func TestSnapWaitsCounted(t *testing.T) {
+	db := testDB(t)
+	ctx := context.Background()
+	key := []byte("k")
+	put(t, db, "k", "v0")
+	if _, _, _, err := db.SnapshotGet(ctx, key, db.StrongReadTimestamp()); err != nil {
+		t.Fatal(err)
+	}
+	for want, read := range []func(truetime.Timestamp) error{
+		func(ts truetime.Timestamp) error { _, _, _, err := db.SnapshotGet(ctx, key, ts); return err },
+		func(ts truetime.Timestamp) error {
+			return db.SnapshotScan(ctx, nil, nil, ts, false, func(ScanRow) bool { return true })
+		},
+	} {
+		if got := db.Stats().SnapWaits; got != int64(want) {
+			t.Fatalf("SnapWaits = %d before read %d, want %d", got, want, want)
+		}
+		txn := db.Begin()
+		txn.Put(key, []byte("v1"))
+		tab := db.tabletFor(key)
+		tab.prepare(txn, db.clock.Now().Earliest)
+		done := make(chan error, 1)
+		go func() { done <- read(db.StrongReadTimestamp()) }()
+		for blocked := false; !blocked; time.Sleep(time.Millisecond) {
+			tab.mu.Lock()
+			blocked = tab.finished != nil // the reader's wake channel
+			tab.mu.Unlock()
+		}
+		tab.finish(txn)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.Stats().SnapWaits; got != 2 {
+		t.Fatalf("SnapWaits = %d after a read and a scan waited, want 2", got)
+	}
+}
+
 func TestStatsCounters(t *testing.T) {
 	db := testDB(t)
 	put(t, db, "k", "v")

@@ -142,10 +142,10 @@ func (t *tablet) finish(txn *Txn) {
 // stable. writes says whether a prepared transaction writes inside the
 // read: its key for a point read, its range for a scan (the Spanner
 // paper's fine-grained safe time, §4.2.3; DESIGN.md "Safe time is per
-// key").
-func (t *tablet) waitSafe(ctx context.Context, ts truetime.Timestamp, writes func(*Txn) bool) error {
+// key"). It reports whether it blocked.
+func (t *tablet) waitSafe(ctx context.Context, ts truetime.Timestamp, writes func(*Txn) bool) (waited bool, err error) {
 	t.mu.Lock()
-	for {
+	for ; ; waited = true {
 		blocked := false
 		for txn, bound := range t.prepared {
 			if bound <= ts && writes(txn) {
@@ -155,7 +155,7 @@ func (t *tablet) waitSafe(ctx context.Context, ts truetime.Timestamp, writes fun
 		}
 		if !blocked {
 			t.mu.Unlock()
-			return nil
+			return waited, nil
 		}
 		if t.finished == nil {
 			t.finished = make(chan struct{})
@@ -165,7 +165,7 @@ func (t *tablet) waitSafe(ctx context.Context, ts truetime.Timestamp, writes fun
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return ctx.Err()
+			return true, ctx.Err()
 		}
 		t.mu.Lock()
 	}
