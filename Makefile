@@ -107,8 +107,9 @@ chaos:
 # Short fuzz passes over the decoders that read bytes from outside the
 # process: a transport frame, the binary engine-plane
 # bodies, a segment file, a WAL file, a tablet manifest, a stored document,
-# an index-key value, a mobile client's persisted state, rules source
-# (whose parse must also print back to itself). One pkg:Target
+# an index-key value, a mobile client's persisted state, a query's page
+# token, rules source (whose parse must also print back to itself), and
+# over rules evaluation, whose errors must deny. One pkg:Target
 # pair per decoder; pkg is under internal/ unless it is a top-level
 # package. FUZZTIME is each pass's length. Minimising is capped: the
 # default minute per interesting input, on a segment file of a few KB, is
@@ -117,7 +118,7 @@ FUZZTIME ?= 30s
 fuzz:
 	@for pair in transport:FuzzReadFrame cluster:FuzzEngineBodies storage:FuzzLoadSegment \
 		storage:FuzzReplayWAL storage:FuzzLoadManifest doc:FuzzUnmarshal encoding:FuzzDecodeValue mobile:FuzzImport \
-		rules:FuzzParse; do \
+		backend:FuzzPageToken rules:FuzzParse rules:FuzzEval; do \
 		echo "fuzz $$pair"; dir=./internal/$${pair%%:*}; [ -d $$dir ] || dir=./$${pair%%:*}; \
 		$(GO) test -run=$${pair#*:} -fuzz=$${pair#*:} -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s $$dir/ || exit 1; \
 	done

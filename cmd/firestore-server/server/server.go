@@ -490,23 +490,20 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	next := res.Resume
-	if q.Limit > 0 && len(res.Docs) >= q.Limit {
-		next = nil // the page holds the whole limit
-	}
-	writeJSON(w, QueryPage{Documents: documents(res.Docs), ReadTime: int64(readTS), Next: next})
+	writeJSON(w, QueryPage{Documents: documents(res.Docs), ReadTime: int64(readTS), Next: res.Resume})
 }
 
-// QueryPage answers a plain query; fsctl scan pages through it. A result
-// larger than one page (query.MaxResultSize documents) continues when the
-// same query is sent again with next as its pageToken; each page has its
-// own readTime. Each page of a query whose limit exceeds one page is
-// limited afresh: the client stops at the limit, as the SDK iterator does.
+// QueryPage answers a plain query. A result larger than one page
+// (query.MaxResultSize documents) continues when the same query is sent
+// again with next as its pageToken. The token carries the first page's
+// readTime, at which every page reads, and what remains of the limit: a
+// malformed or future token answers 400, and a token older than version
+// retention keeps (about a second) answers 424.
 type QueryPage struct {
 	Documents []Document `json:"documents"`
 	ReadTime  int64      `json:"readTime"`
 	// Next is the page token of the page after this one, absent when the
-	// query ran out.
+	// query ran out or reached its limit.
 	Next []byte `json:"next,omitempty"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"firestore/internal/backend"
 	"firestore/internal/core"
 	"firestore/internal/doc"
+	"firestore/internal/truetime"
 )
 
 func newServer(t *testing.T) *httptest.Server {
@@ -175,21 +177,52 @@ func TestQueryPagesOverHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var pages []QueryPage
-	for token := []byte(nil); len(pages) == 0 || token != nil && len(pages) < 3; {
-		resp, body := do(t, ts, "POST", "/v1/databases/app/query", map[string]any{"collection": "/items", "pageToken": token}, nil)
-		var page QueryPage
-		if err := json.Unmarshal(body, &page); resp.StatusCode != 200 || err != nil {
-			t.Fatalf("page %d: %d %s", len(pages), resp.StatusCode, body)
+	query := func(body map[string]any, token []byte) (*http.Response, []byte) {
+		body["pageToken"] = token
+		return do(t, ts, "POST", "/v1/databases/app/query", body, nil)
+	}
+	// follow pages through a query, three pages at most, and returns
+	// them with their sizes.
+	follow := func(body map[string]any) ([]QueryPage, string) {
+		var pages []QueryPage
+		var sizes []int
+		for token := []byte(nil); len(pages) == 0 || token != nil && len(pages) < 3; {
+			resp, raw := query(body, token)
+			var page QueryPage
+			if err := json.Unmarshal(raw, &page); resp.StatusCode != 200 || err != nil {
+				t.Fatalf("%v, page %d: %d %s", body, len(pages), resp.StatusCode, raw)
+			}
+			pages, token = append(pages, page), page.Next
+			sizes = append(sizes, len(page.Documents))
 		}
-		pages, token = append(pages, page), page.Next
+		return pages, fmt.Sprint(sizes)
 	}
-	var sizes []int
-	for _, p := range pages {
-		sizes = append(sizes, len(p.Documents))
-	}
-	if fmt.Sprint(sizes) != "[1000 500]" || pages[1].Documents[0].Name != "/items/1000" {
+	pages, sizes := follow(map[string]any{"collection": "/items"})
+	if sizes != "[1000 500]" || pages[1].Documents[0].Name != "/items/1000" {
 		t.Fatalf("pages of %v documents, want [1000 500] in name order", sizes)
+	}
+	if pages[0].ReadTime != pages[1].ReadTime {
+		t.Fatalf("pages read at %d and %d, want one readTime", pages[0].ReadTime, pages[1].ReadTime)
+	}
+	// The token carries what remains of the limit.
+	if limited, sizes := follow(map[string]any{"collection": "/items", "limit": 1200}); sizes != "[1000 200]" || limited[1].Next != nil {
+		t.Fatalf("limit 1200: pages of %v documents, next %q; want [1000 200] and no next", sizes, limited[1].Next)
+	}
+	// A token cut short, or one reading at a future timestamp (the token
+	// leads with its read timestamp, a uvarint), is malformed.
+	token := pages[0].Next
+	_, n := binary.Uvarint(token)
+	future := append(binary.AppendUvarint(nil, uint64(pages[0].ReadTime)+uint64(time.Hour)), token[n:]...)
+	for name, bad := range map[string][]byte{"truncated": token[:len(token)-1], "future": future} {
+		if resp, raw := query(map[string]any{"collection": "/items"}, bad); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s token: %d %s, want 400", name, resp.StatusCode, raw)
+		}
+	}
+	// Once TrueTime has moved on past version retention, the token's
+	// snapshot may have lost versions: the page is refused.
+	region.Clock.(truetime.Forwarder).Forward(region.Clock.Now().Latest.Add(2 * time.Second))
+	if resp, raw := query(map[string]any{"collection": "/items"}, token); resp.StatusCode != http.StatusFailedDependency {
+		t.Fatalf("token older than retention: %d %s, want 424", resp.StatusCode, raw)
 	}
 }
 

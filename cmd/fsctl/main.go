@@ -280,9 +280,12 @@ func (c *cli) advisor(args []string) error {
 // scan pages through an entire collection in name order, one JSON
 // document per line: each page is a limited query whose startAfter
 // cursor is the previous page's last document name, so arbitrarily
-// large collections stream in bounded requests. A page size above what
-// the server returns in one page (query.MaxResultSize) is clamped to it,
-// since a short page ends the scan.
+// large collections stream in bounded requests. Each page is its own
+// snapshot: a page token would pin the first page's, and version
+// retention keeps a snapshot readable for about a second, far less than
+// a large scan takes. A page size above what the server returns in one
+// page (query.MaxResultSize) is clamped to it, since a short page ends
+// the scan.
 func (c *cli) scan(args []string) error {
 	if len(args) < 1 || len(args) > 2 {
 		return fmt.Errorf("scan <collection> [pageSize]")

@@ -22,14 +22,13 @@ var ErrIteratorDone = errors.New("firestore: iterator done") //fslint:ignore sta
 // see the MaxResultSize page boundary. Callers must invoke Stop when done
 // iterating early; GetAll stops the iterator itself.
 type DocumentIterator struct {
-	c       *Client
-	ctx     context.Context
-	iq      *query.Query
-	err     error // sticky: build error, RPC error, or ErrIteratorDone
-	buf     []*DocumentSnapshot
-	resume  []byte
-	emitted int
-	noMore  bool // storage exhausted; buf may still hold docs
+	c      *Client
+	ctx    context.Context
+	iq     *query.Query
+	err    error // sticky: build error, RPC error, or ErrIteratorDone
+	buf    []*DocumentSnapshot
+	resume []byte
+	noMore bool // no page follows; buf may still hold docs
 }
 
 // Next returns the next result in query order. It returns ErrIteratorDone
@@ -40,7 +39,7 @@ func (it *DocumentIterator) Next() (*DocumentSnapshot, error) {
 		return nil, it.err
 	}
 	for len(it.buf) == 0 {
-		if it.noMore || (it.iq.Limit > 0 && it.emitted >= it.iq.Limit) {
+		if it.noMore {
 			it.err = ErrIteratorDone
 			return nil, it.err
 		}
@@ -51,7 +50,6 @@ func (it *DocumentIterator) Next() (*DocumentSnapshot, error) {
 	}
 	d := it.buf[0]
 	it.buf = it.buf[1:]
-	it.emitted++
 	return d, nil
 }
 
@@ -83,7 +81,9 @@ func (it *DocumentIterator) GetAll() ([]*DocumentSnapshot, error) {
 	}
 }
 
-// fetchPage pulls the next page from the region into buf.
+// fetchPage pulls the next page from the region into buf: the page the
+// last one's token names, at the snapshot and within the limit it
+// carries.
 func (it *DocumentIterator) fetchPage() error {
 	var res *query.Result
 	var readTS truetime.Timestamp

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 
+	"firestore/internal/backend"
+	"firestore/internal/doc"
 	"firestore/internal/status"
 )
 
@@ -50,6 +52,56 @@ func TestDocumentIteratorNext(t *testing.T) {
 	// The iterator is spent: Next keeps returning ErrIteratorDone.
 	if _, err := it.Next(); !errors.Is(err, ErrIteratorDone) {
 		t.Fatalf("Next after done = %v, want ErrIteratorDone", err)
+	}
+}
+
+// TestIteratorReadsOneSnapshot reads a 1 500-document ordered query, two
+// pages, and moves a document of the first page past it after the first
+// row: every row comes from the first page's snapshot, so the moved
+// document shows once, at its old place.
+func TestIteratorReadsOneSnapshot(t *testing.T) {
+	c := newClient(t)
+	ctx := context.Background()
+	const n = 1500
+	for lo := 0; lo < n; lo += 250 {
+		var ops []backend.WriteOp
+		for i := lo; i < lo+250; i++ {
+			ops = append(ops, backend.WriteOp{Kind: backend.OpSet, Name: doc.MustName(fmt.Sprintf("/nums/d%04d", i)), Fields: map[string]doc.Value{"i": doc.Int(int64(i))}})
+		}
+		if _, err := c.region.Backend.Commit(ctx, "app", backend.Principal{Privileged: true}, ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it := c.Collection("nums").OrderBy("i", Asc).Documents(ctx)
+	defer it.Stop()
+	first, err := it.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Collection("nums").Doc("d0500").Set(ctx, map[string]any{"i": 2 * n}); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{first.Ref.ID(): 1}
+	rows := 1
+	for {
+		d, err := it.Next()
+		if errors.Is(err, ErrIteratorDone) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.ReadTime.Equal(first.ReadTime) {
+			t.Fatalf("row %d (%s) read at %v, the first at %v", rows, d.Ref.ID(), d.ReadTime, first.ReadTime)
+		}
+		if v, _ := d.DataAt("i"); d.Ref.ID() == "d0500" && v != int64(500) {
+			t.Fatalf("moved document read as i=%v, want its first snapshot's 500", v)
+		}
+		seen[d.Ref.ID()]++
+		rows++
+	}
+	if rows != n || len(seen) != n || seen["d0500"] != 1 {
+		t.Fatalf("%d rows, %d distinct, the moved document %d times; want %d, %d, once", rows, len(seen), seen["d0500"], n, n)
 	}
 }
 

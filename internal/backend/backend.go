@@ -48,6 +48,9 @@ var (
 	ErrConflict = status.New(status.Aborted, "backend", "transaction conflict, retry")
 	// ErrUnavailable reports a Real-time Cache prepare failure.
 	ErrUnavailable = status.New(status.Unavailable, "backend", "real-time cache unavailable")
+	// ErrBelowHorizon reports a read at a timestamp that version
+	// retention may no longer cover (spanner.DB.ReadHorizon).
+	ErrBelowHorizon = status.New(status.FailedPrecondition, "backend", "read timestamp below the retention horizon")
 )
 
 // Principal identifies the caller. Server SDKs run privileged and bypass

@@ -41,7 +41,7 @@ func arm(t *testing.T, spec fault.Spec) {
 	t.Cleanup(func() { fault.Disable(spec.Site) })
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t testing.TB) *env {
 	t.Helper()
 	clock := truetime.NewSystem(10 * time.Microsecond)
 	sp := spanner.New(spanner.Config{Clock: clock, LockTimeout: 300 * time.Millisecond})

@@ -2,8 +2,10 @@ package backend
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"firestore/internal/query"
 	"firestore/internal/rules"
 	"firestore/internal/spanner"
+	"firestore/internal/status"
 	"firestore/internal/truetime"
 )
 
@@ -91,12 +94,16 @@ func (b *Backend) getAt(ctx context.Context, db *catalog.Database, name doc.Name
 	return b.memo.resolve(db.ID, key, blob, name, vts)
 }
 
-// RunQuery plans and executes q. A zero readTS means a strong read. It
-// returns the result page and the snapshot timestamp it reflects, which
-// doubles as the max-commit-version for real-time subscriptions (§IV-D4
-// step 2).
+// RunQuery plans and executes one page of q. The first page (resume
+// nil) reads at readTS, or strongly if it is zero; its Resume, passed
+// back as resume, names the next page, and is nil once the query ran out
+// or reached its limit. Every page reads at the first page's timestamp,
+// which RunQuery returns and which doubles as the max-commit-version for
+// real-time subscriptions (§IV-D4 step 2), and the limit counts across
+// pages. A bad token is InvalidArgument; a page whose timestamp
+// retention no longer covers is ErrBelowHorizon (FailedPrecondition).
 func (b *Backend) RunQuery(ctx context.Context, dbID string, p Principal, q *query.Query, resume []byte, readTS truetime.Timestamp) (*query.Result, truetime.Timestamp, error) {
-	db, meta, readTS, err := b.openQuery(dbID, p, q, readTS)
+	db, meta, err := b.openQuery(dbID, p, q)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -107,9 +114,8 @@ func (b *Backend) RunQuery(ctx context.Context, dbID string, p Principal, q *que
 	b.plans.With(dbID, plan.Choice).Inc()
 	var res *query.Result
 	err = b.submit(ctx, db, "backend.query", b.schedKey(dbID, p), b.cfg.Costs.Query(dbID, q), func(ctx context.Context) error {
-		st := b.snapshot(db, readTS)
 		var qerr error
-		res, qerr = plan.Execute(ctx, st, resume)
+		res, readTS, qerr = b.page(ctx, db, plan, resume, readTS)
 		return qerr
 	})
 	if err != nil {
@@ -129,15 +135,129 @@ func (b *Backend) RunQuery(ctx context.Context, dbID string, p Principal, q *que
 	return res, readTS, nil
 }
 
+// page executes the page of plan that resume names, at the timestamp
+// and from the position its token holds, and cuts it at what remains of
+// the query's limit: the one place RunQuery's continuation is followed.
+// It replaces Execute's Resume with the next page's token.
+func (b *Backend) page(ctx context.Context, db *catalog.Database, plan *query.Plan, resume []byte, readTS truetime.Timestamp) (*query.Result, truetime.Timestamp, error) {
+	tok, limit := pageToken{readTS: readTS}, plan.Query.Limit
+	if len(resume) > 0 {
+		if err := tok.decode(resume, db, limit); err != nil {
+			return nil, 0, err
+		}
+	}
+	if limit > 0 && tok.emitted > 0 {
+		rest, restPlan := *plan.Query, *plan
+		rest.Limit -= tok.emitted
+		restPlan.Query = &rest
+		plan = &restPlan
+	}
+	var res *query.Result
+	var err error
+	tok.readTS, err = readRetained(db, tok.readTS, func(ts truetime.Timestamp) error {
+		var xerr error
+		res, xerr = plan.Execute(ctx, b.snapshot(db, ts), tok.pos)
+		return xerr
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	tok.emitted += len(res.Docs)
+	if res.Resume != nil && (limit <= 0 || tok.emitted < limit) {
+		tok.pos = res.Resume
+		res.Resume = tok.encode()
+	} else {
+		res.Resume = nil
+	}
+	return res, tok.readTS, nil
+}
+
+// pageToken is a query's continuation: the timestamp all its pages read
+// at, the documents earlier pages returned, and the position Execute
+// stopped at.
+type pageToken struct {
+	readTS  truetime.Timestamp
+	emitted int
+	pos     []byte
+}
+
+// encode is the token's wire form: the timestamp, the count and the
+// position's length as uvarints, then the position.
+func (t pageToken) encode() []byte {
+	b := binary.AppendUvarint(make([]byte, 0, 3*binary.MaxVarintLen64+len(t.pos)), uint64(t.readTS))
+	b = binary.AppendUvarint(b, uint64(t.emitted))
+	b = binary.AppendUvarint(b, uint64(len(t.pos)))
+	return append(b, t.pos...)
+}
+
+// decode reads a token encode wrote, and refuses with InvalidArgument
+// one that is cut short or padded, names no position, has reached a
+// query limit, disagrees with a non-zero readTS already in t, or reads
+// above db's TrueTime now. The position aliases b.
+func (t *pageToken) decode(b []byte, db *catalog.Database, limit int) error {
+	var f [3]uint64
+	for i := range f {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return status.New(status.InvalidArgument, "backend", "malformed page token")
+		}
+		f[i], b = v, b[n:]
+	}
+	ts, emitted := truetime.Timestamp(f[0]), int(f[1])
+	switch {
+	case ts <= 0 || f[1] > math.MaxInt32 || f[2] == 0 || f[2] != uint64(len(b)) || limit > 0 && emitted >= limit:
+		return status.New(status.InvalidArgument, "backend", "malformed page token")
+	case t.readTS != 0 && t.readTS != ts:
+		return status.Errorf(status.InvalidArgument, "backend", "read timestamp %d disagrees with the page token's %d", t.readTS, ts)
+	case ts > db.Spanner.StrongReadTimestamp():
+		return status.Errorf(status.InvalidArgument, "backend", "page token reads at %d, in the future", ts)
+	}
+	*t = pageToken{readTS: ts, emitted: emitted, pos: b}
+	return nil
+}
+
+// readRetained runs read at readTS, a strong read if zero, and then
+// refuses it with ErrBelowHorizon if retention may have dropped a
+// version it should have seen (spanner.DB.ReadHorizon). A strong read so
+// refused outlasted retention between its clock readings, as a stalled
+// or preempted read can; it runs again, once, at a fresh timestamp.
+func readRetained(db *catalog.Database, readTS truetime.Timestamp, read func(truetime.Timestamp) error) (truetime.Timestamp, error) {
+	readAt := func(ts truetime.Timestamp) error {
+		if err := read(ts); err != nil {
+			return err
+		}
+		if h := db.Spanner.ReadHorizon(); ts < h {
+			return fmt.Errorf("%w: %d is below %d", ErrBelowHorizon, ts, h)
+		}
+		return nil
+	}
+	ts := strongIfZero(db, readTS)
+	err := readAt(ts)
+	if readTS == 0 && errors.Is(err, ErrBelowHorizon) {
+		ts = db.Spanner.StrongReadTimestamp()
+		err = readAt(ts)
+	}
+	return ts, err
+}
+
+// strongIfZero resolves a zero readTS to a strong read.
+func strongIfZero(db *catalog.Database, readTS truetime.Timestamp) truetime.Timestamp {
+	if readTS == 0 {
+		return db.Spanner.StrongReadTimestamp()
+	}
+	return readTS
+}
+
 // RunAggregation executes q's aggregations (§VIII): COUNT, SUM, and AVG
 // all resolve entirely from index entries — SUM/AVG decode the
 // aggregated field out of the index key's sort suffix — with no document
-// fetches, at one snapshot timestamp. Billing charges one read per 1000
-// index entries examined rather than per result, so aggregating millions
-// of documents stays pay-as-you-go; partial work is billed even when
-// execution fails mid-scan.
+// fetches, at one snapshot timestamp (zero: a strong read), refused like
+// a query page when retention no longer covers it. Billing charges one
+// read per 1000 index entries examined rather than per result, so
+// aggregating millions of documents stays pay-as-you-go; partial work is
+// billed even when execution fails mid-scan.
 func (b *Backend) RunAggregation(ctx context.Context, dbID string, p Principal, q *query.Query, aggs []query.Aggregation, readTS truetime.Timestamp) (*query.AggregationResult, truetime.Timestamp, error) {
-	db, meta, readTS, err := b.openQuery(dbID, p, q, readTS)
+	db, meta, err := b.openQuery(dbID, p, q)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -155,9 +275,12 @@ func (b *Backend) RunAggregation(ctx context.Context, dbID string, p Principal, 
 	}
 	var res *query.AggregationResult
 	err = b.submit(ctx, db, "backend.aggregate", b.schedKey(dbID, p), b.cfg.Costs.Query(dbID, q), func(ctx context.Context) error {
-		st := b.snapshot(db, readTS)
 		var qerr error
-		res, qerr = query.ExecuteAggregations(ctx, st, q, aggs, planner)
+		readTS, qerr = readRetained(db, readTS, func(ts truetime.Timestamp) error {
+			var aerr error
+			res, aerr = query.ExecuteAggregations(ctx, b.snapshot(db, ts), q, aggs, planner)
+			return aerr
+		})
 		return qerr
 	})
 	// Bill the index work performed even when the scan failed partway —
@@ -179,10 +302,9 @@ type PlanExplain struct {
 	// Choice is the plan family: composite, auto, zigzag, or entities.
 	Choice string `json:"choice"`
 	// ActualEntries, Scans and Results report, when explain runs in
-	// analyze mode, what RunQuery and the SDK iterator do with the query:
-	// index entries read, storage scans (round trips) made and documents
-	// returned over the pages it takes to exhaust the query or reach its
-	// limit.
+	// analyze mode, what RunQuery does with the query: index entries
+	// read, storage scans (round trips) made and documents returned over
+	// the pages it takes to exhaust the query or reach its limit.
 	ActualEntries int `json:"actualEntries,omitempty"`
 	Scans         int `json:"scans,omitempty"`
 	Results       int `json:"results,omitempty"`
@@ -190,11 +312,11 @@ type PlanExplain struct {
 
 // ExplainQuery returns the plan RunQuery would execute for q without
 // serving results. With analyze set, the plan is also executed at the
-// read timestamp, following resume tokens as the SDK iterator does until
-// the query runs out or has its limit, to count the index entries it
-// visits, the scans it makes and the results it returns.
+// read timestamp, following RunQuery's page tokens until none is left,
+// to count the index entries it visits, the scans it makes and the
+// results it returns.
 func (b *Backend) ExplainQuery(ctx context.Context, dbID string, p Principal, q *query.Query, analyze bool, readTS truetime.Timestamp) (PlanExplain, truetime.Timestamp, error) {
-	db, meta, readTS, err := b.openQuery(dbID, p, q, readTS)
+	db, meta, err := b.openQuery(dbID, p, q)
 	if err != nil {
 		return PlanExplain{}, 0, err
 	}
@@ -204,57 +326,48 @@ func (b *Backend) ExplainQuery(ctx context.Context, dbID string, p Principal, q 
 	}
 	out := PlanExplain{Plan: plan.String(), Choice: plan.Choice}
 	if !analyze {
-		return out, readTS, nil
+		return out, strongIfZero(db, readTS), nil
 	}
-	st := b.snapshot(db, readTS)
 	var resume []byte
 	for {
-		res, err := plan.Execute(ctx, st, resume)
+		res, ts, err := b.page(ctx, db, plan, resume, readTS)
 		if err != nil {
 			return PlanExplain{}, 0, err
 		}
 		out.ActualEntries += res.ScannedEntries
 		out.Scans += res.Scans
 		out.Results += len(res.Docs)
-		if q.Limit > 0 && out.Results >= q.Limit {
-			out.Results = q.Limit // the iterator yields no more
-			return out, readTS, nil
-		}
 		if res.Resume == nil {
-			return out, readTS, nil
+			return out, ts, nil
 		}
 		resume = res.Resume
 	}
 }
 
 // openQuery is the prologue RunQuery, RunAggregation and ExplainQuery
-// share: it looks up the database and its metadata, checks a third-party
-// principal's list permission on q's collection, and resolves a zero
-// readTS to a strong read. The permission is evaluated against the
-// collection's document pattern; conditions inspecting document data
-// cannot grant a whole query.
-func (b *Backend) openQuery(dbID string, p Principal, q *query.Query, readTS truetime.Timestamp) (*catalog.Database, *catalog.Meta, truetime.Timestamp, error) {
+// share: it looks up the database and its metadata, and checks a
+// third-party principal's list permission on q's collection. The
+// permission is evaluated against the collection's document pattern;
+// conditions inspecting document data cannot grant a whole query.
+func (b *Backend) openQuery(dbID string, p Principal, q *query.Query) (*catalog.Database, *catalog.Meta, error) {
 	db, err := b.cat.Get(dbID)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	meta := db.Meta()
 	if !p.Privileged {
 		if meta.Rules == nil {
-			return nil, nil, 0, fmt.Errorf("%w: no rules deployed", rules.ErrDenied)
+			return nil, nil, fmt.Errorf("%w: no rules deployed", rules.ErrDenied)
 		}
 		probe, err := q.Collection.Doc("?")
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		if err := meta.Rules.Authorize(&rules.Request{Method: rules.MethodList, Path: probe, Auth: p.Auth}); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 	}
-	if readTS == 0 {
-		readTS = db.Spanner.StrongReadTimestamp()
-	}
-	return db, meta, readTS, nil
+	return db, meta, nil
 }
 
 // planQuery plans q against database dbID's ready index set under meta:

@@ -370,10 +370,10 @@ func (c *Conn) deliverLocked(ev SnapshotEvent) bool {
 // at the query's read timestamp (step 4). Listen builds a target; a range
 // reset, a late update, a limit query losing a member and a dropped
 // event all rebuild it (scheduleRebuild). A result of more than one page
-// is read page after page at the first page's timestamp, up to the
-// query's limit, without projection: the target orders and evicts by
-// fields it may drop, and projects what it emits. It fails if the query
-// does, or if rq stopped or the connection closed meanwhile.
+// follows the page tokens, which hold its snapshot and its limit, and is
+// read without projection: the target orders and evicts by fields it may
+// drop, and projects what it emits. It fails if the query does, or if rq
+// stopped or the connection closed meanwhile.
 func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
 	whole := *rq.q
 	whole.Projection = nil
@@ -382,14 +382,11 @@ func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
 		return err
 	}
 	docs, limit := res.Docs, rq.q.Limit
-	for res.Resume != nil && (limit <= 0 || len(docs) < limit) {
-		if res, _, err = c.f.backend.RunQuery(ctx, c.dbID, c.p, &whole, res.Resume, readTS); err != nil {
+	for res.Resume != nil {
+		if res, _, err = c.f.backend.RunQuery(ctx, c.dbID, c.p, &whole, res.Resume, 0); err != nil {
 			return err
 		}
 		docs = append(docs, res.Docs...)
-	}
-	if limit > 0 && len(docs) > limit {
-		docs = docs[:limit]
 	}
 	// The subscription ID is reserved and rq registered under it before
 	// the Query Matcher sees it, so a write matched right after
@@ -633,10 +630,13 @@ func (c *Conn) scheduleRebuild(rq *rtQuery) {
 	go func() {
 		defer c.wg.Done()
 		c.f.cache.Unsubscribe(c, oldSub)
-		// A snapshot dropped for a full buffer would be dropped again:
-		// wait, on the region clock, until the client has drained some.
-		for len(c.events) == cap(c.events) && c.ctx.Err() == nil {
-			c.f.cache.Clock().Sleep(time.Millisecond)
+		// A snapshot dropped for a full buffer would be dropped again, and
+		// one read at or below the range's horizon would be reset again:
+		// wait, on the region clock, until the client has drained some and
+		// TrueTime has passed the horizon.
+		clock, horizon := c.f.cache.Clock(), c.f.cache.Horizon(c.dbID, rq.q)
+		for (len(c.events) == cap(c.events) || !clock.After(horizon)) && c.ctx.Err() == nil {
+			clock.Sleep(time.Millisecond)
 		}
 		if err := c.build(c.ctx, rq); err != nil {
 			c.end(rq, err)

@@ -221,3 +221,36 @@ func TestEventsLeaveInStateOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownOutcomeRebuildsOnce: a write whose outcome is unknown resets
+// its range and raises the range's horizon to the write's max commit
+// timestamp, a second ahead. The target is rebuilt once, past that
+// horizon, rather than requeried below it until TrueTime gets there.
+func TestUnknownOutcomeRebuildsOnce(t *testing.T) {
+	const heartbeat = 50 * time.Millisecond
+	const maxCommitWindow = time.Second // the backend's max commit timestamp lead
+	e := newEnvWithHeartbeat(t, heartbeat)
+	conn := e.f.NewConn(e.dbID, priv)
+	defer conn.Close()
+	target, err := conn.Listen(context.Background(), &query.Query{Collection: doc.MustCollection("/ratings")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextEvent(t, conn, target)
+	requeries := func() int64 { return e.obs.Counter("frontend.requeries", obs.DB(e.dbID)).Value() }
+	before, start := requeries(), time.Now()
+	if _, err := e.cache.Prepare("lost", e.dbID, []doc.Name{doc.MustName("/ratings/a")}, e.clock.Now().Latest.Add(maxCommitWindow)); err != nil {
+		t.Fatal(err)
+	}
+	e.cache.Accept(context.Background(), "lost", rtcache.OutcomeUnknown, 0, nil)
+	time.Sleep(500 * time.Millisecond)
+	if n := requeries() - before; n > 2 {
+		t.Fatalf("%d requeries in 500 ms after one unknown outcome, want at most 2", n)
+	}
+	if ev := nextEvent(t, conn, target); !ev.Initial {
+		t.Fatalf("event after the reset = %+v, want an Initial snapshot", ev)
+	}
+	if took := time.Since(start); took > maxCommitWindow+heartbeat {
+		t.Fatalf("Initial after %v, want within %v", took, maxCommitWindow+heartbeat)
+	}
+}

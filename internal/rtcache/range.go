@@ -534,6 +534,18 @@ func (c *Cache) Subscribe(sub Subscriber, db string, q *query.Query, afterTS tru
 	return subID, []int{r.id}
 }
 
+// Horizon returns the trim horizon of the range that owns database db's
+// query collection: Subscribe resets a subscription whose afterTS is
+// below it, so a query rebuilt for that range must read past it.
+func (c *Cache) Horizon(db string, q *query.Query) truetime.Timestamp {
+	c.mu.Lock()
+	r := c.ownerLocked(db, q.Collection.First())
+	r.mu.Lock()
+	c.mu.Unlock()
+	defer r.mu.Unlock()
+	return r.trimmedBefore
+}
+
 // subscribeLocked registers s and queues, in one critical section, what
 // it missed: updates after s.afterTS may already have been forwarded
 // before this registration, so they are replayed from the in-memory

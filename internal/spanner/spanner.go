@@ -334,6 +334,24 @@ func (db *DB) StrongReadTimestamp() truetime.Timestamp {
 	return db.clock.Now().Latest
 }
 
+// MaxCommitLead bounds how far a commit timestamp may lead TrueTime when
+// its version is applied: Commit waits, before phase 2, until TrueTime
+// has passed ts − MaxCommitLead.
+const MaxCommitLead = 10 * time.Millisecond
+
+// ReadHorizon returns the oldest timestamp at which a snapshot read that
+// ended before the call read every version it should have. The engines
+// drop a version only once its successor is storage.GCRetention older
+// than the newest version they compare it with (storage.trimmable, the
+// disk engine's bottom merge), and that newest version was applied
+// before the read ended, so after TrueTime passed its timestamp less
+// MaxCommitLead: it is below Now().Latest + MaxCommitLead. A read at or
+// above the horizon therefore saw no dropped version; one below it may
+// have, and is refused rather than answered.
+func (db *DB) ReadHorizon() truetime.Timestamp {
+	return db.clock.Now().Latest.Add(MaxCommitLead - storage.GCRetention)
+}
+
 // Stats returns a copy of the engine counters.
 func (db *DB) Stats() Stats {
 	s := &db.stats

@@ -389,7 +389,8 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 
 	// Choose the commit timestamp: after every clock reading so far and
 	// after each participant's last applied commit.
-	ts := t.db.clock.Now().Latest
+	now := t.db.clock.Now()
+	ts := now.Latest
 	if minTS > ts {
 		ts = minTS
 	}
@@ -406,6 +407,15 @@ func (t *Txn) Commit(ctx context.Context, minTS, maxTS truetime.Timestamp) (_ tr
 		}
 		t.Abort()
 		return 0, fmt.Errorf("%w: need %d > max %d", ErrCommitWindow, ts, maxTS)
+	}
+	// No tablet holds a version at ts before TrueTime has passed
+	// ts − MaxCommitLead (ReadHorizon rests on it). A timestamp leads the
+	// clock only by its +1 steps past earlier commits and the cache's
+	// minimum, so this waits only on a burst of commits that outpaced the
+	// clock or on an uncertainty wider than MaxCommitLead/2, and never
+	// longer than the commit wait below.
+	if floor := ts.Add(-MaxCommitLead); floor >= now.Earliest {
+		t.db.clock.CommitWait(floor)
 	}
 
 	// Injected quorum fault: an error here models losing the replication

@@ -47,8 +47,9 @@ import (
 )
 
 // GCHorizon is how many versions a chain keeps before trimming old ones.
-// Snapshot reads older than the trimmed horizon are out of scope
-// (Spanner similarly bounds version GC to about an hour).
+// A query at a timestamp retention may no longer cover is refused
+// (spanner.DB.ReadHorizon), as Spanner refuses reads older than its
+// version-GC window.
 const GCHorizon = 8
 
 // GCRetention keeps a version readable for this long after a newer one
