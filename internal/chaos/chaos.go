@@ -36,6 +36,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -632,6 +633,11 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	if sc.ExpectRequery {
 		rep.check("tripped-requery", rep.Requeries > 0,
 			"frontend requeries=%d (scenario must trip reset-and-requery)", rep.Requeries)
+	}
+	// A reset costs each listener one rebuild; only a dropped snapshot costs one without.
+	if !slices.ContainsFunc(sc.Faults, func(f fault.Spec) bool { return f.Site == fault.FrontendConnDeliver }) {
+		rep.check("requeries-bounded", rep.Requeries <= rep.OutOfSyncs*int64(sc.Listeners),
+			"frontend requeries=%d for %d out-of-sync reset(s) x %d listener(s)", rep.Requeries, rep.OutOfSyncs, sc.Listeners)
 	}
 	for _, spec := range sc.Faults {
 		rep.check("injected:"+spec.Site, rep.Injected[spec.Site] > 0,

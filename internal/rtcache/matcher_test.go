@@ -170,8 +170,8 @@ func TestHeartbeatTickAllocs(t *testing.T) {
 	covered := map[int]bool{}
 	for i := 0; len(covered) < 8; i++ {
 		q := &query.Query{Collection: doc.MustCollection(fmt.Sprintf("/c%d", i))}
-		_, rids := c.Subscribe(sub, "db1", q, 0, 0)
-		covered[rids[0]] = true
+		_, rid := c.Subscribe(sub, "db1", q, 0, 0)
+		covered[rid] = true
 	}
 	ctx := context.Background()
 	var ranges []*nameRange

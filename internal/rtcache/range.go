@@ -290,41 +290,44 @@ func (r *nameRange) prepare(w *write) truetime.Timestamp {
 	return minTS
 }
 
-// resolve completes a pending write: forwards its mutations (success) and
-// advances the watermark as far as the remaining prepares allow.
-func (r *nameRange) resolve(w *write, muts []Mutation, ts truetime.Timestamp) {
+// settle finishes w on this range with the Accept's outcome: success
+// forwards muts, the range's share of the write, failure releases the
+// prepare, and unknown resets the range. A range that no longer holds w
+// was reset since, with a horizon past w's maxTS, and does nothing.
+func (r *nameRange) settle(w *write, outcome Outcome, muts []Mutation, ts truetime.Timestamp) {
 	r.mu.Lock()
-	i := slices.IndexFunc(r.pending, func(p prepare) bool { return p.w == w })
-	if i < 0 {
-		// The range already gave up on this write and reset; the
-		// mutations (if any) will be re-observed via requery.
-		r.mu.Unlock()
-		return
-	}
-	r.pending = slices.Delete(r.pending, i, i+1)
-	matched := 0
-	if muts != nil {
-		r.lastTS = max(r.lastTS, ts)
-		r.forwarded += int64(len(muts))
-		matched = r.matchLocked(w.db, muts, ts)
-		for _, m := range muts {
-			if trimmed, full := r.log.push(loggedMutation{ts: ts, db: w.db, mut: m}); full {
-				r.trimmedBefore = trimmed
+	forwarded, matched := 0, 0
+	switch i := slices.IndexFunc(r.pending, func(p prepare) bool { return p.w == w }); {
+	case i < 0:
+		// Reset since: nothing left to settle.
+	case outcome == OutcomeUnknown:
+		r.markOutOfSyncLocked()
+	default:
+		r.pending = slices.Delete(r.pending, i, i+1)
+		if outcome == OutcomeSuccess {
+			forwarded = len(muts)
+			r.lastTS = max(r.lastTS, ts)
+			r.forwarded += int64(forwarded)
+			matched = r.matchLocked(w.db, muts, ts)
+			for _, m := range muts {
+				if trimmed, full := r.log.push(loggedMutation{ts: ts, db: w.db, mut: m}); full {
+					r.trimmedBefore = trimmed
+				}
 			}
 		}
+		r.advanceWatermarkLocked()
 	}
-	r.advanceWatermarkLocked()
 	batch := r.startDrainLocked()
 	r.mu.Unlock()
-	if muts != nil {
-		r.met.forwarded.With(w.db).Add(int64(len(muts)))
+	if forwarded > 0 {
+		r.met.forwarded.With(w.db).Add(int64(forwarded))
 		if matched > 0 {
 			r.met.fanout.With(w.db).Add(int64(matched))
 		}
 		// Deliver heat: mutations resolved on this range, with fan-out
 		// cost as bytes-free op weight (matcher work scales with
 		// deliveries).
-		r.kv.Sample(keyviz.SrcRange, uint64(r.id), keyviz.OpDeliver, int64(len(muts)+matched), 0, 0)
+		r.kv.Sample(keyviz.SrcRange, uint64(r.id), keyviz.OpDeliver, int64(forwarded+matched), 0, 0)
 	}
 	r.drain(batch)
 }
@@ -466,18 +469,11 @@ func (r *nameRange) crash() {
 	r.drain(batch)
 }
 
-// markOutOfSync abandons ordering guarantees for the range: pending state
-// is dropped, subscriptions are cancelled, and every subscriber is told
-// to reset ("the Frontend task then aborts all accumulated state for that
-// query and redoes the steps starting with the initial query request").
-func (r *nameRange) markOutOfSync() {
-	r.mu.Lock()
-	r.markOutOfSyncLocked()
-	batch := r.startDrainLocked()
-	r.mu.Unlock()
-	r.drain(batch)
-}
-
+// markOutOfSyncLocked abandons ordering guarantees for the range: pending
+// state is dropped, subscriptions are cancelled, and every subscriber is
+// told to reset ("the Frontend task then aborts all accumulated state for
+// that query and redoes the steps starting with the initial query
+// request").
 func (r *nameRange) markOutOfSyncLocked() {
 	r.outOfSyncs++
 	r.met.outOfSync.Inc()
@@ -518,7 +514,7 @@ func (c *Cache) ReserveSub() int64 {
 // allocates one. It returns the subscription ID and the range's ID. The
 // range is found and locked under c.mu, so a split either reassigns the
 // collection before the lookup or resets the registration after it.
-func (c *Cache) Subscribe(sub Subscriber, db string, q *query.Query, afterTS truetime.Timestamp, reserved int64) (int64, []int) {
+func (c *Cache) Subscribe(sub Subscriber, db string, q *query.Query, afterTS truetime.Timestamp, reserved int64) (int64, int) {
 	subID := reserved
 	if subID == 0 {
 		subID = c.ReserveSub()
@@ -531,7 +527,7 @@ func (c *Cache) Subscribe(sub Subscriber, db string, q *query.Query, afterTS tru
 	batch := r.startDrainLocked()
 	r.mu.Unlock()
 	r.drain(batch)
-	return subID, []int{r.id}
+	return subID, r.id
 }
 
 // Horizon returns the trim horizon of the range that owns database db's

@@ -204,16 +204,10 @@ func (c *Cache) RangeCount() int {
 // (see splitHotRange).
 const slots = 256
 
-// rangeFor returns the range owning a database's document: a uniform
-// partition by a hash of (db, first name segment), so one database's
-// collections spread across ranges while a collection's documents stay
-// together.
-func (c *Cache) rangeFor(db string, name doc.Name) *nameRange {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ownerLocked(db, name.First())
-}
-
+// ownerLocked returns the range owning a database's top-level
+// collection: a uniform partition by a hash of (db, first name segment),
+// so one database's collections spread across ranges while a
+// collection's documents stay together. Caller holds c.mu.
 func (c *Cache) ownerLocked(db, topCollection string) *nameRange {
 	return c.ranges[c.assign[slotOf(db, topCollection)]]
 }
@@ -238,7 +232,9 @@ func slotOf(db, topCollection string) int {
 // exactly how ownership changes surface in the paper's design. The new
 // range takes the hot range's raised trim horizon: it never saw the
 // history below it, so a subscription from there resets rather than miss
-// a write the old owner took. It reports whether a split happened.
+// a write the old owner took. Prepare and Subscribe register under c.mu,
+// so every prepare on the hot range is in its pending list here, and the
+// horizon covers its maxTS. It reports whether a split happened.
 func (c *Cache) splitHotRange(threshold int) bool {
 	c.mu.Lock()
 	// Pick the hottest eligible range.
@@ -305,18 +301,42 @@ type write struct {
 	maxTS  truetime.Timestamp
 	ranges []*nameRange
 	one    [1]*nameRange // backs ranges for the usual single-range write
+	// routes, for a write prepared on more than one range, holds the
+	// range each name went to, in Prepare's order; nil otherwise.
+	routes []route
+}
+
+type route struct {
+	name doc.Name
+	r    *nameRange
+}
+
+// shareOf returns the mutations r forwards: all of them for a
+// single-range write, else those whose names prepared on r.
+func (w *write) shareOf(r *nameRange, muts []Mutation) []Mutation {
+	if w.routes == nil {
+		return muts
+	}
+	var own []Mutation
+	for i, m := range muts {
+		if w.routes[i].r == r {
+			own = append(own, m)
+		}
+	}
+	return own
 }
 
 // Prepare begins the two-phase commit for writeID in database db touching
 // names, with maximum commit timestamp maxTS. It returns the minimum
 // allowed commit timestamp (the max of the per-range minimums, §IV-D2
-// step 5).
+// step 5). The write registers with each owner while c.mu is held, so a
+// split either moved the names before or resets the write with the range.
 func (c *Cache) Prepare(writeID, db string, names []doc.Name, maxTS truetime.Timestamp) (truetime.Timestamp, error) {
 	w := &write{db: db, maxTS: maxTS}
 	w.ranges = w.one[:0]
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, dup := c.writes[writeID]; dup {
-		c.mu.Unlock()
 		return 0, status.Errorf(status.Internal, "rtcache", "duplicate write ID %q", writeID)
 	}
 	for _, n := range names {
@@ -324,8 +344,13 @@ func (c *Cache) Prepare(writeID, db string, names []doc.Name, maxTS truetime.Tim
 			w.ranges = append(w.ranges, r)
 		}
 	}
+	if len(w.ranges) > 1 {
+		w.routes = make([]route, len(names))
+		for i, n := range names {
+			w.routes[i] = route{n, c.ownerLocked(db, n.First())}
+		}
+	}
 	c.writes[writeID] = w
-	c.mu.Unlock()
 	var minTS truetime.Timestamp
 	for _, r := range w.ranges {
 		minTS = max(minTS, r.prepare(w))
@@ -333,9 +358,10 @@ func (c *Cache) Prepare(writeID, db string, names []doc.Name, maxTS truetime.Tim
 	return minTS, nil
 }
 
-// Accept finishes the two-phase commit for writeID (§IV-D2 step 7). On
-// success the mutations are matched and forwarded; on unknown outcome the
-// affected ranges are marked out-of-sync.
+// Accept finishes the two-phase commit for writeID (§IV-D2 step 7): each
+// range the write prepared on settles it with the outcome and its share
+// of muts, the mutations of the names Prepare was given, in that order.
+// A range that has reset since (split, crash, expiry) settles nothing.
 func (c *Cache) Accept(ctx context.Context, writeID string, outcome Outcome, ts truetime.Timestamp, muts []Mutation) {
 	// An injected drop loses the Accept at the cache boundary: the write
 	// record stays pending, so the heartbeat loop expires it past the
@@ -351,55 +377,14 @@ func (c *Cache) Accept(ctx context.Context, writeID string, outcome Outcome, ts 
 	if w == nil {
 		return // already timed out; ranges were reset
 	}
-	switch outcome {
-	case OutcomeFailure:
-		for _, r := range w.ranges {
-			r.resolve(w, nil, 0)
-		}
-	case OutcomeUnknown:
-		for _, r := range w.ranges {
-			r.markOutOfSync()
-		}
-	case OutcomeSuccess:
-		c.forward(w, ts, muts)
-	}
-}
-
-// forward hands a committed write's mutations to the ranges owning them
-// under the CURRENT assignment.
-func (c *Cache) forward(w *write, ts truetime.Timestamp, muts []Mutation) {
-	var routeBuf [4]*nameRange // a typical write's; a larger one allocates
-	routes := routeBuf[:0]
-	single := len(w.ranges) == 1
-	c.mu.Lock()
-	for _, m := range muts {
-		routes = append(routes, c.ownerLocked(w.db, m.Name.First()))
-		single = single && routes[len(routes)-1] == w.ranges[0]
-	}
-	c.mu.Unlock()
-	if single {
-		// The usual write: one range prepared, every mutation still routes
-		// to it.
-		w.ranges[0].resolve(w, muts, ts)
-		return
+	switch {
+	case outcome != OutcomeSuccess:
+		muts = nil
+	case w.routes != nil && !slices.EqualFunc(w.routes, muts, func(rt route, m Mutation) bool { return rt.name == m.Name }):
+		outcome, muts = OutcomeUnknown, nil // a mutation Prepare did not name cannot be ordered: reset
 	}
 	for _, r := range w.ranges {
-		var own []Mutation
-		for i, m := range muts {
-			if routes[i] == r {
-				own = append(own, m)
-			}
-		}
-		r.resolve(w, own, ts)
-	}
-	// Ownership may have been rebalanced between Prepare and Accept: a
-	// mutation now routing to a range that never saw the Prepare cannot
-	// be ordered there, so that range resets (its subscribers requery and
-	// observe the write through their fresh initial snapshots).
-	for i, r := range routes {
-		if !slices.Contains(w.ranges, r) && !slices.Contains(routes[:i], r) {
-			r.markOutOfSync()
-		}
+		r.settle(w, outcome, w.shareOf(r, muts), ts)
 	}
 }
 

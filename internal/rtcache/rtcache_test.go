@@ -83,6 +83,22 @@ func ratingDoc(id string, rating int64) *doc.Document {
 	})
 }
 
+// rangeFor returns the range that owns name's collection now.
+func (c *Cache) rangeFor(db string, name doc.Name) *nameRange {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ownerLocked(db, name.First())
+}
+
+// markOutOfSync resets r as an unknown outcome or an expiry does.
+func (r *nameRange) markOutOfSync() {
+	r.mu.Lock()
+	r.markOutOfSyncLocked()
+	batch := r.startDrainLocked()
+	r.mu.Unlock()
+	r.drain(batch)
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -269,8 +285,7 @@ func TestHeartbeatAdvancesIdleRange(t *testing.T) {
 	c := testCache(t)
 	rec := newRecorder()
 	q := ratingsQuery()
-	_, rids := c.Subscribe(rec, "db1", q, 0, 0)
-	rid := rids[0]
+	_, rid := c.Subscribe(rec, "db1", q, 0, 0)
 	waitFor(t, "idle heartbeat watermark", func() bool { return rec.watermark(rid) > 0 })
 	w1 := rec.watermark(rid)
 	waitFor(t, "watermark still advancing", func() bool { return rec.watermark(rid) > w1 })
@@ -474,4 +489,32 @@ func TestSubscribeBelowTrimmedHorizonResets(t *testing.T) {
 	q := ratingsQuery()
 	c.Subscribe(rec, "db1", q, 1 /* ancient */, 0)
 	waitFor(t, "immediate reset", func() bool { return rec.resetCount() >= 1 })
+}
+
+// TestMultiRangeWriteSettlesEachShare: a write over two ranges hands each
+// range the mutations of the names that prepared there, and one carrying
+// a mutation Prepare did not name resets both ranges instead.
+func TestMultiRangeWriteSettlesEachShare(t *testing.T) {
+	c := quietCache(t)
+	ctx := context.Background()
+	a := ratingDoc("1", 5)
+	b := otherRangeDoc(t, c, c.rangeFor("db1", a.Name))
+	recA, recB := newRecorder(), newRecorder()
+	c.Subscribe(recA, "db1", ratingsQuery(), 0, 0)
+	c.Subscribe(recB, "db1", &query.Query{Collection: b.Name.Collection()}, 0, 0)
+	names := []doc.Name{a.Name, b.Name}
+	min, err := c.Prepare("w1", "db1", names, truetime.Max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Accept(ctx, "w1", OutcomeSuccess, min, []Mutation{{Name: a.Name, New: a}, {Name: b.Name, New: b}})
+	if recA.updateCount() != 1 || recB.updateCount() != 1 {
+		t.Fatalf("updates %d and %d, want one on each range", recA.updateCount(), recB.updateCount())
+	}
+	stray := ratingDoc("2", 4)
+	min, _ = c.Prepare("w2", "db1", names, truetime.Max)
+	c.Accept(ctx, "w2", OutcomeSuccess, min+1, []Mutation{{Name: a.Name, New: a}, {Name: stray.Name, New: stray}})
+	if recA.resetCount() != 1 || recB.resetCount() != 1 || recA.updateCount() != 1 {
+		t.Fatalf("resets %d and %d, %d updates on the first range; want a reset on each and no update", recA.resetCount(), recB.resetCount(), recA.updateCount())
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"firestore/internal/storage"
 	"firestore/internal/truetime"
@@ -304,6 +305,15 @@ func (e *chunkCountingEngine) IngestChains(chains []storage.Chain) error {
 	return e.Engine.IngestChains(chains)
 }
 
+// commitClock is a manual clock whose commit wait moves it just past the
+// timestamp waited for, so time advances by commits alone.
+type commitClock struct{ *truetime.Manual }
+
+func (c commitClock) CommitWait(ts truetime.Timestamp) {
+	now := c.Now()
+	c.Set(ts + 1 + (now.Latest-now.Earliest)/2)
+}
+
 // TestSplitUnderTiering: a Disk tablet counts a key once per segment
 // that holds it, and under tiered compaction a hot key sits in every
 // tier: after a zipfian workload over 80 keys has spread them over three
@@ -321,6 +331,10 @@ func TestSplitUnderTiering(t *testing.T) {
 	cfg := diskConfig(t, dir)
 	fac := &chunkCountingFactory{Factory: cfg.Storage}
 	cfg.Storage = fac
+	// A version outlives its successor by GCRetention of the clock's
+	// time, so on the system clock a slow run trims more and leaves fewer
+	// segments: the workload's time must follow its commits instead.
+	cfg.Clock = commitClock{truetime.NewManual(1, 10*time.Microsecond)}
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
