@@ -639,6 +639,9 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		rep.check("requeries-bounded", rep.Requeries <= rep.OutOfSyncs*int64(sc.Listeners),
 			"frontend requeries=%d for %d out-of-sync reset(s) x %d listener(s)", rep.Requeries, rep.OutOfSyncs, sc.Listeners)
 	}
+	// The delivery contract: no update reaches a listener below what it emitted.
+	late := region.Obs.Counter("frontend.late_updates", obs.DB(dbID)).Value()
+	rep.check("no-late-updates", late == 0, "frontend.late_updates=%d", late)
 	for _, spec := range sc.Faults {
 		rep.check("injected:"+spec.Site, rep.Injected[spec.Site] > 0,
 			"fault fired %d time(s)", rep.Injected[spec.Site])

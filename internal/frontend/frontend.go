@@ -155,16 +155,8 @@ type Conn struct {
 	targets map[int64]*rtQuery // by target ID
 	closed  bool
 	wg      sync.WaitGroup
-
-	// connTS is the connection-consistent timestamp found by the last
-	// flushLocked scan (min over queries of resolved()) and holders how
-	// many queries still sit exactly there. While holders > 0 connTS
-	// cannot have moved, so a watermark for any other query is O(1); a
-	// heartbeat over Q idle queries costs one O(Q) scan, on the tick's
-	// last watermark. Anything that changes the set of queries or lowers
-	// a query's resolved() zeroes holders to force a rescan.
-	connTS  truetime.Timestamp
-	holders int
+	// marks holds the last subscriber watermark of each range, by range ID.
+	marks map[int]truetime.Timestamp
 
 	// touched is applyLocked's scratch: the documents one window of a
 	// target changes, each with whether the client held it before.
@@ -191,6 +183,7 @@ func (f *Frontend) NewConn(dbID string, p backend.Principal) *Conn {
 		events:  make(chan SnapshotEvent, eventBuffer),
 		queries: map[int64]*rtQuery{},
 		targets: map[int64]*rtQuery{},
+		marks:   map[int]truetime.Timestamp{},
 	}
 	// Rebuilds are connection-scoped background work, detached from any
 	// single request's deadline, so the connection mints its own root.
@@ -222,20 +215,21 @@ type rtQuery struct {
 	maxCommitVersion truetime.Timestamp
 	// pending buffers matched updates until the watermark passes them.
 	pending []rtcache.Update
-	// mark is the watermark of the range the query is subscribed to. Its
-	// first one queues behind the subscription's replay, so it counts as
-	// soon as it arrives, even before Subscribe has returned.
-	mark truetime.Timestamp
+	// mark is the query's own watermark and rangeID its range, -1 until
+	// the first arrives behind the replay: only from then on do that
+	// range's subscriber watermarks (Conn.marks) cover the query.
+	mark    truetime.Timestamp
+	rangeID int
 	// limited remembers whether the result filled the limit, at its build
 	// or by an eviction since; then a member that leaves or falls past the
 	// last place needs a rebuild (the matcher cannot know its replacement).
 	limited bool
 }
 
-// resolved returns the timestamp up to which this query has certainly
-// seen every update.
-func (rq *rtQuery) resolved() truetime.Timestamp {
-	return max(rq.mark, rq.maxCommitVersion)
+// resolvedLocked returns the timestamp up to which rq has certainly seen
+// every update. Caller holds c.mu.
+func (c *Conn) resolvedLocked(rq *rtQuery) truetime.Timestamp {
+	return max(rq.mark, rq.maxCommitVersion, c.marks[rq.rangeID])
 }
 
 // put makes d (nil: none) the version of document key, in query order.
@@ -311,7 +305,6 @@ func (c *Conn) StopListening(targetID int64) {
 func (c *Conn) forgetLocked(rq *rtQuery) {
 	delete(c.targets, rq.targetID)
 	delete(c.queries, rq.subID)
-	c.holders = 0
 	c.f.active.Add(-1)
 }
 
@@ -404,7 +397,7 @@ func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
 	slices.SortFunc(docs, rq.q.Compare)
 	rq.ordered = slices.Clone(docs)
 	rq.maxCommitVersion = readTS
-	rq.pending, rq.mark = nil, 0
+	rq.pending, rq.mark, rq.rangeID = nil, 0, -1
 	rq.limited = limit > 0 && len(docs) == limit
 	rq.project(docs)
 	// The result in the target's order, the one every later delta's
@@ -417,7 +410,6 @@ func (c *Conn) build(ctx context.Context, rq *rtQuery) error {
 	}
 	rq.subID = subID
 	c.queries[subID] = rq
-	c.holders = 0
 	c.mu.Unlock()
 
 	c.f.cache.Subscribe(c, c.dbID, rq.q, readTS, subID)
@@ -442,25 +434,17 @@ func (c *Conn) OnUpdate(rangeID int, subID int64, u rtcache.Update) {
 }
 
 // OnWatermark implements rtcache.Subscriber: watermark advances drive
-// snapshot emission.
+// snapshot emission. A subscriber watermark (subID 0) moves the range's
+// mark, which counts for each query past its own first watermark there.
 func (c *Conn) OnWatermark(rangeID int, subID int64, ts truetime.Timestamp) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rq, ok := c.queries[subID]
-	if !ok {
+	if subID == 0 {
+		c.marks[rangeID] = max(c.marks[rangeID], ts)
+	} else if rq, ok := c.queries[subID]; ok {
+		rq.mark, rq.rangeID = max(rq.mark, ts), rangeID
+	} else {
 		return
-	}
-	was := rq.resolved()
-	rq.mark = max(rq.mark, ts)
-	if c.holders > 0 {
-		// The last scan is still valid: connTS moves only once every
-		// query that sat on it has advanced.
-		if was <= c.connTS && rq.resolved() > c.connTS {
-			c.holders--
-		}
-		if c.holders > 0 {
-			return
-		}
 	}
 	c.flushLocked()
 }
@@ -472,16 +456,10 @@ func (c *Conn) OnWatermark(rangeID int, subID int64, ts truetime.Timestamp) {
 // t"). A query whose delta is dropped, or that cannot be updated by a
 // delta, is rebuilt.
 func (c *Conn) flushLocked() {
-	c.connTS, c.holders = truetime.Max, 0
+	connTS := truetime.Max
 	for _, rq := range c.queries {
-		switch r := rq.resolved(); {
-		case r < c.connTS:
-			c.connTS, c.holders = r, 1
-		case r == c.connTS:
-			c.holders++
-		}
+		connTS = min(connTS, c.resolvedLocked(rq))
 	}
-	connTS := c.connTS
 	for _, rq := range c.queries {
 		if connTS <= rq.maxCommitVersion {
 			continue
@@ -624,7 +602,6 @@ func (c *Conn) scheduleRebuild(rq *rtQuery) {
 	c.f.requeries.With(c.dbID).Inc()
 	delete(c.queries, rq.subID)
 	rq.pending = nil
-	c.holders = 0
 	oldSub := rq.subID
 	c.wg.Add(1)
 	go func() {

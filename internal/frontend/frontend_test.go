@@ -3,6 +3,7 @@ package frontend
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -479,9 +480,9 @@ func TestManyListenersBroadcast(t *testing.T) {
 }
 
 // TestIdleHeartbeatIsFlat: a heartbeat tick over a connection with Q idle
-// listeners is Q OnWatermark calls; together they must allocate nothing
-// and scan the connection's queries once — on the tick's last watermark,
-// when the connection-consistent timestamp can finally move.
+// listeners on one range is one subscriber watermark: one OnWatermark
+// call that allocates nothing, advances every listener to its timestamp
+// and emits nothing.
 func TestIdleHeartbeatIsFlat(t *testing.T) {
 	e := newEnvWithHeartbeat(t, time.Hour)
 	conn := e.f.NewConn(e.dbID, priv)
@@ -493,56 +494,102 @@ func TestIdleHeartbeatIsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type sub struct {
-		rq    *rtQuery
-		subID int64
-	}
-	var subs []sub
 	var ts truetime.Timestamp
+	rangeID := -1
 	conn.mu.Lock()
-	for id, rq := range conn.queries {
-		subs = append(subs, sub{rq, id})
+	for _, rq := range conn.queries {
 		ts = max(ts, rq.maxCommitVersion)
+		if rq.rangeID < 0 || rangeID >= 0 && rq.rangeID != rangeID {
+			t.Fatalf("listener on range %d beside one on %d, want all past their first watermark on one range", rq.rangeID, rangeID)
+		}
+		rangeID = rq.rangeID
 	}
 	conn.mu.Unlock()
-	version := func(s sub) truetime.Timestamp {
-		conn.mu.Lock()
-		defer conn.mu.Unlock()
-		return s.rq.maxCommitVersion
-	}
 
 	tick := func() {
 		ts += 1000
-		for _, s := range subs {
-			conn.OnWatermark(0, s.subID, ts)
-		}
+		conn.OnWatermark(rangeID, 0, ts)
 	}
-	tick() // the first scan counts the holders
 	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
 		t.Fatalf("idle heartbeat tick over %d listeners allocates %.0f times, want 0", listeners, allocs)
 	}
-	// Every watermark but the tick's last is O(1): nothing advances until
-	// the last query sitting on the old timestamp has moved.
-	before := ts
-	ts += 1000
-	for _, s := range subs[:listeners-1] {
-		conn.OnWatermark(0, s.subID, ts)
-	}
-	for _, s := range subs {
-		if got := version(s); got != before {
-			t.Fatalf("query advanced to %d before the tick completed, want %d", got, before)
+	conn.mu.Lock()
+	for _, rq := range conn.queries {
+		if rq.maxCommitVersion != ts {
+			t.Errorf("listener at %d after the tick, want %d", rq.maxCommitVersion, ts)
 		}
 	}
-	last := subs[listeners-1]
-	conn.OnWatermark(0, last.subID, ts)
-	for _, s := range subs {
-		if got := version(s); got != ts {
-			t.Fatalf("query at %d after the tick, want %d", got, ts)
-		}
-	}
+	conn.mu.Unlock()
 	for len(conn.Events()) > 0 {
 		if ev := <-conn.Events(); !ev.Initial {
 			t.Fatalf("idle tick emitted a delta: %+v", ev)
 		}
+	}
+}
+
+// parker is a Subscriber whose first OnUpdate waits for gate, holding up
+// its range's deliveries.
+type parker struct {
+	gate, entered chan struct{}
+	once          sync.Once
+}
+
+func (p *parker) OnUpdate(int, int64, rtcache.Update) {
+	p.once.Do(func() {
+		close(p.entered)
+		<-p.gate
+	})
+}
+func (*parker) OnWatermark(int, int64, truetime.Timestamp) {}
+func (*parker) OnReset(int, int64)                         {}
+
+// TestFirstWatermarkArmsTheTarget: a target counts its range's subscriber
+// watermarks only from its own first watermark on. A subscriber
+// watermark queued ahead of its registration can reach it after
+// Subscribe has returned and before its replay; counted, it would move
+// the target past the replayed update, which then arrives late.
+func TestFirstWatermarkArmsTheTarget(t *testing.T) {
+	e := newEnvWithHeartbeat(t, time.Hour)
+	ctx := context.Background()
+	conn := e.f.NewConn(e.dbID, priv)
+	defer conn.Close()
+	q := &query.Query{Collection: doc.MustCollection("/ratings")}
+	first, err := conn.Listen(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextEvent(t, conn, first)
+	// A subscriber registered after the connection's parks the range's
+	// drainer on a write committed a second ahead of TrueTime, with the
+	// connection's subscriber watermark at the write still in the batch.
+	p := &parker{gate: make(chan struct{}), entered: make(chan struct{})}
+	e.cache.Subscribe(p, e.dbID, q, 0, 0)
+	d := doc.New(doc.MustName("/ratings/ahead"), rating(1))
+	at := e.clock.Now().Latest.Add(time.Second)
+	if _, err := e.cache.Prepare("ahead", e.dbID, []doc.Name{d.Name}, truetime.Max); err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		e.cache.Accept(ctx, "ahead", rtcache.OutcomeSuccess, at, []rtcache.Mutation{{Name: d.Name, New: d}})
+	}()
+	<-p.entered
+	// The second target reads below the write, so it is replayed to it,
+	// behind the parked batch.
+	second, err := conn.Listen(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := nextEvent(t, conn, second); !ev.Initial || len(ev.Added) != 0 || ev.TS >= at {
+		t.Fatalf("second target's first event = %+v, want an empty Initial below %d", ev, at)
+	}
+	close(p.gate)
+	<-accepted
+	if ev := nextEvent(t, conn, second); ev.Initial || ev.TS != at || len(ev.Added) != 1 || ev.Added[0].Name != d.Name {
+		t.Fatalf("second target's next event = %+v, want the replayed write added at %d", ev, at)
+	}
+	if n := e.lateUpdates(); n != 0 {
+		t.Fatalf("frontend.late_updates = %d, want 0", n)
 	}
 }

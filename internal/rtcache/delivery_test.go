@@ -55,10 +55,13 @@ type gated struct {
 	mu     sync.Mutex
 	parked bool
 	events map[int64][]seen
+	// armed maps each subscription whose first watermark arrived, and
+	// that was not reset since, to its range.
+	armed map[int64]int
 }
 
 func newGated() *gated {
-	return &gated{gate: make(chan struct{}), entered: make(chan struct{}), events: map[int64][]seen{}}
+	return &gated{gate: make(chan struct{}), entered: make(chan struct{}), events: map[int64][]seen{}, armed: map[int64]int{}}
 }
 
 func (g *gated) record(subID int64, e seen) (first bool) {
@@ -78,10 +81,28 @@ func (g *gated) OnUpdate(_ int, subID int64, u Update) {
 		<-g.gate
 	}
 }
-func (g *gated) OnWatermark(_ int, subID int64, ts truetime.Timestamp) {
-	g.record(subID, seen{evWatermark, ts})
+
+// OnWatermark records a subscription's first watermark, and a subscriber
+// watermark (subID 0) for every subscription it covers: each one on the
+// range whose first watermark came earlier.
+func (g *gated) OnWatermark(rangeID int, subID int64, ts truetime.Timestamp) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if subID != 0 {
+		g.armed[subID] = rangeID
+	}
+	for id, rid := range g.armed {
+		if id == subID || subID == 0 && rid == rangeID {
+			g.events[id] = append(g.events[id], seen{evWatermark, ts})
+		}
+	}
 }
-func (g *gated) OnReset(_ int, subID int64) { g.record(subID, seen{kind: evReset}) }
+func (g *gated) OnReset(_ int, subID int64) {
+	g.mu.Lock()
+	delete(g.armed, subID)
+	g.mu.Unlock()
+	g.record(subID, seen{kind: evReset})
+}
 
 func (g *gated) of(subID int64) []seen {
 	g.mu.Lock()
@@ -160,9 +181,10 @@ func TestWatermarkNeverOvertakesUpdate(t *testing.T) {
 	put(t, c, "w3", other)
 
 	// One drainer at a time: everything above is queued behind the parked
-	// update, in lock order.
-	if n := len(g.of(subA)) + len(g.of(subB)); n != 1 {
-		t.Fatalf("%d callbacks delivered while the drainer is parked, want 1", n)
+	// update, in lock order. Only the two first watermarks, at 0, came
+	// before it.
+	if n := len(g.of(subA)) + len(g.of(subB)); n != 3 {
+		t.Fatalf("%d callbacks delivered while the drainer is parked, want 3", n)
 	}
 	if n := len(late.of(subC)); n != 0 {
 		t.Fatalf("late subscription got %d callbacks ahead of the queue", n)
@@ -179,11 +201,12 @@ func TestWatermarkNeverOvertakesUpdate(t *testing.T) {
 			t.Fatalf("%s: last event %+v, want watermark %d", who, last, now)
 		}
 	}
-	// w2's own watermark was still queued, with nothing behind it for the
-	// subscription, when the heartbeat's arrived: superseded in place.
+	// w2's watermark was still queued, with nothing behind it for the
+	// subscriber, when the heartbeat's arrived: superseded in place. One
+	// subscriber watermark covers both subscriptions.
 	for _, id := range []int64{subA, subB} {
 		evs := g.of(id)
-		want := []seen{{evUpdate, ts1}, {evWatermark, ts1}, {evUpdate, ts2}, {evWatermark, now}}
+		want := []seen{{evWatermark, 0}, {evUpdate, ts1}, {evWatermark, ts1}, {evUpdate, ts2}, {evWatermark, now}}
 		if fmt.Sprint(evs) != fmt.Sprint(want) {
 			t.Fatalf("sub %d saw %+v, want %+v", id, evs, want)
 		}
@@ -210,6 +233,24 @@ func TestWatermarkNeverOvertakesUpdate(t *testing.T) {
 	put(t, c, "w5", ratingDoc("4", 2))
 	if evs := stale.of(subD); len(evs) != 1 || evs[0].kind != evReset {
 		t.Fatalf("stale subscription saw %+v, want one reset", evs)
+	}
+}
+
+// TestOneWatermarkPerSubscriber: a heartbeat queues one watermark per
+// subscriber on a range, however many of its subscriptions the range
+// holds.
+func TestOneWatermarkPerSubscriber(t *testing.T) {
+	c := New(Config{Clock: truetime.NewSystem(10 * time.Microsecond), Ranges: 1, HeartbeatEvery: time.Hour})
+	t.Cleanup(c.Close)
+	many, one := &tallySubscriber{}, &tallySubscriber{}
+	for i := range 32 {
+		c.Subscribe(many, "db1", collQuery(i), 0, 0)
+	}
+	c.Subscribe(one, "db1", collQuery(0), 0, 0)
+	before := many.watermarks.Load() + one.watermarks.Load()
+	c.tick(context.Background())
+	if got := many.watermarks.Load() + one.watermarks.Load() - before; got != 2 {
+		t.Fatalf("a tick over 33 subscriptions of 2 subscribers on one range delivered %d watermarks, want 2", got)
 	}
 }
 

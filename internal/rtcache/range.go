@@ -21,17 +21,22 @@ type subscription struct {
 	// (the query's max-commit-version at Subscribe time, §IV-D4 step 4).
 	afterTS truetime.Timestamp
 	q       *query.Query
-	// wmAt/wmGen locate this subscription's queued watermark in the
-	// outbox while it is the last event queued for it (wmGen == the
-	// range's outbox generation); queueWatermarkLocked then raises it in
-	// place instead of appending another.
-	wmAt  int
-	wmGen uint64
+	w       *watcher // its subscriber's record on the range
 	// coll lists the subscription in its range's matcher: in
 	// coll.eq[eqKey], by its value at eqPath, or in coll.any if eqKey is "".
 	coll   *collSubs
 	eqPath doc.FieldPath
 	eqKey  string
+}
+
+// watcher is one subscriber on a range: how many of its subscriptions
+// are registered there, and where its queued watermark sits in the
+// outbox while nothing of the subscriber's is queued behind it (wmGen ==
+// the range's outbox generation), so the next one raises it in place.
+type watcher struct {
+	sub        Subscriber
+	subs, wmAt int
+	wmGen      uint64
 }
 
 // matcher indexes a range's subscriptions by (db, collection) and the
@@ -106,16 +111,18 @@ func (m *matcher) remove(s *subscription) {
 // the pair share a range, so they are colocated here.
 //
 // Delivery contract. Every subscriber-visible event of the range —
-// matched updates, watermark advances, Subscribe's changelog replay and
-// initial watermark, resets — is appended to outbox under mu, in the
-// order mu produced it, and handed to subscribers outside mu by one
-// drainer at a time. So for a given (range, subID): if OnWatermark(ts)
-// is delivered, every OnUpdate with TS <= ts that will ever be delivered
-// for that subscription was delivered before it; and after OnReset
-// nothing further is delivered for that subID. An undelivered watermark
-// that is still the last event queued for its subscription is raised in
-// place by the next one (watermarks are monotone), so an idle range
-// queues at most one event per subscription however slow the subscriber.
+// matched updates, watermarks, Subscribe's changelog replay and first
+// watermark, resets — is appended to outbox under mu, in the order mu
+// produced it, and handed to subscribers outside mu by one drainer at a
+// time. A subscription's first watermark, OnWatermark(id, subID, ts),
+// queues right behind its replay; later ones are its subscriber's,
+// OnWatermark(id, 0, ts), one per subscriber. So if a watermark at ts is
+// delivered, every OnUpdate with TS <= ts that will ever be delivered for
+// a subscription of that subscriber whose first watermark came no later
+// was delivered before it; after OnReset nothing more comes for that
+// subID. An undelivered subscriber watermark with nothing of the
+// subscriber's queued behind it is raised in place by the next one, so
+// an idle range queues at most one event per subscriber.
 type nameRange struct {
 	id  int
 	met *metrics
@@ -129,10 +136,12 @@ type nameRange struct {
 	watermark truetime.Timestamp
 	// lastTS is the largest commit timestamp resolved here.
 	lastTS truetime.Timestamp
-	// subs holds the registered queries by subscription ID, and match
-	// indexes the same subscriptions by the mutations that can match them.
-	subs  map[int64]*subscription
-	match matcher
+	// subs holds the registered queries by subscription ID, watchers
+	// their subscribers, and match indexes the same subscriptions by the
+	// mutations that can match them.
+	subs     map[int64]*subscription
+	watchers map[Subscriber]*watcher
+	match    matcher
 
 	// log retains recently forwarded mutations (the "In-memory
 	// Changelog"), replayed to new subscriptions whose max-commit-version
@@ -144,8 +153,8 @@ type nameRange struct {
 
 	// outbox collects events under mu; the drainer swaps it against
 	// spare (the previous batch's backing array) so steady-state delivery
-	// allocates nothing. gen counts swaps and invalidates subscription
-	// wmAt indexes into a batch that has been taken.
+	// allocates nothing. gen counts swaps and invalidates watcher wmAt
+	// indexes into a batch that has been taken.
 	outbox   []event
 	spare    []event
 	gen      uint64
@@ -228,7 +237,7 @@ type event struct {
 }
 
 func newNameRange(id int, met *metrics, kv *keyviz.Collector) *nameRange {
-	return &nameRange{id: id, met: met, kv: kv, subs: map[int64]*subscription{}, match: matcher{colls: map[string]*collSubs{}}, gen: 1}
+	return &nameRange{id: id, met: met, kv: kv, subs: map[int64]*subscription{}, watchers: map[Subscriber]*watcher{}, match: matcher{colls: map[string]*collSubs{}}, gen: 1}
 }
 
 // startDrainLocked claims the drainer role and takes the queued batch,
@@ -391,19 +400,19 @@ func (r *nameRange) queueMatchesLocked(subs []*subscription, db string, m Mutati
 }
 
 func (r *nameRange) queueUpdateLocked(s *subscription, u Update) {
-	s.wmGen = 0 // a later watermark must queue behind this update
+	s.w.wmGen = 0 // a later watermark must queue behind this update
 	r.outbox = append(r.outbox, event{kind: evUpdate, sub: s.sub, subID: s.subID, u: u})
 }
 
-// queueWatermarkLocked queues the range's watermark for s, superseding
-// s's undelivered one when no update was queued for s since.
-func (r *nameRange) queueWatermarkLocked(s *subscription) {
-	if s.wmGen == r.gen {
-		r.outbox[s.wmAt].u.TS = r.watermark
+// queueWatermarkLocked queues the range's watermark for w's subscriber,
+// raising its undelivered one when nothing of its was queued since.
+func (r *nameRange) queueWatermarkLocked(w *watcher) {
+	if w.wmGen == r.gen {
+		r.outbox[w.wmAt].u.TS = r.watermark
 		return
 	}
-	s.wmAt, s.wmGen = len(r.outbox), r.gen
-	r.outbox = append(r.outbox, event{kind: evWatermark, sub: s.sub, subID: s.subID, u: Update{TS: r.watermark}})
+	w.wmAt, w.wmGen = len(r.outbox), r.gen
+	r.outbox = append(r.outbox, event{kind: evWatermark, sub: w.sub, u: Update{TS: r.watermark}})
 }
 
 // advanceWatermarkLocked moves the watermark to just below the smallest
@@ -422,15 +431,15 @@ func (r *nameRange) advanceWatermarkLocked() {
 
 func (r *nameRange) setWatermarkLocked(ts truetime.Timestamp) {
 	r.watermark = ts
-	for _, s := range r.subs {
-		r.queueWatermarkLocked(s)
+	for _, w := range r.watchers {
+		r.queueWatermarkLocked(w)
 	}
 }
 
 // heartbeat advances the watermark on idle ranges and expires prepares
 // whose Accept never arrived by the time TrueTime passed their max commit
-// timestamp (→ out-of-sync).
-func (r *nameRange) heartbeat(now truetime.Timestamp) {
+// timestamp (→ out-of-sync). It returns the watermark.
+func (r *nameRange) heartbeat(now truetime.Timestamp) truetime.Timestamp {
 	r.mu.Lock()
 	if slices.ContainsFunc(r.pending, func(p prepare) bool { return now > p.w.maxTS }) {
 		r.markOutOfSyncLocked()
@@ -438,9 +447,10 @@ func (r *nameRange) heartbeat(now truetime.Timestamp) {
 		r.lastTS = max(r.lastTS, now)
 		r.setWatermarkLocked(now)
 	}
-	batch := r.startDrainLocked()
+	wm, batch := r.watermark, r.startDrainLocked()
 	r.mu.Unlock()
 	r.drain(batch)
+	return wm
 }
 
 // crash simulates a Changelog task crash-and-restart (the
@@ -495,6 +505,7 @@ func (r *nameRange) markOutOfSyncLocked() {
 		r.outbox = append(r.outbox, event{kind: evReset, sub: s.sub, subID: s.subID})
 	}
 	clear(r.subs)
+	clear(r.watchers)
 	clear(r.match.colls)
 }
 
@@ -545,41 +556,50 @@ func (c *Cache) Horizon(db string, q *query.Query) truetime.Timestamp {
 // subscribeLocked registers s and queues, in one critical section, what
 // it missed: updates after s.afterTS may already have been forwarded
 // before this registration, so they are replayed from the in-memory
-// changelog, followed by the current watermark. If the log no longer
-// reaches back to afterTS the subscription cannot be served completely
-// and is reset instead (the frontend requeries at a fresher timestamp).
+// changelog, followed by s's first watermark, even at 0: it tells the
+// subscriber that its subscriber watermarks cover s from then on. If the
+// log no longer reaches back to afterTS the subscription cannot be served
+// completely and is reset instead (the frontend requeries at a fresher
+// timestamp).
 func (r *nameRange) subscribeLocked(s *subscription) {
 	if s.afterTS < r.trimmedBefore {
 		r.outbox = append(r.outbox, event{kind: evReset, sub: s.sub, subID: s.subID})
-	} else {
-		for i := 0; i < r.log.n; i++ {
-			le := r.log.at(i)
-			if le.ts <= s.afterTS || le.db != s.db {
-				continue
-			}
-			if u, ok := matchUpdate(s.q, le.mut, le.ts); ok {
-				r.queueUpdateLocked(s, u)
-			}
+		return
+	}
+	if s.w = r.watchers[s.sub]; s.w == nil {
+		s.w = &watcher{sub: s.sub}
+		r.watchers[s.sub] = s.w
+	}
+	s.w.subs++
+	for i := 0; i < r.log.n; i++ {
+		le := r.log.at(i)
+		if le.ts <= s.afterTS || le.db != s.db {
+			continue
 		}
-		r.subs[s.subID] = s
-		r.match.add(s)
-		if r.watermark > 0 {
-			r.queueWatermarkLocked(s)
+		if u, ok := matchUpdate(s.q, le.mut, le.ts); ok {
+			r.queueUpdateLocked(s, u)
 		}
 	}
+	r.subs[s.subID] = s
+	r.match.add(s)
+	s.w.wmGen = 0 // the next subscriber watermark must queue behind this one
+	r.outbox = append(r.outbox, event{kind: evWatermark, sub: s.sub, subID: s.subID, u: Update{TS: r.watermark}})
 }
 
 // Unsubscribe removes a subscription from every range. Events already
 // queued for it may still be delivered.
 func (c *Cache) Unsubscribe(sub Subscriber, subID int64) {
 	c.mu.Lock()
-	ranges := append([]*nameRange(nil), c.ranges...)
+	ranges := c.ranges
 	c.mu.Unlock()
 	for _, r := range ranges {
 		r.mu.Lock()
 		if s, ok := r.subs[subID]; ok && s.sub == sub {
 			delete(r.subs, subID)
 			r.match.remove(s)
+			if s.w.subs--; s.w.subs == 0 {
+				delete(r.watchers, sub)
+			}
 		}
 		r.mu.Unlock()
 	}

@@ -80,7 +80,9 @@ type Subscriber interface {
 	// OnUpdate delivers one matched change on a range.
 	OnUpdate(rangeID int, subID int64, u Update)
 	// OnWatermark reports that every update on the range with timestamp
-	// <= ts has been delivered.
+	// <= ts has been delivered: for subscription subID, or, when subID is
+	// 0 (ReserveSub never issues it), for each of the subscriber's
+	// subscriptions whose own first watermark was delivered earlier.
 	OnWatermark(rangeID int, subID int64, ts truetime.Timestamp)
 	// OnReset reports the range went out-of-sync; the subscriber must
 	// drop accumulated state and re-run its initial query.
@@ -123,7 +125,7 @@ type Cache struct {
 	wg            sync.WaitGroup
 
 	mu      sync.Mutex
-	ranges  []*nameRange
+	ranges  []*nameRange      // append-only: a header read under mu stays valid
 	assign  []int32           // slot -> range ID
 	writes  map[string]*write // writeID -> prepared, not yet accepted
 	nextSub int64
@@ -396,26 +398,25 @@ func (c *Cache) heartbeatLoop(every time.Duration) {
 	ctx := context.Background()
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
-	var ranges []*nameRange // reused by every tick
 	for {
 		select {
 		case <-c.stop:
 			return
 		case <-ticker.C:
 		}
-		ranges = c.tick(ctx, ranges)
+		c.tick(ctx)
 	}
 }
 
-// tick runs one heartbeat, copying the range list into ranges' storage.
-func (c *Cache) tick(ctx context.Context, ranges []*nameRange) []*nameRange {
+// tick runs one heartbeat.
+func (c *Cache) tick(ctx context.Context) {
 	// Injected heartbeat stall: the Changelog tasks skip this tick, so
 	// watermarks stop advancing and overdue prepares are detected late.
 	if fault.Decide(ctx, fault.RTCacheHeartbeat).Kind == fault.KindDrop {
-		return ranges
+		return
 	}
 	c.mu.Lock()
-	ranges = append(ranges[:0], c.ranges...)
+	ranges := c.ranges
 	c.mu.Unlock()
 	// Injected Changelog crash: one range loses its in-memory state and
 	// restarts. The victim is the busiest task — the one serving the
@@ -437,22 +438,13 @@ func (c *Cache) tick(ctx context.Context, ranges []*nameRange) []*nameRange {
 		}
 		victim.crash()
 	}
-	now := c.clock.Now().Earliest
-	for _, r := range ranges {
-		r.heartbeat(now)
-	}
 	// Watermark lag: how far the slowest range trails TrueTime now —
 	// the staleness bound listeners observe.
+	now := c.clock.Now().Earliest
 	var maxLag time.Duration
 	for _, r := range ranges {
-		r.mu.Lock()
-		wm := r.watermark
-		r.mu.Unlock()
-		if wm == 0 {
-			continue // never advanced: no listeners observed it yet
-		}
-		if lag := now.Sub(wm); lag > maxLag {
-			maxLag = lag
+		if wm := r.heartbeat(now); wm > 0 { // 0: never advanced, no listener observed it
+			maxLag = max(maxLag, now.Sub(wm))
 		}
 	}
 	c.met.watermarkLag.Set(maxLag.Seconds())
@@ -468,7 +460,6 @@ func (c *Cache) tick(ctx context.Context, ranges []*nameRange) []*nameRange {
 		}
 	}
 	c.mu.Unlock()
-	return ranges
 }
 
 // Stats reports cache counters for tests and monitoring.
@@ -495,7 +486,7 @@ type RangeInfo struct {
 // state, in range-ID order.
 func (c *Cache) RangeStats() []RangeInfo {
 	c.mu.Lock()
-	ranges := append([]*nameRange(nil), c.ranges...)
+	ranges := c.ranges
 	slotsOf := map[int]int{}
 	for _, rid := range c.assign {
 		slotsOf[int(rid)]++
