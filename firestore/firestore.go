@@ -265,8 +265,11 @@ func (s *DocumentSnapshot) set(dr *DocumentRef, d *doc.Document, readTS truetime
 }
 
 // document is the snapshot as the engine's document type, sharing its
-// fields.
+// fields, or nil when the document does not exist.
 func (s *DocumentSnapshot) document() *doc.Document {
+	if !s.exists {
+		return nil
+	}
 	return &doc.Document{
 		Name:       s.Ref.name,
 		Fields:     s.fields,

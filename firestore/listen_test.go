@@ -260,6 +260,72 @@ func TestListenerDocsMatchGetAll(t *testing.T) {
 	}
 }
 
+// TestMapValuesAgree: a map is one orderable value wherever a query is
+// answered. Under OrderBy("a") over n1 {a: 1} and m1 {a: {x: 1}}, and
+// then m2 {a: {x: 2}}, the listener's Docs, GetAll and Evaluate over the
+// collection agree after every event; an equality on a whole map finds
+// its document on the server and in Evaluate alike.
+func TestMapValuesAgree(t *testing.T) {
+	c := newClient(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	coll := c.Collection("mixed")
+	set := func(id string, v any) {
+		t.Helper()
+		if err := coll.Doc(id).Set(ctx, map[string]any{"a": v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths := func(ids ...string) []string {
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			out[i] = coll.Doc(id).Path()
+		}
+		return out
+	}
+	answers := func(q Query) (server, local []string) {
+		t.Helper()
+		got, err := q.GetAll(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := coll.GetAll(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval, err := q.Evaluate(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return refs(got), refs(eval)
+	}
+	set("n1", 1)
+	set("m1", map[string]any{"x": 1})
+	q := coll.OrderBy("a", Asc)
+	it, err := q.Snapshots(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Stop()
+	for step, want := range [][]string{paths("n1", "m1"), paths("n1", "m1", "m2")} {
+		if step > 0 {
+			set("m2", map[string]any{"x": 2})
+		}
+		snap, err := it.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		server, local := answers(q)
+		if view := refs(snap.Docs); !slices.Equal(view, want) || !slices.Equal(server, want) || !slices.Equal(local, want) {
+			t.Fatalf("step %d: listener %v, GetAll %v, Evaluate %v, want %v", step, view, server, local, want)
+		}
+	}
+	server, local := answers(coll.Where("a", "==", map[string]any{"x": 1}))
+	if want := paths("m1"); !slices.Equal(server, want) || !slices.Equal(local, want) {
+		t.Fatalf("a == {x: 1}: GetAll %v, Evaluate %v, want %v", server, local, want)
+	}
+}
+
 // TestNextEndsWithTheRebuildError: when the server cannot rebuild a query
 // it ends the target with the error; Next returns it and the listener
 // is stopped, its connection released with it.

@@ -3,7 +3,6 @@ package firestore
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"firestore/internal/doc"
 	"firestore/internal/index"
@@ -178,17 +177,7 @@ func (q Query) Evaluate(docs []*DocumentSnapshot) ([]*DocumentSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []*DocumentSnapshot
-	for _, s := range docs {
-		if s.exists && iq.Matches(s.document()) {
-			out = append(out, s)
-		}
-	}
-	slices.SortFunc(out, func(a, b *DocumentSnapshot) int { return iq.Compare(a.document(), b.document()) })
-	out = out[min(max(iq.Offset, 0), len(out)):]
-	if iq.Limit > 0 && len(out) > iq.Limit {
-		out = out[:iq.Limit]
-	}
+	out := query.Evaluate(iq, docs, (*DocumentSnapshot).document)
 	if len(iq.Projection) > 0 {
 		for i, s := range out {
 			out[i] = resultSnapshot(q.c, iq.Project(s.document()), truetime.Timestamp(s.ReadTime.UnixNano()))

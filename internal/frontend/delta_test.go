@@ -3,6 +3,7 @@ package frontend
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -430,6 +431,100 @@ func TestPositionsFoldToQueryResult(t *testing.T) {
 				consume(ev)
 			case <-deadline:
 				t.Fatalf("target %d view %s, want %s", id, names(views[id]), names(atTS(targets[id], last)))
+			}
+		}
+	}
+}
+
+// TestPositionsFoldOverMixedValues: TestPositionsFoldToQueryResult's
+// fold, over writes whose ordered field takes values of every kind, maps
+// (nested and empty), NaN, -0 and an int beside its double among them.
+// After every event each folded view equals the query at the event's
+// timestamp, for ordered, limited, filtered and projected targets alike:
+// the index, the Query Matcher and the target's order read one value at
+// a path.
+func TestPositionsFoldOverMixedValues(t *testing.T) {
+	e := newEnv(t)
+	conn := e.f.NewConn(e.dbID, priv)
+	defer conn.Close()
+	coll := doc.MustCollection("/mixed")
+	x := func(v doc.Value) doc.Value { return doc.Map(map[string]doc.Value{"x": v}) }
+	values := []doc.Value{doc.Null(), doc.Bool(false), doc.Bool(true), doc.Int(1), doc.Double(1), doc.Double(math.NaN()),
+		doc.Double(math.Copysign(0, -1)), doc.Int(0), doc.Timestamp(time.Unix(5, 0)), doc.String(""), doc.String("s"),
+		doc.Bytes([]byte("b")), doc.Reference("/mixed/d1"), doc.Geo(1, 2), doc.Array(), doc.Array(doc.Int(1), x(doc.Int(1))),
+		doc.Map(nil), x(doc.Int(1)), x(doc.Int(2)), x(x(doc.Int(1))), doc.Map(map[string]doc.Value{"x": doc.Int(1), "y": doc.Null()})}
+	asc, desc := []query.Order{{Path: "v", Dir: index.Ascending}}, []query.Order{{Path: "v", Dir: index.Descending}}
+	queries := []*query.Query{
+		{Collection: coll, Orders: asc},
+		{Collection: coll, Orders: desc, Limit: 4},
+		{Collection: coll, Predicates: []query.Predicate{{Path: "v", Op: query.Ge, Value: x(doc.Int(1))}}, Orders: asc, Limit: 3},
+		{Collection: coll, Predicates: []query.Predicate{{Path: "v", Op: query.Eq, Value: x(doc.Int(1))}}},
+		{Collection: coll, Predicates: []query.Predicate{{Path: "v.x", Op: query.Eq, Value: doc.Int(1)}}},
+		{Collection: coll, Predicates: []query.Predicate{{Path: "v", Op: query.ArrayContains, Value: x(doc.Int(1))}}},
+		{Collection: coll, Orders: desc, Limit: 3, Projection: []doc.FieldPath{"note"}},
+	}
+	targets := map[int64]*query.Query{}
+	views := map[int64][]*doc.Document{}
+	for _, q := range queries {
+		id, err := conn.Listen(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets[id] = q
+	}
+	atTS := func(q *query.Query, ts truetime.Timestamp) []*doc.Document {
+		t.Helper()
+		res, _, err := e.b.RunQuery(context.Background(), e.dbID, priv, q, nil, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Docs
+	}
+	same := func(id int64, ts truetime.Timestamp) bool {
+		return slices.EqualFunc(views[id], atTS(targets[id], ts), (*doc.Document).Equal)
+	}
+	consume := func(ev SnapshotEvent) {
+		t.Helper()
+		views[ev.TargetID] = foldAt(t, views[ev.TargetID], ev)
+		if !same(ev.TargetID, ev.TS) {
+			t.Fatalf("%s at %d: view %s, query returns %s", targets[ev.TargetID], ev.TS, names(views[ev.TargetID]), names(atTS(targets[ev.TargetID], ev.TS)))
+		}
+	}
+
+	rng := rand.New(rand.NewSource(64))
+	var last truetime.Timestamp
+	for step := 0; step < 150; step++ {
+		var ops []backend.WriteOp
+		for _, i := range rng.Perm(10)[:1+rng.Intn(3)] {
+			name := doc.MustName(fmt.Sprintf("/mixed/d%d", i))
+			fields := map[string]doc.Value{"note": doc.Int(int64(step))}
+			switch k := rng.Intn(10); {
+			case k < 7:
+				fields["v"] = values[rng.Intn(len(values))]
+			case k < 8: // a set without the ordered field
+			default:
+				ops = append(ops, backend.WriteOp{Kind: backend.OpDelete, Name: name})
+				continue
+			}
+			ops = append(ops, backend.WriteOp{Kind: backend.OpSet, Name: name, Fields: fields})
+		}
+		ts, err := e.b.Commit(context.Background(), e.dbID, priv, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = ts
+		for len(conn.Events()) > 0 {
+			consume(<-conn.Events())
+		}
+	}
+	deadline := time.After(3 * time.Second)
+	for id := range targets {
+		for !same(id, last) {
+			select {
+			case ev := <-conn.Events():
+				consume(ev)
+			case <-deadline:
+				t.Fatalf("%s: view %s, want %s", targets[id], names(views[id]), names(atTS(targets[id], last)))
 			}
 		}
 	}

@@ -195,10 +195,11 @@ func IDPrefix(id uint64) []byte {
 }
 
 // flatten appends the document's indexable (path, value) pairs to dst:
-// map fields are flattened to their leaves (dot-joined paths), other
-// values are taken whole. Pairs come back sorted by path, then value,
-// and free of duplicates (a top-level field "a.b" and a map "a" holding
-// "b" share a path).
+// every value at its own path, a map whole and then each of its fields
+// at the dot-joined path below it, so an index holds every value a query
+// reads through doc.Get. Pairs come back sorted by path, then value, and
+// free of duplicates (a top-level field "a.b" and a map "a" holding "b"
+// share a path).
 func flatten(dst []FieldValue, d *doc.Document) []FieldValue {
 	if d == nil {
 		return dst
@@ -213,10 +214,9 @@ func flattenMap(dst []FieldValue, prefix string, m map[string]doc.Value) []Field
 		if prefix != "" {
 			k = prefix + "." + k
 		}
-		if v.Kind() == doc.KindMap && len(v.MapVal()) > 0 {
+		dst = append(dst, FieldValue{Path: doc.FieldPath(k), Value: v})
+		if v.Kind() == doc.KindMap {
 			dst = flattenMap(dst, k, v.MapVal())
-		} else {
-			dst = append(dst, FieldValue{Path: doc.FieldPath(k), Value: v})
 		}
 	}
 	return dst
@@ -313,29 +313,25 @@ func (d *differ) field(out []Entry, coll string, ex *Exemptions, fv FieldValue) 
 }
 
 // composite appends def's entry for the document flat was flattened from.
-func (d *differ) composite(out []Entry, def Definition, of *doc.Document, flat []FieldValue) []Entry {
+func (d *differ) composite(out []Entry, def Definition, flat []FieldValue) []Entry {
 	d.vals, d.cuts = d.vals[:0], d.cuts[:0]
 	for _, f := range def.Fields {
-		v, _ := lookup(of, flat, f.Path)
+		v, _ := lookup(flat, f.Path)
 		d.vals = encoding.EncodeValue(d.vals, v)
 		d.cuts = append(d.cuts, len(d.vals))
 	}
 	return append(out, d.entry(def.ID, def.Fields))
 }
 
-// lookup finds a field by path among the flattened leaves, falling back
-// to the document for non-leaf map values referenced by composites.
-func lookup(d *doc.Document, flat []FieldValue, p doc.FieldPath) (doc.Value, bool) {
-	if d == nil {
-		return doc.Value{}, false
-	}
+// lookup finds a field by path among a document's flattened values.
+func lookup(flat []FieldValue, p doc.FieldPath) (doc.Value, bool) {
 	i, ok := slices.BinarySearchFunc(flat, p, func(fv FieldValue, p doc.FieldPath) int {
 		return strings.Compare(string(fv.Path), string(p))
 	})
-	if ok {
-		return flat[i].Value, true
+	if !ok {
+		return doc.Value{}, false
 	}
-	return d.Get(p)
+	return flat[i].Value, true
 }
 
 // Entries computes the full set of IndexEntries keys for a document:
@@ -409,16 +405,16 @@ func DiffEntries(rem, add []Entry, keyPrefix []byte, old, new *doc.Document, com
 		inOld, inNew := old != nil, new != nil
 		same := inOld && inNew
 		for _, f := range def.Fields {
-			ov, ook := lookup(old, d.old, f.Path)
-			nv, nok := lookup(new, d.new, f.Path)
+			ov, ook := lookup(d.old, f.Path)
+			nv, nok := lookup(d.new, f.Path)
 			inOld, inNew = inOld && ook, inNew && nok
 			same = same && ook && nok && doc.Equal(ov, nv)
 		}
 		if inOld && !same {
-			d.rem = d.composite(d.rem, def, old, d.old)
+			d.rem = d.composite(d.rem, def, d.old)
 		}
 		if inNew && !same {
-			d.add = d.composite(d.add, def, new, d.new)
+			d.add = d.composite(d.add, def, d.new)
 		}
 	}
 

@@ -66,13 +66,14 @@ func TestFlattenFields(t *testing.T) {
 	for _, fv := range flat {
 		got[string(fv.Path)] = true
 	}
-	for _, want := range []string{"a", "m.x", "m.y.z", "empty", "arr"} {
+	// A map is a value at its own path as well as the parent of its fields.
+	for _, want := range []string{"a", "m", "m.x", "m.y", "m.y.z", "empty", "arr"} {
 		if !got[want] {
 			t.Errorf("missing flattened path %q (have %v)", want, got)
 		}
 	}
-	if len(flat) != 5 {
-		t.Errorf("flat count = %d, want 5", len(flat))
+	if len(flat) != 7 {
+		t.Errorf("flat count = %d, want 7", len(flat))
 	}
 	if !sort.SliceIsSorted(flat, func(i, j int) bool { return flat[i].Path < flat[j].Path }) {
 		t.Error("flattened fields not sorted")

@@ -103,7 +103,7 @@ func TestAggregationsMatchOracle(t *testing.T) {
 		if res.ScannedEntries == 0 {
 			t.Fatalf("%s: no scan work reported", q)
 		}
-		naive := s.naive(q)
+		naive := s.evaluate(q)
 		if got := res.Values["n"].IntVal(); got != int64(len(naive)) {
 			t.Errorf("%s: count = %d, want %d", q, got, len(naive))
 		}

@@ -41,7 +41,7 @@ func TestSameFieldPredicatesAgainstNaive(t *testing.T) {
 			t.Fatalf("BuildPlanWithStats(%s): %v", q, err)
 		}
 		planned++
-		want := m.naive(q)
+		want := m.evaluate(q)
 		res, err := plan.Execute(context.Background(), m, nil)
 		if err != nil {
 			t.Fatalf("Execute(%s): %v", q, err)
@@ -62,7 +62,7 @@ func TestSameFieldPredicatesAgainstNaive(t *testing.T) {
 		{[]Predicate{{"numRatings", Lt, doc.Int(5)}, {"numRatings", Lt, doc.Int(10)}}, 5},
 	} {
 		q := &Query{Collection: coll, Predicates: c.preds}
-		if n := len(m.naive(q)); n != c.want {
+		if n := len(m.evaluate(q)); n != c.want {
 			t.Fatalf("%s: naive returns %d rows, want %d", q, n, c.want)
 		}
 		check(q)

@@ -175,7 +175,7 @@ func TestCursorEntitiesScan(t *testing.T) {
 		End:   &Cursor{Values: []doc.Value{doc.String("/restaurants/r020")}},
 	}
 	got := runPlan(t, m, q)
-	want := m.naive(q)
+	want := m.evaluate(q)
 	assertSameDocs(t, q, got, want)
 	if len(got) != 10 {
 		t.Fatalf("got %d docs, want 10 (r010..r019)", len(got))
@@ -189,7 +189,7 @@ func TestCursorEntitiesScan(t *testing.T) {
 		Start: &Cursor{Values: []doc.Value{doc.String("/restaurants/r010")}},
 	}
 	got2 := runPlan(t, m, q2)
-	assertSameDocs(t, q2, got2, m.naive(q2))
+	assertSameDocs(t, q2, got2, m.evaluate(q2))
 	if len(got2) != 3 || got2[0].Name.ID() != "r013" {
 		t.Fatalf("offset+limit after exclusive start: got %v", names(got2))
 	}
@@ -216,7 +216,7 @@ func TestCursorIndexScan(t *testing.T) {
 		Start: &Cursor{Values: []doc.Value{rv, doc.String(pivot.Name.String())}},
 	}
 	got := runPlan(t, m, q)
-	assertSameDocs(t, q, got, m.naive(q))
+	assertSameDocs(t, q, got, m.evaluate(q))
 	if len(got) != len(all)-20 {
 		t.Fatalf("resumed page has %d docs, want %d", len(got), len(all)-20)
 	}
@@ -231,7 +231,7 @@ func TestCursorIndexScan(t *testing.T) {
 		End:   &Cursor{Values: []doc.Value{ev}, Inclusive: true},
 	}
 	got2 := runPlan(t, m, q2)
-	assertSameDocs(t, q2, got2, m.naive(q2))
+	assertSameDocs(t, q2, got2, m.evaluate(q2))
 
 	// Descending order with cursors.
 	dords := []Order{{Path: "avgRating", Dir: index.Descending}}
@@ -241,7 +241,7 @@ func TestCursorIndexScan(t *testing.T) {
 		Start: &Cursor{Values: []doc.Value{dv, doc.String(dall[9].Name.String())}},
 	}
 	got3 := runPlan(t, m, q3)
-	assertSameDocs(t, q3, got3, m.naive(q3))
+	assertSameDocs(t, q3, got3, m.evaluate(q3))
 	if len(got3) != len(dall)-10 {
 		t.Fatalf("descending resumed page has %d docs, want %d", len(got3), len(dall)-10)
 	}

@@ -61,7 +61,7 @@ func TestCostPlannerPicksCheapestOnABL1(t *testing.T) {
 	if zigzag.Choice != "zigzag" {
 		t.Fatalf("without the composite: %s (%s), want the zig-zag join", zigzag, zigzag.Choice)
 	}
-	want := s.naive(q)
+	want := s.evaluate(q)
 	scanned := map[string]int{}
 	for _, p := range []*Plan{picked, zigzag} {
 		res, err := p.Execute(context.Background(), s, nil)
@@ -129,7 +129,7 @@ func TestEnumeratedAlternativesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Execute(%s): %v", trial, p, err)
 		}
-		assertSameDocs(t, q, res.Docs, s.naive(q))
+		assertSameDocs(t, q, res.Docs, s.evaluate(q))
 	}
 }
 

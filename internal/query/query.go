@@ -10,6 +10,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"firestore/internal/doc"
@@ -221,7 +222,7 @@ func (q *Query) Matches(d *doc.Document) bool {
 			return false
 		}
 	}
-	return q.InCursorRange(d)
+	return !q.BeforeStart(d) && !q.PastEnd(d)
 }
 
 // cursorCompare orders d against the cursor position: negative when d
@@ -272,11 +273,6 @@ func (q *Query) PastEnd(d *doc.Document) bool {
 	}
 	cmp := q.cursorCompare(d, q.End)
 	return cmp > 0 || (cmp == 0 && !q.End.Inclusive)
-}
-
-// InCursorRange reports whether d lies within the query's cursor bounds.
-func (q *Query) InCursorRange(d *doc.Document) bool {
-	return !q.BeforeStart(d) && !q.PastEnd(d)
 }
 
 func matchPredicate(d *doc.Document, p Predicate) bool {
@@ -334,6 +330,25 @@ func (q *Query) Compare(a, b *doc.Document) int {
 		}
 	}
 	return a.Name.Compare(b.Name)
+}
+
+// Evaluate answers q over items in memory: those whose documents (nil
+// for none) q matches, in q's order, after its offset and limit,
+// unprojected. It is what a query means: an offline client answers with
+// it, and every path that serves a query must agree with it.
+func Evaluate[T any](q *Query, items []T, docOf func(T) *doc.Document) []T {
+	var out []T
+	for _, it := range items {
+		if q.Matches(docOf(it)) {
+			out = append(out, it)
+		}
+	}
+	slices.SortFunc(out, func(a, b T) int { return q.Compare(docOf(a), docOf(b)) })
+	out = out[min(max(q.Offset, 0), len(out)):]
+	if q.Limit > 0 && len(out) > q.Limit {
+		out = out[:q.Limit]
+	}
+	return out
 }
 
 // Project returns d restricted to the projection (or d itself when the

@@ -90,25 +90,14 @@ func (m *memStore) GetDocument(_ context.Context, name doc.Name) (*doc.Document,
 	return m.docs[name.String()], nil
 }
 
-// naive evaluates q by full scan + sort, the reference semantics.
-func (m *memStore) naive(q *Query) []*doc.Document {
-	var out []*doc.Document
+// evaluate is q's answer over every stored document by Evaluate,
+// projected as Execute projects: the reference a plan must agree with.
+func (m *memStore) evaluate(q *Query) []*doc.Document {
+	all := make([]*doc.Document, 0, len(m.docs))
 	for _, d := range m.docs {
-		if q.Matches(d) {
-			out = append(out, d)
-		}
+		all = append(all, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return q.Compare(out[i], out[j]) < 0 })
-	if q.Offset > 0 {
-		if q.Offset >= len(out) {
-			out = nil
-		} else {
-			out = out[q.Offset:]
-		}
-	}
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
-	}
+	out := Evaluate(q, all, func(d *doc.Document) *doc.Document { return d })
 	for i, d := range out {
 		out[i] = q.Project(d)
 	}
@@ -236,7 +225,7 @@ func TestSingleFieldEquality(t *testing.T) {
 		Collection: doc.MustCollection("/restaurants"),
 		Predicates: []Predicate{{"city", Eq, doc.String("SF")}},
 	}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestZigZagJoinTwoEqualities(t *testing.T) {
@@ -258,7 +247,7 @@ func TestZigZagJoinTwoEqualities(t *testing.T) {
 	if !plan.ZigZag() || len(plan.Scans) != 2 {
 		t.Fatalf("plan = %s, want 2-way zigzag", plan)
 	}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestInequalityWithImplicitOrder(t *testing.T) {
@@ -268,7 +257,7 @@ func TestInequalityWithImplicitOrder(t *testing.T) {
 		Collection: doc.MustCollection("/restaurants"),
 		Predicates: []Predicate{{"numRatings", Gt, doc.Int(100)}},
 	}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestInequalityRangeBothEnds(t *testing.T) {
@@ -281,7 +270,7 @@ func TestInequalityRangeBothEnds(t *testing.T) {
 			{"numRatings", Lt, doc.Int(150)},
 		},
 	}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestOrderByDescending(t *testing.T) {
@@ -292,7 +281,7 @@ func TestOrderByDescending(t *testing.T) {
 		Orders:     []Order{{"avgRating", index.Descending}},
 		Limit:      10,
 	}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestInequalityDescendingOrder(t *testing.T) {
@@ -303,7 +292,7 @@ func TestInequalityDescendingOrder(t *testing.T) {
 		Predicates: []Predicate{{"avgRating", Gt, doc.Double(2.5)}},
 		Orders:     []Order{{"avgRating", index.Descending}},
 	}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestCompositeSingleScan(t *testing.T) {
@@ -330,7 +319,7 @@ func TestCompositeSingleScan(t *testing.T) {
 	if plan.ZigZag() {
 		t.Fatalf("plan = %s, want single composite scan", plan)
 	}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestZigZagCompositesWithSharedSuffix(t *testing.T) {
@@ -359,7 +348,7 @@ func TestZigZagCompositesWithSharedSuffix(t *testing.T) {
 	if !plan.ZigZag() {
 		t.Fatalf("plan = %s, want zigzag", plan)
 	}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestNeedsIndexError(t *testing.T) {
@@ -400,7 +389,7 @@ func TestArrayContains(t *testing.T) {
 		Collection: doc.MustCollection("/restaurants"),
 		Predicates: []Predicate{{"tags", ArrayContains, doc.String("BBQ")}},
 	}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestArrayContainsPlusEquality(t *testing.T) {
@@ -413,14 +402,14 @@ func TestArrayContainsPlusEquality(t *testing.T) {
 			{"city", Eq, doc.String("SF")},
 		},
 	}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestBareCollectionScan(t *testing.T) {
 	m := newMemStore(nil, nil)
 	seedRestaurants(m)
 	q := &Query{Collection: doc.MustCollection("/restaurants")}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestOffsetAndLimit(t *testing.T) {
@@ -432,7 +421,7 @@ func TestOffsetAndLimit(t *testing.T) {
 		Offset:     3,
 		Limit:      5,
 	}
-	assertSameDocs(t, q, runPlan(t, m, q), m.naive(q))
+	assertSameDocs(t, q, runPlan(t, m, q), m.evaluate(q))
 }
 
 func TestResumeToken(t *testing.T) {
@@ -446,7 +435,7 @@ func TestResumeToken(t *testing.T) {
 		{Collection: doc.MustCollection("/restaurants"),
 			Predicates: []Predicate{{"numRatings", Gt, doc.Int(100)}}, Limit: 4},
 	} {
-		full := m.naive(&Query{Collection: q.Collection, Predicates: q.Predicates})
+		full := m.evaluate(&Query{Collection: q.Collection, Predicates: q.Predicates})
 		plan, err := BuildPlanWithStats(q, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -479,7 +468,7 @@ func TestResumeTokenEntitiesScan(t *testing.T) {
 	m := newMemStore(nil, nil)
 	seedRestaurants(m)
 	q := &Query{Collection: doc.MustCollection("/restaurants"), Limit: 7}
-	full := m.naive(&Query{Collection: q.Collection})
+	full := m.evaluate(&Query{Collection: q.Collection})
 	plan, err := BuildPlanWithStats(q, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +506,7 @@ func TestProjection(t *testing.T) {
 			t.Fatalf("projected doc has fields %v", d.FieldNames())
 		}
 	}
-	assertSameDocs(t, q, docs, m.naive(q))
+	assertSameDocs(t, q, docs, m.evaluate(q))
 }
 
 // TestProjectSharesNothingMutable: Project copies no value — a stored
@@ -687,7 +676,7 @@ func TestRandomizedAgainstNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Execute(%s): %v", trial, q, err)
 		}
-		assertSameDocs(t, q, res.Docs, m.naive(q))
+		assertSameDocs(t, q, res.Docs, m.evaluate(q))
 	}
 }
 
@@ -800,8 +789,8 @@ func TestCountMatchesExecute(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ExecuteCount(%s): %v", &q, err)
 			}
-			if got.Count != int64(drained) || got.Count != int64(len(m.naive(&q))) {
-				t.Errorf("%s: count = %d, Execute returned %d, want %d", &q, got.Count, drained, len(m.naive(&q)))
+			if got.Count != int64(drained) || got.Count != int64(len(m.evaluate(&q))) {
+				t.Errorf("%s: count = %d, Execute returned %d, want %d", &q, got.Count, drained, len(m.evaluate(&q)))
 			}
 			if got.Count > 0 && got.ScannedEntries == 0 {
 				t.Errorf("%s: no scan work reported", &q)

@@ -45,3 +45,25 @@ func TestAcceptAllocs(t *testing.T) {
 		t.Errorf("Prepare plus Accept of a one-document write allocates %.1f times, want <= 1", got)
 	}
 }
+
+// TestRebalanceAllocs: a Rebalance pass that splits nothing allocates
+// nothing. With Config.AutoSplitSubs one runs on every heartbeat tick,
+// under Cache.mu.
+func TestRebalanceAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	c := New(Config{Ranges: 4, HeartbeatEvery: time.Hour})
+	t.Cleanup(c.Close)
+	for k := range 8 {
+		c.Subscribe(nopSubscriber{}, "db1", collQuery(k), 0, 0)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if c.Rebalance(1000) {
+			t.Fatal("a range with fewer than 1000 subscriptions split")
+		}
+	})
+	if got != 0 {
+		t.Errorf("a Rebalance pass that splits nothing allocates %.1f times, want 0", got)
+	}
+}

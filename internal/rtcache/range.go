@@ -127,6 +127,9 @@ type nameRange struct {
 	id  int
 	met *metrics
 	kv  *keyviz.Collector
+	// slots counts the slots Cache.assign gives this range; Cache.mu
+	// guards it, as it guards assign.
+	slots int
 
 	mu sync.Mutex
 	// pending holds the prepares whose Accept has not arrived, in Prepare

@@ -170,6 +170,7 @@ func New(cfg Config) *Cache {
 	}
 	for slot := range c.assign {
 		c.assign[slot] = int32(slot * cfg.Ranges / slots)
+		c.ranges[c.assign[slot]].slots++
 	}
 	reg.GaugeFunc("rtcache.subscriptions", nil, func() float64 {
 		return float64(c.Stats().Subscriptions)
@@ -203,7 +204,7 @@ func (c *Cache) RangeCount() int {
 // framework in the paper load-balances by "dynamically changing the
 // document-name range ownership across Changelog and Query Matcher
 // tasks"; here rebalancing reassigns slots to a freshly created range
-// (see splitHotRange).
+// (see Rebalance).
 const slots = 256
 
 // ownerLocked returns the range owning a database's top-level
@@ -226,8 +227,8 @@ func slotOf(db, topCollection string) int {
 	return int(h % slots)
 }
 
-// splitHotRange rebalances load once: the range with the most
-// subscriptions (above threshold) that owns at least two slots hands half
+// Rebalance runs one load-balancing pass: the range with the most
+// subscriptions (at least threshold) that owns at least two slots hands half
 // of its slots to a newly created range. The hot range is reset before
 // any slot moves — the same fail-safe path used for out-of-sync ranges —
 // so its subscribers land on the new assignment when they resubscribe,
@@ -236,18 +237,15 @@ func slotOf(db, topCollection string) int {
 // history below it, so a subscription from there resets rather than miss
 // a write the old owner took. Prepare and Subscribe register under c.mu,
 // so every prepare on the hot range is in its pending list here, and the
-// horizon covers its maxTS. It reports whether a split happened.
-func (c *Cache) splitHotRange(threshold int) bool {
+// horizon covers its maxTS. It reports whether a split happened. With
+// Config.AutoSplitSubs a pass also runs on every heartbeat tick.
+func (c *Cache) Rebalance(threshold int) bool {
 	c.mu.Lock()
 	// Pick the hottest eligible range.
 	var hot *nameRange
 	hotSubs := threshold - 1
-	slotsOf := map[int][]int{}
-	for slot, rid := range c.assign {
-		slotsOf[int(rid)] = append(slotsOf[int(rid)], slot)
-	}
 	for _, r := range c.ranges {
-		if len(slotsOf[r.id]) < 2 {
+		if r.slots < 2 {
 			continue
 		}
 		r.mu.Lock()
@@ -268,10 +266,13 @@ func (c *Cache) splitHotRange(threshold int) bool {
 	batch := hot.startDrainLocked()
 	hot.mu.Unlock()
 	c.ranges = append(c.ranges, fresh)
-	owned := slotsOf[hot.id]
-	for _, slot := range owned[:len(owned)/2] {
-		c.assign[slot] = int32(fresh.id)
+	owned := hot.slots
+	for slot := 0; fresh.slots < owned/2; slot++ {
+		if int(c.assign[slot]) == hot.id {
+			c.assign[slot], fresh.slots = int32(fresh.id), fresh.slots+1
+		}
 	}
+	hot.slots -= fresh.slots
 	c.mu.Unlock()
 	// Annotate the Slicer decision: the hot range, the fresh range that
 	// took half its slots, and the subscription load that triggered it.
@@ -281,16 +282,11 @@ func (c *Cache) splitHotRange(threshold int) bool {
 		Peer:       uint64(fresh.id),
 		HeatBefore: int64(hotSubs),
 		HeatAfter:  int64(hotSubs) / 2,
-		Detail:     fmt.Sprintf("%d of %d slots reassigned", len(owned)/2, len(owned)),
+		Detail:     fmt.Sprintf("%d of %d slots reassigned", fresh.slots, owned),
 	})
 	hot.drain(batch)
 	return true
 }
-
-// Rebalance runs one load-balancing pass, splitting the hottest range if
-// it serves at least threshold subscriptions. Exposed for operators and
-// tests; with Config.AutoSplitSubs it also runs on the heartbeat loop.
-func (c *Cache) Rebalance(threshold int) bool { return c.splitHotRange(threshold) }
 
 // write is the one record of a prepared write: what Prepare was told and
 // the ranges it prepared on. It is immutable once Prepare returns, so
@@ -449,7 +445,7 @@ func (c *Cache) tick(ctx context.Context) {
 	}
 	c.met.watermarkLag.Set(maxLag.Seconds())
 	if c.autoSplitSubs > 0 {
-		c.splitHotRange(c.autoSplitSubs)
+		c.Rebalance(c.autoSplitSubs)
 	}
 	// Drop the records of writes whose Accept never came: their ranges
 	// expired them above (same reading) and reset.
@@ -487,25 +483,20 @@ type RangeInfo struct {
 func (c *Cache) RangeStats() []RangeInfo {
 	c.mu.Lock()
 	ranges := c.ranges
-	slotsOf := map[int]int{}
-	for _, rid := range c.assign {
-		slotsOf[int(rid)]++
+	out := make([]RangeInfo, len(ranges))
+	for i, r := range ranges {
+		out[i] = RangeInfo{ID: r.id, Slots: r.slots}
 	}
 	c.mu.Unlock()
-	out := make([]RangeInfo, 0, len(ranges))
-	for _, r := range ranges {
+	for i, r := range ranges {
 		r.mu.Lock()
-		out = append(out, RangeInfo{
-			ID:            r.id,
-			Slots:         slotsOf[r.id],
-			Subscriptions: len(r.subs),
-			Pending:       len(r.pending),
-			Watermark:     r.watermark,
-			LastTS:        r.lastTS,
-			LogLen:        r.log.n,
-			OutOfSyncs:    r.outOfSyncs,
-			Forwarded:     r.forwarded,
-		})
+		out[i].Subscriptions = len(r.subs)
+		out[i].Pending = len(r.pending)
+		out[i].Watermark = r.watermark
+		out[i].LastTS = r.lastTS
+		out[i].LogLen = r.log.n
+		out[i].OutOfSyncs = r.outOfSyncs
+		out[i].Forwarded = r.forwarded
 		r.mu.Unlock()
 	}
 	return out

@@ -72,6 +72,7 @@ func TestSubscribeRacesSplit(t *testing.T) {
 				defer wg.Done()
 				for i := range each {
 					c.Subscribe(nopSubscriber{}, "db1", collQuery((g*each+i)%colls), 0, 0)
+					runtime.Gosched() // on one CPU, a goroutine that never blocks would run all its subscriptions at once
 				}
 			}()
 		}
@@ -82,6 +83,8 @@ func TestSubscribeRacesSplit(t *testing.T) {
 			for !done.Load() {
 				if c.Rebalance(1) {
 					splits++
+				} else {
+					runtime.Gosched() // let the subscribers in: a split needs subscriptions
 				}
 			}
 		}()

@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -290,6 +291,48 @@ func TestQueryLocalSemantics(t *testing.T) {
 	}
 	if _, err := e.client.Query(e.fs.Collection("notes").Where("n", "~", 2)); err == nil {
 		t.Fatal("invalid query evaluated")
+	}
+}
+
+// TestLocalAnswerMatchesServerOverMaps: writes made offline, maps among
+// their values, once acknowledged give the same answer to an ordered,
+// limited or map-filtered query locally as on the server, document for
+// document and field for field.
+func TestLocalAnswerMatchesServerOverMaps(t *testing.T) {
+	e := newEnv(t, openRules)
+	x := func(v any) map[string]any { return fields("x", v) }
+	e.client.GoOffline()
+	for i, v := range []any{1, x(1), x(2), map[string]any{}, x(x(1)), "s", []any{x(1)}, nil} {
+		e.client.Set("/notes/n"+strconv.Itoa(i), fields("a", v))
+	}
+	e.client.Set("/notes/none", fields("b", 1))
+	e.client.GoOnline()
+	waitPending(t, e.client)
+	notes := e.fs.Collection("notes")
+	for _, q := range []firestore.Query{
+		notes.OrderBy("a", firestore.Asc),
+		notes.OrderBy("a", firestore.Desc).Limit(3),
+		notes.Where("a", ">", x(1)),
+		notes.Where("a", "==", x(2)),
+		notes.Where("a.x", "==", 1).Select("a"),
+	} {
+		local, err := e.client.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		server, err := q.GetAll(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := paths(Snapshot{Docs: server})
+		if got := paths(local); got != want || len(server) == 0 {
+			t.Fatalf("local answer %q, server %q", got, want)
+		}
+		for i, s := range server {
+			if !reflect.DeepEqual(local.Docs[i].Data(), s.Data()) {
+				t.Fatalf("%s: local %v, server %v", s.Ref.Path(), local.Docs[i].Data(), s.Data())
+			}
+		}
 	}
 }
 
