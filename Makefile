@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet lint lock-graph test test-race race-repeat debug-smoke chaos fuzz bench
+.PHONY: verify fmt-check vet lint lock-graph test test-race race-repeat debug-smoke chaos mutants fuzz bench
 
 verify: fmt-check vet lint test-race race-repeat
 
@@ -90,7 +90,8 @@ debug-smoke:
 	$(GO) test -v ./cmd/fsctl/
 
 # Fixed-seed fault-injection scenarios under the race detector (see
-# EXPERIMENTS.md CHAOS). RUN selects a family, default all three:
+# EXPERIMENTS.md CHAOS); SEED, if set, runs them at that seed instead of
+# their canonical one. RUN selects a family, default all three:
 #   Smoke     trips the out-of-sync/requery recovery path and
 #             at-least-once queue redelivery
 #   Recovery  kills tablets mid-commit on the durable engine (WAL +
@@ -101,8 +102,15 @@ debug-smoke:
 #             SIGKILLed mid-run and respawned: the rejoined peer must
 #             serve its WAL state and ValidateDatabase must be clean
 RUN ?= Smoke|Recovery|Cluster
+SEED ?=
 chaos:
-	$(GO) test -race -run 'TestChaos($(RUN))' -v ./internal/chaos/
+	$(GO) test -race -run 'TestChaos($(RUN))' -v ./internal/chaos/ $(if $(SEED),-args -seed $(SEED))
+
+# Mutation checks (internal/mutants): each row of the table puts one known
+# defect back into a copy of the module, and its killer test must fail
+# there. A row whose fragment no longer occurs exactly once fails too.
+mutants:
+	$(GO) test -count=1 -timeout 30m -run TestMutants -v ./internal/mutants/ -args -mutants
 
 # Short fuzz passes over the decoders that read bytes from outside the
 # process: a transport frame, the binary engine-plane

@@ -8,8 +8,6 @@
 //	firestore-bench -tab 1            # the ease-of-use table
 //	firestore-bench -abl zigzag       # ablations: zigzag, multiregion, shedding
 //	firestore-bench -bulk             # YCSB bulk load: sequential Set vs BulkWriter
-//	firestore-bench -chaos list       # list fault-injection scenarios
-//	firestore-bench -chaos accept-blackhole -seed 7   # run one scenario
 //	firestore-bench -all              # everything
 //	firestore-bench -all -scale 0.2   # faster, smaller runs
 package main
@@ -22,20 +20,14 @@ import (
 	"time"
 
 	"firestore/internal/bench"
-	"firestore/internal/chaos"
-	"firestore/internal/cluster"
 	"firestore/internal/obs"
 )
 
 func main() {
-	// Cluster chaos scenarios re-exec this binary as tablet-server child
-	// processes; the hook must run before flags.
-	cluster.MaybeRunTabletChild()
 	fig := flag.String("fig", "", "figure to regenerate: 6, 7, 8, 7+8, 9, 10a, 10b, 11")
 	tab := flag.String("tab", "", "table to regenerate: 1")
 	abl := flag.String("abl", "", "ablation to run: zigzag, multiregion, shedding")
 	bulk := flag.Bool("bulk", false, "run the YCSB bulk-load comparison (sequential Set vs BulkWriter)")
-	chaosName := flag.String("chaos", "", "fault-injection scenario to run (or \"list\", \"all\")")
 	all := flag.Bool("all", false, "run every experiment")
 	scale := flag.Float64("scale", 1.0, "experiment size/duration multiplier")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -125,12 +117,6 @@ func main() {
 		ran = true
 		bench.BulkLoad(opts).Fprint(out)
 	}
-	if *chaosName != "" {
-		ran = true
-		if !runChaos(out, logw, *chaosName, *seed) {
-			os.Exit(1)
-		}
-	}
 	if !ran {
 		flag.Usage()
 		os.Exit(2)
@@ -154,78 +140,5 @@ func printSpans(out io.Writer) {
 		fmt.Fprintf(out, "%-24s %-8s %-18s n=%d mean=%v p50=%v p95=%v p99=%v\n",
 			h.Name, h.Labels["db"], h.Labels["code"], h.Count,
 			time.Duration(h.Mean), time.Duration(h.P50), time.Duration(h.P95), time.Duration(h.P99))
-	}
-}
-
-// runChaos runs one named chaos scenario (or "all", or "list") and
-// prints its invariant report. It returns false if any invariant failed.
-func runChaos(out, logw io.Writer, name string, seed int64) bool {
-	if name == "list" {
-		fmt.Fprintf(out, "%-20s %s\n", "SCENARIO", "DESCRIPTION")
-		for _, sc := range chaos.Scenarios() {
-			fmt.Fprintf(out, "%-20s %s\n", sc.Name, sc.Doc)
-		}
-		return true
-	}
-	var run []chaos.Scenario
-	if name == "all" {
-		run = chaos.Scenarios()
-	} else {
-		sc, ok := chaos.Find(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown scenario %q (try -chaos list)\n", name)
-			os.Exit(2)
-		}
-		run = []chaos.Scenario{sc}
-	}
-	pass := true
-	for _, sc := range run {
-		opt := chaos.Options{Seed: seed}
-		if sc.Durable || sc.Cluster {
-			dir, err := os.MkdirTemp("", "firestore-chaos-"+sc.Name+"-")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaos %s: %v\n", sc.Name, err)
-				os.Exit(1)
-			}
-			defer os.RemoveAll(dir)
-			opt.Dir = dir
-		}
-		if logw != nil {
-			opt.Log = func(format string, args ...any) {
-				fmt.Fprintf(logw, "chaos %s: "+format+"\n", append([]any{sc.Name}, args...)...)
-			}
-		}
-		rep, err := chaos.Run(sc, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos %s: %v\n", sc.Name, err)
-			os.Exit(1)
-		}
-		printChaosReport(out, rep)
-		pass = pass && rep.Pass
-	}
-	return pass
-}
-
-func printChaosReport(out io.Writer, rep *chaos.Report) {
-	verdict := "PASS"
-	if !rep.Pass {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(out, "\n# chaos %s (seed %d): %s\n", rep.Scenario, rep.Seed, verdict)
-	fmt.Fprintf(out, "commits=%d commit_errs=%d out_of_syncs=%d requeries=%d\n",
-		rep.Commits, rep.CommitErrs, rep.OutOfSyncs, rep.Requeries)
-	if rep.Recoveries+rep.Flushes+rep.Compactions > 0 {
-		fmt.Fprintf(out, "storage: recoveries=%d flushes=%d compactions=%d\n",
-			rep.Recoveries, rep.Flushes, rep.Compactions)
-	}
-	for site, sched := range rep.Schedules {
-		fmt.Fprintf(out, "schedule %-28s %s (fired %d)\n", site, sched, rep.Injected[site])
-	}
-	for _, inv := range rep.Invariants {
-		mark := "ok  "
-		if !inv.OK {
-			mark = "FAIL"
-		}
-		fmt.Fprintf(out, "%s %-28s %s\n", mark, inv.Name, inv.Detail)
 	}
 }

@@ -308,6 +308,22 @@ func TestQueryCursorsOverHTTP(t *testing.T) {
 	}
 }
 
+// TestDottedFieldNamesRefused: a field name holding a dot, at the top
+// level or as a key of a nested map, is the caller's fault, and nothing
+// is written.
+func TestDottedFieldNamesRefused(t *testing.T) {
+	ts := newServer(t)
+	do(t, ts, "POST", "/v1/databases", map[string]string{"id": "app"}, nil)
+	for _, body := range []map[string]any{{"m.x": 1}, {"m": map[string]any{"x.y": 1}}} {
+		if resp, raw := do(t, ts, "PUT", "/v1/databases/app/docs/c/d", body, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("put %v = %d %s, want 400", body, resp.StatusCode, raw)
+		}
+	}
+	if resp, _ := do(t, ts, "GET", "/v1/databases/app/docs/c/d", nil, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("get after the refused puts = %d, want 404", resp.StatusCode)
+	}
+}
+
 func TestRulesOverHTTP(t *testing.T) {
 	ts := newServer(t)
 	do(t, ts, "POST", "/v1/databases", map[string]string{"id": "app"}, nil)

@@ -12,6 +12,7 @@ import (
 	"firestore/internal/core"
 	"firestore/internal/rules"
 	"firestore/internal/status"
+	"firestore/internal/storage"
 )
 
 func newClient(t *testing.T) *Client {
@@ -242,6 +243,33 @@ func TestRunTransactionRetries(t *testing.T) {
 	n, _ := snap.DataAt("n")
 	if n.(int64) != workers {
 		t.Fatalf("counter = %d, want %d", n, workers)
+	}
+}
+
+// TestTransactionOutlivingRetentionReruns: an attempt whose second read
+// comes after retention dropped its snapshot (storage.GCRetention) is
+// re-run at a fresh one, as after a conflict, rather than failed.
+func TestTransactionOutlivingRetentionReruns(t *testing.T) {
+	c := newClient(t)
+	ctx := context.Background()
+	a, b := c.Collection("c").Doc("a"), c.Collection("c").Doc("b")
+	if err := a.Set(ctx, map[string]any{"v": 1}); err != nil {
+		t.Fatal(err)
+	}
+	attempts := 0
+	err := c.RunTransaction(ctx, func(tx *Transaction) error {
+		attempts++
+		if _, err := tx.Get(a); err != nil {
+			return err
+		}
+		if attempts == 1 {
+			time.Sleep(storage.GCRetention + 100*time.Millisecond)
+		}
+		_, err := tx.Get(b)
+		return err
+	})
+	if err != nil || attempts != 2 {
+		t.Fatalf("RunTransaction = %v after %d attempt(s), want success on the second", err, attempts)
 	}
 }
 

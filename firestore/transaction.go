@@ -2,6 +2,7 @@ package firestore
 
 import (
 	"context"
+	"errors"
 
 	"firestore/internal/backend"
 	"firestore/internal/status"
@@ -45,9 +46,13 @@ func (c *Client) RunTransaction(ctx context.Context, fn func(tx *Transaction) er
 
 // Get reads a document inside the transaction, recording its version for
 // commit-time revalidation. All reads within one attempt observe a single
-// consistent snapshot.
+// consistent snapshot; an attempt that outlives retention of that
+// snapshot fails Aborted, so RunTransaction re-runs it at a fresh one.
 func (tx *Transaction) Get(dr *DocumentRef) (*DocumentSnapshot, error) {
 	s, err := dr.fetch(tx.ctx, tx.readTS)
+	if errors.Is(err, backend.ErrBelowHorizon) {
+		return nil, status.Wrap(status.Aborted, "firestore", err)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -29,6 +29,9 @@ func toFields(data map[string]any) (map[string]doc.Value, error) {
 		}
 		out[k] = dv
 	}
+	if err := doc.CheckFieldNames(out); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

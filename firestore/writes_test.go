@@ -40,6 +40,12 @@ func TestWriteMethods(t *testing.T) {
 				return tx.Delete(c.Doc("c/x"))
 			})
 		}, status.OK, map[string]int64{}},
+		{"set with a dotted field name", func(c *Client) error {
+			return c.Doc("c/x").Set(ctx, map[string]any{"v": 2, "m.x": 1})
+		}, status.InvalidArgument, map[string]int64{"x": 1}},
+		{"batch with a dotted key in a map applies nothing", func(c *Client) error {
+			return c.Batch().Set(c.Doc("c/y"), map[string]any{"v": 2}).Set(c.Doc("c/z"), map[string]any{"m": map[string]any{"a.b": 1}}).Commit(ctx)
+		}, status.InvalidArgument, map[string]int64{"x": 1}},
 		{"bulk writer with default options", func(c *Client) error {
 			bw := c.BulkWriter(ctx)
 			job, err := bw.Set(c.Doc("c/y"), map[string]any{"v": 2})

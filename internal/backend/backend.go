@@ -381,7 +381,11 @@ func (b *Backend) commitOps(ctx context.Context, db *catalog.Database, p Princip
 			if old != nil {
 				new.CreateTime = old.CreateTime
 			}
-			if err := new.CheckSize(); err != nil {
+			err := new.CheckSize()
+			if err == nil {
+				err = doc.CheckFieldNames(new.Fields)
+			}
+			if err != nil {
 				if err := failOp(err); err != nil {
 					return 0, err
 				}

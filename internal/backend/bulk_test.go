@@ -27,12 +27,16 @@ func TestCommitBulkPerOpOutcomes(t *testing.T) {
 		{Kind: OpCreate, Name: doc.MustName("/c/exists"), Fields: map[string]doc.Value{"v": doc.Int(2)}},
 		{Kind: OpUpdate, Name: doc.MustName("/c/missing"), Fields: map[string]doc.Value{"v": doc.Int(3)}},
 		{Kind: OpDelete, Name: doc.MustName("/c/exists")},
+		{Kind: OpSet, Name: doc.MustName("/c/dotted"), Fields: map[string]doc.Value{"m": doc.Map(map[string]doc.Value{"x.y": doc.Int(4)})}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 4 {
-		t.Fatalf("got %d results, want 4", len(res))
+	if len(res) != 5 {
+		t.Fatalf("got %d results, want 5", len(res))
+	}
+	if !errors.Is(res[4].Err, doc.ErrDottedName) || status.CodeOf(res[4].Err) != status.InvalidArgument {
+		t.Errorf("dotted map key err = %v, want InvalidArgument", res[4].Err)
 	}
 	if res[0].Err != nil || res[0].TS == 0 {
 		t.Errorf("set: %+v", res[0])

@@ -20,9 +20,9 @@ import (
 
 // TestReadBelowRetentionIsRefused writes one document 20 times, 2 s apart
 // on a manual clock, so the engine trims its oldest versions, and then
-// queries at the second write's timestamp. The document existed then:
-// the query must be refused, naming the horizon, rather than answer
-// without it.
+// queries, counts and gets it at the second write's timestamp. The
+// document existed then: each read must be refused, naming the horizon,
+// rather than answer without it (a get must not call it absent).
 func TestReadBelowRetentionIsRefused(t *testing.T) {
 	clock := truetime.NewManual(1, 0)
 	cat := catalog.New([]*spanner.DB{spanner.New(spanner.Config{Clock: clock})})
@@ -60,6 +60,12 @@ func TestReadBelowRetentionIsRefused(t *testing.T) {
 	}
 	if _, _, err := b.RunAggregation(ctx, "app", priv, q, []query.Aggregation{{Kind: query.AggCount, Alias: "n"}}, stamps[1]); !errors.Is(err, ErrBelowHorizon) {
 		t.Fatalf("count at the second write's timestamp = %v, want ErrBelowHorizon", err)
+	}
+	if d, _, err := b.GetDocument(ctx, "app", priv, doc.MustName("/c/d"), stamps[1]); !errors.Is(err, ErrBelowHorizon) {
+		t.Fatalf("get at the second write's timestamp = %v, %v; want ErrBelowHorizon", d, err)
+	}
+	if d, _, err := b.GetDocument(ctx, "app", priv, doc.MustName("/c/d"), stamps[19]); err != nil || d.Fields["v"].IntVal() != 19 {
+		t.Fatalf("get at the last write's timestamp = %v, %v; want the last version", d, err)
 	}
 	if res, _, err := b.RunQuery(ctx, "app", priv, q, nil, stamps[19]); err != nil || len(res.Docs) != 1 {
 		t.Fatalf("query at the last write's timestamp = %v, %v; want the document", res, err)

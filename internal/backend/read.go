@@ -22,19 +22,22 @@ import (
 // GetDocument reads one document. A zero readTS means a strong read
 // (TT.now().latest); otherwise the read is served at the given snapshot
 // timestamp (§III-C: "point-in-time queries that are either
-// strongly-consistent or from a recent timestamp").
+// strongly-consistent or from a recent timestamp"), and refused with
+// ErrBelowHorizon, as a query page is, when retention no longer covers
+// it.
 func (b *Backend) GetDocument(ctx context.Context, dbID string, p Principal, name doc.Name, readTS truetime.Timestamp) (*doc.Document, truetime.Timestamp, error) {
 	db, err := b.cat.Get(dbID)
 	if err != nil {
 		return nil, 0, err
 	}
-	if readTS == 0 {
-		readTS = db.Spanner.StrongReadTimestamp()
-	}
 	var d *doc.Document
 	err = b.submit(ctx, db, "backend.get", b.schedKey(dbID, p), b.cfg.Costs.Read(dbID), func(ctx context.Context) error {
-		var rerr error
-		d, rerr = b.getAt(ctx, db, name, readTS)
+		at, rerr := readRetained(db, readTS, func(ts truetime.Timestamp) error {
+			var gerr error
+			d, gerr = b.getAt(ctx, db, name, ts)
+			return gerr
+		})
+		readTS = at
 		if rerr != nil {
 			return rerr
 		}
@@ -49,7 +52,7 @@ func (b *Backend) GetDocument(ctx context.Context, dbID string, p Principal, nam
 				Auth:     p.Auth,
 				Resource: d,
 				Get: func(n doc.Name) (*doc.Document, error) {
-					return b.getAt(ctx, db, n, readTS)
+					return b.getAt(ctx, db, n, at)
 				},
 			}
 			if err := meta.Rules.Authorize(req); err != nil {

@@ -1,20 +1,28 @@
 // Package chaos runs named fault-injection scenarios against a full
 // in-process region and checks the system's end-to-end invariants while
-// faults fire.
+// faults fire. `go test ./internal/chaos` is its runner: each scenario is
+// a subtest of TestAllScenarios, and -seed replays any of them at
+// another seed.
 //
-// A scenario is a seeded workload (writers hammering a small keyspace,
-// optional real-time listeners, a trigger handler recording deliveries)
-// plus a fault schedule armed through internal/fault. Because fault
-// firing is a pure function of (seed, site, hit index), the same seed
-// reproduces the same fault schedule run after run; the workload itself
-// is driven by rand sources derived from the same seed.
+// A scenario is a seeded workload (writers setting and deleting the
+// documents of a small keyspace, optional real-time listeners, a trigger
+// handler recording deliveries) plus a fault schedule armed through
+// internal/fault. Because fault firing is a pure function of (seed,
+// site, hit index), the same seed reproduces the same fault schedule run
+// after run; the workload itself is driven by rand sources derived from
+// the same seed.
 //
-// After the fault window closes the runner lets the system settle and
-// then checks invariants:
+// The oracle is query.Evaluate: a query's answer at a timestamp is the
+// evaluator (then the query's projection) over the bare collection as
+// the region reads it at that timestamp. The invariants:
 //
-//   - listener-convergence: every real-time listener's materialized view
-//     equals a fresh re-execution of its query (§IV-D4 reset-and-requery
-//     must heal any stream the faults disrupted).
+//   - listener-snapshots: every snapshot a listener receives, folded by
+//     the server's positions, equals the oracle at the snapshot's
+//     timestamp, document for document and field for field, in order
+//     (§IV-D4); every listener has at least one snapshot checked.
+//   - listener-convergence: once the faults stop, every listener's view
+//     reaches the oracle at a fresh timestamp (reset-and-requery must
+//     heal any stream the faults disrupted).
 //   - trigger-at-least-once: every committed write is observed by the
 //     trigger handler at least once (the commit's hand-off to the
 //     triggers may redeliver, never lose).
@@ -31,13 +39,15 @@
 package chaos
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"path/filepath"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -47,6 +57,7 @@ import (
 	"firestore/internal/doc"
 	"firestore/internal/fault"
 	"firestore/internal/frontend"
+	"firestore/internal/index"
 	"firestore/internal/keyviz"
 	"firestore/internal/obs"
 	"firestore/internal/query"
@@ -64,6 +75,19 @@ const dbID = "chaos"
 // changelog-crash on the data under test.
 const collection = "/kv"
 
+// The workload of every scenario: a preload sets each of docs
+// documents, then writers goroutines commit writes writes each. A
+// cluster scenario runs clusterPeers tablet-server processes; a durable
+// one caps each tablet's memtable at memtableCap bytes, tiny on purpose,
+// so that the workload goes through segment flush and compaction.
+const (
+	docs         = 16
+	writers      = 4
+	writes       = 10
+	clusterPeers = 2
+	memtableCap  = 256
+)
+
 // Scenario is one named chaos experiment: a workload shape plus the
 // faults armed while it runs and the recovery paths it is expected to
 // trip.
@@ -74,11 +98,9 @@ type Scenario struct {
 	// start.
 	Faults []fault.Spec
 
-	// Workload shape. Zero values take the defaults in withDefaults.
-	Docs      int // distinct documents in the keyspace
-	Writers   int // concurrent writer goroutines
-	Writes    int // commits per writer
-	Listeners int // real-time listener connections
+	// Listeners is the number of real-time listener connections; each
+	// holds one target per query of listenQueries.
+	Listeners int
 
 	// ExpectOutOfSync asserts the rtcache reported at least one
 	// out-of-sync reset (§IV-D4).
@@ -94,17 +116,15 @@ type Scenario struct {
 	// one range carries all the heat).
 	ExpectKeyVizCrashFidelity bool
 
-	// Cluster runs the region's storage on tablet-server child
-	// processes behind a cluster coordinator: every engine op crosses
-	// the wire transport, so the transport.* fault sites are on the
-	// path and SIGKILL of a child is a real process crash. Options.Dir
-	// roots per-peer data directories (disk children) and the host
-	// binary must call cluster.MaybeRunTabletChild() first thing in
-	// main()/TestMain(). Children host disk engines when Durable is
-	// set, mem engines otherwise (mem survives reconnects, not kills).
+	// Cluster runs the region's storage on clusterPeers tablet-server
+	// child processes behind a cluster coordinator: every engine op
+	// crosses the wire transport, so the transport.* fault sites are on
+	// the path and SIGKILL of a child is a real process crash.
+	// Options.Dir roots per-peer data directories (disk children) and the
+	// test binary's TestMain must call cluster.MaybeRunTabletChild()
+	// first. Children host disk engines when Durable is set, mem engines
+	// otherwise (mem survives reconnects, not kills).
 	Cluster bool
-	// ClusterPeers is the tablet-server process count (default 2).
-	ClusterPeers int
 	// KillPeer SIGKILLs one tablet-server process once, mid-run, after
 	// roughly half the writes have been issued, then respawns it under
 	// the same name and data directory. Acknowledged commits must
@@ -118,10 +138,6 @@ type Scenario struct {
 	// closed and reopened from disk and must recover the exact
 	// authoritative state with clean validation.
 	Durable bool
-	// MemtableCap caps each durable tablet's memtable (bytes); the
-	// durable default (256 B) is deliberately tiny so the workload is
-	// guaranteed to round-trip through segment flush and compaction.
-	MemtableCap int64
 	// ExpectRecoveries asserts at least one tablet engine crashed and
 	// was recovered (WAL replay) during the run.
 	ExpectRecoveries bool
@@ -131,39 +147,15 @@ type Scenario struct {
 	ExpectCompactions bool
 }
 
-func (s Scenario) withDefaults() Scenario {
-	if s.Docs == 0 {
-		s.Docs = 16
-	}
-	if s.Writers == 0 {
-		s.Writers = 4
-	}
-	if s.Writes == 0 {
-		s.Writes = 25
-	}
-	if s.Cluster && s.ClusterPeers == 0 {
-		s.ClusterPeers = 2
-	}
-	if s.Durable && s.MemtableCap == 0 {
-		// Tiny on purpose: even the Quick workload must flush every few
-		// commits so segment flush and compaction are genuinely on the
-		// path under test.
-		s.MemtableCap = 256
-	}
-	return s
-}
-
 // Options tune one Run.
 type Options struct {
 	// Seed drives both the fault schedule and the workload. The same
 	// seed reproduces the same run.
 	Seed int64
-	// Quick shrinks the workload for smoke tests.
-	Quick bool
-	// Dir roots a Durable scenario's on-disk state. The chaos runner
-	// itself never touches the filesystem (all file I/O lives in
-	// internal/storage), so callers must supply a scratch directory —
-	// typically t.TempDir() or os.MkdirTemp in a cmd.
+	// Dir roots a Durable or Cluster scenario's on-disk state. The chaos
+	// runner itself never touches the filesystem (all file I/O lives in
+	// internal/storage), so callers supply a scratch directory such as
+	// t.TempDir().
 	Dir string
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
@@ -190,6 +182,10 @@ type Report struct {
 	CommitErrs int    `json:"commit_errs"`
 	OutOfSyncs int64  `json:"out_of_syncs"`
 	Requeries  int64  `json:"requeries"`
+	// Checked counts the listeners' snapshots compared with the oracle;
+	// Unchecked those whose oracle read failed under a fault.
+	Checked   int `json:"checked"`
+	Unchecked int `json:"unchecked"`
 	// Storage-engine activity over the run (durable scenarios).
 	Recoveries  int64 `json:"recoveries,omitempty"`
 	Flushes     int64 `json:"flushes,omitempty"`
@@ -216,73 +212,141 @@ func (r *Report) check(name string, ok bool, format string, args ...any) {
 
 var priv = backend.Principal{Privileged: true}
 
-// listenerView materializes one listener's stream of snapshot events
-// into the result set it implies.
-type listenerView struct {
-	mu   sync.Mutex
-	docs map[string]*doc.Document
-	ts   truetime.Timestamp
-	err  error // why the frontend ended the listener, if it did
+// listenQueries are the queries every listener connection holds: the
+// whole collection, a limit over a descending order, an inequality
+// against a map, and an order over a field holding ints and maps,
+// projected to another field.
+func listenQueries() []*query.Query {
+	coll := doc.MustCollection(collection)
+	return []*query.Query{
+		{Collection: coll},
+		{Collection: coll, Orders: []query.Order{{Path: "v", Dir: index.Descending}}, Limit: 5},
+		{Collection: coll, Predicates: []query.Predicate{{Path: "m", Op: query.Ge, Value: doc.Map(map[string]doc.Value{"x": doc.Int(0)})}}},
+		{Collection: coll, Orders: []query.Order{{Path: "m", Dir: index.Ascending}}, Projection: []doc.FieldPath{"v"}},
+	}
 }
 
-func (v *listenerView) apply(ev frontend.SnapshotEvent) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+// listener is one real-time target: its query, and the view its
+// snapshots fold to.
+type listener struct {
+	q *query.Query
+
+	mu        sync.Mutex
+	view      []*doc.Document
+	snapshots int    // received
+	checked   int    // compared with the oracle
+	unchecked int    // whose oracle read failed
+	wrong     string // the first that differed from the oracle
+	err       error  // why the frontend ended the target, if it did
+}
+
+// apply folds one event into the view and compares the view with the
+// oracle at the event's timestamp. Only the connection's drain
+// goroutine calls it.
+func (l *listener) apply(ctx context.Context, region *core.Region, ev frontend.SnapshotEvent) {
 	if ev.Err != nil {
-		v.err = ev.Err
+		l.mu.Lock()
+		l.err = ev.Err
+		l.mu.Unlock()
 		return
 	}
+	view, ferr := fold(l.view, ev)
+	want, rerr := answer(ctx, region, l.q, ev.TS)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.view = view
+	l.snapshots++
+	d := ""
+	switch {
+	case ferr != nil:
+		d = ferr.Error()
+	case rerr != nil:
+		l.unchecked++
+	default:
+		l.checked++
+		d = diff(view, want)
+	}
+	if d != "" && l.wrong == "" {
+		l.wrong = fmt.Sprintf("snapshot at %d: %s", ev.TS, d)
+	}
+}
+
+// state returns the view, the number of snapshots received, and the
+// error that ended the target, if any.
+func (l *listener) state() ([]*doc.Document, int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.view, l.snapshots, l.err
+}
+
+// fold applies one event to an ordered view as a client does: an Initial
+// snapshot replaces the view; a delta drops every document it names and
+// puts each document it lists at its position, lowest position first.
+func fold(view []*doc.Document, ev frontend.SnapshotEvent) ([]*doc.Document, error) {
 	if ev.Initial {
-		v.docs = make(map[string]*doc.Document, len(ev.Added))
+		return slices.Clone(ev.Added), nil
 	}
-	if v.docs == nil {
-		v.docs = map[string]*doc.Document{}
+	listed := slices.Concat(ev.Added, ev.Modified)
+	if len(ev.At) != len(listed) {
+		return view, fmt.Errorf("delta lists %d documents and %d positions", len(listed), len(ev.At))
 	}
-	for _, d := range ev.Added {
-		v.docs[d.Name.String()] = d
-	}
-	for _, d := range ev.Modified {
-		v.docs[d.Name.String()] = d
-	}
+	gone := make(map[doc.Name]bool, len(ev.Removed)+len(listed))
 	for _, n := range ev.Removed {
-		delete(v.docs, n.String())
+		gone[n] = true
 	}
-	v.ts = ev.TS
-}
-
-// ended returns the error the frontend ended the listener with, if any.
-func (v *listenerView) ended() error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.err
-}
-
-// snapshot returns a copy of the current view keyed by document name,
-// with the value of the "v" field.
-func (v *listenerView) snapshot() map[string]int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]int64, len(v.docs))
-	for name, d := range v.docs {
-		out[name] = d.Fields["v"].IntVal()
+	order := make([]int, len(listed))
+	for i, d := range listed {
+		gone[d.Name] = true
+		order[i] = i
 	}
-	return out
+	view = slices.DeleteFunc(slices.Clone(view), func(d *doc.Document) bool { return gone[d.Name] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(ev.At[a], ev.At[b]) })
+	for _, i := range order {
+		at := int(ev.At[i])
+		if at > len(view) {
+			return view, fmt.Errorf("position %d past a view of %d", at, len(view))
+		}
+		view = slices.Insert(view, at, listed[i])
+	}
+	return view, nil
 }
 
-// commitRecord is one successful write as the writer observed it.
-type commitRecord struct {
-	name doc.Name
-	ts   truetime.Timestamp
-	v    int64
+// answer is the oracle: q evaluated in memory (query.Evaluate, then
+// q's projection) over the bare collection as the region reads it at
+// ts, or at a strong timestamp if ts is zero. The keyspace's docs
+// documents fit in one page.
+func answer(ctx context.Context, region *core.Region, q *query.Query, ts truetime.Timestamp) ([]*doc.Document, error) {
+	res, _, err := region.RunQuery(ctx, dbID, priv, &query.Query{Collection: q.Collection}, nil, ts)
+	if err != nil {
+		return nil, err
+	}
+	out := query.Evaluate(q, res.Docs, func(d *doc.Document) *doc.Document { return d })
+	for i, d := range out {
+		out[i] = q.Project(d)
+	}
+	return out, nil
+}
+
+// diff describes the first place where got and want differ, or returns
+// "" if they hold the same documents, field for field, in the same
+// order.
+func diff(got, want []*doc.Document) string {
+	for i := 0; i < max(len(got), len(want)); i++ {
+		switch {
+		case i == len(got):
+			return fmt.Sprintf("%d document(s), want %d: missing %s at %d", len(got), len(want), want[i], i)
+		case i == len(want):
+			return fmt.Sprintf("%d document(s), want %d: extra %s at %d", len(got), len(want), got[i], i)
+		case !got[i].Equal(want[i]):
+			return fmt.Sprintf("at %d: %s, want %s", i, got[i], want[i])
+		}
+	}
+	return ""
 }
 
 // Run executes one scenario and reports the invariant results. It
 // resets the fault plane on exit.
 func Run(sc Scenario, opt Options) (*Report, error) {
-	sc = sc.withDefaults()
-	if opt.Quick {
-		sc.Writes = 10
-	}
 	rep := &Report{
 		Scenario:  sc.Name,
 		Seed:      opt.Seed,
@@ -302,7 +366,7 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 			return nil, fmt.Errorf("scenario %s is durable: Options.Dir must point at a scratch directory", sc.Name)
 		}
 		cfg.StorageDir = opt.Dir
-		cfg.MemtableCap = sc.MemtableCap
+		cfg.MemtableCap = memtableCap
 	}
 
 	// Cluster scenarios put a coordinator and tablet-server child
@@ -325,15 +389,15 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 			kind = cluster.KindDisk
 		}
 		harn = cluster.NewHarness(coord, filepath.Join(opt.Dir, "peers"), kind)
-		harn.MemtableCap = sc.MemtableCap
+		harn.MemtableCap = cfg.MemtableCap
 		defer harn.Close()
-		for i := 0; i < sc.ClusterPeers; i++ {
+		for i := 0; i < clusterPeers; i++ {
 			name := fmt.Sprintf("ts%d", i)
 			if err := harn.Spawn(name); err != nil {
 				return nil, fmt.Errorf("spawn tablet server %s: %w", name, err)
 			}
 		}
-		opt.logf("cluster up: coordinator %s + %d %s tablet-server process(es)", coord.Addr(), sc.ClusterPeers, kind)
+		opt.logf("cluster up: coordinator %s + %d %s tablet-server process(es)", coord.Addr(), clusterPeers, kind)
 		// The pool's storage now lives in the children; the region talks
 		// to it through the coordinator's remote factories.
 		cfg.StorageDir = ""
@@ -357,52 +421,70 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	ctx := context.Background()
 
 	// Trigger handler first, so every commit (including preload) is
-	// observed. Deliveries are keyed by name@ts: at-least-once delivery
-	// may repeat a key, never skip one.
+	// observed. Commits and deliveries are keyed by name@ts: at-least-once
+	// delivery may repeat a key, never skip one.
+	key := func(name doc.Name, ts truetime.Timestamp) string { return fmt.Sprintf("%s@%d", name, ts) }
 	var trigMu sync.Mutex
 	delivered := map[string]int{}
 	svc := region.Triggers(dbID)
 	svc.OnWrite(collection[1:], func(_ context.Context, ch triggers.Change) error {
 		trigMu.Lock()
-		delivered[fmt.Sprintf("%s@%d", ch.Name, ch.TS)]++
+		delivered[key(ch.Name, ch.TS)]++
 		trigMu.Unlock()
 		return nil
 	})
 
 	// Preload the keyspace so listeners and writers start from a full
-	// result set.
-	var commits []commitRecord
-	for i := 0; i < sc.Docs; i++ {
+	// result set. seq numbers every write, the preload's included.
+	var commits []string
+	var seq int64
+	for i := 0; i < docs; i++ {
 		name := docName(i)
-		ts, err := region.Commit(ctx, dbID, priv, []backend.WriteOp{setOp(name, 0, -1)})
+		seq++
+		ts, err := region.Commit(ctx, dbID, priv, []backend.WriteOp{setOp(name, seq, -1)})
 		if err != nil {
 			return nil, fmt.Errorf("preload %s: %w", name, err)
 		}
-		commits = append(commits, commitRecord{name: name, ts: ts, v: 0})
+		commits = append(commits, key(name, ts))
 	}
 
-	// Listeners register before faults arm so the fault window covers
-	// live streams, not initial registration.
-	views := make([]*listenerView, sc.Listeners)
+	// Listeners register, and their initial snapshots are checked,
+	// before the faults arm, so the fault window covers live streams,
+	// not initial registration. Each connection's drain goroutine folds
+	// and checks its targets' snapshots.
+	var listeners []*listener
+	var conns []*frontend.Conn
 	var wgListen sync.WaitGroup
-	// Conn.Close closes the events channel, which ends each drain
-	// goroutine; wait for them so nothing races region teardown.
-	defer wgListen.Wait()
-	for i := range views {
-		v := &listenerView{}
-		views[i] = v
-		conn := region.NewConn(dbID, priv)
-		defer conn.Close()
-		wgListen.Add(1)
-		go func(c *frontend.Conn) {
-			defer wgListen.Done()
-			for ev := range c.Events() {
-				v.apply(ev)
-			}
-		}(conn)
-		if _, err := conn.Listen(ctx, &query.Query{Collection: doc.MustCollection(collection)}); err != nil {
-			return nil, fmt.Errorf("listen: %w", err)
+	stopListening := func() {
+		for _, c := range conns {
+			c.Close() // ends the drain goroutine's range over Events
 		}
+		wgListen.Wait()
+	}
+	defer stopListening()
+	for i := 0; i < sc.Listeners; i++ {
+		conn := region.NewConn(dbID, priv)
+		conns = append(conns, conn)
+		byTarget := map[int64]*listener{}
+		for _, q := range listenQueries() {
+			id, err := conn.Listen(ctx, q)
+			if err != nil {
+				return nil, fmt.Errorf("listen %s: %w", q, err)
+			}
+			byTarget[id] = &listener{q: q}
+			listeners = append(listeners, byTarget[id])
+		}
+		wgListen.Add(1)
+		go func() {
+			defer wgListen.Done()
+			for ev := range conn.Events() {
+				byTarget[ev.TargetID].apply(ctx, region, ev)
+			}
+		}()
+	}
+	waiting := func(l *listener) bool { _, n, _ := l.state(); return n == 0 }
+	for until := time.Now().Add(5 * time.Second); slices.ContainsFunc(listeners, waiting) && time.Now().Before(until); {
+		time.Sleep(time.Millisecond)
 	}
 
 	// Arm the fault plane. Seed first: Enable resets per-site hit
@@ -415,16 +497,17 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		rep.Schedules[spec.Site] = fault.Schedule(opt.Seed, spec, 64)
 	}
 	opt.logf("armed %d fault(s), running %d writers x %d writes over %d docs",
-		len(sc.Faults), sc.Writers, sc.Writes, sc.Docs)
+		len(sc.Faults), writers, writes, docs)
 
 	// Writers. Each has its own seed-derived rand source; keys come
-	// from a YCSB uniform chooser over the keyspace.
+	// from a YCSB uniform chooser over the keyspace, and about one write
+	// in five is a delete.
 	var (
 		wg         sync.WaitGroup
 		commitMu   sync.Mutex
 		commitErrs int
+		deletes    int
 		extViol    []string
-		seq        int64
 	)
 	// Some sites fire per heartbeat tick, not per write, and a fast box
 	// finishes the write quota inside one tick. Writers keep the traffic
@@ -440,37 +523,39 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		return true
 	}
 	holdUntil := time.Now().Add(holdOpen)
-	for w := 0; w < sc.Writers; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(opt.Seed*1_000_003 + int64(w)))
-			chooser := ycsb.Uniform{N: sc.Docs}
-			for i := 0; i < sc.Writes || !allFired() && time.Now().Before(holdUntil); i++ {
+			chooser := ycsb.Uniform{N: docs}
+			for i := 0; i < writes || !allFired() && time.Now().Before(holdUntil); i++ {
 				name := docName(chooser.Next(rng))
 				commitMu.Lock()
 				seq++
-				v := seq
+				op := setOp(name, seq, w)
 				commitMu.Unlock()
-				ts, err := region.Commit(ctx, dbID, priv, []backend.WriteOp{setOp(name, v, w)})
+				if rng.Intn(5) == 0 {
+					op = backend.WriteOp{Kind: backend.OpDelete, Name: name}
+				}
+				ts, err := region.Commit(ctx, dbID, priv, []backend.WriteOp{op})
 				if err != nil {
 					commitMu.Lock()
 					commitErrs++
 					commitMu.Unlock()
 					continue
 				}
-				rec := commitRecord{name: name, ts: ts, v: v}
 				// External consistency: a strong read after the commit
-				// must see a document at least as new as the commit.
-				d, _, rerr := region.GetDocument(ctx, dbID, priv, name, 0)
+				// reads at or above it and sees no older version.
+				d, readTS, rerr := region.GetDocument(ctx, dbID, priv, name, 0)
+				stale := rerr == nil && d.UpdateTime < ts || errors.Is(rerr, backend.ErrNotFound) && readTS < ts
 				commitMu.Lock()
-				commits = append(commits, rec)
-				if rerr == nil && (d == nil || d.UpdateTime < ts) {
-					got := truetime.Timestamp(0)
-					if d != nil {
-						got = d.UpdateTime
-					}
-					extViol = append(extViol, fmt.Sprintf("%s: strong read saw %d < commit %d", name, got, ts))
+				commits = append(commits, key(name, ts))
+				if op.Kind == backend.OpDelete {
+					deletes++
+				}
+				if stale {
+					extViol = append(extViol, fmt.Sprintf("%s: strong read at %d after commit %d", name, readTS, ts))
 				}
 				commitMu.Unlock()
 			}
@@ -508,19 +593,19 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		if victim == "" {
 			return nil, fmt.Errorf("scenario %s: no peer owns tablets of pool database %d, nothing to kill", sc.Name, poolIdx)
 		}
-		half := int64(sc.Writers*sc.Writes) / 2
+		const half = writers * writes / 2
 		go func() {
 			defer close(killerDone)
 			for {
 				commitMu.Lock()
-				issued := seq
+				issued := seq - docs
 				commitMu.Unlock()
 				if issued >= half {
 					break
 				}
 				time.Sleep(time.Millisecond)
 			}
-			opt.logf("SIGKILL peer %s (%d tablet(s)) mid-run (%d/%d writes issued)", victim, owned, half, sc.Writers*sc.Writes)
+			opt.logf("SIGKILL peer %s (%d tablet(s)) mid-run (%d/%d writes issued)", victim, owned, half, writers*writes)
 			if err := harn.Kill(victim); err != nil {
 				killErr = fmt.Errorf("kill %s: %w", victim, err)
 				return
@@ -551,38 +636,49 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	fault.Reset()
 	opt.logf("fault window closed: %d commits, %d commit errors", rep.Commits, rep.CommitErrs)
 
-	// Settle: listeners converge to a fresh re-execution of the query.
-	want, err := queryState(ctx, region)
-	if err != nil {
-		return nil, fmt.Errorf("requery: %w", err)
-	}
+	// Settle: every listener's view reaches the oracle at a fresh
+	// timestamp.
+	var stuck, wrong []string
 	deadline := time.Now().Add(8 * time.Second)
-	for i, v := range views {
+	for i, l := range listeners {
 		for {
-			got := v.snapshot()
-			if mapsEqual(got, want) {
-				break
+			want, err := answer(ctx, region, l.q, 0)
+			if err != nil {
+				return nil, fmt.Errorf("oracle: %w", err)
 			}
-			if err := v.ended(); err != nil {
-				rep.check("listener-convergence", false, "listener %d ended: %v", i, err)
-				break
+			view, _, ended := l.state()
+			switch d := diff(view, want); {
+			case d == "":
+			case ended != nil:
+				stuck = append(stuck, fmt.Sprintf("listener %d (%s) ended: %v", i, l.q, ended))
+			case time.Now().After(deadline):
+				stuck = append(stuck, fmt.Sprintf("listener %d (%s) never converged: %s", i, l.q, d))
+			default:
+				time.Sleep(2 * time.Millisecond)
+				continue
 			}
-			if time.Now().After(deadline) {
-				rep.check("listener-convergence", false,
-					"listener %d view (%d docs) never converged to requeried state (%d docs): %s (frontend.late_updates=%d)",
-					i, len(got), len(want), firstDiff(got, want),
-					region.Obs.Counter("frontend.late_updates", obs.DB(dbID)).Value())
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-			// The authoritative state can still advance while settling.
-			if want, err = queryState(ctx, region); err != nil {
-				return nil, fmt.Errorf("requery: %w", err)
-			}
+			break
 		}
 	}
-	if sc.Listeners > 0 && invariantMissing(rep, "listener-convergence") {
-		rep.check("listener-convergence", true, "%d listener(s) converged to requeried state", sc.Listeners)
+	if len(listeners) > 0 {
+		rep.check("listener-convergence", len(stuck) == 0, "%d of %d listener(s) converged to the oracle%s",
+			len(listeners)-len(stuck), len(listeners), strings.Join(append([]string{""}, stuck...), "; "))
+	}
+	for i, l := range listeners {
+		l.mu.Lock()
+		rep.Checked += l.checked
+		rep.Unchecked += l.unchecked
+		if l.wrong != "" {
+			wrong = append(wrong, fmt.Sprintf("listener %d (%s): %s", i, l.q, l.wrong))
+		} else if l.checked == 0 {
+			wrong = append(wrong, fmt.Sprintf("listener %d (%s): no snapshot checked", i, l.q))
+		}
+		l.mu.Unlock()
+	}
+	if len(listeners) > 0 {
+		rep.check("listener-snapshots", len(wrong) == 0,
+			"%d snapshot(s) checked against the oracle, %d unchecked (the oracle's read failed)%s",
+			rep.Checked, rep.Unchecked, strings.Join(append([]string{""}, truncate(wrong, 3)...), "; "))
 	}
 
 	// Trigger at-least-once: every committed name@ts must eventually be
@@ -592,9 +688,9 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	for {
 		missing = missing[:0]
 		trigMu.Lock()
-		for _, rec := range commits {
-			if delivered[fmt.Sprintf("%s@%d", rec.name, rec.ts)] == 0 {
-				missing = append(missing, fmt.Sprintf("%s@%d", rec.name, rec.ts))
+		for _, k := range commits {
+			if delivered[k] == 0 {
+				missing = append(missing, k)
 			}
 		}
 		trigMu.Unlock()
@@ -634,10 +730,14 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		rep.check("tripped-requery", rep.Requeries > 0,
 			"frontend requeries=%d (scenario must trip reset-and-requery)", rep.Requeries)
 	}
-	// A reset costs each listener one rebuild; only a dropped snapshot costs one without.
+	// A reset costs each listener one rebuild, and a delete at most one
+	// of each connection's limit listener (it lost a member); only a
+	// dropped snapshot costs one without.
 	if !slices.ContainsFunc(sc.Faults, func(f fault.Spec) bool { return f.Site == fault.FrontendConnDeliver }) {
-		rep.check("requeries-bounded", rep.Requeries <= rep.OutOfSyncs*int64(sc.Listeners),
-			"frontend requeries=%d for %d out-of-sync reset(s) x %d listener(s)", rep.Requeries, rep.OutOfSyncs, sc.Listeners)
+		bound := rep.OutOfSyncs*int64(len(listeners)) + int64(deletes*sc.Listeners)
+		rep.check("requeries-bounded", rep.Requeries <= bound,
+			"frontend requeries=%d for %d out-of-sync reset(s) x %d listener(s) + %d delete(s) x %d limit listener(s)",
+			rep.Requeries, rep.OutOfSyncs, len(listeners), deletes, sc.Listeners)
 	}
 	// The delivery contract: no update reaches a listener below what it emitted.
 	late := region.Obs.Counter("frontend.late_updates", obs.DB(dbID)).Value()
@@ -657,7 +757,7 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	}
 	if sc.ExpectFlushes {
 		rep.check("tripped-flush", rep.Flushes > 0,
-			"segment flushes=%d (workload must overflow the %dB memtable cap)", rep.Flushes, sc.MemtableCap)
+			"segment flushes=%d (workload must overflow the %dB memtable cap)", rep.Flushes, memtableCap)
 	}
 	if sc.ExpectCompactions {
 		rep.check("tripped-compaction", rep.Compactions > 0,
@@ -668,10 +768,12 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	// disk. The reopened region must serve exactly the authoritative
 	// pre-shutdown state, with index validation still clean.
 	if sc.Durable {
-		finalWant, err := queryState(ctx, region)
+		whole := &query.Query{Collection: doc.MustCollection(collection)}
+		want, err := answer(ctx, region, whole, 0)
 		if err != nil {
-			return nil, fmt.Errorf("final requery: %w", err)
+			return nil, fmt.Errorf("final read: %w", err)
 		}
+		stopListening() // the drains read through the region
 		region.Close()
 		re, err := core.OpenRegion(cfg)
 		if err != nil {
@@ -684,12 +786,12 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		if _, err := re.CreateDatabase(dbID); err != nil {
 			return nil, fmt.Errorf("recreate database after restart: %w", err)
 		}
-		got, err := queryState(ctx, re)
+		got, err := answer(ctx, re, whole, 0)
 		if err != nil {
-			return nil, fmt.Errorf("requery after restart: %w", err)
+			return nil, fmt.Errorf("read after restart: %w", err)
 		}
-		rep.check("restart-durability", mapsEqual(got, finalWant),
-			"recovered %d docs (want %d): %s", len(got), len(finalWant), firstDiff(got, finalWant))
+		d := diff(got, want)
+		rep.check("restart-durability", d == "", "recovered %d docs (want %d) %s", len(got), len(want), d)
 		vr2, err := re.Backend.ValidateDatabase(ctx, dbID)
 		if err != nil {
 			return nil, fmt.Errorf("validate after restart: %w", err)
@@ -754,77 +856,29 @@ func storageActivity(region *core.Region) (recoveries, flushes, compactions int6
 	return recoveries, flushes, compactions
 }
 
-// queryState re-executes the scenario query and returns name -> v.
-func queryState(ctx context.Context, region *core.Region) (map[string]int64, error) {
-	res, _, err := region.RunQuery(ctx, dbID, priv,
-		&query.Query{Collection: doc.MustCollection(collection)}, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int64, len(res.Docs))
-	for _, d := range res.Docs {
-		out[d.Name.String()] = d.Fields["v"].IntVal()
-	}
-	return out, nil
-}
-
 func docName(i int) doc.Name {
 	return doc.MustName(fmt.Sprintf("%s/%s", collection, ycsb.Key(i)))
 }
 
-func setOp(name doc.Name, v int64, writer int) backend.WriteOp {
+// setOp is the workload's set of write v by writer w (-1 for the
+// preload): field m holds an int or a map, so the index, the Query
+// Matcher and the listeners' orders meet both kinds at one path, and
+// field a holds an array.
+func setOp(name doc.Name, v int64, w int) backend.WriteOp {
+	m := doc.Int(v)
+	if v%2 == 1 {
+		m = doc.Map(map[string]doc.Value{"x": doc.Int(v % 3)})
+	}
 	return backend.WriteOp{
 		Kind: backend.OpSet,
 		Name: name,
 		Fields: map[string]doc.Value{
 			"v": doc.Int(v),
-			"w": doc.Int(int64(writer)),
+			"w": doc.Int(int64(w)),
+			"m": m,
+			"a": doc.Array(doc.Int(v%4), doc.Int(int64(w))),
 		},
 	}
-}
-
-func mapsEqual(a, b map[string]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
-}
-
-func firstDiff(got, want map[string]int64) string {
-	keys := make([]string, 0, len(want))
-	for k := range want {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		gv, ok := got[k]
-		if !ok {
-			return fmt.Sprintf("missing %s (want v=%d)", k, want[k])
-		}
-		if gv != want[k] {
-			return fmt.Sprintf("%s: got v=%d want v=%d", k, gv, want[k])
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			return fmt.Sprintf("extra %s (v=%d)", k, got[k])
-		}
-	}
-	return "views equal"
-}
-
-func invariantMissing(rep *Report, name string) bool {
-	for _, inv := range rep.Invariants {
-		if inv.Name == name {
-			return false
-		}
-	}
-	return true
 }
 
 func truncate(s []string, n int) []string {

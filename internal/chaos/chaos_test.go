@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -9,6 +10,11 @@ import (
 	"firestore/internal/fault"
 )
 
+// seed replays the scenarios at another seed than their canonical ones:
+//
+//	go test ./internal/chaos -run 'TestAllScenarios/<name>$' -args -seed N
+var seed = flag.Int64("seed", 0, "run every scenario at this seed (0: each test's canonical seed)")
+
 // TestMain lets the cluster scenarios re-exec this test binary as
 // tablet-server child processes.
 func TestMain(m *testing.M) {
@@ -16,23 +22,32 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func runScenario(t *testing.T, name string, seed int64) *Report {
+// runScenario runs the named scenario at canonical, or at -seed if
+// given, and fails the test with every invariant that did not hold.
+func runScenario(t *testing.T, name string, canonical int64) *Report {
 	t.Helper()
 	sc, ok := Find(name)
 	if !ok {
 		t.Fatalf("unknown scenario %q", name)
 	}
-	rep, err := Run(sc, Options{Seed: seed, Quick: true, Dir: t.TempDir(), Log: t.Logf})
+	s := canonical
+	if *seed != 0 {
+		s = *seed
+	}
+	rep, err := Run(sc, Options{Seed: s, Dir: t.TempDir(), Log: t.Logf})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if !rep.Pass {
-		for _, inv := range rep.Invariants {
-			if !inv.OK {
-				t.Errorf("%s: invariant %s failed: %s", name, inv.Name, inv.Detail)
-			}
+	t.Logf("%s (seed %d): %d commits, %d commit errors, out_of_syncs=%d requeries=%d", name, s, rep.Commits, rep.CommitErrs, rep.OutOfSyncs, rep.Requeries)
+	for _, inv := range rep.Invariants {
+		if inv.OK {
+			t.Logf("ok   %-24s %s", inv.Name, inv.Detail)
+		} else {
+			t.Errorf("%s: invariant %s failed: %s", name, inv.Name, inv.Detail)
 		}
-		t.Fatalf("%s: scenario failed under seed %d", name, seed)
+	}
+	if !rep.Pass {
+		t.Fatalf("%s: scenario failed under seed %d", name, s)
 	}
 	return rep
 }
@@ -100,13 +115,13 @@ func TestChaosCluster(t *testing.T) {
 	}
 }
 
-// TestAllScenarios runs the full catalog in quick mode: every named
-// scenario's invariants must hold under its canonical seed.
+// TestAllScenarios runs the full catalog: every named scenario's
+// invariants must hold under seed 42 (or -seed).
 func TestAllScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full catalog is slow; `make chaos` covers the critical paths")
 	}
-	for _, sc := range Scenarios() {
+	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			runScenario(t, sc.Name, 42)
@@ -118,7 +133,7 @@ func TestAllScenarios(t *testing.T) {
 // same seed renders the same fault schedule for every scenario, and a
 // different seed renders a different one for probabilistic sites.
 func TestScheduleDeterminism(t *testing.T) {
-	for _, sc := range Scenarios() {
+	for _, sc := range scenarios {
 		for _, spec := range sc.Faults {
 			a := fault.Schedule(11, spec, 256)
 			b := fault.Schedule(11, spec, 256)
@@ -140,7 +155,7 @@ func TestScheduleDeterminism(t *testing.T) {
 // schedule fingerprints and injected counts for every armed fault.
 func TestRunReportsSchedules(t *testing.T) {
 	sc, _ := Find("quorum-storm")
-	rep, err := Run(sc, Options{Seed: 3, Quick: true})
+	rep, err := Run(sc, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +172,7 @@ func TestFindUnknown(t *testing.T) {
 	if _, ok := Find("no-such-scenario"); ok {
 		t.Fatal("Find returned a scenario for an unknown name")
 	}
-	if len(Scenarios()) < 6 {
-		t.Fatalf("catalog has %d scenarios, acceptance requires >= 6", len(Scenarios()))
+	if len(scenarios) < 6 {
+		t.Fatalf("catalog has %d scenarios, acceptance requires >= 6", len(scenarios))
 	}
 }

@@ -156,8 +156,8 @@ var scenarios = []Scenario{
 	// Cluster scenarios run the region's storage on tablet-server child
 	// processes behind a coordinator, so the transport.* fault sites sit
 	// on every engine op and process kills are real SIGKILLs. They need
-	// Options.Dir and a binary that calls cluster.MaybeRunTabletChild()
-	// first thing in main()/TestMain().
+	// Options.Dir and a test binary whose TestMain calls
+	// cluster.MaybeRunTabletChild() first.
 	{
 		Name: "net-partition",
 		Doc:  "The wire to the tablet-server processes partitions intermittently while the link slows; remote engines crash-classify, lazy recovery re-opens them once reachable, and every invariant holds after the partition heals.",
@@ -190,13 +190,6 @@ var scenarios = []Scenario{
 		ExpectRecoveries: true,
 		ExpectFlushes:    true,
 	},
-}
-
-// Scenarios returns the catalog (copy; callers may not mutate it).
-func Scenarios() []Scenario {
-	out := make([]Scenario, len(scenarios))
-	copy(out, scenarios)
-	return out
 }
 
 // Find returns the named scenario, or false.

@@ -62,6 +62,26 @@ func (d *Document) CheckSize() error {
 	return nil
 }
 
+// ErrDottedName reports a field name holding a dot.
+var ErrDottedName = status.New(status.InvalidArgument, "doc", "field name contains a dot")
+
+// CheckFieldNames refuses fields if a top-level name or a key of a map
+// nested in them holds a dot: a field path reads a dot as a step into a
+// map, so such a name would be indexed at the path of another field.
+func CheckFieldNames(fields map[string]Value) error {
+	for k, v := range fields {
+		if strings.IndexByte(k, '.') >= 0 {
+			return fmt.Errorf("%w: %q", ErrDottedName, k)
+		}
+		if m := v.MapVal(); m != nil {
+			if err := CheckFieldNames(m); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // A FieldPath addresses a (possibly nested) field, e.g. "avgRating" or
 // "address.city". Path components are dot-separated.
 type FieldPath string

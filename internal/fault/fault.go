@@ -558,8 +558,6 @@ func (c *inflatedClock) Now() truetime.Interval {
 
 func (c *inflatedClock) After(ts truetime.Timestamp) bool { return c.Now().Earliest > ts }
 
-func (c *inflatedClock) Before(ts truetime.Timestamp) bool { return c.Now().Latest < ts }
-
 func (c *inflatedClock) CommitWait(ts truetime.Timestamp) {
 	if c.r.armed.Load() == 0 {
 		c.inner.CommitWait(ts)

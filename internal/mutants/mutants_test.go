@@ -1,0 +1,193 @@
+// Package mutants holds the mutation checks: each row puts one known
+// defect back into a copy of the module and names the test that must
+// fail on it. A check counts only once it has been seen to fail.
+//
+//	make mutants   # go test ./internal/mutants -run TestMutants -args -mutants
+//
+// Without -mutants, TestMutants only checks that every row's fragment
+// still occurs exactly once, so a change to the code under a row shows
+// up in the ordinary test run.
+package mutants
+
+import (
+	"cmp"
+	"flag"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+var run = flag.Bool("mutants", false, "copy the module and run each row's killer test against its mutant")
+
+// mutant is one row: in file of package pkg, fragment (which must occur
+// exactly once) is replaced by mutant, and the killer test, run runs
+// times in package killerPkg (pkg if empty), must fail.
+type mutant struct {
+	pkg, file         string
+	fragment, mutant  string
+	killer, killerPkg string
+	runs              int
+	defect            string
+}
+
+var mutants = []mutant{
+	{
+		pkg: "internal/index", file: "index.go",
+		fragment: `		dst = append(dst, FieldValue{Path: doc.FieldPath(k), Value: v})
+		if v.Kind() == doc.KindMap {
+			dst = flattenMap(dst, k, v.MapVal())
+		}
+`,
+		mutant: `		if v.Kind() == doc.KindMap && len(v.MapVal()) > 0 {
+			dst = flattenMap(dst, k, v.MapVal())
+		} else {
+			dst = append(dst, FieldValue{Path: doc.FieldPath(k), Value: v})
+		}
+`,
+		killer: "TestChaosSmoke", killerPkg: "internal/chaos", runs: 1,
+		defect: "a map is indexed by its leaves only, so a query that orders or filters by a map misses it",
+	},
+	{
+		pkg: "internal/query", file: "plan.go",
+		fragment: `			if found && !doc.Equal(v, p.Value) {
+				return v, false
+`,
+		mutant: `			if found && !doc.Equal(v, p.Value) {
+				return v, true
+`,
+		killer: "FuzzQueryAgainstNaive", runs: 1,
+		defect: "of two equalities on one path that disagree, the first is planned, so a query that can match nothing returns documents",
+	},
+	{
+		pkg: "internal/backend", file: "read.go",
+		fragment: `	tok.readTS, err = readRetained(db, tok.readTS, func(ts truetime.Timestamp) error {
+		var xerr error
+		res, xerr = plan.Execute(ctx, b.snapshot(db, ts), tok.pos)
+		return xerr
+	})
+`,
+		mutant: `	tok.readTS = strongIfZero(db, tok.readTS)
+	res, err = plan.Execute(ctx, b.snapshot(db, tok.readTS), tok.pos)
+`,
+		killer: "TestReadBelowRetentionIsRefused", runs: 1,
+		defect: "a query page at a timestamp retention no longer covers answers without the versions it dropped",
+	},
+	{
+		pkg: "internal/backend", file: "read.go",
+		fragment: `		at, rerr := readRetained(db, readTS, func(ts truetime.Timestamp) error {
+			var gerr error
+			d, gerr = b.getAt(ctx, db, name, ts)
+			return gerr
+		})
+`,
+		mutant: `		at := strongIfZero(db, readTS)
+		var rerr error
+		d, rerr = b.getAt(ctx, db, name, at)
+`,
+		killer: "TestReadBelowRetentionIsRefused", runs: 1,
+		defect: "a get at a timestamp retention no longer covers calls a document that existed then absent",
+	},
+	{
+		pkg: "internal/doc", file: "document.go",
+		fragment: `		if strings.IndexByte(k, '.') >= 0 {`,
+		mutant:   `		if false {`,
+		killer:   "TestDottedFieldNamesRefused", killerPkg: "cmd/firestore-server/server", runs: 1,
+		defect: "a field named \"m.x\" is stored, and indexed at the path of field x of a map m, which doc.Get does not read",
+	},
+	{
+		pkg: "internal/frontend", file: "frontend.go",
+		fragment: `	c.f.cache.Subscribe(c, c.dbID, rq.q, readTS, subID)
+	c.mu.Lock()
+	live := c.queries[subID] == rq
+`,
+		mutant: `	_, rangeID := c.f.cache.Subscribe(c, c.dbID, rq.q, readTS, subID)
+	c.mu.Lock()
+	rq.rangeID = rangeID
+	live := c.queries[subID] == rq
+`,
+		killer: "TestFirstWatermarkArmsTheTarget", runs: 3,
+		defect: "a target counts its range's subscriber watermarks before its own first one, so it advances past its replayed update",
+	},
+}
+
+func TestMutants(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range mutants {
+		src, err := os.ReadFile(filepath.Join(root, m.pkg, m.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(src), m.fragment); n != 1 {
+			t.Errorf("%s/%s: the fragment of %q occurs %d times, want 1", m.pkg, m.file, m.defect, n)
+		}
+	}
+	if !*run || t.Failed() {
+		return
+	}
+	copyRoot := t.TempDir()
+	if err := copyModule(root, copyRoot); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range mutants {
+		path := filepath.Join(copyRoot, m.pkg, m.file)
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(strings.Replace(string(src), m.fragment, m.mutant, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pkg := cmp.Or(m.killerPkg, m.pkg)
+		cmd := exec.Command("go", "test", "-count="+strconv.Itoa(m.runs), "-run", "^"+m.killer+"$", "./"+pkg)
+		cmd.Dir = copyRoot
+		// Killed means the killer ran and failed: a mutant that does not
+		// build proves nothing.
+		out, err := cmd.CombinedOutput()
+		switch {
+		case err == nil:
+			t.Errorf("%s/%s survived %s (%d run(s)): %s\n%s", m.pkg, m.file, m.killer, m.runs, m.defect, out)
+		case !strings.Contains(string(out), "--- FAIL: "+m.killer):
+			t.Errorf("%s/%s: %s did not run to a failure: %v\n%s", m.pkg, m.file, m.killer, err, out)
+		default:
+			t.Logf("%s/%s killed by %s: %s", m.pkg, m.file, m.killer, m.defect)
+		}
+		if err := os.WriteFile(path, src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// copyModule copies the module's sources under root to dst, leaving out
+// version control and build output.
+func copyModule(root, dst string) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" || d.Name() == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		if !d.Type().IsRegular() {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+}

@@ -29,9 +29,6 @@ const Zero Timestamp = 0
 // Max is the largest representable timestamp.
 const Max Timestamp = 1<<63 - 1
 
-// Before reports whether t is strictly earlier than u.
-func (t Timestamp) Before(u Timestamp) bool { return t < u }
-
 // After reports whether t is strictly later than u.
 func (t Timestamp) After(u Timestamp) bool { return t > u }
 
@@ -56,9 +53,6 @@ type Clock interface {
 	// After reports whether ts has definitely passed (TT.after in the
 	// Spanner paper): true iff ts < Now().Earliest.
 	After(ts Timestamp) bool
-	// Before reports whether ts has definitely not arrived: true iff
-	// ts > Now().Latest.
-	Before(ts Timestamp) bool
 	// CommitWait blocks until After(ts) holds. It is called by the
 	// storage engine before acknowledging a commit at ts.
 	CommitWait(ts Timestamp)
@@ -141,9 +135,6 @@ func (c *System) Now() Interval {
 // After implements Clock.
 func (c *System) After(ts Timestamp) bool { return c.Now().Earliest > ts }
 
-// Before implements Clock.
-func (c *System) Before(ts Timestamp) bool { return c.Now().Latest < ts }
-
 // CommitWait implements Clock: it blocks until ts is definitely in the
 // past, bounding the wait by 2*epsilon per iteration.
 func (c *System) CommitWait(ts Timestamp) {
@@ -217,9 +208,6 @@ func (m *Manual) Now() Interval {
 
 // After implements Clock.
 func (m *Manual) After(ts Timestamp) bool { return m.Now().Earliest > ts }
-
-// Before implements Clock.
-func (m *Manual) Before(ts Timestamp) bool { return m.Now().Latest < ts }
 
 // CommitWait implements Clock, blocking until an Advance/Set moves the
 // earliest bound past ts.

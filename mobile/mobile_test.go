@@ -175,6 +175,20 @@ func TestOfflineWritesReconcile(t *testing.T) {
 	}
 }
 
+// TestDottedFieldNameRefusedOffline: an offline Set whose data holds a
+// dotted field name fails at once, and queues nothing.
+func TestDottedFieldNameRefusedOffline(t *testing.T) {
+	e := newEnv(t, openRules)
+	e.client.GoOffline()
+	err := e.client.Set("/notes/a", map[string]any{"m": map[string]any{"x.y": 1}})
+	if status.CodeOf(err) != status.InvalidArgument || e.client.PendingWrites() != 0 {
+		t.Fatalf("Set = %v with %d pending write(s), want InvalidArgument and none", err, e.client.PendingWrites())
+	}
+	if d, _ := e.client.Get(context.Background(), "/notes/a"); d.Exists() {
+		t.Fatal("refused write visible locally")
+	}
+}
+
 func TestLastWriteWinsAcrossClients(t *testing.T) {
 	e := newEnv(t, openRules)
 	_, other := e.user(t, "bob")
