@@ -72,9 +72,6 @@ func NewUserClient(region *core.Region, dbID string, auth *rules.Auth) *Client {
 	return c
 }
 
-// Database returns the database ID.
-func (c *Client) Database() string { return c.dbID }
-
 // Collection returns a reference to a top-level collection or a
 // collection path like "restaurants/one/ratings".
 func (c *Client) Collection(path string) *CollectionRef {

@@ -44,7 +44,7 @@ func arm(t *testing.T, spec fault.Spec) {
 func newEnv(t testing.TB) *env {
 	t.Helper()
 	clock := truetime.NewSystem(10 * time.Microsecond)
-	sp := spanner.New(spanner.Config{Clock: clock, LockTimeout: 300 * time.Millisecond})
+	sp := spanner.New(spanner.Config{Clock: clock})
 	cat := catalog.New([]*spanner.DB{sp})
 	cache := rtcache.New(rtcache.Config{Clock: clock, Ranges: 4, HeartbeatEvery: time.Millisecond})
 	t.Cleanup(cache.Close)

@@ -83,7 +83,6 @@ func TestCommitBulkAcrossTablets(t *testing.T) {
 	clock := truetime.NewSystem(10 * time.Microsecond)
 	sp := spanner.New(spanner.Config{
 		Clock:         clock,
-		LockTimeout:   300 * time.Millisecond,
 		MaxTabletRows: 20,
 	})
 	cat := catalog.New([]*spanner.DB{sp})

@@ -146,9 +146,6 @@ var (
 	// Factory plane: coordinator -> tablet server.
 	mList    = rpc[listReq, listResp]("factory.list")
 	mDestroy = rpc[dbTablet, none]("factory.destroy")
-
-	// Introspection: coordinator -> tablet server.
-	mPeerInfo = rpc[none, PeerIntrospection]("peer.info")
 )
 
 // endpoint is the far side of a call: a tablet server reached through
@@ -356,21 +353,4 @@ type listReq struct {
 
 type listResp struct {
 	Tablets []storage.TabletMeta `json:"tablets,omitempty"`
-}
-
-// PeerIntrospection is a tablet server's self-report for /debug/clusterz.
-type PeerIntrospection struct {
-	Name    string           `json:"name"`
-	Kind    string           `json:"kind"`
-	Tablets []TabletHostInfo `json:"tablets,omitempty"`
-}
-
-// TabletHostInfo describes one engine a tablet server hosts.
-type TabletHostInfo struct {
-	DB     int           `json:"db"`
-	Tablet uint64        `json:"tablet"`
-	Start  []byte        `json:"start"`
-	End    []byte        `json:"end"`
-	Sealed bool          `json:"sealed,omitempty"`
-	Stats  storage.Stats `json:"stats"`
 }

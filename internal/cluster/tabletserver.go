@@ -49,11 +49,7 @@ type TabletServerConfig struct {
 // hostedEngine is one engine a tablet server serves, addressed by handle.
 type hostedEngine struct {
 	dbTablet
-	start []byte
-	end   []byte
-	eng   storage.Engine
-
-	mu     sync.Mutex  // guards start, end
+	eng    storage.Engine
 	sealed atomic.Bool // set for handoff, never cleared: a re-open replaces the handle
 }
 
@@ -372,13 +368,7 @@ func (ts *TabletServer) registerHandlers() {
 		return none{}, he.eng.IngestChains(req.Chains)
 	})
 	handleEngine(ts, mSetBounds, func(_ context.Context, he *hostedEngine, req setBoundsReq) (none, error) {
-		if err := he.eng.SetBounds(req.Start, req.End); err != nil {
-			return none{}, err
-		}
-		he.mu.Lock()
-		he.start, he.end = req.Start, req.End
-		he.mu.Unlock()
-		return none{}, nil
+		return none{}, he.eng.SetBounds(req.Start, req.End)
 	})
 	handleEngine(ts, mCommission, func(_ context.Context, he *hostedEngine, _ handleReq) (none, error) {
 		return none{}, he.eng.Commission()
@@ -427,9 +417,6 @@ func (ts *TabletServer) registerHandlers() {
 		}
 		return none{}, fac.Destroy(dt.Tablet)
 	})
-	handle(ts.srv, mPeerInfo, func(context.Context, none) (PeerIntrospection, error) {
-		return ts.introspect(), nil
-	})
 }
 
 // open opens (recovering if state exists) tablet (db, id), superseding
@@ -459,7 +446,7 @@ func (ts *TabletServer) open(_ context.Context, req openReq) (openResp, error) {
 	if err != nil {
 		return openResp{}, err
 	}
-	he := &hostedEngine{dbTablet: req.dbTablet, start: req.Start, end: req.End, eng: eng}
+	he := &hostedEngine{dbTablet: req.dbTablet, eng: eng}
 	ts.mu.Lock()
 	if ts.closed {
 		ts.mu.Unlock()
@@ -472,27 +459,4 @@ func (ts *TabletServer) open(_ context.Context, req openReq) (openResp, error) {
 	ts.byTablet[req.dbTablet] = h
 	ts.mu.Unlock()
 	return openResp{Handle: h, LastDurable: eng.LastDurable()}, nil
-}
-
-// introspect reports every hosted engine for /debug/clusterz.
-func (ts *TabletServer) introspect() PeerIntrospection {
-	ts.mu.Lock()
-	hosted := make([]*hostedEngine, 0, len(ts.handles))
-	for _, he := range ts.handles {
-		hosted = append(hosted, he)
-	}
-	ts.mu.Unlock()
-	info := PeerIntrospection{Name: ts.cfg.Name, Kind: ts.cfg.Kind}
-	for _, he := range hosted {
-		he.mu.Lock()
-		thi := TabletHostInfo{
-			DB: he.DB, Tablet: he.Tablet,
-			Start: he.start, End: he.end,
-			Sealed: he.sealed.Load(),
-		}
-		he.mu.Unlock()
-		thi.Stats = he.eng.Stats()
-		info.Tablets = append(info.Tablets, thi)
-	}
-	return info
 }

@@ -188,9 +188,6 @@ func TestWireGolden(t *testing.T) {
 		listResp{Tablets: []storage.TabletMeta{{ID: 1, End: []byte("m")}, {ID: 2, Start: []byte("m")}}},
 		`{"tablets":[{"id":1,"start":null,"end":"bQ=="},{"id":2,"start":"bQ==","end":null}]}`)
 	golden(p, mDestroy, dbTablet{1, 2}, `{"db":1,"tablet":2}`, none{}, "")
-	golden(p, mPeerInfo, none{}, "",
-		PeerIntrospection{Name: "a", Kind: KindMem, Tablets: []TabletHostInfo{{DB: 1, Tablet: 2, End: []byte("m"), Sealed: true, Stats: storage.Stats{Kind: "mem", Keys: 2}}}},
-		`{"name":"a","kind":"mem","tablets":[{"db":1,"tablet":2,"start":null,"end":"bQ==","sealed":true,"stats":{"kind":"mem","keys":2,"memtable_keys":0,"memtable_bytes":0,"wal_bytes":0,"wal_records":0,"fsyncs":0,"segments":0,"segment_bytes":0,"flushes":0,"compactions":0,"recoveries":0,"last_durable_ts":0,"flushed_ts":0}}]}`)
 
 	for _, name := range methodNames {
 		if !p.seen[name] {
@@ -225,9 +222,6 @@ func TestMalformedRequests(t *testing.T) {
 	control := []string{mJoin.name, mHeartbeat.name}
 
 	for _, name := range methodNames {
-		if name == mPeerInfo.name {
-			continue // carries no request body: there is nothing to malform
-		}
 		conn := toTablet
 		if slices.Contains(control, name) {
 			conn = toCoord

@@ -51,8 +51,8 @@ type Config struct {
 	// model off (fastest tests); experiments use ~0.1. It does not scale
 	// Costs.
 	TimeScale float64
-	// RTRanges is the number of Real-time Cache document-name ranges.
-	// Default 8.
+	// RTRanges is the number of Real-time Cache document-name ranges
+	// (rtcache's default if zero).
 	RTRanges int
 	// RTAutoSplitSubs enables Slicer-style rebalancing: a Real-time
 	// Cache range serving at least this many subscriptions is split.
@@ -95,11 +95,6 @@ type Config struct {
 	// the in-memory engine (tests, examples). Reopening a Region on the
 	// same directory recovers all committed state.
 	StorageDir string
-	// CompactAt is the fan-in of durable tablets' size-tiered compaction:
-	// that many neighbouring segments of one size class merge into one
-	// (storage.DefaultCompactAt if zero; negative disables). Only
-	// meaningful with StorageDir.
-	CompactAt int
 	// MemtableCap caps each durable tablet's memtable in bytes before a
 	// segment flush; zero uses the storage default. Ignored without
 	// StorageDir.
@@ -191,9 +186,6 @@ func NewRegion(cfg Config) *Region {
 // Spanner pool is recovered from disk (WAL replay + manifest load) before
 // the region serves traffic.
 func OpenRegion(cfg Config) (*Region, error) {
-	if cfg.RTRanges <= 0 {
-		cfg.RTRanges = 8
-	}
 	if cfg.ClockEpsilon <= 0 {
 		cfg.ClockEpsilon = 50 * time.Microsecond
 	}
@@ -215,7 +207,7 @@ func OpenRegion(cfg Config) (*Region, error) {
 		// The collector reads the UNWRAPPED clock: its own timekeeping
 		// must never evaluate fault sites, or the fault sink's event
 		// recording would recurse through the truetime.epsilon hook.
-		kv = keyviz.New(innerClock, keyviz.Options{})
+		kv = keyviz.New(innerClock)
 		// Injected faults land on the same timeline as splits, sheds, and
 		// compactions; the sink records the fault site only (shard
 		// attribution happens at the faulting layer's own sample calls).
@@ -248,7 +240,7 @@ func OpenRegion(cfg Config) (*Region, error) {
 			var err error
 			fac, err = storage.NewDiskFactory(
 				filepath.Join(cfg.StorageDir, fmt.Sprintf("spanner-%d", i)),
-				storage.Options{MemtableCap: cfg.MemtableCap, CompactAt: cfg.CompactAt, Obs: reg, KeyViz: kv},
+				storage.Options{MemtableCap: cfg.MemtableCap, Obs: reg, KeyViz: kv},
 			)
 			if err != nil {
 				closeDBs(pool[:i])
@@ -271,12 +263,11 @@ func OpenRegion(cfg Config) (*Region, error) {
 	}
 	cat := catalog.New(pool)
 	cache := rtcache.New(rtcache.Config{
-		Clock:          clock,
-		Ranges:         cfg.RTRanges,
-		HeartbeatEvery: 2 * time.Millisecond,
-		AutoSplitSubs:  cfg.RTAutoSplitSubs,
-		Obs:            reg,
-		KeyViz:         kv,
+		Clock:         clock,
+		Ranges:        cfg.RTRanges,
+		AutoSplitSubs: cfg.RTAutoSplitSubs,
+		Obs:           reg,
+		KeyViz:        kv,
 	})
 	var sched *wfq.Scheduler
 	if cfg.SchedulerWorkers > 0 {

@@ -60,7 +60,7 @@ func newEnv(t *testing.T) *env {
 func newEnvWithHeartbeat(t *testing.T, heartbeat time.Duration) *env {
 	t.Helper()
 	clock := truetime.NewSystem(10 * time.Microsecond)
-	sp := spanner.New(spanner.Config{Clock: clock, LockTimeout: 300 * time.Millisecond})
+	sp := spanner.New(spanner.Config{Clock: clock})
 	cat := catalog.New([]*spanner.DB{sp})
 	cache := rtcache.New(rtcache.Config{Clock: clock, Ranges: 4, HeartbeatEvery: heartbeat})
 	t.Cleanup(cache.Close)

@@ -75,7 +75,7 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	s := Snapshot{
 		Enabled:      true,
-		WindowMillis: int64(c.windowDur / time.Millisecond),
+		WindowMillis: int64(windowDur / time.Millisecond),
 		Dropped:      c.dropped.Load(),
 	}
 	c.mu.Lock()

@@ -75,7 +75,7 @@ func (c *Collector) Record(site string, ev Event) {
 		ev.TS = c.clock.Now().Latest
 	}
 	c.mu.Lock()
-	if len(c.events) >= c.eventCap {
+	if len(c.events) >= eventCap {
 		n := copy(c.events, c.events[1:])
 		c.events = c.events[:n]
 	}

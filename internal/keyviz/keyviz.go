@@ -86,12 +86,12 @@ const (
 	// bucket i covers [2^(i-1), 2^i) µs, the last bucket is a catch-all.
 	latBuckets = 20
 
-	// DefaultWindow is the default time-bucket width.
-	DefaultWindow = time.Second
-	// DefaultWindows is the default ring length (history retained).
-	DefaultWindows = 32
-	// DefaultEventCap is the default event-log ring capacity.
-	DefaultEventCap = 512
+	// windowDur is the time-bucket width.
+	windowDur = time.Second
+	// ringLen is the ring length (how much history is retained).
+	ringLen = 32
+	// eventCap bounds the event log; older events are dropped first.
+	eventCap = 512
 )
 
 // cell is one (source, shard) accumulator inside one time window. All
@@ -162,25 +162,12 @@ func (w *window) cellFor(k uint64) *cell {
 	return nil
 }
 
-// Options tunes a Collector; zero values resolve to the defaults above.
-type Options struct {
-	// Window is the time-bucket width.
-	Window time.Duration
-	// Windows is the ring length (how much history is retained).
-	Windows int
-	// EventCap bounds the event log; older events are dropped first.
-	EventCap int
-}
-
 // Collector is the keyspace/time heat collector. The zero value is not
 // usable; call New. A nil *Collector is keyviz off: it is safe to sample
 // against (no-op), so layers keep a plain field without nil checks at
 // every site.
 type Collector struct {
-	clock     truetime.Clock
-	windowDur time.Duration
-	maxRing   int
-	eventCap  int
+	clock truetime.Clock
 
 	// cur is the active window, published by rotation.
 	cur atomic.Pointer[window]
@@ -192,22 +179,8 @@ type Collector struct {
 }
 
 // New builds a collector, armed, on the region's TrueTime clock.
-func New(clock truetime.Clock, opts Options) *Collector {
-	if opts.Window <= 0 {
-		opts.Window = DefaultWindow
-	}
-	if opts.Windows <= 0 {
-		opts.Windows = DefaultWindows
-	}
-	if opts.EventCap <= 0 {
-		opts.EventCap = DefaultEventCap
-	}
-	return &Collector{
-		clock:     clock,
-		windowDur: opts.Window,
-		maxRing:   opts.Windows,
-		eventCap:  opts.EventCap,
-	}
+func New(clock truetime.Clock) *Collector {
+	return &Collector{clock: clock}
 }
 
 // Armed reports whether sampling is active: whether c is non-nil.
@@ -280,16 +253,16 @@ func (c *Collector) rotate(now truetime.Timestamp) *window {
 		return w // another sampler rotated first
 	}
 	start := now
-	if w != nil && now.Sub(w.end) < c.windowDur {
+	if w != nil && now.Sub(w.end) < windowDur {
 		start = w.end // contiguous buckets across small idle gaps
 	}
 	var next *window
-	if len(c.ring) >= c.maxRing {
+	if len(c.ring) >= ringLen {
 		next = c.ring[0]
 		c.ring = append(c.ring[:0], c.ring[1:]...)
-		next.reset(start, start.Add(c.windowDur))
+		next.reset(start, start.Add(windowDur))
 	} else {
-		next = &window{start: start, end: start.Add(c.windowDur)}
+		next = &window{start: start, end: start.Add(windowDur)}
 	}
 	c.ring = append(c.ring, next)
 	c.cur.Store(next)

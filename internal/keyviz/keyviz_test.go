@@ -13,8 +13,7 @@ import (
 func newTestCollector(t *testing.T) (*Collector, *truetime.Manual) {
 	t.Helper()
 	clock := truetime.NewManual(1000, 0)
-	c := New(clock, Options{Window: 100 * time.Millisecond, Windows: 4, EventCap: 8})
-	return c, clock
+	return New(clock), clock
 }
 
 func TestDisarmedAndNilAreNoOps(t *testing.T) {
@@ -38,7 +37,7 @@ func TestSampleAccumulatesAndWindowsRotate(t *testing.T) {
 	c.Sample(SrcTablet, 1, OpLockWait, 1, 0, 500*time.Microsecond)
 	c.Sample(SrcTablet, 1, OpFault, 1, 0, 0)
 
-	clock.Advance(150 * time.Millisecond) // next window
+	clock.Advance(windowDur * 3 / 2) // next window
 	c.Sample(SrcTablet, 2, OpRead, 7, 0, 0)
 
 	s := c.Snapshot()
@@ -75,12 +74,12 @@ func TestSampleAccumulatesAndWindowsRotate(t *testing.T) {
 
 func TestRingBoundedAndRecycled(t *testing.T) {
 	c, clock := newTestCollector(t)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ringLen+6; i++ {
 		c.Sample(SrcTablet, uint64(i), OpRead, 1, 0, 0)
-		clock.Advance(120 * time.Millisecond)
+		clock.Advance(windowDur * 6 / 5)
 	}
 	s := c.Snapshot()
-	if len(s.Windows) != 4 {
+	if len(s.Windows) != ringLen {
 		t.Fatalf("ring not bounded: %d windows", len(s.Windows))
 	}
 	// Oldest retained window must hold shard 6 (0-5 were recycled).
@@ -119,7 +118,7 @@ func TestHotspotScoringAndTopShard(t *testing.T) {
 		t.Fatalf("TopShard(range) = %d,%v", shard, ok)
 	}
 	// Gap timestamp falls back to the nearest window.
-	if _, _, ok := c.TopShard(SrcTablet, at.Add(10*time.Second)); !ok {
+	if _, _, ok := c.TopShard(SrcTablet, at.Add(10*windowDur)); !ok {
 		t.Fatal("TopShard gap fallback failed")
 	}
 }
@@ -127,7 +126,7 @@ func TestHotspotScoringAndTopShard(t *testing.T) {
 func TestHeat(t *testing.T) {
 	c, clock := newTestCollector(t)
 	c.Sample(SrcTablet, 7, OpRead, 10, 0, 0)
-	clock.Advance(120 * time.Millisecond)
+	clock.Advance(windowDur * 6 / 5)
 	c.Sample(SrcTablet, 7, OpCommit, 5, 0, 0)
 	if got := c.Heat(SrcTablet, 7); got != 15 {
 		t.Fatalf("Heat = %d, want 15 (current+previous windows)", got)
@@ -141,11 +140,11 @@ func TestEventsRingAndStamping(t *testing.T) {
 	c, clock := newTestCollector(t)
 	clock.Set(5000)
 	c.Record(EvSplit, Event{Source: SrcTablet.String(), Shard: 1, Peer: 2, HeatBefore: 100, HeatAfter: 50})
-	for i := 0; i < 10; i++ {
+	for i := 0; i < eventCap+2; i++ {
 		c.Record(EvShed, Event{Source: "wfq", Key: "db"})
 	}
 	ev := c.Events()
-	if len(ev) != 8 {
+	if len(ev) != eventCap {
 		t.Fatalf("event cap not enforced: %d", len(ev))
 	}
 	if ev[len(ev)-1].Site != EvShed || ev[len(ev)-1].TS != 5000 {
@@ -178,7 +177,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 func TestConcurrentSampling(t *testing.T) {
 	clock := truetime.NewSystem(0)
-	c := New(clock, Options{Window: time.Second, Windows: 8})
+	c := New(clock)
 	var wg sync.WaitGroup
 	const workers, per = 8, 2000
 	for w := 0; w < workers; w++ {

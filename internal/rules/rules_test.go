@@ -188,29 +188,35 @@ match /docs/{id} {
                 && request.resource.data.keys().hasAll(["n", "name"])
                 && (request.resource.data.n * 2 + 1) % 3 == 1
                 && -request.resource.data.neg == 2
+                && request.resource.data['owner'] == "u1"
                 && !(request.resource.data.n == 99);
 }
 `)
-	mk := func(n int64) *doc.Document {
+	mk := func(n int64, owner string) *doc.Document {
 		return doc.New(doc.MustName("/docs/d"), map[string]doc.Value{
-			"n":    doc.Int(n),
-			"name": doc.String("DrWho"),
-			"tags": doc.Array(doc.String("x"), doc.String("y")),
-			"kind": doc.String("a"),
-			"neg":  doc.Int(-2),
+			"n":     doc.Int(n),
+			"name":  doc.String("DrWho"),
+			"tags":  doc.Array(doc.String("x"), doc.String("y")),
+			"kind":  doc.String("a"),
+			"neg":   doc.Int(-2),
+			"owner": doc.String(owner),
 		})
 	}
-	req := func(n int64) *Request {
-		return &Request{Method: MethodCreate, Path: doc.MustName("/docs/d"), NewResource: mk(n)}
+	req := func(n int64, owner string) *Request {
+		return &Request{Method: MethodCreate, Path: doc.MustName("/docs/d"), NewResource: mk(n, owner)}
 	}
-	if !rs.Allow(req(3)) {
+	if !rs.Allow(req(3, "u1")) {
 		t.Error("valid doc denied")
 	}
-	if rs.Allow(req(0)) {
+	if rs.Allow(req(0, "u1")) {
 		t.Error("n=0 allowed")
 	}
-	if rs.Allow(req(10)) {
+	if rs.Allow(req(10, "u1")) {
 		t.Error("n=10 allowed")
+	}
+	// A map index reads the value under its key.
+	if rs.Allow(req(3, "u2")) {
+		t.Error("data['owner'] == \"u1\" allowed owner u2")
 	}
 }
 
@@ -224,6 +230,29 @@ match /docs/{id} {
 	// must deny rather than crash or allow.
 	if rs.Allow(&Request{Method: MethodGet, Path: doc.MustName("/docs/d")}) {
 		t.Error("erroring condition allowed")
+	}
+
+	// Each refused index denies, though the comparison would hold on a
+	// null: a non-string map key, a missing key, an index on a scalar.
+	// The "" key is what an int key would name if read as a string.
+	existing := doc.New(doc.MustName("/docs/d"), map[string]doc.Value{
+		"owner": doc.String("u1"),
+		"n":     doc.Int(1),
+		"":      doc.String("u2"),
+	})
+	for _, tc := range []struct {
+		cond  string
+		allow bool
+	}{
+		{`resource.data['owner'] == "u1"`, true}, // the control
+		{`resource.data[1] != "u1"`, false},
+		{`resource.data['nope'] != "u1"`, false},
+		{`resource.data.n[0] != "u1"`, false},
+	} {
+		rs := mustParse(t, "match /docs/{id} { allow read: if "+tc.cond+"; }")
+		if got := rs.Allow(&Request{Method: MethodGet, Path: doc.MustName("/docs/d"), Resource: existing}); got != tc.allow {
+			t.Errorf("%s: allowed = %v, want %v", tc.cond, got, tc.allow)
+		}
 	}
 }
 

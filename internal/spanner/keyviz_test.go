@@ -17,7 +17,7 @@ import (
 func TestSplitAttribution(t *testing.T) {
 	const threshold = 50
 	clock := truetime.NewSystem(10 * time.Microsecond)
-	kv := keyviz.New(clock, keyviz.Options{Window: 100 * time.Millisecond, Windows: 64})
+	kv := keyviz.New(clock)
 	db := New(Config{
 		Clock:          clock,
 		SplitThreshold: threshold,

@@ -79,10 +79,6 @@ type Config struct {
 	// MaxTabletRows splits any tablet exceeding this many rows
 	// regardless of load. Zero disables size-based splits.
 	MaxTabletRows int
-	// LockTimeout bounds lock waits; expiry aborts the transaction
-	// (the paper: deadlocks "are resolved by failing and retrying such
-	// transactions"). Zero means a 2s default.
-	LockTimeout time.Duration
 	// Obs receives engine metrics: per-database lock-wait and commit-wait
 	// histograms, commit/abort/2PC counters, split/merge events, and a
 	// tablet-count gauge.
@@ -100,12 +96,17 @@ type Config struct {
 	KeyViz *keyviz.Collector
 }
 
+// defaultLockTimeout bounds lock waits; expiry aborts the transaction
+// (the paper: deadlocks "are resolved by failing and retrying such
+// transactions").
+const defaultLockTimeout = 2 * time.Second
+
 // DB is a Spanner-like database instance: an ordered, versioned key space
 // partitioned into tablets.
 type DB struct {
 	clock       truetime.Clock
 	commitDelay func(participants, bytes, rows int) time.Duration
-	lockTimeout time.Duration
+	lockTimeout time.Duration // defaultLockTimeout; tests shorten it
 	met         metrics
 	kv          *keyviz.Collector
 
@@ -201,10 +202,6 @@ func Open(cfg Config) (*DB, error) {
 	if clock == nil {
 		clock = truetime.NewSystem(100 * time.Microsecond)
 	}
-	lt := cfg.LockTimeout
-	if lt == 0 {
-		lt = 2 * time.Second
-	}
 	fac := cfg.Storage
 	if fac == nil {
 		fac = storage.MemFactory{}
@@ -213,7 +210,7 @@ func Open(cfg Config) (*DB, error) {
 	db := &DB{
 		clock:          clock,
 		commitDelay:    cfg.CommitDelay,
-		lockTimeout:    lt,
+		lockTimeout:    defaultLockTimeout,
 		met:            newMetrics(reg),
 		kv:             cfg.KeyViz,
 		locks:          newLockTable(clock),

@@ -18,10 +18,9 @@ import (
 
 func testDB(t *testing.T) *DB {
 	t.Helper()
-	return New(Config{
-		Clock:       truetime.NewSystem(10 * time.Microsecond),
-		LockTimeout: 200 * time.Millisecond,
-	})
+	db := New(Config{Clock: truetime.NewSystem(10 * time.Microsecond)})
+	db.lockTimeout = 200 * time.Millisecond
+	return db
 }
 
 func mustCommit(t *testing.T, txn *Txn) truetime.Timestamp {

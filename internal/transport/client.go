@@ -160,31 +160,17 @@ func (c *Conn) Do(ctx context.Context, method string, enc func([]byte) []byte) (
 // = empty), the response body (if any) is unmarshaled into resp (which
 // may be nil).
 func (c *Conn) Call(ctx context.Context, method string, req, resp any) error {
-	enc, err := jsonRequest(method, req)
-	if err != nil {
-		return err
+	var enc func([]byte) []byte
+	if req != nil {
+		b, err := json.Marshal(req)
+		if err != nil {
+			return status.Errorf(status.InvalidArgument, "transport", "marshaling %q request: %v", method, err)
+		}
+		enc = func(buf []byte) []byte { return append(buf, b...) }
 	}
 	body, err := c.Do(ctx, method, enc)
-	if err != nil {
+	if err != nil || resp == nil || len(body) == 0 {
 		return err
-	}
-	return jsonResponse(method, body, resp)
-}
-
-func jsonRequest(method string, req any) (func([]byte) []byte, error) {
-	if req == nil {
-		return nil, nil
-	}
-	b, err := json.Marshal(req)
-	if err != nil {
-		return nil, status.Errorf(status.InvalidArgument, "transport", "marshaling %q request: %v", method, err)
-	}
-	return func(buf []byte) []byte { return append(buf, b...) }, nil
-}
-
-func jsonResponse(method string, body []byte, resp any) error {
-	if resp == nil || len(body) == 0 {
-		return nil
 	}
 	if err := json.Unmarshal(body, resp); err != nil {
 		return status.Errorf(status.Internal, "transport", "unmarshaling %q response: %v", method, err)

@@ -178,19 +178,6 @@ func (p *Pool) Do(ctx context.Context, peer, method string, enc func([]byte) []b
 	return body, pp.finish(met, method, time.Since(start), err)
 }
 
-// Call is Do with JSON bodies (Conn.Call).
-func (p *Pool) Call(ctx context.Context, peer, method string, req, resp any) error {
-	enc, err := jsonRequest(method, req)
-	if err != nil {
-		return err
-	}
-	body, err := p.Do(ctx, peer, method, enc)
-	if err != nil {
-		return err
-	}
-	return jsonResponse(method, body, resp)
-}
-
 // connFor returns the peer's live connection, dialing if absent or
 // broken. reconnected reports a dial that replaced a previous one.
 func (p *Pool) connFor(pp *poolPeer) (conn *Conn, reconnected bool, err error) {

@@ -52,6 +52,11 @@ func startEchoServer(t *testing.T) (*Server, string) {
 	return srv, addr
 }
 
+// echoEnc encodes an echo request for Pool.Do.
+func echoEnc(n int) func([]byte) []byte {
+	return func(b []byte) []byte { return fmt.Appendf(b, `{"n":%d}`, n) }
+}
+
 func TestCallRoundTrip(t *testing.T) {
 	_, addr := startEchoServer(t)
 	conn, err := Dial(addr)
@@ -200,8 +205,7 @@ func TestPoolReconnectsAfterServerDrop(t *testing.T) {
 	defer pool.Close()
 	pool.SetPeer("t1", addr)
 
-	var resp echoResp
-	if err := pool.Call(context.Background(), "t1", "echo", echoReq{N: 1}, &resp); err != nil {
+	if _, err := pool.Do(context.Background(), "t1", "echo", echoEnc(1)); err != nil {
 		t.Fatalf("first call: %v", err)
 	}
 
@@ -215,7 +219,7 @@ func TestPoolReconnectsAfterServerDrop(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := pool.Call(context.Background(), "t1", "echo", echoReq{N: 2}, &resp)
+		_, err := pool.Do(context.Background(), "t1", "echo", echoEnc(2))
 		if err == nil {
 			break
 		}
@@ -254,15 +258,14 @@ func TestFaultPartition(t *testing.T) {
 	if err := fault.Enable(fault.Spec{Site: fault.TransportPartition, Mode: fault.ModeError, MaxCount: 2}); err != nil {
 		t.Fatal(err)
 	}
-	var resp echoResp
 	for i := 0; i < 2; i++ {
-		err := pool.Call(context.Background(), "t1", "echo", echoReq{N: 1}, &resp)
+		_, err := pool.Do(context.Background(), "t1", "echo", echoEnc(1))
 		if !errors.Is(err, ErrPeerUnreachable) || status.CodeOf(err) != status.Unavailable {
 			t.Fatalf("partitioned call %d: got %v, want unreachable/Unavailable", i, err)
 		}
 	}
 	// MaxCount exhausted: the partition heals.
-	if err := pool.Call(context.Background(), "t1", "echo", echoReq{N: 1}, &resp); err != nil {
+	if _, err := pool.Do(context.Background(), "t1", "echo", echoEnc(1)); err != nil {
 		t.Fatalf("after partition healed: %v", err)
 	}
 	if n := fault.Injected(fault.TransportPartition); n != 2 {
@@ -290,7 +293,7 @@ func TestFaultHalfOpenExecutesButLosesResponse(t *testing.T) {
 	if err := fault.Enable(fault.Spec{Site: fault.TransportHalfOpen, Mode: fault.ModeDrop, MaxCount: 1}); err != nil {
 		t.Fatal(err)
 	}
-	err = pool.Call(context.Background(), "t1", "bump", nil, nil)
+	_, err = pool.Do(context.Background(), "t1", "bump", nil)
 	if status.CodeOf(err) != status.DeadlineExceeded {
 		t.Fatalf("half-open call: got %v, want DeadlineExceeded", err)
 	}
@@ -310,8 +313,7 @@ func TestFaultConnReset(t *testing.T) {
 	pool := NewPool(nil)
 	defer pool.Close()
 	pool.SetPeer("t1", addr)
-	var resp echoResp
-	if err := pool.Call(context.Background(), "t1", "echo", echoReq{N: 1}, &resp); err != nil {
+	if _, err := pool.Do(context.Background(), "t1", "echo", echoEnc(1)); err != nil {
 		t.Fatalf("pre-reset call: %v", err)
 	}
 	fault.Reset()
@@ -319,14 +321,14 @@ func TestFaultConnReset(t *testing.T) {
 	if err := fault.Enable(fault.Spec{Site: fault.TransportConnReset, Mode: fault.ModeCrash, MaxCount: 1}); err != nil {
 		t.Fatal(err)
 	}
-	err := pool.Call(context.Background(), "t1", "echo", echoReq{N: 1}, &resp)
+	_, err := pool.Do(context.Background(), "t1", "echo", echoEnc(1))
 	if !errors.Is(err, ErrPeerUnreachable) {
 		t.Fatalf("reset call: got %v, want unreachable", err)
 	}
 	// Next call re-dials and succeeds.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := pool.Call(context.Background(), "t1", "echo", echoReq{N: 3}, &resp); err == nil {
+		if _, err := pool.Do(context.Background(), "t1", "echo", echoEnc(3)); err == nil {
 			break
 		} else if time.Now().After(deadline) {
 			t.Fatalf("pool never recovered after reset: %v", err)
@@ -343,7 +345,7 @@ func TestFaultConnReset(t *testing.T) {
 func TestUnknownPeerAndDeadPeer(t *testing.T) {
 	pool := NewPool(nil)
 	defer pool.Close()
-	if err := pool.Call(context.Background(), "ghost", "echo", nil, nil); status.CodeOf(err) != status.NotFound {
+	if _, err := pool.Do(context.Background(), "ghost", "echo", nil); status.CodeOf(err) != status.NotFound {
 		t.Fatalf("unknown peer: got %v, want NotFound", err)
 	}
 	// A peer whose address refuses connections fails as unreachable.
@@ -354,7 +356,7 @@ func TestUnknownPeerAndDeadPeer(t *testing.T) {
 	}
 	srv.Close()
 	pool.SetPeer("dead", addr)
-	if err := pool.Call(context.Background(), "dead", "echo", nil, nil); !errors.Is(err, ErrPeerUnreachable) {
+	if _, err := pool.Do(context.Background(), "dead", "echo", nil); !errors.Is(err, ErrPeerUnreachable) {
 		t.Fatalf("dead peer: got %v, want unreachable", err)
 	}
 	for _, h := range pool.Health() {
@@ -621,9 +623,8 @@ func TestSetObsCarriesCounts(t *testing.T) {
 	pool := NewPool(nil)
 	defer pool.Close()
 	pool.SetPeer("t1", addr)
-	var resp echoResp
 	call := func() {
-		if err := pool.Call(context.Background(), "t1", "echo", echoReq{N: 1}, &resp); err != nil {
+		if _, err := pool.Do(context.Background(), "t1", "echo", echoEnc(1)); err != nil {
 			t.Fatal(err)
 		}
 	}

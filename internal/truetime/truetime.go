@@ -193,12 +193,6 @@ func (m *Manual) Set(ts Timestamp) {
 	m.cond.Broadcast()
 }
 
-// Forward implements Forwarder: it moves the clock just past ts so that
-// recovered state is in the observable past.
-func (m *Manual) Forward(ts Timestamp) {
-	m.Set(ts + 1)
-}
-
 // Now implements Clock.
 func (m *Manual) Now() Interval {
 	m.mu.Lock()
