@@ -2,8 +2,11 @@ package server
 
 import (
 	"encoding/base64"
+	"encoding/json"
 	"fmt"
-	"math"
+	"io"
+	"strconv"
+	"strings"
 	"time"
 
 	"firestore/internal/doc"
@@ -17,7 +20,18 @@ import (
 //	{"$ref": "/a/b"}         document reference
 //	{"$geo": [lat, lng]}     geopoint
 //
-// Plain JSON numbers decode as Int when integral, Double otherwise.
+// A JSON number is an Int when it is an integer literal (one past the
+// 64-bit range is refused) and a Double otherwise, so 1.0 and 1e3 are
+// Doubles. A Double is written back with a fraction or an exponent, so
+// it reads back as a Double.
+
+// decodeJSON decodes one JSON value from r into v, keeping numbers as
+// json.Number so valueFromJSON sees their literals.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.UseNumber()
+	return dec.Decode(v)
+}
 
 func valueFromJSON(v any) (doc.Value, error) {
 	switch x := v.(type) {
@@ -27,11 +41,19 @@ func valueFromJSON(v any) (doc.Value, error) {
 		return doc.Bool(x), nil
 	case string:
 		return doc.String(x), nil
-	case float64:
-		if x == math.Trunc(x) && math.Abs(x) < 1<<53 {
-			return doc.Int(int64(x)), nil
+	case json.Number:
+		if !strings.ContainsAny(string(x), ".eE") {
+			i, err := strconv.ParseInt(string(x), 10, 64)
+			if err != nil {
+				return doc.Null(), fmt.Errorf("integer %s is outside the 64-bit range", x)
+			}
+			return doc.Int(i), nil
 		}
-		return doc.Double(x), nil
+		f, err := x.Float64()
+		if err != nil {
+			return doc.Null(), fmt.Errorf("number %s is outside the double range", x)
+		}
+		return doc.Double(f), nil
 	case []any:
 		arr := make([]doc.Value, len(x))
 		for i, e := range x {
@@ -85,10 +107,14 @@ func taggedValue(m map[string]any) (doc.Value, bool) {
 	}
 	if raw, ok := m["$geo"]; ok {
 		if arr, ok := raw.([]any); ok && len(arr) == 2 {
-			lat, ok1 := arr[0].(float64)
-			lng, ok2 := arr[1].(float64)
+			lat, ok1 := arr[0].(json.Number)
+			lng, ok2 := arr[1].(json.Number)
 			if ok1 && ok2 {
-				return doc.Geo(lat, lng), true
+				latF, err1 := lat.Float64()
+				lngF, err2 := lng.Float64()
+				if err1 == nil && err2 == nil {
+					return doc.Geo(latF, lngF), true
+				}
 			}
 		}
 	}
@@ -117,7 +143,11 @@ func valueToJSON(v doc.Value) any {
 		if v.IsInt() {
 			return v.IntVal()
 		}
-		return v.DoubleVal()
+		s := strconv.FormatFloat(v.DoubleVal(), 'g', -1, 64)
+		if !strings.ContainsAny(s, ".e") {
+			s += ".0"
+		}
+		return json.Number(s)
 	case doc.KindString:
 		return v.StringVal()
 	case doc.KindBytes:

@@ -273,7 +273,7 @@ func (s *Server) putDoc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var raw map[string]any
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
+	if err := decodeJSON(r.Body, &raw); err != nil {
 		badRequest(w, err)
 		return
 	}
@@ -447,7 +447,7 @@ func (qj *queryJSON) build() (*query.Query, error) {
 
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
 	var qj queryJSON
-	if err := json.NewDecoder(r.Body).Decode(&qj); err != nil {
+	if err := decodeJSON(r.Body, &qj); err != nil {
 		badRequest(w, err)
 		return
 	}
@@ -542,7 +542,7 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var raw any
-		if err := json.Unmarshal([]byte(parts[2]), &raw); err != nil {
+		if !json.Valid([]byte(parts[2])) || decodeJSON(strings.NewReader(parts[2]), &raw) != nil {
 			raw = parts[2] // treat as a bare string
 		}
 		v, err := valueFromJSON(raw)
@@ -571,9 +571,13 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
+			// at places each added, then modified, document in the
+			// target's new result (DESIGN.md "Real-time delivery
+			// contract"): the client does not order by values.
 			payload := map[string]any{
 				"ts":      int64(ev.TS),
 				"initial": ev.Initial,
+				"at":      ev.At,
 			}
 			var removed []string
 			for _, n := range ev.Removed {

@@ -402,6 +402,103 @@ func TestListenSSE(t *testing.T) {
 	if len(added) != 1 {
 		t.Fatalf("delta = %v", delta)
 	}
+	t.Run("positions", func(t *testing.T) { listenPositions(t, ts) })
+}
+
+// listenPositions: under an inequality the target orders by the
+// filtered field, so a modify can move a document, and the event says
+// where to: "at" holds the index of each added, then modified, document
+// in the new result.
+func listenPositions(t *testing.T, ts *httptest.Server) {
+	do(t, ts, "PUT", "/v1/databases/app/docs/places/a", map[string]any{"rating": 4}, nil)
+	do(t, ts, "PUT", "/v1/databases/app/docs/places/b", map[string]any{"rating": 5}, nil)
+	do(t, ts, "PUT", "/v1/databases/app/docs/places/c", map[string]any{"rating": 1}, nil)
+
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/databases/app/listen?collection=/places&where=rating,>,3", nil)
+	req.Header.Set("X-Privileged", "true")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	reader := bufio.NewReader(resp.Body)
+	type event struct {
+		Initial  bool       `json:"initial"`
+		Added    []Document `json:"added"`
+		Modified []Document `json:"modified"`
+		At       []int      `json:"at"`
+	}
+	readEvent := func() event {
+		t.Helper()
+		for {
+			line, err := reader.ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data, ok := strings.CutPrefix(line, "data: "); ok {
+				var ev event
+				if err := json.Unmarshal([]byte(data), &ev); err != nil {
+					t.Fatal(err)
+				}
+				return ev
+			}
+		}
+	}
+	names := func(docs []Document) (out []string) {
+		for _, d := range docs {
+			out = append(out, d.Name)
+		}
+		return out
+	}
+	if ev := readEvent(); !ev.Initial || fmt.Sprint(names(ev.Added)) != "[/places/a /places/b]" {
+		t.Fatalf("initial = %+v", ev)
+	}
+	// a moves from first to last: only its index says so.
+	do(t, ts, "PUT", "/v1/databases/app/docs/places/a", map[string]any{"rating": 6}, nil)
+	ev := readEvent()
+	if fmt.Sprint(names(ev.Modified)) != "[/places/a]" || fmt.Sprint(ev.At) != "[1]" {
+		t.Fatalf("modify = %+v, want /places/a at [1]", ev)
+	}
+	// c enters between b and a.
+	do(t, ts, "PUT", "/v1/databases/app/docs/places/c", map[string]any{"rating": 5.5}, nil)
+	ev = readEvent()
+	if fmt.Sprint(names(ev.Added)) != "[/places/c]" || fmt.Sprint(ev.At) != "[1]" {
+		t.Fatalf("add = %+v, want /places/c at [1]", ev)
+	}
+}
+
+// TestJSONNumbersOverHTTP: a JSON integer literal is a 64-bit Int and
+// any other number a Double, on the way in and on the way out. Decoded
+// as float64, 9007199254740993 was stored as the Double
+// 9007199254740992, so an equality on it also matched a document holding
+// 9007199254740992, and 1.0 was stored as an Int.
+func TestJSONNumbersOverHTTP(t *testing.T) {
+	ts := newServer(t)
+	do(t, ts, "POST", "/v1/databases", map[string]string{"id": "app"}, nil)
+	resp, body := do(t, ts, "PUT", "/v1/databases/app/docs/nums/exact",
+		`{"n": 9007199254740993, "big": 9223372036854775807, "f": 1.0, "e": 1e3}`, nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("put: %d %s", resp.StatusCode, body)
+	}
+	do(t, ts, "PUT", "/v1/databases/app/docs/nums/near", `{"n": 9007199254740992}`, nil)
+	_, body = do(t, ts, "GET", "/v1/databases/app/docs/nums/exact", nil, nil)
+	for _, want := range []string{`"n":9007199254740993`, `"big":9223372036854775807`, `"f":1.0`, `"e":1000.0`} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("get = %s, want it to hold %s", body, want)
+		}
+	}
+	resp, body = do(t, ts, "POST", "/v1/databases/app/query",
+		`{"collection": "/nums", "where": [{"field": "n", "op": "==", "value": 9007199254740993}]}`, nil)
+	var page QueryPage
+	if err := json.Unmarshal(body, &page); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("query: %d %s", resp.StatusCode, body)
+	}
+	if len(page.Documents) != 1 || page.Documents[0].Name != "/nums/exact" {
+		t.Errorf("where n == 9007199254740993 returned %s", body)
+	}
+	if resp, _ := do(t, ts, "PUT", "/v1/databases/app/docs/nums/over", `{"n": 9223372036854775808}`, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("an integer past int64 answered %d, want 400", resp.StatusCode)
+	}
 }
 
 func TestBadRequests(t *testing.T) {

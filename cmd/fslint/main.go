@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := loader.Load()
 	if err != nil {
 		fatal(err)
 	}

@@ -3,7 +3,7 @@
 // every layer — canonical status codes, request-context propagation, the
 // *Locked mutex-held naming convention, and TrueTime-driven timestamps —
 // and this package makes them mechanically un-violable: a loader drives
-// go/parser and go/types over packages enumerated with `go list -json`
+// go/parser and go/types over packages listed once with `go list -deps`
 // (keeping go.mod dependency-free), and eight repo-specific analyzers
 // report violations as findings a CI gate turns into failures. Packages
 // type-check from source in dependency order, so type identities unify
@@ -17,8 +17,9 @@
 //     fmt.Errorf without %w, and compare sentinels with errors.Is.
 //   - lockdiscipline: a fooLocked method is only called with its
 //     receiver's mutex held; defer mu.Unlock() never follows a
-//     conditional Lock. (Copied locks and copied atomic wrappers are go
-//     vet's copylocks, which `make verify` runs.)
+//     conditional Lock. It reads the lock timeline lockorder builds.
+//     (Copied locks and copied atomic wrappers are go vet's copylocks,
+//     which `make verify` runs.)
 //   - lockorder: the global lock-acquisition order over mutex classes is
 //     acyclic — held sets propagate through the call graph and every
 //     cycle is reported with concrete witness call chains (the AB-BA
@@ -77,30 +78,36 @@ type Analyzer struct {
 	RunProgram func(pass *ProgramPass)
 }
 
-// ProgramPass carries the whole program to an interprocedural analyzer.
-type ProgramPass struct {
+// reporter is what Pass and ProgramPass share: the analyzer a finding
+// comes from and the file set that places it.
+type reporter struct {
 	Analyzer *Analyzer
-	Prog     *Program
+	Fset     *token.FileSet
 
 	report func(Finding)
 }
 
 // Reportf records a finding at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Prog.Fset.Position(pos)
-	p.report(Finding{
+func (r *reporter) Reportf(pos token.Pos, format string, args ...any) {
+	position := r.Fset.Position(pos)
+	r.report(Finding{
 		Path:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
-		Analyzer: p.Analyzer.Name,
+		Analyzer: r.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
+// ProgramPass carries the whole program to an interprocedural analyzer.
+type ProgramPass struct {
+	reporter
+	Prog *Program
+}
+
 // Pass carries one package's syntax and type information to an analyzer.
 type Pass struct {
-	Analyzer   *Analyzer
-	Fset       *token.FileSet
+	reporter
 	Files      []*ast.File
 	Pkg        *types.Package
 	Info       *types.Info
@@ -109,20 +116,6 @@ type Pass struct {
 	// path (see RequestPathPrefixes); analyzers with a two-tier scope
 	// (ctxdiscipline) consult it.
 	RequestPath bool
-
-	report func(Finding)
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	p.report(Finding{
-		Path:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
 }
 
 // Finding is one reported violation.
@@ -184,8 +177,6 @@ func IsRequestPath(importPath string) bool {
 // position. Malformed directives (no reason) surface as findings from
 // the pseudo-analyzer "fslint".
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	var all []Finding
-	var programAnalyzers []*Analyzer
 	// The ignore index is global (keyed by file), so directives suppress
 	// findings from program-wide analyzers the same way as per-package
 	// ones.
@@ -196,50 +187,37 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		fset = pkg.Fset
 	}
 	idx := buildIgnoreIndex(fset, allFiles)
-	all = append(all, idx.malformed...)
+	all := idx.malformed
+	report := func(f Finding) {
+		if !idx.suppressed(f) {
+			all = append(all, f)
+		}
+	}
 
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil {
+			if a.Run == nil || a.Applies != nil && !a.Applies(pkg.ImportPath) {
 				continue
 			}
-			if a.Applies != nil && !a.Applies(pkg.ImportPath) {
-				continue
-			}
-			pass := &Pass{
-				Analyzer:    a,
-				Fset:        pkg.Fset,
+			a.Run(&Pass{
+				reporter:    reporter{Analyzer: a, Fset: pkg.Fset, report: report},
 				Files:       pkg.Files,
 				Pkg:         pkg.Types,
 				Info:        pkg.Info,
 				ImportPath:  pkg.ImportPath,
 				RequestPath: IsRequestPath(pkg.ImportPath),
-			}
-			pass.report = func(f Finding) {
-				if !idx.suppressed(f) {
-					all = append(all, f)
-				}
-			}
-			a.Run(pass)
+			})
 		}
 	}
-
+	var prog *Program
 	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			programAnalyzers = append(programAnalyzers, a)
+		if a.RunProgram == nil {
+			continue
 		}
-	}
-	if len(programAnalyzers) > 0 {
-		prog := BuildProgram(pkgs)
-		for _, a := range programAnalyzers {
-			pass := &ProgramPass{Analyzer: a, Prog: prog}
-			pass.report = func(f Finding) {
-				if !idx.suppressed(f) {
-					all = append(all, f)
-				}
-			}
-			a.RunProgram(pass)
+		if prog == nil {
+			prog = BuildProgram(pkgs)
 		}
+		a.RunProgram(&ProgramPass{reporter: reporter{Analyzer: a, Fset: prog.Fset, report: report}, Prog: prog})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]

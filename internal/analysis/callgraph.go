@@ -145,6 +145,8 @@ type Program struct {
 	Packages []*Package
 	Fset     *token.FileSet
 	Graph    *CallGraph
+
+	timelines map[*Node]*lockSummary // see lockTimeline
 }
 
 // BuildProgram assembles the program and its call graph.
@@ -153,7 +155,7 @@ func BuildProgram(pkgs []*Package) *Program {
 	if len(pkgs) > 0 {
 		fset = pkgs[0].Fset
 	}
-	prog := &Program{Packages: pkgs, Fset: fset}
+	prog := &Program{Packages: pkgs, Fset: fset, timelines: map[*Node]*lockSummary{}}
 	prog.Graph = buildCallGraph(pkgs)
 	return prog
 }

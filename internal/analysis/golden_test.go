@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -280,7 +282,9 @@ func TestLockOrderGolden(t *testing.T) {
 }
 
 // TestLockOrderDOT checks the -graph export over the same fixture: the
-// cycle renders red, and no same-class self-edge leaks into the cycle.
+// cycle renders red, no same-class self-edge leaks into the cycle, and
+// the edges that only held-on-entry sets and an embedded mutex produce
+// are there.
 func TestLockOrderDOT(t *testing.T) {
 	l := goldenLoader(t)
 	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "lockorder"), "fslint/testdata/lockorder")
@@ -295,10 +299,56 @@ func TestLockOrderDOT(t *testing.T) {
 		`"lockorder.tablet.mu" -> "lockorder.DB.mu" [label="(*lockorder.tablet).recover", color=red];`,
 		// The engine mutex is below both but on no cycle: plain node.
 		`"lockorder.diskEngine.mu";`,
+		// Edges held on entry: by a *Locked method, by a literal
+		// invoked under its caller's lock; and one through an
+		// embedded mutex.
+		`"lockorder.cache.mu" -> "lockorder.DB.mu" [label="(*lockorder.cache).flushLocked"];`,
+		`"lockorder.cache.mu" -> "lockorder.journal.mu" [label="(*lockorder.cache).replay$1"];`,
+		`"lockorder.cache.mu" -> "lockorder.shard.Mutex" [label="(*lockorder.cache).bump"];`,
 	} {
 		if !strings.Contains(dot, wantStr) {
 			t.Errorf("DOT output missing %q:\n%s", wantStr, dot)
 		}
+	}
+}
+
+// TestRepoLintClean runs the suite as `make lint` does: one `go list`,
+// every package of the module type-checked from source, every analyzer.
+// The repo must have no finding. The internal/mutants rows that put a
+// violation back into real code are killed here.
+func TestRepoLintClean(t *testing.T) {
+	pkgs, err := goldenLoader(t).Load()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if !slices.ContainsFunc(pkgs, func(p *Package) bool { return p.ImportPath == "firestore/internal/analysis" }) {
+		t.Fatalf("Load returned %d packages, without this one", len(pkgs))
+	}
+	for _, f := range Run(pkgs, Analyzers()) {
+		t.Errorf("%s", f)
+	}
+}
+
+// TestLoadNamedPackages: Load returns the packages the patterns name,
+// dependencies first. backend imports spanner also through packages the
+// patterns do not name; those are checked from source too, or their
+// export data would bring in a second spanner that backend's calls do
+// not type-check against.
+func TestLoadNamedPackages(t *testing.T) {
+	l, err := NewLoader("../..", "./internal/backend", "./internal/spanner")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkgs, err := l.Load()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.ImportPath)
+	}
+	if want := "[firestore/internal/spanner firestore/internal/backend]"; fmt.Sprint(got) != want {
+		t.Errorf("Load = %v, want %s", got, want)
 	}
 }
 

@@ -32,22 +32,23 @@ type listPackage struct {
 	ImportPath string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
-	Module     *struct{ Path, Dir string }
+	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
-// Loader enumerates packages with the go command and type-checks the
-// target packages from source, resolving imports through the compiler's
+// Loader lists packages with the go command once and type-checks the
+// listed packages from source, resolving imports through the compiler's
 // export data (reported by `go list -export`). This keeps go.mod free of
 // analysis dependencies: everything here is the standard library plus
 // the already-present go toolchain.
 type Loader struct {
-	dir     string
 	fset    *token.FileSet
 	exports map[string]string // import path -> export data file
 	imp     types.Importer
+	// listed are the module's packages in `go list -deps` order:
+	// dependencies first.
+	listed []listPackage
 	// srcPkgs caches packages this loader has already type-checked from
 	// source. Imports prefer these over export data so that types.Object
 	// identities unify across the whole load — the property the
@@ -70,8 +71,9 @@ func (p preferSource) Import(path string) (*types.Package, error) {
 }
 
 // NewLoader prepares a loader rooted at the module directory dir. It
-// runs `go list -deps -export -json <patterns>` once (default ./...) to
-// build the import-path -> export-data map used to type-check.
+// runs `go list -deps -export -json <patterns>` once (default ./...):
+// the export data of the standard library resolves imports, and Load
+// checks the module's packages in the order listed.
 func NewLoader(dir string, patterns ...string) (*Loader, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -86,7 +88,6 @@ func NewLoader(dir string, patterns ...string) (*Loader, error) {
 		return nil, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
 	l := &Loader{
-		dir:     dir,
 		fset:    token.NewFileSet(),
 		exports: map[string]string{},
 		srcPkgs: map[string]*Package{},
@@ -105,6 +106,9 @@ func NewLoader(dir string, patterns ...string) (*Loader, error) {
 		if p.Export != "" {
 			l.exports[p.ImportPath] = p.Export
 		}
+		if !p.Standard && len(p.GoFiles) > 0 {
+			l.listed = append(l.listed, p)
+		}
 	}
 	l.imp = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
 		exp, ok := l.exports[path]
@@ -116,75 +120,18 @@ func NewLoader(dir string, patterns ...string) (*Loader, error) {
 	return l, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// Load enumerates the packages matching patterns (within the loader's
-// module) and returns each parsed and type-checked. Test files are
+// Load parses and type-checks the module's listed packages and returns
+// those NewLoader's patterns named (not DepOnly). Test files are
 // excluded: the invariants govern production code, and tests routinely
-// mint contexts and wall-clock timestamps on purpose.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = l.dir
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
-	}
-	var listed []listPackage
-	dec := json.NewDecoder(&stdout)
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("decoding go list output: %v", err)
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Standard || len(p.GoFiles) == 0 {
-			continue
-		}
-		listed = append(listed, p)
-	}
-
-	// Check in dependency order so that when package B imports package A,
-	// A's source-checked types.Package is already cached and B resolves
-	// A's objects to the same identities the analyzers see when walking
-	// A itself. (go list does not guarantee an order for explicit
-	// pattern lists, so sort here.)
-	byPath := map[string]*listPackage{}
-	for i := range listed {
-		byPath[listed[i].ImportPath] = &listed[i]
-	}
-	var ordered []*listPackage
-	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *listPackage)
-	visit = func(p *listPackage) {
-		if state[p.ImportPath] != 0 {
-			return // import cycles are a compile error; trust the checker
-		}
-		state[p.ImportPath] = 1
-		for _, imp := range p.Imports {
-			if dep, ok := byPath[imp]; ok {
-				visit(dep)
-			}
-		}
-		state[p.ImportPath] = 2
-		ordered = append(ordered, p)
-	}
-	for i := range listed {
-		visit(&listed[i])
-	}
-
+// mint contexts and wall-clock timestamps on purpose. `go list -deps`
+// lists a package after its dependencies, so when B imports A, A's
+// source-checked types.Package is already cached and B resolves A's
+// objects to the same identities the analyzers see when walking A
+// itself; a dependency the patterns did not name is checked from source
+// too, or its export data would bring in a second copy of A.
+func (l *Loader) Load() ([]*Package, error) {
 	var pkgs []*Package
-	for _, p := range ordered {
+	for _, p := range l.listed {
 		files := make([]string, len(p.GoFiles))
 		for i, f := range p.GoFiles {
 			files[i] = filepath.Join(p.Dir, f)
@@ -194,7 +141,9 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		l.srcPkgs[p.ImportPath] = pkg
-		pkgs = append(pkgs, pkg)
+		if !p.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
 }

@@ -42,68 +42,65 @@ var LockOrder = &Analyzer{
 	RunProgram: runLockOrder,
 }
 
-// lockClassOf classifies the guard of one sync.Mutex/RWMutex method
-// call into a mutex class, or "" for locals and unresolvable guards.
-// method is Lock/RLock/Unlock/RUnlock.
-func lockClassOf(pkg *Package, call *ast.CallExpr) (class, method string, ok bool) {
+// lockCall reports whether call is a sync Mutex/RWMutex (or Locker)
+// Lock/RLock/Unlock/RUnlock call, returning the method, the mutex class
+// of its guard ("" for locals and unresolvable guards) and the guard's
+// owner as expression text: t for t.mu.Lock(), mu for mu.Lock(), t for
+// t.Lock() through an embedded mutex.
+func lockCall(info *types.Info, call *ast.CallExpr) (method, class, owner string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", "", false
+		return "", "", "", false
 	}
-	s, isMethod := pkg.Info.Selections[sel]
+	s, isMethod := info.Selections[sel]
 	if !isMethod || s.Kind() != types.MethodVal {
-		return "", "", false
+		return "", "", "", false
 	}
 	fn, isFn := s.Obj().(*types.Func)
 	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
+		return "", "", "", false
 	}
 	switch fn.Name() {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 		method = fn.Name()
 	default:
-		return "", "", false
+		return "", "", "", false
 	}
 
 	guard := ast.Unparen(sel.X)
 	switch g := guard.(type) {
 	case *ast.SelectorExpr:
+		owner = types.ExprString(g.X)
 		// x.mu.Lock(): the class is (type of x, field mu).
-		if gs, isField := pkg.Info.Selections[g]; isField && gs.Kind() == types.FieldVal {
+		if gs, isField := info.Selections[g]; isField && gs.Kind() == types.FieldVal {
 			field, _ := gs.Obj().(*types.Var)
-			if owner := namedOwnerOf(gs.Recv(), gs.Index(), field); owner != "" {
-				return owner, method, true
+			if class := namedOwnerOf(gs.Recv(), gs.Index(), field); class != "" {
+				return method, class, owner, true
 			}
 		}
 		// pkgname.Mu.Lock(): a qualified package-level mutex.
 		if id, isIdent := g.X.(*ast.Ident); isIdent {
-			if _, isPkg := pkg.Info.Uses[id].(*types.PkgName); isPkg {
-				if v, isVar := pkg.Info.Uses[g.Sel].(*types.Var); isVar && v.Pkg() != nil {
-					return shortPkg(v.Pkg().Path()) + "." + v.Name(), method, true
+			if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
+				if v, isVar := info.Uses[g.Sel].(*types.Var); isVar && v.Pkg() != nil {
+					return method, shortPkg(v.Pkg().Path()) + "." + v.Name(), owner, true
 				}
 			}
 		}
-		return "", method, false
 	case *ast.Ident:
-		v, isVar := pkg.Info.Uses[g].(*types.Var)
-		if !isVar || v.Pkg() == nil {
-			return "", method, false
+		owner = g.Name
+		// A package-level mutex variable; a local one is out of scope.
+		if v, isVar := info.Uses[g].(*types.Var); isVar && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			return method, shortPkg(v.Pkg().Path()) + "." + v.Name(), owner, true
 		}
-		if v.Parent() == v.Pkg().Scope() {
-			// Package-level mutex variable.
-			return shortPkg(v.Pkg().Path()) + "." + v.Name(), method, true
-		}
-		return "", method, false // local mutex: out of scope
 	default:
+		owner = types.ExprString(guard)
 		// x.Lock() through an embedded mutex: resolve the field path of
 		// the method selection itself.
 		if idx := s.Index(); len(idx) > 1 {
-			if owner := fieldPathClass(s.Recv(), idx[:len(idx)-1]); owner != "" {
-				return owner, method, true
-			}
+			return method, fieldPathClass(s.Recv(), idx[:len(idx)-1]), owner, true
 		}
-		return "", method, false
 	}
+	return method, "", owner, true
 }
 
 // namedOwnerOf renders the class "pkg.Type.field" for a field selection,
@@ -152,26 +149,36 @@ func fieldPathClass(recv types.Type, index []int) string {
 	return shortPkg(owner.Obj().Pkg().Path()) + "." + owner.Obj().Name() + "." + field.Name()
 }
 
-// lockEventKind is one step in a function's lock timeline.
-type lockEventKind int
+// lockStepKind is one kind of step in a function's lock timeline.
+type lockStepKind int
 
 const (
-	evAcquire lockEventKind = iota
-	evRelease
-	evCall // a synchronous call edge
+	stepAcquire      lockStepKind = iota // x.mu.Lock() or RLock()
+	stepRelease                          // x.mu.Unlock() or RUnlock()
+	stepDeferRelease                     // defer x.mu.Unlock(): held to return
+	stepLockedCall                       // x.fooLocked(): needs x's mutex held
+	stepCall                             // a synchronous call edge
 )
 
-type lockNodeEvent struct {
-	kind  lockEventKind
-	class string // acquire/release
-	pos   token.Pos
-	edge  *Edge // evCall
+// lockStep is one step of a function's lock timeline.
+type lockStep struct {
+	kind lockStepKind
+	pos  token.Pos
+	// class is a lock step's mutex class, "" for a local or unresolvable
+	// guard: lockorder reads it.
+	class string
+	// owner is what lockdiscipline keys on: a lock step's guard owner
+	// (see lockCall) or a *Locked call's receiver, as expression text.
+	owner string
+	depth int    // conditional statements enclosing a lock step
+	name  string // the *Locked method
+	edge  *Edge  // stepCall
 }
 
-// lockSummary is the per-node result of the syntactic walk.
+// lockSummary is one node's lock timeline: every step of its own body
+// (nested function literals are their own nodes), in source order.
 type lockSummary struct {
-	node   *Node
-	events []lockNodeEvent // sorted by position
+	steps []lockStep
 	// direct lists classes this node's own body acquires (even if
 	// released before return), with the first acquisition site.
 	direct map[string]token.Pos
@@ -188,7 +195,6 @@ type acqVia struct {
 // fslint -graph DOT export.
 type lockOrderState struct {
 	prog      *Program
-	summaries map[*Node]*lockSummary
 	trans     map[*Node]map[string]acqVia
 	entryHeld map[*Node][]string
 	entryDone map[*Node]bool
@@ -215,15 +221,11 @@ func (w *lockWitness) render(fset *token.FileSet) string {
 func newLockOrderState(prog *Program) *lockOrderState {
 	st := &lockOrderState{
 		prog:      prog,
-		summaries: map[*Node]*lockSummary{},
 		trans:     map[*Node]map[string]acqVia{},
 		entryHeld: map[*Node][]string{},
 		entryDone: map[*Node]bool{},
 		edges:     map[string]map[string]*lockWitness{},
 		selfEdges: map[string]*lockWitness{},
-	}
-	for _, n := range prog.Graph.All {
-		st.summaries[n] = summarizeLocks(n)
 	}
 	st.propagate()
 	for _, n := range prog.Graph.All {
@@ -232,20 +234,30 @@ func newLockOrderState(prog *Program) *lockOrderState {
 	return st
 }
 
-// summarizeLocks walks one node's own body (excluding nested function
-// literals, which are their own nodes) and records its lock timeline.
+// lockTimeline returns n's lock timeline, walking its body once per
+// program: lockorder and lockdiscipline both read it.
+func (p *Program) lockTimeline(n *Node) *lockSummary {
+	sum, ok := p.timelines[n]
+	if !ok {
+		sum = summarizeLocks(n)
+		p.timelines[n] = sum
+	}
+	return sum
+}
+
+// summarizeLocks walks one node's own body and records its lock
+// timeline: each sync lock call with its class, owner and conditional
+// depth, each *Locked method call with its receiver, and each
+// synchronous call edge.
 func summarizeLocks(n *Node) *lockSummary {
-	sum := &lockSummary{node: n, direct: map[string]token.Pos{}}
+	sum := &lockSummary{direct: map[string]token.Pos{}}
 	var body *ast.BlockStmt
-	switch {
-	case n.Decl != nil:
+	if n.Decl != nil {
 		body = n.Decl.Body
-	case n.Lit != nil:
+	} else {
 		body = n.Lit.Body
 	}
-	if body == nil {
-		return sum
-	}
+	info := n.Pkg.Info
 
 	// Call edges by site, so the walk can interleave them with lock
 	// events in position order.
@@ -256,44 +268,48 @@ func summarizeLocks(n *Node) *lockSummary {
 		}
 	}
 
-	skip := map[ast.Node]bool{}
+	deferred := map[*ast.CallExpr]bool{}
+	var stack []ast.Node // the walk's ancestors, for conditional depth
 	ast.Inspect(body, func(x ast.Node) bool {
-		if x == nil || skip[x] {
-			return !skip[x]
-		}
 		switch x := x.(type) {
+		case nil:
+			stack = stack[:len(stack)-1]
+			return true
 		case *ast.FuncLit:
 			return false // separate node
 		case *ast.DeferStmt:
-			// A deferred Unlock releases at return: the lock stays held
-			// for the rest of this body, so drop the release event.
-			// Deferred calls keep their edge (registered at e.Pos).
-			if n.Pkg != nil {
-				if _, method, isLock := lockClassOf(n.Pkg, x.Call); isLock && (method == "Unlock" || method == "RUnlock") {
-					skip[x.Call] = true
-				}
-			}
+			deferred[x.Call] = true
 		case *ast.CallExpr:
-			if n.Pkg != nil {
-				if class, method, isLock := lockClassOf(n.Pkg, x); isLock {
-					if class != "" {
-						switch method {
-						case "Lock", "RLock":
-							sum.events = append(sum.events, lockNodeEvent{kind: evAcquire, class: class, pos: x.Pos()})
-							if _, seen := sum.direct[class]; !seen {
-								sum.direct[class] = x.Pos()
-							}
-						case "Unlock", "RUnlock":
-							sum.events = append(sum.events, lockNodeEvent{kind: evRelease, class: class, pos: x.Pos()})
-						}
+			if method, class, owner, isLock := lockCall(info, x); isLock {
+				step := lockStep{kind: stepAcquire, pos: x.Pos(), class: class, owner: owner}
+				for _, a := range stack {
+					switch a.(type) {
+					case *ast.IfStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt, *ast.ForStmt, *ast.RangeStmt:
+						step.depth++
 					}
-					return true
 				}
+				switch {
+				case method == "Unlock" || method == "RUnlock":
+					step.kind = stepRelease
+					if deferred[x] {
+						step.kind = stepDeferRelease
+					}
+				case class != "":
+					if _, seen := sum.direct[class]; !seen {
+						sum.direct[class] = x.Pos()
+					}
+				}
+				sum.steps = append(sum.steps, step)
+				break
+			}
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && isLockedName(sel.Sel.Name) && info.Selections[sel] != nil {
+				sum.steps = append(sum.steps, lockStep{kind: stepLockedCall, pos: x.Pos(), owner: types.ExprString(sel.X), name: sel.Sel.Name})
 			}
 			for _, e := range edgesAt[x.Pos()] {
-				sum.events = append(sum.events, lockNodeEvent{kind: evCall, pos: x.Pos(), edge: e})
+				sum.steps = append(sum.steps, lockStep{kind: stepCall, pos: x.Pos(), edge: e})
 			}
 		}
+		stack = append(stack, x)
 		return true
 	})
 	// Function-literal edges (callback arguments, IIFEs) register at the
@@ -301,25 +317,25 @@ func summarizeLocks(n *Node) *lockSummary {
 	for pos, edges := range edgesAt {
 		for _, e := range edges {
 			if e.Callee.Lit != nil || e.Kind == KindDefer {
-				sum.events = append(sum.events, lockNodeEvent{kind: evCall, pos: pos, edge: e})
+				sum.steps = append(sum.steps, lockStep{kind: stepCall, pos: pos, edge: e})
 			}
 		}
 	}
-	sort.SliceStable(sum.events, func(i, j int) bool { return sum.events[i].pos < sum.events[j].pos })
+	sort.SliceStable(sum.steps, func(i, j int) bool { return sum.steps[i].pos < sum.steps[j].pos })
 	// A call edge can be recorded twice (CallExpr walk + the literal
-	// loop); dedupe by (pos, edge).
-	out := sum.events[:0]
+	// loop); dedupe by edge.
+	out := sum.steps[:0]
 	seen := map[*Edge]bool{}
-	for _, ev := range sum.events {
-		if ev.kind == evCall {
-			if seen[ev.edge] {
+	for _, step := range sum.steps {
+		if step.kind == stepCall {
+			if seen[step.edge] {
 				continue
 			}
-			seen[ev.edge] = true
+			seen[step.edge] = true
 		}
-		out = append(out, ev)
+		out = append(out, step)
 	}
-	sum.events = out
+	sum.steps = out
 	return sum
 }
 
@@ -395,23 +411,33 @@ func receiverMutexClass(fn *types.Func) string {
 }
 
 // heldAt replays n's lock timeline up to (but excluding) pos and
-// returns the classes then held. Deferred unlocks were dropped by the
-// summary walk, so they hold to function end as intended.
+// returns the classes then held. A deferred unlock holds to function
+// end.
 func (st *lockOrderState) heldAt(n *Node, pos token.Pos) []string {
 	var held []string
-	for _, ev := range st.summaries[n].events {
-		if ev.pos >= pos {
+	for _, step := range st.prog.lockTimeline(n).steps {
+		if step.pos >= pos {
 			break
 		}
-		switch ev.kind {
-		case evAcquire:
-			held = append(held, ev.class)
-		case evRelease:
-			for i := len(held) - 1; i >= 0; i-- {
-				if held[i] == ev.class {
-					held = append(held[:i], held[i+1:]...)
-					break
-				}
+		held = step.apply(held)
+	}
+	return held
+}
+
+// apply returns held after a lock step: an acquisition adds its class,
+// a release drops the latest hold of it. Other steps, and lock steps on
+// a local or unresolvable guard, leave held as it is.
+func (step lockStep) apply(held []string) []string {
+	if step.class == "" {
+		return held
+	}
+	switch step.kind {
+	case stepAcquire:
+		return append(held, step.class)
+	case stepRelease:
+		for i := len(held) - 1; i >= 0; i-- {
+			if held[i] == step.class {
+				return append(held[:i], held[i+1:]...)
 			}
 		}
 	}
@@ -426,7 +452,7 @@ func (st *lockOrderState) propagate() {
 	var work []*Node
 	for _, n := range st.prog.Graph.All {
 		t := map[string]acqVia{}
-		for class, pos := range st.summaries[n].direct {
+		for class, pos := range st.prog.lockTimeline(n).direct {
 			t[class] = acqVia{pos: pos}
 		}
 		st.trans[n] = t
@@ -476,33 +502,18 @@ func (st *lockOrderState) chainOf(n *Node, class string) ([]string, token.Pos) {
 // acquisition while other classes are held, and each synchronous call
 // whose callee transitively acquires while the caller holds.
 func (st *lockOrderState) addNodeEdges(n *Node) {
-	entry := st.entryHeldOf(n)
-	held := append([]string{}, entry...)
-	for _, ev := range st.summaries[n].events {
-		switch ev.kind {
-		case evAcquire:
+	held := append([]string{}, st.entryHeldOf(n)...)
+	for _, step := range st.prog.lockTimeline(n).steps {
+		switch {
+		case step.kind == stepAcquire && step.class != "":
 			for _, h := range held {
-				st.addEdge(h, ev.class, &lockWitness{chain: []string{n.String()}, pos: ev.pos})
+				st.addEdge(h, step.class, &lockWitness{chain: []string{n.String()}, pos: step.pos})
 			}
-			held = append(held, ev.class)
-		case evRelease:
-			for i := len(held) - 1; i >= 0; i-- {
-				if held[i] == ev.class {
-					held = append(held[:i], held[i+1:]...)
-					break
-				}
-			}
-		case evCall:
-			if len(held) == 0 {
-				continue
-			}
-			callee := ev.edge.Callee
-			if callee.Lit != nil {
-				// The literal re-derives the same edges with its own
-				// entry held set; skipping here avoids double counting
-				// without losing coverage.
-				continue
-			}
+		case step.kind == stepCall && len(held) > 0 && step.edge.Callee.Lit == nil:
+			// A literal callee re-derives the same edges with its own
+			// entry held set; skipping it here avoids double counting
+			// without losing coverage.
+			callee := step.edge.Callee
 			for _, class := range sortedKeys(st.trans[callee]) {
 				tail, pos := st.chainOf(callee, class)
 				if pos == token.NoPos {
@@ -514,6 +525,7 @@ func (st *lockOrderState) addNodeEdges(n *Node) {
 				}
 			}
 		}
+		held = step.apply(held)
 	}
 }
 

@@ -44,3 +44,56 @@ func (t *table) MaybeLock(cond bool) int {
 	defer t.mu.Unlock() // want `every preceding t.Lock\(\) is inside a conditional`
 	return len(t.items)
 }
+
+// Swap holds a's lock and calls a *Locked method on b: the check is
+// keyed by instance, so another table's lock does not count.
+func Swap(a, b *table) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return b.sizeLocked() // want `b.sizeLocked requires b's mutex held`
+}
+
+func (t *table) visit(f func()) { f() }
+
+// SizeInCallback holds the lock around a synchronous callback, but the
+// literal is a function of its own that takes no lock.
+func (t *table) SizeInCallback() (n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.visit(func() {
+		n = t.sizeLocked() // want `t.sizeLocked requires t's mutex held`
+	})
+	return n
+}
+
+// counter embeds its mutex: c.Lock() holds c's mutex.
+type counter struct {
+	sync.Mutex
+	n int
+}
+
+func (c *counter) valueLocked() int { return c.n }
+
+func (c *counter) Value() int {
+	c.Lock()
+	defer c.Unlock()
+	return c.valueLocked()
+}
+
+// gate has a Lock method, but it is no sync mutex: calling it holds
+// nothing.
+type gate struct{ closed bool }
+
+func (g *gate) Lock() { g.closed = true }
+
+type gated struct {
+	g gate
+	n int
+}
+
+func (s *gated) countLocked() int { return s.n }
+
+func (s *gated) Count() int {
+	s.g.Lock()
+	return s.countLocked() // want `s.countLocked requires s's mutex held`
+}

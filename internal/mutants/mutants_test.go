@@ -24,14 +24,27 @@ import (
 var run = flag.Bool("mutants", false, "copy the module and run each row's killer test against its mutant")
 
 // mutant is one row: in file of package pkg, fragment (which must occur
-// exactly once) is replaced by mutant, and the killer test, run runs
-// times in package killerPkg (pkg if empty), must fail.
+// exactly once) is replaced by mutant, pkg must still build, and the
+// killer test, run runs times in package killerPkg (pkg if empty), must
+// fail, printing output if that is set.
 type mutant struct {
 	pkg, file         string
 	fragment, mutant  string
 	killer, killerPkg string
 	runs              int
+	output            string
 	defect            string
+}
+
+// lintRow is a row whose defect only an fslint analyzer sees: the
+// violation goes back into real code, and TestRepoLintClean must report
+// it as that analyzer's finding.
+func lintRow(analyzer, pkg, file, fragment, violation, defect string) mutant {
+	return mutant{
+		pkg: pkg, file: file, fragment: fragment, mutant: violation,
+		killer: "TestRepoLintClean", killerPkg: "internal/analysis", runs: 1,
+		output: "[" + analyzer + "]", defect: defect,
+	}
 }
 
 var mutants = []mutant{
@@ -112,6 +125,121 @@ var mutants = []mutant{
 		killer: "TestFirstWatermarkArmsTheTarget", runs: 3,
 		defect: "a target counts its range's subscriber watermarks before its own first one, so it advances past its replayed update",
 	},
+	{
+		pkg: "cmd/firestore-server/server", file: "json.go",
+		fragment: `	case json.Number:
+		if !strings.ContainsAny(string(x), ".eE") {
+			i, err := strconv.ParseInt(string(x), 10, 64)
+			if err != nil {
+				return doc.Null(), fmt.Errorf("integer %s is outside the 64-bit range", x)
+			}
+			return doc.Int(i), nil
+		}
+		f, err := x.Float64()
+`,
+		mutant: `	case json.Number:
+		f, err := x.Float64()
+		if err == nil && f == float64(int64(f)) && -(1<<53) < f && f < 1<<53 {
+			return doc.Int(int64(f)), nil
+		}
+`,
+		killer: "TestJSONNumbersOverHTTP", runs: 1,
+		defect: "a JSON number is read as a float64, so 9007199254740993 is stored as the Double 9007199254740992 and 1.0 as an Int",
+	},
+	{
+		pkg: "cmd/firestore-server/server", file: "server.go",
+		fragment: `				"at":      ev.At,
+`,
+		mutant: ``,
+		killer: "TestListenSSE", runs: 1,
+		defect: "a listen event leaves out where its documents go, so a client orders them by their values",
+	},
+	lintRow("statusdiscipline", "internal/backend", "backend.go",
+		`ErrUnavailable = status.New(status.Unavailable, "backend", "real-time cache unavailable")`,
+		`ErrUnavailable = errors.New("real-time cache unavailable")`,
+		"a request-path sentinel without a status code classifies as Internal"),
+	lintRow("lockdiscipline", "internal/frontend", "frontend.go",
+		`	c.mu.Lock()
+	rq, ok := c.targets[targetID]
+	if ok {
+		c.forgetLocked(rq)
+	}
+	c.mu.Unlock()
+`,
+		`	rq, ok := c.targets[targetID]
+	if ok {
+		c.forgetLocked(rq)
+	}
+`,
+		"StopListening calls forgetLocked without the connection's mutex"),
+	lintRow("ctxdiscipline", "internal/frontend", "frontend.go",
+		`		if err := c.build(c.ctx, rq); err != nil {`,
+		`		if err := c.build(context.Background(), rq); err != nil {`,
+		"a rebuild runs under a fresh root context, so it outlives its connection and drops its db label"),
+	lintRow("clockdiscipline", "internal/spanner", "locks.go",
+		`			waiting, start = true, lt.clock.Now().Latest`,
+		`			waiting, start = true, truetime.Timestamp(time.Now().UnixNano())`,
+		"a lock wait's deadline is read from the wall clock, so a Manual clock does not drive it"),
+	lintRow("obsdiscipline", "internal/rtcache", "rtcache.go",
+		`watermarkLag: reg.Gauge("rtcache.watermark_lag_seconds", nil),`,
+		`watermarkLag: reg.Gauge(fmt.Sprintf("rtcache.watermark_lag_seconds.%d", cfg.Ranges), nil),`,
+		"a metric name is formatted at run time, one family per configuration"),
+	lintRow("iodiscipline", "internal/cluster", "harness.go",
+		`	before := time.Now()
+	cmd := exec.Command(os.Args[0])
+`,
+		`	os.MkdirAll(filepath.Join(h.baseDir, name), 0o755) //nolint:errcheck
+	before := time.Now()
+	cmd := exec.Command(os.Args[0])
+`,
+		"the harness makes a peer's data directory itself, outside the storage engine"),
+	lintRow("netdiscipline", "internal/cluster", "harness.go",
+		`	"firestore/internal/status"
+)
+
+// Environment variables carrying a tablet-server child's configuration
+// across the re-exec boundary.
+const (
+	envChild  = "FIRESTORE_TABLET_CHILD"
+	envJoin   = "FIRESTORE_TABLET_JOIN"
+	envName   = "FIRESTORE_TABLET_NAME"
+	envDir    = "FIRESTORE_TABLET_DIR"
+	envKind   = "FIRESTORE_TABLET_KIND"
+	envMemCap = "FIRESTORE_TABLET_MEMCAP"
+)
+
+// MaybeRunTabletChild is the re-exec hook: call it first thing in main()
+// or TestMain(). If the process was spawned by a Harness (the
+// FIRESTORE_TABLET_CHILD environment variable is set), it runs a tablet
+// server until the parent releases it and never returns; otherwise it is
+// a no-op.
+func MaybeRunTabletChild() {
+	if os.Getenv(envChild) == "" {
+		return
+	}
+`,
+		`	"firestore/internal/status"
+	"net"
+)
+
+const (
+	envChild  = "FIRESTORE_TABLET_CHILD"
+	envJoin   = "FIRESTORE_TABLET_JOIN"
+	envName   = "FIRESTORE_TABLET_NAME"
+	envDir    = "FIRESTORE_TABLET_DIR"
+	envKind   = "FIRESTORE_TABLET_KIND"
+	envMemCap = "FIRESTORE_TABLET_MEMCAP"
+)
+
+func MaybeRunTabletChild() {
+	if os.Getenv(envChild) == "" {
+		return
+	}
+	if conn, err := net.DialTimeout("tcp", os.Getenv(envJoin), time.Second); err == nil {
+		conn.Close() // the coordinator is up: join it
+	}
+`,
+		"a tablet-server child dials its coordinator on a raw socket, outside the transport"),
 }
 
 func TestMutants(t *testing.T) {
@@ -144,17 +272,24 @@ func TestMutants(t *testing.T) {
 		if err := os.WriteFile(path, []byte(strings.Replace(string(src), m.fragment, m.mutant, 1)), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// Killed means the mutant builds and the killer ran and failed:
+		// a mutant that does not build proves nothing.
+		build := exec.Command("go", "build", "./"+m.pkg)
+		build.Dir = copyRoot
+		if out, err := build.CombinedOutput(); err != nil {
+			t.Errorf("%s/%s: the mutant does not build: %v\n%s", m.pkg, m.file, err, out)
+		}
 		pkg := cmp.Or(m.killerPkg, m.pkg)
 		cmd := exec.Command("go", "test", "-count="+strconv.Itoa(m.runs), "-run", "^"+m.killer+"$", "./"+pkg)
 		cmd.Dir = copyRoot
-		// Killed means the killer ran and failed: a mutant that does not
-		// build proves nothing.
 		out, err := cmd.CombinedOutput()
 		switch {
 		case err == nil:
 			t.Errorf("%s/%s survived %s (%d run(s)): %s\n%s", m.pkg, m.file, m.killer, m.runs, m.defect, out)
 		case !strings.Contains(string(out), "--- FAIL: "+m.killer):
 			t.Errorf("%s/%s: %s did not run to a failure: %v\n%s", m.pkg, m.file, m.killer, err, out)
+		case !strings.Contains(string(out), m.output):
+			t.Errorf("%s/%s: %s failed without printing %q\n%s", m.pkg, m.file, m.killer, m.output, out)
 		default:
 			t.Logf("%s/%s killed by %s: %s", m.pkg, m.file, m.killer, m.defect)
 		}
