@@ -133,5 +133,7 @@ fuzz:
 		$(GO) test -run=$${pair#*:} -fuzz=$${pair#*:} -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s $$dir/ || exit 1; \
 	done
 
+# The paper's figures and tables at full size: each test runs one
+# experiment, logs its table and checks the paper's claim on it.
 bench:
-	$(GO) run ./cmd/firestore-bench -all -spans
+	$(GO) test -count=1 -timeout 30m -run 'Test(Fig|Tab|Abl|Bulk)' -v ./internal/bench -args -scale 1

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"expvar"
 	"net/http"
 	"net/http/pprof"
@@ -255,8 +254,8 @@ func (s *Server) faultz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, FaultzPage{Sites: fault.List()})
 	case http.MethodPost:
 		var req FaultzRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		if err := decodeJSON(r.Body, &req); err != nil {
+			badRequest(w, err)
 			return
 		}
 		switch req.Action {

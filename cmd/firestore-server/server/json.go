@@ -25,12 +25,19 @@ import (
 // Doubles. A Double is written back with a fraction or an exponent, so
 // it reads back as a Double.
 
-// decodeJSON decodes one JSON value from r into v, keeping numbers as
-// json.Number so valueFromJSON sees their literals.
+// decodeJSON decodes the one JSON value r holds into v, keeping numbers
+// as json.Number so valueFromJSON sees their literals. Anything but
+// whitespace after the value is an error.
 func decodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("unexpected data after the JSON value")
+	}
+	return nil
 }
 
 func valueFromJSON(v any) (doc.Value, error) {

@@ -77,10 +77,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("X-QoS") == "batch" {
 		m.QoS = reqctx.Batch
 	}
-	ctx := reqctx.With(r.Context(), m)
-	if s.region.Recorder != nil {
-		ctx = reqctx.WithRecorder(ctx, s.region.Recorder)
-	}
+	ctx := reqctx.WithRecorder(reqctx.With(r.Context(), m), s.region.Recorder)
 	streaming := strings.HasSuffix(r.URL.Path, "/listen")
 	if !streaming {
 		timeout := DefaultTimeout
@@ -191,7 +188,7 @@ func (s *Server) createDatabase(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		badRequest(w, err)
 		return
 	}
@@ -242,7 +239,7 @@ func (s *Server) addIndex(w http.ResponseWriter, r *http.Request) {
 			Desc bool   `json:"desc"`
 		} `json:"fields"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		badRequest(w, err)
 		return
 	}
@@ -542,7 +539,7 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var raw any
-		if !json.Valid([]byte(parts[2])) || decodeJSON(strings.NewReader(parts[2]), &raw) != nil {
+		if decodeJSON(strings.NewReader(parts[2]), &raw) != nil {
 			raw = parts[2] // treat as a bare string
 		}
 		v, err := valueFromJSON(raw)

@@ -518,6 +518,31 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestTrailingBytesRefused: every JSON body the server reads must hold
+// one value and nothing after it but whitespace. A body with trailing
+// bytes is refused with 400 before it takes effect.
+func TestTrailingBytesRefused(t *testing.T) {
+	ts := newDebugServer(t)
+	do(t, ts, "POST", "/v1/databases", map[string]string{"id": "app"}, nil)
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/v1/databases", `{"id": "late"} trailing`},
+		{"POST", "/v1/databases/app/indexes", `{"collection": "c", "fields": [{"path": "a"}, {"path": "b"}]} {}`},
+		{"PUT", "/v1/databases/app/docs/c/d", `{"a": 1} trailing garbage`},
+		{"POST", "/v1/databases/app/query", `{"collection": "/c"}]`},
+		{"POST", "/debug/faultz", `{"action": "reset"} 1`},
+	} {
+		if resp, body := do(t, ts, c.method, c.path, c.body, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s with trailing bytes = %d %s, want 400", c.method, c.path, resp.StatusCode, body)
+		}
+	}
+	if resp, _ := do(t, ts, "GET", "/v1/databases/app/docs/c/d", nil, nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("the refused PUT stored its document: GET = %d", resp.StatusCode)
+	}
+	if resp, body := do(t, ts, "PUT", "/v1/databases/app/docs/c/d", "{\"a\": 1}\n", nil); resp.StatusCode != 200 {
+		t.Errorf("a body ending in a newline = %d %s, want 200", resp.StatusCode, body)
+	}
+}
+
 func TestCountOverHTTP(t *testing.T) {
 	ts := newServer(t)
 	do(t, ts, "POST", "/v1/databases", map[string]string{"id": "app"}, nil)

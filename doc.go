@@ -8,8 +8,8 @@
 // engine (internal/query), security rules (internal/rules), and the rest
 // of the subsystems inventoried in DESIGN.md.
 //
-// cmd/firestore-bench regenerates the tables and figures of the paper's
-// evaluation as text tables (EXPERIMENTS.md records paper-vs-measured
-// results); benchmark/ is the repo's own performance record
-// (BENCHMARK.json, go run ./benchmark).
+// go test ./internal/bench regenerates the tables and figures of the
+// paper's evaluation as text tables and checks the paper's claims on them
+// (EXPERIMENTS.md records paper-vs-measured results); benchmark/ is the
+// repo's own performance record (BENCHMARK.json, go run ./benchmark).
 package repro

@@ -228,7 +228,7 @@ func TestIODisciplineOutOfScope(t *testing.T) {
 	for _, importPath := range []string{
 		"firestore/internal/storage",
 		"firestore/internal/analysis",
-		"firestore/cmd/firestore-bench",
+		"firestore/cmd/fsctl",
 		"firestore/examples/restaurants",
 	} {
 		pkg, err := l.LoadDir(filepath.Join("testdata", "src", "iodiscipline"), importPath)

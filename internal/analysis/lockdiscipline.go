@@ -14,7 +14,9 @@ import (
 //   - the call appears in a method on the same receiver that is itself
 //     *Locked (the caller inherited the lock), or
 //   - earlier in the same function body, on the same receiver chain, a
-//     sync .Lock()/.RLock() call appears (the caller acquired it).
+//     sync .Lock()/.RLock() call appears (the caller acquired it), and
+//     no .Unlock()/.RUnlock() of it follows in a block that encloses
+//     the call (an unlock on an early-return branch does not reach it).
 //
 // Function literals are separate nodes: a goroutine body does not hold
 // the lock its creator held. The analyzer additionally flags
@@ -38,14 +40,14 @@ func runLockDiscipline(pass *ProgramPass) {
 		for _, s := range steps {
 			switch s.kind {
 			case stepLockedCall:
-				if s.owner == inherited || lockedBefore(steps, s, math.MaxInt) {
+				if s.owner == inherited || heldBefore(steps, s, math.MaxInt) {
 					continue
 				}
 				pass.Reportf(s.pos,
-					"%s.%s requires %s's mutex held: caller is not *Locked on %s and no preceding %s.<mu>.Lock() in this function",
+					"%s.%s requires %s's mutex held: caller is not *Locked on %s and does not hold %s.<mu> here",
 					s.owner, s.name, s.owner, s.owner, s.owner)
 			case stepDeferRelease:
-				if lockedBefore(steps, s, math.MaxInt) && !lockedBefore(steps, s, s.depth) {
+				if heldBefore(steps, s, math.MaxInt) && !heldBefore(steps, s, s.depth) {
 					pass.Reportf(s.pos,
 						"defer %s.Unlock() but every preceding %s.Lock() is inside a conditional; the mutex may not be held when the defer runs",
 						s.owner, s.owner)
@@ -55,18 +57,27 @@ func runLockDiscipline(pass *ProgramPass) {
 	}
 }
 
-// lockedBefore reports whether steps Lock or RLock s's owner before s,
-// inside at most depth conditional statements.
-func lockedBefore(steps []lockStep, s lockStep, depth int) bool {
+// heldBefore replays steps up to s, as lockorder's heldAt does, and
+// reports whether s's owner is then held: a Lock or RLock inside at most
+// depth conditional statements holds it, and an Unlock or RUnlock in a
+// block that also encloses s releases it.
+func heldBefore(steps []lockStep, s lockStep, depth int) bool {
+	held := false
 	for _, l := range steps {
 		if l.pos >= s.pos {
-			return false
+			break
 		}
-		if l.kind == stepAcquire && l.owner == s.owner && l.depth <= depth {
-			return true
+		if l.owner != s.owner {
+			continue
+		}
+		switch {
+		case l.kind == stepAcquire && l.depth <= depth:
+			held = true
+		case l.kind == stepRelease && s.pos < l.scopeEnd:
+			held = false
 		}
 	}
-	return false
+	return held
 }
 
 // isLockedName reports whether name follows the mutex-held naming

@@ -169,10 +169,11 @@ type lockStep struct {
 	class string
 	// owner is what lockdiscipline keys on: a lock step's guard owner
 	// (see lockCall) or a *Locked call's receiver, as expression text.
-	owner string
-	depth int    // conditional statements enclosing a lock step
-	name  string // the *Locked method
-	edge  *Edge  // stepCall
+	owner    string
+	depth    int       // conditional statements enclosing a lock step
+	scopeEnd token.Pos // end of the innermost block enclosing a lock step
+	name     string    // the *Locked method
+	edge     *Edge     // stepCall
 }
 
 // lockSummary is one node's lock timeline: every step of its own body
@@ -286,6 +287,8 @@ func summarizeLocks(n *Node) *lockSummary {
 					switch a.(type) {
 					case *ast.IfStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt, *ast.ForStmt, *ast.RangeStmt:
 						step.depth++
+					case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
+						step.scopeEnd = a.End()
 					}
 				}
 				switch {

@@ -18,6 +18,25 @@ func (t *table) Size() int {
 	return t.sizeLocked()
 }
 
+// SizeAfterUnlock releases the lock before the *Locked call.
+func (t *table) SizeAfterUnlock() int {
+	t.mu.Lock()
+	t.mu.Unlock()
+	return t.sizeLocked() // want `t.sizeLocked requires t's mutex held`
+}
+
+// SizeOrZero unlocks on an early return only, which does not reach the
+// *Locked call: no finding.
+func (t *table) SizeOrZero(skip bool) int {
+	t.mu.Lock()
+	if skip {
+		t.mu.Unlock()
+		return 0
+	}
+	defer t.mu.Unlock()
+	return t.sizeLocked()
+}
+
 // doubleLocked inherits the lock by contract: no finding.
 func (t *table) doubleLocked() int { return t.sizeLocked() * 2 }
 

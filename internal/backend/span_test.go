@@ -13,8 +13,8 @@ import (
 // spanRecorder returns a context whose spans feed a fresh registry, and
 // a reader for one span's summary under one status code.
 func spanRecorder(ctx context.Context, dbID string) (context.Context, func(span string, code status.Code) obs.Summary) {
-	rec, reg := reqctx.NewRecorder(), obs.NewRegistry()
-	rec.SetRegistry(reg)
+	reg := obs.NewRegistry()
+	rec := reqctx.NewRecorder(reg)
 	ctx = reqctx.With(reqctx.WithRecorder(ctx, rec), reqctx.Meta{RequestID: "span-test", DB: dbID})
 	return ctx, func(span string, code status.Code) obs.Summary {
 		return reg.Histogram(span, obs.Labels{"db": dbID, "code": code.String()}).Snapshot()
@@ -23,7 +23,7 @@ func spanRecorder(ctx context.Context, dbID string) (context.Context, func(span 
 
 // A commit traced through the stack lands one sample in each layer's
 // span histogram: backend.commit and, below it, spanner.txn.commit. This
-// is the per-layer latency breakdown the bench's -spans flag prints.
+// is the per-layer latency breakdown /debug/metricz serves.
 func TestCommitRecordsPerLayerSpans(t *testing.T) {
 	e := newEnv(t)
 	ctx, summary := spanRecorder(context.Background(), e.dbID)

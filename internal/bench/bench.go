@@ -3,12 +3,14 @@
 // Fig*/Tab*/Abl* function runs one experiment and returns a Table whose
 // rows are the series the paper plots. Absolute numbers differ from the
 // paper's production testbed; the shapes are the reproduction target (see
-// EXPERIMENTS.md).
+// EXPERIMENTS.md). The package's tests are the runner: each runs one
+// experiment, logs its table and checks the paper's claim on it.
+//
+//	go test -run 'Test(Fig|Tab|Abl|Bulk)' -v ./internal/bench -args -scale 1
 package bench
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"time"
 )
@@ -16,12 +18,12 @@ import (
 // Options tune experiment sizes.
 type Options struct {
 	// Scale multiplies experiment sizes and durations; 1.0 is the full
-	// (tens of seconds per figure) run, tests use ~0.1.
+	// (tens of seconds per figure) run, tests default to 0.01-0.15.
 	Scale float64
 	// Seed fixes randomness.
 	Seed int64
-	// Log receives progress lines (nil discards).
-	Log io.Writer
+	// Logf receives progress lines (nil discards).
+	Logf func(format string, args ...any)
 }
 
 func (o Options) scale() float64 {
@@ -32,8 +34,8 @@ func (o Options) scale() float64 {
 }
 
 func (o Options) logf(format string, args ...any) {
-	if o.Log != nil {
-		fmt.Fprintf(o.Log, format+"\n", args...)
+	if o.Logf != nil {
+		o.Logf(format, args...)
 	}
 }
 
@@ -93,8 +95,9 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// Fprint renders the table.
-func (t *Table) Fprint(w io.Writer) {
+// String renders the table as text.
+func (t *Table) String() string {
+	w := &strings.Builder{}
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
@@ -121,7 +124,7 @@ func (t *Table) Fprint(w io.Writer) {
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
-	fmt.Fprintln(w)
+	return w.String()
 }
 
 func pad(s string, n int) string {
@@ -129,11 +132,4 @@ func pad(s string, n int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", n-len(s))
-}
-
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Fprint(&b)
-	return b.String()
 }

@@ -70,20 +70,21 @@ func bulkEnv(opts Options) (*core.Region, *firestore.Client) {
 	return region, firestore.NewClient(region, "ycsb")
 }
 
-// runBulkLoad loads n YCSB records twice into fresh databases: once
-// through a sequential DocumentRef.Set loop and once through a
-// BulkWriter, at equal op count. The BulkWriter's admission ramp is
+// BulkLoad compares the YCSB load phase through a sequential
+// DocumentRef.Set loop against the BulkWriter pipeline at equal op
+// count, each into a fresh database, reporting achieved docs/s,
+// per-record errors, and the speedup. The BulkWriter's admission ramp is
 // raised far above the ingest rate (the published 500 QPS base would be
 // the binding limit at this scale and hide the pipeline's throughput);
 // batching, grouping, and in-flight limits stay at their defaults.
-func runBulkLoad(opts Options) (seq, bulk ycsb.LoadResult, batchCPU time.Duration) {
+func BulkLoad(opts Options) *Table {
 	n := opts.scaledN(1500, 150)
 	ctx := context.Background()
 	w := ycsb.WorkloadA
 
 	region, client := bulkEnv(opts)
 	opts.logf("bulkload: sequential Set x%d", n)
-	seq = ycsb.LoadTimed(ctx, &sdkClient{col: client.Collection("ycsb")}, w, n, 1)
+	seq := ycsb.LoadTimed(ctx, &sdkClient{col: client.Collection("ycsb")}, w, n, 1)
 	region.Close()
 
 	region, client = bulkEnv(opts)
@@ -91,18 +92,11 @@ func runBulkLoad(opts Options) (seq, bulk ycsb.LoadResult, batchCPU time.Duratio
 	bw := client.BulkWriterWithOptions(ctx, firestore.BulkWriterOptions{
 		RampRule: ramp.Rule{BaseQPS: 1e6},
 	})
-	bulk = ycsb.LoadBulk(ctx, &bulkLoader{col: client.Collection("ycsb"), bw: bw}, w, n)
+	bulk := ycsb.LoadBulk(ctx, &bulkLoader{col: client.Collection("ycsb"), bw: bw}, w, n)
 	bw.End()
-	batchCPU = region.Scheduler.AccountedCost("ycsb\x00batch")
+	batchCPU := region.Scheduler.AccountedCost("ycsb\x00batch")
 	region.Close()
-	return seq, bulk, batchCPU
-}
 
-// BulkLoad compares the YCSB load phase through a sequential
-// DocumentRef.Set loop against the BulkWriter pipeline at equal op
-// count, reporting achieved docs/s, per-record errors, and the speedup.
-func BulkLoad(opts Options) *Table {
-	seq, bulk, batchCPU := runBulkLoad(opts)
 	t := &Table{
 		ID:      "BULK",
 		Title:   "YCSB load phase: sequential Set vs BulkWriter",

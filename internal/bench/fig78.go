@@ -130,18 +130,9 @@ func runYCSB(opts Options) []ycsbPoint {
 	return points
 }
 
-// Fig7 reports YCSB read latency vs target QPS (workloads A and B,
-// p50/p99).
-func Fig7(opts Options) *Table {
-	return ycsbTable(runYCSB(opts), "FIG7", "YCSB read latency vs target QPS", true)
-}
-
-// Fig8 reports YCSB update latency vs target QPS.
-func Fig8(opts Options) *Table {
-	return ycsbTable(runYCSB(opts), "FIG8", "YCSB update latency vs target QPS", false)
-}
-
-// Fig7And8 runs the sweep once and produces both tables.
+// Fig7And8 runs the sweep once and produces both tables: YCSB read
+// (Fig. 7) and update (Fig. 8) latency vs target QPS, workloads A and B,
+// p50/p99.
 func Fig7And8(opts Options) (*Table, *Table) {
 	points := runYCSB(opts)
 	return ycsbTable(points, "FIG7", "YCSB read latency vs target QPS", true),

@@ -222,8 +222,7 @@ func OpenRegion(cfg Config) (*Region, error) {
 		SlowThreshold: cfg.SlowTraceThreshold,
 		OnKeep:        slowLogSink(cfg),
 	})
-	rec := reqctx.NewRecorder()
-	rec.SetRegistry(reg)
+	rec := reqctx.NewRecorder(reg)
 	rec.SetTracer(tracer)
 
 	pool := make([]*spanner.DB, spannerPoolSize)

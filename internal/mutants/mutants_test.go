@@ -154,6 +154,16 @@ var mutants = []mutant{
 		killer: "TestListenSSE", runs: 1,
 		defect: "a listen event leaves out where its documents go, so a client orders them by their values",
 	},
+	{
+		pkg: "cmd/firestore-server/server", file: "json.go",
+		fragment: `	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("unexpected data after the JSON value")
+	}
+`,
+		mutant: ``,
+		killer: "TestTrailingBytesRefused", runs: 1,
+		defect: "a body's first JSON value is read and what follows it ignored, so {\"a\": 1} trailing garbage stores {\"a\": 1}",
+	},
 	lintRow("statusdiscipline", "internal/backend", "backend.go",
 		`ErrUnavailable = status.New(status.Unavailable, "backend", "real-time cache unavailable")`,
 		`ErrUnavailable = errors.New("real-time cache unavailable")`,
@@ -172,6 +182,20 @@ var mutants = []mutant{
 	}
 `,
 		"StopListening calls forgetLocked without the connection's mutex"),
+	lintRow("lockdiscipline", "internal/frontend", "frontend.go",
+		`	rq, ok := c.targets[targetID]
+	if ok {
+		c.forgetLocked(rq)
+	}
+	c.mu.Unlock()
+`,
+		`	rq, ok := c.targets[targetID]
+	c.mu.Unlock()
+	if ok {
+		c.forgetLocked(rq)
+	}
+`,
+		"StopListening releases the connection's mutex before it calls forgetLocked"),
 	lintRow("ctxdiscipline", "internal/frontend", "frontend.go",
 		`		if err := c.build(c.ctx, rq); err != nil {`,
 		`		if err := c.build(context.Background(), rq); err != nil {`,

@@ -331,11 +331,6 @@ func (v *Vec[T]) Each(fn func(values []string, inst *T)) {
 	}
 }
 
-// Default is the process-wide registry used by components not wired to an
-// explicit one (a context with no recorder). Servers build their own via
-// NewRegistry so scrapes see only their region.
-var Default = NewRegistry()
-
 // Counter returns the counter name{labels}, creating it on first use.
 func (r *Registry) Counter(name string, labels Labels) *Counter {
 	return family(r, &r.counters, name).instance(labels)

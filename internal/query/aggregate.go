@@ -27,17 +27,6 @@ const (
 	AggAvg
 )
 
-func (k AggKind) String() string {
-	switch k {
-	case AggSum:
-		return "sum"
-	case AggAvg:
-		return "avg"
-	default:
-		return "count"
-	}
-}
-
 // Aggregation is one requested aggregation over a query's result set.
 type Aggregation struct {
 	Kind  AggKind

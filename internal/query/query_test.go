@@ -623,17 +623,34 @@ func TestQueryCompareAndString(t *testing.T) {
 	if q2.Compare(a, b) != -1 {
 		t.Error("name tiebreak")
 	}
-	s := (&Query{
-		Collection: doc.MustCollection("/restaurants"),
-		Predicates: []Predicate{{"city", Eq, doc.String("SF")}},
-		Orders:     []Order{{"avgRating", index.Descending}},
-		Limit:      10,
-		Offset:     2,
-		Projection: []doc.FieldPath{"name"},
-	}).String()
-	want := `select name from /restaurants where city == "SF" order by avgRating desc limit 10 offset 2`
-	if s != want {
-		t.Errorf("String = %q, want %q", s, want)
+	rating := func(v float64) []doc.Value { return []doc.Value{doc.Double(v), doc.String("/restaurants/r1")} }
+	for _, c := range []struct {
+		q    Query
+		want string
+	}{
+		{Query{
+			Collection: doc.MustCollection("/restaurants"),
+			Predicates: []Predicate{{"city", Eq, doc.String("SF")}},
+			Orders:     []Order{{"avgRating", index.Descending}},
+			Limit:      10,
+			Offset:     2,
+			Projection: []doc.FieldPath{"name"},
+		}, `select name from /restaurants where city == "SF" order by avgRating desc limit 10 offset 2`},
+		{Query{
+			Collection: doc.MustCollection("/restaurants"),
+			Orders:     []Order{{"avgRating", index.Ascending}},
+			Start:      &Cursor{Values: rating(3.5), Inclusive: true},
+			End:        &Cursor{Values: rating(4.5)},
+		}, `select * from /restaurants order by avgRating asc start at (3.5, "/restaurants/r1") end before (4.5, "/restaurants/r1")`},
+		{Query{
+			Collection: doc.MustCollection("/restaurants"),
+			Start:      &Cursor{Values: rating(3.5)},
+			End:        &Cursor{Values: rating(4.5), Inclusive: true},
+		}, `select * from /restaurants start after (3.5, "/restaurants/r1") end at (4.5, "/restaurants/r1")`},
+	} {
+		if s := c.q.String(); s != c.want {
+			t.Errorf("String = %q, want %q", s, c.want)
+		}
 	}
 }
 

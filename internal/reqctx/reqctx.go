@@ -7,8 +7,9 @@
 //
 // The package also provides the lightweight span recorder every layer
 // uses (reqctx.StartSpan(ctx, "backend.commit")): each finished span is
-// one Record into the obs.Registry histogram name{db, code}, plus an
-// optional structured trace sink.
+// one Record into the histogram name{db, code} of the obs.Registry that
+// the context's Recorder feeds, plus an optional structured trace sink.
+// A context without a Recorder records no spans.
 package reqctx
 
 import (

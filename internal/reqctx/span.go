@@ -16,37 +16,24 @@ import (
 // spans into hierarchical traces and a structured trace sink. The
 // Recorder stores no latencies and no handles: a span end resolves its
 // histogram through the registry's own lock-free family and Vec index
-// and is one Record. The zero value is not usable; call NewRecorder.
+// and is one Record. The zero value is not usable; call NewRecorder. A
+// span whose context carries no Recorder is recorded nowhere.
 type Recorder struct {
 	trace  atomic.Pointer[func(TraceEvent)]
 	tracer atomic.Pointer[Tracer]
-	reg    atomic.Pointer[obs.Registry]
+	reg    *obs.Registry
 }
 
-// NewRecorder returns a recorder feeding obs.Default.
-func NewRecorder() *Recorder {
-	r := &Recorder{}
-	r.SetRegistry(nil)
-	return r
+// NewRecorder returns a recorder feeding reg.
+func NewRecorder(reg *obs.Registry) *Recorder {
+	return &Recorder{reg: reg}
 }
-
-// Default is the process-wide recorder used when a context carries no
-// explicit one; its spans land in obs.Default.
-var Default = NewRecorder()
 
 type recorderKey struct{}
 
 // WithRecorder returns a context routing spans to r.
 func WithRecorder(ctx context.Context, r *Recorder) context.Context {
 	return context.WithValue(ctx, recorderKey{}, r)
-}
-
-// RecorderFrom returns the context's recorder, falling back to Default.
-func RecorderFrom(ctx context.Context) *Recorder {
-	if r, ok := ctx.Value(recorderKey{}).(*Recorder); ok && r != nil {
-		return r
-	}
-	return Default
 }
 
 // TraceEvent is one finished span, emitted to the trace sink.
@@ -70,14 +57,6 @@ func (r *Recorder) SetTrace(fn func(TraceEvent)) {
 	r.trace.Store(&fn)
 }
 
-// SetRegistry routes every finished span into reg (nil = obs.Default).
-func (r *Recorder) SetRegistry(reg *obs.Registry) {
-	if reg == nil {
-		reg = obs.Default
-	}
-	r.reg.Store(reg)
-}
-
 // SetTracer attaches a tracer: StartSpan then assembles spans into
 // per-request trace trees (nil disables tracing).
 func (r *Recorder) SetTracer(t *Tracer) { r.tracer.Store(t) }
@@ -86,7 +65,9 @@ func (r *Recorder) SetTracer(t *Tracer) { r.tracer.Store(t) }
 // context plus the started Span. Call its End with the operation's error
 // (nil on success); the elapsed time lands in the registry histogram
 // name{db, code=status.CodeOf(err)} and, when a trace sink is installed,
-// one TraceEvent is emitted with the request metadata.
+// one TraceEvent is emitted with the request metadata. On a context
+// without a Recorder it returns ctx and a zero Span, whose End does
+// nothing.
 //
 // When the recorder carries a Tracer, spans also form a hierarchy: a
 // context without an active span starts a new trace (trace ID = the
@@ -94,7 +75,10 @@ func (r *Recorder) SetTracer(t *Tracer) { r.tracer.Store(t) }
 // the context's span. The returned context carries the new span, so it
 // must be the one passed to downstream layers.
 func StartSpan(ctx context.Context, name string) (context.Context, Span) {
-	rec := RecorderFrom(ctx)
+	rec, _ := ctx.Value(recorderKey{}).(*Recorder)
+	if rec == nil {
+		return ctx, Span{}
+	}
 	meta := From(ctx)
 	start := time.Now()
 
@@ -114,7 +98,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, Span) {
 // Span is a span StartSpan began, held by value so that a span no tracer
 // follows allocates nothing.
 type Span struct {
-	rec   *Recorder
+	rec   *Recorder // nil when the span records nowhere
 	meta  Meta
 	name  string
 	start time.Time
@@ -124,11 +108,14 @@ type Span struct {
 
 // End finishes the span with the operation's error (nil on success).
 func (s Span) End(err error) {
+	if s.rec == nil {
+		return
+	}
 	now := time.Now()
 	d := now.Sub(s.start)
 	code := status.CodeOf(err)
 	//fslint:ignore obsdiscipline span names are constants where StartSpan is called; warm, the declaration is a lock-free read
-	s.rec.reg.Load().HistogramVec(s.name, "db", "code").With(s.meta.DB, code.String()).Record(d)
+	s.rec.reg.HistogramVec(s.name, "db", "code").With(s.meta.DB, code.String()).Record(d)
 	if s.tr != nil {
 		s.tr.endSpan(s.sp, code, now)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"firestore/internal/obs"
 	"firestore/internal/status"
 )
 
@@ -17,7 +18,7 @@ import (
 // to keep everything via head sampling.
 func tracedCtx(t *testing.T, cfg TracerConfig) (context.Context, *Recorder, *Tracer) {
 	t.Helper()
-	rec := NewRecorder()
+	rec := NewRecorder(obs.NewRegistry())
 	tz := NewTracer(cfg)
 	rec.SetTracer(tz)
 	ctx := WithRecorder(context.Background(), rec)

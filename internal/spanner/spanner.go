@@ -631,7 +631,3 @@ func lessOrEqual(a, b []byte) bool {
 	}
 	return bytes.Compare(a, b) <= 0
 }
-
-func (db *DB) String() string {
-	return fmt.Sprintf("spanner.DB(tablets=%d)", db.TabletCount())
-}

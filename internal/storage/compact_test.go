@@ -81,6 +81,17 @@ func TestTieringBoundsWriteAmplification(t *testing.T) {
 	if debt := e.compactionDebt(); debt != 0 {
 		t.Errorf("compaction debt %d bytes after the writer returned, want 0: every merge the rule asks for has run", debt)
 	}
+	// The factory's gauges sum its open engines: here, this one.
+	for name, want := range map[string]float64{
+		metricMemtableBytes: float64(st.MemtableBytes),
+		metricSegments:      float64(st.Segments),
+		metricSegmentBytes:  float64(st.SegmentBytes),
+		metricMergeDebt:     float64(e.compactionDebt()),
+	} {
+		if got := reg.Gauge(name, nil).Value(); got != want {
+			t.Errorf("gauge %s = %v, want %v", name, got, want)
+		}
+	}
 }
 
 // disjointRuns fills e (compaction off) with segments segments of chains
