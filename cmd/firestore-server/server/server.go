@@ -7,7 +7,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -200,35 +202,21 @@ func (s *Server) createDatabase(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) setRules(w http.ResponseWriter, r *http.Request) {
-	var src strings.Builder
-	if _, err := jsonSafeCopy(&src, r); err != nil {
+	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, "rules source over 1 MiB", http.StatusRequestEntityTooLarge)
+			return
+		}
 		badRequest(w, err)
 		return
 	}
-	if err := s.region.SetRules(r.PathValue("db"), src.String()); err != nil {
+	if err := s.region.SetRules(r.PathValue("db"), string(src)); err != nil {
 		httpError(w, err)
 		return
 	}
 	writeJSON(w, map[string]string{"status": "deployed"})
-}
-
-func jsonSafeCopy(dst *strings.Builder, r *http.Request) (int64, error) {
-	buf := make([]byte, 4096)
-	var n int64
-	for {
-		k, err := r.Body.Read(buf)
-		dst.Write(buf[:k])
-		n += int64(k)
-		if err != nil {
-			if err.Error() == "EOF" {
-				return n, nil
-			}
-			return n, err
-		}
-		if n > 1<<20 {
-			return n, fmt.Errorf("rules source too large")
-		}
-	}
 }
 
 func (s *Server) addIndex(w http.ResponseWriter, r *http.Request) {

@@ -351,6 +351,23 @@ func TestRulesOverHTTP(t *testing.T) {
 	}
 }
 
+// TestRulesBodyCap deploys a rules body of exactly 1 MiB and refuses one
+// a byte longer with 413.
+func TestRulesBodyCap(t *testing.T) {
+	ts := newServer(t)
+	do(t, ts, "POST", "/v1/databases", map[string]string{"id": "app"}, nil)
+	padded := func(n int) string {
+		src := "match /notes/{id} { allow read; }\n//"
+		return src + strings.Repeat("x", n-len(src))
+	}
+	if resp, body := do(t, ts, "POST", "/v1/databases/app/rules", padded(1<<20), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("1 MiB of rules = %d %s, want 200", resp.StatusCode, body)
+	}
+	if resp, body := do(t, ts, "POST", "/v1/databases/app/rules", padded(1<<20+1), nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("1 MiB + 1 byte of rules = %d %s, want 413", resp.StatusCode, body)
+	}
+}
+
 func TestListenSSE(t *testing.T) {
 	ts := newServer(t)
 	do(t, ts, "POST", "/v1/databases", map[string]string{"id": "app"}, nil)

@@ -23,8 +23,6 @@ import (
 type Config struct {
 	// MinTasks is the floor (and starting) pool size. Default 1.
 	MinTasks int
-	// MaxTasks caps the pool. Default 1<<20 (effectively unbounded).
-	MaxTasks int
 	// TaskThroughput is operations/sec one task absorbs. Default 1000.
 	TaskThroughput float64
 	// TargetUtilization is the utilization the autoscaler aims for.
@@ -69,9 +67,6 @@ type Pool struct {
 func New(cfg Config) *Pool {
 	if cfg.MinTasks <= 0 {
 		cfg.MinTasks = 1
-	}
-	if cfg.MaxTasks <= 0 {
-		cfg.MaxTasks = 1 << 20
 	}
 	if cfg.TaskThroughput <= 0 {
 		cfg.TaskThroughput = 1000
@@ -125,9 +120,6 @@ func (p *Pool) desiredLocked() int {
 	d := int(math.Ceil(p.rate / (p.cfg.TaskThroughput * p.cfg.TargetUtilization)))
 	if d < p.cfg.MinTasks {
 		d = p.cfg.MinTasks
-	}
-	if d > p.cfg.MaxTasks {
-		d = p.cfg.MaxTasks
 	}
 	return d
 }

@@ -72,23 +72,6 @@ func TestScaleDownWhenIdle(t *testing.T) {
 	}
 }
 
-func TestMaxTasksCap(t *testing.T) {
-	p := New(Config{
-		MinTasks:       1,
-		MaxTasks:       3,
-		TaskThroughput: 1,
-		ReactionDelay:  time.Millisecond,
-		MaxStepFactor:  1000,
-	})
-	for i := 0; i < 30; i++ {
-		p.Observe(1000)
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := p.Tasks(); got > 3 {
-		t.Fatalf("Tasks = %d, want <= cap 3", got)
-	}
-}
-
 func TestQueuePenaltyGrowsWithUtilization(t *testing.T) {
 	p := New(Config{
 		MinTasks:       1,

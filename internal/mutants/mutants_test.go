@@ -164,6 +164,26 @@ var mutants = []mutant{
 		killer: "TestTrailingBytesRefused", runs: 1,
 		defect: "a body's first JSON value is read and what follows it ignored, so {\"a\": 1} trailing garbage stores {\"a\": 1}",
 	},
+	{
+		pkg: "cmd/firestore-server/server", file: "server.go",
+		fragment: `	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+`,
+		mutant: `	src, err := io.ReadAll(r.Body)
+`,
+		killer: "TestRulesBodyCap", runs: 1,
+		defect: "a rules body is read whole, so source over 1 MiB deploys",
+	},
+	{
+		pkg: "internal/rules", file: "parser.go",
+		fragment: `	{"||"},
+	{"&&"},
+`,
+		mutant: `	{"&&"},
+	{"||"},
+`,
+		killer: "TestBinaryPrecedence", runs: 1,
+		defect: "&& binds looser than ||, so a || b && c reads as (a || b) && c",
+	},
 	lintRow("statusdiscipline", "internal/backend", "backend.go",
 		`ErrUnavailable = status.New(status.Unavailable, "backend", "real-time cache unavailable")`,
 		`ErrUnavailable = errors.New("real-time cache unavailable")`,

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"firestore/internal/doc"
@@ -491,12 +492,7 @@ func (e *env) method(recv doc.Value, name string, args []Expr) (doc.Value, error
 			for k := range m {
 				keys = append(keys, k)
 			}
-			// Deterministic order.
-			for i := 1; i < len(keys); i++ {
-				for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-					keys[j], keys[j-1] = keys[j-1], keys[j]
-				}
-			}
+			slices.Sort(keys) // deterministic order
 			elems := make([]doc.Value, len(keys))
 			for i, k := range keys {
 				elems[i] = doc.String(k)
@@ -513,14 +509,7 @@ func (e *env) method(recv doc.Value, name string, args []Expr) (doc.Value, error
 				return doc.Null(), e.errf("hasAll takes a list")
 			}
 			for _, w := range want.ArrayVal() {
-				found := false
-				for _, el := range recv.ArrayVal() {
-					if doc.Equal(el, w) {
-						found = true
-						break
-					}
-				}
-				if !found {
+				if !slices.ContainsFunc(recv.ArrayVal(), func(el doc.Value) bool { return doc.Equal(el, w) }) {
 					return doc.Bool(false), nil
 				}
 			}

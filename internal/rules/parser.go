@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -359,121 +360,34 @@ func (p *parser) parseAllow() (*Allow, error) {
 	return a, nil
 }
 
-// Expression parsing: precedence climbing.
-// || < && < comparison (== != < <= > >= in) < additive (+ -) <
-// multiplicative (* / %) < unary < postfix.
-
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	x, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptOp("||") {
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		x = &BinaryExpr{Op: "||", X: x, Y: y}
-	}
-	return x, nil
+// Binary operators by level, loosest first. Every level is
+// left-associative, and the level below the last is parseUnary.
+var binaryLevels = [][]string{
+	{"||"},
+	{"&&"},
+	{"==", "!=", "<", "<=", ">", ">=", "in"},
+	{"+", "-"},
+	{"*", "/", "%"},
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	x, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptOp("&&") {
-		y, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		x = &BinaryExpr{Op: "&&", X: x, Y: y}
-	}
-	return x, nil
-}
+func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(0) }
 
-var cmpOps = []string{"==", "!=", "<=", ">=", "<", ">"}
-
-func (p *parser) parseCmp() (Expr, error) {
-	x, err := p.parseAdd()
+// parseBinary parses a chain of binaryLevels[level]'s operators over
+// operands of the levels below it.
+func (p *parser) parseBinary(level int) (Expr, error) {
+	if level == len(binaryLevels) {
+		return p.parseUnary()
+	}
+	x, err := p.parseBinary(level + 1)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		matched := false
-		for _, op := range cmpOps {
-			if p.acceptOp(op) {
-				y, err := p.parseAdd()
-				if err != nil {
-					return nil, err
-				}
-				x = &BinaryExpr{Op: op, X: x, Y: y}
-				matched = true
-				break
-			}
-		}
-		if !matched && p.peekIdent("in") {
-			p.next()
-			y, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			x = &BinaryExpr{Op: "in", X: x, Y: y}
-			matched = true
-		}
-		if !matched {
+		op, ok := p.acceptBinary(binaryLevels[level])
+		if !ok {
 			return x, nil
 		}
-	}
-}
-
-func (p *parser) parseAdd() (Expr, error) {
-	x, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.acceptOp("+"):
-			y, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			x = &BinaryExpr{Op: "+", X: x, Y: y}
-		case p.acceptOp("-"):
-			y, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			x = &BinaryExpr{Op: "-", X: x, Y: y}
-		default:
-			return x, nil
-		}
-	}
-}
-
-func (p *parser) parseMul() (Expr, error) {
-	x, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.acceptOp("*"):
-			op = "*"
-		case p.acceptOp("%"):
-			op = "%"
-		case p.peekPunct("/"):
-			p.next()
-			op = "/"
-		default:
-			return x, nil
-		}
-		y, err := p.parseUnary()
+		y, err := p.parseBinary(level + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -481,22 +395,49 @@ func (p *parser) parseMul() (Expr, error) {
 	}
 }
 
+// acceptBinary consumes the next token if it is one of ops. Besides
+// operator tokens, `in` lexes as an identifier and `/` as punctuation
+// (it also opens a path).
+func (p *parser) acceptBinary(ops []string) (string, bool) {
+	t := p.peek()
+	isOp := t.kind == tokOp || t.kind == tokIdent && t.text == "in" || t.kind == tokPunct && t.text == "/"
+	if !isOp || !slices.Contains(ops, t.text) {
+		return "", false
+	}
+	p.next()
+	return t.text, true
+}
+
 func (p *parser) parseUnary() (Expr, error) {
-	switch {
-	case p.acceptOp("!"):
+	if t := p.peek(); t.kind == tokOp && (t.text == "!" || t.text == "-") {
+		p.next()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "!", X: x}, nil
-	case p.acceptOp("-"):
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "-", X: x}, nil
+		return &UnaryExpr{Op: t.text, X: x}, nil
 	}
 	return p.parsePostfix()
+}
+
+// parseList parses comma-separated expressions through the closing
+// punctuation close.
+func (p *parser) parseList(close string) ([]Expr, error) {
+	var elems []Expr
+	for !p.peekPunct(close) {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		elems = append(elems, e)
+		if !p.acceptPunct(",") {
+			break
+		}
+	}
+	if !p.acceptPunct(close) {
+		return nil, p.errf("expected '%s'", close)
+	}
+	return elems, nil
 }
 
 func (p *parser) parsePostfix() (Expr, error) {
@@ -522,19 +463,9 @@ func (p *parser) parsePostfix() (Expr, error) {
 			}
 			x = &IndexExpr{X: x, Index: idx}
 		case p.acceptPunct("("):
-			var args []Expr
-			for !p.peekPunct(")") {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if !p.acceptPunct(",") {
-					break
-				}
-			}
-			if !p.acceptPunct(")") {
-				return nil, p.errf("expected ')'")
+			args, err := p.parseList(")")
+			if err != nil {
+				return nil, err
 			}
 			x = &CallExpr{Fn: x, Args: args}
 		default:
@@ -586,19 +517,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return x, nil
 	case t.kind == tokPunct && t.text == "[":
 		p.next()
-		var elems []Expr
-		for !p.peekPunct("]") {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			elems = append(elems, e)
-			if !p.acceptPunct(",") {
-				break
-			}
-		}
-		if !p.acceptPunct("]") {
-			return nil, p.errf("expected ']'")
+		elems, err := p.parseList("]")
+		if err != nil {
+			return nil, err
 		}
 		return &ListExpr{Elems: elems}, nil
 	case t.kind == tokPunct && t.text == "/":
@@ -723,7 +644,7 @@ func writeExpr(b *strings.Builder, e Expr) {
 	case *BinaryExpr:
 		b.WriteString("(")
 		writeExpr(b, x.X)
-		b.WriteString(" " + binOpText(x.Op) + " ")
+		b.WriteString(" " + x.Op + " ")
 		writeExpr(b, x.Y)
 		b.WriteString(")")
 	case *ListExpr:
@@ -756,11 +677,4 @@ func writeExpr(b *strings.Builder, e Expr) {
 func isPathWord(s string) bool {
 	toks, err := lex(s)
 	return err == nil && len(toks) == 2 && toks[0].text == s && (toks[0].kind == tokIdent || toks[0].kind == tokInt)
-}
-
-func binOpText(op string) string {
-	if op == "in" {
-		return "in"
-	}
-	return op
 }

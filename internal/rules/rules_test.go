@@ -2,6 +2,7 @@ package rules
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"firestore/internal/doc"
@@ -386,6 +387,31 @@ func BenchmarkParse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(paperRules); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestBinaryPrecedence pins how binary operators group: the printer
+// parenthesises every binary expression, so its output shows the tree.
+func TestBinaryPrecedence(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{`a || b && c`, `(a || (b && c))`},
+		{`a && b || c`, `((a && b) || c)`},
+		{`1 + 2 * 3 == 7`, `((1 + (2 * 3)) == 7)`},
+		{`a - b - c`, `((a - b) - c)`},
+		{`a / b % c`, `((a / b) % c)`},
+		{`x in y == true`, `((x in y) == true)`},
+		{`!a && b`, `(!(a) && b)`},
+		{`-a * b`, `(-(a) * b)`},
+		{`a < b < c`, `((a < b) < c)`},
+		{`get(/a/$(b)).data.c / 2`, `(get(/a/$(b)).data.c / 2)`},
+	}
+	for _, c := range cases {
+		rs := mustParse(t, `match /a { allow read: if `+c.src+`; }`)
+		var b strings.Builder
+		writeExpr(&b, rs.Matches[0].Allows[0].Cond)
+		if got := b.String(); got != c.want {
+			t.Errorf("%s printed %q, want %q", c.src, got, c.want)
 		}
 	}
 }

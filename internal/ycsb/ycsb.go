@@ -36,15 +36,10 @@ var (
 	WorkloadB = Workload{Name: "B", ReadRatio: 0.95, RecordSize: 900}
 )
 
-// KeyChooser picks record indices.
-type KeyChooser interface {
-	Next(rng *rand.Rand) int
-}
-
 // Uniform picks keys uniformly from [0, N).
 type Uniform struct{ N int }
 
-// Next implements KeyChooser.
+// Next picks a record index.
 func (u Uniform) Next(rng *rand.Rand) int { return rng.Intn(u.N) }
 
 // Zipfian picks keys with the standard YCSB zipfian skew
@@ -75,7 +70,7 @@ func zeta(n int, theta float64) float64 {
 	return sum
 }
 
-// Next implements KeyChooser (Gray et al.'s algorithm), scrambling the
+// Next picks a record index (Gray et al.'s algorithm), scrambling the
 // rank so hot keys spread over the key space.
 func (z *Zipfian) Next(rng *rand.Rand) int {
 	u := rng.Float64()
@@ -221,13 +216,13 @@ type Result struct {
 type RunOptions struct {
 	Records  int
 	Duration time.Duration
-	// WarmFraction of the duration is discarded before measuring
-	// ("measuring the last 5 minutes to allow the system to stabilize").
-	WarmFraction float64
-	Chooser      KeyChooser
-	Workers      int
-	Seed         int64
+	Workers  int
+	Seed     int64
 }
+
+// warmFraction of a run's duration is discarded before measuring
+// ("measuring the last 5 minutes to allow the system to stabilize").
+const warmFraction = 0.5
 
 // Run offers targetQPS of workload w against cl in an open loop: a pacer
 // releases operations on schedule regardless of completions, so queueing
@@ -238,12 +233,6 @@ func Run(ctx context.Context, cl Client, w Workload, targetQPS int, opts RunOpti
 	}
 	if opts.Duration <= 0 {
 		opts.Duration = 2 * time.Second
-	}
-	if opts.WarmFraction <= 0 || opts.WarmFraction >= 1 {
-		opts.WarmFraction = 0.5
-	}
-	if opts.Chooser == nil {
-		opts.Chooser = Uniform{N: opts.Records}
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 64
@@ -256,7 +245,7 @@ func Run(ctx context.Context, cl Client, w Workload, targetQPS int, opts RunOpti
 	}
 	value := make([]byte, w.RecordSize)
 	interval := time.Second / time.Duration(targetQPS)
-	warmUntil := time.Now().Add(time.Duration(float64(opts.Duration) * opts.WarmFraction))
+	warmUntil := time.Now().Add(time.Duration(float64(opts.Duration) * warmFraction))
 	deadline := time.Now().Add(opts.Duration)
 
 	tokens := make(chan struct{}, targetQPS) // release bucket
@@ -290,7 +279,7 @@ func Run(ctx context.Context, cl Client, w Workload, targetQPS int, opts RunOpti
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(opts.Seed + int64(i)*7919 + 1))
 			for range tokens {
-				key := Key(opts.Chooser.Next(rng))
+				key := Key(Uniform{N: opts.Records}.Next(rng))
 				isRead := rng.Float64() < w.ReadRatio
 				start := time.Now()
 				var err error
@@ -321,7 +310,7 @@ func Run(ctx context.Context, cl Client, w Workload, targetQPS int, opts RunOpti
 		}(i)
 	}
 	wg.Wait()
-	window := float64(opts.Duration) * (1 - opts.WarmFraction)
+	window := float64(opts.Duration) * (1 - warmFraction)
 	res.Achieved = float64(measured) / (window / float64(time.Second))
 	return res
 }
