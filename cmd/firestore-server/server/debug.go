@@ -14,6 +14,7 @@ import (
 	"firestore/internal/reqctx"
 	"firestore/internal/rtcache"
 	"firestore/internal/spanner"
+	"firestore/internal/status"
 	"firestore/internal/wfq"
 )
 
@@ -115,8 +116,8 @@ type DebugOptions struct {
 //	/debug/clusterz  multi-process cluster peer table: roles, addresses,
 //	                 owned tablet ranges, pool health, last heartbeat
 //
-// Debug requests bypass the ingress span so scrapes do not pollute the
-// RPC metrics they report.
+// Debug routes are not /v1 routes: they get no ingress span, so scrapes
+// do not pollute the RPC metrics they report.
 func (s *Server) EnableDebug(opts DebugOptions) {
 	s.mux.HandleFunc("/debug/metricz", s.metricz)
 	s.mux.HandleFunc("/debug/tracez", s.tracez)
@@ -125,7 +126,11 @@ func (s *Server) EnableDebug(opts DebugOptions) {
 	s.mux.HandleFunc("/debug/tabletz", s.tabletz)
 	s.mux.HandleFunc("/debug/storagez", s.storagez)
 	s.mux.HandleFunc("/debug/listenz", s.listenz)
-	s.mux.HandleFunc("/debug/faultz", s.faultz)
+	s.mux.HandleFunc("GET /debug/faultz", s.faultz)
+	s.mux.HandleFunc("POST /debug/faultz", func(w http.ResponseWriter, r *http.Request) {
+		page, err := s.setFaults(r)
+		reply(w, page, err)
+	})
 	s.mux.HandleFunc("/debug/advisorz", s.advisorz)
 	s.mux.HandleFunc("/debug/keyvizz", s.keyvizz)
 	s.mux.HandleFunc("/debug/clusterz", s.clusterz)
@@ -159,10 +164,6 @@ func debugN(r *http.Request) int {
 
 func (s *Server) tracez(w http.ResponseWriter, r *http.Request) {
 	t := s.region.Tracer
-	if t == nil {
-		http.Error(w, "tracer not configured", http.StatusNotFound)
-		return
-	}
 	n := debugN(r)
 	kind := r.URL.Query().Get("kind")
 	recent := func(k reqctx.Keep) []reqctx.TraceData {
@@ -180,12 +181,7 @@ func (s *Server) tracez(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) requestz(w http.ResponseWriter, r *http.Request) {
-	t := s.region.Tracer
-	if t == nil {
-		http.Error(w, "tracer not configured", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, RequestzPage{Active: t.Active()})
+	writeJSON(w, RequestzPage{Active: s.region.Tracer.Active()})
 }
 
 func (s *Server) schedz(w http.ResponseWriter, r *http.Request) {
@@ -244,53 +240,46 @@ type FaultzRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// faultz exposes the fault-injection plane: GET lists every site with
-// its live spec and counters; POST arms, disarms, or resets sites. It is
-// only mounted when the operator opts into the debug suite, exactly like
-// the other status pages.
+// faultz lists every fault-injection site with its live spec and
+// counters. It is only mounted when the operator opts into the debug
+// suite, exactly like the other status pages.
 func (s *Server) faultz(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, FaultzPage{Sites: fault.List()})
-	case http.MethodPost:
-		var req FaultzRequest
-		if err := decodeJSON(r.Body, &req); err != nil {
-			badRequest(w, err)
-			return
-		}
-		switch req.Action {
-		case "enable":
-			if req.CodeName != "" {
-				code, err := fault.CodeByName(req.CodeName)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				req.Spec.Code = code
-			}
-			if req.Seed != 0 {
-				fault.SetSeed(req.Seed)
-			}
-			if err := fault.Enable(req.Spec); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		case "disable":
-			if req.Site == "" {
-				http.Error(w, "disable requires site", http.StatusBadRequest)
-				return
-			}
-			fault.Disable(req.Site)
-		case "reset":
-			fault.Reset()
-		default:
-			http.Error(w, "unknown action "+strconv.Quote(req.Action), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, FaultzPage{Sites: fault.List()})
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	writeJSON(w, FaultzPage{Sites: fault.List()})
+}
+
+// setFaults arms, disarms, or resets fault-injection sites and answers
+// with the sites as faultz lists them.
+func (s *Server) setFaults(r *http.Request) (any, error) {
+	var req FaultzRequest
+	if err := decodeJSON(r.Body, &req); err != nil {
+		return nil, err
 	}
+	switch req.Action {
+	case "enable":
+		if req.CodeName != "" {
+			code, err := fault.CodeByName(req.CodeName)
+			if err != nil {
+				return nil, err
+			}
+			req.Spec.Code = code
+		}
+		if req.Seed != 0 {
+			fault.SetSeed(req.Seed)
+		}
+		if err := fault.Enable(req.Spec); err != nil {
+			return nil, status.WithCode(status.InvalidArgument, err)
+		}
+	case "disable":
+		if req.Site == "" {
+			return nil, status.New(status.InvalidArgument, "server", "disable requires site")
+		}
+		fault.Disable(req.Site)
+	case "reset":
+		fault.Reset()
+	default:
+		return nil, status.Errorf(status.InvalidArgument, "server", "unknown action %q", req.Action)
+	}
+	return FaultzPage{Sites: fault.List()}, nil
 }
 
 // keyvizz reports the keyspace heatmap collector: windows of per-tablet

@@ -127,6 +127,58 @@ func TestDebugMetricz(t *testing.T) {
 	}
 }
 
+// TestRootSpanCodes: each /v1 request is recorded once, under its
+// route's operation and with the code of the handler's own error; a
+// request that matches no route records nothing.
+func TestRootSpanCodes(t *testing.T) {
+	region := core.NewRegion(core.Config{Name: "spans"})
+	t.Cleanup(region.Close)
+	ts := httptest.NewServer(New(region))
+	t.Cleanup(ts.Close)
+	// samples counts the frontend.* samples, by "name{code}".
+	samples := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, h := range region.Obs.Snapshot().Histograms {
+			if strings.HasPrefix(h.Name, "frontend.") {
+				out[h.Name+"{"+h.Labels["code"]+"}"] += h.Count
+			}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		method, path string
+		body         any
+		status       int
+		want         string // the one sample the request adds; "" for none
+	}{
+		{"POST", "/v1/databases", map[string]string{"id": "app"}, 200, "frontend.admin{OK}"},
+		{"POST", "/v1/databases", map[string]string{"id": "app"}, 409, "frontend.admin{ALREADY_EXISTS}"},
+		{"POST", "/v1/databases/app/rules", strings.Repeat(" ", 1<<20+1), 413, "frontend.admin{INVALID_ARGUMENT}"},
+		{"PUT", "/v1/databases/app/docs/c/listen", map[string]any{"v": 1}, 200, "frontend.put{OK}"},
+		{"PATCH", "/v1/databases/app/docs/c/d", map[string]any{"v": 2}, 405, ""},
+		{"GET", "/v1/nothing/here", nil, 404, ""},
+	} {
+		before := samples()
+		resp, body := do(t, ts, c.method, c.path, c.body, nil)
+		if resp.StatusCode != c.status {
+			t.Errorf("%s %s = %d %s, want %d", c.method, c.path, resp.StatusCode, body, c.status)
+		}
+		added := map[string]uint64{}
+		for k, n := range samples() {
+			if n > before[k] {
+				added[k] = n - before[k]
+			}
+		}
+		want := map[string]uint64{}
+		if c.want != "" {
+			want[c.want] = 1
+		}
+		if !reflect.DeepEqual(added, want) {
+			t.Errorf("%s %s recorded %v, want %v", c.method, c.path, added, want)
+		}
+	}
+}
+
 var updateMetricz = flag.Bool("update-metricz", false, "rewrite testdata/metricz_shapes.golden from this run")
 
 // metricShapes returns the sorted, de-duplicated "kind name{label keys}"

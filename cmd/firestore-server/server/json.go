@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"firestore/internal/doc"
+	"firestore/internal/status"
 )
 
 // JSON <-> document value mapping. JSON has fewer types than the data
@@ -20,6 +21,9 @@ import (
 //	{"$ref": "/a/b"}         document reference
 //	{"$geo": [lat, lng]}     geopoint
 //
+// A one-key object whose key is one of these tags must hold its type:
+// {"$time": "yesterday"} is refused, not stored as a map.
+//
 // A JSON number is an Int when it is an integer literal (one past the
 // 64-bit range is refused) and a Double otherwise, so 1.0 and 1e3 are
 // Doubles. A Double is written back with a fraction or an exponent, so
@@ -27,15 +31,16 @@ import (
 
 // decodeJSON decodes the one JSON value r holds into v, keeping numbers
 // as json.Number so valueFromJSON sees their literals. Anything but
-// whitespace after the value is an error.
+// whitespace after the value is an error. Every error this file returns
+// is InvalidArgument: the request is malformed.
 func decodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
 	if err := dec.Decode(v); err != nil {
-		return err
+		return status.Wrap(status.InvalidArgument, "server", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("unexpected data after the JSON value")
+		return status.New(status.InvalidArgument, "server", "unexpected data after the JSON value")
 	}
 	return nil
 }
@@ -52,13 +57,13 @@ func valueFromJSON(v any) (doc.Value, error) {
 		if !strings.ContainsAny(string(x), ".eE") {
 			i, err := strconv.ParseInt(string(x), 10, 64)
 			if err != nil {
-				return doc.Null(), fmt.Errorf("integer %s is outside the 64-bit range", x)
+				return doc.Null(), status.Errorf(status.InvalidArgument, "server", "integer %s is outside the 64-bit range", x)
 			}
 			return doc.Int(i), nil
 		}
 		f, err := x.Float64()
 		if err != nil {
-			return doc.Null(), fmt.Errorf("number %s is outside the double range", x)
+			return doc.Null(), status.Errorf(status.InvalidArgument, "server", "number %s is outside the double range", x)
 		}
 		return doc.Double(f), nil
 	case []any:
@@ -73,59 +78,50 @@ func valueFromJSON(v any) (doc.Value, error) {
 		return doc.Array(arr...), nil
 	case map[string]any:
 		if len(x) == 1 {
-			if tagged, ok := taggedValue(x); ok {
-				return tagged, nil
-			}
-		}
-		m := make(map[string]doc.Value, len(x))
-		for k, e := range x {
-			ev, err := valueFromJSON(e)
-			if err != nil {
-				return doc.Null(), err
-			}
-			m[k] = ev
-		}
-		return doc.Map(m), nil
-	}
-	return doc.Null(), fmt.Errorf("unsupported JSON value %T", v)
-}
-
-func taggedValue(m map[string]any) (doc.Value, bool) {
-	if raw, ok := m["$bytes"]; ok {
-		if s, ok := raw.(string); ok {
-			b, err := base64.StdEncoding.DecodeString(s)
-			if err == nil {
-				return doc.Bytes(b), true
-			}
-		}
-	}
-	if raw, ok := m["$time"]; ok {
-		if s, ok := raw.(string); ok {
-			t, err := time.Parse(time.RFC3339Nano, s)
-			if err == nil {
-				return doc.Timestamp(t), true
-			}
-		}
-	}
-	if raw, ok := m["$ref"]; ok {
-		if s, ok := raw.(string); ok {
-			return doc.Reference(s), true
-		}
-	}
-	if raw, ok := m["$geo"]; ok {
-		if arr, ok := raw.([]any); ok && len(arr) == 2 {
-			lat, ok1 := arr[0].(json.Number)
-			lng, ok2 := arr[1].(json.Number)
-			if ok1 && ok2 {
-				latF, err1 := lat.Float64()
-				lngF, err2 := lng.Float64()
-				if err1 == nil && err2 == nil {
-					return doc.Geo(latF, lngF), true
+			for tag, raw := range x {
+				if v, ok, err := taggedValue(tag, raw); ok {
+					return v, err
 				}
 			}
 		}
+		m, err := fieldsFromJSON(x)
+		return doc.Map(m), err
 	}
-	return doc.Null(), false
+	return doc.Null(), status.Errorf(status.InvalidArgument, "server", "unsupported JSON value %T", v)
+}
+
+// taggedValue decodes raw as the type tag names. ok is false when tag is
+// not one of the four tags; a tag that does not hold its type is an
+// error.
+func taggedValue(tag string, raw any) (v doc.Value, ok bool, err error) {
+	s, isString := raw.(string)
+	switch tag {
+	case "$bytes":
+		if b, err := base64.StdEncoding.DecodeString(s); isString && err == nil {
+			return doc.Bytes(b), true, nil
+		}
+	case "$time":
+		if t, err := time.Parse(time.RFC3339Nano, s); isString && err == nil {
+			return doc.Timestamp(t), true, nil
+		}
+	case "$ref":
+		if isString {
+			return doc.Reference(s), true, nil
+		}
+	case "$geo":
+		if arr, isArray := raw.([]any); isArray && len(arr) == 2 {
+			lat, ok1 := arr[0].(json.Number)
+			lng, ok2 := arr[1].(json.Number)
+			latF, err1 := lat.Float64()
+			lngF, err2 := lng.Float64()
+			if ok1 && ok2 && err1 == nil && err2 == nil {
+				return doc.Geo(latF, lngF), true, nil
+			}
+		}
+	default:
+		return doc.Null(), false, nil
+	}
+	return doc.Null(), true, status.Errorf(status.InvalidArgument, "server", "%s does not hold its type: %v", tag, raw)
 }
 
 func fieldsFromJSON(raw map[string]any) (map[string]doc.Value, error) {
@@ -174,12 +170,7 @@ func valueToJSON(v doc.Value) any {
 		}
 		return out
 	case doc.KindMap:
-		m := v.MapVal()
-		out := make(map[string]any, len(m))
-		for k, e := range m {
-			out[k] = valueToJSON(e)
-		}
-		return out
+		return fieldsToJSON(v.MapVal())
 	}
 	return nil
 }

@@ -39,17 +39,26 @@ type Server struct {
 // single-process mode.
 func (s *Server) SetClusterInfo(fn func() cluster.ClusterStatus) { s.clusterInfo = fn }
 
-// New builds the handler for a region.
+// New builds the handler for a region. Each /v1 route is declared once,
+// with the operation its root span is named for; the listen stream has
+// none, because the frontend layer's registration span roots its trace.
 func New(region *core.Region) *Server {
 	s := &Server{region: region, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/databases", s.createDatabase)
-	s.mux.HandleFunc("POST /v1/databases/{db}/rules", s.setRules)
-	s.mux.HandleFunc("POST /v1/databases/{db}/indexes", s.addIndex)
-	s.mux.HandleFunc("PUT /v1/databases/{db}/docs/{path...}", s.putDoc)
-	s.mux.HandleFunc("GET /v1/databases/{db}/docs/{path...}", s.getDoc)
-	s.mux.HandleFunc("DELETE /v1/databases/{db}/docs/{path...}", s.deleteDoc)
-	s.mux.HandleFunc("POST /v1/databases/{db}/query", s.runQuery)
-	s.mux.HandleFunc("GET /v1/databases/{db}/listen", s.listen)
+	for _, rt := range []struct {
+		pattern, op string
+		h           handler
+	}{
+		{"POST /v1/databases", "frontend.admin", s.createDatabase},
+		{"POST /v1/databases/{db}/rules", "frontend.admin", s.setRules},
+		{"POST /v1/databases/{db}/indexes", "frontend.admin", s.addIndex},
+		{"PUT /v1/databases/{db}/docs/{path...}", "frontend.put", s.putDoc},
+		{"GET /v1/databases/{db}/docs/{path...}", "frontend.get", s.getDoc},
+		{"DELETE /v1/databases/{db}/docs/{path...}", "frontend.delete", s.deleteDoc},
+		{"POST /v1/databases/{db}/query", "frontend.query", s.runQuery},
+		{"GET /v1/databases/{db}/listen", "", s.listen},
+	} {
+		s.mux.Handle(rt.pattern, s.handle(rt.op, rt.h))
+	}
 	return s
 }
 
@@ -58,99 +67,65 @@ func New(region *core.Region) *Server {
 // (it is a long-lived connection by design).
 const DefaultTimeout = 30 * time.Second
 
-// ServeHTTP implements http.Handler. It is the ingress: every request
-// gets a request ID (minted unless the client sent X-Request-Id, echoed
-// back in the response), a QoS class (X-QoS: batch tags throughput
-// traffic), a deadline, and the region's span recorder, all carried in
-// the context so every layer below can classify, trace, and shed work
-// against them. Non-streaming /v1/ requests run under a root
-// "frontend.<op>" span, making the ingress the root of every trace.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.URL.Path, "/debug/") {
-		s.mux.ServeHTTP(w, r)
-		return
-	}
-	rid := r.Header.Get("X-Request-Id")
-	if rid == "" {
-		rid = reqctx.NewRequestID()
-	}
-	w.Header().Set("X-Request-Id", rid)
-	m := reqctx.Meta{RequestID: rid, DB: dbFromPath(r.URL.Path)}
-	if r.Header.Get("X-QoS") == "batch" {
-		m.QoS = reqctx.Batch
-	}
-	ctx := reqctx.WithRecorder(reqctx.With(r.Context(), m), s.region.Recorder)
-	streaming := strings.HasSuffix(r.URL.Path, "/listen")
-	if !streaming {
-		timeout := DefaultTimeout
-		if h := r.Header.Get("X-Request-Timeout"); h != "" {
-			if d, err := time.ParseDuration(h); err == nil && d > 0 {
+// ServeHTTP implements http.Handler.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// handler serves one route. It returns the page to answer with, or the
+// error whose canonical code picks the status (an error wins over a
+// page); the listen stream writes its own response and returns neither.
+type handler func(w http.ResponseWriter, r *http.Request) (page any, err error)
+
+// handle is the ingress of a /v1 route: the request gets a request ID
+// (minted unless the client sent X-Request-Id, echoed back in the
+// response), a QoS class (X-QoS: batch tags throughput traffic), its
+// database and the region's span recorder, all carried in the context
+// so every layer below can classify, trace, and shed work against them.
+// An operation also gets a deadline and runs under a root span named
+// op, which ends after the response is written, with the handler's own
+// error: the ingress is the root of every trace.
+func (s *Server) handle(op string, h handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rid := r.Header.Get("X-Request-Id")
+		if rid == "" {
+			rid = reqctx.NewRequestID()
+		}
+		w.Header().Set("X-Request-Id", rid)
+		m := reqctx.Meta{RequestID: rid, DB: r.PathValue("db")}
+		if r.Header.Get("X-QoS") == "batch" {
+			m.QoS = reqctx.Batch
+		}
+		ctx := reqctx.WithRecorder(reqctx.With(r.Context(), m), s.region.Recorder)
+		var err error
+		if op != "" {
+			timeout := DefaultTimeout
+			if d, perr := time.ParseDuration(r.Header.Get("X-Request-Timeout")); perr == nil && d > 0 {
 				timeout = d
 			}
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+			var span reqctx.Span
+			ctx, span = reqctx.StartSpan(ctx, op)
+			defer func() { span.End(err) }()
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-		// Root span: the trace lives exactly as long as the request. The
-		// streaming listen endpoint is exempt — its trace is rooted by the
-		// frontend layer's registration span, not the connection lifetime.
-		var span reqctx.Span
-		ctx, span = reqctx.StartSpan(ctx, opName(r))
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		defer func() {
-			var err error
-			if c := status.CodeFromHTTP(sw.code); c != status.OK {
-				err = status.New(c, "server", http.StatusText(sw.code))
-			}
-			span.End(err)
-		}()
-		w = sw
-	}
-	s.mux.ServeHTTP(w, r.WithContext(ctx))
+		var page any
+		page, err = h(w, r.WithContext(ctx))
+		reply(w, page, err)
+	})
 }
 
-// opName names the ingress root span by operation class.
-func opName(r *http.Request) string {
+// reply writes a handler's page as JSON, or its error with the status
+// the error's canonical code maps to; a body over its cap answers 413.
+func reply(w http.ResponseWriter, page any, err error) {
+	var tooLarge *http.MaxBytesError
 	switch {
-	case strings.Contains(r.URL.Path, "/docs/"):
-		switch r.Method {
-		case http.MethodPut:
-			return "frontend.put"
-		case http.MethodDelete:
-			return "frontend.delete"
-		default:
-			return "frontend.get"
-		}
-	case strings.HasSuffix(r.URL.Path, "/query"):
-		return "frontend.query"
-	default:
-		return "frontend.admin"
+	case errors.As(err, &tooLarge):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+	case err != nil:
+		http.Error(w, err.Error(), status.HTTPStatus(status.CodeOf(err)))
+	case page != nil:
+		writeJSON(w, page)
 	}
-}
-
-// statusWriter captures the response status so the ingress span can
-// classify the outcome it otherwise only sees as a status line.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// dbFromPath extracts the database ID from /v1/databases/{db}/... paths
-// before mux routing has populated path values.
-func dbFromPath(p string) string {
-	rest, ok := strings.CutPrefix(p, "/v1/databases/")
-	if !ok {
-		return ""
-	}
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		return rest[:i]
-	}
-	return rest
 }
 
 // principal derives the caller identity from headers: privileged callers
@@ -168,58 +143,31 @@ func principal(r *http.Request) backend.Principal {
 	return backend.Principal{Batch: batch}
 }
 
-// httpError maps any error to its HTTP response purely mechanically:
-// the canonical code recovered from the error chain drives the single
-// code→HTTP table in internal/status. No sentinel is special-cased here.
-func httpError(w http.ResponseWriter, err error) {
-	http.Error(w, err.Error(), status.HTTPStatus(status.CodeOf(err)))
-}
-
-// badRequest reports a handler-local decoding/validation failure,
-// classified InvalidArgument like every other malformed input.
-func badRequest(w http.ResponseWriter, err error) {
-	httpError(w, status.WithCode(status.InvalidArgument, err))
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) createDatabase(w http.ResponseWriter, r *http.Request) {
+func (s *Server) createDatabase(w http.ResponseWriter, r *http.Request) (any, error) {
 	var req struct {
 		ID string `json:"id"`
 	}
 	if err := decodeJSON(r.Body, &req); err != nil {
-		badRequest(w, err)
-		return
+		return nil, err
 	}
-	if _, err := s.region.CreateDatabase(req.ID); err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSON(w, map[string]string{"id": req.ID, "region": s.region.Config.Name})
+	_, err := s.region.CreateDatabase(req.ID)
+	return map[string]string{"id": req.ID, "region": s.region.Config.Name}, err
 }
 
-func (s *Server) setRules(w http.ResponseWriter, r *http.Request) {
+func (s *Server) setRules(w http.ResponseWriter, r *http.Request) (any, error) {
 	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, "rules source over 1 MiB", http.StatusRequestEntityTooLarge)
-			return
-		}
-		badRequest(w, err)
-		return
+		return nil, status.Wrap(status.InvalidArgument, "server", err)
 	}
-	if err := s.region.SetRules(r.PathValue("db"), string(src)); err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSON(w, map[string]string{"status": "deployed"})
+	return map[string]string{"status": "deployed"}, s.region.SetRules(r.PathValue("db"), string(src))
 }
 
-func (s *Server) addIndex(w http.ResponseWriter, r *http.Request) {
+func (s *Server) addIndex(w http.ResponseWriter, r *http.Request) (any, error) {
 	var req struct {
 		Collection string `json:"collection"`
 		Fields     []struct {
@@ -228,8 +176,7 @@ func (s *Server) addIndex(w http.ResponseWriter, r *http.Request) {
 		} `json:"fields"`
 	}
 	if err := decodeJSON(r.Body, &req); err != nil {
-		badRequest(w, err)
-		return
+		return nil, err
 	}
 	fields := make([]index.Field, len(req.Fields))
 	for i, f := range req.Fields {
@@ -240,76 +187,59 @@ func (s *Server) addIndex(w http.ResponseWriter, r *http.Request) {
 		fields[i] = index.Field{Path: doc.FieldPath(f.Path), Dir: dir}
 	}
 	def := index.CompositeDef(req.Collection, fields...)
-	if err := s.region.AddCompositeIndex(r.Context(), r.PathValue("db"), def); err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSON(w, map[string]any{"id": def.ID, "status": "ready"})
+	return map[string]any{"id": def.ID, "status": "ready"}, s.region.AddCompositeIndex(r.Context(), r.PathValue("db"), def)
 }
 
 func docName(r *http.Request) (doc.Name, error) {
 	return doc.ParseName("/" + r.PathValue("path"))
 }
 
-func (s *Server) putDoc(w http.ResponseWriter, r *http.Request) {
+func (s *Server) putDoc(w http.ResponseWriter, r *http.Request) (any, error) {
 	name, err := docName(r)
 	if err != nil {
-		badRequest(w, err)
-		return
+		return nil, err
 	}
 	var raw map[string]any
 	if err := decodeJSON(r.Body, &raw); err != nil {
-		badRequest(w, err)
-		return
+		return nil, err
 	}
 	fields, err := fieldsFromJSON(raw)
 	if err != nil {
-		badRequest(w, err)
-		return
+		return nil, err
 	}
 	ts, err := s.region.Commit(r.Context(), r.PathValue("db"), principal(r), []backend.WriteOp{
 		{Kind: backend.OpSet, Name: name, Fields: fields},
 	})
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSON(w, map[string]any{"name": name.String(), "updateTime": int64(ts)})
+	return map[string]any{"name": name.String(), "updateTime": int64(ts)}, err
 }
 
-func (s *Server) getDoc(w http.ResponseWriter, r *http.Request) {
+func (s *Server) getDoc(w http.ResponseWriter, r *http.Request) (any, error) {
 	name, err := docName(r)
 	if err != nil {
-		badRequest(w, err)
-		return
+		return nil, err
 	}
 	d, readTS, err := s.region.GetDocument(r.Context(), r.PathValue("db"), principal(r), name, 0)
 	if err != nil {
-		httpError(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, map[string]any{
+	return map[string]any{
 		"name":       d.Name.String(),
 		"fields":     fieldsToJSON(d.Fields),
 		"updateTime": int64(d.UpdateTime),
 		"createTime": int64(d.CreateTime),
 		"readTime":   int64(readTS),
-	})
+	}, nil
 }
 
-func (s *Server) deleteDoc(w http.ResponseWriter, r *http.Request) {
+func (s *Server) deleteDoc(w http.ResponseWriter, r *http.Request) (any, error) {
 	name, err := docName(r)
 	if err != nil {
-		badRequest(w, err)
-		return
+		return nil, err
 	}
-	if _, err := s.region.Commit(r.Context(), r.PathValue("db"), principal(r), []backend.WriteOp{
+	_, err = s.region.Commit(r.Context(), r.PathValue("db"), principal(r), []backend.WriteOp{
 		{Kind: backend.OpDelete, Name: name},
-	}); err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSON(w, map[string]string{"status": "deleted"})
+	})
+	return map[string]string{"status": "deleted"}, err
 }
 
 // queryJSON is the wire form of a query.
@@ -355,26 +285,21 @@ type aggregationJSON struct {
 	Alias string `json:"alias"` // result key
 }
 
+var aggKinds = map[string]query.AggKind{"count": query.AggCount, "sum": query.AggSum, "avg": query.AggAvg}
+
 func (aj aggregationJSON) build() (query.Aggregation, error) {
-	a := query.Aggregation{Path: doc.FieldPath(aj.Field), Alias: aj.Alias}
-	switch aj.Op {
-	case "count":
-		a.Kind = query.AggCount
-	case "sum":
-		a.Kind = query.AggSum
-	case "avg":
-		a.Kind = query.AggAvg
-	default:
-		return a, fmt.Errorf("unknown aggregation op %q", aj.Op)
+	kind, ok := aggKinds[aj.Op]
+	if !ok {
+		return query.Aggregation{}, status.Errorf(status.InvalidArgument, "server", "unknown aggregation op %q", aj.Op)
 	}
-	return a, nil
+	return query.Aggregation{Kind: kind, Path: doc.FieldPath(aj.Field), Alias: aj.Alias}, nil
 }
 
 // cursorFromJSON converts one of a pair of wire cursor variants (the
 // inclusive At form or its exclusive sibling) into an engine cursor.
 func cursorFromJSON(at, excl []any, atName, exclName string) (*query.Cursor, error) {
 	if at != nil && excl != nil {
-		return nil, fmt.Errorf("at most one of %s and %s may be set", atName, exclName)
+		return nil, status.Errorf(status.InvalidArgument, "server", "at most one of %s and %s may be set", atName, exclName)
 	}
 	vals, inclusive := at, true
 	if excl != nil {
@@ -430,52 +355,41 @@ func (qj *queryJSON) build() (*query.Query, error) {
 	return q, q.Validate()
 }
 
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) (any, error) {
 	var qj queryJSON
 	if err := decodeJSON(r.Body, &qj); err != nil {
-		badRequest(w, err)
-		return
+		return nil, err
 	}
 	q, err := qj.build()
 	if err != nil {
-		badRequest(w, err)
-		return
+		return nil, status.WithCode(status.InvalidArgument, err)
 	}
 	if qj.Explain || qj.Analyze {
 		plan, readTS, err := s.region.Backend.ExplainQuery(r.Context(), r.PathValue("db"), principal(r), q, qj.Analyze, 0)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, ExplainPage{Plan: plan, ReadTime: int64(readTS)})
-		return
+		return ExplainPage{Plan: plan, ReadTime: int64(readTS)}, err
 	}
 	if len(qj.Aggregations) > 0 {
 		aggs := make([]query.Aggregation, len(qj.Aggregations))
 		for i, aj := range qj.Aggregations {
 			if aggs[i], err = aj.build(); err != nil {
-				badRequest(w, err)
-				return
+				return nil, err
 			}
 		}
 		res, readTS, err := s.region.Backend.RunAggregation(r.Context(), r.PathValue("db"), principal(r), q, aggs, 0)
 		if err != nil {
-			httpError(w, err)
-			return
+			return nil, err
 		}
 		vals := make(map[string]any, len(res.Values))
 		for alias, v := range res.Values {
 			vals[alias] = valueToJSON(v)
 		}
-		writeJSON(w, map[string]any{"aggregations": vals, "readTime": int64(readTS)})
-		return
+		return map[string]any{"aggregations": vals, "readTime": int64(readTS)}, nil
 	}
 	res, readTS, err := s.region.RunQuery(r.Context(), r.PathValue("db"), principal(r), q, qj.PageToken, 0)
 	if err != nil {
-		httpError(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, QueryPage{Documents: documents(res.Docs), ReadTime: int64(readTS), Next: res.Resume})
+	return QueryPage{Documents: documents(res.Docs), ReadTime: int64(readTS), Next: res.Resume}, nil
 }
 
 // QueryPage answers a plain query. A result larger than one page
@@ -507,24 +421,20 @@ func documents(docs []*doc.Document) []Document {
 }
 
 // listen streams real-time snapshots as server-sent events.
-func (s *Server) listen(w http.ResponseWriter, r *http.Request) {
-	collPath := r.URL.Query().Get("collection")
-	coll, err := doc.ParseCollection(collPath)
+func (s *Server) listen(w http.ResponseWriter, r *http.Request) (any, error) {
+	coll, err := doc.ParseCollection(r.URL.Query().Get("collection"))
 	if err != nil {
-		badRequest(w, err)
-		return
+		return nil, err
 	}
 	q := &query.Query{Collection: coll}
 	if wq := r.URL.Query().Get("where"); wq != "" {
 		parts := strings.SplitN(wq, ",", 3)
 		if len(parts) != 3 {
-			httpError(w, status.New(status.InvalidArgument, "server", "where must be field,op,value"))
-			return
+			return nil, status.New(status.InvalidArgument, "server", "where must be field,op,value")
 		}
 		op, err := query.ParseOperator(parts[1])
 		if err != nil {
-			badRequest(w, err)
-			return
+			return nil, err
 		}
 		var raw any
 		if decodeJSON(strings.NewReader(parts[2]), &raw) != nil {
@@ -532,8 +442,7 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) {
 		}
 		v, err := valueFromJSON(raw)
 		if err != nil {
-			badRequest(w, err)
-			return
+			return nil, err
 		}
 		q.Predicates = append(q.Predicates, query.Predicate{Path: doc.FieldPath(parts[0]), Op: op, Value: v})
 	}
@@ -541,8 +450,7 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) {
 	conn := s.region.NewConn(r.PathValue("db"), principal(r))
 	defer conn.Close()
 	if _, err := conn.Listen(r.Context(), q); err != nil {
-		httpError(w, err)
-		return
+		return nil, err
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -551,10 +459,10 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-r.Context().Done():
-			return
+			return nil, nil
 		case ev, ok := <-conn.Events():
 			if !ok {
-				return
+				return nil, nil
 			}
 			// at places each added, then modified, document in the
 			// target's new result (DESIGN.md "Real-time delivery
@@ -580,7 +488,7 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 			}
 			if ev.Err != nil {
-				return
+				return nil, nil
 			}
 		}
 	}

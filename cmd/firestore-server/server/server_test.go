@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -351,6 +352,21 @@ func TestRulesOverHTTP(t *testing.T) {
 	}
 }
 
+// TestRulesNestingRefused: a 1 MiB rules body that opens '(' to its end
+// is refused with 400, and the server goes on serving.
+func TestRulesNestingRefused(t *testing.T) {
+	ts := newServer(t)
+	do(t, ts, "POST", "/v1/databases", map[string]string{"id": "app"}, nil)
+	src := "match /a { allow read: if "
+	src += strings.Repeat("(", 1<<20-len(src))
+	if resp, body := do(t, ts, "POST", "/v1/databases/app/rules", src, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("1 MiB of '(' = %d %.200s, want 400", resp.StatusCode, body)
+	}
+	if resp, body := do(t, ts, "PUT", "/v1/databases/app/docs/c/d", map[string]any{"v": 1}, nil); resp.StatusCode != 200 {
+		t.Fatalf("put after the refused rules = %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestRulesBodyCap deploys a rules body of exactly 1 MiB and refuses one
 // a byte longer with 413.
 func TestRulesBodyCap(t *testing.T) {
@@ -532,6 +548,82 @@ func TestBadRequests(t *testing.T) {
 	resp, _ = do(t, ts, "GET", "/v1/databases/ghost/docs/a/b", nil, nil)
 	if resp.StatusCode == 200 {
 		t.Fatal("missing db served")
+	}
+	// A one-key object whose key is a tag must hold the tag's type.
+	for _, tagged := range []string{
+		`{"t": {"$bytes": "!!not base64"}}`,
+		`{"t": {"$time": "yesterday"}}`,
+		`{"t": {"$geo": [1, "x"]}}`,
+		`{"t": {"$ref": 7}}`,
+	} {
+		resp, body := do(t, ts, "PUT", "/v1/databases/app/docs/c/tagged", tagged, nil)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"t"`) {
+			t.Errorf("put %s = %d %s, want 400 naming field \"t\"", tagged, resp.StatusCode, body)
+		}
+	}
+	if resp, _ := do(t, ts, "GET", "/v1/databases/app/docs/c/tagged", nil, nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("a refused tagged value was stored: GET = %d", resp.StatusCode)
+	}
+}
+
+// TestTaggedValuesRoundTrip: a PUT of the fields a GET returned stores
+// the same values.
+func TestTaggedValuesRoundTrip(t *testing.T) {
+	ts := newServer(t)
+	do(t, ts, "POST", "/v1/databases", map[string]string{"id": "app"}, nil)
+	fieldsOf := func(path string) map[string]any {
+		t.Helper()
+		resp, body := do(t, ts, "GET", path, nil, nil)
+		var got struct {
+			Fields map[string]any `json:"fields"`
+		}
+		if err := json.Unmarshal(body, &got); resp.StatusCode != 200 || err != nil {
+			t.Fatalf("get %s: %d %s", path, resp.StatusCode, body)
+		}
+		return got.Fields
+	}
+	if resp, body := do(t, ts, "PUT", "/v1/databases/app/docs/c/a", `{"b": {"$bytes": "AQID"}, "t": {"$time": "2020-01-02T03:04:05.123456Z"},
+		"r": {"$ref": "/c/b"}, "g": {"$geo": [37.7, -122.4]}, "m": {"x": {"$time": "0001-01-01T00:00:00Z"}}, "l": [{"$bytes": ""}, 1.5]}`, nil); resp.StatusCode != 200 {
+		t.Fatalf("put: %d %s", resp.StatusCode, body)
+	}
+	first := fieldsOf("/v1/databases/app/docs/c/a")
+	if resp, body := do(t, ts, "PUT", "/v1/databases/app/docs/c/b", first, nil); resp.StatusCode != 200 {
+		t.Fatalf("put of the fields GET returned: %d %s", resp.StatusCode, body)
+	}
+	if again := fieldsOf("/v1/databases/app/docs/c/b"); !reflect.DeepEqual(again, first) {
+		t.Errorf("round trip stored %v, want %v", again, first)
+	}
+}
+
+// TestWritesReadBack: the server acknowledges only a write whose
+// document it can decode again. A field may nest 64 maps deep, as far as
+// the decoder reads, and such a document is indexed; one map deeper, or
+// a timestamp outside years 0001-9999 UTC, is refused.
+func TestWritesReadBack(t *testing.T) {
+	ts := newServer(t)
+	do(t, ts, "POST", "/v1/databases", map[string]string{"id": "app"}, nil)
+	nested := func(maps int) string {
+		return `{"a": 1, "m": ` + strings.Repeat(`{"m": `, maps-1) + `{"v": 1}` + strings.Repeat(`}`, maps-1) + `}`
+	}
+	if resp, body := do(t, ts, "PUT", "/v1/databases/app/docs/c/deep", nested(64), nil); resp.StatusCode != 200 {
+		t.Fatalf("64 nested maps = %d %s, want 200", resp.StatusCode, body)
+	}
+	for _, body := range []string{
+		nested(65),
+		`{"t": {"$time": "0000-01-01T00:00:00Z"}}`,
+		`{"t": [{"$time": "9999-12-31T23:00:00-05:00"}]}`,
+	} {
+		if resp, raw := do(t, ts, "PUT", "/v1/databases/app/docs/c/refused", body, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("put %.40s... = %d %s, want 400", body, resp.StatusCode, raw)
+		}
+	}
+	if resp, body := do(t, ts, "POST", "/v1/databases/app/indexes", map[string]any{
+		"collection": "c", "fields": []map[string]any{{"path": "a"}, {"path": "m"}},
+	}, nil); resp.StatusCode != 200 {
+		t.Fatalf("index over the 64-deep document = %d %s, want 200", resp.StatusCode, body)
+	}
+	if resp, body := do(t, ts, "GET", "/v1/databases/app/docs/c/deep", nil, nil); resp.StatusCode != 200 {
+		t.Fatalf("get the 64-deep document = %d %s", resp.StatusCode, body)
 	}
 }
 

@@ -59,9 +59,6 @@ func toValue(v any) (doc.Value, error) {
 	case []byte:
 		return doc.Bytes(x), nil
 	case time.Time:
-		if y := x.UTC().Year(); y < 1 || y > 9999 {
-			return doc.Null(), status.Errorf(status.InvalidArgument, "firestore", "timestamp year %d outside 0001-9999", y)
-		}
 		return doc.Timestamp(x), nil
 	case GeoPoint:
 		return doc.Geo(x.Lat, x.Lng), nil

@@ -62,22 +62,53 @@ func (d *Document) CheckSize() error {
 	return nil
 }
 
-// ErrDottedName reports a field name holding a dot.
-var ErrDottedName = status.New(status.InvalidArgument, "doc", "field name contains a dot")
+// Errors of a field value that a stored document may not hold.
+var (
+	ErrDottedName = status.New(status.InvalidArgument, "doc", "field name contains a dot")
+	ErrTooDeep    = status.Errorf(status.InvalidArgument, "doc", "value nested more than %d deep", maxValueDepth)
+	ErrTimeRange  = status.New(status.InvalidArgument, "doc", "timestamp outside years 0001-9999")
+)
 
-// CheckFieldNames refuses fields if a top-level name or a key of a map
-// nested in them holds a dot: a field path reads a dot as a step into a
-// map, so such a name would be indexed at the path of another field.
-func CheckFieldNames(fields map[string]Value) error {
-	for k, v := range fields {
+// CheckFieldNames refuses fields a stored document may not hold, so that
+// every write the service acknowledges reads back: a top-level name or a
+// key of a nested map that holds a dot (a field path reads a dot as a
+// step into a map, so such a name would be indexed at the path of
+// another field), a value nested deeper than UnmarshalNamed decodes, and
+// a timestamp outside years 0001-9999 UTC. It allocates only to refuse.
+func CheckFieldNames(fields map[string]Value) error { return checkMap(fields, 0) }
+
+// checkMap checks the entries of a map whose values sit at depth.
+func checkMap(m map[string]Value, depth int) error {
+	for k, v := range m {
 		if strings.IndexByte(k, '.') >= 0 {
 			return fmt.Errorf("%w: %q", ErrDottedName, k)
 		}
-		if m := v.MapVal(); m != nil {
-			if err := CheckFieldNames(m); err != nil {
+		if err := checkValue(v, depth); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkValue checks v, at depth as UnmarshalNamed counts it (a field's
+// value is at 0, an element or map value one below its container).
+func checkValue(v Value, depth int) error {
+	if depth > maxValueDepth {
+		return ErrTooDeep
+	}
+	switch v.Kind() {
+	case KindTimestamp:
+		if y := v.TimeVal().Year(); y < 1 || y > 9999 {
+			return fmt.Errorf("%w: year %d", ErrTimeRange, y)
+		}
+	case KindArray:
+		for _, e := range v.ArrayVal() {
+			if err := checkValue(e, depth+1); err != nil {
 				return err
 			}
 		}
+	case KindMap:
+		return checkMap(v.MapVal(), depth+1)
 	}
 	return nil
 }

@@ -217,6 +217,53 @@ func TestUnmarshalDeepNesting(t *testing.T) {
 	}
 }
 
+// TestCheckFieldNamesReadsBack: every document CheckFieldNames accepts
+// decodes again. Nesting counts arrays and maps alike, as the decoder
+// does, and timestamps fall in years 0001-9999 UTC. Accepting costs no
+// allocation.
+func TestCheckFieldNamesReadsBack(t *testing.T) {
+	nest := func(depth int, wrap func(Value) Value) Value {
+		v := Int(1)
+		for i := 0; i < depth; i++ {
+			v = wrap(v)
+		}
+		return v
+	}
+	inArray := func(v Value) Value { return Array(v) }
+	inMap := func(v Value) Value { return Map(map[string]Value{"m": v}) }
+	year := func(y int) Value { return Timestamp(time.Date(y, 1, 1, 0, 0, 0, 0, time.UTC)) }
+	for _, c := range []struct {
+		name string
+		v    Value
+		want error
+	}{
+		{"arrays at the limit", nest(maxValueDepth, inArray), nil},
+		{"maps at the limit", nest(maxValueDepth, inMap), nil},
+		{"arrays past the limit", nest(maxValueDepth+1, inArray), ErrTooDeep},
+		{"maps past the limit", nest(maxValueDepth+1, inMap), ErrTooDeep},
+		{"year 1", year(1), nil},
+		{"year 9999", Array(year(9999)), nil},
+		{"year 0", year(0), ErrTimeRange},
+		{"year 10000", Map(map[string]Value{"t": year(10000)}), ErrTimeRange},
+	} {
+		fields := map[string]Value{"f": c.v}
+		if err := CheckFieldNames(fields); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+			continue
+		}
+		if _, err := Unmarshal(Marshal(&Document{Name: MustName("/c/d"), Fields: fields})); c.want == nil && err != nil {
+			t.Errorf("%s: accepted, but does not decode: %v", c.name, err)
+		}
+	}
+	if raceDetector {
+		return // the race detector changes allocation counts
+	}
+	fields := map[string]Value{"a": nest(maxValueDepth, inMap), "t": year(2024), "l": Array(String("x"))}
+	if n := testing.AllocsPerRun(100, func() { CheckFieldNames(fields) }); n != 0 {
+		t.Errorf("CheckFieldNames allocated %v times, want 0", n)
+	}
+}
+
 // TestFieldPathWalk covers the dotted-path walk Get, SetPath and
 // DeleteField share (FieldPath.Split is gone: no slice per lookup).
 func TestFieldPathWalk(t *testing.T) {

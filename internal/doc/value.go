@@ -99,7 +99,7 @@ const maxTimestampSec = math.MaxInt64 / 1_000_000
 // Timestamp returns a timestamp value, truncated to microseconds as the
 // production service does (toward the past, also before 1970). A time
 // further from 1970 than maxTimestampSec saturates at that second, never
-// wraps; the SDK refuses one long before it gets here.
+// wraps; a write refuses one long before (CheckFieldNames).
 func Timestamp(t time.Time) Value {
 	us := t.UnixMicro()
 	if sec := t.Unix(); sec >= maxTimestampSec {

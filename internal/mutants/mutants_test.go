@@ -131,7 +131,7 @@ var mutants = []mutant{
 		if !strings.ContainsAny(string(x), ".eE") {
 			i, err := strconv.ParseInt(string(x), 10, 64)
 			if err != nil {
-				return doc.Null(), fmt.Errorf("integer %s is outside the 64-bit range", x)
+				return doc.Null(), status.Errorf(status.InvalidArgument, "server", "integer %s is outside the 64-bit range", x)
 			}
 			return doc.Int(i), nil
 		}
@@ -157,7 +157,7 @@ var mutants = []mutant{
 	{
 		pkg: "cmd/firestore-server/server", file: "json.go",
 		fragment: `	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("unexpected data after the JSON value")
+		return status.New(status.InvalidArgument, "server", "unexpected data after the JSON value")
 	}
 `,
 		mutant: ``,
@@ -183,6 +183,53 @@ var mutants = []mutant{
 `,
 		killer: "TestBinaryPrecedence", runs: 1,
 		defect: "&& binds looser than ||, so a || b && c reads as (a || b) && c",
+	},
+	{
+		pkg: "cmd/firestore-server/server", file: "server.go",
+		fragment: `		if op != "" {
+`,
+		mutant: `		if !strings.HasSuffix(r.URL.Path, "/listen") {
+`,
+		killer: "TestRootSpanCodes", runs: 1,
+		defect: "the ingress tells the listen stream by its path's suffix, so a document named listen gets no deadline and no root span",
+	},
+	{
+		pkg: "cmd/firestore-server/server", file: "server.go",
+		fragment: `			defer func() { span.End(err) }()
+`,
+		mutant: `			defer span.End(nil)
+`,
+		killer: "TestRootSpanCodes", runs: 1,
+		defect: "a root span ends without the handler's error, so a refused request is recorded as OK",
+	},
+	{
+		pkg: "internal/doc", file: "document.go",
+		fragment: `	if depth > maxValueDepth {
+		return ErrTooDeep
+	}
+`,
+		mutant: ``,
+		killer: "TestWritesReadBack", killerPkg: "cmd/firestore-server/server", runs: 1,
+		defect: "a write nests a value deeper than the decoder reads, so the server acknowledges a document it cannot read back",
+	},
+	{
+		pkg: "cmd/firestore-server/server", file: "json.go",
+		fragment: `	return doc.Null(), true, status.Errorf(status.InvalidArgument, "server", "%s does not hold its type: %v", tag, raw)
+`,
+		mutant: `	return doc.Null(), false, nil
+`,
+		killer: "TestBadRequests", runs: 1,
+		defect: "a tag that does not hold its type is stored as a one-key map, which GET returns looking like a tagged value",
+	},
+	{
+		pkg: "internal/rules", file: "parser.go",
+		fragment: `	if p.depth == maxNesting {
+		return p.errf("nested more than %d deep", maxNesting)
+	}
+`,
+		mutant: ``,
+		killer: "TestNestingCap", runs: 1,
+		defect: "the parser recurses without bound, so a rules body of '(' overflows the stack and kills the server",
 	},
 	lintRow("statusdiscipline", "internal/backend", "backend.go",
 		`ErrUnavailable = status.New(status.Unavailable, "backend", "real-time cache unavailable")`,

@@ -115,15 +115,28 @@ func (*PathExpr) exprNode()   {}
 //	service cloud.firestore { match /databases/{db}/documents { ... } }
 //
 // wrapper as well as bare match blocks, in both cases evaluating patterns
-// against document paths.
-func Parse(src string) (_ *Ruleset, retErr error) {
-	// Malformed rules source is a caller problem: classify every parse
-	// failure InvalidArgument without touching its message.
-	defer func() {
-		if retErr != nil {
-			retErr = status.WithCode(status.InvalidArgument, retErr)
+// against document paths. It refuses rules that nest more than
+// maxNesting levels deep, as written or as printed.
+func Parse(src string) (*Ruleset, error) {
+	rs, err := parse(src)
+	if err == nil {
+		// The printed form parenthesises every unary and binary
+		// expression, so it can nest deeper than its source: it must
+		// parse too.
+		if _, perr := parse(rs.String()); perr != nil {
+			err = fmt.Errorf("printed, %w", perr)
 		}
-	}()
+	}
+	if err != nil {
+		// Malformed rules source is a caller problem: classify every
+		// parse failure InvalidArgument without touching its message.
+		return nil, status.WithCode(status.InvalidArgument, err)
+	}
+	return rs, nil
+}
+
+// parse is Parse without the check of the printed form.
+func parse(src string) (*Ruleset, error) {
 	tokens, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -203,7 +216,26 @@ func stripDatabasesWrapper(m *MatchBlock) []*MatchBlock {
 type parser struct {
 	tokens []token
 	pos    int
+	depth  int // levels of nesting entered (nest)
 }
+
+// maxNesting bounds how deeply match blocks and expressions nest: the
+// parser recurses once per level, so without it a body of '(' would
+// overflow the stack. The repo's rules nest about 4 deep.
+const maxNesting = 100
+
+// nest counts one level of nesting (at each parseMatch, parseExpr and
+// parseUnary), refusing past maxNesting. The caller defers unnest once
+// nest succeeds.
+func (p *parser) nest() error {
+	if p.depth == maxNesting {
+		return p.errf("nested more than %d deep", maxNesting)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 func (p *parser) peek() token { return p.tokens[p.pos] }
 func (p *parser) next() token {
@@ -246,6 +278,10 @@ func (p *parser) errf(format string, args ...any) error {
 }
 
 func (p *parser) parseMatch() (*MatchBlock, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	if !p.peekIdent("match") {
 		return nil, p.errf("expected 'match', got %q", p.peek().text)
 	}
@@ -370,7 +406,13 @@ var binaryLevels = [][]string{
 	{"*", "/", "%"},
 }
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(0) }
+func (p *parser) parseExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
+	return p.parseBinary(0)
+}
 
 // parseBinary parses a chain of binaryLevels[level]'s operators over
 // operands of the levels below it.
@@ -409,6 +451,10 @@ func (p *parser) acceptBinary(ops []string) (string, bool) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	if t := p.peek(); t.kind == tokOp && (t.text == "!" || t.text == "-") {
 		p.next()
 		x, err := p.parseUnary()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"firestore/internal/doc"
+	"firestore/internal/status"
 )
 
 // paperRules is Figure 3 from the paper: any authenticated user may read
@@ -387,6 +388,39 @@ func BenchmarkParse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(paperRules); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestNestingCap: match blocks nest up to maxNesting deep, and one more
+// level of match blocks, parentheses or '!' is refused. A ruleset whose
+// printed form would nest past the cap is refused too, so the printed
+// form of every accepted ruleset parses back: a chain of 49 operands
+// prints as 48 nested parentheses, which parse at depth 99.
+func TestNestingCap(t *testing.T) {
+	matches := func(n int) string {
+		return strings.Repeat("match /a { ", n) + "allow read; " + strings.Repeat("} ", n)
+	}
+	cond := func(c string) string { return "match /a { allow read: if " + c + "; }" }
+	chain := func(n int) string { return strings.TrimSuffix(strings.Repeat("a || ", n), " || ") }
+	for _, src := range []string{matches(maxNesting), cond(chain(49))} {
+		rs, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%.40s...: %v", src, err)
+		}
+		if again, err := Parse(rs.String()); err != nil || again.String() != rs.String() {
+			t.Fatalf("the printed form of %.40s... does not parse back: %v", src, err)
+		}
+	}
+	deep := strings.Repeat("(", maxNesting+1) + "true" + strings.Repeat(")", maxNesting+1)
+	for name, src := range map[string]string{
+		"match blocks": matches(maxNesting + 1),
+		"parentheses":  cond(deep),
+		"!":            cond(strings.Repeat("!", maxNesting+1) + "true"),
+		"printed":      cond(chain(50)),
+	} {
+		if _, err := Parse(src); status.CodeOf(err) != status.InvalidArgument {
+			t.Errorf("%s past the cap: err = %v, want InvalidArgument", name, err)
 		}
 	}
 }

@@ -250,31 +250,3 @@ func HTTPStatus(code Code) int {
 	}
 	return http.StatusInternalServerError
 }
-
-// CodeFromHTTP inverts HTTPStatus for the server ingress, which observes
-// handler outcomes only as response status lines. 409 maps back to
-// Aborted (the AlreadyExists distinction is lost; both are conflicts).
-func CodeFromHTTP(s int) Code {
-	if s < 400 {
-		return OK
-	}
-	switch s {
-	case http.StatusBadRequest:
-		return InvalidArgument
-	case http.StatusNotFound:
-		return NotFound
-	case http.StatusConflict:
-		return Aborted
-	case http.StatusForbidden:
-		return PermissionDenied
-	case http.StatusFailedDependency:
-		return FailedPrecondition
-	case http.StatusTooManyRequests:
-		return ResourceExhausted
-	case http.StatusGatewayTimeout:
-		return DeadlineExceeded
-	case http.StatusServiceUnavailable:
-		return Unavailable
-	}
-	return Internal
-}
