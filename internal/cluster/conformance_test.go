@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"firestore/internal/fault"
@@ -763,6 +764,28 @@ func BenchmarkRemoteGet(b *testing.B) {
 			b.Fatal("row missing")
 		}
 	}
+}
+
+// BenchmarkRemoteGetParallel is BenchmarkRemoteGet from two callers at
+// once through the one pool, the concurrency ycsb_a_wire runs at.
+func BenchmarkRemoteGetParallel(b *testing.B) {
+	e, writes := oneHop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < b.N; i += 2 {
+				if _, _, ok := e.Get(writes[0].Key, truetime.Max); !ok {
+					b.Error("row missing")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func BenchmarkRemoteApply(b *testing.B) {

@@ -93,9 +93,9 @@ const (
 	// the response never comes back — the caller sees DeadlineExceeded and
 	// cannot know whether the work happened (the classic ambiguous RPC).
 	TransportHalfOpen = "transport.half-open"
-	// TransportConnReset: the peer's TCP connection is torn down
-	// mid-conversation; every in-flight call on it fails and the pool must
-	// re-dial.
+	// TransportConnReset: every connection the pool holds for the peer
+	// is torn down mid-conversation; the calls in flight on them fail and
+	// the pool must re-dial.
 	TransportConnReset = "transport.conn-reset"
 )
 
@@ -128,7 +128,7 @@ var Sites = []SiteDoc{
 	{TransportPartition, "transport", "error", "peer unreachable: RPC fails before send, nothing on the wire"},
 	{TransportSlowLink, "transport", "latency", "added wire latency before the request is sent"},
 	{TransportHalfOpen, "transport", "drop", "request executes on the peer but the response is lost (ambiguous RPC)"},
-	{TransportConnReset, "transport", "crash", "peer connection torn down; in-flight calls fail, pool re-dials"},
+	{TransportConnReset, "transport", "crash", "peer connections torn down; in-flight calls fail, pool re-dials"},
 }
 
 // Mode selects a site's injected behavior.

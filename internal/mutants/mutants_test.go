@@ -231,6 +231,24 @@ var mutants = []mutant{
 		killer: "TestNestingCap", runs: 1,
 		defect: "the parser recurses without bound, so a rules body of '(' overflows the stack and kills the server",
 	},
+	{
+		pkg: "internal/transport", file: "client.go",
+		fragment: `		if h.id == id {
+			return body, h.remoteError()
+		}
+`,
+		mutant: `		return body, h.remoteError()
+`,
+		killer: "TestAbandonedResponseNeverReachesALaterCall", runs: 1,
+		defect: "a call takes the first response on its connection as its own, so the late answer to an abandoned call answers the next one",
+	},
+	{
+		pkg: "internal/rules", file: "parser.go",
+		fragment: `	if _, ok := e.(*UnaryExpr); !ok {`,
+		mutant:   `	if true {`,
+		killer:   "TestUnaryUnderPostfix", runs: 1,
+		defect: "a unary operand of a postfix prints bare, so (!a).f prints as !(a).f, which reads back as !(a.f)",
+	},
 	lintRow("statusdiscipline", "internal/backend", "backend.go",
 		`ErrUnavailable = status.New(status.Unavailable, "backend", "real-time cache unavailable")`,
 		`ErrUnavailable = errors.New("real-time cache unavailable")`,

@@ -19,6 +19,8 @@ func FuzzParse(f *testing.F) {
 		`match /a/{id} { allow read: if exists(/databases/$(d)/documents/b/$(id)) && 1.5 > 0.25; }`,
 		`match /a { allow read: if 100000000000000000000000.0 > 0.0000001; }`,
 		`match /a { allow read: if exists(/a/$("x y")/$("")/$("1.5")); }`,
+		`match /a { allow read: if (!a).f; }`,
+		`match /a { allow read: if (-a)[1]; }`,
 	} {
 		f.Add(src)
 	}

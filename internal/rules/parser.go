@@ -221,12 +221,13 @@ type parser struct {
 
 // maxNesting bounds how deeply match blocks and expressions nest: the
 // parser recurses once per level, so without it a body of '(' would
-// overflow the stack. The repo's rules nest about 4 deep.
+// overflow the stack. The repo's rules nest 10 deep at most, postfix
+// links included.
 const maxNesting = 100
 
 // nest counts one level of nesting (at each parseMatch, parseExpr and
-// parseUnary), refusing past maxNesting. The caller defers unnest once
-// nest succeeds.
+// parseUnary, and at each postfix link), refusing past maxNesting. The
+// caller defers unnest once nest succeeds.
 func (p *parser) nest() error {
 	if p.depth == maxNesting {
 		return p.errf("nested more than %d deep", maxNesting)
@@ -486,12 +487,21 @@ func (p *parser) parseList(close string) ([]Expr, error) {
 	return elems, nil
 }
 
+// parsePostfix parses a primary and its chain of .f, [i] and (args)
+// links. Each link nests the tree one level deeper, so each counts
+// against maxNesting.
 func (p *parser) parsePostfix() (Expr, error) {
 	x, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
+	defer func(depth int) { p.depth = depth }(p.depth)
 	for {
+		if p.peekPunct(".") || p.peekPunct("[") || p.peekPunct("(") {
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
+		}
 		switch {
 		case p.acceptPunct("."):
 			name := p.next()
@@ -665,15 +675,15 @@ func writeExpr(b *strings.Builder, e Expr) {
 	case *VarExpr:
 		b.WriteString(x.Name)
 	case *MemberExpr:
-		writeExpr(b, x.X)
+		writeOperand(b, x.X)
 		b.WriteString("." + x.Field)
 	case *IndexExpr:
-		writeExpr(b, x.X)
+		writeOperand(b, x.X)
 		b.WriteString("[")
 		writeExpr(b, x.Index)
 		b.WriteString("]")
 	case *CallExpr:
-		writeExpr(b, x.Fn)
+		writeOperand(b, x.Fn)
 		b.WriteString("(")
 		for i, a := range x.Args {
 			if i > 0 {
@@ -716,6 +726,19 @@ func writeExpr(b *strings.Builder, e Expr) {
 			b.WriteString(")")
 		}
 	}
+}
+
+// writeOperand writes the operand of a member, index or call. A unary
+// expression is parenthesised: printed bare, as !(a), the postfix would
+// bind to its operand, so (!a).f would read back as !(a.f).
+func writeOperand(b *strings.Builder, e Expr) {
+	if _, ok := e.(*UnaryExpr); !ok {
+		writeExpr(b, e)
+		return
+	}
+	b.WriteString("(")
+	writeExpr(b, e)
+	b.WriteString(")")
 }
 
 // isPathWord reports whether s lexes as one path segment token: an

@@ -425,6 +425,49 @@ func TestNestingCap(t *testing.T) {
 	}
 }
 
+// TestUnaryUnderPostfix: a unary operand of a member, index or call
+// prints in parentheses, so its printed form reads back as the same tree.
+func TestUnaryUnderPostfix(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{`(!a).f`, `(!(a)).f`},
+		{`(-a)[1]`, `(-(a))[1]`},
+		{`(!a)(b)`, `(!(a))(b)`},
+		{`!a.f`, `!(a.f)`},
+		{`-a[1]`, `-(a[1])`},
+	}
+	for _, c := range cases {
+		rs := mustParse(t, `match /a { allow read: if `+c.src+`; }`)
+		var b strings.Builder
+		writeExpr(&b, rs.Matches[0].Allows[0].Cond)
+		if got := b.String(); got != c.want {
+			t.Errorf("%s printed %q, want %q", c.src, got, c.want)
+		}
+		if again := mustParse(t, rs.String()); again.String() != rs.String() {
+			t.Errorf("%s prints as\n%s\nwhich reads back as\n%s", c.src, rs, again)
+		}
+	}
+}
+
+// TestPostfixChainsCapped: each .f, [i] and (args) link counts against
+// maxNesting, so a 1 MiB chain is refused rather than parsed into a tree
+// half a million levels deep; the chains real rules write still parse.
+func TestPostfixChainsCapped(t *testing.T) {
+	cond := func(c string) string { return "match /a { allow read: if " + c + "; }" }
+	for _, src := range []string{
+		paperRules,
+		cond(`get(/databases/$(db)/documents/users/$(request.auth.uid)).data.roles[0].size() > 0`),
+		cond("a" + strings.Repeat(".a", 90)),
+	} {
+		mustParse(t, src)
+	}
+	for _, link := range []string{".a", "[0]", "()"} {
+		src := cond("a" + strings.Repeat(link, (1<<20)/len(link)))
+		if _, err := Parse(src); status.CodeOf(err) != status.InvalidArgument {
+			t.Errorf("a 1 MiB chain of %s: err = %v, want InvalidArgument", link, err)
+		}
+	}
+}
+
 // TestBinaryPrecedence pins how binary operators group: the printer
 // parenthesises every binary expression, so its output shows the tree.
 func TestBinaryPrecedence(t *testing.T) {

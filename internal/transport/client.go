@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"firestore/internal/reqctx"
@@ -18,32 +21,21 @@ import (
 // rejoins.
 const DialTimeout = 2 * time.Second
 
-// Conn is one multiplexed client connection: many concurrent Calls share
-// it, matched to responses by frame ID. A Conn that hits a read or
-// write error is broken for good (every pending and future call fails
-// with ErrPeerUnreachable); the Pool re-dials.
+// Conn is one client connection. It carries one call at a time: Do writes
+// the request and reads the response on the caller's goroutine, and
+// goroutines that share a Conn take turns. A Conn that hits a read or
+// write error is broken for good (this and every later call fail with
+// ErrPeerUnreachable); the Pool re-dials.
 type Conn struct {
 	nc  net.Conn
-	br  *bufio.Reader // owned by readLoop, the sole reader
-	wmu sync.Mutex    // serializes request frames
+	err atomic.Pointer[error] // set once, when the connection breaks
 
-	mu      sync.Mutex
-	pending map[uint64]*callSlot
-	nextID  uint64
-	err     error // non-nil once broken; guarded by mu
+	mu     sync.Mutex // held for a whole call
+	br     *bufio.Reader
+	nextID uint64
 }
 
-// callSlot is one in-flight call's rendezvous with the read loop, reused
-// across calls. Whoever removes it from pending owns it: the read loop and
-// fail fill in the outcome and signal done, once; abandon recycles it.
-type callSlot struct {
-	id   uint64
-	done chan struct{}
-	body []byte
-	err  error
-}
-
-var callSlots = sync.Pool{New: func() any { return &callSlot{done: make(chan struct{}, 1)} }}
+var aLongTimeAgo = time.Unix(1, 0) // a deadline that cuts a blocked read short
 
 // Dial connects to a peer's transport address.
 func Dial(addr string) (*Conn, error) {
@@ -51,109 +43,79 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, unreachable(err)
 	}
-	return NewConn(nc), nil
+	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, 32<<10)}, nil
 }
 
-// NewConn wraps an established connection (tests use net.Pipe halves)
-// and starts its response-demultiplexing loop.
-func NewConn(nc net.Conn) *Conn {
-	c := &Conn{nc: nc, br: bufio.NewReaderSize(nc, 32<<10), pending: map[uint64]*callSlot{}}
-	go c.readLoop()
-	return c
-}
-
-func (c *Conn) readLoop() {
-	for {
-		// A response's payload is its own allocation, never pooled: the
-		// body and whatever the caller decodes out of it alias these bytes.
-		payload, err := readFrame(c.br, nil)
-		var h header
-		var body []byte
-		if err == nil {
-			h, body, err = parseFrame(payload)
-		}
-		if err == nil && h.flags&flagResponse == 0 {
-			err = malformed("request %q on a client connection", h.method)
-		}
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		c.mu.Lock()
-		slot := c.pending[h.id]
-		delete(c.pending, h.id)
-		c.mu.Unlock()
-		if slot != nil {
-			slot.body, slot.err = body, h.remoteError()
-			slot.done <- struct{}{}
-		}
-		// A response with no waiter was abandoned (deadline, injected
-		// half-open); drop it.
+// fail breaks the connection, unless it is broken already, and returns
+// the error every call on it fails with from now on.
+func (c *Conn) fail(cause error) error {
+	if cause == nil || isClosedConn(cause) {
+		cause = status.New(status.Unavailable, "transport", "connection closed")
 	}
-}
-
-// fail breaks the connection: every pending call is woken with the
-// connection's error and future calls fail immediately.
-func (c *Conn) fail(cause error) {
-	c.mu.Lock()
-	if c.err == nil {
-		if cause == nil || isClosedConn(cause) {
-			cause = status.New(status.Unavailable, "transport", "connection closed")
-		}
-		c.err = unreachable(cause)
-	}
-	err := c.err
-	waiters := c.pending
-	c.pending = map[uint64]*callSlot{}
-	c.mu.Unlock()
+	err := unreachable(cause)
+	c.err.CompareAndSwap(nil, &err)
 	c.nc.Close()
-	for _, slot := range waiters {
-		slot.err = err
-		slot.done <- struct{}{}
-	}
+	return *c.err.Load()
 }
 
 // Broken reports whether the connection has failed and must be replaced.
-func (c *Conn) Broken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err != nil
-}
+func (c *Conn) Broken() bool { return c.err.Load() != nil }
 
-// Close tears the connection down; pending calls fail.
-func (c *Conn) Close() {
-	c.fail(nil)
-}
-
-// Reset hard-closes the underlying socket without the polite shutdown,
-// modeling a peer RST (the transport.conn-reset fault site).
-func (c *Conn) Reset() {
-	c.nc.Close() // the read loop observes the error and fails the conn
-}
+// Close tears the connection down; a call in flight on it fails.
+func (c *Conn) Close() { c.fail(nil) }
 
 // Do performs one RPC at the byte level: enc (nil = an empty body)
 // appends the request body to the frame under construction, and the
-// response body comes back in memory the caller owns. A ctx that is done
-// abandons the response, not the request. The ctx's reqctx metadata and
-// deadline travel in the frame header. Transport-level failures wrap
-// ErrPeerUnreachable; remote application errors come back with their
-// canonical status code intact.
+// response body comes back in memory the caller owns. The ctx's reqctx
+// metadata and deadline travel in the frame header. A ctx that ends
+// abandons the response, not the request: the ctx's deadline cuts the
+// read short or, for a ctx without one, its cancellation. Transport-level
+// failures wrap ErrPeerUnreachable; remote application errors come back
+// with their canonical status code intact.
 func (c *Conn) Do(ctx context.Context, method string, enc func([]byte) []byte) ([]byte, error) {
-	slot, err := c.send(ctx, method, enc)
+	return c.do(ctx, method, enc, true)
+}
+
+// do is Do. Without read it breaks the connection once the request is
+// sent, leaving the response unread: the transport.half-open fault.
+func (c *Conn) do(ctx context.Context, method string, enc func([]byte) []byte, read bool) ([]byte, error) {
+	deadline, hasDeadline := ctx.Deadline()
+	var unixNano int64
+	if hasDeadline {
+		unixNano = deadline.UnixNano()
+	}
+	bp := getBuf()
+	frame := appendRequest(*bp, method, reqctx.From(ctx), unixNano)
+	if enc != nil {
+		frame = enc(frame)
+	}
+	defer func() { putBuf(bp, frame) }()
+	if err := seal(frame); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id, err := c.send(ctx, frame, deadline)
+	if !read {
+		c.Close()
+		return nil, err
+	}
 	if err != nil {
 		return nil, err
 	}
-	select {
-	case <-slot.done:
-	case <-ctx.Done():
-		if c.abandon(slot) {
-			return nil, status.FromContext("transport", ctx.Err())
-		}
-		<-slot.done // the read loop or fail took the slot first: its delivery is due
+	if !hasDeadline && ctx.Done() != nil {
+		fired := make(chan struct{})
+		stop := context.AfterFunc(ctx, func() {
+			c.nc.SetReadDeadline(aLongTimeAgo)
+			close(fired)
+		})
+		defer func() {
+			if !stop() {
+				<-fired // it takes no lock; once done it cannot cut short the next call's read
+			}
+		}()
 	}
-	body, err := slot.body, slot.err
-	slot.release()
-	return body, err
+	return c.receive(ctx, id)
 }
 
 // Call is Do with JSON bodies: req is marshaled as the request body (nil
@@ -178,63 +140,67 @@ func (c *Conn) Call(ctx context.Context, method string, req, resp any) error {
 	return nil
 }
 
-// abandon unregisters a pending call, so the read loop drops its late
-// response, and recycles its slot; false if the slot is already taken for
-// delivery.
-func (c *Conn) abandon(slot *callSlot) bool {
-	c.mu.Lock()
-	_, pending := c.pending[slot.id]
-	delete(c.pending, slot.id)
-	c.mu.Unlock()
-	if pending {
-		slot.release()
+// send writes frame under the next frame ID and returns the ID. The
+// deadline, zero for none, bounds the write and the read that follows.
+func (c *Conn) send(ctx context.Context, frame []byte, deadline time.Time) (uint64, error) {
+	if err := c.err.Load(); err != nil {
+		return 0, *err
 	}
-	return pending
-}
-
-func (s *callSlot) release() {
-	s.body, s.err = nil, nil
-	callSlots.Put(s)
-}
-
-// send builds and writes one request frame, returning the slot its
-// response, or a failure from here on, is delivered to.
-func (c *Conn) send(ctx context.Context, method string, enc func([]byte) []byte) (*callSlot, error) {
-	deadline, _ := ctx.Deadline() // the zero time when there is none
-	var unixNano int64
-	if !deadline.IsZero() {
-		unixNano = deadline.UnixNano()
-	}
-	bp := getBuf()
-	frame := appendRequest(*bp, method, reqctx.From(ctx), unixNano)
-	if enc != nil {
-		frame = enc(frame)
-	}
-	defer func() { putBuf(bp, frame) }()
-	if err := seal(frame); err != nil {
-		return nil, err
-	}
-
-	slot := callSlots.Get().(*callSlot)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		slot.release()
-		return nil, err
-	}
+	c.nc.SetDeadline(deadline)
 	c.nextID++
-	slot.id = c.nextID
-	c.pending[slot.id] = slot
-	c.mu.Unlock()
-	binary.BigEndian.PutUint64(frame[idOff:], slot.id)
-
-	c.wmu.Lock()
-	c.nc.SetWriteDeadline(deadline)
-	_, err := c.nc.Write(frame)
-	c.wmu.Unlock()
-	if err != nil {
-		c.fail(err) // wakes slot, unless an earlier failure already has
+	binary.BigEndian.PutUint64(frame[idOff:], c.nextID)
+	if n, err := c.nc.Write(frame); err != nil {
+		if n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+			return 0, abandoned(ctx) // nothing sent: the connection is whole
+		}
+		return 0, c.fail(err)
 	}
-	return slot, nil
+	return c.nextID, nil
+}
+
+// receive reads responses until the one to frame id. A response to an
+// earlier frame is the late answer to a call abandoned on this
+// connection, and is skipped.
+func (c *Conn) receive(ctx context.Context, id uint64) ([]byte, error) {
+	for {
+		// A read cut short before a response begins abandons the call and
+		// leaves the connection whole; one cut off mid-frame breaks it.
+		if _, err := c.br.Peek(prefixLen); err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				return nil, abandoned(ctx)
+			}
+			return nil, c.fail(err)
+		}
+		// A response's payload is its own allocation, never pooled: the
+		// body and whatever the caller decodes out of it alias these bytes.
+		payload, err := readFrame(c.br, nil)
+		var h header
+		var body []byte
+		if err == nil {
+			h, body, err = parseFrame(payload)
+		}
+		if err == nil && h.flags&flagResponse == 0 {
+			err = malformed("request %q on a client connection", h.method)
+		}
+		if err == nil && h.id > id {
+			err = malformed("response to frame %d, which was never sent", h.id)
+		}
+		if err != nil {
+			return nil, c.fail(err)
+		}
+		if h.id == id {
+			return body, h.remoteError()
+		}
+	}
+}
+
+// abandoned is the error of a call whose ctx ended before its response
+// came: the ctx's own, or DeadlineExceeded when the connection's deadline
+// fired before the ctx's timer did.
+func abandoned(ctx context.Context) error {
+	err := ctx.Err()
+	if err == nil {
+		err = context.DeadlineExceeded
+	}
+	return status.FromContext("transport", err)
 }

@@ -21,12 +21,12 @@ type PeerHealth struct {
 	// Healthy means the last call on the peer succeeded (no live failure
 	// streak).
 	Healthy bool `json:"healthy"`
-	// Connected means a dialed, unbroken connection is being held.
+	// Connected means the pool holds a connection to the peer.
 	Connected bool `json:"connected"`
 	// ConsecutiveFailures is the current failure streak; it resets to
 	// zero on any success.
 	ConsecutiveFailures int64 `json:"consecutive_failures"`
-	// Reconnects counts dials after the first.
+	// Reconnects counts dials that replaced a broken connection.
 	Reconnects int64  `json:"reconnects"`
 	Calls      int64  `json:"calls"`
 	Errors     int64  `json:"errors"`
@@ -35,11 +35,13 @@ type PeerHealth struct {
 	LastOKUnixNano int64 `json:"last_ok_unix_nano,omitempty"`
 }
 
-// Pool dials and holds one multiplexed connection per peer, tracking
-// per-peer health (failure streaks) and feeding per-peer RPC metrics into
-// an obs.Registry. It is the single place network fault sites are
-// evaluated, so an armed transport.partition covers every RPC the
-// coordinator makes.
+// Pool dials and holds connections per peer. A call takes an idle
+// connection, or dials one when none is idle, and gives it back when done,
+// so a peer has a connection per concurrent caller; at most maxIdle stay
+// open while idle. The pool tracks per-peer health (failure streaks) and
+// feeds per-peer RPC metrics into an obs.Registry. It is the single place
+// network fault sites are evaluated, so an armed transport.partition
+// covers every RPC the coordinator makes.
 type Pool struct {
 	mu    sync.Mutex
 	peers map[string]*poolPeer
@@ -63,13 +65,20 @@ func newPoolMetrics(reg *obs.Registry) *poolMetrics {
 	}
 }
 
+// maxIdle bounds the idle connections a Pool keeps per peer: past it, a
+// connection is closed when its call returns.
+const maxIdle = 8
+
 type poolPeer struct {
 	name string
 
-	mu          sync.Mutex
-	addr        string
-	conn        *Conn
-	dialed      bool // a first dial happened (later dials count as reconnects)
+	mu    sync.Mutex
+	addr  string
+	idle  []*Conn            // the last one given back is taken first
+	conns map[*Conn]struct{} // every connection held, idle or in a call
+	// unreplaced counts connections dropped broken that no dial has
+	// replaced yet: the dials that do count as reconnects.
+	unreplaced  int
 	consecFails int64
 	lastErr     string
 	lastOK      time.Time
@@ -102,25 +111,20 @@ func (p *Pool) SetObs(reg *obs.Registry) {
 }
 
 // SetPeer adds a peer or updates its address (a rejoining process
-// listens on a fresh port). An address change drops the old connection.
+// listens on a fresh port). An address change drops the old connections.
 func (p *Pool) SetPeer(name, addr string) {
 	p.mu.Lock()
 	pp := p.peers[name]
 	if pp == nil {
-		pp = &poolPeer{name: name}
+		pp = &poolPeer{name: name, conns: map[*Conn]struct{}{}}
 		p.peers[name] = pp
 	}
 	p.mu.Unlock()
 	pp.mu.Lock()
-	var stale *Conn
+	defer pp.mu.Unlock()
 	if pp.addr != addr {
-		stale = pp.conn
-		pp.conn = nil
 		pp.addr = addr
-	}
-	pp.mu.Unlock()
-	if stale != nil {
-		stale.Close()
+		pp.dropLocked(true)
 	}
 }
 
@@ -148,55 +152,87 @@ func (p *Pool) Do(ctx context.Context, peer, method string, enc func([]byte) []b
 	reset := fault.Decide(ctx, fault.TransportConnReset).Kind == fault.KindCrash
 	halfOpen := fault.Decide(ctx, fault.TransportHalfOpen).Kind == fault.KindDrop
 
-	conn, reconnected, err := p.connFor(pp)
+	if reset {
+		// Tear down every connection to the peer mid-conversation: the
+		// calls in flight on them fail, and the next call re-dials.
+		pp.mu.Lock()
+		pp.dropLocked(true)
+		pp.mu.Unlock()
+		return nil, pp.finish(met, method, 0, unreachable(status.New(status.Unavailable, "transport", "injected connection reset")))
+	}
+	conn, err := pp.take(met)
 	if err != nil {
 		return nil, pp.finish(met, method, 0, err)
 	}
-	if reconnected {
-		met.reconnects.With(peer).Inc()
-	}
-
-	if reset {
-		// Tear the socket down mid-conversation: every in-flight call on
-		// it fails and the next call re-dials.
-		conn.Reset()
-		return nil, pp.finish(met, method, 0, unreachable(status.New(status.Unavailable, "transport", "injected connection reset")))
-	}
 	if halfOpen {
-		// The request reaches the peer and executes; the caller has stopped
-		// listening by the time it answers, so the outcome is ambiguous.
-		gone, cancel := context.WithCancel(ctx)
-		cancel()
-		if _, err := conn.Do(gone, method, enc); errors.Is(err, ErrPeerUnreachable) {
-			return nil, pp.finish(met, method, 0, err)
+		// The request reaches the peer and executes, but its connection is
+		// dropped unread, so the outcome is ambiguous.
+		_, err := conn.do(ctx, method, enc, false)
+		pp.give(conn)
+		if !errors.Is(err, ErrPeerUnreachable) {
+			err = status.New(status.DeadlineExceeded, "transport", "injected half-open connection: response lost")
 		}
-		return nil, pp.finish(met, method, 0, status.New(status.DeadlineExceeded, "transport", "injected half-open connection: response lost"))
+		return nil, pp.finish(met, method, 0, err)
 	}
 
 	start := time.Now()
 	body, err := conn.Do(ctx, method, enc)
+	pp.give(conn)
 	return body, pp.finish(met, method, time.Since(start), err)
 }
 
-// connFor returns the peer's live connection, dialing if absent or
-// broken. reconnected reports a dial that replaced a previous one.
-func (p *Pool) connFor(pp *poolPeer) (conn *Conn, reconnected bool, err error) {
+// take returns an idle connection to the peer, or dials one.
+func (pp *poolPeer) take(met *poolMetrics) (*Conn, error) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
-	if pp.conn != nil && !pp.conn.Broken() {
-		return pp.conn, false, nil
+	if n := len(pp.idle); n > 0 {
+		c := pp.idle[n-1]
+		pp.idle = pp.idle[:n-1]
+		return c, nil
 	}
 	if pp.addr == "" {
-		return nil, false, unreachable(status.Errorf(status.Unavailable, "transport", "peer %q has no address", pp.name))
+		return nil, unreachable(status.Errorf(status.Unavailable, "transport", "peer %q has no address", pp.name))
 	}
 	c, err := Dial(pp.addr)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	reconnected = pp.dialed
-	pp.dialed = true
-	pp.conn = c
-	return c, reconnected, nil
+	pp.conns[c] = struct{}{}
+	if pp.unreplaced > 0 {
+		pp.unreplaced--
+		met.reconnects.With(pp.name).Inc()
+	}
+	return c, nil
+}
+
+// give takes c back after a call: it goes idle if it is whole, still held
+// and there is room, and is closed otherwise.
+func (pp *poolPeer) give(c *Conn) {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	_, held := pp.conns[c]
+	switch {
+	case !held:
+	case c.Broken():
+		pp.unreplaced++
+	case len(pp.idle) < maxIdle:
+		pp.idle = append(pp.idle, c)
+		return
+	}
+	delete(pp.conns, c)
+	c.Close()
+}
+
+// dropLocked closes every connection held to the peer, idle or in a call.
+// broken: the dials that replace them count as reconnects.
+func (pp *poolPeer) dropLocked(broken bool) {
+	for c := range pp.conns {
+		c.Close()
+	}
+	if broken {
+		pp.unreplaced += len(pp.conns)
+	}
+	pp.conns, pp.idle = map[*Conn]struct{}{}, nil
 }
 
 // finish records one call's outcome in health state and in met,
@@ -206,9 +242,6 @@ func (pp *poolPeer) finish(met *poolMetrics, method string, latency time.Duratio
 	if err != nil {
 		pp.consecFails++
 		pp.lastErr = err.Error()
-		if errors.Is(err, ErrPeerUnreachable) && pp.conn != nil && pp.conn.Broken() {
-			pp.conn = nil
-		}
 	} else {
 		pp.consecFails = 0
 		pp.lastOK = time.Now()
@@ -246,7 +279,7 @@ func (p *Pool) Health() []PeerHealth {
 			Peer:                pp.name,
 			Addr:                pp.addr,
 			Healthy:             pp.consecFails == 0,
-			Connected:           pp.conn != nil && !pp.conn.Broken(),
+			Connected:           len(pp.conns) > 0,
 			ConsecutiveFailures: pp.consecFails,
 			Reconnects:          reconnects[pp.name],
 			Calls:               calls[pp.name],
@@ -266,18 +299,10 @@ func (p *Pool) Health() []PeerHealth {
 // Close drops every connection.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	peers := make([]*poolPeer, 0, len(p.peers))
+	defer p.mu.Unlock()
 	for _, pp := range p.peers {
-		peers = append(peers, pp)
-	}
-	p.mu.Unlock()
-	for _, pp := range peers {
 		pp.mu.Lock()
-		conn := pp.conn
-		pp.conn = nil
+		pp.dropLocked(false)
 		pp.mu.Unlock()
-		if conn != nil {
-			conn.Close()
-		}
 	}
 }

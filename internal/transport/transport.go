@@ -18,10 +18,10 @@
 // both ends share the version, nothing is negotiated. What a body holds is
 // its method's business: Conn.Do and Server.HandleBytes pass bytes, Call
 // and Handle are the JSON adapter over them, and DESIGN.md "The wire" says
-// who owns those bytes when. A single TCP connection multiplexes many
-// in-flight calls, matched by frame ID; the server executes each request
-// on its own goroutine, so a slow RPC does not head-of-line block the
-// connection.
+// who owns those bytes when. A client connection carries one call at a
+// time, whose caller reads the response: concurrency comes from
+// connections, one per concurrent caller of a peer, and the server runs
+// each request on its own goroutine.
 //
 // This package owns every net.Dial and net.Listen in the repository
 // outside cmd/ — the fslint netdiscipline analyzer enforces it — so the

@@ -73,7 +73,9 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConcurrentCallsMultiplex(t *testing.T) {
+// TestConcurrentCallsShareAConn: goroutines sharing one Conn take turns,
+// and each gets its own answer.
+func TestConcurrentCallsShareAConn(t *testing.T) {
 	_, addr := startEchoServer(t)
 	conn, err := Dial(addr)
 	if err != nil {
@@ -195,6 +197,167 @@ func TestCallDeadlineExpires(t *testing.T) {
 	// The connection survives an abandoned call.
 	if conn.Broken() {
 		t.Fatal("conn broken after an abandoned call")
+	}
+}
+
+// startLateServer serves "late" and "echo" on a listener of its own. It
+// holds a "late" request unanswered until the next request arrives, then
+// answers both in order: the late answer comes after its caller gave up,
+// just ahead of the next call's.
+func startLateServer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	serve := func(nc net.Conn) {
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		var late []byte
+		for {
+			payload, err := readFrame(br, nil)
+			if err != nil {
+				return
+			}
+			h, body, err := parseFrame(payload)
+			if err != nil {
+				return
+			}
+			if string(h.method) == "late" {
+				late = seeded(append(appendResponse(nil, h.id, status.OK, ""), "late"...))
+				continue
+			}
+			out := append(late, seeded(append(appendResponse(nil, h.id, status.OK, ""), body...))...)
+			late = nil
+			if _, err := nc.Write(out); err != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(nc)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestAbandonedResponseNeverReachesALaterCall: a call abandoned at its
+// deadline or its cancellation leaves the connection whole, and the late
+// answer to it, which arrives just ahead of the next call's, is skipped,
+// on a Conn and through a Pool.
+func TestAbandonedResponseNeverReachesALaterCall(t *testing.T) {
+	addr := startLateServer(t)
+	conn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	pool := NewPool(nil)
+	defer pool.Close()
+	pool.SetPeer("t1", addr)
+	for _, via := range []struct {
+		name string
+		do   func(context.Context, string, func([]byte) []byte) ([]byte, error)
+	}{
+		{"conn", conn.Do},
+		{"pool", func(ctx context.Context, method string, enc func([]byte) []byte) ([]byte, error) {
+			return pool.Do(ctx, "t1", method, enc)
+		}},
+	} {
+		ends := map[string]func() (context.Context, context.CancelFunc){
+			"deadline": func() (context.Context, context.CancelFunc) {
+				return context.WithTimeout(context.Background(), 20*time.Millisecond)
+			},
+			"cancel": func() (context.Context, context.CancelFunc) {
+				ctx, cancel := context.WithCancel(context.Background())
+				time.AfterFunc(20*time.Millisecond, cancel)
+				return ctx, cancel
+			},
+		}
+		for end, ctxFor := range ends {
+			ctx, cancel := ctxFor()
+			_, err := via.do(ctx, "late", nil)
+			cancel()
+			if status.CodeOf(err) != status.DeadlineExceeded || errors.Is(err, ErrPeerUnreachable) {
+				t.Fatalf("%s, %s: the late call = %v, want DeadlineExceeded", via.name, end, err)
+			}
+			want := via.name + " after " + end
+			body, err := via.do(context.Background(), "echo", func(b []byte) []byte { return append(b, want...) })
+			if err != nil || string(body) != want {
+				t.Fatalf("%s: the next call got %q, %v; want its own body %q", via.name, body, err, want)
+			}
+		}
+	}
+	if conn.Broken() {
+		t.Error("the conn broke over abandoned calls")
+	}
+	if h := pool.Health(); len(h) != 1 || h[0].Reconnects != 0 || h[0].Errors != 2 {
+		t.Errorf("pool health = %+v, want the two abandoned calls' errors and no reconnect", h)
+	}
+}
+
+// TestReadCutOffMidFrameBreaksTheConn: a deadline that passes inside a
+// response frame leaves the stream unreadable, so the connection breaks.
+func TestReadCutOffMidFrameBreaksTheConn(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	conn := &Conn{nc: client, br: bufio.NewReader(client)}
+	defer conn.Close()
+	go func() {
+		payload, err := readFrame(bufio.NewReader(server), nil)
+		if err != nil {
+			return
+		}
+		h, _, _ := parseFrame(payload)
+		frame := seeded(append(appendResponse(nil, h.id, status.OK, ""), "body"...))
+		server.Write(frame[:len(frame)-2]) //nolint:errcheck // the rest never comes
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := conn.Do(ctx, "echo", nil); !errors.Is(err, ErrPeerUnreachable) {
+		t.Fatalf("Do = %v, want unreachable", err)
+	}
+	if !conn.Broken() {
+		t.Fatal("the conn survived a read cut off mid-frame")
+	}
+}
+
+// TestPoolGrowsWithoutReconnecting: concurrent callers get connections of
+// their own; dialing them is not reconnecting, and no more than maxIdle
+// stay open.
+func TestPoolGrowsWithoutReconnecting(t *testing.T) {
+	_, addr := startEchoServer(t)
+	pool := NewPool(nil)
+	defer pool.Close()
+	pool.SetPeer("t1", addr)
+	var wg sync.WaitGroup
+	for g := range 2 * maxIdle {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				n := g*100 + i
+				body, err := pool.Do(context.Background(), "t1", "echo", echoEnc(n))
+				if err != nil || string(body) != fmt.Sprintf(`{"msg":"","n":%d}`, 2*n) {
+					t.Errorf("call %d: %s, %v", n, body, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if h := pool.Health(); len(h) != 1 || h[0].Reconnects != 0 || h[0].Errors != 0 || !h[0].Connected {
+		t.Fatalf("health = %+v, want connected with no errors or reconnects", h)
+	}
+	pp := pool.peers["t1"]
+	if len(pp.conns) > maxIdle || len(pp.idle) != len(pp.conns) {
+		t.Fatalf("%d connections held, %d idle, once every call returned; want at most %d, all idle", len(pp.conns), len(pp.idle), maxIdle)
 	}
 }
 
