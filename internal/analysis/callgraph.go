@@ -61,24 +61,6 @@ const (
 	KindRef
 )
 
-func (k CallKind) String() string {
-	switch k {
-	case KindStatic:
-		return "static"
-	case KindInterface:
-		return "interface"
-	case KindDefer:
-		return "defer"
-	case KindGo:
-		return "go"
-	case KindLit:
-		return "lit"
-	case KindRef:
-		return "ref"
-	}
-	return "?"
-}
-
 // Synchronous reports whether the callee (conservatively) runs during
 // the caller's execution of the call site, so caller flow state (held
 // locks) applies on entry.

@@ -38,8 +38,8 @@ func wantEdge(t *testing.T, prog *Program, caller, callee string, kind CallKind)
 			return
 		}
 	}
-	t.Errorf("missing %s edge %s -> %s; edges from caller: %v",
-		kind, caller, callee, edgesFrom(prog, caller))
+	t.Errorf("missing edge %s -> %s of kind %d; edges from caller: %v",
+		caller, callee, kind, edgesFrom(prog, caller))
 }
 
 func TestCallGraphStaticCall(t *testing.T) {

@@ -4,7 +4,9 @@
 // coordinator process keeps the catalog, routing, MVCC transaction and
 // 2PC logic, and dials tablet servers that own the durable row storage —
 // the Taurus-style compute/storage separation that makes availability
-// and scale-out independently tunable.
+// and scale-out independently tunable. Each side reaches the other
+// through a transport.Pool: the coordinator its tablet servers, a tablet
+// server the coordinator it joins and heartbeats.
 //
 // The remote boundary is storage.Engine. Every RPC of the protocol is one
 // entry of the method table below, which fixes its wire name and its
@@ -148,31 +150,22 @@ var (
 	mDestroy = rpc[dbTablet, none]("factory.destroy")
 )
 
-// endpoint is the far side of a call: a tablet server reached through
-// the coordinator's pool or, when conn is set, the coordinator reached
-// over a tablet server's control connection.
+// endpoint is the far side of a call: a peer reached through a pool, a
+// tablet server through the coordinator's or the coordinator through a
+// tablet server's.
 type endpoint struct {
 	pool *transport.Pool
 	peer string
-	conn *transport.Conn
 	// eng, if set, is the client-side engine the call belongs to: any
 	// failure marks it crashed.
 	eng *remoteEngine
-}
-
-// do is transport's Do against the endpoint.
-func (to endpoint) do(ctx context.Context, name string, enc func([]byte) []byte) ([]byte, error) {
-	if to.conn != nil {
-		return to.conn.Do(ctx, name, enc)
-	}
-	return to.pool.Do(ctx, to.peer, name, enc)
 }
 
 // call performs m against to.
 func call[Req, Resp any](ctx context.Context, to endpoint, m method[Req, Resp], req Req) (Resp, error) {
 	w := m.bodies()
 	var resp Resp
-	body, err := to.do(ctx, m.name, func(buf []byte) []byte { return w.encReq(buf, req) })
+	body, err := to.pool.Do(ctx, to.peer, m.name, func(buf []byte) []byte { return w.encReq(buf, req) })
 	if err == nil {
 		if resp, err = w.decResp(body); err != nil {
 			err = status.Errorf(status.Internal, "cluster", "decoding %s response: %v", m.name, err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"firestore/internal/fault"
 	"firestore/internal/status"
 	"firestore/internal/storage"
 	"firestore/internal/truetime"
@@ -129,6 +130,45 @@ func TestPeerDeathMarksCrashedAndReopenRecovers(t *testing.T) {
 	}
 	if ld := e2.LastDurable(); ld < 7 {
 		t.Fatalf("LastDurable after recovery = %d, want >= 7", ld)
+	}
+}
+
+// TestHeartbeatCrossesTheFaultPlane: a tablet server reaches the
+// coordinator through a transport.Pool, so an armed transport.partition
+// fails its heartbeat even with no engine traffic, and the peer re-joins.
+func TestHeartbeatCrossesTheFaultPlane(t *testing.T) {
+	coord, _ := startCluster(t, 1, KindMem)
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	armed := time.Now()
+	if err := fault.Enable(fault.Spec{Site: fault.TransportPartition, Mode: fault.ModeError, MaxCount: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.waitForPeerJoin("a", armed, 2*time.Second); err != nil {
+		t.Errorf("no re-join after a partitioned heartbeat: %v", err)
+	}
+	if n := fault.Injected(fault.TransportPartition); n != 1 {
+		t.Errorf("transport.partition fired %d times, want 1", n)
+	}
+}
+
+// TestRejoinAfterCoordinatorRestart: a coordinator that comes back on the
+// same address learns its tablet server again at the next heartbeat.
+func TestRejoinAfterCoordinatorRestart(t *testing.T) {
+	coord, _ := startCluster(t, 1, KindMem)
+	coord.Close()
+	next, err := NewCoordinator(CoordinatorConfig{Listen: coord.Addr()})
+	if err != nil {
+		t.Fatalf("NewCoordinator on the same address: %v", err)
+	}
+	t.Cleanup(next.Close)
+	start := time.Now()
+	if err := next.WaitForPeers(1, 5*time.Second); err != nil {
+		t.Fatalf("WaitForPeers: %v", err)
+	}
+	// One tick, then the failed heartbeat and the join it triggers.
+	if took := time.Since(start); took > heartbeatEvery*3/2 {
+		t.Fatalf("re-join took %v, want one heartbeat period (%v)", took, heartbeatEvery)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -60,6 +61,7 @@ type hostedEngine struct {
 type TabletServer struct {
 	cfg  TabletServerConfig
 	srv  *transport.Server
+	pool *transport.Pool // to the coordinator, its one peer
 	addr string
 
 	mu         sync.Mutex
@@ -68,9 +70,6 @@ type TabletServer struct {
 	byTablet   map[dbTablet]uint64
 	nextHandle uint64
 	closed     bool
-
-	coordMu sync.Mutex
-	coord   *transport.Conn
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -99,6 +98,7 @@ func NewTabletServer(cfg TabletServerConfig) (*TabletServer, error) {
 	ts := &TabletServer{
 		cfg:       cfg,
 		srv:       transport.NewServer(),
+		pool:      transport.NewPool(nil),
 		factories: map[int]storage.Factory{},
 		handles:   map[uint64]*hostedEngine{},
 		byTablet:  map[dbTablet]uint64{},
@@ -111,22 +111,18 @@ func NewTabletServer(cfg TabletServerConfig) (*TabletServer, error) {
 		return nil, err
 	}
 	ts.addr = addr
+	ts.pool.SetPeer(coordinator, cfg.Join)
 	// Operators start tablet servers and the coordinator in any order, and
 	// a respawned process can race the coordinator noticing its
 	// predecessor's death, so the first join is retried on a retryable
 	// failure for a bounded window, over the one listener.
-	var backoff status.Backoff
-	for deadline := time.Now().Add(joinWindow); ; {
-		err := ts.join()
-		if err == nil {
-			break
-		}
-		if !status.Retryable(status.CodeOf(err)) || time.Now().After(deadline) {
-			ts.srv.Close()
-			return nil, fmt.Errorf("joining coordinator %s: %w", cfg.Join, err)
-		}
-		//fslint:ignore clockdiscipline a tablet server's first join runs before any region or clock exists
-		time.Sleep(backoff.Next())
+	ctx, cancel := context.WithTimeout(context.Background(), joinWindow)
+	defer cancel()
+	var last error
+	if status.Retry(ctx, math.MaxInt, func() error { last = ts.join(); return last }) != nil {
+		ts.pool.Close()
+		ts.srv.Close()
+		return nil, fmt.Errorf("joining coordinator %s: %w", cfg.Join, last)
 	}
 	ts.wg.Add(1)
 	go ts.heartbeatLoop()
@@ -141,27 +137,20 @@ func (ts *TabletServer) Addr() string { return ts.addr }
 // parent died.
 func (ts *TabletServer) Orphaned() <-chan struct{} { return ts.orphaned }
 
-// join dials the coordinator and registers this peer.
+// coordinator is the pool's name for the coordinator.
+const coordinator = "coordinator"
+
+// join registers this peer with the coordinator.
 func (ts *TabletServer) join() error {
-	conn, err := transport.Dial(ts.cfg.Join)
-	if err != nil {
-		return err
-	}
+	return callCoordinator(ts, mJoin, joinReq{Name: ts.cfg.Name, Addr: ts.addr, Kind: ts.cfg.Kind})
+}
+
+// callCoordinator performs m against the coordinator, bounded as a dial is.
+func callCoordinator[Req any](ts *TabletServer, m method[Req, none], req Req) error {
 	ctx, cancel := context.WithTimeout(context.Background(), transport.DialTimeout)
 	defer cancel()
-	req := joinReq{Name: ts.cfg.Name, Addr: ts.addr, Kind: ts.cfg.Kind}
-	if _, err := call(ctx, endpoint{conn: conn}, mJoin, req); err != nil {
-		conn.Close()
-		return err
-	}
-	ts.coordMu.Lock()
-	old := ts.coord
-	ts.coord = conn
-	ts.coordMu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	return nil
+	_, err := call(ctx, endpoint{pool: ts.pool, peer: coordinator}, m, req)
+	return err
 }
 
 // joinWindow bounds how long NewTabletServer retries its first join.
@@ -193,8 +182,8 @@ func (ts *TabletServer) heartbeatLoop() {
 				close(ts.orphaned) // once: the loop ends here
 				return
 			}
-			// The coordinator conn broke (or it restarted): re-join so it
-			// relearns our address.
+			// The coordinator may have restarted: re-join so it relearns
+			// our address.
 			ts.join() //nolint:errcheck // retried next tick
 			continue
 		}
@@ -203,28 +192,17 @@ func (ts *TabletServer) heartbeatLoop() {
 }
 
 func (ts *TabletServer) heartbeat() error {
-	ts.coordMu.Lock()
-	conn := ts.coord // set by the join NewTabletServer waited for
-	ts.coordMu.Unlock()
 	ts.mu.Lock()
 	n := len(ts.byTablet)
 	ts.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), transport.DialTimeout)
-	defer cancel()
-	_, err := call(ctx, endpoint{conn: conn}, mHeartbeat, heartbeatReq{Name: ts.cfg.Name, Tablets: n})
-	return err
+	return callCoordinator(ts, mHeartbeat, heartbeatReq{Name: ts.cfg.Name, Tablets: n})
 }
 
 // Close stops heartbeats, the server, and every hosted engine.
 func (ts *TabletServer) Close() {
 	ts.stopOnce.Do(func() { close(ts.stop) })
 	ts.wg.Wait()
-	ts.coordMu.Lock()
-	if ts.coord != nil {
-		ts.coord.Close()
-		ts.coord = nil
-	}
-	ts.coordMu.Unlock()
+	ts.pool.Close()
 	ts.srv.Close()
 	ts.mu.Lock()
 	handles := ts.handles

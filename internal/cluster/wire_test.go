@@ -24,29 +24,24 @@ import (
 type wireProbe struct {
 	t          *testing.T
 	typed, raw *transport.Server
-	typedConn  *transport.Conn // to typed
-	rawConn    *transport.Conn // to raw
+	to         *transport.Pool // peers "typed" and "raw"
 	seen       map[string]bool
 }
 
 func newWireProbe(t *testing.T) *wireProbe {
-	serve := func() (*transport.Server, *transport.Conn) {
+	p := &wireProbe{t: t, to: transport.NewPool(nil), seen: map[string]bool{}}
+	t.Cleanup(p.to.Close)
+	serve := func(peer string) *transport.Server {
 		srv := transport.NewServer()
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Close)
-		conn, err := transport.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(conn.Close)
-		return srv, conn
+		p.to.SetPeer(peer, addr)
+		return srv
 	}
-	p := &wireProbe{t: t, seen: map[string]bool{}}
-	p.typed, p.typedConn = serve()
-	p.raw, p.rawConn = serve()
+	p.typed, p.raw = serve("typed"), serve("raw")
 	return p
 }
 
@@ -71,10 +66,10 @@ func show[Req, Resp any](m method[Req, Resp], body []byte) string {
 }
 
 // rawCall sends body as it is and returns the reply as it came.
-func rawCall(conn *transport.Conn, name string, body []byte) ([]byte, error) {
+func rawCall(to endpoint, name string, body []byte) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	return conn.Do(ctx, name, func(b []byte) []byte { return append(b, body...) })
+	return to.pool.Do(ctx, to.peer, name, func(b []byte) []byte { return append(b, body...) })
 }
 
 // golden pins one method's wire form to captured bytes (wantReq, wantResp;
@@ -93,7 +88,7 @@ func golden[Req, Resp any](p *wireProbe, m method[Req, Resp], req Req, wantReq s
 		sent = bytes.Clone(body)
 		return append(reply, respBytes...), nil
 	})
-	gotResp, err := call(ctx, endpoint{conn: p.rawConn}, m, req)
+	gotResp, err := call(ctx, endpoint{pool: p.to, peer: "raw"}, m, req)
 	if err != nil {
 		p.t.Fatalf("%s: call: %v", m.name, err)
 	}
@@ -113,7 +108,7 @@ func golden[Req, Resp any](p *wireProbe, m method[Req, Resp], req Req, wantReq s
 		same, gotReq = reflect.DeepEqual(r, req), fmt.Sprintf("%+v", r)
 		return resp, nil
 	})
-	replied, err := rawCall(p.typedConn, m.name, reqBytes)
+	replied, err := rawCall(endpoint{pool: p.to, peer: "typed"}, m.name, reqBytes)
 	if err != nil {
 		p.t.Fatalf("%s: raw call: %v", m.name, err)
 	}
@@ -210,21 +205,17 @@ func TestMalformedRequests(t *testing.T) {
 	defer e.Close()
 	apply(t, e, "k", "v", 5)
 
-	dial := func(addr string) *transport.Conn {
-		conn, err := transport.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(conn.Close)
-		return conn
-	}
-	toCoord, toTablet := dial(coord.Addr()), dial(servers[0].Addr())
+	pool := transport.NewPool(nil)
+	t.Cleanup(pool.Close)
+	pool.SetPeer(coordinator, coord.Addr())
+	pool.SetPeer("a", servers[0].Addr())
+	toCoord, toTablet := endpoint{pool: pool, peer: coordinator}, endpoint{pool: pool, peer: "a"}
 	control := []string{mJoin.name, mHeartbeat.name}
 
 	for _, name := range methodNames {
-		conn := toTablet
+		to := toTablet
 		if slices.Contains(control, name) {
-			conn = toCoord
+			to = toCoord
 		}
 		for _, probe := range []struct {
 			what, body string
@@ -239,7 +230,7 @@ func TestMalformedRequests(t *testing.T) {
 			// take one, still malformed for the rest.
 			{"huge h", `{"h":18446744073709551615,"db":"one","name":1}`, true},
 		} {
-			_, err := rawCall(conn, name, []byte(probe.body))
+			_, err := rawCall(to, name, []byte(probe.body))
 			switch code := status.CodeOf(err); {
 			case code == status.InvalidArgument:
 			case probe.stale && code == status.FailedPrecondition && strings.Contains(err.Error(), "stale engine handle"):
@@ -305,7 +296,7 @@ func TestMalformedRequests(t *testing.T) {
 		t.Fatalf("Get after the malformed sweep = %q, %v", v, ok)
 	}
 	apply(t, e, "k2", "v2", 6)
-	if _, err := call(context.Background(), endpoint{conn: toCoord}, mHeartbeat, heartbeatReq{Name: "a"}); err != nil {
+	if _, err := call(context.Background(), toCoord, mHeartbeat, heartbeatReq{Name: "a"}); err != nil {
 		t.Fatalf("heartbeat after the malformed sweep: %v", err)
 	}
 }

@@ -435,11 +435,3 @@ func PrefixSuccessor(p []byte) []byte {
 	}
 	return nil
 }
-
-// Successor returns the smallest byte string greater than b itself (b with
-// a 0x00 appended). Used for exclusive lower bounds.
-func Successor(b []byte) []byte {
-	out := make([]byte, len(b)+1)
-	copy(out, b)
-	return out
-}

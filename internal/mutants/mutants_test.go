@@ -243,6 +243,20 @@ var mutants = []mutant{
 		defect: "a call takes the first response on its connection as its own, so the late answer to an abandoned call answers the next one",
 	},
 	{
+		pkg: "internal/transport", file: "pool.go",
+		fragment: `		for _, idle := range pp.idle {
+			delete(pp.conns, idle)
+			idle.Close()
+		}
+		pp.unreplaced += 1 + len(pp.idle)
+		pp.idle = nil
+`,
+		mutant: `		pp.unreplaced++
+`,
+		killer: "TestPoolRecoversFromPeerRestart", runs: 1,
+		defect: "a broken connection leaves its peer's idle connections in the pool, so a peer that dropped them fails one call per idle connection",
+	},
+	{
 		pkg: "internal/rules", file: "parser.go",
 		fragment: `	if _, ok := e.(*UnaryExpr); !ok {`,
 		mutant:   `	if true {`,

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"firestore/internal/doc"
-	"firestore/internal/encoding"
 	"firestore/internal/storage"
 )
 
@@ -157,7 +156,7 @@ func (p *Plan) walk(ctx context.Context, st Storage, resume []byte, visit func(p
 	iters := p.newScanIters(st)
 	var candidate []byte
 	if resume != nil {
-		candidate = encoding.Successor(resume)
+		candidate = storage.KeyAfter(resume)
 	}
 	for {
 		pos, name, ok, err := nextHit(ctx, iters, candidate)

@@ -315,3 +315,14 @@ func TestParentCommitDirectoriesOpen(t *testing.T) {
 	}
 	check("after the source widened")
 }
+
+// TestKeyAfter: nothing sorts between a key and its successor, so a scan
+// resumed there skips no key: key < KeyAfter(key) < key‖0x01.
+func TestKeyAfter(t *testing.T) {
+	for _, key := range [][]byte{nil, {0}, {1, 2}, {0xff}} {
+		next := KeyAfter(key)
+		if bytes.Compare(key, next) >= 0 || bytes.Compare(next, append(bytes.Clone(key), 1)) >= 0 {
+			t.Errorf("KeyAfter(%x) = %x, want strictly between %x and %x01", key, next, key, key)
+		}
+	}
+}

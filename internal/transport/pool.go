@@ -39,9 +39,10 @@ type PeerHealth struct {
 // connection, or dials one when none is idle, and gives it back when done,
 // so a peer has a connection per concurrent caller; at most maxIdle stay
 // open while idle. The pool tracks per-peer health (failure streaks) and
-// feeds per-peer RPC metrics into an obs.Registry. It is the single place
-// network fault sites are evaluated, so an armed transport.partition
-// covers every RPC the coordinator makes.
+// feeds per-peer RPC metrics into an obs.Registry. It is the one client
+// in every process and the single place network fault sites are
+// evaluated, so an armed transport.partition covers every RPC: the
+// coordinator's engine calls and a tablet server's join and heartbeat.
 type Pool struct {
 	mu    sync.Mutex
 	peers map[string]*poolPeer
@@ -206,7 +207,9 @@ func (pp *poolPeer) take(met *poolMetrics) (*Conn, error) {
 }
 
 // give takes c back after a call: it goes idle if it is whole, still held
-// and there is room, and is closed otherwise.
+// and there is room, and is closed otherwise. A broken c retires the
+// peer's idle connections with it: no read watches an idle connection, so
+// one the peer dropped would otherwise fail the next call that takes it.
 func (pp *poolPeer) give(c *Conn) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
@@ -214,7 +217,12 @@ func (pp *poolPeer) give(c *Conn) {
 	switch {
 	case !held:
 	case c.Broken():
-		pp.unreplaced++
+		for _, idle := range pp.idle {
+			delete(pp.conns, idle)
+			idle.Close()
+		}
+		pp.unreplaced += 1 + len(pp.idle)
+		pp.idle = nil
 	case len(pp.idle) < maxIdle:
 		pp.idle = append(pp.idle, c)
 		return

@@ -21,13 +21,16 @@
 // who owns those bytes when. A client connection carries one call at a
 // time, whose caller reads the response: concurrency comes from
 // connections, one per concurrent caller of a peer, and the server runs
-// each request on its own goroutine.
+// each request on its own goroutine. A Pool holds the connections, and it
+// is the one client in every process: the coordinator's engine calls and
+// a tablet server's join and heartbeat. A connection that breaks retires
+// its peer's idle ones, and the dials that replace them are reconnects.
 //
 // This package owns every net.Dial and net.Listen in the repository
-// outside cmd/ — the fslint netdiscipline analyzer enforces it — so the
-// fault plane's network sites (transport.partition, transport.slow-link,
-// transport.half-open, transport.conn-reset) cover every byte that
-// crosses a process boundary.
+// outside cmd/ — the fslint netdiscipline analyzer enforces it — and the
+// Pool evaluates the fault plane's network sites (transport.partition,
+// transport.slow-link, transport.half-open, transport.conn-reset) on every
+// call, so they cover every byte that crosses a process boundary.
 package transport
 
 import (

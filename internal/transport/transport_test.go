@@ -411,6 +411,64 @@ func TestPoolReconnectsAfterServerDrop(t *testing.T) {
 	}
 }
 
+// TestPoolRecoversFromPeerRestart: a peer that drops every connection
+// costs one failed call, not one per idle connection: the first broken
+// connection retires the rest, and the next call dials.
+func TestPoolRecoversFromPeerRestart(t *testing.T) {
+	srv, addr := startEchoServer(t)
+	in, release := make(chan struct{}), make(chan struct{})
+	srv.HandleBytes("gate", func(_ context.Context, _, reply []byte) ([]byte, error) {
+		in <- struct{}{}
+		<-release
+		return reply, nil
+	})
+	pool := NewPool(nil)
+	defer pool.Close()
+	pool.SetPeer("t1", addr)
+
+	// Four calls in the handler at once hold four connections, which go
+	// idle when they return.
+	const conns = 4
+	var wg sync.WaitGroup
+	for range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := pool.Do(context.Background(), "t1", "gate", nil); err != nil {
+				t.Errorf("gate: %v", err)
+			}
+		}()
+	}
+	for range conns {
+		<-in
+	}
+	close(release)
+	wg.Wait()
+	pp := pool.peers["t1"]
+	pp.mu.Lock()
+	idle := len(pp.idle)
+	pp.mu.Unlock()
+	if idle != conns {
+		t.Fatalf("%d idle connections, want %d", idle, conns)
+	}
+
+	srv.mu.Lock()
+	for c := range srv.conns {
+		c.Close()
+	}
+	srv.mu.Unlock()
+
+	failed := 0
+	for i := range 6 {
+		if _, err := pool.Do(context.Background(), "t1", "echo", echoEnc(i)); err != nil {
+			failed++
+		}
+	}
+	if failed > 1 {
+		t.Fatalf("%d of 6 calls failed after the peer dropped its connections, want at most 1", failed)
+	}
+}
+
 func TestFaultPartition(t *testing.T) {
 	_, addr := startEchoServer(t)
 	pool := NewPool(nil)
