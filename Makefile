@@ -57,7 +57,8 @@ test-race:
 # and the streaming range-read path above it (spanner, cluster, query):
 # a scan interleaves with writers, flushes, splits and peer death chunk
 # by chunk, not under one lock hold — and the wire under that (transport):
-# pooled frame buffers and reusable call slots under multiplexing — and
+# pooled frame buffers and the pool's connections, one call at a time each,
+# re-dialled after a peer restart — and
 # the write triggers' queue and its dispatch goroutine (triggers).
 # Twenty rounds of the contended commits that used to wait out
 # LockTimeout: read-modify-write transactions on one document (a

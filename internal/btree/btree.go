@@ -7,12 +7,12 @@
 //
 // A Tree[V] keeps each value by value in its node's item, so a lookup or
 // a range walk reaches it with no further pointer hop; the storage layer
-// keeps per-key MVCC version chains in it. Get, Upsert, Ascend and
-// Descend hand out a *V into the node, through which the caller may
-// write; it is valid until the next Upsert or Set of an absent key or
-// the next Delete. Get, Ascend, Descend, KeyAt and Len only read, so
-// they may run concurrently with each other but not with a write;
-// callers synchronize (each tablet guards its tree with its own lock).
+// keeps per-key MVCC version chains in it. Get, Upsert and Ascend hand
+// out a *V into the node, through which the caller may write; it is
+// valid until the next Upsert or Set of an absent key or the next
+// Delete. Get, Ascend, KeyAt and Len only read, so they may run
+// concurrently with each other but not with a write; callers synchronize
+// (each tablet guards its tree with its own lock).
 package btree
 
 import (
@@ -319,45 +319,6 @@ func (n *node[V]) ascend(begin, end []byte, fn func([]byte, *V) bool) bool {
 	}
 	if !n.leaf() {
 		return n.children[len(n.children)-1].ascend(begin, end, fn)
-	}
-	return true
-}
-
-// Descend calls fn for each key/value with begin <= key < end in
-// descending order. Semantics mirror Ascend.
-func (t *Tree[V]) Descend(begin, end []byte, fn func(key []byte, value *V) bool) {
-	if t.root != nil {
-		t.root.descend(begin, end, fn)
-	}
-}
-
-// descend mirrors ascend: end is searched for only on the rightmost
-// descent, and begin is compared only against separators and in the
-// boundary leaf.
-func (n *node[V]) descend(begin, end []byte, fn func([]byte, *V) bool) bool {
-	i := len(n.items)
-	if end != nil {
-		i, _ = n.find(end)
-	}
-	for ; i > 0; i-- {
-		it := &n.items[i-1]
-		before := begin != nil && bytes.Compare(it.key, begin) < 0
-		if !n.leaf() {
-			childBegin := begin
-			if !before {
-				childBegin = nil
-			}
-			if !n.children[i].descend(childBegin, end, fn) {
-				return false
-			}
-		}
-		if before || !fn(it.key, &it.value) {
-			return false
-		}
-		end = nil
-	}
-	if !n.leaf() {
-		return n.children[0].descend(begin, end, fn)
 	}
 	return true
 }

@@ -156,65 +156,6 @@ func TestAscendEarlyStop(t *testing.T) {
 	}
 }
 
-func TestDescend(t *testing.T) {
-	tr := new(Tree[int])
-	const n = 500
-	for i := 0; i < n; i++ {
-		tr.Set(key(i), i)
-	}
-	var got []int
-	tr.Descend(key(100), key(110), func(_ []byte, v *int) bool {
-		got = append(got, *v)
-		return true
-	})
-	want := []int{109, 108, 107, 106, 105, 104, 103, 102, 101, 100}
-	if len(got) != len(want) {
-		t.Fatalf("Descend visited %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Descend visited %v, want %v", got, want)
-		}
-	}
-}
-
-func TestDescendFullOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tr := new(Tree[int])
-	const n = 1500
-	for _, i := range rng.Perm(n) {
-		tr.Set(key(i), i)
-	}
-	prev := n
-	count := 0
-	tr.Descend(nil, nil, func(_ []byte, v *int) bool {
-		if *v >= prev {
-			t.Fatalf("descend out of order: %d after %d", *v, prev)
-		}
-		prev = *v
-		count++
-		return true
-	})
-	if count != n {
-		t.Fatalf("visited %d, want %d", count, n)
-	}
-}
-
-func TestDescendEarlyStop(t *testing.T) {
-	tr := new(Tree[int])
-	for i := 0; i < 100; i++ {
-		tr.Set(key(i), i)
-	}
-	count := 0
-	tr.Descend(nil, nil, func([]byte, *int) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("early stop visited %d, want 3", count)
-	}
-}
-
 func TestKeyAt(t *testing.T) {
 	tr := new(Tree[int])
 	for i := 0; i < 200; i++ {
@@ -237,8 +178,8 @@ func TestKeyAt(t *testing.T) {
 // TestQuickAgainstMap drives random operations against the tree and a
 // reference map, checking full equivalence including iteration order.
 // Upsert's flag must match the reference and its pointer must read the
-// reference's value; writes through the *V of Upsert, Ascend and Descend
-// must land in the tree.
+// reference's value; writes through the *V of Upsert and Ascend must
+// land in the tree.
 func TestQuickAgainstMap(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -254,7 +195,7 @@ func TestQuickAgainstMap(t *testing.T) {
 		}
 		for op := 0; op < 3000; op++ {
 			k := []byte(fmt.Sprintf("%04d", rng.Intn(500)))
-			switch rng.Intn(7) {
+			switch rng.Intn(6) {
 			case 0, 1:
 				v := rng.Int()
 				_, existed := tr.Set(k, v)
@@ -279,8 +220,6 @@ func TestQuickAgainstMap(t *testing.T) {
 				delete(ref, string(k))
 			case 5:
 				tr.Ascend(k, nil, bump(1))
-			case 6:
-				tr.Descend(nil, k, bump(-3))
 			}
 		}
 		if tr.Len() != len(ref) {
@@ -356,10 +295,10 @@ func (n *node[V]) depth() int {
 	return 1 + n.children[0].depth()
 }
 
-// TestRangeWalksMatchReference checks Ascend and Descend against a sorted
-// slice over random bounds — present keys, absent keys, nil, begin >= end
-// — each stopped at a random row, on small trees and on trees deep enough
-// that a range crosses separators at every level.
+// TestRangeWalksMatchReference checks Ascend against a sorted slice over
+// random bounds — present keys, absent keys, nil, begin >= end — each
+// stopped at a random row, on small trees and on trees deep enough that a
+// range crosses separators at every level.
 func TestRangeWalksMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for _, n := range []int{0, 1, 7, 63, 64, 500, 12000, 30000} {
@@ -413,11 +352,6 @@ func TestRangeWalksMatchReference(t *testing.T) {
 				}
 			}
 			walk("Ascend", tr.Ascend, want)
-			rev := make([][]byte, len(want))
-			for i, k := range want {
-				rev[len(want)-1-i] = k
-			}
-			walk("Descend", tr.Descend, rev)
 		}
 	}
 }

@@ -290,11 +290,10 @@ type getBatchResp struct {
 // the range holds rows beyond those returned. The server keeps nothing
 // between calls: the client continues from the last key's successor.
 type scanReq struct {
-	H       uint64
-	Lo, Hi  []byte
-	TS      truetime.Timestamp
-	Reverse bool
-	Limit   int
+	H      uint64
+	Lo, Hi []byte
+	TS     truetime.Timestamp
+	Limit  int
 }
 
 type scanResp struct {
@@ -319,7 +318,7 @@ type keyAtResp struct {
 }
 
 // chainsResp chunks a chain export the way scanResp chunks a scan, and
-// engine.chains asks with a scanReq, its TS and Reverse unused.
+// engine.chains asks with a scanReq, its TS unused.
 type chainsResp struct {
 	Chains []storage.Chain
 	More   bool

@@ -69,8 +69,11 @@ func (e *remoteEngine) GetBatch(keys [][]byte, ts truetime.Timestamp) []storage.
 // chunk marks the engine crashed (call does) and ends the scan; the
 // tablet layer's Crashed() check discards what it was about to emit.
 func (e *remoteEngine) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(storage.Row) bool) bool {
+	if reverse {
+		return storage.ScanDescending(fn, func(keep func(storage.Row) bool) bool { return e.Scan(lo, hi, ts, false, keep) })
+	}
 	for n := storage.NextScanChunk(0); ; n = storage.NextScanChunk(n) {
-		resp, err := call(context.Background(), e.via, mScan, scanReq{H: e.handle, Lo: lo, Hi: hi, TS: ts, Reverse: reverse, Limit: n})
+		resp, err := call(context.Background(), e.via, mScan, scanReq{H: e.handle, Lo: lo, Hi: hi, TS: ts, Limit: n})
 		for _, r := range resp.Rows {
 			if !fn(r) {
 				return false
@@ -79,11 +82,7 @@ func (e *remoteEngine) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, 
 		if err != nil || !resp.More || len(resp.Rows) == 0 {
 			return true
 		}
-		if last := resp.Rows[len(resp.Rows)-1].Key; reverse {
-			hi = last
-		} else {
-			lo = storage.KeyAfter(last)
-		}
+		lo = storage.KeyAfter(resp.Rows[len(resp.Rows)-1].Key)
 	}
 }
 

@@ -315,7 +315,7 @@ func (ts *TabletServer) registerHandlers() {
 			return resp, status.Errorf(status.InvalidArgument, "cluster", "scan limit %d outside [1, %d]", req.Limit, storage.MaxScanChunk)
 		}
 		size := 0
-		resp.More = !he.eng.Scan(req.Lo, req.Hi, req.TS, req.Reverse, func(r storage.Row) bool {
+		resp.More = !he.eng.Scan(req.Lo, req.Hi, req.TS, false, func(r storage.Row) bool {
 			resp.Rows = append(resp.Rows, r)
 			size += len(r.Key) + len(r.Value)
 			return len(resp.Rows) < req.Limit && size < storage.MaxScanBytes

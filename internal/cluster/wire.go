@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"firestore/internal/storage"
 	"firestore/internal/truetime"
@@ -22,12 +23,11 @@ import (
 // refers to, and alias it.
 
 // Flag bits of a scan or chains request. A nil bound (= unbounded) travels
-// as an empty field with its bit clear. (A response's one flag, More, is
-// the low bit.)
+// as an empty field with its bit clear. A request with any other bit set
+// is refused. (A response's one flag, More, is the low bit.)
 const (
-	flagReverse = 2 << iota
-	flagLo      // Lo is set
-	flagHi      // Hi is set
+	flagLo = 4 << iota // Lo is set
+	flagHi             // Hi is set
 )
 
 var (
@@ -64,14 +64,17 @@ var (
 	scanCodec = codec[scanReq, scanResp]{
 		encReq: func(b []byte, r scanReq) []byte {
 			b = appendUvarints(b, r.H, uint64(r.TS), uint64(r.Limit))
-			b = append(b, flagReverse*storage.Flag(r.Reverse)|flagLo*storage.Flag(r.Lo != nil)|flagHi*storage.Flag(r.Hi != nil))
+			b = append(b, flagLo*storage.Flag(r.Lo != nil)|flagHi*storage.Flag(r.Hi != nil))
 			return storage.AppendBytes(storage.AppendBytes(b, r.Lo), r.Hi)
 		},
 		decReq: func(b []byte) (scanReq, error) {
 			d := storage.NewDecoder(b, false)
 			r := scanReq{H: d.Uvarint(), TS: timestamp(d), Limit: int(d.Uvarint())}
 			f := d.Byte()
-			r.Reverse, r.Lo, r.Hi = f&flagReverse != 0, bound(d, f&flagLo != 0), bound(d, f&flagHi != 0)
+			if f&^(flagLo|flagHi) != 0 {
+				return r, fmt.Errorf("scan flags %#x: unknown bits", f)
+			}
+			r.Lo, r.Hi = bound(d, f&flagLo != 0), bound(d, f&flagHi != 0)
 			return decoded(d, r)
 		},
 		encResp: func(b []byte, r scanResp) []byte {
@@ -83,7 +86,7 @@ var (
 		},
 	}
 
-	// A chains request is a scan request that leaves TS and Reverse zero.
+	// A chains request is a scan request that leaves TS zero.
 	chainsCodec = codec[scanReq, chainsResp]{
 		encReq: scanCodec.encReq,
 		decReq: scanCodec.decReq,

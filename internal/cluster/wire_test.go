@@ -153,11 +153,11 @@ func TestWireGolden(t *testing.T) {
 		"07 0c 02  03 6b6579  05 6f74686572",
 		getBatchResp{Results: []storage.BatchGet{{Value: v, TS: 10, OK: true}, {}}},
 		"02  01 0a 03 76616c  00 00 00")
-	// handle, ts, limit, flags (2 reverse, 4 lo set, 8 hi set), lo, hi ->
+	// handle, ts, limit, flags (4 lo set, 8 hi set), lo, hi ->
 	// flags (1 more), row count, then per row key, ts, value. An unset
 	// bound and a set empty one differ in the flag alone.
-	golden(p, mScan, scanReq{H: 7, Hi: []byte("z"), TS: 12, Reverse: true, Limit: 2},
-		"07 0c 02 0a 00 01 7a",
+	golden(p, mScan, scanReq{H: 7, Hi: []byte("z"), TS: 12, Limit: 2},
+		"07 0c 02 08 00 01 7a",
 		scanResp{Rows: []storage.Row{{Key: k, Value: v, TS: 10}, {Key: []byte("e"), TS: 3}}, More: true},
 		"01 02  03 6b6579 0a 03 76616c  01 65 03 00")
 	golden(p, mScan, scanReq{H: 7, TS: 12, Limit: 32}, "07 0c 20 00 00 00", scanResp{}, "00 00")
@@ -167,7 +167,7 @@ func TestWireGolden(t *testing.T) {
 	golden(p, mApply, applyReq{H: 7, Writes: []storage.Write{{Key: k, Value: v}, {Key: []byte("gone"), Delete: true}}, TS: 13},
 		"07 0d 02  03 6b6579 00 03 76616c  04 676f6e65 01 00", none{}, "")
 	golden(p, mKeyAt, keyAtReq{H: 7, I: 1}, `{"h":7,"i":1}`, keyAtResp{Key: k, OK: true}, `{"key":"a2V5","ok":true}`)
-	// A scan request with ts and reverse unused -> flags, chain count, chains.
+	// A scan request with ts unused -> flags, chain count, chains.
 	golden(p, mChains, scanReq{H: 7, Lo: []byte("a"), Limit: 2}, "07 00 02 04 01 61 00",
 		chainsResp{Chains: chains, More: true}, "01 02"+chainsHex)
 	golden(p, mChains, scanReq{H: 7, Limit: 32}, "07 00 20 00 00 00", chainsResp{}, "00 00")
@@ -270,6 +270,18 @@ func TestMalformedRequests(t *testing.T) {
 		} {
 			if _, err := rawCall(toTablet, probe.name, body); status.CodeOf(err) != status.InvalidArgument {
 				t.Errorf("%s %s: err = %v, want InvalidArgument", probe.name, what, err)
+			}
+		}
+	}
+
+	// A flags byte with a bit the wire does not have is refused, not
+	// ignored: a peer that asks for more than a forward range (0x02 with
+	// hi set, or the low bit) must not be served one.
+	for _, flags := range []byte{0x0a, 0x01} {
+		body := append(append(appendUvarints(nil, h, 10, 1), flags), 0, 1, 'z')
+		for _, name := range []string{mScan.name, mChains.name} {
+			if _, err := rawCall(toTablet, name, body); status.CodeOf(err) != status.InvalidArgument {
+				t.Errorf("%s with flags %#02x: err = %v, want InvalidArgument", name, flags, err)
 			}
 		}
 	}
@@ -475,7 +487,7 @@ func fuzzBodies[Req, Resp any](t *testing.T, m method[Req, Resp], in []byte) {
 func FuzzEngineBodies(f *testing.F) {
 	for _, golden := range []string{
 		"070c036b6579", "010a0376616c", "070c02036b6579056f74686572", "02010a0376616c000000",
-		"070c020a00017a", "0102036b65790a0376616c01650300", "070c010c0000", "0000",
+		"070c020800017a", "0102036b65790a0376616c01650300", "070c010c0000", "0000",
 		"070d02036b6579000376616c04676f6e650100", "07000204016100",
 		"0102036b6579000205000376616c0901000670757267656401010300" + "00",
 		"0702036b6579000205000376616c090100067075726765640101030000",

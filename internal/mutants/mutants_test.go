@@ -263,6 +263,20 @@ var mutants = []mutant{
 		killer:   "TestUnaryUnderPostfix", runs: 1,
 		defect: "a unary operand of a postfix prints bare, so (!a).f prints as !(a).f, which reads back as !(a.f)",
 	},
+	{
+		pkg: "internal/cluster", file: "wire.go",
+		fragment: `			if f&^(flagLo|flagHi) != 0 {`,
+		mutant:   `			if false {`,
+		killer:   "TestMalformedRequests", runs: 1,
+		defect: "a scan or chains request with a flag bit the wire does not have is served, so one asking for a descending scan gets rows in ascending order",
+	},
+	{
+		pkg: "internal/storage", file: "storage.go",
+		fragment: `	for i := len(rows) - 1; ok && i >= 0; i-- {`,
+		mutant:   `	for i := 0; ok && i < len(rows); i++ {`,
+		killer:   "TestEngineConformance", killerPkg: "internal/cluster", runs: 1,
+		defect: "the one descending scan delivers its rows first to last, so every engine answers a descending scan in ascending order",
+	},
 	lintRow("statusdiscipline", "internal/backend", "backend.go",
 		`ErrUnavailable = status.New(status.Unavailable, "backend", "real-time cache unavailable")`,
 		`ErrUnavailable = errors.New("real-time cache unavailable")`,

@@ -302,7 +302,7 @@ func TestStaleTabletReadAfterMerge(t *testing.T) {
 		// Scans revalidate ownership too: a full-range scan through a
 		// retired tablet restarts against the current owners.
 		count := 0
-		more, valid, _, err := stale.scanAt(ctx, nil, nil, truetime.Max, false, func(ScanRow) bool {
+		more, valid, _, err := stale.scanAt(ctx, nil, nil, truetime.Max, func(ScanRow) bool {
 			count++
 			return true
 		})

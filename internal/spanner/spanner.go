@@ -566,26 +566,32 @@ func (db *DB) readOwnedBatch(ctx context.Context, rows []LockedRow, ts truetime.
 type ScanRow = storage.Row
 
 // SnapshotScan performs a lock-free consistent scan of [begin, end) at
-// ts, in ascending (or descending if reverse) key order, calling fn for
-// each row until fn returns false or the range is exhausted.
+// ts, in ascending (or descending if reverse, by storage.ScanDescending)
+// key order, calling fn for each row until fn returns false or the range
+// is exhausted.
 func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.Timestamp, reverse bool, fn func(ScanRow) bool) error {
+	if reverse {
+		var err error
+		storage.ScanDescending(fn, func(keep func(ScanRow) bool) bool {
+			err = db.SnapshotScan(ctx, begin, end, ts, false, keep)
+			return err == nil
+		})
+		return err
+	}
 	if err := fault.Point(ctx, fault.SpannerRead); err != nil {
 		db.sampleFault(begin)
 		return err
 	}
 	db.stats.scans.Add(1)
-	lo, hi := begin, end
+	lo := begin
 	var buf [4]*tablet
 	counted := false
 	for {
-		tablets := db.tabletsInRange(buf[:0], lo, hi)
-		if reverse {
-			slices.Reverse(tablets)
-		}
+		tablets := db.tabletsInRange(buf[:0], lo, end)
 		var last []byte
 		restart := false
 		for _, t := range tablets {
-			waited, err := t.waitSafe(ctx, ts, func(txn *Txn) bool { return txn.writesIn(lo, hi) })
+			waited, err := t.waitSafe(ctx, ts, func(txn *Txn) bool { return txn.writesIn(lo, end) })
 			if waited && !counted {
 				counted = true
 				db.stats.snapWaits.Add(1)
@@ -594,7 +600,7 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 				return err
 			}
 			t.recordOp(1, keyviz.OpScan)
-			more, valid, emitted, err := t.scanAt(ctx, lo, hi, ts, reverse, fn)
+			more, valid, emitted, err := t.scanAt(ctx, lo, end, ts, fn)
 			if emitted != nil {
 				last = emitted
 			}
@@ -615,11 +621,7 @@ func (db *DB) SnapshotScan(ctx context.Context, begin, end []byte, ts truetime.T
 		// rows re-read at the same ts are identical, so the restart is
 		// invisible to fn.
 		if last != nil {
-			if reverse {
-				hi = last
-			} else {
-				lo = storage.KeyAfter(last)
-			}
+			lo = storage.KeyAfter(last)
 		}
 	}
 }

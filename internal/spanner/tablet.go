@@ -269,7 +269,7 @@ func (s *tabletScan) emit() bool {
 // before returning). The caller re-resolves tablets and resumes after
 // last, the key of the last row emitted (nil: none); at a fixed ts the
 // re-read rows are identical.
-func (t *tablet) scanAt(ctx context.Context, begin, end []byte, ts truetime.Timestamp, reverse bool, fn func(ScanRow) bool) (more, valid bool, last []byte, err error) {
+func (t *tablet) scanAt(ctx context.Context, begin, end []byte, ts truetime.Timestamp, fn func(ScanRow) bool) (more, valid bool, last []byte, err error) {
 	t.mu.Lock()
 	lo, hi := clampRange(begin, end, t.start, t.end)
 	e, retired := t.store, t.retired
@@ -279,7 +279,7 @@ func (t *tablet) scanAt(ctx context.Context, begin, end []byte, ts truetime.Time
 	}
 	s := tabletScans.Get().(*tabletScan)
 	*s = tabletScan{t: t, e: e, begin: begin, end: end, lo: lo, hi: hi, fn: fn, rows: storage.GetRows(), more: true, valid: true, stage: s.stage}
-	e.Scan(lo, hi, ts, reverse, s.stage)
+	e.Scan(lo, hi, ts, false, s.stage)
 	if s.valid && s.more {
 		s.emit()
 	}

@@ -762,27 +762,13 @@ func (e *Disk) merge(lo, hi []byte, fn func(layers []Chain) bool) bool {
 }
 
 func (e *Disk) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(Row) bool) bool {
-	if !reverse {
-		return e.merge(lo, hi, func(layers []Chain) bool {
-			r, ok := rowAt(layers, ts)
-			return !ok || fn(r)
-		})
+	if reverse {
+		return ScanDescending(fn, func(keep func(Row) bool) bool { return e.Scan(lo, hi, ts, false, keep) })
 	}
-	// Segment files only stream forward, and no serving path scans in
-	// reverse: resolve the range, then walk it backwards.
-	var rows []Row
-	e.merge(lo, hi, func(layers []Chain) bool {
-		if r, ok := rowAt(layers, ts); ok {
-			rows = append(rows, r)
-		}
-		return true
+	return e.merge(lo, hi, func(layers []Chain) bool {
+		r, ok := rowAt(layers, ts)
+		return !ok || fn(r)
 	})
-	for i := len(rows) - 1; i >= 0; i-- {
-		if !fn(rows[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 func (e *Disk) KeyAt(i int) (key []byte, ok bool) {

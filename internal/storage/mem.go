@@ -127,6 +127,9 @@ func (e *Mem) Get(key []byte, ts truetime.Timestamp) ([]byte, truetime.Timestamp
 }
 
 func (e *Mem) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(Row) bool) bool {
+	if reverse {
+		return ScanDescending(fn, func(keep func(Row) bool) bool { return e.Scan(lo, hi, ts, false, keep) })
+	}
 	// Each round visits one chunk of chains under the read lock, resolving
 	// the rows visible at ts, and delivers them outside it; the next
 	// round re-seeks past the last chain visited (the tree is not
@@ -150,11 +153,7 @@ func (e *Mem) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(R
 			return visited < n
 		}
 		e.mu.RLock()
-		if reverse {
-			e.tab.rows.Descend(lo, hi, visit)
-		} else {
-			e.tab.rows.Ascend(lo, hi, visit)
-		}
+		e.tab.rows.Ascend(lo, hi, visit)
 		e.mu.RUnlock()
 		for _, r := range *chunk {
 			if !fn(r) {
@@ -164,12 +163,8 @@ func (e *Mem) Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(R
 		if visited < n {
 			return true
 		}
-		if reverse {
-			hi = last
-		} else {
-			resume = append(append(resume[:0], last...), 0)
-			lo = resume
-		}
+		resume = append(append(resume[:0], last...), 0)
+		lo = resume
 	}
 }
 

@@ -166,8 +166,9 @@ type Engine interface {
 	// O(log n + rows delivered) work and holds O(chunk) memory
 	// (NextScanChunk): it reads the range chunk by chunk, re-seeking
 	// after the last key, and never holds a lock across fn, which may
-	// read the same engine. A delivered row's Key and Value are
-	// immutable: callers may keep or slice them without copying.
+	// read the same engine; a reverse scan is ScanDescending's, O(range)
+	// memory. A delivered row's Key and Value are immutable: callers may
+	// keep or slice them without copying.
 	Scan(lo, hi []byte, ts truetime.Timestamp, reverse bool, fn func(Row) bool) bool
 
 	// Apply atomically installs a batch of writes at commit timestamp
@@ -329,6 +330,20 @@ func CopyChains(dst, src Engine, lo, hi []byte) (n int, err error) {
 // scan that delivered key resumes.
 func KeyAfter(key []byte) []byte {
 	return append(append(make([]byte, 0, len(key)+1), key...), 0)
+}
+
+// ScanDescending is the one descending scan: every Engine.Scan and
+// SnapshotScan hand theirs to it first thing. scan reads the range forward
+// into keep, which never stops it, and reports whether it read it all;
+// then fn gets the rows last to first. It holds the whole range, O(range)
+// memory, and returns false if fn stopped it or scan failed.
+func ScanDescending(fn func(Row) bool, scan func(keep func(Row) bool) bool) bool {
+	var rows []Row
+	ok := scan(func(r Row) bool { rows = append(rows, r); return true })
+	for i := len(rows) - 1; ok && i >= 0; i-- {
+		ok = fn(rows[i])
+	}
+	return ok
 }
 
 // trimmable returns how many of a chain's oldest versions (it is oldest
