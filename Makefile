@@ -117,19 +117,21 @@ mutants:
 # process: a transport frame, the binary engine-plane
 # bodies, a segment file, a WAL file, a tablet manifest, a stored document,
 # an index-key value, a mobile client's persisted state, a query's page
-# token, rules source (whose parse must also print back to itself), and
-# over two evaluators: rules evaluation, whose errors must deny, and
-# query planning and execution, whose pages must add up to what the
-# in-memory query evaluator answers over the same documents. One pkg:Target
-# pair per target; pkg is under internal/ unless it is a top-level
-# package. FUZZTIME is each pass's length. Minimising is capped: the
+# token, rules source (whose parse must also print back to itself) and a
+# document value's HTTP JSON form (which must read back as the same
+# value), and over two evaluators: rules evaluation, whose errors must
+# deny, and query planning and execution, whose pages must add up to what
+# the in-memory query evaluator answers over the same documents. One
+# pkg:Target pair per target; pkg is under internal/ unless it is a path
+# from the module root. FUZZTIME is each pass's length. Minimising is capped: the
 # default minute per interesting input, on a segment file of a few KB, is
 # the whole pass.
 FUZZTIME ?= 30s
 fuzz:
 	@for pair in transport:FuzzReadFrame cluster:FuzzEngineBodies storage:FuzzLoadSegment \
 		storage:FuzzReplayWAL storage:FuzzLoadManifest doc:FuzzUnmarshal encoding:FuzzDecodeValue mobile:FuzzImport \
-		backend:FuzzPageToken rules:FuzzParse rules:FuzzEval query:FuzzQueryAgainstNaive; do \
+		backend:FuzzPageToken rules:FuzzParse rules:FuzzEval query:FuzzQueryAgainstNaive \
+		cmd/firestore-server/server:FuzzValueJSON; do \
 		echo "fuzz $$pair"; dir=./internal/$${pair%%:*}; [ -d $$dir ] || dir=./$${pair%%:*}; \
 		$(GO) test -run=$${pair#*:} -fuzz=$${pair#*:} -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s $$dir/ || exit 1; \
 	done

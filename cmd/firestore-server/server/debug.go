@@ -99,41 +99,24 @@ type DebugOptions struct {
 	Pprof bool
 }
 
-// EnableDebug mounts the operator status pages:
-//
-//	/debug/metricz   metrics registry (Prometheus text; ?format=json)
-//	/debug/tracez    recent sampled/slow/error traces (?kind=, ?n=)
-//	/debug/requestz  in-flight requests, oldest first
-//	/debug/schedz    fair-scheduler per-database state
-//	/debug/tabletz   Spanner tablet boundaries, load, and safe-time state
-//	/debug/storagez  per-tablet storage engines (WAL, memtable, segments)
-//	/debug/listenz   real-time connections and cache ranges
-//	/debug/faultz    fault-injection plane (GET inventory; POST enable/disable)
-//	/debug/advisorz  index advisor: per-query-shape planner outcomes (?db=)
-//	/debug/keyvizz   keyspace heatmap: per-tablet/range heat, hotspots,
-//	                 and the split/rebalance/shed/fault event timeline
-//	                 (JSON; ?format=svg renders a self-contained heatmap)
-//	/debug/clusterz  multi-process cluster peer table: roles, addresses,
-//	                 owned tablet ranges, pool health, last heartbeat
-//
-// Debug routes are not /v1 routes: they get no ingress span, so scrapes
-// do not pollute the RPC metrics they report.
+// EnableDebug mounts the operator status pages, one route each. A page
+// has no operation: it gets no root span and no deadline, so scrapes do
+// not pollute the RPC metrics they report.
 func (s *Server) EnableDebug(opts DebugOptions) {
-	s.mux.HandleFunc("/debug/metricz", s.metricz)
-	s.mux.HandleFunc("/debug/tracez", s.tracez)
-	s.mux.HandleFunc("/debug/requestz", s.requestz)
-	s.mux.HandleFunc("/debug/schedz", s.schedz)
-	s.mux.HandleFunc("/debug/tabletz", s.tabletz)
-	s.mux.HandleFunc("/debug/storagez", s.storagez)
-	s.mux.HandleFunc("/debug/listenz", s.listenz)
-	s.mux.HandleFunc("GET /debug/faultz", s.faultz)
-	s.mux.HandleFunc("POST /debug/faultz", func(w http.ResponseWriter, r *http.Request) {
-		page, err := s.setFaults(r)
-		reply(w, page, err)
+	s.mount([]route{
+		{"/debug/metricz", "", s.metricz},       // metrics registry (Prometheus text; ?format=json)
+		{"/debug/tracez", "", s.tracez},         // recent sampled/slow/error traces (?kind=, ?n=)
+		{"/debug/requestz", "", s.requestz},     // in-flight requests, oldest first
+		{"/debug/schedz", "", s.schedz},         // fair-scheduler per-database state
+		{"/debug/tabletz", "", s.tabletz},       // Spanner tablet boundaries, load, and safe-time state
+		{"/debug/storagez", "", s.storagez},     // per-tablet storage engines (WAL, memtable, segments)
+		{"/debug/listenz", "", s.listenz},       // real-time connections and cache ranges
+		{"GET /debug/faultz", "", s.faultz},     // fault-injection sites
+		{"POST /debug/faultz", "", s.setFaults}, // enable, disable or reset them
+		{"/debug/advisorz", "", s.advisorz},     // index advisor: per-query-shape planner outcomes (?db=)
+		{"/debug/keyvizz", "", s.keyvizz},       // keyspace heatmap and event timeline (?format=svg)
+		{"/debug/clusterz", "", s.clusterz},     // multi-process cluster peer table
 	})
-	s.mux.HandleFunc("/debug/advisorz", s.advisorz)
-	s.mux.HandleFunc("/debug/keyvizz", s.keyvizz)
-	s.mux.HandleFunc("/debug/clusterz", s.clusterz)
 	if opts.Pprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -144,14 +127,14 @@ func (s *Server) EnableDebug(opts DebugOptions) {
 	}
 }
 
-func (s *Server) metricz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) metricz(w http.ResponseWriter, r *http.Request) (any, error) {
 	reg := s.region.Obs
 	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, reg.Snapshot())
-		return
+		return reg.Snapshot(), nil
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	reg.WritePrometheus(w)
+	return nil, nil
 }
 
 // debugN parses the ?n= result bound (default 16).
@@ -162,7 +145,7 @@ func debugN(r *http.Request) int {
 	return 16
 }
 
-func (s *Server) tracez(w http.ResponseWriter, r *http.Request) {
+func (s *Server) tracez(w http.ResponseWriter, r *http.Request) (any, error) {
 	t := s.region.Tracer
 	n := debugN(r)
 	kind := r.URL.Query().Get("kind")
@@ -172,40 +155,39 @@ func (s *Server) tracez(w http.ResponseWriter, r *http.Request) {
 		}
 		return t.Recent(k, n)
 	}
-	writeJSON(w, TracezPage{
+	return TracezPage{
 		Stats:   t.Stats(),
 		Sampled: recent(reqctx.KeepSampled),
 		Slow:    recent(reqctx.KeepSlow),
 		Error:   recent(reqctx.KeepError),
-	})
+	}, nil
 }
 
-func (s *Server) requestz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, RequestzPage{Active: s.region.Tracer.Active()})
+func (s *Server) requestz(w http.ResponseWriter, r *http.Request) (any, error) {
+	return RequestzPage{Active: s.region.Tracer.Active()}, nil
 }
 
-func (s *Server) schedz(w http.ResponseWriter, r *http.Request) {
-	var page SchedzPage
-	if s.region.Scheduler != nil {
-		st := s.region.Scheduler.Snapshot()
-		page = SchedzPage{Enabled: true, Stats: &st}
+func (s *Server) schedz(w http.ResponseWriter, r *http.Request) (any, error) {
+	if s.region.Scheduler == nil {
+		return SchedzPage{}, nil
 	}
-	writeJSON(w, page)
+	st := s.region.Scheduler.Snapshot()
+	return SchedzPage{Enabled: true, Stats: &st}, nil
 }
 
-func (s *Server) tabletz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) tabletz(w http.ResponseWriter, r *http.Request) (any, error) {
 	var page TabletsPage
 	for i, db := range s.region.Spanners {
 		st := db.Stats()
 		page.Spanners = append(page.Spanners, DBTablets{Index: i, Stats: &st, Tablets: db.TabletStats()})
 	}
-	writeJSON(w, page)
+	return page, nil
 }
 
 // storagez reports each tablet's storage engine: kind, key counts,
 // WAL/memtable/segment sizes, and flush/compaction/recovery activity,
 // plus region-wide totals for the operator's first glance.
-func (s *Server) storagez(w http.ResponseWriter, r *http.Request) {
+func (s *Server) storagez(w http.ResponseWriter, r *http.Request) (any, error) {
 	page := TabletsPage{Totals: &StorageTotals{}}
 	sum := page.Totals
 	for i, db := range s.region.Spanners {
@@ -223,7 +205,7 @@ func (s *Server) storagez(w http.ResponseWriter, r *http.Request) {
 		}
 		page.Spanners = append(page.Spanners, DBTablets{Index: i, Tablets: infos})
 	}
-	writeJSON(w, page)
+	return page, nil
 }
 
 // FaultzRequest is the POST body for /debug/faultz.
@@ -241,15 +223,14 @@ type FaultzRequest struct {
 }
 
 // faultz lists every fault-injection site with its live spec and
-// counters. It is only mounted when the operator opts into the debug
-// suite, exactly like the other status pages.
-func (s *Server) faultz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, FaultzPage{Sites: fault.List()})
+// counters.
+func (s *Server) faultz(w http.ResponseWriter, r *http.Request) (any, error) {
+	return FaultzPage{Sites: fault.List()}, nil
 }
 
 // setFaults arms, disarms, or resets fault-injection sites and answers
 // with the sites as faultz lists them.
-func (s *Server) setFaults(r *http.Request) (any, error) {
+func (s *Server) setFaults(w http.ResponseWriter, r *http.Request) (any, error) {
 	var req FaultzRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
 		return nil, err
@@ -286,45 +267,43 @@ func (s *Server) setFaults(r *http.Request) (any, error) {
 // and per-range heat cells, scored hotspots, and the correlated event
 // timeline. JSON by default; ?format=svg returns a self-contained SVG
 // heatmap an operator can open directly in a browser.
-func (s *Server) keyvizz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) keyvizz(w http.ResponseWriter, r *http.Request) (any, error) {
 	kv := s.region.KeyViz
 	if kv == nil {
-		http.Error(w, "keyviz collector not configured", http.StatusNotFound)
-		return
+		return nil, status.New(status.NotFound, "server", "keyviz collector not configured")
 	}
 	snap := kv.Snapshot()
 	if r.URL.Query().Get("format") == "svg" {
 		w.Header().Set("Content-Type", "image/svg+xml")
 		w.Write([]byte(keyviz.RenderSVG(snap)))
-		return
+		return nil, nil
 	}
-	writeJSON(w, snap)
+	return snap, nil
 }
 
 // clusterz reports the multi-process cluster's peer table (tablet-server
 // roles, addresses, owned ranges, connection-pool health, heartbeats)
 // when the region runs behind a cluster coordinator; single-process
 // regions report enabled=false.
-func (s *Server) clusterz(w http.ResponseWriter, r *http.Request) {
-	var page ClusterzPage
-	if s.clusterInfo != nil {
-		st := s.clusterInfo()
-		page = ClusterzPage{Enabled: true, Cluster: &st}
+func (s *Server) clusterz(w http.ResponseWriter, r *http.Request) (any, error) {
+	if s.clusterInfo == nil {
+		return ClusterzPage{}, nil
 	}
-	writeJSON(w, page)
+	st := s.clusterInfo()
+	return ClusterzPage{Enabled: true, Cluster: &st}, nil
 }
 
 // advisorz reports the index advisor: per-query-shape planner choices,
 // scanned:returned ratios, and composite index suggestions for shapes
 // that scan far more entries than they return.
-func (s *Server) advisorz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, AdvisorzPage{Shapes: s.region.Backend.AdvisorReport(r.URL.Query().Get("db"))})
+func (s *Server) advisorz(w http.ResponseWriter, r *http.Request) (any, error) {
+	return AdvisorzPage{Shapes: s.region.Backend.AdvisorReport(r.URL.Query().Get("db"))}, nil
 }
 
-func (s *Server) listenz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, ListenzPage{
+func (s *Server) listenz(w http.ResponseWriter, r *http.Request) (any, error) {
+	return ListenzPage{
 		Connections: s.region.Frontend.ConnStats(),
 		Cache:       s.region.Cache.Stats(),
 		Ranges:      s.region.Cache.RangeStats(),
-	})
+	}, nil
 }

@@ -503,3 +503,36 @@ func TestDebugDisabled(t *testing.T) {
 		t.Errorf("pprof without EnableDebug: got %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestDebugPagesCarryRequestID: a debug page is served through the same
+// ingress as a /v1 route, so it echoes the caller's X-Request-Id, or
+// mints one.
+func TestDebugPagesCarryRequestID(t *testing.T) {
+	ts := newDebugServer(t)
+	for _, page := range []struct{ method, path string }{
+		{"GET", "/debug/metricz"},
+		{"GET", "/debug/metricz?format=json"},
+		{"GET", "/debug/tracez"},
+		{"GET", "/debug/requestz"},
+		{"GET", "/debug/schedz"},
+		{"GET", "/debug/tabletz"},
+		{"GET", "/debug/storagez"},
+		{"GET", "/debug/listenz"},
+		{"GET", "/debug/faultz"},
+		{"POST", "/debug/faultz"},
+		{"GET", "/debug/advisorz"},
+		{"GET", "/debug/keyvizz?format=svg"},
+		{"GET", "/debug/clusterz"},
+	} {
+		var body any
+		if page.method == "POST" {
+			body = FaultzRequest{Action: "reset"}
+		}
+		if resp, raw := do(t, ts, page.method, page.path, body, nil); resp.StatusCode != 200 || resp.Header.Get("X-Request-Id") == "" {
+			t.Errorf("%s %s = %d %.80s with request ID %q, want 200 and a minted ID", page.method, page.path, resp.StatusCode, raw, resp.Header.Get("X-Request-Id"))
+		}
+		if resp, _ := do(t, ts, page.method, page.path, body, map[string]string{"X-Request-Id": "scrape-1"}); resp.Header.Get("X-Request-Id") != "scrape-1" {
+			t.Errorf("%s %s echoed request ID %q, want scrape-1", page.method, page.path, resp.Header.Get("X-Request-Id"))
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -20,9 +21,14 @@ import (
 //	{"$time": "<RFC3339>"}   timestamp
 //	{"$ref": "/a/b"}         document reference
 //	{"$geo": [lat, lng]}     geopoint
+//	{"$double": "NaN"}       NaN, "Infinity" or "-Infinity"
+//	{"$map": {"$ref": 1}}    a map whose one key is a tag
 //
 // A one-key object whose key is one of these tags must hold its type:
-// {"$time": "yesterday"} is refused, not stored as a map.
+// {"$time": "yesterday"} is refused, not stored as a map. JSON has no
+// number for NaN or an infinity, so a double is tagged $double only then,
+// with the proto3 JSON mapping's string, and a geopoint coordinate takes
+// the same string in place of its number.
 //
 // A JSON number is an Int when it is an integer literal (one past the
 // 64-bit range is refused) and a Double otherwise, so 1.0 and 1e3 are
@@ -91,7 +97,7 @@ func valueFromJSON(v any) (doc.Value, error) {
 }
 
 // taggedValue decodes raw as the type tag names. ok is false when tag is
-// not one of the four tags; a tag that does not hold its type is an
+// not one of the six tags; a tag that does not hold its type is an
 // error.
 func taggedValue(tag string, raw any) (v doc.Value, ok bool, err error) {
 	s, isString := raw.(string)
@@ -110,18 +116,56 @@ func taggedValue(tag string, raw any) (v doc.Value, ok bool, err error) {
 		}
 	case "$geo":
 		if arr, isArray := raw.([]any); isArray && len(arr) == 2 {
-			lat, ok1 := arr[0].(json.Number)
-			lng, ok2 := arr[1].(json.Number)
-			latF, err1 := lat.Float64()
-			lngF, err2 := lng.Float64()
-			if ok1 && ok2 && err1 == nil && err2 == nil {
-				return doc.Geo(latF, lngF), true, nil
+			lat, ok1 := coordinate(arr[0])
+			lng, ok2 := coordinate(arr[1])
+			if ok1 && ok2 {
+				return doc.Geo(lat, lng), true, nil
 			}
+		}
+	case "$double":
+		if f, ok := parseNonFinite(raw); ok {
+			return doc.Double(f), true, nil
+		}
+	case "$map":
+		if m, isMap := raw.(map[string]any); isMap {
+			fields, err := fieldsFromJSON(m)
+			return doc.Map(fields), true, err
 		}
 	default:
 		return doc.Null(), false, nil
 	}
 	return doc.Null(), true, status.Errorf(status.InvalidArgument, "server", "%s does not hold its type: %v", tag, raw)
+}
+
+// coordinate reads a $geo coordinate: a JSON number, or the string of a
+// double JSON has no number for.
+func coordinate(raw any) (float64, bool) {
+	if n, ok := raw.(json.Number); ok {
+		f, err := n.Float64()
+		return f, err == nil
+	}
+	return parseNonFinite(raw)
+}
+
+// nonFinite is the proto3 JSON mapping's string for a double JSON has no
+// number for, and "" for any other.
+func nonFinite(f float64) string {
+	switch {
+	case math.IsNaN(f):
+		return "NaN"
+	case math.IsInf(f, 1):
+		return "Infinity"
+	case math.IsInf(f, -1):
+		return "-Infinity"
+	}
+	return ""
+}
+
+// parseNonFinite reads a string nonFinite returns, and nothing else.
+func parseNonFinite(raw any) (float64, bool) {
+	s, _ := raw.(string)
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && nonFinite(f) == s
 }
 
 func fieldsFromJSON(raw map[string]any) (map[string]doc.Value, error) {
@@ -146,6 +190,9 @@ func valueToJSON(v doc.Value) any {
 		if v.IsInt() {
 			return v.IntVal()
 		}
+		if s := nonFinite(v.DoubleVal()); s != "" {
+			return map[string]any{"$double": s}
+		}
 		s := strconv.FormatFloat(v.DoubleVal(), 'g', -1, 64)
 		if !strings.ContainsAny(s, ".e") {
 			s += ".0"
@@ -161,7 +208,7 @@ func valueToJSON(v doc.Value) any {
 		return map[string]any{"$ref": v.RefVal()}
 	case doc.KindGeoPoint:
 		g := v.GeoVal()
-		return map[string]any{"$geo": []any{g.Lat, g.Lng}}
+		return map[string]any{"$geo": []any{geoCoordinate(g.Lat), geoCoordinate(g.Lng)}}
 	case doc.KindArray:
 		arr := v.ArrayVal()
 		out := make([]any, len(arr))
@@ -170,9 +217,25 @@ func valueToJSON(v doc.Value) any {
 		}
 		return out
 	case doc.KindMap:
-		return fieldsToJSON(v.MapVal())
+		m := fieldsToJSON(v.MapVal())
+		if len(m) == 1 {
+			for k := range m {
+				if _, isTag, _ := taggedValue(k, nil); isTag {
+					return map[string]any{"$map": m}
+				}
+			}
+		}
+		return m
 	}
 	return nil
+}
+
+// geoCoordinate is f's form in a $geo array, which coordinate reads.
+func geoCoordinate(f float64) any {
+	if s := nonFinite(f); s != "" {
+		return s
+	}
+	return f
 }
 
 func fieldsToJSON(fields map[string]doc.Value) map[string]any {

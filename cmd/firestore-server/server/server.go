@@ -5,6 +5,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -44,10 +45,7 @@ func (s *Server) SetClusterInfo(fn func() cluster.ClusterStatus) { s.clusterInfo
 // none, because the frontend layer's registration span roots its trace.
 func New(region *core.Region) *Server {
 	s := &Server{region: region, mux: http.NewServeMux()}
-	for _, rt := range []struct {
-		pattern, op string
-		h           handler
-	}{
+	s.mount([]route{
 		{"POST /v1/databases", "frontend.admin", s.createDatabase},
 		{"POST /v1/databases/{db}/rules", "frontend.admin", s.setRules},
 		{"POST /v1/databases/{db}/indexes", "frontend.admin", s.addIndex},
@@ -56,10 +54,21 @@ func New(region *core.Region) *Server {
 		{"DELETE /v1/databases/{db}/docs/{path...}", "frontend.delete", s.deleteDoc},
 		{"POST /v1/databases/{db}/query", "frontend.query", s.runQuery},
 		{"GET /v1/databases/{db}/listen", "", s.listen},
-	} {
+	})
+	return s
+}
+
+// route is a mux pattern, its root span's operation ("" for none) and handler.
+type route struct {
+	pattern, op string
+	h           handler
+}
+
+// mount serves each route through handle.
+func (s *Server) mount(routes []route) {
+	for _, rt := range routes {
 		s.mux.Handle(rt.pattern, s.handle(rt.op, rt.h))
 	}
-	return s
 }
 
 // DefaultTimeout bounds request handling when the client sets no
@@ -72,17 +81,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // handler serves one route. It returns the page to answer with, or the
 // error whose canonical code picks the status (an error wins over a
-// page); the listen stream writes its own response and returns neither.
+// page); one that writes its own body, as listen does, returns neither.
 type handler func(w http.ResponseWriter, r *http.Request) (page any, err error)
 
-// handle is the ingress of a /v1 route: the request gets a request ID
+// handle is the ingress of every route: the request gets a request ID
 // (minted unless the client sent X-Request-Id, echoed back in the
 // response), a QoS class (X-QoS: batch tags throughput traffic), its
 // database and the region's span recorder, all carried in the context
 // so every layer below can classify, trace, and shed work against them.
 // An operation also gets a deadline and runs under a root span named
-// op, which ends after the response is written, with the handler's own
-// error: the ingress is the root of every trace.
+// op, which ends after the response is written, with the error the
+// response carries: the ingress is the root of every trace.
 func (s *Server) handle(op string, h handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rid := r.Header.Get("X-Request-Id")
@@ -110,42 +119,49 @@ func (s *Server) handle(op string, h handler) http.Handler {
 		}
 		var page any
 		page, err = h(w, r.WithContext(ctx))
-		reply(w, page, err)
+		err = reply(w, page, err)
 	})
 }
 
-// reply writes a handler's page as JSON, or its error with the status
-// the error's canonical code maps to; a body over its cap answers 413.
-func reply(w http.ResponseWriter, page any, err error) {
+// reply writes a handler's page as JSON, encoded before any header is
+// sent, or the error (the page's own, if it cannot be) with the status
+// its code maps to, 413 for a body over its cap. It returns that error.
+func reply(w http.ResponseWriter, page any, err error) error {
+	var body []byte
+	if err == nil && page != nil {
+		body, err = encode(page)
+	}
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
 		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 	case err != nil:
 		http.Error(w, err.Error(), status.HTTPStatus(status.CodeOf(err)))
-	case page != nil:
-		writeJSON(w, page)
+	case body != nil:
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
 	}
+	return err
+}
+
+// encode is the one JSON encoding of a response body, newline-ended. Its
+// error is unclassified, so it answers 500 and records INTERNAL.
+func encode(page any) ([]byte, error) {
+	b, err := json.Marshal(page)
+	return append(b, '\n'), err
 }
 
 // principal derives the caller identity from headers: privileged callers
 // set X-Privileged; end users carry "Bearer uid:<user>" tokens (the
 // Firebase Authentication stand-in).
 func principal(r *http.Request) backend.Principal {
-	batch := r.Header.Get("X-QoS") == "batch"
+	p := backend.Principal{Batch: reqctx.From(r.Context()).QoS == reqctx.Batch}
 	if r.Header.Get("X-Privileged") == "true" {
-		return backend.Principal{Privileged: true, Batch: batch}
+		p.Privileged = true
+	} else if uid, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer uid:"); ok && uid != "" {
+		p.Auth = &rules.Auth{UID: uid}
 	}
-	auth := r.Header.Get("Authorization")
-	if uid, ok := strings.CutPrefix(auth, "Bearer uid:"); ok && uid != "" {
-		return backend.Principal{Auth: &rules.Auth{UID: uid}, Batch: batch}
-	}
-	return backend.Principal{Batch: batch}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	return p
 }
 
 func (s *Server) createDatabase(w http.ResponseWriter, r *http.Request) (any, error) {
@@ -454,8 +470,6 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) (any, error) {
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	for {
 		select {
 		case <-r.Context().Done():
@@ -477,17 +491,16 @@ func (s *Server) listen(w http.ResponseWriter, r *http.Request) (any, error) {
 				removed = append(removed, n.String())
 			}
 			payload["added"], payload["modified"], payload["removed"] = documents(ev.Added), documents(ev.Modified), removed
-			if ev.Err != nil {
-				// The query could not be rebuilt: the stream ends with it.
-				payload = map[string]any{"error": ev.Err.Error()}
+			body, err := encode(payload)
+			if err = cmp.Or(ev.Err, err); err != nil {
+				// The query could not be rebuilt, or the event has no JSON
+				// form: the stream ends with the error, which encodes.
+				body, _ = encode(map[string]string{"error": err.Error()})
 			}
-			fmt.Fprintf(w, "data: ")
-			enc.Encode(payload)
-			fmt.Fprintf(w, "\n")
-			if flusher != nil {
-				flusher.Flush()
-			}
-			if ev.Err != nil {
+			fmt.Fprintf(w, "data: %s\n", body)
+			// A client that went away also ends r's context, and the loop.
+			_ = http.NewResponseController(w).Flush()
+			if err != nil {
 				return nil, nil
 			}
 		}

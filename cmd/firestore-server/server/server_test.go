@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -583,7 +584,9 @@ func TestTaggedValuesRoundTrip(t *testing.T) {
 		return got.Fields
 	}
 	if resp, body := do(t, ts, "PUT", "/v1/databases/app/docs/c/a", `{"b": {"$bytes": "AQID"}, "t": {"$time": "2020-01-02T03:04:05.123456Z"},
-		"r": {"$ref": "/c/b"}, "g": {"$geo": [37.7, -122.4]}, "m": {"x": {"$time": "0001-01-01T00:00:00Z"}}, "l": [{"$bytes": ""}, 1.5]}`, nil); resp.StatusCode != 200 {
+		"r": {"$ref": "/c/b"}, "g": {"$geo": [37.7, -122.4]}, "m": {"x": {"$time": "0001-01-01T00:00:00Z"}}, "l": [{"$bytes": ""}, 1.5],
+		"d": [{"$double": "NaN"}, {"$double": "Infinity"}, {"$double": "-Infinity"}], "gn": {"$geo": ["NaN", 0]}, "gi": {"$geo": [0, "-Infinity"]},
+		"mt": {"$map": {"$ref": 7}}}`, nil); resp.StatusCode != 200 {
 		t.Fatalf("put: %d %s", resp.StatusCode, body)
 	}
 	first := fieldsOf("/v1/databases/app/docs/c/a")
@@ -766,5 +769,30 @@ func TestExplainOverHTTP(t *testing.T) {
 	}
 	if out.ReadTime == 0 {
 		t.Fatal("missing readTime")
+	}
+}
+
+// TestReplyUnencodablePage: a page that has no JSON form answers 500
+// with the encoder's error, not 200 with an empty body, and the root
+// span records INTERNAL.
+func TestReplyUnencodablePage(t *testing.T) {
+	region := core.NewRegion(core.Config{Name: "spans"})
+	t.Cleanup(region.Close)
+	h := New(region).handle("frontend.get", func(http.ResponseWriter, *http.Request) (any, error) {
+		return map[string]any{"x": math.NaN()}, nil
+	})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/databases/app/docs/c/d", nil))
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "NaN") {
+		t.Errorf("unencodable page = %d %q, want 500 naming the value", rec.Code, rec.Body)
+	}
+	var recorded []string
+	for _, h := range region.Obs.Snapshot().Histograms {
+		if h.Name == "frontend.get" {
+			recorded = append(recorded, fmt.Sprintf("%s x%d", h.Labels["code"], h.Count))
+		}
+	}
+	if fmt.Sprint(recorded) != "[INTERNAL x1]" {
+		t.Errorf("root span recorded %v, want [INTERNAL x1]", recorded)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 
@@ -74,7 +75,12 @@ var (
 			if f&^(flagLo|flagHi) != 0 {
 				return r, fmt.Errorf("scan flags %#x: unknown bits", f)
 			}
-			r.Lo, r.Hi = bound(d, f&flagLo != 0), bound(d, f&flagHi != 0)
+			lo, errLo := bound(d, f&flagLo != 0)
+			hi, errHi := bound(d, f&flagHi != 0)
+			if err := cmp.Or(errLo, errHi); err != nil {
+				return r, err
+			}
+			r.Lo, r.Hi = lo, hi
 			return decoded(d, r)
 		},
 		encResp: func(b []byte, r scanResp) []byte {
@@ -152,12 +158,17 @@ func list[T any](d *storage.Decoder, min int, one func(*storage.Decoder) T) (vs 
 	return vs
 }
 
-// bound decodes a scan bound: nil unless set, and then never nil.
-func bound(d *storage.Decoder, set bool) []byte {
-	if b := d.Bytes(); b != nil || !set {
-		return b
+// bound decodes a scan bound: nil unless set, and then never nil. A
+// bound that is not set holds no bytes.
+func bound(d *storage.Decoder, set bool) ([]byte, error) {
+	b := d.Bytes()
+	if b != nil && !set {
+		return nil, fmt.Errorf("scan bound of %d bytes under a clear flag", len(b))
 	}
-	return []byte{}
+	if b == nil && set {
+		return []byte{}, nil
+	}
+	return b, nil
 }
 
 func timestamp(d *storage.Decoder) truetime.Timestamp { return truetime.Timestamp(d.Uvarint()) }

@@ -286,6 +286,15 @@ func TestMalformedRequests(t *testing.T) {
 		}
 	}
 
+	// A bound whose flag is clear holds no bytes: <h> 0a 01 00 00 01 7a
+	// (flags 0x00, hi "z") must not be served as a range ending at "z".
+	for _, name := range []string{mScan.name, mChains.name} {
+		body := append(append(appendUvarints(nil, h, 10, 1), 0x00), 0, 1, 'z')
+		if _, err := rawCall(toTablet, name, body); status.CodeOf(err) != status.InvalidArgument {
+			t.Errorf("%s with a bound under a clear flag (% x): err = %v, want InvalidArgument", name, body, err)
+		}
+	}
+
 	// A chunk limit no coordinator sends — negative, zero or beyond the
 	// largest chunk — is refused before the engine is touched, and a
 	// refusal is not a crash.

@@ -271,6 +271,32 @@ var mutants = []mutant{
 		defect: "a scan or chains request with a flag bit the wire does not have is served, so one asking for a descending scan gets rows in ascending order",
 	},
 	{
+		pkg: "internal/cluster", file: "wire.go",
+		fragment: `	if b != nil && !set {`,
+		mutant:   `	if false {`,
+		killer:   "TestMalformedRequests", runs: 1,
+		defect: "a scan or chains bound whose flag is clear but whose field holds bytes is served, so a request the flags call unbounded is answered for a range",
+	},
+	{
+		pkg: "cmd/firestore-server/server", file: "server.go",
+		fragment: `		body, err = encode(page)
+`,
+		mutant: `		body, _ = encode(page)
+`,
+		killer: "TestReplyUnencodablePage", runs: 1,
+		defect: "reply drops the encoder's error, so a page with no JSON form answers 200 with a bare newline and its root span records OK",
+	},
+	{
+		pkg: "cmd/firestore-server/server", file: "json.go",
+		fragment: `		if s := nonFinite(v.DoubleVal()); s != "" {
+			return map[string]any{"$double": s}
+		}
+`,
+		mutant: ``,
+		killer: "TestNonFiniteValuesOverHTTP", runs: 1,
+		defect: "a NaN or infinite double is written as a number JSON does not have, so every page that holds one answers 500",
+	},
+	{
 		pkg: "internal/storage", file: "storage.go",
 		fragment: `	for i := len(rows) - 1; ok && i >= 0; i-- {`,
 		mutant:   `	for i := 0; ok && i < len(rows); i++ {`,
